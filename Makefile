@@ -1,13 +1,14 @@
 # Development targets. `make check` is the full gate: vet, build,
-# the whole test suite under the race detector, and a short run of
-# every fuzz target over its seed corpus.
+# the whole test suite under the race detector (each package once), a
+# short run of every fuzz target over its seed corpus, and a smoke of
+# the lapbench CLI paths no test drives.
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check check-runtime check-cluster check-chaos check-load check-hotpath check-predictors soak vet build test race fuzz bench bench-all report
+.PHONY: check check-load check-hotpath check-predictors soak vet build test race fuzz bench bench-all report
 
-check: vet build race fuzz check-runtime check-cluster check-chaos check-load check-hotpath check-predictors
+check: vet build race fuzz check-load check-hotpath check-predictors
 
 vet:
 	$(GO) vet ./...
@@ -18,54 +19,25 @@ build:
 test:
 	$(GO) test ./...
 
+# Every suite under the race detector, once: the runtime engine and its
+# linearity stress, the wire hot path (coalescing latch, sharded accept,
+# torn vectored write), the cooperative tier's 3-node CHARISMA replay,
+# the fault-injection and chaos harnesses, the open-loop load e2e with
+# its pool-churn no-lost-request regressions, and the cross-predictor
+# conformance suite over every core.NamedAlgorithms entry.
 race:
 	$(GO) test -race ./...
 
-# The runtime engine and its commands under the race detector: unit
-# tests, the linearity stress test (N goroutines on one file), and the
-# end-to-end trace replay through a live server.
-check-runtime:
-	$(GO) test -race -count=1 ./internal/lapcache/... ./internal/lapclient/... ./cmd/...
-
-# The cooperative peer tier under the race detector: ring properties,
-# remote-hit forwarding, owner failover, and the 3-node CHARISMA
-# replay that asserts the per-file outstanding-prefetch bound holds
-# cluster-wide.
-check-cluster:
-	$(GO) test -race -count=1 ./internal/cluster/...
-
-# The fault-injection subsystem and the chaos harness under the race
-# detector: injector determinism/budget unit tests, the single-engine
-# faulty-store stress, and the 3-node CHARISMA chaos replay that must
-# hold every invariant with hundreds of injected faults.
-check-chaos:
-	$(GO) test -race -count=1 ./internal/faultinject/... ./internal/chaos/...
-
-# The open-loop load harness under the race detector: generator
-# distribution checks, histogram property tests, the pool-churn
-# no-lost-request regressions, and the 30k-request firehose e2e that
-# asserts zero dropped responses plus the leak/linearity invariants —
-# then a short low-rate lapbench smoke of the real CLI path.
+# Smokes of the real CLI paths behind the suites above: a short
+# low-rate open-loop sweep, two small -exp hotpath cells, and the
+# tiny-scale predictor matrix (win checks only engage at -scale full).
 check-load:
-	$(GO) test -race -count=1 ./internal/loadgen/... ./internal/stats/...
 	$(GO) run ./cmd/lapbench -exp load -load-rates 200,400 -load-dur 1s
 
-# The wire hot path under the race detector: vectored-write and
-# frame-batch framing/reuse, the coalescing latch against a pipelined
-# burst (on and off), the sharded accept path under concurrent
-# connections, and the torn-vectored-write fault — then a short
-# lapbench smoke of the real -exp hotpath cells.
 check-hotpath:
-	$(GO) test -race -count=1 -run TestHotpath ./internal/wire/ ./internal/lapcache/
 	$(GO) run ./cmd/lapbench -exp hotpath -hotpath-conns 1,16 -hotpath-dur 500ms
 
-# The cross-predictor invariant suite under the race detector — every
-# algorithm in core.NamedAlgorithms holds determinism, the degree-cap
-# bound, and zero buffer leaks over the golden micro-workloads — plus
-# the predictor unit/distribution tests and a tiny-scale smoke of the
-# real -exp predictors matrix (win checks only engage at -scale full).
 check-predictors:
-	$(GO) test -race -count=1 ./internal/conformance/ ./internal/workload/ ./internal/core/ ./cmd/lapbench/
 	$(GO) run ./cmd/lapbench -exp predictors -scale tiny
 
 # Chaos soak: random seeds in a loop (SOAK_RUNS, default 20). Every
@@ -97,17 +69,17 @@ fuzz:
 	$(GO) test ./internal/core/ -run FuzzMithril -fuzz FuzzMithril -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzMarkov -fuzz FuzzMarkov -fuzztime $(FUZZTIME)
 
-# The runtime micro-benchmarks: engine demand-read paths and the JSON
-# vs binary wire comparison (BENCH_wire.json), the cooperative tier's
+# The runtime micro-benchmarks: engine demand-read paths and the wire
+# round trip, serial and pipelined (BENCH_wire.json), the cooperative tier's
 # local-hit / remote-hit / local-disk ladder (BENCH_cluster.json), and
 # the dynamic-membership tier's owner-death ladder plus the budgeted
 # rebalancer (BENCH_membership.json).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkLapcacheGet|BenchmarkWireRoundTrip' -benchmem . | \
 		$(GO) run ./cmd/benchfmt -benchmark "BenchmarkLapcacheGet + BenchmarkWireRoundTrip" -o BENCH_wire.json \
-		-description "lapcache engine demand-read paths (zero-copy ReadInto vs legacy copying Read) and one 8 KiB cached block fetched per round trip over loopback TCP: legacy JSON lines vs the binary framed protocol, serial and pipelined." \
+		-description "lapcache engine demand-read paths (zero-copy ReadInto: hit, miss, first touch of a prefetched block) and one 8 KiB cached block fetched per round trip over loopback TCP, serial and pipelined." \
 		-command "make bench" \
-		-notes "binary streams the payload from the refcounted cache buffer (no base64, no copy); binaryPipelined is the -replay configuration: pooled connections with an in-flight window."
+		-notes "binary streams the payload from the refcounted cache buffer (no copy); binaryPipelined is the -replay configuration: pooled connections with an in-flight window."
 	$(GO) test -run '^$$' -bench BenchmarkClusterRead -benchmem . | \
 		$(GO) run ./cmd/benchfmt -benchmark BenchmarkClusterRead -o BENCH_cluster.json \
 		-assert-allocs 'BenchmarkClusterRead/localHit=0,BenchmarkClusterRead/remoteHit=0' \
@@ -127,9 +99,9 @@ bench:
 		-notes "Each policy must win its home workload: adaptive takes deepseq on the latency distribution (the widened window pipelines the store), linear takes coldtail on hit ratio and wasted fetches (the paper's small-cache argument). hit-% undercounts the adaptive pipeline on deepseq — a read that waits microseconds for a landing prefetch books as a miss; ns/op, p50-ns and p99-ns carry that comparison. degree is the controller window at run end; accuracy-% is lifetime useful fraction of resolved prefetches."
 	$(GO) run ./cmd/lapbench -exp hotpath -bench | \
 		$(GO) run ./cmd/benchfmt -benchmark BenchmarkHotpath -o BENCH_hotpath.json \
-		-description "The wire hot path end to end: an in-process server with the vectored (writev) response path and sharded accept loops, driven closed-loop by 1, 64, and 1024 concurrent connections each keeping a 4-deep pipeline of single-block 8 KiB cache-hit reads in flight. Every cell runs twice: response coalescing on (drain-the-ready-queue latch) and off (one writev per frame). ns/op is mean request latency; p50-ns/p99-ns are the tails; req/s is achieved throughput." \
+		-description "The wire hot path end to end: an in-process server with the vectored (writev) response path, the drain-the-ready-queue coalescing latch and sharded accept loops, driven closed-loop by 1, 64, and 1024 concurrent connections each keeping a 4-deep pipeline of single-block 8 KiB cache-hit reads in flight. ns/op is mean request latency; p50-ns/p99-ns are the tails; req/s is achieved throughput." \
 		-command "make bench" \
-		-notes "The coalesce-vs-nocoalesce pair at each concurrency level is the latch's A/B: at conns=1 the latch must not tax latency (it only fires when a complete next request is already buffered), at high fan-in it amortizes syscalls across ready responses."
+		-notes "At conns=1 the latch must not tax latency (it only fires when a complete next request is already buffered); at high fan-in it amortizes syscalls across ready responses. The coalesce-off half of the A/B (+12-49 % req/s for coalescing) is kept in EXPERIMENTS.md."
 	$(GO) run ./cmd/lapbench -exp load -load-bench -load-rates 500,1000,2000,4000,8000,16000 -load-dur 1s | \
 		$(GO) run ./cmd/benchfmt -benchmark BenchmarkLoad -o BENCH_load.json \
 		-description "Open-loop throughput-vs-latency sweep against one in-process lapcached node: Poisson arrivals at each offered rate for 1s of virtual time, Zipf(1.1) popularity over 64 files, 4-block spans, latencies measured from each request's scheduled arrival (coordinated-omission corrected) into an HDR-style histogram." \

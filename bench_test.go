@@ -21,6 +21,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/lapcache"
 	"repro/internal/lapclient"
+	"repro/internal/wire"
 )
 
 // benchScale is shared by every benchmark in this file.
@@ -214,7 +215,7 @@ func newBenchEngine(b *testing.B, cacheBlocks int) *lapcache.Engine {
 // first touch of a prefetched block (hit + timely classification).
 // The hit paths go through ReadInto — the zero-copy API the server
 // uses — and with the refcounted buffer pool they run at 0 allocs/op.
-// BENCH_lapcache.json records a reference run.
+// BENCH_wire.json records a reference run (make bench).
 func BenchmarkLapcacheGet(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
 		e := newBenchEngine(b, 64)
@@ -231,18 +232,6 @@ func BenchmarkLapcacheGet(b *testing.B) {
 				b.Fatalf("hit=%v err=%v", hit, err)
 			}
 			bufs[0].Release()
-		}
-	})
-	b.Run("hitCopy", func(b *testing.B) {
-		// The legacy copying wrapper, for comparison: one 8 KiB
-		// allocation per read.
-		e := newBenchEngine(b, 64)
-		e.Preload(1, 0, 1, false)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, hit, err := e.Read(1, 0, 1); err != nil || !hit {
-				b.Fatalf("hit=%v err=%v", hit, err)
-			}
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
@@ -309,31 +298,20 @@ func startBenchServer(b *testing.B) string {
 	return ln.Addr().String()
 }
 
-// BenchmarkWireRoundTrip compares the two wire protocols end to end
-// over loopback TCP: an 8 KiB cached block fetched with data per
-// round trip. json is the legacy line protocol (base64 payload);
-// binary is the framed protocol streaming the block out of the
-// refcounted cache buffer; binaryPipelined keeps a window of requests
-// in flight on pooled connections — the configuration -replay uses.
-// BENCH_wire.json records a reference run (make bench).
+// readData fetches one block with its payload over a Conn or a Pool.
+func readData(x lapclient.Exchanger, f blockdev.FileID, off blockdev.BlockNo) (data []byte, hit bool, err error) {
+	rh, data, err := x.Do(lapclient.Req(wire.OpRead, wire.FlagWantData, f, off, 1), nil, nil)
+	return data, rh.Flags&wire.FlagHit != 0, err
+}
+
+// BenchmarkWireRoundTrip measures the wire end to end over loopback
+// TCP: an 8 KiB cached block fetched with data per round trip,
+// streamed out of the refcounted cache buffer. binary is one
+// connection, one request in flight; binaryPipelined keeps a window of
+// requests in flight on pooled connections — the configuration -replay
+// uses. BENCH_wire.json records a reference run (make bench).
 func BenchmarkWireRoundTrip(b *testing.B) {
 	const blockSize = 8192
-	b.Run("json", func(b *testing.B) {
-		addr := startBenchServer(b)
-		c, err := lapclient.Dial(addr)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer c.Close()
-		b.SetBytes(blockSize)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			data, hit, err := c.Read(1, 0, 1, true)
-			if err != nil || !hit || len(data) != blockSize {
-				b.Fatalf("hit=%v len=%d err=%v", hit, len(data), err)
-			}
-		}
-	})
 	b.Run("binary", func(b *testing.B) {
 		addr := startBenchServer(b)
 		c, err := lapclient.DialConn(addr, 1)
@@ -344,7 +322,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		b.SetBytes(blockSize)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			data, hit, err := c.Read(1, 0, 1, true)
+			data, hit, err := readData(c, 1, 0)
 			if err != nil || !hit || len(data) != blockSize {
 				b.Fatalf("hit=%v len=%d err=%v", hit, len(data), err)
 			}
@@ -361,7 +339,7 @@ func BenchmarkWireRoundTrip(b *testing.B) {
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
 			for pb.Next() {
-				data, hit, err := p.Read(1, 0, 1, true)
+				data, hit, err := readData(p, 1, 0)
 				if err != nil || !hit || len(data) != blockSize {
 					b.Fatalf("hit=%v len=%d err=%v", hit, len(data), err)
 				}
@@ -480,7 +458,7 @@ func BenchmarkClusterRead(b *testing.B) {
 		b.SetBytes(blockSize)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			data, hit, err := c.Read(1, blockdev.BlockNo(i%(1<<18)), 1, true)
+			data, hit, err := readData(c, 1, blockdev.BlockNo(i%(1<<18)))
 			if err != nil || hit || len(data) != blockSize {
 				b.Fatalf("hit=%v len=%d err=%v", hit, len(data), err)
 			}
@@ -581,7 +559,7 @@ func BenchmarkMembership(b *testing.B) {
 		b.SetBytes(blockSize)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			data, hit, err := c.Read(f, blockdev.BlockNo(i%hot), 1, true)
+			data, hit, err := readData(c, f, blockdev.BlockNo(i%hot))
 			if err != nil || !hit || len(data) != blockSize {
 				b.Fatalf("hit=%v len=%d err=%v", hit, len(data), err)
 			}
@@ -595,7 +573,7 @@ func BenchmarkMembership(b *testing.B) {
 			// Read far past the written range so every access misses the
 			// new owner's memory: with R=1 the dead owner's blocks are
 			// simply gone, and the store's 2 ms access is the price.
-			data, _, err := c.Read(f, blockdev.BlockNo(hot+i), 1, true)
+			data, _, err := readData(c, f, blockdev.BlockNo(hot+i))
 			if err != nil || len(data) != blockSize {
 				b.Fatalf("len=%d err=%v", len(data), err)
 			}

@@ -47,10 +47,10 @@ type result struct {
 	// Predictor-matrix units (lapbench -exp predictors -bench):
 	// prefetch timeliness counts and the byte cost of each timely
 	// prefetch hit.
-	PrefetchTimely  int64   `json:"prefetch_timely,omitempty"`
-	PrefetchLate    int64   `json:"prefetch_late,omitempty"`
-	PrefetchWasted  int64   `json:"prefetch_wasted,omitempty"`
-	PfBytesPerHit   float64 `json:"pf_bytes_per_hit,omitempty"`
+	PrefetchTimely int64   `json:"prefetch_timely,omitempty"`
+	PrefetchLate   int64   `json:"prefetch_late,omitempty"`
+	PrefetchWasted int64   `json:"prefetch_wasted,omitempty"`
+	PfBytesPerHit  float64 `json:"pf_bytes_per_hit,omitempty"`
 }
 
 type record struct {

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/blockbuf"
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/lapcache"
@@ -168,15 +169,18 @@ func deepSeqWorkload(seed uint64) abWorkload {
 		fileBlocks:  ft,
 		run: func(e *lapcache.Engine) ([]time.Duration, error) {
 			lats := make([]time.Duration, 0, files*blocks)
+			var bufs []*blockbuf.Buf
 			order := filePerm(files, seed)
 			for _, i := range order {
 				f := blockdev.FileID(fileBase + i)
 				for b := blockdev.BlockNo(0); b < blocks; b++ {
 					t0 := time.Now()
-					if _, _, err := e.Read(f, b, 1); err != nil {
+					var err error
+					if bufs, _, err = e.ReadInto(bufs[:0], f, b, 1); err != nil {
 						return nil, err
 					}
 					lats = append(lats, time.Since(t0))
+					bufs[0].Release()
 				}
 				e.CloseFile(f)
 			}
@@ -212,15 +216,18 @@ func coldTailWorkload(seed uint64) abWorkload {
 		fileBlocks:  ft,
 		run: func(e *lapcache.Engine) ([]time.Duration, error) {
 			lats := make([]time.Duration, 0, files*blocks)
+			var bufs []*blockbuf.Buf
 			order := filePerm(files, seed)
 			for _, i := range order {
 				f := blockdev.FileID(fileBase + i)
 				for b := blockdev.BlockNo(0); b < blocks; b++ {
 					t0 := time.Now()
-					if _, _, err := e.Read(f, b, 1); err != nil {
+					var err error
+					if bufs, _, err = e.ReadInto(bufs[:0], f, b, 1); err != nil {
 						return nil, err
 					}
 					lats = append(lats, time.Since(t0))
+					bufs[0].Release()
 				}
 				e.CloseFile(f)
 			}

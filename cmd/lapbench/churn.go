@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/lapcache"
 	"repro/internal/lapclient"
+	"repro/internal/wire"
 )
 
 // runChurnDemo walks the dynamic-membership story end to end on a
@@ -75,12 +76,12 @@ func runChurnDemo() error {
 	}
 	replicated := 0
 	for f := 0; f < nFiles; f++ {
-		ok, err := pool0.WriteChecked(blockdev.FileID(f), 0, blocksPer, nil)
+		rh, _, err := pool0.Do(lapclient.Req(wire.OpWrite, 0, blockdev.FileID(f), 0, blocksPer), nil, nil)
 		if err != nil {
 			pool0.Close()
 			return fmt.Errorf("populate file %d: %w", f, err)
 		}
-		if ok {
+		if rh.Flags&wire.FlagReplicated != 0 {
 			replicated++
 		}
 	}
@@ -136,7 +137,7 @@ func runChurnDemo() error {
 	}
 	t0 := time.Now()
 	for _, f := range victimFiles {
-		if _, _, err := poolS.Read(f, 0, blocksPer, true); err != nil {
+		if _, _, err := poolS.Do(lapclient.Req(wire.OpRead, wire.FlagWantData, f, 0, blocksPer), nil, nil); err != nil {
 			poolS.Close()
 			return fmt.Errorf("read file %d after kill: %w", f, err)
 		}

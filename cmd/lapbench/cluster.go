@@ -60,8 +60,8 @@ func runClusterDemo(scale experiment.Scale, adaptive bool) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("replay:  %d procs, %d requests in %v (%s), client hit ratio %.3f\n\n",
-		res.Procs, res.Requests, res.Elapsed.Round(0), res.Proto, res.HitRatio())
+	fmt.Printf("replay:  %d procs, %d requests in %v, client hit ratio %.3f\n\n",
+		res.Procs, res.Requests, res.Elapsed.Round(0), res.HitRatio())
 
 	fmt.Printf("%-22s %10s %10s %10s %10s %10s %6s\n",
 		"node", "demandHit", "demandMiss", "remoteRead", "peerServed", "prefIssued", "maxHW")

@@ -27,13 +27,11 @@ var (
 // server with the vectored/coalesced data path and sharded accept
 // loops, driven by C concurrent connections each keeping a small
 // pipeline of single-block cache-hit reads in flight. Every request's
-// latency lands in a histogram, and each cell runs twice — coalescing
-// on, then off (-no-coalesce equivalent) — so the A/B cost of the
-// drain-the-ready-queue latch is visible at every concurrency level.
-// The interesting cells are the extremes: conns=1 shows coalescing
-// does not tax single-stream latency (the latch only fires when a
-// complete next request is already buffered), and conns=1024 shows
-// the syscall amortization under fan-in.
+// latency lands in a histogram. The interesting cells are the
+// extremes: conns=1 is single-stream latency (the coalescing latch
+// only fires when a complete next request is already buffered, so it
+// costs a lone request nothing), and conns=1024 shows the syscall
+// amortization under fan-in.
 //
 // With -bench, results print as go-bench lines for benchfmt
 // (BENCH_hotpath.json); otherwise an aligned table.
@@ -54,29 +52,23 @@ func runHotpath(benchOut bool) error {
 	fmt.Fprintf(os.Stderr, "hotpath: shards=%d depth=%d dur=%v conns=%v\n",
 		shards, depth, *hotDur, counts)
 	if !benchOut {
-		fmt.Printf("%-10s %6s %10s %12s %12s %12s %12s\n",
-			"mode", "conns", "reqs", "mean-us", "p50-us", "p99-us", "req/s")
+		fmt.Printf("%6s %10s %12s %12s %12s %12s\n",
+			"conns", "reqs", "mean-us", "p50-us", "p99-us", "req/s")
 	}
 	for _, nconns := range counts {
-		for _, coalesce := range []bool{true, false} {
-			cell, err := runHotpathCell(nconns, depth, shards, coalesce, *hotDur)
-			if err != nil {
-				return err
-			}
-			mode := "coalesce"
-			if !coalesce {
-				mode = "nocoalesce"
-			}
-			if benchOut {
-				// One synthetic iteration per cell: ns/op is the mean
-				// request latency, with the tails as custom units.
-				fmt.Printf("BenchmarkHotpath/%s/conns%d %d %.1f ns/op %d p50-ns %d p99-ns %.1f req/s\n",
-					mode, nconns, cell.reqs, cell.mean, cell.p50, cell.p99, cell.rate)
-			} else {
-				fmt.Printf("%-10s %6d %10d %12.1f %12.1f %12.1f %12.0f\n",
-					mode, nconns, cell.reqs, cell.mean/1e3,
-					float64(cell.p50)/1e3, float64(cell.p99)/1e3, cell.rate)
-			}
+		cell, err := runHotpathCell(nconns, depth, shards, *hotDur)
+		if err != nil {
+			return err
+		}
+		if benchOut {
+			// One synthetic iteration per cell: ns/op is the mean
+			// request latency, with the tails as custom units.
+			fmt.Printf("BenchmarkHotpath/coalesce/conns%d %d %.1f ns/op %d p50-ns %d p99-ns %.1f req/s\n",
+				nconns, cell.reqs, cell.mean, cell.p50, cell.p99, cell.rate)
+		} else {
+			fmt.Printf("%6d %10d %12.1f %12.1f %12.1f %12.0f\n",
+				nconns, cell.reqs, cell.mean/1e3,
+				float64(cell.p50)/1e3, float64(cell.p99)/1e3, cell.rate)
 		}
 	}
 	return nil
@@ -89,11 +81,11 @@ type hotpathCell struct {
 	rate     float64 // req/s
 }
 
-// runHotpathCell boots a fresh single-node server for one (conns,
-// coalesce) configuration, drives it for dur, and tears it down. A
-// fresh server per cell keeps cells independent — no warmed TCP
-// windows or accumulated counters bleeding across configurations.
-func runHotpathCell(nconns, depth, shards int, coalesce bool, dur time.Duration) (hotpathCell, error) {
+// runHotpathCell boots a fresh single-node server for one connection
+// count, drives it for dur, and tears it down. A fresh server per cell
+// keeps cells independent — no warmed TCP windows or accumulated
+// counters bleeding across configurations.
+func runHotpathCell(nconns, depth, shards int, dur time.Duration) (hotpathCell, error) {
 	const (
 		blockSize = 8192
 		hot       = 2048
@@ -112,7 +104,6 @@ func runHotpathCell(nconns, depth, shards int, coalesce bool, dur time.Duration)
 
 	srv := lapcache.NewServer(e)
 	srv.Shards = shards
-	srv.NoCoalesce = !coalesce
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return hotpathCell{}, err

@@ -6,7 +6,7 @@
 //
 //	lapcached -addr :7020 -alg Ln_Agr_IS_PPM:3 [-cache-blocks N]
 //	          [-store mem|dir] [-latency 2ms] [-trace FILE] [-strict]
-//	          [-shards N] [-no-coalesce]
+//	          [-shards N]
 //	          [-peers a:7020,b:7020,c:7020] [-advertise a:7020]
 //	          [-join a:7020,b:7020] [-dynamic] [-replicas 2] [-handoff-bps N]
 //
@@ -14,8 +14,7 @@
 // shard: shard-local connection tables and close ledgers mean the hit
 // path takes no cross-shard mutex. Responses ride a vectored (writev)
 // path and, when a pipelined client has more requests already
-// buffered, coalesce into a single syscall; -no-coalesce forces one
-// writev per frame (the A/B switch lapbench -exp hotpath measures).
+// buffered, coalesce into a single syscall.
 //
 // A -trace file (in tracegen's text format) supplies the file table so
 // prefetch chains clip at each file's real end. -debug-addr exposes
@@ -67,7 +66,6 @@ func main() {
 		cacheBlocks = flag.Int("cache-blocks", 4096, "cache capacity in blocks")
 		blockSize   = flag.Int("block-size", 8192, "block size in bytes")
 		shards      = flag.Int("shards", 8, "cache mutex stripes and connection accept shards (conn→shard pinning)")
-		noCoalesce  = flag.Bool("no-coalesce", false, "disable response frame coalescing (one writev per frame)")
 		workers     = flag.Int("workers", 4, "prefetch worker goroutines")
 		queueLen    = flag.Int("queue", 64, "prefetch queue bound (backpressure)")
 		storeKind   = flag.String("store", "mem", "backing store: mem or dir")
@@ -220,7 +218,6 @@ func main() {
 	srv := lapcache.NewServer(engine)
 	srv.IdleTimeout = *idleTimeout
 	srv.Shards = *shards
-	srv.NoCoalesce = *noCoalesce
 	if node != nil {
 		srv.Cluster = node
 		node.Start()

@@ -8,11 +8,10 @@
 //	lapget -addr HOST:PORT -replay trace.txt            replay a trace
 //
 // A replay drives one goroutine per traced process over a shared pool
-// of pipelined binary connections (tune with -conns and -window, or
-// force the legacy one-JSON-connection-per-process protocol with
-// -json) and then prints the client-side hit ratio next to the
-// server's prefetch-timeliness counters — the live analogue of the
-// simulator's experiment report.
+// of pipelined connections (tune with -conns and -window) and then
+// prints the client-side hit ratio next to the server's
+// prefetch-timeliness counters — the live analogue of the simulator's
+// experiment report.
 package main
 
 import (
@@ -24,6 +23,7 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/lapclient"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -37,8 +37,7 @@ func main() {
 		stats      = flag.Bool("stats", false, "print the server's counter snapshot as JSON")
 		replay     = flag.String("replay", "", "replay this trace file through the server")
 		thinkScale = flag.Float64("think-scale", 0, "multiply trace think times by this (0 = no thinking)")
-		jsonProto  = flag.Bool("json", false, "force the legacy JSON protocol for -replay")
-		conns      = flag.Int("conns", 0, "binary connection pool size for -replay (0 = min(8, procs))")
+		conns      = flag.Int("conns", 0, "connection pool size for -replay (0 = min(8, procs))")
 		window     = flag.Int("window", 0, "per-connection in-flight window for -replay (0 = default)")
 	)
 	flag.Parse()
@@ -47,7 +46,7 @@ func main() {
 	case *stats:
 		c := dial(*addr)
 		defer c.Close()
-		snap, err := c.Stats()
+		snap, err := lapclient.Stats(c)
 		if err != nil {
 			log.Fatalf("stats: %v", err)
 		}
@@ -68,18 +67,17 @@ func main() {
 			ThinkScale: *thinkScale,
 			Conns:      *conns,
 			Window:     *window,
-			JSON:       *jsonProto,
 		})
 		if err != nil {
 			log.Fatalf("replay: %v", err)
 		}
-		fmt.Printf("replayed %s over %s: %d procs, %d requests (%d reads, %d writes, %d closes) in %v\n",
-			tr.Name, res.Proto, res.Procs, res.Requests, res.Reads, res.Writes, res.Closes, res.Elapsed)
+		fmt.Printf("replayed %s: %d procs, %d requests (%d reads, %d writes, %d closes) in %v\n",
+			tr.Name, res.Procs, res.Requests, res.Reads, res.Writes, res.Closes, res.Elapsed)
 		fmt.Printf("client hit ratio: %.3f (%d/%d reads fully cached)\n",
 			res.HitRatio(), res.ReadHits, res.Reads)
 		c := dial(*addr)
 		defer c.Close()
-		snap, err := c.Stats()
+		snap, err := lapclient.Stats(c)
 		if err != nil {
 			log.Fatalf("stats: %v", err)
 		}
@@ -88,20 +86,24 @@ func main() {
 	default:
 		c := dial(*addr)
 		defer c.Close()
-		data, hit, err := c.Read(blockdev.FileID(*file), blockdev.BlockNo(*offset),
-			int32(*size), *wantData)
+		var flags wire.Flags
+		if *wantData {
+			flags = wire.FlagWantData
+		}
+		rh, data, err := c.Do(lapclient.Req(wire.OpRead, flags,
+			blockdev.FileID(*file), blockdev.BlockNo(*offset), int32(*size)), nil, nil)
 		if err != nil {
 			log.Fatalf("read: %v", err)
 		}
-		fmt.Printf("read %d:[%d,+%d] hit=%v\n", *file, *offset, *size, hit)
+		fmt.Printf("read %d:[%d,+%d] hit=%v\n", *file, *offset, *size, rh.Flags&wire.FlagHit != 0)
 		if *wantData {
 			fmt.Printf("% x\n", data)
 		}
 	}
 }
 
-func dial(addr string) *lapclient.Client {
-	c, err := lapclient.Dial(addr)
+func dial(addr string) *lapclient.Conn {
+	c, err := lapclient.DialConn(addr, 0)
 	if err != nil {
 		log.Fatalf("dial %s: %v", addr, err)
 	}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/faultinject"
 	"repro/internal/lapclient"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -285,13 +286,13 @@ func (r *replayer) issue(pool *lapclient.Pool, s workload.Step) error {
 	span := blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, int64(r.blockSize))
 	switch s.Kind {
 	case workload.OpRead:
-		data, hit, err := pool.Read(span.File, span.Start, span.Count, true)
+		rh, data, err := pool.Do(lapclient.Req(wire.OpRead, wire.FlagWantData, span.File, span.Start, span.Count), nil, nil)
 		if err != nil {
 			return err
 		}
 		r.mu.Lock()
 		r.reads++
-		if hit {
+		if rh.Flags&wire.FlagHit != 0 {
 			r.hits++
 		}
 		r.mu.Unlock()
@@ -310,13 +311,13 @@ func (r *replayer) issue(pool *lapclient.Pool, s workload.Step) error {
 		}
 		return nil
 	case workload.OpWrite:
-		replicated, err := pool.WriteChecked(span.File, span.Start, span.Count, nil)
+		rh, _, err := pool.Do(lapclient.Req(wire.OpWrite, 0, span.File, span.Start, span.Count), nil, nil)
 		if err != nil {
 			return err
 		}
 		r.mu.Lock()
 		r.writes++
-		if replicated {
+		if rh.Flags&wire.FlagReplicated != 0 { // durably double-homed: audited after the run
 			for i := int32(0); i < span.Count; i++ {
 				r.acked[blockdev.BlockID{File: span.File, Block: span.Start + blockdev.BlockNo(i)}] = struct{}{}
 			}
@@ -324,6 +325,7 @@ func (r *replayer) issue(pool *lapclient.Pool, s workload.Step) error {
 		r.mu.Unlock()
 		return nil
 	default: // workload.OpClose
-		return pool.CloseFile(s.File)
+		_, _, err := pool.Do(lapclient.Req(wire.OpClose, 0, s.File, 0, 0), nil, nil)
+		return err
 	}
 }

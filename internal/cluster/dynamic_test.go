@@ -11,6 +11,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/lapcache"
 	"repro/internal/lapclient"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -113,7 +114,7 @@ func TestDynamicFailoverReplicaServes(t *testing.T) {
 	// be the durable one: owner + successor both installed it.
 	const nblocks = 4
 	data := bytes.Repeat([]byte{0xA5}, nblocks*testBlockSize)
-	replicated, err := bystander.Engine.WriteDurable(f, 0, nblocks, data)
+	replicated, err := writeVia(t, bystander, 0, f, 0, nblocks, data)
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
@@ -134,7 +135,7 @@ func TestDynamicFailoverReplicaServes(t *testing.T) {
 	}
 
 	// The bystander's read now lands on the successor's memory.
-	got, hit, err := bystander.Engine.Read(f, 0, nblocks)
+	got, hit, err := readCopy(bystander.Engine, f, 0, nblocks)
 	if err != nil {
 		t.Fatalf("read after failover: %v", err)
 	}
@@ -169,7 +170,7 @@ func TestDynamicReplicaFallbackBeforeConviction(t *testing.T) {
 	// writer), or its read never exercises the remote path.
 	const nblocks = 2
 	data := bytes.Repeat([]byte{0x5A}, nblocks*testBlockSize)
-	if replicated, err := nodes[1].Engine.WriteDurable(f, 0, nblocks, data); err != nil || !replicated {
+	if replicated, err := writeVia(t, nodes[1], 0, f, 0, nblocks, data); err != nil || !replicated {
 		t.Fatalf("replicated write: %v (replicated=%v)", err, replicated)
 	}
 
@@ -177,7 +178,7 @@ func TestDynamicReplicaFallbackBeforeConviction(t *testing.T) {
 	// ring holds still while the forward path is dead.
 	nodes[1].Server.Close()
 	waitFor(t, "replica-served read", func() bool {
-		got, _, err := bystander.Engine.Read(f, 0, nblocks)
+		got, _, err := readCopy(bystander.Engine, f, 0, nblocks)
 		return err == nil && bytes.Equal(got, data)
 	})
 	waitFor(t, "read-repair write-through", func() bool {
@@ -198,13 +199,13 @@ func TestDynamicRecoveryReprobesOwnership(t *testing.T) {
 	nodes := startCluster(t, 3, nil) // static: the fix predates dynamic mode
 	f := fileOwnedBy(t, nodes, 1)
 
-	if _, _, err := nodes[0].Engine.Read(f, 0, 2); err != nil {
+	if _, _, err := readCopy(nodes[0].Engine, f, 0, 2); err != nil {
 		t.Fatalf("read before kill: %v", err)
 	}
 	epoch0 := nodes[0].Node.Epoch()
 	nodes[1].Kill()
 	waitFor(t, "degraded read", func() bool {
-		_, _, err := nodes[0].Engine.Read(f, 4, 2)
+		_, _, err := readCopy(nodes[0].Engine, f, 4, 2)
 		return err == nil && nodes[0].Node.PeerDown(nodes[1].Addr)
 	})
 
@@ -220,7 +221,7 @@ func TestDynamicRecoveryReprobesOwnership(t *testing.T) {
 	// Forwarding must resume: remote reads grow again, fallbacks stop.
 	before := nodes[0].Engine.Snapshot()
 	waitFor(t, "forwarding to resume", func() bool {
-		if _, _, err := nodes[0].Engine.Read(f, 8, 2); err != nil {
+		if _, _, err := readCopy(nodes[0].Engine, f, 8, 2); err != nil {
 			return false
 		}
 		s := nodes[0].Engine.Snapshot()
@@ -268,7 +269,7 @@ func TestDynamicHandoffMovesBlocksUnderBudget(t *testing.T) {
 		t.Fatal("no file placed off node 0")
 	}
 	const nblocks = 32
-	if _, err := nodes[0].Engine.PeerWriteDurable(f, 0, nblocks, nil); err != nil {
+	if _, err := writeVia(t, nodes[0], wire.FlagPeer, f, 0, nblocks, nil); err != nil {
 		t.Fatalf("strand blocks: %v", err)
 	}
 

@@ -35,7 +35,7 @@ func TestOwnerDegradeRecover(t *testing.T) {
 			roles := []*LocalNode{owner, reader, nodes[2]}
 
 			// Healthy phase: the forward path works.
-			if _, _, err := reader.Engine.Read(f, 0, 2); err != nil {
+			if _, _, err := readCopy(reader.Engine, f, 0, 2); err != nil {
 				t.Fatalf("read before failure: %v", err)
 			}
 			healthyFB := reader.Engine.Snapshot().RemoteFallbacks
@@ -49,7 +49,7 @@ func TestOwnerDegradeRecover(t *testing.T) {
 			// first attempt surfaces the transport fault and marks the
 			// peer down).
 			waitFor(t, "degraded read", func() bool {
-				_, _, err := reader.Engine.Read(f, 8, 4)
+				_, _, err := readCopy(reader.Engine, f, 8, 4)
 				return err == nil
 			})
 			if err := reader.Engine.Write(f, 20, 2, nil); err != nil {
@@ -92,7 +92,7 @@ func TestOwnerDegradeRecover(t *testing.T) {
 			fbBefore := reader.Engine.Snapshot().RemoteFallbacks
 			rrBefore := reader.Engine.Snapshot().RemoteReads
 			waitFor(t, "remote path recovered", func() bool {
-				if _, _, err := reader.Engine.Read(f, 40, 2); err != nil {
+				if _, _, err := readCopy(reader.Engine, f, 40, 2); err != nil {
 					return false
 				}
 				s := reader.Engine.Snapshot()
@@ -119,7 +119,7 @@ func TestRestartKeepsAddress(t *testing.T) {
 	// Restart's WaitReady, and a file it owns is readable through it.
 	f := fileOwnedBy(t, nodes, 1)
 	waitFor(t, "restarted member serves", func() bool {
-		_, _, err := nodes[0].Engine.Read(f, 0, 1)
+		_, _, err := readCopy(nodes[0].Engine, f, 0, 1)
 		return err == nil
 	})
 }

@@ -4,6 +4,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/lapclient"
+	"repro/internal/wire"
 )
 
 // handoff is the bounded-rate rebalancer: after every ring move it
@@ -182,7 +185,7 @@ func (h *handoff) runOnce() int {
 		if err := l.ReadBlockLocal(id, buf); err != nil {
 			continue
 		}
-		if err := pool.WriteReplica(id.File, id.Block, 1, buf); err != nil {
+		if _, _, err := pool.Do(lapclient.Req(wire.OpWrite, wire.FlagPeer|wire.FlagReplica, id.File, id.Block, 1), buf, nil); err != nil {
 			n.forwardErr(p, err) //nolint:errcheck // retried next pass
 			continue
 		}

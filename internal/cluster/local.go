@@ -44,8 +44,8 @@ type StartLocalOpts struct {
 
 // StartLocal boots an n-node cooperative cluster inside this process,
 // every node listening on its own loopback port and peered with the
-// others — the harness behind check-cluster, BenchmarkClusterRead and
-// the lapbench cluster demo. mkcfg builds node i's engine config given
+// others — the harness behind the cluster suite, BenchmarkClusterRead
+// and the lapbench cluster demo. mkcfg builds node i's engine config given
 // the full member address list (Remote is filled in by the harness; a
 // Store must be provided). The returned stop function tears everything
 // down in reverse order and is safe to call after a partial failure

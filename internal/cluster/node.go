@@ -11,6 +11,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/lapclient"
 	"repro/internal/membership"
+	"repro/internal/wire"
 )
 
 // Config assembles a cluster node.
@@ -574,7 +575,7 @@ func (n *Node) healthLoop(p *peer) {
 		pool, live := p.pool, !p.down
 		p.mu.Unlock()
 		if pool != nil && live {
-			if _, err := pool.Ping(); err != nil {
+			if _, err := lapclient.Ping(pool); err != nil {
 				n.fault(p, err)
 			}
 		}
@@ -675,6 +676,14 @@ func (n *Node) OwnedEver(f blockdev.FileID) bool {
 	return false
 }
 
+// peerRead is the cluster forward read: a peer-flagged span whose
+// block payload lands directly in dsts, served strictly locally by the
+// receiver. hit reports it had every block in memory.
+func peerRead(pool *lapclient.Pool, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit bool, err error) {
+	rh, _, err := pool.Do(lapclient.Req(wire.OpRead, wire.FlagWantData|wire.FlagPeer, f, off, nblocks), nil, dsts)
+	return rh.Flags&wire.FlagHit != 0, err
+}
+
 // FetchSpan implements lapcache.RemoteFetcher: one pipelined
 // peer-flagged read RPC whose payload lands directly in dsts. When
 // the owner is unreachable and the tier replicates, the file's ring
@@ -685,7 +694,7 @@ func (n *Node) OwnedEver(f blockdev.FileID) bool {
 func (n *Node) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit, ok bool, err error) {
 	if p, found := n.ownerPeer(f); found {
 		if pool, up := p.livePool(); up {
-			hit, err = pool.ReadPeer(f, off, nblocks, dsts)
+			hit, err = peerRead(pool, f, off, nblocks, dsts)
 			if err == nil {
 				return hit, true, nil
 			}
@@ -703,7 +712,7 @@ func (n *Node) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32,
 	if !up {
 		return false, false, nil
 	}
-	hit, err = pool.ReadPeer(f, off, nblocks, dsts)
+	hit, err = peerRead(pool, f, off, nblocks, dsts)
 	if err != nil {
 		ok, err := n.forwardErr(p, err)
 		return false, ok, err
@@ -724,12 +733,12 @@ func (n *Node) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int
 	if !up {
 		return false, false, nil
 	}
-	replicated, werr := pool.WritePeerChecked(f, off, nblocks, data)
+	rh, _, werr := pool.Do(lapclient.Req(wire.OpWrite, wire.FlagPeer, f, off, nblocks), data, nil)
 	if werr != nil {
 		ok, err := n.forwardErr(p, werr)
 		return ok, false, err
 	}
-	return true, replicated, nil
+	return true, rh.Flags&wire.FlagReplicated != 0, nil
 }
 
 // ReplicateWrite implements lapcache.RemoteFetcher: push the span to
@@ -744,7 +753,7 @@ func (n *Node) ReplicateWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks i
 	if !up {
 		return false
 	}
-	if err := pool.WriteReplica(f, off, nblocks, data); err != nil {
+	if _, _, err := pool.Do(lapclient.Req(wire.OpWrite, wire.FlagPeer|wire.FlagReplica, f, off, nblocks), data, nil); err != nil {
 		n.forwardErr(p, err) //nolint:errcheck // best-effort push
 		return false
 	}
@@ -761,7 +770,7 @@ func (n *Node) ForwardClose(f blockdev.FileID) (bool, error) {
 	if !up {
 		return false, nil
 	}
-	if err := pool.ClosePeer(f); err != nil {
+	if _, _, err := pool.Do(lapclient.Req(wire.OpClose, wire.FlagPeer, f, 0, 0), nil, nil); err != nil {
 		return n.forwardErr(p, err)
 	}
 	return true, nil

@@ -70,8 +70,12 @@ func TestEngineConformance(t *testing.T) {
 			}
 			e.SetPoisonBufs(true)
 			for _, st := range EngineScript() {
-				if _, _, err := e.Read(st.File, st.Block, int32(st.Count)); err != nil {
+				bufs, _, err := e.ReadInto(nil, st.File, st.Block, int32(st.Count))
+				if err != nil {
 					t.Fatalf("read %d:%d: %v", st.File, st.Block, err)
+				}
+				for _, buf := range bufs {
+					buf.Release()
 				}
 			}
 			// Let in-flight prefetch chains run dry before auditing.

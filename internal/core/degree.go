@@ -166,27 +166,27 @@ func (c *AdaptiveFDPConfig) fill() {
 type AdaptiveFDP struct {
 	cfg AdaptiveFDPConfig
 
-	mu          sync.Mutex
-	degree      int
-	timely      uint64 // events in the current window
-	late        uint64
-	wasted      uint64
-	unused      uint64
-	widenStreak int
+	mu           sync.Mutex
+	degree       int
+	timely       uint64 // events in the current window
+	late         uint64
+	wasted       uint64
+	unused       uint64
+	widenStreak  int
 	narrowStreak int
-	stats       AdaptiveStats
+	stats        AdaptiveStats
 }
 
 // AdaptiveStats is a snapshot of one controller's activity.
 type AdaptiveStats struct {
-	Degree       int     // current window
-	Cap          int     // hard ceiling
-	Evals        uint64  // completed evaluation windows
-	Widens       uint64  // +1 steps taken
-	Narrows      uint64  // -1 steps taken
-	Clamps       uint64  // hard resets to linear
-	Backpressure uint64  // env-refusal signals received
-	Timely       uint64  // lifetime feedback totals
+	Degree       int    // current window
+	Cap          int    // hard ceiling
+	Evals        uint64 // completed evaluation windows
+	Widens       uint64 // +1 steps taken
+	Narrows      uint64 // -1 steps taken
+	Clamps       uint64 // hard resets to linear
+	Backpressure uint64 // env-refusal signals received
+	Timely       uint64 // lifetime feedback totals
 	Late         uint64
 	Wasted       uint64
 	Unused       uint64

@@ -1,0 +1,89 @@
+package core
+
+import (
+	"testing"
+
+	"repro/internal/blockdev"
+)
+
+// TestLedger drives the one ledger with the inputs both of its former
+// halves were tested on: the simulator's unlimited ledger (xFS-style
+// overlap on a shared file, the peak surviving a drain, a negative
+// count) and the runtime's limit-checking one (violations counted, or
+// a panic when strict).
+func TestLedger(t *testing.T) {
+	type delta struct {
+		f blockdev.FileID
+		d int
+	}
+	for _, tc := range []struct {
+		name       string
+		limit      int
+		strict     bool
+		deltas     []delta
+		wantHW     map[blockdev.FileID]int
+		violations uint64
+		panics     bool // on the last delta
+	}{{
+		// Two drivers overlap on file 1 (the xFS shared-file case), one
+		// driver stays linear on file 2; no limit, so nothing violates.
+		name: "high-water",
+		deltas: []delta{{1, 1}, {1, 1}, {1, -1}, {2, 1}, {2, -1}, {2, 1}, {2, -1},
+			{1, -1}}, // the peak survives the count draining to zero
+		wantHW: map[blockdev.FileID]int{1: 2, 2: 1},
+	}, {
+		name:   "negative-panics",
+		deltas: []delta{{1, -1}},
+		panics: true,
+	}, {
+		name:       "counts-violations",
+		limit:      1,
+		deltas:     []delta{{2, 1}, {2, 1}, {2, -2}},
+		wantHW:     map[blockdev.FileID]int{2: 2},
+		violations: 1,
+	}, {
+		name:   "strict-panics",
+		limit:  1,
+		strict: true,
+		deltas: []delta{{1, 1}, {1, 1}},
+		panics: true,
+	}} {
+		t.Run(tc.name, func(t *testing.T) {
+			l := NewLedger(tc.limit, tc.strict)
+			for i, d := range tc.deltas {
+				if tc.panics && i == len(tc.deltas)-1 {
+					defer func() {
+						if recover() == nil {
+							t.Error("last delta did not panic")
+						}
+					}()
+				}
+				l.OutstandingChanged(d.f, d.d)
+			}
+			hw := l.HighWaters()
+			max := 0
+			for f, want := range tc.wantHW {
+				if hw[f] != want || l.FileHighWater(f) != want {
+					t.Errorf("file %d high-water = %d/%d, want %d", f, hw[f], l.FileHighWater(f), want)
+				}
+				if want > max {
+					max = want
+				}
+				// The copy must be detached from the ledger.
+				hw[f] = 99
+				if l.FileHighWater(f) != want {
+					t.Error("HighWaters returned the internal map")
+				}
+			}
+			if len(hw) != len(tc.wantHW) {
+				t.Errorf("HighWaters = %v, want %v", hw, tc.wantHW)
+			}
+			if l.MaxHighWater() != max {
+				t.Errorf("max high-water = %d, want %d", l.MaxHighWater(), max)
+			}
+			if l.Violations() != tc.violations {
+				t.Errorf("violations = %d, want %d", l.Violations(), tc.violations)
+			}
+		})
+	}
+}

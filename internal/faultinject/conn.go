@@ -80,7 +80,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 			}
 			return len(p), nil
 		}
-		// Not a frame start (mid-payload chunk, JSON line): corrupting
+		// Not a frame start (a mid-payload chunk): corrupting
 		// here could pass undetected, so deliver intact instead.
 		return c.Conn.Write(p)
 	default: // KindError, or a KindHang whose stall elapsed

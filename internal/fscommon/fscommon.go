@@ -55,9 +55,10 @@ type Base struct {
 	Files map[blockdev.FileID]blockdev.BlockNo
 
 	// Ledger aggregates per-file outstanding-prefetch counts across
-	// every driver (see PrefetchLedger); both file systems register it
-	// as their drivers' observer.
-	Ledger *PrefetchLedger
+	// every driver, machine-wide, with no limit enforced: xFS exceeding
+	// 1 on shared files is a finding, not a fault. Both file systems
+	// register it as their drivers' observer.
+	Ledger *core.Ledger
 
 	// Degrees hands out the per-file outstanding-prefetch policy and
 	// routes the timely/late/wasted lifecycle events both file systems
@@ -99,7 +100,7 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 		Disks:       diskmodel.NewArray(e, cfg),
 		Cch:         cachesim.New(e, cfg.Nodes, cacheBlocksPerNode, policy),
 		Coll:        stats.New(),
-		Ledger:      NewPrefetchLedger(),
+		Ledger:      core.NewLedger(0, false),
 		Degrees:     core.NewDegreeSet(alg),
 		Files:       files,
 		inflight:    make(map[blockdev.BlockID][]func(e *sim.Engine, at sim.Time)),

@@ -6,59 +6,6 @@ import (
 	"repro/internal/blockdev"
 )
 
-// PrefetchLedger aggregates driver outstanding-prefetch deltas per
-// file, machine-wide. It is the instrument behind the paper's linear
-// invariant: PAFS runs one driver per file, so every file's high-water
-// mark stays at the driver's limit (1 for Ln_Agr_*), while xFS runs a
-// driver per (node, file) and shared files push the aggregate above 1
-// — the "not really linear" behaviour of §4 made measurable.
-type PrefetchLedger struct {
-	outstanding map[blockdev.FileID]int
-	highWater   map[blockdev.FileID]int
-	maxHW       int
-}
-
-// NewPrefetchLedger returns an empty ledger.
-func NewPrefetchLedger() *PrefetchLedger {
-	return &PrefetchLedger{
-		outstanding: make(map[blockdev.FileID]int),
-		highWater:   make(map[blockdev.FileID]int),
-	}
-}
-
-// OutstandingChanged implements core.OutstandingObserver.
-func (l *PrefetchLedger) OutstandingChanged(f blockdev.FileID, delta int) {
-	n := l.outstanding[f] + delta
-	if n < 0 {
-		panic(fmt.Sprintf("fscommon: file %d outstanding prefetches went negative (%d)", f, n))
-	}
-	l.outstanding[f] = n
-	if n > l.highWater[f] {
-		l.highWater[f] = n
-	}
-	if n > l.maxHW {
-		l.maxHW = n
-	}
-}
-
-// FileHighWater returns the most prefetches ever simultaneously in
-// flight for file f across the whole machine.
-func (l *PrefetchLedger) FileHighWater(f blockdev.FileID) int { return l.highWater[f] }
-
-// MaxHighWater returns the largest per-file high-water mark over every
-// file — 1 on a truly linear run, >1 when independent per-node chains
-// overlapped on a shared file.
-func (l *PrefetchLedger) MaxHighWater() int { return l.maxHW }
-
-// HighWaters returns a copy of the per-file high-water marks.
-func (l *PrefetchLedger) HighWaters() map[blockdev.FileID]int {
-	out := make(map[blockdev.FileID]int, len(l.highWater))
-	for f, hw := range l.highWater {
-		out[f] = hw
-	}
-	return out
-}
-
 // BaseRef returns the embedded Base, letting code that holds only the
 // FileSystem interface reach the shared observability state (ledger,
 // disks, network) without widening the interface.

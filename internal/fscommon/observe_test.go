@@ -6,54 +6,6 @@ import (
 	"repro/internal/blockdev"
 )
 
-func TestPrefetchLedgerHighWater(t *testing.T) {
-	l := NewPrefetchLedger()
-	f1, f2 := blockdev.FileID(1), blockdev.FileID(2)
-
-	// Two drivers overlap on f1 (the xFS shared-file case), one driver
-	// stays linear on f2.
-	l.OutstandingChanged(f1, 1)
-	l.OutstandingChanged(f1, 1)
-	l.OutstandingChanged(f1, -1)
-	l.OutstandingChanged(f2, 1)
-	l.OutstandingChanged(f2, -1)
-	l.OutstandingChanged(f2, 1)
-	l.OutstandingChanged(f2, -1)
-
-	if got := l.FileHighWater(f1); got != 2 {
-		t.Errorf("f1 high-water = %d, want 2", got)
-	}
-	if got := l.FileHighWater(f2); got != 1 {
-		t.Errorf("f2 high-water = %d, want 1", got)
-	}
-	if got := l.MaxHighWater(); got != 2 {
-		t.Errorf("max high-water = %d, want 2", got)
-	}
-	hw := l.HighWaters()
-	if hw[f1] != 2 || hw[f2] != 1 {
-		t.Errorf("HighWaters = %v", hw)
-	}
-	// The copy must be detached from the ledger.
-	hw[f1] = 99
-	if l.FileHighWater(f1) != 2 {
-		t.Error("HighWaters returned the internal map")
-	}
-	// High-water marks survive the outstanding count dropping to zero.
-	l.OutstandingChanged(f1, -1)
-	if l.MaxHighWater() != 2 || l.FileHighWater(f1) != 2 {
-		t.Error("high-water forgot its peak")
-	}
-}
-
-func TestPrefetchLedgerPanicsOnNegative(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on negative outstanding count")
-		}
-	}()
-	NewPrefetchLedger().OutstandingChanged(1, -1)
-}
-
 func TestPrefetchInflightWindow(t *testing.T) {
 	b := &Base{pfInflight: make(map[blockdev.BlockID]int)}
 	blk := blockdev.BlockID{File: 1, Block: 7}

@@ -27,7 +27,7 @@ func TestAdaptiveEngineWidensUnderStarvation(t *testing.T) {
 		FileBlocks:  map[blockdev.FileID]blockdev.BlockNo{f: blocks},
 	})
 	for b := blockdev.BlockNo(0); b < blocks; b++ {
-		if _, _, err := e.Read(f, b, 1); err != nil {
+		if _, _, err := readCopy(e, f, b, 1); err != nil {
 			t.Fatalf("Read(%d): %v", b, err)
 		}
 	}
@@ -76,7 +76,7 @@ func TestAdaptiveEngineStrictStaysLinear(t *testing.T) {
 		StrictLinear: true, // any breach panics, not just counts
 	})
 	for b := blockdev.BlockNo(0); b < blocks; b++ {
-		if _, _, err := e.Read(f, b, 1); err != nil {
+		if _, _, err := readCopy(e, f, b, 1); err != nil {
 			t.Fatalf("Read(%d): %v", b, err)
 		}
 	}

@@ -122,8 +122,8 @@ func TestCacheWastedEvictionCount(t *testing.T) {
 func TestCacheShardingCapacity(t *testing.T) {
 	for _, tc := range []struct{ capacity, shards, wantShards int }{
 		{100, 8, 8},
-		{100, 7, 8},   // rounded up
-		{3, 8, 2},     // never more shards than capacity allows
+		{100, 7, 8}, // rounded up
+		{3, 8, 2},   // never more shards than capacity allows
 		{1, 16, 1},
 		{64, 1, 1},
 	} {

@@ -71,7 +71,7 @@ func TestEngineChaosStoreFaults(t *testing.T) {
 					}
 					continue
 				}
-				_, _, err := e.Read(f, off, int32(1+i%3))
+				_, _, err := readCopy(e, f, off, int32(1+i%3))
 				if err != nil {
 					if !strings.Contains(err.Error(), "faultinject") {
 						t.Errorf("read error without injection marker: %v", err)
@@ -85,7 +85,12 @@ func TestEngineChaosStoreFaults(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Let in-flight prefetches settle before auditing the pool.
+	// Park every chain, then let in-flight prefetches settle before
+	// auditing the pool: a running chain re-issues from its completion
+	// callback, after the counters below have already balanced.
+	for f := range files {
+		e.CloseFile(f)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		s := e.Snapshot()

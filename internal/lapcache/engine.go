@@ -144,7 +144,7 @@ type Engine struct {
 	remote RemoteFetcher // nil on a single-node engine
 
 	m      Metrics
-	ledger *Ledger
+	ledger *core.Ledger
 	fops   sync.Pool // recycled *fetchOp
 	spans  sync.Pool // recycled *spanGather for readSpanRemote
 	// adaptive short-circuits the per-event policy feedback on the
@@ -199,7 +199,7 @@ func New(cfg Config) (*Engine, error) {
 		store:      cfg.Store,
 		pool:       blockbuf.NewPool(cfg.BlockSize),
 		remote:     cfg.Remote,
-		ledger:     NewLedger(cfg.Alg.DegreeCap(), cfg.StrictLinear),
+		ledger:     core.NewLedger(cfg.Alg.DegreeCap(), cfg.StrictLinear),
 		adaptive:   cfg.Alg.Adaptive,
 		files:      make(map[blockdev.FileID]*fileState),
 		fileBlocks: make(map[blockdev.FileID]blockdev.BlockNo, len(cfg.FileBlocks)),
@@ -350,23 +350,29 @@ func (e *Engine) OwnershipChanged() {
 	}
 }
 
-// Read serves a demand read of nblocks blocks starting at off,
-// returning the concatenated data as a freshly allocated slice. It is
-// the copying convenience wrapper around ReadInto; hot paths (the
-// binary wire protocol, the benchmarks) use ReadInto directly and
-// avoid the copy.
-func (e *Engine) Read(f blockdev.FileID, off blockdev.BlockNo, nblocks int32) (data []byte, hit bool, err error) {
-	bufs, hit, err := e.ReadInto(nil, f, off, nblocks)
-	if err != nil {
-		return nil, false, err
-	}
-	data = make([]byte, int(nblocks)*e.cfg.BlockSize)
-	for i, buf := range bufs {
-		copy(data[i*e.cfg.BlockSize:], buf.Bytes())
-		buf.Release()
-	}
-	return data, hit, nil
-}
+// reqMode says on whose behalf a request runs — the engine-side image
+// of the wire's FlagPeer/FlagReplica bits, and the only thing that
+// distinguishes one read, write or close from another.
+type reqMode uint8
+
+const (
+	// modeClient: a client's own request. Files this node does not own
+	// are forwarded to the ring owner.
+	modeClient reqMode = iota
+	// modePeer: forwarded by a cluster peer (FlagPeer). Served strictly
+	// locally — cache, then backing store — and never re-forwarded,
+	// whatever the ring says: the contract that keeps forwarding
+	// loop-free. The request still feeds this node's driver: the owner
+	// sees every peer's accesses to its files as (offset, size)
+	// requests, which is exactly what lets it model the cluster-wide
+	// access stream and run the one true prefetch chain.
+	modePeer
+	// modeReplica: a replica install (FlagPeer|FlagReplica). Strictly
+	// local like modePeer, and additionally invisible to the driver and
+	// never replicated onward — only the owner models the file's access
+	// stream, and a replica push must never fan out further.
+	modeReplica
+)
 
 // ReadInto serves a demand read of nblocks blocks starting at off,
 // appending one retained buffer per block to bufs (usually a reused
@@ -380,25 +386,13 @@ func (e *Engine) Read(f blockdev.FileID, off blockdev.BlockNo, nblocks int32) (d
 // On error the appended buffers are released and bufs is returned at
 // its original length.
 func (e *Engine) ReadInto(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) ([]*blockbuf.Buf, bool, error) {
-	return e.readSpan(bufs, f, off, nblocks, false)
+	return e.read(bufs, f, off, nblocks, modeClient)
 }
 
-// PeerReadInto is ReadInto for a request forwarded by a cluster peer:
-// it serves strictly locally (cache, then backing store) and never
-// re-forwards, whatever the ring says — the wire-level FlagPeer
-// contract that keeps forwarding loop-free. The span still feeds this
-// node's driver: the owner sees every peer's accesses to its files as
-// (offset, size) requests, which is exactly what lets it model the
-// cluster-wide access stream and run the one true prefetch chain.
-func (e *Engine) PeerReadInto(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) ([]*blockbuf.Buf, bool, error) {
-	e.m.peerReads.Add(1)
-	return e.readSpan(bufs, f, off, nblocks, true)
-}
-
-// readSpan is the shared demand-read body: route to the owner when the
-// file is remote (unless localOnly pins service here), then feed the
-// request to the file's driver.
-func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, localOnly bool) ([]*blockbuf.Buf, bool, error) {
+// read is the one demand-read body: route to the owner when the file
+// is remote and the request is a client's own, serve locally
+// otherwise, then feed the request to the file's driver.
+func (e *Engine) read(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, m reqMode) ([]*blockbuf.Buf, bool, error) {
 	if nblocks <= 0 || off < 0 {
 		return bufs, false, fmt.Errorf("lapcache: invalid read %d:[%d,+%d]", f, off, nblocks)
 	}
@@ -406,15 +400,20 @@ func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.
 		hit bool
 		err error
 	)
-	if e.remote != nil && !localOnly && !e.remote.Owned(f) {
+	if m == modeClient && e.remote != nil && !e.remote.Owned(f) {
 		bufs, hit, err = e.readSpanRemote(bufs, f, off, nblocks)
 	} else {
+		if m != modeClient {
+			e.m.peerReads.Add(1)
+		}
 		bufs, hit, err = e.readSpanLocal(bufs, f, off, nblocks)
 	}
 	if err != nil {
 		return bufs, false, err
 	}
-	e.feedDriver(f, core.Request{Offset: off, Size: nblocks}, hit)
+	if m != modeReplica {
+		e.feedDriver(f, core.Request{Offset: off, Size: nblocks}, hit)
+	}
 	return bufs, hit, nil
 }
 
@@ -729,22 +728,25 @@ func (e *Engine) readBlockBuf(b blockdev.BlockID) (buf *blockbuf.Buf, hit bool, 
 // the local cache; only if no owner is reachable does the write land
 // in the local store.
 func (e *Engine) Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	_, err := e.WriteDurable(f, off, nblocks, data)
+	_, err := e.write(f, off, nblocks, data, modeClient)
 	return err
 }
 
-// WriteDurable is Write, additionally reporting whether the blocks
-// were replicated: durably installed on two distinct nodes' stores
-// (owner plus its R=2 successor), so the write survives either one's
-// death. The binary server acks exactly this bit as FlagReplicated,
-// and the chaos harness's no-lost-acked-write invariant audits every
-// write acked with it. Single-node engines and replica-less tiers
-// always report false.
-func (e *Engine) WriteDurable(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (replicated bool, err error) {
-	if err := e.checkWrite(f, off, nblocks, data); err != nil {
-		return false, err
+// write is the one write body. replicated reports the blocks are
+// durably installed on two distinct nodes' stores (owner plus its R=2
+// successor), so the write survives either one's death; the server
+// acks exactly this bit as FlagReplicated, and the chaos harness's
+// no-lost-acked-write invariant audits every write acked with it.
+// Single-node engines and replica-less tiers always report false.
+func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, m reqMode) (replicated bool, err error) {
+	if nblocks <= 0 || off < 0 {
+		return false, fmt.Errorf("lapcache: invalid write %d:[%d,+%d]", f, off, nblocks)
 	}
-	if e.remote != nil && !e.remote.Owned(f) {
+	if data != nil && len(data) != int(nblocks)*e.cfg.BlockSize {
+		return false, fmt.Errorf("lapcache: write payload is %d bytes, want %d",
+			len(data), int(nblocks)*e.cfg.BlockSize)
+	}
+	if m == modeClient && e.remote != nil && !e.remote.Owned(f) {
 		ok, replicated, err := e.remote.ForwardWrite(f, off, nblocks, data)
 		if ok {
 			if err != nil {
@@ -752,47 +754,39 @@ func (e *Engine) WriteDurable(f blockdev.FileID, off blockdev.BlockNo, nblocks i
 			}
 			e.m.forwardedWrites.Add(1)
 			e.m.writes.Add(1)
-			e.installWriteThrough(f, off, nblocks, data)
+			e.installSpan(f, off, nblocks, data, false) //nolint:errcheck // cache-only install cannot fail
 			return replicated, nil
 		}
 		e.m.remoteFallbacks.Add(1)
 	}
-	return e.writeLocal(f, off, nblocks, data)
-}
-
-// PeerWrite is Write for a request forwarded by a cluster peer:
-// strictly local, never re-forwarded, and fed to this node's driver
-// (the owner models peers' writes as part of the access stream).
-func (e *Engine) PeerWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	_, err := e.PeerWriteDurable(f, off, nblocks, data)
-	return err
-}
-
-// PeerWriteDurable is PeerWrite with WriteDurable's replicated
-// report; the forwarding node relays the bit to its own client.
-func (e *Engine) PeerWriteDurable(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (replicated bool, err error) {
-	if err := e.checkWrite(f, off, nblocks, data); err != nil {
+	if m == modePeer {
+		e.m.peerWrites.Add(1)
+	}
+	if err := e.installSpan(f, off, nblocks, data, true); err != nil {
 		return false, err
 	}
-	e.m.peerWrites.Add(1)
-	return e.writeLocal(f, off, nblocks, data)
-}
-
-// ReplicaWrite installs nblocks blocks as the file's replica copy:
-// store write-through plus cache install, nothing else — no driver
-// feed (only the owner models the file's access stream), no onward
-// replication, no forwarding. It serves the wire's
-// FlagPeer|FlagReplica writes: the owner's synchronous R=2 push and
-// the rebalancing handoff both land here.
-func (e *Engine) ReplicaWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	if err := e.checkWrite(f, off, nblocks, data); err != nil {
-		return err
+	if m == modeReplica {
+		// Store + cache only: the owner's synchronous R=2 push and the
+		// rebalancing handoff both land here.
+		e.m.replicaInstalls.Add(uint64(nblocks))
+		return false, nil
 	}
-	if err := e.installSpan(f, off, nblocks, data); err != nil {
-		return err
+	e.m.writes.Add(1)
+	// Synchronous R=2: the successor's copy is what turns this node's
+	// death into a remote memory hit instead of a disk read. The push
+	// rides inside the write's latency (durability before the ack),
+	// and a failed push degrades the ack to replicated=false rather
+	// than failing the write — replication is a promise about
+	// redundancy, never an availability tax.
+	if e.remote != nil && e.remote.ReplicateWrite(f, off, nblocks, data) {
+		replicated = true
+		e.m.replicatedWrites.Add(1)
 	}
-	e.m.replicaInstalls.Add(uint64(nblocks))
-	return nil
+	// The write is part of the file's access stream: the predictors
+	// model (offset-interval, size) pairs of all requests. A write
+	// never waits on prefetched data, so it counts as satisfied.
+	e.feedDriver(f, core.Request{Offset: off, Size: nblocks}, true)
+	return replicated, nil
 }
 
 // RepairInstall persists blocks that a replica served (the owner
@@ -813,21 +807,12 @@ func (e *Engine) RepairInstall(f blockdev.FileID, off blockdev.BlockNo, srcs [][
 	e.m.readRepairs.Add(uint64(len(srcs)))
 }
 
-func (e *Engine) checkWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	if nblocks <= 0 || off < 0 {
-		return fmt.Errorf("lapcache: invalid write %d:[%d,+%d]", f, off, nblocks)
-	}
-	if data != nil && len(data) != int(nblocks)*e.cfg.BlockSize {
-		return fmt.Errorf("lapcache: write payload is %d bytes, want %d",
-			len(data), int(nblocks)*e.cfg.BlockSize)
-	}
-	return nil
-}
-
-// installWriteThrough caches local copies of blocks whose authoritative
-// write landed on the owner, so this node's next reads of them are
-// local hits rather than forwards.
-func (e *Engine) installWriteThrough(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) {
+// installSpan installs nblocks blocks (nil data = fill pattern) in the
+// cache, writing each through to the store first when toStore is set.
+// Without it the copies are cache-only: the write-through image of
+// blocks whose authoritative write landed on the owner, so this node's
+// next reads of them are local hits rather than forwards.
+func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, toStore bool) error {
 	for i := int32(0); i < nblocks; i++ {
 		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
 		buf := e.pool.Get()
@@ -836,52 +821,13 @@ func (e *Engine) installWriteThrough(f blockdev.FileID, off blockdev.BlockNo, nb
 		} else {
 			FillPattern(b, buf.Bytes())
 		}
-		e.m.prefetchWasted.Add(uint64(e.cache.Put(b, buf, false)))
-	}
-}
-
-// writeLocal is the local write body: store write-through plus cache
-// install, a best-effort replica push when the tier replicates, then
-// the driver sees the request. replicated reports the push succeeded
-// — the blocks now live on two distinct nodes' stores.
-func (e *Engine) writeLocal(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (replicated bool, err error) {
-	if err := e.installSpan(f, off, nblocks, data); err != nil {
-		return false, err
-	}
-	e.m.writes.Add(1)
-	// Synchronous R=2: the successor's copy is what turns this node's
-	// death into a remote memory hit instead of a disk read. The push
-	// rides inside the write's latency (durability before the ack),
-	// and a failed push degrades the ack to replicated=false rather
-	// than failing the write — replication is a promise about
-	// redundancy, never an availability tax.
-	if e.remote != nil && e.remote.ReplicateWrite(f, off, nblocks, data) {
-		replicated = true
-		e.m.replicatedWrites.Add(1)
-	}
-	// The write is part of the file's access stream: the predictors
-	// model (offset-interval, size) pairs of all requests. A write
-	// never waits on prefetched data, so it counts as satisfied.
-	e.feedDriver(f, core.Request{Offset: off, Size: nblocks}, true)
-	return replicated, nil
-}
-
-// installSpan is the shared write body: one store write-through and
-// cache install per block (nil data = fill pattern).
-func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	for i := int32(0); i < nblocks; i++ {
-		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
-		buf := e.pool.Get()
-		if data != nil {
-			copy(buf.Bytes(), data[int(i)*e.cfg.BlockSize:int(i+1)*e.cfg.BlockSize])
-		} else {
-			FillPattern(b, buf.Bytes())
+		if toStore {
+			if err := e.store.WriteBlock(b, buf.Bytes()); err != nil {
+				buf.Release()
+				return err
+			}
+			e.m.storeWrites.Add(1)
 		}
-		if err := e.store.WriteBlock(b, buf.Bytes()); err != nil {
-			buf.Release()
-			return err
-		}
-		e.m.storeWrites.Add(1)
 		// The cache takes the reference.
 		e.m.prefetchWasted.Add(uint64(e.cache.Put(b, buf, false)))
 	}
@@ -893,19 +839,15 @@ func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks in
 // a cluster node the close of a non-owned file is relayed to the ring
 // owner — the only node with a chain to park — best-effort: a dead
 // owner has nothing running for the file anyway.
-func (e *Engine) CloseFile(f blockdev.FileID) {
-	if e.remote != nil && !e.remote.Owned(f) {
+func (e *Engine) CloseFile(f blockdev.FileID) { e.closeFile(f, modeClient) }
+
+// closeFile is the one close body; a peer-forwarded close parks the
+// local chain and is never relayed again.
+func (e *Engine) closeFile(f blockdev.FileID, m reqMode) {
+	if m == modeClient && e.remote != nil && !e.remote.Owned(f) {
 		e.remote.ForwardClose(f) //nolint:errcheck // best-effort
 		return
 	}
-	e.closeLocal(f)
-}
-
-// PeerCloseFile is CloseFile for a peer-forwarded close: strictly
-// local, never re-forwarded.
-func (e *Engine) PeerCloseFile(f blockdev.FileID) { e.closeLocal(f) }
-
-func (e *Engine) closeLocal(f blockdev.FileID) {
 	fl := e.fileState(f)
 	fl.mu.Lock()
 	if d := e.driverLocked(f, fl); d != nil {
@@ -992,7 +934,7 @@ func (e *Engine) Snapshot() Snapshot {
 
 // Ledger exposes the linearity ledger (tests assert on high-water
 // marks through it).
-func (e *Engine) Ledger() *Ledger { return e.ledger }
+func (e *Engine) Ledger() *core.Ledger { return e.ledger }
 
 // DegreeCap returns the largest per-file outstanding-prefetch count
 // the engine's policy can ever allow (0 = unlimited). Under the

@@ -75,6 +75,17 @@ func newTestEngine(t *testing.T, cfg Config) *Engine {
 	return e
 }
 
+// readCopy is ReadInto plus a copy-out and release, for tests that
+// look at the bytes (or at nothing but the error).
+func readCopy(e *Engine, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) (data []byte, hit bool, err error) {
+	bufs, hit, err := e.ReadInto(nil, f, off, nblocks)
+	for _, buf := range bufs {
+		data = append(data, buf.Bytes()...)
+		buf.Release()
+	}
+	return data, hit, err
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
@@ -89,7 +100,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestDemandMissThenHit(t *testing.T) {
 	e := newTestEngine(t, Config{Alg: core.SpecNP})
-	data, hit, err := e.Read(3, 7, 1)
+	data, hit, err := readCopy(e, 3, 7, 1)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -101,7 +112,7 @@ func TestDemandMissThenHit(t *testing.T) {
 	if !bytes.Equal(data, want) {
 		t.Error("read data does not match the fill pattern")
 	}
-	if _, hit, _ = e.Read(3, 7, 1); !hit {
+	if _, hit, _ = readCopy(e, 3, 7, 1); !hit {
 		t.Error("second read missed")
 	}
 	snap := e.Snapshot()
@@ -116,7 +127,7 @@ func TestWriteReadBack(t *testing.T) {
 	if err := e.Write(1, 4, 2, payload); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	data, hit, err := e.Read(1, 4, 2)
+	data, hit, err := readCopy(e, 1, 4, 2)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -141,7 +152,7 @@ func TestPrefetchTimely(t *testing.T) {
 		FileBlocks: map[blockdev.FileID]blockdev.BlockNo{1: 64},
 	})
 	for b := blockdev.BlockNo(0); b < 32; b++ {
-		if _, _, err := e.Read(1, b, 1); err != nil {
+		if _, _, err := readCopy(e, 1, b, 1); err != nil {
 			t.Fatalf("read %d: %v", b, err)
 		}
 		// Let the (zero-latency) prefetch land before the next read.
@@ -177,14 +188,14 @@ func TestPrefetchLate(t *testing.T) {
 		Workers:    1,
 		FileBlocks: map[blockdev.FileID]blockdev.BlockNo{1: 16},
 	})
-	if _, _, err := e.Read(1, 0, 1); err != nil {
+	if _, _, err := readCopy(e, 1, 0, 1); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	<-gs.started // the prefetch of block 1 is now stuck in the store
 
 	done := make(chan error, 1)
 	go func() {
-		_, _, err := e.Read(1, 1, 1)
+		_, _, err := readCopy(e, 1, 1, 1)
 		done <- err
 	}()
 	waitFor(t, "late classification", func() bool { return e.Snapshot().PrefetchLate == 1 })
@@ -241,7 +252,7 @@ func TestBackpressureDrops(t *testing.T) {
 		FileBlocks: map[blockdev.FileID]blockdev.BlockNo{1: 256},
 	})
 	defer gs.Release() // let Shutdown's worker drain finish
-	if _, _, err := e.Read(1, 0, 1); err != nil {
+	if _, _, err := readCopy(e, 1, 0, 1); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	waitFor(t, "a dropped prefetch", func() bool { return e.Snapshot().PrefetchDropped >= 1 })
@@ -258,7 +269,7 @@ func TestSingleflightDemand(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := e.Read(5, 9, 1); err != nil {
+			if _, _, err := readCopy(e, 5, 9, 1); err != nil {
 				t.Errorf("read: %v", err)
 			}
 		}()
@@ -278,7 +289,7 @@ func TestCloseFileStopsChain(t *testing.T) {
 		Alg:        core.SpecLnAgrOBA,
 		FileBlocks: map[blockdev.FileID]blockdev.BlockNo{1: 64},
 	})
-	if _, _, err := e.Read(1, 0, 1); err != nil {
+	if _, _, err := readCopy(e, 1, 0, 1); err != nil {
 		t.Fatalf("read: %v", err)
 	}
 	e.CloseFile(1)
@@ -293,27 +304,29 @@ func TestCloseFileStopsChain(t *testing.T) {
 	}
 }
 
+// TestLedgerStrictPanics: Config.StrictLinear arms the engine's ledger
+// at the algorithm's degree cap, so a second outstanding prefetch on a
+// linear engine is a panic, not a statistic.
 func TestLedgerStrictPanics(t *testing.T) {
-	l := NewLedger(1, true)
-	l.OutstandingChanged(1, 1)
+	e := newTestEngine(t, Config{Alg: core.SpecLnAgrOBA, StrictLinear: true})
+	e.Ledger().OutstandingChanged(1, 1)
 	defer func() {
 		if recover() == nil {
 			t.Error("second outstanding prefetch did not panic in strict mode")
 		}
 	}()
-	l.OutstandingChanged(1, 1)
+	e.Ledger().OutstandingChanged(1, 1)
 }
 
+// TestLedgerCountsViolations: without StrictLinear the same breach is
+// counted, and both it and the high-water mark surface in Snapshot.
 func TestLedgerCountsViolations(t *testing.T) {
-	l := NewLedger(1, false)
-	l.OutstandingChanged(2, 1)
-	l.OutstandingChanged(2, 1)
-	l.OutstandingChanged(2, -2)
-	if l.Violations() != 1 {
-		t.Errorf("violations = %d, want 1", l.Violations())
-	}
-	if l.MaxHighWater() != 2 || l.FileHighWater(2) != 2 {
-		t.Errorf("high water = %d/%d, want 2/2", l.MaxHighWater(), l.FileHighWater(2))
+	e := newTestEngine(t, Config{Alg: core.SpecLnAgrOBA})
+	e.Ledger().OutstandingChanged(2, 1)
+	e.Ledger().OutstandingChanged(2, 1)
+	e.Ledger().OutstandingChanged(2, -2)
+	if s := e.Snapshot(); s.LinearViolations != 1 || s.MaxFileOutstandingHW != 2 {
+		t.Errorf("snapshot: violations=%d maxHW=%d, want 1/2", s.LinearViolations, s.MaxFileOutstandingHW)
 	}
 }
 

@@ -3,13 +3,11 @@ package lapcache
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -18,88 +16,30 @@ import (
 	"repro/internal/wire"
 )
 
-// upgradeBinary dials addr and runs the JSON→binary negotiation,
-// returning the raw connection and its buffered reader positioned at
-// the first binary byte. The lapclient package has richer clients;
-// these tests speak the wire raw to pin server behaviour without the
-// import cycle.
-func upgradeBinary(t *testing.T, addr string) (net.Conn, *bufio.Reader) {
-	t.Helper()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	t.Cleanup(func() { conn.Close() })
-	br := bufio.NewReader(conn)
-	enc := json.NewEncoder(conn)
-	var resp WireResponse
-	if err := enc.Encode(&WireRequest{Op: "upgrade", Proto: wire.ProtoBinary}); err != nil {
-		t.Fatalf("upgrade: %v", err)
-	}
-	line, err := wire.ReadLine(br, wire.MaxFrame)
-	if err != nil {
-		t.Fatalf("upgrade response: %v", err)
-	}
-	if err := json.Unmarshal(line, &resp); err != nil || !resp.OK {
-		t.Fatalf("upgrade refused: %v %q", err, resp.Err)
-	}
-	return conn, br
-}
-
-// readBlockFrame reads one read-response frame and fails unless it is
-// OK with exactly nblocks of correctly patterned payload for (f, off).
-func readBlockFrame(t *testing.T, br *bufio.Reader, blockSize int, seq uint32, f blockdev.FileID, off blockdev.BlockNo, nblocks int) {
-	t.Helper()
-	var scratch [wire.HeaderSize]byte
-	h, err := wire.ReadHeader(br, scratch[:])
-	if err != nil {
-		t.Fatalf("seq %d: read header: %v", seq, err)
-	}
-	if h.Seq != seq || h.Flags&wire.FlagOK == 0 {
-		t.Fatalf("seq %d: response header = %+v", seq, h)
-	}
-	payload, err := wire.ReadPayload(br, h, nil)
-	if err != nil {
-		t.Fatalf("seq %d: read payload: %v", seq, err)
-	}
-	if len(payload) != nblocks*blockSize {
-		t.Fatalf("seq %d: payload %d bytes, want %d", seq, len(payload), nblocks*blockSize)
-	}
-	want := make([]byte, blockSize)
-	for i := 0; i < nblocks; i++ {
-		FillPattern(blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}, want)
-		if !bytes.Equal(payload[i*blockSize:(i+1)*blockSize], want) {
-			t.Fatalf("seq %d: block %d corrupted", seq, i)
-		}
-	}
-}
-
 // TestHotpathCoalescedPipeline sends a burst of pipelined reads in a
 // single TCP segment — the shape that makes the server's
 // drain-the-ready-queue latch hold responses and flush them as one
 // vectored write — and checks every response comes back in order,
-// framed, and bit-exact. The same burst runs against a NoCoalesce
-// server, pinning that the latch changes syscall count, never bytes.
+// framed, and bit-exact: the latch changes syscall count, never bytes.
+// The longer burst overruns maxCoalesce, forcing a flush in the middle
+// of the ready queue.
 func TestHotpathCoalescedPipeline(t *testing.T) {
-	const (
-		blockSize = 512
-		burst     = 32
-	)
+	const blockSize = 512
 	for _, tc := range []struct {
-		name       string
-		noCoalesce bool
-	}{{"coalesce", false}, {"nocoalesce", true}} {
+		name  string
+		burst int
+	}{{"coalesce", 32}, {"overMaxCoalesce", 2*maxCoalesce + 7}} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, addr := startTestServer(t, Config{
-				Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 4 * burst,
-			}, func(s *Server) { s.NoCoalesce = tc.noCoalesce })
-			conn, br := upgradeBinary(t, addr)
+				Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 4 * tc.burst,
+			}, nil)
+			c := dialRaw(t, addr)
 
 			// Build the whole burst and write it in one call, so the
 			// server's reader sees "complete next request buffered"
 			// after every dispatch until the queue drains.
 			var reqs bytes.Buffer
-			for i := 0; i < burst; i++ {
+			for i := 0; i < tc.burst; i++ {
 				if err := wire.WriteFrame(&reqs, wire.Header{
 					Op: wire.OpRead, Flags: wire.FlagWantData,
 					Seq: uint32(i + 1), File: 9, Offset: int32(i), Size: 1,
@@ -107,14 +47,18 @@ func TestHotpathCoalescedPipeline(t *testing.T) {
 					t.Fatalf("build burst: %v", err)
 				}
 			}
-			if _, err := conn.Write(reqs.Bytes()); err != nil {
+			if _, err := c.Write(reqs.Bytes()); err != nil {
 				t.Fatalf("send burst: %v", err)
 			}
-			for i := 0; i < burst; i++ {
-				readBlockFrame(t, br, blockSize, uint32(i+1), 9, blockdev.BlockNo(i), 1)
+			for i := 0; i < tc.burst; i++ {
+				h, payload := c.recv(t, uint32(i+1))
+				if h.Flags&wire.FlagOK == 0 {
+					t.Fatalf("seq %d: refused: %s", i+1, payload)
+				}
+				checkPattern(t, payload, blockSize, 9, blockdev.BlockNo(i), 1)
 			}
-			if br.Buffered() != 0 {
-				t.Fatalf("%d stray bytes after the burst", br.Buffered())
+			if c.br.Buffered() != 0 {
+				t.Fatalf("%d stray bytes after the burst", c.br.Buffered())
 			}
 		})
 	}
@@ -124,7 +68,7 @@ func TestHotpathCoalescedPipeline(t *testing.T) {
 // 1, concurrent connections land on different shards, every one is
 // served correctly, and the close-reason ledger — now sharded too —
 // still aggregates exactly one clean EOF per connection. Run under
-// -race (make check-hotpath), this is the cross-shard data-race
+// -race (make race), this is the cross-shard data-race
 // probe.
 func TestHotpathShardStress(t *testing.T) {
 	const (
@@ -149,21 +93,6 @@ func TestHotpathShardStress(t *testing.T) {
 			}
 			defer conn.Close()
 			br := bufio.NewReader(conn)
-			enc := json.NewEncoder(conn)
-			var resp WireResponse
-			if err := enc.Encode(&WireRequest{Op: "upgrade", Proto: wire.ProtoBinary}); err != nil {
-				errs <- err
-				return
-			}
-			line, err := wire.ReadLine(br, wire.MaxFrame)
-			if err != nil {
-				errs <- err
-				return
-			}
-			if err := json.Unmarshal(line, &resp); err != nil || !resp.OK {
-				errs <- fmt.Errorf("conn %d: upgrade refused: %v %q", c, err, resp.Err)
-				return
-			}
 			var scratch [wire.HeaderSize]byte
 			want := make([]byte, blockSize)
 			f := blockdev.FileID(c + 1)
@@ -206,28 +135,6 @@ func TestHotpathShardStress(t *testing.T) {
 	assertNoClose(t, srv, CloseMidFrame, CloseProtocol, CloseTransport, CloseWrite)
 }
 
-// tornWriteGate passes writes through untouched until the first
-// binary frame header crosses it, then hands everything to the
-// fault-injected conn — so the JSON negotiation survives and the
-// injected partial write is guaranteed to land on the vectored
-// response path.
-type tornWriteGate struct {
-	net.Conn
-	faulty net.Conn
-	armed  atomic.Bool
-}
-
-func (g *tornWriteGate) Write(p []byte) (int, error) {
-	if !g.armed.Load() {
-		if len(p) >= wire.HeaderSize && p[2] == wire.Version && p[3] == 0 {
-			g.armed.Store(true)
-		} else {
-			return g.Conn.Write(p)
-		}
-	}
-	return g.faulty.Write(p)
-}
-
 // TestHotpathTornVectoredWrite points a faultinject partial-write
 // rule at the writev site. The injected tear truncates the response
 // mid-header and severs the connection; the framing contract is that
@@ -251,13 +158,11 @@ func TestHotpathTornVectoredWrite(t *testing.T) {
 	srv, addr := startTestServer(t, Config{
 		Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 16,
 	}, func(s *Server) {
-		s.ConnWrap = func(c net.Conn) net.Conn {
-			return &tornWriteGate{Conn: c, faulty: inj.WrapConn(c, "accept@torn")}
-		}
+		s.ConnWrap = func(c net.Conn) net.Conn { return inj.WrapConn(c, "accept@torn") }
 	})
-	conn, br := upgradeBinary(t, addr)
+	c := dialRaw(t, addr)
 
-	if err := wire.WriteFrame(conn, wire.Header{
+	if err := wire.WriteFrame(c, wire.Header{
 		Op: wire.OpRead, Flags: wire.FlagWantData, Seq: 1, File: 2, Size: 1,
 	}, nil); err != nil {
 		t.Fatalf("write request: %v", err)
@@ -265,7 +170,7 @@ func TestHotpathTornVectoredWrite(t *testing.T) {
 	// The response header is torn partway through: the client must see
 	// a short read (mid-frame close), never a parseable header.
 	var hdr [wire.HeaderSize]byte
-	n, err := io.ReadFull(br, hdr[:])
+	n, err := io.ReadFull(c.br, hdr[:])
 	if err == nil {
 		if h, perr := wire.ParseHeader(hdr[:]); perr == nil {
 			t.Fatalf("torn write delivered a parseable header: %+v", h)

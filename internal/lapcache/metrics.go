@@ -2,10 +2,7 @@ package lapcache
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
-
-	"repro/internal/blockdev"
 )
 
 // Metrics is the engine's counter set: the runtime image of the PR-1
@@ -150,91 +147,4 @@ func (s Snapshot) String() string {
 		s.DemandHits, s.DemandMisses, s.HitRatio(),
 		s.PrefetchIssued, s.PrefetchTimely, s.PrefetchLate, s.PrefetchWasted,
 		s.PrefetchDropped, s.MaxFileOutstandingHW)
-}
-
-// Ledger is the concurrent counterpart of fscommon.PrefetchLedger: it
-// aggregates every driver's outstanding-prefetch deltas per file and
-// records high-water marks, making the paper's linear invariant
-// checkable on a live server. When strict, an update that pushes a
-// file past limit panics — the server-side assertion of linearity.
-type Ledger struct {
-	mu          sync.Mutex
-	limit       int // 0 = unlimited
-	strict      bool
-	outstanding map[blockdev.FileID]int
-	highWater   map[blockdev.FileID]int
-	maxHW       int
-	violations  uint64
-}
-
-// NewLedger returns a ledger enforcing limit (0 for none). strict
-// turns violations into panics rather than counters.
-func NewLedger(limit int, strict bool) *Ledger {
-	return &Ledger{
-		limit:       limit,
-		strict:      strict,
-		outstanding: make(map[blockdev.FileID]int),
-		highWater:   make(map[blockdev.FileID]int),
-	}
-}
-
-// OutstandingChanged implements core.OutstandingObserver.
-func (l *Ledger) OutstandingChanged(f blockdev.FileID, delta int) {
-	l.mu.Lock()
-	n := l.outstanding[f] + delta
-	if n < 0 {
-		l.mu.Unlock()
-		panic(fmt.Sprintf("lapcache: file %d outstanding prefetches went negative (%d)", f, n))
-	}
-	l.outstanding[f] = n
-	if n > l.highWater[f] {
-		l.highWater[f] = n
-	}
-	if n > l.maxHW {
-		l.maxHW = n
-	}
-	if l.limit > 0 && n > l.limit {
-		l.violations++
-		if l.strict {
-			l.mu.Unlock()
-			panic(fmt.Sprintf("lapcache: file %d has %d outstanding prefetches, linear limit is %d",
-				f, n, l.limit))
-		}
-	}
-	l.mu.Unlock()
-}
-
-// MaxHighWater returns the largest per-file high-water mark seen.
-func (l *Ledger) MaxHighWater() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.maxHW
-}
-
-// FileHighWater returns file f's high-water mark.
-func (l *Ledger) FileHighWater(f blockdev.FileID) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.highWater[f]
-}
-
-// HighWaters returns a copy of every file's high-water mark. Cluster
-// tests join these maps across nodes to assert the paper's invariant
-// globally: in linear mode each file's marks, summed over the whole
-// cluster, never exceed 1 — only the ring owner ever prefetches it.
-func (l *Ledger) HighWaters() map[blockdev.FileID]int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make(map[blockdev.FileID]int, len(l.highWater))
-	for f, n := range l.highWater {
-		out[f] = n
-	}
-	return out
-}
-
-// Violations returns how many updates exceeded the limit.
-func (l *Ledger) Violations() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.violations
 }

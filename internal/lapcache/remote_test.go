@@ -18,6 +18,7 @@ type fakeRemote struct {
 	fetchCalls atomic.Int32
 	writeCalls atomic.Int32
 	closeCalls atomic.Int32
+	replCalls  atomic.Int32
 	down       atomic.Bool // every forward reports no live owner
 
 	mu      sync.Mutex
@@ -55,6 +56,7 @@ func (r *fakeRemote) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nbloc
 }
 
 func (r *fakeRemote) ReplicateWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) bool {
+	r.replCalls.Add(1)
 	return false
 }
 

@@ -15,65 +15,20 @@ import (
 	"repro/internal/wire"
 )
 
-// Every connection starts in the JSON protocol: newline-delimited
-// JSON, one request and one response per line, pipelined in order per
+// A connection speaks wire frames from its first byte (see
+// internal/wire): the header's version byte is the negotiation, and a
+// client's opening OpPing is the handshake that reports the server's
+// algorithm and block size. Requests are pipelined in order per
 // connection. Offsets and sizes are in blocks; clients convert byte
 // ranges with blockdev.ByteRangeToSpan, honouring the paper's
-// two-bytes-two-blocks rule. A "ping" reports the server's algorithm,
-// block size and maximum protocol version; a client that sees
-// proto_max >= wire.ProtoBinary may send {"op":"upgrade"} and switch
-// the connection to the binary framed protocol (see internal/wire),
-// whose read path streams raw block payloads straight from the
-// cache's refcounted buffers — no base64, no copy. Plain JSON stays
-// fully supported for old clients and debugging (lapget -json).
+// two-bytes-two-blocks rule. Reads stream raw block payloads straight
+// from the cache's refcounted buffers — no copy.
 
-// WireRequest is one client request (JSON protocol).
-type WireRequest struct {
-	Op     string `json:"op"` // ping | read | write | close | stats | upgrade
-	File   int32  `json:"file,omitempty"`
-	Offset int32  `json:"offset,omitempty"` // first block
-	Size   int32  `json:"size,omitempty"`   // blocks
-	// WantData asks a read to return the block payload (base64 in
-	// JSON); replay clients leave it off to keep the wire thin.
-	WantData bool `json:"want_data,omitempty"`
-	// Data carries a write's payload; nil writes the deterministic
-	// fill pattern.
-	Data []byte `json:"data,omitempty"`
-	// Proto names the protocol version an "upgrade" requests
-	// (defaults to wire.ProtoBinary).
-	Proto int `json:"proto,omitempty"`
-}
-
-// WireResponse is one server response (JSON protocol).
-type WireResponse struct {
-	OK  bool   `json:"ok"`
-	Err string `json:"err,omitempty"`
-	// Hit is set on reads: every requested block was cached on
-	// arrival.
-	Hit  bool   `json:"hit,omitempty"`
-	Data []byte `json:"data,omitempty"`
-	// Replicated is set on writes: the blocks were also installed on
-	// the file's R=2 successor before the ack (durably double-homed).
-	Replicated bool      `json:"replicated,omitempty"`
-	Stats      *Snapshot `json:"stats,omitempty"`
-	Alg        string    `json:"alg,omitempty"`
-	BlockSize  int       `json:"block_size,omitempty"`
-	// ProtoMax (on ping) is the newest protocol version this server
-	// speaks; a client upgrades past JSON only after seeing it.
-	ProtoMax int `json:"proto_max,omitempty"`
-	// Owner and OwnerSelf answer an "owner" request on a clustered
-	// server: the advertise address of the file's ring owner and
-	// whether that owner is the answering node.
-	Owner     string `json:"owner,omitempty"`
-	OwnerSelf bool   `json:"owner_self,omitempty"`
-}
-
-// pingPayload is the JSON document carried by binary ping and stats
-// responses (rare ops, so their encoding is irrelevant).
+// pingPayload is the JSON document carried by a ping response (a rare
+// op, so its encoding is irrelevant).
 type pingPayload struct {
 	Alg       string `json:"alg"`
 	BlockSize int    `json:"block_size"`
-	ProtoMax  int    `json:"proto_max"`
 	// Self and Members describe cluster membership on a clustered
 	// server; absent on a single node.
 	Self    string   `json:"self,omitempty"`
@@ -135,11 +90,6 @@ type Server struct {
 	// elsewhere. Set before Serve; 0 or 1 keeps the historical single
 	// accept loop.
 	Shards int
-	// NoCoalesce disables opportunistic response coalescing on the
-	// binary path: every response flushes with its own vectored write.
-	// The hotpath experiment's A/B toggle; leave false in production.
-	NoCoalesce bool
-
 	// IdleTimeout, when positive, closes a connection that sends no
 	// request for the duration (lapcached -idle-timeout). Zero keeps
 	// connections open forever, the historical behaviour.
@@ -381,19 +331,14 @@ func (s *Server) handle(conn net.Conn, sh *connShard) {
 		sh.mu.Unlock()
 		s.wg.Done()
 	}()
-	h := &connHandler{
-		s:    s,
-		conn: conn,
-		br:   bufio.NewReaderSize(conn, 64<<10),
-		bw:   bufio.NewWriterSize(conn, 64<<10),
-	}
-	s.noteClose(sh, h.serveJSON())
+	h := &connHandler{s: s, conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}
+	s.noteClose(sh, h.serve())
 }
 
 // readReason classifies a failed read. midFrame reports the failure
-// happened inside a frame (a partial header, an unfinished payload, a
-// half-sent JSON line): that is always a mid-frame close, never an
-// idle timeout, whatever error the deadline machinery dressed it in.
+// happened inside a frame (a partial header, an unfinished payload):
+// that is always a mid-frame close, never an idle timeout, whatever
+// error the deadline machinery dressed it in.
 func (s *Server) readReason(err error, midFrame bool) CloseReason {
 	if midFrame {
 		return CloseMidFrame
@@ -411,22 +356,21 @@ func (s *Server) readReason(err error, midFrame bool) CloseReason {
 	return CloseTransport
 }
 
-// connHandler runs one connection's request loop, starting in JSON
-// and optionally upgrading to binary frames. bw serves only the JSON
-// protocol; after the binary upgrade, responses go through batch —
-// vectored writes straight to conn, no bufio staging copy.
+// connHandler runs one connection's request loop. Responses go
+// through batch — vectored writes straight to conn, no bufio staging
+// copy.
 type connHandler struct {
 	s    *Server
 	conn net.Conn
 	br   *bufio.Reader
-	bw   *bufio.Writer
 
-	// batch gathers binary response frames for one writev; release
+	// batch gathers response frames for one writev; release
 	// holds the refcounted cache buffers whose bytes the batch
 	// references, released only after the syscall returns (or the
 	// batch is dropped on a dying connection).
 	batch   wire.FrameBatch
 	release []*blockbuf.Buf
+	bufs    []*blockbuf.Buf // reused gather slice for read responses
 }
 
 // queueError stages an error frame for hd's request.
@@ -484,82 +428,46 @@ func (h *connHandler) nextRequestBuffered() bool {
 	return h.br.Buffered() >= wire.HeaderSize+int(hd.PayloadLen)
 }
 
-// serveJSON is the line-delimited JSON loop. Lines are bounded by
-// wire.MaxFrame (the documented frame cap — the old bufio.Scanner
-// 64 KiB default truncated multi-block WantData reads).
-func (h *connHandler) serveJSON() CloseReason {
-	s := h.s
-	enc := json.NewEncoder(h.bw)
-	for {
-		s.armRead(h.conn)
-		line, err := wire.ReadLine(h.br, wire.MaxFrame)
-		if err != nil {
-			// A half-sent line (unexpected EOF) is a mid-frame death,
-			// not an idle client.
-			return s.readReason(err, errors.Is(err, io.ErrUnexpectedEOF))
-		}
-		if len(line) == 0 {
-			continue
-		}
-		var req WireRequest
-		var resp WireResponse
-		upgrade := false
-		if err := json.Unmarshal(line, &req); err != nil {
-			resp.Err = fmt.Sprintf("bad request: %v", err)
-		} else if req.Op == "upgrade" {
-			if req.Proto == 0 || req.Proto == wire.ProtoBinary {
-				resp.OK = true
-				upgrade = true
-			} else {
-				resp.Err = fmt.Sprintf("unsupported protocol %d", req.Proto)
-			}
-		} else {
-			resp = s.dispatch(&req)
-		}
-		if err := enc.Encode(&resp); err != nil {
-			return CloseWrite
-		}
-		if err := h.bw.Flush(); err != nil {
-			return CloseWrite
-		}
-		if upgrade {
-			return h.serveBinary()
-		}
-		if s.isClosing() {
-			return CloseShutdown
-		}
-	}
-}
-
 // maxCoalesce bounds how many responses accumulate in the batch
 // before a flush is forced even with more requests buffered; it caps
 // the memory pinned by gathered cache buffers and keeps one writev's
 // iovec list small.
 const maxCoalesce = 64
 
-// serveBinary is the framed loop after an upgrade. Read responses
-// stream block payloads directly from the cache's refcounted buffers
-// onto the socket with vectored writes — no base64, no staging copy —
-// and responses to pipelined requests coalesce into a single writev:
-// the batch flushes exactly when no complete next request is already
-// buffered (see nextRequestBuffered), so a lone request's latency
-// never waits on a latch.
-func (h *connHandler) serveBinary() CloseReason {
+// serve is the connection's framed request loop. Read responses stream
+// block payloads directly from the cache's refcounted buffers onto the
+// socket with vectored writes — no staging copy — and responses to
+// pipelined requests coalesce into a single writev: the batch flushes
+// exactly when no complete next request is already buffered (see
+// nextRequestBuffered), so a lone request's latency never waits on a
+// latch.
+func (h *connHandler) serve() CloseReason {
 	s := h.s
 	var (
 		scratch [wire.HeaderSize]byte
-		payload []byte          // reused for write payloads
-		bufs    []*blockbuf.Buf // reused for read responses
+		payload []byte // reused for write payloads
 	)
 	for {
 		s.armRead(h.conn)
-		// Read the header bytes directly (not wire.ReadHeader) so a
-		// death after SOME header bytes — a truncated frame — is
-		// distinguishable from a death at the frame boundary.
-		n, err := io.ReadFull(h.br, scratch[:])
+		// Judge the frame by its first four bytes, as soon as they are
+		// in: a peer that is not speaking frames at all (an old client's
+		// JSON line) may never send a header's worth, and waiting for
+		// one would park this goroutine against a client that is itself
+		// waiting for an answer.
+		prefix, err := h.br.Peek(wire.PrefixSize)
 		if err != nil {
+			// A death after SOME header bytes — a truncated frame — is
+			// distinguishable from a death at the frame boundary.
 			h.dropBatch()
-			return s.readReason(err, n > 0)
+			return s.readReason(err, len(prefix) > 0)
+		}
+		if wire.CheckPrefix(prefix) != nil {
+			h.dropBatch()
+			return CloseProtocol
+		}
+		if _, err := io.ReadFull(h.br, scratch[:]); err != nil {
+			h.dropBatch()
+			return CloseMidFrame
 		}
 		hd, err := wire.ParseHeader(scratch[:])
 		if err != nil {
@@ -572,16 +480,8 @@ func (h *connHandler) serveBinary() CloseReason {
 			h.dropBatch()
 			return CloseMidFrame
 		}
-		// Version-skew guard: a structurally sound frame whose op or
-		// flags this build does not define gets an error frame, not a
-		// dropped connection — the payload has already been consumed, so
-		// the stream stays framed and the client can fall back.
-		if !hd.Op.Known() || !hd.Flags.Known() {
-			h.queueError(hd, fmt.Sprintf("unsupported op %s flags %#x", hd.Op, uint8(hd.Flags)))
-		} else {
-			h.dispatchBinary(hd, payload, &bufs)
-		}
-		if s.NoCoalesce || h.batch.Len() >= maxCoalesce || !h.nextRequestBuffered() {
+		h.dispatch(hd, payload)
+		if h.batch.Len() >= maxCoalesce || !h.nextRequestBuffered() {
 			if err := h.flushBatch(); err != nil {
 				return CloseWrite
 			}
@@ -595,42 +495,36 @@ func (h *connHandler) serveBinary() CloseReason {
 	}
 }
 
-// dispatchBinary handles one known binary request, staging its
-// response into the batch. bufs is the caller's reusable gather slice
-// for read responses; buffers queued for the wire move to h.release
-// and are released after the flush syscall.
-func (h *connHandler) dispatchBinary(hd wire.Header, payload []byte, bufs *[]*blockbuf.Buf) {
+// dispatch is the one request dispatcher: it maps (Op, Flags) onto the
+// engine's read, write and close bodies — the flags choose the mode,
+// never a different entry point — and stages the response into the
+// batch. Buffers queued for the wire move to h.release and are
+// released after the flush syscall.
+func (h *connHandler) dispatch(hd wire.Header, payload []byte) {
 	s := h.s
-	peer := hd.Flags&wire.FlagPeer != 0
+	// Version-skew guard: a structurally sound frame whose op or flags
+	// this build does not define gets an error frame, not a dropped
+	// connection — the payload has already been consumed, so the stream
+	// stays framed and the client can fall back.
+	if !hd.Op.Known() || !hd.Flags.Known() {
+		h.queueError(hd, fmt.Sprintf("unsupported op %s flags %#x", hd.Op, uint8(hd.Flags)))
+		return
+	}
+	m := modeClient
+	switch hd.Flags & (wire.FlagPeer | wire.FlagReplica) {
+	case wire.FlagPeer:
+		m = modePeer
+	case wire.FlagPeer | wire.FlagReplica:
+		m = modeReplica
+	case wire.FlagReplica:
+		h.queueError(hd, "FlagReplica requires FlagPeer")
+		return
+	}
+	f, off := blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset)
+	flags := wire.FlagOK
+	var doc any // JSON response document of the rare ops
+
 	switch hd.Op {
-	case wire.OpPing:
-		pp := pingPayload{
-			Alg: s.e.AlgName(), BlockSize: s.e.BlockSize(), ProtoMax: wire.ProtoBinary,
-		}
-		if s.Cluster != nil {
-			pp.Self = s.Cluster.Self()
-			pp.Members = s.Cluster.MemberAddrs()
-		}
-		doc, err := json.Marshal(pp)
-		if err != nil {
-			h.queueError(hd, "encode ping: "+err.Error())
-			return
-		}
-		h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, doc) //nolint:errcheck
-
-	case wire.OpOwner:
-		if s.Cluster == nil {
-			h.queueError(hd, "server is not clustered")
-			return
-		}
-		addr, self := s.Cluster.OwnerOf(blockdev.FileID(hd.File))
-		doc, err := json.Marshal(ownerPayload{Owner: addr, Self: self})
-		if err != nil {
-			h.queueError(hd, "encode owner: "+err.Error())
-			return
-		}
-		h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, doc) //nolint:errcheck
-
 	case wire.OpRead:
 		want := hd.Flags&wire.FlagWantData != 0
 		total := int64(hd.Size) * int64(s.e.BlockSize())
@@ -638,22 +532,12 @@ func (h *connHandler) dispatchBinary(hd wire.Header, payload []byte, bufs *[]*bl
 			h.queueError(hd, fmt.Sprintf("read of %d blocks exceeds the %d-byte payload cap", hd.Size, wire.MaxDataBytes))
 			return
 		}
-		var hit bool
-		var err error
-		b := (*bufs)[:0]
-		if peer {
-			// Peer-forwarded read: serve strictly locally, never
-			// re-forward (the loop-free contract of FlagPeer).
-			b, hit, err = s.e.PeerReadInto(b, blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset), hd.Size)
-		} else {
-			b, hit, err = s.e.ReadInto(b, blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset), hd.Size)
-		}
-		*bufs = b[:0]
+		bufs, hit, err := s.e.read(h.bufs[:0], f, off, hd.Size, m)
+		h.bufs = bufs[:0]
 		if err != nil {
 			h.queueError(hd, err.Error())
 			return
 		}
-		flags := wire.FlagOK
 		if hit {
 			flags |= wire.FlagHit
 		}
@@ -662,115 +546,69 @@ func (h *connHandler) dispatchBinary(hd wire.Header, payload []byte, bufs *[]*bl
 			out.PayloadLen = uint32(total)
 		}
 		h.batch.AppendHeader(out)
-		if want {
-			// Ownership of each retained buffer moves to h.release; the
-			// bytes stay pinned until the flush syscall returns.
-			for _, buf := range b {
+		for _, buf := range bufs {
+			if want {
+				// Ownership of the retained buffer moves to h.release;
+				// the bytes stay pinned until the flush syscall returns.
 				h.batch.AppendPayload(buf.Bytes())
 				h.release = append(h.release, buf)
-			}
-		} else {
-			for _, buf := range b {
+			} else {
 				buf.Release()
 			}
 		}
+		return
 
 	case wire.OpWrite:
 		var data []byte
 		if hd.PayloadLen > 0 {
 			data = payload
 		}
-		var werr error
-		var replicated bool
-		switch {
-		case hd.Flags&wire.FlagReplica != 0 && !peer:
-			werr = fmt.Errorf("FlagReplica requires FlagPeer")
-		case hd.Flags&wire.FlagReplica != 0:
-			// Replica install: store + cache only, no driver feed, no
-			// onward replication (the loop-free contract of R=2 — a
-			// replica push must never fan out further).
-			werr = s.e.ReplicaWrite(blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset), hd.Size, data)
-		case peer:
-			replicated, werr = s.e.PeerWriteDurable(blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset), hd.Size, data)
-		default:
-			replicated, werr = s.e.WriteDurable(blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset), hd.Size, data)
-		}
-		if werr != nil {
-			h.queueError(hd, werr.Error())
+		replicated, err := s.e.write(f, off, hd.Size, data, m)
+		if err != nil {
+			h.queueError(hd, err.Error())
 			return
 		}
-		flags := wire.FlagOK
 		if replicated {
 			flags |= wire.FlagReplicated
 		}
-		h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: flags, Seq: hd.Seq}, nil) //nolint:errcheck
 
 	case wire.OpClose:
-		if peer {
-			s.e.PeerCloseFile(blockdev.FileID(hd.File))
-		} else {
-			s.e.CloseFile(blockdev.FileID(hd.File))
+		s.e.closeFile(f, m)
+
+	case wire.OpPing:
+		pp := pingPayload{Alg: s.e.AlgName(), BlockSize: s.e.BlockSize()}
+		if s.Cluster != nil {
+			pp.Self = s.Cluster.Self()
+			pp.Members = s.Cluster.MemberAddrs()
 		}
-		h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, nil) //nolint:errcheck
+		doc = pp
 
 	case wire.OpStats:
-		snap := s.e.Snapshot()
-		doc, err := json.Marshal(&snap)
-		if err != nil {
-			h.queueError(hd, "encode stats: "+err.Error())
+		doc = s.e.Snapshot()
+
+	case wire.OpOwner:
+		if s.Cluster == nil {
+			h.queueError(hd, "server is not clustered")
 			return
 		}
-		h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: wire.FlagOK, Seq: hd.Seq}, doc) //nolint:errcheck
+		addr, self := s.Cluster.OwnerOf(f)
+		doc = ownerPayload{Owner: addr, Self: self}
 
 	default:
 		// Unreachable while Known() covers every case above; kept so
 		// a future op added to wire but not here fails cleanly.
 		h.queueError(hd, fmt.Sprintf("unsupported op %s", hd.Op))
+		return
 	}
-}
 
-func (s *Server) dispatch(req *WireRequest) WireResponse {
-	switch req.Op {
-	case "ping":
-		return WireResponse{OK: true, Alg: s.e.AlgName(), BlockSize: s.e.BlockSize(),
-			ProtoMax: wire.ProtoBinary}
-	case "read":
-		if req.WantData {
-			if total := int64(req.Size) * int64(s.e.BlockSize()); total > wire.MaxDataBytes {
-				return WireResponse{Err: fmt.Sprintf(
-					"read of %d blocks exceeds the %d-byte payload cap", req.Size, wire.MaxDataBytes)}
-			}
+	var body []byte
+	if doc != nil {
+		var err error
+		if body, err = json.Marshal(doc); err != nil {
+			h.queueError(hd, fmt.Sprintf("encode %s: %v", hd.Op, err))
+			return
 		}
-		data, hit, err := s.e.Read(blockdev.FileID(req.File),
-			blockdev.BlockNo(req.Offset), req.Size)
-		if err != nil {
-			return WireResponse{Err: err.Error()}
-		}
-		resp := WireResponse{OK: true, Hit: hit}
-		if req.WantData {
-			resp.Data = data
-		}
-		return resp
-	case "write":
-		replicated, err := s.e.WriteDurable(blockdev.FileID(req.File),
-			blockdev.BlockNo(req.Offset), req.Size, req.Data)
-		if err != nil {
-			return WireResponse{Err: err.Error()}
-		}
-		return WireResponse{OK: true, Replicated: replicated}
-	case "close":
-		s.e.CloseFile(blockdev.FileID(req.File))
-		return WireResponse{OK: true}
-	case "stats":
-		snap := s.e.Snapshot()
-		return WireResponse{OK: true, Stats: &snap}
-	case "owner":
-		if s.Cluster == nil {
-			return WireResponse{Err: "server is not clustered"}
-		}
-		addr, self := s.Cluster.OwnerOf(blockdev.FileID(req.File))
-		return WireResponse{OK: true, Owner: addr, OwnerSelf: self}
-	default:
-		return WireResponse{Err: fmt.Sprintf("unknown op %q", req.Op)}
 	}
+	// AppendFrame only fails past MaxPayload; these bodies are far below.
+	h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: flags, Seq: hd.Seq}, body) //nolint:errcheck
 }

@@ -1,8 +1,8 @@
 package lapcache
 
 import (
-	"bufio"
-	"encoding/json"
+	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -38,6 +38,13 @@ func assertNoClose(t *testing.T, s *Server, reasons ...CloseReason) {
 	}
 }
 
+// pingFrame is one encoded ping request.
+func pingFrame() []byte {
+	var hdr [wire.HeaderSize]byte
+	wire.PutHeader(hdr[:], wire.Header{Op: wire.OpPing, Seq: 1})
+	return hdr[:]
+}
+
 // TestCloseReasonEOF: a client that finishes its business and hangs up
 // cleanly is an EOF — never an idle-timeout, never a mid-frame tear.
 func TestCloseReasonEOF(t *testing.T) {
@@ -45,19 +52,20 @@ func TestCloseReasonEOF(t *testing.T) {
 		Alg: core.SpecNP, BlockSize: 128, CacheBlocks: 16,
 	}, func(s *Server) { s.IdleTimeout = time.Second })
 
-	c := dialJSON(t, addr)
-	if resp := c.do(t, &WireRequest{Op: "ping"}); !resp.OK {
-		t.Fatalf("ping: %s", resp.Err)
+	c := dialRaw(t, addr)
+	if h, msg := c.do(t, wire.Header{Op: wire.OpPing, Seq: 1}, nil); h.Flags&wire.FlagOK == 0 {
+		t.Fatalf("ping: %s", msg)
 	}
-	c.conn.Close()
+	c.Close()
 
 	waitClose(t, srv, CloseEOF, 1)
 	assertNoClose(t, srv, CloseIdle, CloseMidFrame, CloseProtocol, CloseTransport)
 }
 
-// TestCloseReasonMidFrameJSON: a connection that dies with half a
-// request line on the wire is a mid-frame tear — the drain path must
-// name it distinctly, not file it under idle or clean EOF.
+// TestCloseReasonMidFrameJSON: an old JSON client cut off before it
+// has sent even the bytes the frame prefix check needs cannot be told
+// from any other partial header — a mid-frame tear, not an idle client,
+// a clean EOF or (yet) a protocol error.
 func TestCloseReasonMidFrameJSON(t *testing.T) {
 	srv, addr := startTestServer(t, Config{
 		Alg: core.SpecNP, BlockSize: 128, CacheBlocks: 16,
@@ -67,64 +75,48 @@ func TestCloseReasonMidFrameJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conn.Write([]byte(`{"op":"pi`)); err != nil { // no newline: half a frame
+	if _, err := conn.Write([]byte(`{"o`)); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
 
 	waitClose(t, srv, CloseMidFrame, 1)
-	assertNoClose(t, srv, CloseIdle, CloseEOF)
+	assertNoClose(t, srv, CloseIdle, CloseEOF, CloseProtocol)
 }
 
-// TestCloseReasonMidFrameBinary: same contract after the binary
-// upgrade — a partial frame header followed by disconnect is
-// mid-frame, and a torn payload after a complete header is too.
+// TestCloseReasonMidFrameBinary: a connection that dies inside a frame
+// is a mid-frame tear — the drain path must name it distinctly, not
+// file it under idle or clean EOF — wherever in the frame the cut
+// falls, on the connection's first frame or a later one.
 func TestCloseReasonMidFrameBinary(t *testing.T) {
 	srv, addr := startTestServer(t, Config{
 		Alg: core.SpecNP, BlockSize: 128, CacheBlocks: 16,
 	}, nil)
 
-	upgrade := func() (net.Conn, *bufio.Reader) {
-		conn, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+	var torn [wire.HeaderSize]byte
+	wire.PutHeader(torn[:], wire.Header{Op: wire.OpWrite, Size: 1, PayloadLen: 128})
+	for i, tc := range []struct {
+		name  string
+		first bool // the cut frame is the connection's first
+		bytes []byte
+	}{
+		{"inside the first header", true, pingFrame()[:wire.HeaderSize/2]},
+		{"inside a later header", false, pingFrame()[:wire.HeaderSize/2]},
+		{"complete header, payload never arrives", true, torn[:]},
+	} {
+		c := dialRaw(t, addr)
+		if !tc.first {
+			if h, msg := c.do(t, wire.Header{Op: wire.OpPing, Seq: 1}, nil); h.Flags&wire.FlagOK == 0 {
+				t.Fatalf("%s: ping: %s", tc.name, msg)
+			}
 		}
-		br := bufio.NewReader(conn)
-		enc := json.NewEncoder(conn)
-		if err := enc.Encode(&WireRequest{Op: "upgrade", Proto: wire.ProtoBinary}); err != nil {
-			t.Fatal(err)
+		if _, err := c.Write(tc.bytes); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		line, err := wire.ReadLine(br, wire.MaxFrame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var resp WireResponse
-		if err := json.Unmarshal(line, &resp); err != nil || !resp.OK {
-			t.Fatalf("upgrade refused: %v %q", err, resp.Err)
-		}
-		return conn, br
+		c.Close()
+		waitClose(t, srv, CloseMidFrame, uint64(i+1))
 	}
-
-	// Half a header, then the connection dies.
-	conn, _ := upgrade()
-	var hdr [wire.HeaderSize]byte
-	wire.PutHeader(hdr[:], wire.Header{Op: wire.OpPing})
-	if _, err := conn.Write(hdr[:wire.HeaderSize/2]); err != nil {
-		t.Fatal(err)
-	}
-	conn.Close()
-	waitClose(t, srv, CloseMidFrame, 1)
-
-	// A complete header promising a payload that never arrives.
-	conn2, _ := upgrade()
-	wire.PutHeader(hdr[:], wire.Header{Op: wire.OpWrite, Size: 1, PayloadLen: 128})
-	if _, err := conn2.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	conn2.Close()
-	waitClose(t, srv, CloseMidFrame, 2)
-
-	assertNoClose(t, srv, CloseIdle, CloseTransport)
+	assertNoClose(t, srv, CloseIdle, CloseEOF, CloseProtocol, CloseTransport)
 }
 
 // TestCloseReasonIdleVsEOF: the idle reaper files its kills under
@@ -151,41 +143,57 @@ func TestCloseReasonShutdown(t *testing.T) {
 		Alg: core.SpecNP, BlockSize: 128, CacheBlocks: 16,
 	}, nil)
 
-	c := dialJSON(t, addr)
-	if resp := c.do(t, &WireRequest{Op: "ping"}); !resp.OK {
-		t.Fatalf("ping: %s", resp.Err)
+	c := dialRaw(t, addr)
+	if h, msg := c.do(t, wire.Header{Op: wire.OpPing, Seq: 1}, nil); h.Flags&wire.FlagOK == 0 {
+		t.Fatalf("ping: %s", msg)
 	}
 	srv.Close()
 	waitClose(t, srv, CloseShutdown, 1)
 	assertNoClose(t, srv, CloseMidFrame, CloseEOF, CloseIdle, CloseTransport)
 }
 
-// TestCloseReasonProtocol: a structurally invalid binary header tears
-// the connection as a protocol error, distinct from transport noise.
+// TestCloseReasonProtocol: bytes that are not a frame end the
+// connection promptly as a protocol error — no response bytes, no
+// goroutine parked waiting for the rest of a header — on the first
+// bytes of a connection as on a later frame. The server runs with no
+// idle timeout, so only the prefix check can end these connections:
+// the old client's JSON ping is shorter than a header and the client
+// is itself waiting for an answer.
 func TestCloseReasonProtocol(t *testing.T) {
 	srv, addr := startTestServer(t, Config{
 		Alg: core.SpecNP, BlockSize: 128, CacheBlocks: 16,
 	}, nil)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
+	badVersion := pingFrame()
+	badVersion[2] ^= 0x80
+	for i, tc := range []struct {
+		name  string
+		first bool
+		bytes []byte
+	}{
+		{"old client's JSON ping", true, []byte("{\"op\":\"ping\"}\n")},
+		{"wrong version in the first header", true, badVersion},
+		{"wrong version in a later header", false, badVersion},
+		{"short garbage after a valid frame", false, []byte("GET / HTTP/1.1\r\n")},
+	} {
+		c := dialRaw(t, addr)
+		if !tc.first {
+			if h, msg := c.do(t, wire.Header{Op: wire.OpPing, Seq: 1}, nil); h.Flags&wire.FlagOK == 0 {
+				t.Fatalf("%s: ping: %s", tc.name, msg)
+			}
+		}
+		if _, err := c.Write(tc.bytes); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		// The client keeps its side open and waits, as a real one would:
+		// the server must hang up first, having sent nothing.
+		c.SetReadDeadline(time.Now().Add(3 * time.Second))
+		n, err := io.Copy(io.Discard, c.br)
+		var ne net.Error
+		if n != 0 || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("%s: server sent %d bytes, then %v; want a prompt, silent close", tc.name, n, err)
+		}
+		waitClose(t, srv, CloseProtocol, uint64(i+1))
 	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	enc := json.NewEncoder(conn)
-	if err := enc.Encode(&WireRequest{Op: "upgrade", Proto: wire.ProtoBinary}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := wire.ReadLine(br, wire.MaxFrame); err != nil {
-		t.Fatal(err)
-	}
-	var hdr [wire.HeaderSize]byte
-	wire.PutHeader(hdr[:], wire.Header{Op: wire.OpPing})
-	hdr[2] ^= 0x80 // wrong version: ParseHeader must reject
-	if _, err := conn.Write(hdr[:]); err != nil {
-		t.Fatal(err)
-	}
-	waitClose(t, srv, CloseProtocol, 1)
-	assertNoClose(t, srv, CloseMidFrame, CloseTransport)
+	assertNoClose(t, srv, CloseMidFrame, CloseTransport, CloseIdle)
 }

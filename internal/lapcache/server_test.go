@@ -3,8 +3,8 @@ package lapcache
 import (
 	"bufio"
 	"bytes"
-	"encoding/json"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,8 +14,8 @@ import (
 )
 
 // startTestServer brings up an engine + server on a loopback port.
-// The lapclient package has its own end-to-end tests; these talk the
-// protocols raw to pin server behaviour without the import cycle.
+// The lapclient package has its own end-to-end tests; these talk
+// frames raw to pin server behaviour without the import cycle.
 func startTestServer(t *testing.T, cfg Config, tune func(*Server)) (*Server, string) {
 	t.Helper()
 	if cfg.Store == nil {
@@ -41,66 +41,77 @@ func startTestServer(t *testing.T, cfg Config, tune func(*Server)) (*Server, str
 	return srv, ln.Addr().String()
 }
 
-// jsonConn speaks the raw JSON protocol for tests.
-type jsonConn struct {
-	conn net.Conn
-	br   *bufio.Reader
-	enc  *json.Encoder
+// rawConn speaks frames on a bare TCP connection.
+type rawConn struct {
+	net.Conn
+	br *bufio.Reader
 }
 
-func dialJSON(t *testing.T, addr string) *jsonConn {
+func dialRaw(t *testing.T, addr string) *rawConn {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return &jsonConn{conn: conn, br: bufio.NewReader(conn), enc: json.NewEncoder(conn)}
+	return &rawConn{Conn: conn, br: bufio.NewReader(conn)}
 }
 
-func (c *jsonConn) do(t *testing.T, req *WireRequest) *WireResponse {
+// recv reads one response frame and checks it echoes seq.
+func (c *rawConn) recv(t *testing.T, seq uint32) (wire.Header, []byte) {
 	t.Helper()
-	if err := c.enc.Encode(req); err != nil {
-		t.Fatalf("send %s: %v", req.Op, err)
-	}
-	line, err := wire.ReadLine(c.br, wire.MaxFrame)
+	h, payload, err := wire.DecodeFrame(c.br, nil)
 	if err != nil {
-		t.Fatalf("read %s response: %v", req.Op, err)
+		t.Fatalf("seq %d: read response: %v", seq, err)
 	}
-	var resp WireResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
-		t.Fatalf("decode %s response: %v", req.Op, err)
+	if h.Seq != seq {
+		t.Fatalf("response echoes seq %d, want %d", h.Seq, seq)
 	}
-	return &resp
+	return h, payload
 }
 
-// TestServerJSONLargeWantData is the regression test for the
-// bufio.Scanner 64 KiB default token cap: a 32-block read of 8 KiB
-// blocks base64-encodes to a ~350 KiB response line, which the old
-// scanner-based loops on both ends silently truncated. Lines are now
-// bounded only by the documented wire.MaxFrame.
-func TestServerJSONLargeWantData(t *testing.T) {
+// do runs one request/response exchange.
+func (c *rawConn) do(t *testing.T, h wire.Header, payload []byte) (wire.Header, []byte) {
+	t.Helper()
+	if err := wire.WriteFrame(c, h, payload); err != nil {
+		t.Fatalf("send %s: %v", h.Op, err)
+	}
+	return c.recv(t, h.Seq)
+}
+
+// checkPattern fails unless payload is nblocks fill-pattern blocks of
+// f starting at off.
+func checkPattern(t *testing.T, payload []byte, blockSize int, f blockdev.FileID, off blockdev.BlockNo, nblocks int) {
+	t.Helper()
+	if len(payload) != nblocks*blockSize {
+		t.Fatalf("payload %d bytes, want %d", len(payload), nblocks*blockSize)
+	}
+	want := make([]byte, blockSize)
+	for i := 0; i < nblocks; i++ {
+		FillPattern(blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}, want)
+		if !bytes.Equal(payload[i*blockSize:(i+1)*blockSize], want) {
+			t.Fatalf("block %d arrived corrupted", i)
+		}
+	}
+}
+
+// TestServerLargeWantData reads 32 blocks of 8 KiB in one request: a
+// 256 KiB payload, several times the connection's read and write
+// buffering on both ends, must arrive as one intact frame. (The
+// line-based protocol this replaces truncated exactly this read.)
+func TestServerLargeWantData(t *testing.T) {
 	const blockSize = 8192
 	const nblocks = 32
 	_, addr := startTestServer(t, Config{
 		Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 64,
 	}, nil)
-	c := dialJSON(t, addr)
+	c := dialRaw(t, addr)
 
-	resp := c.do(t, &WireRequest{Op: "read", File: 3, Size: nblocks, WantData: true})
-	if !resp.OK {
-		t.Fatalf("read failed: %s", resp.Err)
+	h, payload := c.do(t, wire.Header{Op: wire.OpRead, Flags: wire.FlagWantData, Seq: 1, File: 3, Size: nblocks}, nil)
+	if h.Flags&wire.FlagOK == 0 {
+		t.Fatalf("read failed: %s", payload)
 	}
-	if len(resp.Data) != nblocks*blockSize {
-		t.Fatalf("got %d bytes, want %d", len(resp.Data), nblocks*blockSize)
-	}
-	want := make([]byte, blockSize)
-	for i := 0; i < nblocks; i++ {
-		FillPattern(blockdev.BlockID{File: 3, Block: blockdev.BlockNo(i)}, want)
-		if !bytes.Equal(resp.Data[i*blockSize:(i+1)*blockSize], want) {
-			t.Fatalf("block %d arrived corrupted", i)
-		}
-	}
+	checkPattern(t, payload, blockSize, 3, 0, nblocks)
 }
 
 // TestServerIdleTimeout: with -idle-timeout armed, a connection that
@@ -111,21 +122,21 @@ func TestServerIdleTimeout(t *testing.T) {
 	}, func(s *Server) { s.IdleTimeout = 100 * time.Millisecond })
 
 	// An active connection outlives many idle windows.
-	busy := dialJSON(t, addr)
+	busy := dialRaw(t, addr)
 	deadline := time.Now().Add(400 * time.Millisecond)
-	for time.Now().Before(deadline) {
-		if resp := busy.do(t, &WireRequest{Op: "ping"}); !resp.OK {
-			t.Fatalf("ping on busy conn failed: %s", resp.Err)
+	for seq := uint32(1); time.Now().Before(deadline); seq++ {
+		if h, msg := busy.do(t, wire.Header{Op: wire.OpPing, Seq: seq}, nil); h.Flags&wire.FlagOK == 0 {
+			t.Fatalf("ping on busy conn failed: %s", msg)
 		}
 		time.Sleep(30 * time.Millisecond)
 	}
 
 	// A silent connection is closed by the server.
-	idle := dialJSON(t, addr)
-	if resp := idle.do(t, &WireRequest{Op: "ping"}); !resp.OK {
-		t.Fatalf("ping: %s", resp.Err)
+	idle := dialRaw(t, addr)
+	if h, msg := idle.do(t, wire.Header{Op: wire.OpPing, Seq: 1}, nil); h.Flags&wire.FlagOK == 0 {
+		t.Fatalf("ping: %s", msg)
 	}
-	idle.conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	idle.SetReadDeadline(time.Now().Add(5 * time.Second))
 	if _, err := idle.br.ReadByte(); err == nil {
 		t.Fatal("idle connection still open after the timeout")
 	}
@@ -142,14 +153,10 @@ func TestServerCloseDrainsInFlight(t *testing.T) {
 		Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 16, Store: gate,
 	}, nil)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	if err := json.NewEncoder(conn).Encode(&WireRequest{
-		Op: "read", File: 1, Size: 1, WantData: true,
-	}); err != nil {
+	c := dialRaw(t, addr)
+	if err := wire.WriteFrame(c, wire.Header{
+		Op: wire.OpRead, Flags: wire.FlagWantData, Seq: 1, File: 1, Size: 1,
+	}, nil); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	<-gate.started // the read is now in dispatch, parked in the store
@@ -169,17 +176,10 @@ func TestServerCloseDrainsInFlight(t *testing.T) {
 	}
 	gate.Release()
 
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	line, err := wire.ReadLine(bufio.NewReader(conn), wire.MaxFrame)
-	if err != nil {
-		t.Fatalf("in-flight response lost at shutdown: %v", err)
-	}
-	var resp WireResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if !resp.OK || len(resp.Data) != blockSize {
-		t.Fatalf("drained response wrong: ok=%v len=%d err=%q", resp.OK, len(resp.Data), resp.Err)
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	h, payload := c.recv(t, 1) // fails the test if the in-flight response is lost
+	if h.Flags&wire.FlagOK == 0 || len(payload) != blockSize {
+		t.Fatalf("drained response wrong: flags=%#x len=%d %q", uint8(h.Flags), len(payload), payload)
 	}
 	select {
 	case <-closed:
@@ -197,17 +197,16 @@ func TestServerCloseNotWedgedBySlowClient(t *testing.T) {
 		Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 512,
 	}, func(s *Server) { s.DrainGrace = 200 * time.Millisecond })
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	// A ~4 MiB base64 response: far past any socket buffer, so the
-	// handler wedges in Flush when we never read a byte.
-	if err := json.NewEncoder(conn).Encode(&WireRequest{
-		Op: "read", File: 1, Size: 384, WantData: true,
-	}); err != nil {
-		t.Fatalf("send: %v", err)
+	c := dialRaw(t, addr)
+	// Two 8 MiB responses: far past what the socket buffers of both
+	// ends can absorb, so the handler wedges in its vectored write when
+	// we never read a byte.
+	for seq := uint32(1); seq <= 2; seq++ {
+		if err := wire.WriteFrame(c, wire.Header{
+			Op: wire.OpRead, Flags: wire.FlagWantData, Seq: seq, File: 1, Size: 1024,
+		}, nil); err != nil {
+			t.Fatalf("send: %v", err)
+		}
 	}
 	time.Sleep(200 * time.Millisecond) // let the handler hit the stalled flush
 
@@ -223,76 +222,136 @@ func TestServerCloseNotWedgedBySlowClient(t *testing.T) {
 	}
 }
 
-// TestServerBinaryUpgradeRoundTrip drives the upgrade handshake and
-// framed ops raw, independent of the lapclient implementation.
-func TestServerBinaryUpgradeRoundTrip(t *testing.T) {
-	const blockSize = 512
-	_, addr := startTestServer(t, Config{
-		Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 64,
+// TestServerDispatchMatrix drives the one dispatcher raw over the
+// whole request surface — {client, peer, peer+replica} × {read, write,
+// close} — and pins the loop-free contracts the flags stand for: a
+// peer-flagged request is never re-forwarded, a replica install
+// neither feeds the driver nor replicates onward, and FlagReplica
+// without FlagPeer is refused with an error frame that leaves the
+// stream framed. fakeRemote (remote_test.go) owns the even files and
+// counts every forward.
+func TestServerDispatchMatrix(t *testing.T) {
+	const (
+		blockSize = 512
+		owned     = blockdev.FileID(4)
+		foreign   = blockdev.FileID(5)
+	)
+	rem := &fakeRemote{}
+	srv, addr := startTestServer(t, Config{
+		Alg: core.SpecLnAgrOBA, BlockSize: blockSize, CacheBlocks: 64, Remote: rem,
 	}, nil)
+	e := srv.e
+	c := dialRaw(t, addr)
 
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	forwards := func() int32 {
+		return rem.fetchCalls.Load() + rem.writeCalls.Load() + rem.closeCalls.Load()
 	}
-	defer conn.Close()
-	br := bufio.NewReader(conn)
-	enc := json.NewEncoder(conn)
-
-	if err := enc.Encode(&WireRequest{Op: "ping"}); err != nil {
-		t.Fatalf("ping: %v", err)
+	fed := func() core.Tick { // requests the owned file's driver has seen
+		fl := e.fileState(owned)
+		fl.mu.Lock()
+		defer fl.mu.Unlock()
+		return fl.tick
 	}
-	line, err := wire.ReadLine(br, wire.MaxFrame)
-	if err != nil {
-		t.Fatalf("ping response: %v", err)
-	}
-	var resp WireResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
-		t.Fatalf("decode ping: %v", err)
-	}
-	if resp.ProtoMax < wire.ProtoBinary {
-		t.Fatalf("ping proto_max = %d, want >= %d", resp.ProtoMax, wire.ProtoBinary)
-	}
-
-	if err := enc.Encode(&WireRequest{Op: "upgrade", Proto: wire.ProtoBinary}); err != nil {
-		t.Fatalf("upgrade: %v", err)
-	}
-	line, err = wire.ReadLine(br, wire.MaxFrame)
-	if err != nil {
-		t.Fatalf("upgrade response: %v", err)
-	}
-	if err := json.Unmarshal(line, &resp); err != nil || !resp.OK {
-		t.Fatalf("upgrade refused: %v %q", err, resp.Err)
+	var seq uint32
+	// send issues op on two blocks of f and returns the response.
+	send := func(t *testing.T, op wire.Op, flags wire.Flags, f blockdev.FileID, off int32) (wire.Header, []byte) {
+		seq++
+		h := wire.Header{Op: op, Flags: flags, Seq: seq, File: int32(f), Offset: off}
+		if op != wire.OpClose {
+			h.Size = 2
+		}
+		if op == wire.OpRead {
+			h.Flags |= wire.FlagWantData
+		}
+		return c.do(t, h, nil)
 	}
 
-	// The connection is binary from here on.
-	if err := wire.WriteFrame(conn, wire.Header{
-		Op: wire.OpRead, Flags: wire.FlagWantData, Seq: 7, File: 2, Offset: 5, Size: 2,
-	}, nil); err != nil {
-		t.Fatalf("write frame: %v", err)
+	off := int32(0) // fresh blocks per cell, so no cell is served from another's leftovers
+	for _, mode := range []struct {
+		name       string
+		flags      wire.Flags
+		forwards   bool // requests for a foreign file go to its owner
+		feeds      bool // reads and writes of an owned file reach its driver
+		replicates bool // writes of an owned file push the R=2 copy
+	}{
+		{"client", 0, true, true, true},
+		{"peer", wire.FlagPeer, false, true, true},
+		{"peer+replica", wire.FlagPeer | wire.FlagReplica, false, false, false},
+	} {
+		for _, op := range []wire.Op{wire.OpRead, wire.OpWrite, wire.OpClose} {
+			t.Run(mode.name+"/"+op.String(), func(t *testing.T) {
+				off += 8
+				before := forwards()
+				h, payload := send(t, op, mode.flags, foreign, off)
+				if h.Flags&wire.FlagOK == 0 {
+					t.Fatalf("foreign file: refused: %s", payload)
+				}
+				if op == wire.OpRead {
+					checkPattern(t, payload, blockSize, foreign, blockdev.BlockNo(off), 2)
+				}
+				if got := forwards() - before; (got == 1) != mode.forwards || got > 1 {
+					t.Errorf("foreign file: %d forwards, want forwarding=%v", got, mode.forwards)
+				}
+
+				before, ticks, repl, snap := forwards(), fed(), rem.replCalls.Load(), e.Snapshot()
+				h, payload = send(t, op, mode.flags, owned, off)
+				if h.Flags&wire.FlagOK == 0 {
+					t.Fatalf("owned file: refused: %s", payload)
+				}
+				if got := forwards() - before; got != 0 {
+					t.Errorf("owned file: %d forwards, want 0", got)
+				}
+				wantFed := core.Tick(0)
+				if mode.feeds && op != wire.OpClose {
+					wantFed = 1
+				}
+				if got := fed() - ticks; got != wantFed {
+					t.Errorf("owned file: driver fed %d requests, want %d", got, wantFed)
+				}
+				wantRepl := int32(0)
+				if mode.replicates && op == wire.OpWrite {
+					wantRepl = 1
+				}
+				if got := rem.replCalls.Load() - repl; got != wantRepl {
+					t.Errorf("owned file: %d replica pushes, want %d", got, wantRepl)
+				}
+				after := e.Snapshot()
+				if op == wire.OpWrite {
+					wantInstalls := uint64(0)
+					if mode.flags&wire.FlagReplica != 0 {
+						wantInstalls = 2
+					}
+					if got := after.ReplicaInstalls - snap.ReplicaInstalls; got != wantInstalls {
+						t.Errorf("owned file: %d replica installs, want %d", got, wantInstalls)
+					}
+					if got := after.StoreWrites - snap.StoreWrites; got != 2 {
+						t.Errorf("owned file: %d store writes, want 2", got)
+					}
+				}
+			})
+		}
 	}
-	var scratch [wire.HeaderSize]byte
-	h, err := wire.ReadHeader(br, scratch[:])
-	if err != nil {
-		t.Fatalf("read header: %v", err)
-	}
-	if h.Seq != 7 || h.Flags&wire.FlagOK == 0 {
-		t.Fatalf("response header = %+v", h)
-	}
-	payload, err := wire.ReadPayload(br, h, nil)
-	if err != nil {
-		t.Fatalf("read payload: %v", err)
-	}
-	if len(payload) != 2*blockSize {
-		t.Fatalf("payload %d bytes, want %d", len(payload), 2*blockSize)
-	}
-	want := make([]byte, blockSize)
-	FillPattern(blockdev.BlockID{File: 2, Block: 5}, want)
-	if !bytes.Equal(payload[:blockSize], want) {
-		t.Error("first block corrupted crossing the binary wire")
-	}
-	FillPattern(blockdev.BlockID{File: 2, Block: 6}, want)
-	if !bytes.Equal(payload[blockSize:], want) {
-		t.Error("second block corrupted crossing the binary wire")
+
+	for _, op := range []wire.Op{wire.OpRead, wire.OpWrite, wire.OpClose} {
+		t.Run("replica-without-peer/"+op.String(), func(t *testing.T) {
+			before, ticks := forwards(), fed()
+			for _, f := range []blockdev.FileID{owned, foreign} {
+				h, msg := send(t, op, wire.FlagReplica, f, 200)
+				if h.Flags&wire.FlagOK != 0 {
+					t.Fatalf("file %d: FlagReplica without FlagPeer accepted", f)
+				}
+				if h.Op != op || !strings.Contains(string(msg), "FlagPeer") {
+					t.Errorf("file %d: error frame op=%s %q", f, h.Op, msg)
+				}
+			}
+			if forwards() != before || fed() != ticks {
+				t.Error("a refused request reached the engine")
+			}
+			// The stream is still framed: the next request is served.
+			seq++
+			if h, msg := c.do(t, wire.Header{Op: wire.OpPing, Seq: seq}, nil); h.Flags&wire.FlagOK == 0 {
+				t.Fatalf("ping after the refusals: %s", msg)
+			}
+		})
 	}
 }

@@ -15,7 +15,7 @@ import (
 // under a linear-aggressive algorithm and asserts the per-file
 // outstanding-prefetch high-water mark never exceeds 1 — the paper's
 // linearity invariant, now as a concurrent safety property. Run with
-// -race (make check-runtime does): the per-file mutex serializing the
+// -race (make race does): the per-file mutex serializing the
 // driver is exactly what the detector exercises here.
 func TestLinearHighWaterUnderStress(t *testing.T) {
 	const (
@@ -46,7 +46,7 @@ func TestLinearHighWaterUnderStress(t *testing.T) {
 			for i := 0; i < readsEach; i++ {
 				off := (base + blockdev.BlockNo(i*3)) % (fileBlocks - 4)
 				size := int32(1 + (g+i)%3)
-				if _, _, err := e.Read(7, off, size); err != nil {
+				if _, _, err := readCopy(e, 7, off, size); err != nil {
 					t.Errorf("read: %v", err)
 					return
 				}
@@ -89,7 +89,7 @@ func TestLinearHighWaterUnderStress(t *testing.T) {
 // (a recycle-while-held would overwrite it with the poison byte), a
 // double release panics in blockbuf itself, and the linearity
 // invariant must survive the refcounted path exactly as it does the
-// copying one. Run with -race (make check-runtime does).
+// copying one. Run with -race (make race does).
 func TestRefcountedBuffersUnderStress(t *testing.T) {
 	const (
 		goroutines = 16
@@ -131,7 +131,7 @@ func TestRefcountedBuffersUnderStress(t *testing.T) {
 				// Hold the references across more engine traffic, then
 				// verify nothing recycled them out from under us.
 				if i%7 == 0 {
-					if _, _, err := e.Read(7, (off+13)%(fileBlocks-4), 1); err != nil {
+					if _, _, err := readCopy(e, 7, (off+13)%(fileBlocks-4), 1); err != nil {
 						t.Errorf("interleaved read: %v", err)
 						return
 					}
@@ -195,7 +195,7 @@ func TestManyFilesConcurrent(t *testing.T) {
 		go func(f blockdev.FileID) {
 			defer wg.Done()
 			for b := blockdev.BlockNo(0); b < 128; b++ {
-				if _, _, err := e.Read(f, b, 1); err != nil {
+				if _, _, err := readCopy(e, f, b, 1); err != nil {
 					t.Errorf("file %d: %v", f, err)
 					return
 				}

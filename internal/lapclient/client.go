@@ -1,15 +1,17 @@
 // Package lapclient is the client side of the lapcache wire protocol:
-// a thin JSON connection wrapper (the legacy protocol, kept for old
-// servers and debugging), a pipelined binary connection with a pooled
-// front end, and a trace replayer that drives a live lapcached server
+// a pipelined framed connection (Conn), a churn-tolerant pool of them
+// (Pool), and a trace replayer that drives a live lapcached server
 // with the simulator's workloads — each traced process runs the
 // closed loop (think, request, wait) the paper models.
+//
+// Both Conn and Pool expose the same two exchanges, Do and DoAsync,
+// which take the request as a wire.Header: the (Op, Flags) pair is the
+// whole request surface, so a peer forward or a replica install is a
+// flag the caller sets, not another method.
 package lapclient
 
 import (
-	"bufio"
 	"encoding/json"
-	"fmt"
 	"net"
 
 	"repro/internal/blockdev"
@@ -19,21 +21,8 @@ import (
 
 // PingInfo is what a server reports about itself.
 type PingInfo struct {
-	Alg       string
-	BlockSize int
-	// ProtoMax is the newest wire protocol the server speaks; 0 or
-	// wire.ProtoJSON means a legacy JSON-only server.
-	ProtoMax int
-}
-
-// Client is one JSON-protocol connection to a lapcached server. It is
-// not safe for concurrent use; for a concurrent, pipelined connection
-// upgrade to Conn (see DialConn / DialPool).
-type Client struct {
-	conn net.Conn
-	br   *bufio.Reader
-	bw   *bufio.Writer
-	enc  *json.Encoder
+	Alg       string `json:"alg"`
+	BlockSize int    `json:"block_size"`
 }
 
 // ConnWrap intercepts a freshly dialed connection before any protocol
@@ -41,106 +30,46 @@ type Client struct {
 // faults. nil means no interposition.
 type ConnWrap func(net.Conn) net.Conn
 
-// Dial connects to a server in the JSON protocol.
-func Dial(addr string) (*Client, error) {
-	return DialWith(addr, nil)
+// Exchanger runs one synchronous request/response exchange; Conn and
+// Pool both do.
+type Exchanger interface {
+	Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []byte, error)
 }
 
-// DialWith is Dial with a connection interposer (nil = none).
-func DialWith(addr string, wrap ConnWrap) (*Client, error) {
-	conn, err := net.Dial("tcp", addr)
+// Req builds the request header for op on nblocks blocks of f
+// starting at block off.
+func Req(op wire.Op, flags wire.Flags, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) wire.Header {
+	return wire.Header{Op: op, Flags: flags, File: int32(f), Offset: int32(off), Size: nblocks}
+}
+
+// doJSON runs a request whose response payload is a JSON document and
+// decodes it into doc.
+func doJSON(x Exchanger, h wire.Header, doc any) error {
+	_, payload, err := x.Do(h, nil, nil)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if wrap != nil {
-		conn = wrap(conn)
-	}
-	return newClient(conn), nil
+	return json.Unmarshal(payload, doc)
 }
 
-func newClient(conn net.Conn) *Client {
-	c := &Client{
-		conn: conn,
-		// Lines are bounded by wire.MaxFrame, not the 64 KiB
-		// bufio.Scanner default that used to kill multi-block
-		// WantData reads.
-		br: bufio.NewReaderSize(conn, 64<<10),
-		bw: bufio.NewWriter(conn),
-	}
-	c.enc = json.NewEncoder(c.bw)
-	return c
-}
-
-// Close tears the connection down.
-func (c *Client) Close() error { return c.conn.Close() }
-
-// do runs one request/response round trip.
-func (c *Client) do(req *lapcache.WireRequest) (*lapcache.WireResponse, error) {
-	if err := c.enc.Encode(req); err != nil {
-		return nil, err
-	}
-	if err := c.bw.Flush(); err != nil {
-		return nil, err
-	}
-	line, err := wire.ReadLine(c.br, wire.MaxFrame)
-	if err != nil {
-		return nil, fmt.Errorf("lapclient: reading response: %w", err)
-	}
-	var resp lapcache.WireResponse
-	if err := json.Unmarshal(line, &resp); err != nil {
-		return nil, err
-	}
-	if !resp.OK {
-		return nil, &ServerError{Msg: resp.Err}
-	}
-	return &resp, nil
-}
-
-// Ping returns the server's self-description.
-func (c *Client) Ping() (PingInfo, error) {
-	resp, err := c.do(&lapcache.WireRequest{Op: "ping"})
-	if err != nil {
-		return PingInfo{}, err
-	}
-	return PingInfo{Alg: resp.Alg, BlockSize: resp.BlockSize, ProtoMax: resp.ProtoMax}, nil
-}
-
-// Read requests nblocks blocks of f starting at block off. hit
-// reports that the server had every block cached; data is nil unless
-// wantData.
-func (c *Client) Read(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, wantData bool) (data []byte, hit bool, err error) {
-	resp, err := c.do(&lapcache.WireRequest{
-		Op: "read", File: int32(f), Offset: int32(off), Size: nblocks, WantData: wantData,
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	return resp.Data, resp.Hit, nil
-}
-
-// Write sends nblocks blocks starting at off; nil data writes the
-// deterministic fill pattern server-side.
-func (c *Client) Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	_, err := c.do(&lapcache.WireRequest{
-		Op: "write", File: int32(f), Offset: int32(off), Size: nblocks, Data: data,
-	})
-	return err
-}
-
-// CloseFile tells the server this client is done with f for now.
-func (c *Client) CloseFile(f blockdev.FileID) error {
-	_, err := c.do(&lapcache.WireRequest{Op: "close", File: int32(f)})
-	return err
+// Ping queries the server's self-description.
+func Ping(x Exchanger) (info PingInfo, err error) {
+	err = doJSON(x, wire.Header{Op: wire.OpPing}, &info)
+	return info, err
 }
 
 // Stats fetches the server's counter snapshot.
-func (c *Client) Stats() (lapcache.Snapshot, error) {
-	resp, err := c.do(&lapcache.WireRequest{Op: "stats"})
-	if err != nil {
-		return lapcache.Snapshot{}, err
+func Stats(x Exchanger) (snap lapcache.Snapshot, err error) {
+	err = doJSON(x, wire.Header{Op: wire.OpStats}, &snap)
+	return snap, err
+}
+
+// Owner asks a clustered server which node owns f on the ring.
+func Owner(x Exchanger, f blockdev.FileID) (addr string, self bool, err error) {
+	var doc struct {
+		Owner string `json:"owner"`
+		Self  bool   `json:"self"`
 	}
-	if resp.Stats == nil {
-		return lapcache.Snapshot{}, fmt.Errorf("lapclient: stats response without stats")
-	}
-	return *resp.Stats, nil
+	err = doJSON(x, wire.Header{Op: wire.OpOwner, File: int32(f)}, &doc)
+	return doc.Owner, doc.Self, err
 }

@@ -1,11 +1,10 @@
 package lapclient
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"testing"
@@ -43,32 +42,40 @@ func startServer(t *testing.T, cfg lapcache.Config) string {
 	return ln.Addr().String()
 }
 
+// read runs one read exchange on a Conn or a Pool; data is nil unless
+// wantData.
+func read(x Exchanger, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, wantData bool) (data []byte, hit bool, err error) {
+	var flags wire.Flags
+	if wantData {
+		flags = wire.FlagWantData
+	}
+	rh, data, err := x.Do(Req(wire.OpRead, flags, f, off, nblocks), nil, nil)
+	return data, rh.Flags&wire.FlagHit != 0, err
+}
+
 func TestClientBasicOps(t *testing.T) {
 	addr := startServer(t, lapcache.Config{
 		Alg: core.SpecNP, BlockSize: 256, CacheBlocks: 64,
 	})
-	c, err := Dial(addr)
+	c, err := DialConn(addr, 0)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
 
-	info, err := c.Ping()
+	info, err := Ping(c)
 	if err != nil {
 		t.Fatalf("ping: %v", err)
 	}
-	if info.Alg != "NP" || info.BlockSize != 256 {
-		t.Errorf("ping = %q/%d, want NP/256", info.Alg, info.BlockSize)
-	}
-	if info.ProtoMax < wire.ProtoBinary {
-		t.Errorf("ping proto_max = %d, want >= %d", info.ProtoMax, wire.ProtoBinary)
+	if info.Alg != "NP" || info.BlockSize != 256 || info != c.Info() {
+		t.Errorf("ping = %+v, handshake = %+v, want NP/256 from both", info, c.Info())
 	}
 
 	payload := bytes.Repeat([]byte{0x7E}, 256)
 	if err := c.Write(2, 3, 1, payload); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	data, hit, err := c.Read(2, 3, 1, true)
+	data, hit, err := read(c, 2, 3, 1, true)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -81,7 +88,7 @@ func TestClientBasicOps(t *testing.T) {
 	if err := c.CloseFile(2); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	snap, err := c.Stats()
+	snap, err := Stats(c)
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
@@ -117,9 +124,6 @@ func TestReplayCharismaEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
-	if res.Proto != "binary" {
-		t.Errorf("replay negotiated %q, want binary against a new server", res.Proto)
-	}
 	if res.Requests != tr.TotalSteps() {
 		t.Errorf("replayed %d requests, trace has %d", res.Requests, tr.TotalSteps())
 	}
@@ -130,12 +134,12 @@ func TestReplayCharismaEndToEnd(t *testing.T) {
 		t.Errorf("hit ratio %f out of range", r)
 	}
 
-	c, err := Dial(addr)
+	c, err := DialConn(addr, 0)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
-	snap, err := c.Stats()
+	snap, err := Stats(c)
 	if err != nil {
 		t.Fatalf("stats: %v", err)
 	}
@@ -159,156 +163,65 @@ func TestReplayCharismaEndToEnd(t *testing.T) {
 		res.Requests, res.Elapsed, res.HitRatio(), snap)
 }
 
-// startLegacyServer emulates a pre-binary lapcached: JSON lines only,
-// no proto_max in the ping response, and "upgrade" is an unknown op.
-// It exercises the new-client/old-server cell of the negotiation
-// matrix without keeping the old server code around.
-func startLegacyServer(t *testing.T, cfg lapcache.Config) string {
-	t.Helper()
-	if cfg.Store == nil {
-		cfg.Store = lapcache.NewMemStore(cfg.BlockSize, 0)
-	}
-	e, err := lapcache.New(cfg)
-	if err != nil {
-		t.Fatalf("engine: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	t.Cleanup(func() {
-		ln.Close()
-		e.Shutdown()
-	})
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				br := bufio.NewReader(conn)
-				enc := json.NewEncoder(conn)
-				for {
-					line, err := wire.ReadLine(br, wire.MaxFrame)
-					if err != nil {
-						return
-					}
-					var req lapcache.WireRequest
-					if err := json.Unmarshal(line, &req); err != nil {
-						return
-					}
-					resp := lapcache.WireResponse{OK: true}
-					switch req.Op {
-					case "ping":
-						resp.Alg = e.AlgName()
-						resp.BlockSize = e.BlockSize()
-						// No ProtoMax: old servers predate negotiation.
-					case "read":
-						data, hit, err := e.Read(blockdev.FileID(req.File), blockdev.BlockNo(req.Offset), req.Size)
-						if err != nil {
-							resp = lapcache.WireResponse{Err: err.Error()}
-						} else {
-							resp.Hit = hit
-							if req.WantData {
-								resp.Data = data
-							}
-						}
-					case "write":
-						if err := e.Write(blockdev.FileID(req.File), blockdev.BlockNo(req.Offset), req.Size, req.Data); err != nil {
-							resp = lapcache.WireResponse{Err: err.Error()}
-						}
-					case "close":
-						e.CloseFile(blockdev.FileID(req.File))
-					case "stats":
-						snap := e.Snapshot()
-						resp.Stats = &snap
-					default:
-						resp = lapcache.WireResponse{Err: "unknown op: " + req.Op}
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// TestProtocolNegotiationMatrix pins every pairing of old/new client
-// and old/new server:
+// TestProtocolNegotiationMatrix pins what happens when builds of
+// different vintage meet. The version byte of the first header is the
+// whole negotiation:
 //
-//   - old JSON client ↔ new server: JSON keeps working (TestClientBasicOps
-//     plus the explicit check here).
-//   - new client ↔ new server: the ping advertises binary and DialConn
-//     upgrades.
-//   - new client ↔ old server: DialConn reports ErrNoBinary and
-//     ReplayTrace silently falls back to JSON.
+//   - old JSON client ↔ new server: the client's line is not a frame;
+//     the server hangs up at once, sending nothing, rather than leaving
+//     both ends waiting on each other.
+//   - new client ↔ new server: the handshake ping succeeds and reports
+//     the server's configuration.
+//   - a client with another header version: refused the same way.
+//   - same header version, unknown op or flag: an error frame, and the
+//     connection lives on.
 func TestProtocolNegotiationMatrix(t *testing.T) {
 	cfg := lapcache.Config{Alg: core.SpecNP, BlockSize: 128, CacheBlocks: 32}
 
-	t.Run("old-client-new-server", func(t *testing.T) {
-		addr := startServer(t, cfg)
-		c, err := Dial(addr)
+	// refused sends first on a fresh connection and expects the server
+	// to close it without a byte in response.
+	refused := func(t *testing.T, first []byte) {
+		t.Helper()
+		conn, err := net.Dial("tcp", startServer(t, cfg))
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
-		defer c.Close()
-		// A legacy client just never sends "upgrade"; the connection
-		// stays JSON and every op works.
-		if err := c.Write(1, 0, 2, nil); err != nil {
-			t.Fatalf("json write: %v", err)
+		defer conn.Close()
+		if _, err := conn.Write(first); err != nil {
+			t.Fatalf("send: %v", err)
 		}
-		data, hit, err := c.Read(1, 0, 2, true)
-		if err != nil {
-			t.Fatalf("json read: %v", err)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		n, err := io.Copy(io.Discard, conn)
+		var ne net.Error
+		if n != 0 || (errors.As(err, &ne) && ne.Timeout()) {
+			t.Fatalf("server answered %d bytes, then %v; want a prompt, silent close", n, err)
 		}
-		if !hit || len(data) != 256 {
-			t.Errorf("json read: hit=%v len=%d, want hit 256 bytes", hit, len(data))
-		}
+	}
+
+	t.Run("old-client-new-server", func(t *testing.T) {
+		refused(t, []byte("{\"op\":\"ping\"}\n"))
 	})
 
 	t.Run("new-client-new-server", func(t *testing.T) {
 		addr := startServer(t, cfg)
-		bc, err := DialConn(addr, 0)
+		c, err := DialConn(addr, 0)
 		if err != nil {
-			t.Fatalf("binary dial: %v", err)
+			t.Fatalf("dial: %v", err)
 		}
-		defer bc.Close()
-		info, err := bc.Ping()
-		if err != nil {
-			t.Fatalf("binary ping: %v", err)
-		}
-		if info.Alg != "NP" || info.BlockSize != 128 || info.ProtoMax < wire.ProtoBinary {
-			t.Errorf("binary ping = %+v", info)
+		defer c.Close()
+		if info := c.Info(); info.Alg != "NP" || info.BlockSize != 128 {
+			t.Errorf("handshake = %+v", info)
 		}
 	})
 
-	t.Run("new-client-old-server", func(t *testing.T) {
-		addr := startLegacyServer(t, cfg)
-		if _, err := DialConn(addr, 0); err != ErrNoBinary {
-			t.Fatalf("DialConn against legacy server: err = %v, want ErrNoBinary", err)
-		}
-		// The replayer negotiates down instead of failing.
-		tr, err := workload.GenerateCharisma(experiment.TinyScale().Charisma)
-		if err != nil {
-			t.Fatalf("generate trace: %v", err)
-		}
-		res, err := ReplayTrace(addr, tr, ReplayOptions{})
-		if err != nil {
-			t.Fatalf("replay vs legacy server: %v", err)
-		}
-		if res.Proto != "json" {
-			t.Errorf("replay negotiated %q against legacy server, want json", res.Proto)
-		}
-		if res.Requests != tr.TotalSteps() {
-			t.Errorf("replayed %d requests, trace has %d", res.Requests, tr.TotalSteps())
-		}
+	t.Run("other-version-client-new-server", func(t *testing.T) {
+		var hdr [wire.HeaderSize]byte
+		wire.PutHeader(hdr[:], wire.Header{Op: wire.OpPing, Seq: 1})
+		hdr[2] = wire.Version + 1
+		refused(t, hdr[:])
 	})
 
-	// Version skew within the binary protocol: a peer from a future
+	// Version skew within one header version: a peer from a future
 	// build may send ops or flags this server has never heard of. The
 	// server must answer each with a clean error frame and keep the
 	// connection alive — never wedge it — so a mixed-version cluster
@@ -321,7 +234,7 @@ func TestProtocolNegotiationMatrix(t *testing.T) {
 		}
 		defer c.Close()
 
-		_, err = c.do(wire.Header{Op: wire.Op(200)}, nil)
+		_, _, err = c.Do(wire.Header{Op: wire.Op(200)}, nil, nil)
 		var se *ServerError
 		if !errors.As(err, &se) {
 			t.Fatalf("future op: err = %v, want *ServerError", err)
@@ -330,13 +243,13 @@ func TestProtocolNegotiationMatrix(t *testing.T) {
 			t.Errorf("error frame echoes op %d, want 200", se.Op)
 		}
 
-		_, err = c.do(wire.Header{Op: wire.OpPing, Flags: wire.Flags(0x80)}, nil)
+		_, _, err = c.Do(wire.Header{Op: wire.OpPing, Flags: wire.Flags(0x80)}, nil, nil)
 		if !errors.As(err, &se) {
 			t.Fatalf("future flags: err = %v, want *ServerError", err)
 		}
 
 		// The connection survives both rejections.
-		if _, err := c.Ping(); err != nil {
+		if _, err := Ping(c); err != nil {
 			t.Fatalf("ping after rejected frames: %v", err)
 		}
 	})
@@ -352,21 +265,21 @@ func TestProtocolNegotiationMatrix(t *testing.T) {
 		}
 		defer c.Close()
 
-		_, _, err = c.Owner(3)
+		_, _, err = Owner(c, 3)
 		var se *ServerError
 		if !errors.As(err, &se) {
 			t.Fatalf("owner query: err = %v, want *ServerError", err)
 		}
 
-		if err := c.WritePeer(3, 0, 1, nil); err != nil {
+		if _, _, err := c.Do(Req(wire.OpWrite, wire.FlagPeer, 3, 0, 1), nil, nil); err != nil {
 			t.Fatalf("peer write: %v", err)
 		}
 		dst := make([]byte, cfg.BlockSize)
-		hit, err := c.ReadPeer(3, 0, 1, [][]byte{dst})
+		rh, _, err := c.Do(Req(wire.OpRead, wire.FlagWantData|wire.FlagPeer, 3, 0, 1), nil, [][]byte{dst})
 		if err != nil {
 			t.Fatalf("peer read: %v", err)
 		}
-		if !hit {
+		if rh.Flags&wire.FlagHit == 0 {
 			t.Error("peer read of just-written block missed")
 		}
 		want := make([]byte, cfg.BlockSize)
@@ -374,7 +287,7 @@ func TestProtocolNegotiationMatrix(t *testing.T) {
 		if !bytes.Equal(dst, want) {
 			t.Error("peer read payload wrong")
 		}
-		if err := c.ClosePeer(3); err != nil {
+		if _, _, err := c.Do(Req(wire.OpClose, wire.FlagPeer, 3, 0, 0), nil, nil); err != nil {
 			t.Fatalf("peer close: %v", err)
 		}
 	})
@@ -393,7 +306,7 @@ func TestPoolSkipsDeadConns(t *testing.T) {
 		t.Fatalf("dial pool: %v", err)
 	}
 	defer p.Close()
-	if err := p.Write(1, 0, 1, nil); err != nil {
+	if _, _, err := p.Do(Req(wire.OpWrite, 0, 1, 0, 1), nil, nil); err != nil {
 		t.Fatalf("write: %v", err)
 	}
 
@@ -411,16 +324,16 @@ func TestPoolSkipsDeadConns(t *testing.T) {
 
 	// Every pick must land on the one survivor, round-robin included.
 	for i := 0; i < 10; i++ {
-		if _, _, err := p.Read(1, 0, 1, false); err != nil {
+		if _, _, err := read(p, 1, 0, 1, false); err != nil {
 			t.Fatalf("read %d with 1 live conn: %v", i, err)
 		}
 	}
 
 	killConn(p.conn(1))
-	if _, _, err := p.Read(1, 0, 1, false); !errors.Is(err, ErrNoLiveConn) {
+	if _, _, err := read(p, 1, 0, 1, false); !errors.Is(err, ErrNoLiveConn) {
 		t.Fatalf("read with 0 live conns: err = %v, want ErrNoLiveConn", err)
 	}
-	if _, err := p.Stats(); !errors.Is(err, ErrNoLiveConn) {
+	if _, err := Stats(p); !errors.Is(err, ErrNoLiveConn) {
 		t.Fatalf("stats with 0 live conns: err = %v, want ErrNoLiveConn", err)
 	}
 }
@@ -458,7 +371,7 @@ func TestBinaryConnDataIntegrity(t *testing.T) {
 	if err := c.Write(9, 2, 3, payload); err != nil {
 		t.Fatalf("write: %v", err)
 	}
-	data, hit, err := c.Read(9, 2, 3, true)
+	data, hit, err := read(c, 9, 2, 3, true)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
@@ -469,7 +382,7 @@ func TestBinaryConnDataIntegrity(t *testing.T) {
 		t.Error("binary read returned different bytes than written")
 	}
 
-	data, _, err = c.Read(9, 100, 1, true)
+	data, _, err = read(c, 9, 100, 1, true)
 	if err != nil {
 		t.Fatalf("read unwritten: %v", err)
 	}
@@ -480,7 +393,7 @@ func TestBinaryConnDataIntegrity(t *testing.T) {
 	}
 
 	// Metadata-only read: no payload, but the hit flag still flows.
-	data, hit, err = c.Read(9, 2, 3, false)
+	data, hit, err = read(c, 9, 2, 3, false)
 	if err != nil {
 		t.Fatalf("read nodata: %v", err)
 	}
@@ -514,7 +427,7 @@ func TestPipelinedConnConcurrency(t *testing.T) {
 			f := blockdev.FileID(g + 1)
 			for i := 0; i < 20; i++ {
 				off := blockdev.BlockNo(i % 8)
-				data, _, err := c.Read(f, off, 1, true)
+				data, _, err := read(c, f, off, 1, true)
 				if err != nil {
 					errs <- err
 					return
@@ -542,13 +455,13 @@ func TestReplayTraceDataIntegrity(t *testing.T) {
 	addr := startServer(t, lapcache.Config{
 		Alg: core.SpecNP, BlockSize: 128, CacheBlocks: 16,
 	})
-	c, err := Dial(addr)
+	c, err := DialConn(addr, 0)
 	if err != nil {
 		t.Fatalf("dial: %v", err)
 	}
 	defer c.Close()
 	// Unwritten blocks come back as the server-side fill pattern.
-	data, _, err := c.Read(6, 4, 1, true)
+	data, _, err := read(c, 6, 4, 1, true)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}

@@ -2,7 +2,6 @@ package lapclient
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -12,12 +11,8 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/lapcache"
 	"repro/internal/wire"
 )
-
-// ErrNoBinary reports a server that only speaks the JSON protocol.
-var ErrNoBinary = errors.New("lapclient: server does not speak the binary protocol")
 
 // ErrDeadline reports an async request whose per-request deadline
 // expired before the response frame arrived. The request is still on
@@ -37,14 +32,13 @@ type notSentError struct{ err error }
 func (e *notSentError) Error() string { return e.err.Error() }
 func (e *notSentError) Unwrap() error { return e.err }
 
-// ServerError is an error frame (or JSON error response) from the
-// server: the request was delivered and the server refused it. Every
-// other failure mode — dial, write, torn connection — surfaces as a
-// plain error. The cluster layer leans on the distinction: a refusal
+// ServerError is an error frame from the server: the request was
+// delivered and the server refused it. Every other failure mode —
+// dial, write, torn connection — surfaces as a plain error. The cluster layer leans on the distinction: a refusal
 // propagates to the caller, a transport error marks the peer down and
 // degrades service to the local store.
 type ServerError struct {
-	Op  wire.Op // zero on the JSON protocol
+	Op  wire.Op
 	Msg string
 }
 
@@ -54,11 +48,11 @@ func (e *ServerError) Error() string { return fmt.Sprintf("lapclient: server err
 // caller passes 0.
 const DefaultWindow = 32
 
-// Conn is one binary-protocol connection. Unlike Client it is safe
-// for concurrent use and pipelined: up to window requests ride the
-// wire at once, and a reader goroutine matches responses to waiters
-// by the frame sequence number — so one slow round trip no longer
-// head-of-line blocks every other caller on the connection.
+// Conn is one connection to a server. It is safe for concurrent use
+// and pipelined: up to window requests ride the wire at once, and a
+// reader goroutine matches responses to waiters by the frame sequence
+// number — so one slow round trip does not head-of-line block every
+// other caller on the connection.
 type Conn struct {
 	conn net.Conn
 	info PingInfo
@@ -93,11 +87,11 @@ type Conn struct {
 // connection failed), never by the deadline: a timed-out request is
 // still occupying the wire.
 type pendingCall struct {
-	ch   chan binResp
+	ch   chan response
 	err  error // set by deliver before the ch send (sync calls)
 	dsts [][]byte
 
-	cb    func(binResp, error)
+	cb    func(wire.Header, []byte, error)
 	timer *time.Timer
 	done  atomic.Bool
 
@@ -113,7 +107,7 @@ type pendingCall struct {
 // Async calls (cb set) are never pooled: a deadline AfterFunc that
 // fires after delivery must find the call it armed, not a recycled
 // one.
-var callPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan binResp, 1)} }}
+var callPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan response, 1)} }}
 
 // getCall takes a recycled call record for a synchronous exchange.
 func getCall(dsts [][]byte) *pendingCall {
@@ -131,60 +125,49 @@ func putCall(call *pendingCall) {
 	callPool.Put(call)
 }
 
-// binResp is one matched response frame.
-type binResp struct {
+// response is one matched response frame.
+type response struct {
 	h       wire.Header
 	payload []byte // owned by the receiver; nil when filled
 	filled  bool   // payload landed in the caller's dsts
 }
 
-// DialConn connects, negotiates through the JSON ping, and upgrades
-// the connection to the binary protocol. window bounds in-flight
-// requests (0 = DefaultWindow). Servers without binary support yield
-// ErrNoBinary; callers that must work against old servers fall back
-// to Dial.
+// DialConn connects and runs the handshake: one OpPing exchange, which
+// both proves the server speaks this frame version and captures its
+// self-description. window bounds in-flight requests (0 =
+// DefaultWindow).
 func DialConn(addr string, window int) (*Conn, error) {
 	return DialConnWith(addr, window, nil)
 }
 
 // DialConnWith is DialConn with a connection interposer (nil = none),
-// applied before negotiation so faults cover the JSON handshake too.
+// applied before the handshake so faults cover it too.
 func DialConnWith(addr string, window int, wrap ConnWrap) (*Conn, error) {
-	jc, err := DialWith(addr, wrap)
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	info, err := jc.Ping()
-	if err != nil {
-		jc.Close()
-		return nil, err
-	}
-	if info.ProtoMax < wire.ProtoBinary {
-		jc.Close()
-		return nil, ErrNoBinary
-	}
-	if _, err := jc.do(&lapcache.WireRequest{Op: "upgrade", Proto: wire.ProtoBinary}); err != nil {
-		jc.Close()
-		return nil, fmt.Errorf("lapclient: upgrade refused: %w", err)
+	if wrap != nil {
+		conn = wrap(conn)
 	}
 	if window <= 0 {
 		window = DefaultWindow
 	}
 	c := &Conn{
-		conn:    jc.conn,
-		info:    info,
+		conn:    conn,
 		window:  make(chan struct{}, window),
 		pending: make(map[uint32]*pendingCall),
 		dead:    make(chan struct{}),
 	}
-	// The JSON client's buffered reader carries over: the server sends
-	// nothing between the upgrade OK and our first binary frame, so no
-	// bytes are stranded behind the protocol switch.
-	go c.readLoop(jc.br)
+	go c.readLoop(bufio.NewReaderSize(conn, 64<<10))
+	if c.info, err = Ping(c); err != nil {
+		c.Close()
+		return nil, fmt.Errorf("lapclient: handshake with %s: %w", addr, err)
+	}
 	return c, nil
 }
 
-// Info returns the server self-description captured at negotiation.
+// Info returns the server self-description captured by the handshake.
 func (c *Conn) Info() PingInfo { return c.info }
 
 // SetCallTimeout bounds every synchronous call on the connection: a
@@ -225,7 +208,7 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 			c.fail(fmt.Errorf("lapclient: response for unknown seq %d", h.Seq))
 			return
 		}
-		resp := binResp{h: h}
+		resp := response{h: h}
 		if call.dsts != nil && h.Flags&wire.FlagOK != 0 && int(h.PayloadLen) == payloadLen(call.dsts) {
 			for _, d := range call.dsts {
 				if _, err = io.ReadFull(br, d); err != nil {
@@ -245,7 +228,7 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 			// sweep cannot reach it — deliver its error explicitly.
 			lost := fmt.Errorf("lapclient: connection lost: %w", err)
 			c.fail(lost)
-			c.deliver(call, binResp{}, lost)
+			c.deliver(call, response{}, lost)
 			return
 		}
 		c.deliver(call, resp, nil)
@@ -258,7 +241,7 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 // record can be recycled), the async path stops the deadline timer,
 // fires the callback if the deadline hasn't already, and releases the
 // window slot the issue path acquired.
-func (c *Conn) deliver(call *pendingCall, resp binResp, err error) {
+func (c *Conn) deliver(call *pendingCall, resp response, err error) {
 	if call.cb == nil {
 		call.err = err
 		call.ch <- resp
@@ -270,8 +253,9 @@ func (c *Conn) deliver(call *pendingCall, resp binResp, err error) {
 	if call.done.CompareAndSwap(false, true) {
 		if err == nil && resp.h.Flags&wire.FlagOK == 0 {
 			err = &ServerError{Op: resp.h.Op, Msg: string(resp.payload)}
+			resp = response{}
 		}
-		call.cb(resp, err)
+		call.cb(resp.h, resp.payload, err)
 	}
 	<-c.window
 }
@@ -297,7 +281,7 @@ func (c *Conn) fail(err error) {
 	c.pmu.Unlock()
 	c.conn.Close()
 	for _, call := range pending {
-		c.deliver(call, binResp{}, err)
+		c.deliver(call, response{}, err)
 	}
 }
 
@@ -322,18 +306,20 @@ func (c *Conn) writeFrame(h wire.Header, payload []byte) error {
 	return err
 }
 
-// do runs one pipelined request/response exchange.
-func (c *Conn) do(h wire.Header, payload []byte) (binResp, error) {
-	return c.doCall(h, payload, nil)
-}
-
-// doCall is do with optional destination buffers for a read's payload
-// (see pendingCall).
-func (c *Conn) doCall(h wire.Header, payload []byte, dsts [][]byte) (binResp, error) {
+// Do runs one pipelined request/response exchange — the connection's
+// one synchronous way to put a frame on the wire. It returns the
+// response header (FlagHit, FlagReplicated) and payload; an error
+// frame surfaces as a *ServerError. When dsts is non-nil the payload
+// of a successful read is landed directly in it (one pre-sized slice
+// per block) and the returned payload is nil: with the vectored write
+// path and the recycled call record, such a read costs zero
+// allocations end to end — the hot-path contract BenchmarkClusterRead's
+// localHit and remoteHit assert.
+func (c *Conn) Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []byte, error) {
 	select {
 	case c.window <- struct{}{}:
 	case <-c.dead:
-		return binResp{}, c.err()
+		return wire.Header{}, nil, c.err()
 	}
 	defer func() { <-c.window }()
 
@@ -343,7 +329,7 @@ func (c *Conn) doCall(h wire.Header, payload []byte, dsts [][]byte) (binResp, er
 	if c.readErr != nil {
 		c.pmu.Unlock()
 		putCall(call)
-		return binResp{}, c.err()
+		return wire.Header{}, nil, c.err()
 	}
 	c.pending[h.Seq] = call
 	c.pmu.Unlock()
@@ -362,10 +348,10 @@ func (c *Conn) doCall(h wire.Header, payload []byte, dsts [][]byte) (binResp, er
 			<-call.ch
 		}
 		putCall(call)
-		return binResp{}, err
+		return wire.Header{}, nil, err
 	}
 
-	var resp binResp
+	var resp response
 	if d := time.Duration(c.callTimeout.Load()); d > 0 {
 		t := call.tmr
 		if t == nil {
@@ -399,12 +385,17 @@ func (c *Conn) doCall(h wire.Header, payload []byte, dsts [][]byte) (binResp, er
 	err := call.err
 	putCall(call)
 	if err != nil {
-		return binResp{}, err
+		return wire.Header{}, nil, err
 	}
 	if resp.h.Flags&wire.FlagOK == 0 {
-		return binResp{}, &ServerError{Op: resp.h.Op, Msg: string(resp.payload)}
+		return wire.Header{}, nil, &ServerError{Op: resp.h.Op, Msg: string(resp.payload)}
 	}
-	return resp, nil
+	if dsts != nil && !resp.filled {
+		// The reader only bypasses dsts on a length mismatch.
+		return wire.Header{}, nil, fmt.Errorf("lapclient: read returned %d bytes, want %d",
+			len(resp.payload), payloadLen(dsts))
+	}
+	return resp.h, resp.payload, nil
 }
 
 func (c *Conn) err() error {
@@ -416,14 +407,17 @@ func (c *Conn) err() error {
 	return errors.New("lapclient: connection closed")
 }
 
-// issueAsync puts one request on the wire without blocking the caller
-// on the response: cb fires later from the reader goroutine (or the
-// deadline timer). The caller's goroutine never waits on a round trip
-// — when the in-flight window is full, the send itself is queued on a
-// spawned goroutine, so an open-loop generator's dispatch clock is
-// never backpressured into a closed loop. cb must be quick (it runs on
-// the connection's reader goroutine) and is invoked exactly once.
-func (c *Conn) issueAsync(h wire.Header, payload []byte, deadline time.Duration, cb func(binResp, error)) {
+// DoAsync puts one request on the wire without blocking the caller on
+// the response — the connection's one asynchronous exchange. cb fires
+// later, exactly once, from the reader goroutine (or the deadline
+// timer) with the response header and payload, ErrDeadline if the
+// response misses the deadline (0 = none), a *ServerError on refusal,
+// or a transport error. The caller's goroutine never waits on a round
+// trip — when the in-flight window is full, the send itself is queued
+// on a spawned goroutine, so an open-loop generator's dispatch clock is
+// never backpressured into a closed loop. cb must be quick: it runs on
+// the connection's reader goroutine.
+func (c *Conn) DoAsync(h wire.Header, payload []byte, deadline time.Duration, cb func(wire.Header, []byte, error)) {
 	call := &pendingCall{cb: cb}
 	select {
 	case c.window <- struct{}{}:
@@ -445,8 +439,11 @@ func (c *Conn) issueAsync(h wire.Header, payload []byte, deadline time.Duration,
 // abortAsync fails a call that never made it onto the wire; the error
 // is marked notSentError so pools can re-issue it for free.
 func (c *Conn) abortAsync(call *pendingCall, err error) {
+	if call.timer != nil {
+		call.timer.Stop()
+	}
 	if call.done.CompareAndSwap(false, true) {
-		call.cb(binResp{}, &notSentError{err: err})
+		call.cb(wire.Header{}, nil, &notSentError{err: err})
 	}
 }
 
@@ -454,6 +451,16 @@ func (c *Conn) abortAsync(call *pendingCall, err error) {
 // already held and is released by deliver (or here, when the frame
 // never makes it onto the wire).
 func (c *Conn) startAsync(h wire.Header, payload []byte, deadline time.Duration, call *pendingCall) {
+	// Arm the deadline before the call becomes visible in the pending
+	// map: from then on fail and the reader may deliver it — and read
+	// call.timer — at any moment.
+	if deadline > 0 {
+		call.timer = time.AfterFunc(deadline, func() {
+			if call.done.CompareAndSwap(false, true) {
+				call.cb(wire.Header{}, nil, ErrDeadline)
+			}
+		})
+	}
 	h.Seq = c.seq.Add(1)
 	c.pmu.Lock()
 	if c.readErr != nil {
@@ -466,14 +473,6 @@ func (c *Conn) startAsync(h wire.Header, payload []byte, deadline time.Duration,
 	c.pending[h.Seq] = call
 	c.pmu.Unlock()
 
-	if deadline > 0 {
-		call.timer = time.AfterFunc(deadline, func() {
-			if call.done.CompareAndSwap(false, true) {
-				call.cb(binResp{}, ErrDeadline)
-			}
-		})
-	}
-
 	if err := c.writeFrame(h, payload); err != nil {
 		// Undo the registration — but a concurrent fail may have swapped
 		// the pending map and delivered (and released the slot) already;
@@ -483,206 +482,28 @@ func (c *Conn) startAsync(h wire.Header, payload []byte, deadline time.Duration,
 		delete(c.pending, h.Seq)
 		c.pmu.Unlock()
 		if mine {
-			if call.timer != nil {
-				call.timer.Stop()
-			}
 			<-c.window
 			c.abortAsync(call, err)
 		}
 	}
 }
 
-// ReadAsync issues a read open-loop: it returns once the request is on
-// (or queued for) the wire, and cb fires with the outcome — hit on
-// success, ErrDeadline if the response misses the deadline (0 = none),
-// a *ServerError on refusal, or a transport error. data is only
-// captured when wantData is set.
-func (c *Conn) ReadAsync(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, wantData bool, deadline time.Duration, cb func(data []byte, hit bool, err error)) {
-	h := wire.Header{Op: wire.OpRead, File: int32(f), Offset: int32(off), Size: nblocks}
-	if wantData {
-		h.Flags = wire.FlagWantData
-	}
-	c.issueAsync(h, nil, deadline, func(resp binResp, err error) {
-		if err != nil {
-			cb(nil, false, err)
-			return
-		}
-		cb(resp.payload, resp.h.Flags&wire.FlagHit != 0, nil)
-	})
-}
-
-// WriteAsync issues a write open-loop; nil data writes the
-// deterministic fill pattern server-side.
-func (c *Conn) WriteAsync(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, deadline time.Duration, cb func(err error)) {
-	h := wire.Header{Op: wire.OpWrite, File: int32(f), Offset: int32(off), Size: nblocks}
-	c.issueAsync(h, data, deadline, func(resp binResp, err error) { cb(err) })
-}
-
-// Ping re-queries the server over the binary protocol.
-func (c *Conn) Ping() (PingInfo, error) {
-	resp, err := c.do(wire.Header{Op: wire.OpPing}, nil)
-	if err != nil {
-		return PingInfo{}, err
-	}
-	var doc struct {
-		Alg       string `json:"alg"`
-		BlockSize int    `json:"block_size"`
-		ProtoMax  int    `json:"proto_max"`
-	}
-	if err := json.Unmarshal(resp.payload, &doc); err != nil {
-		return PingInfo{}, err
-	}
-	return PingInfo{Alg: doc.Alg, BlockSize: doc.BlockSize, ProtoMax: doc.ProtoMax}, nil
-}
-
-// Read requests nblocks blocks of f starting at block off; data is
-// nil unless wantData.
-func (c *Conn) Read(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, wantData bool) (data []byte, hit bool, err error) {
-	h := wire.Header{Op: wire.OpRead, File: int32(f), Offset: int32(off), Size: nblocks}
-	if wantData {
-		h.Flags = wire.FlagWantData
-	}
-	resp, err := c.do(h, nil)
-	if err != nil {
-		return nil, false, err
-	}
-	return resp.payload, resp.h.Flags&wire.FlagHit != 0, nil
+// ReadInto reads nblocks blocks of f starting at off, landing the
+// payload directly in dsts (one pre-sized slice per block).
+func (c *Conn) ReadInto(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit bool, err error) {
+	rh, _, err := c.Do(Req(wire.OpRead, wire.FlagWantData, f, off, nblocks), nil, dsts)
+	return rh.Flags&wire.FlagHit != 0, err
 }
 
 // Write sends nblocks blocks starting at off; nil data writes the
 // deterministic fill pattern server-side.
 func (c *Conn) Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	_, err := c.WriteChecked(f, off, nblocks, data)
+	_, _, err := c.Do(Req(wire.OpWrite, 0, f, off, nblocks), data, nil)
 	return err
-}
-
-// WriteChecked is Write, additionally reporting whether the server
-// acked the write as replicated (FlagReplicated): the blocks are
-// durably installed on the owner AND its R=2 successor, so they
-// survive either single node's death. A server without replication
-// (or with no live successor) acks replicated=false.
-func (c *Conn) WriteChecked(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (replicated bool, err error) {
-	resp, err := c.do(wire.Header{Op: wire.OpWrite, File: int32(f), Offset: int32(off), Size: nblocks}, data)
-	if err != nil {
-		return false, err
-	}
-	return resp.h.Flags&wire.FlagReplicated != 0, nil
 }
 
 // CloseFile tells the server this client is done with f for now.
 func (c *Conn) CloseFile(f blockdev.FileID) error {
-	_, err := c.do(wire.Header{Op: wire.OpClose, File: int32(f)}, nil)
+	_, _, err := c.Do(wire.Header{Op: wire.OpClose, File: int32(f)}, nil, nil)
 	return err
-}
-
-// ReadInto reads nblocks blocks of f starting at off, landing the
-// payload directly in dsts (one pre-sized slice per block). With the
-// vectored write path and the recycled call record, a warm read costs
-// zero allocations end to end — the hot-path contract BenchmarkCluster-
-// Read's localHit and remoteHit assert.
-func (c *Conn) ReadInto(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit bool, err error) {
-	return c.readDsts(wire.Header{
-		Op: wire.OpRead, Flags: wire.FlagWantData,
-		File: int32(f), Offset: int32(off), Size: nblocks,
-	}, dsts)
-}
-
-// ReadPeer is the cluster forward path: a peer-flagged read whose
-// block payload lands directly in dsts (one pre-sized slice per
-// block), served strictly locally by the owner. hit reports the owner
-// had every block in memory.
-func (c *Conn) ReadPeer(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit bool, err error) {
-	return c.readDsts(wire.Header{
-		Op: wire.OpRead, Flags: wire.FlagWantData | wire.FlagPeer,
-		File: int32(f), Offset: int32(off), Size: nblocks,
-	}, dsts)
-}
-
-// readDsts runs a destination-buffer read exchange.
-func (c *Conn) readDsts(h wire.Header, dsts [][]byte) (hit bool, err error) {
-	resp, err := c.doCall(h, nil, dsts)
-	if err != nil {
-		return false, err
-	}
-	if !resp.filled {
-		// The reader fell back to an allocated payload (length
-		// mismatch); salvage the copy if it fits, else report it.
-		if len(resp.payload) != payloadLen(dsts) {
-			return false, fmt.Errorf("lapclient: peer read returned %d bytes, want %d",
-				len(resp.payload), payloadLen(dsts))
-		}
-		o := 0
-		for _, d := range dsts {
-			o += copy(d, resp.payload[o:])
-		}
-	}
-	return resp.h.Flags&wire.FlagHit != 0, nil
-}
-
-// WritePeer is a peer-flagged write: served strictly locally by the
-// receiver, never re-forwarded.
-func (c *Conn) WritePeer(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	_, err := c.WritePeerChecked(f, off, nblocks, data)
-	return err
-}
-
-// WritePeerChecked is WritePeer, reporting whether the receiving
-// owner replicated the write to its successor (FlagReplicated). The
-// forwarding node propagates the bit to its own client.
-func (c *Conn) WritePeerChecked(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (replicated bool, err error) {
-	resp, err := c.do(wire.Header{
-		Op: wire.OpWrite, Flags: wire.FlagPeer,
-		File: int32(f), Offset: int32(off), Size: nblocks,
-	}, data)
-	if err != nil {
-		return false, err
-	}
-	return resp.h.Flags&wire.FlagReplicated != 0, nil
-}
-
-// WriteReplica installs nblocks blocks on the receiver as the file's
-// replica copy (FlagPeer|FlagReplica): store + cache install only —
-// no driver feed, no onward replication. The engine's synchronous
-// R=2 write path and the rebalancing handoff both push through it.
-func (c *Conn) WriteReplica(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	_, err := c.do(wire.Header{
-		Op: wire.OpWrite, Flags: wire.FlagPeer | wire.FlagReplica,
-		File: int32(f), Offset: int32(off), Size: nblocks,
-	}, data)
-	return err
-}
-
-// ClosePeer is a peer-flagged close: parks the receiver's local chain.
-func (c *Conn) ClosePeer(f blockdev.FileID) error {
-	_, err := c.do(wire.Header{Op: wire.OpClose, Flags: wire.FlagPeer, File: int32(f)}, nil)
-	return err
-}
-
-// Owner asks a clustered server which node owns f on the ring.
-func (c *Conn) Owner(f blockdev.FileID) (addr string, self bool, err error) {
-	resp, err := c.do(wire.Header{Op: wire.OpOwner, File: int32(f)}, nil)
-	if err != nil {
-		return "", false, err
-	}
-	var doc struct {
-		Owner string `json:"owner"`
-		Self  bool   `json:"self"`
-	}
-	if err := json.Unmarshal(resp.payload, &doc); err != nil {
-		return "", false, err
-	}
-	return doc.Owner, doc.Self, nil
-}
-
-// Stats fetches the server's counter snapshot.
-func (c *Conn) Stats() (lapcache.Snapshot, error) {
-	resp, err := c.do(wire.Header{Op: wire.OpStats}, nil)
-	if err != nil {
-		return lapcache.Snapshot{}, err
-	}
-	var snap lapcache.Snapshot
-	if err := json.Unmarshal(resp.payload, &snap); err != nil {
-		return lapcache.Snapshot{}, err
-	}
-	return snap, nil
 }

@@ -7,8 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/blockdev"
-	"repro/internal/lapcache"
+	"repro/internal/wire"
 )
 
 // ErrNoLiveConn reports that every connection in a pool is dead.
@@ -17,9 +16,9 @@ var ErrNoLiveConn = errors.New("lapclient: no live connection in pool")
 // ErrPoolClosed reports an operation on a closed pool.
 var ErrPoolClosed = errors.New("lapclient: pool closed")
 
-// Pool is a fixed set of pipelined binary connections fronting one
-// server. Calls are spread round-robin across the connections; each
-// connection multiplexes its callers through the in-flight window.
+// Pool is a fixed set of pipelined connections fronting one server.
+// Calls are spread round-robin across the connections; each connection
+// multiplexes its callers through the in-flight window.
 //
 // The pool survives connection churn. A connection whose reader has
 // died is skipped on pick, and a request that fails with a transport
@@ -64,9 +63,8 @@ func (p *Pool) SetCallTimeout(d time.Duration) {
 	}
 }
 
-// DialPool opens nconns binary connections (0 = 4) with the given
-// per-connection window (0 = DefaultWindow). It fails with ErrNoBinary
-// against a JSON-only server.
+// DialPool opens nconns connections (0 = 4) with the given
+// per-connection window (0 = DefaultWindow).
 func DialPool(addr string, nconns, window int) (*Pool, error) {
 	return DialPoolWith(addr, nconns, window, nil)
 }
@@ -96,8 +94,8 @@ func (p *Pool) conn(i int) *Conn { return p.conns[i].Load() }
 // Size returns the number of connection slots.
 func (p *Pool) Size() int { return len(p.conns) }
 
-// Info returns the server self-description from negotiation (from the
-// first live connection).
+// Info returns the server self-description from the handshake (from
+// the first live connection).
 func (p *Pool) Info() PingInfo {
 	for i := range p.conns {
 		if c := p.conns[i].Load(); c != nil {
@@ -214,137 +212,52 @@ func retriable(err error) bool {
 	return !errors.As(err, &se) && !errors.Is(err, ErrDeadline)
 }
 
-// withConn runs fn against picked connections, re-issuing on transport
-// errors until the per-request budget (one attempt per slot, plus the
-// first) is spent.
-func (p *Pool) withConn(fn func(*Conn) error) error {
+// Do runs one exchange on a picked connection (see Conn.Do) — the
+// pool's one synchronous path — re-issuing on transport errors until
+// the per-request budget (one attempt per slot, plus the first) is
+// spent. Closure-free on purpose: this is the cluster fetch hot path,
+// and the remoteHit alloc budget is zero.
+func (p *Pool) Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []byte, error) {
 	var last error
 	for attempt := 0; attempt <= len(p.conns); attempt++ {
 		c, err := p.pick()
 		if err != nil {
 			if last != nil {
-				return last
+				err = last
 			}
-			return err
+			return wire.Header{}, nil, err
 		}
-		if err := fn(c); err == nil || !retriable(err) {
-			return err
-		} else {
-			last = err
-		}
-	}
-	return last
-}
-
-// Ping re-queries the server over the binary protocol.
-func (p *Pool) Ping() (info PingInfo, err error) {
-	err = p.withConn(func(c *Conn) (e error) { info, e = c.Ping(); return })
-	return
-}
-
-// Read requests nblocks blocks of f starting at block off.
-func (p *Pool) Read(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, wantData bool) (data []byte, hit bool, err error) {
-	err = p.withConn(func(c *Conn) (e error) { data, hit, e = c.Read(f, off, nblocks, wantData); return })
-	return
-}
-
-// ReadPeer forwards a peer read, landing block payloads in dsts. This
-// is the cluster fetch hot path, so the retry loop is written inline
-// rather than through withConn — the closure would capture its
-// arguments onto the heap on every call, and the remoteHit alloc
-// budget is zero.
-func (p *Pool) ReadPeer(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit bool, err error) {
-	var last error
-	for attempt := 0; attempt <= len(p.conns); attempt++ {
-		c, perr := p.pick()
-		if perr != nil {
-			if last != nil {
-				return false, last
-			}
-			return false, perr
-		}
-		hit, err = c.ReadPeer(f, off, nblocks, dsts)
+		rh, data, err := c.Do(h, payload, dsts)
 		if err == nil || !retriable(err) {
-			return hit, err
+			return rh, data, err
 		}
 		last = err
 	}
-	return false, last
+	return wire.Header{}, nil, last
 }
 
-// Write sends nblocks blocks starting at off.
-func (p *Pool) Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	return p.withConn(func(c *Conn) error { return c.Write(f, off, nblocks, data) })
-}
-
-// WriteChecked is Write, reporting the server's replicated ack (see
-// Conn.WriteChecked).
-func (p *Pool) WriteChecked(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (replicated bool, err error) {
-	err = p.withConn(func(c *Conn) (e error) { replicated, e = c.WriteChecked(f, off, nblocks, data); return })
-	return
-}
-
-// WritePeer forwards a peer write.
-func (p *Pool) WritePeer(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	return p.withConn(func(c *Conn) error { return c.WritePeer(f, off, nblocks, data) })
-}
-
-// WritePeerChecked forwards a peer write, reporting the owner's
-// replicated ack.
-func (p *Pool) WritePeerChecked(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (replicated bool, err error) {
-	err = p.withConn(func(c *Conn) (e error) { replicated, e = c.WritePeerChecked(f, off, nblocks, data); return })
-	return
-}
-
-// WriteReplica pushes a replica install (see Conn.WriteReplica).
-func (p *Pool) WriteReplica(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	return p.withConn(func(c *Conn) error { return c.WriteReplica(f, off, nblocks, data) })
-}
-
-// CloseFile tells the server this client is done with f for now.
-func (p *Pool) CloseFile(f blockdev.FileID) error {
-	return p.withConn(func(c *Conn) error { return c.CloseFile(f) })
-}
-
-// ClosePeer forwards a peer close.
-func (p *Pool) ClosePeer(f blockdev.FileID) error {
-	return p.withConn(func(c *Conn) error { return c.ClosePeer(f) })
-}
-
-// Owner asks a clustered server which node owns f on the ring.
-func (p *Pool) Owner(f blockdev.FileID) (addr string, self bool, err error) {
-	err = p.withConn(func(c *Conn) (e error) { addr, self, e = c.Owner(f); return })
-	return
-}
-
-// Stats fetches the server's counter snapshot.
-func (p *Pool) Stats() (snap lapcache.Snapshot, err error) {
-	err = p.withConn(func(c *Conn) (e error) { snap, e = c.Stats(); return })
-	return
-}
-
-// ReadAsync issues an open-loop read through the pool: it returns once
-// the request is on (or queued for) the wire, and cb fires exactly
-// once with the outcome. Transport failures re-issue on another
-// connection (fresh deadline per attempt, one attempt per slot);
+// DoAsync issues one open-loop exchange through the pool (see
+// Conn.DoAsync): it returns once the request is on (or queued for) the
+// wire, and cb fires exactly once with the outcome. Transport failures
+// re-issue on another connection (fresh deadline per attempt);
 // ErrDeadline and server refusals are final. cb runs on a connection
 // reader goroutine — keep it quick.
-func (p *Pool) ReadAsync(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, wantData bool, deadline time.Duration, cb func(hit bool, err error)) {
-	p.readAsyncAttempt(f, off, nblocks, wantData, deadline, p.asyncBudget(), cb)
+func (p *Pool) DoAsync(h wire.Header, payload []byte, deadline time.Duration, cb func(wire.Header, []byte, error)) {
+	p.asyncAttempt(h, payload, deadline, p.asyncBudget(), cb)
 }
 
-func (p *Pool) readAsyncAttempt(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, wantData bool, deadline time.Duration, budget int, cb func(hit bool, err error)) {
+func (p *Pool) asyncAttempt(h wire.Header, payload []byte, deadline time.Duration, budget int, cb func(wire.Header, []byte, error)) {
 	c, err := p.pick()
 	if err != nil {
-		cb(false, err)
+		cb(wire.Header{}, nil, err)
 		return
 	}
-	c.ReadAsync(f, off, nblocks, wantData, deadline, func(_ []byte, hit bool, err error) {
+	c.DoAsync(h, payload, deadline, func(rh wire.Header, data []byte, err error) {
 		if next, ok := p.nextBudget(err, budget); ok {
-			p.readAsyncAttempt(f, off, nblocks, wantData, deadline, next, cb)
+			p.asyncAttempt(h, payload, deadline, next, cb)
 			return
 		}
-		cb(hit, err)
+		cb(rh, data, err)
 	})
 }
 
@@ -375,25 +288,4 @@ func (p *Pool) nextBudget(err error, budget int) (int, bool) {
 		return budget - 1, true
 	}
 	return 0, false
-}
-
-// WriteAsync issues an open-loop write through the pool, with the same
-// completion and retry contract as ReadAsync.
-func (p *Pool) WriteAsync(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, deadline time.Duration, cb func(err error)) {
-	p.writeAsyncAttempt(f, off, nblocks, data, deadline, p.asyncBudget(), cb)
-}
-
-func (p *Pool) writeAsyncAttempt(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, deadline time.Duration, budget int, cb func(err error)) {
-	c, err := p.pick()
-	if err != nil {
-		cb(err)
-		return
-	}
-	c.WriteAsync(f, off, nblocks, data, deadline, func(err error) {
-		if next, ok := p.nextBudget(err, budget); ok {
-			p.writeAsyncAttempt(f, off, nblocks, data, deadline, next, cb)
-			return
-		}
-		cb(err)
-	})
 }

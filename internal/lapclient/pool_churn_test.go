@@ -10,6 +10,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/lapcache"
+	"repro/internal/wire"
 )
 
 // TestPoolChurnNoLostRequests is the connection-churn regression: a
@@ -68,7 +69,7 @@ func TestPoolChurnNoLostRequests(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				f := blockdev.FileID(w + 1)
-				if _, _, err := p.Read(f, blockdev.BlockNo(i%64), 1, false); err != nil {
+				if _, _, err := read(p, f, blockdev.BlockNo(i%64), 1, false); err != nil {
 					failed.Add(1)
 					t.Errorf("worker %d read %d: %v", w, i, err)
 					return
@@ -113,7 +114,7 @@ func TestPoolChurnOneRotation(t *testing.T) {
 		if live := p.Live(); live != 2 {
 			t.Fatalf("churn %d: live = %d, want 2 (dial-first rotation)", i, live)
 		}
-		if _, _, err := p.Read(1, blockdev.BlockNo(i), 1, false); err != nil {
+		if _, _, err := read(p, 1, blockdev.BlockNo(i), 1, false); err != nil {
 			t.Fatalf("read after churn %d: %v", i, err)
 		}
 	}
@@ -159,8 +160,8 @@ func TestPoolReadAsyncChurn(t *testing.T) {
 	var wg sync.WaitGroup
 	wg.Add(requests)
 	for i := 0; i < requests; i++ {
-		p.ReadAsync(blockdev.FileID(1+i%4), blockdev.BlockNo(i%64), 1, false, 2*time.Second,
-			func(hit bool, err error) {
+		p.DoAsync(Req(wire.OpRead, 0, blockdev.FileID(1+i%4), blockdev.BlockNo(i%64), 1), nil, 2*time.Second,
+			func(_ wire.Header, _ []byte, err error) {
 				if err != nil {
 					errored.Add(1)
 				}
@@ -199,7 +200,8 @@ func TestConnReadAsyncDeadline(t *testing.T) {
 	defer c.Close()
 
 	got := make(chan error, 1)
-	c.ReadAsync(1, 0, 1, false, 5*time.Millisecond, func(_ []byte, _ bool, err error) { got <- err })
+	req := Req(wire.OpRead, 0, 1, 0, 1)
+	c.DoAsync(req, nil, 5*time.Millisecond, func(_ wire.Header, _ []byte, err error) { got <- err })
 	select {
 	case err := <-got:
 		if !errors.Is(err, ErrDeadline) {
@@ -214,7 +216,7 @@ func TestConnReadAsyncDeadline(t *testing.T) {
 	deadlineWait := time.After(2 * time.Second)
 	for {
 		done := make(chan error, 1)
-		c.ReadAsync(1, 0, 1, false, time.Second, func(_ []byte, _ bool, err error) { done <- err })
+		c.DoAsync(req, nil, time.Second, func(_ wire.Header, _ []byte, err error) { done <- err })
 		select {
 		case err := <-done:
 			if err == nil {

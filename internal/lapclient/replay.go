@@ -10,33 +10,20 @@ import (
 	"repro/internal/workload"
 )
 
-// session is what one replayed process needs from the wire: both the
-// legacy per-process JSON Client and the shared binary Pool satisfy
-// it.
-type session interface {
-	Read(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, wantData bool) ([]byte, bool, error)
-	Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error
-	CloseFile(f blockdev.FileID) error
-}
-
 // ReplayOptions tunes a trace replay.
 type ReplayOptions struct {
 	// ThinkScale multiplies trace think times (0 disables thinking
 	// entirely — the usual choice, since the trace's virtual think
 	// times are far longer than a live server's service times).
 	ThinkScale float64
-	// Conns is the binary connection pool size (0 = min(8, procs)).
+	// Conns is the per-node connection pool size (0 = min(8, procs)).
 	Conns int
 	// Window is the per-connection in-flight cap (0 = DefaultWindow).
 	Window int
-	// JSON forces the legacy protocol: one JSON connection per traced
-	// process, one request in flight per connection (lapget -json).
-	JSON bool
 }
 
 // ReplayResult summarizes a trace replay from the client's side.
 type ReplayResult struct {
-	Proto    string // "binary" or "json"
 	Procs    int
 	Requests int
 	Reads    int
@@ -54,69 +41,11 @@ func (r ReplayResult) HitRatio() float64 {
 	return float64(r.ReadHits) / float64(r.Reads)
 }
 
-// endpoint is one server's session factory for a replay.
-type endpoint struct {
-	proto      string
-	blockSize  int
-	newSession func() (session, func(), error)
-	cleanup    func()
-}
-
-// dialEndpoint probes addr and builds its per-process session factory:
-// a shared binary pool when the server speaks it, per-process JSON
-// connections otherwise (or when forced).
-func dialEndpoint(addr string, nprocs int, opts ReplayOptions) (*endpoint, error) {
-	probe, err := Dial(addr)
-	if err != nil {
-		return nil, err
-	}
-	info, err := probe.Ping()
-	probe.Close()
-	if err != nil {
-		return nil, err
-	}
-	if info.BlockSize <= 0 {
-		return nil, fmt.Errorf("lapclient: server reports block size %d", info.BlockSize)
-	}
-	ep := &endpoint{blockSize: info.BlockSize}
-	if !opts.JSON && info.ProtoMax >= wire.ProtoBinary {
-		nconns := opts.Conns
-		if nconns <= 0 {
-			nconns = nprocs
-			if nconns > 8 {
-				nconns = 8
-			}
-		}
-		pool, err := DialPool(addr, nconns, opts.Window)
-		if err != nil {
-			return nil, err
-		}
-		ep.proto = "binary"
-		ep.newSession = func() (session, func(), error) { return pool, func() {}, nil }
-		ep.cleanup = func() { pool.Close() }
-	} else {
-		// Old server (or forced): negotiate down, exactly like an old
-		// client.
-		ep.proto = "json"
-		ep.newSession = func() (session, func(), error) {
-			c, err := Dial(addr)
-			if err != nil {
-				return nil, nil, err
-			}
-			return c, func() { c.Close() }, nil
-		}
-		ep.cleanup = func() {}
-	}
-	return ep, nil
-}
-
 // ReplayTrace drives a server with a workload trace: one goroutine
-// per traced process, each running its closed loop in order. By
-// default the processes share a pool of pipelined binary connections,
-// so the replay runs at closed-loop concurrency without one slow
-// round trip head-of-line blocking every other process; against a
-// JSON-only server (or with opts.JSON) it falls back to the legacy
-// one-connection-per-process JSON protocol.
+// per traced process, each running its closed loop in order. The
+// processes share a pool of pipelined connections, so the replay runs
+// at closed-loop concurrency without one slow round trip head-of-line
+// blocking every other process.
 func ReplayTrace(addr string, tr *workload.Trace, opts ReplayOptions) (ReplayResult, error) {
 	return ReplayTraceMulti([]string{addr}, tr, opts)
 }
@@ -130,31 +59,30 @@ func ReplayTraceMulti(addrs []string, tr *workload.Trace, opts ReplayOptions) (R
 	if len(addrs) == 0 {
 		return ReplayResult{}, fmt.Errorf("lapclient: replay needs at least one address")
 	}
-	eps := make([]*endpoint, len(addrs))
+	nconns := opts.Conns
+	if nconns <= 0 {
+		nconns = min(8, len(tr.Procs))
+	}
+	pools := make([]*Pool, 0, len(addrs))
 	defer func() {
-		for _, ep := range eps {
-			if ep != nil {
-				ep.cleanup()
-			}
+		for _, p := range pools {
+			p.Close()
 		}
 	}()
-	for i, addr := range addrs {
-		ep, err := dialEndpoint(addr, len(tr.Procs), opts)
+	for _, addr := range addrs {
+		p, err := DialPool(addr, nconns, opts.Window)
 		if err != nil {
 			return ReplayResult{}, fmt.Errorf("lapclient: node %s: %w", addr, err)
 		}
-		eps[i] = ep
-		if ep.blockSize != eps[0].blockSize {
-			return ReplayResult{}, fmt.Errorf("lapclient: node %s block size %d != %d",
-				addr, ep.blockSize, eps[0].blockSize)
+		pools = append(pools, p)
+		if bs := p.Info().BlockSize; bs <= 0 || bs != pools[0].Info().BlockSize {
+			return ReplayResult{}, fmt.Errorf("lapclient: node %s reports block size %d (first node: %d)",
+				addr, bs, pools[0].Info().BlockSize)
 		}
 	}
-	info := PingInfo{BlockSize: eps[0].blockSize}
+	blockSize := int64(pools[0].Info().BlockSize)
 
-	var res ReplayResult
-	res.Procs = len(tr.Procs)
-	res.Proto = eps[0].proto
-
+	res := ReplayResult{Procs: len(tr.Procs)}
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
@@ -172,12 +100,7 @@ func ReplayTraceMulti(addrs []string, tr *workload.Trace, opts ReplayOptions) (R
 		wg.Add(1)
 		go func(pi int, p *workload.Process) {
 			defer wg.Done()
-			sess, done, err := eps[pi%len(eps)].newSession()
-			if err != nil {
-				fail(err)
-				return
-			}
-			defer done()
+			pool := pools[pi%len(pools)]
 			var local ReplayResult
 			for _, s := range p.Steps {
 				if opts.ThinkScale > 0 && s.Think > 0 {
@@ -186,25 +109,25 @@ func ReplayTraceMulti(addrs []string, tr *workload.Trace, opts ReplayOptions) (R
 				local.Requests++
 				switch s.Kind {
 				case workload.OpRead:
-					span := blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, int64(info.BlockSize))
-					_, hit, err := sess.Read(span.File, span.Start, span.Count, false)
+					span := blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, blockSize)
+					rh, _, err := pool.Do(Req(wire.OpRead, 0, span.File, span.Start, span.Count), nil, nil)
 					if err != nil {
 						fail(err)
 						return
 					}
 					local.Reads++
-					if hit {
+					if rh.Flags&wire.FlagHit != 0 {
 						local.ReadHits++
 					}
 				case workload.OpWrite:
-					span := blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, int64(info.BlockSize))
-					if err := sess.Write(span.File, span.Start, span.Count, nil); err != nil {
+					span := blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, blockSize)
+					if _, _, err := pool.Do(Req(wire.OpWrite, 0, span.File, span.Start, span.Count), nil, nil); err != nil {
 						fail(err)
 						return
 					}
 					local.Writes++
 				case workload.OpClose:
-					if err := sess.CloseFile(s.File); err != nil {
+					if _, _, err := pool.Do(Req(wire.OpClose, 0, s.File, 0, 0), nil, nil); err != nil {
 						fail(err)
 						return
 					}

@@ -32,7 +32,7 @@ func startNode(t *testing.T, sched *Schedule) (*lapcache.Engine, *lapcache.Serve
 	if err != nil {
 		t.Fatalf("listen: %v", err)
 	}
-	go srv.Serve(ln) //nolint:errcheck // exits on Close
+	go srv.Serve(ln)   //nolint:errcheck // exits on Close
 	t.Cleanup(func() { // idempotent with the in-test teardown
 		srv.Close()
 		eng.Shutdown()
@@ -87,7 +87,7 @@ func checkResult(t *testing.T, res *Result, wantIssued int) {
 // writes, a flash crowd and a thundering herd, with connection churn
 // underneath — at a single in-process node, and asserts zero dropped
 // responses plus the server-side chaos invariants. This is the
-// check-load gate; -race is what makes the firehose interesting.
+// load gate of make race; -race is what makes the firehose interesting.
 func TestOpenLoopE2E(t *testing.T) {
 	if testing.Short() {
 		t.Skip("firehose e2e skipped in -short")

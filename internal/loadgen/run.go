@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/lapclient"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 // RunConfig tunes how a schedule is fired at live servers.
@@ -46,15 +47,15 @@ type RunConfig struct {
 // Dropped is the difference and must be zero — the harness's
 // zero-lost-response invariant.
 type Result struct {
-	Offered  float64 // configured arrival rate, req/s
-	Achieved float64 // completed requests / elapsed
-	Issued   uint64
-	OK       uint64
-	Hits     uint64 // OK reads fully served from cache
+	Offered   float64 // configured arrival rate, req/s
+	Achieved  float64 // completed requests / elapsed
+	Issued    uint64
+	OK        uint64
+	Hits      uint64 // OK reads fully served from cache
 	Deadlines uint64
-	Errors   uint64
-	Dropped  int64
-	Elapsed  time.Duration
+	Errors    uint64
+	Dropped   int64
+	Elapsed   time.Duration
 	// MaxLag is the worst dispatch lag behind the virtual arrival
 	// clock: how late the generator itself ran. A lag comparable to
 	// the measured latencies would mean the generator, not the server,
@@ -171,13 +172,16 @@ func Run(sched *Schedule, rc RunConfig) (*Result, error) {
 		pool := pools[i%len(pools)]
 		wg.Add(1)
 		res.Issued++
-		done := func(err error) {
+		done := func(rh wire.Header, _ []byte, err error) {
 			// Latency from the scheduled arrival: queueing the generator
 			// or the window inflicted is part of the number.
 			lat := int64(time.Since(target))
 			switch {
 			case err == nil:
 				ok.Add(1)
+				if rh.Flags&wire.FlagHit != 0 {
+					hits.Add(1)
+				}
 				res.Hist.Record(lat)
 			case errors.Is(err, lapclient.ErrDeadline):
 				deadlines.Add(1)
@@ -192,17 +196,11 @@ func Run(sched *Schedule, rc RunConfig) (*Result, error) {
 			<-outstanding
 			wg.Done()
 		}
+		op := wire.OpRead
 		if req.Write {
-			pool.WriteAsync(req.File, req.Off, req.Blocks, nil, rc.Deadline, done)
-		} else {
-			pool.ReadAsync(req.File, req.Off, req.Blocks, false, rc.Deadline,
-				func(hit bool, err error) {
-					if err == nil && hit {
-						hits.Add(1)
-					}
-					done(err)
-				})
+			op = wire.OpWrite
 		}
+		pool.DoAsync(lapclient.Req(op, 0, req.File, req.Off, req.Blocks), nil, rc.Deadline, done)
 	}
 	wg.Wait()
 	res.Elapsed = time.Since(start)

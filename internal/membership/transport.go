@@ -68,5 +68,5 @@ func (t *udpTransport) ReadFrom(p []byte) (int, string, error) {
 	return n, from.String(), nil
 }
 
-func (t *udpTransport) Close() error     { return t.pc.Close() }
+func (t *udpTransport) Close() error      { return t.pc.Close() }
 func (t *udpTransport) LocalAddr() string { return t.pc.LocalAddr().String() }

@@ -1,23 +1,16 @@
 // Package wire defines the lapcache wire protocol shared by the
 // server (internal/lapcache) and the client (internal/lapclient).
 //
-// Two encodings travel over one TCP port:
+// There is one encoding: length-prefixed frames with a fixed
+// little-endian header and raw block payloads. A connection is framed
+// from its first byte — the header's version byte is the whole
+// negotiation, and an OpPing exchange is the handshake that tells a
+// client the server's algorithm and block size.
 //
-//   - Protocol 1 (JSON): newline-delimited JSON objects, one request
-//     and one response per line, block payloads base64-inside-JSON.
-//     Every connection starts in this mode; it remains fully supported
-//     for old clients and for debugging (lapget -json).
-//   - Protocol 2 (binary): length-prefixed frames with a fixed
-//     little-endian header and raw block payloads — no base64, no
-//     per-request reflection. A client upgrades a connection by
-//     learning the server's "proto_max" from the JSON ping response
-//     and then sending a JSON {"op":"upgrade"}; everything after the
-//     server's OK line is binary frames in both directions.
-//
-// Binary frame layout (little-endian):
+// Frame layout (little-endian):
 //
 //	offset size field
-//	0      1    op       (Op; 1..6, never '{' so a JSON line is unambiguous)
+//	0      1    op       (Op; nonzero)
 //	1      1    flags    (Flags bitfield)
 //	2      1    version  (must be Version)
 //	3      1    reserved (must be 0)
@@ -29,7 +22,13 @@
 //
 // The payload carries raw block data for reads (FlagWantData) and
 // writes, a UTF-8 error message on failure frames, and a JSON document
-// for ping/stats responses (rare, so their encoding does not matter).
+// for ping/stats/owner responses (rare, so their encoding does not
+// matter).
+//
+// (Op, Flags) is the whole request surface: the op says what to do,
+// FlagPeer/FlagReplica say on whose behalf (a client, a forwarding
+// peer, a replicating owner), FlagWantData says whether a read returns
+// its blocks.
 //
 // # Version skew
 //
@@ -42,11 +41,14 @@
 // during a rolling upgrade: the new op fails cleanly, the connection
 // stays usable, and the caller can fall back. (Peer forwards between
 // lapcached nodes rely on this: a mixed-version cluster degrades to
-// local service rather than wedging connections.)
+// local service rather than wedging connections.) Bytes that are not
+// a frame at all — a client from before the binary protocol sending a
+// JSON line — fail the version check within the first PrefixSize
+// bytes, so the receiver can drop the connection without waiting for
+// a full header that will never come.
 package wire
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -54,33 +56,23 @@ import (
 	"net"
 )
 
-// Protocol versions negotiated through the JSON ping ("proto_max").
-const (
-	ProtoJSON   = 1
-	ProtoBinary = 2
-)
-
-// Version is the binary frame header version.
+// Version is the frame header version.
 const Version = 1
 
-// HeaderSize is the fixed byte length of a binary frame header.
+// HeaderSize is the fixed byte length of a frame header.
 const HeaderSize = 24
+
+// PrefixSize is how many leading header bytes CheckPrefix needs: op,
+// flags, version, reserved.
+const PrefixSize = 4
 
 // MaxPayload caps a single frame's payload. The decoder rejects
 // larger length fields before allocating anything, so a corrupt or
 // hostile header cannot balloon memory.
 const MaxPayload = 1 << 24 // 16 MiB
 
-// MaxFrame bounds a full frame — and doubles as the cap on one JSON
-// line. This is the documented limit the old bufio.Scanner 64 KiB
-// default violated: a multi-block WantData read easily exceeds 64 KiB
-// once base64-inflated, so both ends size their line readers to
-// MaxFrame instead.
-const MaxFrame = HeaderSize + MaxPayload
-
-// MaxDataBytes caps the raw block payload of one read or write so
-// that even the base64-inflated JSON encoding of the same data fits a
-// MaxFrame line with envelope to spare.
+// MaxDataBytes caps the raw block payload of one read; the server
+// refuses larger spans with an error frame before gathering a block.
 const MaxDataBytes = 11 << 20
 
 // Op identifies a request (and is echoed in its response).
@@ -164,7 +156,9 @@ const (
 // to reject them.
 func (f Flags) Known() bool { return f&^flagsKnown == 0 }
 
-// Header is a decoded binary frame header.
+// Header is a decoded frame header — and, on the request side, the
+// one request descriptor: client, pool, dispatcher and peer tier all
+// pass it through unchanged.
 type Header struct {
 	Op         Op
 	Flags      Flags
@@ -205,18 +199,12 @@ func ParseHeader(src []byte) (Header, error) {
 	if len(src) < HeaderSize {
 		return Header{}, fmt.Errorf("wire: short header: %d bytes, need %d", len(src), HeaderSize)
 	}
+	if err := CheckPrefix(src); err != nil {
+		return Header{}, err
+	}
 	var h Header
 	h.Op = Op(src[0])
-	if h.Op == 0 {
-		return Header{}, errors.New("wire: zero op")
-	}
 	h.Flags = Flags(src[1])
-	if src[2] != Version {
-		return Header{}, fmt.Errorf("wire: protocol version %d, want %d", src[2], Version)
-	}
-	if src[3] != 0 {
-		return Header{}, fmt.Errorf("wire: nonzero reserved byte %#x", src[3])
-	}
 	h.Seq = binary.LittleEndian.Uint32(src[4:])
 	h.File = int32(binary.LittleEndian.Uint32(src[8:]))
 	h.Offset = int32(binary.LittleEndian.Uint32(src[12:]))
@@ -226,6 +214,26 @@ func ParseHeader(src []byte) (Header, error) {
 		return Header{}, fmt.Errorf("wire: payload length %d: %w", h.PayloadLen, ErrFrameTooLarge)
 	}
 	return h, nil
+}
+
+// CheckPrefix validates the first PrefixSize bytes of a header — a
+// nonzero op, the version byte, the zero reserved byte — which is
+// everything needed to tell a frame from foreign bytes. A receiver
+// runs it as soon as that much has arrived, so a peer speaking another
+// protocol (whose whole message may be shorter than a header) is
+// refused at once instead of being waited on.
+func CheckPrefix(src []byte) error {
+	_ = src[PrefixSize-1]
+	if src[0] == 0 {
+		return errors.New("wire: zero op")
+	}
+	if src[2] != Version {
+		return fmt.Errorf("wire: protocol version %d, want %d", src[2], Version)
+	}
+	if src[3] != 0 {
+		return fmt.Errorf("wire: nonzero reserved byte %#x", src[3])
+	}
+	return nil
 }
 
 // ReadHeader reads and validates one frame header from r. scratch
@@ -420,36 +428,4 @@ func (b *FrameBatch) Flush(w io.Writer) error {
 func (b *FrameBatch) Reset() {
 	b.vec = b.vec[:0]
 	b.n = 0
-}
-
-// ReadLine reads one newline-terminated JSON line from br, without
-// the trailing "\n" (or "\r\n"), refusing lines longer than max — the
-// bounded replacement for bufio.Scanner's default 64 KiB token limit
-// on both ends of the JSON protocol.
-func ReadLine(br *bufio.Reader, max int) ([]byte, error) {
-	var line []byte
-	for {
-		chunk, err := br.ReadSlice('\n')
-		// ReadSlice returns bufio.ErrBufferFull with a partial chunk
-		// when the line outgrows the reader's internal buffer; keep
-		// accumulating until the newline or the cap.
-		if len(line)+len(chunk) > max {
-			return nil, ErrFrameTooLarge
-		}
-		line = append(line, chunk...)
-		if err == nil {
-			break
-		}
-		if err != bufio.ErrBufferFull {
-			if len(line) > 0 && err == io.EOF {
-				return nil, io.ErrUnexpectedEOF
-			}
-			return nil, err
-		}
-	}
-	n := len(line) - 1 // strip '\n'
-	if n > 0 && line[n-1] == '\r' {
-		n--
-	}
-	return line[:n], nil
 }

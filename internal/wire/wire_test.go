@@ -1,10 +1,8 @@
 package wire
 
 import (
-	"bufio"
 	"bytes"
 	"io"
-	"strings"
 	"testing"
 )
 
@@ -45,6 +43,14 @@ func TestParseHeaderRejects(t *testing.T) {
 		if _, err := ParseHeader(tc.buf); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+	// Foreign bytes are refused from the prefix alone — an old client's
+	// JSON line is shorter than a header, so nothing more ever arrives.
+	if err := CheckPrefix([]byte(`{"op":"ping"}`)); err == nil {
+		t.Error("JSON line passed the prefix check")
+	}
+	if err := CheckPrefix(mk(func([]byte) {})); err != nil {
+		t.Errorf("valid header failed the prefix check: %v", err)
 	}
 }
 
@@ -119,45 +125,6 @@ func TestDecodeFrameTruncatedPayload(t *testing.T) {
 func TestWriteFrameRejectsOversize(t *testing.T) {
 	if err := WriteFrame(io.Discard, Header{Op: OpWrite}, make([]byte, MaxPayload+1)); err == nil {
 		t.Error("oversized payload written")
-	}
-}
-
-func TestReadLine(t *testing.T) {
-	br := bufio.NewReaderSize(strings.NewReader("{\"op\":\"ping\"}\r\nnext\n"), 16)
-	line, err := ReadLine(br, 1<<20)
-	if err != nil {
-		t.Fatalf("ReadLine: %v", err)
-	}
-	if string(line) != `{"op":"ping"}` {
-		t.Errorf("line = %q", line)
-	}
-	line, err = ReadLine(br, 1<<20)
-	if err != nil || string(line) != "next" {
-		t.Errorf("second line = %q, %v", line, err)
-	}
-	if _, err := ReadLine(br, 1<<20); err != io.EOF {
-		t.Errorf("EOF read: %v", err)
-	}
-}
-
-// TestReadLineLongerThanBufio covers the regression the old
-// bufio.Scanner default caused: a line far larger than the reader's
-// internal buffer must come through whole, and one over the cap must
-// be refused rather than silently truncated.
-func TestReadLineBounds(t *testing.T) {
-	big := strings.Repeat("x", 300<<10)
-	br := bufio.NewReaderSize(strings.NewReader(big+"\n"), 4096)
-	line, err := ReadLine(br, MaxFrame)
-	if err != nil {
-		t.Fatalf("300 KiB line: %v", err)
-	}
-	if len(line) != len(big) {
-		t.Errorf("got %d bytes, want %d", len(line), len(big))
-	}
-
-	br = bufio.NewReaderSize(strings.NewReader(big+"\n"), 4096)
-	if _, err := ReadLine(br, 1024); err != ErrFrameTooLarge {
-		t.Errorf("over-cap line: err = %v, want ErrFrameTooLarge", err)
 	}
 }
 
