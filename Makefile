@@ -1,14 +1,19 @@
-# Development targets. `make check` is the full gate: vet, build,
+# Development targets. `make check` is the full gate: gofmt, vet, build,
 # the whole test suite under the race detector (each package once), a
-# short run of every fuzz target over its seed corpus, and a smoke of
-# the lapbench CLI paths no test drives.
+# short run of every fuzz target over its seed corpus, a smoke of the
+# lapbench CLI paths no test drives, and the bench/ module (its own
+# go.mod, so nothing above compiles it).
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check check-load check-hotpath check-predictors soak vet build test race fuzz bench bench-all report
+.PHONY: check check-load check-hotpath check-predictors check-bench soak fmt vet build test race fuzz bench bench-all report
 
-check: vet build race fuzz check-load check-hotpath check-predictors
+check: fmt vet build race fuzz check-load check-hotpath check-predictors check-bench
+
+# gofmt -l walks every .go file under the checkout, bench/ included.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt: needs formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -39,6 +44,14 @@ check-hotpath:
 
 check-predictors:
 	$(GO) run ./cmd/lapbench -exp predictors -scale tiny
+
+# bench/ is a fixed consumer of Engine, lapclient.Conn and the server:
+# vet and test it against this checkout, then run every BENCHMARK.json
+# workload briefly with its own checks on, so a signature or behaviour
+# slip surfaces here and not at the benchmark driver.
+check-bench:
+	cd bench && $(GO) vet . && $(GO) test -race .
+	bash bench/run.sh -all -check
 
 # Chaos soak: random seeds in a loop (SOAK_RUNS, default 20). Every
 # other run puts the AdaptiveFDP degree policy on the seed-chosen
@@ -77,6 +90,7 @@ fuzz:
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkLapcacheGet|BenchmarkWireRoundTrip' -benchmem . | \
 		$(GO) run ./cmd/benchfmt -benchmark "BenchmarkLapcacheGet + BenchmarkWireRoundTrip" -o BENCH_wire.json \
+		-assert-allocs 'BenchmarkLapcacheGet/hit=0,BenchmarkLapcacheGet/miss=0,BenchmarkLapcacheGet/prefetchedHit=0' \
 		-description "lapcache engine demand-read paths (zero-copy ReadInto: hit, miss, first touch of a prefetched block) and one 8 KiB cached block fetched per round trip over loopback TCP, serial and pipelined." \
 		-command "make bench" \
 		-notes "binary streams the payload from the refcounted cache buffer (no copy); binaryPipelined is the -replay configuration: pooled connections with an in-flight window."

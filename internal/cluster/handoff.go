@@ -175,8 +175,7 @@ func (h *handoff) runOnce() int {
 		if !ok {
 			continue
 		}
-		pool, up := p.livePool()
-		if !up {
+		if _, up := p.livePool(); !up {
 			continue
 		}
 		if !h.spend(bs) {
@@ -185,9 +184,8 @@ func (h *handoff) runOnce() int {
 		if err := l.ReadBlockLocal(id, buf); err != nil {
 			continue
 		}
-		if _, _, err := pool.Do(lapclient.Req(wire.OpWrite, wire.FlagPeer|wire.FlagReplica, id.File, id.Block, 1), buf, nil); err != nil {
-			n.forwardErr(p, err) //nolint:errcheck // retried next pass
-			continue
+		if _, ok, err := n.forward(p, lapclient.Req(wire.OpWrite, wire.FlagPeer|wire.FlagReplica, id.File, id.Block, 1), buf, nil); !ok || err != nil {
+			continue // retried next pass
 		}
 		moved++
 		h.blocksMoved.Add(1)

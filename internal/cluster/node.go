@@ -467,10 +467,7 @@ func (n *Node) WaitReady(timeout time.Duration) error {
 		var waiting []string
 		n.peersMu.RLock()
 		for addr, p := range n.peers {
-			p.mu.Lock()
-			ok := p.pool != nil && !p.down
-			p.mu.Unlock()
-			if !ok {
+			if _, up := p.livePool(); !up {
 				waiting = append(waiting, addr)
 			}
 		}
@@ -529,11 +526,7 @@ func (n *Node) healthLoop(p *peer) {
 	defer n.wg.Done()
 	attempt := 0
 	for {
-		p.mu.Lock()
-		live := p.pool != nil && !p.down
-		p.mu.Unlock()
-
-		if live {
+		if _, up := p.livePool(); up {
 			attempt = 0
 		} else {
 			pool, err := n.cfg.DialFunc(p.addr, n.cfg.Conns, n.cfg.Window)
@@ -571,10 +564,7 @@ func (n *Node) healthLoop(p *peer) {
 		case <-n.cfg.Clock.After(n.NextBackoff(p.addr, attempt)):
 		}
 
-		p.mu.Lock()
-		pool, live := p.pool, !p.down
-		p.mu.Unlock()
-		if pool != nil && live {
+		if pool, up := p.livePool(); up {
 			if _, err := lapclient.Ping(pool); err != nil {
 				n.fault(p, err)
 			}
@@ -623,17 +613,31 @@ func (n *Node) fault(p *peer, err error) {
 	}
 }
 
-// forwardErr classifies a peer-RPC failure: a ServerError means the
-// owner was reached and refused (propagate it — the request itself is
-// bad); anything else is transport, which faults the peer and tells
-// the engine to degrade to its local store.
-func (n *Node) forwardErr(p *peer, err error) (ok bool, out error) {
+// forward is the one peer RPC: every request this node sends on to
+// another member — span reads, owner-bound writes and closes, replica
+// pushes, handoff transfers — takes the peer's live pool, does one
+// exchange and classifies the failure. ok=false means the peer could
+// not be reached (it was down, or a transport error just faulted it):
+// the caller degrades to local service. A ServerError means the peer
+// was reached and refused — ok stays true and the error propagates,
+// because the request itself is bad.
+func (n *Node) forward(p *peer, h wire.Header, payload []byte, dsts [][]byte) (rh wire.Header, ok bool, err error) {
+	pool, up := p.livePool()
+	if !up {
+		return rh, false, nil
+	}
+	rh, _, err = pool.Do(h, payload, dsts)
+	if err == nil {
+		return rh, true, nil
+	}
+	// Declared past the success return: &se escapes, and the remote-hit
+	// path is gated at 0 allocs/op.
 	var se *lapclient.ServerError
 	if errors.As(err, &se) {
-		return true, err
+		return rh, true, err
 	}
 	n.fault(p, err)
-	return false, nil
+	return rh, false, nil
 }
 
 // ownerPeer resolves f's owner to its peer entry; ok=false means the
@@ -676,31 +680,18 @@ func (n *Node) OwnedEver(f blockdev.FileID) bool {
 	return false
 }
 
-// peerRead is the cluster forward read: a peer-flagged span whose
-// block payload lands directly in dsts, served strictly locally by the
-// receiver. hit reports it had every block in memory.
-func peerRead(pool *lapclient.Pool, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit bool, err error) {
-	rh, _, err := pool.Do(lapclient.Req(wire.OpRead, wire.FlagWantData|wire.FlagPeer, f, off, nblocks), nil, dsts)
-	return rh.Flags&wire.FlagHit != 0, err
-}
-
 // FetchSpan implements lapcache.RemoteFetcher: one pipelined
-// peer-flagged read RPC whose payload lands directly in dsts. When
-// the owner is unreachable and the tier replicates, the file's ring
-// successor — holding every acked write of f in its memory — serves
-// instead, and the fetched blocks are written through to the local
-// store (read-repair) so the data is two-copy again even with the
-// owner gone.
+// peer-flagged read RPC whose payload lands directly in dsts, served
+// strictly locally by the receiver. When the owner is unreachable and
+// the tier replicates, the file's ring successor — holding every acked
+// write of f in its memory — serves instead, and the fetched blocks
+// are written through to the local store (read-repair) so the data is
+// two-copy again even with the owner gone.
 func (n *Node) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit, ok bool, err error) {
+	h := lapclient.Req(wire.OpRead, wire.FlagWantData|wire.FlagPeer, f, off, nblocks)
 	if p, found := n.ownerPeer(f); found {
-		if pool, up := p.livePool(); up {
-			hit, err = peerRead(pool, f, off, nblocks, dsts)
-			if err == nil {
-				return hit, true, nil
-			}
-			if ok, err := n.forwardErr(p, err); ok {
-				return false, ok, err
-			}
+		if rh, ok, err := n.forward(p, h, nil, dsts); ok {
+			return rh.Flags&wire.FlagHit != 0, true, err
 		}
 	}
 	// Owner gone (or was never a peer): try the replica.
@@ -708,19 +699,13 @@ func (n *Node) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32,
 	if !found {
 		return false, false, nil
 	}
-	pool, up := p.livePool()
-	if !up {
-		return false, false, nil
+	rh, ok, err := n.forward(p, h, nil, dsts)
+	if ok && err == nil {
+		if l := n.localEngine(); l != nil {
+			l.RepairInstall(f, off, dsts)
+		}
 	}
-	hit, err = peerRead(pool, f, off, nblocks, dsts)
-	if err != nil {
-		ok, err := n.forwardErr(p, err)
-		return false, ok, err
-	}
-	if l := n.localEngine(); l != nil {
-		l.RepairInstall(f, off, dsts)
-	}
-	return hit, true, nil
+	return rh.Flags&wire.FlagHit != 0, ok, err
 }
 
 // ForwardWrite implements lapcache.RemoteFetcher.
@@ -729,16 +714,8 @@ func (n *Node) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int
 	if !found {
 		return false, false, nil
 	}
-	pool, up := p.livePool()
-	if !up {
-		return false, false, nil
-	}
-	rh, _, werr := pool.Do(lapclient.Req(wire.OpWrite, wire.FlagPeer, f, off, nblocks), data, nil)
-	if werr != nil {
-		ok, err := n.forwardErr(p, werr)
-		return ok, false, err
-	}
-	return true, rh.Flags&wire.FlagReplicated != 0, nil
+	rh, ok, err := n.forward(p, lapclient.Req(wire.OpWrite, wire.FlagPeer, f, off, nblocks), data, nil)
+	return ok, rh.Flags&wire.FlagReplicated != 0, err
 }
 
 // ReplicateWrite implements lapcache.RemoteFetcher: push the span to
@@ -749,15 +726,8 @@ func (n *Node) ReplicateWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks i
 	if !found {
 		return false
 	}
-	pool, up := p.livePool()
-	if !up {
-		return false
-	}
-	if _, _, err := pool.Do(lapclient.Req(wire.OpWrite, wire.FlagPeer|wire.FlagReplica, f, off, nblocks), data, nil); err != nil {
-		n.forwardErr(p, err) //nolint:errcheck // best-effort push
-		return false
-	}
-	return true
+	_, ok, err := n.forward(p, lapclient.Req(wire.OpWrite, wire.FlagPeer|wire.FlagReplica, f, off, nblocks), data, nil)
+	return ok && err == nil
 }
 
 // ForwardClose implements lapcache.RemoteFetcher.
@@ -766,14 +736,8 @@ func (n *Node) ForwardClose(f blockdev.FileID) (bool, error) {
 	if !found {
 		return false, nil
 	}
-	pool, up := p.livePool()
-	if !up {
-		return false, nil
-	}
-	if _, _, err := pool.Do(lapclient.Req(wire.OpClose, wire.FlagPeer, f, 0, 0), nil, nil); err != nil {
-		return n.forwardErr(p, err)
-	}
-	return true, nil
+	_, ok, err := n.forward(p, lapclient.Req(wire.OpClose, wire.FlagPeer, f, 0, 0), nil, nil)
+	return ok, err
 }
 
 // --- lapcache.ClusterInfo ---

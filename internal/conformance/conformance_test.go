@@ -5,9 +5,12 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blockdev"
+	"repro/internal/cachesim"
 	"repro/internal/core"
 	"repro/internal/experiment"
 	"repro/internal/lapcache"
+	"repro/internal/sim"
 )
 
 // TestSimConformance sweeps every registered algorithm over the golden
@@ -126,5 +129,104 @@ func TestMicroTraceValid(t *testing.T) {
 	}
 	if !reflect.DeepEqual(EngineScript(), EngineScript()) {
 		t.Fatal("engine script not deterministic")
+	}
+}
+
+// fate is the (timely, wasted, unused) triple both tiers keep per
+// prefetched block.
+type fate struct{ timely, wasted, unused uint64 }
+
+// TestPrefetchFateRules pins the one rule table both tiers apply to a
+// prefetched block: one scripted sequence, driven through the
+// simulator's cooperative cache and through a live engine, must book
+// the same fate after every step. The rules themselves live where a
+// block is touched and evicted — cachesim and the engine's block cache
+// — so this table is what the tiers share.
+func TestPrefetchFateRules(t *testing.T) {
+	const (
+		capacity = 4
+		file     = blockdev.FileID(1)
+	)
+	type kind int
+	const (
+		arrive kind = iota // a speculative block lands in the cache
+		read               // a user read of the block
+		write              // a user write of the block
+	)
+	script := []struct {
+		rule  string
+		do    kind
+		block blockdev.BlockNo
+		want  fate
+	}{
+		{"arrival alone decides nothing", arrive, 0, fate{0, 0, 1}},
+		{"", arrive, 1, fate{0, 0, 2}},
+		{"", arrive, 2, fate{0, 0, 3}},
+		{"", arrive, 3, fate{0, 0, 4}},
+		{"first touch after arrival is timely", read, 0, fate{1, 0, 3}},
+		{"a second touch is just a hit", read, 0, fate{1, 0, 3}},
+		{"a write over a flagged block is its first touch", write, 1, fate{2, 0, 2}},
+		// The demand fill evicts block 2, the LRU; block 3 is left over.
+		{"evicted untouched is wasted, still flagged at the end is unused", read, 10, fate{2, 1, 1}},
+	}
+
+	simulator := func() func(kind, blockdev.BlockNo) fate {
+		c := cachesim.New(sim.NewEngine(1), 1, capacity, cachesim.GlobalLRU{})
+		var timely uint64
+		c.OnPrefetchUsed = func(blockdev.BlockID) { timely++ }
+		return func(do kind, blk blockdev.BlockNo) fate {
+			b := blockdev.BlockID{File: file, Block: blk}
+			switch {
+			case do == arrive:
+				c.Insert(0, b, cachesim.InsertOptions{Prefetched: true})
+			case c.Touch(0, b):
+				// A resident block: reads and writes both touch it.
+				if do == write {
+					c.MarkDirty(b)
+				}
+			default:
+				c.Insert(0, b, cachesim.InsertOptions{Dirty: do == write})
+			}
+			return fate{timely, c.Stats().WastedPrefetches, c.UnusedPrefetchedCopies()}
+		}
+	}()
+
+	e, err := lapcache.New(lapcache.Config{
+		Alg:         core.SpecNP,
+		Store:       lapcache.NewMemStore(512, 0),
+		BlockSize:   512,
+		CacheBlocks: capacity,
+		Shards:      1, // one LRU list, like the 1-node simulator cache
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Shutdown()
+	runtime := func(do kind, blk blockdev.BlockNo) fate {
+		switch do {
+		case arrive:
+			e.Preload(file, blk, 1, true)
+		case read:
+			bufs, _, err := e.ReadInto(nil, file, blk, 1)
+			if err != nil {
+				t.Fatalf("read %d: %v", blk, err)
+			}
+			bufs[0].Release()
+		case write:
+			if err := e.Write(file, blk, 1, nil); err != nil {
+				t.Fatalf("write %d: %v", blk, err)
+			}
+		}
+		s := e.Snapshot()
+		return fate{s.PrefetchTimely, s.PrefetchWasted, s.PrefetchUnused}
+	}
+
+	for i, st := range script {
+		if got := simulator(st.do, st.block); got != st.want {
+			t.Errorf("step %d (%s): simulator books %+v, want %+v", i, st.rule, got, st.want)
+		}
+		if got := runtime(st.do, st.block); got != st.want {
+			t.Errorf("step %d (%s): runtime books %+v, want %+v", i, st.rule, got, st.want)
+		}
 	}
 }

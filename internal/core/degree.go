@@ -21,7 +21,6 @@ import (
 //	OnTimely — a prefetched block was demanded after it arrived
 //	OnLate   — a demand read had to wait on an in-flight prefetch
 //	OnWasted — a prefetched block was evicted without ever being used
-//	OnUnused — a prefetched block was still unread at teardown
 //
 // Implementations must be safe for concurrent use: the runtime calls
 // Allow under the per-file driver mutex but delivers feedback from
@@ -40,7 +39,6 @@ type DegreePolicy interface {
 	OnTimely()
 	OnLate()
 	OnWasted()
-	OnUnused()
 }
 
 // backpressureAware is implemented by policies that want to know when
@@ -87,9 +85,6 @@ func (p *FixedDegree) OnLate() {}
 
 // OnWasted implements DegreePolicy (no-op).
 func (p *FixedDegree) OnWasted() {}
-
-// OnUnused implements DegreePolicy (no-op).
-func (p *FixedDegree) OnUnused() {}
 
 // DefaultAdaptiveCap is the hard ceiling an AdaptiveFDP window may
 // reach unless the spec overrides it.
@@ -171,7 +166,6 @@ type AdaptiveFDP struct {
 	timely       uint64 // events in the current window
 	late         uint64
 	wasted       uint64
-	unused       uint64
 	widenStreak  int
 	narrowStreak int
 	stats        AdaptiveStats
@@ -189,7 +183,6 @@ type AdaptiveStats struct {
 	Timely       uint64 // lifetime feedback totals
 	Late         uint64
 	Wasted       uint64
-	Unused       uint64
 	LastAccuracy float64 // useful fraction at the last evaluation
 	LastLateRate float64 // late fraction at the last evaluation
 }
@@ -197,7 +190,7 @@ type AdaptiveStats struct {
 // Accuracy returns the lifetime useful fraction of resolved
 // prefetches, or 0 when nothing has resolved yet.
 func (s AdaptiveStats) Accuracy() float64 {
-	total := s.Timely + s.Late + s.Wasted + s.Unused
+	total := s.Timely + s.Late + s.Wasted
 	if total == 0 {
 		return 0
 	}
@@ -233,9 +226,6 @@ func (p *AdaptiveFDP) OnLate() { p.feed(&p.late, &p.stats.Late) }
 // OnWasted implements DegreePolicy.
 func (p *AdaptiveFDP) OnWasted() { p.feed(&p.wasted, &p.stats.Wasted) }
 
-// OnUnused implements DegreePolicy.
-func (p *AdaptiveFDP) OnUnused() { p.feed(&p.unused, &p.stats.Unused) }
-
 // OnBackpressure reacts to an env refusal: the prefetch queue is full,
 // so halve the window immediately and make the controller re-earn the
 // depth. Implements the driver's backpressureAware probe.
@@ -264,7 +254,7 @@ func (p *AdaptiveFDP) feed(windowCtr, lifeCtr *uint64) {
 	defer p.mu.Unlock()
 	*windowCtr++
 	*lifeCtr++
-	if p.timely+p.late+p.wasted+p.unused >= uint64(p.cfg.Window) {
+	if p.timely+p.late+p.wasted >= uint64(p.cfg.Window) {
 		p.evaluate()
 	}
 }
@@ -272,10 +262,10 @@ func (p *AdaptiveFDP) feed(windowCtr, lifeCtr *uint64) {
 // evaluate runs one controller step over the accumulated window.
 // Caller holds p.mu.
 func (p *AdaptiveFDP) evaluate() {
-	total := float64(p.timely + p.late + p.wasted + p.unused)
+	total := float64(p.timely + p.late + p.wasted)
 	accuracy := float64(p.timely+p.late) / total
 	lateRate := float64(p.late) / total
-	p.timely, p.late, p.wasted, p.unused = 0, 0, 0, 0
+	p.timely, p.late, p.wasted = 0, 0, 0
 	p.stats.Evals++
 	p.stats.LastAccuracy, p.stats.LastLateRate = accuracy, lateRate
 
@@ -350,9 +340,6 @@ func (s *DegreeSet) OnLate(f blockdev.FileID) { s.For(f).OnLate() }
 
 // OnWasted routes an unused-eviction event to the file's controller.
 func (s *DegreeSet) OnWasted(f blockdev.FileID) { s.For(f).OnWasted() }
-
-// OnUnused routes a still-unread-at-teardown event to the controller.
-func (s *DegreeSet) OnUnused(f blockdev.FileID) { s.For(f).OnUnused() }
 
 // MaxDegree returns the deepest window any file reached, and 1 when no
 // file has a policy yet (every driver starts linear).

@@ -45,7 +45,6 @@ func TestFixedDegreeNames(t *testing.T) {
 	p.OnTimely()
 	p.OnLate()
 	p.OnWasted()
-	p.OnUnused()
 	if p.Allow() != 1 {
 		t.Error("feedback moved a FixedDegree")
 	}
@@ -199,8 +198,8 @@ func TestAdaptiveConcurrentFeedback(t *testing.T) {
 	}
 	wg.Wait()
 	s := p.Stats()
-	if s.Timely+s.Late+s.Wasted+s.Unused != 6000 {
-		t.Errorf("lifetime feedback total = %d, want 6000", s.Timely+s.Late+s.Wasted+s.Unused)
+	if s.Timely+s.Late+s.Wasted != 6000 {
+		t.Errorf("lifetime feedback total = %d, want 6000", s.Timely+s.Late+s.Wasted)
 	}
 }
 
@@ -243,14 +242,14 @@ func TestDegreeSetRoutesPerFile(t *testing.T) {
 // [1, Cap] after every event, and the stats counters never go
 // inconsistent.
 func FuzzDegreePolicy(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 4, 0, 1, 0, 1})
-	f.Add([]byte{4, 4, 4, 4})
+	f.Add([]byte{0, 1, 2, 3, 0, 1, 0, 1})
+	f.Add([]byte{3, 3, 3, 3})
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, events []byte) {
 		cap := 1 + int(len(events))%11 // vary the ceiling too
 		p := NewAdaptiveFDP(AdaptiveFDPConfig{Cap: cap, Window: 4, Hysteresis: 1})
 		for _, ev := range events {
-			switch ev % 5 {
+			switch ev % 4 {
 			case 0:
 				p.OnTimely()
 			case 1:
@@ -258,18 +257,16 @@ func FuzzDegreePolicy(f *testing.F) {
 			case 2:
 				p.OnWasted()
 			case 3:
-				p.OnUnused()
-			case 4:
 				p.OnBackpressure()
 			}
 			if a := p.Allow(); a < 1 || a > p.Cap() {
-				t.Fatalf("Allow = %d outside [1, %d] after event %d", a, p.Cap(), ev%5)
+				t.Fatalf("Allow = %d outside [1, %d] after event %d", a, p.Cap(), ev%4)
 			}
 		}
 		s := p.Stats()
-		if s.Timely+s.Late+s.Wasted+s.Unused != uint64(len(events))-s.Backpressure {
-			t.Fatalf("lifetime totals %d+%d+%d+%d != events %d - backpressure %d",
-				s.Timely, s.Late, s.Wasted, s.Unused, len(events), s.Backpressure)
+		if s.Timely+s.Late+s.Wasted != uint64(len(events))-s.Backpressure {
+			t.Fatalf("lifetime totals %d+%d+%d != events %d - backpressure %d",
+				s.Timely, s.Late, s.Wasted, len(events), s.Backpressure)
 		}
 		if s.Degree != p.Allow() {
 			t.Fatalf("Stats.Degree = %d, Allow = %d", s.Degree, p.Allow())

@@ -48,17 +48,16 @@ type blockCache struct {
 	// entries recycles centry shells between eviction and insertion, so
 	// a steady-state miss (evict one, insert one) allocates nothing.
 	entries sync.Pool
-	// onWasted, if set, is told the owning file of every wasted
-	// eviction (a speculative block dropped untouched) — the per-file
-	// waste signal the adaptive degree controller feeds on. Put's
-	// return value can't carry this: victims routinely belong to other
+	// onWasted is told the owning file of every wasted eviction (a
+	// speculative block dropped untouched) — the one way an eviction is
+	// reported, per victim because victims routinely belong to other
 	// files than the inserted block. Called outside all shard locks.
 	onWasted func(f blockdev.FileID)
 }
 
 // newBlockCache builds a cache of capacity blocks striped over nShards
 // shards (rounded up to a power of two so shard selection is a mask).
-func newBlockCache(capacity, nShards int) *blockCache {
+func newBlockCache(capacity, nShards int, onWasted func(f blockdev.FileID)) *blockCache {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("lapcache: invalid cache capacity %d", capacity))
 	}
@@ -76,7 +75,7 @@ func newBlockCache(capacity, nShards int) *blockCache {
 			pow <<= 1
 		}
 	}
-	c := &blockCache{shards: make([]cacheShard, pow), mask: uint32(pow - 1)}
+	c := &blockCache{shards: make([]cacheShard, pow), mask: uint32(pow - 1), onWasted: onWasted}
 	per := capacity / pow
 	extra := capacity % pow
 	for i := range c.shards {
@@ -122,6 +121,20 @@ func (c *blockCache) Get(b blockdev.BlockID) (buf *blockbuf.Buf, wasPrefetched, 
 	return buf, wasPrefetched, true
 }
 
+// Peek returns a retained reference to the cached buffer for b without
+// touching recency or the prefetched flag: a read on nobody's behalf
+// (the rebalancing handoff) must neither promote a block nor decide a
+// prefetch's fate. The caller must Release it.
+func (c *blockCache) Peek(b blockdev.BlockID) (buf *blockbuf.Buf, ok bool) {
+	sh := c.shardFor(b)
+	sh.mu.Lock()
+	if e, found := sh.blocks[b]; found {
+		buf, ok = e.buf.Retain(), true
+	}
+	sh.mu.Unlock()
+	return buf, ok
+}
+
 // Contains reports whether b is cached, without touching recency (the
 // prefetch driver's visibility check must not promote blocks).
 func (c *blockCache) Contains(b blockdev.BlockID) bool {
@@ -134,24 +147,26 @@ func (c *blockCache) Contains(b blockdev.BlockID) bool {
 
 // Put inserts (or overwrites) b, taking ownership of one reference to
 // buf and evicting from the shard's LRU end as needed (each victim's
-// reference is released). It returns how many evicted blocks were
-// speculative and never touched — wasted prefetches. Inserting over an
-// existing entry releases the displaced buffer, refreshes recency and,
-// like the simulator's insert-merge, clears the prefetched flag only
-// when the new copy is a demand fill.
-func (c *blockCache) Put(b blockdev.BlockID, buf *blockbuf.Buf, prefetched bool) (wastedEvictions int) {
+// reference is released; each one that was speculative and never
+// touched is reported to onWasted). Inserting over an existing entry
+// releases the displaced buffer, refreshes recency and, like the
+// simulator's insert-merge, clears the prefetched flag only when the
+// new copy is a demand fill; firstTouch reports that it did — the
+// demand copy replaced a speculative block nobody had touched yet.
+func (c *blockCache) Put(b blockdev.BlockID, buf *blockbuf.Buf, prefetched bool) (firstTouch bool) {
 	sh := c.shardFor(b)
 	sh.mu.Lock()
 	if e, ok := sh.blocks[b]; ok {
 		old := e.buf
 		e.buf = buf
 		if !prefetched {
+			firstTouch = e.prefetched
 			e.prefetched = false
 		}
 		sh.lru.Touch(e)
 		sh.mu.Unlock()
 		old.Release()
-		return 0
+		return firstTouch
 	}
 	// One insert evicts at most one block in steady state; the stack
 	// array keeps the common case allocation-free (append spills to the
@@ -168,10 +183,7 @@ func (c *blockCache) Put(b blockdev.BlockID, buf *blockbuf.Buf, prefetched bool)
 		sh.lru.Remove(victim) // clears the intrusive links
 		delete(sh.blocks, victim.id)
 		if victim.prefetched {
-			wastedEvictions++
-			if c.onWasted != nil {
-				wasted = append(wasted, victim.id.File)
-			}
+			wasted = append(wasted, victim.id.File)
 		}
 		freed = append(freed, victim.buf)
 		victim.buf = nil
@@ -193,7 +205,7 @@ func (c *blockCache) Put(b blockdev.BlockID, buf *blockbuf.Buf, prefetched bool)
 	for _, f := range wasted {
 		c.onWasted(f)
 	}
-	return wastedEvictions
+	return false
 }
 
 // Preinstall inserts b with an explicit prefetched flag, overriding

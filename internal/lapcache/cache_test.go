@@ -17,6 +17,10 @@ func bid(f, b int) blockdev.BlockID {
 // one-byte tag so tests can tell buffers apart.
 func testPool() *blockbuf.Pool { return blockbuf.NewPool(4) }
 
+// noWaste is the onWasted callback of caches whose test does not look
+// at wasted evictions.
+func noWaste(blockdev.FileID) {}
+
 func mkbuf(p *blockbuf.Pool, tag byte) *blockbuf.Buf {
 	b := p.Get()
 	b.Bytes()[0] = tag
@@ -25,7 +29,7 @@ func mkbuf(p *blockbuf.Pool, tag byte) *blockbuf.Buf {
 
 func TestCachePutGetEvict(t *testing.T) {
 	p := testPool()
-	c := newBlockCache(4, 1) // one shard: eviction order is exact
+	c := newBlockCache(4, 1, noWaste) // one shard: eviction order is exact
 	for i := 0; i < 4; i++ {
 		c.Put(bid(1, i), mkbuf(p, byte(i)), false)
 	}
@@ -55,7 +59,7 @@ func TestCachePutGetEvict(t *testing.T) {
 func TestCacheGetOutlivesEviction(t *testing.T) {
 	p := testPool()
 	p.SetPoison(true)
-	c := newBlockCache(1, 1)
+	c := newBlockCache(1, 1, noWaste)
 	c.Put(bid(1, 0), mkbuf(p, 0xAA), false)
 	held, _, ok := c.Get(bid(1, 0))
 	if !ok {
@@ -73,7 +77,7 @@ func TestCacheGetOutlivesEviction(t *testing.T) {
 
 func TestCachePrefetchedFlagLifecycle(t *testing.T) {
 	p := testPool()
-	c := newBlockCache(8, 1)
+	c := newBlockCache(8, 1, noWaste)
 	rel := func(buf *blockbuf.Buf, wasPf, ok bool) bool {
 		if ok {
 			buf.Release()
@@ -98,24 +102,61 @@ func TestCachePrefetchedFlagLifecycle(t *testing.T) {
 	if c.UnusedPrefetched() != 1 {
 		t.Error("speculative overwrite cleared the flag")
 	}
-	c.Put(bid(1, 1), mkbuf(p, 1), false)
+	if !c.Put(bid(1, 1), mkbuf(p, 1), false) {
+		t.Error("demand overwrite of a flagged block not reported as its first touch")
+	}
 	if c.UnusedPrefetched() != 0 {
 		t.Error("demand overwrite kept the flag")
+	}
+	if c.Put(bid(1, 1), mkbuf(p, 1), false) {
+		t.Error("second demand overwrite reported another first touch")
+	}
+
+	// Peek reads on nobody's behalf: neither the flag nor the eviction
+	// order may change. Fill the shard with 2 (flagged, LRU) .. 9, peek
+	// at 2, insert one more: 2 must still be the victim, still flagged.
+	evicted := 0
+	c = newBlockCache(8, 1, func(blockdev.FileID) { evicted++ })
+	c.Put(bid(1, 2), mkbuf(p, 2), true)
+	for i := 3; i < 10; i++ {
+		c.Put(bid(1, i), mkbuf(p, byte(i)), false)
+	}
+	buf, ok := c.Peek(bid(1, 2))
+	if !ok || buf.Bytes()[0] != 2 {
+		t.Fatal("Peek missed a cached block")
+	}
+	buf.Release()
+	if c.UnusedPrefetched() != 1 {
+		t.Error("Peek cleared the prefetched flag")
+	}
+	c.Put(bid(1, 10), mkbuf(p, 10), false)
+	if c.Contains(bid(1, 2)) || evicted != 1 {
+		t.Errorf("Peek promoted the block: still cached=%v, wasted evictions=%d (want false, 1)",
+			c.Contains(bid(1, 2)), evicted)
+	}
+	if _, ok := c.Peek(bid(1, 2)); ok {
+		t.Error("Peek hit an evicted block")
 	}
 }
 
 func TestCacheWastedEvictionCount(t *testing.T) {
 	p := testPool()
-	c := newBlockCache(2, 1)
+	wasted := 0
+	c := newBlockCache(2, 1, func(f blockdev.FileID) {
+		if f != 1 {
+			t.Errorf("wasted eviction attributed to file %d, want 1", f)
+		}
+		wasted++
+	})
 	c.Put(bid(1, 0), mkbuf(p, 0), true)
 	c.Put(bid(1, 1), mkbuf(p, 1), false)
-	wasted := c.Put(bid(1, 2), mkbuf(p, 2), false) // evicts untouched speculative block 0
+	c.Put(bid(2, 2), mkbuf(p, 2), false) // evicts untouched speculative block 0
 	if wasted != 1 {
 		t.Errorf("wasted = %d, want 1", wasted)
 	}
-	wasted = c.Put(bid(1, 3), mkbuf(p, 3), false) // evicts demand block 1
-	if wasted != 0 {
-		t.Errorf("wasted = %d, want 0", wasted)
+	c.Put(bid(2, 3), mkbuf(p, 3), false) // evicts demand block 1
+	if wasted != 1 {
+		t.Errorf("wasted = %d after a demand eviction, want still 1", wasted)
 	}
 }
 
@@ -127,7 +168,7 @@ func TestCacheShardingCapacity(t *testing.T) {
 		{1, 16, 1},
 		{64, 1, 1},
 	} {
-		c := newBlockCache(tc.capacity, tc.shards)
+		c := newBlockCache(tc.capacity, tc.shards, noWaste)
 		if len(c.shards) != tc.wantShards {
 			t.Errorf("cap=%d shards=%d: got %d shards, want %d",
 				tc.capacity, tc.shards, len(c.shards), tc.wantShards)
@@ -147,7 +188,7 @@ func TestCacheNeverExceedsCapacity(t *testing.T) {
 	const capacity = 32
 	p := testPool()
 	p.SetPoison(true) // evicted buffers must recycle cleanly
-	c := newBlockCache(capacity, 4)
+	c := newBlockCache(capacity, 4, noWaste)
 	for i := 0; i < 500; i++ {
 		c.Put(bid(i%7, i), p.Get(), i%3 == 0)
 	}

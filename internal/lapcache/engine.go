@@ -69,10 +69,10 @@ type Config struct {
 	Remote RemoteFetcher
 }
 
-// fetchOp is one in-flight fetch, demand or speculative; on the
-// remote-forward path a single op can cover a whole span, registered
-// in the inflight map under every block it will produce. It is the
-// singleflight rendezvous: whoever registers it performs the fetch,
+// fetchOp is one in-flight fetch, demand or speculative, registered in
+// the inflight map under every block of the run it will produce (one
+// block from the store, a whole span from the owner). It is the
+// singleflight rendezvous: whoever claims it performs the fetch,
 // everyone else waits on wg; err is written before wg.Done.
 //
 // Ops are recycled through Engine.fops (a demand miss used to cost an
@@ -146,11 +146,8 @@ type Engine struct {
 	m      Metrics
 	ledger *core.Ledger
 	fops   sync.Pool // recycled *fetchOp
-	spans  sync.Pool // recycled *spanGather for readSpanRemote
-	// adaptive short-circuits the per-event policy feedback on the
-	// read paths: static policies ignore it, so non-adaptive engines
-	// skip the fileState lookup entirely and stay byte-for-byte on the
-	// historical hot path.
+	dsts   sync.Pool // recycled *[][]byte: fill's FetchSpan destinations
+	// adaptive gates the degree-policy half of timely/late/wasted.
 	adaptive bool
 
 	filesMu    sync.RWMutex
@@ -195,7 +192,6 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:        cfg,
-		cache:      newBlockCache(cfg.CacheBlocks, cfg.Shards),
 		store:      cfg.Store,
 		pool:       blockbuf.NewPool(cfg.BlockSize),
 		remote:     cfg.Remote,
@@ -213,9 +209,7 @@ func New(cfg Config) (*Engine, error) {
 	for f, b := range cfg.FileBlocks {
 		e.fileBlocks[f] = b
 	}
-	if e.adaptive {
-		e.cache.onWasted = func(f blockdev.FileID) { e.fileState(f).degree.OnWasted() }
-	}
+	e.cache = newBlockCache(cfg.CacheBlocks, cfg.Shards, e.wasted)
 	for i := 0; i < cfg.Workers; i++ {
 		e.wg.Add(1)
 		go e.worker()
@@ -389,25 +383,19 @@ func (e *Engine) ReadInto(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.
 	return e.read(bufs, f, off, nblocks, modeClient)
 }
 
-// read is the one demand-read body: route to the owner when the file
-// is remote and the request is a client's own, serve locally
-// otherwise, then feed the request to the file's driver.
+// read is the one demand-read body: pick the source of missing blocks
+// (the ring owner when the file is remote and the request is a
+// client's own, the local store otherwise), serve the span, then feed
+// the request to the file's driver.
 func (e *Engine) read(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, m reqMode) ([]*blockbuf.Buf, bool, error) {
 	if nblocks <= 0 || off < 0 {
 		return bufs, false, fmt.Errorf("lapcache: invalid read %d:[%d,+%d]", f, off, nblocks)
 	}
-	var (
-		hit bool
-		err error
-	)
-	if m == modeClient && e.remote != nil && !e.remote.Owned(f) {
-		bufs, hit, err = e.readSpanRemote(bufs, f, off, nblocks)
-	} else {
-		if m != modeClient {
-			e.m.peerReads.Add(1)
-		}
-		bufs, hit, err = e.readSpanLocal(bufs, f, off, nblocks)
+	if m != modeClient {
+		e.m.peerReads.Add(1)
 	}
+	fromOwner := m == modeClient && e.remote != nil && !e.remote.Owned(f)
+	bufs, hit, err := e.readSpan(bufs, f, off, nblocks, fromOwner)
 	if err != nil {
 		return bufs, false, err
 	}
@@ -417,64 +405,37 @@ func (e *Engine) read(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.Bloc
 	return bufs, hit, nil
 }
 
-// readSpanLocal serves a span from the local cache and backing store.
-func (e *Engine) readSpanLocal(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) ([]*blockbuf.Buf, bool, error) {
+// readSpan is the one way a demand read gets its blocks. Per block: a
+// cached copy is a hit, and the first touch of a still-flagged
+// speculative copy a timely prefetch; a fetch already under way is
+// joined, never repeated — a speculative one the demand caught in
+// flight is a late prefetch — and the block re-checked once it lands;
+// otherwise the reader claims the block and fills it itself. The
+// source alone decides how much one claim covers. The local store's
+// unit is a block, so concurrent readers of neighbouring blocks still
+// fetch in parallel. The owner's unit is a span: the maximal run of
+// blocks neither cached nor in flight travels as one RPC, because the
+// owner's predictor models (offset, size) requests, not per-block
+// chatter — and the owner's memory standing in for the disk is the
+// cooperative-cache fast path the paper is built on.
+func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, fromOwner bool) ([]*blockbuf.Buf, bool, error) {
 	base := len(bufs)
 	hit := true
-	for i := int32(0); i < nblocks; i++ {
-		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
-		buf, blockHit, err := e.readBlockBuf(b)
-		if err != nil {
-			for _, held := range bufs[base:] {
-				held.Release()
-			}
-			return bufs[:base], false, err
-		}
-		bufs = append(bufs, buf)
-		if blockHit {
-			e.m.demandHits.Add(1)
-		} else {
-			e.m.demandMisses.Add(1)
-			hit = false
-		}
-	}
-	return bufs, hit, nil
-}
-
-// readSpanRemote serves a span of a file this node does not own:
-// locally cached blocks are served from the client cache, and each
-// maximal run of missing blocks becomes one span RPC to the ring
-// owner, whose memory stands in for the disk — the cooperative-cache
-// fast path the paper is built on. Concurrent misses on the same
-// blocks join the in-flight fetch through the same singleflight map
-// the local path uses, so one node never issues duplicate peer RPCs
-// for a block. If no live owner is reachable the run degrades to the
-// local backing store: a dead owner costs latency, not availability.
-func (e *Engine) readSpanRemote(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) ([]*blockbuf.Buf, bool, error) {
-	base := len(bufs)
-	spanHit := true
-	waited := false // true while re-checking a block we waited on
-	fail := func(err error) ([]*blockbuf.Buf, bool, error) {
-		for _, held := range bufs[base:] {
-			held.Release()
-		}
-		return bufs[:base], false, err
-	}
+	waited := false // true while re-checking a block whose fetch we waited on
 	for i := int32(0); i < nblocks; {
 		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
 		if buf, wasPrefetched, ok := e.cache.Get(b); ok {
-			if wasPrefetched && !waited {
-				e.m.prefetchTimely.Add(1)
-				if e.adaptive {
-					e.fileState(f).degree.OnTimely()
-				}
-			}
 			bufs = append(bufs, buf)
 			if waited {
+				// Its fetch was still in flight on arrival: a miss, and if
+				// the fetch was speculative, already counted late.
 				e.m.demandMisses.Add(1)
-				spanHit = false
+				hit = false
 			} else {
 				e.m.demandHits.Add(1)
+				if wasPrefetched {
+					e.timely(f)
+				}
 			}
 			i++
 			waited = false
@@ -486,140 +447,170 @@ func (e *Engine) readSpanRemote(bufs []*blockbuf.Buf, f blockdev.FileID, off blo
 			fo.join()
 			e.flightMu.Unlock()
 			if fo.prefetch && !waited {
-				e.m.prefetchLate.Add(1)
-				if e.adaptive {
-					e.fileState(f).degree.OnLate()
-				}
+				e.late(f)
 			}
 			waited = true
 			fo.wg.Wait()
 			err := fo.err
 			e.releaseFetchOp(fo)
 			if err != nil {
-				return fail(err)
+				return dropFrom(bufs, base), false, err
 			}
-			continue // re-check the cache for this block
+			continue // the block should be cached now; re-check
 		}
-		if e.cache.Contains(b) {
-			e.flightMu.Unlock()
-			continue
+		limit := int32(1)
+		if fromOwner {
+			limit = nblocks - i
 		}
-		// Claim the maximal run of missing, unclaimed blocks under one
-		// fetchOp registered per block, then fetch the whole run in one
-		// RPC. Runs keep the owner seeing spans, not per-block chatter:
-		// its predictor models (offset, size) request pairs.
-		n := int32(1)
-		for i+n < nblocks {
-			nb := blockdev.BlockID{File: f, Block: b.Block + blockdev.BlockNo(n)}
-			if e.inflight[nb] != nil || e.cache.Contains(nb) {
-				break
-			}
-			n++
-		}
-		fo := e.newFetchOp(false)
-		for k := int32(0); k < n; k++ {
-			e.inflight[blockdev.BlockID{File: f, Block: b.Block + blockdev.BlockNo(k)}] = fo
-		}
+		fo, n := e.claim(b, limit, false)
 		e.flightMu.Unlock()
-
-		sg := e.newSpanGather(int(n))
-		run, dsts := sg.run[:n], sg.dsts[:n]
-		for k := range run {
-			run[k] = e.pool.Get()
-			dsts[k] = run[k].Bytes()
+		if fo == nil {
+			continue // landed between our Get miss and taking flightMu
 		}
-		remHit, ok, err := e.remote.FetchSpan(f, b.Block, n, dsts)
+		var (
+			fromMemory bool
+			err        error
+		)
+		if bufs, fromMemory, err = e.fill(bufs, fo, b, n, fromOwner); err != nil {
+			return dropFrom(bufs, base), false, err
+		}
+		e.m.demandMisses.Add(uint64(n)) // a miss for the LOCAL cache either way
 		// A run the owner served wholly from its memory is a
-		// cooperative-cache hit: the client avoided every disk, which
-		// is the cluster-wide satisfaction the paper measures. Only an
-		// owner miss (its disk turned) or a degraded local-store read
-		// clears the span's hit.
-		servedFromMemory := false
-		if ok && err == nil {
-			e.m.remoteReads.Add(uint64(n))
-			if remHit {
-				e.m.remoteHits.Add(uint64(n))
-				servedFromMemory = true
-			} else {
-				e.m.remoteMisses.Add(uint64(n))
-			}
-		} else if !ok {
-			// No live owner: serve the run from the local store.
-			e.m.remoteFallbacks.Add(1)
-			err = nil
-			for k := int32(0); k < n && err == nil; k++ {
-				bk := blockdev.BlockID{File: f, Block: b.Block + blockdev.BlockNo(k)}
-				if err = e.store.ReadBlock(bk, dsts[k]); err == nil {
-					e.m.storeReads.Add(1)
-				}
-			}
-		}
-		if err == nil {
-			for k := int32(0); k < n; k++ {
-				bk := blockdev.BlockID{File: f, Block: b.Block + blockdev.BlockNo(k)}
-				// One reference transfers to the cache, one stays here.
-				e.m.prefetchWasted.Add(uint64(e.cache.Put(bk, run[k].Retain(), false)))
-			}
-		}
-		fo.err = err
-		e.flightMu.Lock()
-		for k := int32(0); k < n; k++ {
-			delete(e.inflight, blockdev.BlockID{File: f, Block: b.Block + blockdev.BlockNo(k)})
-		}
-		e.flightMu.Unlock()
-		fo.wg.Done()
-		e.releaseFetchOp(fo)
-		if err != nil {
-			for _, r := range run {
-				r.Release()
-			}
-			e.releaseSpanGather(sg, int(n))
-			return fail(err)
-		}
-		bufs = append(bufs, run...)
-		e.releaseSpanGather(sg, int(n))
-		e.m.demandMisses.Add(uint64(n)) // miss for the LOCAL cache either way
-		if !servedFromMemory {
-			spanHit = false
+		// cooperative-cache hit: the client avoided every disk, which is
+		// the cluster-wide satisfaction the paper measures.
+		if !fromMemory {
+			hit = false
 		}
 		i += n
 		waited = false
 	}
-	return bufs, spanHit, nil
+	return bufs, hit, nil
 }
 
-// spanGather is readSpanRemote's reusable per-RPC gather state: one
-// retained buffer pointer and one destination byte slice per block of
-// the run. Pooled so the cooperative fast path allocates nothing.
-type spanGather struct {
-	run  []*blockbuf.Buf
-	dsts [][]byte
+// dropFrom releases bufs[base:] and returns bufs cut back to base.
+func dropFrom(bufs []*blockbuf.Buf, base int) []*blockbuf.Buf {
+	for _, held := range bufs[base:] {
+		held.Release()
+	}
+	return bufs[:base]
 }
 
-// newSpanGather takes a recycled (or fresh) gather sized for at least
-// n blocks.
-func (e *Engine) newSpanGather(n int) *spanGather {
-	sg, _ := e.spans.Get().(*spanGather)
-	if sg == nil {
-		sg = &spanGather{}
+// claim registers one fetchOp for the run of up to limit blocks starting
+// at b that are neither cached nor in flight, making the caller the
+// one goroutine that fetches them. A nil op means b itself is taken.
+// Callers hold flightMu.
+func (e *Engine) claim(b blockdev.BlockID, limit int32, prefetch bool) (*fetchOp, int32) {
+	n := int32(0)
+	for nb := b; n < limit && e.inflight[nb] == nil && !e.cache.Contains(nb); nb = nb.Next() {
+		n++
 	}
-	if cap(sg.run) < n {
-		sg.run = make([]*blockbuf.Buf, n)
-		sg.dsts = make([][]byte, n)
+	if n == 0 {
+		return nil, 0
 	}
-	sg.run = sg.run[:cap(sg.run)]
-	sg.dsts = sg.dsts[:cap(sg.dsts)]
-	return sg
+	fo := e.newFetchOp(prefetch)
+	for k, nb := int32(0), b; k < n; k, nb = k+1, nb.Next() {
+		e.inflight[nb] = fo
+	}
+	return fo, n
 }
 
-// releaseSpanGather clears the first n entries (dropping the buffer
-// references for GC) and recycles the gather.
-func (e *Engine) releaseSpanGather(sg *spanGather, n int) {
-	for k := 0; k < n; k++ {
-		sg.run[k] = nil
-		sg.dsts[k] = nil
+// fill is the one body behind every fetch, demand or speculative: read
+// the claimed run [b, b+n) into fresh buffers appended to bufs, publish
+// them in the cache, record the outcome on fo, unregister the run and
+// wake the joiners. From the owner the run is one span RPC, and a run
+// no live owner (or replica) can serve degrades to the local store: a
+// dead owner costs latency, not availability. fromMemory reports the
+// owner answered every block from its memory.
+//
+// Each appended buffer carries one reference for the caller, on error
+// too; the cache holds its own.
+func (e *Engine) fill(bufs []*blockbuf.Buf, fo *fetchOp, b blockdev.BlockID, n int32, fromOwner bool) (_ []*blockbuf.Buf, fromMemory bool, err error) {
+	base := len(bufs)
+	for k := int32(0); k < n; k++ {
+		bufs = append(bufs, e.pool.Get())
 	}
-	e.spans.Put(sg)
+	run := bufs[base:]
+
+	served := false // the owner or its replica answered
+	if fromOwner {
+		dp, _ := e.dsts.Get().(*[][]byte)
+		if dp == nil {
+			dp = new([][]byte)
+		}
+		dsts := (*dp)[:0]
+		for _, buf := range run {
+			dsts = append(dsts, buf.Bytes())
+		}
+		fromMemory, served, err = e.remote.FetchSpan(b.File, b.Block, n, dsts)
+		clear(dsts) // drop the block references before pooling
+		*dp = dsts[:0]
+		e.dsts.Put(dp)
+	}
+	switch {
+	case !served:
+		if fromOwner {
+			e.m.remoteFallbacks.Add(1)
+		}
+		for k, nb := 0, b; k < len(run); k, nb = k+1, nb.Next() {
+			if err = e.store.ReadBlock(nb, run[k].Bytes()); err != nil {
+				break
+			}
+			e.m.storeReads.Add(1)
+		}
+	case err == nil:
+		e.m.remoteReads.Add(uint64(n))
+		if fromMemory {
+			e.m.remoteHits.Add(uint64(n))
+		} else {
+			e.m.remoteMisses.Add(uint64(n))
+		}
+	}
+	if err == nil {
+		for k, nb := 0, b; k < len(run); k, nb = k+1, nb.Next() {
+			e.cache.Put(nb, run[k].Retain(), fo.prefetch)
+		}
+	}
+	fo.err = err
+	e.flightMu.Lock()
+	for k, nb := 0, b; k < len(run); k, nb = k+1, nb.Next() {
+		delete(e.inflight, nb)
+	}
+	e.flightMu.Unlock()
+	fo.wg.Done()
+	e.releaseFetchOp(fo)
+	return bufs, served && fromMemory, err
+}
+
+// The three prefetch outcomes, each booked at exactly one site: the
+// counter and, on an adaptive engine, the file's degree controller
+// (static policies ignore feedback, so non-adaptive engines skip the
+// fileState lookup and stay on the historical hot path).
+
+// timely: a user request touched a speculative block that had already
+// arrived — a first read, or a write over it.
+func (e *Engine) timely(f blockdev.FileID) {
+	e.m.prefetchTimely.Add(1)
+	if e.adaptive {
+		e.fileState(f).degree.OnTimely()
+	}
+}
+
+// late: a demand read found the predictor's block still in flight.
+func (e *Engine) late(f blockdev.FileID) {
+	e.m.prefetchLate.Add(1)
+	if e.adaptive {
+		e.fileState(f).degree.OnLate()
+	}
+}
+
+// wasted: the cache evicted a speculative block nobody ever touched.
+// It is the cache's onWasted callback, fired outside the shard lock;
+// the victim's file is routinely not the file being inserted.
+func (e *Engine) wasted(f blockdev.FileID) {
+	e.m.prefetchWasted.Add(1)
+	if e.adaptive {
+		e.fileState(f).degree.OnWasted()
+	}
 }
 
 // newFetchOp takes a recycled (or fresh) fetchOp armed for one fetch:
@@ -647,78 +638,6 @@ func (e *Engine) releaseFetchOp(fo *fetchOp) {
 // flightMu held (so the registrant cannot complete-and-recycle the op
 // between the map lookup and the reference bump).
 func (fo *fetchOp) join() { fo.refs.Add(1) }
-
-// readBlockBuf fetches one block, consulting the cache, joining any
-// in-flight fetch, or reading the store into a pooled buffer. The
-// returned buffer carries one reference owned by the caller. hit
-// reports a pure cache hit (no waiting).
-func (e *Engine) readBlockBuf(b blockdev.BlockID) (buf *blockbuf.Buf, hit bool, err error) {
-	waited := false
-	for {
-		if buf, wasPrefetched, ok := e.cache.Get(b); ok {
-			// A first touch of a speculative block that was already
-			// resident is a timely prefetch; if we waited for its fetch
-			// to land, it was late and already counted.
-			if wasPrefetched && !waited {
-				e.m.prefetchTimely.Add(1)
-				if e.adaptive {
-					e.fileState(b.File).degree.OnTimely()
-				}
-			}
-			return buf, !waited, nil
-		}
-
-		e.flightMu.Lock()
-		if fo := e.inflight[b]; fo != nil {
-			fo.join()
-			e.flightMu.Unlock()
-			if fo.prefetch && !waited {
-				// The predictor chose this block, but its fetch is
-				// still in flight when the demand arrives: late.
-				e.m.prefetchLate.Add(1)
-				if e.adaptive {
-					e.fileState(b.File).degree.OnLate()
-				}
-			}
-			waited = true
-			fo.wg.Wait()
-			err := fo.err
-			e.releaseFetchOp(fo)
-			if err != nil {
-				return nil, false, err
-			}
-			continue // the block should be cached now; re-check
-		}
-		if e.cache.Contains(b) {
-			// Landed between our Get miss and taking flightMu.
-			e.flightMu.Unlock()
-			continue
-		}
-		fo := e.newFetchOp(false)
-		e.inflight[b] = fo
-		e.flightMu.Unlock()
-
-		buf := e.pool.Get()
-		err := e.store.ReadBlock(b, buf.Bytes())
-		e.m.storeReads.Add(1)
-		if err == nil {
-			// One reference transfers to the cache, one stays with the
-			// caller.
-			e.m.prefetchWasted.Add(uint64(e.cache.Put(b, buf.Retain(), false)))
-		}
-		fo.err = err
-		e.flightMu.Lock()
-		delete(e.inflight, b)
-		e.flightMu.Unlock()
-		fo.wg.Done()
-		e.releaseFetchOp(fo)
-		if err != nil {
-			buf.Release()
-			return nil, false, err
-		}
-		return buf, false, nil
-	}
-}
 
 // Write persists nblocks blocks starting at off and installs them in
 // the cache as demand fills. A nil data writes each block's
@@ -754,7 +673,7 @@ func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, d
 			}
 			e.m.forwardedWrites.Add(1)
 			e.m.writes.Add(1)
-			e.installSpan(f, off, nblocks, data, false) //nolint:errcheck // cache-only install cannot fail
+			e.installSpan(f, off, nblocks, data, m, false) //nolint:errcheck // cache-only install cannot fail
 			return replicated, nil
 		}
 		e.m.remoteFallbacks.Add(1)
@@ -762,7 +681,7 @@ func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, d
 	if m == modePeer {
 		e.m.peerWrites.Add(1)
 	}
-	if err := e.installSpan(f, off, nblocks, data, true); err != nil {
+	if err := e.installSpan(f, off, nblocks, data, m, true); err != nil {
 		return false, err
 	}
 	if m == modeReplica {
@@ -811,8 +730,11 @@ func (e *Engine) RepairInstall(f blockdev.FileID, off blockdev.BlockNo, srcs [][
 // cache, writing each through to the store first when toStore is set.
 // Without it the copies are cache-only: the write-through image of
 // blocks whose authoritative write landed on the owner, so this node's
-// next reads of them are local hits rather than forwards.
-func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, toStore bool) error {
+// next reads of them are local hits rather than forwards. A client's
+// or peer's write over a still-flagged speculative block is that
+// block's first user touch — timely, as in the simulator's write path;
+// a replica install is not a user access and books nothing.
+func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, m reqMode, toStore bool) error {
 	for i := int32(0); i < nblocks; i++ {
 		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
 		buf := e.pool.Get()
@@ -829,7 +751,9 @@ func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks in
 			e.m.storeWrites.Add(1)
 		}
 		// The cache takes the reference.
-		e.m.prefetchWasted.Add(uint64(e.cache.Put(b, buf, false)))
+		if e.cache.Put(b, buf, false) && m != modeReplica {
+			e.timely(f)
+		}
 	}
 	return nil
 }
@@ -972,7 +896,6 @@ func (e *Engine) DegreeStats() (agg core.AdaptiveStats, adaptive bool) {
 		agg.Timely += s.Timely
 		agg.Late += s.Late
 		agg.Wasted += s.Wasted
-		agg.Unused += s.Unused
 	}
 	return agg, true
 }
@@ -995,9 +918,11 @@ func (e *Engine) CachedBlockIDs() []blockdev.BlockID {
 // ReadBlockLocal copies block b into dst from the local cache or — if
 // it was evicted since the caller snapshotted CachedBlockIDs — the
 // local backing store. Strictly local, no driver feed: the handoff
-// path moves bytes, it is not part of any file's access stream.
+// path moves bytes, it is not part of any file's access stream — so
+// the cached copy is peeked, leaving its recency and its speculative
+// flag (hence its eventual timely/wasted/unused fate) as they were.
 func (e *Engine) ReadBlockLocal(b blockdev.BlockID, dst []byte) error {
-	if buf, _, ok := e.cache.Get(b); ok {
+	if buf, ok := e.cache.Peek(b); ok {
 		copy(dst, buf.Bytes())
 		buf.Release()
 		return nil
@@ -1035,8 +960,11 @@ func (e *Engine) worker() {
 }
 
 // runPrefetch dispatches one speculative fetch: cancellation check,
-// singleflight dedup against demand misses and other prefetches, store
-// read, cache install, completion callback.
+// then the demand path's claim → fill with the speculative flag set —
+// except that a prefetch never waits: a block already cached or being
+// produced by someone else (a demand miss, an earlier prefetch) is
+// skipped. Either way the driver's completion callback fires under the
+// file's mutex, decrementing outstanding and pumping the chain.
 func (e *Engine) runPrefetch(op prefetchOp) {
 	op.fl.mu.Lock()
 	cancelled := op.cancelled()
@@ -1050,40 +978,17 @@ func (e *Engine) runPrefetch(op prefetchOp) {
 	}
 
 	e.flightMu.Lock()
-	if e.cache.Contains(op.b) || e.inflight[op.b] != nil {
-		// Someone else — a demand miss or an earlier prefetch — is
-		// already producing this block (singleflight).
-		e.flightMu.Unlock()
+	fo, _ := e.claim(op.b, 1, true)
+	e.flightMu.Unlock()
+	if fo == nil {
 		e.m.prefetchDupSkip.Add(1)
-		e.complete(op)
-		return
-	}
-	fo := e.newFetchOp(true)
-	e.inflight[op.b] = fo
-	e.flightMu.Unlock()
-
-	buf := e.pool.Get()
-	err := e.store.ReadBlock(op.b, buf.Bytes())
-	e.m.storeReads.Add(1)
-	if err == nil {
-		// The cache takes the worker's only reference.
-		e.m.prefetchWasted.Add(uint64(e.cache.Put(op.b, buf, true)))
 	} else {
-		buf.Release()
+		// A failed speculative read is nobody's error but its joiners'.
+		var one [1]*blockbuf.Buf
+		run, _, _ := e.fill(one[:0], fo, op.b, 1, false)
+		run[0].Release()
+		e.m.prefetchCompleted.Add(1)
 	}
-	fo.err = err
-	e.flightMu.Lock()
-	delete(e.inflight, op.b)
-	e.flightMu.Unlock()
-	fo.wg.Done()
-	e.releaseFetchOp(fo)
-	e.m.prefetchCompleted.Add(1)
-	e.complete(op)
-}
-
-// complete fires a prefetch operation's driver callback under its
-// file's mutex; the driver decrements outstanding and pumps the chain.
-func (e *Engine) complete(op prefetchOp) {
 	op.fl.mu.Lock()
 	op.done()
 	op.fl.mu.Unlock()

@@ -3,6 +3,7 @@ package lapcache
 import (
 	"bytes"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,11 +13,14 @@ import (
 
 // gateStore wraps a BackingStore and blocks reads of blocks at or
 // beyond gateFrom until released, signalling each blocked entry. It
-// lets tests freeze prefetch traffic at a known point.
+// lets tests freeze prefetch traffic at a known point. It counts every
+// read attempt, and fails them all once failWith is set.
 type gateStore struct {
 	inner    BackingStore
 	gateFrom blockdev.BlockNo
 	started  chan blockdev.BlockID
+	calls    atomic.Int32
+	failWith atomic.Pointer[error]
 
 	mu       sync.Mutex
 	released bool
@@ -42,12 +46,16 @@ func (g *gateStore) Release() {
 }
 
 func (g *gateStore) ReadBlock(b blockdev.BlockID, buf []byte) error {
+	g.calls.Add(1)
 	if b.Block >= g.gateFrom {
 		select {
 		case g.started <- b:
 		default:
 		}
 		<-g.release
+	}
+	if err := g.failWith.Load(); err != nil {
+		return *err
 	}
 	return g.inner.ReadBlock(b, buf)
 }
@@ -176,64 +184,6 @@ func TestPrefetchTimely(t *testing.T) {
 	}
 }
 
-// TestPrefetchLate freezes the prefetch of block 1 inside the store,
-// then issues the demand read for it: the demand must join the
-// in-flight fetch and be counted late, not timely.
-func TestPrefetchLate(t *testing.T) {
-	gs := newGateStore(NewMemStore(512, 0), 1)
-	e := newTestEngine(t, Config{
-		Alg:        core.SpecLnAgrOBA,
-		BlockSize:  512,
-		Store:      gs,
-		Workers:    1,
-		FileBlocks: map[blockdev.FileID]blockdev.BlockNo{1: 16},
-	})
-	if _, _, err := readCopy(e, 1, 0, 1); err != nil {
-		t.Fatalf("read: %v", err)
-	}
-	<-gs.started // the prefetch of block 1 is now stuck in the store
-
-	done := make(chan error, 1)
-	go func() {
-		_, _, err := readCopy(e, 1, 1, 1)
-		done <- err
-	}()
-	waitFor(t, "late classification", func() bool { return e.Snapshot().PrefetchLate == 1 })
-	gs.Release()
-	if err := <-done; err != nil {
-		t.Fatalf("late read: %v", err)
-	}
-	snap := e.Snapshot()
-	if snap.PrefetchLate != 1 {
-		t.Errorf("late = %d, want 1: %s", snap.PrefetchLate, snap)
-	}
-	if snap.PrefetchTimely != 0 {
-		t.Errorf("late block also counted timely: %s", snap)
-	}
-	// The waiting demand joined the in-flight prefetch: block 1 went
-	// through the store exactly once (singleflight), even though both
-	// a prefetch and a demand wanted it.
-	waitFor(t, "prefetch quiescence", func() bool {
-		s := e.Snapshot()
-		return s.PrefetchCompleted+s.PrefetchCancelled+s.PrefetchDupSkipped >= s.PrefetchIssued
-	})
-	block1Reads := 1 // the signal consumed by <-gs.started above
-	for {
-		select {
-		case b := <-gs.started:
-			if b.Block == 1 {
-				block1Reads++
-			}
-			continue
-		default:
-		}
-		break
-	}
-	if block1Reads != 1 {
-		t.Errorf("block 1 read from store %d times, want 1 (singleflight)", block1Reads)
-	}
-}
-
 // TestBackpressureDrops saturates a 1-slot queue with a frozen worker:
 // the unthrottled aggressive driver must get refusals, counted as
 // drops, instead of blocking or growing the queue without bound.
@@ -258,29 +208,40 @@ func TestBackpressureDrops(t *testing.T) {
 	waitFor(t, "a dropped prefetch", func() bool { return e.Snapshot().PrefetchDropped >= 1 })
 }
 
-// TestSingleflightDemand sends two concurrent demand reads of one
-// uncached block through a frozen store: exactly one store read must
-// happen.
-func TestSingleflightDemand(t *testing.T) {
-	gs := newGateStore(NewMemStore(512, 0), 0) // gate everything
-	e := newTestEngine(t, Config{Alg: core.SpecNP, BlockSize: 512, Store: gs})
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := readCopy(e, 5, 9, 1); err != nil {
-				t.Errorf("read: %v", err)
-			}
-		}()
+// TestReadBlockLocalIsNotAnAccess: the handoff sweep's reader moves
+// bytes on nobody's behalf, so it must not decide a prefetch's fate —
+// a still-untouched speculative block stays flagged (unused, and
+// timely on its real first touch) — and must still fall back to the
+// store for a block evicted since the sweep's snapshot.
+func TestReadBlockLocalIsNotAnAccess(t *testing.T) {
+	e := newTestEngine(t, Config{Alg: core.SpecNP})
+	e.Preload(1, 0, 4, true)
+	dst, want := make([]byte, e.BlockSize()), make([]byte, e.BlockSize())
+	for _, b := range e.CachedBlockIDs() {
+		if err := e.ReadBlockLocal(b, dst); err != nil {
+			t.Fatalf("ReadBlockLocal(%v): %v", b, err)
+		}
+		FillPattern(b, want)
+		if !bytes.Equal(dst, want) {
+			t.Errorf("ReadBlockLocal(%v): wrong bytes", b)
+		}
 	}
-	<-gs.started // one reader is inside the store
-	// Give the second goroutine a moment to join the in-flight op.
-	time.Sleep(10 * time.Millisecond)
-	gs.Release()
-	wg.Wait()
-	if snap := e.Snapshot(); snap.StoreReads != 1 {
-		t.Errorf("store reads = %d, want 1 (singleflight): %s", snap.StoreReads, snap)
+	if s := e.Snapshot(); s.PrefetchUnused != 4 || s.PrefetchTimely != 0 {
+		t.Errorf("after the sweep: unused=%d timely=%d, want 4/0", s.PrefetchUnused, s.PrefetchTimely)
+	}
+	if _, _, err := readCopy(e, 1, 0, 4); err != nil {
+		t.Fatal(err)
+	}
+	if s := e.Snapshot(); s.PrefetchUnused != 0 || s.PrefetchTimely != 4 {
+		t.Errorf("after the first touch: unused=%d timely=%d, want 0/4", s.PrefetchUnused, s.PrefetchTimely)
+	}
+	uncached := blockdev.BlockID{File: 1, Block: 99}
+	if err := e.ReadBlockLocal(uncached, dst); err != nil {
+		t.Fatalf("ReadBlockLocal of an uncached block: %v", err)
+	}
+	FillPattern(uncached, want)
+	if !bytes.Equal(dst, want) {
+		t.Error("ReadBlockLocal of an uncached block did not read the store")
 	}
 }
 

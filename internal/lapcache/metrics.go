@@ -72,7 +72,10 @@ type Snapshot struct {
 	// in the cache at snapshot time.
 	PrefetchUnused uint64 `json:"prefetch_unused"`
 
-	// Backing store traffic.
+	// Backing store traffic: blocks successfully read (demand fills,
+	// prefetches and owner-unreachable fallbacks alike, counted at the
+	// one fill site) and successfully written; a failed call counts
+	// nothing.
 	StoreReads  uint64 `json:"store_reads"`
 	StoreWrites uint64 `json:"store_writes"`
 
