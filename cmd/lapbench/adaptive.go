@@ -32,10 +32,7 @@ import (
 //     clamps the window back to 1. Strict linear never enters that
 //     cycle and should win here, which is the paper's argument for the
 //     linear throttle on small caches.
-//
-// benchOut emits go-bench result lines (consumed by cmd/benchfmt into
-// BENCH_adaptive.json) instead of the human table.
-func runAdaptive(seed uint64, benchOut bool) error {
+func runAdaptive(seed uint64) error {
 	workloads := []abWorkload{deepSeqWorkload(seed), coldTailWorkload(seed)}
 	algs := []core.AlgSpec{core.SpecLnAgrISPPM1, core.SpecAdAgrISPPM1}
 
@@ -48,15 +45,6 @@ func runAdaptive(seed uint64, benchOut bool) error {
 			}
 			rows = append(rows, res)
 		}
-	}
-
-	if benchOut {
-		for _, r := range rows {
-			fmt.Printf("BenchmarkAdaptiveAB/%s/%s %d %.0f ns/op %d p50-ns %d p99-ns %d degree %.1f accuracy-%% %.1f hit-%%\n",
-				r.workload, r.alg, r.reads, r.nsPerRead, r.p50.Nanoseconds(), r.p99.Nanoseconds(),
-				r.maxDegree, 100*r.accuracy, 100*r.hitRatio)
-		}
-		return checkAB(rows)
 	}
 
 	fmt.Printf("adaptive A/B: %s vs %s, same engine, same store, same stream\n\n",
@@ -129,12 +117,10 @@ type abResult struct {
 	workload  string
 	alg       string
 	reads     int
-	nsPerRead float64
 	hitRatio  float64
 	p50, p99  time.Duration
 	elapsed   time.Duration
 	maxDegree int
-	accuracy  float64
 	widens    uint64
 	clamps    uint64
 	wasted    uint64
@@ -271,7 +257,6 @@ func runABConfig(wl abWorkload, alg core.AlgSpec) (abResult, error) {
 		linViol:  s.LinearViolations,
 	}
 	if len(lats) > 0 {
-		res.nsPerRead = float64(elapsed.Nanoseconds()) / float64(len(lats))
 		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
 		res.p50 = lats[len(lats)/2]
 		res.p99 = lats[len(lats)*99/100]
@@ -281,14 +266,10 @@ func runABConfig(wl abWorkload, alg core.AlgSpec) (abResult, error) {
 	}
 	if agg, adaptive := e.DegreeStats(); adaptive {
 		res.maxDegree = agg.Degree
-		res.accuracy = agg.Accuracy()
 		res.widens = agg.Widens
 		res.clamps = agg.Clamps
 	} else {
 		res.maxDegree = alg.DegreeCap()
-		if fb := s.PrefetchTimely + s.PrefetchLate + s.PrefetchWasted + s.PrefetchUnused; fb > 0 {
-			res.accuracy = float64(s.PrefetchTimely+s.PrefetchLate) / float64(fb)
-		}
 	}
 
 	// Both sides ride the same ledger the cluster audits: the high-water

@@ -14,7 +14,7 @@ func TestAdaptiveAB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-second live-engine A/B")
 	}
-	if err := runAdaptive(1, true); err != nil {
+	if err := runAdaptive(1); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -3,11 +3,12 @@
 //
 // Usage:
 //
-//	lapbench [-exp all|table1|fig4..fig11|table2|claims|report|ablations|cluster|churn|chaos|load|adaptive|hotpath|predictors] [-scale full|small|tiny] [-workers N] [-v]
+//	lapbench [-exp all|table1|fig4..fig11|table2|claims|report|ablations|churn|chaos|adaptive|predictors] [-scale full|small|tiny] [-workers N] [-v]
 //
 // Results print as aligned text tables, one per artifact. The full
 // scale regenerates everything EXPERIMENTS.md records and takes a few
-// minutes; small and tiny are for quick looks.
+// minutes; small and tiny are for quick looks. Performance numbers
+// come from `bash bench/run.sh`, not from here.
 package main
 
 import (
@@ -20,16 +21,14 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "artifact to run: all, table1, fig4..fig11, table2, claims, report, ablations, cluster, churn, chaos, load, adaptive, hotpath, predictors")
+	exp := flag.String("exp", "all", "artifact to run: all, table1, fig4..fig11, table2, claims, report, ablations, churn, chaos, adaptive, predictors")
 	scaleName := flag.String("scale", "full", "experiment scale: full, small, tiny")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print per-cell diagnostics for the artifact's matrix")
 	format := flag.String("format", "text", "output format for a single figure: text, csv, json")
-	seed := flag.Uint64("seed", 1, "fault-plan and workload seed for -exp chaos and -exp load")
+	seed := flag.Uint64("seed", 1, "fault-plan seed for -exp chaos; file-order seed for -exp adaptive")
 	churn := flag.Bool("churn", true, "for -exp chaos: dynamic membership with R=2 replication, gossip faults, and a mid-replay node kill + rejoin")
-	adaptive := flag.Bool("adaptive", false, "for -exp cluster: run the AdaptiveFDP degree policy instead of strict linear")
 	adaptiveVictim := flag.Bool("adaptive-victim", false, "for -exp chaos: run the AdaptiveFDP degree policy on the seed-chosen victim node (strict elsewhere)")
-	benchOut := flag.Bool("bench", false, "for -exp adaptive, -exp hotpath and -exp predictors: emit go-bench result lines for benchfmt instead of the table")
 	flag.Parse()
 
 	var scale experiment.Scale
@@ -63,28 +62,18 @@ func main() {
 		rep, err := report.Build(suite)
 		exitOn(err)
 		fmt.Print(rep.Render())
-	case "cluster":
-		exitOn(runClusterDemo(scale, *adaptive))
 	case "adaptive":
 		// The adaptive-vs-linear A/B runs live engines on its own two
 		// synthetic workloads; -scale does not apply.
-		exitOn(runAdaptive(*seed, *benchOut))
+		exitOn(runAdaptive(*seed))
 	case "churn":
 		// The kill/join/heal walkthrough runs its own fixed-size fleet.
 		exitOn(runChurnDemo())
-	case "load":
-		// The open-loop harness sizes itself from -load-rates and
-		// -load-dur, not -scale.
-		exitOn(runLoad(*seed))
 	case "predictors":
 		// The predictor × workload matrix runs at the scale's smallest
 		// cache; win-ratio checks only hold at -scale full, where the
 		// workload footprints overflow the caches.
-		exitOn(runPredictors(scale, *workers, *benchOut))
-	case "hotpath":
-		// The wire hot-path cells size themselves from -hotpath-conns
-		// and -hotpath-dur, not -scale.
-		exitOn(runHotpath(*benchOut))
+		exitOn(runPredictors(scale, *workers))
 	case "chaos":
 		// Chaos runs at the tiny scale regardless of -scale: the point
 		// is fault density, not workload volume.

@@ -89,10 +89,8 @@ func deepSeqTrace(nodes int, blockSize int64) *workload.Trace {
 // CHARISMA plus deepseq, CDN and OLTP — at the scale's smallest cache
 // (the paper's small-cache regime, and the only regime where re-fetch
 // pressure exists at all), prints the which-predictor-for-which-
-// workload report, and enforces its headline claims. benchOut emits
-// go-bench result lines (consumed by cmd/benchfmt into
-// BENCH_predictors.json) instead of the table.
-func runPredictors(s experiment.Scale, workers int, benchOut bool) error {
+// workload report, and enforces its headline claims.
+func runPredictors(s experiment.Scale, workers int) error {
 	cacheMB := s.CacheSizesMB[0]
 	algs := predAlgs()
 
@@ -175,19 +173,6 @@ func runPredictors(s experiment.Scale, workers int, benchOut bool) error {
 	// the workload footprints fit in cache, so the association
 	// predictors have no re-fetch traffic to predict.
 	enforce := s.Name == "full"
-
-	if benchOut {
-		for _, c := range cells {
-			r := c.res
-			fmt.Printf("BenchmarkPredictors/%s/%s %d %.0f ns/op %.1f hit-%% %d timely %d late %d wasted %.0f pf-B/hit\n",
-				c.workload, c.alg.Name(), r.Reads, r.AvgReadMs*1e6, 100*r.HitRatio,
-				r.PrefetchTimely, r.PrefetchLate, r.PrefetchWasted, pfBytesPerHit(r))
-		}
-		if !enforce {
-			return nil
-		}
-		return checkPredictors(cells)
-	}
 
 	fmt.Printf("predictor × workload matrix: PAFS, %dMB per-node cache, scale %s\n", cacheMB, s.Name)
 	fmt.Printf("(avg read time is the paper's figure of merit; pf-B/hit is bytes prefetched per timely hit)\n\n")

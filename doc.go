@@ -14,8 +14,12 @@
 // figure and table (internal/experiment).
 //
 // See README.md for a tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the paper-versus-measured record. The benchmarks
-// in bench_test.go regenerate each figure and table:
+// EXPERIMENTS.md for the paper-versus-measured record. cmd/lapbench
+// regenerates each figure and table:
 //
-//	go test -bench=Fig4 -benchtime=1x .
+//	go run ./cmd/lapbench -scale small -exp fig4
+//
+// Performance is measured by the benchmark in bench/ (its own module):
+//
+//	bash bench/run.sh -workload hit_fanin
 package repro

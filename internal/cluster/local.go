@@ -44,12 +44,12 @@ type StartLocalOpts struct {
 
 // StartLocal boots an n-node cooperative cluster inside this process,
 // every node listening on its own loopback port and peered with the
-// others — the harness behind the cluster suite, BenchmarkClusterRead
-// and the lapbench cluster demo. mkcfg builds node i's engine config given
-// the full member address list (Remote is filled in by the harness; a
-// Store must be provided). The returned stop function tears everything
-// down in reverse order and is safe to call after a partial failure
-// path has already cleaned up.
+// others — the harness behind the cluster suite, the chaos replay and
+// the benchmark's coop_mixed workload. mkcfg builds node i's engine
+// config given the full member address list (Remote is filled in by
+// the harness; a Store must be provided). The returned stop function
+// tears everything down in reverse order and is safe to call after a
+// partial failure path has already cleaned up.
 //
 // Listeners are bound first so that every address is known before any
 // ring is built; then nodes, engines and servers come up, and finally

@@ -11,12 +11,14 @@ import (
 type AblationSpec struct {
 	Study   string // e.g. "linearity"
 	Variant string // e.g. "linear1"
-	Alg     core.AlgSpec
+	Cell    Cell
 }
 
 // Ablations enumerates the design-choice studies DESIGN.md calls out.
-// All run as Ln_Agr_IS_PPM:1 variants on CHARISMA/PAFS at 4 MB per
-// node unless the study itself varies those parameters. The unlimited
+// The algorithm studies run Ln_Agr_IS_PPM:1 variants on CHARISMA/PAFS
+// at 4 MB per node; the cooperation study varies xFS's N-chance
+// forwarding under the unmodified algorithm on Sprite at 1 MB per
+// node, where eviction pressure makes forwarding matter. The unlimited
 // variant belongs at the tiny scale only (its cache churn — the very
 // behaviour the paper's throttle exists to prevent — makes it
 // explosively expensive at larger scales).
@@ -24,7 +26,8 @@ func Ablations() []AblationSpec {
 	base := core.SpecLnAgrISPPM1
 	var out []AblationSpec
 	add := func(study, variant string, alg core.AlgSpec) {
-		out = append(out, AblationSpec{Study: study, Variant: variant, Alg: alg})
+		out = append(out, AblationSpec{Study: study, Variant: variant,
+			Cell: Cell{FS: PAFS, Workload: Charisma, Alg: alg, CacheMB: 4}})
 	}
 	add("linearity", "linear1", base)
 	k4 := base
@@ -63,20 +66,31 @@ func Ablations() []AblationSpec {
 	bp := base
 	bp.Kind = core.AlgBlockPPM
 	add("modelling", "blockPPM", bp)
+
+	// What cooperation buys: -1 disables singlet forwarding entirely
+	// (every node for itself), 2 is xFS's default.
+	for _, c := range []struct {
+		variant string
+		recirc  int
+	}{{"noForwarding", -1}, {"nChance1", 1}, {"nChance2", 2}, {"nChance4", 4}} {
+		out = append(out, AblationSpec{Study: "cooperation", Variant: c.variant,
+			Cell: Cell{FS: XFS, Workload: Sprite, Alg: base, CacheMB: 1, Recirculations: c.recirc}})
+	}
 	return out
 }
 
-// RunAblations executes every ablation cell at the given scale
-// (CHARISMA on PAFS, 4 MB per node) and renders a comparison table.
+// RunAblations executes every ablation cell at the given scale and
+// renders a comparison table.
 func RunAblations(s Scale) (string, error) {
 	var b strings.Builder
 	b.WriteString("Design-choice ablations, CHARISMA on PAFS @ 4MB/node\n")
+	b.WriteString("(cooperation: Sprite on xFS @ 1MB/node)\n")
 	fmt.Fprintf(&b, "(scale %s)\n\n", s.Name)
 	fmt.Fprintf(&b, "%-12s %-14s %-28s %10s %10s %12s\n",
 		"study", "variant", "algorithm", "read(ms)", "mispred%", "disk ops")
 	lastStudy := ""
 	for _, ab := range Ablations() {
-		res, err := RunCell(s, Cell{FS: PAFS, Workload: Charisma, Alg: ab.Alg, CacheMB: 4})
+		res, err := RunCell(s, ab.Cell)
 		if err != nil {
 			return "", fmt.Errorf("%s/%s: %w", ab.Study, ab.Variant, err)
 		}
@@ -85,7 +99,7 @@ func RunAblations(s Scale) (string, error) {
 		}
 		lastStudy = ab.Study
 		fmt.Fprintf(&b, "%-12s %-14s %-28s %10.3f %10.1f %12d\n",
-			ab.Study, ab.Variant, ab.Alg.Name(),
+			ab.Study, ab.Variant, ab.Cell.Alg.Name(),
 			res.AvgReadMs, 100*res.MispredictionRatio, res.DiskAccesses)
 	}
 	return b.String(), nil

@@ -19,7 +19,7 @@ func TestAblationsEnumeration(t *testing.T) {
 	}
 	want := map[string]int{
 		"linearity": 4, "linkPolicy": 2, "order": 4,
-		"priority": 2, "fallback": 2, "modelling": 2,
+		"priority": 2, "fallback": 2, "modelling": 2, "cooperation": 4,
 	}
 	for study, n := range want {
 		if studies[study] != n {
@@ -32,9 +32,9 @@ func TestAblationBaselineIsPaperConfig(t *testing.T) {
 	for _, ab := range Ablations() {
 		switch ab.Variant {
 		case "linear1", "mostRecent", "order1", "lowPriority", "withFallback", "intervalSize":
-			if ab.Alg.Name() != "Ln_Agr_IS_PPM:1" {
+			if ab.Cell.Alg.Name() != "Ln_Agr_IS_PPM:1" {
 				t.Errorf("%s/%s baseline is %s, want Ln_Agr_IS_PPM:1",
-					ab.Study, ab.Variant, ab.Alg.Name())
+					ab.Study, ab.Variant, ab.Cell.Alg.Name())
 			}
 		}
 	}
@@ -51,6 +51,7 @@ func TestRunAblationsRenders(t *testing.T) {
 	for _, want := range []string{
 		"linearity", "unlimited", "mostProbable", "order4",
 		"userPriority", "noFallback", "blockPPM", "read(ms)",
+		"cooperation", "noForwarding", "nChance4",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("ablation table missing %q", want)

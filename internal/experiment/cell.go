@@ -68,7 +68,7 @@ type Cell struct {
 	// Recirculations overrides xFS's N-chance forwarding count
 	// (0 keeps the default of 2, negative disables forwarding — the
 	// no-cooperation baseline); ignored for PAFS. Used by the
-	// cooperative-caching ablation bench.
+	// cooperation ablation study.
 	Recirculations int
 }
 

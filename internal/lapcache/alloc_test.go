@@ -1,0 +1,62 @@
+//go:build !race
+
+package lapcache
+
+import (
+	"testing"
+
+	"repro/internal/blockbuf"
+	"repro/internal/blockdev"
+	"repro/internal/core"
+)
+
+// TestReadIntoAllocs gates the engine's three demand-read paths at
+// zero allocations per read: a plain cache hit, a miss through the
+// backing store, and the first touch of a prefetched block (hit plus
+// timely classification). The race detector instruments allocation,
+// so the gate runs under plain `go test` only.
+func TestReadIntoAllocs(t *testing.T) {
+	const runs = 1000
+	cases := []struct {
+		name        string
+		cacheBlocks int
+		preload     int32 // blocks of file 1 staged before the runs
+		flagged     bool  // staged as prefetched-and-untouched
+		stride      bool  // read a new block every run
+		wantHit     bool
+	}{
+		{"hit", 64, 1, false, false, true},
+		// A 1-block cache and a striding scan: every read misses and
+		// goes to the (zero-latency) store.
+		{"miss", 1, 0, false, true, false},
+		// Twice the staged span: shard hashing is not perfectly even.
+		{"prefetchedHit", 4 * runs, 2 * runs, true, true, true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newTestEngine(t, Config{Alg: core.SpecNP, BlockSize: 8192, CacheBlocks: tc.cacheBlocks})
+			e.Preload(1, 0, tc.preload, tc.flagged)
+			timely := e.Snapshot().PrefetchTimely
+			var bufs []*blockbuf.Buf
+			off := blockdev.BlockNo(0)
+			allocs := testing.AllocsPerRun(runs, func() {
+				var hit bool
+				var err error
+				bufs, hit, err = e.ReadInto(bufs[:0], 1, off, 1)
+				if err != nil || hit != tc.wantHit {
+					t.Fatalf("block %d: hit=%v err=%v", off, hit, err)
+				}
+				bufs[0].Release()
+				if tc.stride {
+					off++
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%v allocs per read, want 0", allocs)
+			}
+			if got := e.Snapshot().PrefetchTimely - timely; tc.flagged && got != uint64(off) {
+				t.Errorf("%d of %d first touches booked timely", got, off)
+			}
+		})
+	}
+}

@@ -4,10 +4,10 @@
 // with the simulator's workloads — each traced process runs the
 // closed loop (think, request, wait) the paper models.
 //
-// Both Conn and Pool expose the same two exchanges, Do and DoAsync,
-// which take the request as a wire.Header: the (Op, Flags) pair is the
-// whole request surface, so a peer forward or a replica install is a
-// flag the caller sets, not another method.
+// Both Conn and Pool expose the same one exchange, Do, which takes the
+// request as a wire.Header: the (Op, Flags) pair is the whole request
+// surface, so a peer forward or a replica install is a flag the caller
+// sets, not another method.
 package lapclient
 
 import (
@@ -30,8 +30,8 @@ type PingInfo struct {
 // faults. nil means no interposition.
 type ConnWrap func(net.Conn) net.Conn
 
-// Exchanger runs one synchronous request/response exchange; Conn and
-// Pool both do.
+// Exchanger runs one request/response exchange; Conn and Pool both
+// do.
 type Exchanger interface {
 	Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []byte, error)
 }

@@ -22,6 +22,14 @@ import (
 // returns its address.
 func startServer(t *testing.T, cfg lapcache.Config) string {
 	t.Helper()
+	_, _, addr := startServerEngine(t, cfg)
+	return addr
+}
+
+// startServerEngine is startServer for tests that audit the server
+// side afterwards. The cleanup is idempotent with an in-test teardown.
+func startServerEngine(t *testing.T, cfg lapcache.Config) (*lapcache.Engine, *lapcache.Server, string) {
+	t.Helper()
 	if cfg.Store == nil {
 		cfg.Store = lapcache.NewMemStore(cfg.BlockSize, 0)
 	}
@@ -39,7 +47,7 @@ func startServer(t *testing.T, cfg lapcache.Config) string {
 		srv.Close()
 		e.Shutdown()
 	})
-	return ln.Addr().String()
+	return e, srv, ln.Addr().String()
 }
 
 // read runs one read exchange on a Conn or a Pool; data is nil unless

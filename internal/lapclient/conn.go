@@ -14,23 +14,11 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrDeadline reports an async request whose per-request deadline
-// expired before the response frame arrived. The request is still on
-// the wire — its in-flight window slot is held until the response (or
-// the connection's death) retires it — so a deadline is a latency
-// verdict, not a cancellation.
+// ErrDeadline reports a call whose response frame had not arrived
+// when the connection's call timeout (SetCallTimeout) expired. The
+// connection is severed with it, so every call then in flight fails
+// with an error wrapping ErrDeadline.
 var ErrDeadline = errors.New("lapclient: request deadline exceeded")
-
-// notSentError marks an async failure that happened before the
-// request reached the wire: the connection died while the call was
-// queued for a window slot, or the frame write itself failed. The
-// server never saw a complete frame, so a pool may re-issue the
-// request on another connection without spending its mid-flight retry
-// budget — the request consumed no wire resources.
-type notSentError struct{ err error }
-
-func (e *notSentError) Error() string { return e.err.Error() }
-func (e *notSentError) Unwrap() error { return e.err }
 
 // ServerError is an error frame from the server: the request was
 // delivered and the server refused it. Every other failure mode —
@@ -64,7 +52,7 @@ type Conn struct {
 	seq    atomic.Uint32
 	window chan struct{} // in-flight slots
 
-	callTimeout atomic.Int64 // max sync-call wait in ns; 0 = unbounded
+	callTimeout atomic.Int64 // max call wait in ns; 0 = unbounded
 
 	pmu     sync.Mutex
 	pending map[uint32]*pendingCall
@@ -72,44 +60,29 @@ type Conn struct {
 	dead    chan struct{} // closed when the reader goroutine exits
 }
 
-// pendingCall is one in-flight request awaiting its response frame.
-// When dsts is non-nil and the response is a successful read whose
-// payload length matches, the reader lands the payload directly into
-// the caller's buffers — the zero-copy half of peer forwarding: block
-// bytes go socket → blockbuf with no intermediate allocation.
-//
-// Synchronous callers wait on ch. Asynchronous callers (the open-loop
-// load path) set cb instead: the reader goroutine invokes it on
-// completion, and an optional deadline timer may invoke it early with
-// ErrDeadline — done arbitrates so exactly one of them fires the
-// callback. The in-flight window slot of a cb call is released only
-// when the call leaves the pending map (response delivered or the
-// connection failed), never by the deadline: a timed-out request is
-// still occupying the wire.
+// pendingCall is one in-flight request awaiting its response frame;
+// the caller waits on ch. When dsts is non-nil and the response is a
+// successful read whose payload length matches, the reader lands the
+// payload directly into the caller's buffers — the zero-copy half of
+// peer forwarding: block bytes go socket → blockbuf with no
+// intermediate allocation.
 type pendingCall struct {
 	ch   chan response
-	err  error // set by deliver before the ch send (sync calls)
+	err  error // set by deliver before the ch send
 	dsts [][]byte
 
-	cb    func(wire.Header, []byte, error)
-	timer *time.Timer
-	done  atomic.Bool
-
-	// tmr is the reusable synchronous call-timeout timer; it travels
-	// with the call record through the pool, so a timed call costs no
-	// timer allocation in steady state.
+	// tmr is the reusable call-timeout timer; it travels with the call
+	// record through the pool, so a timed call costs no timer
+	// allocation in steady state.
 	tmr *time.Timer
 }
 
-// callPool recycles synchronous call records — the pendingCall, its
-// buffered response channel and its timeout timer — across calls and
+// callPool recycles call records — the pendingCall, its buffered
+// response channel and its timeout timer — across calls and
 // connections: the last per-request allocations on the hot read path.
-// Async calls (cb set) are never pooled: a deadline AfterFunc that
-// fires after delivery must find the call it armed, not a recycled
-// one.
 var callPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan response, 1)} }}
 
-// getCall takes a recycled call record for a synchronous exchange.
+// getCall takes a recycled call record for one exchange.
 func getCall(dsts [][]byte) *pendingCall {
 	call := callPool.Get().(*pendingCall)
 	call.err = nil
@@ -117,9 +90,9 @@ func getCall(dsts [][]byte) *pendingCall {
 	return call
 }
 
-// putCall recycles a synchronous call record. The caller must have
-// consumed the channel's delivery (or know none happened): a stale
-// buffered response would corrupt the next exchange.
+// putCall recycles a call record. The caller must have consumed the
+// channel's delivery (or know none happened): a stale buffered
+// response would corrupt the next exchange.
 func putCall(call *pendingCall) {
 	call.dsts = nil
 	callPool.Put(call)
@@ -170,10 +143,10 @@ func DialConnWith(addr string, window int, wrap ConnWrap) (*Conn, error) {
 // Info returns the server self-description captured by the handshake.
 func (c *Conn) Info() PingInfo { return c.info }
 
-// SetCallTimeout bounds every synchronous call on the connection: a
-// response frame that hasn't arrived within d means the connection is
-// treated as dead — it is severed, and every in-flight call fails
-// with a transport error. Zero (the default) waits forever.
+// SetCallTimeout bounds every call on the connection: a response
+// frame that hasn't arrived within d means the connection is treated
+// as dead — it is severed, and every in-flight call fails with a
+// transport error. Zero (the default) waits forever.
 //
 // The cluster tier sets this on its peer pools. A server handler that
 // issues a nested peer RPC (forwarding a client write to the owner,
@@ -236,28 +209,12 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 }
 
 // deliver completes one call that has been removed from the pending
-// map: the sync path records the error and hands the response to the
-// waiter (always a send — the channel is never closed, so the call
-// record can be recycled), the async path stops the deadline timer,
-// fires the callback if the deadline hasn't already, and releases the
-// window slot the issue path acquired.
+// map: it records the error and hands the response to the waiter —
+// always a send, the channel is never closed, so the call record can
+// be recycled.
 func (c *Conn) deliver(call *pendingCall, resp response, err error) {
-	if call.cb == nil {
-		call.err = err
-		call.ch <- resp
-		return
-	}
-	if call.timer != nil {
-		call.timer.Stop()
-	}
-	if call.done.CompareAndSwap(false, true) {
-		if err == nil && resp.h.Flags&wire.FlagOK == 0 {
-			err = &ServerError{Op: resp.h.Op, Msg: string(resp.payload)}
-			resp = response{}
-		}
-		call.cb(resp.h, resp.payload, err)
-	}
-	<-c.window
+	call.err = err
+	call.ch <- resp
 }
 
 // payloadLen sums the destination buffer lengths.
@@ -307,14 +264,14 @@ func (c *Conn) writeFrame(h wire.Header, payload []byte) error {
 }
 
 // Do runs one pipelined request/response exchange — the connection's
-// one synchronous way to put a frame on the wire. It returns the
-// response header (FlagHit, FlagReplicated) and payload; an error
-// frame surfaces as a *ServerError. When dsts is non-nil the payload
-// of a successful read is landed directly in it (one pre-sized slice
-// per block) and the returned payload is nil: with the vectored write
-// path and the recycled call record, such a read costs zero
-// allocations end to end — the hot-path contract BenchmarkClusterRead's
-// localHit and remoteHit assert.
+// one way to put a frame on the wire. It returns the response header
+// (FlagHit, FlagReplicated) and payload; an error frame surfaces as a
+// *ServerError. When dsts is non-nil the payload of a successful read
+// is landed directly in it (one pre-sized slice per block) and the
+// returned payload is nil: with the vectored write path and the
+// recycled call record, such a read costs zero allocations end to end
+// — the hot-path contract TestLocalHitAllocs and the cluster's
+// TestRemoteHitAllocs assert.
 func (c *Conn) Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []byte, error) {
 	select {
 	case c.window <- struct{}{}:
@@ -405,87 +362,6 @@ func (c *Conn) err() error {
 		return c.readErr
 	}
 	return errors.New("lapclient: connection closed")
-}
-
-// DoAsync puts one request on the wire without blocking the caller on
-// the response — the connection's one asynchronous exchange. cb fires
-// later, exactly once, from the reader goroutine (or the deadline
-// timer) with the response header and payload, ErrDeadline if the
-// response misses the deadline (0 = none), a *ServerError on refusal,
-// or a transport error. The caller's goroutine never waits on a round
-// trip — when the in-flight window is full, the send itself is queued
-// on a spawned goroutine, so an open-loop generator's dispatch clock is
-// never backpressured into a closed loop. cb must be quick: it runs on
-// the connection's reader goroutine.
-func (c *Conn) DoAsync(h wire.Header, payload []byte, deadline time.Duration, cb func(wire.Header, []byte, error)) {
-	call := &pendingCall{cb: cb}
-	select {
-	case c.window <- struct{}{}:
-		c.startAsync(h, payload, deadline, call)
-	case <-c.dead:
-		c.abortAsync(call, c.err())
-	default:
-		go func() {
-			select {
-			case c.window <- struct{}{}:
-				c.startAsync(h, payload, deadline, call)
-			case <-c.dead:
-				c.abortAsync(call, c.err())
-			}
-		}()
-	}
-}
-
-// abortAsync fails a call that never made it onto the wire; the error
-// is marked notSentError so pools can re-issue it for free.
-func (c *Conn) abortAsync(call *pendingCall, err error) {
-	if call.timer != nil {
-		call.timer.Stop()
-	}
-	if call.done.CompareAndSwap(false, true) {
-		call.cb(wire.Header{}, nil, &notSentError{err: err})
-	}
-}
-
-// startAsync registers and writes an async call; its window slot is
-// already held and is released by deliver (or here, when the frame
-// never makes it onto the wire).
-func (c *Conn) startAsync(h wire.Header, payload []byte, deadline time.Duration, call *pendingCall) {
-	// Arm the deadline before the call becomes visible in the pending
-	// map: from then on fail and the reader may deliver it — and read
-	// call.timer — at any moment.
-	if deadline > 0 {
-		call.timer = time.AfterFunc(deadline, func() {
-			if call.done.CompareAndSwap(false, true) {
-				call.cb(wire.Header{}, nil, ErrDeadline)
-			}
-		})
-	}
-	h.Seq = c.seq.Add(1)
-	c.pmu.Lock()
-	if c.readErr != nil {
-		err := c.readErr
-		c.pmu.Unlock()
-		<-c.window
-		c.abortAsync(call, err)
-		return
-	}
-	c.pending[h.Seq] = call
-	c.pmu.Unlock()
-
-	if err := c.writeFrame(h, payload); err != nil {
-		// Undo the registration — but a concurrent fail may have swapped
-		// the pending map and delivered (and released the slot) already;
-		// only the side that removes the call retires it.
-		c.pmu.Lock()
-		_, mine := c.pending[h.Seq]
-		delete(c.pending, h.Seq)
-		c.pmu.Unlock()
-		if mine {
-			<-c.window
-			c.abortAsync(call, err)
-		}
-	}
 }
 
 // ReadInto reads nblocks blocks of f starting at off, landing the

@@ -28,10 +28,9 @@ var ErrPoolClosed = errors.New("lapclient: pool closed")
 // because every op is idempotent: reads don't mutate, writes install
 // the same bytes, closes park a chain that re-parks harmlessly.)
 // Server refusals (*ServerError) are never retried: the server
-// answered. Redial replaces dead connections with fresh dials, and
-// ChurnOne force-rotates a live one — the load harness's
-// connection-churn scenario. Only once every slot is dead and redial
-// is not used does the pool error with ErrNoLiveConn.
+// answered. Redial replaces dead connections with fresh dials; only
+// once every slot is dead and redial is not used does the pool error
+// with ErrNoLiveConn.
 //
 // Safe for concurrent use — the replayer shares one Pool across every
 // process goroutine, and the cluster layer keeps one per peer.
@@ -42,16 +41,15 @@ type Pool struct {
 
 	conns []atomic.Pointer[Conn]
 	next  atomic.Uint32
-	churn atomic.Uint32
 
-	mu          sync.Mutex // serializes Redial/ChurnOne slot replacement and Close
+	mu          sync.Mutex // serializes Redial's slot replacement and Close
 	closed      bool
-	callTimeout time.Duration // inherited by redialed/churned connections
+	callTimeout time.Duration // inherited by redialed connections
 }
 
-// SetCallTimeout bounds synchronous calls on every member connection,
-// current and future — redialed and churned replacements inherit it.
-// See Conn.SetCallTimeout for semantics.
+// SetCallTimeout bounds calls on every member connection, current and
+// future — redialed replacements inherit it. See Conn.SetCallTimeout
+// for semantics.
 func (p *Pool) SetCallTimeout(d time.Duration) {
 	p.mu.Lock()
 	p.callTimeout = d
@@ -168,29 +166,6 @@ func (p *Pool) Redial() (int, error) {
 	return replaced, firstErr
 }
 
-// ChurnOne force-rotates one slot: it dials a replacement first, swaps
-// it in, then closes the old connection — in-flight requests on the
-// victim fail over to surviving slots through the pool's retry. The
-// load harness's connection-churn scenario calls this on a timer.
-func (p *Pool) ChurnOne() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return ErrPoolClosed
-	}
-	i := int(p.churn.Add(1)-1) % len(p.conns)
-	nc, err := DialConnWith(p.addr, p.window, p.wrap)
-	if err != nil {
-		return err
-	}
-	nc.SetCallTimeout(p.callTimeout)
-	old := p.conns[i].Swap(nc)
-	if old != nil {
-		old.Close()
-	}
-	return nil
-}
-
 // pick selects the next live connection round-robin, skipping
 // connections whose peer has torn them down.
 func (p *Pool) pick() (*Conn, error) {
@@ -205,18 +180,20 @@ func (p *Pool) pick() (*Conn, error) {
 }
 
 // retriable reports an error worth re-issuing on another connection: a
-// transport failure, where the server never answered. Refusals and
-// deadline verdicts are final.
+// transport failure, where the server never answered. A refusal is
+// final, and so is a call timeout (ErrDeadline): waiting it out again
+// on every other slot would multiply the stall SetCallTimeout exists
+// to bound.
 func retriable(err error) bool {
 	var se *ServerError
 	return !errors.As(err, &se) && !errors.Is(err, ErrDeadline)
 }
 
-// Do runs one exchange on a picked connection (see Conn.Do) — the
-// pool's one synchronous path — re-issuing on transport errors until
-// the per-request budget (one attempt per slot, plus the first) is
-// spent. Closure-free on purpose: this is the cluster fetch hot path,
-// and the remoteHit alloc budget is zero.
+// Do runs one exchange on a picked connection (see Conn.Do),
+// re-issuing on transport errors until the per-request budget (one
+// attempt per slot, plus the first) is spent. Closure-free on purpose:
+// this is the cluster fetch hot path, and the remote-hit alloc budget
+// is zero (TestRemoteHitAllocs).
 func (p *Pool) Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []byte, error) {
 	var last error
 	for attempt := 0; attempt <= len(p.conns); attempt++ {
@@ -234,58 +211,4 @@ func (p *Pool) Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []
 		last = err
 	}
 	return wire.Header{}, nil, last
-}
-
-// DoAsync issues one open-loop exchange through the pool (see
-// Conn.DoAsync): it returns once the request is on (or queued for) the
-// wire, and cb fires exactly once with the outcome. Transport failures
-// re-issue on another connection (fresh deadline per attempt);
-// ErrDeadline and server refusals are final. cb runs on a connection
-// reader goroutine — keep it quick.
-func (p *Pool) DoAsync(h wire.Header, payload []byte, deadline time.Duration, cb func(wire.Header, []byte, error)) {
-	p.asyncAttempt(h, payload, deadline, p.asyncBudget(), cb)
-}
-
-func (p *Pool) asyncAttempt(h wire.Header, payload []byte, deadline time.Duration, budget int, cb func(wire.Header, []byte, error)) {
-	c, err := p.pick()
-	if err != nil {
-		cb(wire.Header{}, nil, err)
-		return
-	}
-	c.DoAsync(h, payload, deadline, func(rh wire.Header, data []byte, err error) {
-		if next, ok := p.nextBudget(err, budget); ok {
-			p.asyncAttempt(h, payload, deadline, next, cb)
-			return
-		}
-		cb(rh, data, err)
-	})
-}
-
-// asyncBudget is the mid-flight retry allowance for async requests.
-// It is deliberately generous — under sustained churn a long-lived
-// request can be caught on a dying connection several times over, and
-// each catch is the churner's fault, not the request's. Termination
-// does not depend on it: once every slot is dead, pick fails the
-// request immediately.
-func (p *Pool) asyncBudget() int { return 4*len(p.conns) + 4 }
-
-// nextBudget decides whether an async failure is re-issued and with
-// what remaining budget. A request that never reached the wire
-// (notSentError — it died queued for a window slot, or its frame write
-// failed) retries for free: it consumed nothing, and each retry
-// re-picks round-robin so a burst queued behind a dying connection
-// drains onto survivors however many churn. Mid-flight transport
-// failures spend the budget. Refusals and deadline verdicts are final.
-func (p *Pool) nextBudget(err error, budget int) (int, bool) {
-	if err == nil || !retriable(err) {
-		return 0, false
-	}
-	var ns *notSentError
-	if errors.As(err, &ns) {
-		return budget, true
-	}
-	if budget > 0 {
-		return budget - 1, true
-	}
-	return 0, false
 }

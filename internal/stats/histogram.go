@@ -32,9 +32,8 @@ const ErrorBound = 1.0 / (1 << (subBits - 1))
 // record path is allocation-free and safe for concurrent use (one
 // atomic add per Record, plus bounded CAS loops maintaining min/max);
 // readers may run concurrently with writers and see a consistent
-// snapshot only once recording has quiesced — exactly the load
-// harness's shape: many issuing goroutines record, one reporter reads
-// after the run drains.
+// snapshot only once recording has quiesced: many goroutines record,
+// one reporter reads after the run drains.
 //
 // Values are int64 (nanoseconds, by convention); negative values are
 // clamped to zero rather than dropped, so Count always equals the

@@ -7,7 +7,7 @@ import (
 )
 
 // TestCDNSameSeedReproducible: generation must be a pure function of
-// the parameters (the PCG-stream property the loadgen tests pin).
+// the parameters.
 func TestCDNSameSeedReproducible(t *testing.T) {
 	a, err := GenerateCDN(DefaultCDNParams())
 	if err != nil {
