@@ -84,6 +84,8 @@ fuzz:
 	$(GO) test ./internal/core/ -run FuzzDegreePolicy -fuzz FuzzDegreePolicy -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzMithril -fuzz FuzzMithril -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzMarkov -fuzz FuzzMarkov -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run FuzzISPPM -fuzz FuzzISPPM -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run FuzzBlockPPM -fuzz FuzzBlockPPM -fuzztime $(FUZZTIME)
 
 # Print the full-scale paper-vs-measured record. EXPERIMENTS.md keeps
 # a hand-written preamble (the header comment and the Methodology

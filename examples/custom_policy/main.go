@@ -75,12 +75,12 @@ func simulateScan(pred core.Predictor) (hits, total int) {
 	cfg := machine.PM()
 	envr := &env{disks: diskmodel.NewArray(e, cfg), cached: make(map[blockdev.BlockID]bool)}
 	drv := core.NewDriver(core.DriverConfig{
-		Predictor:      pred,
-		Mode:           core.ModeAggressive,
-		MaxOutstanding: 1, // the paper's linear throttle
-		File:           1,
-		FileBlocks:     fileBlocks,
-		Env:            envr,
+		Predictor:  pred,
+		Mode:       core.ModeAggressive,
+		Degree:     &core.FixedDegree{K: 1}, // the paper's linear throttle
+		File:       1,
+		FileBlocks: fileBlocks,
+		Env:        envr,
 	})
 	var step func(i int, off blockdev.BlockNo)
 	step = func(i int, off blockdev.BlockNo) {

@@ -21,9 +21,8 @@ import (
 // It is provided as a related-work baseline for benchmarks and the
 // offline evaluator; the paper's figures do not include it.
 type BlockPPM struct {
-	order    int
-	maxNodes int
-	nodes    map[blockKey]*blockNode
+	order int
+	nodes table[blockKey, blockNode]
 
 	started bool
 	hist    blockKey
@@ -53,7 +52,6 @@ type blockNode struct {
 	counts   map[blockdev.BlockNo]uint32
 	top      blockdev.BlockNo
 	topCount uint32
-	lastUse  Tick
 }
 
 // blockppmCursor is a speculative position: the history window.
@@ -61,13 +59,15 @@ type blockppmCursor struct {
 	hist blockKey
 }
 
-// NewBlockPPM returns an order-j block-granularity PPM predictor. It
-// panics unless 1 <= order <= MaxOrder.
-func NewBlockPPM(order int) *BlockPPM {
+// NewBlockPPM returns an order-j block-granularity PPM predictor with
+// the default graph bound. It panics unless 1 <= order <= MaxOrder.
+func NewBlockPPM(order int) *BlockPPM { return newBlockPPM(order, DefaultMaxNodes) }
+
+func newBlockPPM(order, maxNodes int) *BlockPPM {
 	if order < 1 || order > MaxOrder {
 		panic(fmt.Sprintf("core: BlockPPM order %d outside [1,%d]", order, MaxOrder))
 	}
-	return &BlockPPM{order: order, maxNodes: DefaultMaxNodes, nodes: make(map[blockKey]*blockNode)}
+	return &BlockPPM{order: order, nodes: newTable[blockKey, blockNode](maxNodes)}
 }
 
 // Name identifies the algorithm, e.g. "BlockPPM:1".
@@ -77,15 +77,17 @@ func (m *BlockPPM) Name() string { return fmt.Sprintf("BlockPPM:%d", m.order) }
 func (m *BlockPPM) Order() int { return m.order }
 
 // NodeCount returns the number of graph nodes.
-func (m *BlockPPM) NodeCount() int { return len(m.nodes) }
+func (m *BlockPPM) NodeCount() int { return m.nodes.len() }
 
 // Observe records the blocks of a real request, one by one, as the
 // original paging-oriented algorithm would see them.
-func (m *BlockPPM) Observe(r Request, now Tick) Cursor {
+func (m *BlockPPM) Observe(r Request, _ Tick) Cursor {
 	for b := r.Offset; b < r.End(); b++ {
 		if m.started && m.hist.full(m.order) {
-			nd := m.getOrCreate(m.hist, now)
-			nd.lastUse = now
+			nd := m.nodes.update(m.hist)
+			if nd.counts == nil {
+				nd.counts = make(map[blockdev.BlockNo]uint32)
+			}
 			nd.counts[b]++
 			if c := nd.counts[b]; c > nd.topCount {
 				nd.top = b
@@ -96,32 +98,6 @@ func (m *BlockPPM) Observe(r Request, now Tick) Cursor {
 		m.started = true
 	}
 	return blockppmCursor{hist: m.hist}
-}
-
-func (m *BlockPPM) getOrCreate(k blockKey, now Tick) *blockNode {
-	if nd, ok := m.nodes[k]; ok {
-		return nd
-	}
-	if len(m.nodes) >= m.maxNodes {
-		m.evictOldest()
-	}
-	nd := &blockNode{counts: make(map[blockdev.BlockNo]uint32), lastUse: now}
-	m.nodes[k] = nd
-	return nd
-}
-
-func (m *BlockPPM) evictOldest() {
-	var victim blockKey
-	var at Tick
-	first := true
-	for k, nd := range m.nodes {
-		if first || nd.lastUse < at {
-			victim, at, first = k, nd.lastUse, false
-		}
-	}
-	if !first {
-		delete(m.nodes, victim)
-	}
 }
 
 // Predict returns the most frequent successor of the cursor's history,
@@ -136,8 +112,8 @@ func (m *BlockPPM) Predict(c Cursor) (Prediction, Cursor, bool) {
 	if !cur.hist.full(m.order) {
 		return Prediction{}, cur, false
 	}
-	nd, found := m.nodes[cur.hist]
-	if !found || nd.topCount == 0 {
+	nd := m.nodes.get(cur.hist)
+	if nd == nil || nd.topCount == 0 {
 		return Prediction{}, cur, false
 	}
 	p := Prediction{Request: Request{Offset: nd.top, Size: 1}}

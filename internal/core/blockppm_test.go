@@ -126,8 +126,7 @@ func TestBlockPPMRejectsForeignCursor(t *testing.T) {
 }
 
 func TestBlockPPMNodeCapBounds(t *testing.T) {
-	m := NewBlockPPM(1)
-	m.maxNodes = 8
+	m := newBlockPPM(1, 8)
 	for i := 0; i < 100; i++ {
 		m.Observe(Request{Offset: blockdev.BlockNo(i * 7 % 97), Size: 1}, Tick(i+1))
 	}

@@ -1,9 +1,12 @@
 package core
 
-// Tick is a point on whichever clock drives a predictor. The package
-// is deliberately clock-free: predictors and drivers only ever compare
-// Ticks for recency (MRU links, node eviction), so any monotonically
-// non-decreasing int64 works. The discrete-event simulator feeds
-// virtual nanoseconds (sim.Time), the lapcache runtime feeds a
-// per-file logical sequence number — one model, two clocks.
+// Tick is a point on whichever clock the host of a predictor runs on:
+// the discrete-event simulator passes virtual nanoseconds (sim.Time),
+// the lapcache runtime a per-file logical sequence number. No
+// predictor reads it: recency in a predictor's bounded table is the
+// order of its updates (see table), so a model is a function of its
+// request stream alone. The argument remains on Predictor.Observe and
+// Driver.OnUserRequest because bench/ compiles against those
+// signatures; the next benchmark-archetype PR can drop it from both
+// sides at once.
 type Tick int64

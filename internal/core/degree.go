@@ -56,10 +56,6 @@ type FixedDegree struct {
 	K int
 }
 
-// StrictLinear returns the paper's baseline policy: exactly one
-// outstanding prefetch per file, feedback ignored.
-func StrictLinear() *FixedDegree { return &FixedDegree{K: 1} }
-
 // Name implements DegreePolicy.
 func (p *FixedDegree) Name() string {
 	switch p.K {

@@ -37,11 +37,8 @@ func TestFixedDegreeNames(t *testing.T) {
 			t.Errorf("FixedDegree{%d}: Allow=%d Cap=%d, want both %d", c.k, p.Allow(), p.Cap(), c.k)
 		}
 	}
-	if StrictLinear().Allow() != 1 {
-		t.Error("StrictLinear().Allow() != 1")
-	}
 	// Feedback must be a no-op on the static policy.
-	p := StrictLinear()
+	p := &FixedDegree{K: 1}
 	p.OnTimely()
 	p.OnLate()
 	p.OnWasted()

@@ -63,15 +63,10 @@ type DriverConfig struct {
 	Predictor Predictor
 	// Mode selects one-shot or aggressive operation.
 	Mode Mode
-	// MaxOutstanding bounds in-flight prefetch operations for this
-	// file. 1 is the paper's *linear* throttle (§3.2); 0 means
-	// unlimited (the uncontrolled aggressive variant, kept for the
-	// ablation benches). Ignored when Degree is set.
-	MaxOutstanding int
-	// Degree, if non-nil, supplies the outstanding bound dynamically:
-	// the driver consults Degree.Allow() before every issue. Nil falls
-	// back to the static FixedDegree{K: MaxOutstanding}, which is
-	// bit-exact with the historical hardwired throttle.
+	// Degree bounds in-flight prefetch operations for this file: the
+	// driver consults Degree.Allow() before every issue.
+	// &FixedDegree{K: 1} is the paper's *linear* throttle (§3.2), K: 0
+	// the uncontrolled aggressive variant kept for the ablations.
 	Degree DegreePolicy
 	// File is the file this driver serves.
 	File blockdev.FileID
@@ -145,8 +140,8 @@ func NewDriver(cfg DriverConfig) *Driver {
 	if cfg.Env == nil {
 		panic("core: driver needs an env")
 	}
-	if cfg.MaxOutstanding < 0 {
-		panic(fmt.Sprintf("core: negative outstanding limit %d", cfg.MaxOutstanding))
+	if cfg.Degree == nil {
+		panic("core: driver needs a degree policy")
 	}
 	if cfg.FileBlocks <= 0 {
 		panic(fmt.Sprintf("core: file %d has %d blocks", cfg.File, cfg.FileBlocks))
@@ -154,27 +149,7 @@ func NewDriver(cfg DriverConfig) *Driver {
 	if cfg.MaxDrySteps == 0 {
 		cfg.MaxDrySteps = 64
 	}
-	if cfg.Degree == nil {
-		cfg.Degree = &FixedDegree{K: cfg.MaxOutstanding}
-	}
 	return &Driver{cfg: cfg, degree: cfg.Degree, stopped: true}
-}
-
-// Name describes the configured algorithm the way the paper does:
-// "OBA", "Ln_Agr_OBA", "IS_PPM:1", "Ln_Agr_IS_PPM:3", "Agr_OBA" (for
-// the unlimited variant), etc.
-func (d *Driver) Name() string {
-	base := d.cfg.Predictor.Name()
-	if d.cfg.Mode == ModeOneShot {
-		return base
-	}
-	if _, ok := d.degree.(*AdaptiveFDP); ok {
-		return "Ad_Agr_" + base
-	}
-	if d.degree.Cap() == 1 {
-		return "Ln_Agr_" + base
-	}
-	return "Agr_" + base
 }
 
 // Stats returns a snapshot of the driver counters.

@@ -5,13 +5,13 @@ import (
 )
 
 func TestOneShotUnlimitedIssuesBatchInParallel(t *testing.T) {
-	// One-shot IS_PPM with MaxOutstanding 0 (the paper's non-aggressive
+	// One-shot IS_PPM with an unlimited degree (the paper's non-aggressive
 	// configuration) must put the whole predicted request in flight at
 	// once, exploiting the striped disks.
 	env := newFakeEnv()
 	m := NewISPPM(1)
 	d := NewDriver(DriverConfig{
-		Predictor: m, Mode: ModeOneShot, MaxOutstanding: 0,
+		Predictor: m, Mode: ModeOneShot, Degree: &FixedDegree{K: 0},
 		File: 1, FileBlocks: 1000, Env: env,
 	})
 	// Teach a pattern with 8-block requests at stride 10.

@@ -62,12 +62,12 @@ func bid(f, b int) blockdev.BlockID {
 func newDriver(t *testing.T, pred Predictor, mode Mode, maxOut int, fileBlocks int, env Env) *Driver {
 	t.Helper()
 	return NewDriver(DriverConfig{
-		Predictor:      pred,
-		Mode:           mode,
-		MaxOutstanding: maxOut,
-		File:           1,
-		FileBlocks:     blockdev.BlockNo(fileBlocks),
-		Env:            env,
+		Predictor:  pred,
+		Mode:       mode,
+		Degree:     &FixedDegree{K: maxOut},
+		File:       1,
+		FileBlocks: blockdev.BlockNo(fileBlocks),
+		Env:        env,
 	})
 }
 
@@ -239,7 +239,7 @@ func TestDriverClipsPredictionsToFile(t *testing.T) {
 	env := newFakeEnv()
 	m := NewISPPM(1)
 	d := NewDriver(DriverConfig{
-		Predictor: m, Mode: ModeOneShot, MaxOutstanding: 1,
+		Predictor: m, Mode: ModeOneShot, Degree: &FixedDegree{K: 1},
 		File: 1, FileBlocks: 20, Env: env,
 	})
 	// Teach stride 8 with size 4: prediction from offset 16 would be
@@ -278,7 +278,7 @@ func TestDryPatternDoesNotSpin(t *testing.T) {
 	env := newFakeEnv()
 	m := NewISPPM(1)
 	d := NewDriver(DriverConfig{
-		Predictor: m, Mode: ModeAggressive, MaxOutstanding: 1,
+		Predictor: m, Mode: ModeAggressive, Degree: &FixedDegree{K: 1},
 		File: 1, FileBlocks: 100, Env: env, MaxDrySteps: 8,
 	})
 	// Pre-train a two-block cycle 10 <-> 20 directly on the predictor
@@ -314,28 +314,6 @@ func TestFallbackAccounting(t *testing.T) {
 	}
 }
 
-func TestDriverNames(t *testing.T) {
-	env := newFakeEnv()
-	cases := []struct {
-		pred Predictor
-		mode Mode
-		out  int
-		want string
-	}{
-		{NewOBA(), ModeOneShot, 1, "OBA"},
-		{NewOBA(), ModeAggressive, 1, "Ln_Agr_OBA"},
-		{NewOBA(), ModeAggressive, 0, "Agr_OBA"},
-		{NewISPPM(1), ModeOneShot, 1, "IS_PPM:1"},
-		{NewISPPM(3), ModeAggressive, 1, "Ln_Agr_IS_PPM:3"},
-	}
-	for _, c := range cases {
-		d := newDriver(t, c.pred, c.mode, c.out, 10, env)
-		if d.Name() != c.want {
-			t.Errorf("Name = %q, want %q", d.Name(), c.want)
-		}
-	}
-}
-
 func TestModeString(t *testing.T) {
 	if ModeOneShot.String() != "one-shot" || ModeAggressive.String() != "aggressive" {
 		t.Error("mode strings wrong")
@@ -345,10 +323,10 @@ func TestModeString(t *testing.T) {
 func TestNewDriverValidation(t *testing.T) {
 	env := newFakeEnv()
 	bad := []DriverConfig{
-		{Mode: ModeOneShot, MaxOutstanding: 1, File: 1, FileBlocks: 10, Env: env},            // nil predictor
-		{Predictor: NewOBA(), Mode: ModeOneShot, MaxOutstanding: 1, File: 1, FileBlocks: 10}, // nil env
-		{Predictor: NewOBA(), MaxOutstanding: -1, File: 1, FileBlocks: 10, Env: env},
-		{Predictor: NewOBA(), MaxOutstanding: 1, File: 1, FileBlocks: 0, Env: env},
+		{Mode: ModeOneShot, Degree: &FixedDegree{K: 1}, File: 1, FileBlocks: 10, Env: env},            // nil predictor
+		{Predictor: NewOBA(), Mode: ModeOneShot, Degree: &FixedDegree{K: 1}, File: 1, FileBlocks: 10}, // nil env
+		{Predictor: NewOBA(), File: 1, FileBlocks: 10, Env: env},                                      // nil degree policy
+		{Predictor: NewOBA(), Degree: &FixedDegree{K: 1}, File: 1, FileBlocks: 0, Env: env},
 	}
 	for i, cfg := range bad {
 		func() {

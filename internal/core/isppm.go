@@ -12,8 +12,8 @@ import (
 const MaxOrder = 8
 
 // DefaultMaxNodes bounds one file's pattern graph; when exceeded, the
-// least-recently-updated node is discarded. Real access patterns in
-// both workloads need far fewer nodes.
+// least-recently-updated node is discarded (see table). Real access
+// patterns in both workloads need far fewer nodes.
 const DefaultMaxNodes = 4096
 
 // pair is one element of the modelled access stream: the offset
@@ -66,18 +66,15 @@ const (
 	MostProbableLinkPolicy
 )
 
-// node is one vertex of the pattern graph. Links are timestamped with
-// their last traversal and counted; prediction follows the configured
-// link policy.
+// node is one vertex of the pattern graph. Its outgoing links are
+// counted and the last one traversed is remembered (mru and top mean
+// something once counts is non-empty); prediction follows the
+// configured link policy.
 type node struct {
-	links      map[histKey]Tick
-	counts     map[histKey]uint32
-	mru        histKey // cached argmax over links by timestamp
-	mruTime    Tick
-	hasMRU     bool
-	top        histKey // cached argmax over links by count
-	topCount   uint32
-	lastUpdate Tick
+	counts   map[histKey]uint32
+	mru      histKey // the link traversed last
+	top      histKey // cached argmax over links by count
+	topCount uint32
 }
 
 // ISPPM is the Interval-and-Size prediction-by-partial-match predictor
@@ -89,13 +86,15 @@ type node struct {
 // current history (cold start, §2.2), it falls back to One-Block-Ahead
 // and flags the prediction accordingly.
 type ISPPM struct {
-	order    int
-	maxNodes int
-	policy   LinkPolicy
+	order  int
+	policy LinkPolicy
 	// noFallback disables the cold-start OBA rule (ablation only);
 	// Predict then reports no prediction when the graph cannot help.
 	noFallback bool
-	nodes      map[histKey]*node
+	// nodes is the pattern graph. A displaced node leaves the links
+	// pointing at it dangling: prediction only needs the target key
+	// itself (its last pair), not the target node.
+	nodes table[histKey, node]
 
 	started bool
 	lastReq Request
@@ -130,7 +129,7 @@ func NewISPPMSized(order, maxNodes int) *ISPPM {
 	if maxNodes < 1 {
 		panic("core: IS_PPM needs at least one node")
 	}
-	return &ISPPM{order: order, maxNodes: maxNodes, nodes: make(map[histKey]*node)}
+	return &ISPPM{order: order, nodes: newTable[histKey, node](maxNodes)}
 }
 
 // SetLinkPolicy switches between the paper's most-recent rule and the
@@ -147,11 +146,11 @@ func (m *ISPPM) Name() string { return fmt.Sprintf("IS_PPM:%d", m.order) }
 func (m *ISPPM) Order() int { return m.order }
 
 // NodeCount returns the number of nodes currently in the graph.
-func (m *ISPPM) NodeCount() int { return len(m.nodes) }
+func (m *ISPPM) NodeCount() int { return m.nodes.len() }
 
 // Observe records a real user request, growing the pattern graph as in
 // the paper's Figure 2, and returns the cursor positioned after it.
-func (m *ISPPM) Observe(r Request, now Tick) Cursor {
+func (m *ISPPM) Observe(r Request, _ Tick) Cursor {
 	if !m.started {
 		// First request: no interval can be computed yet (§2.2, t1).
 		m.started = true
@@ -163,11 +162,9 @@ func (m *ISPPM) Observe(r Request, now Tick) Cursor {
 	pr := pair{interval: int32(r.Offset - m.lastReq.Offset), size: r.Size}
 	m.hist = m.hist.shift(pr, m.order)
 	if m.hist.full(m.order) {
-		nd := m.getOrCreate(m.hist, now)
-		nd.lastUpdate = now
+		m.nodes.update(m.hist)
 		if m.prevValid {
-			prev := m.getOrCreate(m.prevKey, now)
-			prev.setLink(m.hist, now)
+			m.nodes.getOrCreate(m.prevKey).setLink(m.hist)
 		}
 		m.prevKey = m.hist
 		m.prevValid = true
@@ -176,19 +173,13 @@ func (m *ISPPM) Observe(r Request, now Tick) Cursor {
 	return isppmCursor{hist: m.hist, lastOffset: r.Offset, lastSize: r.Size}
 }
 
-func (nd *node) setLink(target histKey, now Tick) {
-	if nd.links == nil {
-		nd.links = make(map[histKey]Tick)
+func (nd *node) setLink(target histKey) {
+	if nd.counts == nil {
 		nd.counts = make(map[histKey]uint32)
 	}
-	nd.links[target] = now
 	nd.counts[target]++
 	// A refreshed or new link is by construction the most recent.
-	if !nd.hasMRU || now >= nd.mruTime {
-		nd.mru = target
-		nd.mruTime = now
-		nd.hasMRU = true
-	}
+	nd.mru = target
 	if c := nd.counts[target]; c > nd.topCount {
 		nd.top = target
 		nd.topCount = c
@@ -197,42 +188,13 @@ func (nd *node) setLink(target histKey, now Tick) {
 
 // successor returns the link the given policy follows.
 func (nd *node) successor(p LinkPolicy) (histKey, bool) {
-	if !nd.hasMRU {
+	if len(nd.counts) == 0 {
 		return histKey{}, false
 	}
 	if p == MostProbableLinkPolicy {
 		return nd.top, true
 	}
 	return nd.mru, true
-}
-
-func (m *ISPPM) getOrCreate(k histKey, now Tick) *node {
-	if nd, ok := m.nodes[k]; ok {
-		return nd
-	}
-	if len(m.nodes) >= m.maxNodes {
-		m.evictOldestNode()
-	}
-	nd := &node{lastUpdate: now}
-	m.nodes[k] = nd
-	return nd
-}
-
-// evictOldestNode discards the least recently updated node. Links
-// pointing at it are left dangling: prediction only needs the target
-// key itself (its last pair), not the target node.
-func (m *ISPPM) evictOldestNode() {
-	var victim histKey
-	var victimTime Tick
-	first := true
-	for k, nd := range m.nodes {
-		if first || nd.lastUpdate < victimTime {
-			victim, victimTime, first = k, nd.lastUpdate, false
-		}
-	}
-	if !first {
-		delete(m.nodes, victim)
-	}
 }
 
 // Predict follows the most recently used link out of the node matching
@@ -244,7 +206,7 @@ func (m *ISPPM) Predict(c Cursor) (Prediction, Cursor, bool) {
 		return Prediction{}, nil, false
 	}
 	if cur.hist.full(m.order) {
-		if nd, found := m.nodes[cur.hist]; found {
+		if nd := m.nodes.get(cur.hist); nd != nil {
 			if succ, ok := nd.successor(m.policy); ok {
 				next := succ.last()
 				pred := Prediction{Request: Request{
@@ -291,8 +253,8 @@ func (m *ISPPM) MostRecentLink(pairs [][2]int32) (interval, size int32, ok bool)
 	for _, p := range pairs {
 		k = k.shift(pair{interval: p[0], size: p[1]}, m.order)
 	}
-	nd, found := m.nodes[k]
-	if !found || !nd.hasMRU {
+	nd := m.nodes.get(k)
+	if nd == nil || len(nd.counts) == 0 {
 		return 0, 0, false
 	}
 	last := nd.mru.last()

@@ -26,15 +26,14 @@ import (
 // Prediction chains walk successive most-probable transitions up to
 // MaxChain steps, mirroring Pangloss's limited-depth chained lookup.
 // Memory is bounded by MaxRows rows of at most RowWidth candidates,
-// evicting the least-recently-updated row when full.
+// displacing the least-recently-updated row when full.
 type Markov struct {
 	cfg MarkovConfig
 
-	seq     Tick
 	started bool
 	last    blockdev.BlockNo
 
-	rows map[blockdev.BlockNo]*markovRow
+	rows table[blockdev.BlockNo, markovRow]
 }
 
 // MarkovConfig bounds the matrix. The zero value selects the defaults.
@@ -77,21 +76,14 @@ func (c MarkovConfig) withDefaults() MarkovConfig {
 	return c
 }
 
-// markovCand is one candidate successor with its transition count.
-type markovCand struct {
-	block blockdev.BlockNo
-	size  int32
-	count uint32
-}
-
 // markovRow is one row of the probability matrix: a bounded candidate
-// set plus the row total the probabilities normalize against. total
-// includes displaced candidates' residue, so probabilities stay
-// honest when the row is under pressure.
+// set (a candidate's weight is its transition count) plus the row
+// total the probabilities normalize against. total includes displaced
+// candidates' residue, so probabilities stay honest when the row is
+// under pressure.
 type markovRow struct {
-	cands      []markovCand
-	total      uint32
-	lastUpdate Tick
+	cands candRow
+	total uint32
 }
 
 // markovCursor is a (real or speculative) position: the last block of
@@ -106,86 +98,44 @@ func NewMarkov() *Markov { return NewMarkovConfigured(MarkovConfig{}) }
 
 // NewMarkovConfigured returns a predictor with explicit bounds.
 func NewMarkovConfigured(cfg MarkovConfig) *Markov {
-	return &Markov{cfg: cfg.withDefaults(), rows: make(map[blockdev.BlockNo]*markovRow)}
+	cfg = cfg.withDefaults()
+	return &Markov{cfg: cfg, rows: newTable[blockdev.BlockNo, markovRow](cfg.MaxRows)}
 }
 
 // Name identifies the algorithm.
 func (*Markov) Name() string { return "Markov" }
 
 // RowCount returns the number of matrix rows currently held.
-func (m *Markov) RowCount() int { return len(m.rows) }
+func (m *Markov) RowCount() int { return m.rows.len() }
 
 // MaxRows returns the configured row bound (for conformance checks).
 func (m *Markov) MaxRows() int { return m.cfg.MaxRows }
 
-// Observe records the transition last -> r.Offset.
+// Observe records the transition last -> r.Offset and ages its row
+// when due.
 func (m *Markov) Observe(r Request, _ Tick) Cursor {
-	m.seq++
 	if m.started && m.last != r.Offset {
-		m.bump(m.last, r.Offset, r.Size, m.seq)
+		row := m.rows.update(m.last)
+		row.total++
+		row.cands.bump(r.Offset, r.Size, 1, m.cfg.RowWidth)
+		if row.total >= m.cfg.AgeThreshold {
+			row.age()
+		}
 	}
 	m.started = true
 	m.last = r.Offset
 	return markovCursor{block: r.Offset}
 }
 
-// bump counts one observed transition and ages the row when due.
-func (m *Markov) bump(src, dst blockdev.BlockNo, size int32, now Tick) {
-	row := m.rows[src]
-	if row == nil {
-		if len(m.rows) >= m.cfg.MaxRows {
-			m.evictOldestRow()
-		}
-		row = &markovRow{}
-		m.rows[src] = row
-	}
-	row.lastUpdate = now
-	row.total++
-	found := false
-	for i := range row.cands {
-		if row.cands[i].block == dst {
-			row.cands[i].count++
-			row.cands[i].size = size
-			found = true
-			break
-		}
-	}
-	if !found {
-		if len(row.cands) < m.cfg.RowWidth {
-			row.cands = append(row.cands, markovCand{block: dst, size: size, count: 1})
-		} else {
-			// Full row: decay the weakest candidate; once it hits zero,
-			// the newcomer takes the slot. Its count restarts at 1 while
-			// the row total remembers the history, which *underestimates*
-			// the newcomer's probability — the safe direction for a
-			// threshold-gated prefetcher.
-			weakest := 0
-			for i := 1; i < len(row.cands); i++ {
-				if row.cands[i].count < row.cands[weakest].count {
-					weakest = i
-				}
-			}
-			if row.cands[weakest].count <= 1 {
-				row.cands[weakest] = markovCand{block: dst, size: size, count: 1}
-			} else {
-				row.cands[weakest].count--
-			}
-		}
-	}
-	if row.total >= m.cfg.AgeThreshold {
-		m.age(row)
-	}
-}
-
 // age halves every count in the row (and the total), dropping
 // candidates that decay to zero.
-func (m *Markov) age(row *markovRow) {
+func (row *markovRow) age() {
 	out := row.cands[:0]
 	var total uint32
 	for _, c := range row.cands {
-		c.count /= 2
-		if c.count > 0 {
-			total += c.count
+		c.weight /= 2
+		if c.weight > 0 {
+			total += c.weight
 			out = append(out, c)
 		}
 	}
@@ -194,21 +144,6 @@ func (m *Markov) age(row *markovRow) {
 	row.total /= 2
 	if row.total < total {
 		row.total = total
-	}
-}
-
-// evictOldestRow discards the least recently updated row.
-func (m *Markov) evictOldestRow() {
-	var victim blockdev.BlockNo
-	var at Tick
-	first := true
-	for b, row := range m.rows {
-		if first || row.lastUpdate < at {
-			victim, at, first = b, row.lastUpdate, false
-		}
-	}
-	if !first {
-		delete(m.rows, victim)
 	}
 }
 
@@ -222,23 +157,14 @@ func (m *Markov) Predict(c Cursor) (Prediction, Cursor, bool) {
 	if cur.depth >= m.cfg.MaxChain {
 		return Prediction{}, cur, false
 	}
-	row := m.rows[cur.block]
+	row := m.rows.get(cur.block)
 	if row == nil || row.total == 0 {
 		return Prediction{}, cur, false
 	}
-	best := -1
-	for i := range row.cands {
-		if best < 0 || row.cands[i].count > row.cands[best].count {
-			best = i
-		}
-	}
-	if best < 0 {
+	best, ok := row.cands.strongest()
+	if !ok || uint64(best.weight)*100 < uint64(row.total)*uint64(m.cfg.MinProbPct) {
 		return Prediction{}, cur, false
 	}
-	cand := row.cands[best]
-	if uint64(cand.count)*100 < uint64(row.total)*uint64(m.cfg.MinProbPct) {
-		return Prediction{}, cur, false
-	}
-	p := Prediction{Request: Request{Offset: cand.block, Size: cand.size}}
-	return p, markovCursor{block: cand.block, depth: cur.depth + 1}, true
+	p := Prediction{Request: Request{Offset: best.block, Size: best.size}}
+	return p, markovCursor{block: best.block, depth: cur.depth + 1}, true
 }

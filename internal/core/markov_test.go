@@ -138,7 +138,7 @@ func TestMarkovRowWidthDisplacement(t *testing.T) {
 		observe(m, 1)
 		observe(m, b)
 	}
-	row := m.rows[1]
+	row := m.rows.get(1)
 	if row == nil {
 		t.Fatal("row for block 1 evicted")
 	}

@@ -33,17 +33,16 @@ import (
 // noise, sporadic *re*-occurrence is signal.
 //
 // Memory is strictly bounded: at most MaxRows source blocks, each with
-// at most RowWidth candidate successors; full tables evict the
+// at most RowWidth candidate successors; a full table displaces the
 // least-recently-updated row, exactly like IS_PPM's node bound.
 type Mithril struct {
 	cfg MithrilConfig
 
-	seq    Tick // logical timestamp of the last observed request
 	recent []mithrilEvent
 	head   int // ring cursor: next slot to overwrite
 	filled int // number of valid entries in recent
 
-	rows map[blockdev.BlockNo]*mithrilRow
+	rows table[blockdev.BlockNo, candRow]
 }
 
 // MithrilConfig bounds the miner. The zero value selects the defaults.
@@ -99,20 +98,6 @@ func (c MithrilConfig) withDefaults() MithrilConfig {
 type mithrilEvent struct {
 	block blockdev.BlockNo
 	size  int32
-	at    Tick
-}
-
-// mithrilCand is one candidate successor of a row.
-type mithrilCand struct {
-	block  blockdev.BlockNo
-	size   int32 // size of the request that confirmed the pair last
-	weight uint32
-}
-
-// mithrilRow is the bounded successor list of one source block.
-type mithrilRow struct {
-	cands      []mithrilCand
-	lastUpdate Tick
 }
 
 // mithrilCursor is a (real or speculative) stream position: the last
@@ -132,7 +117,7 @@ func NewMithrilConfigured(cfg MithrilConfig) *Mithril {
 	return &Mithril{
 		cfg:    cfg,
 		recent: make([]mithrilEvent, cfg.LongWindow),
-		rows:   make(map[blockdev.BlockNo]*mithrilRow),
+		rows:   newTable[blockdev.BlockNo, candRow](cfg.MaxRows),
 	}
 }
 
@@ -140,22 +125,19 @@ func NewMithrilConfigured(cfg MithrilConfig) *Mithril {
 func (*Mithril) Name() string { return "Mithril" }
 
 // RowCount returns the number of association rows currently held.
-func (m *Mithril) RowCount() int { return len(m.rows) }
+func (m *Mithril) RowCount() int { return m.rows.len() }
 
 // MaxRows returns the configured row bound (for conformance checks).
 func (m *Mithril) MaxRows() int { return m.cfg.MaxRows }
 
 // Observe mines the request against the recent window and appends it.
 func (m *Mithril) Observe(r Request, _ Tick) Cursor {
-	// Logical time: the index of this request in the observed stream.
-	// Wall/simulated time is deliberately not used — the two clocks
-	// tick at wildly different rates and the mining windows are defined
-	// over the stream itself.
-	m.seq++
-	now := m.seq
 	b := r.Offset
 
-	// Walk the window newest-first; gap g is in requests.
+	// Walk the window newest-first; gap g is in requests of the
+	// observed stream. Wall/simulated time is deliberately not used —
+	// the two clocks tick at wildly different rates and the mining
+	// windows are defined over the stream itself.
 	for g := 1; g <= m.filled; g++ {
 		idx := m.head - g
 		if idx < 0 {
@@ -169,69 +151,15 @@ func (m *Mithril) Observe(r Request, _ Tick) Cursor {
 		if g <= m.cfg.ShortWindow {
 			w = 2
 		}
-		m.bump(ev.block, b, r.Size, w, now)
+		m.rows.update(ev.block).bump(b, r.Size, w, m.cfg.RowWidth)
 	}
 
-	m.recent[m.head] = mithrilEvent{block: b, size: r.Size, at: now}
+	m.recent[m.head] = mithrilEvent{block: b, size: r.Size}
 	m.head = (m.head + 1) % len(m.recent)
 	if m.filled < len(m.recent) {
 		m.filled++
 	}
 	return mithrilCursor{block: b, size: r.Size}
-}
-
-// bump strengthens the association src -> dst by w.
-func (m *Mithril) bump(src, dst blockdev.BlockNo, size int32, w uint32, now Tick) {
-	row := m.rows[src]
-	if row == nil {
-		if len(m.rows) >= m.cfg.MaxRows {
-			m.evictOldestRow()
-		}
-		row = &mithrilRow{}
-		m.rows[src] = row
-	}
-	row.lastUpdate = now
-	for i := range row.cands {
-		if row.cands[i].block == dst {
-			row.cands[i].weight += w
-			row.cands[i].size = size
-			return
-		}
-	}
-	if len(row.cands) < m.cfg.RowWidth {
-		row.cands = append(row.cands, mithrilCand{block: dst, size: size, weight: w})
-		return
-	}
-	// Row full: displace the weakest candidate only if the newcomer's
-	// initial weight would not be the weakest — otherwise decay the
-	// weakest so a persistently re-confirmed newcomer eventually wins
-	// (a bounded variant of space-saving counting).
-	weakest := 0
-	for i := 1; i < len(row.cands); i++ {
-		if row.cands[i].weight < row.cands[weakest].weight {
-			weakest = i
-		}
-	}
-	if row.cands[weakest].weight <= w {
-		row.cands[weakest] = mithrilCand{block: dst, size: size, weight: w}
-	} else {
-		row.cands[weakest].weight--
-	}
-}
-
-// evictOldestRow discards the least recently updated row.
-func (m *Mithril) evictOldestRow() {
-	var victim blockdev.BlockNo
-	var at Tick
-	first := true
-	for b, row := range m.rows {
-		if first || row.lastUpdate < at {
-			victim, at, first = b, row.lastUpdate, false
-		}
-	}
-	if !first {
-		delete(m.rows, victim)
-	}
 }
 
 // Predict returns the strongest sufficiently-supported association out
@@ -244,23 +172,14 @@ func (m *Mithril) Predict(c Cursor) (Prediction, Cursor, bool) {
 	if cur.depth >= m.cfg.MaxChain {
 		return Prediction{}, cur, false
 	}
-	row := m.rows[cur.block]
+	row := m.rows.get(cur.block)
 	if row == nil {
 		return Prediction{}, cur, false
 	}
-	best := -1
-	for i := range row.cands {
-		if row.cands[i].weight < m.cfg.MinSupport {
-			continue
-		}
-		if best < 0 || row.cands[i].weight > row.cands[best].weight {
-			best = i
-		}
-	}
-	if best < 0 {
+	best, ok := row.strongest()
+	if !ok || best.weight < m.cfg.MinSupport {
 		return Prediction{}, cur, false
 	}
-	cand := row.cands[best]
-	p := Prediction{Request: Request{Offset: cand.block, Size: cand.size}}
-	return p, mithrilCursor{block: cand.block, size: cand.size, depth: cur.depth + 1}, true
+	p := Prediction{Request: Request{Offset: best.block, Size: best.size}}
+	return p, mithrilCursor{block: best.block, size: best.size, depth: cur.depth + 1}, true
 }

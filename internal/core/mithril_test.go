@@ -146,12 +146,12 @@ func TestMithrilRowWidthDisplacement(t *testing.T) {
 		observe(m, 1)
 		observe(m, b)
 	}
-	row := m.rows[1]
+	row := m.rows.get(1)
 	if row == nil {
 		t.Fatal("row for block 1 evicted")
 	}
-	if len(row.cands) > 2 {
-		t.Fatalf("row width %d exceeds bound 2", len(row.cands))
+	if len(*row) > 2 {
+		t.Fatalf("row width %d exceeds bound 2", len(*row))
 	}
 	cur := observe(m, 1)
 	p, _, ok := m.Predict(cur)

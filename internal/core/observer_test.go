@@ -26,13 +26,13 @@ func TestDriverReportsOutstandingToObserver(t *testing.T) {
 	env := newFakeEnv()
 	obs := &recordingObserver{}
 	d := NewDriver(DriverConfig{
-		Predictor:      NewOBA(),
-		Mode:           ModeAggressive,
-		MaxOutstanding: 1,
-		File:           1,
-		FileBlocks:     10,
-		Env:            env,
-		Observer:       obs,
+		Predictor:  NewOBA(),
+		Mode:       ModeAggressive,
+		Degree:     &FixedDegree{K: 1},
+		File:       1,
+		FileBlocks: 10,
+		Env:        env,
+		Observer:   obs,
 	})
 	d.OnUserRequest(Request{Offset: 0, Size: 2}, 1, false)
 	env.completeAll()
@@ -43,7 +43,7 @@ func TestDriverReportsOutstandingToObserver(t *testing.T) {
 	if len(obs.deltas) == 0 {
 		t.Fatal("observer saw nothing")
 	}
-	// With MaxOutstanding=1 the running sum may never exceed 1 — the
+	// With a degree of 1 the running sum may never exceed 1 — the
 	// linear throttle as the observer sees it.
 	run, peak := 0, 0
 	for i, dl := range obs.deltas {
@@ -67,13 +67,13 @@ func TestDriverStopChainReleasesOutstanding(t *testing.T) {
 	env := newFakeEnv()
 	obs := &recordingObserver{}
 	d := NewDriver(DriverConfig{
-		Predictor:      NewOBA(),
-		Mode:           ModeAggressive,
-		MaxOutstanding: 1,
-		File:           2,
-		FileBlocks:     10,
-		Env:            env,
-		Observer:       obs,
+		Predictor:  NewOBA(),
+		Mode:       ModeAggressive,
+		Degree:     &FixedDegree{K: 1},
+		File:       2,
+		FileBlocks: 10,
+		Env:        env,
+		Observer:   obs,
 	})
 	d.OnUserRequest(Request{Offset: 0, Size: 2}, 1, false)
 	if obs.net != 1 {
@@ -101,13 +101,13 @@ func TestDriverObserverWindowedPeak(t *testing.T) {
 	env := newFakeEnv()
 	obs := &recordingObserver{}
 	d := NewDriver(DriverConfig{
-		Predictor:      NewOBA(),
-		Mode:           ModeAggressive,
-		MaxOutstanding: k,
-		File:           3,
-		FileBlocks:     64,
-		Env:            env,
-		Observer:       obs,
+		Predictor:  NewOBA(),
+		Mode:       ModeAggressive,
+		Degree:     &FixedDegree{K: k},
+		File:       3,
+		FileBlocks: 64,
+		Env:        env,
+		Observer:   obs,
 	})
 	for i := 0; i < 8; i++ {
 		d.OnUserRequest(Request{Offset: blockdev.BlockNo(i), Size: 1}, Tick(i+1), false)
@@ -143,13 +143,13 @@ func TestDriverStopChainWindowedOrphans(t *testing.T) {
 	env := newFakeEnv()
 	obs := &recordingObserver{}
 	d := NewDriver(DriverConfig{
-		Predictor:      NewOBA(),
-		Mode:           ModeAggressive,
-		MaxOutstanding: k,
-		File:           4,
-		FileBlocks:     64,
-		Env:            env,
-		Observer:       obs,
+		Predictor:  NewOBA(),
+		Mode:       ModeAggressive,
+		Degree:     &FixedDegree{K: k},
+		File:       4,
+		FileBlocks: 64,
+		Env:        env,
+		Observer:   obs,
 	})
 	d.OnUserRequest(Request{Offset: 0, Size: 1}, 1, false)
 	d.OnUserRequest(Request{Offset: 1, Size: 1}, 2, false)
@@ -217,13 +217,13 @@ func TestDriverDoubleFiredDoneReleasesOnce(t *testing.T) {
 	env := &doubleFireEnv{cache: make(map[blockdev.BlockID]bool)}
 	obs := &recordingObserver{}
 	d := NewDriver(DriverConfig{
-		Predictor:      NewOBA(),
-		Mode:           ModeAggressive,
-		MaxOutstanding: k,
-		File:           5,
-		FileBlocks:     8,
-		Env:            env,
-		Observer:       obs,
+		Predictor:  NewOBA(),
+		Mode:       ModeAggressive,
+		Degree:     &FixedDegree{K: k},
+		File:       5,
+		FileBlocks: 8,
+		Env:        env,
+		Observer:   obs,
 	})
 	d.OnUserRequest(Request{Offset: 0, Size: 1}, 1, false)
 	fired := 0

@@ -1,46 +1,82 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/blockdev"
 )
 
-// fuzzPredictor drives one predictor with an arbitrary request stream
-// and checks the invariants every predictor owes the driver: no
-// panics, chains terminate, predictions name only previously-observed
-// blocks with positive sizes, and table memory stays under the
-// configured bound. maxRows/maxChain are the configured bounds of p.
-func fuzzPredictor(t *testing.T, p Predictor, stream []byte, maxRows, maxChain int, rowCount func() int) {
-	seen := make(map[blockdev.BlockNo]bool)
-	var cur Cursor
-	for i := 0; i+1 < len(stream); i += 2 {
-		b := blockdev.BlockNo(stream[i])
-		sz := int32(stream[i+1])%8 + 1
-		seen[b] = true
-		cur = p.Observe(Request{Offset: b, Size: sz}, Tick(i))
+// fuzzTarget is one predictor configuration under fuzz.
+type fuzzTarget struct {
+	fresh   func() Predictor
+	rows    func(Predictor) int // current table occupancy
+	maxRows int                 // its configured bound
+	// maxChain is how many chain steps are walked per request.
+	// selfBounded predictors (Mithril, Markov) must end every chain
+	// within it on their own; the PPM graphs may cycle — the driver's
+	// file bound and dry-step guard end their chains — so there the
+	// walk is simply cut.
+	maxChain    int
+	selfBounded bool
+	// seenOnly predictors name only blocks observed before; IS_PPM
+	// extrapolates intervals to blocks never accessed. What was
+	// observed is a request's first block, or each of its blocks for a
+	// blockwise model (BlockPPM).
+	seenOnly  bool
+	blockwise bool
+}
 
-		steps := 0
-		for {
-			pred, next, ok := p.Predict(cur)
-			if !ok {
-				break
+// fuzzPredictor drives the target with an arbitrary request stream and
+// checks the invariants every predictor owes the driver: no panics,
+// chains terminate, predictions have positive sizes (and name only
+// previously-observed blocks where the model promises that), and table
+// memory stays under the configured bound. Several requests share each
+// tick, as they do on the simulator's clock, and the stream is fed to
+// two fresh instances whose prediction chains must be identical: a
+// predictor's output is a function of its input alone, whatever the
+// order Go iterates its maps in.
+func fuzzPredictor(t *testing.T, tg fuzzTarget, stream []byte) {
+	run := func() (chains []Prediction) {
+		p := tg.fresh()
+		seen := make(map[blockdev.BlockNo]bool)
+		for i := 0; i+1 < len(stream); i += 2 {
+			b := blockdev.BlockNo(stream[i])
+			sz := int32(stream[i+1])%8 + 1
+			seen[b] = true
+			for x := b; tg.blockwise && x < b+blockdev.BlockNo(sz); x++ {
+				seen[x] = true
 			}
-			if !seen[pred.Request.Offset] {
-				t.Fatalf("predicted never-observed block %d", pred.Request.Offset)
+			cur := p.Observe(Request{Offset: b, Size: sz}, Tick(i/8))
+
+			for steps := 0; ; steps++ {
+				pred, next, ok := p.Predict(cur)
+				if !ok {
+					break
+				}
+				if steps == tg.maxChain {
+					if tg.selfBounded {
+						t.Fatalf("chain ran past its cap of %d steps", tg.maxChain)
+					}
+					break
+				}
+				if tg.seenOnly && !seen[pred.Request.Offset] {
+					t.Fatalf("predicted never-observed block %d", pred.Request.Offset)
+				}
+				if pred.Request.Size <= 0 {
+					t.Fatalf("predicted non-positive size %d", pred.Request.Size)
+				}
+				chains = append(chains, pred)
+				cur = next
 			}
-			if pred.Request.Size <= 0 {
-				t.Fatalf("predicted non-positive size %d", pred.Request.Size)
-			}
-			cur = next
-			steps++
-			if steps > maxChain {
-				t.Fatalf("chain ran %d steps, cap is %d", steps, maxChain)
+			if rc := tg.rows(p); rc > tg.maxRows {
+				t.Fatalf("table grew to %d rows, bound is %d", rc, tg.maxRows)
 			}
 		}
-		if rc := rowCount(); rc > maxRows {
-			t.Fatalf("table grew to %d rows, bound is %d", rc, maxRows)
-		}
+		return chains
+	}
+	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+		t.Fatalf("two fresh instances disagree on one stream:\n%v\n%v", a, b)
 	}
 }
 
@@ -51,13 +87,17 @@ func FuzzMithril(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 1, 1, 1, 2, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add([]byte{9, 1, 8, 1, 7, 1, 9, 1, 8, 1, 7, 1, 9, 1})
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		m := NewMithrilConfigured(MithrilConfig{
-			ShortWindow: 2, LongWindow: 5, MinSupport: 2,
-			MaxRows: 8, RowWidth: 2, MaxChain: 4,
-		})
-		fuzzPredictor(t, m, stream, 8, 4, m.RowCount)
-	})
+	tg := fuzzTarget{
+		fresh: func() Predictor {
+			return NewMithrilConfigured(MithrilConfig{
+				ShortWindow: 2, LongWindow: 5, MinSupport: 2,
+				MaxRows: 8, RowWidth: 2, MaxChain: 4,
+			})
+		},
+		rows:    func(p Predictor) int { return p.(*Mithril).RowCount() },
+		maxRows: 8, maxChain: 4, selfBounded: true, seenOnly: true,
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) { fuzzPredictor(t, tg, stream) })
 }
 
 // FuzzMarkov does the same for the probability matrix, with aging
@@ -66,10 +106,57 @@ func FuzzMarkov(f *testing.F) {
 	f.Add([]byte{1, 1, 2, 1, 1, 1, 2, 1})
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add([]byte{5, 1, 6, 1, 5, 1, 6, 1, 5, 1, 6, 1})
-	f.Fuzz(func(t *testing.T, stream []byte) {
-		m := NewMarkovConfigured(MarkovConfig{
-			MaxRows: 8, RowWidth: 2, AgeThreshold: 4, MinProbPct: 30, MaxChain: 4,
-		})
-		fuzzPredictor(t, m, stream, 8, 4, m.RowCount)
-	})
+	tg := fuzzTarget{
+		fresh: func() Predictor {
+			return NewMarkovConfigured(MarkovConfig{
+				MaxRows: 8, RowWidth: 2, AgeThreshold: 4, MinProbPct: 30, MaxChain: 4,
+			})
+		},
+		rows:    func(p Predictor) int { return p.(*Markov).RowCount() },
+		maxRows: 8, maxChain: 4, selfBounded: true, seenOnly: true,
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) { fuzzPredictor(t, tg, stream) })
+}
+
+// churn is a seed whose requests keep producing histories a tiny table
+// has no room for: offsets wander over a few dozen blocks with varying
+// strides and sizes, then the walk repeats so that the surviving nodes
+// are the ones the next predictions need.
+func churn() []byte {
+	var s []byte
+	for pass := 0; pass < 3; pass++ {
+		off := 0
+		for i := 0; i < 40; i++ {
+			off = (off + i*i%11 + 1) % 47
+			s = append(s, byte(off), byte(i%3))
+		}
+	}
+	return s
+}
+
+// FuzzISPPM fuzzes the paper's predictor under a graph of eight nodes.
+func FuzzISPPM(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 2, 8, 1, 11, 2, 16, 1, 19, 2})
+	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add(churn())
+	tg := fuzzTarget{
+		fresh:   func() Predictor { return NewISPPMSized(1, 8) },
+		rows:    func(p Predictor) int { return p.(*ISPPM).NodeCount() },
+		maxRows: 8, maxChain: 6,
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) { fuzzPredictor(t, tg, stream) })
+}
+
+// FuzzBlockPPM does the same for the block-granularity baseline, at
+// order 2 so that most histories are new.
+func FuzzBlockPPM(f *testing.F) {
+	f.Add([]byte{1, 1, 2, 1, 1, 1, 2, 1})
+	f.Add([]byte{0, 0, 0, 0, 0, 0})
+	f.Add(churn())
+	tg := fuzzTarget{
+		fresh:   func() Predictor { return newBlockPPM(2, 8) },
+		rows:    func(p Predictor) int { return p.(*BlockPPM).NodeCount() },
+		maxRows: 8, maxChain: 6, seenOnly: true, blockwise: true,
+	}
+	f.Fuzz(func(t *testing.T, stream []byte) { fuzzPredictor(t, tg, stream) })
 }

@@ -8,19 +8,19 @@ import (
 )
 
 // Property: under arbitrary request sequences and completion orders,
-// a linear driver never has more than MaxOutstanding prefetches in
+// a driver never has more than its fixed degree of prefetches in
 // flight, and its outstanding counter matches the environment's.
 func TestDriverOutstandingInvariantProperty(t *testing.T) {
 	f := func(ops []uint32, maxOut8 uint8) bool {
 		maxOut := int(maxOut8%3) + 1
 		env := newFakeEnv()
 		d := NewDriver(DriverConfig{
-			Predictor:      NewISPPM(1),
-			Mode:           ModeAggressive,
-			MaxOutstanding: maxOut,
-			File:           1,
-			FileBlocks:     256,
-			Env:            env,
+			Predictor:  NewISPPM(1),
+			Mode:       ModeAggressive,
+			Degree:     &FixedDegree{K: maxOut},
+			File:       1,
+			FileBlocks: 256,
+			Env:        env,
 		})
 		now := Tick(1)
 		for _, op := range ops {

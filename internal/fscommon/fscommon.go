@@ -75,6 +75,11 @@ type Base struct {
 	// (xFS nodes can prefetch the same block concurrently), for the
 	// late-prefetch classification.
 	pfInflight map[blockdev.BlockID]int
+	// pfPriority is the disk priority class of prefetch reads. The
+	// mapping from the algorithm lives here rather than on core.AlgSpec
+	// so the predictor core stays free of simulator types; the runtime
+	// engine has no priority classes at all.
+	pfPriority sim.Priority
 	// wbStop ends the write-back daemon so the event queue can drain
 	// once the trace completes.
 	wbStop bool
@@ -106,6 +111,10 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 		inflight:    make(map[blockdev.BlockID][]func(e *sim.Engine, at sim.Time)),
 		inflightFor: make(map[blockdev.BlockID]blockdev.NodeID),
 		pfInflight:  make(map[blockdev.BlockID]int),
+		pfPriority:  sim.PriorityPrefetch,
+	}
+	if alg.UserPriorityPrefetch {
+		b.pfPriority = sim.PriorityUser
 	}
 	// A prefetched copy touched by a user request was a timely
 	// prefetch. Capture the collector and degree set (shared pointers)
@@ -132,6 +141,12 @@ func (b *Base) FileBlocks(f blockdev.FileID) blockdev.BlockNo {
 		panic(fmt.Sprintf("fscommon: unknown file %d", f))
 	}
 	return n
+}
+
+// HomeNode returns the node file f hashes to: PAFS runs the file's
+// server there, xFS its location manager.
+func (b *Base) HomeNode(f blockdev.FileID) blockdev.NodeID {
+	return blockdev.NodeID(uint32(f) * 2654435761 % uint32(b.Cfg.Nodes))
 }
 
 // DiskHostNode returns the node a disk is attached to: disks are
@@ -173,6 +188,43 @@ func (b *Base) DemandFetch(blk blockdev.BlockID, node blockdev.NodeID, done func
 			w(e, at)
 		}
 	})
+}
+
+// Prefetch is core.Env.Prefetch for both file systems, which differ
+// only in the node whose pool receives the copy: a low-priority disk
+// read of blk, inserted flagged as prefetched.
+func (b *Base) Prefetch(node blockdev.NodeID, blk blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
+	if b.Stopped() {
+		// Draining after the trace: never calling done stalls the
+		// chain, which is exactly what lets the run end.
+		return true
+	}
+	b.Coll.PrefetchIssued(fallback)
+	b.PrefetchBegin(blk)
+	b.Disks.Read(blk, b.pfPriority, b.WrapPrefetchCancel(blk, cancelled), func(*sim.Engine, sim.Time) {
+		b.PrefetchEnd(blk)
+		b.Coll.DiskRead(true)
+		_, victims := b.Cch.Insert(node, blk, cachesim.InsertOptions{Prefetched: true})
+		b.FlushVictims(victims)
+		done()
+	})
+	return true
+}
+
+// Gather returns the per-block completion callback of an n-block
+// request: the n-th call fires done with the latest time any call
+// reported, since a request is served when its last block is.
+func Gather(n int, done func(at sim.Time)) func(*sim.Engine, sim.Time) {
+	var last sim.Time
+	return func(_ *sim.Engine, at sim.Time) {
+		if at > last {
+			last = at
+		}
+		n--
+		if n == 0 {
+			done(last)
+		}
+	}
 }
 
 // DemandFetchInFlight reports whether a demand read of blk is pending.
@@ -262,15 +314,4 @@ func (b *Base) FinalFlush() {
 // block size.
 func (b *Base) SpanOf(s workload.Step) blockdev.Span {
 	return blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, b.Cfg.BlockSize)
-}
-
-// PrefetchPriority maps an algorithm configuration to the disk
-// priority class its prefetch operations use. It lives here rather
-// than on core.AlgSpec so the predictor core stays free of simulator
-// types; the runtime engine has no priority classes at all.
-func PrefetchPriority(s core.AlgSpec) sim.Priority {
-	if s.UserPriorityPrefetch {
-		return sim.PriorityUser
-	}
-	return sim.PriorityPrefetch
 }

@@ -52,12 +52,6 @@ func (fs *FS) Name() string { return "PAFS" }
 // Start launches the write-back daemon.
 func (fs *FS) Start() { fs.StartWriteback() }
 
-// ServerFor returns the node running file f's server: files are hashed
-// over the machine.
-func (fs *FS) ServerFor(f blockdev.FileID) blockdev.NodeID {
-	return blockdev.NodeID(uint32(f) * 2654435761 % uint32(fs.Cfg.Nodes))
-}
-
 // pafsEnv adapts the FS for a per-file prefetch driver. PAFS drivers
 // see the whole cooperative cache: a block cached anywhere need not be
 // prefetched again.
@@ -71,22 +65,7 @@ func (e pafsEnv) Cached(b blockdev.BlockID) bool {
 }
 
 func (e pafsEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
-	fs := e.fs
-	if fs.Stopped() {
-		// Draining after the trace: never calling done stalls the
-		// chain, which is exactly what lets the run end.
-		return true
-	}
-	fs.Coll.PrefetchIssued(fallback)
-	fs.PrefetchBegin(b)
-	fs.Disks.Read(b, fscommon.PrefetchPriority(fs.alg), fs.WrapPrefetchCancel(b, cancelled), func(eng *sim.Engine, at sim.Time) {
-		fs.PrefetchEnd(b)
-		fs.Coll.DiskRead(true)
-		_, victims := fs.Cch.Insert(e.server, b, cachesim.InsertOptions{Prefetched: true})
-		fs.FlushVictims(victims)
-		done()
-	})
-	return true
+	return e.fs.Base.Prefetch(e.server, b, fallback, cancelled, done)
 }
 
 // driverFor lazily creates the per-file driver; nil when NP.
@@ -103,7 +82,7 @@ func (fs *FS) driverFor(f blockdev.FileID) *core.Driver {
 		Degree:     fs.Degrees.For(f),
 		File:       f,
 		FileBlocks: fs.FileBlocks(f),
-		Env:        pafsEnv{fs: fs, server: fs.ServerFor(f)},
+		Env:        pafsEnv{fs: fs, server: fs.HomeNode(f)},
 		Observer:   fs.Ledger,
 	})
 	fs.drivers[f] = d
@@ -118,7 +97,7 @@ func (fs *FS) Drivers() map[blockdev.FileID]*core.Driver { return fs.drivers }
 // — and ships them to the client; then the server's prefetcher reacts
 // to the observed request.
 func (fs *FS) Read(client blockdev.NodeID, span blockdev.Span, done func(at sim.Time)) {
-	server := fs.ServerFor(span.File)
+	server := fs.HomeNode(span.File)
 	fs.Net.Send(client, server, netmodel.ControlMessageSize, func(e *sim.Engine, _ sim.Time) {
 		fs.serveRead(e, client, server, span, done)
 	})
@@ -135,17 +114,7 @@ func (fs *FS) serveRead(e *sim.Engine, client, server blockdev.NodeID, span bloc
 	satisfied := hits == len(blocks)
 	fs.Coll.ReadBlocks(len(blocks), hits)
 
-	remaining := len(blocks)
-	var last sim.Time
-	finishOne := func(_ *sim.Engine, at sim.Time) {
-		if at > last {
-			last = at
-		}
-		remaining--
-		if remaining == 0 {
-			done(last)
-		}
-	}
+	finishOne := fscommon.Gather(len(blocks), done)
 	for _, b := range blocks {
 		blk := b
 		if fs.Cch.Contains(blk) {
@@ -174,7 +143,7 @@ func (fs *FS) serveRead(e *sim.Engine, client, server blockdev.NodeID, span bloc
 // decision PAFS can make exactly, §4). The next request on the file
 // resumes prefetching with the learned pattern intact.
 func (fs *FS) Close(client blockdev.NodeID, file blockdev.FileID, done func(at sim.Time)) {
-	server := fs.ServerFor(file)
+	server := fs.HomeNode(file)
 	fs.Net.Send(client, server, netmodel.ControlMessageSize, func(e *sim.Engine, at sim.Time) {
 		if d, ok := fs.drivers[file]; ok {
 			d.StopChain()
@@ -188,7 +157,7 @@ func (fs *FS) Close(client blockdev.NodeID, file blockdev.FileID, done func(at s
 // daemon or on eviction. Writes also feed the file's predictor: the
 // paper's pattern model covers reads and writes alike (§2.1, §2.2).
 func (fs *FS) Write(client blockdev.NodeID, span blockdev.Span, done func(at sim.Time)) {
-	server := fs.ServerFor(span.File)
+	server := fs.HomeNode(span.File)
 	fs.Net.Send(client, server, netmodel.ControlMessageSize, func(e *sim.Engine, _ sim.Time) {
 		fs.serveWrite(e, client, server, span, done)
 	})
@@ -204,17 +173,7 @@ func (fs *FS) serveWrite(e *sim.Engine, client, server blockdev.NodeID, span blo
 	}
 	satisfied := hits == len(blocks)
 
-	remaining := len(blocks)
-	var last sim.Time
-	finishOne := func(_ *sim.Engine, at sim.Time) {
-		if at > last {
-			last = at
-		}
-		remaining--
-		if remaining == 0 {
-			done(last)
-		}
-	}
+	finishOne := fscommon.Gather(len(blocks), done)
 	for _, b := range blocks {
 		blk := b
 		var target blockdev.NodeID

@@ -235,8 +235,8 @@ func TestMispredictRestartsFromNewPosition(t *testing.T) {
 
 func TestServerForIsStable(t *testing.T) {
 	_, fs := newFS(core.SpecNP, 16, 10)
-	a := fs.ServerFor(3)
-	if fs.ServerFor(3) != a {
+	a := fs.HomeNode(3)
+	if fs.HomeNode(3) != a {
 		t.Error("server assignment unstable")
 	}
 	if int(a) < 0 || int(a) >= fs.Cfg.Nodes {

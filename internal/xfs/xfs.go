@@ -66,11 +66,6 @@ func (fs *FS) Name() string { return "xFS" }
 // Start launches the write-back daemon.
 func (fs *FS) Start() { fs.StartWriteback() }
 
-// ManagerFor returns the node managing file f's location metadata.
-func (fs *FS) ManagerFor(f blockdev.FileID) blockdev.NodeID {
-	return blockdev.NodeID(uint32(f) * 2654435761 % uint32(fs.Cfg.Nodes))
-}
-
 // xfsEnv adapts the FS for one node's per-file driver. The locality
 // difference from PAFS is deliberate: a node considers only its *own*
 // pool, so a block prefetched by a neighbour is prefetched again here
@@ -85,28 +80,13 @@ func (e xfsEnv) Cached(b blockdev.BlockID) bool {
 	return e.fs.Cch.ContainsOn(e.node, b)
 }
 
+// Prefetch goes straight to disk: the prefetch decision is local and
+// bypasses the manager, so a block sitting in a peer's cache is
+// fetched again anyway — the duplicated work (and the extra disk
+// traffic of Figure 9) that makes xFS's per-node prefetching "not
+// really linear" (§4, §5.2).
 func (e xfsEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
-	fs := e.fs
-	if fs.Stopped() {
-		// Draining after the trace: never calling done stalls the
-		// chain, which is exactly what lets the run end.
-		return true
-	}
-	fs.Coll.PrefetchIssued(fallback)
-	// Prefetches go straight to disk: the prefetch decision is local
-	// and bypasses the manager, so a block sitting in a peer's cache
-	// is fetched again anyway — the duplicated work (and the extra
-	// disk traffic of Figure 9) that makes xFS's per-node prefetching
-	// "not really linear" (§4, §5.2).
-	fs.PrefetchBegin(b)
-	fs.Disks.Read(b, fscommon.PrefetchPriority(fs.alg), fs.WrapPrefetchCancel(b, cancelled), func(eng *sim.Engine, at sim.Time) {
-		fs.PrefetchEnd(b)
-		fs.Coll.DiskRead(true)
-		_, victims := fs.Cch.Insert(e.node, b, cachesim.InsertOptions{Prefetched: true})
-		fs.FlushVictims(victims)
-		done()
-	})
-	return true
+	return e.fs.Base.Prefetch(e.node, b, fallback, cancelled, done)
 }
 
 // driverFor lazily creates the per-(node,file) driver; nil when NP.
@@ -153,17 +133,7 @@ func (fs *FS) Read(client blockdev.NodeID, span blockdev.Span, done func(at sim.
 	satisfied := localHits == len(blocks)
 	fs.Coll.ReadBlocks(len(blocks), localHits)
 
-	remaining := len(blocks)
-	var last sim.Time
-	finishOne := func(_ *sim.Engine, at sim.Time) {
-		if at > last {
-			last = at
-		}
-		remaining--
-		if remaining == 0 {
-			done(last)
-		}
-	}
+	finishOne := fscommon.Gather(len(blocks), done)
 	for _, b := range blocks {
 		blk := b
 		if fs.Cch.ContainsOn(client, blk) {
@@ -174,7 +144,7 @@ func (fs *FS) Read(client blockdev.NodeID, span blockdev.Span, done func(at sim.
 			})
 			continue
 		}
-		manager := fs.ManagerFor(blk.File)
+		manager := fs.HomeNode(blk.File)
 		fs.Net.Send(client, manager, netmodel.ControlMessageSize, func(e *sim.Engine, _ sim.Time) {
 			fs.resolveMiss(client, blk, finishOne)
 		})
@@ -229,17 +199,7 @@ func (fs *FS) Write(client blockdev.NodeID, span blockdev.Span, done func(at sim
 	}
 	satisfied := localHits == len(blocks)
 
-	remaining := len(blocks)
-	var last sim.Time
-	finishOne := func(_ *sim.Engine, at sim.Time) {
-		if at > last {
-			last = at
-		}
-		remaining--
-		if remaining == 0 {
-			done(last)
-		}
-	}
+	finishOne := fscommon.Gather(len(blocks), done)
 	for _, b := range blocks {
 		blk := b
 		if !fs.Cch.ContainsOn(client, blk) && fs.Cch.Contains(blk) {

@@ -154,7 +154,7 @@ func TestWriteLatencyIsLocal(t *testing.T) {
 
 func TestManagerForStable(t *testing.T) {
 	_, fs := newFS(core.SpecNP, 16, 10)
-	if fs.ManagerFor(5) != fs.ManagerFor(5) {
+	if fs.HomeNode(5) != fs.HomeNode(5) {
 		t.Error("manager assignment unstable")
 	}
 	if fs.Name() != "xFS" {
