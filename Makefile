@@ -1,9 +1,9 @@
 # Development targets. `make check` is the full gate: no committed
 # result file but BENCHMARK.json, gofmt, vet, build, the whole test
 # suite under the race detector (each package once), a short run of
-# every fuzz target over its seed corpus, a smoke of the one lapbench
-# path no test drives, and the bench/ module (its own go.mod, so
-# nothing above compiles it). Performance numbers come from
+# every fuzz target over its seed corpus, the committed EXPERIMENTS.md
+# against the report the code generates, and the bench/ module (its
+# own go.mod, so nothing above compiles it). Performance numbers come from
 # `bash bench/run.sh` alone. The five zero-allocation gates (engine
 # hit, miss and prefetched hit, loopback hit, remote hit) are tests
 # tagged !race: `make test` enforces them, `make race` skips them.
@@ -11,9 +11,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check no-result-files check-predictors check-bench soak fmt vet build test race fuzz report
+.PHONY: check no-result-files check-record check-bench soak fmt vet build test race fuzz report
 
-check: no-result-files fmt vet build race fuzz check-predictors check-bench
+check: no-result-files fmt vet build race fuzz check-record check-bench
 
 # bench/ is the one instrument; a BENCH_*.json snapshot beside it is a
 # second one.
@@ -43,10 +43,14 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Smoke of the one lapbench path no test drives: the tiny-scale
-# predictor matrix (win checks only engage at -scale full).
-check-predictors:
-	$(GO) run ./cmd/lapbench -exp predictors -scale tiny
+# The committed record is what the code generates: every table row
+# (`| `-prefixed line: verdicts, paper Table 2, observability cells) of
+# the full-scale report must appear verbatim in EXPERIMENTS.md. About
+# half a minute of simulation.
+check-record:
+	@rows=$$($(GO) run ./cmd/lapbench -scale full -exp report | grep '^| ') || { echo "check-record: lapbench -exp report printed no table rows"; exit 1; }; \
+	missing=$$(printf '%s\n' "$$rows" | grep -vxFf EXPERIMENTS.md); \
+	if [ -n "$$missing" ]; then echo "EXPERIMENTS.md has drifted from lapbench -scale full -exp report; rows it lacks:"; echo "$$missing"; exit 1; fi
 
 # bench/ is a fixed consumer of Engine, lapclient.Conn and the server:
 # vet and test it against this checkout, then run every BENCHMARK.json

@@ -1,5 +1,7 @@
 // Command lapbench regenerates the paper's evaluation: every figure
-// (4–11), both tables, and the in-text claims report.
+// (4–11), both tables, and the paper-vs-measured verdict table
+// (-exp report; -exp claims prints its in-text-claim rows, and -exp all
+// ends with them).
 //
 // Usage:
 //
@@ -31,16 +33,9 @@ func main() {
 	adaptiveVictim := flag.Bool("adaptive-victim", false, "for -exp chaos: run the AdaptiveFDP degree policy on the seed-chosen victim node (strict elsewhere)")
 	flag.Parse()
 
-	var scale experiment.Scale
-	switch *scaleName {
-	case "full":
-		scale = experiment.FullScale()
-	case "small":
-		scale = experiment.SmallScale()
-	case "tiny":
-		scale = experiment.TinyScale()
-	default:
-		fmt.Fprintf(os.Stderr, "lapbench: unknown scale %q\n", *scaleName)
+	scale, err := experiment.ScaleByName(*scaleName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "lapbench: %v\n", err)
 		os.Exit(2)
 	}
 
@@ -51,13 +46,15 @@ func main() {
 	case "all":
 		out, err := suite.RenderAll()
 		exitOn(err)
-		fmt.Print(out)
+		rep, err := report.Build(suite)
+		exitOn(err)
+		fmt.Print(out, rep.Claims())
 	case "table1":
 		fmt.Print(experiment.Table1())
 	case "claims":
-		out, err := suite.Claims()
+		rep, err := report.Build(suite)
 		exitOn(err)
-		fmt.Print(out)
+		fmt.Print(rep.Claims())
 	case "report":
 		rep, err := report.Build(suite)
 		exitOn(err)
@@ -73,7 +70,7 @@ func main() {
 		// The predictor × workload matrix runs at the scale's smallest
 		// cache; win-ratio checks only hold at -scale full, where the
 		// workload footprints overflow the caches.
-		exitOn(runPredictors(scale, *workers))
+		exitOn(runPredictors(os.Stdout, scale, *workers))
 	case "chaos":
 		// Chaos runs at the tiny scale regardless of -scale: the point
 		// is fault density, not workload volume.

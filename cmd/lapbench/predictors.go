@@ -2,11 +2,12 @@ package main
 
 import (
 	"fmt"
-	"sync"
+	"io"
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -33,12 +34,26 @@ func classicPred(name string) bool {
 	return name == "Ln_Agr_OBA" || name == "Ln_Agr_IS_PPM:1" || name == "Ln_Agr_IS_PPM:3"
 }
 
+func anyPred(string) bool { return true }
+
 // predCell is one (workload, algorithm) run of the matrix at the
 // scenario cache size.
 type predCell struct {
 	workload string
 	alg      core.AlgSpec
 	res      experiment.Result
+}
+
+// bestOf returns the workload's cell with the lowest avg read time
+// among the algorithms keep admits (the zero predCell if none).
+func bestOf(cells []predCell, wl string, keep func(alg string) bool) predCell {
+	var b predCell
+	for _, c := range cells {
+		if c.workload == wl && keep(c.alg.Name()) && (b.workload == "" || c.res.AvgReadMs < b.res.AvgReadMs) {
+			b = c
+		}
+	}
+	return b
 }
 
 // deepSeqTrace builds the whole-file sequential scan workload: every
@@ -90,75 +105,33 @@ func deepSeqTrace(nodes int, blockSize int64) *workload.Trace {
 // (the paper's small-cache regime, and the only regime where re-fetch
 // pressure exists at all), prints the which-predictor-for-which-
 // workload report, and enforces its headline claims.
-func runPredictors(s experiment.Scale, workers int) error {
+func runPredictors(w io.Writer, s experiment.Scale, workers int) error {
 	cacheMB := s.CacheSizesMB[0]
-	algs := predAlgs()
-
-	type job struct {
-		workload string
-		kind     experiment.WorkloadKind // used when trace == nil
-		trace    *workload.Trace
-		alg      core.AlgSpec
-	}
 	deep := deepSeqTrace(s.NOW.Nodes, s.NOW.BlockSize)
-	var jobs []job
+	var cells []predCell
 	for _, wl := range []struct {
 		name  string
 		kind  experiment.WorkloadKind
-		trace *workload.Trace
+		input func(experiment.WorkloadKind) (*workload.Trace, machine.Config, error)
 	}{
-		{"charisma", experiment.Charisma, nil},
-		{"deepseq", 0, deep},
-		{"cdn", experiment.CDN, nil},
-		{"oltp", experiment.OLTP, nil},
+		{"charisma", experiment.Charisma, s.Trace},
+		// deepseq is no WorkloadKind; its cells keep the zero kind,
+		// which only seeds the engine.
+		{"deepseq", 0, func(experiment.WorkloadKind) (*workload.Trace, machine.Config, error) { return deep, s.NOW, nil }},
+		{"cdn", experiment.CDN, s.Trace},
+		{"oltp", experiment.OLTP, s.Trace},
 	} {
-		for _, a := range algs {
-			jobs = append(jobs, job{wl.name, wl.kind, wl.trace, a})
+		var row []experiment.Cell
+		for _, a := range predAlgs() {
+			row = append(row, experiment.Cell{FS: experiment.PAFS, Workload: wl.kind, Alg: a, CacheMB: cacheMB})
 		}
-	}
-
-	if workers <= 0 {
-		workers = 4
-	}
-	cells := make([]predCell, len(jobs))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	ch := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range ch {
-				j := jobs[i]
-				c := experiment.Cell{FS: experiment.PAFS, Workload: j.kind, Alg: j.alg, CacheMB: cacheMB}
-				var (
-					res experiment.Result
-					err error
-				)
-				if j.trace != nil {
-					res, err = experiment.RunTrace(j.trace, s.NOW, c, s.WarmFraction)
-				} else {
-					res, err = experiment.RunCell(s, c)
-				}
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("predictors %s/%s: %w", j.workload, j.alg.Name(), err)
-				}
-				mu.Unlock()
-				cells[i] = predCell{workload: j.workload, alg: j.alg, res: res}
-			}
-		}()
-	}
-	for i := range jobs {
-		ch <- i
-	}
-	close(ch)
-	wg.Wait()
-	if firstErr != nil {
-		return firstErr
+		results, err := experiment.RunCells(wl.input, row, s.WarmFraction, workers)
+		if err != nil {
+			return fmt.Errorf("predictors %s: %w", wl.name, err)
+		}
+		for _, r := range results {
+			cells = append(cells, predCell{workload: wl.name, alg: r.Cell.Alg, res: r})
+		}
 	}
 
 	blockSize := s.NOW.BlockSize
@@ -174,43 +147,31 @@ func runPredictors(s experiment.Scale, workers int) error {
 	// predictors have no re-fetch traffic to predict.
 	enforce := s.Name == "full"
 
-	fmt.Printf("predictor × workload matrix: PAFS, %dMB per-node cache, scale %s\n", cacheMB, s.Name)
-	fmt.Printf("(avg read time is the paper's figure of merit; pf-B/hit is bytes prefetched per timely hit)\n\n")
+	fmt.Fprintf(w, "predictor × workload matrix: PAFS, %dMB per-node cache, scale %s\n", cacheMB, s.Name)
+	fmt.Fprintf(w, "(avg read time is the paper's figure of merit; pf-B/hit is bytes prefetched per timely hit)\n\n")
 	last := ""
 	for _, c := range cells {
 		if c.workload != last {
 			if last != "" {
-				fmt.Println()
+				fmt.Fprintln(w)
 			}
-			fmt.Printf("%-10s %-18s %9s %6s %8s %8s %8s %8s %10s\n",
+			fmt.Fprintf(w, "%-10s %-18s %9s %6s %8s %8s %8s %8s %10s\n",
 				"workload", "alg", "read-ms", "hit-%", "issued", "timely", "late", "wasted", "pf-B/hit")
 			last = c.workload
 		}
 		r := c.res
-		fmt.Printf("%-10s %-18s %9.3f %6.1f %8d %8d %8d %8d %10.0f\n",
+		fmt.Fprintf(w, "%-10s %-18s %9.3f %6.1f %8d %8d %8d %8d %10.0f\n",
 			c.workload, c.alg.Name(), r.AvgReadMs, 100*r.HitRatio,
 			r.PrefetchIssued, r.PrefetchTimely, r.PrefetchLate, r.PrefetchWasted, pfBytesPerHit(r))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 
-	best := func(wl string) predCell {
-		var b predCell
-		for _, c := range cells {
-			if c.workload != wl {
-				continue
-			}
-			if b.workload == "" || c.res.AvgReadMs < b.res.AvgReadMs {
-				b = c
-			}
-		}
-		return b
-	}
 	for _, wl := range []string{"charisma", "deepseq", "cdn", "oltp"} {
-		b := best(wl)
-		fmt.Printf("%-10s best: %-18s %.3f ms\n", wl, b.alg.Name(), b.res.AvgReadMs)
+		b := bestOf(cells, wl, anyPred)
+		fmt.Fprintf(w, "%-10s best: %-18s %.3f ms\n", wl, b.alg.Name(), b.res.AvgReadMs)
 	}
 	if !enforce {
-		fmt.Printf("\n(win checks skipped at scale %s: footprints fit in cache)\n", s.Name)
+		fmt.Fprintf(w, "\n(win checks skipped at scale %s: footprints fit in cache)\n", s.Name)
 		return nil
 	}
 	return checkPredictors(cells)
@@ -225,39 +186,11 @@ func runPredictors(s experiment.Scale, workers int) error {
 //  3. each new predictor wins at least one scenario outright (best
 //     avg read time in the cell) — a cell the classics lose.
 func checkPredictors(cells []predCell) error {
-	byWl := make(map[string][]predCell)
-	for _, c := range cells {
-		byWl[c.workload] = append(byWl[c.workload], c)
-	}
 	get := func(wl, alg string) predCell {
-		for _, c := range byWl[wl] {
-			if c.alg.Name() == alg {
-				return c
-			}
-		}
-		return predCell{}
+		return bestOf(cells, wl, func(name string) bool { return name == alg })
 	}
-	bestClassic := func(wl string) predCell {
-		var b predCell
-		for _, c := range byWl[wl] {
-			if !classicPred(c.alg.Name()) {
-				continue
-			}
-			if b.workload == "" || c.res.AvgReadMs < b.res.AvgReadMs {
-				b = c
-			}
-		}
-		return b
-	}
-	winner := func(wl string) predCell {
-		var b predCell
-		for _, c := range byWl[wl] {
-			if b.workload == "" || c.res.AvgReadMs < b.res.AvgReadMs {
-				b = c
-			}
-		}
-		return b
-	}
+	bestClassic := func(wl string) predCell { return bestOf(cells, wl, classicPred) }
+	winner := func(wl string) predCell { return bestOf(cells, wl, anyPred) }
 
 	// 1. CHARISMA: classic linear-aggressive must beat NP (the paper's
 	// headline) and both new predictors (the ranking is preserved).

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"bytes"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -124,5 +127,46 @@ func TestDeepSeqTrace(t *testing.T) {
 	tr2 := deepSeqTrace(s.NOW.Nodes, s.NOW.BlockSize)
 	if tr.TotalSteps() != tr2.TotalSteps() || len(tr.Procs) != len(tr2.Procs) {
 		t.Fatal("deepseq trace not deterministic")
+	}
+}
+
+// TestPredictorsTiny drives the whole -exp predictors path at the tiny
+// scale: every (workload, algorithm) cell runs through the one pool —
+// the three scale workloads and the explicit deepseq trace alike — and
+// lands in the table in matrix order, one best line per workload.
+func TestPredictorsTiny(t *testing.T) {
+	var out bytes.Buffer
+	if err := runPredictors(&out, experiment.TinyScale(), 0); err != nil {
+		t.Fatal(err)
+	}
+	var rows []string
+	for _, line := range strings.Split(out.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 9 && f[0] != "workload" {
+			rows = append(rows, f[0]+"/"+f[1])
+		}
+	}
+	var want []string
+	for _, wl := range []string{"charisma", "deepseq", "cdn", "oltp"} {
+		for _, a := range predAlgs() {
+			want = append(want, wl+"/"+a.Name())
+		}
+		if !strings.Contains(out.String(), fmt.Sprintf("\n%-10s best: ", wl)) {
+			t.Errorf("no best line for %s", wl)
+		}
+	}
+	if !reflect.DeepEqual(rows, want) {
+		t.Errorf("matrix rows:\n got %v\nwant %v", rows, want)
+	}
+	// The charisma NP cell is TinyScale's CHARISMA/PAFS/NP/1MB cell.
+	np, err := experiment.RunCell(experiment.TinyScale(),
+		experiment.Cell{FS: experiment.PAFS, Workload: experiment.Charisma, Alg: core.SpecNP, CacheMB: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row := fmt.Sprintf("%-10s %-18s %9.3f", "charisma", "NP", np.AvgReadMs); !strings.Contains(out.String(), row) {
+		t.Errorf("table has no row %q", row)
+	}
+	if !strings.Contains(out.String(), "win checks skipped at scale tiny") {
+		t.Error("tiny-scale run did not say it skipped the win checks")
 	}
 }

@@ -5,10 +5,11 @@
 //
 // Usage:
 //
-//	predict [-workload charisma|sprite] [-scale full|small|tiny] [-mode file|nodefile] [-trace FILE]
+//	predict [-workload charisma|sprite|cdn|oltp] [-scale full|small|tiny] [-mode file|nodefile] [-trace FILE]
 //
 // With -trace, a text trace written by tracegen is scored instead of a
-// freshly generated one.
+// freshly generated one. Workload and scale names are tracegen's and
+// lapsim's (experiment.ParseWorkload, experiment.ScaleByName).
 package main
 
 import (
@@ -22,7 +23,7 @@ import (
 )
 
 func main() {
-	wlName := flag.String("workload", "charisma", "workload: charisma or sprite")
+	wlName := flag.String("workload", "charisma", "workload: charisma, sprite, cdn or oltp")
 	scaleName := flag.String("scale", "small", "experiment scale: full, small, tiny")
 	modeName := flag.String("mode", "file", "stream mode: file (PAFS server view) or nodefile (xFS node view)")
 	traceFile := flag.String("trace", "", "score this tracegen file instead of generating")
@@ -38,47 +39,32 @@ func main() {
 		fail("unknown mode %q", *modeName)
 	}
 
-	var (
-		tr        *workload.Trace
-		blockSize int64 = 8192
-		err       error
-	)
-	if *traceFile != "" {
-		f, ferr := os.Open(*traceFile)
-		if ferr != nil {
-			fail("%v", ferr)
-		}
-		defer f.Close()
-		tr, err = workload.Decode(f)
-	} else {
-		var scale experiment.Scale
-		switch *scaleName {
-		case "full":
-			scale = experiment.FullScale()
-		case "small":
-			scale = experiment.SmallScale()
-		case "tiny":
-			scale = experiment.TinyScale()
-		default:
-			fail("unknown scale %q", *scaleName)
-		}
-		switch *wlName {
-		case "charisma":
-			blockSize = scale.Charisma.BlockSize
-			tr, err = workload.GenerateCharisma(scale.Charisma)
-		case "sprite":
-			blockSize = scale.Sprite.BlockSize
-			tr, err = workload.GenerateSprite(scale.Sprite)
-		default:
-			fail("unknown workload %q", *wlName)
-		}
-	}
+	scale, err := experiment.ScaleByName(*scaleName)
 	if err != nil {
 		fail("%v", err)
 	}
+	wl, err := experiment.ParseWorkload(*wlName)
+	if err != nil {
+		fail("%v", err)
+	}
+	tr, mach, err := scale.Trace(wl)
+	if err != nil {
+		fail("%v", err)
+	}
+	if *traceFile != "" {
+		f, err := os.Open(*traceFile)
+		if err != nil {
+			fail("%v", err)
+		}
+		tr, err = workload.Decode(f)
+		f.Close()
+		if err != nil {
+			fail("%v", err)
+		}
+	}
 
 	fmt.Printf("prediction accuracy, %s streams of trace %q:\n\n", mode, tr.Name)
-	for _, r := range predeval.EvaluateStandard(tr, mode, blockSize) {
+	for _, r := range predeval.EvaluateStandard(tr, mode, mach.BlockSize) {
 		fmt.Println(r)
 	}
 }

@@ -6,7 +6,12 @@
 //
 // Usage:
 //
-//	tracegen -workload charisma|sprite|cdn|oltp [-scale full|small|tiny] [-seed N] [-o FILE] [-stats]
+//	tracegen -workload charisma|sprite|cdn|oltp [-scale full|small|tiny] [-seed N] [-o FILE] [-stats|-analyze]
+//
+// The trace is experiment.Scale.Trace's — the one every simulated cell
+// of that workload runs — so `lapsim -trace FILE` and `predict -trace
+// FILE` replay exactly what a sweep at that scale sees. -seed N draws a
+// different trace from the same generator (Scale.Reseeded).
 package main
 
 import (
@@ -29,50 +34,18 @@ func main() {
 	analyze := flag.Bool("analyze", false, "print the fidelity analysis (request mix, sequentiality, sharing) instead of the trace")
 	flag.Parse()
 
-	var scale experiment.Scale
-	switch *scaleName {
-	case "full":
-		scale = experiment.FullScale()
-	case "small":
-		scale = experiment.SmallScale()
-	case "tiny":
-		scale = experiment.TinyScale()
-	default:
-		fail("unknown scale %q", *scaleName)
+	scale, err := experiment.ScaleByName(*scaleName)
+	if err != nil {
+		fail("%v", err)
 	}
-
-	var (
-		tr  *workload.Trace
-		err error
-	)
-	switch *wlName {
-	case "charisma":
-		p := scale.Charisma
-		if *seed != 0 {
-			p.Seed = *seed
-		}
-		tr, err = workload.GenerateCharisma(p)
-	case "sprite":
-		p := scale.Sprite
-		if *seed != 0 {
-			p.Seed = *seed
-		}
-		tr, err = workload.GenerateSprite(p)
-	case "cdn":
-		p := scale.CDN
-		if *seed != 0 {
-			p.Seed = *seed
-		}
-		tr, err = workload.GenerateCDN(p)
-	case "oltp":
-		p := scale.OLTP
-		if *seed != 0 {
-			p.Seed = *seed
-		}
-		tr, err = workload.GenerateOLTP(p)
-	default:
-		fail("unknown workload %q", *wlName)
+	wl, err := experiment.ParseWorkload(*wlName)
+	if err != nil {
+		fail("%v", err)
 	}
+	if *seed != 0 {
+		scale = scale.Reseeded(*seed)
+	}
+	tr, _, err := scale.Trace(wl)
 	if err != nil {
 		fail("%v", err)
 	}

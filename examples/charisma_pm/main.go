@@ -20,16 +20,9 @@ func main() {
 	scaleName := flag.String("scale", "tiny", "experiment scale: tiny, small, full")
 	flag.Parse()
 
-	var scale experiment.Scale
-	switch *scaleName {
-	case "tiny":
-		scale = experiment.TinyScale()
-	case "small":
-		scale = experiment.SmallScale()
-	case "full":
-		scale = experiment.FullScale()
-	default:
-		log.Fatalf("unknown scale %q", *scaleName)
+	scale, err := experiment.ScaleByName(*scaleName)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	suite := experiment.NewSuite(scale, 0)

@@ -82,22 +82,26 @@ func Ablations() []AblationSpec {
 // RunAblations executes every ablation cell at the given scale and
 // renders a comparison table.
 func RunAblations(s Scale) (string, error) {
+	abs := Ablations()
+	cells := make([]Cell, len(abs))
+	for i, ab := range abs {
+		cells[i] = ab.Cell
+	}
+	results, err := RunCells(s.Trace, cells, s.WarmFraction, 0)
+	if err != nil {
+		return "", err
+	}
 	var b strings.Builder
 	b.WriteString("Design-choice ablations, CHARISMA on PAFS @ 4MB/node\n")
 	b.WriteString("(cooperation: Sprite on xFS @ 1MB/node)\n")
 	fmt.Fprintf(&b, "(scale %s)\n\n", s.Name)
 	fmt.Fprintf(&b, "%-12s %-14s %-28s %10s %10s %12s\n",
 		"study", "variant", "algorithm", "read(ms)", "mispred%", "disk ops")
-	lastStudy := ""
-	for _, ab := range Ablations() {
-		res, err := RunCell(s, ab.Cell)
-		if err != nil {
-			return "", fmt.Errorf("%s/%s: %w", ab.Study, ab.Variant, err)
-		}
-		if ab.Study != lastStudy && lastStudy != "" {
+	for i, ab := range abs {
+		if i > 0 && ab.Study != abs[i-1].Study {
 			b.WriteByte('\n')
 		}
-		lastStudy = ab.Study
+		res := results[i]
 		fmt.Fprintf(&b, "%-12s %-14s %-28s %10.3f %10.1f %12d\n",
 			ab.Study, ab.Variant, ab.Cell.Alg.Name(),
 			res.AvgReadMs, 100*res.MispredictionRatio, res.DiskAccesses)

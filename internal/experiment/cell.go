@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/fscommon"
@@ -29,7 +30,18 @@ func (k FSKind) String() string {
 	return "xFS"
 }
 
-// WorkloadKind selects the trace workload (and with it the machine).
+// ParseFS returns the file system a -fs flag names, in any case.
+func ParseFS(name string) (FSKind, error) {
+	for k := PAFS; k <= XFS; k++ {
+		if strings.EqualFold(name, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown file system %q", name)
+}
+
+// WorkloadKind selects the trace workload (and with it the machine;
+// see Scale.Trace).
 type WorkloadKind int
 
 // Workloads under test. CHARISMA and Sprite are the paper's two;
@@ -59,6 +71,17 @@ func (k WorkloadKind) String() string {
 	}
 }
 
+// ParseWorkload returns the workload a -workload flag names, in any
+// case.
+func ParseWorkload(name string) (WorkloadKind, error) {
+	for k := Charisma; k <= OLTP; k++ {
+		if strings.EqualFold(name, k.String()) {
+			return k, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown workload %q", name)
+}
+
 // Cell is one simulation run: a point on one curve of one figure.
 type Cell struct {
 	FS       FSKind
@@ -77,92 +100,69 @@ func (c Cell) String() string {
 	return fmt.Sprintf("%s/%s/%s/%dMB", c.Workload, c.FS, c.Alg.Name(), c.CacheMB)
 }
 
-// Result holds every metric one run produces.
+// Result holds every metric one run produces. The tags are the stable
+// keys of its JSONL record (lapsim -metrics), which MarshalJSON heads
+// with the cell's names.
 type Result struct {
-	Cell Cell
+	Cell Cell `json:"-"`
 
 	// AvgReadMs is the y-axis of Figures 4–7.
-	AvgReadMs float64
+	AvgReadMs float64 `json:"avg_read_ms"`
 	// DiskAccesses is the y-axis of Figures 8–11.
-	DiskAccesses uint64
-	DiskReads    uint64
-	DiskWrites   uint64
+	DiskAccesses uint64 `json:"disk_accesses"`
+	DiskReads    uint64 `json:"disk_reads"`
+	DiskWrites   uint64 `json:"disk_writes"`
 	// WritesPerBlock is the Table 2 metric.
-	WritesPerBlock float64
+	WritesPerBlock float64 `json:"writes_per_block"`
 
 	// Prefetch quality.
-	PrefetchIssued     uint64
-	FallbackFraction   float64
-	MispredictionRatio float64
+	PrefetchIssued     uint64  `json:"prefetch_issued"`
+	FallbackFraction   float64 `json:"fallback_fraction"`
+	MispredictionRatio float64 `json:"misprediction_ratio"`
 
 	// Prefetch timeliness (see stats.Collector): Timely prefetches were
 	// used from the cache, Late ones lost the race to demand traffic,
 	// Wasted ones were evicted unused inside the measurement window;
 	// UnusedAtEnd counts speculative copies still untouched when the
 	// run drained.
-	PrefetchTimely      uint64
-	PrefetchLate        uint64
-	PrefetchWasted      uint64
-	PrefetchUnusedAtEnd uint64
+	PrefetchTimely      uint64 `json:"prefetch_timely"`
+	PrefetchLate        uint64 `json:"prefetch_late"`
+	PrefetchWasted      uint64 `json:"prefetch_wasted"`
+	PrefetchUnusedAtEnd uint64 `json:"prefetch_unused_at_end"`
 
 	// MaxFilePrefetchHW is the largest number of prefetches ever
 	// simultaneously in flight for any single file, machine-wide. 1 on
 	// a truly linear run (PAFS); >1 exposes xFS's per-node chains
 	// overlapping on shared files.
-	MaxFilePrefetchHW int
+	MaxFilePrefetchHW int `json:"max_file_prefetch_outstanding"`
 
 	// Resource utilization over the whole run (warm-up and drain
 	// included), plus queue-depth high-water marks.
-	DiskUtilization   float64
-	DiskPrefetchShare float64 // share of disk busy time at prefetch priority
-	DiskMaxQueue      int
-	NetUtilization    float64
-	NetMaxQueue       int
+	DiskUtilization   float64 `json:"disk_utilization"`
+	DiskPrefetchShare float64 `json:"disk_prefetch_share"` // share of disk busy time at prefetch priority
+	DiskMaxQueue      int     `json:"disk_max_queue"`
+	NetUtilization    float64 `json:"net_utilization"`
+	NetMaxQueue       int     `json:"net_max_queue"`
 
 	// EventsFired counts simulator events executed — a determinism
 	// fingerprint of the whole run.
-	EventsFired uint64
+	EventsFired uint64 `json:"events_fired"`
 
-	HitRatio float64
-	Reads    uint64
-	Writes   uint64
-	SimTime  sim.Time
+	HitRatio float64  `json:"hit_ratio"`
+	Reads    uint64   `json:"reads"`
+	Writes   uint64   `json:"writes"`
+	SimTime  sim.Time `json:"sim_time_ns"`
 }
 
 // RunCell simulates one cell under the given scale. The workload trace
 // depends only on the scale and workload kind, so every algorithm and
 // cache size is measured against the identical request stream.
 func RunCell(s Scale, c Cell) (Result, error) {
-	return RunCellObserved(s, c, nil)
-}
-
-// RunCellObserved is RunCell with an optional sim.Tracer attached.
-func RunCellObserved(s Scale, c Cell, tracer sim.Tracer) (Result, error) {
-	var (
-		tr   *workload.Trace
-		mach machine.Config
-		err  error
-	)
-	switch c.Workload {
-	case Charisma:
-		mach = s.PM
-		tr, err = workload.GenerateCharisma(s.Charisma)
-	case Sprite:
-		mach = s.NOW
-		tr, err = workload.GenerateSprite(s.Sprite)
-	case CDN:
-		mach = s.NOW
-		tr, err = workload.GenerateCDN(s.CDN)
-	case OLTP:
-		mach = s.NOW
-		tr, err = workload.GenerateOLTP(s.OLTP)
-	default:
-		return Result{}, fmt.Errorf("experiment: unknown workload %d", c.Workload)
-	}
+	tr, mach, err := s.Trace(c.Workload)
 	if err != nil {
 		return Result{}, err
 	}
-	return RunTraceObserved(tr, mach, c, s.WarmFraction, tracer)
+	return RunTrace(tr, mach, c, s.WarmFraction)
 }
 
 // RunTrace simulates an explicit trace (for example one loaded from a

@@ -115,22 +115,15 @@ func TestFigureDefinitionsComplete(t *testing.T) {
 		t.Fatalf("%d artifacts, want 9 (fig4..fig11 + table2)", len(ids))
 	}
 	for _, id := range ids {
-		fs, wl, err := MatrixKeyForFigure(id)
-		if err != nil {
+		if _, _, err := MatrixKeyForFigure(id); err != nil {
 			t.Fatal(err)
 		}
-		algs, err := AlgsForFigure(id)
-		if err != nil || len(algs) == 0 {
+		if len(figureDefs[id].algs()) == 0 {
 			t.Errorf("figure %s has no algorithms", id)
 		}
-		_ = fs
-		_ = wl
 	}
 	if _, _, err := MatrixKeyForFigure("fig99"); err == nil {
 		t.Error("unknown figure accepted")
-	}
-	if _, err := AlgsForFigure("fig99"); err == nil {
-		t.Error("unknown figure accepted by AlgsForFigure")
 	}
 }
 

@@ -35,127 +35,25 @@ func (f Figure) WriteCSV(w io.Writer) error {
 	return cw.Error()
 }
 
-// figureJSON is the stable JSON shape of a figure.
-type figureJSON struct {
-	ID      string       `json:"id"`
-	Title   string       `json:"title"`
-	Unit    string       `json:"unit"`
-	SizesMB []int        `json:"cache_sizes_mb"`
-	Series  []seriesJSON `json:"series"`
-}
-
-type seriesJSON struct {
-	Algorithm string    `json:"algorithm"`
-	Values    []float64 `json:"values"`
-}
-
-// WriteJSON emits the figure as a JSON document.
+// WriteJSON emits the figure as a JSON document, under the tags Figure
+// and Series declare.
 func (f Figure) WriteJSON(w io.Writer) error {
-	doc := figureJSON{ID: f.ID, Title: f.Title, Unit: f.Unit, SizesMB: f.Sizes}
-	for _, s := range f.Series {
-		doc.Series = append(doc.Series, seriesJSON{Algorithm: s.Alg, Values: s.Values})
-	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
+	return enc.Encode(f)
 }
 
-// resultJSON is the stable JSON shape of one cell's Result, emitted as
-// one JSONL record by lapsim -metrics and WriteResultJSONL.
-type resultJSON struct {
-	FS       string `json:"fs"`
-	Workload string `json:"workload"`
-	Alg      string `json:"algorithm"`
-	CacheMB  int    `json:"cache_mb"`
-
-	AvgReadMs      float64 `json:"avg_read_ms"`
-	DiskAccesses   uint64  `json:"disk_accesses"`
-	DiskReads      uint64  `json:"disk_reads"`
-	DiskWrites     uint64  `json:"disk_writes"`
-	WritesPerBlock float64 `json:"writes_per_block"`
-
-	PrefetchIssued     uint64  `json:"prefetch_issued"`
-	FallbackFraction   float64 `json:"fallback_fraction"`
-	MispredictionRatio float64 `json:"misprediction_ratio"`
-
-	PrefetchTimely      uint64 `json:"prefetch_timely"`
-	PrefetchLate        uint64 `json:"prefetch_late"`
-	PrefetchWasted      uint64 `json:"prefetch_wasted"`
-	PrefetchUnusedAtEnd uint64 `json:"prefetch_unused_at_end"`
-	MaxFilePrefetchHW   int    `json:"max_file_prefetch_outstanding"`
-
-	DiskUtilization   float64 `json:"disk_utilization"`
-	DiskPrefetchShare float64 `json:"disk_prefetch_share"`
-	DiskMaxQueue      int     `json:"disk_max_queue"`
-	NetUtilization    float64 `json:"net_utilization"`
-	NetMaxQueue       int     `json:"net_max_queue"`
-	EventsFired       uint64  `json:"events_fired"`
-
-	HitRatio  float64 `json:"hit_ratio"`
-	Reads     uint64  `json:"reads"`
-	Writes    uint64  `json:"writes"`
-	SimTimeNs int64   `json:"sim_time_ns"`
-}
-
-func toResultJSON(r Result) resultJSON {
-	return resultJSON{
-		FS:       r.Cell.FS.String(),
-		Workload: r.Cell.Workload.String(),
-		Alg:      r.Cell.Alg.Name(),
-		CacheMB:  r.Cell.CacheMB,
-
-		AvgReadMs:      r.AvgReadMs,
-		DiskAccesses:   r.DiskAccesses,
-		DiskReads:      r.DiskReads,
-		DiskWrites:     r.DiskWrites,
-		WritesPerBlock: r.WritesPerBlock,
-
-		PrefetchIssued:     r.PrefetchIssued,
-		FallbackFraction:   r.FallbackFraction,
-		MispredictionRatio: r.MispredictionRatio,
-
-		PrefetchTimely:      r.PrefetchTimely,
-		PrefetchLate:        r.PrefetchLate,
-		PrefetchWasted:      r.PrefetchWasted,
-		PrefetchUnusedAtEnd: r.PrefetchUnusedAtEnd,
-		MaxFilePrefetchHW:   r.MaxFilePrefetchHW,
-
-		DiskUtilization:   r.DiskUtilization,
-		DiskPrefetchShare: r.DiskPrefetchShare,
-		DiskMaxQueue:      r.DiskMaxQueue,
-		NetUtilization:    r.NetUtilization,
-		NetMaxQueue:       r.NetMaxQueue,
-		EventsFired:       r.EventsFired,
-
-		HitRatio:  r.HitRatio,
-		Reads:     r.Reads,
-		Writes:    r.Writes,
-		SimTimeNs: int64(r.SimTime),
-	}
-}
-
-// WriteResultJSONL emits one compact JSON object per result, one per
-// line, for downstream analysis tools.
-func WriteResultJSONL(w io.Writer, results ...Result) error {
-	enc := json.NewEncoder(w)
-	for _, r := range results {
-		if err := enc.Encode(toResultJSON(r)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// traceRecordJSON is the stable JSON shape of one sim.TraceRecord.
-type traceRecordJSON struct {
-	AtNs      int64  `json:"at_ns"`
-	Kind      string `json:"kind"`
-	Resource  string `json:"resource,omitempty"`
-	Priority  int    `json:"prio,omitempty"`
-	WaitNs    int64  `json:"wait_ns,omitempty"`
-	ServiceNs int64  `json:"service_ns,omitempty"`
-	QueueLen  int    `json:"qlen,omitempty"`
-	Seq       uint64 `json:"seq,omitempty"`
+// MarshalJSON flattens the result into one record: the cell's names,
+// then every metric under its tag.
+func (r Result) MarshalJSON() ([]byte, error) {
+	type metrics Result // the fields and tags without this method
+	return json.Marshal(struct {
+		FS       string `json:"fs"`
+		Workload string `json:"workload"`
+		Alg      string `json:"algorithm"`
+		CacheMB  int    `json:"cache_mb"`
+		metrics
+	}{r.Cell.FS.String(), r.Cell.Workload.String(), r.Cell.Alg.Name(), r.Cell.CacheMB, metrics(r)})
 }
 
 // JSONLTracer is a sim.Tracer that streams every record as one JSON
@@ -179,16 +77,7 @@ func (t *JSONLTracer) Record(rec sim.TraceRecord) {
 		return
 	}
 	t.n++
-	t.err = t.enc.Encode(traceRecordJSON{
-		AtNs:      int64(rec.At),
-		Kind:      rec.Kind.String(),
-		Resource:  rec.Resource,
-		Priority:  int(rec.Priority),
-		WaitNs:    int64(rec.Wait),
-		ServiceNs: int64(rec.Service),
-		QueueLen:  rec.QueueLen,
-		Seq:       rec.Seq,
-	})
+	t.err = t.enc.Encode(rec)
 }
 
 // Records returns how many records were written.
@@ -196,21 +85,3 @@ func (t *JSONLTracer) Records() uint64 { return t.n }
 
 // Err returns the first write error, if any.
 func (t *JSONLTracer) Err() error { return t.err }
-
-// DecodeFigureJSON parses a figure previously written by WriteJSON,
-// for tools that post-process saved results.
-func DecodeFigureJSON(r io.Reader) (Figure, error) {
-	var doc figureJSON
-	if err := json.NewDecoder(r).Decode(&doc); err != nil {
-		return Figure{}, err
-	}
-	f := Figure{ID: doc.ID, Title: doc.Title, Unit: doc.Unit, Sizes: doc.SizesMB}
-	for _, s := range doc.Series {
-		if len(s.Values) != len(doc.SizesMB) {
-			return Figure{}, fmt.Errorf("experiment: series %q has %d values for %d sizes",
-				s.Algorithm, len(s.Values), len(doc.SizesMB))
-		}
-		f.Series = append(f.Series, Series{Alg: s.Algorithm, Values: s.Values})
-	}
-	return f, nil
-}

@@ -11,17 +11,17 @@ import (
 // Figure is one rendered paper artifact: a set of per-algorithm series
 // over the cache-size axis.
 type Figure struct {
-	ID     string // "fig4" … "fig11", "table2"
-	Title  string
-	Unit   string
-	Sizes  []int
-	Series []Series
+	ID     string   `json:"id"` // "fig4" … "fig11", "table2"
+	Title  string   `json:"title"`
+	Unit   string   `json:"unit"`
+	Sizes  []int    `json:"cache_sizes_mb"`
+	Series []Series `json:"series"`
 }
 
 // Series is one curve (or bar group) of a figure.
 type Series struct {
-	Alg    string
-	Values []float64 // aligned with Figure.Sizes
+	Alg    string    `json:"algorithm"`
+	Values []float64 `json:"values"` // aligned with Figure.Sizes
 }
 
 // figureDefs maps each paper artifact to its matrix and metric.
@@ -42,31 +42,18 @@ var figureDefs = map[string]struct {
 	"fig10": {PAFS, Sprite, "Disk accesses, Sprite on PAFS (paper Fig. 10)", "accesses", func(r Result) float64 { return float64(r.DiskAccesses) }, diskFigureAlgs},
 	"fig11": {XFS, Sprite, "Disk accesses, Sprite on xFS (paper Fig. 11)", "accesses", func(r Result) float64 { return float64(r.DiskAccesses) }, diskFigureAlgs},
 	"table2": {PAFS, Charisma, "Times a block is written to disk, CHARISMA on PAFS (paper Table 2)", "writes/block",
-		func(r Result) float64 { return r.WritesPerBlock }, table2Algs},
+		func(r Result) float64 { return r.WritesPerBlock }, diskFigureAlgs},
 }
 
-// diskFigureAlgs: Figures 8–11 plot NP (the reference line) and the
-// three linear aggressive algorithms.
+// diskFigureAlgs: Figures 8–11 plot, and Table 2 lists, NP (the
+// reference line) and the three linear aggressive algorithms.
 func diskFigureAlgs() []core.AlgSpec {
 	return append([]core.AlgSpec{core.SpecNP}, core.AggressiveAlgorithms()...)
 }
 
-// table2Algs: Table 2 lists NP and the three linear aggressive
-// algorithms.
-func table2Algs() []core.AlgSpec { return diskFigureAlgs() }
-
 // FigureIDs returns every artifact ID in paper order.
 func FigureIDs() []string {
 	return []string{"fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "table2"}
-}
-
-// AlgsForFigure returns the algorithm sweep a figure needs.
-func AlgsForFigure(id string) ([]core.AlgSpec, error) {
-	def, ok := figureDefs[id]
-	if !ok {
-		return nil, fmt.Errorf("experiment: unknown figure %q", id)
-	}
-	return def.algs(), nil
 }
 
 // MatrixKeyForFigure returns which (fs, workload) matrix a figure

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/machine"
 	"repro/internal/workload"
 )
 
@@ -132,12 +133,12 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 // whose AlgSpec cannot validate, exactly one cell is ever attempted.
 func TestRunStopsDispatchOnFailure(t *testing.T) {
 	var calls atomic.Int64
-	orig := runCell
-	runCell = func(s Scale, c Cell) (Result, error) {
+	orig := runTrace
+	runTrace = func(tr *workload.Trace, mach machine.Config, c Cell, warm float64) (Result, error) {
 		calls.Add(1)
-		return orig(s, c)
+		return orig(tr, mach, c, warm)
 	}
-	defer func() { runCell = orig }()
+	defer func() { runTrace = orig }()
 
 	s := TinyScale()
 	bad := core.AlgSpec{Kind: core.AlgISPPM, Order: 0, Mode: core.ModeAggressive, MaxOutstanding: 1}
@@ -153,6 +154,48 @@ func TestRunStopsDispatchOnFailure(t *testing.T) {
 	}
 	if n := calls.Load(); n != 1 {
 		t.Fatalf("sweep attempted %d cells after first failure, want 1", n)
+	}
+}
+
+// TestRunCellsOneTracePerWorkload pins the pool's input contract: each
+// distinct workload's trace is asked for once however many cells use
+// it, results come back in cell order, and they equal RunCell's.
+func TestRunCellsOneTracePerWorkload(t *testing.T) {
+	s := TinyScale()
+	asked := make(map[WorkloadKind]int)
+	input := func(k WorkloadKind) (*workload.Trace, machine.Config, error) {
+		asked[k]++
+		return s.Trace(k)
+	}
+	var cells []Cell
+	for _, mb := range []int{1, 4} {
+		for _, wl := range []WorkloadKind{Charisma, Sprite} {
+			for _, alg := range []core.AlgSpec{core.SpecNP, core.SpecLnAgrOBA} {
+				cells = append(cells, Cell{FS: PAFS, Workload: wl, Alg: alg, CacheMB: mb})
+			}
+		}
+	}
+	results, err := RunCells(input, cells, s.WarmFraction, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(asked) != 2 || asked[Charisma] != 1 || asked[Sprite] != 1 {
+		t.Errorf("traces asked for %v, want CHARISMA and Sprite once each", asked)
+	}
+	for i, c := range cells {
+		want, err := RunCell(s, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if results[i] != want {
+			t.Errorf("result %d is not RunCell(%s)", i, c)
+		}
+	}
+
+	bad := s
+	bad.Sprite.Nodes = 0
+	if _, err := RunCells(bad.Trace, cells, s.WarmFraction, 3); err == nil {
+		t.Error("sweep over an ungeneratable workload did not fail")
 	}
 }
 
@@ -214,8 +257,11 @@ func TestTracerPassiveAndJSONL(t *testing.T) {
 	}
 
 	var rbuf bytes.Buffer
-	if err := WriteResultJSONL(&rbuf, bare, traced); err != nil {
-		t.Fatal(err)
+	enc := json.NewEncoder(&rbuf)
+	for _, r := range []Result{bare, traced} {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rlines := bytes.Split(bytes.TrimSpace(rbuf.Bytes()), []byte("\n"))
 	if len(rlines) != 2 {
@@ -231,6 +277,12 @@ func TestTracerPassiveAndJSONL(t *testing.T) {
 		if _, ok := decoded[key]; !ok {
 			t.Errorf("result JSONL missing key %q", key)
 		}
+	}
+	if want := `{"fs":"PAFS","workload":"CHARISMA","algorithm":"Ln_Agr_OBA","cache_mb":4,"avg_read_ms":`; !bytes.HasPrefix(rlines[0], []byte(want)) {
+		t.Errorf("result JSONL starts %.90s, want %s", rlines[0], want)
+	}
+	if len(decoded) != 27 {
+		t.Errorf("result JSONL has %d keys, want 27", len(decoded))
 	}
 	if decoded["fs"] != "PAFS" {
 		t.Errorf("fs = %v, want PAFS", decoded["fs"])

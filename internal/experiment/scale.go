@@ -1,9 +1,17 @@
 // Package experiment defines and runs the paper's evaluation: every
 // figure (4–11) and table (1–2), as sweeps of (file system, workload,
 // algorithm, per-node cache size) cells over the simulated machines.
+//
+// It is a straight pipeline with one implementation per stage: names
+// (ScaleByName, ParseWorkload, ParseFS) → inputs (Scale.Trace: a
+// workload's trace and the machine it runs on) → runs (RunTrace, and
+// the RunCells pool under every sweep) → results (Result and Figure
+// encode themselves). Package report adds the last stage, verdicts.
 package experiment
 
 import (
+	"fmt"
+
 	"repro/internal/machine"
 	"repro/internal/sim"
 	"repro/internal/workload"
@@ -37,6 +45,54 @@ type Scale struct {
 
 	// CacheSizesMB is the x-axis of every figure.
 	CacheSizesMB []int
+}
+
+// ScaleByName returns the scale a -scale flag names.
+func ScaleByName(name string) (Scale, error) {
+	switch name {
+	case "full":
+		return FullScale(), nil
+	case "small":
+		return SmallScale(), nil
+	case "tiny":
+		return TinyScale(), nil
+	}
+	return Scale{}, fmt.Errorf("unknown scale %q", name)
+}
+
+// Trace generates the workload's trace and names the machine it runs
+// on: the parallel machine for CHARISMA, the network of workstations
+// for the rest. Nothing else turns a WorkloadKind into generator
+// parameters or a machine, so a trace file replays on the machine its
+// workload was generated for.
+func (s Scale) Trace(kind WorkloadKind) (*workload.Trace, machine.Config, error) {
+	var (
+		tr  *workload.Trace
+		err error
+	)
+	mach := s.NOW
+	switch kind {
+	case Charisma:
+		mach = s.PM
+		tr, err = workload.GenerateCharisma(s.Charisma)
+	case Sprite:
+		tr, err = workload.GenerateSprite(s.Sprite)
+	case CDN:
+		tr, err = workload.GenerateCDN(s.CDN)
+	case OLTP:
+		tr, err = workload.GenerateOLTP(s.OLTP)
+	default:
+		err = fmt.Errorf("experiment: unknown workload %d", kind)
+	}
+	return tr, mach, err
+}
+
+// Reseeded returns the scale with every workload generator's seed
+// replaced: the same machines and sweep over a different draw of each
+// trace.
+func (s Scale) Reseeded(seed uint64) Scale {
+	s.Charisma.Seed, s.Sprite.Seed, s.CDN.Seed, s.OLTP.Seed = seed, seed, seed, seed
+	return s
 }
 
 // FullScale returns the configuration used to regenerate the paper's

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 
 	"repro/internal/core"
@@ -61,99 +60,9 @@ func (s *Suite) Figure(id string) (Figure, error) {
 	return BuildFigure(id, m)
 }
 
-// Claims checks the in-text quantitative claims of the paper against
-// the simulated results and renders a report (see DESIGN.md §4).
-func (s *Suite) Claims() (string, error) {
-	var b strings.Builder
-	b.WriteString("In-text claims (paper section -> measured)\n\n")
-
-	// §2.2: OBA-fallback share of prefetched blocks: <~1% CHARISMA
-	// (large files), ~25% Sprite (small files). Averaged over the
-	// prefetching algorithms that use IS_PPM.
-	chPafs, err := s.Matrix(PAFS, Charisma)
-	if err != nil {
-		return "", err
-	}
-	spPafs, err := s.Matrix(PAFS, Sprite)
-	if err != nil {
-		return "", err
-	}
-	fmt.Fprintf(&b, "  §2.2 fallback fraction, CHARISMA (paper: ~1%%): %.1f%%\n",
-		100*avgOver(chPafs, isppmAlgs(), func(r Result) float64 { return r.FallbackFraction }))
-	fmt.Fprintf(&b, "  §2.2 fallback fraction, Sprite   (paper: ~25%%): %.1f%%\n",
-		100*avgOver(spPafs, isppmAlgs(), func(r Result) float64 { return r.FallbackFraction }))
-
-	// §5.2: misprediction ratio at 4MB on Sprite/PAFS: Ln_Agr_OBA 32%
-	// vs Ln_Agr_IS_PPM 15%.
-	oba := spPafs.MustGet("Ln_Agr_OBA", 4)
-	isp := spPafs.MustGet("Ln_Agr_IS_PPM:1", 4)
-	fmt.Fprintf(&b, "  §5.2 misprediction @4MB Sprite/PAFS, Ln_Agr_OBA    (paper: 32%%): %.1f%%\n",
-		100*oba.MispredictionRatio)
-	fmt.Fprintf(&b, "  §5.2 misprediction @4MB Sprite/PAFS, Ln_Agr_IS_PPM (paper: 15%%): %.1f%%\n",
-		100*isp.MispredictionRatio)
-
-	// §5.2: xFS prefetches ~2x the blocks PAFS prefetches (CHARISMA).
-	chXfs, err := s.Matrix(XFS, Charisma)
-	if err != nil {
-		return "", err
-	}
-	var ratioSum float64
-	var n int
-	for _, alg := range []string{"Ln_Agr_OBA", "Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"} {
-		for _, mb := range s.Scale.CacheSizesMB {
-			p := chPafs.MustGet(alg, mb).PrefetchIssued
-			x := chXfs.MustGet(alg, mb).PrefetchIssued
-			if p > 0 {
-				ratioSum += float64(x) / float64(p)
-				n++
-			}
-		}
-	}
-	if n > 0 {
-		fmt.Fprintf(&b, "  §5.2 xFS/PAFS prefetched-block ratio, CHARISMA (paper: ~2x): %.2fx\n",
-			ratioSum/float64(n))
-	}
-
-	// §5.2: speed-up of the best aggressive algorithm over NP at the
-	// largest cache (paper: up to 4.6x on CHARISMA/PAFS).
-	large := s.Scale.CacheSizesMB[len(s.Scale.CacheSizesMB)-1]
-	np := chPafs.MustGet("NP", large).AvgReadMs
-	best := np
-	bestName := "NP"
-	for _, alg := range chPafs.AlgNames {
-		if v := chPafs.MustGet(alg, large).AvgReadMs; v < best {
-			best, bestName = v, alg
-		}
-	}
-	if best > 0 {
-		fmt.Fprintf(&b, "  §5.2 best speed-up over NP @%dMB CHARISMA/PAFS (paper: up to 4.6x): %.2fx (%s)\n",
-			large, np/best, bestName)
-	}
-	return b.String(), nil
-}
-
-func isppmAlgs() []string {
-	return []string{"IS_PPM:1", "Ln_Agr_IS_PPM:1", "IS_PPM:3", "Ln_Agr_IS_PPM:3"}
-}
-
-func avgOver(m *Matrix, algs []string, f func(Result) float64) float64 {
-	var sum float64
-	var n int
-	for _, a := range algs {
-		for mb, r := range m.Results[a] {
-			_ = mb
-			sum += f(r)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// RenderAll runs everything and renders every artifact plus the claims
-// report, in paper order.
+// RenderAll runs everything and renders every artifact in paper
+// order. The in-text claims are graded by internal/report, from the
+// same sweeps.
 func (s *Suite) RenderAll() (string, error) {
 	var b strings.Builder
 	b.WriteString("Table 1: Simulation parameters (paper values)\n")
@@ -167,27 +76,15 @@ func (s *Suite) RenderAll() (string, error) {
 		b.WriteString(fig.Render())
 		b.WriteByte('\n')
 	}
-	claims, err := s.Claims()
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(claims)
 	return b.String(), nil
 }
 
 // SummaryByAlg renders, for diagnostics, all scalar metrics of one
-// matrix sorted by algorithm then cache size.
+// matrix in sweep order.
 func SummaryByAlg(m *Matrix) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s on %s\n", m.Workload, m.FS)
-	algs := append([]string(nil), m.AlgNames...)
-	if len(algs) == 0 {
-		for a := range m.Results {
-			algs = append(algs, a)
-		}
-		sort.Strings(algs)
-	}
-	for _, a := range algs {
+	for _, a := range m.AlgNames {
 		for _, mb := range m.CacheSizesMB {
 			r, ok := m.Get(a, mb)
 			if !ok {

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -20,8 +21,7 @@ func TestSuiteRenderAllContainsEverything(t *testing.T) {
 	for _, want := range []string{
 		"Table 1", "paper Fig. 4", "paper Fig. 5", "paper Fig. 6",
 		"paper Fig. 7", "paper Fig. 8", "paper Fig. 9", "paper Fig. 10",
-		"paper Fig. 11", "paper Table 2", "In-text claims",
-		"fallback fraction", "misprediction", "prefetched-block ratio",
+		"paper Fig. 11", "paper Table 2",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("RenderAll missing %q", want)
@@ -30,19 +30,6 @@ func TestSuiteRenderAllContainsEverything(t *testing.T) {
 	// Progress lines: one per (workload, fs) sweep.
 	if got := strings.Count(progress.String(), "running"); got != 4 {
 		t.Errorf("%d progress lines, want 4", got)
-	}
-}
-
-func TestSuiteClaimsValuesInRange(t *testing.T) {
-	suite := NewSuite(TinyScale(), 0)
-	out, err := suite.Claims()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"§2.2", "§5.2", "%", "x"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("claims missing %q:\n%s", want, out)
-		}
 	}
 }
 
@@ -66,23 +53,6 @@ func TestSummaryByAlg(t *testing.T) {
 	}
 }
 
-func TestSummaryByAlgWithoutNameOrder(t *testing.T) {
-	// A matrix assembled by hand (no AlgNames) must still render, in
-	// sorted algorithm order.
-	m := &Matrix{
-		FS: PAFS, Workload: Sprite,
-		CacheSizesMB: []int{1},
-		Results: map[string]map[int]Result{
-			"B": {1: {}},
-			"A": {1: {}},
-		},
-	}
-	out := SummaryByAlg(m)
-	if strings.Index(out, "A") > strings.Index(out, "B") {
-		t.Error("fallback ordering not sorted")
-	}
-}
-
 func TestMustGetPanicsOnMissing(t *testing.T) {
 	m := &Matrix{Results: map[string]map[int]Result{}}
 	defer func() {
@@ -95,11 +65,10 @@ func TestMustGetPanicsOnMissing(t *testing.T) {
 
 func TestRunTraceRejectsMismatchedMachine(t *testing.T) {
 	s := TinyScale()
-	tr, err := runTraceFor(s)
+	tr, mach, err := s.Trace(Sprite)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mach := s.NOW
 	mach.Nodes = 1 // trace uses more nodes
 	cell := Cell{FS: PAFS, Workload: Sprite, Alg: core.SpecNP, CacheMB: 1}
 	if _, err := RunTrace(tr, mach, cell, 0); err == nil {
@@ -109,7 +78,7 @@ func TestRunTraceRejectsMismatchedMachine(t *testing.T) {
 
 func TestRunTraceMatchesRunCell(t *testing.T) {
 	s := TinyScale()
-	tr, err := runTraceFor(s)
+	tr, mach, err := s.Trace(Sprite)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +87,7 @@ func TestRunTraceMatchesRunCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaTrace, err := RunTrace(tr, s.NOW, cell, s.WarmFraction)
+	viaTrace, err := RunTrace(tr, mach, cell, s.WarmFraction)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,6 +96,92 @@ func TestRunTraceMatchesRunCell(t *testing.T) {
 	}
 }
 
-func runTraceFor(s Scale) (*workload.Trace, error) {
-	return workload.GenerateSprite(s.Sprite)
+// TestTraceFileRoundTrip is the tracegen → lapsim -trace path for every
+// workload: a trace written out and read back, run on the machine
+// Scale.Trace names for its workload, must reproduce RunCell field for
+// field. It fails if a replay picks its machine any other way (CDN and
+// OLTP once replayed on the PM and read twice as fast as generated).
+func TestTraceFileRoundTrip(t *testing.T) {
+	s := TinyScale()
+	for _, wl := range []WorkloadKind{Charisma, Sprite, CDN, OLTP} {
+		tr, mach, err := s.Trace(wl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := s.NOW
+		if wl == Charisma {
+			want = s.PM
+		}
+		if mach != want {
+			t.Errorf("%s: Scale.Trace names machine %s, want %s", wl, mach.Name, want.Name)
+		}
+		var file bytes.Buffer
+		if err := workload.Encode(&file, tr); err != nil {
+			t.Fatal(err)
+		}
+		decoded, err := workload.Decode(&file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cell := Cell{FS: PAFS, Workload: wl, Alg: core.SpecLnAgrISPPM1, CacheMB: 1}
+		direct, err := RunCell(s, cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := RunTrace(decoded, mach, cell, s.WarmFraction)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct != replayed {
+			t.Errorf("%s: replayed trace file differs from RunCell:\ngenerated: %+v\nreplayed:  %+v", wl, direct, replayed)
+		}
+	}
+}
+
+func TestParseNames(t *testing.T) {
+	for _, name := range []string{"full", "small", "tiny"} {
+		if s, err := ScaleByName(name); err != nil || s.Name != name {
+			t.Errorf("ScaleByName(%q) = scale %q, %v", name, s.Name, err)
+		}
+	}
+	for name, want := range map[string]WorkloadKind{
+		"charisma": Charisma, "sprite": Sprite, "cdn": CDN, "oltp": OLTP, "CHARISMA": Charisma, "Sprite": Sprite,
+	} {
+		if got, err := ParseWorkload(name); err != nil || got != want {
+			t.Errorf("ParseWorkload(%q) = %v, %v", name, got, err)
+		}
+	}
+	for name, want := range map[string]FSKind{"pafs": PAFS, "xfs": XFS, "PAFS": PAFS, "xFS": XFS} {
+		if got, err := ParseFS(name); err != nil || got != want {
+			t.Errorf("ParseFS(%q) = %v, %v", name, got, err)
+		}
+	}
+	if _, err := ScaleByName("huge"); err == nil {
+		t.Error("unknown scale accepted")
+	}
+	if _, err := ParseWorkload(""); err == nil {
+		t.Error("empty workload accepted")
+	}
+	if _, err := ParseFS("nfs"); err == nil {
+		t.Error("unknown file system accepted")
+	}
+}
+
+// TestReseeded: the seed of every generator changes and nothing else,
+// so the reseeded scale draws different traces for the same machines.
+func TestReseeded(t *testing.T) {
+	s := TinyScale()
+	r := s.Reseeded(7)
+	if r.Charisma.Seed != 7 || r.Sprite.Seed != 7 || r.CDN.Seed != 7 || r.OLTP.Seed != 7 {
+		t.Errorf("seeds after Reseeded(7): %d %d %d %d",
+			r.Charisma.Seed, r.Sprite.Seed, r.CDN.Seed, r.OLTP.Seed)
+	}
+	r.Charisma.Seed, r.Sprite.Seed, r.CDN.Seed, r.OLTP.Seed =
+		s.Charisma.Seed, s.Sprite.Seed, s.CDN.Seed, s.OLTP.Seed
+	if !reflect.DeepEqual(r, s) {
+		t.Error("Reseeded changed something other than the seeds")
+	}
+	if s.Charisma.Seed == 7 {
+		t.Error("Reseeded modified its receiver")
+	}
 }

@@ -7,6 +7,7 @@ package report
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/experiment"
@@ -52,14 +53,21 @@ type Report struct {
 	// Observability holds example cell results whose timeliness and
 	// utilization counters the record's Observability section tabulates.
 	Observability []experiment.Result
+
+	// sweeps are the four finished matrices the figures were built
+	// from: CHARISMA then Sprite, PAFS then xFS. sizes is the cache-size
+	// axis they share, smallest first.
+	sweeps []*experiment.Matrix
+	sizes  []int
 }
 
 // Build runs (or reuses) every sweep the record needs and evaluates
-// all checks.
+// the verdict table over them.
 func Build(suite *experiment.Suite) (*Report, error) {
 	r := &Report{
 		ScaleName: suite.Scale.Name,
 		Figures:   make(map[string]experiment.Figure),
+		sizes:     suite.Scale.CacheSizesMB,
 	}
 	for _, id := range experiment.FigureIDs() {
 		fig, err := suite.Figure(id)
@@ -68,21 +76,33 @@ func Build(suite *experiment.Suite) (*Report, error) {
 		}
 		r.Figures[id] = fig
 	}
-	r.checkFig4(suite)
-	r.checkFig5()
-	r.checkSprite()
-	r.checkDiskTraffic()
-	r.checkTable2()
-	if err := r.checkClaims(suite); err != nil {
-		return nil, err
+	for _, wl := range []experiment.WorkloadKind{experiment.Charisma, experiment.Sprite} {
+		for _, fs := range []experiment.FSKind{experiment.PAFS, experiment.XFS} {
+			m, err := suite.Matrix(fs, wl)
+			if err != nil {
+				return nil, err
+			}
+			r.sweeps = append(r.sweeps, m)
+		}
 	}
-	if err := r.checkLinearity(suite); err != nil {
-		return nil, err
+	for _, c := range checks {
+		v, measured := c.measure(r)
+		verdict, note := c.grade(v)
+		r.Checks = append(r.Checks, Check{ID: c.id, Paper: c.paper, Measured: measured, Verdict: verdict, Note: note})
+	}
+
+	// Example cells for the Observability table: two aggressive
+	// algorithms at the sweep's middle cache size, on every matrix.
+	mid := r.sizes[len(r.sizes)/2]
+	for _, m := range r.sweeps {
+		for _, alg := range []string{"Ln_Agr_OBA", "Ln_Agr_IS_PPM:1"} {
+			if res, ok := m.Get(alg, mid); ok {
+				r.Observability = append(r.Observability, res)
+			}
+		}
 	}
 	return r, nil
 }
-
-func (r *Report) add(c Check) { r.Checks = append(r.Checks, c) }
 
 // value reads one figure point, panicking on absence (Build populated
 // every figure from the same sweeps).
@@ -94,456 +114,22 @@ func (r *Report) value(fig, alg string, mb int) float64 {
 	return v
 }
 
-func (r *Report) sizes(fig string) []int { return r.Figures[fig].Sizes }
+// largest returns the sweeps' largest cache size.
+func (r *Report) largest() int { return r.sizes[len(r.sizes)-1] }
 
-// largest returns the sweep's largest cache size.
-func (r *Report) largest(fig string) int {
-	s := r.sizes(fig)
-	return s[len(s)-1]
+// sweep returns one of the four finished matrices.
+func (r *Report) sweep(fs experiment.FSKind, wl experiment.WorkloadKind) *experiment.Matrix {
+	for _, m := range r.sweeps {
+		if m.FS == fs && m.Workload == wl {
+			return m
+		}
+	}
+	panic(fmt.Sprintf("report: no %s/%s sweep", wl, fs))
 }
 
-// checkFig4 evaluates the paper's reading of Figure 4 (§5.2).
-func (r *Report) checkFig4(suite *experiment.Suite) {
-	// 1. Every prefetching algorithm beats NP.
-	worstRatio := 1.0
-	for _, alg := range []string{"OBA", "Ln_Agr_OBA", "IS_PPM:1", "Ln_Agr_IS_PPM:1", "IS_PPM:3", "Ln_Agr_IS_PPM:3"} {
-		for _, mb := range r.sizes("fig4") {
-			ratio := r.value("fig4", alg, mb) / r.value("fig4", "NP", mb)
-			if ratio > worstRatio {
-				worstRatio = ratio
-			}
-		}
-	}
-	v := Match
-	note := ""
-	if worstRatio > 1.05 {
-		v = Partial
-		note = "some (algorithm, size) points fall slightly behind NP"
-	}
-	r.add(Check{
-		ID:       "fig4-prefetching-helps",
-		Paper:    "all prefetching algorithms achieve better performance than NP",
-		Measured: fmt.Sprintf("worst prefetching/NP read-time ratio %.2f", worstRatio),
-		Verdict:  v, Note: note,
-	})
-
-	// 2. The aggressive group is the best at the largest cache.
-	large := r.largest("fig4")
-	bestOneShot := minOver(r, "fig4", []string{"OBA", "IS_PPM:1", "IS_PPM:3"}, large)
-	bestAgr := minOver(r, "fig4", []string{"Ln_Agr_OBA", "Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"}, large)
-	v = Match
-	if bestAgr >= bestOneShot {
-		v = Differ
-	} else if bestOneShot/bestAgr < 1.5 {
-		v = Partial
-	}
-	r.add(Check{
-		ID:       "fig4-groups",
-		Paper:    "three groups: OBA barely helps, IS_PPM much better, linear aggressive nearly doubles the IS_PPM group",
-		Measured: fmt.Sprintf("@%dMB best one-shot %.2f ms vs best aggressive %.2f ms (%.1fx)", large, bestOneShot, bestAgr, bestOneShot/bestAgr),
-		Verdict:  v,
-	})
-
-	// 3. Speed-up over NP at the largest cache (paper: up to 4.6x).
-	np := r.value("fig4", "NP", large)
-	speedup := np / bestAgr
-	v = Match
-	if speedup < 2 {
-		v = Differ
-	} else if speedup < 3 || speedup > 10 {
-		v = Partial
-	}
-	r.add(Check{
-		ID:       "fig4-speedup",
-		Paper:    "linear aggressive prefetching up to 4.6x faster than NP with large caches",
-		Measured: fmt.Sprintf("%.1fx @%dMB", speedup, large),
-		Verdict:  v,
-		Note:     "absolute factor depends on the scaled trace; same order of magnitude",
-	})
-
-	// 4. Small-cache ordering: Ln_Agr_OBA at least ties Ln_Agr_IS_PPM.
-	small := r.sizes("fig4")[0]
-	oba := r.value("fig4", "Ln_Agr_OBA", small)
-	isp := r.value("fig4", "Ln_Agr_IS_PPM:1", small)
-	v = Match
-	if oba > isp*1.05 {
-		v = Differ
-	} else if oba > isp {
-		v = Partial
-	}
-	r.add(Check{
-		ID:       "fig4-small-cache-crossover",
-		Paper:    "with small caches Ln_Agr_OBA beats Ln_Agr_IS_PPM (IS_PPM jumps into the never-accessed tail)",
-		Measured: fmt.Sprintf("@%dMB Ln_Agr_OBA %.2f ms vs Ln_Agr_IS_PPM:1 %.2f ms", small, oba, isp),
-		Verdict:  v,
-	})
-
-	// 5. Order barely matters (IS_PPM:1 vs IS_PPM:3).
-	var maxGap float64
-	for _, mb := range r.sizes("fig4") {
-		a, b := r.value("fig4", "Ln_Agr_IS_PPM:1", mb), r.value("fig4", "Ln_Agr_IS_PPM:3", mb)
-		gap := a / b
-		if gap < 1 {
-			gap = 1 / gap
-		}
-		if gap > maxGap {
-			maxGap = gap
-		}
-	}
-	v = Match
-	if maxGap > 1.5 {
-		v = Partial
-	}
-	r.add(Check{
-		ID:       "fig4-order-insensitive",
-		Paper:    "the order of the Markov predictor does not make a significant difference",
-		Measured: fmt.Sprintf("largest 1st-vs-3rd-order read-time gap %.2fx", maxGap),
-		Verdict:  v,
-	})
-}
-
-// checkFig5 evaluates the xFS flooding story (§5.2).
-func (r *Report) checkFig5() {
-	// Somewhere below the largest cache, a non-aggressive algorithm
-	// must beat its not-really-linear aggressive version.
-	flipped := ""
-	for _, mb := range r.sizes("fig5")[:len(r.sizes("fig5"))-1] {
-		if r.value("fig5", "OBA", mb) < r.value("fig5", "Ln_Agr_OBA", mb) ||
-			r.value("fig5", "IS_PPM:1", mb) < r.value("fig5", "Ln_Agr_IS_PPM:1", mb) {
-			flipped = fmt.Sprintf("at %dMB", mb)
-			break
-		}
-	}
-	v := Match
-	if flipped == "" {
-		v = Differ
-		flipped = "never"
-	}
-	r.add(Check{
-		ID:       "fig5-flooding",
-		Paper:    "on xFS too many blocks are prefetched and the cache is flooded; with small caches less-aggressive algorithms achieve better read times",
-		Measured: "non-aggressive beats aggressive " + flipped,
-		Verdict:  v,
-	})
-}
-
-// checkSprite evaluates Figures 6 and 7 (§5.2).
-func (r *Report) checkSprite() {
-	// Aggressive IS_PPM obtains the best performance on Sprite/PAFS.
-	large := r.largest("fig6")
-	bestAgrIS := minOver(r, "fig6", []string{"Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"}, large)
-	np := r.value("fig6", "NP", large)
-	v := Match
-	if bestAgrIS >= np {
-		v = Differ
-	}
-	r.add(Check{
-		ID:       "fig6-aggressive-wins",
-		Paper:    "both Ln_Agr_IS_PPM algorithms obtain the best performance on Sprite",
-		Measured: fmt.Sprintf("@%dMB Ln_Agr_IS_PPM %.2f ms vs NP %.2f ms (%.1fx)", large, bestAgrIS, np, np/bestAgrIS),
-		Verdict:  v,
-	})
-
-	// xFS ~ PAFS under Sprite (little sharing).
-	var maxGap float64
-	for _, alg := range []string{"NP", "Ln_Agr_OBA", "Ln_Agr_IS_PPM:1"} {
-		for _, mb := range r.sizes("fig6") {
-			p, x := r.value("fig6", alg, mb), r.value("fig7", alg, mb)
-			gap := p / x
-			if gap < 1 {
-				gap = 1 / gap
-			}
-			if gap > maxGap {
-				maxGap = gap
-			}
-		}
-	}
-	v = Match
-	if maxGap > 1.5 {
-		v = Partial
-	}
-	r.add(Check{
-		ID:       "fig7-xfs-tracks-pafs",
-		Paper:    "with Sprite's little file sharing there is not much difference between PAFS (linear) and xFS (not really linear)",
-		Measured: fmt.Sprintf("largest PAFS-vs-xFS read-time gap %.2fx", maxGap),
-		Verdict:  v,
-	})
-}
-
-// checkDiskTraffic evaluates Figures 8-11 (§5.3).
-func (r *Report) checkDiskTraffic() {
-	// Fig 8: extra accesses modest except for very small caches; at
-	// large caches aggressive converges to (paper: sometimes below)
-	// NP.
-	large := r.largest("fig8")
-	worst := 0.0
-	for _, alg := range []string{"Ln_Agr_OBA", "Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"} {
-		ratio := r.value("fig8", alg, large) / r.value("fig8", "NP", large)
-		if ratio > worst {
-			worst = ratio
-		}
-	}
-	v := Match
-	note := ""
-	if worst > 1.25 {
-		v = Differ
-	} else if worst > 1.02 {
-		v = Partial
-		note = "the paper sometimes measures aggressive *below* NP thanks to write-back savings; this reproduction converges to parity from above"
-	}
-	r.add(Check{
-		ID:       "fig8-pafs-traffic",
-		Paper:    "on PAFS the extra disk accesses are not very high except for very small caches; sometimes even lower than NP",
-		Measured: fmt.Sprintf("worst aggressive/NP access ratio @%dMB: %.2f", large, worst),
-		Verdict:  v, Note: note,
-	})
-
-	// Fig 9: on xFS the aggressive algorithms always access more.
-	alwaysAbove := true
-	for _, alg := range []string{"Ln_Agr_OBA", "Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"} {
-		for _, mb := range r.sizes("fig9") {
-			if r.value("fig9", alg, mb) <= r.value("fig9", "NP", mb) {
-				alwaysAbove = false
-			}
-		}
-	}
-	v = Match
-	if !alwaysAbove {
-		v = Differ
-	}
-	r.add(Check{
-		ID:       "fig9-xfs-traffic",
-		Paper:    "under xFS the aggressive algorithms always perform more disk accesses than NP (not really linear)",
-		Measured: fmt.Sprintf("aggressive above NP at every size: %v", alwaysAbove),
-		Verdict:  v,
-	})
-
-	// Figs 10-11: Sprite traffic increase stays moderate. The paper's
-	// claim is about the overall level, so the verdict keys on the
-	// mean ratio; the worst single point is reported alongside.
-	worst = 0
-	var sum float64
-	var n int
-	for _, fig := range []string{"fig10", "fig11"} {
-		for _, alg := range []string{"Ln_Agr_OBA", "Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"} {
-			for _, mb := range r.sizes(fig) {
-				ratio := r.value(fig, alg, mb) / r.value(fig, "NP", mb)
-				sum += ratio
-				n++
-				if ratio > worst {
-					worst = ratio
-				}
-			}
-		}
-	}
-	mean := sum / float64(n)
-	v = Match
-	note = ""
-	if mean > 2 {
-		v = Differ
-	} else if mean > 1.7 {
-		v = Partial
-	}
-	if v == Match && worst > 2 {
-		note = "the single worst point is Ln_Agr_OBA at the smallest cache, where its blind readahead wastes the most — the same asymmetry as the paper's misprediction comparison"
-	}
-	r.add(Check{
-		ID:       "fig10-11-sprite-traffic",
-		Paper:    "on Sprite the aggressive algorithms do not increase the disk traffic too much",
-		Measured: fmt.Sprintf("mean aggressive/NP access ratio %.2f (worst point %.2f)", mean, worst),
-		Verdict:  v, Note: note,
-	})
-}
-
-// checkTable2 compares against the paper's exact Table 2 values.
-func (r *Report) checkTable2() {
-	// Direction: aggressive algorithms write blocks no more often
-	// than NP (the paper's §5.3 point).
-	better, total := 0, 0
-	for _, alg := range []string{"Ln_Agr_OBA", "Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"} {
-		for _, mb := range r.sizes("table2") {
-			total++
-			if r.value("table2", alg, mb) <= r.value("table2", "NP", mb)*1.01 {
-				better++
-			}
-		}
-	}
-	v := Match
-	note := ""
-	switch {
-	case better == total:
-	case better >= total/2:
-		v = Partial
-		note = "the gradient is small at this scale: the speed-up mostly hides in compute pauses, so write coalescing changes little"
-	default:
-		v = Differ
-	}
-	r.add(Check{
-		ID:       "table2-writes-per-block",
-		Paper:    "blocks are written to disk fewer times under aggressive prefetching (NP 11.7 vs Ln_Agr ~10.5 at 16MB)",
-		Measured: fmt.Sprintf("aggressive <= NP at %d/%d points", better, total),
-		Verdict:  v, Note: note,
-	})
-}
-
-// checkClaims evaluates the in-text numbers.
-func (r *Report) checkClaims(suite *experiment.Suite) error {
-	chPafs, err := suite.Matrix(experiment.PAFS, experiment.Charisma)
-	if err != nil {
-		return err
-	}
-	chXfs, err := suite.Matrix(experiment.XFS, experiment.Charisma)
-	if err != nil {
-		return err
-	}
-	spPafs, err := suite.Matrix(experiment.PAFS, experiment.Sprite)
-	if err != nil {
-		return err
-	}
-
-	// Misprediction @4MB Sprite/PAFS: OBA worse than IS_PPM.
-	oba := spPafs.MustGet("Ln_Agr_OBA", 4).MispredictionRatio
-	isp := spPafs.MustGet("Ln_Agr_IS_PPM:1", 4).MispredictionRatio
-	v := Match
-	note := ""
-	switch {
-	case oba <= isp:
-		v = Differ
-	case oba < isp*1.5:
-		v = Partial
-		note = "direction holds; the synthetic Sprite is more sequential than the original trace, so OBA wastes less here"
-	}
-	r.add(Check{
-		ID:       "claim-misprediction",
-		Paper:    "at 4MB on Sprite, Ln_Agr_OBA mispredicts 32% of prefetched blocks vs 15% for Ln_Agr_IS_PPM",
-		Measured: fmt.Sprintf("%.1f%% vs %.1f%%", 100*oba, 100*isp),
-		Verdict:  v, Note: note,
-	})
-
-	// Fallback fractions.
-	chFB := avgMetric(chPafs, []string{"Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"}, func(res experiment.Result) float64 { return res.FallbackFraction })
-	spFB := avgMetric(spPafs, []string{"Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"}, func(res experiment.Result) float64 { return res.FallbackFraction })
-	v = Match
-	note = ""
-	if chFB >= spFB {
-		v = Differ
-	} else if chFB > 0.05 {
-		v = Partial
-		note = "ordering holds (large files need far less fallback than small ones); absolute fractions are higher because the scaled traces revisit each file only a few times, so graphs stay colder than over the paper's 33 hours"
-	}
-	r.add(Check{
-		ID:       "claim-fallback",
-		Paper:    "blocks prefetched via the OBA fallback: <1% on CHARISMA (large files), ~25% on Sprite (small files)",
-		Measured: fmt.Sprintf("%.1f%% vs %.1f%%", 100*chFB, 100*spFB),
-		Verdict:  v, Note: note,
-	})
-
-	// xFS prefetch volume vs PAFS.
-	var ratio float64
-	var n int
-	for _, alg := range []string{"Ln_Agr_OBA", "Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"} {
-		for _, mb := range suite.Scale.CacheSizesMB {
-			p := chPafs.MustGet(alg, mb).PrefetchIssued
-			x := chXfs.MustGet(alg, mb).PrefetchIssued
-			if p > 0 {
-				ratio += float64(x) / float64(p)
-				n++
-			}
-		}
-	}
-	ratio /= float64(n)
-	v = Match
-	note = ""
-	switch {
-	case ratio <= 1.05:
-		v = Differ
-	case ratio > 4:
-		v = Partial
-		note = "direction holds strongly; the factor exceeds the paper's because every process of a job here runs on a distinct node, all prefetching independently"
-	}
-	r.add(Check{
-		ID:       "claim-xfs-volume",
-		Paper:    "in the xFS executions the number of prefetched blocks doubles the number observed under PAFS",
-		Measured: fmt.Sprintf("%.1fx", ratio),
-		Verdict:  v, Note: note,
-	})
-	return nil
-}
-
-// checkLinearity verifies §4's structural claim directly from the
-// prefetch ledger instead of inferring it from traffic: PAFS never has
-// more than one prefetch outstanding for any file machine-wide, while
-// xFS's independent per-node chains overlap on CHARISMA's shared
-// files. It also collects the example results the Observability
-// section tabulates.
-func (r *Report) checkLinearity(suite *experiment.Suite) error {
-	aggressive := []string{"Ln_Agr_OBA", "Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"}
-	maxHW := func(m *experiment.Matrix) int {
-		max := 0
-		for _, alg := range aggressive {
-			for _, mb := range m.CacheSizesMB {
-				if res, ok := m.Get(alg, mb); ok && res.MaxFilePrefetchHW > max {
-					max = res.MaxFilePrefetchHW
-				}
-			}
-		}
-		return max
-	}
-
-	chPafs, err := suite.Matrix(experiment.PAFS, experiment.Charisma)
-	if err != nil {
-		return err
-	}
-	chXfs, err := suite.Matrix(experiment.XFS, experiment.Charisma)
-	if err != nil {
-		return err
-	}
-	spPafs, err := suite.Matrix(experiment.PAFS, experiment.Sprite)
-	if err != nil {
-		return err
-	}
-	spXfs, err := suite.Matrix(experiment.XFS, experiment.Sprite)
-	if err != nil {
-		return err
-	}
-
-	pafsHW := maxHW(chPafs)
-	if hw := maxHW(spPafs); hw > pafsHW {
-		pafsHW = hw
-	}
-	xfsHW := maxHW(chXfs)
-	v := Match
-	note := ""
-	switch {
-	case pafsHW > 1:
-		v = Differ
-		note = "PAFS exceeded one outstanding prefetch per file — its servers are no longer linear"
-	case xfsHW <= 1:
-		v = Differ
-		note = "xFS chains never overlapped; the shared-file contention the paper blames for flooding is absent"
-	}
-	r.add(Check{
-		ID:       "claim-linearity",
-		Paper:    "PAFS enforces one outstanding prefetch per file machine-wide (linear); xFS's per-node chains make it not really linear (§4)",
-		Measured: fmt.Sprintf("max outstanding per file: PAFS %d, xFS on CHARISMA %d", pafsHW, xfsHW),
-		Verdict:  v, Note: note,
-	})
-
-	// Example cells for the Observability table: the aggressive
-	// algorithms at the sweep's middle cache size, on every matrix.
-	sizes := suite.Scale.CacheSizesMB
-	mid := sizes[len(sizes)/2]
-	for _, m := range []*experiment.Matrix{chPafs, chXfs, spPafs, spXfs} {
-		for _, alg := range []string{"Ln_Agr_OBA", "Ln_Agr_IS_PPM:1"} {
-			if res, ok := m.Get(alg, mid); ok {
-				r.Observability = append(r.Observability, res)
-			}
-		}
-	}
-	return nil
-}
-
-func minOver(r *Report, fig string, algs []string, mb int) float64 {
+// minOver returns the best (lowest) value of a figure over some
+// algorithms at one cache size.
+func (r *Report) minOver(fig string, algs []string, mb int) float64 {
 	best := r.value(fig, algs[0], mb)
 	for _, a := range algs[1:] {
 		if v := r.value(fig, a, mb); v < best {
@@ -553,7 +139,30 @@ func minOver(r *Report, fig string, algs []string, mb int) float64 {
 	return best
 }
 
-func avgMetric(m *experiment.Matrix, algs []string, f func(experiment.Result) float64) float64 {
+// vsNP returns every alg/NP ratio of a figure over the given
+// algorithms and cache sizes.
+func (r *Report) vsNP(fig string, algs []string, sizes []int) []float64 {
+	var ratios []float64
+	for _, alg := range algs {
+		for _, mb := range sizes {
+			ratios = append(ratios, r.value(fig, alg, mb)/r.value(fig, "NP", mb))
+		}
+	}
+	return ratios
+}
+
+// gap is how many times the larger of two values is the smaller.
+func gap(a, b float64) float64 {
+	g := a / b
+	if g < 1 {
+		g = 1 / g
+	}
+	return g
+}
+
+// meanOver averages one metric over some algorithms at every cache
+// size of a sweep.
+func meanOver(m *experiment.Matrix, algs []string, f func(experiment.Result) float64) float64 {
 	var sum float64
 	var n int
 	for _, a := range algs {
@@ -570,6 +179,338 @@ func avgMetric(m *experiment.Matrix, algs []string, f func(experiment.Result) fl
 	return sum / float64(n)
 }
 
+// The algorithm groups the paper argues from.
+var (
+	oneShot    = []string{"OBA", "IS_PPM:1", "IS_PPM:3"}
+	aggressive = []string{"Ln_Agr_OBA", "Ln_Agr_IS_PPM:1", "Ln_Agr_IS_PPM:3"}
+	agrISPPM   = aggressive[1:]
+)
+
+// check is one row of the verdict table before it is evaluated.
+type check struct {
+	id    string
+	paper string // what the paper reports
+	// measure reads the numbers the row is judged on off the finished
+	// sweeps, and words them for the Measured column.
+	measure func(r *Report) (v []float64, measured string)
+	// grade judges those numbers alone, so every threshold can be
+	// tested without running a sweep; the note explains a verdict that
+	// needs explaining.
+	grade func(v []float64) (Verdict, string)
+}
+
+// ladder is the rule nearly every row is graded by: DIFFERS when the
+// paper's shape is absent; PARTIAL, with the note that says why, when
+// it holds in direction but is off in degree; MATCH otherwise.
+func ladder(absent, offInDegree bool, partialNote string) (Verdict, string) {
+	switch {
+	case absent:
+		return Differ, ""
+	case offInDegree:
+		return Partial, partialNote
+	}
+	return Match, ""
+}
+
+// checks is the verdict table: every reading of Figures 4–11 (§5.2,
+// §5.3), Table 2 and the in-text numbers that this record grades, in
+// the order EXPERIMENTS.md lists them. Build evaluates it once; the
+// claim-* rows are what `lapbench -exp claims` prints.
+var checks = []check{
+	{
+		id:    "fig4-prefetching-helps",
+		paper: "all prefetching algorithms achieve better performance than NP",
+		measure: func(r *Report) ([]float64, string) {
+			worst := max(1, slices.Max(r.vsNP("fig4", slices.Concat(oneShot, aggressive), r.sizes)))
+			return []float64{worst}, fmt.Sprintf("worst prefetching/NP read-time ratio %.2f", worst)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			return ladder(false, v[0] > 1.05, "some (algorithm, size) points fall slightly behind NP")
+		},
+	},
+	{
+		// The aggressive group is the best at the largest cache.
+		id:    "fig4-groups",
+		paper: "three groups: OBA barely helps, IS_PPM much better, linear aggressive nearly doubles the IS_PPM group",
+		measure: func(r *Report) ([]float64, string) {
+			large := r.largest()
+			one, agr := r.minOver("fig4", oneShot, large), r.minOver("fig4", aggressive, large)
+			return []float64{one, agr}, fmt.Sprintf("@%dMB best one-shot %.2f ms vs best aggressive %.2f ms (%.1fx)", large, one, agr, one/agr)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			one, agr := v[0], v[1]
+			return ladder(agr >= one, one/agr < 1.5, "")
+		},
+	},
+	{
+		// Speed-up over NP at the largest cache.
+		id:    "fig4-speedup",
+		paper: "linear aggressive prefetching up to 4.6x faster than NP with large caches",
+		measure: func(r *Report) ([]float64, string) {
+			large := r.largest()
+			speedup := r.value("fig4", "NP", large) / r.minOver("fig4", aggressive, large)
+			return []float64{speedup}, fmt.Sprintf("%.1fx @%dMB", speedup, large)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			verdict, _ := ladder(v[0] < 2, v[0] < 3 || v[0] > 10, "")
+			return verdict, "absolute factor depends on the scaled trace; same order of magnitude"
+		},
+	},
+	{
+		// Small-cache ordering: Ln_Agr_OBA at least ties Ln_Agr_IS_PPM.
+		id:    "fig4-small-cache-crossover",
+		paper: "with small caches Ln_Agr_OBA beats Ln_Agr_IS_PPM (IS_PPM jumps into the never-accessed tail)",
+		measure: func(r *Report) ([]float64, string) {
+			small := r.sizes[0]
+			oba, isp := r.value("fig4", "Ln_Agr_OBA", small), r.value("fig4", "Ln_Agr_IS_PPM:1", small)
+			return []float64{oba, isp}, fmt.Sprintf("@%dMB Ln_Agr_OBA %.2f ms vs Ln_Agr_IS_PPM:1 %.2f ms", small, oba, isp)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			oba, isp := v[0], v[1]
+			return ladder(oba > isp*1.05, oba > isp, "")
+		},
+	},
+	{
+		id:    "fig4-order-insensitive",
+		paper: "the order of the Markov predictor does not make a significant difference",
+		measure: func(r *Report) ([]float64, string) {
+			var maxGap float64
+			for _, mb := range r.sizes {
+				maxGap = max(maxGap, gap(r.value("fig4", "Ln_Agr_IS_PPM:1", mb), r.value("fig4", "Ln_Agr_IS_PPM:3", mb)))
+			}
+			return []float64{maxGap}, fmt.Sprintf("largest 1st-vs-3rd-order read-time gap %.2fx", maxGap)
+		},
+		grade: func(v []float64) (Verdict, string) { return ladder(false, v[0] > 1.5, "") },
+	},
+	{
+		// The xFS flooding story: somewhere below the largest cache, a
+		// non-aggressive algorithm must beat its not-really-linear
+		// aggressive version.
+		id:    "fig5-flooding",
+		paper: "on xFS too many blocks are prefetched and the cache is flooded; with small caches less-aggressive algorithms achieve better read times",
+		measure: func(r *Report) ([]float64, string) {
+			for _, mb := range r.sizes[:len(r.sizes)-1] {
+				if r.value("fig5", "OBA", mb) < r.value("fig5", "Ln_Agr_OBA", mb) ||
+					r.value("fig5", "IS_PPM:1", mb) < r.value("fig5", "Ln_Agr_IS_PPM:1", mb) {
+					return []float64{float64(mb)}, fmt.Sprintf("non-aggressive beats aggressive at %dMB", mb)
+				}
+			}
+			return []float64{0}, "non-aggressive beats aggressive never"
+		},
+		grade: func(v []float64) (Verdict, string) { return ladder(v[0] == 0, false, "") },
+	},
+	{
+		id:    "fig6-aggressive-wins",
+		paper: "both Ln_Agr_IS_PPM algorithms obtain the best performance on Sprite",
+		measure: func(r *Report) ([]float64, string) {
+			large := r.largest()
+			agr, np := r.minOver("fig6", agrISPPM, large), r.value("fig6", "NP", large)
+			return []float64{agr, np}, fmt.Sprintf("@%dMB Ln_Agr_IS_PPM %.2f ms vs NP %.2f ms (%.1fx)", large, agr, np, np/agr)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			agr, np := v[0], v[1]
+			return ladder(agr >= np, false, "")
+		},
+	},
+	{
+		id:    "fig7-xfs-tracks-pafs",
+		paper: "with Sprite's little file sharing there is not much difference between PAFS (linear) and xFS (not really linear)",
+		measure: func(r *Report) ([]float64, string) {
+			var maxGap float64
+			for _, alg := range []string{"NP", "Ln_Agr_OBA", "Ln_Agr_IS_PPM:1"} {
+				for _, mb := range r.sizes {
+					maxGap = max(maxGap, gap(r.value("fig6", alg, mb), r.value("fig7", alg, mb)))
+				}
+			}
+			return []float64{maxGap}, fmt.Sprintf("largest PAFS-vs-xFS read-time gap %.2fx", maxGap)
+		},
+		grade: func(v []float64) (Verdict, string) { return ladder(false, v[0] > 1.5, "") },
+	},
+	{
+		// Extra accesses are modest except for very small caches; at
+		// large caches aggressive converges to (paper: sometimes
+		// below) NP.
+		id:    "fig8-pafs-traffic",
+		paper: "on PAFS the extra disk accesses are not very high except for very small caches; sometimes even lower than NP",
+		measure: func(r *Report) ([]float64, string) {
+			large := r.largest()
+			worst := slices.Max(r.vsNP("fig8", aggressive, []int{large}))
+			return []float64{worst}, fmt.Sprintf("worst aggressive/NP access ratio @%dMB: %.2f", large, worst)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			return ladder(v[0] > 1.25, v[0] > 1.02, "the paper sometimes measures aggressive *below* NP thanks to write-back savings; this reproduction converges to parity from above")
+		},
+	},
+	{
+		id:    "fig9-xfs-traffic",
+		paper: "under xFS the aggressive algorithms always perform more disk accesses than NP (not really linear)",
+		measure: func(r *Report) ([]float64, string) {
+			least := slices.Min(r.vsNP("fig9", aggressive, r.sizes))
+			return []float64{least}, fmt.Sprintf("aggressive above NP at every size: %v", least > 1)
+		},
+		grade: func(v []float64) (Verdict, string) { return ladder(v[0] <= 1, false, "") },
+	},
+	{
+		// Sprite traffic increase stays moderate. The paper's claim is
+		// about the overall level, so the verdict keys on the mean
+		// ratio; the worst single point is reported alongside.
+		id:    "fig10-11-sprite-traffic",
+		paper: "on Sprite the aggressive algorithms do not increase the disk traffic too much",
+		measure: func(r *Report) ([]float64, string) {
+			ratios := slices.Concat(r.vsNP("fig10", aggressive, r.sizes), r.vsNP("fig11", aggressive, r.sizes))
+			var sum float64
+			for _, ratio := range ratios {
+				sum += ratio
+			}
+			mean, worst := sum/float64(len(ratios)), slices.Max(ratios)
+			return []float64{mean, worst}, fmt.Sprintf("mean aggressive/NP access ratio %.2f (worst point %.2f)", mean, worst)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			switch mean, worst := v[0], v[1]; {
+			case mean > 2:
+				return Differ, ""
+			case mean > 1.7:
+				return Partial, ""
+			case worst > 2:
+				return Match, "the single worst point is Ln_Agr_OBA at the smallest cache, where its blind readahead wastes the most — the same asymmetry as the paper's misprediction comparison"
+			}
+			return Match, ""
+		},
+	},
+	{
+		// Direction only: aggressive algorithms write blocks no more
+		// often than NP (the paper's §5.3 point).
+		id:    "table2-writes-per-block",
+		paper: "blocks are written to disk fewer times under aggressive prefetching (NP 11.7 vs Ln_Agr ~10.5 at 16MB)",
+		measure: func(r *Report) ([]float64, string) {
+			better, total := 0, 0
+			for _, alg := range aggressive {
+				for _, mb := range r.sizes {
+					total++
+					if r.value("table2", alg, mb) <= r.value("table2", "NP", mb)*1.01 {
+						better++
+					}
+				}
+			}
+			return []float64{float64(better), float64(total)}, fmt.Sprintf("aggressive <= NP at %d/%d points", better, total)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			better, total := int(v[0]), int(v[1])
+			return ladder(better < total/2, better < total, "the gradient is small at this scale: the speed-up mostly hides in compute pauses, so write coalescing changes little")
+		},
+	},
+	{
+		id:    "claim-misprediction",
+		paper: "at 4MB on Sprite, Ln_Agr_OBA mispredicts 32% of prefetched blocks vs 15% for Ln_Agr_IS_PPM",
+		measure: func(r *Report) ([]float64, string) {
+			sp := r.sweep(experiment.PAFS, experiment.Sprite)
+			oba := sp.MustGet("Ln_Agr_OBA", 4).MispredictionRatio
+			isp := sp.MustGet("Ln_Agr_IS_PPM:1", 4).MispredictionRatio
+			return []float64{oba, isp}, fmt.Sprintf("%.1f%% vs %.1f%%", 100*oba, 100*isp)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			oba, isp := v[0], v[1]
+			return ladder(oba <= isp, oba < isp*1.5, "direction holds; the synthetic Sprite is more sequential than the original trace, so OBA wastes less here")
+		},
+	},
+	{
+		id:    "claim-fallback",
+		paper: "blocks prefetched via the OBA fallback: <1% on CHARISMA (large files), ~25% on Sprite (small files)",
+		measure: func(r *Report) ([]float64, string) {
+			fallback := func(res experiment.Result) float64 { return res.FallbackFraction }
+			ch := meanOver(r.sweep(experiment.PAFS, experiment.Charisma), agrISPPM, fallback)
+			sp := meanOver(r.sweep(experiment.PAFS, experiment.Sprite), agrISPPM, fallback)
+			return []float64{ch, sp}, fmt.Sprintf("%.1f%% vs %.1f%%", 100*ch, 100*sp)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			ch, sp := v[0], v[1]
+			return ladder(ch >= sp, ch > 0.05, "ordering holds (large files need far less fallback than small ones); absolute fractions are higher because the scaled traces revisit each file only a few times, so graphs stay colder than over the paper's 33 hours")
+		},
+	},
+	{
+		id:    "claim-xfs-volume",
+		paper: "in the xFS executions the number of prefetched blocks doubles the number observed under PAFS",
+		measure: func(r *Report) ([]float64, string) {
+			pafs, xfs := r.sweep(experiment.PAFS, experiment.Charisma), r.sweep(experiment.XFS, experiment.Charisma)
+			var ratio float64
+			var n int
+			for _, alg := range aggressive {
+				for _, mb := range r.sizes {
+					p := pafs.MustGet(alg, mb).PrefetchIssued
+					x := xfs.MustGet(alg, mb).PrefetchIssued
+					if p > 0 {
+						ratio += float64(x) / float64(p)
+						n++
+					}
+				}
+			}
+			ratio /= float64(n)
+			return []float64{ratio}, fmt.Sprintf("%.1fx", ratio)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			return ladder(v[0] <= 1.05, v[0] > 4, "direction holds strongly; the factor exceeds the paper's because every process of a job here runs on a distinct node, all prefetching independently")
+		},
+	},
+	{
+		// §4's structural claim read directly from the prefetch ledger
+		// instead of inferred from traffic: PAFS never has more than
+		// one prefetch outstanding for any file machine-wide, while
+		// xFS's independent per-node chains overlap on CHARISMA's
+		// shared files.
+		id:    "claim-linearity",
+		paper: "PAFS enforces one outstanding prefetch per file machine-wide (linear); xFS's per-node chains make it not really linear (§4)",
+		measure: func(r *Report) ([]float64, string) {
+			maxHW := func(fs experiment.FSKind, wl experiment.WorkloadKind) int {
+				m, hw := r.sweep(fs, wl), 0
+				for _, alg := range aggressive {
+					for _, mb := range r.sizes {
+						hw = max(hw, m.MustGet(alg, mb).MaxFilePrefetchHW)
+					}
+				}
+				return hw
+			}
+			pafs := max(maxHW(experiment.PAFS, experiment.Charisma), maxHW(experiment.PAFS, experiment.Sprite))
+			xfs := maxHW(experiment.XFS, experiment.Charisma)
+			return []float64{float64(pafs), float64(xfs)}, fmt.Sprintf("max outstanding per file: PAFS %d, xFS on CHARISMA %d", pafs, xfs)
+		},
+		grade: func(v []float64) (Verdict, string) {
+			switch pafs, xfs := v[0], v[1]; {
+			case pafs > 1:
+				return Differ, "PAFS exceeded one outstanding prefetch per file — its servers are no longer linear"
+			case xfs <= 1:
+				return Differ, "xFS chains never overlapped; the shared-file contention the paper blames for flooding is absent"
+			}
+			return Match, ""
+		},
+	},
+}
+
+// writeVerdicts renders evaluated rows as the verdict table and its
+// notes.
+func writeVerdicts(b *strings.Builder, rows []Check) {
+	b.WriteString("| check | paper says | measured | verdict |\n|---|---|---|---|\n")
+	for _, c := range rows {
+		fmt.Fprintf(b, "| %s | %s | %s | %s |\n", c.ID, c.Paper, c.Measured, c.Verdict)
+	}
+	b.WriteString("\n### Notes\n\n")
+	for _, c := range rows {
+		if c.Note != "" {
+			fmt.Fprintf(b, "- **%s** (%s): %s\n", c.ID, c.Verdict, c.Note)
+		}
+	}
+}
+
+// Claims renders the paper's in-text numbers alone: the claim-* rows
+// of the verdict table, exactly as Render prints them.
+func (r *Report) Claims() string {
+	var b strings.Builder
+	b.WriteString("In-text claims (the claim-* rows of `-exp report`)\n\n")
+	writeVerdicts(&b, slices.DeleteFunc(slices.Clone(r.Checks), func(c Check) bool {
+		return !strings.HasPrefix(c.ID, "claim-")
+	}))
+	return b.String()
+}
+
 // Render emits the record as markdown.
 func (r *Report) Render() string {
 	var b strings.Builder
@@ -578,16 +519,7 @@ func (r *Report) Render() string {
 	b.WriteString("Absolute numbers are not expected to match the paper — the machine and the traces are scaled-down synthetic substitutes (see DESIGN.md) — the *shapes* are what this record verifies.\n\n")
 
 	b.WriteString("## Verdict summary\n\n")
-	b.WriteString("| check | paper says | measured | verdict |\n|---|---|---|---|\n")
-	for _, c := range r.Checks {
-		fmt.Fprintf(&b, "| %s | %s | %s | %s |\n", c.ID, c.Paper, c.Measured, c.Verdict)
-	}
-	b.WriteString("\n### Notes\n\n")
-	for _, c := range r.Checks {
-		if c.Note != "" {
-			fmt.Fprintf(&b, "- **%s** (%s): %s\n", c.ID, c.Verdict, c.Note)
-		}
-	}
+	writeVerdicts(&b, r.Checks)
 
 	b.WriteString("\n## Paper Table 2 (exact values, for reference)\n\n")
 	b.WriteString("| algorithm | 1MB | 2MB | 4MB | 8MB | 16MB |\n|---|---|---|---|---|---|\n")

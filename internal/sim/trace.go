@@ -36,29 +36,33 @@ func (k TraceKind) String() string {
 	}
 }
 
+// MarshalText makes the kind's name its JSON form.
+func (k TraceKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
 // TraceRecord is one observation emitted through a Tracer: either the
 // engine firing an event (a span marker in virtual time) or a resource
 // queue transition. All times are virtual, so a trace is bit-identical
-// across runs and machines.
+// across runs and machines. The tags are the keys of its JSONL form
+// (lapsim -trace-out).
 type TraceRecord struct {
 	// At is the virtual time of the observation.
-	At Time
+	At Time `json:"at_ns"`
 	// Kind classifies the record.
-	Kind TraceKind
+	Kind TraceKind `json:"kind"`
 	// Resource names the resource ("disk3", "port0"); empty for
 	// engine-level records.
-	Resource string
+	Resource string `json:"resource,omitempty"`
 	// Priority is the request's class (resource records only).
-	Priority Priority
+	Priority Priority `json:"prio,omitempty"`
 	// Wait is the time the request spent queued (TraceStart only).
-	Wait Duration
+	Wait Duration `json:"wait_ns,omitempty"`
 	// Service is the request's service time (TraceStart, TraceDone).
-	Service Duration
+	Service Duration `json:"service_ns,omitempty"`
 	// QueueLen is the number of requests waiting after the transition
 	// (resource records only).
-	QueueLen int
+	QueueLen int `json:"qlen,omitempty"`
 	// Seq is the engine event sequence number (TraceEventFired only).
-	Seq uint64
+	Seq uint64 `json:"seq,omitempty"`
 }
 
 // Tracer receives trace records. Implementations must not schedule
