@@ -1,0 +1,64 @@
+package experiment
+
+import (
+	"bytes"
+	"encoding/json"
+	"flag"
+	"os"
+	"testing"
+
+	"repro/internal/core"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/tiny_results.jsonl from this run")
+
+// TestGoldenResults pins every field of every Result, through its own
+// MarshalJSON, for the tiny scale's file systems × paper workloads ×
+// standard algorithms at 1 and 4 MB, byte for byte. The simulator's
+// event path may be rebuilt freely; no simulated number may move
+// without this file being regenerated on purpose (-update).
+func TestGoldenResults(t *testing.T) {
+	const golden = "testdata/tiny_results.jsonl"
+	var cells []Cell
+	for _, fs := range []FSKind{PAFS, XFS} {
+		for _, wl := range []WorkloadKind{Charisma, Sprite} {
+			for _, alg := range core.StandardAlgorithms() {
+				for _, mb := range []int{1, 4} {
+					cells = append(cells, Cell{FS: fs, Workload: wl, Alg: alg, CacheMB: mb})
+				}
+			}
+		}
+	}
+	s := TinyScale()
+	results, err := RunCells(s.Trace, cells, s.WarmFraction, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	enc := json.NewEncoder(&got)
+	for _, r := range results {
+		if err := enc.Encode(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if *update {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	gotLines, wantLines := bytes.Split(got.Bytes(), []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := range gotLines {
+		if i >= len(wantLines) || !bytes.Equal(gotLines[i], wantLines[i]) {
+			t.Fatalf("%s line %d (%s):\n got %s\nwant %s", golden, i+1, cells[min(i, len(cells)-1)], gotLines[i], wantLines[min(i, len(wantLines)-1)])
+		}
+	}
+	t.Fatalf("%s has %d lines, this run produced %d", golden, len(wantLines), len(gotLines))
+}
