@@ -4,9 +4,14 @@
 # every fuzz target over its seed corpus, the committed EXPERIMENTS.md
 # against the report the code generates, and the bench/ module (its
 # own go.mod, so nothing above compiles it). Performance numbers come from
-# `bash bench/run.sh` alone. The five zero-allocation gates (engine
-# hit, miss and prefetched hit, loopback hit, remote hit) are tests
-# tagged !race: `make test` enforces them, `make race` skips them.
+# `bash bench/run.sh` alone. The nine zero-allocation gates (engine
+# hit, miss, prefetched hit and predicted hit; loopback hit; remote
+# hit; simulator event and resource request; warm predictor step) and
+# the bound on a simulated cell's allocations per event are tests
+# tagged !race: `make test` enforces them, `make race` skips them
+# (`go test -run Allocs ./internal/lapcache/ ./internal/lapclient/
+# ./internal/cluster/ ./internal/sim/ ./internal/core/
+# ./internal/experiment/` runs them alone).
 
 GO ?= go
 FUZZTIME ?= 10s

@@ -26,24 +26,18 @@ type strider struct {
 	size   int32
 }
 
-// striderCursor is the predictor's position: the offset of the last
-// (real or speculative) request.
-type striderCursor struct{ last blockdev.BlockNo }
-
 func (s *strider) Name() string { return fmt.Sprintf("Stride+%d", s.stride) }
 
+// Observe returns the predictor's position: a core.Cursor is a plain
+// value, and all this model needs of it is the offset of the last
+// (real or speculative) request.
 func (s *strider) Observe(r core.Request, _ core.Tick) core.Cursor {
-	return striderCursor{last: r.Offset}
+	return core.Cursor{Offset: r.Offset, Size: r.Size}
 }
 
 func (s *strider) Predict(c core.Cursor) (core.Prediction, core.Cursor, bool) {
-	cur, ok := c.(striderCursor)
-	if !ok {
-		return core.Prediction{}, nil, false
-	}
-	next := cur.last + s.stride
-	p := core.Prediction{Request: core.Request{Offset: next, Size: s.size}}
-	return p, striderCursor{last: next}, true
+	next := core.Request{Offset: c.Offset + s.stride, Size: s.size}
+	return core.Prediction{Request: next}, core.Cursor{Offset: next.Offset, Size: next.Size}, true
 }
 
 // env adapts a bare disk array and a block set into the driver's Env.

@@ -40,14 +40,8 @@ type Span struct {
 	Count int32
 }
 
-// Blocks returns the individual block IDs covered by the span.
-func (s Span) Blocks() []BlockID {
-	out := make([]BlockID, 0, s.Count)
-	for i := int32(0); i < s.Count; i++ {
-		out = append(out, BlockID{s.File, s.Start + BlockNo(i)})
-	}
-	return out
-}
+// Block returns the span's i-th block, 0 <= i < Count.
+func (s Span) Block(i int32) BlockID { return BlockID{s.File, s.Start + BlockNo(i)} }
 
 // End returns the first block index after the span.
 func (s Span) End() BlockNo { return s.Start + BlockNo(s.Count) }

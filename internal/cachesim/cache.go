@@ -7,8 +7,9 @@
 package cachesim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/blockdev"
 	"repro/internal/lrulist"
@@ -82,6 +83,13 @@ type Cache struct {
 	dirty     map[blockdev.BlockID]bool // blocks with a dirty copy
 	scanStart int                       // rotating start for free-buffer scans
 
+	// Records a steady-state insert reuses instead of allocating: the
+	// copies and directory lists that evictions emptied, and the
+	// buffer Insert returns its victims in.
+	spareCopies []*Copy
+	spareLists  [][]*Copy
+	victims     []Victim
+
 	// OnPrefetchUsed, if set, fires when a user request first touches a
 	// prefetched copy — the moment a prefetch is known to have been
 	// timely. Observation only: the hook must not mutate the cache.
@@ -150,29 +158,27 @@ func (c *Cache) Len() int {
 // NodeLen returns the number of copies cached on node n.
 func (c *Cache) NodeLen(n blockdev.NodeID) int { return c.nodes[n].lru.Len() }
 
-// Holders returns the nodes currently holding copies of b, in
-// insertion order; nil if the block is uncached.
-func (c *Cache) Holders(b blockdev.BlockID) []blockdev.NodeID {
-	copies := c.dir[b]
-	if len(copies) == 0 {
-		return nil
-	}
-	out := make([]blockdev.NodeID, len(copies))
-	for i, cp := range copies {
-		out[i] = cp.Node
-	}
-	return out
-}
-
 // Contains reports whether any copy of b is cached.
 func (c *Cache) Contains(b blockdev.BlockID) bool { return len(c.dir[b]) > 0 }
 
 // ContainsOn reports whether node n holds a copy of b.
 func (c *Cache) ContainsOn(n blockdev.NodeID, b blockdev.BlockID) bool {
-	return c.findCopy(n, b) != nil
+	return c.FindOn(n, b) != nil
 }
 
-func (c *Cache) findCopy(n blockdev.NodeID, b blockdev.BlockID) *Copy {
+// Find returns b's first copy in insertion order — the holder a
+// request is served from — or nil if the block is uncached. The copy
+// is the cache's own record: read it, hand it to Use, and do not keep
+// it past the next Insert or Drop.
+func (c *Cache) Find(b blockdev.BlockID) *Copy {
+	if copies := c.dir[b]; len(copies) > 0 {
+		return copies[0]
+	}
+	return nil
+}
+
+// FindOn returns node n's copy of b, or nil; see Find.
+func (c *Cache) FindOn(n blockdev.NodeID, b blockdev.BlockID) *Copy {
 	for _, cp := range c.dir[b] {
 		if cp.Node == n {
 			return cp
@@ -190,55 +196,64 @@ type InsertOptions struct {
 // Insert places a copy of b for node pref, evicting as needed per the
 // policy, and returns the node the copy landed on plus any victims the
 // caller must flush. Inserting a block already present on the chosen
-// node is a touch plus flag merge, not a duplicate.
+// node is a touch plus flag merge, not a duplicate. The victims share
+// one buffer the cache reuses: they are valid until the next Insert.
 func (c *Cache) Insert(pref blockdev.NodeID, b blockdev.BlockID, opts InsertOptions) (blockdev.NodeID, []Victim) {
 	c.checkNode(pref)
-	var victims []Victim
-	if existing := c.findCopy(pref, b); existing != nil {
-		// Merging an insert into an existing copy: refresh recency and
-		// upgrade dirtiness; an existing copy is by definition not a
-		// fresh prefetch.
-		c.touchCopy(existing)
-		if opts.Dirty {
-			existing.Dirty = true
-			c.dirty[b] = true
-		}
-		return pref, victims
-	}
 	// N-chance forwarding can cascade and refill a node that MakeRoom
 	// just drained, so loop until the target really has a free buffer.
 	// Termination: every MakeRoom call either drops a copy or uses up
 	// one recirculation hop, both finite.
-	target := pref
-	for c.findCopy(target, b) == nil && c.nodes[target].lru.Len() >= c.perNode {
+	target, victims := pref, c.victims[:0]
+	existing := c.FindOn(target, b)
+	for existing == nil && c.nodes[target].lru.Len() >= c.perNode {
 		target, victims = c.policy.MakeRoom(c, target, victims)
+		existing = c.FindOn(target, b)
 	}
-	if existing := c.findCopy(target, b); existing != nil {
-		c.touchCopy(existing)
+	c.victims = victims
+	if existing != nil {
+		// Merging an insert into an existing copy: refresh recency and
+		// upgrade dirtiness; an existing copy is by definition not a
+		// fresh prefetch.
+		c.Use(existing)
 		if opts.Dirty {
 			existing.Dirty = true
 			c.dirty[b] = true
 		}
 		return target, victims
 	}
-	cp := &Copy{
-		Block:      b,
-		Node:       target,
-		Dirty:      opts.Dirty,
-		Prefetched: opts.Prefetched,
-		lastUse:    c.engine.Now(),
-	}
-	c.dir[b] = append(c.dir[b], cp)
-	c.nodes[target].lru.PushBack(cp)
-	c.globLRU.PushBack(cp)
-	if opts.Dirty {
-		c.dirty[b] = true
-	}
+	c.place(Copy{Block: b, Node: target, Dirty: opts.Dirty, Prefetched: opts.Prefetched})
 	c.stats.Inserts++
 	return target, victims
 }
 
-func (c *Cache) touchCopy(cp *Copy) {
+// place links a new copy, on a node with a free buffer, into the
+// directory and the recency lists, in a recycled record when there is
+// one.
+func (c *Cache) place(v Copy) {
+	var cp *Copy
+	if n := len(c.spareCopies); n > 0 {
+		cp, c.spareCopies = c.spareCopies[n-1], c.spareCopies[:n-1]
+	} else {
+		cp = new(Copy)
+	}
+	*cp = v
+	cp.lastUse = c.engine.Now()
+	copies, ok := c.dir[v.Block]
+	if n := len(c.spareLists); !ok && n > 0 {
+		copies, c.spareLists = c.spareLists[n-1], c.spareLists[:n-1]
+	}
+	c.dir[v.Block] = append(copies, cp)
+	c.nodes[v.Node].lru.PushBack(cp)
+	c.globLRU.PushBack(cp)
+	if v.Dirty {
+		c.dirty[v.Block] = true
+	}
+}
+
+// Use records a user access to the copy (from Find or FindOn),
+// updating recency and prefetch accounting.
+func (c *Cache) Use(cp *Copy) {
 	cp.lastUse = c.engine.Now()
 	c.nodes[cp.Node].lru.Touch(cp)
 	c.globLRU.Touch(cp)
@@ -252,19 +267,16 @@ func (c *Cache) touchCopy(cp *Copy) {
 }
 
 // Touch records a user access to b's copy on node n (or, if n holds no
-// copy, to any copy), updating recency and prefetch accounting. It
-// reports whether a copy was found.
+// copy, to the first copy). It reports whether a copy was found.
 func (c *Cache) Touch(n blockdev.NodeID, b blockdev.BlockID) bool {
-	cp := c.findCopy(n, b)
+	cp := c.FindOn(n, b)
 	if cp == nil {
-		copies := c.dir[b]
-		if len(copies) == 0 {
-			return false
-		}
-		cp = copies[0]
+		cp = c.Find(b)
 	}
-	c.touchCopy(cp)
-	return true
+	if cp != nil {
+		c.Use(cp)
+	}
+	return cp != nil
 }
 
 // MarkDirty flags b's copies as newer than disk. It reports whether
@@ -281,8 +293,10 @@ func (c *Cache) MarkDirty(b blockdev.BlockID) bool {
 	return true
 }
 
-// removeCopy unlinks the copy from all structures and the directory.
-func (c *Cache) removeCopy(cp *Copy) {
+// removeCopy unlinks the copy from all structures and the directory
+// and returns what it held; the record itself, and the directory list
+// it was the last entry of, are kept for place to reuse.
+func (c *Cache) removeCopy(cp *Copy) Copy {
 	c.nodes[cp.Node].lru.Remove(cp)
 	c.globLRU.Remove(cp)
 	copies := c.dir[cp.Block]
@@ -296,9 +310,12 @@ func (c *Cache) removeCopy(cp *Copy) {
 	if len(copies) == 0 {
 		delete(c.dir, cp.Block)
 		delete(c.dirty, cp.Block)
+		c.spareLists = append(c.spareLists, copies)
 	} else {
 		c.dir[cp.Block] = copies
 	}
+	c.spareCopies = append(c.spareCopies, cp)
+	return *cp
 }
 
 // evict removes cp, producing a victim record.
@@ -308,11 +325,11 @@ func (c *Cache) evict(cp *Copy, out []Victim) []Victim {
 		c.stats.WastedPrefetches++
 	}
 	dirtyLast := cp.Dirty && len(c.dir[cp.Block]) == 1
-	c.removeCopy(cp)
+	was := c.removeCopy(cp)
 	return append(out, Victim{
-		Block:             cp.Block,
+		Block:             was.Block,
 		Dirty:             dirtyLast,
-		WasUnusedPrefetch: cp.Prefetched,
+		WasUnusedPrefetch: was.Prefetched,
 	})
 }
 
@@ -371,10 +388,7 @@ func (c *Cache) checkNode(n blockdev.NodeID) {
 }
 
 func sortBlocks(bs []blockdev.BlockID) {
-	sort.Slice(bs, func(i, j int) bool {
-		if bs[i].File != bs[j].File {
-			return bs[i].File < bs[j].File
-		}
-		return bs[i].Block < bs[j].Block
+	slices.SortFunc(bs, func(a, b blockdev.BlockID) int {
+		return cmp.Or(cmp.Compare(a.File, b.File), cmp.Compare(a.Block, b.Block))
 	})
 }

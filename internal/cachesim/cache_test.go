@@ -32,11 +32,11 @@ func TestInsertAndLookup(t *testing.T) {
 	if c.ContainsOn(0, blk(1, 0)) {
 		t.Error("block reported on wrong node")
 	}
-	if h := c.Holders(blk(1, 0)); len(h) != 1 || h[0] != 2 {
-		t.Errorf("Holders = %v", h)
+	if cp := c.Find(blk(1, 0)); cp == nil || cp.Node != 2 || c.Len() != 1 {
+		t.Errorf("Find = %+v among %d copies, want the one copy on node 2", cp, c.Len())
 	}
-	if c.Holders(blk(9, 9)) != nil {
-		t.Error("Holders of absent block should be nil")
+	if c.Find(blk(9, 9)) != nil || c.FindOn(2, blk(9, 9)) != nil {
+		t.Error("found a copy of an absent block")
 	}
 }
 
@@ -198,7 +198,7 @@ func TestNChanceForwardsSinglet(t *testing.T) {
 	if !c.Contains(blk(1, 0)) {
 		t.Fatal("forwarded singlet vanished")
 	}
-	if h := c.Holders(blk(1, 0)); h[0] == 0 {
+	if c.Find(blk(1, 0)).Node == 0 {
 		t.Error("singlet still on evicting node")
 	}
 	if c.Stats().Forwards != 1 {

@@ -74,28 +74,12 @@ func (p NChance) MakeRoom(c *Cache, pref blockdev.NodeID, out []Victim) (blockde
 		// there, which is the protocol's intent (the oldest block on
 		// the target makes room for the singlet).
 		target := c.randomOtherNode(pref)
-		hops := victim.Recirculated + 1
-		dirty := victim.Dirty
-		prefetched := victim.Prefetched
-		blk := victim.Block
-		c.removeCopy(victim)
+		fwd := c.removeCopy(victim)
 		for c.nodes[target].lru.Len() >= c.perNode {
 			_, out = p.MakeRoom(c, target, out)
 		}
-		fwd := &Copy{
-			Block:        blk,
-			Node:         target,
-			Dirty:        dirty,
-			Prefetched:   prefetched,
-			Recirculated: hops,
-			lastUse:      c.engine.Now(),
-		}
-		c.dir[blk] = append(c.dir[blk], fwd)
-		c.nodes[target].lru.PushBack(fwd)
-		c.globLRU.PushBack(fwd)
-		if dirty {
-			c.dirty[blk] = true
-		}
+		c.place(Copy{Block: fwd.Block, Node: target, Dirty: fwd.Dirty,
+			Prefetched: fwd.Prefetched, Recirculated: fwd.Recirculated + 1})
 		c.stats.Forwards++
 		return pref, out
 	}

@@ -129,7 +129,7 @@ func TestDropRemovesAllCopies(t *testing.T) {
 	c.Insert(0, blk(1, 0), InsertOptions{})
 	c.Insert(1, blk(1, 0), InsertOptions{})
 	c.Insert(2, blk(1, 0), InsertOptions{})
-	if len(c.Holders(blk(1, 0))) != 3 {
+	if c.Len() != 3 {
 		t.Fatal("setup: want 3 copies")
 	}
 	c.Drop(blk(1, 0))

@@ -22,41 +22,23 @@ import (
 // offline evaluator; the paper's figures do not include it.
 type BlockPPM struct {
 	order int
-	nodes table[blockKey, blockNode]
+	// nodes is keyed by the last j accessed block numbers, most recent
+	// last. The key is IS_PPM's window type with a block number in each
+	// pair (blockPair), so both predictors use the cursor's one window.
+	nodes table[histKey, blockNode]
 
 	started bool
-	hist    blockKey
+	hist    histKey
 }
 
-// blockKey is the last j accessed block numbers, most recent last.
-type blockKey struct {
-	n int8
-	b [MaxOrder]blockdev.BlockNo
-}
-
-func (k blockKey) shift(b blockdev.BlockNo, order int) blockKey {
-	if int(k.n) < order {
-		k.b[k.n] = b
-		k.n++
-		return k
-	}
-	copy(k.b[:order-1], k.b[1:order])
-	k.b[order-1] = b
-	return k
-}
-
-func (k blockKey) full(order int) bool { return int(k.n) >= order }
+// blockPair is a block number as a window element.
+func blockPair(b blockdev.BlockNo) pair { return pair{interval: int32(b)} }
 
 // blockNode counts successors of one history.
 type blockNode struct {
 	counts   map[blockdev.BlockNo]uint32
 	top      blockdev.BlockNo
 	topCount uint32
-}
-
-// blockppmCursor is a speculative position: the history window.
-type blockppmCursor struct {
-	hist blockKey
 }
 
 // NewBlockPPM returns an order-j block-granularity PPM predictor with
@@ -67,7 +49,7 @@ func newBlockPPM(order, maxNodes int) *BlockPPM {
 	if order < 1 || order > MaxOrder {
 		panic(fmt.Sprintf("core: BlockPPM order %d outside [1,%d]", order, MaxOrder))
 	}
-	return &BlockPPM{order: order, nodes: newTable[blockKey, blockNode](maxNodes)}
+	return &BlockPPM{order: order, nodes: newTable[histKey, blockNode](maxNodes)}
 }
 
 // Name identifies the algorithm, e.g. "BlockPPM:1".
@@ -94,21 +76,17 @@ func (m *BlockPPM) Observe(r Request, _ Tick) Cursor {
 				nd.topCount = c
 			}
 		}
-		m.hist = m.hist.shift(b, m.order)
+		m.hist = m.hist.shift(blockPair(b), m.order)
 		m.started = true
 	}
-	return blockppmCursor{hist: m.hist}
+	return Cursor{Offset: r.Offset, Size: r.Size, hist: m.hist}
 }
 
 // Predict returns the most frequent successor of the cursor's history,
 // always a single block (the original algorithm prefetches one page).
 // There is no fallback: unseen histories predict nothing — exactly the
 // cold-start weakness IS_PPM's interval model removes.
-func (m *BlockPPM) Predict(c Cursor) (Prediction, Cursor, bool) {
-	cur, ok := c.(blockppmCursor)
-	if !ok {
-		return Prediction{}, nil, false
-	}
+func (m *BlockPPM) Predict(cur Cursor) (Prediction, Cursor, bool) {
 	if !cur.hist.full(m.order) {
 		return Prediction{}, cur, false
 	}
@@ -117,5 +95,5 @@ func (m *BlockPPM) Predict(c Cursor) (Prediction, Cursor, bool) {
 		return Prediction{}, cur, false
 	}
 	p := Prediction{Request: Request{Offset: nd.top, Size: 1}}
-	return p, blockppmCursor{hist: cur.hist.shift(nd.top, m.order)}, true
+	return p, Cursor{Offset: nd.top, Size: 1, hist: cur.hist.shift(blockPair(nd.top), m.order)}, true
 }

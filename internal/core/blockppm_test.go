@@ -118,13 +118,6 @@ func TestBlockPPMValidation(t *testing.T) {
 	}
 }
 
-func TestBlockPPMRejectsForeignCursor(t *testing.T) {
-	m := NewBlockPPM(1)
-	if _, _, ok := m.Predict(obaCursor{}); ok {
-		t.Error("foreign cursor accepted")
-	}
-}
-
 func TestBlockPPMNodeCapBounds(t *testing.T) {
 	m := newBlockPPM(1, 8)
 	for i := 0; i < 100; i++ {

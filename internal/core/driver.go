@@ -44,6 +44,13 @@ type Env interface {
 	// whether the operation was accepted: an environment under
 	// backpressure (the runtime's bounded prefetch queue) may refuse,
 	// which parks the driver's chain until the next user request.
+	//
+	// The driver may assume, of every accepted operation: cancelled is
+	// polled at most once and only before service starts; done fires at
+	// most once, and never after cancelled returned true. A refused
+	// operation gets neither call. The driver reuses an operation's
+	// record once its done has run, so a done fired again later would
+	// complete whichever operation holds the record then.
 	Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) (accepted bool)
 }
 
@@ -125,11 +132,13 @@ type Driver struct {
 	degree      DegreePolicy
 	cursor      Cursor
 	haveCursor  bool
-	pending     []pendingBlock
+	pending     []pendingBlock // the batch; pending[next:] is still to issue
+	next        int
 	outstanding int
 	gen         uint64
 	stopped     bool
 	stats       DriverStats
+	free        []*prefetchOp // finished operation records, for issue to reuse
 }
 
 // NewDriver validates the configuration and returns a driver.
@@ -169,7 +178,7 @@ func (d *Driver) OnUserRequest(r Request, now Tick, satisfied bool) {
 	case ModeOneShot:
 		// Predict exactly the next request from the real position and
 		// queue its blocks, replacing any batch not yet issued.
-		d.pending = d.pending[:0]
+		d.dropPending()
 		d.cursor = real
 		d.haveCursor = true
 		pred, _, ok := d.cfg.Predictor.Predict(real)
@@ -200,7 +209,7 @@ func (d *Driver) OnUserRequest(r Request, now Tick, satisfied bool) {
 // orphaned via a generation bump; the learned model is kept, so a
 // re-open resumes with everything the predictor knows.
 func (d *Driver) StopChain() {
-	d.pending = d.pending[:0]
+	d.dropPending()
 	d.gen++
 	d.changeOutstanding(-d.outstanding)
 	d.stopped = true
@@ -210,12 +219,15 @@ func (d *Driver) StopChain() {
 func (d *Driver) restartFrom(real Cursor) {
 	d.cursor = real
 	d.haveCursor = true
-	d.pending = d.pending[:0]
+	d.dropPending()
 	d.gen++
 	d.changeOutstanding(-d.outstanding)
 	d.stopped = false
 	d.stats.Restarts++
 }
+
+// dropPending empties the batch and keeps its storage for the next.
+func (d *Driver) dropPending() { d.pending, d.next = d.pending[:0], 0 }
 
 // changeOutstanding adjusts the logical in-flight count, maintains the
 // high-water mark, and notifies the observer.
@@ -268,8 +280,10 @@ func (d *Driver) pump() {
 		if len(d.pending) == 0 && !d.refill() {
 			return
 		}
-		pb := d.pending[0]
-		d.pending = d.pending[1:]
+		pb := d.pending[d.next]
+		if d.next++; d.next == len(d.pending) {
+			d.dropPending()
+		}
 		blk := blockdev.BlockID{File: d.cfg.File, Block: pb.no}
 		if d.cfg.Env.Cached(blk) {
 			continue // raced in via a demand fetch since enqueue
@@ -312,42 +326,63 @@ func (d *Driver) refill() bool {
 	}
 }
 
-// issue launches one prefetch with generation-stamped callbacks so a
-// chain restart orphans, and the disk queue drops, stale operations.
-// It reports whether the environment accepted the operation.
-func (d *Driver) issue(blk blockdev.BlockID, fallback bool) bool {
-	gen := d.gen
-	d.changeOutstanding(1)
-	// Cancellation keys on the generation only: a same-generation
-	// operation always runs to completion so the outstanding count
-	// stays consistent (stale generations reset it in restartFrom).
-	//
-	// release undoes this operation's +1 exactly once. An operation
-	// from an abandoned chain (the generation moved under it) finds
-	// its slot already reclaimed by StopChain/restartFrom's bulk
-	// reset, and a completion that somehow fires twice hits the
-	// latch — under a K>1 window a stray second decrement would
-	// silently free a slot and let the window overshoot its bound.
-	released := false
-	release := func() bool {
-		if released || d.gen != gen {
-			return false
-		}
-		released = true
-		d.changeOutstanding(-1)
-		return true
+// prefetchOp is one launched prefetch as the driver tracks it. Its two
+// callbacks are bound when the record is made, and the record goes
+// back on the driver's free list when done runs (see Env for what that
+// asks of the environment), so a running chain allocates nothing.
+type prefetchOp struct {
+	d   *Driver
+	gen uint64 // chain generation the operation was issued under
+	// finished latches the operation's one release.
+	finished  bool
+	cancelled func() bool
+	done      func()
+}
+
+// isCancelled keys on the generation only: a same-generation operation
+// always runs to completion so the outstanding count stays consistent
+// (stale generations reset it in restartFrom).
+func (op *prefetchOp) isCancelled() bool { return op.d.gen != op.gen }
+
+// complete undoes the operation's +1 exactly once. An operation from
+// an abandoned chain (the generation moved under it) finds its slot
+// already reclaimed by StopChain/restartFrom's bulk reset, and a
+// completion that fires twice hits the latch — under a K>1 window a
+// stray second decrement would silently free a slot and let the window
+// overshoot its bound.
+func (op *prefetchOp) complete() {
+	if op.finished {
+		return
 	}
-	accepted := d.cfg.Env.Prefetch(blk, fallback,
-		func() bool { return d.gen != gen },
-		func() {
-			if !release() {
-				return // abandoned chain or duplicate completion
-			}
-			d.stats.Completed++
-			d.pump()
-		})
-	if !accepted {
-		release()
+	op.finished = true
+	d := op.d
+	if d.gen == op.gen {
+		d.changeOutstanding(-1)
+		d.stats.Completed++
+		d.pump()
+	}
+	// Only now, so that the operations the pump issued took other
+	// records and the latch still stands behind this one.
+	d.free = append(d.free, op)
+}
+
+// issue launches one prefetch under the current generation, so a chain
+// restart orphans, and the disk queue drops, stale operations. It
+// reports whether the environment accepted the operation.
+func (d *Driver) issue(blk blockdev.BlockID, fallback bool) bool {
+	var op *prefetchOp
+	if n := len(d.free); n > 0 {
+		op, d.free = d.free[n-1], d.free[:n-1]
+	} else {
+		op = &prefetchOp{d: d}
+		op.cancelled, op.done = op.isCancelled, op.complete
+	}
+	op.gen, op.finished = d.gen, false
+	d.changeOutstanding(1)
+	if !d.cfg.Env.Prefetch(blk, fallback, op.cancelled, op.done) {
+		op.finished = true
+		d.changeOutstanding(-1)
+		d.free = append(d.free, op)
 		d.stats.Rejected++
 		if bp, ok := d.degree.(backpressureAware); ok {
 			bp.OnBackpressure()

@@ -105,15 +105,6 @@ type ISPPM struct {
 	prevKey   histKey
 }
 
-// isppmCursor tracks a (real or speculative) position in the stream:
-// the history window plus the absolute position of the last request,
-// needed to materialize interval-relative predictions.
-type isppmCursor struct {
-	hist       histKey
-	lastOffset blockdev.BlockNo
-	lastSize   int32
-}
-
 // NewISPPM returns an order-j predictor with the default graph bound.
 // It panics unless 1 <= order <= MaxOrder.
 func NewISPPM(order int) *ISPPM {
@@ -157,7 +148,7 @@ func (m *ISPPM) Observe(r Request, _ Tick) Cursor {
 		m.lastReq = r
 		m.hist = histKey{}
 		m.prevValid = false
-		return isppmCursor{hist: m.hist, lastOffset: r.Offset, lastSize: r.Size}
+		return Cursor{Offset: r.Offset, Size: r.Size}
 	}
 	pr := pair{interval: int32(r.Offset - m.lastReq.Offset), size: r.Size}
 	m.hist = m.hist.shift(pr, m.order)
@@ -170,7 +161,7 @@ func (m *ISPPM) Observe(r Request, _ Tick) Cursor {
 		m.prevValid = true
 	}
 	m.lastReq = r
-	return isppmCursor{hist: m.hist, lastOffset: r.Offset, lastSize: r.Size}
+	return Cursor{Offset: r.Offset, Size: r.Size, hist: m.hist}
 }
 
 func (nd *node) setLink(target histKey) {
@@ -199,25 +190,19 @@ func (nd *node) successor(p LinkPolicy) (histKey, bool) {
 
 // Predict follows the most recently used link out of the node matching
 // the cursor's history (§2.2); when the graph cannot help, it falls
-// back to the OBA rule, marking the prediction.
-func (m *ISPPM) Predict(c Cursor) (Prediction, Cursor, bool) {
-	cur, ok := c.(isppmCursor)
-	if !ok {
-		return Prediction{}, nil, false
-	}
+// back to the OBA rule, marking the prediction. The cursor's Offset and
+// Size are the absolute position of the last request, which turns the
+// graph's interval-relative links into block numbers.
+func (m *ISPPM) Predict(cur Cursor) (Prediction, Cursor, bool) {
 	if cur.hist.full(m.order) {
 		if nd := m.nodes.get(cur.hist); nd != nil {
 			if succ, ok := nd.successor(m.policy); ok {
 				next := succ.last()
 				pred := Prediction{Request: Request{
-					Offset: cur.lastOffset + blockdev.BlockNo(next.interval),
+					Offset: cur.Offset + blockdev.BlockNo(next.interval),
 					Size:   next.size,
 				}}
-				nc := isppmCursor{
-					hist:       cur.hist.shift(next, m.order),
-					lastOffset: pred.Offset,
-					lastSize:   pred.Size,
-				}
+				nc := Cursor{Offset: pred.Offset, Size: pred.Size, hist: cur.hist.shift(next, m.order)}
 				return pred, nc, true
 			}
 		}
@@ -228,18 +213,13 @@ func (m *ISPPM) Predict(c Cursor) (Prediction, Cursor, bool) {
 	// OBA fallback: one block past the end of the last request. The
 	// speculative history advances with the synthetic pair so that a
 	// later window may re-match the graph.
-	fbOffset := cur.lastOffset + blockdev.BlockNo(cur.lastSize)
+	fbOffset := cur.Offset + blockdev.BlockNo(cur.Size)
 	pred := Prediction{
 		Request:  Request{Offset: fbOffset, Size: 1},
 		Fallback: true,
 	}
-	syn := pair{interval: int32(fbOffset - cur.lastOffset), size: 1}
-	nc := isppmCursor{
-		hist:       cur.hist.shift(syn, m.order),
-		lastOffset: fbOffset,
-		lastSize:   1,
-	}
-	return pred, nc, true
+	syn := pair{interval: int32(fbOffset - cur.Offset), size: 1}
+	return pred, Cursor{Offset: fbOffset, Size: 1, hist: cur.hist.shift(syn, m.order)}, true
 }
 
 // MostRecentLink exposes, for tests and diagnostics, the MRU successor

@@ -289,13 +289,6 @@ func TestISPPMName(t *testing.T) {
 	}
 }
 
-func TestISPPMRejectsForeignCursor(t *testing.T) {
-	m := NewISPPM(1)
-	if _, _, ok := m.Predict(obaCursor{}); ok {
-		t.Error("IS_PPM accepted a foreign cursor")
-	}
-}
-
 func TestISPPMMostRecentLinkWrongOrder(t *testing.T) {
 	m := NewISPPM(2)
 	if _, _, ok := m.MostRecentLink([][2]int32{{1, 1}}); ok {
@@ -329,7 +322,7 @@ func TestISPPMMostProbableLinkPolicy(t *testing.T) {
 		m.Observe(Request{Offset: 40, Size: 1}, 7) // (0,1)->(20,1) #1, most recent
 		return m
 	}
-	cursor := isppmCursor{hist: histKey{n: 1, p: [MaxOrder]pair{{0, 1}}}, lastOffset: 100, lastSize: 1}
+	cursor := Cursor{hist: histKey{n: 1, p: [MaxOrder]pair{{0, 1}}}, Offset: 100, Size: 1}
 
 	mru := teach()
 	p, _, ok := mru.Predict(cursor)

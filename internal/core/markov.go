@@ -86,13 +86,6 @@ type markovRow struct {
 	total uint32
 }
 
-// markovCursor is a (real or speculative) position: the last block of
-// the walk plus the chain depth.
-type markovCursor struct {
-	block blockdev.BlockNo
-	depth int
-}
-
 // NewMarkov returns a predictor with the default configuration.
 func NewMarkov() *Markov { return NewMarkovConfigured(MarkovConfig{}) }
 
@@ -124,7 +117,7 @@ func (m *Markov) Observe(r Request, _ Tick) Cursor {
 	}
 	m.started = true
 	m.last = r.Offset
-	return markovCursor{block: r.Offset}
+	return Cursor{Offset: r.Offset, Size: r.Size}
 }
 
 // age halves every count in the row (and the total), dropping
@@ -149,15 +142,11 @@ func (row *markovRow) age() {
 
 // Predict returns the most probable successor of the cursor's block if
 // its estimated probability clears the threshold.
-func (m *Markov) Predict(c Cursor) (Prediction, Cursor, bool) {
-	cur, ok := c.(markovCursor)
-	if !ok {
-		return Prediction{}, nil, false
-	}
-	if cur.depth >= m.cfg.MaxChain {
+func (m *Markov) Predict(cur Cursor) (Prediction, Cursor, bool) {
+	if int(cur.Depth) >= m.cfg.MaxChain {
 		return Prediction{}, cur, false
 	}
-	row := m.rows.get(cur.block)
+	row := m.rows.get(cur.Offset)
 	if row == nil || row.total == 0 {
 		return Prediction{}, cur, false
 	}
@@ -166,5 +155,5 @@ func (m *Markov) Predict(c Cursor) (Prediction, Cursor, bool) {
 		return Prediction{}, cur, false
 	}
 	p := Prediction{Request: Request{Offset: best.block, Size: best.size}}
-	return p, markovCursor{block: best.block, depth: cur.depth + 1}, true
+	return p, Cursor{Offset: best.block, Size: best.size, Depth: cur.Depth + 1}, true
 }

@@ -117,12 +117,13 @@ func TestMarkovSelfTransitionsIgnored(t *testing.T) {
 	}
 }
 
-// TestMarkovForeignCursor: a cursor from another predictor type must
-// be rejected, not crash.
+// TestMarkovForeignCursor: a cursor is a plain position, so one taken
+// from another predictor is valid input — no crash, and nothing
+// predicted from it by a matrix that has learned nothing.
 func TestMarkovForeignCursor(t *testing.T) {
-	m := NewMarkov()
-	if _, _, ok := m.Predict(12345); ok {
-		t.Fatal("predicted from a foreign cursor")
+	foreign := feed(NewISPPM(3), []Request{{0, 1}, {4, 2}, {8, 1}, {12, 2}})
+	if _, _, ok := NewMarkov().Predict(foreign); ok {
+		t.Fatal("predicted from an empty matrix")
 	}
 }
 

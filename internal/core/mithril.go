@@ -100,14 +100,6 @@ type mithrilEvent struct {
 	size  int32
 }
 
-// mithrilCursor is a (real or speculative) stream position: the last
-// block plus the chain depth walked since the last real request.
-type mithrilCursor struct {
-	block blockdev.BlockNo
-	size  int32
-	depth int
-}
-
 // NewMithril returns a miner with the default configuration.
 func NewMithril() *Mithril { return NewMithrilConfigured(MithrilConfig{}) }
 
@@ -159,20 +151,16 @@ func (m *Mithril) Observe(r Request, _ Tick) Cursor {
 	if m.filled < len(m.recent) {
 		m.filled++
 	}
-	return mithrilCursor{block: b, size: r.Size}
+	return Cursor{Offset: b, Size: r.Size}
 }
 
 // Predict returns the strongest sufficiently-supported association out
 // of the cursor's block, advancing the chain one step.
-func (m *Mithril) Predict(c Cursor) (Prediction, Cursor, bool) {
-	cur, ok := c.(mithrilCursor)
-	if !ok {
-		return Prediction{}, nil, false
-	}
-	if cur.depth >= m.cfg.MaxChain {
+func (m *Mithril) Predict(cur Cursor) (Prediction, Cursor, bool) {
+	if int(cur.Depth) >= m.cfg.MaxChain {
 		return Prediction{}, cur, false
 	}
-	row := m.rows.get(cur.block)
+	row := m.rows.get(cur.Offset)
 	if row == nil {
 		return Prediction{}, cur, false
 	}
@@ -181,5 +169,5 @@ func (m *Mithril) Predict(c Cursor) (Prediction, Cursor, bool) {
 		return Prediction{}, cur, false
 	}
 	p := Prediction{Request: Request{Offset: best.block, Size: best.size}}
-	return p, mithrilCursor{block: best.block, size: best.size, depth: cur.depth + 1}, true
+	return p, Cursor{Offset: best.block, Size: best.size, Depth: cur.Depth + 1}, true
 }

@@ -37,8 +37,8 @@ func TestMithrilLearnsInterleavedPair(t *testing.T) {
 	if p.Request.Offset != 20 {
 		t.Fatalf("predicted block %d, want 20", p.Request.Offset)
 	}
-	if next == nil {
-		t.Fatal("nil advanced cursor")
+	if next.Offset != 20 || next.Depth != 1 {
+		t.Fatalf("advanced cursor %+v, want block 20 at depth 1", next)
 	}
 }
 
@@ -121,12 +121,13 @@ func TestMithrilSelfLoopsIgnored(t *testing.T) {
 	}
 }
 
-// TestMithrilForeignCursor: a cursor from another predictor type must
-// be rejected, not crash.
+// TestMithrilForeignCursor: a cursor is a plain position, so one taken
+// from another predictor is valid input — no crash, and nothing
+// predicted from it by a table that has learned nothing.
 func TestMithrilForeignCursor(t *testing.T) {
-	m := NewMithril()
-	if _, _, ok := m.Predict("bogus"); ok {
-		t.Fatal("predicted from a foreign cursor")
+	foreign := feed(NewISPPM(3), []Request{{0, 1}, {4, 2}, {8, 1}, {12, 2}})
+	if _, _, ok := NewMithril().Predict(foreign); ok {
+		t.Fatal("predicted from an empty table")
 	}
 }
 

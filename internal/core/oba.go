@@ -1,8 +1,6 @@
 package core
 
-import (
-	"repro/internal/blockdev"
-)
+import "repro/internal/blockdev"
 
 // OBA is the One-Block-Ahead predictor (§2.1): after a request ending
 // at block i, it predicts block i+1. It exploits spatial locality
@@ -10,16 +8,7 @@ import (
 // parallel file systems and serves as the paper's conservative
 // baseline. Its aggressive form reads sequentially from the last
 // requested block to the end of the file.
-type OBA struct {
-	seen bool
-	last Request
-}
-
-// obaCursor is the position after some (real or speculative) request:
-// the next sequential block to predict.
-type obaCursor struct {
-	next blockdev.BlockNo
-}
+type OBA struct{}
 
 // NewOBA returns a fresh OBA predictor.
 func NewOBA() *OBA { return &OBA{} }
@@ -27,20 +16,14 @@ func NewOBA() *OBA { return &OBA{} }
 // Name identifies the algorithm.
 func (*OBA) Name() string { return "OBA" }
 
-// Observe records a user request; OBA keeps no history beyond the last
-// request's end.
-func (o *OBA) Observe(r Request, _ Tick) Cursor {
-	o.seen = true
-	o.last = r
-	return obaCursor{next: r.End()}
+// Observe records a user request; OBA keeps no history, the cursor on
+// the request is all there is.
+func (*OBA) Observe(r Request, _ Tick) Cursor {
+	return Cursor{Offset: r.Offset, Size: r.Size}
 }
 
-// Predict returns the single block following the cursor.
-func (o *OBA) Predict(c Cursor) (Prediction, Cursor, bool) {
-	cur, ok := c.(obaCursor)
-	if !ok {
-		return Prediction{}, nil, false
-	}
-	p := Prediction{Request: Request{Offset: cur.next, Size: 1}}
-	return p, obaCursor{next: cur.next + 1}, true
+// Predict returns the single block following the cursor's request.
+func (*OBA) Predict(c Cursor) (Prediction, Cursor, bool) {
+	next := Request{Offset: c.Offset + blockdev.BlockNo(c.Size), Size: 1}
+	return Prediction{Request: next}, Cursor{Offset: next.Offset, Size: 1}, true
 }

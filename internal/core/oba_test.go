@@ -39,16 +39,6 @@ func TestOBAIgnoresPatternStructure(t *testing.T) {
 	}
 }
 
-func TestOBARejectsForeignCursor(t *testing.T) {
-	o := NewOBA()
-	if _, _, ok := o.Predict(isppmCursor{}); ok {
-		t.Error("OBA accepted a foreign cursor")
-	}
-	if _, _, ok := o.Predict(nil); ok {
-		t.Error("OBA accepted a nil cursor")
-	}
-}
-
 func TestOBAName(t *testing.T) {
 	if NewOBA().Name() != "OBA" {
 		t.Error("name wrong")

@@ -38,12 +38,29 @@ type Prediction struct {
 	Fallback bool
 }
 
-// Cursor is an opaque snapshot of a predictor's position in its model.
+// Cursor is a snapshot of a predictor's position in its model.
 // Aggressive drivers hold a *speculative* cursor that walks ahead of
 // the real access stream ("it behaves as if the user had already
 // requested the prefetched blocks and goes for the next node in the
 // graph", §3.1) and reset it to the real cursor after a misprediction.
-type Cursor any
+//
+// It is one fixed-size value for every predictor, not an interface
+// over a type per predictor: Observe and Predict sit on the path of
+// every request (and the runtime walks up to MaxDrySteps predictions
+// on a hit), and a boxed cursor is a heap allocation per call. A
+// predictor fills in the fields its model needs and ignores the rest;
+// a cursor means something only to the predictor that returned it.
+type Cursor struct {
+	// Offset and Size are the request the walk stands on: the last one
+	// observed or, further along a chain, the last one predicted.
+	Offset blockdev.BlockNo
+	Size   int32
+	// Depth counts the predictions walked since the last real request,
+	// for predictors that bound their chains (Mithril, Markov).
+	Depth int32
+	// hist is the history window of the two PPM predictors.
+	hist histKey
+}
 
 // Predictor learns the access stream of one file and predicts the next
 // request. Implementations are single-goroutine, like the simulator.

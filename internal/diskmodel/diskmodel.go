@@ -32,15 +32,12 @@ func (k OpKind) String() string {
 	return "write"
 }
 
-// Disk is one simulated disk.
+// Disk is one simulated disk. Its resource counts completed
+// operations by kind and by priority class, which is every count the
+// disk reports.
 type Disk struct {
 	id  blockdev.DiskID
-	cfg machine.Config
 	res *sim.Resource
-
-	reads         uint64
-	writes        uint64
-	prefetchReads uint64
 }
 
 // Array is the machine's set of disks plus the striping function that
@@ -59,11 +56,7 @@ func NewArray(e *sim.Engine, cfg machine.Config) *Array {
 		disks:   make([]*Disk, cfg.Disks),
 	}
 	for i := range a.disks {
-		a.disks[i] = &Disk{
-			id:  blockdev.DiskID(i),
-			cfg: cfg,
-			res: sim.NewResource(e, fmt.Sprintf("disk%d", i)),
-		}
+		a.disks[i] = &Disk{id: blockdev.DiskID(i), res: sim.NewResource(e, fmt.Sprintf("disk%d", i))}
 	}
 	return a
 }
@@ -94,20 +87,12 @@ func (a *Array) Disk(i int) *Disk { return a.disks[i] }
 // operation while it is still queued (used by aggressive prefetchers
 // after a misprediction).
 func (a *Array) Read(b blockdev.BlockID, prio sim.Priority, cancelled func() bool, done func(e *sim.Engine, at sim.Time)) {
-	d := a.DiskFor(b)
-	d.res.Submit(&sim.Request{
+	a.DiskFor(b).res.Submit(sim.Request{
 		Service:   a.ServiceTime(OpRead),
 		Priority:  prio,
+		Kind:      int(OpRead),
 		Cancelled: cancelled,
-		Done: func(e *sim.Engine, at sim.Time) {
-			d.reads++
-			if prio == sim.PriorityPrefetch {
-				d.prefetchReads++
-			}
-			if done != nil {
-				done(e, at)
-			}
-		},
+		Done:      done,
 	})
 }
 
@@ -115,16 +100,11 @@ func (a *Array) Read(b blockdev.BlockID, prio sim.Priority, cancelled func() boo
 // (they are either user-visible or fault-tolerance flushes, both of
 // which the paper treats as more important than prefetch).
 func (a *Array) Write(b blockdev.BlockID, done func(e *sim.Engine, at sim.Time)) {
-	d := a.DiskFor(b)
-	d.res.Submit(&sim.Request{
+	a.DiskFor(b).res.Submit(sim.Request{
 		Service:  a.ServiceTime(OpWrite),
 		Priority: sim.PriorityUser,
-		Done: func(e *sim.Engine, at sim.Time) {
-			d.writes++
-			if done != nil {
-				done(e, at)
-			}
-		},
+		Kind:     int(OpWrite),
+		Done:     done,
 	})
 }
 
@@ -133,7 +113,7 @@ func (a *Array) Write(b blockdev.BlockID, done func(e *sim.Engine, at sim.Time))
 func (a *Array) Reads() uint64 {
 	var n uint64
 	for _, d := range a.disks {
-		n += d.reads
+		n += d.Reads()
 	}
 	return n
 }
@@ -142,17 +122,17 @@ func (a *Array) Reads() uint64 {
 func (a *Array) Writes() uint64 {
 	var n uint64
 	for _, d := range a.disks {
-		n += d.writes
+		n += d.Writes()
 	}
 	return n
 }
 
 // PrefetchReads returns the number of completed prefetch-priority
-// reads across all disks.
+// reads across all disks (writes never run at that priority).
 func (a *Array) PrefetchReads() uint64 {
 	var n uint64
 	for _, d := range a.disks {
-		n += d.prefetchReads
+		n += d.res.ServedClass(sim.PriorityPrefetch)
 	}
 	return n
 }
@@ -211,7 +191,7 @@ func (a *Array) MaxQueueLenAll() int {
 func (d *Disk) ID() blockdev.DiskID { return d.id }
 
 // Reads returns the disk's completed read count.
-func (d *Disk) Reads() uint64 { return d.reads }
+func (d *Disk) Reads() uint64 { return d.res.ServedKind(int(OpRead)) }
 
 // Writes returns the disk's completed write count.
-func (d *Disk) Writes() uint64 { return d.writes }
+func (d *Disk) Writes() uint64 { return d.res.ServedKind(int(OpWrite)) }

@@ -1,0 +1,47 @@
+//go:build !race
+
+package experiment
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/core"
+)
+
+// TestCellAllocsPerEvent bounds what a whole simulated cell allocates,
+// per simulator event, set-up and cache fill included: the event path
+// itself is gated at zero (sim:TestEventPathAllocs), this catches a
+// per-request or per-block allocation creeping back in anywhere under
+// RunTrace. The trace is generated outside the measured region. The
+// engine this one replaced (an allocated event and closure per At, a
+// boxed cursor per Observe and Predict, a closure per disk and network
+// completion) read 10.58 and 5.66 allocations per event on these two
+// cells; they read 0.68 and 0.65 now, and the counts repeat exactly.
+func TestCellAllocsPerEvent(t *testing.T) {
+	s := TinyScale()
+	for _, g := range []struct {
+		cell Cell
+		max  float64
+	}{
+		{Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecLnAgrISPPM3, CacheMB: 4}, 1.0},
+		{Cell{FS: XFS, Workload: Sprite, Alg: core.SpecLnAgrOBA, CacheMB: 4}, 1.0},
+	} {
+		tr, mach, err := s.Trace(g.cell.Workload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		r, err := RunTrace(tr, mach, g.cell, s.WarmFraction)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		perEvent := float64(after.Mallocs-before.Mallocs) / float64(r.EventsFired)
+		t.Logf("%s: %d mallocs over %d events = %.2f per event", g.cell, after.Mallocs-before.Mallocs, r.EventsFired, perEvent)
+		if perEvent > g.max {
+			t.Errorf("%s: %.2f allocations per event, want <= %.2f", g.cell, perEvent, g.max)
+		}
+	}
+}

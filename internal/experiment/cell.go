@@ -192,21 +192,26 @@ func RunTraceObserved(tr *workload.Trace, mach machine.Config, c Cell, warmFract
 	}
 	cacheBlocks := mach.CacheBlocksPerNode(c.CacheMB)
 
-	var fs fscommon.FileSystem
+	var (
+		fs   fscommon.FileSystem
+		base *fscommon.Base // what both file systems are built on
+	)
 	switch c.FS {
 	case PAFS:
-		fs = pafs.New(e, pafs.Config{
+		p := pafs.New(e, pafs.Config{
 			Machine:            mach,
 			CacheBlocksPerNode: cacheBlocks,
 			Algorithm:          c.Alg,
 		}, tr)
+		fs, base = p, p.Base
 	case XFS:
-		fs = xfs.New(e, xfs.Config{
+		x := xfs.New(e, xfs.Config{
 			Machine:            mach,
 			CacheBlocksPerNode: cacheBlocks,
 			Algorithm:          c.Alg,
 			Recirculations:     c.Recirculations,
 		}, tr)
+		fs, base = x, x.Base
 	default:
 		return Result{}, fmt.Errorf("experiment: unknown file system %d", c.FS)
 	}
@@ -225,7 +230,6 @@ func RunTraceObserved(tr *workload.Trace, mach machine.Config, c Cell, warmFract
 	if wasted+used > 0 {
 		misprediction = float64(wasted) / float64(wasted+used)
 	}
-	base := fs.(interface{ BaseRef() *fscommon.Base }).BaseRef()
 	return Result{
 		Cell:               c,
 		AvgReadMs:          coll.AvgReadTime().Milliseconds(),

@@ -32,6 +32,9 @@ type FileSystem interface {
 	// Close tells the file system the client is done with the file
 	// for now; its prefetch chain stops until the next request.
 	Close(client blockdev.NodeID, file blockdev.FileID, done func(at sim.Time))
+	// SpanOf converts a trace step to the block span Read and Write
+	// take.
+	SpanOf(workload.Step) blockdev.Span
 	// Collector exposes the metrics sink.
 	Collector() *stats.Collector
 	// Cache exposes the cooperative cache (for end-of-run accounting).
@@ -43,7 +46,9 @@ type FileSystem interface {
 	StopBackground()
 }
 
-// Base wires the substrates together; PAFS and xFS embed it.
+// Base wires the substrates together; PAFS and xFS embed a pointer to
+// it. It owns free lists and records whose callbacks are bound to it,
+// so it is never copied.
 type Base struct {
 	Engine *sim.Engine
 	Cfg    machine.Config
@@ -67,10 +72,9 @@ type Base struct {
 	// ones.
 	Degrees *core.DegreeSet
 
-	// inflight coalesces concurrent demand fetches of one block.
-	inflight map[blockdev.BlockID][]func(e *sim.Engine, at sim.Time)
-	// inflightFor remembers which node the eventual insert targets.
-	inflightFor map[blockdev.BlockID]blockdev.NodeID
+	// inflight coalesces concurrent demand fetches of one block onto
+	// the first one's disk read.
+	inflight map[blockdev.BlockID]*diskOp
 	// pfInflight counts prefetch disk operations in flight per block
 	// (xFS nodes can prefetch the same block concurrently), for the
 	// late-prefetch classification.
@@ -83,6 +87,13 @@ type Base struct {
 	// wbStop ends the write-back daemon so the event queue can drain
 	// once the trace completes.
 	wbStop bool
+
+	// Finished records, for reuse (see diskOp, Request, Miss), and the
+	// file system whose stages the request records run.
+	idleOps      []*diskOp
+	idleRequests []*Request
+	idleMisses   []*Miss
+	proto        Protocol
 }
 
 // NewBase builds the shared substrate stack for the given machine,
@@ -99,30 +110,27 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 		files[id] = b
 	}
 	b := &Base{
-		Engine:      e,
-		Cfg:         cfg,
-		Net:         netmodel.New(e, cfg),
-		Disks:       diskmodel.NewArray(e, cfg),
-		Cch:         cachesim.New(e, cfg.Nodes, cacheBlocksPerNode, policy),
-		Coll:        stats.New(),
-		Ledger:      core.NewLedger(0, false),
-		Degrees:     core.NewDegreeSet(alg),
-		Files:       files,
-		inflight:    make(map[blockdev.BlockID][]func(e *sim.Engine, at sim.Time)),
-		inflightFor: make(map[blockdev.BlockID]blockdev.NodeID),
-		pfInflight:  make(map[blockdev.BlockID]int),
-		pfPriority:  sim.PriorityPrefetch,
+		Engine:     e,
+		Cfg:        cfg,
+		Net:        netmodel.New(e, cfg),
+		Disks:      diskmodel.NewArray(e, cfg),
+		Cch:        cachesim.New(e, cfg.Nodes, cacheBlocksPerNode, policy),
+		Coll:       stats.New(),
+		Ledger:     core.NewLedger(0, false),
+		Degrees:    core.NewDegreeSet(alg),
+		Files:      files,
+		inflight:   make(map[blockdev.BlockID]*diskOp),
+		pfInflight: make(map[blockdev.BlockID]int),
+		pfPriority: sim.PriorityPrefetch,
 	}
 	if alg.UserPriorityPrefetch {
 		b.pfPriority = sim.PriorityUser
 	}
 	// A prefetched copy touched by a user request was a timely
-	// prefetch. Capture the collector and degree set (shared pointers)
-	// rather than b: the file systems embed a copy of Base.
-	coll, degrees := b.Coll, b.Degrees
+	// prefetch.
 	b.Cch.OnPrefetchUsed = func(id blockdev.BlockID) {
-		coll.PrefetchTimely()
-		degrees.OnTimely(id.File)
+		b.Coll.PrefetchTimely()
+		b.Degrees.OnTimely(id.File)
 	}
 	return b
 }
@@ -160,39 +168,88 @@ func (b *Base) HostOf(blk blockdev.BlockID) blockdev.NodeID {
 	return b.DiskHostNode(b.Disks.DiskFor(blk).ID())
 }
 
+// diskOp is one disk operation a file system has outstanding — a
+// demand fetch, a prefetch or a write-back — in a record that carries
+// what its completion needs, with the callbacks the disk takes bound
+// once, when the record is first made. A finished record goes back on
+// the Base's free list.
+type diskOp struct {
+	b    *Base
+	blk  blockdev.BlockID
+	node blockdev.NodeID // the pool a fetched or prefetched block is for
+	// complete is what the operation's end does: fetched, prefetched
+	// or written.
+	complete func(op *diskOp, e *sim.Engine, at sim.Time)
+	// waiters are the requests a demand fetch serves.
+	waiters []func(e *sim.Engine, at sim.Time)
+	// cancelled and done are a prefetch's callbacks into its driver.
+	cancelled func() bool
+	done      func()
+
+	onDone  func(e *sim.Engine, at sim.Time) // the disk finished
+	onPoll  func() bool                      // the disk asks whether to drop a prefetch
+	onSmear sim.Handler                      // a smeared write-back is due
+}
+
+func (b *Base) newOp(blk blockdev.BlockID, node blockdev.NodeID, complete func(*diskOp, *sim.Engine, sim.Time)) *diskOp {
+	var op *diskOp
+	if n := len(b.idleOps); n > 0 {
+		op, b.idleOps = b.idleOps[n-1], b.idleOps[:n-1]
+	} else {
+		op = &diskOp{b: b}
+		op.onDone = func(e *sim.Engine, at sim.Time) { op.complete(op, e, at) }
+		op.onPoll, op.onSmear = op.poll, op.smear
+	}
+	op.blk, op.node, op.complete = blk, node, complete
+	return op
+}
+
+// release drops what the record refers to and frees it for reuse.
+func (op *diskOp) release() {
+	clear(op.waiters)
+	op.waiters, op.cancelled, op.done = op.waiters[:0], nil, nil
+	op.b.idleOps = append(op.b.idleOps, op)
+}
+
 // DemandFetch reads blk from disk at user priority, inserts it into
 // the cache for node, flushes any dirty victims, and invokes done.
 // Concurrent fetches of the same block coalesce onto one disk read.
 func (b *Base) DemandFetch(blk blockdev.BlockID, node blockdev.NodeID, done func(e *sim.Engine, at sim.Time)) {
-	if waiters, ok := b.inflight[blk]; ok {
-		b.inflight[blk] = append(waiters, done)
+	if op, ok := b.inflight[blk]; ok {
+		op.waiters = append(op.waiters, done)
 		return
 	}
-	b.inflight[blk] = []func(e *sim.Engine, at sim.Time){done}
-	b.inflightFor[blk] = node
+	op := b.newOp(blk, node, (*diskOp).fetched)
+	op.waiters = append(op.waiters, done)
+	b.inflight[blk] = op
 	if b.PrefetchInFlight(blk) {
 		// The predictor was right but the prefetch lost the race: demand
 		// traffic now duplicates the read at user priority.
 		b.Coll.PrefetchLate()
 		b.Degrees.OnLate(blk.File)
 	}
-	b.Disks.Read(blk, sim.PriorityUser, nil, func(e *sim.Engine, at sim.Time) {
-		b.Coll.DiskRead(false)
-		target := b.inflightFor[blk]
-		_, victims := b.Cch.Insert(target, blk, cachesim.InsertOptions{})
-		b.FlushVictims(victims)
-		waiters := b.inflight[blk]
-		delete(b.inflight, blk)
-		delete(b.inflightFor, blk)
-		for _, w := range waiters {
-			w(e, at)
-		}
-	})
+	b.Disks.Read(blk, sim.PriorityUser, nil, op.onDone)
+}
+
+func (op *diskOp) fetched(e *sim.Engine, at sim.Time) {
+	b := op.b
+	b.Coll.DiskRead(false)
+	_, victims := b.Cch.Insert(op.node, op.blk, cachesim.InsertOptions{})
+	b.FlushVictims(victims)
+	// A waiter that misses on the block again starts a new fetch.
+	delete(b.inflight, op.blk)
+	for _, w := range op.waiters {
+		w(e, at)
+	}
+	op.release()
 }
 
 // Prefetch is core.Env.Prefetch for both file systems, which differ
 // only in the node whose pool receives the copy: a low-priority disk
-// read of blk, inserted flagged as prefetched.
+// read of blk, inserted flagged as prefetched. The disk polls
+// cancelled once, when the read reaches the head of its queue, and a
+// dropped read never completes, so exactly one of the two ends the
+// operation.
 func (b *Base) Prefetch(node blockdev.NodeID, blk blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
 	if b.Stopped() {
 		// Draining after the trace: never calling done stalls the
@@ -201,30 +258,31 @@ func (b *Base) Prefetch(node blockdev.NodeID, blk blockdev.BlockID, fallback boo
 	}
 	b.Coll.PrefetchIssued(fallback)
 	b.PrefetchBegin(blk)
-	b.Disks.Read(blk, b.pfPriority, b.WrapPrefetchCancel(blk, cancelled), func(*sim.Engine, sim.Time) {
-		b.PrefetchEnd(blk)
-		b.Coll.DiskRead(true)
-		_, victims := b.Cch.Insert(node, blk, cachesim.InsertOptions{Prefetched: true})
-		b.FlushVictims(victims)
-		done()
-	})
+	op := b.newOp(blk, node, (*diskOp).prefetched)
+	op.cancelled, op.done = cancelled, done
+	b.Disks.Read(blk, b.pfPriority, op.onPoll, op.onDone)
 	return true
 }
 
-// Gather returns the per-block completion callback of an n-block
-// request: the n-th call fires done with the latest time any call
-// reported, since a request is served when its last block is.
-func Gather(n int, done func(at sim.Time)) func(*sim.Engine, sim.Time) {
-	var last sim.Time
-	return func(_ *sim.Engine, at sim.Time) {
-		if at > last {
-			last = at
-		}
-		n--
-		if n == 0 {
-			done(last)
-		}
+// poll drops a cancelled prefetch, which also closes its in-flight
+// window: without that a dropped prefetch would look in flight forever.
+func (op *diskOp) poll() bool {
+	if op.cancelled == nil || !op.cancelled() {
+		return false
 	}
+	op.b.PrefetchEnd(op.blk)
+	op.release()
+	return true
+}
+
+func (op *diskOp) prefetched(*sim.Engine, sim.Time) {
+	b, done := op.b, op.done
+	b.PrefetchEnd(op.blk)
+	b.Coll.DiskRead(true)
+	_, victims := b.Cch.Insert(op.node, op.blk, cachesim.InsertOptions{Prefetched: true})
+	b.FlushVictims(victims)
+	op.release()
+	done()
 }
 
 // DemandFetchInFlight reports whether a demand read of blk is pending.
@@ -241,14 +299,29 @@ func (b *Base) FlushVictims(victims []cachesim.Victim) {
 			b.Coll.PrefetchWasted()
 			b.Degrees.OnWasted(v.Block.File)
 		}
-		if !v.Dirty {
-			continue
+		if v.Dirty {
+			b.writeBack(v.Block)
 		}
-		blk := v.Block
-		b.Disks.Write(blk, func(*sim.Engine, sim.Time) {
-			b.Coll.DiskWrite(blk)
-		})
 	}
+}
+
+// writeBack queues a disk write of blk, booked when it completes.
+func (b *Base) writeBack(blk blockdev.BlockID) {
+	b.Disks.Write(blk, b.newOp(blk, 0, (*diskOp).written).onDone)
+}
+
+func (op *diskOp) written(*sim.Engine, sim.Time) {
+	op.b.Coll.DiskWrite(op.blk)
+	op.release()
+}
+
+// smear is a write-back the daemon put off to its place in the period.
+func (op *diskOp) smear(*sim.Engine) {
+	if op.b.wbStop {
+		op.release()
+		return
+	}
+	op.b.Disks.Write(op.blk, op.onDone)
 }
 
 // StartWriteback launches the periodic fault-tolerance daemon: every
@@ -268,16 +341,8 @@ func (b *Base) StartWriteback() {
 		dirty := b.Cch.DirtyBlocks()
 		n := len(dirty)
 		for i, blk := range dirty {
-			blk := blk
 			delay := sim.Duration(int64(b.Cfg.WritebackPeriod) * int64(i) / int64(n))
-			e.After(delay, func(e *sim.Engine) {
-				if b.wbStop {
-					return
-				}
-				b.Disks.Write(blk, func(*sim.Engine, sim.Time) {
-					b.Coll.DiskWrite(blk)
-				})
-			})
+			e.After(delay, b.newOp(blk, 0, (*diskOp).written).onSmear)
 			b.Cch.ClearDirty(blk)
 		}
 		e.After(b.Cfg.WritebackPeriod, tick)
@@ -302,10 +367,7 @@ func (b *Base) Stopped() bool { return b.wbStop }
 // by experiments so Table 2 counts the trailing state exactly once).
 func (b *Base) FinalFlush() {
 	for _, blk := range b.Cch.DirtyBlocks() {
-		blk := blk
-		b.Disks.Write(blk, func(*sim.Engine, sim.Time) {
-			b.Coll.DiskWrite(blk)
-		})
+		b.writeBack(blk)
 		b.Cch.ClearDirty(blk)
 	}
 }

@@ -6,11 +6,6 @@ import (
 	"repro/internal/blockdev"
 )
 
-// BaseRef returns the embedded Base, letting code that holds only the
-// FileSystem interface reach the shared observability state (ledger,
-// disks, network) without widening the interface.
-func (b *Base) BaseRef() *Base { return b }
-
 // PrefetchBegin records that a prefetch disk operation for blk is now
 // physically in flight (queued or in service).
 func (b *Base) PrefetchBegin(blk blockdev.BlockID) {
@@ -34,21 +29,4 @@ func (b *Base) PrefetchEnd(blk blockdev.BlockID) {
 // PrefetchInFlight reports whether a prefetch of blk is pending.
 func (b *Base) PrefetchInFlight(blk blockdev.BlockID) bool {
 	return b.pfInflight[blk] > 0
-}
-
-// WrapPrefetchCancel decorates a prefetch cancellation hook so that a
-// dropped operation also closes its in-flight window; without this a
-// cancelled prefetch would look in flight forever. The disk polls the
-// hook exactly once per queued operation, at dispatch.
-func (b *Base) WrapPrefetchCancel(blk blockdev.BlockID, cancelled func() bool) func() bool {
-	if cancelled == nil {
-		return nil
-	}
-	return func() bool {
-		if cancelled() {
-			b.PrefetchEnd(blk)
-			return true
-		}
-		return false
-	}
 }

@@ -4,6 +4,11 @@ import (
 	"testing"
 
 	"repro/internal/blockdev"
+	"repro/internal/cachesim"
+	"repro/internal/core"
+	"repro/internal/machine"
+	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 func TestPrefetchInflightWindow(t *testing.T) {
@@ -25,34 +30,35 @@ func TestPrefetchInflightWindow(t *testing.T) {
 	}
 }
 
-func TestWrapPrefetchCancelClosesWindow(t *testing.T) {
-	b := &Base{pfInflight: make(map[blockdev.BlockID]int)}
-	blk := blockdev.BlockID{File: 3, Block: 1}
+// A prefetch's in-flight window must close whichever way the operation
+// ends: by completing, or by being dropped from the disk queue when its
+// driver calls it stale (a dropped operation never completes, so the
+// poll itself has to close it).
+func TestDroppedPrefetchClosesWindow(t *testing.T) {
+	e := sim.NewEngine(1)
+	cfg := machine.PM()
+	cfg.Nodes, cfg.Disks = 2, 1
+	tr := &workload.Trace{FileBlocks: map[blockdev.FileID]blockdev.BlockNo{3: 8}}
+	b := NewBase(e, cfg, 16, cachesim.GlobalLRU{}, tr, core.SpecLnAgrOBA)
+	live, stale := blockdev.BlockID{File: 3, Block: 1}, blockdev.BlockID{File: 3, Block: 2}
 
-	if b.WrapPrefetchCancel(blk, nil) != nil {
-		t.Error("nil hook should stay nil")
+	completed := 0
+	b.Prefetch(0, live, false, func() bool { return false }, func() { completed++ })
+	// Queued behind the first on the one disk, and polled when its turn
+	// comes.
+	b.Prefetch(0, stale, false, func() bool { return true }, func() { t.Error("dropped prefetch completed") })
+	if !b.PrefetchInFlight(live) || !b.PrefetchInFlight(stale) {
+		t.Fatal("issued prefetches are not in flight")
 	}
-
-	// A live (non-cancelled) operation keeps its window open; the
-	// completion callback is what closes it.
-	b.PrefetchBegin(blk)
-	live := b.WrapPrefetchCancel(blk, func() bool { return false })
-	if live() {
-		t.Error("live operation reported cancelled")
+	e.Run()
+	if b.PrefetchInFlight(live) {
+		t.Error("completed prefetch left its window open")
 	}
-	if !b.PrefetchInFlight(blk) {
-		t.Error("live operation lost its window")
+	if b.PrefetchInFlight(stale) {
+		t.Error("dropped prefetch left its window open")
 	}
-	b.PrefetchEnd(blk)
-
-	// A cancelled operation never completes, so the wrapper must close
-	// the window when the disk polls the hook.
-	b.PrefetchBegin(blk)
-	dropped := b.WrapPrefetchCancel(blk, func() bool { return true })
-	if !dropped() {
-		t.Error("cancelled operation reported live")
-	}
-	if b.PrefetchInFlight(blk) {
-		t.Error("cancelled operation left its window open")
+	if completed != 1 || !b.Cch.Contains(live) || b.Cch.Contains(stale) {
+		t.Errorf("completed=%d cached(live)=%v cached(stale)=%v, want 1 true false",
+			completed, b.Cch.Contains(live), b.Cch.Contains(stale))
 	}
 }

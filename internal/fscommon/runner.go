@@ -3,7 +3,6 @@ package fscommon
 import (
 	"fmt"
 
-	"repro/internal/blockdev"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -21,9 +20,10 @@ type RunnerConfig struct {
 // Runner replays a trace against a file system: every process is a
 // closed loop (think, issue, wait) so I/O speedups shorten the run.
 type Runner struct {
-	fs    FileSystem
-	trace *workload.Trace
-	cfg   RunnerConfig
+	fs     FileSystem
+	trace  *workload.Trace
+	cfg    RunnerConfig
+	engine *sim.Engine
 
 	totalSteps     int
 	completedSteps int
@@ -56,9 +56,11 @@ func (r *Runner) Run(e *sim.Engine) sim.Time {
 	if r.warmThreshold == 0 {
 		r.fs.Collector().StartMeasurement()
 	}
+	r.engine = e
 	for i := range r.trace.Procs {
-		p := &r.trace.Procs[i]
-		r.scheduleStep(e, p, 0)
+		p := &process{runner: r, trace: &r.trace.Procs[i]}
+		p.issue, p.complete = p.issueStep, p.completeStep
+		p.schedule()
 	}
 	stop := func() bool { return r.Done() }
 	if r.cfg.MaxSimTime > 0 {
@@ -81,54 +83,58 @@ func (r *Runner) Done() bool { return r.finishedProcs == len(r.trace.Procs) }
 // CompletedSteps returns how many requests have finished.
 func (r *Runner) CompletedSteps() int { return r.completedSteps }
 
-func (r *Runner) scheduleStep(e *sim.Engine, p *workload.Process, idx int) {
+// process is one trace process mid-replay: the step it is on and the
+// two callbacks that step needs, bound once (a process has one step
+// outstanding at a time).
+type process struct {
+	runner   *Runner
+	trace    *workload.Process
+	idx      int      // the step being thought about or served
+	issued   sim.Time // when it was issued
+	issue    sim.Handler
+	complete func(at sim.Time)
+}
+
+// schedule starts the think time of the process's next step.
+func (p *process) schedule() {
+	r := p.runner
 	if r.aborted {
 		return
 	}
-	if idx >= len(p.Steps) {
+	if p.idx >= len(p.trace.Steps) {
 		r.finishedProcs++
 		return
 	}
-	step := p.Steps[idx]
-	e.After(step.Think, func(e *sim.Engine) {
-		issue := e.Now()
-		complete := func(at sim.Time) {
-			latency := at.Sub(issue)
-			coll := r.fs.Collector()
-			switch step.Kind {
-			case workload.OpRead:
-				coll.ReadDone(latency)
-			case workload.OpWrite:
-				coll.WriteDone(latency)
-			}
-			r.completedSteps++
-			if r.completedSteps == r.warmThreshold {
-				coll.StartMeasurement()
-			}
-			r.scheduleStep(e, p, idx+1)
-		}
-		switch step.Kind {
-		case workload.OpRead:
-			r.fs.Read(p.Node, blockSpan(r.fs, step), complete)
-		case workload.OpWrite:
-			r.fs.Write(p.Node, blockSpan(r.fs, step), complete)
-		case workload.OpClose:
-			r.fs.Close(p.Node, step.File, complete)
-		}
-	})
+	r.engine.After(p.trace.Steps[p.idx].Think, p.issue)
 }
 
-// spanner lets Runner convert steps without knowing the concrete FS;
-// both file systems satisfy it through their embedded Base.
-type spanner interface {
-	SpanOf(workload.Step) blockdev.Span
-}
-
-// blockSpan converts a step via the FS's Base.
-func blockSpan(fs FileSystem, step workload.Step) blockdev.Span {
-	s, ok := fs.(spanner)
-	if !ok {
-		panic("fscommon: file system does not expose SpanOf")
+func (p *process) issueStep(e *sim.Engine) {
+	fs, step := p.runner.fs, p.trace.Steps[p.idx]
+	p.issued = e.Now()
+	switch step.Kind {
+	case workload.OpRead:
+		fs.Read(p.trace.Node, fs.SpanOf(step), p.complete)
+	case workload.OpWrite:
+		fs.Write(p.trace.Node, fs.SpanOf(step), p.complete)
+	case workload.OpClose:
+		fs.Close(p.trace.Node, step.File, p.complete)
 	}
-	return s.SpanOf(step)
+}
+
+func (p *process) completeStep(at sim.Time) {
+	r := p.runner
+	latency := at.Sub(p.issued)
+	coll := r.fs.Collector()
+	switch p.trace.Steps[p.idx].Kind {
+	case workload.OpRead:
+		coll.ReadDone(latency)
+	case workload.OpWrite:
+		coll.WriteDone(latency)
+	}
+	r.completedSteps++
+	if r.completedSteps == r.warmThreshold {
+		coll.StartMeasurement()
+	}
+	p.idx++
+	p.schedule()
 }

@@ -10,36 +10,41 @@ import (
 	"repro/internal/core"
 )
 
-// TestReadIntoAllocs gates the engine's three demand-read paths at
-// zero allocations per read: a plain cache hit, a miss through the
-// backing store, and the first touch of a prefetched block (hit plus
-// timely classification). The race detector instruments allocation,
-// so the gate runs under plain `go test` only.
+// TestReadIntoAllocs gates the engine's demand-read paths at zero
+// allocations per read: a plain cache hit, a miss through the backing
+// store, the first touch of a prefetched block (hit plus timely
+// classification), and a hit under the server's default predictor,
+// where the driver observes the request and then walks its stopped
+// chain's MaxDrySteps predictions over cached blocks (65 allocations
+// a hit while core.Cursor was an interface). The race detector
+// instruments allocation, so the gate runs under plain `go test` only.
 func TestReadIntoAllocs(t *testing.T) {
 	const runs = 1000
 	cases := []struct {
 		name        string
+		alg         core.AlgSpec
 		cacheBlocks int
 		preload     int32 // blocks of file 1 staged before the runs
 		flagged     bool  // staged as prefetched-and-untouched
 		stride      bool  // read a new block every run
 		wantHit     bool
 	}{
-		{"hit", 64, 1, false, false, true},
+		{"hit", core.SpecNP, 64, 1, false, false, true},
 		// A 1-block cache and a striding scan: every read misses and
 		// goes to the (zero-latency) store.
-		{"miss", 1, 0, false, true, false},
+		{"miss", core.SpecNP, 1, 0, false, true, false},
 		// Twice the staged span: shard hashing is not perfectly even.
-		{"prefetchedHit", 4 * runs, 2 * runs, true, true, true},
+		{"prefetchedHit", core.SpecNP, 4 * runs, 2 * runs, true, true, true},
+		{"hitPredicted", core.SpecLnAgrISPPM3, 4 * 2048, 2048, false, false, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			e := newTestEngine(t, Config{Alg: core.SpecNP, BlockSize: 8192, CacheBlocks: tc.cacheBlocks})
+			e := newTestEngine(t, Config{Alg: tc.alg, BlockSize: 8192, CacheBlocks: tc.cacheBlocks})
 			e.Preload(1, 0, tc.preload, tc.flagged)
 			timely := e.Snapshot().PrefetchTimely
 			var bufs []*blockbuf.Buf
 			off := blockdev.BlockNo(0)
-			allocs := testing.AllocsPerRun(runs, func() {
+			read := func() {
 				var hit bool
 				var err error
 				bufs, hit, err = e.ReadInto(bufs[:0], 1, off, 1)
@@ -50,7 +55,14 @@ func TestReadIntoAllocs(t *testing.T) {
 				if tc.stride {
 					off++
 				}
-			})
+			}
+			if tc.alg.Prefetches() {
+				// Let the predictor's table learn the stream first.
+				for i := 0; i < 2*core.MaxOrder; i++ {
+					read()
+				}
+			}
+			allocs := testing.AllocsPerRun(runs, read)
 			if allocs != 0 {
 				t.Errorf("%v allocs per read, want 0", allocs)
 			}

@@ -1,0 +1,163 @@
+package lapcache
+
+import (
+	"sync"
+	"testing"
+
+	"repro/internal/blockdev"
+	"repro/internal/cachesim"
+	"repro/internal/core"
+	"repro/internal/fscommon"
+	"repro/internal/machine"
+	"repro/internal/sim"
+	"repro/internal/workload"
+)
+
+// stepStore holds every read until the test lets it go, one at a time.
+type stepStore struct {
+	BackingStore
+	started chan blockdev.BlockID
+	proceed chan struct{}
+}
+
+func (s *stepStore) ReadBlock(b blockdev.BlockID, buf []byte) error {
+	s.started <- b
+	<-s.proceed
+	return s.BackingStore.ReadBlock(b, buf)
+}
+
+// TestEnvPrefetchContract pins what core.Env promises the driver about
+// the two callbacks of an accepted prefetch — the promise that lets
+// the driver reuse an operation's record once its done has run — on
+// both hosts: the simulator's fscommon.Base.Prefetch over one disk and
+// the runtime's prefetch queue under one worker. One script: four
+// operations issued back to back, so the first is in service while the
+// others wait their turn.
+func TestEnvPrefetchContract(t *testing.T) {
+	const file = blockdev.FileID(1)
+	type staleness int
+	const (
+		never       staleness = iota
+		whileQueued           // its chain restarted before its turn came
+		inService             // its chain restarted while it was being served
+	)
+	rows := []struct {
+		name      string
+		stale     staleness
+		wantDones int // if accepted
+	}{
+		{"accept, complete", never, 1},
+		{"cancel while queued", whileQueued, 0},
+		{"restart in service, then complete", inService, 1},
+		// The runtime's queue (two slots here) is full by now and refuses;
+		// the simulator never refuses and runs it like the first.
+		{"refuse, or accept and complete", never, 1},
+	}
+	// host is an Env plus the test's handle on its clock: advance lets
+	// the operation in service end and the next live one start; drain
+	// lets everything accepted end.
+	type host struct {
+		name     string
+		prefetch func(b blockdev.BlockID, cancelled func() bool, done func()) bool
+		advance  func()
+		drain    func()
+	}
+
+	simHost := func(t *testing.T) host {
+		e := sim.NewEngine(1)
+		cfg := machine.PM()
+		cfg.Nodes, cfg.Disks = 2, 1
+		tr := &workload.Trace{FileBlocks: map[blockdev.FileID]blockdev.BlockNo{file: 8}}
+		b := fscommon.NewBase(e, cfg, 16, cachesim.GlobalLRU{}, tr, core.SpecLnAgrOBA)
+		return host{
+			name: "simulator",
+			prefetch: func(blk blockdev.BlockID, cancelled func() bool, done func()) bool {
+				return b.Prefetch(0, blk, false, cancelled, done)
+			},
+			advance: func() {
+				served := b.Disks.Reads()
+				e.RunUntil(func() bool { return b.Disks.Reads() > served })
+			},
+			drain: func() { e.Run() },
+		}
+	}
+	runtimeHost := func(t *testing.T) host {
+		st := &stepStore{BackingStore: NewMemStore(512, 0), started: make(chan blockdev.BlockID), proceed: make(chan struct{})}
+		e := newTestEngine(t, Config{Alg: core.SpecLnAgrOBA, Store: st, Workers: 1, QueueLen: 2})
+		env := &runtimeEnv{e: e, fl: e.fileState(file)}
+		inService := false
+		return host{
+			name: "runtime",
+			prefetch: func(blk blockdev.BlockID, cancelled func() bool, done func()) bool {
+				ok := env.Prefetch(blk, false, cancelled, done)
+				if ok && !inService {
+					<-st.started // the worker took it straight into service
+					inService = true
+				}
+				return ok
+			},
+			advance: func() {
+				st.proceed <- struct{}{}
+				<-st.started
+			},
+			drain: func() {
+				st.proceed <- struct{}{}
+				waitFor(t, "the last prefetch to complete", func() bool { return e.Snapshot().PrefetchCompleted == 2 })
+			},
+		}
+	}
+
+	for _, mk := range []func(*testing.T) host{simHost, runtimeHost} {
+		h := mk(t)
+		t.Run(h.name, func(t *testing.T) {
+			type op struct {
+				mu                 sync.Mutex // the runtime calls back from its worker
+				stale, serving     bool
+				accepted           bool
+				polls, dones       int
+				polledInService    bool
+				doneAfterCancelled bool
+				saidCancelled      bool
+			}
+			ops := make([]*op, len(rows))
+			mark := func(o *op, f func()) { o.mu.Lock(); f(); o.mu.Unlock() }
+			for i, row := range rows {
+				o := &op{stale: row.stale == whileQueued}
+				ops[i] = o
+				o.accepted = h.prefetch(blockdev.BlockID{File: file, Block: blockdev.BlockNo(i)},
+					func() bool {
+						o.mu.Lock()
+						defer o.mu.Unlock()
+						o.polls++
+						o.polledInService = o.polledInService || o.serving
+						o.saidCancelled = o.saidCancelled || o.stale
+						return o.stale
+					},
+					func() { mark(o, func() { o.dones++; o.doneAfterCancelled = o.saidCancelled }) })
+			}
+			mark(ops[0], func() { ops[0].serving = true })
+			h.advance() // op 0 ends, op 1 is dropped at its turn, op 2 starts
+			mark(ops[2], func() { ops[2].serving, ops[2].stale = true, true })
+			h.drain()
+
+			for i, row := range rows {
+				o := ops[i]
+				o.mu.Lock()
+				switch {
+				case !o.accepted:
+					if o.polls+o.dones != 0 {
+						t.Errorf("%s: refused, yet polled %d times and completed %d times", row.name, o.polls, o.dones)
+					}
+				case o.polls > 1 || o.polledInService:
+					t.Errorf("%s: cancelled polled %d times (in service: %v), want at most once and before service", row.name, o.polls, o.polledInService)
+				case o.dones != row.wantDones || o.doneAfterCancelled:
+					t.Errorf("%s: done fired %d times (after cancelled said true: %v), want %d", row.name, o.dones, o.doneAfterCancelled, row.wantDones)
+				}
+				o.mu.Unlock()
+			}
+			if refused := !ops[3].accepted; refused != (h.name == "runtime") {
+				t.Errorf("fourth operation refused: %v", refused)
+			}
+		})
+	}
+}

@@ -25,6 +25,25 @@ type Network struct {
 	msgsLocal  uint64
 	msgsRemote uint64
 	bytesMoved uint64
+
+	// idle holds the records of finished intra-node copies for Local
+	// to reuse.
+	idle []*localCopy
+}
+
+// localCopy is one intra-node copy in progress: the completion to call
+// when its event fires, in a record whose handler is bound once.
+type localCopy struct {
+	net    *Network
+	done   func(e *sim.Engine, at sim.Time)
+	finish sim.Handler
+}
+
+func (c *localCopy) finished(e *sim.Engine) {
+	done := c.done
+	c.done = nil
+	c.net.idle = append(c.net.idle, c)
+	done(e, e.Now())
 }
 
 // New builds the interconnect for the given machine configuration.
@@ -62,15 +81,30 @@ func (n *Network) Send(from, to blockdev.NodeID, size int64, done func(e *sim.En
 	n.bytesMoved += uint64(size)
 	if from == to {
 		n.msgsLocal++
-		n.engine.After(n.LocalCost(size), func(e *sim.Engine) { done(e, e.Now()) })
+		n.Local(size, done)
 		return
 	}
 	n.msgsRemote++
-	n.ports[from].Submit(&sim.Request{
+	n.ports[from].Submit(sim.Request{
 		Service:  n.RemoteCost(size),
 		Priority: sim.PriorityUser,
 		Done:     done,
 	})
+}
+
+// Local models moving size bytes within one node without a message —
+// a copy between a node's cache and an application buffer — and
+// invokes done LocalCost(size) from now. Nothing is contended for.
+func (n *Network) Local(size int64, done func(e *sim.Engine, at sim.Time)) {
+	var c *localCopy
+	if k := len(n.idle); k > 0 {
+		c, n.idle = n.idle[k-1], n.idle[:k-1]
+	} else {
+		c = &localCopy{net: n}
+		c.finish = c.finished
+	}
+	c.done = done
+	n.engine.After(n.LocalCost(size), c.finish)
 }
 
 // Utilization returns the mean busy fraction across the nodes' network

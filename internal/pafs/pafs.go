@@ -30,7 +30,7 @@ type Config struct {
 
 // FS is one simulated PAFS instance.
 type FS struct {
-	fscommon.Base
+	*fscommon.Base
 	alg     core.AlgSpec
 	drivers map[blockdev.FileID]*core.Driver
 }
@@ -38,11 +38,12 @@ type FS struct {
 // New builds a PAFS over the given machine for the given trace.
 func New(e *sim.Engine, cfg Config, tr *workload.Trace) *FS {
 	fs := &FS{
-		Base: *fscommon.NewBase(e, cfg.Machine, cfg.CacheBlocksPerNode,
+		Base: fscommon.NewBase(e, cfg.Machine, cfg.CacheBlocksPerNode,
 			cachesim.GlobalLRU{}, tr, cfg.Algorithm),
 		alg:     cfg.Algorithm,
 		drivers: make(map[blockdev.FileID]*core.Driver),
 	}
+	fs.Serve(fs)
 	return fs
 }
 
@@ -97,59 +98,7 @@ func (fs *FS) Drivers() map[blockdev.FileID]*core.Driver { return fs.drivers }
 // — and ships them to the client; then the server's prefetcher reacts
 // to the observed request.
 func (fs *FS) Read(client blockdev.NodeID, span blockdev.Span, done func(at sim.Time)) {
-	server := fs.HomeNode(span.File)
-	fs.Net.Send(client, server, netmodel.ControlMessageSize, func(e *sim.Engine, _ sim.Time) {
-		fs.serveRead(e, client, server, span, done)
-	})
-}
-
-func (fs *FS) serveRead(e *sim.Engine, client, server blockdev.NodeID, span blockdev.Span, done func(at sim.Time)) {
-	blocks := span.Blocks()
-	hits := 0
-	for _, b := range blocks {
-		if fs.Cch.Contains(b) {
-			hits++
-		}
-	}
-	satisfied := hits == len(blocks)
-	fs.Coll.ReadBlocks(len(blocks), hits)
-
-	finishOne := fscommon.Gather(len(blocks), done)
-	for _, b := range blocks {
-		blk := b
-		if fs.Cch.Contains(blk) {
-			holders := fs.Cch.Holders(blk)
-			fs.Cch.Touch(holders[0], blk)
-			fs.Net.Send(holders[0], client, fs.Cfg.BlockSize, finishOne)
-			continue
-		}
-		fs.DemandFetch(blk, client, func(eng *sim.Engine, _ sim.Time) {
-			// The fetched block may have been placed on any node by
-			// the global policy; ship it from there to the client.
-			src := client
-			if hs := fs.Cch.Holders(blk); len(hs) > 0 {
-				src = hs[0]
-			}
-			fs.Net.Send(src, client, fs.Cfg.BlockSize, finishOne)
-		})
-	}
-	if d := fs.driverFor(span.File); d != nil {
-		d.OnUserRequest(core.Request{Offset: span.Start, Size: span.Count}, core.Tick(e.Now()), satisfied)
-	}
-}
-
-// Close notifies the file's server that the client is done with the
-// file; the server stops the file's prefetch chain (a centralized
-// decision PAFS can make exactly, §4). The next request on the file
-// resumes prefetching with the learned pattern intact.
-func (fs *FS) Close(client blockdev.NodeID, file blockdev.FileID, done func(at sim.Time)) {
-	server := fs.HomeNode(file)
-	fs.Net.Send(client, server, netmodel.ControlMessageSize, func(e *sim.Engine, at sim.Time) {
-		if d, ok := fs.drivers[file]; ok {
-			d.StopChain()
-		}
-		done(at)
-	})
+	fs.toServer(fs.NewRequest(workload.OpRead, client, span, done))
 }
 
 // Write absorbs a user write into the cooperative cache: blocks are
@@ -157,39 +106,98 @@ func (fs *FS) Close(client blockdev.NodeID, file blockdev.FileID, done func(at s
 // daemon or on eviction. Writes also feed the file's predictor: the
 // paper's pattern model covers reads and writes alike (§2.1, §2.2).
 func (fs *FS) Write(client blockdev.NodeID, span blockdev.Span, done func(at sim.Time)) {
-	server := fs.HomeNode(span.File)
-	fs.Net.Send(client, server, netmodel.ControlMessageSize, func(e *sim.Engine, _ sim.Time) {
-		fs.serveWrite(e, client, server, span, done)
-	})
+	fs.toServer(fs.NewRequest(workload.OpWrite, client, span, done))
 }
 
-func (fs *FS) serveWrite(e *sim.Engine, client, server blockdev.NodeID, span blockdev.Span, done func(at sim.Time)) {
-	blocks := span.Blocks()
+// Close notifies the file's server that the client is done with the
+// file; the server stops the file's prefetch chain (a centralized
+// decision PAFS can make exactly, §4). The next request on the file
+// resumes prefetching with the learned pattern intact.
+func (fs *FS) Close(client blockdev.NodeID, file blockdev.FileID, done func(at sim.Time)) {
+	fs.toServer(fs.NewRequest(workload.OpClose, client, blockdev.Span{File: file}, done))
+}
+
+// toServer sends the request's control message to the file's server,
+// where Arrive takes it up.
+func (fs *FS) toServer(r *fscommon.Request) {
+	fs.Net.Send(r.Client, fs.HomeNode(r.Span.File), netmodel.ControlMessageSize, r.Arrived)
+}
+
+// Arrive runs at the file's server when a client's message gets there.
+func (fs *FS) Arrive(r *fscommon.Request, _ *sim.Engine, at sim.Time) {
+	switch r.Kind {
+	case workload.OpRead:
+		fs.serveRead(r)
+	case workload.OpWrite:
+		fs.serveWrite(r)
+	case workload.OpClose:
+		if d, ok := fs.drivers[r.Span.File]; ok {
+			d.StopChain()
+		}
+		r.Finish(at)
+	}
+}
+
+func (fs *FS) serveRead(r *fscommon.Request) {
 	hits := 0
-	for _, b := range blocks {
-		if fs.Cch.Contains(b) {
+	for i := int32(0); i < r.Span.Count; i++ {
+		blk := r.Span.Block(i)
+		if cp := fs.Cch.Find(blk); cp != nil {
+			hits++
+			fs.Cch.Use(cp)
+			fs.Net.Send(cp.Node, r.Client, fs.Cfg.BlockSize, r.BlockDone)
+			continue
+		}
+		fs.DemandFetch(blk, r.Client, fs.NewMiss(r, blk).Step)
+	}
+	fs.Coll.ReadBlocks(int(r.Span.Count), hits)
+	fs.observed(r.Span, hits)
+}
+
+// Advance runs when a missed block's demand fetch completes. The block
+// may have been placed on any node by the global policy; ship it from
+// there to the client.
+func (fs *FS) Advance(m *fscommon.Miss, _ *sim.Engine, _ sim.Time) {
+	r := m.Req
+	src := r.Client
+	if cp := fs.Cch.Find(m.Block); cp != nil {
+		src = cp.Node
+	}
+	fs.Net.Send(src, r.Client, fs.Cfg.BlockSize, r.BlockDone)
+	m.Release()
+}
+
+func (fs *FS) serveWrite(r *fscommon.Request) {
+	// Counted before any block is placed: placing one can evict another
+	// block of the same span.
+	hits := 0
+	for i := int32(0); i < r.Span.Count; i++ {
+		if fs.Cch.Contains(r.Span.Block(i)) {
 			hits++
 		}
 	}
-	satisfied := hits == len(blocks)
-
-	finishOne := fscommon.Gather(len(blocks), done)
-	for _, b := range blocks {
-		blk := b
+	for i := int32(0); i < r.Span.Count; i++ {
+		blk := r.Span.Block(i)
 		var target blockdev.NodeID
-		if hs := fs.Cch.Holders(blk); len(hs) > 0 {
-			target = hs[0]
-			fs.Cch.Touch(target, blk)
+		if cp := fs.Cch.Find(blk); cp != nil {
+			target = cp.Node
+			fs.Cch.Use(cp)
 			fs.Cch.MarkDirty(blk)
 		} else {
 			// Full-block overwrite: no read-modify-write needed.
-			placed, victims := fs.Cch.Insert(client, blk, cachesim.InsertOptions{Dirty: true})
+			placed, victims := fs.Cch.Insert(r.Client, blk, cachesim.InsertOptions{Dirty: true})
 			fs.FlushVictims(victims)
 			target = placed
 		}
-		fs.Net.Send(client, target, fs.Cfg.BlockSize, finishOne)
+		fs.Net.Send(r.Client, target, fs.Cfg.BlockSize, r.BlockDone)
 	}
+	fs.observed(r.Span, hits)
+}
+
+// observed feeds the request the server has just served to the file's
+// prefetcher; hits is how many of its blocks were cached on arrival.
+func (fs *FS) observed(span blockdev.Span, hits int) {
 	if d := fs.driverFor(span.File); d != nil {
-		d.OnUserRequest(core.Request{Offset: span.Start, Size: span.Count}, core.Tick(e.Now()), satisfied)
+		d.OnUserRequest(core.Request{Offset: span.Start, Size: span.Count}, core.Tick(fs.Engine.Now()), hits == int(span.Count))
 	}
 }

@@ -176,9 +176,7 @@ func TestLinearInvariantOneOutstandingPerFile(t *testing.T) {
 		if inFlight > 1 {
 			violated = true
 		}
-		if e.Pending() > 0 {
-			e.After(sim.Milliseconds(1), watch)
-		}
+		e.After(sim.Milliseconds(1), watch) // RunUntil's bound ends the watch
 	}
 	e.After(0, watch)
 	e.RunUntil(func() bool { return e.Now() > sim.Time(sim.Seconds(5)) })

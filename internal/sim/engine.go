@@ -1,67 +1,20 @@
 package sim
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Handler is the callback invoked when an event fires. It receives the
 // engine so that it can schedule follow-up events.
 type Handler func(e *Engine)
 
-// event is a scheduled callback. seq breaks ties between events
-// scheduled for the same instant: events fire in the order they were
-// scheduled, which keeps the simulation deterministic.
-type event struct {
-	at   Time
-	seq  uint64
-	fn   Handler
-	dead bool // cancelled
-	idx  int  // heap index, maintained by eventQueue
-}
-
-// EventID identifies a scheduled event so it can be cancelled.
-type EventID struct{ ev *event }
-
-// eventQueue is a binary min-heap ordered by (time, sequence).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.idx = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.idx = -1
-	*q = old[:n-1]
-	return ev
-}
-
 // Engine is a discrete-event simulation core. The zero value is not
 // usable; construct one with NewEngine.
 type Engine struct {
-	now     Time
-	queue   eventQueue
+	now Time
+	// queue orders the scheduled handlers by (time, sequence): events
+	// scheduled for the same instant fire in the order they were
+	// scheduled, which keeps the simulation deterministic. Events live
+	// in the heap by value; scheduling one allocates nothing.
+	queue   minHeap[Handler]
 	seq     uint64
 	rng     *RNG
 	fired   uint64
@@ -85,41 +38,27 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // progress accounting and runaway detection in tests.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// Pending returns the number of events currently scheduled (including
-// cancelled events not yet drained).
-func (e *Engine) Pending() int { return len(e.queue) }
-
 // At schedules fn to run at absolute time t. Scheduling in the past is
 // a programming error and panics, because it would silently corrupt
 // causality.
-func (e *Engine) At(t Time, fn Handler) EventID {
+func (e *Engine) At(t Time, fn Handler) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
 	if fn == nil {
 		panic("sim: scheduling nil handler")
 	}
-	ev := &event{at: t, seq: e.seq, fn: fn}
+	e.queue.push(int64(t), e.seq, fn)
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return EventID{ev}
 }
 
 // After schedules fn to run d after the current time. A negative delay
 // panics.
-func (e *Engine) After(d Duration, fn Handler) EventID {
+func (e *Engine) After(d Duration, fn Handler) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	return e.At(e.now.Add(d), fn)
-}
-
-// Cancel prevents a scheduled event from firing. Cancelling an already
-// fired or already cancelled event is a no-op.
-func (e *Engine) Cancel(id EventID) {
-	if id.ev != nil {
-		id.ev.dead = true
-	}
+	e.At(e.now.Add(d), fn)
 }
 
 // Run executes events in time order until the queue is empty and
@@ -149,16 +88,13 @@ func (e *Engine) RunUntil(stop func() bool) Time {
 		if stop() {
 			break
 		}
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.dead {
-			continue
-		}
-		e.now = ev.at
+		ev := e.queue.pop()
+		e.now = Time(ev.rank)
 		e.fired++
 		if e.tracer != nil {
-			e.tracer.Record(TraceRecord{At: ev.at, Kind: TraceEventFired, Seq: ev.seq})
+			e.tracer.Record(TraceRecord{At: e.now, Kind: TraceEventFired, Seq: ev.seq})
 		}
-		ev.fn(e)
+		ev.val(e)
 	}
 	return e.now
 }

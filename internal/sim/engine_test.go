@@ -94,22 +94,6 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 	e.After(-1, func(*Engine) {})
 }
 
-func TestEngineCancel(t *testing.T) {
-	e := NewEngine(1)
-	fired := false
-	id := e.After(10, func(*Engine) { fired = true })
-	e.Cancel(id)
-	e.Run()
-	if fired {
-		t.Error("cancelled event fired")
-	}
-	// Cancelling twice, or cancelling a fired event, must be harmless.
-	e.Cancel(id)
-	id2 := e.After(5, func(*Engine) {})
-	e.Run()
-	e.Cancel(id2)
-}
-
 func TestEngineRunLimit(t *testing.T) {
 	e := NewEngine(1)
 	var tick func(*Engine)

@@ -1,6 +1,6 @@
 package sim
 
-import "container/heap"
+import "fmt"
 
 // Priority orders requests contending for a Resource. Lower numeric
 // values are served first. The paper gives prefetch I/O strictly lower
@@ -21,47 +21,19 @@ type Request struct {
 	// Priority selects the queue class; within a class requests are
 	// FCFS by enqueue time.
 	Priority Priority
+	// Kind is a caller-chosen label, 0 or 1 (the disks' reads and
+	// writes). The resource counts completions per kind, so an owner
+	// that needs only that count does not have to wrap Done to get it.
+	Kind int
 	// Done is invoked when service completes, with the completion time.
 	Done func(e *Engine, at Time)
 	// Cancelled, if it returns true at dispatch time, causes the
 	// request to be dropped without service. Aggressive prefetchers use
-	// this to abandon stale prefetches still sitting in disk queues.
+	// this to abandon stale prefetches still sitting in disk queues. It
+	// is polled once, when the request reaches the head of the queue.
 	Cancelled func() bool
 
-	seq     uint64
-	idx     int
-	startCB func(e *Engine, at Time)
-}
-
-// reqQueue is a min-heap over (priority, seq): strict priority with
-// FCFS inside each class.
-type reqQueue []*Request
-
-func (q reqQueue) Len() int { return len(q) }
-func (q reqQueue) Less(i, j int) bool {
-	if q[i].Priority != q[j].Priority {
-		return q[i].Priority < q[j].Priority
-	}
-	return q[i].seq < q[j].seq
-}
-func (q reqQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].idx = i
-	q[j].idx = j
-}
-func (q *reqQueue) Push(x any) {
-	r := x.(*Request)
-	r.idx = len(*q)
-	*q = append(*q, r)
-}
-func (q *reqQueue) Pop() any {
-	old := *q
-	n := len(old)
-	r := old[n-1]
-	old[n-1] = nil
-	r.idx = -1
-	*q = old[:n-1]
-	return r
+	enqueued Time
 }
 
 // Resource models a device that serves one request at a time:
@@ -69,39 +41,35 @@ func (q *reqQueue) Pop() any {
 // a low-priority request already in service runs to completion even if
 // a high-priority request arrives.
 type Resource struct {
-	name    string
-	engine  *Engine
-	queue   reqQueue
-	seq     uint64
-	busy    bool
-	busyEnd Time
+	name   string
+	engine *Engine
+	// queue is ordered by (priority, arrival): strict priority with
+	// FCFS inside each class.
+	queue minHeap[*Request]
+	seq   uint64
+	// cur is the request in service, nil when idle; complete, bound
+	// once, is the event that ends it.
+	cur      *Request
+	complete Handler
+	// free holds the records of finished requests for Submit to reuse.
+	free []*Request
 
-	// accounting
-	served    uint64
-	perClass  map[Priority]uint64
-	busyTime  Duration
-	busyClass map[Priority]Duration
-	waitTime  Duration
-	enqueueAt map[*Request]Time
-	dropped   uint64
-
-	// queue-depth accounting: high-water mark plus the time integral of
-	// the waiting-queue length, from which the time-weighted mean depth
-	// follows. qLast is the instant of the last length change.
-	maxQueue  int
-	qIntegral int64 // request-nanoseconds
-	qLast     Time
+	// accounting; the arrays are indexed by Priority and by Kind
+	served     uint64
+	perClass   [2]uint64
+	perKind    [2]uint64
+	busyTime   Duration
+	busyClass  [2]Duration
+	waitTime   Duration
+	dropped    uint64
+	maxWaiting int // waiting-queue high-water mark
 }
 
 // NewResource creates an idle resource attached to the engine.
 func NewResource(e *Engine, name string) *Resource {
-	return &Resource{
-		name:      name,
-		engine:    e,
-		perClass:  make(map[Priority]uint64),
-		busyClass: make(map[Priority]Duration),
-		enqueueAt: make(map[*Request]Time),
-	}
+	r := &Resource{name: name, engine: e}
+	r.complete = r.finish
+	return r
 }
 
 // Name returns the label given at construction.
@@ -111,13 +79,16 @@ func (r *Resource) Name() string { return r.name }
 func (r *Resource) QueueLen() int { return len(r.queue) }
 
 // Busy reports whether a request is currently in service.
-func (r *Resource) Busy() bool { return r.busy }
+func (r *Resource) Busy() bool { return r.cur != nil }
 
 // Served returns the number of requests completed.
 func (r *Resource) Served() uint64 { return r.served }
 
 // ServedClass returns the number of completed requests of class p.
 func (r *Resource) ServedClass(p Priority) uint64 { return r.perClass[p] }
+
+// ServedKind returns the number of completed requests labelled kind.
+func (r *Resource) ServedKind(kind int) uint64 { return r.perKind[kind] }
 
 // Dropped returns the number of requests abandoned via Cancelled.
 func (r *Resource) Dropped() uint64 { return r.dropped }
@@ -131,25 +102,7 @@ func (r *Resource) BusyTime() Duration { return r.busyTime }
 func (r *Resource) BusyTimeClass(p Priority) Duration { return r.busyClass[p] }
 
 // MaxQueueLen returns the waiting-queue high-water mark.
-func (r *Resource) MaxQueueLen() int { return r.maxQueue }
-
-// MeanQueueLen returns the time-weighted mean waiting-queue length up
-// to the current virtual time.
-func (r *Resource) MeanQueueLen() float64 {
-	now := r.engine.Now()
-	if now == 0 {
-		return 0
-	}
-	integral := r.qIntegral + int64(len(r.queue))*int64(now.Sub(r.qLast))
-	return float64(integral) / float64(now)
-}
-
-// accountQueue folds the elapsed interval at the current queue length
-// into the integral; call it immediately before any length change.
-func (r *Resource) accountQueue(now Time) {
-	r.qIntegral += int64(len(r.queue)) * int64(now.Sub(r.qLast))
-	r.qLast = now
-}
+func (r *Resource) MaxQueueLen() int { return r.maxWaiting }
 
 // WaitTime returns the cumulative time requests spent queued before
 // service began.
@@ -166,19 +119,28 @@ func (r *Resource) Utilization() float64 {
 
 // Submit enqueues req for service. The request's Done callback fires
 // at completion; submission order is remembered for FCFS within a
-// priority class.
-func (r *Resource) Submit(req *Request) {
+// priority class. The resource keeps its own copy of req in a record
+// it reuses once the request has completed or been dropped.
+func (r *Resource) Submit(req Request) {
 	if req.Service < 0 {
 		panic("sim: negative service time")
 	}
-	req.seq = r.seq
-	r.seq++
+	if uint(req.Priority) > 1 || uint(req.Kind) > 1 {
+		panic(fmt.Sprintf("sim: request priority %d or kind %d outside {0, 1}", req.Priority, req.Kind))
+	}
 	now := r.engine.Now()
-	r.enqueueAt[req] = now
-	r.accountQueue(now)
-	heap.Push(&r.queue, req)
-	if len(r.queue) > r.maxQueue {
-		r.maxQueue = len(r.queue)
+	req.enqueued = now
+	var rec *Request
+	if n := len(r.free); n > 0 {
+		rec, r.free = r.free[n-1], r.free[:n-1]
+	} else {
+		rec = new(Request)
+	}
+	*rec = req
+	r.queue.push(int64(req.Priority), r.seq, rec)
+	r.seq++
+	if len(r.queue) > r.maxWaiting {
+		r.maxWaiting = len(r.queue)
 	}
 	if t := r.engine.tracer; t != nil {
 		t.Record(TraceRecord{At: now, Kind: TraceEnqueue, Resource: r.name,
@@ -189,49 +151,60 @@ func (r *Resource) Submit(req *Request) {
 
 // dispatch starts the next request if the resource is idle.
 func (r *Resource) dispatch() {
-	if r.busy {
+	if r.cur != nil {
 		return
 	}
 	for len(r.queue) > 0 {
 		now := r.engine.Now()
-		r.accountQueue(now)
-		req := heap.Pop(&r.queue).(*Request)
-		enq := r.enqueueAt[req]
-		delete(r.enqueueAt, req)
+		req := r.queue.pop().val
 		if req.Cancelled != nil && req.Cancelled() {
 			r.dropped++
 			if t := r.engine.tracer; t != nil {
 				t.Record(TraceRecord{At: now, Kind: TraceDrop, Resource: r.name,
 					Priority: req.Priority, QueueLen: len(r.queue)})
 			}
+			r.recycle(req)
 			continue
 		}
-		r.waitTime += now.Sub(enq)
-		r.busy = true
-		r.busyEnd = now.Add(req.Service)
+		wait := now.Sub(req.enqueued)
+		r.waitTime += wait
+		r.cur = req
 		r.busyTime += req.Service
 		r.busyClass[req.Priority] += req.Service
 		if t := r.engine.tracer; t != nil {
 			t.Record(TraceRecord{At: now, Kind: TraceStart, Resource: r.name,
-				Priority: req.Priority, Wait: now.Sub(enq), Service: req.Service,
+				Priority: req.Priority, Wait: wait, Service: req.Service,
 				QueueLen: len(r.queue)})
 		}
-		if req.startCB != nil {
-			req.startCB(r.engine, now)
-		}
-		r.engine.At(r.busyEnd, func(e *Engine) {
-			r.busy = false
-			r.served++
-			r.perClass[req.Priority]++
-			if t := e.tracer; t != nil {
-				t.Record(TraceRecord{At: e.Now(), Kind: TraceDone, Resource: r.name,
-					Priority: req.Priority, Service: req.Service, QueueLen: len(r.queue)})
-			}
-			if req.Done != nil {
-				req.Done(e, e.Now())
-			}
-			r.dispatch()
-		})
+		r.engine.At(now.Add(req.Service), r.complete)
 		return
 	}
+}
+
+// finish is the completion event of the request in service. The
+// resource is idle again before Done runs, so a Done that submits to
+// this resource competes with the queue like any other arrival.
+func (r *Resource) finish(e *Engine) {
+	req := r.cur
+	r.cur = nil
+	r.served++
+	r.perClass[req.Priority]++
+	r.perKind[req.Kind]++
+	if t := e.tracer; t != nil {
+		t.Record(TraceRecord{At: e.Now(), Kind: TraceDone, Resource: r.name,
+			Priority: req.Priority, Service: req.Service, QueueLen: len(r.queue)})
+	}
+	done := req.Done
+	r.recycle(req)
+	if done != nil {
+		done(e, e.Now())
+	}
+	r.dispatch()
+}
+
+// recycle clears the record's callbacks, so that it keeps nothing
+// alive, and makes it available to the next Submit.
+func (r *Resource) recycle(req *Request) {
+	*req = Request{}
+	r.free = append(r.free, req)
 }

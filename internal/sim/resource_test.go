@@ -10,7 +10,7 @@ func TestResourceServesFCFS(t *testing.T) {
 	r := NewResource(e, "disk0")
 	var done []Time
 	for i := 0; i < 3; i++ {
-		r.Submit(&Request{
+		r.Submit(Request{
 			Service:  10 * Millisecond,
 			Priority: PriorityUser,
 			Done:     func(_ *Engine, at Time) { done = append(done, at) },
@@ -33,11 +33,11 @@ func TestResourcePriorityUserBeforePrefetch(t *testing.T) {
 	r := NewResource(e, "disk")
 	var order []string
 	// Occupy the resource so the next two requests queue up.
-	r.Submit(&Request{Service: 5, Priority: PriorityUser})
+	r.Submit(Request{Service: 5, Priority: PriorityUser})
 	// Prefetch submitted first, user second: user must still win.
-	r.Submit(&Request{Service: 5, Priority: PriorityPrefetch,
+	r.Submit(Request{Service: 5, Priority: PriorityPrefetch,
 		Done: func(*Engine, Time) { order = append(order, "prefetch") }})
-	r.Submit(&Request{Service: 5, Priority: PriorityUser,
+	r.Submit(Request{Service: 5, Priority: PriorityUser,
 		Done: func(*Engine, Time) { order = append(order, "user") }})
 	e.Run()
 	if len(order) != 2 || order[0] != "user" || order[1] != "prefetch" {
@@ -49,11 +49,11 @@ func TestResourceNonPreemptive(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "disk")
 	var prefetchDone, userDone Time
-	r.Submit(&Request{Service: 100, Priority: PriorityPrefetch,
+	r.Submit(Request{Service: 100, Priority: PriorityPrefetch,
 		Done: func(_ *Engine, at Time) { prefetchDone = at }})
 	// User request arrives mid-service; must wait for completion.
 	e.After(10, func(*Engine) {
-		r.Submit(&Request{Service: 50, Priority: PriorityUser,
+		r.Submit(Request{Service: 50, Priority: PriorityUser,
 			Done: func(_ *Engine, at Time) { userDone = at }})
 	})
 	e.Run()
@@ -70,8 +70,8 @@ func TestResourceCancelledRequestDropped(t *testing.T) {
 	r := NewResource(e, "disk")
 	stale := true
 	var fired bool
-	r.Submit(&Request{Service: 10, Priority: PriorityUser})
-	r.Submit(&Request{
+	r.Submit(Request{Service: 10, Priority: PriorityUser})
+	r.Submit(Request{
 		Service:   10,
 		Priority:  PriorityPrefetch,
 		Cancelled: func() bool { return stale },
@@ -92,8 +92,8 @@ func TestResourceCancelledRequestDropped(t *testing.T) {
 func TestResourceAccounting(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "disk")
-	r.Submit(&Request{Service: 10, Priority: PriorityUser})
-	r.Submit(&Request{Service: 30, Priority: PriorityPrefetch})
+	r.Submit(Request{Service: 10, Priority: PriorityUser})
+	r.Submit(Request{Service: 30, Priority: PriorityPrefetch})
 	e.Run()
 	if r.BusyTime() != 40 {
 		t.Errorf("busy time %v, want 40", r.BusyTime())
@@ -121,7 +121,7 @@ func TestResourceNegativeServicePanics(t *testing.T) {
 			t.Error("negative service did not panic")
 		}
 	}()
-	r.Submit(&Request{Service: -1})
+	r.Submit(Request{Service: -1})
 }
 
 // Property: total busy time equals the sum of service times of all
@@ -139,7 +139,7 @@ func TestResourceConservationProperty(t *testing.T) {
 			if prefetchMask&(1<<(uint(i)%64)) != 0 {
 				p = PriorityPrefetch
 			}
-			r.Submit(&Request{Service: svc, Priority: p})
+			r.Submit(Request{Service: svc, Priority: p})
 		}
 		e.Run()
 		return r.BusyTime() == total && !r.Busy() && r.QueueLen() == 0 &&

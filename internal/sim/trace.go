@@ -75,6 +75,3 @@ type Tracer interface {
 // SetTracer installs (or, with nil, removes) the engine's tracer.
 // Resources attached to the engine report through it as well.
 func (e *Engine) SetTracer(t Tracer) { e.tracer = t }
-
-// Tracer returns the installed tracer, nil if none.
-func (e *Engine) Tracer() Tracer { return e.tracer }

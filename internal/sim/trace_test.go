@@ -25,13 +25,13 @@ func driveContention(e *Engine, r *Resource, cancelled *bool) (doneOrder []Prior
 	e.At(0, func(e *Engine) {
 		for _, p := range []Priority{PriorityUser, PriorityPrefetch, PriorityUser} {
 			p := p
-			r.Submit(&Request{
+			r.Submit(Request{
 				Service:  10 * Millisecond,
 				Priority: p,
 				Done:     func(*Engine, Time) { doneOrder = append(doneOrder, p) },
 			})
 		}
-		r.Submit(&Request{
+		r.Submit(Request{
 			Service:   10 * Millisecond,
 			Priority:  PriorityPrefetch,
 			Cancelled: func() bool { return *cancelled },
@@ -92,9 +92,6 @@ func TestResourceQueueAndClassAccounting(t *testing.T) {
 	if got := res.MaxQueueLen(); got != 3 {
 		t.Errorf("max queue %d, want 3", got)
 	}
-	if got := res.MeanQueueLen(); got <= 0 {
-		t.Errorf("mean queue %v, want > 0", got)
-	}
 	if got := res.Dropped(); got != 1 {
 		t.Errorf("dropped %d, want 1", got)
 	}
@@ -114,7 +111,7 @@ func TestResourceQueueAndClassAccounting(t *testing.T) {
 // Tracing must be observation only: the same scenario with and without
 // a tracer produces identical accounting.
 func TestTracerDoesNotPerturbSimulation(t *testing.T) {
-	run := func(withTracer bool) (Time, Duration, float64) {
+	run := func(withTracer bool) (Time, Duration, Duration) {
 		e := NewEngine(7)
 		if withTracer {
 			e.SetTracer(&recordingTracer{})
@@ -122,12 +119,12 @@ func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 		res := NewResource(e, "disk0")
 		cancelled := false
 		driveContention(e, res, &cancelled)
-		return e.Now(), res.BusyTime(), res.MeanQueueLen()
+		return e.Now(), res.BusyTime(), res.WaitTime()
 	}
-	endA, busyA, qA := run(false)
-	endB, busyB, qB := run(true)
-	if endA != endB || busyA != busyB || qA != qB {
+	endA, busyA, waitA := run(false)
+	endB, busyB, waitB := run(true)
+	if endA != endB || busyA != busyB || waitA != waitB {
 		t.Errorf("tracer changed the run: (%v,%v,%v) vs (%v,%v,%v)",
-			endA, busyA, qA, endB, busyB, qB)
+			endA, busyA, waitA, endB, busyB, waitB)
 	}
 }

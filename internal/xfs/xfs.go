@@ -39,7 +39,7 @@ type driverKey struct {
 
 // FS is one simulated xFS instance.
 type FS struct {
-	fscommon.Base
+	*fscommon.Base
 	alg     core.AlgSpec
 	drivers map[driverKey]*core.Driver
 }
@@ -52,12 +52,14 @@ func New(e *sim.Engine, cfg Config, tr *workload.Trace) *FS {
 	} else if recirc < 0 {
 		recirc = 0
 	}
-	return &FS{
-		Base: *fscommon.NewBase(e, cfg.Machine, cfg.CacheBlocksPerNode,
+	fs := &FS{
+		Base: fscommon.NewBase(e, cfg.Machine, cfg.CacheBlocksPerNode,
 			cachesim.NChance{Recirculations: recirc}, tr, cfg.Algorithm),
 		alg:     cfg.Algorithm,
 		drivers: make(map[driverKey]*core.Driver),
 	}
+	fs.Serve(fs)
+	return fs
 }
 
 // Name identifies the file system.
@@ -123,66 +125,72 @@ func (fs *FS) DriverCount() int { return len(fs.drivers) }
 // then the manager redirects to a remote holder or to disk. The data
 // lands in the client's local pool (possibly evicting via N-chance).
 func (fs *FS) Read(client blockdev.NodeID, span blockdev.Span, done func(at sim.Time)) {
-	blocks := span.Blocks()
+	r := fs.NewRequest(workload.OpRead, client, span, done)
 	localHits := 0
-	for _, b := range blocks {
-		if fs.Cch.ContainsOn(client, b) {
+	for i := int32(0); i < span.Count; i++ {
+		blk := span.Block(i)
+		if cp := fs.Cch.FindOn(client, blk); cp != nil {
 			localHits++
-		}
-	}
-	satisfied := localHits == len(blocks)
-	fs.Coll.ReadBlocks(len(blocks), localHits)
-
-	finishOne := fscommon.Gather(len(blocks), done)
-	for _, b := range blocks {
-		blk := b
-		if fs.Cch.ContainsOn(client, blk) {
-			fs.Cch.Touch(client, blk)
+			fs.Cch.Use(cp)
 			// Local copy: a memory copy into the application buffer.
-			fs.Engine.After(fs.Net.LocalCost(fs.Cfg.BlockSize), func(e *sim.Engine) {
-				finishOne(e, e.Now())
-			})
+			fs.Net.Local(fs.Cfg.BlockSize, r.BlockDone)
 			continue
 		}
-		manager := fs.HomeNode(blk.File)
-		fs.Net.Send(client, manager, netmodel.ControlMessageSize, func(e *sim.Engine, _ sim.Time) {
-			fs.resolveMiss(client, blk, finishOne)
-		})
+		fs.Net.Send(client, fs.HomeNode(blk.File), netmodel.ControlMessageSize, fs.NewMiss(r, blk).Step)
 	}
-	if d := fs.driverFor(client, span.File); d != nil {
-		d.OnUserRequest(core.Request{Offset: span.Start, Size: span.Count}, core.Tick(fs.Engine.Now()), satisfied)
-	}
+	fs.Coll.ReadBlocks(int(span.Count), localHits)
+	fs.observed(client, span, localHits)
 }
 
-// resolveMiss runs at the manager: redirect to a caching node, or go
-// to disk. Either way the block becomes a local copy at the client.
-func (fs *FS) resolveMiss(client blockdev.NodeID, blk blockdev.BlockID, finishOne func(e *sim.Engine, at sim.Time)) {
-	if hs := fs.Cch.Holders(blk); len(hs) > 0 {
-		src := hs[0]
-		fs.Cch.Touch(src, blk)
-		fs.Net.Send(src, client, fs.Cfg.BlockSize, func(e *sim.Engine, at sim.Time) {
-			_, victims := fs.Cch.Insert(client, blk, cachesim.InsertOptions{})
-			fs.FlushVictims(victims)
-			finishOne(e, at)
-		})
-		return
-	}
-	fs.DemandFetch(blk, client, func(e *sim.Engine, _ sim.Time) {
+// The stages of a block the client's pool did not have.
+const (
+	atManager = iota // the client's message is on its way to the manager
+	copying          // a caching node is sending its copy to the client
+	fetching         // the disk is reading the block
+)
+
+// Advance moves a missed block on. At the manager: redirect to a
+// caching node, or go to disk. Either way the block becomes a local
+// copy at the client.
+func (fs *FS) Advance(m *fscommon.Miss, e *sim.Engine, at sim.Time) {
+	r, blk := m.Req, m.Block
+	switch m.Stage {
+	case atManager:
+		if cp := fs.Cch.Find(blk); cp != nil {
+			fs.Cch.Use(cp)
+			m.Stage = copying
+			fs.Net.Send(cp.Node, r.Client, fs.Cfg.BlockSize, m.Step)
+			return
+		}
+		m.Stage = fetching
+		fs.DemandFetch(blk, r.Client, m.Step)
+	case copying:
+		_, victims := fs.Cch.Insert(r.Client, blk, cachesim.InsertOptions{})
+		fs.FlushVictims(victims)
+		m.Release()
+		r.BlockDone(e, at)
+	case fetching:
 		// Data travels from the disk's host node to the client.
-		fs.Net.Send(fs.HostOf(blk), client, fs.Cfg.BlockSize, finishOne)
-	})
+		fs.Net.Send(fs.HostOf(blk), r.Client, fs.Cfg.BlockSize, r.BlockDone)
+		m.Release()
+	}
 }
 
 // Close stops this node's prefetch chain for the file — a purely
 // local decision, like everything else in xFS. Other nodes' chains on
 // the same file keep running.
 func (fs *FS) Close(client blockdev.NodeID, file blockdev.FileID, done func(at sim.Time)) {
-	fs.Engine.After(fs.Net.LocalCost(netmodel.ControlMessageSize), func(e *sim.Engine) {
-		if d, ok := fs.drivers[driverKey{client, file}]; ok {
-			d.StopChain()
-		}
-		done(e.Now())
-	})
+	r := fs.NewRequest(workload.OpClose, client, blockdev.Span{File: file}, done)
+	fs.Net.Local(netmodel.ControlMessageSize, r.Arrived)
+}
+
+// Arrive ends a close's local delay; reads and writes never leave the
+// client as a whole, only block by block.
+func (fs *FS) Arrive(r *fscommon.Request, _ *sim.Engine, at sim.Time) {
+	if d, ok := fs.drivers[driverKey{r.Client, r.Span.File}]; ok {
+		d.StopChain()
+	}
+	r.Finish(at)
 }
 
 // Write absorbs a user write into the client's local pool, creating or
@@ -190,29 +198,32 @@ func (fs *FS) Close(client blockdev.NodeID, file blockdev.FileID, done func(at s
 // xFS's write-ownership behaviour reduced to what the simulation
 // needs.
 func (fs *FS) Write(client blockdev.NodeID, span blockdev.Span, done func(at sim.Time)) {
-	blocks := span.Blocks()
+	r := fs.NewRequest(workload.OpWrite, client, span, done)
+	// Counted before any block is placed: placing one can evict another
+	// block of the same span.
 	localHits := 0
-	for _, b := range blocks {
-		if fs.Cch.ContainsOn(client, b) {
+	for i := int32(0); i < span.Count; i++ {
+		if fs.Cch.ContainsOn(client, span.Block(i)) {
 			localHits++
 		}
 	}
-	satisfied := localHits == len(blocks)
-
-	finishOne := fscommon.Gather(len(blocks), done)
-	for _, b := range blocks {
-		blk := b
+	for i := int32(0); i < span.Count; i++ {
+		blk := span.Block(i)
 		if !fs.Cch.ContainsOn(client, blk) && fs.Cch.Contains(blk) {
 			// Invalidate remote copies; ownership moves here.
 			fs.Cch.Drop(blk)
 		}
 		_, victims := fs.Cch.Insert(client, blk, cachesim.InsertOptions{Dirty: true})
 		fs.FlushVictims(victims)
-		fs.Engine.After(fs.Net.LocalCost(fs.Cfg.BlockSize), func(e *sim.Engine) {
-			finishOne(e, e.Now())
-		})
+		fs.Net.Local(fs.Cfg.BlockSize, r.BlockDone)
 	}
+	fs.observed(client, span, localHits)
+}
+
+// observed feeds the request just served to the client's prefetcher
+// for the file; hits is how many of its blocks the client's pool held.
+func (fs *FS) observed(client blockdev.NodeID, span blockdev.Span, hits int) {
 	if d := fs.driverFor(client, span.File); d != nil {
-		d.OnUserRequest(core.Request{Offset: span.Start, Size: span.Count}, core.Tick(fs.Engine.Now()), satisfied)
+		d.OnUserRequest(core.Request{Offset: span.Start, Size: span.Count}, core.Tick(fs.Engine.Now()), hits == int(span.Count))
 	}
 }

@@ -85,7 +85,7 @@ func TestSatisfiedIsLocalNotGlobal(t *testing.T) {
 	// Node 1's local pool must have gained its own copies.
 	count := 0
 	for b := 0; b < 50; b++ {
-		if fs.Cache().ContainsOn(1, span(0, b, 1).Blocks()[0]) {
+		if fs.Cache().ContainsOn(1, span(0, b, 1).Block(0)) {
 			count++
 		}
 	}
