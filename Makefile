@@ -9,9 +9,11 @@
 # hit; simulator event and resource request; warm predictor step) and
 # the bound on a simulated cell's allocations per event are tests
 # tagged !race: `make test` enforces them, `make race` skips them
-# (`go test -run Allocs ./internal/lapcache/ ./internal/lapclient/
-# ./internal/cluster/ ./internal/sim/ ./internal/core/
-# ./internal/experiment/` runs them alone).
+# (`go test -run 'Allocs|DryHitCost' ./internal/lapcache/
+# ./internal/lapclient/ ./internal/cluster/ ./internal/sim/
+# ./internal/core/ ./internal/experiment/` runs them alone, and with
+# them core's count of the Predict and Cached calls a hit costs a chain
+# that has nothing to fetch — a gate in calls, so both targets run it).
 
 GO ?= go
 FUZZTIME ?= 10s

@@ -48,6 +48,9 @@ type env struct {
 
 func (e *env) Cached(b blockdev.BlockID) bool { return e.cached[b] }
 
+// Evictions (core.Env's optional count) never moves: the set only grows.
+func (e *env) Evictions() uint64 { return 0 }
+
 func (e *env) Prefetch(b blockdev.BlockID, _ bool, cancelled func() bool, done func()) bool {
 	e.disks.Read(b, sim.PriorityPrefetch, cancelled, func(eng *sim.Engine, at sim.Time) {
 		e.cached[b] = true

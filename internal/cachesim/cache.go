@@ -67,6 +67,7 @@ type Stats struct {
 	Forwards         uint64 // N-chance singlet forwards
 	WastedPrefetches uint64 // prefetched copies evicted unused
 	UsedPrefetches   uint64 // prefetched copies later hit by a user request
+	Removals         uint64 // copies that left a pool, for any reason: the core.Env eviction count
 }
 
 // Cache is the cooperative cache: per-node pools plus the global
@@ -297,6 +298,7 @@ func (c *Cache) MarkDirty(b blockdev.BlockID) bool {
 // and returns what it held; the record itself, and the directory list
 // it was the last entry of, are kept for place to reuse.
 func (c *Cache) removeCopy(cp *Copy) Copy {
+	c.stats.Removals++
 	c.nodes[cp.Node].lru.Remove(cp)
 	c.globLRU.Remove(cp)
 	copies := c.dir[cp.Block]

@@ -30,6 +30,14 @@ func (m Mode) String() string {
 
 // Env is what a Driver needs from its host file system: cache
 // visibility and the ability to launch a low-priority block fetch.
+//
+// A host may also count its evictions, in a method Evictions() uint64
+// that NewDriver looks for once. The count moves whenever a block for
+// which Cached returned true may since return false (evicted, dropped,
+// in flight and never landed), and not before Cached can see it gone;
+// it need not be exact, only never silent. The driver reads it before
+// the first Cached call of a walk and again before relying on what the
+// walk saw (see anchor); without the method it walks anew every time.
 type Env interface {
 	// Cached reports whether the block is already in the cooperative
 	// cache (from this driver's point of view: PAFS asks the global
@@ -84,8 +92,8 @@ type DriverConfig struct {
 	Env Env
 	// MaxDrySteps bounds consecutive chain predictions that yield no
 	// uncached block before the chain pauses; it prevents a cyclic,
-	// fully cached pattern from spinning forever. Zero means the
-	// default of 64.
+	// fully cached pattern from spinning forever, and sets how far ahead
+	// of the user an idle chain keeps looking. Zero means the default of 64.
 	MaxDrySteps int
 	// Observer, if non-nil, receives every change of the driver's
 	// logical outstanding-prefetch count (issue +1, completion -1, and
@@ -100,7 +108,7 @@ type DriverStats struct {
 	FallbackIssued  uint64 // of those, predicted by the OBA fallback
 	Completed       uint64 // prefetch operations that finished
 	Restarts        uint64 // chain resets after mispredictions
-	ChainStops      uint64 // chain reached end of file or went dry
+	ChainStops      uint64 // chain reached end of file or went dry, once per dry spell
 	Rejected        uint64 // prefetches refused by the env (backpressure)
 	PredictionSteps uint64 // Predict calls made while walking
 	// HighWater is the most prefetches this driver ever had in flight
@@ -126,12 +134,19 @@ type pendingBlock struct {
 // chain alive indefinitely when the cache keeps evicting its work —
 // only the cached-block skip and the dry-step guard pause it. The file
 // systems bound this the way real ones do: StopChain on close and the
-// environment's refusal to prefetch once the run is draining.
+// environment's refusal to prefetch once the run is draining. Paused,
+// a chain costs the requests that follow its path two predictions
+// each, not a walk, until the host evicts something (see anchor).
 type Driver struct {
-	cfg         DriverConfig
-	degree      DegreePolicy
-	cursor      Cursor
-	haveCursor  bool
+	cfg       DriverConfig
+	degree    DegreePolicy
+	evictions evictionCounter // nil when the env does not count
+	cursor    Cursor
+	// dry marks a dry spell: refill stopped the chain for want of work
+	// and no request since restarted, closed or passed it, or led it to
+	// an uncached block. A dry chain, once woken, stands at the user.
+	dry         bool
+	anchor      anchor
 	pending     []pendingBlock // the batch; pending[next:] is still to issue
 	next        int
 	outstanding int
@@ -139,6 +154,24 @@ type Driver struct {
 	stopped     bool
 	stats       DriverStats
 	free        []*prefetchOp // finished operation records, for issue to reuse
+}
+
+// evictionCounter is the optional part of Env; see there.
+type evictionCounter interface{ Evictions() uint64 }
+
+// anchor is what a walk that began at the user and found nothing to
+// fetch leaves behind: its first prediction led to cursor expect, it
+// took dry steps and stopped at far (at the dry guard, or with the next
+// prediction past the end of the file), and every block on the way was
+// seen cached after the host's count read evictions. While the count
+// stands they still are, so the walk from expect, should the next
+// request land there, would repeat all but the first of those steps
+// and go on from far: refill skips them. Anything else walks in full.
+type anchor struct {
+	ok          bool
+	expect, far Cursor
+	dry         int
+	evictions   uint64
 }
 
 // NewDriver validates the configuration and returns a driver.
@@ -158,7 +191,8 @@ func NewDriver(cfg DriverConfig) *Driver {
 	if cfg.MaxDrySteps == 0 {
 		cfg.MaxDrySteps = 64
 	}
-	return &Driver{cfg: cfg, degree: cfg.Degree, stopped: true}
+	counter, _ := cfg.Env.(evictionCounter)
+	return &Driver{cfg: cfg, degree: cfg.Degree, evictions: counter, stopped: true}
 }
 
 // Stats returns a snapshot of the driver counters.
@@ -179,8 +213,6 @@ func (d *Driver) OnUserRequest(r Request, now Tick, satisfied bool) {
 		// Predict exactly the next request from the real position and
 		// queue its blocks, replacing any batch not yet issued.
 		d.dropPending()
-		d.cursor = real
-		d.haveCursor = true
 		pred, _, ok := d.cfg.Predictor.Predict(real)
 		d.stats.PredictionSteps++
 		if ok {
@@ -191,15 +223,16 @@ func (d *Driver) OnUserRequest(r Request, now Tick, satisfied bool) {
 			// Misprediction: reset the chain to the real stream
 			// position and restart from the last requested block.
 			d.restartFrom(real)
-		} else if d.stopped || !d.haveCursor {
+		} else if d.stopped {
 			// Correctly predicted but the chain had stopped (end of
 			// file or dry); resume from the real position.
 			d.cursor = real
-			d.haveCursor = true
 			d.stopped = false
+		} else {
+			// Leave the running chain alone ("continues bringing new
+			// blocks as if the user had not requested any").
+			d.dry = false
 		}
-		// Otherwise: leave the running chain alone ("continues
-		// bringing new blocks as if the user had not requested any").
 	}
 	d.pump()
 }
@@ -213,16 +246,16 @@ func (d *Driver) StopChain() {
 	d.gen++
 	d.changeOutstanding(-d.outstanding)
 	d.stopped = true
-	d.haveCursor = false
+	d.dry = false
 }
 
 func (d *Driver) restartFrom(real Cursor) {
 	d.cursor = real
-	d.haveCursor = true
 	d.dropPending()
 	d.gen++
 	d.changeOutstanding(-d.outstanding)
 	d.stopped = false
+	d.dry = false
 	d.stats.Restarts++
 }
 
@@ -301,29 +334,53 @@ func (d *Driver) pump() {
 // refill walks the prediction chain until it finds uncached work.
 // It returns false when there is nothing to issue now.
 func (d *Driver) refill() bool {
-	if d.cfg.Mode != ModeAggressive || d.stopped || !d.haveCursor {
+	if d.cfg.Mode != ModeAggressive || d.stopped {
 		return false
 	}
-	dry := 0
-	for {
+	// Read before the walk's first Cached call, so that an eviction
+	// racing with the walk makes the next request walk in full.
+	var a anchor
+	skip := false
+	if d.evictions != nil {
+		a.evictions = d.evictions.Evictions()
+		skip = d.dry && d.anchor.ok && d.cursor == d.anchor.expect && a.evictions == d.anchor.evictions
+	}
+	d.anchor.ok = false
+	for first := true; ; first = false {
 		pred, next, ok := d.cfg.Predictor.Predict(d.cursor)
 		d.stats.PredictionSteps++
 		if !ok || !d.inFile(pred) {
-			d.stopped = true
-			d.stats.ChainStops++
-			return false
+			// End of file, past blocks seen cached: that stays so. What
+			// the model could not predict it may after the next request.
+			a.ok = ok && a.dry > 0
+			break
+		}
+		if first {
+			a.expect = next
+			if skip {
+				d.cursor, a.dry = d.anchor.far, d.anchor.dry-1
+				continue
+			}
 		}
 		d.cursor = next
 		if d.enqueue(pred) {
+			d.dry = false
 			return true
 		}
-		dry++
-		if dry >= d.cfg.MaxDrySteps {
-			d.stopped = true
-			d.stats.ChainStops++
-			return false
+		if a.dry++; a.dry >= d.cfg.MaxDrySteps {
+			a.ok = true
+			break
 		}
 	}
+	d.stopped = true
+	if d.dry { // a spell already counted, and a walk that began at the user
+		a.far = d.cursor
+		d.anchor = a
+	} else {
+		d.dry = true
+		d.stats.ChainStops++
+	}
+	return false
 }
 
 // prefetchOp is one launched prefetch as the driver tracks it. Its two

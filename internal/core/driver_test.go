@@ -7,9 +7,13 @@ import (
 )
 
 // fakeEnv is a controllable Env: prefetches queue up and complete only
-// when the test says so, and the cache is a plain set.
+// when the test says so, and the cache is a plain set. It counts its
+// evictions (the optional part of Env), so the driver tests run the
+// anchored path; wrap it in blind to hide the count.
 type fakeEnv struct {
 	cache     map[blockdev.BlockID]bool
+	evictions uint64
+	limit     int // refuse prefetches beyond this many in flight; 0 = never
 	inflight  []fakeOp
 	issued    []blockdev.BlockID
 	fallbacks []bool
@@ -21,13 +25,29 @@ type fakeOp struct {
 	done      func()
 }
 
+// blind is an Env with nothing but the two required methods.
+type blind struct{ Env }
+
 func newFakeEnv() *fakeEnv {
 	return &fakeEnv{cache: make(map[blockdev.BlockID]bool)}
 }
 
 func (f *fakeEnv) Cached(b blockdev.BlockID) bool { return f.cache[b] }
 
+func (f *fakeEnv) Evictions() uint64 { return f.evictions }
+
+// evict drops b from the cache the way a host must: counted.
+func (f *fakeEnv) evict(b blockdev.BlockID) {
+	if f.cache[b] {
+		delete(f.cache, b)
+		f.evictions++
+	}
+}
+
 func (f *fakeEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
+	if f.limit > 0 && len(f.inflight) >= f.limit {
+		return false
+	}
 	f.issued = append(f.issued, b)
 	f.fallbacks = append(f.fallbacks, fallback)
 	f.inflight = append(f.inflight, fakeOp{b, cancelled, done})

@@ -44,12 +44,13 @@ type Prediction struct {
 // requested the prefetched blocks and goes for the next node in the
 // graph", §3.1) and reset it to the real cursor after a misprediction.
 //
-// It is one fixed-size value for every predictor, not an interface
-// over a type per predictor: Observe and Predict sit on the path of
-// every request (and the runtime walks up to MaxDrySteps predictions
-// on a hit), and a boxed cursor is a heap allocation per call. A
-// predictor fills in the fields its model needs and ignores the rest;
-// a cursor means something only to the predictor that returned it.
+// It is one fixed-size, comparable value for every predictor, not an
+// interface over a type per predictor: Observe and Predict sit on the
+// path of every request, and a boxed cursor is a heap allocation per
+// call. Observe returning the very cursor a walk's Predict returned
+// tells the driver the request was foreseen. A predictor fills in the
+// fields its model needs and ignores the rest; a cursor means
+// something only to the predictor that returned it.
 type Cursor struct {
 	// Offset and Size are the request the walk stands on: the last one
 	// observed or, further along a chain, the last one predicted.

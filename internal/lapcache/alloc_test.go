@@ -14,10 +14,12 @@ import (
 // allocations per read: a plain cache hit, a miss through the backing
 // store, the first touch of a prefetched block (hit plus timely
 // classification), and a hit under the server's default predictor,
-// where the driver observes the request and then walks its stopped
-// chain's MaxDrySteps predictions over cached blocks (65 allocations
-// a hit while core.Cursor was an interface). The race detector
-// instruments allocation, so the gate runs under plain `go test` only.
+// where the driver observes the request, finds it where its stopped
+// chain foresaw it, and looks one prediction further ahead (65
+// allocations a hit while core.Cursor was an interface and the chain
+// walked its MaxDrySteps predictions anew every time). The race
+// detector instruments allocation, so the gate runs under plain
+// `go test` only.
 func TestReadIntoAllocs(t *testing.T) {
 	const runs = 1000
 	cases := []struct {

@@ -3,6 +3,7 @@ package lapcache
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/blockbuf"
 	"repro/internal/blockdev"
@@ -48,6 +49,9 @@ type blockCache struct {
 	// entries recycles centry shells between eviction and insertion, so
 	// a steady-state miss (evict one, insert one) allocates nothing.
 	entries sync.Pool
+	// evictions is the drivers' core.Env eviction count: blocks that left
+	// the cache (Put, Clear) and fetches that never landed (Engine.fill).
+	evictions atomic.Uint64
 	// onWasted is told the owning file of every wasted eviction (a
 	// speculative block dropped untouched) — the one way an eviction is
 	// reported, per victim because victims routinely belong to other
@@ -182,6 +186,7 @@ func (c *blockCache) Put(b blockdev.BlockID, buf *blockbuf.Buf, prefetched bool)
 		}
 		sh.lru.Remove(victim) // clears the intrusive links
 		delete(sh.blocks, victim.id)
+		c.evictions.Add(1)
 		if victim.prefetched {
 			wasted = append(wasted, victim.id.File)
 		}
@@ -254,6 +259,7 @@ func (c *blockCache) Clear() int {
 		for e := sh.lru.Front(); e != nil; e = sh.lru.Front() {
 			sh.lru.Remove(e)
 			delete(sh.blocks, e.id)
+			c.evictions.Add(1)
 			freed = append(freed, e.buf)
 			e.buf = nil
 			c.entries.Put(e)

@@ -575,6 +575,9 @@ func (e *Engine) fill(bufs []*blockbuf.Buf, fo *fetchOp, b blockdev.BlockID, n i
 	for k, nb := 0, b; k < len(run); k, nb = k+1, nb.Next() {
 		delete(e.inflight, nb)
 	}
+	if err != nil {
+		e.cache.evictions.Add(1) // runtimeEnv.Cached said they were coming
+	}
 	e.flightMu.Unlock()
 	fo.wg.Done()
 	e.releaseFetchOp(fo)
@@ -1013,6 +1016,9 @@ func (env *runtimeEnv) Cached(b blockdev.BlockID) bool {
 	env.e.flightMu.Unlock()
 	return busy
 }
+
+// Evictions moves when a block Cached vouched for may be gone.
+func (env *runtimeEnv) Evictions() uint64 { return env.e.cache.evictions.Load() }
 
 // Prefetch enqueues a speculative fetch, refusing when the bounded
 // queue is full (backpressure) or the engine is shutting down.

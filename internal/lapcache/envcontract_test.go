@@ -161,3 +161,88 @@ func TestEnvPrefetchContract(t *testing.T) {
 		})
 	}
 }
+
+// evictionWatch is the optional half of core.Env's contract as a check:
+// between two looks, no block may go from Cached to not Cached unless
+// Evictions moved (see the pafs suite's copy).
+type evictionWatch struct {
+	env   *runtimeEnv
+	was   map[blockdev.BlockID]bool
+	count uint64
+	flips int
+}
+
+func (w *evictionWatch) look(t *testing.T, file blockdev.FileID, blocks int) {
+	t.Helper()
+	count := w.env.Evictions()
+	for b := 0; b < blocks; b++ {
+		blk := blockdev.BlockID{File: file, Block: blockdev.BlockNo(b)}
+		now := w.env.Cached(blk)
+		if w.was[blk] && !now {
+			w.flips++
+			if count == w.count {
+				t.Errorf("block %v is no longer cached and the count still stands at %d", blk, count)
+			}
+		}
+		w.was[blk] = now
+	}
+	w.count = count
+}
+
+// TestEnvEvictionCount watches runtimeEnv across the three ways the
+// runtime takes back what Cached said: an insert into a full cache, a
+// fetch the driver saw in flight whose store read then fails, and a
+// drained cache.
+func TestEnvEvictionCount(t *testing.T) {
+	const (
+		file   = blockdev.FileID(1)
+		blocks = 16
+	)
+	gs := newGateStore(NewMemStore(512, 0), 12)
+	e := newTestEngine(t, Config{Alg: core.SpecNP, Store: gs, CacheBlocks: 8, Shards: 1})
+	w := &evictionWatch{env: &runtimeEnv{e: e, fl: e.fileState(file)}, was: map[blockdev.BlockID]bool{}}
+	rows := []struct {
+		name  string
+		step  func(t *testing.T)
+		flips int
+	}{
+		{"an insert makes room", func(t *testing.T) {
+			if _, _, err := readCopy(e, file, 8, 4); err != nil {
+				t.Fatal(err)
+			}
+		}, 4},
+		{"a fetch in flight fails", func(t *testing.T) {
+			done := make(chan error)
+			go func() {
+				_, _, err := readCopy(e, file, 12, 1)
+				done <- err
+			}()
+			<-gs.started
+			w.look(t, file, blocks) // in flight: cached, to a driver
+			if !w.was[blockdev.BlockID{File: file, Block: 12}] {
+				t.Error("a block in flight is not Cached")
+			}
+			gs.failWith.Store(&errBoom)
+			gs.Release()
+			if err := <-done; err == nil {
+				t.Error("the read of a failing store succeeded")
+			}
+		}, 1},
+		{"the cache is drained", func(t *testing.T) {
+			e.Shutdown()
+			e.DrainCache()
+		}, 8},
+	}
+	e.Preload(file, 0, 8, false)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			w.look(t, file, blocks)
+			before := w.flips
+			row.step(t)
+			w.look(t, file, blocks)
+			if got := w.flips - before; got != row.flips {
+				t.Errorf("%d blocks left the cache, want %d", got, row.flips)
+			}
+		})
+	}
+}

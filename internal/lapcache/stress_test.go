@@ -2,7 +2,9 @@ package lapcache
 
 import (
 	"bytes"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,5 +212,153 @@ func TestManyFilesConcurrent(t *testing.T) {
 	wantReads := uint64(files * 128)
 	if snap.DemandHits+snap.DemandMisses != wantReads {
 		t.Errorf("hits+misses = %d, want %d", snap.DemandHits+snap.DemandMisses, wantReads)
+	}
+}
+
+// TestAnchoredChainUnderEviction races the one thing an anchored chain
+// relies on — the cache's eviction count — against the evictions
+// themselves. One reader scans a fully cached file under the server's
+// default algorithm, its chain anchored and keeping its place from hit
+// to hit; meanwhile another goroutine inserts foreign blocks, each of
+// which evicts a block a little ahead of the reader, inside the window
+// the chain has vouched for. Run with -race (make race does): the
+// detector must stay silent, every read must return its block, and
+// the linear bound must hold. Then, with the evictor stopped and the
+// chain anchored again, one block of the window is evicted: the next
+// satisfied request must walk from its real position and send for that
+// block at once — one prefetch, the parent's behaviour — not keep its
+// place and let the reader run into the hole.
+func TestAnchoredChainUnderEviction(t *testing.T) {
+	const (
+		file, foreign, filler = blockdev.FileID(1), blockdev.FileID(2), blockdev.FileID(3)
+
+		blockSize    = 64
+		blocks       = 1100
+		fillerBlocks = 400
+		scan         = 950 // the reader's position when the evictor is through
+		target       = blockdev.BlockNo(990)
+	)
+	isVictim := func(b blockdev.BlockNo) bool { return b >= 100 && b < 900 && b%5 == 0 }
+	e := newTestEngine(t, Config{
+		Alg:          core.SpecLnAgrISPPM3,
+		BlockSize:    blockSize,
+		CacheBlocks:  blocks + fillerBlocks, // exactly full once staged
+		Shards:       1,                     // one LRU list: the order below is the eviction order
+		Workers:      2,
+		FileBlocks:   map[blockdev.FileID]blockdev.BlockNo{file: blocks},
+		StrictLinear: true,
+	})
+	// Oldest first: the victims; filler for the refetches to displace;
+	// the last act's target; more filler; the rest of the file.
+	var victims []blockdev.BlockNo
+	for b := blockdev.BlockNo(0); b < blocks; b++ {
+		if isVictim(b) {
+			victims = append(victims, b)
+			e.Preload(file, b, 1, false)
+		}
+	}
+	e.Preload(filler, 0, fillerBlocks/2, false)
+	e.Preload(file, target, 1, false)
+	e.Preload(filler, fillerBlocks/2, fillerBlocks/2, false)
+	for b := blockdev.BlockNo(0); b < blocks; b++ {
+		if !isVictim(b) && b != target {
+			e.Preload(file, b, 1, false)
+		}
+	}
+
+	want := make([]byte, blockSize)
+	var bufs []*blockbuf.Buf
+	read := func(b blockdev.BlockNo) (hit bool) {
+		var err error
+		bufs, hit, err = e.ReadInto(bufs[:0], file, b, 1)
+		if err != nil {
+			t.Fatalf("block %d: %v", b, err)
+		}
+		FillPattern(blockdev.BlockID{File: file, Block: b}, want)
+		if !bytes.Equal(bufs[0].Bytes(), want) {
+			t.Errorf("block %d: wrong contents", b)
+		}
+		bufs[0].Release()
+		return hit
+	}
+
+	// The two keep each other in range: a victim goes once it is within
+	// 50 blocks of the reader, who does not come within 10 of the next
+	// victim before it went — so every eviction lands in the window.
+	var pos, gone atomic.Int64 // the reader's block; how many victims went
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for k, v := range victims {
+			for pos.Load() < int64(v)-50 {
+				runtime.Gosched()
+			}
+			e.Preload(foreign, blockdev.BlockNo(k), 1, false)
+			gone.Store(int64(k + 1))
+		}
+	}()
+	for b := blockdev.BlockNo(0); b < scan; b++ {
+		pos.Store(int64(b))
+		for k := gone.Load(); k < int64(len(victims)) && victims[k] < b+10; k = gone.Load() {
+			runtime.Gosched()
+		}
+		read(b)
+	}
+	wg.Wait()
+
+	quiesced := func() bool {
+		s := e.Snapshot()
+		return s.PrefetchCompleted+s.PrefetchCancelled+s.PrefetchDupSkipped == s.PrefetchIssued
+	}
+	waitFor(t, "the race's prefetches to land", quiesced)
+	s := e.Snapshot()
+	t.Logf("after the race: %s", s)
+	if s.PrefetchIssued == 0 || s.DemandHits < scan/2 {
+		t.Fatalf("the race exercised nothing: %s", s)
+	}
+
+	// The last act. A few hits put the chain back at its anchor …
+	next := blockdev.BlockNo(scan)
+	for calm := 0; calm < 4; next++ {
+		issued := e.Snapshot().PrefetchIssued
+		if hit := read(next); hit && e.Snapshot().PrefetchIssued == issued {
+			calm++
+		} else {
+			calm = 0
+		}
+		if next >= target-20 {
+			t.Fatal("the chain never came to rest")
+		}
+	}
+	waitFor(t, "the chain to come to rest", quiesced)
+	// … then one block of its window goes (the LRU list's oldest entry
+	// is whatever filler the refetches left, then the target) …
+	sh := &e.cache.shards[0]
+	oldest := func() blockdev.BlockID {
+		sh.mu.Lock()
+		defer sh.mu.Unlock()
+		return sh.lru.Front().id
+	}
+	k := blockdev.BlockNo(len(victims))
+	for ; e.cache.Contains(blockdev.BlockID{File: file, Block: target}); k++ {
+		if id := oldest(); id.File == file && id.Block != target {
+			t.Fatalf("the staging order broke: block %v is next to go", id)
+		}
+		e.Preload(foreign, k, 1, false)
+	}
+	// … and the very next hit must notice.
+	issued := e.Snapshot().PrefetchIssued
+	if hit := read(next); !hit {
+		t.Fatalf("block %d was not a hit", next)
+	}
+	if got := e.Snapshot().PrefetchIssued - issued; got != 1 {
+		t.Errorf("%d prefetches issued by the hit after an eviction in the window, want 1 (block %d)", got, target)
+	}
+	waitFor(t, "the evicted block to come back", func() bool {
+		return e.cache.Contains(blockdev.BlockID{File: file, Block: target})
+	})
+	if snap := e.Snapshot(); snap.MaxFileOutstandingHW != 1 || snap.LinearViolations != 0 {
+		t.Errorf("high-water %d, %d linear violations, want 1 and 0", snap.MaxFileOutstandingHW, snap.LinearViolations)
 	}
 }

@@ -65,6 +65,9 @@ func (e pafsEnv) Cached(b blockdev.BlockID) bool {
 	return e.fs.Cch.Contains(b) || e.fs.DemandFetchInFlight(b)
 }
 
+// Evictions: a fetch in flight always lands, so only a removal counts.
+func (e pafsEnv) Evictions() uint64 { return e.fs.Cch.Stats().Removals }
+
 func (e pafsEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
 	return e.fs.Base.Prefetch(e.server, b, fallback, cancelled, done)
 }

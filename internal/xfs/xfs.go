@@ -82,6 +82,9 @@ func (e xfsEnv) Cached(b blockdev.BlockID) bool {
 	return e.fs.Cch.ContainsOn(e.node, b)
 }
 
+// Evictions is machine-wide: it moves whenever this node loses a copy.
+func (e xfsEnv) Evictions() uint64 { return e.fs.Cch.Stats().Removals }
+
 // Prefetch goes straight to disk: the prefetch decision is local and
 // bypasses the manager, so a block sitting in a peer's cache is
 // fetched again anyway — the duplicated work (and the extra disk
