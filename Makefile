@@ -1,12 +1,14 @@
 # Development targets. `make check` is the full gate: no committed
-# result file but BENCHMARK.json, gofmt, vet, build, the whole test
-# suite under the race detector (each package once), a short run of
-# every fuzz target over its seed corpus, the committed EXPERIMENTS.md
-# against the report the code generates, and the bench/ module (its
-# own go.mod, so nothing above compiles it). Performance numbers come from
-# `bash bench/run.sh` alone. The nine zero-allocation gates (engine
-# hit, miss, prefetched hit and predicted hit; loopback hit; remote
-# hit; simulator event and resource request; warm predictor step) and
+# result file but BENCHMARK.json, no internal package without a consumer
+# and no command or example README leaves out (check-cold), gofmt, vet,
+# build, the whole test suite under the race detector (each package
+# once), a short run of every fuzz target over its seed corpus, the
+# committed EXPERIMENTS.md against the report the code generates, and
+# the bench/ module (its own go.mod, so nothing above compiles it).
+# Performance numbers come from `bash bench/run.sh` alone. The nine
+# zero-allocation gates (engine hit, miss, prefetched hit and predicted
+# hit; loopback hit; remote hit; simulator event and resource request;
+# warm predictor step) and
 # the bound on a simulated cell's allocations per event are tests
 # tagged !race: `make test` enforces them, `make race` skips them
 # (`go test -run 'Allocs|DryHitCost' ./internal/lapcache/
@@ -18,14 +20,30 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check no-result-files check-record check-bench soak fmt vet build test race fuzz report
+.PHONY: check no-result-files check-cold check-record check-bench soak fmt vet build test race fuzz report
 
-check: no-result-files fmt vet build race fuzz check-record check-bench
+check: no-result-files check-cold fmt vet build race fuzz check-record check-bench
 
 # bench/ is the one instrument; a BENCH_*.json snapshot beside it is a
 # second one.
 no-result-files:
 	@out=$$(git ls-files 'BENCH_*.json'); if [ -n "$$out" ]; then echo "committed result files (bench/run.sh is the one instrument):"; echo "$$out"; exit 1; fi
+
+# Cold code (ROADMAP Open item 8): every internal package is imported
+# by non-test code of another package, here or in bench/ (.Imports
+# leaves test files out, and no package imports itself), and README
+# names every command and example. internal/conformance is exempt: its
+# consumer is its own gate, the cross-predictor suite in its _test.go,
+# and its non-test file is that suite's fixtures.
+check-cold:
+	@used=$$({ $(GO) list -f '{{join .Imports "\n"}}' ./... && cd bench && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u); \
+	for p in $$($(GO) list ./internal/...); do \
+		[ $$p = repro/internal/conformance ] || printf '%s\n' "$$used" | grep -qxF $$p || { echo "check-cold: $$p has no importer outside its own tests"; bad=1; }; \
+	done; \
+	for d in cmd/* examples/*; do \
+		grep -qF $$d README.md || { echo "check-cold: README.md does not mention $$d"; bad=1; }; \
+	done; \
+	[ -z "$$bad" ]
 
 # gofmt -l walks every .go file under the checkout, bench/ included.
 fmt:
@@ -90,7 +108,6 @@ fuzz:
 	$(GO) test ./internal/workload/ -run FuzzDecode -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run FuzzWireDecode -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run FuzzRing -fuzz FuzzRing -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/stats/ -run FuzzHistogramRecord -fuzz FuzzHistogramRecord -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/membership/ -run FuzzMembershipDecode -fuzz FuzzMembershipDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzDegreePolicy -fuzz FuzzDegreePolicy -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzMithril -fuzz FuzzMithril -fuzztime $(FUZZTIME)

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	lapbench [-exp all|table1|fig4..fig11|table2|claims|report|ablations|churn|chaos|adaptive|predictors] [-scale full|small|tiny] [-workers N] [-v]
+//	lapbench [-exp all|table1|fig4..fig11|table2|claims|report|ablations|churn|chaos|predictors] [-scale full|small|tiny] [-workers N] [-v]
 //
 // Results print as aligned text tables, one per artifact. The full
 // scale regenerates everything EXPERIMENTS.md records and takes a few
@@ -23,12 +23,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "artifact to run: all, table1, fig4..fig11, table2, claims, report, ablations, churn, chaos, adaptive, predictors")
+	exp := flag.String("exp", "all", "artifact to run: all, table1, fig4..fig11, table2, claims, report, ablations, churn, chaos, predictors")
 	scaleName := flag.String("scale", "full", "experiment scale: full, small, tiny")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print per-cell diagnostics for the artifact's matrix")
 	format := flag.String("format", "text", "output format for a single figure: text, csv, json")
-	seed := flag.Uint64("seed", 1, "fault-plan seed for -exp chaos; file-order seed for -exp adaptive")
+	seed := flag.Uint64("seed", 1, "fault-plan seed for -exp chaos")
 	churn := flag.Bool("churn", true, "for -exp chaos: dynamic membership with R=2 replication, gossip faults, and a mid-replay node kill + rejoin")
 	adaptiveVictim := flag.Bool("adaptive-victim", false, "for -exp chaos: run the AdaptiveFDP degree policy on the seed-chosen victim node (strict elsewhere)")
 	flag.Parse()
@@ -59,10 +59,6 @@ func main() {
 		rep, err := report.Build(suite)
 		exitOn(err)
 		fmt.Print(rep.Render())
-	case "adaptive":
-		// The adaptive-vs-linear A/B runs live engines on its own two
-		// synthetic workloads; -scale does not apply.
-		exitOn(runAdaptive(*seed))
 	case "churn":
 		// The kill/join/heal walkthrough runs its own fixed-size fleet.
 		exitOn(runChurnDemo())
@@ -76,8 +72,10 @@ func main() {
 		// is fault density, not workload volume.
 		exitOn(runChaos(experiment.TinyScale(), *seed, *churn, *adaptiveVictim))
 	case "ablations":
-		// The unlimited-aggression variant churns explosively beyond
-		// the tiny scale; ablations always run there.
+		// Ablations always run at the tiny scale: beyond it the
+		// unlimited row's Agr_IS_PPM re-enqueues in-flight blocks
+		// without bound inside one Driver.pump call and never finishes
+		// (ROADMAP Open item 1(b)).
 		out, err := experiment.RunAblations(experiment.TinyScale())
 		exitOn(err)
 		fmt.Print(out)

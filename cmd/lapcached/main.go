@@ -61,7 +61,7 @@ import (
 func main() {
 	var (
 		addr        = flag.String("addr", "127.0.0.1:7020", "listen address")
-		algName     = flag.String("alg", "Ln_Agr_IS_PPM:3", "prefetch algorithm (paper notation; see -list-algs)")
+		algName     = flag.String("alg", "Ln_Agr_IS_PPM:3", "prefetch algorithm (paper notation; see -list-algs; the prefix is the throttle: Ln_Agr_, Ad_Agr_, Ad4_Agr_, K4_Agr_, Agr_)")
 		listAlgs    = flag.Bool("list-algs", false, "print the known algorithm names and exit")
 		cacheBlocks = flag.Int("cache-blocks", 4096, "cache capacity in blocks")
 		blockSize   = flag.Int("block-size", 8192, "block size in bytes")
@@ -73,8 +73,6 @@ func main() {
 		latency     = flag.Duration("latency", 2*time.Millisecond, "injected read latency for -store mem")
 		traceFile   = flag.String("trace", "", "trace file supplying the file table")
 		strict      = flag.Bool("strict", false, "panic if a file ever exceeds the degree policy's outstanding limit")
-		adaptive    = flag.Bool("adaptive", false, "replace the algorithm's degree throttle with the AdaptiveFDP controller")
-		degreeCap   = flag.Int("degree-cap", 0, "hard window ceiling for -adaptive (0 = default)")
 		idleTimeout = flag.Duration("idle-timeout", 0, "drop connections idle for this long (0 = never)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP address for expvar counters (off when empty)")
 		peers       = flag.String("peers", "", "comma-separated static cluster membership, self included (empty = single node)")
@@ -98,9 +96,6 @@ func main() {
 	alg, err := core.LookupAlg(*algName)
 	if err != nil {
 		log.Fatalf("%v (try -list-algs)", err)
-	}
-	if *adaptive {
-		alg = core.AdaptiveVariant(alg, *degreeCap)
 	}
 
 	cfg := lapcache.Config{

@@ -9,9 +9,9 @@
 //	tracegen -workload charisma|sprite|cdn|oltp [-scale full|small|tiny] [-seed N] [-o FILE] [-stats|-analyze]
 //
 // The trace is experiment.Scale.Trace's — the one every simulated cell
-// of that workload runs — so `lapsim -trace FILE` and `predict -trace
-// FILE` replay exactly what a sweep at that scale sees. -seed N draws a
-// different trace from the same generator (Scale.Reseeded).
+// of that workload runs — so `lapsim -trace FILE` replays exactly what
+// a sweep at that scale sees. -seed N draws a different trace from the
+// same generator (Scale.Reseeded).
 package main
 
 import (

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -244,8 +245,9 @@ func StandardAlgorithms() []AlgSpec {
 // the standard seven plus the unthrottled aggressive variants, the
 // block-granularity PPM baseline, and the post-paper Mithril/Markov
 // predictors in their one-shot, linear aggressive, and adaptive
-// forms. Command-line tools resolve -alg flags against this set, and
-// the conformance suite runs every entry.
+// forms. LookupAlg resolves these names (and any other throttle over
+// the same bases), -list-algs prints them, and the conformance suite
+// runs every entry.
 func NamedAlgorithms() []AlgSpec {
 	return append(StandardAlgorithms(),
 		AlgSpec{Kind: AlgOBA, Mode: ModeAggressive, MaxOutstanding: 0},
@@ -279,16 +281,55 @@ func (e *UnknownAlgError) Error() string {
 	return fmt.Sprintf("unknown algorithm %q (valid: %s)", e.Name, strings.Join(known, ", "))
 }
 
-// LookupAlg resolves a paper-notation algorithm name ("NP", "OBA",
-// "Ln_Agr_IS_PPM:3", ...) to its configuration. A miss returns an
-// *UnknownAlgError naming every valid configuration.
+// LookupAlg resolves an algorithm name to its configuration: every
+// NamedAlgorithms entry ("NP", "OBA", "Ln_Agr_IS_PPM:3", ...), and
+// every throttle Name renders — Agr_, Ln_Agr_, K<k>_Agr_, Ad_Agr_,
+// Ad<K>_Agr_ — over any base predictor a listed entry drives
+// aggressively, so the label a cell prints is the name that selects
+// it. A miss returns an *UnknownAlgError naming the listed
+// configurations.
 func LookupAlg(name string) (AlgSpec, error) {
-	for _, s := range NamedAlgorithms() {
+	named := NamedAlgorithms()
+	for _, s := range named {
 		if s.Name() == name {
 			return s, nil
 		}
 	}
+	if throttle, _, ok := strings.Cut(name, "Agr_"); ok {
+		if adaptive, k, ok := parseThrottle(throttle); ok {
+			for _, s := range named {
+				if s.Mode != ModeAggressive {
+					continue
+				}
+				s.Adaptive, s.MaxOutstanding = adaptive, k
+				// Name spells each configuration one way (no K1, K0,
+				// Ad8 or K04) and Validate bounds the number.
+				if s.Name() == name && s.Validate() == nil {
+					return s, nil
+				}
+			}
+		}
+	}
 	return AlgSpec{}, &UnknownAlgError{Name: name, Known: AlgNames()}
+}
+
+// parseThrottle reads what Name puts before "Agr_" back into the
+// Adaptive and MaxOutstanding fields it came from.
+func parseThrottle(prefix string) (adaptive bool, k int, ok bool) {
+	switch prefix {
+	case "":
+		return false, 0, true
+	case "Ln_":
+		return false, 1, true
+	case "Ad_":
+		return true, DefaultAdaptiveCap, true
+	}
+	digits, adaptive := strings.CutPrefix(prefix, "Ad")
+	if !adaptive {
+		digits = strings.TrimPrefix(prefix, "K")
+	}
+	k, err := strconv.Atoi(strings.TrimSuffix(digits, "_"))
+	return adaptive, k, err == nil
 }
 
 // AlgNames returns the names of every named configuration, in order.

@@ -80,17 +80,33 @@ func TestAlgSpecAblationNamesAndPriority(t *testing.T) {
 	}
 }
 
-// TestLookupAlgEveryRegisteredName: every name in the registry must
-// round-trip through LookupAlg to a spec with the identical name, and
-// every registered spec must validate and construct.
+// TestLookupAlgEveryRegisteredName: every spec in the registry — and
+// each aggressive one under every throttle Name renders: adaptive at
+// caps 2, 4 and the default, fixed at unlimited, linear and 4 — must
+// round-trip through its name to the identical spec, and validate and
+// construct.
 func TestLookupAlgEveryRegisteredName(t *testing.T) {
-	names := AlgNames()
-	if len(names) != len(NamedAlgorithms()) {
-		t.Fatalf("AlgNames returned %d names for %d specs", len(names), len(NamedAlgorithms()))
+	specs := NamedAlgorithms()
+	registered := len(specs)
+	if names := AlgNames(); len(names) != registered {
+		t.Fatalf("AlgNames returned %d names for %d specs", len(names), registered)
+	}
+	for _, s := range NamedAlgorithms() {
+		if s.Mode != ModeAggressive {
+			continue
+		}
+		for _, cap := range []int{2, 4, DefaultAdaptiveCap} {
+			specs = append(specs, AdaptiveVariant(s, cap))
+		}
+		for _, k := range []int{0, 1, 4} {
+			s.Adaptive, s.MaxOutstanding = false, k
+			specs = append(specs, s)
+		}
 	}
 	seen := make(map[string]bool)
-	for _, name := range names {
-		if seen[name] {
+	for i, want := range specs {
+		name := want.Name()
+		if i < registered && seen[name] {
 			t.Errorf("duplicate registered name %q", name)
 		}
 		seen[name] = true
@@ -99,8 +115,8 @@ func TestLookupAlgEveryRegisteredName(t *testing.T) {
 			t.Errorf("LookupAlg(%q): %v", name, err)
 			continue
 		}
-		if spec.Name() != name {
-			t.Errorf("LookupAlg(%q).Name() = %q", name, spec.Name())
+		if spec != want {
+			t.Errorf("LookupAlg(%q) = %+v, want %+v", name, spec, want)
 		}
 		if err := spec.Validate(); err != nil {
 			t.Errorf("registered spec %q does not validate: %v", name, err)
@@ -121,27 +137,34 @@ func TestLookupAlgEveryRegisteredName(t *testing.T) {
 // *UnknownAlgError carrying the full valid-name list, so -alg error
 // messages are actionable.
 func TestLookupAlgUnknownTypedError(t *testing.T) {
-	_, err := LookupAlg("IS_PPM:9000")
-	if err == nil {
-		t.Fatal("LookupAlg on an unknown name returned nil error")
-	}
-	var ua *UnknownAlgError
-	if !errors.As(err, &ua) {
-		t.Fatalf("error is %T, want *UnknownAlgError", err)
-	}
-	if ua.Name != "IS_PPM:9000" {
-		t.Errorf("Name = %q", ua.Name)
-	}
 	wantKnown := AlgNames()
-	gotKnown := append([]string(nil), ua.Known...)
 	sort.Strings(wantKnown)
-	sort.Strings(gotKnown)
-	if !reflect.DeepEqual(gotKnown, wantKnown) {
-		t.Errorf("Known = %v, want every registered name", ua.Known)
-	}
-	msg := err.Error()
-	if !strings.Contains(msg, "IS_PPM:9000") || !strings.Contains(msg, "Ln_Agr_Mithril") {
-		t.Errorf("message does not name the offender and the valid set: %q", msg)
+	for _, name := range []string{
+		"IS_PPM:9000",
+		// Throttle prefixes that name nothing: a cap below 1, a
+		// negative degree, no chain to throttle, no predictor to drive,
+		// a base no listed entry drives, and second spellings of
+		// configurations that have a name already.
+		"Ad0_Agr_OBA", "K-1_Agr_OBA", "Ad4_OBA", "Ad4_Agr_NP", "K4_Agr_IS_PPM:2",
+		"Ad8_Agr_OBA", "K1_Agr_OBA", "K0_Agr_OBA", "K04_Agr_OBA", "4_Agr_OBA", "Ad_4_Agr_OBA", "_Agr_OBA",
+	} {
+		_, err := LookupAlg(name)
+		var ua *UnknownAlgError
+		if !errors.As(err, &ua) {
+			t.Errorf("LookupAlg(%q): error is %T (%v), want *UnknownAlgError", name, err, err)
+			continue
+		}
+		if ua.Name != name {
+			t.Errorf("LookupAlg(%q): Name = %q", name, ua.Name)
+		}
+		gotKnown := append([]string(nil), ua.Known...)
+		sort.Strings(gotKnown)
+		if !reflect.DeepEqual(gotKnown, wantKnown) {
+			t.Errorf("LookupAlg(%q): Known = %v, want every registered name", name, ua.Known)
+		}
+		if msg := err.Error(); !strings.Contains(msg, name) || !strings.Contains(msg, "Ln_Agr_Mithril") {
+			t.Errorf("message does not name the offender and the valid set: %q", msg)
+		}
 	}
 }
 

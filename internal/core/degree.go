@@ -183,16 +183,6 @@ type AdaptiveStats struct {
 	LastLateRate float64 // late fraction at the last evaluation
 }
 
-// Accuracy returns the lifetime useful fraction of resolved
-// prefetches, or 0 when nothing has resolved yet.
-func (s AdaptiveStats) Accuracy() float64 {
-	total := s.Timely + s.Late + s.Wasted
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Timely+s.Late) / float64(total)
-}
-
 // NewAdaptiveFDP builds a controller starting at degree 1 — linear
 // until the feedback earns more.
 func NewAdaptiveFDP(cfg AdaptiveFDPConfig) *AdaptiveFDP {

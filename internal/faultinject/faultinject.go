@@ -17,7 +17,7 @@
 // with that seed. What can vary across runs is which selected sites
 // the workload happens to exercise and how many times (both are
 // timing-dependent): the observed site set is always a subset of the
-// selected set. WouldFault exposes the pure selection function so a
+// selected set. MatchingRules exposes the pure selection function so a
 // harness can enumerate the selected set up front and assert exactly
 // that subset relation; Report carries the observed sites and their
 // budget-bounded hit counts.
@@ -248,7 +248,7 @@ func labelKey(label string) uint64 {
 }
 
 // LabelKey hashes a stable link label into the keyspace — the key
-// conn.send/conn.recv/peer.dial sites use, exposed for WouldFault
+// conn.send/conn.recv/peer.dial sites use, exposed for MatchingRules
 // enumeration.
 func LabelKey(label string) uint64 { return labelKey(label) }
 
@@ -258,7 +258,7 @@ func blockKey(b blockdev.BlockID) uint64 {
 }
 
 // StoreKey places block b of node's store in the keyspace — the key
-// store.read/store.write sites use, exposed for WouldFault
+// store.read/store.write sites use, exposed for MatchingRules
 // enumeration. The node is part of the key so each node's disk makes
 // its own selection (see Store).
 func StoreKey(node string, b blockdev.BlockID) uint64 {
@@ -336,17 +336,6 @@ func (in *Injector) MatchingRules(site string, key uint64, label string, file in
 		}
 	}
 	return rs
-}
-
-// WouldFault reports whether any rule selects this site, and the
-// first that does. Shorthand for MatchingRules — eval's first choice
-// while budgets last.
-func (in *Injector) WouldFault(site string, key uint64, label string, file int32) (int, bool) {
-	rs := in.MatchingRules(site, key, label, file)
-	if len(rs) == 0 {
-		return 0, false
-	}
-	return rs[0], true
 }
 
 // eval runs key (with its human-readable label, and the file for store
@@ -437,7 +426,7 @@ func (in *Injector) Report() Report {
 // but which selected sites a concurrent workload exercises is not, so
 // two same-seed runs may observe different subsets of the same
 // selected set; the reproducible value is the selection digest a
-// harness computes over the full universe with WouldFault (see
+// harness computes over the full universe with MatchingRules (see
 // chaos.PlanDigest), which every observed site must belong to.
 func (r Report) Digest() uint64 {
 	h := fnv.New64a()

@@ -94,3 +94,54 @@ func TestAdaptiveEngineStrictStaysLinear(t *testing.T) {
 		t.Errorf("strict snapshot leaked degree fields: %+v", s)
 	}
 }
+
+// TestAdaptiveEngineClampsInSmallCache is the other half of the
+// trade-off: the same pause-free sequential reader, but the cache holds
+// fewer blocks than the controller's widest window. A widened chain
+// evicts its own unread prefetches, the waste feedback drives accuracy
+// under the clamp threshold, and the window falls back to linear — so
+// adaptive must clamp at least once and waste more than strict linear,
+// whose single outstanding block always fits (the paper's argument for
+// the linear throttle on small caches). Counters only: both sides stay
+// inside their caps, strict never breaches its limit of one.
+func TestAdaptiveEngineClampsInSmallCache(t *testing.T) {
+	const (
+		f           = blockdev.FileID(9)
+		blocks      = 512
+		cacheBlocks = core.DefaultAdaptiveCap / 2 // half the widest window
+	)
+	run := func(alg core.AlgSpec) Snapshot {
+		e := newTestEngine(t, Config{
+			Alg:         alg,
+			CacheBlocks: cacheBlocks,
+			Workers:     16,
+			QueueLen:    256,
+			Store:       NewMemStore(512, 200*time.Microsecond),
+			FileBlocks:  map[blockdev.FileID]blockdev.BlockNo{f: blocks},
+		})
+		for b := blockdev.BlockNo(0); b < blocks; b++ {
+			if _, _, err := readCopy(e, f, b, 1); err != nil {
+				t.Fatalf("%s: Read(%d): %v", alg.Name(), b, err)
+			}
+		}
+		s := e.Snapshot()
+		if cap := alg.DegreeCap(); s.MaxFileOutstandingHW > cap {
+			t.Errorf("%s: high-water %d exceeds degree cap %d", alg.Name(), s.MaxFileOutstandingHW, cap)
+		}
+		return s
+	}
+	strict := run(core.SpecLnAgrISPPM1)
+	adaptive := run(core.SpecAdAgrISPPM1)
+
+	if strict.LinearViolations != 0 {
+		t.Errorf("strict linear counted %d violations", strict.LinearViolations)
+	}
+	if adaptive.DegreeClamps == 0 {
+		t.Errorf("controller never clamped back to linear in a %d-block cache (%d widens, window now %d)",
+			cacheBlocks, adaptive.DegreeWidens, adaptive.MaxDegree)
+	}
+	if adaptive.PrefetchWasted <= strict.PrefetchWasted {
+		t.Errorf("adaptive wasted %d prefetches, strict linear %d: widening past the cache should cost more",
+			adaptive.PrefetchWasted, strict.PrefetchWasted)
+	}
+}

@@ -6,12 +6,6 @@
 // A collector is gated: nothing is recorded until StartMeasurement is
 // called, mirroring the paper's use of the first hours of each trace
 // to warm the cache before measuring.
-//
-// Histogram (histogram.go) has no caller outside this package's tests
-// at present: the open-loop load generator that recorded into it was
-// removed as an instrument nobody could calibrate. It is kept — fuzzed
-// and model-checked — as the substrate for server-side per-op and
-// per-peer latency distributions (ROADMAP Open item 3).
 package stats
 
 import (
