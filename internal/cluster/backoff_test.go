@@ -160,12 +160,17 @@ func TestHealthLoopBackoffAndReset(t *testing.T) {
 		if ft.d < ping {
 			t.Errorf("after %d failures the loop armed %v, faster than the base interval", attempt, ft.d)
 		}
+		if attempt == 4 {
+			// Open the gate before the fourth wait ends: the dial it
+			// releases must be the one that succeeds. Opened after the
+			// fire, a health loop that runs first fails a fifth time.
+			allow.Store(true)
+		}
 		ft.fire()
 	}
 
-	// Open the gate: the next round dials clean and the schedule must
-	// reset to the unjittered ping interval.
-	allow.Store(true)
+	// The next round dialed clean: the schedule must reset to the
+	// unjittered ping interval.
 	ft := fc.next(t)
 	if ft.d != ping {
 		t.Errorf("post-success wait %v, want PingInterval %v (backoff did not reset)", ft.d, ping)

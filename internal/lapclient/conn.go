@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,13 +42,27 @@ const DefaultWindow = 32
 // reader goroutine matches responses to waiters by the frame sequence
 // number — so one slow round trip does not head-of-line block every
 // other caller on the connection.
+//
+// The write side is a group commit: Do queues its frame, and a caller
+// that finds no flush in progress writes everything queued with one
+// writev (see flush), so a pipelined burst costs one syscall, not one
+// per request.
 type Conn struct {
 	conn net.Conn
 	info PingInfo
 
-	wmu  sync.Mutex            // serializes frame writes
-	whdr [wire.HeaderSize]byte // header scratch for vectored writes
-	wvec net.Buffers           // reusable gather slice (under wmu)
+	qmu      sync.Mutex
+	queue    *wire.FrameBatch // frames for the next writev
+	spare    *wire.FrameBatch // the batch the flusher is writing
+	flushing bool             // a caller is draining queue
+	begun    uint64           // writevs started
+	written  uint64           // writevs returned
+	yields   uint64           // flusher yields before a first writev
+	wrote    sync.Cond        // on qmu: broadcast when a writev returns
+
+	// delivered counts responses handed to callers since the last
+	// writev began: callers woken but not yet queued again.
+	delivered atomic.Int64
 
 	seq    atomic.Uint32
 	window chan struct{} // in-flight slots
@@ -128,10 +143,13 @@ func DialConnWith(addr string, window int, wrap ConnWrap) (*Conn, error) {
 	}
 	c := &Conn{
 		conn:    conn,
+		queue:   new(wire.FrameBatch),
+		spare:   new(wire.FrameBatch),
 		window:  make(chan struct{}, window),
 		pending: make(map[uint32]*pendingCall),
 		dead:    make(chan struct{}),
 	}
+	c.wrote.L = &c.qmu
 	go c.readLoop(bufio.NewReaderSize(conn, 64<<10))
 	if c.info, err = Ping(c); err != nil {
 		c.Close()
@@ -204,6 +222,7 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 			c.deliver(call, response{}, lost)
 			return
 		}
+		c.delivered.Add(1)
 		c.deliver(call, resp, nil)
 	}
 }
@@ -253,14 +272,64 @@ func (c *Conn) Dead() bool {
 	}
 }
 
-// writeFrame puts one frame on the wire with a single vectored write
-// — header and payload gathered into one writev straight from the
-// caller's buffer, no bufio staging copy, no flush step.
-func (c *Conn) writeFrame(h wire.Header, payload []byte) error {
-	c.wmu.Lock()
-	err := wire.WriteFrameVectored(c.conn, c.whdr[:], h, payload, &c.wvec)
-	c.wmu.Unlock()
-	return err
+// send queues one request frame for the wire and returns the number of
+// the writev that carries it. The header is encoded into the batch's
+// own storage; the payload is gathered by reference (see Do for how
+// long it must stay untouched).
+func (c *Conn) send(h wire.Header, payload []byte) uint64 {
+	c.qmu.Lock()
+	c.queue.AppendFrame(h, payload) //nolint:errcheck // Do bounds the payload
+	gen := c.begun + 1
+	if c.flushing {
+		c.qmu.Unlock()
+		return gen
+	}
+	c.flushing = true
+	c.flush()
+	return gen
+}
+
+// flush drains the queue, one writev per batch, until a writev returns
+// to an empty queue: frames queued while a writev is in the kernel
+// leave with the next one. The caller holds qmu and has set flushing;
+// flush releases qmu.
+//
+// On a two-processor box the burst a response read wakes runs one
+// caller after another, so each would find the line free and write
+// alone. The flusher therefore yields once before its first writev
+// when responses have gone out to at least two more callers than have
+// queued since: they are on the run queue and about to send on this
+// connection. A depth-1 caller (one delivery, its own frame queued)
+// never yields, and the margin of two keeps most yields off
+// connections whose woken callers go elsewhere first (a front node's
+// peer connection: they answer their own clients). DESIGN §13 has the
+// gates that were measured.
+//
+// Any write error severs the connection: the frames in a torn writev
+// may belong to several callers, and the stream after a partial frame
+// is garbage, so every queued and in-flight call fails.
+func (c *Conn) flush() {
+	if c.delivered.Load() >= int64(c.queue.Len())+2 {
+		c.yields++
+		c.qmu.Unlock()
+		runtime.Gosched()
+		c.qmu.Lock()
+	}
+	for c.queue.Len() > 0 {
+		b := c.queue
+		c.queue, c.spare = c.spare, b
+		c.begun++
+		c.delivered.Store(0)
+		c.qmu.Unlock()
+		if err := b.Flush(c.conn); err != nil {
+			c.fail(fmt.Errorf("lapclient: connection lost: write: %w", err))
+		}
+		c.qmu.Lock()
+		c.written++
+		c.wrote.Broadcast()
+	}
+	c.flushing = false
+	c.qmu.Unlock()
 }
 
 // Do runs one pipelined request/response exchange — the connection's
@@ -268,11 +337,20 @@ func (c *Conn) writeFrame(h wire.Header, payload []byte) error {
 // (FlagHit, FlagReplicated) and payload; an error frame surfaces as a
 // *ServerError. When dsts is non-nil the payload of a successful read
 // is landed directly in it (one pre-sized slice per block) and the
-// returned payload is nil: with the vectored write path and the
+// returned payload is nil: with the shared vectored write and the
 // recycled call record, such a read costs zero allocations end to end
 // — the hot-path contract TestLocalHitAllocs and the cluster's
 // TestRemoteHitAllocs assert.
+//
+// payload is written by reference, from whichever caller flushes it,
+// and Do never returns while a writev may still read it: a response
+// means the server has read the whole frame, and a failed call waits
+// for the writev that carries its frame. The caller may reuse payload
+// as soon as Do returns.
 func (c *Conn) Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []byte, error) {
+	if len(payload) > wire.MaxPayload {
+		return wire.Header{}, nil, wire.ErrFrameTooLarge
+	}
 	select {
 	case c.window <- struct{}{}:
 	case <-c.dead:
@@ -291,22 +369,7 @@ func (c *Conn) Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []
 	c.pending[h.Seq] = call
 	c.pmu.Unlock()
 
-	if err := c.writeFrame(h, payload); err != nil {
-		// Undo the registration — but a concurrent fail may have
-		// swapped the pending map and delivered already; only the side
-		// that removes the call retires (and recycles) it.
-		c.pmu.Lock()
-		_, mine := c.pending[h.Seq]
-		delete(c.pending, h.Seq)
-		c.pmu.Unlock()
-		if !mine {
-			// fail's delivery is done or in flight on the buffered
-			// channel; consume it so the recycled record starts clean.
-			<-call.ch
-		}
-		putCall(call)
-		return wire.Header{}, nil, err
-	}
+	gen := c.send(h, payload)
 
 	var resp response
 	if d := time.Duration(c.callTimeout.Load()); d > 0 {
@@ -340,6 +403,16 @@ func (c *Conn) Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []
 		resp = <-call.ch
 	}
 	err := call.err
+	if err != nil && len(payload) > 0 {
+		// A response proves the server read the whole frame, so the
+		// payload has left; a failure proves nothing of the kind: wait
+		// for the writev that carries it to return.
+		c.qmu.Lock()
+		for c.written < gen {
+			c.wrote.Wait()
+		}
+		c.qmu.Unlock()
+	}
 	putCall(call)
 	if err != nil {
 		return wire.Header{}, nil, err

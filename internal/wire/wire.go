@@ -323,7 +323,8 @@ func flushBuffers(w io.Writer, v *net.Buffers) error {
 // staging copy. h.PayloadLen is overwritten with len(payload). vec
 // must point to a gather slice that persists across calls (a struct
 // field, not a local): it is reused, so the steady state allocates
-// nothing.
+// nothing. Both ends of the protocol write through FrameBatch; the
+// callers left are bench/'s wire.encode_ns probe and tests.
 //
 // The caller must keep scratch and payload untouched (and any
 // refcounted buffer backing payload alive) until the call returns:
@@ -342,10 +343,12 @@ func WriteFrameVectored(w io.Writer, scratch []byte, h Header, payload []byte, v
 	return flushBuffers(w, vec)
 }
 
-// FrameBatch accumulates encoded response frames and flushes them
-// with one vectored write — the frame-coalescing half of the hot
-// path: a pipelined client's K responses cost one writev instead of K
-// write syscalls. Headers are encoded into stable per-frame scratch
+// FrameBatch accumulates encoded frames and flushes them with one
+// vectored write — the frame-coalescing half of the hot path, in both
+// directions: the server's K responses to a pipelined client cost one
+// writev instead of K write syscalls, and so do K requests that
+// callers sharing a lapclient.Conn queue while a writev is in
+// progress. Headers are encoded into stable per-frame scratch
 // arrays owned by the batch; payload slices are gathered by reference,
 // so the bytes (and any refcounted buffers backing them) must stay
 // alive and untouched until Flush returns. All storage is reused
