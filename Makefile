@@ -1,6 +1,7 @@
 # Development targets. `make check` is the full gate: no committed
-# result file but BENCHMARK.json, no internal package without a consumer
-# and no command or example README leaves out (check-cold), gofmt, vet,
+# result file but BENCHMARK.json, no internal package without a consumer,
+# no command or example README leaves out and no Fuzz* function the fuzz
+# recipe leaves out or names in vain (check-cold), gofmt, vet,
 # build, the whole test suite under the race detector (each package
 # once), a short run of every fuzz target over its seed corpus, the
 # committed EXPERIMENTS.md against the report the code generates, and
@@ -37,7 +38,11 @@ no-result-files:
 # leaves test files out, and no package imports itself), and README
 # names every command and example. internal/conformance is exempt: its
 # consumer is its own gate, the cross-predictor suite in its _test.go,
-# and its non-test file is that suite's fixtures.
+# and its non-test file is that suite's fixtures. Last, the (package,
+# target) pairs the fuzz recipe runs must be exactly the func Fuzz* in
+# *_test.go: `go test -fuzz FuzzGone` prints "no fuzz tests to fuzz"
+# and exits 0, so a stale line would otherwise pass in silence, and a
+# new target would never be fuzzed.
 check-cold:
 	@used=$$({ $(GO) list -f '{{join .Imports "\n"}}' ./... && cd bench && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u); \
 	for p in $$($(GO) list ./internal/...); do \
@@ -46,6 +51,10 @@ check-cold:
 	for d in cmd/* examples/*; do \
 		grep -qF $$d README.md || { echo "check-cold: README.md does not mention $$d"; bad=1; }; \
 	done; \
+	have=$$(git ls-files -co --exclude-standard '*_test.go' | xargs grep -H '^func Fuzz' | sed -E 's#^(.*)/[^/]*:func (Fuzz[A-Za-z0-9_]*).*#./\1/ \2#' | sort); \
+	run=$$($(MAKE) -s -n --no-print-directory fuzz | sed -nE 's#.* test ([^ ]+) .*-fuzz ([A-Za-z0-9_]+).*#\1 \2#p' | sort); \
+	[ "$$have" = "$$run" ] || { echo "check-cold: the fuzz recipe and the Fuzz* functions in *_test.go differ:"; \
+		{ printf '%s\n' "$$have" | sed 's/^/only-defined /'; printf '%s\n' "$$run" | sed 's/^/only-in-fuzz-recipe /'; } | sort -k2 | uniq -u -f1; bad=1; }; \
 	[ -z "$$bad" ]
 
 # gofmt -l walks every .go file under the checkout, bench/ included.
@@ -113,8 +122,6 @@ fuzz:
 	$(GO) test ./internal/cluster/ -run FuzzRing -fuzz FuzzRing -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/membership/ -run FuzzMembershipDecode -fuzz FuzzMembershipDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzDegreePolicy -fuzz FuzzDegreePolicy -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/ -run FuzzMithril -fuzz FuzzMithril -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/core/ -run FuzzMarkov -fuzz FuzzMarkov -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzISPPM -fuzz FuzzISPPM -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzBlockPPM -fuzz FuzzBlockPPM -fuzztime $(FUZZTIME)
 

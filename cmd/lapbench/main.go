@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	lapbench [-exp all|table1|fig4..fig11|table2|claims|report|ablations|churn|chaos|predictors] [-scale full|small|tiny] [-workers N] [-v]
+//	lapbench [-exp all|table1|fig4..fig11|table2|claims|report|ablations|churn|chaos] [-scale full|small|tiny] [-workers N] [-v]
 //
 // Results print as aligned text tables, one per artifact. The full
 // scale regenerates everything EXPERIMENTS.md records and takes a few
@@ -23,7 +23,7 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "artifact to run: all, table1, fig4..fig11, table2, claims, report, ablations, churn, chaos, predictors")
+	exp := flag.String("exp", "all", "artifact to run: all, table1, fig4..fig11, table2, claims, report, ablations, churn, chaos")
 	scaleName := flag.String("scale", "full", "experiment scale: full, small, tiny")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print per-cell diagnostics for the artifact's matrix")
@@ -62,11 +62,6 @@ func main() {
 	case "churn":
 		// The kill/join/heal walkthrough runs its own fixed-size fleet.
 		exitOn(runChurnDemo())
-	case "predictors":
-		// The predictor × workload matrix runs at the scale's smallest
-		// cache; win-ratio checks only hold at -scale full, where the
-		// workload footprints overflow the caches.
-		exitOn(runPredictors(os.Stdout, scale, *workers))
 	case "chaos":
 		// Chaos runs at the tiny scale regardless of -scale: the point
 		// is fault density, not workload volume.

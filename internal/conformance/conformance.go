@@ -7,9 +7,9 @@
 //
 // The fixtures deliberately mix the regimes the repo's predictors
 // specialise in — long sequential runs (OBA territory), a recurring
-// scattered association (Mithril/Markov territory), and uniform noise
-// (nobody's territory) — so a predictor cannot pass by only ever
-// seeing its own best case.
+// scattered association (territory of the IS_PPM and BlockPPM history
+// graphs), and uniform noise (nobody's territory) — so a predictor
+// cannot pass by only ever seeing its own best case.
 package conformance
 
 import (

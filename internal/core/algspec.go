@@ -16,8 +16,6 @@ const (
 	AlgOBA                     // One-Block-Ahead
 	AlgISPPM                   // IS_PPM:Order
 	AlgBlockPPM                // original block-granularity PPM (related-work baseline)
-	AlgMithril                 // sporadic-association miner (MITHRIL-style)
-	AlgMarkov                  // probability-matrix Markov chains (Pangloss-style)
 )
 
 // AlgSpec is one named algorithm configuration from the paper's
@@ -54,17 +52,13 @@ func (s AlgSpec) Name() string {
 	switch s.Kind {
 	case AlgNone:
 		return "NP"
-	case AlgOBA, AlgISPPM, AlgBlockPPM, AlgMithril, AlgMarkov:
+	case AlgOBA, AlgISPPM, AlgBlockPPM:
 		base := "OBA"
 		switch s.Kind {
 		case AlgISPPM:
 			base = fmt.Sprintf("IS_PPM:%d", s.Order)
 		case AlgBlockPPM:
 			base = fmt.Sprintf("BlockPPM:%d", s.Order)
-		case AlgMithril:
-			base = "Mithril"
-		case AlgMarkov:
-			base = "Markov"
 		}
 		switch {
 		case s.Mode == ModeOneShot:
@@ -99,7 +93,7 @@ func (s AlgSpec) Name() string {
 // reject a bad specification up front instead of panicking mid-cell.
 func (s AlgSpec) Validate() error {
 	switch s.Kind {
-	case AlgNone, AlgOBA, AlgMithril, AlgMarkov:
+	case AlgNone, AlgOBA:
 	case AlgISPPM, AlgBlockPPM:
 		if s.Order < 1 {
 			return fmt.Errorf("core: %s needs order >= 1, got %d", s.Name(), s.Order)
@@ -169,10 +163,6 @@ func (s AlgSpec) NewPredictor() Predictor {
 		return m
 	case AlgBlockPPM:
 		return NewBlockPPM(s.Order)
-	case AlgMithril:
-		return NewMithril()
-	case AlgMarkov:
-		return NewMarkov()
 	default:
 		panic("core: AlgSpec " + s.Name() + " has no predictor")
 	}
@@ -208,23 +198,6 @@ var (
 	SpecAdAgrISPPM1 = AdaptiveVariant(SpecLnAgrISPPM1, DefaultAdaptiveCap)
 	// SpecAdAgrISPPM3 is adaptive aggressive IS_PPM:3.
 	SpecAdAgrISPPM3 = AdaptiveVariant(SpecLnAgrISPPM3, DefaultAdaptiveCap)
-
-	// The post-paper predictors (ROADMAP: "open the scenario space").
-	// One-shot, linear aggressive, and adaptive variants mirror the
-	// paper algorithms' ladder.
-
-	// SpecMithril is the one-shot sporadic-association miner.
-	SpecMithril = AlgSpec{Kind: AlgMithril, Mode: ModeOneShot, MaxOutstanding: 0}
-	// SpecLnAgrMithril is linear aggressive Mithril.
-	SpecLnAgrMithril = AlgSpec{Kind: AlgMithril, Mode: ModeAggressive, MaxOutstanding: 1}
-	// SpecAdAgrMithril is adaptive aggressive Mithril.
-	SpecAdAgrMithril = AdaptiveVariant(SpecLnAgrMithril, DefaultAdaptiveCap)
-	// SpecMarkov is the one-shot probability-matrix Markov predictor.
-	SpecMarkov = AlgSpec{Kind: AlgMarkov, Mode: ModeOneShot, MaxOutstanding: 0}
-	// SpecLnAgrMarkov is linear aggressive Markov.
-	SpecLnAgrMarkov = AlgSpec{Kind: AlgMarkov, Mode: ModeAggressive, MaxOutstanding: 1}
-	// SpecAdAgrMarkov is adaptive aggressive Markov.
-	SpecAdAgrMarkov = AdaptiveVariant(SpecLnAgrMarkov, DefaultAdaptiveCap)
 )
 
 // StandardAlgorithms returns the seven configurations every figure of
@@ -243,11 +216,9 @@ func StandardAlgorithms() []AlgSpec {
 
 // NamedAlgorithms returns every configuration addressable by name:
 // the standard seven plus the unthrottled aggressive variants, the
-// block-granularity PPM baseline, and the post-paper Mithril/Markov
-// predictors in their one-shot, linear aggressive, and adaptive
-// forms. LookupAlg resolves these names (and any other throttle over
-// the same bases), -list-algs prints them, and the conformance suite
-// runs every entry.
+// block-granularity PPM baseline, and the adaptive variants. LookupAlg
+// resolves these names (and any other throttle over the same bases),
+// -list-algs prints them, and the conformance suite runs every entry.
 func NamedAlgorithms() []AlgSpec {
 	return append(StandardAlgorithms(),
 		AlgSpec{Kind: AlgOBA, Mode: ModeAggressive, MaxOutstanding: 0},
@@ -257,12 +228,6 @@ func NamedAlgorithms() []AlgSpec {
 		SpecAdAgrOBA,
 		SpecAdAgrISPPM1,
 		SpecAdAgrISPPM3,
-		SpecMithril,
-		SpecLnAgrMithril,
-		SpecAdAgrMithril,
-		SpecMarkov,
-		SpecLnAgrMarkov,
-		SpecAdAgrMarkov,
 	)
 }
 

@@ -14,7 +14,7 @@ import (
 // race detector instruments allocation, so the gate runs under plain
 // `go test` only.
 func TestObservePredictAllocs(t *testing.T) {
-	for _, p := range []Predictor{NewOBA(), NewISPPM(3), NewBlockPPM(2), NewMithril(), NewMarkov()} {
+	for _, p := range []Predictor{NewOBA(), NewISPPM(3), NewBlockPPM(2)} {
 		t.Run(p.Name(), func(t *testing.T) {
 			i, predicted := 0, 0
 			step := func() {

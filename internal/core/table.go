@@ -1,19 +1,15 @@
 package core
 
-import (
-	"repro/internal/blockdev"
-	"repro/internal/lrulist"
-)
+import "repro/internal/lrulist"
 
 // table is the one bounded history structure under the learning
-// predictors (the pattern graphs of ISPPM and BlockPPM, the rows of
-// Mithril and Markov): a map of at most max entries threaded on a list
-// in update order. Creating an entry in a full table displaces the
-// least recently updated one in constant time. Recency is the order of
-// the update calls themselves, not a timestamp, so entries updated
-// within one request are displaced in the order they were updated and
-// a predictor's output depends on its input stream alone, never on map
-// iteration order.
+// predictors (the pattern graphs of ISPPM and BlockPPM): a map of at
+// most max entries threaded on a list in update order. Creating an
+// entry in a full table displaces the least recently updated one in
+// constant time. Recency is the order of the update calls themselves,
+// not a timestamp, so entries updated within one request are displaced
+// in the order they were updated and a predictor's output depends on
+// its input stream alone, never on map iteration order.
 type table[K comparable, V any] struct {
 	max     int
 	entries map[K]*tableEntry[K, V]
@@ -72,59 +68,4 @@ func (t *table[K, V]) entry(k K) *tableEntry[K, V] {
 	t.entries[k] = e
 	t.order.PushBack(e)
 	return e
-}
-
-// cand is one candidate successor of a source block.
-type cand struct {
-	block  blockdev.BlockNo
-	size   int32 // size of the request that confirmed the pair last
-	weight uint32
-}
-
-// candRow is the bounded successor set of one source block, the row
-// type of both Mithril (weights 1 and 2) and Markov (weight 1).
-type candRow []cand
-
-// bump strengthens successor dst by w, keeping at most width
-// candidates. A newcomer to a full row takes the weakest slot only if
-// its weight would not be the weakest; otherwise the weakest decays by
-// one, so a persistently re-confirmed newcomer eventually wins (a
-// bounded variant of space-saving counting). The newcomer starts at w,
-// not at the displaced weight plus w, which *underestimates* it — the
-// safe direction for a threshold-gated prefetcher.
-func (r *candRow) bump(dst blockdev.BlockNo, size int32, w uint32, width int) {
-	row := *r
-	for i := range row {
-		if row[i].block == dst {
-			row[i].weight += w
-			row[i].size = size
-			return
-		}
-	}
-	if len(row) < width {
-		*r = append(row, cand{block: dst, size: size, weight: w})
-		return
-	}
-	weakest := 0
-	for i := 1; i < len(row); i++ {
-		if row[i].weight < row[weakest].weight {
-			weakest = i
-		}
-	}
-	if row[weakest].weight <= w {
-		row[weakest] = cand{block: dst, size: size, weight: w}
-	} else {
-		row[weakest].weight--
-	}
-}
-
-// strongest returns the heaviest candidate, the earliest among equals;
-// ok is false for an empty row.
-func (r candRow) strongest() (c cand, ok bool) {
-	for _, x := range r {
-		if !ok || x.weight > c.weight {
-			c, ok = x, true
-		}
-	}
-	return c, ok
 }

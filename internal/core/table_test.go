@@ -80,14 +80,12 @@ func TestObserveFlatAtCap(t *testing.T) {
 	preds := []func() Predictor{
 		func() Predictor { return NewISPPM(1) },
 		func() Predictor { return NewBlockPPM(1) },
-		func() Predictor { return NewMithril() },
-		func() Predictor { return NewMarkov() },
 	}
 	for _, fresh := range preds {
 		t.Run(fresh().Name(), func(t *testing.T) {
 			// Request i starts at the i-th triangular number: every
 			// offset and every interval is new, so each Observe
-			// creates one graph node or one row.
+			// creates one graph node.
 			next := 0
 			observe := func(p Predictor, n int) time.Duration {
 				start := time.Now()

@@ -44,15 +44,10 @@ func ParseFS(name string) (FSKind, error) {
 // see Scale.Trace).
 type WorkloadKind int
 
-// Workloads under test. CHARISMA and Sprite are the paper's two;
-// CDN and OLTP open the scenario space for the post-paper predictors
-// (both run on the NOW machine — web edges and database clusters are
-// networks of workstations, not parallel machines).
+// Workloads under test: the paper's two.
 const (
 	Charisma WorkloadKind = iota // parallel machine (PM)
 	Sprite                       // network of workstations (NOW)
-	CDN                          // Zipf web/CDN pages (NOW)
-	OLTP                         // transaction point reads (NOW)
 )
 
 // String names the workload as in the paper.
@@ -62,10 +57,6 @@ func (k WorkloadKind) String() string {
 		return "CHARISMA"
 	case Sprite:
 		return "Sprite"
-	case CDN:
-		return "CDN"
-	case OLTP:
-		return "OLTP"
 	default:
 		return "unknown"
 	}
@@ -74,7 +65,7 @@ func (k WorkloadKind) String() string {
 // ParseWorkload returns the workload a -workload flag names, in any
 // case.
 func ParseWorkload(name string) (WorkloadKind, error) {
-	for k := Charisma; k <= OLTP; k++ {
+	for k := Charisma; k <= Sprite; k++ {
 		if strings.EqualFold(name, k.String()) {
 			return k, nil
 		}

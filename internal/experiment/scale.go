@@ -33,12 +33,9 @@ type Scale struct {
 	NOW machine.Config
 
 	// Charisma and Sprite are the paper workloads' generator
-	// parameters; CDN and OLTP parameterize the post-paper scenario
-	// workloads (both simulated on the NOW machine).
+	// parameters.
 	Charisma workload.CharismaParams
 	Sprite   workload.SpriteParams
-	CDN      workload.CDNParams
-	OLTP     workload.OLTPParams
 
 	// WarmFraction of requests complete before measurement starts.
 	WarmFraction float64
@@ -62,7 +59,7 @@ func ScaleByName(name string) (Scale, error) {
 
 // Trace generates the workload's trace and names the machine it runs
 // on: the parallel machine for CHARISMA, the network of workstations
-// for the rest. Nothing else turns a WorkloadKind into generator
+// for Sprite. Nothing else turns a WorkloadKind into generator
 // parameters or a machine, so a trace file replays on the machine its
 // workload was generated for.
 func (s Scale) Trace(kind WorkloadKind) (*workload.Trace, machine.Config, error) {
@@ -77,10 +74,6 @@ func (s Scale) Trace(kind WorkloadKind) (*workload.Trace, machine.Config, error)
 		tr, err = workload.GenerateCharisma(s.Charisma)
 	case Sprite:
 		tr, err = workload.GenerateSprite(s.Sprite)
-	case CDN:
-		tr, err = workload.GenerateCDN(s.CDN)
-	case OLTP:
-		tr, err = workload.GenerateOLTP(s.OLTP)
 	default:
 		err = fmt.Errorf("experiment: unknown workload %d", kind)
 	}
@@ -91,7 +84,7 @@ func (s Scale) Trace(kind WorkloadKind) (*workload.Trace, machine.Config, error)
 // replaced: the same machines and sweep over a different draw of each
 // trace.
 func (s Scale) Reseeded(seed uint64) Scale {
-	s.Charisma.Seed, s.Sprite.Seed, s.CDN.Seed, s.OLTP.Seed = seed, seed, seed, seed
+	s.Charisma.Seed, s.Sprite.Seed = seed, seed
 	return s
 }
 
@@ -134,20 +127,12 @@ func FullScale() Scale {
 	sp.SharedFiles = 60
 	sp.SessionsPerClient = 150
 
-	cdn := workload.DefaultCDNParams()
-	cdn.Nodes = now.Nodes
-
-	ol := workload.DefaultOLTPParams()
-	ol.Nodes = now.Nodes
-
 	return Scale{
 		Name:         "full",
 		PM:           pm,
 		NOW:          now,
 		Charisma:     ch,
 		Sprite:       sp,
-		CDN:          cdn,
-		OLTP:         ol,
 		WarmFraction: 0.15,
 		CacheSizesMB: []int{1, 2, 4, 8, 16},
 	}
@@ -170,14 +155,6 @@ func SmallScale() Scale {
 
 	s.Sprite.Nodes = s.NOW.Nodes
 	s.Sprite.SharedFiles = 30
-
-	s.CDN.Nodes = s.NOW.Nodes
-	s.CDN.Clients = 24
-	s.CDN.PagesPerClient = 150
-
-	s.OLTP.Nodes = s.NOW.Nodes
-	s.OLTP.Clients = 24
-	s.OLTP.TxPerClient = 180
 	return s
 }
 
@@ -205,17 +182,6 @@ func TinyScale() Scale {
 	s.Sprite.FilesPerClient = 40
 	s.Sprite.SharedFiles = 8
 	s.Sprite.SessionsPerClient = 40
-	s.CDN.Nodes = 4
-	s.CDN.Volumes = 2
-	s.CDN.ObjectsPerVolume = 128
-	s.CDN.Clients = 8
-	s.CDN.PagesPerClient = 40
-	s.OLTP.Nodes = 4
-	s.OLTP.Tables = 2
-	s.OLTP.DataBlocks = 512
-	s.OLTP.HotKeys = 128
-	s.OLTP.Clients = 8
-	s.OLTP.TxPerClient = 50
 	s.CacheSizesMB = []int{1, 4, 16}
 	return s
 }
