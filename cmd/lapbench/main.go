@@ -67,11 +67,7 @@ func main() {
 		// is fault density, not workload volume.
 		exitOn(runChaos(experiment.TinyScale(), *seed, *churn, *adaptiveVictim))
 	case "ablations":
-		// Ablations always run at the tiny scale: beyond it the
-		// unlimited row's Agr_IS_PPM re-enqueues in-flight blocks
-		// without bound inside one Driver.pump call and never finishes
-		// (ROADMAP Open item 1(b)).
-		out, err := experiment.RunAblations(experiment.TinyScale())
+		out, err := experiment.RunAblations(scale)
 		exitOn(err)
 		fmt.Print(out)
 	default:

@@ -10,11 +10,11 @@
 //	          [-peers a:7020,b:7020,c:7020] [-advertise a:7020]
 //	          [-join a:7020,b:7020] [-dynamic] [-replicas 2] [-handoff-bps N]
 //
-// -shards N runs N accept goroutines, pinning each connection to one
-// shard: shard-local connection tables and close ledgers mean the hit
-// path takes no cross-shard mutex. Responses ride a vectored (writev)
-// path and, when a pipelined client has more requests already
-// buffered, coalesce into a single syscall.
+// -shards N stripes the engine's block cache over N mutexes and runs N
+// accept loops, each pinning the connections it accepts to its own
+// connection table and close ledger. Responses ride a vectored
+// (writev) path and, when a pipelined client has more requests
+// already buffered, coalesce into a single syscall.
 //
 // A -trace file (in tracegen's text format) supplies the file table so
 // prefetch chains clip at each file's real end. -debug-addr exposes

@@ -58,42 +58,40 @@ import (
 // Config describes one chaos run.
 type Config struct {
 	// Seed drives everything: the workload generator, the fault plan
-	// (when Plan is nil) and therefore the whole faulted-site set.
+	// and therefore the whole faulted-site set.
 	Seed uint64
-	// Nodes is the cluster size (0 = 3).
-	Nodes int
 	// Charisma generates the replayed trace; its Seed field is
 	// overridden with Seed.
 	Charisma workload.CharismaParams
-	// Plan is the fault schedule (nil = DefaultPlan(Seed)).
-	Plan *faultinject.Plan
-	// Timeout bounds the whole replay (0 = 60s); exceeding it is the
-	// wedge invariant failing.
-	Timeout time.Duration
-	// BlockSize (0 = 512) and CacheBlocks (0 = 4096) size each node.
-	BlockSize   int
-	CacheBlocks int
-	// RedialBudget bounds client redials per node (0 = 64; 0 = 512
-	// with Churn, which refuses dials to the victim for its whole
-	// down window).
-	RedialBudget int
 	// Churn switches the cluster to dynamic gossip membership with
 	// R=2 replication and a bounded-rate handoff loop, then kills one
 	// seed-chosen node mid-replay and restarts it after conviction.
 	// The plan's gossip rules only fire in this mode, and the
 	// replication/convergence/handoff invariants only bind here.
 	Churn bool
-	// Alg overrides the algorithm every node runs (zero value =
-	// SpecLnAgrISPPM1, the historical default). The linearity audit
-	// bounds high-water marks by the spec's DegreeCap.
-	Alg core.AlgSpec
-	// AdaptiveVictim runs the AdaptiveFDP variant of Alg on the
-	// seed-chosen victim node (the one Churn kills), leaving the rest
-	// pinned strict — the mixed-fleet shape of a staged rollout. The
-	// victim's ledger is audited against the adaptive cap, everyone
-	// else's against Alg's.
+	// AdaptiveVictim runs the AdaptiveFDP variant of the fleet's
+	// algorithm on the seed-chosen victim node (the one Churn kills),
+	// leaving the rest pinned strict — the mixed-fleet shape of a
+	// staged rollout. The victim's ledger is audited against the
+	// adaptive cap, everyone else's against 1.
 	AdaptiveVictim bool
 }
+
+// The fleet every run boots: three nodes of 4096 512-byte blocks, each
+// running the paper's linear aggressive IS_PPM:1 (AdaptiveVictim
+// aside). replayTimeout bounds the whole replay; exceeding it is the
+// wedge invariant failing. Each node's client may redial redialBudget
+// times, churnRedialBudget under Churn, where refused dials to the
+// down victim burn budget fast and its client must still recover after
+// the restart.
+const (
+	fleetSize         = 3
+	blockSize         = 512
+	cacheBlocks       = 4096
+	replayTimeout     = 60 * time.Second
+	redialBudget      = 64
+	churnRedialBudget = 512
+)
 
 // Churn-mode tuning. The kill lands early in the replay; the down
 // window outlasts the suspicion timeout so the victim is convicted
@@ -111,11 +109,11 @@ const (
 // Invariants is the harness's verdict, one field per claim.
 type Invariants struct {
 	// Linearity. DegreeCap is the largest per-file bound any node's
-	// policy allows (0 is read as the historical 1): MaxOwnerHW must
-	// stay within it, and OverCap lists nodes whose ledger exceeded
-	// their *own* engine's cap — a mixed fleet is audited per node.
+	// policy allows: MaxOwnerHW must stay within it, and OverCap lists
+	// nodes whose ledger exceeded their *own* engine's cap — a mixed
+	// fleet is audited per node.
 	DegreeCap        int      `json:"degree_cap,omitempty"`
-	MaxOwnerHW       int      `json:"max_owner_hw"`      // must be <= DegreeCap (1 when unset)
+	MaxOwnerHW       int      `json:"max_owner_hw"`      // must be <= DegreeCap
 	OverCap          []string `json:"over_cap"`          // must be empty
 	NonOwnerDriven   []string `json:"non_owner_driven"`  // must be empty
 	LinearViolations uint64   `json:"linear_violations"` // must be 0
@@ -154,12 +152,8 @@ func (v Invariants) Check() error {
 	if v.Wedged {
 		bad = append(bad, "replay wedged (timeout exceeded)")
 	}
-	cap := v.DegreeCap
-	if cap == 0 {
-		cap = 1
-	}
-	if v.MaxOwnerHW > cap {
-		bad = append(bad, fmt.Sprintf("owner prefetch high-water %d > degree cap %d", v.MaxOwnerHW, cap))
+	if v.MaxOwnerHW > v.DegreeCap {
+		bad = append(bad, fmt.Sprintf("owner prefetch high-water %d > degree cap %d", v.MaxOwnerHW, v.DegreeCap))
 	}
 	if len(v.OverCap) > 0 {
 		bad = append(bad, fmt.Sprintf("nodes exceeded their own degree cap: %v", v.OverCap))
@@ -256,32 +250,8 @@ func (r Result) String() string {
 // failures (could not boot, could not dial); invariant verdicts live
 // in Result.Inv — callers decide how hard to fail via Inv.Check.
 func Run(cfg Config) (Result, error) {
-	if cfg.Nodes <= 0 {
-		cfg.Nodes = 3
-	}
-	if cfg.BlockSize <= 0 {
-		cfg.BlockSize = 512
-	}
-	if cfg.CacheBlocks <= 0 {
-		cfg.CacheBlocks = 4096
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 60 * time.Second
-	}
-	if cfg.RedialBudget <= 0 {
-		cfg.RedialBudget = 64
-		if cfg.Churn {
-			// Refused dials to the down victim burn budget fast; leave
-			// enough for its client to recover after the restart.
-			cfg.RedialBudget = 512
-		}
-	}
-	plan := cfg.Plan
-	if plan == nil {
-		p := DefaultPlan(cfg.Seed)
-		plan = &p
-	}
-	inj, err := faultinject.New(*plan)
+	plan := faultPlan(cfg.Seed)
+	inj, err := faultinject.New(plan)
 	if err != nil {
 		return Result{}, err
 	}
@@ -294,17 +264,17 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	// The trace speaks bytes in its own block units (CHARISMA's 8 KiB);
-	// the engines run on cfg.BlockSize. Convert each file's extent to
+	// the engines run on blockSize. Convert each file's extent to
 	// engine blocks once — this map IS the runtime keyspace, so the
 	// engines and the selected-site enumeration must share it exactly.
 	fileBlocks := make(map[blockdev.FileID]blockdev.BlockNo, len(tr.FileBlocks))
 	for f, nb := range tr.FileBlocks {
 		bytes := int64(nb) * params.BlockSize
-		fileBlocks[f] = blockdev.BlockNo((bytes + int64(cfg.BlockSize) - 1) / int64(cfg.BlockSize))
+		fileBlocks[f] = blockdev.BlockNo((bytes + blockSize - 1) / blockSize)
 	}
 
-	res := Result{Seed: cfg.Seed, Nodes: cfg.Nodes}
-	selected, planDigest := selectedSites(inj, cfg.Nodes, fileBlocks)
+	res := Result{Seed: cfg.Seed, Nodes: fleetSize}
+	selected, planDigest := selectedSites(inj, fleetSize, fileBlocks)
 	res.PlanDigest = planDigest
 
 	// Node i's stable name is nI; every fault label derives from these,
@@ -317,31 +287,27 @@ func Run(cfg Config) (Result, error) {
 	// node's old store is gone, which is exactly the loss the
 	// replication invariant must survive.
 	var rawMu sync.Mutex
-	rawStores := make([]*lapcache.MemStore, cfg.Nodes)
+	rawStores := make([]*lapcache.MemStore, fleetSize)
 
 	// The victim is the node Churn kills; AdaptiveVictim also gives it
 	// the feedback-controlled degree policy, strict everywhere else.
-	victim := int(cfg.Seed % uint64(cfg.Nodes))
-	baseAlg := cfg.Alg
-	if baseAlg.Kind == core.AlgNone {
-		baseAlg = core.SpecLnAgrISPPM1
-	}
+	victim := int(cfg.Seed % fleetSize)
 	algFor := func(i int) core.AlgSpec {
 		if cfg.AdaptiveVictim && i == victim {
-			return core.AdaptiveVariant(baseAlg, core.DefaultAdaptiveCap)
+			return core.AdaptiveVariant(core.SpecLnAgrISPPM1, core.DefaultAdaptiveCap)
 		}
-		return baseAlg
+		return core.SpecLnAgrISPPM1
 	}
 
 	mkcfg := func(i int, addrs []string) lapcache.Config {
-		store := lapcache.NewMemStore(cfg.BlockSize, 0)
+		store := lapcache.NewMemStore(blockSize, 0)
 		rawMu.Lock()
 		rawStores[i] = store
 		rawMu.Unlock()
 		return lapcache.Config{
 			Alg:         algFor(i),
-			BlockSize:   cfg.BlockSize,
-			CacheBlocks: cfg.CacheBlocks,
+			BlockSize:   blockSize,
+			CacheBlocks: cacheBlocks,
 			Workers:     8,
 			QueueLen:    128,
 			FileBlocks:  fileBlocks,
@@ -384,7 +350,7 @@ func Run(cfg Config) (Result, error) {
 					return nil
 				}
 			}
-			ncfg.DialFunc = func(addr string, conns, window int) (*lapclient.Pool, error) {
+			ncfg.DialFunc = func(addr string) (*lapclient.Pool, error) {
 				to := -1
 				for j, a := range peers {
 					if a == addr {
@@ -396,7 +362,7 @@ func Run(cfg Config) (Result, error) {
 				if err := inj.DialFault(link); err != nil {
 					return nil, err
 				}
-				return lapclient.DialPoolWith(addr, conns, window, func(c net.Conn) net.Conn {
+				return lapclient.DialPoolWith(addr, cluster.PeerConns, 0, func(c net.Conn) net.Conn {
 					return inj.WrapConn(c, link)
 				})
 			}
@@ -417,7 +383,7 @@ func Run(cfg Config) (Result, error) {
 		NoWaitReady: true,
 	}
 
-	nodes, stop, err := cluster.StartLocalWith(cfg.Nodes, mkcfg, opts)
+	nodes, stop, err := cluster.StartLocalWith(fleetSize, mkcfg, opts)
 	if err != nil {
 		return Result{}, err
 	}
@@ -430,7 +396,7 @@ func Run(cfg Config) (Result, error) {
 
 	// Replay under a wedge watchdog: the run must terminate on its own
 	// inside the timeout, deadlines and degrade paths doing their job.
-	rep := newReplayer(nodes, inj, *plan, cfg, tr)
+	rep := newReplayer(nodes, inj, plan, cfg.Churn, tr)
 	done := make(chan struct{})
 	start := time.Now()
 	go func() { rep.run(); close(done) }()
@@ -461,7 +427,7 @@ func Run(cfg Config) (Result, error) {
 
 	select {
 	case <-done:
-	case <-time.After(cfg.Timeout):
+	case <-time.After(replayTimeout):
 		res.Inv.Wedged = true
 	}
 	res.Elapsed = time.Since(start)
@@ -518,7 +484,7 @@ func Run(cfg Config) (Result, error) {
 		// Each node's ledger is bounded by its own engine's policy cap:
 		// in a mixed fleet (AdaptiveVictim) the strict nodes still may
 		// not exceed 1 even though the fleet-wide DegreeCap is wider.
-		nodeCap := m.Engine.DegreeCap()
+		nodeCap := algFor(m.Index).MaxOutstanding
 		if nodeCap > res.Inv.DegreeCap {
 			res.Inv.DegreeCap = nodeCap
 		}
@@ -533,7 +499,7 @@ func Run(cfg Config) (Result, error) {
 				res.Inv.NonOwnerDriven = append(res.Inv.NonOwnerDriven,
 					fmt.Sprintf("file %d on non-owner %s (hw=%d)", f, m.Addr, hw))
 			}
-			if nodeCap > 0 && hw > nodeCap {
+			if hw > nodeCap {
 				res.Inv.OverCap = append(res.Inv.OverCap,
 					fmt.Sprintf("file %d on n%d: hw=%d > cap %d", f, m.Index, hw, nodeCap))
 			}
@@ -623,7 +589,7 @@ func equalAddrs(a, b []string) bool {
 // every file always reads back as FillPattern(b): never-written blocks
 // synthesize it and replayed writes carry nil payloads, which the
 // server materializes as the same pattern.
-func oracleCheck(f blockdev.FileID, start blockdev.BlockNo, blockSize int, data []byte) int {
+func oracleCheck(f blockdev.FileID, start blockdev.BlockNo, data []byte) int {
 	want := make([]byte, blockSize)
 	for i := 0; i*blockSize < len(data); i++ {
 		b := blockdev.BlockID{File: f, Block: start + blockdev.BlockNo(i)}

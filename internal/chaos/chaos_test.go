@@ -103,11 +103,12 @@ func TestChaosSeedReproducibility(t *testing.T) {
 // TestInvariantsCheck: the verdict function flags each violation class
 // and stays quiet on a clean result.
 func TestInvariantsCheck(t *testing.T) {
-	clean := Invariants{MaxOwnerHW: 1, InjectedErrors: 10}
+	clean := Invariants{DegreeCap: 1, MaxOwnerHW: 1, InjectedErrors: 10}
 	if err := clean.Check(); err != nil {
 		t.Errorf("clean invariants flagged: %v", err)
 	}
 	bad := Invariants{
+		DegreeCap:          1,
 		MaxOwnerHW:         3,
 		NonOwnerDriven:     []string{"n2 file 9"},
 		LinearViolations:   2,

@@ -6,10 +6,10 @@ import (
 	"repro/internal/faultinject"
 )
 
-// DefaultPlan is the harness's standard fault schedule: every fault
+// faultPlan is the harness's fault schedule: every fault
 // kind at every site the injector supports, tuned so a tiny-scale
 // three-node CHARISMA replay absorbs hundreds of injections and still
-// terminates well inside the default timeout. Store rules are keyed
+// terminates well inside replayTimeout. Store rules are keyed
 // per (node, block) — bad sectors that heal after a bounded number of
 // hits; wire and dial rules are keyed per link with budgets, so every
 // partition and storm is transient and the cluster must recover, not
@@ -18,7 +18,7 @@ import (
 // Delays and hangs are kept short (hundreds of microseconds to tens
 // of milliseconds): the point is to reorder and stall the machinery,
 // not to burn wall-clock.
-func DefaultPlan(seed uint64) faultinject.Plan {
+func faultPlan(seed uint64) faultinject.Plan {
 	return faultinject.Plan{
 		Seed: seed,
 		Rules: []faultinject.Rule{

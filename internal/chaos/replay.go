@@ -93,9 +93,8 @@ func (nc *nodeClient) close() int {
 // replayer drives the trace through the faulted cluster, classifying
 // every error and checking every successful read against the oracle.
 type replayer struct {
-	tr        *workload.Trace
-	clients   []*nodeClient
-	blockSize int
+	tr      *workload.Trace
+	clients []*nodeClient
 	// tolerate marks transport errors as expected: the plan injects
 	// faults on the wire or the dial path, so torn connections are part
 	// of the schedule. Without such rules any transport error is a bug.
@@ -119,8 +118,8 @@ type replayer struct {
 	acked map[blockdev.BlockID]struct{}
 }
 
-func newReplayer(nodes []*cluster.LocalNode, inj *faultinject.Injector, plan faultinject.Plan, cfg Config, tr *workload.Trace) *replayer {
-	r := &replayer{tr: tr, blockSize: cfg.BlockSize, acked: make(map[blockdev.BlockID]struct{})}
+func newReplayer(nodes []*cluster.LocalNode, inj *faultinject.Injector, plan faultinject.Plan, churn bool, tr *workload.Trace) *replayer {
+	r := &replayer{tr: tr, acked: make(map[blockdev.BlockID]struct{})}
 	for _, rule := range plan.Rules {
 		switch rule.Site {
 		case faultinject.SiteConnSend, faultinject.SiteConnRecv, faultinject.SitePeerDial:
@@ -131,11 +130,13 @@ func newReplayer(nodes []*cluster.LocalNode, inj *faultinject.Injector, plan fau
 	}
 	// Churn kills a node under the replay's feet: torn connections and
 	// refused dials to the victim are part of the schedule, not bugs.
-	if cfg.Churn {
+	budget := redialBudget
+	if churn {
 		r.tolerate = true
+		budget = churnRedialBudget
 	}
 	for _, m := range nodes {
-		r.clients = append(r.clients, &nodeClient{addr: m.Addr, budget: cfg.RedialBudget})
+		r.clients = append(r.clients, &nodeClient{addr: m.Addr, budget: budget})
 	}
 	return r
 }
@@ -283,7 +284,7 @@ func (r *replayer) classify(err error, context string) (done bool) {
 // issue performs one step against pool, verifying read data against
 // the deterministic oracle.
 func (r *replayer) issue(pool *lapclient.Pool, s workload.Step) error {
-	span := blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, int64(r.blockSize))
+	span := blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, blockSize)
 	switch s.Kind {
 	case workload.OpRead:
 		rh, data, err := pool.Do(lapclient.Req(wire.OpRead, wire.FlagWantData, span.File, span.Start, span.Count), nil, nil)
@@ -296,13 +297,13 @@ func (r *replayer) issue(pool *lapclient.Pool, s workload.Step) error {
 			r.hits++
 		}
 		r.mu.Unlock()
-		if want := int(span.Count) * r.blockSize; len(data) != want {
+		if want := int(span.Count) * blockSize; len(data) != want {
 			r.mu.Lock()
 			r.mismatches++
 			r.mu.Unlock()
 			r.noteUnexpected(fmt.Sprintf("read f%d @%d+%d returned %d bytes, want %d",
 				s.File, span.Start, span.Count, len(data), want))
-		} else if at := oracleCheck(span.File, span.Start, r.blockSize, data); at >= 0 {
+		} else if at := oracleCheck(span.File, span.Start, data); at >= 0 {
 			r.mu.Lock()
 			r.mismatches++
 			r.mu.Unlock()

@@ -137,12 +137,12 @@ func TestHealthLoopBackoffAndReset(t *testing.T) {
 		PingInterval: ping,
 		BackoffMax:   max,
 		Clock:        fc,
-		DialFunc: func(a string, conns, window int) (*lapclient.Pool, error) {
+		DialFunc: func(a string) (*lapclient.Pool, error) {
 			dials.Add(1)
 			if !allow.Load() {
 				return nil, fmt.Errorf("dial gated shut")
 			}
-			return lapclient.DialPool(a, conns, window)
+			return lapclient.DialPool(a, PeerConns, 0)
 		},
 	})
 	if err != nil {

@@ -278,7 +278,7 @@ func clusterCharismaE2E(t *testing.T, tr *workload.Trace, alg core.AlgSpec) {
 	// file, only the ring owner may have driven prefetches at all, and
 	// its high-water must respect the cap (and reach it exactly under
 	// the strict throttle, whose cap is 1).
-	degreeCap := alg.DegreeCap()
+	degreeCap := alg.MaxOutstanding
 	prefetchedFiles, maxHW := 0, 0
 	for i, m := range nodes {
 		for f, hw := range m.Engine.Ledger().HighWaters() {

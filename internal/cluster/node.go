@@ -43,12 +43,6 @@ type Config struct {
 	// unlimited). The budget is what keeps a join or a death from
 	// starving foreground traffic on the same links.
 	HandoffBps int64
-	// VNodes is the virtual-node count per member (0 = DefaultVNodes).
-	VNodes int
-	// Conns is the connection-pool size per peer (0 = 2); Window the
-	// per-connection in-flight cap (0 = lapclient.DefaultWindow).
-	Conns  int
-	Window int
 	// PingInterval paces the per-peer health loop: how often a live
 	// peer is pinged and how soon a dead one is first re-dialed
 	// (0 = 250ms). Consecutive dial failures back off exponentially
@@ -63,11 +57,6 @@ type Config struct {
 	// Dead and the ring moves (0 = 8 probe intervals).
 	GossipInterval   time.Duration
 	SuspicionTimeout time.Duration
-	// GossipTransport overrides the gossip datagram transport (nil =
-	// UDP bound to Self's port — UDP and TCP port spaces are disjoint,
-	// so the wire listener and the detector share one advertised
-	// address). Tests inject in-memory fabrics here.
-	GossipTransport membership.Transport
 	// GossipIntercept, when set, is consulted before every gossip send
 	// with the destination address; a non-nil return drops the
 	// datagram. The fault harness scripts partitions through it.
@@ -82,17 +71,21 @@ type Config struct {
 	// call fails like any transport error: the peer degrades to local
 	// service and the health loop redials.
 	PeerCallTimeout time.Duration
-	// DialFunc overrides how peer pools are dialed (nil =
-	// lapclient.DialPool). The fault-injection harness uses it to
-	// interpose transport faults and injected dial failures on peer
-	// links.
-	DialFunc func(addr string, conns, window int) (*lapclient.Pool, error)
+	// DialFunc overrides how peer pools are dialed (nil = PeerConns
+	// connections of lapclient.DefaultWindow each). The fault-injection
+	// harness uses it to interpose transport faults and injected dial
+	// failures on peer links.
+	DialFunc func(addr string) (*lapclient.Pool, error)
 	// Clock overrides the health loop's timers (nil = real time);
 	// backoff tests drive the loop with a fake clock.
 	Clock Clock
 	// Logf, when non-nil, receives peer up/down transitions.
 	Logf func(format string, args ...any)
 }
+
+// PeerConns is the size of the connection pool a node keeps to each
+// peer.
+const PeerConns = 2
 
 // DefaultHandoffBps is the rebalancing budget when the caller passes
 // 0: fast enough to drain a test-sized cache in well under a second,
@@ -205,12 +198,9 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	dynamic := cfg.Dynamic || len(cfg.Join) > 0
 	members := append([]string{cfg.Self}, cfg.Peers...)
-	ring, err := NewRing(members, cfg.VNodes)
+	ring, err := NewRing(members, 0)
 	if err != nil {
 		return nil, err
-	}
-	if cfg.Conns <= 0 {
-		cfg.Conns = 2
 	}
 	if cfg.PingInterval <= 0 {
 		cfg.PingInterval = 250 * time.Millisecond
@@ -219,7 +209,7 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg.BackoffMax = 4 * time.Second
 	}
 	if cfg.DialFunc == nil {
-		cfg.DialFunc = lapclient.DialPool
+		cfg.DialFunc = func(addr string) (*lapclient.Pool, error) { return lapclient.DialPool(addr, PeerConns, 0) }
 	}
 	if cfg.PeerCallTimeout == 0 {
 		cfg.PeerCallTimeout = DefaultPeerCallTimeout
@@ -262,7 +252,6 @@ func NewNode(cfg Config) (*Node, error) {
 			Seeds:            cfg.Join,
 			ProbeInterval:    cfg.GossipInterval,
 			SuspicionTimeout: cfg.SuspicionTimeout,
-			Transport:        cfg.GossipTransport,
 			Intercept:        cfg.GossipIntercept,
 			OnUpdate:         n.onMembership,
 			Logf:             cfg.Logf,
@@ -362,7 +351,7 @@ func (n *Node) onMembership(v membership.View) {
 	if equalStrings(addrs, cur) {
 		return
 	}
-	ring, err := NewRing(addrs, n.cfg.VNodes)
+	ring, err := NewRing(addrs, 0)
 	if err != nil {
 		n.logf("cluster: rejecting membership view: %v", err)
 		return
@@ -529,7 +518,7 @@ func (n *Node) healthLoop(p *peer) {
 		if _, up := p.livePool(); up {
 			attempt = 0
 		} else {
-			pool, err := n.cfg.DialFunc(p.addr, n.cfg.Conns, n.cfg.Window)
+			pool, err := n.cfg.DialFunc(p.addr)
 			if err == nil {
 				if n.cfg.PeerCallTimeout > 0 {
 					pool.SetCallTimeout(n.cfg.PeerCallTimeout)

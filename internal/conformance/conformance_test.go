@@ -19,7 +19,7 @@ import (
 //   - determinism: two runs from the same seed produce identical
 //     Results, float for float and counter for counter;
 //   - throttle: the machine-wide per-file outstanding-prefetch
-//     high-water never exceeds the spec's DegreeCap.
+//     high-water never exceeds the spec's MaxOutstanding.
 func TestSimConformance(t *testing.T) {
 	s := experiment.TinyScale()
 	tr := MicroTrace(s.NOW.Nodes, s.NOW.BlockSize)
@@ -39,7 +39,7 @@ func TestSimConformance(t *testing.T) {
 			if !reflect.DeepEqual(r1, r2) {
 				t.Errorf("same seed, different results:\n  run 1: %+v\n  run 2: %+v", r1, r2)
 			}
-			if cap := alg.DegreeCap(); cap > 0 && r1.MaxFilePrefetchHW > cap {
+			if cap := alg.MaxOutstanding; cap > 0 && r1.MaxFilePrefetchHW > cap {
 				t.Errorf("per-file prefetch high-water %d exceeds policy cap %d", r1.MaxFilePrefetchHW, cap)
 			}
 			if !alg.Prefetches() && r1.PrefetchIssued != 0 {
@@ -67,11 +67,11 @@ func TestEngineConformance(t *testing.T) {
 				BlockSize:   blockSize,
 				CacheBlocks: 48, // smaller than the script's footprint: evictions happen
 				FileBlocks:  EngineFiles(),
+				PoisonBufs:  true,
 			})
 			if err != nil {
 				t.Fatalf("New: %v", err)
 			}
-			e.SetPoisonBufs(true)
 			for _, st := range EngineScript() {
 				bufs, _, err := e.ReadInto(nil, st.File, st.Block, int32(st.Count))
 				if err != nil {
@@ -98,7 +98,7 @@ func TestEngineConformance(t *testing.T) {
 			if snap.LinearViolations != 0 {
 				t.Errorf("%d linearity violations", snap.LinearViolations)
 			}
-			if cap := alg.DegreeCap(); cap > 0 {
+			if cap := alg.MaxOutstanding; cap > 0 {
 				if hw := e.Ledger().MaxHighWater(); hw > cap {
 					t.Errorf("ledger high-water %d exceeds policy cap %d", hw, cap)
 				}

@@ -121,16 +121,10 @@ func (s AlgSpec) Validate() error {
 // each driver needs its own.
 func (s AlgSpec) NewDegreePolicy() DegreePolicy {
 	if s.Adaptive {
-		return NewAdaptiveFDP(AdaptiveFDPConfig{Cap: s.MaxOutstanding})
+		return NewAdaptiveFDP(s.MaxOutstanding)
 	}
 	return &FixedDegree{K: s.MaxOutstanding}
 }
-
-// DegreeCap returns the largest per-file outstanding count the spec's
-// policy can ever allow (0 = unlimited); ledgers audit high-water
-// marks against it. For static specs it is MaxOutstanding itself, so
-// the paper's linear configurations still audit against exactly 1.
-func (s AlgSpec) DegreeCap() int { return s.MaxOutstanding }
 
 // AdaptiveVariant returns s driven by the feedback controller with the
 // given hard cap (<= 0 selects DefaultAdaptiveCap). The mode is forced

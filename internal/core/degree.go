@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sync"
 
 	"repro/internal/blockdev"
@@ -26,8 +25,6 @@ import (
 // Allow under the per-file driver mutex but delivers feedback from
 // whatever goroutine observed the event.
 type DegreePolicy interface {
-	// Name labels the policy for logs and snapshots.
-	Name() string
 	// Allow returns the current outstanding-prefetch bound for the
 	// file; 0 means unlimited. It never returns a negative value.
 	Allow() int
@@ -56,17 +53,6 @@ type FixedDegree struct {
 	K int
 }
 
-// Name implements DegreePolicy.
-func (p *FixedDegree) Name() string {
-	switch p.K {
-	case 0:
-		return "unlimited"
-	case 1:
-		return "strict-linear"
-	}
-	return fmt.Sprintf("fixed:%d", p.K)
-}
-
 // Allow implements DegreePolicy.
 func (p *FixedDegree) Allow() int { return p.K }
 
@@ -86,57 +72,24 @@ func (p *FixedDegree) OnWasted() {}
 // reach unless the spec overrides it.
 const DefaultAdaptiveCap = 8
 
-// AdaptiveFDPConfig tunes the feedback controller. Zero values take
-// the defaults noted on each field.
-type AdaptiveFDPConfig struct {
-	// Cap is the hard maximum window; the controller never exceeds it.
-	// Default DefaultAdaptiveCap. Must be >= 1.
-	Cap int
-	// Window is how many feedback events accumulate before the
-	// controller re-evaluates. Default 32.
-	Window int
-	// AccuracyHigh is the useful fraction (timely+late over all
-	// resolved prefetches) above which widening is considered.
-	// Default 0.75.
-	AccuracyHigh float64
-	// AccuracyLow is the useful fraction below which the window clamps
-	// straight back to linear. Default 0.40.
-	AccuracyLow float64
-	// LateHigh is the late fraction above which the file counts as
-	// timely-starved: predictions are right but arrive behind the
-	// reader, so a deeper window would hide more latency. Default 0.10.
-	LateHigh float64
-	// Hysteresis is how many consecutive widen (or narrow) verdicts
-	// must agree before the window actually moves, so a single noisy
-	// evaluation can't flap the degree. Default 2.
-	Hysteresis int
-}
-
-func (c *AdaptiveFDPConfig) fill() {
-	if c.Cap <= 0 {
-		c.Cap = DefaultAdaptiveCap
-	}
-	if c.Window <= 0 {
-		c.Window = 32
-	}
-	if c.AccuracyHigh == 0 {
-		c.AccuracyHigh = 0.75
-	}
-	if c.AccuracyLow == 0 {
-		c.AccuracyLow = 0.40
-	}
-	if c.LateHigh == 0 {
-		c.LateHigh = 0.10
-	}
-	if c.Hysteresis <= 0 {
-		c.Hysteresis = 2
-	}
-}
+// The feedback controller's constants (DESIGN §12): events per
+// evaluation window; the useful fraction at or above which the window
+// may widen and below which it clamps to linear; the late fraction at
+// or above which a file counts as timely-starved; and how many
+// consecutive agreeing verdicts a gradual move needs, so one noisy
+// evaluation cannot flap the degree.
+const (
+	adaptiveWindow = 32
+	accuracyHigh   = 0.75
+	accuracyLow    = 0.40
+	lateHigh       = 0.10
+	hysteresis     = 2
+)
 
 // AdaptiveFDP is a per-file feedback-directed degree controller in the
-// spirit of FDP's conservative→aggressive state machine: every Window
-// feedback events it computes the useful fraction (accuracy) and the
-// late fraction of resolved prefetches, then
+// spirit of FDP's conservative→aggressive state machine: every
+// adaptiveWindow feedback events it computes the useful fraction
+// (accuracy) and the late fraction of resolved prefetches, then
 //
 //   - widens the window by one step (up to Cap) when predictions are
 //     accurate *and* the file is timely-starved — demand reads keep
@@ -144,10 +97,10 @@ func (c *AdaptiveFDPConfig) fill() {
 //   - narrows by one step when accuracy is high but nothing is late —
 //     the current depth already covers the read-ahead distance;
 //   - clamps straight back to linear (degree 1) when accuracy falls
-//     below AccuracyLow — the predictor is wrong, waste is rising, and
+//     below accuracyLow — the predictor is wrong, waste is rising, and
 //     the paper's throttle is the safe floor.
 //
-// Both gradual moves are gated by Hysteresis consecutive agreeing
+// Both gradual moves are gated by hysteresis consecutive agreeing
 // verdicts; the clamp is immediate. A backpressure signal from the
 // environment also halves the window at once: the prefetch queue is
 // full, so depth is only creating rejects.
@@ -155,7 +108,7 @@ func (c *AdaptiveFDPConfig) fill() {
 // The window always stays within [1, Cap]. The zero value is not
 // usable; construct with NewAdaptiveFDP.
 type AdaptiveFDP struct {
-	cfg AdaptiveFDPConfig
+	cap int // the hard maximum window; never exceeded
 
 	mu           sync.Mutex
 	degree       int
@@ -183,15 +136,11 @@ type AdaptiveStats struct {
 	LastLateRate float64 // late fraction at the last evaluation
 }
 
-// NewAdaptiveFDP builds a controller starting at degree 1 — linear
-// until the feedback earns more.
-func NewAdaptiveFDP(cfg AdaptiveFDPConfig) *AdaptiveFDP {
-	cfg.fill()
-	return &AdaptiveFDP{cfg: cfg, degree: 1}
+// NewAdaptiveFDP builds a controller with hard cap cap (>= 1) starting
+// at degree 1 — linear until the feedback earns more.
+func NewAdaptiveFDP(cap int) *AdaptiveFDP {
+	return &AdaptiveFDP{cap: cap, degree: 1}
 }
-
-// Name implements DegreePolicy.
-func (p *AdaptiveFDP) Name() string { return fmt.Sprintf("adaptive-fdp:%d", p.cfg.Cap) }
 
 // Allow implements DegreePolicy.
 func (p *AdaptiveFDP) Allow() int {
@@ -201,7 +150,7 @@ func (p *AdaptiveFDP) Allow() int {
 }
 
 // Cap implements DegreePolicy.
-func (p *AdaptiveFDP) Cap() int { return p.cfg.Cap }
+func (p *AdaptiveFDP) Cap() int { return p.cap }
 
 // OnTimely implements DegreePolicy.
 func (p *AdaptiveFDP) OnTimely() { p.feed(&p.timely, &p.stats.Timely) }
@@ -231,7 +180,7 @@ func (p *AdaptiveFDP) Stats() AdaptiveStats {
 	defer p.mu.Unlock()
 	s := p.stats
 	s.Degree = p.degree
-	s.Cap = p.cfg.Cap
+	s.Cap = p.cap
 	return s
 }
 
@@ -240,7 +189,7 @@ func (p *AdaptiveFDP) feed(windowCtr, lifeCtr *uint64) {
 	defer p.mu.Unlock()
 	*windowCtr++
 	*lifeCtr++
-	if p.timely+p.late+p.wasted >= uint64(p.cfg.Window) {
+	if p.timely+p.late+p.wasted >= adaptiveWindow {
 		p.evaluate()
 	}
 }
@@ -256,7 +205,7 @@ func (p *AdaptiveFDP) evaluate() {
 	p.stats.LastAccuracy, p.stats.LastLateRate = accuracy, lateRate
 
 	switch {
-	case accuracy < p.cfg.AccuracyLow:
+	case accuracy < accuracyLow:
 		// The predictor is missing; every extra slot is another wasted
 		// block polluting the cache. Back to the paper's throttle now.
 		if p.degree != 1 {
@@ -264,22 +213,22 @@ func (p *AdaptiveFDP) evaluate() {
 		}
 		p.degree = 1
 		p.widenStreak, p.narrowStreak = 0, 0
-	case accuracy >= p.cfg.AccuracyHigh && lateRate >= p.cfg.LateHigh:
+	case accuracy >= accuracyHigh && lateRate >= lateHigh:
 		p.narrowStreak = 0
-		if p.degree >= p.cfg.Cap {
+		if p.degree >= p.cap {
 			p.widenStreak = 0
 			return
 		}
-		if p.widenStreak++; p.widenStreak >= p.cfg.Hysteresis {
+		if p.widenStreak++; p.widenStreak >= hysteresis {
 			p.degree++
 			p.stats.Widens++
 			p.widenStreak = 0
 		}
-	case accuracy >= p.cfg.AccuracyHigh && lateRate == 0 && p.degree > 1:
+	case accuracy >= accuracyHigh && lateRate == 0 && p.degree > 1:
 		// Everything useful arrives ahead of the reader: the window is
 		// at least deep enough, so probe downward to shed speculation.
 		p.widenStreak = 0
-		if p.narrowStreak++; p.narrowStreak >= p.cfg.Hysteresis {
+		if p.narrowStreak++; p.narrowStreak >= hysteresis {
 			p.degree--
 			p.stats.Narrows++
 			p.narrowStreak = 0
@@ -326,17 +275,3 @@ func (s *DegreeSet) OnLate(f blockdev.FileID) { s.For(f).OnLate() }
 
 // OnWasted routes an unused-eviction event to the file's controller.
 func (s *DegreeSet) OnWasted(f blockdev.FileID) { s.For(f).OnWasted() }
-
-// MaxDegree returns the deepest window any file reached, and 1 when no
-// file has a policy yet (every driver starts linear).
-func (s *DegreeSet) MaxDegree() int {
-	max := 1
-	for _, p := range s.policies {
-		if a, ok := p.(*AdaptiveFDP); ok {
-			if st := a.Stats(); st.Degree > max {
-				max = st.Degree
-			}
-		}
-	}
-	return max
-}

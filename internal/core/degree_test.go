@@ -1,40 +1,34 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 )
 
-// feedN delivers n timely/late/wasted events in that proportion, in a
-// deterministic interleave, so a test can steer one evaluation window.
+// feedWindow delivers one evaluation window of feedback, split
+// timely:late:wasted in eighths, so a test can steer one verdict.
 func feedWindow(p *AdaptiveFDP, timely, late, wasted int) {
-	for i := 0; i < timely; i++ {
+	if timely+late+wasted != 8 {
+		panic("feedWindow takes eighths")
+	}
+	const eighth = adaptiveWindow / 8
+	for i := 0; i < timely*eighth; i++ {
 		p.OnTimely()
 	}
-	for i := 0; i < late; i++ {
+	for i := 0; i < late*eighth; i++ {
 		p.OnLate()
 	}
-	for i := 0; i < wasted; i++ {
+	for i := 0; i < wasted*eighth; i++ {
 		p.OnWasted()
 	}
 }
 
-func TestFixedDegreeNames(t *testing.T) {
-	cases := []struct {
-		k    int
-		want string
-	}{
-		{0, "unlimited"},
-		{1, "strict-linear"},
-		{4, "fixed:4"},
-	}
-	for _, c := range cases {
-		p := &FixedDegree{K: c.k}
-		if got := p.Name(); got != c.want {
-			t.Errorf("FixedDegree{%d}.Name() = %q, want %q", c.k, got, c.want)
-		}
-		if p.Allow() != c.k || p.Cap() != c.k {
-			t.Errorf("FixedDegree{%d}: Allow=%d Cap=%d, want both %d", c.k, p.Allow(), p.Cap(), c.k)
+func TestFixedDegreeIsStatic(t *testing.T) {
+	for _, k := range []int{0, 1, 4} {
+		p := &FixedDegree{K: k}
+		if p.Allow() != k || p.Cap() != k {
+			t.Errorf("FixedDegree{%d}: Allow=%d Cap=%d, want both %d", k, p.Allow(), p.Cap(), k)
 		}
 	}
 	// Feedback must be a no-op on the static policy.
@@ -48,17 +42,17 @@ func TestFixedDegreeNames(t *testing.T) {
 }
 
 func TestAdaptiveStartsLinear(t *testing.T) {
-	p := NewAdaptiveFDP(AdaptiveFDPConfig{})
+	p := NewAdaptiveFDP(DefaultAdaptiveCap)
 	if p.Allow() != 1 {
 		t.Errorf("initial Allow = %d, want 1 (linear until feedback earns more)", p.Allow())
 	}
 	if p.Cap() != DefaultAdaptiveCap {
-		t.Errorf("default Cap = %d, want %d", p.Cap(), DefaultAdaptiveCap)
+		t.Errorf("Cap = %d, want %d", p.Cap(), DefaultAdaptiveCap)
 	}
 }
 
 func TestAdaptiveWidensWhenAccurateAndLate(t *testing.T) {
-	p := NewAdaptiveFDP(AdaptiveFDPConfig{Window: 8, Hysteresis: 2})
+	p := NewAdaptiveFDP(DefaultAdaptiveCap)
 	// All-useful, heavily late windows: the timely-starved signature.
 	feedWindow(p, 4, 4, 0)
 	if p.Allow() != 1 {
@@ -83,7 +77,7 @@ func TestAdaptiveWidensWhenAccurateAndLate(t *testing.T) {
 }
 
 func TestAdaptiveClampsOnInaccuracy(t *testing.T) {
-	p := NewAdaptiveFDP(AdaptiveFDPConfig{Window: 8, Hysteresis: 2})
+	p := NewAdaptiveFDP(DefaultAdaptiveCap)
 	for i := 0; i < 6; i++ {
 		feedWindow(p, 4, 4, 0)
 	}
@@ -107,7 +101,7 @@ func TestAdaptiveClampsOnInaccuracy(t *testing.T) {
 }
 
 func TestAdaptiveNarrowsWhenNothingLate(t *testing.T) {
-	p := NewAdaptiveFDP(AdaptiveFDPConfig{Window: 8, Hysteresis: 2})
+	p := NewAdaptiveFDP(DefaultAdaptiveCap)
 	for i := 0; i < 4; i++ {
 		feedWindow(p, 4, 4, 0)
 	}
@@ -134,7 +128,7 @@ func TestAdaptiveNarrowsWhenNothingLate(t *testing.T) {
 }
 
 func TestAdaptiveHysteresisResetsOnDisagreement(t *testing.T) {
-	p := NewAdaptiveFDP(AdaptiveFDPConfig{Window: 8, Hysteresis: 2})
+	p := NewAdaptiveFDP(DefaultAdaptiveCap)
 	feedWindow(p, 4, 4, 0) // widen verdict (streak 1)
 	feedWindow(p, 3, 2, 3) // accuracy 5/8 = 0.625: neutral, streak resets
 	feedWindow(p, 4, 4, 0) // widen verdict (streak 1 again)
@@ -144,7 +138,7 @@ func TestAdaptiveHysteresisResetsOnDisagreement(t *testing.T) {
 }
 
 func TestAdaptiveBackpressureHalves(t *testing.T) {
-	p := NewAdaptiveFDP(AdaptiveFDPConfig{Window: 8, Hysteresis: 2})
+	p := NewAdaptiveFDP(DefaultAdaptiveCap)
 	for i := 0; i < 12; i++ {
 		feedWindow(p, 4, 4, 0)
 	}
@@ -170,7 +164,7 @@ func TestAdaptiveBackpressureHalves(t *testing.T) {
 }
 
 func TestAdaptiveConcurrentFeedback(t *testing.T) {
-	p := NewAdaptiveFDP(AdaptiveFDPConfig{})
+	p := NewAdaptiveFDP(DefaultAdaptiveCap)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -220,17 +214,70 @@ func TestDegreeSetRoutesPerFile(t *testing.T) {
 	if b.Allow() != 1 {
 		t.Errorf("file 2 Allow = %d, want untouched 1", b.Allow())
 	}
-	if s.MaxDegree() != a.Allow() {
-		t.Errorf("MaxDegree = %d, want %d", s.MaxDegree(), a.Allow())
-	}
 
 	// A strict-linear spec hands out static policies.
 	ls := NewDegreeSet(SpecLnAgrISPPM1)
 	if _, ok := ls.For(1).(*FixedDegree); !ok {
 		t.Errorf("linear spec policy = %T, want *FixedDegree", ls.For(1))
 	}
-	if ls.MaxDegree() != 1 {
-		t.Errorf("linear MaxDegree = %d, want 1", ls.MaxDegree())
+}
+
+// degreeSeeds is FuzzDegreePolicy's seed corpus. All but the first
+// three run several evaluation windows, so the seeds alone widen to the
+// cap, clamp, narrow and halve (TestDegreeSeedsMoveTheController).
+var degreeSeeds = [][]byte{
+	{0, 1, 2, 3, 0, 1, 0, 1},
+	{3, 3, 3, 3},
+	bytes.Repeat([]byte{1}, 16),
+	// All late: widen step by step to the cap (4 at this length), then
+	// sit there.
+	bytes.Repeat([]byte{1}, 8*adaptiveWindow),
+	// Widen, then an all-wasted window clamps to linear.
+	append(bytes.Repeat([]byte{1}, 6*adaptiveWindow), bytes.Repeat([]byte{2}, adaptiveWindow)...),
+	// Widen, then all-timely windows narrow back to 1.
+	append(bytes.Repeat([]byte{1}, 4*adaptiveWindow), bytes.Repeat([]byte{0}, 4*adaptiveWindow)...),
+	// Timely, late and wasted interleaved (accurate, starved), with a
+	// backpressure signal after every six windows to halve the degree.
+	bytes.Repeat(append(bytes.Repeat([]byte{0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 2}, 6*adaptiveWindow/16), 3), 3),
+}
+
+// fuzzCap varies the controller's ceiling with the input's length.
+func fuzzCap(events []byte) int { return 1 + len(events)%11 }
+
+func feedEvent(p *AdaptiveFDP, ev byte) {
+	switch ev % 4 {
+	case 0:
+		p.OnTimely()
+	case 1:
+		p.OnLate()
+	case 2:
+		p.OnWasted()
+	case 3:
+		p.OnBackpressure()
+	}
+}
+
+// TestDegreeSeedsMoveTheController keeps FuzzDegreePolicy's envelope
+// check from going vacuous: a seed corpus too short to complete an
+// evaluation window would leave Allow at 1 throughout.
+func TestDegreeSeedsMoveTheController(t *testing.T) {
+	var atCap, halved bool
+	var clamps, narrows uint64
+	for _, events := range degreeSeeds {
+		p := NewAdaptiveFDP(fuzzCap(events))
+		for _, ev := range events {
+			before := p.Allow()
+			feedEvent(p, ev)
+			atCap = atCap || p.Cap() > 1 && p.Allow() == p.Cap()
+			halved = halved || ev%4 == 3 && p.Allow() < before
+		}
+		s := p.Stats()
+		clamps += s.Clamps
+		narrows += s.Narrows
+	}
+	if !atCap || !halved || clamps == 0 || narrows == 0 {
+		t.Errorf("seeds reach cap %v, halve %v, clamp %d times, narrow %d times; want all",
+			atCap, halved, clamps, narrows)
 	}
 }
 
@@ -239,23 +286,13 @@ func TestDegreeSetRoutesPerFile(t *testing.T) {
 // [1, Cap] after every event, and the stats counters never go
 // inconsistent.
 func FuzzDegreePolicy(f *testing.F) {
-	f.Add([]byte{0, 1, 2, 3, 0, 1, 0, 1})
-	f.Add([]byte{3, 3, 3, 3})
-	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1})
+	for _, s := range degreeSeeds {
+		f.Add(s)
+	}
 	f.Fuzz(func(t *testing.T, events []byte) {
-		cap := 1 + int(len(events))%11 // vary the ceiling too
-		p := NewAdaptiveFDP(AdaptiveFDPConfig{Cap: cap, Window: 4, Hysteresis: 1})
+		p := NewAdaptiveFDP(fuzzCap(events))
 		for _, ev := range events {
-			switch ev % 4 {
-			case 0:
-				p.OnTimely()
-			case 1:
-				p.OnLate()
-			case 2:
-				p.OnWasted()
-			case 3:
-				p.OnBackpressure()
-			}
+			feedEvent(p, ev)
 			if a := p.Allow(); a < 1 || a > p.Cap() {
 				t.Fatalf("Allow = %d outside [1, %d] after event %d", a, p.Cap(), ev%4)
 			}

@@ -90,16 +90,17 @@ type DriverConfig struct {
 	FileBlocks blockdev.BlockNo
 	// Env hosts the driver.
 	Env Env
-	// MaxDrySteps bounds consecutive chain predictions that yield no
-	// uncached block before the chain pauses; it prevents a cyclic,
-	// fully cached pattern from spinning forever, and sets how far ahead
-	// of the user an idle chain keeps looking. Zero means the default of 64.
-	MaxDrySteps int
 	// Observer, if non-nil, receives every change of the driver's
 	// logical outstanding-prefetch count (issue +1, completion -1, and
 	// the reset to zero when a chain restarts or stops).
 	Observer OutstandingObserver
 }
+
+// maxDrySteps bounds consecutive chain predictions that yield no
+// uncached block before the chain pauses; it prevents a cyclic, fully
+// cached pattern from spinning forever, and sets how far ahead of the
+// user an idle chain keeps looking.
+const maxDrySteps = 64
 
 // DriverStats counts driver activity; the experiment layer aggregates
 // them into the paper's reported ratios.
@@ -154,6 +155,13 @@ type Driver struct {
 	stopped     bool
 	stats       DriverStats
 	free        []*prefetchOp // finished operation records, for issue to reuse
+	// inFlight holds the blocks this generation has in flight, kept for
+	// an aggressive chain under an unlimited window only. A bounded
+	// window ends a pump by itself; an unlimited one ends only when the
+	// walk runs dry, and a host whose Cached does not see prefetches in
+	// flight (the simulator's) would let a learned cycle re-issue them
+	// without end inside one pump.
+	inFlight map[blockdev.BlockNo]struct{}
 }
 
 // evictionCounter is the optional part of Env; see there.
@@ -163,10 +171,12 @@ type evictionCounter interface{ Evictions() uint64 }
 // fetch leaves behind: its first prediction led to cursor expect, it
 // took dry steps and stopped at far (at the dry guard, or with the next
 // prediction past the end of the file), and every block on the way was
-// seen cached after the host's count read evictions. While the count
-// stands they still are, so the walk from expect, should the next
-// request land there, would repeat all but the first of those steps
-// and go on from far: refill skips them. Anything else walks in full.
+// seen cached, or in flight from this generation (which lands before
+// inFlight forgets it), after the host's count read evictions. While
+// the count stands they still are, so the walk from expect, should the
+// next request land there, would repeat all but the first of those
+// steps and go on from far: refill skips them. Anything else walks in
+// full.
 type anchor struct {
 	ok          bool
 	expect, far Cursor
@@ -188,11 +198,12 @@ func NewDriver(cfg DriverConfig) *Driver {
 	if cfg.FileBlocks <= 0 {
 		panic(fmt.Sprintf("core: file %d has %d blocks", cfg.File, cfg.FileBlocks))
 	}
-	if cfg.MaxDrySteps == 0 {
-		cfg.MaxDrySteps = 64
-	}
 	counter, _ := cfg.Env.(evictionCounter)
-	return &Driver{cfg: cfg, degree: cfg.Degree, evictions: counter, stopped: true}
+	d := &Driver{cfg: cfg, degree: cfg.Degree, evictions: counter, stopped: true}
+	if cfg.Mode == ModeAggressive && cfg.Degree.Cap() == 0 {
+		d.inFlight = make(map[blockdev.BlockNo]struct{})
+	}
+	return d
 }
 
 // Stats returns a snapshot of the driver counters.
@@ -244,6 +255,7 @@ func (d *Driver) OnUserRequest(r Request, now Tick, satisfied bool) {
 func (d *Driver) StopChain() {
 	d.dropPending()
 	d.gen++
+	clear(d.inFlight)
 	d.changeOutstanding(-d.outstanding)
 	d.stopped = true
 	d.dry = false
@@ -253,6 +265,7 @@ func (d *Driver) restartFrom(real Cursor) {
 	d.cursor = real
 	d.dropPending()
 	d.gen++
+	clear(d.inFlight)
 	d.changeOutstanding(-d.outstanding)
 	d.stopped = false
 	d.dry = false
@@ -290,6 +303,11 @@ func (d *Driver) enqueue(p Prediction) (added bool) {
 		blk := blockdev.BlockID{File: d.cfg.File, Block: b}
 		if d.cfg.Env.Cached(blk) {
 			continue
+		}
+		if d.inFlight != nil {
+			if _, busy := d.inFlight[b]; busy {
+				continue
+			}
 		}
 		d.pending = append(d.pending, pendingBlock{no: b, fallback: p.Fallback})
 		added = true
@@ -367,7 +385,7 @@ func (d *Driver) refill() bool {
 			d.dry = false
 			return true
 		}
-		if a.dry++; a.dry >= d.cfg.MaxDrySteps {
+		if a.dry++; a.dry >= maxDrySteps {
 			a.ok = true
 			break
 		}
@@ -390,6 +408,7 @@ func (d *Driver) refill() bool {
 type prefetchOp struct {
 	d   *Driver
 	gen uint64 // chain generation the operation was issued under
+	blk blockdev.BlockNo
 	// finished latches the operation's one release.
 	finished  bool
 	cancelled func() bool
@@ -414,6 +433,7 @@ func (op *prefetchOp) complete() {
 	op.finished = true
 	d := op.d
 	if d.gen == op.gen {
+		delete(d.inFlight, op.blk)
 		d.changeOutstanding(-1)
 		d.stats.Completed++
 		d.pump()
@@ -434,10 +454,14 @@ func (d *Driver) issue(blk blockdev.BlockID, fallback bool) bool {
 		op = &prefetchOp{d: d}
 		op.cancelled, op.done = op.isCancelled, op.complete
 	}
-	op.gen, op.finished = d.gen, false
+	op.gen, op.blk, op.finished = d.gen, blk.Block, false
+	if d.inFlight != nil {
+		d.inFlight[blk.Block] = struct{}{}
+	}
 	d.changeOutstanding(1)
 	if !d.cfg.Env.Prefetch(blk, fallback, op.cancelled, op.done) {
 		op.finished = true
+		delete(d.inFlight, blk.Block)
 		d.changeOutstanding(-1)
 		d.free = append(d.free, op)
 		d.stats.Rejected++

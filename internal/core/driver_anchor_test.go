@@ -63,11 +63,8 @@ func (s *randomStream) next() Request {
 // closes, refusals, and a cache that loses blocks at random, most of
 // them just ahead of the user, in bursts with quiet spells between —
 // and must agree, step by step, on every Env.Prefetch call and every
-// counter but the number of predictions it took.
-//
-// Unlimited Agr_IS_PPM is left out: it can spin inside one pump on a
-// learned cycle (ROADMAP 1b). A stream stays under DefaultMaxNodes
-// requests, so no history table displaces a node.
+// counter but the number of predictions it took. A stream stays under
+// DefaultMaxNodes requests, so no history table displaces a node.
 func TestAnchorPreservesDecisions(t *testing.T) {
 	const (
 		blocks = 600
@@ -75,7 +72,7 @@ func TestAnchorPreservesDecisions(t *testing.T) {
 		seeds  = 4
 	)
 	for _, spec := range NamedAlgorithms() {
-		if !spec.Prefetches() || spec.Kind == AlgISPPM && spec.Mode == ModeAggressive && spec.DegreeCap() == 0 {
+		if !spec.Prefetches() {
 			continue
 		}
 		t.Run(spec.Name(), func(t *testing.T) {
@@ -206,7 +203,7 @@ func (c *counted) Cached(b blockdev.BlockID) bool {
 // sequential stream the driver makes at most 3 Predict and 2 Cached
 // calls per request (it makes 2 and 1: the user's next step, and one
 // more at the far end of what it has already seen), all the way into
-// the end of the file, where a walk in full makes MaxDrySteps = 64 of
+// the end of the file, where a walk in full makes maxDrySteps = 64 of
 // each — which is what an env without the count still gets — and the
 // whole dry spell is one ChainStop.
 func TestDryHitCost(t *testing.T) {

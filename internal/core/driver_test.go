@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/blockdev"
+	"repro/internal/sim"
 )
 
 // fakeEnv is a controllable Env: prefetches queue up and complete only
@@ -299,7 +300,7 @@ func TestDryPatternDoesNotSpin(t *testing.T) {
 	m := NewISPPM(1)
 	d := NewDriver(DriverConfig{
 		Predictor: m, Mode: ModeAggressive, Degree: &FixedDegree{K: 1},
-		File: 1, FileBlocks: 100, Env: env, MaxDrySteps: 8,
+		File: 1, FileBlocks: 100, Env: env,
 	})
 	// Pre-train a two-block cycle 10 <-> 20 directly on the predictor
 	// so the graph (not the OBA fallback) drives the chain, and mark
@@ -316,6 +317,92 @@ func TestDryPatternDoesNotSpin(t *testing.T) {
 	}
 	if len(env.issued) != 0 {
 		t.Errorf("dry chain issued %v", env.issued)
+	}
+}
+
+// diskEnv hosts a driver the way the simulator does: Cached sees only
+// landed blocks, never a prefetch in flight, and an accepted prefetch
+// lands on the sim clock after a fixed disk latency, or is dropped
+// there when its chain has moved on. dups counts blocks issued again
+// while an operation of the same chain still had them in flight.
+type diskEnv struct {
+	e        *sim.Engine
+	cache    map[blockdev.BlockID]bool
+	inflight map[blockdev.BlockID][]*fakeOp
+	issued   int
+	dups     int
+}
+
+// diskEnvIssueCap is far above what the test's chain can issue without
+// repeating itself; a driver that re-issues its own in-flight blocks
+// reaches it inside one pump, and the refusal parks the chain instead
+// of letting it spin.
+const diskEnvIssueCap = 10_000
+
+func (env *diskEnv) Cached(b blockdev.BlockID) bool { return env.cache[b] }
+
+func (env *diskEnv) Prefetch(b blockdev.BlockID, _ bool, cancelled func() bool, done func()) bool {
+	if env.issued++; env.issued > diskEnvIssueCap {
+		return false
+	}
+	for _, op := range env.inflight[b] {
+		if !op.cancelled() {
+			env.dups++
+		}
+	}
+	op := &fakeOp{b, cancelled, done}
+	env.inflight[b] = append(env.inflight[b], op)
+	env.e.After(sim.Milliseconds(2), func(*sim.Engine) {
+		ops := env.inflight[b]
+		for i := range ops {
+			if ops[i] == op {
+				env.inflight[b] = append(ops[:i], ops[i+1:]...)
+				break
+			}
+		}
+		if !cancelled() {
+			env.cache[b] = true
+			done()
+		}
+	})
+	return true
+}
+
+// TestUnlimitedCycleIssuesEachBlockOnce is ROADMAP 1(b): an unlimited
+// window walking a learned cycle inside a file, on a host that does not
+// count its prefetches in flight as cached, must not issue a block its
+// chain already has in flight — before the driver remembered them, one
+// pump re-issued the cycle without end. The user walks the cycle faster
+// than the disk answers, so chains restart over blocks still in flight,
+// and the run must drain within a bounded number of events.
+func TestUnlimitedCycleIssuesEachBlockOnce(t *testing.T) {
+	e := sim.NewEngine(1)
+	env := &diskEnv{e: e, cache: map[blockdev.BlockID]bool{}, inflight: map[blockdev.BlockID][]*fakeOp{}}
+	m := NewISPPM(1)
+	d := NewDriver(DriverConfig{
+		Predictor: m, Mode: ModeAggressive, Degree: &FixedDegree{K: 0},
+		File: 1, FileBlocks: 64, Env: env,
+	})
+	cycle := []blockdev.BlockNo{10, 20, 35} // intervals +10, +15, -25: a cycle IS_PPM:1 tells apart
+	for i := 0; i < 3*len(cycle); i++ {
+		m.Observe(Request{Offset: cycle[i%len(cycle)], Size: 1}, Tick(i+1))
+	}
+	for i := 0; i < 10*len(cycle); i++ {
+		b := bid(1, int(cycle[i%len(cycle)]))
+		e.After(sim.Milliseconds(float64(i)), func(e *sim.Engine) {
+			satisfied := env.cache[b]
+			env.cache[b] = true // the demand fetch
+			d.OnUserRequest(Request{Offset: b.Block, Size: 1}, Tick(e.Now()), satisfied)
+		})
+	}
+	if !e.RunLimit(100_000) {
+		t.Fatal("the simulation never drained")
+	}
+	if env.dups != 0 || env.issued > diskEnvIssueCap {
+		t.Errorf("%d prefetches issued, %d of them of a block the chain had in flight", env.issued, env.dups)
+	}
+	if d.Stats().Issued == 0 {
+		t.Error("the chain issued nothing: the test exercised nothing")
 	}
 }
 

@@ -18,11 +18,7 @@ type AblationSpec struct {
 // The algorithm studies run Ln_Agr_IS_PPM:1 variants on CHARISMA/PAFS
 // at 4 MB per node; the cooperation study varies xFS's N-chance
 // forwarding under the unmodified algorithm on Sprite at 1 MB per
-// node, where eviction pressure makes forwarding matter. The unlimited
-// variant belongs at the tiny scale only: beyond it Agr_IS_PPM:1 never
-// finishes, because a learned cycle inside a file re-enqueues blocks
-// already in flight without bound inside one Driver.pump call (830 MB
-// resident after 5 s at the small scale; ROADMAP Open item 1(b)).
+// node, where eviction pressure makes forwarding matter.
 func Ablations() []AblationSpec {
 	base := core.SpecLnAgrISPPM1
 	var out []AblationSpec

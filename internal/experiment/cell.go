@@ -207,7 +207,7 @@ func RunTraceObserved(tr *workload.Trace, mach machine.Config, c Cell, warmFract
 		return Result{}, fmt.Errorf("experiment: unknown file system %d", c.FS)
 	}
 
-	runner := fscommon.NewRunner(fs, tr, fscommon.RunnerConfig{WarmFraction: warmFraction})
+	runner := fscommon.NewRunner(fs, tr, warmFraction)
 	end := runner.Run(e)
 	if !runner.Done() {
 		return Result{}, fmt.Errorf("experiment: %s did not complete", c)

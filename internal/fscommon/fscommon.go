@@ -363,15 +363,6 @@ func (b *Base) StopBackground() {
 // consult it to stop their chains.
 func (b *Base) Stopped() bool { return b.wbStop }
 
-// FinalFlush writes every block still dirty at the end of a run (used
-// by experiments so Table 2 counts the trailing state exactly once).
-func (b *Base) FinalFlush() {
-	for _, blk := range b.Cch.DirtyBlocks() {
-		b.writeBack(blk)
-		b.Cch.ClearDirty(blk)
-	}
-}
-
 // SpanOf converts a trace step to its block span under the machine's
 // block size.
 func (b *Base) SpanOf(s workload.Step) blockdev.Span {

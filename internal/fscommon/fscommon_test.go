@@ -10,7 +10,6 @@ import (
 	"repro/internal/pafs"
 	"repro/internal/sim"
 	"repro/internal/workload"
-	"repro/internal/xfs"
 )
 
 func smallMachine() machine.Config {
@@ -55,7 +54,7 @@ func TestRunnerCompletesTrace(t *testing.T) {
 		CacheBlocksPerNode: 64,
 		Algorithm:          core.SpecNP,
 	}, tr)
-	r := fscommon.NewRunner(fs, tr, fscommon.RunnerConfig{})
+	r := fscommon.NewRunner(fs, tr, 0)
 	r.Run(e)
 	if !r.Done() {
 		t.Fatal("runner did not complete the trace")
@@ -76,7 +75,7 @@ func TestRunnerWarmupGatesMeasurement(t *testing.T) {
 		CacheBlocksPerNode: 64,
 		Algorithm:          core.SpecNP,
 	}, tr)
-	r := fscommon.NewRunner(fs, tr, fscommon.RunnerConfig{WarmFraction: 0.5})
+	r := fscommon.NewRunner(fs, tr, 0.5)
 	r.Run(e)
 	if !r.Done() {
 		t.Fatal("runner did not complete")
@@ -98,29 +97,11 @@ func TestRunnerClosedLoopOrdering(t *testing.T) {
 		CacheBlocksPerNode: 64,
 		Algorithm:          core.SpecNP,
 	}, tr)
-	r := fscommon.NewRunner(fs, tr, fscommon.RunnerConfig{})
+	r := fscommon.NewRunner(fs, tr, 0)
 	r.Run(e)
 	// 8 distinct blocks per file: only the first pass misses.
 	if got := fs.Collector().DiskDemandReads(); got != 16 {
 		t.Errorf("demand reads = %d, want 16 (8 per file)", got)
-	}
-}
-
-func TestRunnerMaxSimTimeBounds(t *testing.T) {
-	e := sim.NewEngine(1)
-	tr := seqTrace(32, 5000)
-	fs := xfs.New(e, xfs.Config{
-		Machine:            smallMachine(),
-		CacheBlocksPerNode: 64,
-		Algorithm:          core.SpecNP,
-	}, tr)
-	r := fscommon.NewRunner(fs, tr, fscommon.RunnerConfig{MaxSimTime: sim.Time(sim.Milliseconds(50))})
-	end := r.Run(e)
-	if r.Done() {
-		t.Error("runner claimed completion despite the time bound")
-	}
-	if end > sim.Time(sim.Seconds(1)) {
-		t.Errorf("simulation ran to %v despite 50ms bound", end)
 	}
 }
 
@@ -139,7 +120,7 @@ func TestRunnerRejectsBadWarmFraction(t *testing.T) {
 					t.Errorf("warm fraction %v accepted", f)
 				}
 			}()
-			fscommon.NewRunner(fs, tr, fscommon.RunnerConfig{WarmFraction: f})
+			fscommon.NewRunner(fs, tr, f)
 		}()
 	}
 }
@@ -174,25 +155,4 @@ func TestBaseFileBlocksPanicsOnUnknownFile(t *testing.T) {
 		}
 	}()
 	fs.FileBlocks(999)
-}
-
-func TestFinalFlushDrainsDirtyState(t *testing.T) {
-	e := sim.NewEngine(1)
-	tr := seqTrace(8, 1)
-	fs := pafs.New(e, pafs.Config{
-		Machine:            smallMachine(),
-		CacheBlocksPerNode: 16,
-		Algorithm:          core.SpecNP,
-	}, tr)
-	fs.Collector().StartMeasurement()
-	fs.Write(0, blockdev.Span{File: 0, Start: 0, Count: 3}, func(sim.Time) {})
-	e.Run()
-	fs.FinalFlush()
-	e.Run()
-	if got := fs.Collector().DiskWrites(); got != 3 {
-		t.Errorf("disk writes = %d, want 3 after final flush", got)
-	}
-	if len(fs.Cache().DirtyBlocks()) != 0 {
-		t.Error("dirty state survived FinalFlush")
-	}
 }

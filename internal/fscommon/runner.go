@@ -7,45 +7,31 @@ import (
 	"repro/internal/workload"
 )
 
-// RunnerConfig controls trace replay.
-type RunnerConfig struct {
-	// WarmFraction is the share of total requests completed before the
-	// measurement window opens (the paper warms the cache with the
-	// first hours of each trace). 0 measures everything.
-	WarmFraction float64
-	// MaxSimTime aborts a runaway simulation; zero means no limit.
-	MaxSimTime sim.Time
-}
-
 // Runner replays a trace against a file system: every process is a
 // closed loop (think, issue, wait) so I/O speedups shorten the run.
 type Runner struct {
 	fs     FileSystem
 	trace  *workload.Trace
-	cfg    RunnerConfig
 	engine *sim.Engine
 
-	totalSteps     int
 	completedSteps int
 	warmThreshold  int
 	finishedProcs  int
-	aborted        bool
 }
 
-// NewRunner prepares a replay. It panics on an invalid warm fraction.
-func NewRunner(fs FileSystem, tr *workload.Trace, cfg RunnerConfig) *Runner {
-	if cfg.WarmFraction < 0 || cfg.WarmFraction >= 1 {
-		panic(fmt.Sprintf("fscommon: warm fraction %v outside [0,1)", cfg.WarmFraction))
+// NewRunner prepares a replay. warmFraction is the share of total
+// requests completed before the measurement window opens (the paper
+// warms the cache with the first hours of each trace); 0 measures
+// everything. It panics on a fraction outside [0,1).
+func NewRunner(fs FileSystem, tr *workload.Trace, warmFraction float64) *Runner {
+	if warmFraction < 0 || warmFraction >= 1 {
+		panic(fmt.Sprintf("fscommon: warm fraction %v outside [0,1)", warmFraction))
 	}
-	total := tr.TotalSteps()
-	r := &Runner{
+	return &Runner{
 		fs:            fs,
 		trace:         tr,
-		cfg:           cfg,
-		totalSteps:    total,
-		warmThreshold: int(cfg.WarmFraction * float64(total)),
+		warmThreshold: int(warmFraction * float64(tr.TotalSteps())),
 	}
-	return r
 }
 
 // Run replays the whole trace to completion on the engine and returns
@@ -62,17 +48,10 @@ func (r *Runner) Run(e *sim.Engine) sim.Time {
 		p.issue, p.complete = p.issueStep, p.completeStep
 		p.schedule()
 	}
-	stop := func() bool { return r.Done() }
-	if r.cfg.MaxSimTime > 0 {
-		end := r.cfg.MaxSimTime
-		stop = func() bool { return r.Done() || e.Now() > end }
-	}
-	e.RunUntil(stop)
-	// The trace is finished (or the bound hit): stop issuing new
-	// steps, end the write-back daemon, and drain whatever is still in
-	// flight — trailing demand fetches, prefetch chains walking to end
-	// of file, queued flushes.
-	r.aborted = true
+	e.RunUntil(r.Done)
+	// The trace is finished: end the write-back daemon and drain
+	// whatever is still in flight — trailing demand fetches, prefetch
+	// chains walking to end of file, queued flushes.
 	r.fs.StopBackground()
 	return e.Run()
 }
@@ -98,9 +77,6 @@ type process struct {
 // schedule starts the think time of the process's next step.
 func (p *process) schedule() {
 	r := p.runner
-	if r.aborted {
-		return
-	}
 	if p.idx >= len(p.trace.Steps) {
 		r.finishedProcs++
 		return

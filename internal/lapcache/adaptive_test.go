@@ -36,11 +36,11 @@ func TestAdaptiveEngineWidensUnderStarvation(t *testing.T) {
 	if s.MaxFileOutstandingHW <= 1 {
 		t.Errorf("high-water = %d, want > 1: starved sequential stream should widen", s.MaxFileOutstandingHW)
 	}
-	if cap := e.DegreeCap(); s.MaxFileOutstandingHW > cap {
+	if cap := core.SpecAdAgrISPPM1.MaxOutstanding; s.MaxFileOutstandingHW > cap {
 		t.Errorf("high-water %d exceeds policy cap %d", s.MaxFileOutstandingHW, cap)
 	}
 	if s.LinearViolations != 0 {
-		t.Errorf("ledger counted %d violations of the cap-%d limit", s.LinearViolations, e.DegreeCap())
+		t.Errorf("ledger counted %d violations of the cap-%d limit", s.LinearViolations, core.SpecAdAgrISPPM1.MaxOutstanding)
 	}
 	agg, adaptive := e.DegreeStats()
 	if !adaptive {
@@ -125,7 +125,7 @@ func TestAdaptiveEngineClampsInSmallCache(t *testing.T) {
 			}
 		}
 		s := e.Snapshot()
-		if cap := alg.DegreeCap(); s.MaxFileOutstandingHW > cap {
+		if cap := alg.MaxOutstanding; s.MaxFileOutstandingHW > cap {
 			t.Errorf("%s: high-water %d exceeds degree cap %d", alg.Name(), s.MaxFileOutstandingHW, cap)
 		}
 		return s

@@ -17,7 +17,7 @@ import (
 // where the driver observes the request, finds it where its stopped
 // chain foresaw it, and looks one prediction further ahead (65
 // allocations a hit while core.Cursor was an interface and the chain
-// walked its MaxDrySteps predictions anew every time). The race
+// walked its 64 dry-step predictions anew every time). The race
 // detector instruments allocation, so the gate runs under plain
 // `go test` only.
 func TestReadIntoAllocs(t *testing.T) {

@@ -46,11 +46,9 @@ type Config struct {
 	// chain until its next satisfied request.
 	QueueLen int
 	// FileBlocks maps known files to their length in blocks, clipping
-	// prefetch chains at end of file (a trace's file table goes here).
+	// prefetch chains at end of file (a trace's file table goes here);
+	// a file missing from it is taken to be defaultFileBlocks long.
 	FileBlocks map[blockdev.FileID]blockdev.BlockNo
-	// DefaultFileBlocks sizes files missing from FileBlocks
-	// (default 1<<20 blocks).
-	DefaultFileBlocks blockdev.BlockNo
 	// StrictLinear makes any breach of the per-file outstanding limit
 	// panic instead of only counting — the server-side assertion that
 	// linear mode really keeps at most one prefetch per file in
@@ -68,6 +66,9 @@ type Config struct {
 	// cluster-wide). nil is a single-node engine that owns everything.
 	Remote RemoteFetcher
 }
+
+// defaultFileBlocks sizes a file the engine has no length for.
+const defaultFileBlocks blockdev.BlockNo = 1 << 20
 
 // fetchOp is one in-flight fetch, demand or speculative, registered in
 // the inflight map under every block of the run it will produce (one
@@ -187,15 +188,12 @@ func New(cfg Config) (*Engine, error) {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = 64
 	}
-	if cfg.DefaultFileBlocks <= 0 {
-		cfg.DefaultFileBlocks = 1 << 20
-	}
 	e := &Engine{
 		cfg:        cfg,
 		store:      cfg.Store,
 		pool:       blockbuf.NewPool(cfg.BlockSize),
 		remote:     cfg.Remote,
-		ledger:     core.NewLedger(cfg.Alg.DegreeCap(), cfg.StrictLinear),
+		ledger:     core.NewLedger(cfg.Alg.MaxOutstanding, cfg.StrictLinear),
 		adaptive:   cfg.Alg.Adaptive,
 		files:      make(map[blockdev.FileID]*fileState),
 		fileBlocks: make(map[blockdev.FileID]blockdev.BlockNo, len(cfg.FileBlocks)),
@@ -258,7 +256,7 @@ func (e *Engine) newDriver(f blockdev.FileID, fl *fileState) *core.Driver {
 	blocks := e.fileBlocks[f]
 	e.filesMu.RUnlock()
 	if blocks <= 0 {
-		blocks = e.cfg.DefaultFileBlocks
+		blocks = defaultFileBlocks
 	}
 	return core.NewDriver(core.DriverConfig{
 		Predictor:  e.cfg.Alg.NewPredictor(),
@@ -863,12 +861,6 @@ func (e *Engine) Snapshot() Snapshot {
 // marks through it).
 func (e *Engine) Ledger() *core.Ledger { return e.ledger }
 
-// DegreeCap returns the largest per-file outstanding-prefetch count
-// the engine's policy can ever allow (0 = unlimited). Under the
-// paper's linear configurations it is exactly 1; auditors check
-// ledger high-water marks against it.
-func (e *Engine) DegreeCap() int { return e.cfg.Alg.DegreeCap() }
-
 // DegreeStats aggregates the adaptive controllers across every file
 // the engine has touched. adaptive reports whether the engine runs
 // the feedback policy at all; a static engine returns zeros.
@@ -943,11 +935,6 @@ func (e *Engine) DrainCache() int { return e.cache.Clear() }
 
 // BufLive reports the buffer pool's live count (see blockbuf.Pool.Live).
 func (e *Engine) BufLive() int64 { return e.pool.Live() }
-
-// SetPoisonBufs switches the engine's buffer pool into poison mode:
-// released buffers are overwritten and verified on recycle, catching
-// writes through stale references (see blockbuf.Pool.SetPoison).
-func (e *Engine) SetPoisonBufs(on bool) { e.pool.SetPoison(on) }
 
 // worker drains the prefetch queue.
 func (e *Engine) worker() {

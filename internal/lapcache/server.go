@@ -85,10 +85,9 @@ type Server struct {
 	// registry into that many independent shards (lapcached -shards):
 	// each shard runs its own accept goroutine on the shared listener
 	// and pins every connection it accepts to its own mutex, conn set
-	// and close-reason ledger, so the hit path of one connection never
-	// contends on registry state touched by connections pinned
-	// elsewhere. Set before Serve; 0 or 1 keeps the historical single
-	// accept loop.
+	// and close-reason ledger. The registry is touched when a
+	// connection is accepted or closed, never by a request. Set before
+	// Serve; 0 or 1 keeps the historical single accept loop.
 	Shards int
 	// IdleTimeout, when positive, closes a connection that sends no
 	// request for the duration (lapcached -idle-timeout). Zero keeps

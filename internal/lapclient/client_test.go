@@ -324,8 +324,8 @@ func TestPoolSkipsDeadConns(t *testing.T) {
 		c.Close()
 		waitFor(t, "connection to report dead", c.Dead)
 	}
-	killConn(p.conn(0))
-	killConn(p.conn(2))
+	killConn(p.conns[0])
+	killConn(p.conns[2])
 	if live := p.Live(); live != 1 {
 		t.Fatalf("Live() = %d after killing 2 of 3, want 1", live)
 	}
@@ -337,7 +337,7 @@ func TestPoolSkipsDeadConns(t *testing.T) {
 		}
 	}
 
-	killConn(p.conn(1))
+	killConn(p.conns[1])
 	if _, _, err := read(p, 1, 0, 1, false); !errors.Is(err, ErrNoLiveConn) {
 		t.Fatalf("read with 0 live conns: err = %v, want ErrNoLiveConn", err)
 	}

@@ -275,7 +275,7 @@ func TestTornFlushSeversConn(t *testing.T) {
 		if failed := tornLoad(t, p, blockSize); failed != 0 {
 			t.Errorf("%d calls failed through the pool; the survivor should have carried them", failed)
 		}
-		if !p.conn(0).Dead() {
+		if !p.conns[0].Dead() {
 			t.Error("conn0 was never torn")
 		}
 	})

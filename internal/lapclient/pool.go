@@ -3,7 +3,6 @@ package lapclient
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -12,9 +11,6 @@ import (
 
 // ErrNoLiveConn reports that every connection in a pool is dead.
 var ErrNoLiveConn = errors.New("lapclient: no live connection in pool")
-
-// ErrPoolClosed reports an operation on a closed pool.
-var ErrPoolClosed = errors.New("lapclient: pool closed")
 
 // Pool is a fixed set of pipelined connections fronting one server.
 // Calls are spread round-robin across the connections; each connection
@@ -28,36 +24,21 @@ var ErrPoolClosed = errors.New("lapclient: pool closed")
 // because every op is idempotent: reads don't mutate, writes install
 // the same bytes, closes park a chain that re-parks harmlessly.)
 // Server refusals (*ServerError) are never retried: the server
-// answered. Redial replaces dead connections with fresh dials; only
-// once every slot is dead and redial is not used does the pool error
-// with ErrNoLiveConn.
+// answered. Once every connection is dead the pool errors with
+// ErrNoLiveConn, and its owner dials a new one.
 //
 // Safe for concurrent use — the replayer shares one Pool across every
 // process goroutine, and the cluster layer keeps one per peer.
 type Pool struct {
-	addr   string
-	window int
-	wrap   ConnWrap
-
-	conns []atomic.Pointer[Conn]
+	conns []*Conn
 	next  atomic.Uint32
-
-	mu          sync.Mutex // serializes Redial's slot replacement and Close
-	closed      bool
-	callTimeout time.Duration // inherited by redialed connections
 }
 
-// SetCallTimeout bounds calls on every member connection, current and
-// future — redialed replacements inherit it. See Conn.SetCallTimeout
-// for semantics.
+// SetCallTimeout bounds calls on every member connection. See
+// Conn.SetCallTimeout for semantics.
 func (p *Pool) SetCallTimeout(d time.Duration) {
-	p.mu.Lock()
-	p.callTimeout = d
-	p.mu.Unlock()
-	for i := range p.conns {
-		if c := p.conns[i].Load(); c != nil {
-			c.SetCallTimeout(d)
-		}
+	for _, c := range p.conns {
+		c.SetCallTimeout(d)
 	}
 }
 
@@ -73,47 +54,28 @@ func DialPoolWith(addr string, nconns, window int, wrap ConnWrap) (*Pool, error)
 	if nconns <= 0 {
 		nconns = 4
 	}
-	p := &Pool{addr: addr, window: window, wrap: wrap, conns: make([]atomic.Pointer[Conn], nconns)}
+	p := &Pool{conns: make([]*Conn, 0, nconns)}
 	for i := 0; i < nconns; i++ {
 		c, err := DialConnWith(addr, window, wrap)
 		if err != nil {
 			p.Close()
 			return nil, fmt.Errorf("lapclient: pool conn %d: %w", i, err)
 		}
-		p.conns[i].Store(c)
+		p.conns = append(p.conns, c)
 	}
 	return p, nil
 }
 
-// conn returns slot i's current connection (may be nil after a failed
-// redial); tests reach individual members through it.
-func (p *Pool) conn(i int) *Conn { return p.conns[i].Load() }
-
 // Size returns the number of connection slots.
 func (p *Pool) Size() int { return len(p.conns) }
 
-// Info returns the server self-description from the handshake (from
-// the first live connection).
-func (p *Pool) Info() PingInfo {
-	for i := range p.conns {
-		if c := p.conns[i].Load(); c != nil {
-			return c.Info()
-		}
-	}
-	return PingInfo{}
-}
+// Info returns the server self-description from the handshake.
+func (p *Pool) Info() PingInfo { return p.conns[0].Info() }
 
 // Close tears down every connection.
 func (p *Pool) Close() error {
-	p.mu.Lock()
-	p.closed = true
-	p.mu.Unlock()
 	var first error
-	for i := range p.conns {
-		c := p.conns[i].Load()
-		if c == nil {
-			continue
-		}
+	for _, c := range p.conns {
 		if err := c.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -124,46 +86,12 @@ func (p *Pool) Close() error {
 // Live returns how many connections can still carry requests.
 func (p *Pool) Live() int {
 	n := 0
-	for i := range p.conns {
-		if c := p.conns[i].Load(); c != nil && !c.Dead() {
+	for _, c := range p.conns {
+		if !c.Dead() {
 			n++
 		}
 	}
 	return n
-}
-
-// Redial replaces every dead (or empty) slot with a fresh connection,
-// returning how many were replaced. Slots whose dial fails stay dead;
-// the first dial error is reported alongside the count so a caller can
-// keep churning against a flapping server.
-func (p *Pool) Redial() (int, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.closed {
-		return 0, ErrPoolClosed
-	}
-	replaced := 0
-	var firstErr error
-	for i := range p.conns {
-		old := p.conns[i].Load()
-		if old != nil && !old.Dead() {
-			continue
-		}
-		nc, err := DialConnWith(p.addr, p.window, p.wrap)
-		if err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			continue
-		}
-		nc.SetCallTimeout(p.callTimeout)
-		p.conns[i].Store(nc)
-		if old != nil {
-			old.Close()
-		}
-		replaced++
-	}
-	return replaced, firstErr
 }
 
 // pick selects the next live connection round-robin, skipping
@@ -172,7 +100,7 @@ func (p *Pool) pick() (*Conn, error) {
 	n := uint32(len(p.conns))
 	start := p.next.Add(1)
 	for i := uint32(0); i < n; i++ {
-		if c := p.conns[(start+i)%n].Load(); c != nil && !c.Dead() {
+		if c := p.conns[(start+i)%n]; !c.Dead() {
 			return c, nil
 		}
 	}

@@ -13,12 +13,12 @@ import (
 )
 
 // TestPoolChurnNoLostRequests is the connection-churn regression: a
-// churner repeatedly tears a pool connection down mid-load (the way a
-// flaky network or an idle-timeout would) and redials it, while many
-// goroutines drive reads through the pool. Every request must either
-// succeed or fail over to a surviving connection — none may error out
-// of the pool while live connections exist, and none may be silently
-// lost. The old pool only ever skipped already-dead connections; a
+// churner tears pool connections down mid-load (the way a flaky
+// network or an idle-timeout would), one at a time until a single one
+// is left, while many goroutines drive reads through the pool. Every
+// request must either succeed or fail over to a surviving connection —
+// none may error out of the pool while live connections exist, and
+// none may be silently lost. The old pool only ever skipped already-dead connections; a
 // request in flight on the dying one surfaced the transport error to
 // the caller, which aborted replays under churn.
 //
@@ -50,11 +50,10 @@ func TestPoolChurnNoLostRequests(t *testing.T) {
 	var done, failed atomic.Int64
 
 	// The churner: kill the next slot's conn outright (no graceful
-	// handover), wait for its reader to notice, then redial the dead
-	// slot. It is paced by completed requests, not by wall time: a
-	// loaded machine slows requests and churn alike, so however slow the
-	// run, no request meets more dying connections than its retry budget
-	// covers.
+	// handover) and wait for its reader to notice, leaving the last one
+	// alive. It is paced by completed requests, not by wall time: a
+	// loaded machine slows requests and churn alike, so every kill lands
+	// on requests in flight.
 	const churnEvery = 16
 	var churns atomic.Int32
 	var churnWg sync.WaitGroup
@@ -71,18 +70,14 @@ func TestPoolChurnNoLostRequests(t *testing.T) {
 			}
 			return true
 		}
-		for i := 0; ; i++ {
+		for i := 0; i < p.Size()-1; i++ {
 			next := done.Load() + churnEvery
 			if !poll(func() bool { return done.Load() >= next }) {
 				return
 			}
-			c := p.conn(i % p.Size())
+			c := p.conns[i]
 			c.Close()
 			if !poll(c.Dead) {
-				return
-			}
-			if _, err := p.Redial(); err != nil {
-				t.Errorf("redial: %v", err)
 				return
 			}
 			churns.Add(1)
@@ -119,11 +114,11 @@ func TestPoolChurnNoLostRequests(t *testing.T) {
 		t.Fatalf("completed %d of %d requests (%d failed) across %d churns",
 			got, workers*perWorker, failed.Load(), churns.Load())
 	}
-	if churns.Load() == 0 {
-		t.Fatal("churner never ran — the test exercised nothing")
+	if got, want := churns.Load(), int32(p.Size()-1); got != want {
+		t.Fatalf("churner closed %d connections, want %d — the test exercised too little", got, want)
 	}
-	if live := p.Live(); live == 0 {
-		t.Fatal("pool fully dead after churn despite redials")
+	if live := p.Live(); live != 1 {
+		t.Fatalf("%d live connections after churn, want the 1 left alone", live)
 	}
 
 	p.Close()

@@ -35,6 +35,10 @@ import (
 	"time"
 )
 
+// indirectProbes is how many peers relay an indirect probe after a
+// direct one times out.
+const indirectProbes = 2
+
 // Config configures one member.
 type Config struct {
 	// Self is this member's advertise address (host:port) — its
@@ -44,14 +48,9 @@ type Config struct {
 	// is otherwise empty) to join an existing fleet. Joining an empty
 	// seed list bootstraps a fleet of one.
 	Seeds []string
-	// ProbeInterval is the failure-detector period (0 = 100ms).
+	// ProbeInterval is the failure-detector period (0 = 100ms). One
+	// probe waits half of it for its ack.
 	ProbeInterval time.Duration
-	// ProbeTimeout is how long one probe waits for its ack
-	// (0 = ProbeInterval/2).
-	ProbeTimeout time.Duration
-	// IndirectProbes is how many peers relay an indirect probe after a
-	// direct one times out (0 = 2).
-	IndirectProbes int
 	// SuspicionTimeout is how long a Suspect may stay silent before it
 	// is declared Dead (0 = 8×ProbeInterval).
 	SuspicionTimeout time.Duration
@@ -124,12 +123,6 @@ func New(cfg Config) (*Membership, error) {
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 100 * time.Millisecond
-	}
-	if cfg.ProbeTimeout == 0 {
-		cfg.ProbeTimeout = cfg.ProbeInterval / 2
-	}
-	if cfg.IndirectProbes == 0 {
-		cfg.IndirectProbes = 2
 	}
 	if cfg.SuspicionTimeout == 0 {
 		cfg.SuspicionTimeout = 8 * cfg.ProbeInterval
@@ -516,7 +509,7 @@ func (m *Membership) probe(addr string) {
 		return
 	}
 
-	// Indirect round: ask up to IndirectProbes other members to probe
+	// Indirect round: ask up to indirectProbes other members to probe
 	// addr on our behalf; their acks relay back carrying our seq.
 	relays := m.relayCandidates(addr)
 	for _, r := range relays {
@@ -530,7 +523,7 @@ func (m *Membership) probe(addr string) {
 }
 
 func (m *Membership) waitAck(ch chan struct{}) bool {
-	t := time.NewTimer(m.cfg.ProbeTimeout)
+	t := time.NewTimer(m.cfg.ProbeInterval / 2)
 	defer t.Stop()
 	select {
 	case <-ch:
@@ -553,8 +546,8 @@ func (m *Membership) relayCandidates(exclude string) []string {
 		out = append(out, addr)
 	}
 	sort.Strings(out)
-	if len(out) > m.cfg.IndirectProbes {
-		out = out[:m.cfg.IndirectProbes]
+	if len(out) > indirectProbes {
+		out = out[:indirectProbes]
 	}
 	return out
 }

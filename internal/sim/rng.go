@@ -114,16 +114,6 @@ func (r *RNG) Normal() float64 {
 	}
 }
 
-// Zipf returns a value in [0, n) drawn from a Zipf-like distribution
-// with exponent s (s > 0); smaller indices are more likely. It uses
-// inverse-CDF sampling over precomputed weights held by the caller via
-// ZipfTable for efficiency; this convenience method recomputes weights
-// and is intended for small n or non-critical paths.
-func (r *RNG) Zipf(n int, s float64) int {
-	t := NewZipfTable(n, s)
-	return t.Sample(r)
-}
-
 // ZipfTable precomputes the cumulative distribution for Zipf sampling
 // over [0, n) with exponent s.
 type ZipfTable struct {

@@ -179,15 +179,6 @@ func TestZipfTablePanicsOnBadParams(t *testing.T) {
 	}
 }
 
-func TestRNGZipfConvenience(t *testing.T) {
-	r := NewRNG(41)
-	for i := 0; i < 100; i++ {
-		if v := r.Zipf(5, 1.2); v < 0 || v >= 5 {
-			t.Fatalf("Zipf(5) = %d", v)
-		}
-	}
-}
-
 func TestRNGSplitIndependence(t *testing.T) {
 	parent := NewRNG(55)
 	child := parent.Split()
