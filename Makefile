@@ -21,11 +21,13 @@
 # pattern matches TestPipelinedHitAllocs too — and with
 # them core's count of the Predict and Cached calls a hit costs a chain
 # that has nothing to fetch — a gate in calls, so both targets run it).
+# `make loc` prints the size ROADMAP and CHANGES.md quote: non-test Go
+# lines outside bench/, tracked or new (it gates nothing).
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check no-result-files check-cold check-record check-bench soak fmt vet build test race fuzz report
+.PHONY: check no-result-files check-cold check-record check-bench soak fmt vet build test race fuzz report loc
 
 check: no-result-files check-cold fmt vet build race fuzz check-record check-bench
 
@@ -137,3 +139,8 @@ fuzz:
 # section); splice this output in after it when refreshing.
 report:
 	$(GO) run ./cmd/lapbench -scale full -exp report
+
+# Non-test Go lines outside bench/: the number every simplicity entry
+# in CHANGES.md reports.
+loc:
+	@git ls-files -co --exclude-standard '*.go' ':!:*_test.go' ':!:bench/' | xargs cat | wc -l

@@ -11,8 +11,8 @@
 //	          [-join a:7020,b:7020] [-dynamic] [-replicas 2] [-handoff-bps N]
 //
 // -shards N stripes the engine's block cache over N mutexes and runs N
-// accept loops, each pinning the connections it accepts to its own
-// connection table and close ledger. Responses ride a vectored
+// accept loops on the listener; they share one connection table and
+// close ledger. Responses ride a vectored
 // (writev) path and, when a pipelined client has more requests
 // already buffered, coalesce into a single syscall.
 //
@@ -65,7 +65,7 @@ func main() {
 		listAlgs    = flag.Bool("list-algs", false, "print the known algorithm names and exit")
 		cacheBlocks = flag.Int("cache-blocks", 4096, "cache capacity in blocks")
 		blockSize   = flag.Int("block-size", 8192, "block size in bytes")
-		shards      = flag.Int("shards", 8, "cache mutex stripes and connection accept shards (conn→shard pinning)")
+		shards      = flag.Int("shards", 8, "cache mutex stripes and connection accept loops")
 		workers     = flag.Int("workers", 4, "prefetch worker goroutines")
 		queueLen    = flag.Int("queue", 64, "prefetch queue bound (backpressure)")
 		storeKind   = flag.String("store", "mem", "backing store: mem or dir")

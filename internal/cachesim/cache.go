@@ -62,8 +62,6 @@ type Victim struct {
 
 // Stats aggregates cache-level counters.
 type Stats struct {
-	Inserts          uint64
-	Evictions        uint64
 	Forwards         uint64 // N-chance singlet forwards
 	WastedPrefetches uint64 // prefetched copies evicted unused
 	UsedPrefetches   uint64 // prefetched copies later hit by a user request
@@ -224,7 +222,6 @@ func (c *Cache) Insert(pref blockdev.NodeID, b blockdev.BlockID, opts InsertOpti
 		return target, victims
 	}
 	c.place(Copy{Block: b, Node: target, Dirty: opts.Dirty, Prefetched: opts.Prefetched})
-	c.stats.Inserts++
 	return target, victims
 }
 
@@ -322,7 +319,6 @@ func (c *Cache) removeCopy(cp *Copy) Copy {
 
 // evict removes cp, producing a victim record.
 func (c *Cache) evict(cp *Copy, out []Victim) []Victim {
-	c.stats.Evictions++
 	if cp.Prefetched {
 		c.stats.WastedPrefetches++
 	}

@@ -341,9 +341,8 @@ func TestStatsCounters(t *testing.T) {
 	_, c := newTestCache(1, 1, GlobalLRU{})
 	c.Insert(0, blk(1, 0), InsertOptions{})
 	c.Insert(0, blk(1, 1), InsertOptions{})
-	st := c.Stats()
-	if st.Inserts != 2 || st.Evictions != 1 {
-		t.Errorf("inserts/evictions = %d/%d, want 2/1", st.Inserts, st.Evictions)
+	if st := c.Stats(); st.Removals != 1 || c.Len() != 1 || !c.Contains(blk(1, 1)) {
+		t.Errorf("removals %d, %d copies (holds block 1: %v); want 1, 1, true", st.Removals, c.Len(), c.Contains(blk(1, 1)))
 	}
 	if c.Policy().Name() != "global-lru" {
 		t.Error("Policy accessor wrong")

@@ -191,10 +191,11 @@ func TestDynamicReplicaFallbackBeforeConviction(t *testing.T) {
 	}
 }
 
-// TestDynamicRecoveryReprobesOwnership is the degrade-to-local fix: a
-// peer's recovery bumps the ownership epoch, so files that degraded
-// to the local store while the owner was down go back to forwarding —
-// without waiting for process restart.
+// TestDynamicRecoveryReprobesOwnership: files that degraded to the
+// local store while their owner was down go back to forwarding once it
+// is redialed, without a process restart. Nothing caches the degrade
+// (each forward to a down peer falls back at the call), so recovery
+// moves no epoch: the ring alone decides ownership.
 func TestDynamicRecoveryReprobesOwnership(t *testing.T) {
 	nodes := startCluster(t, 3, nil) // static: the fix predates dynamic mode
 	f := fileOwnedBy(t, nodes, 1)
@@ -202,7 +203,6 @@ func TestDynamicRecoveryReprobesOwnership(t *testing.T) {
 	if _, _, err := readCopy(nodes[0].Engine, f, 0, 2); err != nil {
 		t.Fatalf("read before kill: %v", err)
 	}
-	epoch0 := nodes[0].Node.Epoch()
 	nodes[1].Kill()
 	waitFor(t, "degraded read", func() bool {
 		_, _, err := readCopy(nodes[0].Engine, f, 4, 2)
@@ -215,9 +215,6 @@ func TestDynamicRecoveryReprobesOwnership(t *testing.T) {
 	waitFor(t, "peer redialed", func() bool {
 		return !nodes[0].Node.PeerDown(nodes[1].Addr)
 	})
-	if e := nodes[0].Node.Epoch(); e <= epoch0 {
-		t.Errorf("epoch did not move on recovery (%d -> %d): cached ownership verdicts stay stale", epoch0, e)
-	}
 	// Forwarding must resume: remote reads grow again, fallbacks stop.
 	before := nodes[0].Engine.Snapshot()
 	waitFor(t, "forwarding to resume", func() bool {

@@ -113,11 +113,11 @@ type realClock struct{}
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // LocalEngine is the slice of the local cache engine the node calls
-// back into: ownership re-probes when the ring (or a peer's
-// reachability) changes, read-repair installs after a replica serves
-// a read, and the block iterator the handoff loop drains. It is
-// implemented by *lapcache.Engine; the interface keeps the import
-// arrow pointing from cluster to lapcache only through lapclient.
+// back into: ownership re-probes when the ring changes, read-repair
+// installs after a replica serves a read, and the block iterator the
+// handoff loop drains. It is implemented by *lapcache.Engine; the
+// interface keeps the import arrow pointing from cluster to lapcache
+// only through lapclient.
 type LocalEngine interface {
 	// OwnershipChanged re-probes every cached ownership decision —
 	// prefetch chains move to the new owner, suspended chains resume.
@@ -148,9 +148,10 @@ type LocalEngine interface {
 //
 // The ring is versioned: ringPtr holds the current assignment and
 // epoch counts every change. The epoch moves on a membership-driven
-// ring swap and on a peer recovering from a fault — both are moments
-// the engine's cached ownership decisions may be stale, and the
-// engine re-probes per file when it sees the number move.
+// ring swap only: Owned reads the ring alone, so a peer going down or
+// coming back changes no ownership decision (a forward to a down
+// peer degrades to local service at the call, and nothing caches
+// that outcome).
 type Node struct {
 	cfg      Config
 	self     string
@@ -183,10 +184,9 @@ type peer struct {
 	addr string
 	quit chan struct{} // closed when the member leaves the ring
 
-	mu      sync.Mutex
-	pool    *lapclient.Pool // nil while down
-	down    bool            // true until the first successful dial
-	lastErr error
+	mu   sync.Mutex
+	pool *lapclient.Pool // nil while down
+	down bool            // true until the first successful dial
 }
 
 // NewNode validates the membership and builds the node. Call Start to
@@ -330,7 +330,7 @@ func (n *Node) Close() {
 func (n *Node) ring() *Ring { return n.ringPtr.Load() }
 
 // Epoch implements lapcache.RemoteFetcher: the version of the current
-// ownership assignment, bumped by ring moves and peer recoveries.
+// ownership assignment, bumped by ring moves.
 func (n *Node) Epoch() uint64 { return n.epoch.Load() }
 
 // onMembership is the gossip layer's view callback: rebuild the ring
@@ -524,23 +524,15 @@ func (n *Node) healthLoop(p *peer) {
 					pool.SetCallTimeout(n.cfg.PeerCallTimeout)
 				}
 				p.mu.Lock()
-				wasDown := p.down
 				if p.pool != nil {
 					p.pool.Close()
 				}
 				p.pool = pool
 				p.down = false
-				p.lastErr = nil
 				p.mu.Unlock()
 				n.logf("cluster: peer %s up", p.addr)
 				attempt = 0
-				if wasDown {
-					n.peerRecovered()
-				}
 			} else {
-				p.mu.Lock()
-				p.lastErr = err
-				p.mu.Unlock()
 				attempt++
 			}
 		}
@@ -561,19 +553,6 @@ func (n *Node) healthLoop(p *peer) {
 	}
 }
 
-// peerRecovered marks a reachability change in the owner direction:
-// files that were degrading to the local store because their owner
-// was unreachable must re-probe. Bumping the epoch is what makes the
-// engine's per-file cached verdicts (driver placement, the
-// degrade-to-local decision) stale; the eager sweep resumes any
-// suspended chains without waiting for the next access.
-func (n *Node) peerRecovered() {
-	n.epoch.Add(1)
-	if l := n.localEngine(); l != nil {
-		l.OwnershipChanged()
-	}
-}
-
 // livePool returns the peer's pool if it is up.
 func (p *peer) livePool() (*lapclient.Pool, bool) {
 	p.mu.Lock()
@@ -591,7 +570,6 @@ func (n *Node) fault(p *peer, err error) {
 	p.mu.Lock()
 	wasUp := !p.down
 	p.down = true
-	p.lastErr = err
 	if p.pool != nil {
 		p.pool.Close()
 		p.pool = nil

@@ -15,26 +15,9 @@ import (
 	"repro/internal/sim"
 )
 
-// OpKind distinguishes the two seek latencies.
-type OpKind int
-
-// Disk operation kinds.
-const (
-	OpRead OpKind = iota
-	OpWrite
-)
-
-// String names the operation kind.
-func (k OpKind) String() string {
-	if k == OpRead {
-		return "read"
-	}
-	return "write"
-}
-
-// Disk is one simulated disk. Its resource counts completed
-// operations by kind and by priority class, which is every count the
-// disk reports.
+// Disk is one simulated disk. It keeps time (busy time by priority
+// class, deepest queue); the file systems' stats.Collector counts the
+// operations it completes.
 type Disk struct {
 	id  blockdev.DiskID
 	res *sim.Resource
@@ -43,32 +26,26 @@ type Disk struct {
 // Array is the machine's set of disks plus the striping function that
 // assigns blocks to disks.
 type Array struct {
-	cfg     machine.Config
 	striper *blockdev.Striper
 	disks   []*Disk
+	// The full service time of one block read and one block write:
+	// seek plus transfer.
+	readService, writeService sim.Duration
 }
 
 // NewArray builds cfg.Disks disks attached to the engine.
 func NewArray(e *sim.Engine, cfg machine.Config) *Array {
+	transfer := sim.TransferTime(cfg.BlockSize, cfg.DiskBandwidth)
 	a := &Array{
-		cfg:     cfg,
-		striper: blockdev.NewStriper(cfg.Disks),
-		disks:   make([]*Disk, cfg.Disks),
+		striper:      blockdev.NewStriper(cfg.Disks),
+		disks:        make([]*Disk, cfg.Disks),
+		readService:  cfg.DiskReadSeek + transfer,
+		writeService: cfg.DiskWriteSeek + transfer,
 	}
 	for i := range a.disks {
 		a.disks[i] = &Disk{id: blockdev.DiskID(i), res: sim.NewResource(e, fmt.Sprintf("disk%d", i))}
 	}
 	return a
-}
-
-// ServiceTime returns the full service time of one block operation of
-// the given kind: seek plus transfer.
-func (a *Array) ServiceTime(kind OpKind) sim.Duration {
-	seek := a.cfg.DiskReadSeek
-	if kind == OpWrite {
-		seek = a.cfg.DiskWriteSeek
-	}
-	return seek + sim.TransferTime(a.cfg.BlockSize, a.cfg.DiskBandwidth)
 }
 
 // DiskFor returns the disk that stores block b.
@@ -88,9 +65,8 @@ func (a *Array) Disk(i int) *Disk { return a.disks[i] }
 // after a misprediction).
 func (a *Array) Read(b blockdev.BlockID, prio sim.Priority, cancelled func() bool, done func(e *sim.Engine, at sim.Time)) {
 	a.DiskFor(b).res.Submit(sim.Request{
-		Service:   a.ServiceTime(OpRead),
+		Service:   a.readService,
 		Priority:  prio,
-		Kind:      int(OpRead),
 		Cancelled: cancelled,
 		Done:      done,
 	})
@@ -101,50 +77,10 @@ func (a *Array) Read(b blockdev.BlockID, prio sim.Priority, cancelled func() boo
 // which the paper treats as more important than prefetch).
 func (a *Array) Write(b blockdev.BlockID, done func(e *sim.Engine, at sim.Time)) {
 	a.DiskFor(b).res.Submit(sim.Request{
-		Service:  a.ServiceTime(OpWrite),
+		Service:  a.writeService,
 		Priority: sim.PriorityUser,
-		Kind:     int(OpWrite),
 		Done:     done,
 	})
-}
-
-// Reads returns the number of completed block reads across all disks
-// (demand plus prefetch).
-func (a *Array) Reads() uint64 {
-	var n uint64
-	for _, d := range a.disks {
-		n += d.Reads()
-	}
-	return n
-}
-
-// Writes returns the number of completed block writes across all disks.
-func (a *Array) Writes() uint64 {
-	var n uint64
-	for _, d := range a.disks {
-		n += d.Writes()
-	}
-	return n
-}
-
-// PrefetchReads returns the number of completed prefetch-priority
-// reads across all disks (writes never run at that priority).
-func (a *Array) PrefetchReads() uint64 {
-	var n uint64
-	for _, d := range a.disks {
-		n += d.res.ServedClass(sim.PriorityPrefetch)
-	}
-	return n
-}
-
-// Accesses returns total disk operations (reads + writes); this is the
-// metric plotted in Figures 8–11.
-func (a *Array) Accesses() uint64 { return a.Reads() + a.Writes() }
-
-// QueueLen returns the number of queued (waiting) operations on the
-// disk holding b; prefetch throttles use it for inspection in tests.
-func (a *Array) QueueLen(b blockdev.BlockID) int {
-	return a.DiskFor(b).res.QueueLen()
 }
 
 // Utilization returns the mean utilization across disks.
@@ -189,9 +125,3 @@ func (a *Array) MaxQueueLenAll() int {
 
 // ID returns the disk's identifier.
 func (d *Disk) ID() blockdev.DiskID { return d.id }
-
-// Reads returns the disk's completed read count.
-func (d *Disk) Reads() uint64 { return d.res.ServedKind(int(OpRead)) }
-
-// Writes returns the disk's completed write count.
-func (d *Disk) Writes() uint64 { return d.res.ServedKind(int(OpWrite)) }

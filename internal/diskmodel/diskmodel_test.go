@@ -8,32 +8,40 @@ import (
 	"repro/internal/sim"
 )
 
+// Table 1's disk: 10.5 ms read seek, 12.5 ms write seek, 8 KiB blocks
+// at 10 MB/s (819.2 us of transfer).
+var (
+	readService  = sim.Milliseconds(10.5) + sim.TransferTime(8192, 10)
+	writeService = sim.Milliseconds(12.5) + sim.TransferTime(8192, 10)
+)
+
+// A read and a write of one block queue on that block's disk and take
+// the formula's service times, one after the other.
 func TestServiceTimeFormula(t *testing.T) {
 	e := sim.NewEngine(1)
 	a := NewArray(e, machine.PM())
-	// Read: 10.5 ms + 8192B/10MB/s = 10.5 ms + 819.2 us.
-	wantRead := sim.Milliseconds(10.5) + sim.TransferTime(8192, 10)
-	if got := a.ServiceTime(OpRead); got != wantRead {
-		t.Errorf("read service = %v, want %v", got, wantRead)
+	b := blockdev.BlockID{File: 9, Block: 3}
+	var readAt, writeAt sim.Time
+	a.Read(b, sim.PriorityUser, nil, func(_ *sim.Engine, tm sim.Time) { readAt = tm })
+	a.Write(b, func(_ *sim.Engine, tm sim.Time) { writeAt = tm })
+	e.Run()
+	if want := sim.Time(0).Add(readService); readAt != want {
+		t.Errorf("read done at %v, want %v", readAt, want)
 	}
-	wantWrite := sim.Milliseconds(12.5) + sim.TransferTime(8192, 10)
-	if got := a.ServiceTime(OpWrite); got != wantWrite {
-		t.Errorf("write service = %v, want %v", got, wantWrite)
+	if want := sim.Time(0).Add(readService + writeService); writeAt != want {
+		t.Errorf("write done at %v, want %v (after the read, on the same disk)", writeAt, want)
 	}
 }
 
 func TestReadCompletesAfterServiceTime(t *testing.T) {
 	e := sim.NewEngine(1)
 	a := NewArray(e, machine.PM())
-	var at sim.Time
+	var done []sim.Time
 	a.Read(blockdev.BlockID{File: 1, Block: 0}, sim.PriorityUser, nil,
-		func(_ *sim.Engine, tm sim.Time) { at = tm })
+		func(_ *sim.Engine, tm sim.Time) { done = append(done, tm) })
 	e.Run()
-	if at != sim.Time(0).Add(a.ServiceTime(OpRead)) {
-		t.Errorf("read done at %v, want %v", at, a.ServiceTime(OpRead))
-	}
-	if a.Reads() != 1 || a.Writes() != 0 {
-		t.Error("op counters wrong")
+	if len(done) != 1 || done[0] != sim.Time(0).Add(readService) {
+		t.Errorf("read done at %v, want once at %v", done, readService)
 	}
 }
 
@@ -53,8 +61,8 @@ func TestSameDiskSerializesDifferentDisksParallel(t *testing.T) {
 	if t0 != t1 {
 		t.Errorf("different disks should serve in parallel: %v vs %v", t0, t1)
 	}
-	if t0b != t0.Add(a.ServiceTime(OpRead)) {
-		t.Errorf("same disk should serialize: second done %v, want %v", t0b, t0.Add(a.ServiceTime(OpRead)))
+	if t0b != t0.Add(readService) {
+		t.Errorf("same disk should serialize: second done %v, want %v", t0b, t0.Add(readService))
 	}
 }
 
@@ -71,8 +79,9 @@ func TestPrefetchYieldsToUser(t *testing.T) {
 	if len(order) != 2 || order[0] != "user" {
 		t.Errorf("order = %v, want user before prefetch", order)
 	}
-	if a.PrefetchReads() != 1 {
-		t.Errorf("PrefetchReads = %d, want 1", a.PrefetchReads())
+	// One of the three equal reads ran at prefetch priority.
+	if f := a.PrefetchBusyFraction(); f != 1.0/3 {
+		t.Errorf("PrefetchBusyFraction = %v, want 1/3", f)
 	}
 }
 
@@ -86,23 +95,28 @@ func TestCancelledPrefetchNotCounted(t *testing.T) {
 		t.Error("cancelled prefetch completed")
 	})
 	e.Run()
-	if a.Reads() != 1 {
-		t.Errorf("Reads = %d, want 1 (cancelled op must not count)", a.Reads())
+	// The dropped read took no disk time.
+	if e.Now() != sim.Time(0).Add(readService) || a.PrefetchBusyFraction() != 0 {
+		t.Errorf("clock %v, prefetch busy share %v; want %v, 0", e.Now(), a.PrefetchBusyFraction(), readService)
 	}
 }
 
 func TestWriteCounts(t *testing.T) {
 	e := sim.NewEngine(1)
 	a := NewArray(e, machine.NOW())
+	var done []sim.Time
 	for i := 0; i < 5; i++ {
-		a.Write(blockdev.BlockID{File: 1, Block: blockdev.BlockNo(i)}, nil)
+		a.Write(blockdev.BlockID{File: 1, Block: blockdev.BlockNo(i)}, func(_ *sim.Engine, tm sim.Time) { done = append(done, tm) })
 	}
 	e.Run()
-	if a.Writes() != 5 {
-		t.Errorf("Writes = %d, want 5", a.Writes())
+	// Five blocks stripe over five of NOW's eight disks: all in parallel.
+	if len(done) != 5 {
+		t.Fatalf("%d writes completed, want 5", len(done))
 	}
-	if a.Accesses() != 5 {
-		t.Errorf("Accesses = %d, want 5", a.Accesses())
+	for i, tm := range done {
+		if tm != sim.Time(0).Add(writeService) {
+			t.Errorf("write %d done at %v, want %v", i, tm, writeService)
+		}
 	}
 }
 
@@ -116,25 +130,6 @@ func TestArrayShape(t *testing.T) {
 		if a.Disk(i).ID() != blockdev.DiskID(i) {
 			t.Errorf("disk %d has ID %d", i, a.Disk(i).ID())
 		}
-	}
-}
-
-func TestOpKindString(t *testing.T) {
-	if OpRead.String() != "read" || OpWrite.String() != "write" {
-		t.Error("OpKind.String wrong")
-	}
-}
-
-func TestPerDiskCounters(t *testing.T) {
-	e := sim.NewEngine(1)
-	a := NewArray(e, machine.PM())
-	b := blockdev.BlockID{File: 9, Block: 3}
-	a.Read(b, sim.PriorityUser, nil, nil)
-	a.Write(b, nil)
-	e.Run()
-	d := a.DiskFor(b)
-	if d.Reads() != 1 || d.Writes() != 1 {
-		t.Errorf("per-disk counters = %d/%d, want 1/1", d.Reads(), d.Writes())
 	}
 }
 

@@ -14,17 +14,31 @@ var update = flag.Bool("update", false, "rewrite testdata/tiny_results.jsonl fro
 
 // TestGoldenResults pins every field of every Result, through its own
 // MarshalJSON, for the tiny scale's file systems × paper workloads ×
-// standard algorithms at 1 and 4 MB, byte for byte. The simulator's
-// event path may be rebuilt freely; no simulated number may move
-// without this file being regenerated on purpose (-update).
+// algorithms at 1 and 4 MB, byte for byte: first the standard seven,
+// then every other NamedAlgorithms entry and three throttles no name
+// lists (K4_Agr_IS_PPM:1, K4_Agr_OBA, Ad4_Agr_IS_PPM:1), so that a
+// change to the K>1 and adaptive paths moves lines here too. The
+// simulator's event path may be rebuilt freely; no simulated number
+// may move without this file being regenerated on purpose (-update).
 func TestGoldenResults(t *testing.T) {
 	const golden = "testdata/tiny_results.jsonl"
+	standard := core.StandardAlgorithms()
+	others := core.NamedAlgorithms()[len(standard):]
+	for _, name := range []string{"K4_Agr_IS_PPM:1", "K4_Agr_OBA", "Ad4_Agr_IS_PPM:1"} {
+		alg, err := core.LookupAlg(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		others = append(others, alg)
+	}
 	var cells []Cell
-	for _, fs := range []FSKind{PAFS, XFS} {
-		for _, wl := range []WorkloadKind{Charisma, Sprite} {
-			for _, alg := range core.StandardAlgorithms() {
-				for _, mb := range []int{1, 4} {
-					cells = append(cells, Cell{FS: fs, Workload: wl, Alg: alg, CacheMB: mb})
+	for _, algs := range [][]core.AlgSpec{standard, others} {
+		for _, fs := range []FSKind{PAFS, XFS} {
+			for _, wl := range []WorkloadKind{Charisma, Sprite} {
+				for _, alg := range algs {
+					for _, mb := range []int{1, 4} {
+						cells = append(cells, Cell{FS: fs, Workload: wl, Alg: alg, CacheMB: mb})
+					}
 				}
 			}
 		}

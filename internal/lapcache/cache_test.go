@@ -262,6 +262,36 @@ func TestFileStoreRoundTrip(t *testing.T) {
 	if !bytes.Equal(buf, make([]byte, 32)) {
 		t.Error("fresh-file read not zero-filled")
 	}
+	// A block that ends past EOF keeps its data and zero-fills the rest.
+	if err := s.WriteBlock(bid(6, 0), payload[:20]); err != nil {
+		t.Fatalf("short write: %v", err)
+	}
+	if err := s.ReadBlock(bid(6, 0), buf); err != nil {
+		t.Fatalf("short-file read: %v", err)
+	}
+	if !bytes.Equal(buf, append(payload[:20:20], make([]byte, 12)...)) {
+		t.Errorf("short-file read = %x, want the 20 written bytes then zeroes", buf)
+	}
+}
+
+// TestFileStoreReadErrorIsReturned: only the end of a file reads as
+// zeroes; any other read error reaches the caller instead of passing
+// as data.
+func TestFileStoreReadErrorIsReturned(t *testing.T) {
+	s, err := NewFileStore(t.TempDir(), 32)
+	if err != nil {
+		t.Fatalf("NewFileStore: %v", err)
+	}
+	defer s.Close()
+	if err := s.WriteBlock(bid(4, 5), bytes.Repeat([]byte{0xC3}, 32)); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	// Close the handle the store keeps, so its next ReadAt fails.
+	s.files[4].Close()
+	buf := bytes.Repeat([]byte{0xFF}, 32)
+	if err := s.ReadBlock(bid(4, 5), buf); err == nil {
+		t.Errorf("read through a closed handle returned nil error and %x", buf)
+	}
 }
 
 func TestFillPatternDistinguishesBlocks(t *testing.T) {

@@ -315,8 +315,8 @@ func (e *Engine) driverLocked(f blockdev.FileID, fl *fileState) *core.Driver {
 }
 
 // OwnershipChanged tells the engine the remote tier's ownership
-// assignment moved (ring change, peer recovery). It sweeps every
-// known file and re-probes its driver decision eagerly. The sweep
+// assignment moved (a ring change). It sweeps every known file and
+// re-probes its driver decision eagerly. The sweep
 // matters for files this node LOST: their chains must stop even if no
 // request ever touches them again here — an active chain pumps itself
 // through completion callbacks, not through new requests, so lazy

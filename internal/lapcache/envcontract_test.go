@@ -69,14 +69,15 @@ func TestEnvPrefetchContract(t *testing.T) {
 		cfg.Nodes, cfg.Disks = 2, 1
 		tr := &workload.Trace{FileBlocks: map[blockdev.FileID]blockdev.BlockNo{file: 8}}
 		b := fscommon.NewBase(e, cfg, 16, cachesim.GlobalLRU{}, tr, core.SpecLnAgrOBA)
+		b.Coll.StartMeasurement() // advance counts the disk's reads
 		return host{
 			name: "simulator",
 			prefetch: func(blk blockdev.BlockID, cancelled func() bool, done func()) bool {
 				return b.Prefetch(0, blk, false, cancelled, done)
 			},
 			advance: func() {
-				served := b.Disks.Reads()
-				e.RunUntil(func() bool { return b.Disks.Reads() > served })
+				served := b.Coll.DiskReads()
+				e.RunUntil(func() bool { return b.Coll.DiskReads() > served })
 			},
 			drain: func() { e.Run() },
 		}

@@ -65,11 +65,10 @@ func TestHotpathCoalescedPipeline(t *testing.T) {
 }
 
 // TestHotpathShardStress pins the sharded accept path: with Shards >
-// 1, concurrent connections land on different shards, every one is
-// served correctly, and the close-reason ledger — now sharded too —
-// still aggregates exactly one clean EOF per connection. Run under
-// -race (make race), this is the cross-shard data-race
-// probe.
+// 1, concurrent connections are accepted by different accept loops,
+// every one is served correctly, and the one close-reason ledger they
+// share records exactly one clean EOF per connection. Run under -race
+// (make race), this is the accept loops' data-race probe.
 func TestHotpathShardStress(t *testing.T) {
 	const (
 		blockSize = 512

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"sync"
 	"time"
@@ -81,13 +82,10 @@ type Server struct {
 	// ownership queries with an error.
 	Cluster ClusterInfo
 
-	// Shards, when > 1, splits the accept path and the connection
-	// registry into that many independent shards (lapcached -shards):
-	// each shard runs its own accept goroutine on the shared listener
-	// and pins every connection it accepts to its own mutex, conn set
-	// and close-reason ledger. The registry is touched when a
-	// connection is accepted or closed, never by a request. Set before
-	// Serve; 0 or 1 keeps the historical single accept loop.
+	// Shards is the number of accept goroutines on the shared listener
+	// (lapcached -shards; 0 or 1: one). They share one connection
+	// registry, which is touched when a connection is accepted or
+	// closed, never by a request. Set before Serve.
 	Shards int
 	// IdleTimeout, when positive, closes a connection that sends no
 	// request for the duration (lapcached -idle-timeout). Zero keeps
@@ -102,36 +100,23 @@ type Server struct {
 	// transport faults on the server side of the wire.
 	ConnWrap func(net.Conn) net.Conn
 
+	// mu guards the listener, closed and the connection registry: the
+	// open connections and how each closed one ended.
 	mu      sync.Mutex
 	ln      net.Listener
-	shards  []*connShard
 	closed  bool
-	closing chan struct{}
-	wg      sync.WaitGroup
-}
-
-// connShard is one slice of the connection registry: the conn set and
-// close-reason ledger for the connections pinned to it. With Shards=1
-// there is exactly one; with more, each accept goroutine owns one, so
-// connection registration, teardown and close accounting never cross
-// shards.
-type connShard struct {
-	mu      sync.Mutex
 	conns   map[net.Conn]struct{}
 	reasons map[CloseReason]uint64
-}
-
-func newConnShard() *connShard {
-	return &connShard{
-		conns:   make(map[net.Conn]struct{}),
-		reasons: make(map[CloseReason]uint64),
-	}
+	closing chan struct{}
+	wg      sync.WaitGroup
 }
 
 // NewServer returns a server around e.
 func NewServer(e *Engine) *Server {
 	return &Server{
 		e:       e,
+		conns:   make(map[net.Conn]struct{}),
+		reasons: make(map[CloseReason]uint64),
 		closing: make(chan struct{}),
 	}
 }
@@ -139,27 +124,11 @@ func NewServer(e *Engine) *Server {
 // CloseCounts returns how many connections ended for each reason —
 // the drain path's audit trail (tests and the chaos harness assert
 // injected mid-frame disconnects land under CloseMidFrame, not
-// CloseIdle). Counts aggregate across shards.
+// CloseIdle).
 func (s *Server) CloseCounts() map[CloseReason]uint64 {
 	s.mu.Lock()
-	shards := s.shards
-	s.mu.Unlock()
-	out := make(map[CloseReason]uint64)
-	for _, sh := range shards {
-		sh.mu.Lock()
-		for r, n := range sh.reasons {
-			out[r] += n
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// noteClose records one connection's close reason in its shard.
-func (s *Server) noteClose(sh *connShard, r CloseReason) {
-	sh.mu.Lock()
-	sh.reasons[r]++
-	sh.mu.Unlock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.reasons)
 }
 
 // acceptFailureBudget bounds consecutive accept-loop errors before
@@ -172,9 +141,8 @@ const acceptFailureBudget = 10
 // errors are retried with capped backoff (up to acceptFailureBudget
 // consecutive failures per accept loop); it returns nil after a
 // Close-initiated shutdown and the first accept error once a loop's
-// retry budget is spent. With Shards > 1, that many accept goroutines
-// share the listener and pin each accepted connection to their own
-// shard.
+// retry budget is spent. max(Shards, 1) accept goroutines share the
+// listener.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
@@ -183,27 +151,14 @@ func (s *Server) Serve(ln net.Listener) error {
 		return errors.New("lapcache: server already closed")
 	}
 	s.ln = ln
-	if s.shards == nil {
-		ns := s.Shards
-		if ns < 1 {
-			ns = 1
-		}
-		s.shards = make([]*connShard, ns)
-		for i := range s.shards {
-			s.shards[i] = newConnShard()
-		}
-	}
-	shards := s.shards
 	s.mu.Unlock()
-	if len(shards) == 1 {
-		return s.acceptLoop(ln, shards[0])
-	}
-	errc := make(chan error, len(shards))
-	for _, sh := range shards {
-		go func(sh *connShard) { errc <- s.acceptLoop(ln, sh) }(sh)
+	n := max(s.Shards, 1)
+	errc := make(chan error, n)
+	for range n {
+		go func() { errc <- s.acceptLoop(ln) }()
 	}
 	var first error
-	for range shards {
+	for range n {
 		if err := <-errc; err != nil && first == nil {
 			first = err
 		}
@@ -211,8 +166,8 @@ func (s *Server) Serve(ln net.Listener) error {
 	return first
 }
 
-// acceptLoop is one shard's accept goroutine on the shared listener.
-func (s *Server) acceptLoop(ln net.Listener, sh *connShard) error {
+// acceptLoop is one accept goroutine on the shared listener.
+func (s *Server) acceptLoop(ln net.Listener) error {
 	failures := 0
 	for {
 		conn, err := ln.Accept()
@@ -244,20 +199,20 @@ func (s *Server) acceptLoop(ln net.Listener, sh *connShard) error {
 		if s.ConnWrap != nil {
 			conn = s.ConnWrap(conn)
 		}
-		// Register under the shard mutex so the check-and-register is
-		// atomic with Close's deadline sweep of this shard: either the
-		// closing flag is visible here, or the registration completes
-		// before Close acquires sh.mu and the sweep covers the conn.
-		sh.mu.Lock()
-		if s.isClosing() {
-			sh.mu.Unlock()
+		// Register under s.mu so the check-and-register is atomic with
+		// Close's deadline sweep: either closed is visible here, or the
+		// registration completes before Close takes s.mu and the sweep
+		// covers the conn.
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
 			conn.Close()
 			return nil
 		}
-		sh.conns[conn] = struct{}{}
+		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
-		sh.mu.Unlock()
-		go s.handle(conn, sh)
+		s.mu.Unlock()
+		go s.handle(conn)
 	}
 }
 
@@ -281,20 +236,15 @@ func (s *Server) Close() {
 	if grace <= 0 {
 		grace = 2 * time.Second
 	}
-	shards := s.shards
-	s.mu.Unlock()
 	now := time.Now()
-	for _, sh := range shards {
-		sh.mu.Lock()
-		for c := range sh.conns {
-			// Unblock handlers parked in a read between requests; a
-			// handler mid-dispatch is not reading and finishes its
-			// response first (the drain), bounded by the write deadline.
-			c.SetReadDeadline(now)
-			c.SetWriteDeadline(now.Add(grace))
-		}
-		sh.mu.Unlock()
+	for c := range s.conns {
+		// Unblock handlers parked in a read between requests; a
+		// handler mid-dispatch is not reading and finishes its
+		// response first (the drain), bounded by the write deadline.
+		c.SetReadDeadline(now)
+		c.SetWriteDeadline(now.Add(grace))
 	}
+	s.mu.Unlock()
 	s.wg.Wait()
 }
 
@@ -322,16 +272,15 @@ func (s *Server) armRead(conn net.Conn) {
 	}
 }
 
-func (s *Server) handle(conn net.Conn, sh *connShard) {
-	defer func() {
-		conn.Close()
-		sh.mu.Lock()
-		delete(sh.conns, conn)
-		sh.mu.Unlock()
-		s.wg.Done()
-	}()
+func (s *Server) handle(conn net.Conn) {
+	defer s.wg.Done()
 	h := &connHandler{s: s, conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}
-	s.noteClose(sh, h.serve())
+	reason := h.serve()
+	s.mu.Lock()
+	s.reasons[reason]++
+	delete(s.conns, conn)
+	s.mu.Unlock()
+	conn.Close()
 }
 
 // readReason classifies a failed read. midFrame reports the failure

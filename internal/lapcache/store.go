@@ -2,6 +2,7 @@ package lapcache
 
 import (
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -101,7 +102,7 @@ func (s *MemStore) WriteBlock(b blockdev.BlockID, data []byte) error {
 // FileStore is a BackingStore over real files: one file per FileID
 // under a directory, blocks at their natural offsets. Reads past a
 // file's current length return zeroes (sparse semantics), so a fresh
-// directory serves any trace.
+// directory serves any trace; any other read error is returned.
 type FileStore struct {
 	dir       string
 	blockSize int64
@@ -149,13 +150,12 @@ func (s *FileStore) ReadBlock(b blockdev.BlockID, buf []byte) error {
 		return err
 	}
 	n, err := fh.ReadAt(buf, int64(b.Block)*s.blockSize)
-	if err != nil && n < len(buf) {
-		// Short or past-EOF read: the tail is zeroes.
-		for i := n; i < len(buf); i++ {
-			buf[i] = 0
-		}
+	if err == io.EOF {
+		// Past the end of the file: the tail is zeroes.
+		clear(buf[n:])
+		return nil
 	}
-	return nil
+	return err
 }
 
 // WriteBlock implements BackingStore.

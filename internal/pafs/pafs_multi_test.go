@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
-	"repro/internal/diskmodel"
 	"repro/internal/sim"
 )
 
@@ -18,7 +17,7 @@ func TestMultiBlockMissFetchesInParallel(t *testing.T) {
 	var end sim.Time
 	fs.Read(0, span(0, 0, 4), func(at sim.Time) { end = at })
 	e.Run()
-	service := fs.Disks.ServiceTime(diskmodel.OpRead)
+	service := fs.Cfg.DiskReadSeek + sim.TransferTime(fs.Cfg.BlockSize, fs.Cfg.DiskBandwidth)
 	lat := end.Sub(start)
 	if lat >= 3*service {
 		t.Errorf("4-block miss took %v; striping over 2 disks should need ~2 services (%v)", lat, service)

@@ -21,10 +21,6 @@ type Request struct {
 	// Priority selects the queue class; within a class requests are
 	// FCFS by enqueue time.
 	Priority Priority
-	// Kind is a caller-chosen label, 0 or 1 (the disks' reads and
-	// writes). The resource counts completions per kind, so an owner
-	// that needs only that count does not have to wrap Done to get it.
-	Kind int
 	// Done is invoked when service completes, with the completion time.
 	Done func(e *Engine, at Time)
 	// Cancelled, if it returns true at dispatch time, causes the
@@ -54,15 +50,11 @@ type Resource struct {
 	// free holds the records of finished requests for Submit to reuse.
 	free []*Request
 
-	// accounting; the arrays are indexed by Priority and by Kind
-	served     uint64
-	perClass   [2]uint64
-	perKind    [2]uint64
+	// What a Result and the tracer read: time, not counts (a file
+	// system's stats.Collector counts the operations it completes).
 	busyTime   Duration
-	busyClass  [2]Duration
-	waitTime   Duration
-	dropped    uint64
-	maxWaiting int // waiting-queue high-water mark
+	busyClass  [2]Duration // indexed by Priority
+	maxWaiting int         // waiting-queue high-water mark
 }
 
 // NewResource creates an idle resource attached to the engine.
@@ -81,18 +73,6 @@ func (r *Resource) QueueLen() int { return len(r.queue) }
 // Busy reports whether a request is currently in service.
 func (r *Resource) Busy() bool { return r.cur != nil }
 
-// Served returns the number of requests completed.
-func (r *Resource) Served() uint64 { return r.served }
-
-// ServedClass returns the number of completed requests of class p.
-func (r *Resource) ServedClass(p Priority) uint64 { return r.perClass[p] }
-
-// ServedKind returns the number of completed requests labelled kind.
-func (r *Resource) ServedKind(kind int) uint64 { return r.perKind[kind] }
-
-// Dropped returns the number of requests abandoned via Cancelled.
-func (r *Resource) Dropped() uint64 { return r.dropped }
-
 // BusyTime returns the cumulative time the resource spent serving.
 func (r *Resource) BusyTime() Duration { return r.busyTime }
 
@@ -103,10 +83,6 @@ func (r *Resource) BusyTimeClass(p Priority) Duration { return r.busyClass[p] }
 
 // MaxQueueLen returns the waiting-queue high-water mark.
 func (r *Resource) MaxQueueLen() int { return r.maxWaiting }
-
-// WaitTime returns the cumulative time requests spent queued before
-// service began.
-func (r *Resource) WaitTime() Duration { return r.waitTime }
 
 // Utilization returns busy time as a fraction of the elapsed clock.
 func (r *Resource) Utilization() float64 {
@@ -125,8 +101,8 @@ func (r *Resource) Submit(req Request) {
 	if req.Service < 0 {
 		panic("sim: negative service time")
 	}
-	if uint(req.Priority) > 1 || uint(req.Kind) > 1 {
-		panic(fmt.Sprintf("sim: request priority %d or kind %d outside {0, 1}", req.Priority, req.Kind))
+	if uint(req.Priority) > 1 {
+		panic(fmt.Sprintf("sim: request priority %d outside {0, 1}", req.Priority))
 	}
 	now := r.engine.Now()
 	req.enqueued = now
@@ -158,7 +134,6 @@ func (r *Resource) dispatch() {
 		now := r.engine.Now()
 		req := r.queue.pop().val
 		if req.Cancelled != nil && req.Cancelled() {
-			r.dropped++
 			if t := r.engine.tracer; t != nil {
 				t.Record(TraceRecord{At: now, Kind: TraceDrop, Resource: r.name,
 					Priority: req.Priority, QueueLen: len(r.queue)})
@@ -166,14 +141,12 @@ func (r *Resource) dispatch() {
 			r.recycle(req)
 			continue
 		}
-		wait := now.Sub(req.enqueued)
-		r.waitTime += wait
 		r.cur = req
 		r.busyTime += req.Service
 		r.busyClass[req.Priority] += req.Service
 		if t := r.engine.tracer; t != nil {
 			t.Record(TraceRecord{At: now, Kind: TraceStart, Resource: r.name,
-				Priority: req.Priority, Wait: wait, Service: req.Service,
+				Priority: req.Priority, Wait: now.Sub(req.enqueued), Service: req.Service,
 				QueueLen: len(r.queue)})
 		}
 		r.engine.At(now.Add(req.Service), r.complete)
@@ -187,9 +160,6 @@ func (r *Resource) dispatch() {
 func (r *Resource) finish(e *Engine) {
 	req := r.cur
 	r.cur = nil
-	r.served++
-	r.perClass[req.Priority]++
-	r.perKind[req.Kind]++
 	if t := e.tracer; t != nil {
 		t.Record(TraceRecord{At: e.Now(), Kind: TraceDone, Resource: r.name,
 			Priority: req.Priority, Service: req.Service, QueueLen: len(r.queue)})

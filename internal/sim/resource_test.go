@@ -23,8 +23,8 @@ func TestResourceServesFCFS(t *testing.T) {
 			t.Errorf("request %d done at %v, want %v", i, done[i], want[i])
 		}
 	}
-	if r.Served() != 3 {
-		t.Errorf("served %d, want 3", r.Served())
+	if len(done) != 3 {
+		t.Errorf("served %d, want 3", len(done))
 	}
 }
 
@@ -68,6 +68,8 @@ func TestResourceNonPreemptive(t *testing.T) {
 func TestResourceCancelledRequestDropped(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "disk")
+	tr := &recordingTracer{}
+	e.SetTracer(tr)
 	stale := true
 	var fired bool
 	r.Submit(Request{Service: 10, Priority: PriorityUser})
@@ -81,8 +83,8 @@ func TestResourceCancelledRequestDropped(t *testing.T) {
 	if fired {
 		t.Error("cancelled request was served")
 	}
-	if r.Dropped() != 1 {
-		t.Errorf("dropped = %d, want 1", r.Dropped())
+	if n := tr.count(TraceDrop); n != 1 {
+		t.Errorf("drop records = %d, want 1", n)
 	}
 	if e.Now() != 10 {
 		t.Errorf("clock = %v, want 10 (no service time for dropped request)", e.Now())
@@ -92,18 +94,26 @@ func TestResourceCancelledRequestDropped(t *testing.T) {
 func TestResourceAccounting(t *testing.T) {
 	e := NewEngine(1)
 	r := NewResource(e, "disk")
+	tr := &recordingTracer{}
+	e.SetTracer(tr)
 	r.Submit(Request{Service: 10, Priority: PriorityUser})
 	r.Submit(Request{Service: 30, Priority: PriorityPrefetch})
 	e.Run()
 	if r.BusyTime() != 40 {
 		t.Errorf("busy time %v, want 40", r.BusyTime())
 	}
-	// Second request waited 10 while the first was in service.
-	if r.WaitTime() != 10 {
-		t.Errorf("wait time %v, want 10", r.WaitTime())
+	if r.BusyTimeClass(PriorityUser) != 10 || r.BusyTimeClass(PriorityPrefetch) != 30 {
+		t.Error("per-class busy times wrong")
 	}
-	if r.ServedClass(PriorityUser) != 1 || r.ServedClass(PriorityPrefetch) != 1 {
-		t.Error("per-class counts wrong")
+	// Second request waited 10 while the first was in service.
+	var waits []Duration
+	for _, rec := range tr.records {
+		if rec.Kind == TraceStart {
+			waits = append(waits, rec.Wait)
+		}
+	}
+	if len(waits) != 2 || waits[0] != 0 || waits[1] != 10 {
+		t.Errorf("waits %v, want [0 10]", waits)
 	}
 	if u := r.Utilization(); u != 1.0 {
 		t.Errorf("utilization %v, want 1.0", u)
@@ -132,6 +142,7 @@ func TestResourceConservationProperty(t *testing.T) {
 		e := NewEngine(5)
 		r := NewResource(e, "d")
 		var total Duration
+		served := 0
 		for i, s := range services {
 			svc := Duration(s)
 			total += svc
@@ -139,11 +150,11 @@ func TestResourceConservationProperty(t *testing.T) {
 			if prefetchMask&(1<<(uint(i)%64)) != 0 {
 				p = PriorityPrefetch
 			}
-			r.Submit(Request{Service: svc, Priority: p})
+			r.Submit(Request{Service: svc, Priority: p, Done: func(*Engine, Time) { served++ }})
 		}
 		e.Run()
 		return r.BusyTime() == total && !r.Busy() && r.QueueLen() == 0 &&
-			r.Served() == uint64(len(services))
+			served == len(services)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
