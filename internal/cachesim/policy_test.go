@@ -62,7 +62,7 @@ func TestTouchProtectsFromEviction(t *testing.T) {
 	// Touch the oldest; the second-oldest must be the victim.
 	e.At(10, func(*sim.Engine) {})
 	e.Run()
-	c.Touch(0, blk(1, 0))
+	use(c, 0, blk(1, 0))
 	_, vs := c.Insert(0, blk(1, 9), InsertOptions{})
 	if len(vs) != 1 || vs[0].Block != blk(1, 1) {
 		t.Errorf("victims = %v, want [1:1]", vs)
@@ -79,7 +79,7 @@ func TestNChanceForwardCascadeRespectsCapacity(t *testing.T) {
 	for i := 3; i < 20; i++ {
 		c.Insert(blockdev.NodeID(i%3), blk(1, i), InsertOptions{})
 		for n := 0; n < 3; n++ {
-			if got := c.NodeLen(blockdev.NodeID(n)); got > 1 {
+			if got := nodeLen(c, blockdev.NodeID(n)); got > 1 {
 				t.Fatalf("node %d holds %d blocks with capacity 1", n, got)
 			}
 		}
@@ -94,7 +94,7 @@ func TestUnusedPrefetchedCopies(t *testing.T) {
 	if got := c.UnusedPrefetchedCopies(); got != 2 {
 		t.Errorf("unused prefetched = %d, want 2", got)
 	}
-	c.Touch(0, blk(1, 0))
+	use(c, 0, blk(1, 0))
 	if got := c.UnusedPrefetchedCopies(); got != 1 {
 		t.Errorf("after touch = %d, want 1", got)
 	}
@@ -115,8 +115,8 @@ func TestInsertMergePreservesRecirculationState(t *testing.T) {
 	_, c := newTestCache(2, 2, NChance{Recirculations: 2})
 	c.Insert(0, blk(3, 0), InsertOptions{Prefetched: true})
 	c.Insert(0, blk(3, 0), InsertOptions{})
-	if c.Len() != 1 {
-		t.Fatalf("Len = %d after merge", c.Len())
+	if n := copiesOf(c, blk(3, 0)); n != 1 {
+		t.Fatalf("%d copies after merge", n)
 	}
 	// The merge counts as a use of the prefetched copy.
 	if c.Stats().UsedPrefetches != 1 {
@@ -129,11 +129,11 @@ func TestDropRemovesAllCopies(t *testing.T) {
 	c.Insert(0, blk(1, 0), InsertOptions{})
 	c.Insert(1, blk(1, 0), InsertOptions{})
 	c.Insert(2, blk(1, 0), InsertOptions{})
-	if c.Len() != 3 {
+	if copiesOf(c, blk(1, 0)) != 3 {
 		t.Fatal("setup: want 3 copies")
 	}
 	c.Drop(blk(1, 0))
-	if c.Contains(blk(1, 0)) || c.Len() != 0 {
+	if c.Contains(blk(1, 0)) || copiesOf(c, blk(1, 0)) != 0 {
 		t.Error("Drop left copies behind")
 	}
 }
