@@ -7,17 +7,19 @@
 # once), a short run of every fuzz target over its seed corpus, the
 # committed EXPERIMENTS.md against the report the code generates, and
 # the bench/ module (its own go.mod, so nothing above compiles it).
-# Performance numbers come from `bash bench/run.sh` alone. The nine
+# Performance numbers come from `bash bench/run.sh` alone. The ten
 # zero-allocation gates (engine hit, miss, prefetched hit and predicted
 # hit; loopback hit; remote hit; simulator event and resource request;
-# warm predictor step), the pipelined loopback hit's bound (eight
+# simulated cache insert, eviction and use on full pools; warm
+# predictor step), the pipelined loopback hit's bound (eight
 # callers sharing one connection's flush: at most 0.01 per read,
 # lapclient:TestPipelinedHitAllocs) and
 # the bound on a simulated cell's allocations per event are tests
 # tagged !race: `make test` enforces them, `make race` skips them
 # (`go test -run 'Allocs|DryHitCost' ./internal/lapcache/
 # ./internal/lapclient/ ./internal/cluster/ ./internal/sim/
-# ./internal/core/ ./internal/experiment/` runs them alone — the
+# ./internal/cachesim/ ./internal/core/ ./internal/experiment/` runs
+# them alone — the
 # pattern matches TestPipelinedHitAllocs too — and with
 # them core's count of the Predict and Cached calls a hit costs a chain
 # that has nothing to fetch — a gate in calls, so both targets run it).

@@ -1,10 +1,14 @@
 // Package blockdev defines the identity types shared by every layer of
 // the simulated storage stack: files, blocks, nodes and disks, plus the
-// arithmetic that maps byte-granularity user requests onto block spans
-// and blocks onto disks (striping).
+// arithmetic that maps byte-granularity user requests onto block spans,
+// blocks onto disks (striping) and a file table's blocks onto dense
+// slot numbers.
 package blockdev
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // FileID names a file in the simulated file system. IDs are dense
 // small integers assigned by the workload generators.
@@ -31,6 +35,58 @@ func (b BlockID) String() string { return fmt.Sprintf("%d:%d", b.File, b.Block) 
 
 // Next returns the sequentially following block of the same file.
 func (b BlockID) Next() BlockID { return BlockID{b.File, b.Block + 1} }
+
+// Numbering numbers every block of a fixed file table once: the blocks
+// of the lowest file ID take slots 0, 1, ..., the next file's follow,
+// and so on, so slots run densely over [0, Len()) in (file, block)
+// order. A table indexed by slot then stands in for a map keyed by
+// BlockID, and sorting slots sorts blocks. A simulated cell knows its
+// whole file table before it starts (the trace's FileBlocks), and it is
+// small: a few thousand blocks at the scales the experiments run.
+type Numbering struct {
+	// files holds each file's first slot and length: a map and not a
+	// slice indexed by ID, because a decoded trace need not number its
+	// files densely.
+	files map[FileID]fileSlots
+	n     int32
+}
+
+type fileSlots struct{ first, blocks int32 }
+
+// NewNumbering numbers the blocks of files, a map from every file to
+// its length in blocks.
+func NewNumbering(files map[FileID]BlockNo) *Numbering {
+	ids := make([]FileID, 0, len(files))
+	for f := range files {
+		ids = append(ids, f)
+	}
+	slices.Sort(ids)
+	n := &Numbering{files: make(map[FileID]fileSlots, len(ids))}
+	for _, f := range ids {
+		n.files[f] = fileSlots{first: n.n, blocks: int32(files[f])}
+		n.n += int32(files[f])
+	}
+	return n
+}
+
+// Len returns the number of slots: the blocks of every file together.
+func (n *Numbering) Len() int { return int(n.n) }
+
+// Slot returns b's slot. A block outside the table is a bug, and
+// panics.
+func (n *Numbering) Slot(b BlockID) int32 {
+	fs, ok := n.files[b.File]
+	if !ok || uint32(b.Block) >= uint32(fs.blocks) {
+		panic(fmt.Sprintf("blockdev: block %v outside the numbered files", b))
+	}
+	return fs.first + int32(b.Block)
+}
+
+// Blocks returns file f's length in blocks, and whether f is numbered.
+func (n *Numbering) Blocks(f FileID) (BlockNo, bool) {
+	fs, ok := n.files[f]
+	return BlockNo(fs.blocks), ok
+}
 
 // Span is a contiguous range of blocks [Start, Start+Count) of one
 // file: the block-level image of a user read or write request.

@@ -87,6 +87,35 @@ func TestBlockIDNextAndString(t *testing.T) {
 	}
 }
 
+func TestNumberingIsDenseInBlockOrder(t *testing.T) {
+	n := NewNumbering(map[FileID]BlockNo{9: 2, 3: 3, 40: 1, 7: 0})
+	if n.Len() != 6 {
+		t.Fatalf("Len = %d, want 6", n.Len())
+	}
+	want := []BlockID{{3, 0}, {3, 1}, {3, 2}, {9, 0}, {9, 1}, {40, 0}}
+	for slot, b := range want {
+		if got := n.Slot(b); got != int32(slot) {
+			t.Errorf("Slot(%v) = %d, want %d", b, got, slot)
+		}
+	}
+	if blocks, ok := n.Blocks(9); blocks != 2 || !ok {
+		t.Errorf("Blocks(9) = %d, %v; want 2, true", blocks, ok)
+	}
+	if _, ok := n.Blocks(8); ok {
+		t.Error("Blocks(8) found a file the table does not have")
+	}
+	for _, b := range []BlockID{{3, 3}, {3, -1}, {7, 0}, {8, 0}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Slot(%v) did not panic", b)
+				}
+			}()
+			n.Slot(b)
+		}()
+	}
+}
+
 func TestStriperCoversAllDisks(t *testing.T) {
 	st := NewStriper(16)
 	if st.Disks() != 16 {

@@ -56,8 +56,9 @@ type Base struct {
 	Disks  *diskmodel.Array
 	Cch    *cachesim.Cache
 	Coll   *stats.Collector
-	// Files maps every file to its size in blocks (from the trace).
-	Files map[blockdev.FileID]blockdev.BlockNo
+	// num numbers every block of the trace's files: the cache, inflight
+	// and pfInflight are indexed by a block's slot.
+	num *blockdev.Numbering
 
 	// Ledger aggregates per-file outstanding-prefetch counts across
 	// every driver, machine-wide, with no limit enforced: xFS exceeding
@@ -73,12 +74,12 @@ type Base struct {
 	Degrees *core.DegreeSet
 
 	// inflight coalesces concurrent demand fetches of one block onto
-	// the first one's disk read.
-	inflight map[blockdev.BlockID]*diskOp
+	// the first one's disk read; by slot, nil when none is pending.
+	inflight []*diskOp
 	// pfInflight counts prefetch disk operations in flight per block
 	// (xFS nodes can prefetch the same block concurrently), for the
-	// late-prefetch classification.
-	pfInflight map[blockdev.BlockID]int
+	// late-prefetch classification; by slot.
+	pfInflight []int32
 	// pfPriority is the disk priority class of prefetch reads. The
 	// mapping from the algorithm lives here rather than on core.AlgSpec
 	// so the predictor core stays free of simulator types; the runtime
@@ -105,22 +106,19 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("fscommon: %v", err))
 	}
-	files := make(map[blockdev.FileID]blockdev.BlockNo, len(tr.FileBlocks))
-	for id, b := range tr.FileBlocks {
-		files[id] = b
-	}
+	num := blockdev.NewNumbering(tr.FileBlocks)
 	b := &Base{
 		Engine:     e,
 		Cfg:        cfg,
 		Net:        netmodel.New(e, cfg),
 		Disks:      diskmodel.NewArray(e, cfg),
-		Cch:        cachesim.New(e, cfg.Nodes, cacheBlocksPerNode, policy),
+		Cch:        cachesim.New(e, cfg.Nodes, cacheBlocksPerNode, policy, num),
 		Coll:       stats.New(),
 		Ledger:     core.NewLedger(0, false),
 		Degrees:    core.NewDegreeSet(alg),
-		Files:      files,
-		inflight:   make(map[blockdev.BlockID]*diskOp),
-		pfInflight: make(map[blockdev.BlockID]int),
+		num:        num,
+		inflight:   make([]*diskOp, num.Len()),
+		pfInflight: make([]int32, num.Len()),
 		pfPriority: sim.PriorityPrefetch,
 	}
 	if alg.UserPriorityPrefetch {
@@ -142,9 +140,9 @@ func (b *Base) Collector() *stats.Collector { return b.Coll }
 func (b *Base) Cache() *cachesim.Cache { return b.Cch }
 
 // FileBlocks returns file f's size in blocks, panicking on unknown
-// files (the trace validates against this map, so it is a bug).
+// files (the trace validates against its file table, so it is a bug).
 func (b *Base) FileBlocks(f blockdev.FileID) blockdev.BlockNo {
-	n, ok := b.Files[f]
+	n, ok := b.num.Blocks(f)
 	if !ok {
 		panic(fmt.Sprintf("fscommon: unknown file %d", f))
 	}
@@ -215,13 +213,14 @@ func (op *diskOp) release() {
 // the cache for node, flushes any dirty victims, and invokes done.
 // Concurrent fetches of the same block coalesce onto one disk read.
 func (b *Base) DemandFetch(blk blockdev.BlockID, node blockdev.NodeID, done func(e *sim.Engine, at sim.Time)) {
-	if op, ok := b.inflight[blk]; ok {
+	slot := b.num.Slot(blk)
+	if op := b.inflight[slot]; op != nil {
 		op.waiters = append(op.waiters, done)
 		return
 	}
 	op := b.newOp(blk, node, (*diskOp).fetched)
 	op.waiters = append(op.waiters, done)
-	b.inflight[blk] = op
+	b.inflight[slot] = op
 	if b.PrefetchInFlight(blk) {
 		// The predictor was right but the prefetch lost the race: demand
 		// traffic now duplicates the read at user priority.
@@ -237,7 +236,7 @@ func (op *diskOp) fetched(e *sim.Engine, at sim.Time) {
 	_, victims := b.Cch.Insert(op.node, op.blk, cachesim.InsertOptions{})
 	b.FlushVictims(victims)
 	// A waiter that misses on the block again starts a new fetch.
-	delete(b.inflight, op.blk)
+	b.inflight[b.num.Slot(op.blk)] = nil
 	for _, w := range op.waiters {
 		w(e, at)
 	}
@@ -287,8 +286,7 @@ func (op *diskOp) prefetched(*sim.Engine, sim.Time) {
 
 // DemandFetchInFlight reports whether a demand read of blk is pending.
 func (b *Base) DemandFetchInFlight(blk blockdev.BlockID) bool {
-	_, ok := b.inflight[blk]
-	return ok
+	return b.inflight[b.num.Slot(blk)] != nil
 }
 
 // FlushVictims writes evicted dirty blocks back to disk and accounts

@@ -1,11 +1,12 @@
 // Package lrulist provides an intrusive doubly linked list ordered by
 // recency: least recently used at the front, most recently used at the
 // back. "Intrusive" means the links live inside the element itself, so
-// membership costs no allocation per operation and one element can sit
-// on several lists at once through distinct Links fields — exactly what
-// the cooperative cache needs (every copy is on its node's list and,
-// under global management, on a machine-wide list too) and what the
-// lapcache runtime shards reuse without copy-pasting the machinery.
+// membership costs no allocation per operation, and one element can sit
+// on several lists at once through distinct Links fields. Its users are
+// the lapcache runtime's cache shards and core's bounded history table,
+// each one list per element. (The simulator's cooperative cache links
+// its copies by slab index instead, so that its records hold no
+// pointers; see internal/cachesim.)
 //
 // The list itself is not synchronized; callers that share a list across
 // goroutines (the lapcache shards) guard it with their own mutex.

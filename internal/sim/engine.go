@@ -10,16 +10,23 @@ type Handler func(e *Engine)
 // usable; construct one with NewEngine.
 type Engine struct {
 	now Time
-	// queue orders the scheduled handlers by (time, sequence): events
+	// queue orders the scheduled events by (time, sequence): events
 	// scheduled for the same instant fire in the order they were
 	// scheduled, which keeps the simulation deterministic. Events live
-	// in the heap by value; scheduling one allocates nothing.
-	queue   minHeap[Handler]
-	seq     uint64
-	rng     *RNG
-	fired   uint64
-	running bool
-	tracer  Tracer
+	// in the heap by value, and carry their handler's slot in handlers
+	// rather than the handler itself, so a heap item holds no pointer
+	// and sifting one past another costs the collector nothing.
+	// Scheduling an event allocates nothing.
+	queue minHeap[int32]
+	// handlers holds each scheduled event's handler by slot; free lists
+	// the slots no event holds.
+	handlers []Handler
+	free     []int32
+	seq      uint64
+	rng      *RNG
+	fired    uint64
+	running  bool
+	tracer   Tracer
 }
 
 // NewEngine returns an engine whose clock starts at zero and whose
@@ -48,7 +55,15 @@ func (e *Engine) At(t Time, fn Handler) {
 	if fn == nil {
 		panic("sim: scheduling nil handler")
 	}
-	e.queue.push(int64(t), e.seq, fn)
+	var slot int32
+	if n := len(e.free); n > 0 {
+		slot, e.free = e.free[n-1], e.free[:n-1]
+		e.handlers[slot] = fn
+	} else {
+		slot = int32(len(e.handlers))
+		e.handlers = append(e.handlers, fn)
+	}
+	e.queue.push(int64(t), e.seq, slot)
 	e.seq++
 }
 
@@ -89,12 +104,15 @@ func (e *Engine) RunUntil(stop func() bool) Time {
 			break
 		}
 		ev := e.queue.pop()
+		fn := e.handlers[ev.val]
+		e.handlers[ev.val] = nil // keep nothing the handler refers to alive
+		e.free = append(e.free, ev.val)
 		e.now = Time(ev.rank)
 		e.fired++
 		if e.tracer != nil {
 			e.tracer.Record(TraceRecord{At: e.now, Kind: TraceEventFired, Seq: ev.seq})
 		}
-		ev.val(e)
+		fn(e)
 	}
 	return e.now
 }

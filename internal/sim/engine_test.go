@@ -1,9 +1,41 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
+
+// TestEventHoldsNoPointer keeps the engine's heap items pointer-free:
+// a sift moves items up and down the heap on every event, and an item
+// holding a pointer would make each move a write the collector has to
+// see. The handler stays in Engine.handlers and the item carries its
+// slot.
+func TestEventHoldsNoPointer(t *testing.T) {
+	if item := reflect.TypeOf(Engine{}.queue).Elem(); holdsPointer(item) {
+		t.Errorf("the engine's heap item %v holds a pointer", item)
+	}
+}
+
+// holdsPointer reports whether a value of type t is or contains a
+// pointer the collector traces.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointer(t.Elem())
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Slice,
+		reflect.Chan, reflect.Func, reflect.Interface, reflect.String:
+		return true
+	}
+	return false
+}
 
 func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	e := NewEngine(1)
