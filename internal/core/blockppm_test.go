@@ -123,7 +123,7 @@ func TestBlockPPMNodeCapBounds(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		m.Observe(Request{Offset: blockdev.BlockNo(i * 7 % 97), Size: 1}, Tick(i+1))
 	}
-	if m.NodeCount() > 8 {
-		t.Errorf("graph grew to %d nodes despite cap", m.NodeCount())
+	if m.nodeCount() > 8 {
+		t.Errorf("graph grew to %d nodes despite cap", m.nodeCount())
 	}
 }

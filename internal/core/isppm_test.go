@@ -39,14 +39,14 @@ func TestISPPMBuildsPaperFigure2Graph(t *testing.T) {
 	reqs := paperPattern(5) // t1..t5 of Figure 2
 	feed(m, reqs)
 	// Nodes (I=3,S=3) and (I=5,S=2) must exist with mutual links.
-	if m.NodeCount() != 2 {
-		t.Fatalf("graph has %d nodes, want 2", m.NodeCount())
+	if m.nodeCount() != 2 {
+		t.Fatalf("graph has %d nodes, want 2", m.nodeCount())
 	}
-	i1, s1, ok := m.MostRecentLink([][2]int32{{3, 3}})
+	i1, s1, ok := m.mostRecentLink([][2]int32{{3, 3}})
 	if !ok || i1 != 5 || s1 != 2 {
 		t.Errorf("link from (3,3) = (%d,%d,%v), want (5,2,true)", i1, s1, ok)
 	}
-	i2, s2, ok := m.MostRecentLink([][2]int32{{5, 2}})
+	i2, s2, ok := m.mostRecentLink([][2]int32{{5, 2}})
 	if !ok || i2 != 3 || s2 != 3 {
 		t.Errorf("link from (5,2) = (%d,%d,%v), want (3,3,true)", i2, s2, ok)
 	}
@@ -107,15 +107,15 @@ func TestISPPMThirdOrderBuildsFigure3Graph(t *testing.T) {
 	// alternating 3-pair histories linked to each other.
 	m := NewISPPM(3)
 	feed(m, paperPattern(8))
-	if m.NodeCount() != 2 {
-		t.Fatalf("3rd-order graph has %d nodes, want 2", m.NodeCount())
+	if m.nodeCount() != 2 {
+		t.Fatalf("3rd-order graph has %d nodes, want 2", m.nodeCount())
 	}
 	// History (3,3),(5,2),(3,3) must link to a node ending (5,2).
-	i, s, ok := m.MostRecentLink([][2]int32{{3, 3}, {5, 2}, {3, 3}})
+	i, s, ok := m.mostRecentLink([][2]int32{{3, 3}, {5, 2}, {3, 3}})
 	if !ok || i != 5 || s != 2 {
 		t.Errorf("link = (%d,%d,%v), want (5,2,true)", i, s, ok)
 	}
-	i, s, ok = m.MostRecentLink([][2]int32{{5, 2}, {3, 3}, {5, 2}})
+	i, s, ok = m.mostRecentLink([][2]int32{{5, 2}, {3, 3}, {5, 2}})
 	if !ok || i != 3 || s != 3 {
 		t.Errorf("link = (%d,%d,%v), want (3,3,true)", i, s, ok)
 	}
@@ -247,15 +247,15 @@ func TestISPPMNegativeIntervals(t *testing.T) {
 }
 
 func TestISPPMNodeCapBoundsGraph(t *testing.T) {
-	m := NewISPPMSized(1, 4)
+	m := newISPPMSized(1, 4)
 	// Random-ish walk creating many distinct (interval, size) pairs.
 	off := blockdev.BlockNo(0)
 	for i := 1; i <= 100; i++ {
 		m.Observe(Request{Offset: off, Size: int32(i%7 + 1)}, Tick(i))
 		off += blockdev.BlockNo(i % 13)
 	}
-	if m.NodeCount() > 4 {
-		t.Errorf("graph grew to %d nodes despite cap 4", m.NodeCount())
+	if m.nodeCount() > 4 {
+		t.Errorf("graph grew to %d nodes despite cap 4", m.nodeCount())
 	}
 }
 
@@ -273,10 +273,10 @@ func TestISPPMConstructorValidation(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("NewISPPMSized(1,0) did not panic")
+				t.Error("newISPPMSized(1,0) did not panic")
 			}
 		}()
-		NewISPPMSized(1, 0)
+		newISPPMSized(1, 0)
 	}()
 }
 
@@ -291,20 +291,20 @@ func TestISPPMName(t *testing.T) {
 
 func TestISPPMMostRecentLinkWrongOrder(t *testing.T) {
 	m := NewISPPM(2)
-	if _, _, ok := m.MostRecentLink([][2]int32{{1, 1}}); ok {
-		t.Error("MostRecentLink accepted wrong-length history")
+	if _, _, ok := m.mostRecentLink([][2]int32{{1, 1}}); ok {
+		t.Error("mostRecentLink accepted wrong-length history")
 	}
 }
 
 func TestISPPMSpeculativeCursorDoesNotMutateGraph(t *testing.T) {
 	m := NewISPPM(1)
 	cur := feed(m, paperPattern(5))
-	before := m.NodeCount()
+	before := m.nodeCount()
 	for i := 0; i < 10; i++ {
 		_, cur, _ = m.Predict(cur)
 	}
-	if m.NodeCount() != before {
-		t.Errorf("speculative walk changed graph: %d -> %d nodes", before, m.NodeCount())
+	if m.nodeCount() != before {
+		t.Errorf("speculative walk changed graph: %d -> %d nodes", before, m.nodeCount())
 	}
 }
 

@@ -93,8 +93,8 @@ func FuzzISPPM(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add(churn())
 	tg := fuzzTarget{
-		fresh:   func() Predictor { return NewISPPMSized(1, 8) },
-		rows:    func(p Predictor) int { return p.(*ISPPM).NodeCount() },
+		fresh:   func() Predictor { return newISPPMSized(1, 8) },
+		rows:    func(p Predictor) int { return p.(*ISPPM).nodeCount() },
 		maxRows: 8, maxChain: 6,
 	}
 	f.Fuzz(func(t *testing.T, stream []byte) { fuzzPredictor(t, tg, stream) })
@@ -108,7 +108,7 @@ func FuzzBlockPPM(f *testing.F) {
 	f.Add(churn())
 	tg := fuzzTarget{
 		fresh:   func() Predictor { return newBlockPPM(2, 8) },
-		rows:    func(p Predictor) int { return p.(*BlockPPM).NodeCount() },
+		rows:    func(p Predictor) int { return p.(*BlockPPM).nodeCount() },
 		maxRows: 8, maxChain: 6, seenOnly: true, blockwise: true,
 	}
 	f.Fuzz(func(t *testing.T, stream []byte) { fuzzPredictor(t, tg, stream) })

@@ -63,7 +63,7 @@ func TestDriverOutstandingInvariantProperty(t *testing.T) {
 func TestISPPMRobustnessProperty(t *testing.T) {
 	f := func(offs []uint16, order8 uint8) bool {
 		order := int(order8%3) + 1
-		m := NewISPPMSized(order, 64)
+		m := newISPPMSized(order, 64)
 		var cur Cursor
 		for i, o := range offs {
 			r := Request{Offset: blockdev.BlockNo(o % 4096), Size: int32(o%7) + 1}
