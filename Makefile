@@ -14,7 +14,8 @@
 # predictor step), the pipelined loopback hit's bound (eight
 # callers sharing one connection's flush: at most 0.01 per read,
 # lapclient:TestPipelinedHitAllocs) and
-# the bound on a simulated cell's allocations per event are tests
+# the bound on a simulated cell's allocations per event (at most 0.42,
+# experiment:TestCellAllocsPerEvent) are tests
 # tagged !race: `make test` enforces them, `make race` skips them
 # (`go test -run 'Allocs|DryHitCost' ./internal/lapcache/
 # ./internal/lapclient/ ./internal/cluster/ ./internal/sim/
@@ -135,6 +136,7 @@ fuzz:
 	$(GO) test ./internal/core/ -run FuzzDegreePolicy -fuzz FuzzDegreePolicy -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzISPPM -fuzz FuzzISPPM -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzBlockPPM -fuzz FuzzBlockPPM -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/core/ -run FuzzTable -fuzz FuzzTable -fuzztime $(FUZZTIME)
 
 # Print the full-scale paper-vs-measured record. EXPERIMENTS.md keeps
 # a hand-written preamble (the header comment and the Methodology

@@ -2,11 +2,11 @@
 // recency: least recently used at the front, most recently used at the
 // back. "Intrusive" means the links live inside the element itself, so
 // membership costs no allocation per operation, and one element can sit
-// on several lists at once through distinct Links fields. Its users are
-// the lapcache runtime's cache shards and core's bounded history table,
-// each one list per element. (The simulator's cooperative cache links
-// its copies by slab index instead, so that its records hold no
-// pointers; see internal/cachesim.)
+// on several lists at once through distinct Links fields. Its user is
+// the lapcache runtime's cache shards, one list per element. (The
+// simulator's cooperative cache and core's pattern graph link their
+// records by slab index instead, so that moving one writes no pointer;
+// see internal/cachesim and core's table.)
 //
 // The list itself is not synchronized; callers that share a list across
 // goroutines (the lapcache shards) guard it with their own mutex.
