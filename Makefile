@@ -7,8 +7,9 @@
 # once), a short run of every fuzz target over its seed corpus, the
 # committed EXPERIMENTS.md against the report the code generates, and
 # the bench/ module (its own go.mod, so nothing above compiles it).
-# Performance numbers come from `bash bench/run.sh` alone. The ten
-# zero-allocation gates (engine hit, miss, prefetched hit and predicted
+# Performance numbers come from `bash bench/run.sh` alone. The eleven
+# zero-allocation gates (engine hit, miss from a one-entry shard, miss
+# evicting from full eight-entry shards, prefetched hit and predicted
 # hit; loopback hit; remote hit; simulator event and resource request;
 # simulated cache insert, eviction and use on full pools; warm
 # predictor step), the pipelined loopback hit's bound (eight
@@ -137,6 +138,7 @@ fuzz:
 	$(GO) test ./internal/core/ -run FuzzISPPM -fuzz FuzzISPPM -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzBlockPPM -fuzz FuzzBlockPPM -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzTable -fuzz FuzzTable -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/lapcache/ -run FuzzBlockCache -fuzz FuzzBlockCache -fuzztime $(FUZZTIME)
 
 # Print the full-scale paper-vs-measured record. EXPERIMENTS.md keeps
 # a hand-written preamble (the header comment and the Methodology

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -14,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
-	"repro/internal/lrulist"
 )
 
 // tableKey is a history window of order 1 + i%MaxOrder, distinct for
@@ -100,56 +100,50 @@ func TestTableDisplacementOrder(t *testing.T) {
 	}
 }
 
-// refTable is the map + lrulist table the slab replaced, kept as the
+// refTable is the map + list table the slab replaced, kept as the
 // reference FuzzTable holds it to.
 type refTable struct {
 	max     int
-	entries map[histKey]*refEntry
-	order   lrulist.List[refEntry] // front = least recently updated
+	entries map[histKey]*list.Element // each holds a *refEntry
+	order   *list.List                // front = least recently updated
 }
 
 type refEntry struct {
-	key   histKey
-	val   node
-	links lrulist.Links[refEntry]
+	key histKey
+	val node
 }
 
 func newRefTable(max int) refTable {
-	return refTable{
-		max:     max,
-		entries: make(map[histKey]*refEntry),
-		order:   lrulist.New(func(e *refEntry) *lrulist.Links[refEntry] { return &e.links }),
-	}
+	return refTable{max: max, entries: make(map[histKey]*list.Element), order: list.New()}
 }
 
 func (t *refTable) get(k histKey) *node {
-	if e := t.entries[k]; e != nil {
-		return &e.val
+	if el := t.entries[k]; el != nil {
+		return &el.Value.(*refEntry).val
 	}
 	return nil
 }
 
-func (t *refTable) getOrCreate(k histKey) *node { return &t.entry(k).val }
+func (t *refTable) getOrCreate(k histKey) *node { return &t.entry(k).Value.(*refEntry).val }
 
 func (t *refTable) update(k histKey) *node {
-	e := t.entry(k)
-	t.order.Touch(e)
-	return &e.val
+	el := t.entry(k)
+	t.order.MoveToBack(el)
+	return &el.Value.(*refEntry).val
 }
 
-func (t *refTable) entry(k histKey) *refEntry {
-	if e := t.entries[k]; e != nil {
-		return e
+func (t *refTable) entry(k histKey) *list.Element {
+	if el := t.entries[k]; el != nil {
+		return el
 	}
 	if len(t.entries) >= t.max {
 		victim := t.order.Front()
 		t.order.Remove(victim)
-		delete(t.entries, victim.key)
+		delete(t.entries, victim.Value.(*refEntry).key)
 	}
-	e := &refEntry{key: k}
-	t.entries[k] = e
-	t.order.PushBack(e)
-	return e
+	el := t.order.PushBack(&refEntry{key: k})
+	t.entries[k] = el
+	return el
 }
 
 // tableFuzzKeys is FuzzTable's key alphabet: 24 windows of orders 1 to
@@ -233,8 +227,8 @@ func FuzzTable(f *testing.F) {
 				t.Fatalf("call %d: len %d, reference %d", i, tb.len(), len(ref.entries))
 			}
 			var want []histKey
-			for e := ref.order.Front(); e != nil; e = ref.order.Next(e) {
-				want = append(want, e.key)
+			for el := ref.order.Front(); el != nil; el = el.Next() {
+				want = append(want, el.Value.(*refEntry).key)
 			}
 			if got := tb.keys(); !reflect.DeepEqual(got, want) {
 				t.Fatalf("call %d: order %v, reference %v", i, got, want)

@@ -7,13 +7,13 @@ import (
 
 	"repro/internal/blockbuf"
 	"repro/internal/blockdev"
-	"repro/internal/lrulist"
 )
 
-// centry is one cached block. It lives on exactly one shard's LRU
-// list; the intrusive links come from the same package the simulator's
-// cooperative cache uses. The cache holds exactly one reference to
-// buf for as long as the entry exists.
+// none is the slab index of no entry: the end of a shard's list.
+const none = -1
+
+// centry is one cached block, a record in its shard's slab. The cache
+// holds exactly one reference to buf for as long as the entry exists.
 type centry struct {
 	id  blockdev.BlockID
 	buf *blockbuf.Buf
@@ -22,15 +22,22 @@ type centry struct {
 	// cachesim.Copy.Prefetched, and the flag behind the timely/wasted
 	// classification.
 	prefetched bool
-	links      lrulist.Links[centry]
+	// prev and next link the shard's recency list by slab index.
+	prev, next int32
 }
 
-// cacheShard is one mutex-striped slice of the block cache.
+// cacheShard is one mutex-striped slice of the block cache. Its slab
+// appends until cap; from then on an insert reuses the least recently
+// used entry's record in place, so an entry never moves and there is
+// no free list. Neither the index's key nor its value holds a pointer,
+// so the garbage collector does not scan it.
 type cacheShard struct {
-	mu     sync.Mutex
-	blocks map[blockdev.BlockID]*centry
-	lru    lrulist.List[centry]
-	cap    int
+	mu    sync.Mutex
+	slab  []centry
+	index map[blockdev.BlockID]int32
+	// head and tail are the least and most recently used entries.
+	head, tail int32
+	cap        int
 }
 
 // blockCache is the engine's sharded block cache: the runtime
@@ -46,9 +53,6 @@ type cacheShard struct {
 type blockCache struct {
 	shards []cacheShard
 	mask   uint32
-	// entries recycles centry shells between eviction and insertion, so
-	// a steady-state miss (evict one, insert one) allocates nothing.
-	entries sync.Pool
 	// evictions is the drivers' core.Env eviction count: blocks that left
 	// the cache (Put, Clear) and fetches that never landed (Engine.fill).
 	evictions atomic.Uint64
@@ -84,12 +88,13 @@ func newBlockCache(capacity, nShards int, onWasted func(f blockdev.FileID)) *blo
 	extra := capacity % pow
 	for i := range c.shards {
 		sh := &c.shards[i]
-		sh.blocks = make(map[blockdev.BlockID]*centry)
-		sh.lru = lrulist.New[centry](func(e *centry) *lrulist.Links[centry] { return &e.links })
 		sh.cap = per
 		if i < extra {
 			sh.cap++
 		}
+		sh.slab = make([]centry, 0, sh.cap)
+		sh.index = make(map[blockdev.BlockID]int32, sh.cap)
+		sh.head, sh.tail = none, none
 	}
 	return c
 }
@@ -102,6 +107,40 @@ func (c *blockCache) shardFor(b blockdev.BlockID) *cacheShard {
 	return &c.shards[h&c.mask]
 }
 
+// pushBack appends slab entry i as the most recently used.
+func (sh *cacheShard) pushBack(i int32) {
+	sh.slab[i].prev, sh.slab[i].next = sh.tail, none
+	if sh.tail != none {
+		sh.slab[sh.tail].next = i
+	} else {
+		sh.head = i
+	}
+	sh.tail = i
+}
+
+// unlink removes slab entry i from the recency list.
+func (sh *cacheShard) unlink(i int32) {
+	e := &sh.slab[i]
+	if e.prev != none {
+		sh.slab[e.prev].next = e.next
+	} else {
+		sh.head = e.next
+	}
+	if e.next != none {
+		sh.slab[e.next].prev = e.prev
+	} else {
+		sh.tail = e.prev
+	}
+}
+
+// touch moves slab entry i to the most recently used position.
+func (sh *cacheShard) touch(i int32) {
+	if sh.tail != i {
+		sh.unlink(i)
+		sh.pushBack(i)
+	}
+}
+
 // Get returns a retained reference to the cached buffer for b,
 // touching recency; the caller must Release it. wasPrefetched reports
 // that this access is the first user touch of a speculative block — a
@@ -109,12 +148,13 @@ func (c *blockCache) shardFor(b blockdev.BlockID) *cacheShard {
 func (c *blockCache) Get(b blockdev.BlockID) (buf *blockbuf.Buf, wasPrefetched, ok bool) {
 	sh := c.shardFor(b)
 	sh.mu.Lock()
-	e, found := sh.blocks[b]
+	i, found := sh.index[b]
 	if !found {
 		sh.mu.Unlock()
 		return nil, false, false
 	}
-	sh.lru.Touch(e)
+	sh.touch(i)
+	e := &sh.slab[i]
 	wasPrefetched = e.prefetched
 	e.prefetched = false
 	// Retain under the shard lock: the entry's own reference keeps the
@@ -132,8 +172,8 @@ func (c *blockCache) Get(b blockdev.BlockID) (buf *blockbuf.Buf, wasPrefetched, 
 func (c *blockCache) Peek(b blockdev.BlockID) (buf *blockbuf.Buf, ok bool) {
 	sh := c.shardFor(b)
 	sh.mu.Lock()
-	if e, found := sh.blocks[b]; found {
-		buf, ok = e.buf.Retain(), true
+	if i, found := sh.index[b]; found {
+		buf, ok = sh.slab[i].buf.Retain(), true
 	}
 	sh.mu.Unlock()
 	return buf, ok
@@ -144,73 +184,22 @@ func (c *blockCache) Peek(b blockdev.BlockID) (buf *blockbuf.Buf, ok bool) {
 func (c *blockCache) Contains(b blockdev.BlockID) bool {
 	sh := c.shardFor(b)
 	sh.mu.Lock()
-	_, ok := sh.blocks[b]
+	_, ok := sh.index[b]
 	sh.mu.Unlock()
 	return ok
 }
 
 // Put inserts (or overwrites) b, taking ownership of one reference to
-// buf and evicting from the shard's LRU end as needed (each victim's
-// reference is released; each one that was speculative and never
-// touched is reported to onWasted). Inserting over an existing entry
-// releases the displaced buffer, refreshes recency and, like the
-// simulator's insert-merge, clears the prefetched flag only when the
-// new copy is a demand fill; firstTouch reports that it did — the
-// demand copy replaced a speculative block nobody had touched yet.
+// buf and evicting the shard's least recently used block when it is
+// full (the victim's reference is released; a victim that was
+// speculative and never touched is reported to onWasted). Inserting
+// over an existing entry releases the displaced buffer, refreshes
+// recency and, like the simulator's insert-merge, clears the
+// prefetched flag only when the new copy is a demand fill; firstTouch
+// reports that it did — the demand copy replaced a speculative block
+// nobody had touched yet.
 func (c *blockCache) Put(b blockdev.BlockID, buf *blockbuf.Buf, prefetched bool) (firstTouch bool) {
-	sh := c.shardFor(b)
-	sh.mu.Lock()
-	if e, ok := sh.blocks[b]; ok {
-		old := e.buf
-		e.buf = buf
-		if !prefetched {
-			firstTouch = e.prefetched
-			e.prefetched = false
-		}
-		sh.lru.Touch(e)
-		sh.mu.Unlock()
-		old.Release()
-		return firstTouch
-	}
-	// One insert evicts at most one block in steady state; the stack
-	// array keeps the common case allocation-free (append spills to the
-	// heap only in the never-expected many-victim case).
-	var freedArr [4]*blockbuf.Buf
-	freed := freedArr[:0]
-	var wastedArr [4]blockdev.FileID
-	wasted := wastedArr[:0]
-	for sh.lru.Len() >= sh.cap {
-		victim := sh.lru.Front()
-		if victim == nil {
-			break
-		}
-		sh.lru.Remove(victim) // clears the intrusive links
-		delete(sh.blocks, victim.id)
-		c.evictions.Add(1)
-		if victim.prefetched {
-			wasted = append(wasted, victim.id.File)
-		}
-		freed = append(freed, victim.buf)
-		victim.buf = nil
-		c.entries.Put(victim)
-	}
-	e, _ := c.entries.Get().(*centry)
-	if e == nil {
-		e = &centry{}
-	}
-	e.id, e.buf, e.prefetched = b, buf, prefetched
-	sh.blocks[b] = e
-	sh.lru.PushBack(e)
-	sh.mu.Unlock()
-	// Release outside the shard lock: a final Release pushes into the
-	// buffer pool, which there is no reason to do under the stripe.
-	for _, f := range freed {
-		f.Release()
-	}
-	for _, f := range wasted {
-		c.onWasted(f)
-	}
-	return false
+	return c.insert(b, buf, prefetched, false)
 }
 
 // Preinstall inserts b with an explicit prefetched flag, overriding
@@ -218,19 +207,54 @@ func (c *blockCache) Put(b blockdev.BlockID, buf *blockbuf.Buf, prefetched bool)
 // engine's Preload uses it to stage cache states for benchmarks. Like
 // Put it takes ownership of one reference to buf.
 func (c *blockCache) Preinstall(b blockdev.BlockID, buf *blockbuf.Buf, prefetched bool) {
+	c.insert(b, buf, prefetched, true)
+}
+
+// insert is Put's and Preinstall's one body, under one hold of the
+// shard lock; rearm makes an overwrite set the flag to prefetched
+// instead of merging it.
+func (c *blockCache) insert(b blockdev.BlockID, buf *blockbuf.Buf, prefetched, rearm bool) (firstTouch bool) {
 	sh := c.shardFor(b)
 	sh.mu.Lock()
-	if e, ok := sh.blocks[b]; ok {
+	if i, ok := sh.index[b]; ok {
+		e := &sh.slab[i]
 		old := e.buf
 		e.buf = buf
-		e.prefetched = prefetched
-		sh.lru.Touch(e)
+		if rearm {
+			e.prefetched = prefetched
+		} else if !prefetched {
+			firstTouch = e.prefetched
+			e.prefetched = false
+		}
+		sh.touch(i)
 		sh.mu.Unlock()
 		old.Release()
-		return
+		return firstTouch
 	}
+	var victim centry
+	i := int32(len(sh.slab))
+	if len(sh.slab) < sh.cap {
+		sh.slab = append(sh.slab, centry{})
+	} else {
+		i = sh.head
+		victim = sh.slab[i]
+		sh.unlink(i)
+		delete(sh.index, victim.id)
+		c.evictions.Add(1)
+	}
+	sh.slab[i] = centry{id: b, buf: buf, prefetched: prefetched}
+	sh.index[b] = i
+	sh.pushBack(i)
 	sh.mu.Unlock()
-	c.Put(b, buf, prefetched)
+	// Release outside the shard lock: a final Release pushes into the
+	// buffer pool, which there is no reason to do under the stripe.
+	if victim.buf != nil {
+		victim.buf.Release()
+		if victim.prefetched {
+			c.onWasted(victim.id.File)
+		}
+	}
+	return false
 }
 
 // Len returns the number of cached blocks.
@@ -239,7 +263,7 @@ func (c *blockCache) Len() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		n += sh.lru.Len()
+		n += len(sh.slab)
 		sh.mu.Unlock()
 	}
 	return n
@@ -255,16 +279,16 @@ func (c *blockCache) Clear() int {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		var freed []*blockbuf.Buf
-		for e := sh.lru.Front(); e != nil; e = sh.lru.Front() {
-			sh.lru.Remove(e)
-			delete(sh.blocks, e.id)
-			c.evictions.Add(1)
-			freed = append(freed, e.buf)
-			e.buf = nil
-			c.entries.Put(e)
-			n++
+		freed := make([]*blockbuf.Buf, len(sh.slab))
+		for j := range sh.slab {
+			freed[j] = sh.slab[j].buf
 		}
+		c.evictions.Add(uint64(len(sh.slab)))
+		n += len(sh.slab)
+		clear(sh.slab)
+		sh.slab = sh.slab[:0]
+		clear(sh.index)
+		sh.head, sh.tail = none, none
 		sh.mu.Unlock()
 		for _, f := range freed {
 			f.Release()
@@ -283,8 +307,8 @@ func (c *blockCache) BlockIDs() []blockdev.BlockID {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for id := range sh.blocks {
-			out = append(out, id)
+		for j := range sh.slab {
+			out = append(out, sh.slab[j].id)
 		}
 		sh.mu.Unlock()
 	}
@@ -299,8 +323,8 @@ func (c *blockCache) UnusedPrefetched() uint64 {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.blocks {
-			if e.prefetched {
+		for j := range sh.slab {
+			if sh.slab[j].prefetched {
 				n++
 			}
 		}

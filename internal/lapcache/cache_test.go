@@ -2,7 +2,9 @@ package lapcache
 
 import (
 	"bytes"
+	"container/list"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/blockbuf"
@@ -313,4 +315,187 @@ func TestFillPatternDistinguishesBlocks(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Error("fill pattern not deterministic")
 	}
+}
+
+// refCache is the map + list shard the slab replaced, kept as the
+// reference FuzzBlockCache holds it to: one shard of cap blocks, its
+// wasted evictions and its eviction count.
+type refCache struct {
+	cap       int
+	entries   map[blockdev.BlockID]*list.Element // each holds a *refBlock
+	order     *list.List                         // front = least recently used
+	wasted    []blockdev.FileID
+	evictions uint64
+}
+
+// refBlock is a cached block as the reference sees it; tag is the
+// first byte of the buffer the cache should hold.
+type refBlock struct {
+	id         blockdev.BlockID
+	tag        byte
+	prefetched bool
+}
+
+func (r *refCache) put(b blockdev.BlockID, tag byte, prefetched, rearm bool) (firstTouch bool) {
+	if el := r.entries[b]; el != nil {
+		e := el.Value.(*refBlock)
+		e.tag = tag
+		if rearm {
+			e.prefetched = prefetched
+		} else if !prefetched {
+			firstTouch, e.prefetched = e.prefetched, false
+		}
+		r.order.MoveToBack(el)
+		return firstTouch
+	}
+	if r.order.Len() >= r.cap {
+		victim := r.order.Remove(r.order.Front()).(*refBlock)
+		delete(r.entries, victim.id)
+		r.evictions++
+		if victim.prefetched {
+			r.wasted = append(r.wasted, victim.id.File)
+		}
+	}
+	r.entries[b] = r.order.PushBack(&refBlock{id: b, tag: tag, prefetched: prefetched})
+	return false
+}
+
+func (r *refCache) get(b blockdev.BlockID) (tag byte, wasPrefetched, ok bool) {
+	el := r.entries[b]
+	if el == nil {
+		return 0, false, false
+	}
+	r.order.MoveToBack(el)
+	e := el.Value.(*refBlock)
+	wasPrefetched, e.prefetched = e.prefetched, false
+	return e.tag, wasPrefetched, true
+}
+
+func (r *refCache) clear() {
+	r.evictions += uint64(r.order.Len())
+	r.order.Init()
+	clear(r.entries)
+}
+
+// FuzzBlockCache drives a one-shard blockCache and the reference with
+// one fuzzed sequence of Put (demand or speculative), Preinstall
+// (either flag), Get, Peek, Contains and Clear calls, and compares,
+// after every call, the whole LRU order with each entry's buffer and
+// flag, Len, what the call returned, the files reported wasted and the
+// eviction count; at the end every buffer must be back in the pool.
+// The first byte picks the cap, 1 to 16; then each call takes two
+// bytes, the call and the block (24 blocks over three files).
+func FuzzBlockCache(f *testing.F) {
+	const (
+		putDemand = iota
+		putSpeculative
+		preinstallDemand
+		preinstallSpeculative
+		get
+		peek
+		contains
+		calls
+	)
+	const clearCall = 31 // of a call byte's value mod 32; the others are taken mod calls
+	seq := func(capacity byte, ops ...byte) []byte { return append([]byte{capacity - 1}, ops...) }
+	// Three blocks fill cap 3; a Peek must not save the oldest from the
+	// next insert; a speculative Put over a demand block must not arm it,
+	// and over a speculative one must not disarm it.
+	f.Add(seq(3,
+		putDemand, 0, putSpeculative, 1, putDemand, 2, peek, 0, contains, 1, putDemand, 3,
+		putSpeculative, 2, get, 2, putSpeculative, 1, putDemand, 4, get, 1,
+		preinstallSpeculative, 3, putSpeculative, 3, putDemand, 3, preinstallDemand, 5, putDemand, 6,
+		clearCall, 0, putSpeculative, 7, putDemand, 8))
+	f.Add(seq(1, putSpeculative, 0, putSpeculative, 0, get, 0, putDemand, 1, peek, 1, clearCall, 0))
+	// Long runs at caps 2, 5 and 16.
+	for _, capacity := range []byte{2, 5, 16} {
+		s, x := seq(capacity), uint32(capacity)
+		for range 300 {
+			x = x*1664525 + 1013904223
+			s = append(s, byte(x>>24), byte(x>>8))
+		}
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		p, capacity := testPool(), 1+int(ops[0]%16)
+		var wasted []blockdev.FileID
+		c := newBlockCache(capacity, 1, func(f blockdev.FileID) { wasted = append(wasted, f) })
+		ref := refCache{cap: capacity, entries: make(map[blockdev.BlockID]*list.Element), order: list.New()}
+		sh := &c.shards[0]
+		for i := 1; i+1 < len(ops); i += 2 {
+			b := bid(int(ops[i+1]%3), int(ops[i+1]/3%8))
+			tag := byte(i)
+			op := ops[i] % 32
+			if op != clearCall {
+				op %= calls
+			}
+			switch op {
+			case putDemand, putSpeculative:
+				spec := op == putSpeculative
+				if got, want := c.Put(b, mkbuf(p, tag), spec), ref.put(b, tag, spec, false); got != want {
+					t.Fatalf("call %d: Put(%v, %v) firstTouch %v, reference %v", i, b, spec, got, want)
+				}
+			case preinstallDemand, preinstallSpeculative:
+				spec := op == preinstallSpeculative
+				c.Preinstall(b, mkbuf(p, tag), spec)
+				ref.put(b, tag, spec, true)
+			case get:
+				buf, wasPf, ok := c.Get(b)
+				wantTag, wantPf, wantOK := ref.get(b)
+				if ok != wantOK || wasPf != wantPf || ok && buf.Bytes()[0] != wantTag {
+					t.Fatalf("call %d: Get(%v) ok %v prefetched %v, reference %v %v", i, b, ok, wasPf, wantOK, wantPf)
+				}
+				if ok {
+					buf.Release()
+				}
+			case peek:
+				buf, ok := c.Peek(b)
+				el := ref.entries[b]
+				if ok != (el != nil) || ok && buf.Bytes()[0] != el.Value.(*refBlock).tag {
+					t.Fatalf("call %d: Peek(%v) ok %v, reference %v", i, b, ok, el != nil)
+				}
+				if ok {
+					buf.Release()
+				}
+			case contains:
+				if got, want := c.Contains(b), ref.entries[b] != nil; got != want {
+					t.Fatalf("call %d: Contains(%v) %v, reference %v", i, b, got, want)
+				}
+			case clearCall:
+				if got, want := c.Clear(), ref.order.Len(); got != want {
+					t.Fatalf("call %d: Clear dropped %d, reference %d", i, got, want)
+				}
+				ref.clear()
+			}
+			var got, want []refBlock
+			prev := int32(none)
+			for j := sh.head; j != none && len(got) <= sh.cap; j = sh.slab[j].next {
+				e := sh.slab[j]
+				if e.prev != prev || sh.index[e.id] != j {
+					t.Fatalf("call %d: entry %d (%v) has prev %d and index %d, want %d and %d", i, j, e.id, e.prev, sh.index[e.id], prev, j)
+				}
+				got = append(got, refBlock{id: e.id, tag: e.buf.Bytes()[0], prefetched: e.prefetched})
+				prev = j
+			}
+			for el := ref.order.Front(); el != nil; el = el.Next() {
+				want = append(want, *el.Value.(*refBlock))
+			}
+			if !slices.Equal(got, want) || sh.tail != prev || len(sh.index) != len(want) || c.Len() != len(want) {
+				t.Fatalf("call %d: LRU order %v (Len %d, index %d), reference %v", i, got, c.Len(), len(sh.index), want)
+			}
+			if !slices.Equal(wasted, ref.wasted) {
+				t.Fatalf("call %d: wasted files %v, reference %v", i, wasted, ref.wasted)
+			}
+			if got, want := c.evictions.Load(), ref.evictions; got != want {
+				t.Fatalf("call %d: %d evictions, reference %d", i, got, want)
+			}
+		}
+		c.Clear()
+		if live := p.Live(); live != 0 {
+			t.Errorf("%d buffers still live after Clear", live)
+		}
+	})
 }

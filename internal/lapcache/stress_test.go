@@ -338,7 +338,7 @@ func TestAnchoredChainUnderEviction(t *testing.T) {
 	oldest := func() blockdev.BlockID {
 		sh.mu.Lock()
 		defer sh.mu.Unlock()
-		return sh.lru.Front().id
+		return sh.slab[sh.head].id
 	}
 	k := blockdev.BlockNo(len(victims))
 	for ; e.cache.Contains(blockdev.BlockID{File: file, Block: target}); k++ {
