@@ -10,7 +10,7 @@ import (
 // runChaos executes one seeded chaos run: a live 3-node cluster
 // replaying the scale's CHARISMA trace under the default fault plan,
 // with the full invariant audit. With churn (the default, and what
-// `make soak` exercises) the cluster runs dynamic gossip membership
+// `make soak` exercises) the cluster runs gossip membership
 // with R=2 replication, and one seed-chosen node is killed mid-replay
 // and rejoins after conviction. The same seed reproduces the same
 // faulted-site set bit for bit (the digest printed in the report), so

@@ -13,7 +13,7 @@ import (
 	"repro/internal/wire"
 )
 
-// runChurnDemo walks the dynamic-membership story end to end on a
+// runChurnDemo walks the gossip-membership story end to end on a
 // live in-process cluster: boot three gossiping nodes, write a file
 // population with R=2 replication, kill one node and show its files
 // still served at replica-memory speed (not the disk latency the
@@ -49,7 +49,6 @@ func runChurnDemo() error {
 			}
 		},
 		cluster.StartLocalOpts{TweakNode: func(i int, cfg *cluster.Config) {
-			cfg.Dynamic = true
 			for _, a := range cfg.Peers {
 				if a != cfg.Self {
 					cfg.Join = append(cfg.Join, a)
@@ -65,7 +64,7 @@ func runChurnDemo() error {
 	}
 	defer stop()
 
-	fmt.Printf("boot:    %d nodes, dynamic membership (gossip every 20ms, suspicion 300ms), R=2, handoff 1 MiB/s\n", nNodes)
+	fmt.Printf("boot:    %d nodes, gossip membership (every 20ms, suspicion 300ms), R=2, handoff 1 MiB/s\n", nNodes)
 	fmt.Printf("         store latency %v — the disk read a replica memory hit replaces\n\n", diskLatency)
 
 	// Phase 1 — populate through node 0. Every write should come back

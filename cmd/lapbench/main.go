@@ -29,7 +29,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print per-cell diagnostics for the artifact's matrix")
 	format := flag.String("format", "text", "output format for a single figure: text, csv, json")
 	seed := flag.Uint64("seed", 1, "fault-plan seed for -exp chaos")
-	churn := flag.Bool("churn", true, "for -exp chaos: dynamic membership with R=2 replication, gossip faults, and a mid-replay node kill + rejoin")
+	churn := flag.Bool("churn", true, "for -exp chaos: gossip membership with R=2 replication, gossip faults, and a mid-replay node kill + rejoin")
 	adaptiveVictim := flag.Bool("adaptive-victim", false, "for -exp chaos: run the AdaptiveFDP degree policy on the seed-chosen victim node (strict elsewhere)")
 	flag.Parse()
 

@@ -8,7 +8,7 @@
 //	          [-store mem|dir] [-latency 2ms] [-trace FILE] [-strict]
 //	          [-shards N]
 //	          [-peers a:7020,b:7020,c:7020] [-advertise a:7020]
-//	          [-join a:7020,b:7020] [-dynamic] [-replicas 2] [-handoff-bps N]
+//	          [-join a:7020,b:7020] [-replicas 2] [-handoff-bps N]
 //
 // -shards N stripes the engine's block cache over N mutexes and runs N
 // accept loops on the listener; they share one connection table and
@@ -29,13 +29,14 @@
 // Every member must be started with the same -peers list (order does
 // not matter) and the same -block-size.
 //
-// With -join (or -dynamic for the first node of a fleet), membership
-// is dynamic instead: a SWIM-style gossip detector discovers the
-// fleet, a versioned ring moves ownership on every join and death,
-// writes replicate to the owner's ring successor before the ack
-// (R=2 by default), and background rebalancing pushes moved arcs to
-// their new owners under the -handoff-bps byte budget. Nodes join and
-// die without any restart of the rest of the fleet.
+// With -join, a heartbeat gossip detector runs the membership
+// instead: it discovers the fleet, a versioned ring moves ownership on
+// every join and death, writes replicate to the owner's ring successor
+// before the ack (R=2 by default), and background rebalancing pushes
+// moved arcs to their new owners under the -handoff-bps byte budget.
+// Nodes join and die without any restart of the rest of the fleet. The
+// first node of a fleet joins itself (-join with its own address);
+// -peers, if also given, is the ring until the first gossip view.
 package main
 
 import (
@@ -47,6 +48,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"sort"
 	"strings"
 	"syscall"
@@ -75,10 +77,9 @@ func main() {
 		strict      = flag.Bool("strict", false, "panic if a file ever exceeds the degree policy's outstanding limit")
 		idleTimeout = flag.Duration("idle-timeout", 0, "drop connections idle for this long (0 = never)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP address for expvar counters (off when empty)")
-		peers       = flag.String("peers", "", "comma-separated static cluster membership, self included (empty = single node)")
-		join        = flag.String("join", "", "comma-separated gossip seeds to join: dynamic membership with replication and rebalancing (empty string alone = first node of a new dynamic fleet with -dynamic)")
-		dynamic     = flag.Bool("dynamic", false, "dynamic membership with no seeds: boot as the first node of a fleet others -join")
-		replicas    = flag.Int("replicas", 0, "ring members holding each block: 1 = owner only, 2 = owner + successor (0 = 1 static, 2 dynamic)")
+		peers       = flag.String("peers", "", "comma-separated cluster members, self included: the fixed ring, or the initial one with -join (empty = single node)")
+		join        = flag.String("join", "", "comma-separated gossip seeds: starts the failure detector, so joins and deaths move the ring (the first node of a fleet lists itself)")
+		replicas    = flag.Int("replicas", 0, "ring members holding each block: 1 = owner only, 2 = owner + successor (0 = 2 with -join, 1 without)")
 		handoffBps  = flag.Int64("handoff-bps", 0, "rebalancing byte budget per second after a ring move (0 = default, negative = unlimited)")
 		advertise   = flag.String("advertise", "", "address peers dial for this node (default -addr)")
 	)
@@ -141,47 +142,21 @@ func main() {
 	}
 
 	var node *cluster.Node
-	if *peers != "" || *join != "" || *dynamic {
+	if *peers != "" || *join != "" {
 		self := *advertise
 		if self == "" {
 			self = *addr
 		}
 		ccfg := cluster.Config{
 			Self:       self,
-			Dynamic:    *dynamic,
+			Peers:      splitList(*peers),
+			Join:       splitList(*join),
 			Replicas:   *replicas,
 			HandoffBps: *handoffBps,
 			Logf:       log.Printf,
 		}
-		switch {
-		case *join != "" || *dynamic:
-			// Dynamic membership: gossip discovers the fleet, so no
-			// static list is needed (or wanted — a stale one would only
-			// seed the ring with ghosts).
-			if *peers != "" {
-				log.Fatal("-peers is static membership; use -join (or -dynamic) without it")
-			}
-			for _, s := range strings.Split(*join, ",") {
-				if s = strings.TrimSpace(s); s != "" {
-					ccfg.Join = append(ccfg.Join, s)
-				}
-			}
-			if len(ccfg.Join) == 0 && !*dynamic {
-				log.Fatal("-join lists no seeds; pass -dynamic to boot a new fleet")
-			}
-		default:
-			members := strings.Split(*peers, ",")
-			found := false
-			for i, m := range members {
-				members[i] = strings.TrimSpace(m)
-				if members[i] == self {
-					found = true
-				}
-			}
-			if !found {
-				log.Fatalf("-peers %q does not include this node's advertise address %q", *peers, self)
-			}
-			ccfg.Peers = members
+		if *peers != "" && !slices.Contains(ccfg.Peers, self) {
+			log.Fatalf("-peers %q does not include this node's advertise address %q", *peers, self)
 		}
 		n, err := cluster.NewNode(ccfg)
 		if err != nil {
@@ -215,7 +190,10 @@ func main() {
 	srv.Shards = *shards
 	if node != nil {
 		srv.Cluster = node
-		node.Start()
+		node.SetLocal(engine)
+		if err := node.Start(); err != nil {
+			log.Fatalf("cluster: %v", err)
+		}
 		log.Printf("cluster: self=%s members=%v", node.Self(), node.MemberAddrs())
 	}
 	log.Printf("lapcached: alg=%s cache=%d blocks (%d B each) store=%s listening on %s",
@@ -240,4 +218,15 @@ func main() {
 		fileStore.Close()
 	}
 	log.Printf("final: %s", engine.Snapshot())
+}
+
+// splitList splits a comma-separated flag, dropping empty entries.
+func splitList(s string) []string {
+	var out []string
+	for _, f := range strings.Split(s, ",") {
+		if f = strings.TrimSpace(f); f != "" {
+			out = append(out, f)
+		}
+	}
+	return out
 }

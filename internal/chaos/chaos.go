@@ -18,7 +18,7 @@
 //     fill pattern), and the run terminates — no wedge, ever.
 //
 // Churn mode (Config.Churn) additionally boots the cluster with
-// dynamic gossip membership and R=2 replication, drops and delays
+// gossip membership and R=2 replication, drops and delays
 // gossip datagrams per the plan, and kills one seed-chosen node
 // mid-replay, restarting it after the suspicion window has convicted
 // it. Three more invariants then apply:
@@ -29,7 +29,7 @@
 //     acked data.
 //   - Convergent ownership after heal: once the killed node is back,
 //     every member's ring reconverges to the full fleet within a
-//     bounded window (the restarted node refutes its own tombstone).
+//     bounded window (the restarted node outranks its own tombstone).
 //   - Bounded handoff: the bytes each node's rebalancing loop moved
 //     stay under its configured byte/s budget for the run's duration.
 //
@@ -63,7 +63,7 @@ type Config struct {
 	// Charisma generates the replayed trace; its Seed field is
 	// overridden with Seed.
 	Charisma workload.CharismaParams
-	// Churn switches the cluster to dynamic gossip membership with
+	// Churn starts the cluster's gossip failure detector with
 	// R=2 replication and a bounded-rate handoff loop, then kills one
 	// seed-chosen node mid-replay and restarts it after conviction.
 	// The plan's gossip rules only fire in this mode, and the
@@ -324,11 +324,10 @@ func Run(cfg Config) (Result, error) {
 			ncfg.PingInterval = 20 * time.Millisecond
 			ncfg.BackoffMax = 200 * time.Millisecond
 			if cfg.Churn {
-				// Dynamic membership with R=2 replication. Every node
+				// Gossip membership with R=2 replication. Every node
 				// seeds off every other, so a restarted member — the
 				// would-be seed included — re-announces itself and
-				// refutes its own tombstone without operator action.
-				ncfg.Dynamic = true
+				// outranks its own tombstone without operator action.
 				for _, a := range peers {
 					if a != ncfg.Self {
 						ncfg.Join = append(ncfg.Join, a)
@@ -447,8 +446,8 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	// Heal audit: every member's ring must reconverge to the full
-	// fleet — instant in static mode, bounded by gossip (the restarted
-	// node refuting its own tombstone) after churn.
+	// fleet — instant without churn, bounded by gossip (the restarted
+	// node outranking its own tombstone) after churn.
 	want := make([]string, 0, len(nodes))
 	for _, m := range nodes {
 		want = append(want, m.Addr)

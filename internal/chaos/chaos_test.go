@@ -44,7 +44,7 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 }
 
-// TestChaosChurn is the dynamic-membership headline run: gossip
+// TestChaosChurn is the churn headline run: gossip
 // membership with R=2 replication, gossip-datagram faults, and one
 // node killed mid-replay and rejoining after conviction. Every base
 // invariant must still hold, plus the three churn invariants: no

@@ -64,8 +64,8 @@ func selectedSites(inj *faultinject.Injector, nnodes int, fileBlocks map[blockde
 		add(faultinject.SitePeerDial, key, link, -1)
 	}
 	// Gossip links are their own namespace: every directed pair, the
-	// keyspace GossipFault hashes. Enumerated unconditionally — in
-	// static mode no gossip runs, so the entries are selectable but
+	// keyspace GossipFault hashes. Enumerated unconditionally — without
+	// churn no gossip runs, so the entries are selectable but
 	// never observed, which keeps the digest identical across modes.
 	for i := 0; i < nnodes; i++ {
 		for j := 0; j < nnodes; j++ {

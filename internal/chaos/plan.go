@@ -46,10 +46,10 @@ func faultPlan(seed uint64) faultinject.Plan {
 
 			// Gossip: dropped and delayed membership datagrams, selected
 			// per directed link — asymmetric gossip partitions that the
-			// detector's indirect probes must route around. Budgets are
+			// detector's heartbeats must relay around. Budgets are
 			// deliberately too small to sustain a false conviction through
 			// a whole suspicion window: faults delay the ring, they do not
-			// get to invent a death. Inert in static mode (no gossip runs).
+			// get to invent a death. Inert without churn (no gossip runs).
 			{Site: faultinject.SiteGossip, Kind: faultinject.KindError, P: 0.4, Count: 8, Links: []string{"gossip:"}},
 			{Site: faultinject.SiteGossip, Kind: faultinject.KindDelay, P: 0.2, Count: 4, Delay: 3 * time.Millisecond, Links: []string{"gossip:"}},
 		},

@@ -19,7 +19,12 @@ const testBlockSize = 512
 // shape and registers teardown.
 func startCluster(t *testing.T, n int, tweak func(cfg *lapcache.Config)) []*LocalNode {
 	t.Helper()
-	nodes, stop, err := StartLocal(n, func(i int, addrs []string) lapcache.Config {
+	return startClusterWith(t, n, tweak, StartLocalOpts{})
+}
+
+func startClusterWith(t *testing.T, n int, tweak func(cfg *lapcache.Config), opts StartLocalOpts) []*LocalNode {
+	t.Helper()
+	nodes, stop, err := StartLocalWith(n, func(int, []string) lapcache.Config {
 		cfg := lapcache.Config{
 			Alg:          core.SpecNP,
 			BlockSize:    testBlockSize,
@@ -32,7 +37,7 @@ func startCluster(t *testing.T, n int, tweak func(cfg *lapcache.Config)) []*Loca
 			tweak(&cfg)
 		}
 		return cfg
-	})
+	}, opts)
 	if err != nil {
 		t.Fatalf("StartLocal(%d): %v", n, err)
 	}

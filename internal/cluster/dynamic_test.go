@@ -15,45 +15,23 @@ import (
 	"repro/internal/workload"
 )
 
-// dynamicTweak puts a node into dynamic membership with test-speed
+// gossipTweak starts the failure detector on a node with test-speed
 // gossip: every node keeps the full initial ring (Peers) so traffic
-// flows immediately, while the failure detector — seeded off node 0 —
-// owns every subsequent move.
-func dynamicTweak(addrs func() []string) func(i int, cfg *Config) {
-	return func(i int, cfg *Config) {
-		cfg.Dynamic = true
-		if i != 0 {
-			cfg.Join = []string{addrs()[0]}
-		}
+// flows immediately, while the detector — every node seeded off node
+// 0, which joins itself — owns every subsequent move.
+func gossipTweak(suspicion time.Duration) func(i int, cfg *Config) {
+	return func(_ int, cfg *Config) {
+		cfg.Join = []string{cfg.Peers[0]}
 		cfg.GossipInterval = 20 * time.Millisecond
-		cfg.SuspicionTimeout = 200 * time.Millisecond
+		cfg.SuspicionTimeout = suspicion
 	}
 }
 
-// startDynamicCluster boots an n-node dynamic cluster (gossip over
-// loopback UDP on the same ports the TCP servers use).
+// startDynamicCluster boots an n-node cluster with the detector on
+// (gossip over loopback UDP on the same ports the TCP servers use).
 func startDynamicCluster(t *testing.T, n int, tweakEng func(cfg *lapcache.Config)) []*LocalNode {
 	t.Helper()
-	var addrs []string
-	nodes, stop, err := StartLocalWith(n, func(i int, as []string) lapcache.Config {
-		addrs = as
-		cfg := lapcache.Config{
-			Alg:          core.SpecNP,
-			BlockSize:    testBlockSize,
-			CacheBlocks:  2048,
-			StrictLinear: true,
-			PoisonBufs:   true,
-			Store:        lapcache.NewMemStore(testBlockSize, 0),
-		}
-		if tweakEng != nil {
-			tweakEng(&cfg)
-		}
-		return cfg
-	}, StartLocalOpts{TweakNode: dynamicTweak(func() []string { return addrs })})
-	if err != nil {
-		t.Fatalf("StartLocalWith(%d): %v", n, err)
-	}
-	t.Cleanup(stop)
+	nodes := startClusterWith(t, n, tweakEng, StartLocalOpts{TweakNode: gossipTweak(200 * time.Millisecond)})
 	waitConverged(t, nodes, n)
 	return nodes
 }
@@ -197,7 +175,7 @@ func TestDynamicReplicaFallbackBeforeConviction(t *testing.T) {
 // (each forward to a down peer falls back at the call), so recovery
 // moves no epoch: the ring alone decides ownership.
 func TestDynamicRecoveryReprobesOwnership(t *testing.T) {
-	nodes := startCluster(t, 3, nil) // static: the fix predates dynamic mode
+	nodes := startCluster(t, 3, nil) // no detector: only forwarding recovers
 	f := fileOwnedBy(t, nodes, 1)
 
 	if _, _, err := readCopy(nodes[0].Engine, f, 0, 2); err != nil {
@@ -231,24 +209,10 @@ func TestDynamicRecoveryReprobesOwnership(t *testing.T) {
 // owner by RunHandoff — and the push is metered to the byte/s budget.
 func TestDynamicHandoffMovesBlocksUnderBudget(t *testing.T) {
 	const bps = 64 << 10
-	var addrs []string
-	nodes, stop, err := StartLocalWith(3, func(i int, as []string) lapcache.Config {
-		addrs = as
-		return lapcache.Config{
-			Alg:         core.SpecNP,
-			BlockSize:   testBlockSize,
-			CacheBlocks: 2048,
-			PoisonBufs:  true,
-			Store:       lapcache.NewMemStore(testBlockSize, 0),
-		}
-	}, StartLocalOpts{TweakNode: func(i int, cfg *Config) {
-		dynamicTweak(func() []string { return addrs })(i, cfg)
+	nodes := startClusterWith(t, 3, nil, StartLocalOpts{TweakNode: func(i int, cfg *Config) {
+		gossipTweak(200*time.Millisecond)(i, cfg)
 		cfg.HandoffBps = bps
 	}})
-	if err != nil {
-		t.Fatalf("StartLocalWith: %v", err)
-	}
-	t.Cleanup(stop)
 	waitConverged(t, nodes, 3)
 
 	// Find a file whose owner and successor are both NOT node 0, then
@@ -306,7 +270,7 @@ func TestDynamicHandoffMovesBlocksUnderBudget(t *testing.T) {
 }
 
 // TestDynamicOwnershipMovesLinear is the acceptance replay: a CHARISMA
-// trace against a 3-node dynamic cluster with linear-aggressive
+// trace against a 3-node gossiping cluster with linear-aggressive
 // prefetching while a FOURTH node joins mid-replay, moving ~1/4 of the
 // keyspace. Under -race and StrictLinear, every engine must keep each
 // file's outstanding-prefetch high-water at exactly 1, and prefetch
@@ -336,7 +300,7 @@ func TestDynamicOwnershipMovesLinear(t *testing.T) {
 	nodes, stop, err := StartLocalWith(3, func(i int, as []string) lapcache.Config {
 		addrs = as
 		return mkcfg(i, as)
-	}, StartLocalOpts{TweakNode: dynamicTweak(func() []string { return addrs })})
+	}, StartLocalOpts{TweakNode: gossipTweak(200 * time.Millisecond)})
 	if err != nil {
 		t.Fatalf("StartLocalWith: %v", err)
 	}
@@ -354,7 +318,6 @@ func TestDynamicOwnershipMovesLinear(t *testing.T) {
 		opts: StartLocalOpts{TweakNode: func(_ int, cfg *Config) {
 			cfg.Peers = nil
 			cfg.Join = []string{nodes[0].Addr}
-			cfg.Dynamic = true
 			cfg.GossipInterval = 20 * time.Millisecond
 			cfg.SuspicionTimeout = 200 * time.Millisecond
 		}}}

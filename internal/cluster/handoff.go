@@ -197,16 +197,7 @@ func (h *handoff) runOnce() int {
 	return moved
 }
 
-// Budget returns the configured handoff rate in bytes/second
-// (<=0 = unlimited); the chaos invariant compares measured traffic
-// against it.
-func (h *handoff) Budget() int64 { return h.bps }
-
-// HandoffBudget exposes the node's handoff byte/s budget (0 in
-// static mode).
-func (n *Node) HandoffBudget() int64 {
-	if n.handoff == nil {
-		return 0
-	}
-	return n.handoff.bps
-}
+// HandoffBudget exposes the node's handoff byte/s budget (<= 0 =
+// unlimited); the chaos invariant compares measured traffic against
+// it.
+func (n *Node) HandoffBudget() int64 { return n.handoff.bps }

@@ -20,23 +20,19 @@ type Config struct {
 	// and the identity the ring hashes. It must appear in Peers (it is
 	// added if missing).
 	Self string
-	// Peers is the full static membership, self included or not. In
-	// dynamic mode it seeds the initial ring (usually empty: members
-	// arrive by gossip).
+	// Peers is the initial ring, self included or not. Without Join it
+	// is the ring for the whole run.
 	Peers []string
-	// Join lists gossip seed addresses to contact at start. A non-empty
-	// Join (or Dynamic=true, for the first node of a fleet, which has
-	// nobody to join) switches the node to dynamic membership: a
-	// SWIM-style failure detector (internal/membership) drives the
+	// Join lists gossip seed addresses. A non-empty Join starts the
+	// failure detector (internal/membership), whose views drive the
 	// ring, so joins and deaths move ownership instead of degrading it.
+	// The first node of a fleet joins itself.
 	Join []string
-	// Dynamic enables dynamic membership even with no seeds.
-	Dynamic bool
 	// Replicas is how many ring members hold each block: 1 = owner
 	// only, 2 = owner plus its ring successor (writes are pushed to
 	// the successor before the ack, and the successor's memory serves
-	// reads while the owner is dead). 0 defaults to 1 in static mode
-	// and 2 in dynamic mode.
+	// reads while the owner is dead). 0 defaults to 2 with Join and 1
+	// without.
 	Replicas int
 	// HandoffBps budgets the background rebalancing pushes after a
 	// ring move, in bytes per second (0 = DefaultHandoffBps, < 0 =
@@ -51,10 +47,11 @@ type Config struct {
 	// resets the backoff to PingInterval.
 	PingInterval time.Duration
 	BackoffMax   time.Duration
-	// GossipInterval is the failure detector's probe period (0 = the
-	// membership default); SuspicionTimeout how long a silent member
-	// stays Suspect — still owning its arcs — before it is declared
-	// Dead and the ring moves (0 = 8 probe intervals).
+	// GossipInterval is the failure detector's gossip period (0 = the
+	// membership default); SuspicionTimeout how long a member's
+	// heartbeat may stand still — the member still owning its arcs —
+	// before it is declared Dead and the ring moves (0 = 8 gossip
+	// periods).
 	GossipInterval   time.Duration
 	SuspicionTimeout time.Duration
 	// GossipIntercept, when set, is consulted before every gossip send
@@ -155,7 +152,6 @@ type LocalEngine interface {
 type Node struct {
 	cfg      Config
 	self     string
-	dynamic  bool
 	replicas int
 
 	ringPtr atomic.Pointer[Ring]
@@ -170,8 +166,8 @@ type Node struct {
 	localMu sync.RWMutex
 	local   LocalEngine
 
-	mship   *membership.Membership
-	handoff *handoff // nil in static mode
+	mship   *membership.Membership // nil without Join
+	handoff *handoff
 
 	quit    chan struct{}
 	wg      sync.WaitGroup
@@ -196,7 +192,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: config needs a self address")
 	}
-	dynamic := cfg.Dynamic || len(cfg.Join) > 0
 	members := append([]string{cfg.Self}, cfg.Peers...)
 	ring, err := NewRing(members, 0)
 	if err != nil {
@@ -219,10 +214,9 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	replicas := cfg.Replicas
 	if replicas <= 0 {
-		if dynamic {
+		replicas = 1
+		if len(cfg.Join) > 0 {
 			replicas = 2
-		} else {
-			replicas = 1
 		}
 	}
 	bps := cfg.HandoffBps
@@ -232,11 +226,11 @@ func NewNode(cfg Config) (*Node, error) {
 	n := &Node{
 		cfg:      cfg,
 		self:     cfg.Self,
-		dynamic:  dynamic,
 		replicas: replicas,
 		peers:    make(map[string]*peer),
 		quit:     make(chan struct{}),
 	}
+	n.handoff = newHandoff(n, bps)
 	n.ringPtr.Store(ring)
 	n.epoch.Store(1)
 	n.history = []*Ring{ring}
@@ -245,8 +239,7 @@ func NewNode(cfg Config) (*Node, error) {
 			n.peers[m] = &peer{addr: m, down: true, quit: make(chan struct{})}
 		}
 	}
-	if dynamic {
-		n.handoff = newHandoff(n, bps)
+	if len(cfg.Join) > 0 {
 		n.mship, err = membership.New(membership.Config{
 			Self:             cfg.Self,
 			Seeds:            cfg.Join,
@@ -278,9 +271,10 @@ func (n *Node) localEngine() LocalEngine {
 	return n.local
 }
 
-// Start launches the per-peer health loops, and in dynamic mode the
-// gossip detector and the handoff loop. Idempotent-hostile on
-// purpose: call it exactly once, after the local server is listening.
+// Start launches the per-peer health loops, the handoff loop (idle
+// until the ring moves) and, with Join, the gossip detector.
+// Idempotent-hostile on purpose: call it exactly once, after the local
+// server is listening.
 func (n *Node) Start() error {
 	if n.started {
 		panic("cluster: Node.Start called twice")
@@ -292,11 +286,9 @@ func (n *Node) Start() error {
 		go n.healthLoop(p)
 	}
 	n.peersMu.RUnlock()
+	n.handoff.start()
 	if n.mship != nil {
-		if err := n.mship.Start(); err != nil {
-			return err
-		}
-		n.handoff.start()
+		return n.mship.Start()
 	}
 	return nil
 }
@@ -309,9 +301,7 @@ func (n *Node) Close() {
 	if n.mship != nil {
 		n.mship.Close() //nolint:errcheck // close errors carry nothing actionable
 	}
-	if n.handoff != nil {
-		n.handoff.stop()
-	}
+	n.handoff.stop()
 	n.wg.Wait()
 	n.peersMu.Lock()
 	defer n.peersMu.Unlock()
@@ -336,9 +326,9 @@ func (n *Node) Epoch() uint64 { return n.epoch.Load() }
 // onMembership is the gossip layer's view callback: rebuild the ring
 // from every non-dead member (self always included — a node that
 // hears a stale rumor of its own death keeps serving while the
-// refutation propagates) and swap it in if the set changed. Suspect
-// members keep their arcs: ownership moves on conviction, not on one
-// missed probe.
+// refutation propagates) and swap it in if the set changed. A member
+// keeps its arcs until it is convicted: ownership moves on a whole
+// suspicion timeout of silence, not on one lost datagram.
 func (n *Node) onMembership(v membership.View) {
 	addrs := []string{n.self}
 	for _, m := range v.Members {
@@ -387,9 +377,7 @@ func (n *Node) swapRing(r *Ring) {
 	if l := n.localEngine(); l != nil {
 		l.OwnershipChanged()
 	}
-	if n.handoff != nil {
-		n.handoff.wake()
-	}
+	n.handoff.wake()
 	n.logf("cluster: ring moved to %v (epoch %d)", r.Members(), n.Epoch())
 }
 
@@ -738,22 +726,11 @@ func (n *Node) PeerDown(addr string) bool {
 	return p.down
 }
 
-// HandoffStats reports the rebalancing loop's lifetime counters
-// (zeros in static mode).
-func (n *Node) HandoffStats() HandoffStats {
-	if n.handoff == nil {
-		return HandoffStats{}
-	}
-	return n.handoff.stats()
-}
+// HandoffStats reports the rebalancing loop's lifetime counters.
+func (n *Node) HandoffStats() HandoffStats { return n.handoff.stats() }
 
 // RunHandoff drains one full rebalancing pass synchronously,
 // respecting the byte/s budget, and reports how many blocks moved.
 // The background loop runs the same pass after every ring move;
 // benchmarks and tests call it directly.
-func (n *Node) RunHandoff() int {
-	if n.handoff == nil {
-		return 0
-	}
-	return n.handoff.runOnce()
-}
+func (n *Node) RunHandoff() int { return n.handoff.runOnce() }

@@ -10,21 +10,21 @@
 // the property §4 credits for PAFS beating serverless xFS, whose
 // per-node predictors between them over-prefetch the same file.
 //
-// Membership comes in two modes. Static (the default, and the paper's
-// own setup): the member list is fixed for the run and liveness never
-// changes ownership — a dead owner degrades its files to each node's
-// local store (latency, not availability), because two nodes adopting
-// one file's chain is precisely the xFS failure mode the design
-// exists to avoid. Dynamic (opt-in via Config.Join/Dynamic): a
-// SWIM-style gossip layer (internal/membership) detects joins and
-// failures and drives a *versioned* ring — ownership moves only when
-// the failure detector convicts a member (suspicion timeout), never
-// on a single missed probe, and every ring version bumps an epoch the
-// engine uses to re-home each file's prefetch chain exactly once. An
-// R=2 replica on the ring successor turns an owner's death from a
-// disk degrade into a remote memory hit, and a bounded-rate handoff
-// loop re-homes cached blocks after each move without flooding the
-// links the workload is still using.
+// Every node runs one design. The ring is *versioned*: every ring
+// version bumps an epoch the engine uses to re-home each file's
+// prefetch chain exactly once. Liveness never changes ownership — a
+// dead owner degrades its files to each node's local store (latency,
+// not availability), because two nodes adopting one file's chain is
+// precisely the xFS failure mode the design exists to avoid. Only
+// membership moves the ring, and without Config.Join nothing does: the
+// member list is fixed for the run, the paper's own setup. With Join,
+// a heartbeat gossip detector (internal/membership) tracks joins and
+// deaths, and ownership moves when it convicts a member after a whole
+// suspicion timeout of silence, never on one lost datagram. An R=2
+// replica on the ring successor turns an owner's death from a disk
+// degrade into a remote memory hit, and a bounded-rate handoff loop,
+// idle until the ring moves, re-homes cached blocks after each move
+// without flooding the links the workload is still using.
 package cluster
 
 import (

@@ -90,7 +90,7 @@ const (
 	// directed link labels ("gossip:n0->n1"), so faults model lossy or
 	// partitioned gossip paths. Dropping every datagram in one
 	// direction is an asymmetric gossip partition — the scenario
-	// indirect probes exist to survive.
+	// heartbeats relayed through a third member exist to survive.
 	SiteGossip = "gossip.send"
 )
 

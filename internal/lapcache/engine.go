@@ -274,12 +274,12 @@ func (e *Engine) newDriver(f blockdev.FileID, fl *fileState) *core.Driver {
 // epoch has moved. In a cluster only the ring owner runs a file's
 // driver: the whole point of per-file ownership is that exactly one
 // chain walker exists per file, so "≤ 1 outstanding prefetch" holds
-// across every node, not merely within each (PAFS vs. xFS, §4). On a
-// dynamic ring ownership moves, so the decision cannot be made once
-// at fileState creation: it is re-made per epoch, under fl.mu, which
-// is what keeps the invariant provable while ownership is in motion —
-// a driver is only ever created, suspended, or resumed by a goroutine
-// holding the same mutex the chain runs under.
+// across every node, not merely within each (PAFS vs. xFS, §4). A
+// membership move of the ring moves ownership, so the decision cannot
+// be made once at fileState creation: it is re-made per epoch, under
+// fl.mu, which is what keeps the invariant provable while ownership is
+// in motion — a driver is only ever created, suspended, or resumed by
+// a goroutine holding the same mutex the chain runs under.
 //
 // Callers hold fl.mu.
 func (e *Engine) driverLocked(f blockdev.FileID, fl *fileState) *core.Driver {

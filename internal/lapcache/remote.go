@@ -31,9 +31,9 @@ type RemoteFetcher interface {
 
 	// Epoch numbers the current ownership assignment: it increments
 	// whenever the answer to Owned may have changed — a membership
-	// move on a dynamic ring. The engine compares it per file to
-	// decide when its cached ownership decision (driver placement)
-	// must be re-probed. A static tier may return a constant.
+	// move of the ring. The engine compares it per file to decide when
+	// its cached ownership decision (driver placement) must be
+	// re-probed. A fixed ring may return a constant.
 	Epoch() uint64
 
 	// FetchSpan reads nblocks blocks of f starting at off from the

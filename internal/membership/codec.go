@@ -6,57 +6,24 @@ import (
 	"fmt"
 )
 
-// Gossip message codec. One message per UDP datagram:
+// Gossip message codec. There is one message, one per UDP datagram:
 //
-//	byte  0      codec version (1)
-//	byte  1      message type (ping / ack / ping-req)
-//	bytes 2..5   sequence number, little-endian
+//	byte  0           codec version (2)
 //	u16 len + bytes   sender advertise address
-//	u16 len + bytes   indirect-probe target ("" except for ping-req)
-//	u16          piggybacked member count
-//	per member:  u16 len + addr, 1 byte state, u64 LE incarnation
+//	u16               member count
+//	per member:       u16 len + addr, 1 byte state, u64 LE incarnation,
+//	                  u64 LE heartbeat
 //
 // Every message carries the sender's full member table: in the small
-// clusters this tier targets (single-digit nodes), full-state
-// piggyback IS the anti-entropy sync — there is no separate push/pull
-// round, and a single received datagram fully converges the receiver.
+// clusters this tier targets (single-digit nodes), full-state gossip
+// IS the anti-entropy sync — there is no separate push/pull round, and
+// a single received datagram fully converges the receiver.
 //
 // Decode is fed by FuzzMembershipDecode: it must never panic and
 // never allocate more than the datagram's own length implies.
 
 // CodecVersion identifies the gossip wire layout.
-const CodecVersion = 1
-
-// MsgType discriminates gossip datagrams.
-type MsgType uint8
-
-const (
-	// MsgPing is a direct liveness probe; the target answers MsgAck.
-	MsgPing MsgType = 1
-	// MsgAck answers a ping (or an indirect ping on the origin's
-	// behalf), echoing the probe's sequence number.
-	MsgAck MsgType = 2
-	// MsgPingReq asks a third party to probe Target and relay the ack —
-	// SWIM's indirect probe, which keeps one lossy link from convicting
-	// a healthy node.
-	MsgPingReq MsgType = 3
-)
-
-// Known reports whether t is a defined message type.
-func (t MsgType) Known() bool { return t >= MsgPing && t <= MsgPingReq }
-
-func (t MsgType) String() string {
-	switch t {
-	case MsgPing:
-		return "ping"
-	case MsgAck:
-		return "ack"
-	case MsgPingReq:
-		return "ping-req"
-	default:
-		return fmt.Sprintf("msgtype(%d)", uint8(t))
-	}
-}
+const CodecVersion = 2
 
 // State is a member's liveness verdict.
 type State uint8
@@ -64,22 +31,16 @@ type State uint8
 const (
 	// Alive members own ring arcs and serve traffic.
 	Alive State = 0
-	// Suspect members failed a probe round but keep their ring arcs:
-	// suspicion is a grace period, not a verdict, so one dropped packet
-	// cannot flap ownership.
-	Suspect State = 1
 	// Dead members are removed from the ring and kept as tombstones so
-	// a stale Alive rumor cannot resurrect them without a fresh
+	// a stale Alive row cannot resurrect them without a fresh
 	// incarnation.
-	Dead State = 2
+	Dead State = 1
 )
 
 func (s State) String() string {
 	switch s {
 	case Alive:
 		return "alive"
-	case Suspect:
-		return "suspect"
 	case Dead:
 		return "dead"
 	default:
@@ -92,14 +53,12 @@ type Member struct {
 	Addr        string
 	State       State
 	Incarnation uint64
+	Heartbeat   uint64
 }
 
 // Message is one decoded gossip datagram.
 type Message struct {
-	Type    MsgType
-	Seq     uint32
 	From    string
-	Target  string // ping-req only
 	Members []Member
 }
 
@@ -108,6 +67,8 @@ type Message struct {
 const (
 	maxAddrLen = 256
 	maxMembers = 1024
+	// rowMin is a member row's size without its address bytes.
+	rowMin = 2 + 1 + 8 + 8
 	// MaxMessageSize bounds an encoded message; Encode refuses larger.
 	MaxMessageSize = 64 << 10
 )
@@ -115,7 +76,6 @@ const (
 var (
 	errShort       = errors.New("membership: short message")
 	errVersion     = errors.New("membership: unknown codec version")
-	errType        = errors.New("membership: unknown message type")
 	errAddrLen     = errors.New("membership: address length out of range")
 	errMemberCount = errors.New("membership: member count out of range")
 	errState       = errors.New("membership: unknown member state")
@@ -127,19 +87,13 @@ var (
 // MaxMessageSize or whose fields exceed the decode limits, so every
 // Encode output round-trips through Decode.
 func Encode(m *Message) ([]byte, error) {
-	if !m.Type.Known() {
-		return nil, errType
-	}
 	if len(m.From) == 0 || len(m.From) > maxAddrLen {
-		return nil, errAddrLen
-	}
-	if len(m.Target) > maxAddrLen {
 		return nil, errAddrLen
 	}
 	if len(m.Members) > maxMembers {
 		return nil, errMemberCount
 	}
-	n := 6 + 2 + len(m.From) + 2 + len(m.Target) + 2
+	n := 1 + 2 + len(m.From) + 2
 	for _, mm := range m.Members {
 		if len(mm.Addr) == 0 || len(mm.Addr) > maxAddrLen {
 			return nil, errAddrLen
@@ -147,21 +101,20 @@ func Encode(m *Message) ([]byte, error) {
 		if mm.State > Dead {
 			return nil, errState
 		}
-		n += 2 + len(mm.Addr) + 1 + 8
+		n += rowMin + len(mm.Addr)
 	}
 	if n > MaxMessageSize {
 		return nil, errTooLarge
 	}
 	buf := make([]byte, 0, n)
-	buf = append(buf, CodecVersion, byte(m.Type))
-	buf = binary.LittleEndian.AppendUint32(buf, m.Seq)
+	buf = append(buf, CodecVersion)
 	buf = appendString(buf, m.From)
-	buf = appendString(buf, m.Target)
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(m.Members)))
 	for _, mm := range m.Members {
 		buf = appendString(buf, mm.Addr)
 		buf = append(buf, byte(mm.State))
 		buf = binary.LittleEndian.AppendUint64(buf, mm.Incarnation)
+		buf = binary.LittleEndian.AppendUint64(buf, mm.Heartbeat)
 	}
 	return buf, nil
 }
@@ -179,27 +132,20 @@ func Decode(p []byte) (*Message, error) {
 	if len(p) > MaxMessageSize {
 		return nil, errTooLarge
 	}
-	if len(p) < 8 {
+	if len(p) < 5 {
 		return nil, errShort
 	}
 	if p[0] != CodecVersion {
 		return nil, errVersion
 	}
-	m := &Message{Type: MsgType(p[1])}
-	if !m.Type.Known() {
-		return nil, errType
-	}
-	m.Seq = binary.LittleEndian.Uint32(p[2:6])
-	rest := p[6:]
+	m := &Message{}
 	var err error
+	rest := p[1:]
 	if m.From, rest, err = cutString(rest); err != nil {
 		return nil, err
 	}
 	if len(m.From) == 0 {
 		return nil, errAddrLen
-	}
-	if m.Target, rest, err = cutString(rest); err != nil {
-		return nil, err
 	}
 	if len(rest) < 2 {
 		return nil, errShort
@@ -209,9 +155,9 @@ func Decode(p []byte) (*Message, error) {
 	if count > maxMembers {
 		return nil, errMemberCount
 	}
-	// Each member needs at least 11 bytes; refuse counts the datagram
-	// cannot possibly hold before allocating the slice.
-	if count*11 > len(rest) {
+	// Refuse counts the datagram cannot possibly hold before allocating
+	// the slice.
+	if count*rowMin > len(rest) {
 		return nil, errShort
 	}
 	m.Members = make([]Member, 0, count)
@@ -223,7 +169,7 @@ func Decode(p []byte) (*Message, error) {
 		if len(mm.Addr) == 0 {
 			return nil, errAddrLen
 		}
-		if len(rest) < 9 {
+		if len(rest) < rowMin-2 {
 			return nil, errShort
 		}
 		mm.State = State(rest[0])
@@ -231,7 +177,8 @@ func Decode(p []byte) (*Message, error) {
 			return nil, errState
 		}
 		mm.Incarnation = binary.LittleEndian.Uint64(rest[1:9])
-		rest = rest[9:]
+		mm.Heartbeat = binary.LittleEndian.Uint64(rest[9:17])
+		rest = rest[17:]
 		m.Members = append(m.Members, mm)
 	}
 	if len(rest) != 0 {

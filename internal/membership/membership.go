@@ -1,30 +1,44 @@
-// Package membership is a SWIM-style gossip failure detector: direct
-// UDP pings with indirect ping-req relays, suspicion grace periods,
-// incarnation-numbered refutation, and full-state piggyback
-// anti-entropy. It answers exactly one question for the cooperative
-// cache tier — "who is in the fleet right now?" — and feeds every
-// change to an OnUpdate callback, from which the cluster layer
-// rebuilds its versioned consistent-hash ring.
+// Package membership is a heartbeat gossip failure detector (van
+// Renesse, Minsky & Hayden, "A Gossip-Style Failure Detection
+// Service", Middleware 1998). It answers exactly one question for the
+// cooperative cache tier — "who is in the fleet right now?" — and
+// feeds every change to an OnUpdate callback, from which the cluster
+// layer rebuilds its versioned consistent-hash ring.
+//
+// There is one message: the sender's full member table, one row of
+// (address, state, incarnation, heartbeat) per member. Each probe
+// interval a member bumps its own heartbeat, convicts every row whose
+// (incarnation, heartbeat) has not advanced for the suspicion timeout,
+// and sends its table to every other live member — or to its seeds
+// while it knows none.
 //
 // Design points, in the order they matter to the paper's claims:
 //
-//   - Suspicion before conviction. A failed probe marks a member
-//     Suspect, not Dead, and a Suspect keeps its ring arcs. One lost
-//     datagram therefore cannot move block ownership; only a member
-//     that stays silent through the suspicion timeout (and through
-//     indirect probes from other vantage points) is removed.
+//   - Conviction only after silence. A member keeps its ring arcs
+//     until none of its heartbeats has reached us for a whole
+//     suspicion timeout. One lost datagram therefore cannot move block
+//     ownership, and a cut link cannot either while some third member
+//     hears both ends: its table relays their heartbeats.
 //
-//   - Incarnation refutation. Every member numbers its own liveness.
-//     A falsely suspected member that hears the rumor about itself
-//     bumps its incarnation and re-announces Alive, which dominates
-//     the stale Suspect at merge. A restarted member resurrects the
-//     same way: it refutes its own tombstone with a higher
-//     incarnation, so rejoin needs no operator action.
+//   - Incarnations. A row outranks another when its incarnation is
+//     higher; at equal incarnation a Dead row outranks an Alive one,
+//     and between Alive rows the higher heartbeat wins. A member that
+//     hears a row about itself outranking its own — its tombstone, or
+//     a live row from an earlier life of its address — takes that
+//     incarnation plus one and heartbeat 0, which outranks the rumor
+//     everywhere. A datagram from a sender we hold Dead is answered at
+//     once with our table: that is how a restarted member hears its
+//     tombstone, so rejoin needs no operator action.
 //
-//   - Full-state piggyback. Every ping, ack, and ping-req carries the
-//     sender's entire member table. At fleet sizes this tier targets
-//     (the paper's clusters are single-digit nodes) that is cheaper
-//     than bookkeeping a broadcast queue, and it makes every received
+//   - News travels at once. A datagram that changes our table — a new
+//     member, a state, an incarnation — is pushed on to every other
+//     live member without waiting for the next period, so a joiner
+//     converges in a round trip or two. Heartbeats alone change no
+//     version and wait for the period.
+//
+//   - Full-state gossip. At the fleet sizes this tier targets (the
+//     paper's clusters are single-digit nodes) sending the whole table
+//     is cheaper than bookkeeping deltas, and it makes every received
 //     datagram a complete anti-entropy exchange.
 package membership
 
@@ -35,30 +49,25 @@ import (
 	"time"
 )
 
-// indirectProbes is how many peers relay an indirect probe after a
-// direct one times out.
-const indirectProbes = 2
-
 // Config configures one member.
 type Config struct {
 	// Self is this member's advertise address (host:port) — its
 	// identity in every table and the address peers gossip back.
 	Self string
-	// Seeds are addresses to contact at start (and whenever the table
-	// is otherwise empty) to join an existing fleet. Joining an empty
-	// seed list bootstraps a fleet of one.
+	// Seeds are addresses to gossip to while the table holds no other
+	// live member. Self is skipped, so the first member of a fleet may
+	// list itself; an empty list bootstraps a fleet of one.
 	Seeds []string
-	// ProbeInterval is the failure-detector period (0 = 100ms). One
-	// probe waits half of it for its ack.
+	// ProbeInterval is the gossip period (0 = 100ms).
 	ProbeInterval time.Duration
-	// SuspicionTimeout is how long a Suspect may stay silent before it
-	// is declared Dead (0 = 8×ProbeInterval).
+	// SuspicionTimeout is how long a member's heartbeat may stay still
+	// before it is declared Dead (0 = 8×ProbeInterval).
 	SuspicionTimeout time.Duration
 	// Transport carries datagrams (nil = UDP bound to Self's port).
 	Transport Transport
 	// OnUpdate fires after every table change with the new view. It is
 	// called from gossip goroutines, never under the internal lock;
-	// implementations may call back into View/Alive freely.
+	// implementations may call back into the member freely.
 	OnUpdate func(View)
 	// Intercept, when set, is consulted before every datagram send
 	// with the destination address; a non-nil return drops the send.
@@ -69,7 +78,8 @@ type Config struct {
 }
 
 // View is an immutable snapshot of the fleet: every non-dead member,
-// sorted by address, plus a version that increments on every change.
+// sorted by address, plus a version that moves when the set of rows,
+// a state or an incarnation changes — never on a heartbeat alone.
 type View struct {
 	Version uint64
 	Members []Member
@@ -86,13 +96,19 @@ func (v View) Addrs() []string {
 
 type memberRow struct {
 	Member
-	suspectedAt time.Time
+	advanced time.Time // when (Incarnation, Heartbeat) last moved here
 }
 
-type relayEntry struct {
-	origin string // who asked us to probe
-	seq    uint32 // the sequence number they are waiting on
-	at     time.Time
+// outranks reports whether row a supersedes row b about the same
+// member.
+func outranks(a, b Member) bool {
+	if a.Incarnation != b.Incarnation {
+		return a.Incarnation > b.Incarnation
+	}
+	if a.State != b.State {
+		return a.State == Dead
+	}
+	return a.State == Alive && a.Heartbeat > b.Heartbeat
 }
 
 // Membership is one member's view of the fleet and the goroutines
@@ -104,11 +120,6 @@ type Membership struct {
 	mu      sync.Mutex
 	rows    map[string]*memberRow
 	version uint64
-	seq     uint32
-	acks    map[uint32]chan struct{}
-	relays  map[uint32]relayEntry
-	rrIdx   int
-	seedIdx int
 	started bool
 	closed  bool
 
@@ -128,18 +139,15 @@ func New(cfg Config) (*Membership, error) {
 		cfg.SuspicionTimeout = 8 * cfg.ProbeInterval
 	}
 	m := &Membership{
-		cfg:    cfg,
-		rows:   make(map[string]*memberRow),
-		acks:   make(map[uint32]chan struct{}),
-		relays: make(map[uint32]relayEntry),
-		quit:   make(chan struct{}),
+		cfg:     cfg,
+		rows:    map[string]*memberRow{cfg.Self: {Member: Member{Addr: cfg.Self, State: Alive, Incarnation: 1}}},
+		version: 1,
+		quit:    make(chan struct{}),
 	}
-	m.rows[cfg.Self] = &memberRow{Member: Member{Addr: cfg.Self, State: Alive, Incarnation: 1}}
-	m.version = 1
 	return m, nil
 }
 
-// Start binds the transport and launches the receive and probe loops.
+// Start binds the transport and launches the receive and gossip loops.
 func (m *Membership) Start() error {
 	m.mu.Lock()
 	if m.started {
@@ -160,15 +168,7 @@ func (m *Membership) Start() error {
 
 	m.wg.Add(2)
 	go m.recvLoop()
-	go m.probeLoop()
-
-	// Announce ourselves to the seeds right away; the probe loop keeps
-	// retrying while the table is empty.
-	for _, s := range m.cfg.Seeds {
-		if s != m.cfg.Self {
-			m.sendTo(MsgPing, m.nextSeq(), s, "")
-		}
-	}
+	go m.gossipLoop()
 	return nil
 }
 
@@ -191,18 +191,18 @@ func (m *Membership) Close() error {
 	return nil
 }
 
-// View returns the current fleet snapshot.
-func (m *Membership) View() View {
+// view returns the current fleet snapshot.
+func (m *Membership) view() View {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.viewLocked()
 }
 
-// Alive returns the addresses of every non-dead member, sorted.
-func (m *Membership) Alive() []string { return m.View().Addrs() }
+// alive returns the addresses of every non-dead member, sorted.
+func (m *Membership) alive() []string { return m.view().Addrs() }
 
-// Incarnation returns this member's own incarnation number.
-func (m *Membership) Incarnation() uint64 {
+// incarnation returns this member's own incarnation number.
+func (m *Membership) incarnation() uint64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.rows[m.cfg.Self].Incarnation
@@ -226,13 +226,13 @@ func (m *Membership) logf(format string, args ...any) {
 }
 
 // withTable runs fn under the lock and fires OnUpdate afterwards if
-// fn changed the table version. OnUpdate always runs outside the
-// lock so it may re-enter View/Alive.
-func (m *Membership) withTable(fn func()) {
+// fn changed the table version, which it reports. OnUpdate always runs
+// outside the lock so it may re-enter the member.
+func (m *Membership) withTable(fn func()) (changed bool) {
 	m.mu.Lock()
 	before := m.version
 	fn()
-	changed := m.version != before
+	changed = m.version != before
 	var v View
 	if changed {
 		v = m.viewLocked()
@@ -242,43 +242,42 @@ func (m *Membership) withTable(fn func()) {
 	if changed && cb != nil {
 		cb(v)
 	}
+	return changed
 }
 
-func (m *Membership) nextSeq() uint32 {
+// table snapshots the full table, tombstones included, encodes it,
+// and lists the other live members.
+func (m *Membership) table() (buf []byte, live []string) {
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.seq++
-	return m.seq
-}
-
-// snapshotMembers copies the full table (tombstones included) for
-// piggybacking.
-func (m *Membership) snapshotMembers() []Member {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]Member, 0, len(m.rows))
-	for _, r := range m.rows {
-		out = append(out, r.Member)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
-	return out
-}
-
-// sendTo encodes and sends one message carrying the full table.
-func (m *Membership) sendTo(t MsgType, seq uint32, to, target string) {
-	msg := &Message{Type: t, Seq: seq, From: m.cfg.Self, Target: target, Members: m.snapshotMembers()}
-	buf, err := Encode(msg)
-	if err != nil {
-		m.logf("encode %s: %v", t, err)
-		return
-	}
-	if ic := m.cfg.Intercept; ic != nil {
-		if err := ic(to); err != nil {
-			return // injected drop
+	msg := &Message{From: m.cfg.Self, Members: make([]Member, 0, len(m.rows))}
+	for addr, r := range m.rows {
+		msg.Members = append(msg.Members, r.Member)
+		if addr != m.cfg.Self && r.State != Dead {
+			live = append(live, addr)
 		}
 	}
-	if err := m.tr.WriteTo(buf, to); err != nil {
-		m.logf("send %s to %s: %v", t, to, err)
+	m.mu.Unlock()
+	sort.Slice(msg.Members, func(i, j int) bool { return msg.Members[i].Addr < msg.Members[j].Addr })
+	buf, err := Encode(msg)
+	if err != nil {
+		m.logf("encode: %v", err)
+		return nil, nil
+	}
+	return buf, live
+}
+
+// send gossips one encoded table to each address.
+func (m *Membership) send(buf []byte, to ...string) {
+	if buf == nil {
+		return // encode failed, and said so
+	}
+	for _, addr := range to {
+		if ic := m.cfg.Intercept; ic != nil && ic(addr) != nil {
+			continue // injected drop
+		}
+		if err := m.tr.WriteTo(buf, addr); err != nil {
+			m.logf("send to %s: %v", addr, err)
+		}
 	}
 }
 
@@ -306,296 +305,104 @@ func (m *Membership) recvLoop() {
 			m.logf("decode: %v", err)
 			continue
 		}
-		m.handle(msg)
-	}
-}
-
-func (m *Membership) handle(msg *Message) {
-	// Merge first: every datagram is an anti-entropy exchange, and a
-	// ping that carries a rumor about US must be refuted in the very
-	// ack we are about to send.
-	m.merge(msg)
-
-	switch msg.Type {
-	case MsgPing:
-		m.sendTo(MsgAck, msg.Seq, msg.From, "")
-	case MsgPingReq:
-		if msg.Target == "" || msg.Target == m.cfg.Self {
-			// Probing us by relay: answer directly.
-			m.sendTo(MsgAck, msg.Seq, msg.From, "")
-			return
+		changed, senderDead := m.merge(msg)
+		if !changed && !senderDead {
+			continue
 		}
-		relaySeq := m.nextSeq()
-		m.mu.Lock()
-		m.relays[relaySeq] = relayEntry{origin: msg.From, seq: msg.Seq, at: time.Now()}
-		m.mu.Unlock()
-		m.sendTo(MsgPing, relaySeq, msg.Target, "")
-	case MsgAck:
-		m.mu.Lock()
-		if ch, ok := m.acks[msg.Seq]; ok {
-			delete(m.acks, msg.Seq)
-			m.mu.Unlock()
-			close(ch)
-			return
+		table, live := m.table()
+		if changed {
+			m.send(table, live...)
 		}
-		r, ok := m.relays[msg.Seq]
-		if ok {
-			delete(m.relays, msg.Seq)
-		}
-		m.mu.Unlock()
-		if ok {
-			// Indirect probe succeeded: relay the ack to the origin.
-			m.sendTo(MsgAck, r.seq, r.origin, "")
+		if senderDead {
+			m.send(table, msg.From)
 		}
 	}
 }
 
-// merge folds a received table into ours. Precedence per member:
-// higher incarnation wins outright; at equal incarnation the stronger
-// claim wins (Dead > Suspect > Alive), which is what makes a
-// tombstone sticky until the member itself refutes it.
-func (m *Membership) merge(msg *Message) {
-	m.withTable(func() {
+// merge folds a received table into ours, row by row under outranks.
+// It reports whether the version moved, and whether we still hold the
+// sender Dead afterwards: a restarted member that has not heard of its
+// death.
+func (m *Membership) merge(msg *Message) (changed, senderDead bool) {
+	changed = m.withTable(func() {
 		now := time.Now()
 		for _, rm := range msg.Members {
 			if rm.Addr == m.cfg.Self {
-				m.mergeSelfLocked(rm)
+				self := m.rows[m.cfg.Self]
+				if outranks(rm, self.Member) {
+					self.Incarnation = rm.Incarnation + 1
+					self.Heartbeat = 0
+					m.version++
+					m.logf("refuting %s row inc=%d: incarnation now %d", rm.State, rm.Incarnation, self.Incarnation)
+				}
 				continue
 			}
 			cur, ok := m.rows[rm.Addr]
 			if !ok {
-				row := &memberRow{Member: rm}
-				if rm.State == Suspect {
-					row.suspectedAt = now
-				}
-				m.rows[rm.Addr] = row
+				m.rows[rm.Addr] = &memberRow{Member: rm, advanced: now}
 				m.version++
 				m.logf("learned %s %s inc=%d", rm.Addr, rm.State, rm.Incarnation)
 				continue
 			}
-			if rm.Incarnation > cur.Incarnation ||
-				(rm.Incarnation == cur.Incarnation && rm.State > cur.State) {
-				if rm.State == Suspect && cur.State != Suspect {
-					cur.suspectedAt = now
-				}
-				cur.Member = rm
+			if !outranks(rm, cur.Member) {
+				continue
+			}
+			if rm.State != cur.State || rm.Incarnation != cur.Incarnation {
 				m.version++
 				m.logf("merged %s %s inc=%d", rm.Addr, rm.State, rm.Incarnation)
 			}
+			cur.Member = rm
+			cur.advanced = now
 		}
-		// The sender spoke: direct evidence it is alive. Clear a local
-		// suspicion without waiting for the gossip round-trip. (The
-		// incarnation is unchanged, so a concurrent Suspect rumor can
-		// still win the merge until the member's own refutation lands;
-		// this is a latency optimisation, not the correctness path.)
-		if cur, ok := m.rows[msg.From]; ok && cur.State == Suspect {
-			cur.State = Alive
-			m.version++
-		}
+		r, ok := m.rows[msg.From]
+		senderDead = ok && r.State == Dead
 	})
+	return changed, senderDead
 }
 
-// mergeSelfLocked handles rumors about this member itself: any claim
-// that we are not Alive is refuted by bumping our incarnation past
-// the rumor's, which makes our next announcement dominate everywhere.
-func (m *Membership) mergeSelfLocked(rm Member) {
-	self := m.rows[m.cfg.Self]
-	if rm.State != Alive && rm.Incarnation >= self.Incarnation {
-		self.Incarnation = rm.Incarnation + 1
-		self.State = Alive
-		m.version++
-		m.logf("refuting %s rumor: incarnation now %d", rm.State, self.Incarnation)
-	} else if rm.State == Alive && rm.Incarnation > self.Incarnation {
-		self.Incarnation = rm.Incarnation
-		m.version++
-	}
-}
+// ---- gossip path ----
 
-// ---- probe path ----
-
-func (m *Membership) probeLoop() {
+func (m *Membership) gossipLoop() {
 	defer m.wg.Done()
 	t := time.NewTicker(m.cfg.ProbeInterval)
 	defer t.Stop()
 	for {
+		// Gossip at once on start, so a joining member announces itself
+		// to its seeds without waiting out the first interval.
+		m.round()
 		select {
 		case <-m.quit:
 			return
 		case <-t.C:
 		}
-		m.expireSuspects()
-		m.pruneRelays()
-
-		direct, suspect := m.pickTargets()
-		if direct == "" {
-			// Nobody to probe: keep knocking on the seeds so a fleet
-			// that exists before we do eventually hears us.
-			if s := m.pickSeed(); s != "" {
-				m.sendTo(MsgPing, m.nextSeq(), s, "")
-			}
-			continue
-		}
-		m.wg.Add(1)
-		go m.probe(direct)
-		if suspect != "" && suspect != direct {
-			// Probe the longest-suspected member every round too: the
-			// ping piggybacks the Suspect rumor, so a live member sees
-			// it and refutes well inside the suspicion timeout.
-			m.wg.Add(1)
-			go m.probe(suspect)
-		}
 	}
 }
 
-// pickTargets returns the round-robin probe target and the
-// longest-suspected member (either may be "").
-func (m *Membership) pickTargets() (direct, suspect string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var candidates []string
-	var oldest time.Time
-	for addr, r := range m.rows {
-		if addr == m.cfg.Self || r.State == Dead {
-			continue
-		}
-		candidates = append(candidates, addr)
-		if r.State == Suspect && (suspect == "" || r.suspectedAt.Before(oldest)) {
-			suspect, oldest = addr, r.suspectedAt
-		}
-	}
-	if len(candidates) == 0 {
-		return "", ""
-	}
-	sort.Strings(candidates)
-	m.rrIdx = (m.rrIdx + 1) % len(candidates)
-	return candidates[m.rrIdx], suspect
-}
-
-func (m *Membership) pickSeed() string {
-	var seeds []string
-	for _, s := range m.cfg.Seeds {
-		if s != m.cfg.Self {
-			seeds = append(seeds, s)
-		}
-	}
-	if len(seeds) == 0 {
-		return ""
-	}
-	m.mu.Lock()
-	m.seedIdx = (m.seedIdx + 1) % len(seeds)
-	i := m.seedIdx
-	m.mu.Unlock()
-	return seeds[i]
-}
-
-// probe runs one SWIM round against addr: direct ping, then indirect
-// ping-reqs through other members, then suspicion.
-func (m *Membership) probe(addr string) {
-	defer m.wg.Done()
-	seq := m.nextSeq()
-	ch := make(chan struct{})
-	m.mu.Lock()
-	m.acks[seq] = ch
-	m.mu.Unlock()
-	defer func() {
-		m.mu.Lock()
-		delete(m.acks, seq)
-		m.mu.Unlock()
-	}()
-
-	m.sendTo(MsgPing, seq, addr, "")
-	if m.waitAck(ch) {
-		m.confirmAlive(addr)
-		return
-	}
-
-	// Indirect round: ask up to indirectProbes other members to probe
-	// addr on our behalf; their acks relay back carrying our seq.
-	relays := m.relayCandidates(addr)
-	for _, r := range relays {
-		m.sendTo(MsgPingReq, seq, r, addr)
-	}
-	if len(relays) > 0 && m.waitAck(ch) {
-		m.confirmAlive(addr)
-		return
-	}
-	m.suspectMember(addr)
-}
-
-func (m *Membership) waitAck(ch chan struct{}) bool {
-	t := time.NewTimer(m.cfg.ProbeInterval / 2)
-	defer t.Stop()
-	select {
-	case <-ch:
-		return true
-	case <-t.C:
-		return false
-	case <-m.quit:
-		return true // shutting down: no verdicts
-	}
-}
-
-func (m *Membership) relayCandidates(exclude string) []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var out []string
-	for addr, r := range m.rows {
-		if addr == m.cfg.Self || addr == exclude || r.State != Alive {
-			continue
-		}
-		out = append(out, addr)
-	}
-	sort.Strings(out)
-	if len(out) > indirectProbes {
-		out = out[:indirectProbes]
-	}
-	return out
-}
-
-func (m *Membership) confirmAlive(addr string) {
-	m.withTable(func() {
-		if r, ok := m.rows[addr]; ok && r.State == Suspect {
-			r.State = Alive
-			m.version++
-		}
-	})
-}
-
-func (m *Membership) suspectMember(addr string) {
-	m.withTable(func() {
-		r, ok := m.rows[addr]
-		if !ok || r.State != Alive {
-			return
-		}
-		r.State = Suspect
-		r.suspectedAt = time.Now()
-		m.version++
-		m.logf("suspect %s inc=%d", addr, r.Incarnation)
-	})
-}
-
-// expireSuspects convicts members that stayed silent through the
-// whole suspicion window.
-func (m *Membership) expireSuspects() {
+// round is one gossip period: bump our heartbeat, convict the rows
+// that stood still for the suspicion timeout, send the table to every
+// other live member (or to the seeds while there is none).
+func (m *Membership) round() {
 	m.withTable(func() {
 		now := time.Now()
+		m.rows[m.cfg.Self].Heartbeat++
 		for addr, r := range m.rows {
-			if r.State == Suspect && now.Sub(r.suspectedAt) > m.cfg.SuspicionTimeout {
+			if addr == m.cfg.Self || r.State == Dead {
+				continue
+			}
+			if now.Sub(r.advanced) > m.cfg.SuspicionTimeout {
 				r.State = Dead
 				m.version++
 				m.logf("declared %s dead inc=%d", addr, r.Incarnation)
 			}
 		}
 	})
-}
-
-func (m *Membership) pruneRelays() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := time.Now()
-	for seq, r := range m.relays {
-		if now.Sub(r.at) > 2*time.Second {
-			delete(m.relays, seq)
+	table, live := m.table()
+	if len(live) == 0 {
+		for _, s := range m.cfg.Seeds {
+			if s != m.cfg.Self {
+				live = append(live, s)
+			}
 		}
 	}
+	m.send(table, live...)
 }

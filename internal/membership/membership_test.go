@@ -4,7 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -108,17 +110,22 @@ func testConfig(hub *memHub, addr string, seeds []string) Config {
 	}
 }
 
-func startMember(t *testing.T, hub *memHub, addr string, seeds []string) *Membership {
+func start(t *testing.T, cfg Config) *Membership {
 	t.Helper()
-	m, err := New(testConfig(hub, addr, seeds))
+	m, err := New(cfg)
 	if err != nil {
-		t.Fatalf("New(%s): %v", addr, err)
+		t.Fatalf("New(%s): %v", cfg.Self, err)
 	}
 	if err := m.Start(); err != nil {
-		t.Fatalf("Start(%s): %v", addr, err)
+		t.Fatalf("Start(%s): %v", cfg.Self, err)
 	}
 	t.Cleanup(func() { m.Close() })
 	return m
+}
+
+func startMember(t *testing.T, hub *memHub, addr string, seeds []string) *Membership {
+	t.Helper()
+	return start(t, testConfig(hub, addr, seeds))
 }
 
 func waitFor(t *testing.T, what string, d time.Duration, cond func() bool) {
@@ -133,16 +140,7 @@ func waitFor(t *testing.T, what string, d time.Duration, cond func() bool) {
 }
 
 func sees(m *Membership, want ...string) bool {
-	got := m.Alive()
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
+	return reflect.DeepEqual(m.alive(), want)
 }
 
 // TestJoinConverge: three members seeded off the first converge to
@@ -160,8 +158,8 @@ func TestJoinConverge(t *testing.T) {
 	}
 }
 
-// TestFailureDetection: a member that goes silent is suspected, then
-// convicted, and drops out of every survivor's view.
+// TestFailureDetection: a member that goes silent is convicted and
+// drops out of every survivor's view.
 func TestFailureDetection(t *testing.T) {
 	hub := newMemHub()
 	a := startMember(t, hub, "a", nil)
@@ -176,11 +174,10 @@ func TestFailureDetection(t *testing.T) {
 	})
 }
 
-// TestIndirectProbeSavesPartitionedLink: a cut that only separates a
-// and b (c talks to both) must not convict anyone — indirect probes
-// through c answer for the unreachable member, and refutation clears
-// any transient suspicion.
-func TestIndirectProbeSavesPartitionedLink(t *testing.T) {
+// TestCutLinkHeartbeatsRelay: a cut that only separates a and b (c
+// talks to both) must not convict anyone — c's table carries a's
+// heartbeats to b and b's to a.
+func TestCutLinkHeartbeatsRelay(t *testing.T) {
 	hub := newMemHub()
 	a := startMember(t, hub, "a", nil)
 	b := startMember(t, hub, "b", []string{"a"})
@@ -194,16 +191,16 @@ func TestIndirectProbeSavesPartitionedLink(t *testing.T) {
 	deadline := time.Now().Add(500 * time.Millisecond)
 	for time.Now().Before(deadline) {
 		for _, m := range []*Membership{a, b, c} {
-			if len(m.Alive()) != 3 {
-				t.Fatalf("%s view shrank to %v during a single-link cut", m.cfg.Self, m.Alive())
+			if len(m.alive()) != 3 {
+				t.Fatalf("%s view shrank to %v during a single-link cut", m.cfg.Self, m.alive())
 			}
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestRejoinResurrection: a convicted member that restarts refutes
-// its own tombstone with a higher incarnation and rejoins.
+// TestRejoinResurrection: a convicted member that restarts hears its
+// tombstone, outranks it with a higher incarnation and rejoins.
 func TestRejoinResurrection(t *testing.T) {
 	hub := newMemHub()
 	a := startMember(t, hub, "a", nil)
@@ -218,8 +215,95 @@ func TestRejoinResurrection(t *testing.T) {
 	waitFor(t, "b resurrected", 5*time.Second, func() bool {
 		return sees(a, "a", "b") && sees(b2, "a", "b")
 	})
-	if inc := b2.Incarnation(); inc < 2 {
+	if inc := b2.incarnation(); inc < 2 {
 		t.Errorf("restarted member incarnation = %d, want ≥ 2 (must out-number its tombstone)", inc)
+	}
+}
+
+// TestRestartInsideSuspicionWindow: a member that restarts before
+// anyone convicts it hears the live row of its earlier life, takes
+// incarnation 2, and no survivor's view ever drops it.
+func TestRestartInsideSuspicionWindow(t *testing.T) {
+	hub := newMemHub()
+	var watching, dropped atomic.Bool
+	survivor := func(addr string, seeds []string) *Membership {
+		cfg := testConfig(hub, addr, seeds)
+		cfg.SuspicionTimeout = time.Minute
+		cfg.OnUpdate = func(v View) {
+			if watching.Load() && !slices.Contains(v.Addrs(), "b") {
+				dropped.Store(true)
+			}
+		}
+		return start(t, cfg)
+	}
+	a := survivor("a", nil)
+	b := startMember(t, hub, "b", []string{"a"})
+	c := survivor("c", []string{"a"})
+	waitFor(t, "initial convergence", 3*time.Second, func() bool {
+		return sees(a, "a", "b", "c") && sees(b, "a", "b", "c") && sees(c, "a", "b", "c")
+	})
+	// Let b's heartbeat climb well past what its next life reaches
+	// before it first hears a survivor.
+	time.Sleep(100 * time.Millisecond)
+	watching.Store(true)
+	b.Close()
+	b2 := startMember(t, hub, "b", []string{"a"})
+	waitFor(t, "survivors to hold b's second incarnation", 3*time.Second, func() bool {
+		return b2.incarnation() == 2 && rowOf(a, "b").Incarnation == 2 && rowOf(c, "b").Incarnation == 2
+	})
+	if !sees(a, "a", "b", "c") || !sees(c, "a", "b", "c") {
+		t.Errorf("survivor views after restart: a %v, c %v", a.alive(), c.alive())
+	}
+	if dropped.Load() {
+		t.Error("a survivor's view dropped b across a restart inside the suspicion window")
+	}
+	if inc := b2.incarnation(); inc != 2 {
+		t.Errorf("restarted member incarnation = %d, want 2", inc)
+	}
+}
+
+func rowOf(m *Membership, addr string) Member {
+	for _, r := range m.view().Members {
+		if r.Addr == addr {
+			return r
+		}
+	}
+	return Member{}
+}
+
+// TestStableFleetVersionStill: heartbeats alone move no version, so in
+// a stable fleet neither View.Version nor OnUpdate moves across 20
+// gossip rounds.
+func TestStableFleetVersionStill(t *testing.T) {
+	hub := newMemHub()
+	var updates atomic.Int64
+	var ms []*Membership
+	for _, addr := range []string{"a", "b", "c"} {
+		cfg := testConfig(hub, addr, []string{"a"})
+		cfg.SuspicionTimeout = time.Minute
+		cfg.OnUpdate = func(View) { updates.Add(1) }
+		ms = append(ms, start(t, cfg))
+	}
+	waitFor(t, "initial convergence", 3*time.Second, func() bool {
+		return sees(ms[0], "a", "b", "c") && sees(ms[1], "a", "b", "c") && sees(ms[2], "a", "b", "c")
+	})
+	var before []uint64
+	for _, m := range ms {
+		before = append(before, m.view().Version)
+	}
+	n := updates.Load()
+	beats := rowOf(ms[0], "b").Heartbeat
+	time.Sleep(20 * 10 * time.Millisecond)
+	for i, m := range ms {
+		if v := m.view().Version; v != before[i] {
+			t.Errorf("%s version moved %d → %d in a stable fleet", m.cfg.Self, before[i], v)
+		}
+	}
+	if got := updates.Load(); got != n {
+		t.Errorf("OnUpdate fired %d times in a stable fleet", got-n)
+	}
+	if rowOf(ms[0], "b").Heartbeat <= beats {
+		t.Error("heartbeats did not advance: the fleet was not gossiping")
 	}
 }
 
@@ -235,14 +319,7 @@ func TestOnUpdateFires(t *testing.T) {
 		versions = append(versions, v.Version)
 		mu.Unlock()
 	}
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
+	start(t, cfg)
 	startMember(t, hub, "b", []string{"a"})
 	waitFor(t, "join callback", 3*time.Second, func() bool {
 		mu.Lock()
@@ -271,14 +348,7 @@ func TestInterceptDropsSends(t *testing.T) {
 		mu.Unlock()
 		return errors.New("cut")
 	}
-	a, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close() })
+	start(t, cfg)
 	b := startMember(t, hub, "b", nil)
 	time.Sleep(100 * time.Millisecond)
 	mu.Lock()
@@ -287,8 +357,8 @@ func TestInterceptDropsSends(t *testing.T) {
 	if d == 0 {
 		t.Error("intercept never consulted")
 	}
-	if len(b.Alive()) != 1 {
-		t.Errorf("b learned of a despite every send dropped: %v", b.Alive())
+	if len(b.alive()) != 1 {
+		t.Errorf("b learned of a despite every send dropped: %v", b.alive())
 	}
 }
 
@@ -306,36 +376,21 @@ func TestUDPTransport(t *testing.T) {
 	mkcfg := func(tr Transport, seeds []string) Config {
 		return Config{Self: tr.LocalAddr(), Seeds: seeds, ProbeInterval: 10 * time.Millisecond, Transport: tr}
 	}
-	a, err := New(mkcfg(trA, nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := New(mkcfg(trB, []string{trA.LocalAddr()}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := a.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Start(); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { a.Close(); b.Close() })
+	a := start(t, mkcfg(trA, nil))
+	b := start(t, mkcfg(trB, []string{trA.LocalAddr()}))
 	waitFor(t, "UDP convergence", 5*time.Second, func() bool {
-		return len(a.Alive()) == 2 && len(b.Alive()) == 2
+		return len(a.alive()) == 2 && len(b.alive()) == 2
 	})
 }
 
-// TestCodecRoundTrip pins the wire layout through every message type
-// and state.
+// TestCodecRoundTrip pins the wire layout through every state.
 func TestCodecRoundTrip(t *testing.T) {
 	msgs := []*Message{
-		{Type: MsgPing, Seq: 1, From: "a"},
-		{Type: MsgAck, Seq: 0xffffffff, From: "host:65535"},
-		{Type: MsgPingReq, Seq: 7, From: "a", Target: "c", Members: []Member{
-			{Addr: "a", State: Alive, Incarnation: 1},
-			{Addr: "b", State: Suspect, Incarnation: 3},
-			{Addr: "c", State: Dead, Incarnation: 1<<63 + 9},
+		{From: "a", Members: []Member{}},
+		{From: "host:65535", Members: []Member{
+			{Addr: "a", State: Alive, Incarnation: 1, Heartbeat: 0},
+			{Addr: "b", State: Alive, Incarnation: 3, Heartbeat: 1<<64 - 1},
+			{Addr: "c", State: Dead, Incarnation: 1<<63 + 9, Heartbeat: 7},
 		}},
 	}
 	for _, want := range msgs {
@@ -347,12 +402,6 @@ func TestCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Decode(%v): %v", want, err)
 		}
-		if want.Members == nil {
-			want.Members = []Member{}
-		}
-		if got.Members == nil {
-			got.Members = []Member{}
-		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("round trip: got %+v want %+v", got, want)
 		}
@@ -360,17 +409,20 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestDecodeRejects pins the decoder's refusals: truncation, bad
-// version, bad type, bogus lengths, trailing garbage.
+// version, bad state, bogus lengths, trailing garbage.
 func TestDecodeRejects(t *testing.T) {
-	good, err := Encode(&Message{Type: MsgPing, Seq: 1, From: "a", Members: []Member{{Addr: "b", State: Alive, Incarnation: 1}}})
+	good, err := Encode(&Message{From: "a", Members: []Member{{Addr: "b", State: Alive, Incarnation: 1, Heartbeat: 4}}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	badState := append([]byte{}, good...)
+	badState[len(good)-17] = 9
 	cases := map[string][]byte{
 		"empty":         {},
-		"short":         good[:5],
-		"bad version":   append([]byte{99}, good[1:]...),
-		"bad type":      {1, 9, 0, 0, 0, 0, 1, 0, 'a', 0, 0, 0, 0},
+		"short":         good[:4],
+		"bad version":   append([]byte{1}, good[1:]...),
+		"bad state":     badState,
+		"empty from":    {CodecVersion, 0, 0, 0, 0},
 		"trailing":      append(append([]byte{}, good...), 0),
 		"truncated row": good[:len(good)-3],
 	}
@@ -385,11 +437,11 @@ func TestDecodeRejects(t *testing.T) {
 // datagrams, and anything it accepts must re-encode byte-identically.
 func FuzzMembershipDecode(f *testing.F) {
 	seedMsgs := []*Message{
-		{Type: MsgPing, Seq: 42, From: "127.0.0.1:9000"},
-		{Type: MsgAck, Seq: 7, From: "a", Members: []Member{{Addr: "b", State: Suspect, Incarnation: 2}}},
-		{Type: MsgPingReq, Seq: 9, From: "a", Target: "b", Members: []Member{
-			{Addr: "a", State: Alive, Incarnation: 1},
-			{Addr: "b", State: Dead, Incarnation: 5},
+		{From: "127.0.0.1:9000"},
+		{From: "a", Members: []Member{{Addr: "b", State: Alive, Incarnation: 2, Heartbeat: 40}}},
+		{From: "a", Members: []Member{
+			{Addr: "a", State: Alive, Incarnation: 1, Heartbeat: 9},
+			{Addr: "b", State: Dead, Incarnation: 5, Heartbeat: 3},
 		}},
 	}
 	for _, m := range seedMsgs {
@@ -399,8 +451,8 @@ func FuzzMembershipDecode(f *testing.F) {
 		}
 		f.Add(buf)
 	}
-	f.Add([]byte{1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte(fmt.Sprintf("%c%c garbage", 1, 2)))
+	f.Add([]byte{CodecVersion, 1, 0, 'a', 0, 0})
+	f.Add([]byte(fmt.Sprintf("%c garbage", CodecVersion)))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := Decode(data)
