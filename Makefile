@@ -139,6 +139,7 @@ fuzz:
 	$(GO) test ./internal/core/ -run FuzzBlockPPM -fuzz FuzzBlockPPM -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzTable -fuzz FuzzTable -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/lapcache/ -run FuzzBlockCache -fuzz FuzzBlockCache -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/sim/ -run FuzzEventOrder -fuzz FuzzEventOrder -fuzztime $(FUZZTIME)
 
 # Print the full-scale paper-vs-measured record. EXPERIMENTS.md keeps
 # a hand-written preamble (the header comment and the Methodology

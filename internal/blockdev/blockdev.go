@@ -7,6 +7,7 @@ package blockdev
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -44,14 +45,19 @@ func (b BlockID) Next() BlockID { return BlockID{b.File, b.Block + 1} }
 // whole file table before it starts (the trace's FileBlocks), and it is
 // small: a few thousand blocks at the scales the experiments run.
 type Numbering struct {
-	// files holds each file's first slot and length: a map and not a
-	// slice indexed by ID, because a decoded trace need not number its
-	// files densely.
-	files map[FileID]fileSlots
+	// files finds each file's first slot and length: an open-addressed
+	// table and not a slice indexed by ID, because a decoded trace need
+	// not number its files densely. It is at most half full, and an
+	// entry whose blocks is negative is empty.
+	files []fileSlots
+	shift uint // 64 - log2(len(files)): a hash's top bits pick its home entry
 	n     int32
 }
 
-type fileSlots struct{ first, blocks int32 }
+type fileSlots struct {
+	file          FileID
+	first, blocks int32
+}
 
 // NewNumbering numbers the blocks of files, a map from every file to
 // its length in blocks.
@@ -61,12 +67,37 @@ func NewNumbering(files map[FileID]BlockNo) *Numbering {
 		ids = append(ids, f)
 	}
 	slices.Sort(ids)
-	n := &Numbering{files: make(map[FileID]fileSlots, len(ids))}
+	size := 1 << bits.Len(uint(2*len(ids)))
+	n := &Numbering{files: make([]fileSlots, size), shift: 64 - uint(bits.TrailingZeros(uint(size)))}
+	for i := range n.files {
+		n.files[i].blocks = -1
+	}
+	mask := uint64(size - 1)
 	for _, f := range ids {
-		n.files[f] = fileSlots{first: n.n, blocks: int32(files[f])}
+		s := fileHash(f) >> n.shift
+		for n.files[s].blocks >= 0 {
+			s = (s + 1) & mask
+		}
+		n.files[s] = fileSlots{file: f, first: n.n, blocks: int32(files[f])}
 		n.n += int32(files[f])
 	}
 	return n
+}
+
+func fileHash(f FileID) uint64 { return uint64(uint32(f)) * 0x9e3779b97f4a7c15 }
+
+// find returns f's entry, or nil when f is not numbered.
+func (n *Numbering) find(f FileID) *fileSlots {
+	mask := uint64(len(n.files) - 1)
+	for s := fileHash(f) >> n.shift; ; s = (s + 1) & mask {
+		e := &n.files[s]
+		if e.blocks < 0 {
+			return nil
+		}
+		if e.file == f {
+			return e
+		}
+	}
 }
 
 // Len returns the number of slots: the blocks of every file together.
@@ -75,8 +106,8 @@ func (n *Numbering) Len() int { return int(n.n) }
 // Slot returns b's slot. A block outside the table is a bug, and
 // panics.
 func (n *Numbering) Slot(b BlockID) int32 {
-	fs, ok := n.files[b.File]
-	if !ok || uint32(b.Block) >= uint32(fs.blocks) {
+	fs := n.find(b.File)
+	if fs == nil || uint32(b.Block) >= uint32(fs.blocks) {
 		panic(fmt.Sprintf("blockdev: block %v outside the numbered files", b))
 	}
 	return fs.first + int32(b.Block)
@@ -84,8 +115,10 @@ func (n *Numbering) Slot(b BlockID) int32 {
 
 // Blocks returns file f's length in blocks, and whether f is numbered.
 func (n *Numbering) Blocks(f FileID) (BlockNo, bool) {
-	fs, ok := n.files[f]
-	return BlockNo(fs.blocks), ok
+	if fs := n.find(f); fs != nil {
+		return BlockNo(fs.blocks), true
+	}
+	return 0, false
 }
 
 // Span is a contiguous range of blocks [Start, Start+Count) of one

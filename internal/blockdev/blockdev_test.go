@@ -1,6 +1,8 @@
 package blockdev
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -114,6 +116,104 @@ func TestNumberingIsDenseInBlockOrder(t *testing.T) {
 			n.Slot(b)
 		}()
 	}
+}
+
+// refNumbering is the map the open-addressed table replaced: each
+// file's first slot and length, slots dense in (file, block) order.
+type refNumbering map[FileID]fileSlots
+
+func newRefNumbering(files map[FileID]BlockNo) refNumbering {
+	ids := make([]FileID, 0, len(files))
+	for f := range files {
+		ids = append(ids, f)
+	}
+	slices.Sort(ids)
+	ref, next := make(refNumbering, len(ids)), int32(0)
+	for _, f := range ids {
+		ref[f] = fileSlots{file: f, first: next, blocks: int32(files[f])}
+		next += int32(files[f])
+	}
+	return ref
+}
+
+// TestNumberingMatchesMap holds Numbering to the map reference on file
+// tables a decoded trace may carry: sparse, negative and near-MaxInt32
+// IDs, zero-length files, and IDs that collide in the table. Every
+// numbered block gets the reference's slot, every file its length (a
+// zero-length file is still numbered), and a block outside the table
+// panics.
+func TestNumberingMatchesMap(t *testing.T) {
+	dense, random := make(map[FileID]BlockNo), make(map[FileID]BlockNo)
+	for f := FileID(0); f < 300; f++ {
+		dense[f] = BlockNo(f % 5)
+	}
+	rng := rand.New(rand.NewPCG(1, 2))
+	for len(random) < 500 {
+		random[FileID(rng.Int32()-rng.Int32())] = BlockNo(rng.IntN(4))
+	}
+	for _, tc := range []struct {
+		name   string
+		files  map[FileID]BlockNo
+		absent []FileID
+		probes bool // some file must sit past its home entry
+	}{
+		{"empty", map[FileID]BlockNo{}, []FileID{0, 1, -1}, false},
+		{"zero-length only", map[FileID]BlockNo{5: 0}, []FileID{0, 4, 6}, false},
+		{"dense", dense, []FileID{-1, 300, 1 << 20}, false},
+		{"random", random, nil, true},
+		{"sparse", map[FileID]BlockNo{0: 2, 1000: 3, 1 << 20: 1, 7_777_777: 4}, []FileID{1, 999, 1001}, false},
+		{"negative", map[FileID]BlockNo{-1: 2, -2: 0, -1 << 31: 3, 0: 1}, []FileID{-3, 1, 1<<31 - 1}, false},
+		{"near MaxInt32", map[FileID]BlockNo{1<<31 - 1: 2, 1<<31 - 2: 0, 1<<31 - 3: 1}, []FileID{1<<31 - 4, 0, -1 << 31}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			n, ref := NewNumbering(tc.files), newRefNumbering(tc.files)
+			total := 0
+			for f, fs := range ref {
+				total += int(fs.blocks)
+				if blocks, ok := n.Blocks(f); !ok || int32(blocks) != fs.blocks {
+					t.Errorf("Blocks(%d) = %d, %v; want %d, true", f, blocks, ok, fs.blocks)
+				}
+				for b := int32(0); b < fs.blocks; b++ {
+					id := BlockID{f, BlockNo(b)}
+					if got := n.Slot(id); got != fs.first+b {
+						t.Errorf("Slot(%v) = %d, want %d", id, got, fs.first+b)
+					}
+				}
+				mustPanic(t, BlockID{f, BlockNo(fs.blocks)}, n)
+				mustPanic(t, BlockID{f, -1}, n)
+			}
+			if n.Len() != total {
+				t.Errorf("Len = %d, want %d", n.Len(), total)
+			}
+			if tc.probes {
+				displaced := 0
+				for s, e := range n.files {
+					if e.blocks >= 0 && uint64(s) != fileHash(e.file)>>n.shift {
+						displaced++
+					}
+				}
+				if displaced == 0 {
+					t.Error("no file sits past its home entry")
+				}
+			}
+			for _, f := range tc.absent {
+				if blocks, ok := n.Blocks(f); ok || blocks != 0 {
+					t.Errorf("Blocks(%d) = %d, %v for a file the table does not have", f, blocks, ok)
+				}
+				mustPanic(t, BlockID{f, 0}, n)
+			}
+		})
+	}
+}
+
+func mustPanic(t *testing.T, b BlockID, n *Numbering) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("Slot(%v) did not panic", b)
+		}
+	}()
+	n.Slot(b)
 }
 
 func TestStriperCoversAllDisks(t *testing.T) {

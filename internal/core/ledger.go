@@ -16,38 +16,41 @@ import (
 // aggregate above 1 — the "not really linear" behaviour of §4 made
 // measurable. Safe for concurrent use.
 type Ledger struct {
-	mu          sync.Mutex
-	limit       int // 0 = unlimited
-	strict      bool
-	outstanding map[blockdev.FileID]int
-	highWater   map[blockdev.FileID]int
-	maxHW       int
-	violations  uint64
+	mu         sync.Mutex
+	limit      int // 0 = unlimited
+	strict     bool
+	files      map[blockdev.FileID]*fileMarks
+	maxHW      int
+	violations uint64
 }
+
+// fileMarks is one file's count of prefetches in flight and its
+// high-water mark.
+type fileMarks struct{ outstanding, highWater int }
 
 // NewLedger returns a ledger checking a per-file limit (0 = unlimited:
 // high-water marks are recorded, nothing is a violation). strict turns
 // violations into panics rather than counts.
 func NewLedger(limit int, strict bool) *Ledger {
-	return &Ledger{
-		limit:       limit,
-		strict:      strict,
-		outstanding: make(map[blockdev.FileID]int),
-		highWater:   make(map[blockdev.FileID]int),
-	}
+	return &Ledger{limit: limit, strict: strict, files: make(map[blockdev.FileID]*fileMarks)}
 }
 
 // OutstandingChanged implements OutstandingObserver.
 func (l *Ledger) OutstandingChanged(f blockdev.FileID, delta int) {
 	l.mu.Lock()
-	n := l.outstanding[f] + delta
+	m := l.files[f]
+	if m == nil {
+		m = new(fileMarks)
+		l.files[f] = m
+	}
+	n := m.outstanding + delta
 	if n < 0 {
 		l.mu.Unlock()
 		panic(fmt.Sprintf("core: file %d outstanding prefetches went negative (%d)", f, n))
 	}
-	l.outstanding[f] = n
-	if n > l.highWater[f] {
-		l.highWater[f] = n
+	m.outstanding = n
+	if n > m.highWater {
+		m.highWater = n
 	}
 	if n > l.maxHW {
 		l.maxHW = n
@@ -77,19 +80,25 @@ func (l *Ledger) MaxHighWater() int {
 func (l *Ledger) FileHighWater(f blockdev.FileID) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.highWater[f]
+	if m := l.files[f]; m != nil {
+		return m.highWater
+	}
+	return 0
 }
 
-// HighWaters returns a copy of every file's high-water mark. Cluster
+// HighWaters returns a copy of every file's high-water mark, leaving
+// out files that never had a prefetch in flight. Cluster
 // tests join these maps across nodes to assert the paper's invariant
 // globally: in linear mode each file's marks, summed over the whole
 // cluster, never exceed 1 — only the ring owner ever prefetches it.
 func (l *Ledger) HighWaters() map[blockdev.FileID]int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make(map[blockdev.FileID]int, len(l.highWater))
-	for f, n := range l.highWater {
-		out[f] = n
+	out := make(map[blockdev.FileID]int, len(l.files))
+	for f, m := range l.files {
+		if m.highWater > 0 {
+			out[f] = m.highWater
+		}
 	}
 	return out
 }

@@ -32,6 +32,12 @@ func TestLedger(t *testing.T) {
 			{1, -1}}, // the peak survives the count draining to zero
 		wantHW: map[blockdev.FileID]int{1: 2, 2: 1},
 	}, {
+		// A file seen only through a zero delta never had a prefetch in
+		// flight: HighWaters leaves it out and FileHighWater reports 0.
+		name:   "zero-delta",
+		deltas: []delta{{3, 0}, {4, 1}, {4, -1}},
+		wantHW: map[blockdev.FileID]int{4: 1},
+	}, {
 		name:   "negative-panics",
 		deltas: []delta{{1, -1}},
 		panics: true,
@@ -73,6 +79,11 @@ func TestLedger(t *testing.T) {
 				hw[f] = 99
 				if l.FileHighWater(f) != want {
 					t.Error("HighWaters returned the internal map")
+				}
+			}
+			for _, d := range tc.deltas {
+				if _, ok := tc.wantHW[d.f]; !ok && l.FileHighWater(d.f) != 0 {
+					t.Errorf("file %d high-water = %d, want 0", d.f, l.FileHighWater(d.f))
 				}
 			}
 			if len(hw) != len(tc.wantHW) {

@@ -113,7 +113,7 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 		Net:        netmodel.New(e, cfg),
 		Disks:      diskmodel.NewArray(e, cfg),
 		Cch:        cachesim.New(e, cfg.Nodes, cacheBlocksPerNode, policy, num),
-		Coll:       stats.New(),
+		Coll:       stats.New(num.Len()),
 		Ledger:     core.NewLedger(0, false),
 		Degrees:    core.NewDegreeSet(alg),
 		num:        num,
@@ -309,7 +309,7 @@ func (b *Base) writeBack(blk blockdev.BlockID) {
 }
 
 func (op *diskOp) written(*sim.Engine, sim.Time) {
-	op.b.Coll.DiskWrite(op.blk)
+	op.b.Coll.DiskWrite(op.b.num.Slot(op.blk))
 	op.release()
 }
 

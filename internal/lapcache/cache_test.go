@@ -317,6 +317,29 @@ func TestFillPatternDistinguishesBlocks(t *testing.T) {
 	}
 }
 
+// TestFillPatternMatchesBytewise holds the doubling fill to the loop it
+// replaced, stamp byte i%8 at byte i, at lengths around and between
+// multiples of the stamp and at a full block.
+func TestFillPatternMatchesBytewise(t *testing.T) {
+	for _, b := range []blockdev.BlockID{bid(0, 0), bid(3, 7), {File: -2, Block: 1<<31 - 1}, {File: 1 << 20, Block: 1 << 24}} {
+		for _, n := range []int{0, 1, 7, 8, 9, 15, 16, 17, 100, 4095, 8192} {
+			stamp := [8]byte{
+				byte(b.File), byte(b.File >> 8), byte(b.File >> 16), byte(b.File >> 24),
+				byte(b.Block), byte(b.Block >> 8), byte(b.Block >> 16), byte(b.Block >> 24),
+			}
+			want := make([]byte, n)
+			for i := range want {
+				want[i] = stamp[i%len(stamp)]
+			}
+			got := bytes.Repeat([]byte{0xAA}, n)
+			FillPattern(b, got)
+			if !bytes.Equal(got, want) {
+				t.Errorf("block %v, %d bytes: FillPattern differs from the byte-wise fill", b, n)
+			}
+		}
+	}
+}
+
 // refCache is the map + list shard the slab replaced, kept as the
 // reference FuzzBlockCache holds it to: one shard of cap blocks, its
 // wasted evictions and its eviction count.

@@ -2,18 +2,22 @@ package sim
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
-// TestEventHoldsNoPointer keeps the engine's heap items pointer-free:
-// a sift moves items up and down the heap on every event, and an item
-// holding a pointer would make each move a write the collector has to
-// see. The handler stays in Engine.handlers and the item carries its
-// slot.
+// TestEventHoldsNoPointer keeps the engine's events pointer-free, in
+// the heap and in the lane: a sift moves events up and down the heap on
+// every event, and an event holding a pointer would make each move a
+// write the collector has to see. The handler stays in Engine.handlers
+// and the event carries its slot.
 func TestEventHoldsNoPointer(t *testing.T) {
-	if item := reflect.TypeOf(Engine{}.queue).Elem(); holdsPointer(item) {
-		t.Errorf("the engine's heap item %v holds a pointer", item)
+	var e Engine
+	for name, q := range map[string]any{"heap": e.queue, "lane": e.lane.ring} {
+		if ev := reflect.TypeOf(q).Elem(); holdsPointer(ev) {
+			t.Errorf("the engine's %s element %v holds a pointer", name, ev)
+		}
 	}
 }
 
@@ -245,5 +249,92 @@ func TestEngineOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// FuzzEventOrder checks the engine's firing order against its
+// definition: every event, scheduled up front or from inside a handler,
+// fires in (time, seq) order, seq being the order of the At calls. Each
+// input byte is one event's delay; a handler whose own delay is odd
+// schedules the next unscheduled event from inside itself, at that
+// event's delay after its own firing. Small delays repeat, so events
+// split between the lane and the heap and tie on time.
+func FuzzEventOrder(f *testing.F) {
+	f.Add([]byte{5, 3, 3, 9, 0, 1, 1, 4})
+	f.Add([]byte{0, 0, 0, 0})
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	f.Add([]byte{200, 1, 199, 2, 198, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, delays []byte) {
+		type key struct {
+			at  Time
+			seq int
+		}
+		e := NewEngine(1)
+		var scheduled, fired []key
+		next := 0 // the next delay not yet scheduled
+		var schedule func(d byte)
+		schedule = func(d byte) {
+			k := key{e.Now().Add(Duration(d % 16)), len(scheduled)}
+			scheduled = append(scheduled, k)
+			e.At(k.at, func(e *Engine) {
+				fired = append(fired, k)
+				if d%2 == 1 && next < len(delays) {
+					next++
+					schedule(delays[next-1])
+				}
+			})
+		}
+		for next < len(delays) && next < (len(delays)+1)/2 {
+			next++
+			schedule(delays[next-1])
+		}
+		e.Run()
+		for next < len(delays) { // whatever no handler scheduled
+			next++
+			schedule(delays[next-1])
+			e.Run()
+		}
+		if e.pending() != 0 || len(fired) != len(delays) {
+			t.Fatalf("fired %d of %d events, %d still pending", len(fired), len(delays), e.pending())
+		}
+		// An event is due no earlier than the firing that scheduled it,
+		// and comes after it in seq, so it sorts after every event
+		// already fired: the whole run is one (time, seq) order.
+		want := slices.Clone(scheduled)
+		slices.SortFunc(want, func(a, b key) int {
+			if a.at != b.at {
+				return int(a.at - b.at)
+			}
+			return a.seq - b.seq
+		})
+		if !slices.Equal(fired, want) {
+			t.Fatalf("fired %v, want %v", fired, want)
+		}
+	})
+}
+
+// TestLaneCarriesMonotoneBurst schedules what the write-back daemon
+// does, a burst of events in time order, interleaved with short timers
+// that fall between them: the burst lands in the lane, so the heap
+// holds the timers and no more.
+func TestLaneCarriesMonotoneBurst(t *testing.T) {
+	e := NewEngine(1)
+	fired := 0
+	count := func(*Engine) { fired++ }
+	for i := 0; i < 1000; i++ {
+		e.After(Duration(1000+10*i), count)
+		if i%125 == 0 {
+			e.After(Duration(1+i), count)
+		}
+	}
+	if n := len(e.queue); n > 16 {
+		t.Errorf("the heap holds %d events, want at most 16", n)
+	}
+	if e.lane.len() < 1000 {
+		t.Errorf("the lane holds %d events, want the burst's 1000", e.lane.len())
+	}
+	e.Run()
+	if fired != 1008 {
+		t.Errorf("fired %d events, want 1008", fired)
 	}
 }

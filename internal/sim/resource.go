@@ -39,10 +39,9 @@ type Request struct {
 type Resource struct {
 	name   string
 	engine *Engine
-	// queue is ordered by (priority, arrival): strict priority with
-	// FCFS inside each class.
-	queue minHeap[*Request]
-	seq   uint64
+	// queue holds the waiting requests, one FIFO per Priority: strict
+	// priority between the classes, FCFS inside each.
+	queue [2]fifo[*Request]
 	// cur is the request in service, nil when idle; complete, bound
 	// once, is the event that ends it.
 	cur      *Request
@@ -68,7 +67,7 @@ func NewResource(e *Engine, name string) *Resource {
 func (r *Resource) Name() string { return r.name }
 
 // QueueLen returns the number of requests waiting (not in service).
-func (r *Resource) QueueLen() int { return len(r.queue) }
+func (r *Resource) QueueLen() int { return r.queue[0].len() + r.queue[1].len() }
 
 // Busy reports whether a request is currently in service.
 func (r *Resource) Busy() bool { return r.cur != nil }
@@ -113,14 +112,13 @@ func (r *Resource) Submit(req Request) {
 		rec = new(Request)
 	}
 	*rec = req
-	r.queue.push(int64(req.Priority), r.seq, rec)
-	r.seq++
-	if len(r.queue) > r.maxWaiting {
-		r.maxWaiting = len(r.queue)
+	r.queue[req.Priority].push(rec)
+	if n := r.QueueLen(); n > r.maxWaiting {
+		r.maxWaiting = n
 	}
 	if t := r.engine.tracer; t != nil {
 		t.Record(TraceRecord{At: now, Kind: TraceEnqueue, Resource: r.name,
-			Priority: req.Priority, Service: req.Service, QueueLen: len(r.queue)})
+			Priority: req.Priority, Service: req.Service, QueueLen: r.QueueLen()})
 	}
 	r.dispatch()
 }
@@ -130,13 +128,20 @@ func (r *Resource) dispatch() {
 	if r.cur != nil {
 		return
 	}
-	for len(r.queue) > 0 {
+	for {
+		q := &r.queue[PriorityUser]
+		if q.len() == 0 {
+			q = &r.queue[PriorityPrefetch]
+			if q.len() == 0 {
+				return
+			}
+		}
 		now := r.engine.Now()
-		req := r.queue.pop().val
+		req := q.pop()
 		if req.Cancelled != nil && req.Cancelled() {
 			if t := r.engine.tracer; t != nil {
 				t.Record(TraceRecord{At: now, Kind: TraceDrop, Resource: r.name,
-					Priority: req.Priority, QueueLen: len(r.queue)})
+					Priority: req.Priority, QueueLen: r.QueueLen()})
 			}
 			r.recycle(req)
 			continue
@@ -147,7 +152,7 @@ func (r *Resource) dispatch() {
 		if t := r.engine.tracer; t != nil {
 			t.Record(TraceRecord{At: now, Kind: TraceStart, Resource: r.name,
 				Priority: req.Priority, Wait: now.Sub(req.enqueued), Service: req.Service,
-				QueueLen: len(r.queue)})
+				QueueLen: r.QueueLen()})
 		}
 		r.engine.At(now.Add(req.Service), r.complete)
 		return
@@ -162,7 +167,7 @@ func (r *Resource) finish(e *Engine) {
 	r.cur = nil
 	if t := e.tracer; t != nil {
 		t.Record(TraceRecord{At: e.Now(), Kind: TraceDone, Resource: r.name,
-			Priority: req.Priority, Service: req.Service, QueueLen: len(r.queue)})
+			Priority: req.Priority, Service: req.Service, QueueLen: r.QueueLen()})
 	}
 	done := req.Done
 	r.recycle(req)

@@ -8,10 +8,7 @@
 // to warm the cache before measuring.
 package stats
 
-import (
-	"repro/internal/blockdev"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Collector accumulates one simulation run's metrics.
 type Collector struct {
@@ -28,7 +25,10 @@ type Collector struct {
 	diskDemandReads   uint64
 	diskPrefetchReads uint64
 	diskWrites        uint64
-	blockWriteCounts  map[blockdev.BlockID]uint64
+	// written marks, by slot in the cell's blockdev.Numbering, every
+	// block written to disk; distinct counts the marks.
+	written  []bool
+	distinct int
 
 	prefetchIssued   uint64
 	prefetchFallback uint64
@@ -42,9 +42,9 @@ type Collector struct {
 	prefetchWasted uint64
 }
 
-// New returns an idle collector.
-func New() *Collector {
-	return &Collector{blockWriteCounts: make(map[blockdev.BlockID]uint64)}
+// New returns an idle collector for blocks numbered [0, slots).
+func New(slots int) *Collector {
+	return &Collector{written: make([]bool, slots)}
 }
 
 // StartMeasurement opens the measurement window; counters are zero
@@ -101,13 +101,16 @@ func (c *Collector) DiskRead(prefetch bool) {
 	}
 }
 
-// DiskWrite records one disk block write of block b.
-func (c *Collector) DiskWrite(b blockdev.BlockID) {
+// DiskWrite records one disk block write of the block numbered slot.
+func (c *Collector) DiskWrite(slot int32) {
 	if !c.measuring {
 		return
 	}
 	c.diskWrites++
-	c.blockWriteCounts[b]++
+	if !c.written[slot] {
+		c.written[slot] = true
+		c.distinct++
+	}
 }
 
 // PrefetchIssued records one launched prefetch operation; fallback
@@ -191,14 +194,14 @@ func (c *Collector) DiskAccesses() uint64 { return c.diskReads + c.diskWrites }
 // WritesPerBlock returns the mean number of times a distinct block was
 // written to disk — the paper's Table 2 metric.
 func (c *Collector) WritesPerBlock() float64 {
-	if len(c.blockWriteCounts) == 0 {
+	if c.distinct == 0 {
 		return 0
 	}
-	return float64(c.diskWrites) / float64(len(c.blockWriteCounts))
+	return float64(c.diskWrites) / float64(c.distinct)
 }
 
 // DistinctBlocksWritten returns the number of distinct blocks written.
-func (c *Collector) DistinctBlocksWritten() int { return len(c.blockWriteCounts) }
+func (c *Collector) DistinctBlocksWritten() int { return c.distinct }
 
 // PrefetchIssuedCount returns the number of prefetch operations
 // launched in the window.

@@ -3,7 +3,6 @@ package stats
 import (
 	"testing"
 
-	"repro/internal/blockdev"
 	"repro/internal/sim"
 )
 
@@ -15,7 +14,7 @@ func fireEverything(c *Collector) {
 	c.ReadBlocks(4, 2)
 	c.DiskRead(false)
 	c.DiskRead(true)
-	c.DiskWrite(blockdev.BlockID{File: 1})
+	c.DiskWrite(1)
 	c.PrefetchIssued(false)
 	c.PrefetchIssued(true)
 	c.PrefetchTimely()
@@ -56,7 +55,7 @@ func assertAllZero(t *testing.T, c *Collector, when string) {
 }
 
 func TestCollectorGatesOnMeasurement(t *testing.T) {
-	c := New()
+	c := New(4)
 	if c.Measuring() {
 		t.Error("Measuring true before start")
 	}
@@ -95,7 +94,7 @@ func TestCollectorGatesOnMeasurement(t *testing.T) {
 // TestCollectorZeroWindow pins the degenerate window: start and stop
 // with nothing in between leaks nothing from either side.
 func TestCollectorZeroWindow(t *testing.T) {
-	c := New()
+	c := New(4)
 	fireEverything(c)
 	c.StartMeasurement()
 	c.StopMeasurement()
@@ -104,37 +103,37 @@ func TestCollectorZeroWindow(t *testing.T) {
 }
 
 func TestAvgReadTime(t *testing.T) {
-	c := New()
+	c := New(4)
 	c.StartMeasurement()
 	c.ReadDone(sim.Milliseconds(2))
 	c.ReadDone(sim.Milliseconds(4))
 	if got := c.AvgReadTime(); got != sim.Milliseconds(3) {
 		t.Errorf("AvgReadTime = %v, want 3ms", got)
 	}
-	if New().AvgReadTime() != 0 {
+	if New(4).AvgReadTime() != 0 {
 		t.Error("empty collector should report 0")
 	}
 }
 
 func TestAvgWriteTime(t *testing.T) {
-	c := New()
+	c := New(4)
 	c.StartMeasurement()
 	c.WriteDone(sim.Milliseconds(10))
 	if c.AvgWriteTime() != sim.Milliseconds(10) || c.Writes() != 1 {
 		t.Error("write accounting wrong")
 	}
-	if New().AvgWriteTime() != 0 {
+	if New(4).AvgWriteTime() != 0 {
 		t.Error("empty collector should report 0")
 	}
 }
 
 func TestDiskCounters(t *testing.T) {
-	c := New()
+	c := New(4)
 	c.StartMeasurement()
 	c.DiskRead(false)
 	c.DiskRead(true)
 	c.DiskRead(true)
-	c.DiskWrite(blockdev.BlockID{File: 1, Block: 0})
+	c.DiskWrite(0)
 	if c.DiskReads() != 3 || c.DiskDemandReads() != 1 || c.DiskPrefetchReads() != 2 {
 		t.Error("read split wrong")
 	}
@@ -143,29 +142,47 @@ func TestDiskCounters(t *testing.T) {
 	}
 }
 
+// TestWritesPerBlock checks Table 2's metric on the slot-indexed
+// collector: writes over distinct blocks, where a block is its slot and
+// a write outside the window neither counts nor marks its block.
 func TestWritesPerBlock(t *testing.T) {
-	c := New()
-	c.StartMeasurement()
-	a := blockdev.BlockID{File: 1, Block: 0}
-	b := blockdev.BlockID{File: 1, Block: 1}
-	for i := 0; i < 3; i++ {
-		c.DiskWrite(a)
-	}
-	c.DiskWrite(b)
-	// 4 writes over 2 distinct blocks = 2.0.
-	if got := c.WritesPerBlock(); got != 2.0 {
-		t.Errorf("WritesPerBlock = %v, want 2.0", got)
-	}
-	if c.DistinctBlocksWritten() != 2 {
-		t.Errorf("DistinctBlocksWritten = %d", c.DistinctBlocksWritten())
-	}
-	if New().WritesPerBlock() != 0 {
-		t.Error("empty collector should report 0")
+	for _, tc := range []struct {
+		name     string
+		before   []int32 // slots written before the window opens
+		slots    []int32 // slots written inside it
+		distinct int
+		perBlock float64
+	}{
+		{name: "none", perBlock: 0},
+		{name: "two blocks", slots: []int32{0, 0, 0, 1}, distinct: 2, perBlock: 2},
+		{name: "one block n times", slots: []int32{3, 3, 3, 3, 3, 3, 3}, distinct: 1, perBlock: 7},
+		{name: "last slot", slots: []int32{0, 3}, distinct: 2, perBlock: 1},
+		{name: "written before the window", before: []int32{2, 3}, slots: []int32{3, 3}, distinct: 1, perBlock: 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(4)
+			for _, s := range tc.before {
+				c.DiskWrite(s)
+			}
+			c.StartMeasurement()
+			for _, s := range tc.slots {
+				c.DiskWrite(s)
+			}
+			if got := c.DiskWrites(); got != uint64(len(tc.slots)) {
+				t.Errorf("DiskWrites = %d, want %d", got, len(tc.slots))
+			}
+			if got := c.DistinctBlocksWritten(); got != tc.distinct {
+				t.Errorf("DistinctBlocksWritten = %d, want %d", got, tc.distinct)
+			}
+			if got := c.WritesPerBlock(); got != tc.perBlock {
+				t.Errorf("WritesPerBlock = %v, want %v", got, tc.perBlock)
+			}
+		})
 	}
 }
 
 func TestFallbackFraction(t *testing.T) {
-	c := New()
+	c := New(4)
 	c.StartMeasurement()
 	for i := 0; i < 3; i++ {
 		c.PrefetchIssued(false)
@@ -174,13 +191,13 @@ func TestFallbackFraction(t *testing.T) {
 	if got := c.FallbackFraction(); got != 0.25 {
 		t.Errorf("FallbackFraction = %v, want 0.25", got)
 	}
-	if New().FallbackFraction() != 0 {
+	if New(4).FallbackFraction() != 0 {
 		t.Error("empty collector should report 0")
 	}
 }
 
 func TestBlockHitRatio(t *testing.T) {
-	c := New()
+	c := New(4)
 	c.StartMeasurement()
 	c.ReadBlocks(8, 6)
 	c.ReadBlocks(2, 0)
