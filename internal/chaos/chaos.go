@@ -349,7 +349,7 @@ func Run(cfg Config) (Result, error) {
 					return nil
 				}
 			}
-			ncfg.DialFunc = func(addr string) (*lapclient.Pool, error) {
+			ncfg.DialFunc = func(addr string) (*lapclient.Conn, error) {
 				to := -1
 				for j, a := range peers {
 					if a == addr {
@@ -361,7 +361,7 @@ func Run(cfg Config) (Result, error) {
 				if err := inj.DialFault(link); err != nil {
 					return nil, err
 				}
-				return lapclient.DialPoolWith(addr, cluster.PeerConns, 0, func(c net.Conn) net.Conn {
+				return lapclient.DialConnWith(addr, cluster.PeerWindow, func(c net.Conn) net.Conn {
 					return inj.WrapConn(c, link)
 				})
 			}

@@ -137,12 +137,12 @@ func TestHealthLoopBackoffAndReset(t *testing.T) {
 		PingInterval: ping,
 		BackoffMax:   max,
 		Clock:        fc,
-		DialFunc: func(a string) (*lapclient.Pool, error) {
+		DialFunc: func(a string) (*lapclient.Conn, error) {
 			dials.Add(1)
 			if !allow.Load() {
 				return nil, fmt.Errorf("dial gated shut")
 			}
-			return lapclient.DialPool(a, PeerConns, 0)
+			return lapclient.DialConn(a, PeerWindow)
 		},
 	})
 	if err != nil {
@@ -192,6 +192,6 @@ func TestHealthLoopBackoffAndReset(t *testing.T) {
 	// Give the last fired round a moment to run its ping path.
 	time.Sleep(10 * time.Millisecond)
 	if got := dials.Load(); got != before {
-		t.Errorf("live peer was redialed %d times; pings should keep the pool", got-before)
+		t.Errorf("live peer was redialed %d times; pings should keep the connection", got-before)
 	}
 }

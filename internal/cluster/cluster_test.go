@@ -1,6 +1,9 @@
 package cluster
 
 import (
+	"fmt"
+	"net"
+	"sync"
 	"testing"
 	"time"
 
@@ -210,6 +213,143 @@ func TestClusterFailover(t *testing.T) {
 	if err := nodes[2].Engine.Write(f, 0, 1, nil); err != nil {
 		t.Fatalf("degraded write: %v", err)
 	}
+}
+
+// TestOnePeerConnection: a node keeps exactly one connection to each
+// peer, and every forward to that peer shares it — 64 concurrent
+// fetches to one owner ride it together. Severing it degrades the
+// next forward to the local store, and the health loop redials once.
+// Node 0 runs on a fake clock, so its health loops redial only when
+// the test fires their timers.
+func TestOnePeerConnection(t *testing.T) {
+	var mu sync.Mutex
+	dials := make(map[string]int)      // "i->addr": dials of that link
+	links := make(map[string]net.Conn) // "i->addr": its latest socket
+	clock := newFakeClock()
+	nodes := startClusterWith(t, 3, nil, StartLocalOpts{TweakNode: func(i int, cfg *Config) {
+		if i == 0 {
+			cfg.Clock = clock
+		}
+		cfg.DialFunc = func(addr string) (*lapclient.Conn, error) {
+			link := fmt.Sprintf("%d->%s", i, addr)
+			mu.Lock()
+			dials[link]++
+			mu.Unlock()
+			return lapclient.DialConnWith(addr, PeerWindow, func(nc net.Conn) net.Conn {
+				mu.Lock()
+				links[link] = nc
+				mu.Unlock()
+				return nc
+			})
+		}
+	}})
+	dialsOf := func(i int, addr string) int {
+		mu.Lock()
+		defer mu.Unlock()
+		return dials[fmt.Sprintf("%d->%s", i, addr)]
+	}
+	for _, from := range nodes {
+		for _, to := range nodes {
+			if from != to {
+				if got := dialsOf(from.Index, to.Addr); got != 1 {
+					t.Errorf("node %d dialled node %d %d times, want 1", from.Index, to.Index, got)
+				}
+			}
+		}
+	}
+
+	owner := nodes[1]
+	f := fileOwnedBy(t, nodes, owner.Index)
+	const spans = 64
+	owner.Engine.Preload(f, 0, spans+2, false)
+	var wg sync.WaitGroup
+	for i := 0; i < spans; i++ {
+		wg.Add(1)
+		go func(off blockdev.BlockNo) {
+			defer wg.Done()
+			dsts := [][]byte{make([]byte, testBlockSize)}
+			if hit, ok, err := nodes[0].Node.FetchSpan(f, off, 1, dsts); !hit || !ok || err != nil {
+				t.Errorf("fetch of block %d: hit=%v ok=%v err=%v", off, hit, ok, err)
+			}
+		}(blockdev.BlockNo(i))
+	}
+	wg.Wait()
+
+	mu.Lock()
+	links[fmt.Sprintf("0->%s", owner.Addr)].Close()
+	mu.Unlock()
+	before := nodes[0].Engine.Snapshot().RemoteFallbacks
+	if _, _, err := readCopy(nodes[0].Engine, f, spans, 1); err != nil {
+		t.Fatalf("read over the severed connection: %v", err)
+	}
+	if got := nodes[0].Engine.Snapshot().RemoteFallbacks - before; got != 1 {
+		t.Errorf("the forward over the severed connection made %d fallbacks, want 1", got)
+	}
+	if !nodes[0].Node.PeerDown(owner.Addr) {
+		t.Error("owner not marked down after its connection was severed")
+	}
+
+	// One timer per health loop of node 0: the owner's redials, the
+	// other peer's pings.
+	for range nodes[1:] {
+		clock.next(t).fire()
+	}
+	waitFor(t, "owner redialled", func() bool { return !nodes[0].Node.PeerDown(owner.Addr) })
+	if got := dialsOf(0, owner.Addr); got != 2 {
+		t.Errorf("node 0 dialled the owner %d times, want 2 (one redial)", got)
+	}
+	if got := dialsOf(0, nodes[2].Addr); got != 1 {
+		t.Errorf("node 0 redialled the healthy peer: %d dials, want 1", got)
+	}
+	dsts := [][]byte{make([]byte, testBlockSize)}
+	if hit, ok, err := nodes[0].Node.FetchSpan(f, spans+1, 1, dsts); !hit || !ok || err != nil {
+		t.Errorf("fetch after the redial: hit=%v ok=%v err=%v", hit, ok, err)
+	}
+}
+
+// TestReplicatedWritersDoNotStall: static R=2 under two concurrent
+// writers, on nodes 0 and 1. A forwarded write waits on its owner, and
+// the owner's handler waits on the push to its successor. Two such
+// waits held on the read loops of one pair of peer connections would
+// hold each other until the peer call timeout degraded the write to
+// the front node's store and dropped its replicated ack. Every write
+// must be acked replicated, well inside the timeout.
+func TestReplicatedWritersDoNotStall(t *testing.T) {
+	const (
+		writers = 2
+		writes  = 1500
+		files   = 96
+		timeout = time.Second
+	)
+	nodes := startClusterWith(t, 3, nil, StartLocalOpts{TweakNode: func(_ int, cfg *Config) {
+		cfg.Replicas = 2
+		cfg.PeerCallTimeout = timeout
+	}})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		c, err := lapclient.DialConn(nodes[w].Addr, 1)
+		if err != nil {
+			t.Fatalf("dial node %d: %v", w, err)
+		}
+		defer c.Close()
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			data := make([]byte, testBlockSize)
+			for i := 0; i < writes; i++ {
+				f := blockdev.FileID(1 + (i*7+w*31)%files)
+				off := blockdev.BlockNo(i % 64)
+				start := time.Now()
+				rh, _, err := c.Do(lapclient.Req(wire.OpWrite, 0, f, off, 1), data, nil)
+				if err != nil || rh.Flags&wire.FlagReplicated == 0 || time.Since(start) >= timeout {
+					t.Errorf("writer %d, write %d of file %d: replicated=%v err=%v after %v",
+						w, i, f, rh.Flags&wire.FlagReplicated != 0, err, time.Since(start))
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestClusterCharismaE2E is the cluster acceptance run: a synthetic

@@ -37,7 +37,7 @@ func startDynamicCluster(t *testing.T, n int, tweakEng func(cfg *lapcache.Config
 }
 
 // waitConverged blocks until every node's ring has exactly n members
-// and its peer pools are dialed. Gossip views grow incrementally —
+// and its peer connections are dialed. Gossip views grow incrementally —
 // a node's first view may hold only itself and its seed, transiently
 // shrinking the ring — so placement-sensitive tests must not trust
 // ownership until the fleet agrees.

@@ -175,7 +175,7 @@ func (h *handoff) runOnce() int {
 		if !ok {
 			continue
 		}
-		if _, up := p.livePool(); !up {
+		if _, up := p.liveConn(); !up {
 			continue
 		}
 		if !h.spend(bs) {

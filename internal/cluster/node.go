@@ -59,20 +59,18 @@ type Config struct {
 	// datagram. The fault harness scripts partitions through it.
 	GossipIntercept func(to string) error
 	// PeerCallTimeout bounds every synchronous RPC to a peer
-	// (0 = DefaultPeerCallTimeout, < 0 = unbounded). Server handlers
-	// issue nested peer RPCs — forwarding a client write to the owner,
-	// pushing the owner's R=2 copy to its successor — and
-	// per-connection request handling is sequential, so an unbounded
-	// wait lets a cycle of handlers deadlock across nodes while rings
-	// transiently disagree. On expiry the connection is severed and the
-	// call fails like any transport error: the peer degrades to local
-	// service and the health loop redials.
+	// (0 = DefaultPeerCallTimeout, < 0 = unbounded): a peer that has
+	// stopped answering, or a cycle within one file's requests while
+	// rings transiently disagree, costs a bounded wait. On expiry the
+	// connection is severed and the call fails like any transport
+	// error: the peer degrades to local service and the health loop
+	// redials.
 	PeerCallTimeout time.Duration
-	// DialFunc overrides how peer pools are dialed (nil = PeerConns
-	// connections of lapclient.DefaultWindow each). The fault-injection
-	// harness uses it to interpose transport faults and injected dial
-	// failures on peer links.
-	DialFunc func(addr string) (*lapclient.Pool, error)
+	// DialFunc overrides how the one connection to a peer is dialed
+	// (nil = lapclient.DialConn with window PeerWindow). The
+	// fault-injection harness uses it to interpose transport faults and
+	// injected dial failures on peer links.
+	DialFunc func(addr string) (*lapclient.Conn, error)
 	// Clock overrides the health loop's timers (nil = real time);
 	// backoff tests drive the loop with a fake clock.
 	Clock Clock
@@ -80,9 +78,11 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// PeerConns is the size of the connection pool a node keeps to each
-// peer.
-const PeerConns = 2
+// PeerWindow is the in-flight window of the one connection a node
+// keeps to each peer. Every forward to that peer shares it, so a burst
+// of forwards leaves in one group commit (lapclient.Conn's writev)
+// rather than split across connections.
+const PeerWindow = 2 * lapclient.DefaultWindow
 
 // DefaultHandoffBps is the rebalancing budget when the caller passes
 // 0: fast enough to drain a test-sized cache in well under a second,
@@ -136,7 +136,7 @@ type LocalEngine interface {
 // lapcache.ClusterInfo (the server's membership view); the two
 // interfaces are how the engine stays free of any cluster import.
 //
-// Each peer gets a pipelined binary connection pool and a health
+// Each peer gets one pipelined binary connection and a health
 // goroutine: dial with exponential backoff while down, periodic pings
 // while up, and any transport error — from the health loop or from a
 // forward in flight — marks the peer down on the spot so subsequent
@@ -181,7 +181,7 @@ type peer struct {
 	quit chan struct{} // closed when the member leaves the ring
 
 	mu   sync.Mutex
-	pool *lapclient.Pool // nil while down
+	conn *lapclient.Conn // nil while down
 	down bool            // true until the first successful dial
 }
 
@@ -204,7 +204,7 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg.BackoffMax = 4 * time.Second
 	}
 	if cfg.DialFunc == nil {
-		cfg.DialFunc = func(addr string) (*lapclient.Pool, error) { return lapclient.DialPool(addr, PeerConns, 0) }
+		cfg.DialFunc = func(addr string) (*lapclient.Conn, error) { return lapclient.DialConn(addr, PeerWindow) }
 	}
 	if cfg.PeerCallTimeout == 0 {
 		cfg.PeerCallTimeout = DefaultPeerCallTimeout
@@ -294,8 +294,8 @@ func (n *Node) Start() error {
 }
 
 // Close stops the gossip layer, the health loops, and every peer
-// pool. No departure is announced: peers notice the silence, exactly
-// as they would a crash.
+// connection. No departure is announced: peers notice the silence,
+// exactly as they would a crash.
 func (n *Node) Close() {
 	n.stop.Do(func() { close(n.quit) })
 	if n.mship != nil {
@@ -307,9 +307,9 @@ func (n *Node) Close() {
 	defer n.peersMu.Unlock()
 	for _, p := range n.peers {
 		p.mu.Lock()
-		if p.pool != nil {
-			p.pool.Close()
-			p.pool = nil
+		if p.conn != nil {
+			p.conn.Close()
+			p.conn = nil
 		}
 		p.down = true
 		p.mu.Unlock()
@@ -383,7 +383,7 @@ func (n *Node) swapRing(r *Ring) {
 
 // syncPeers reconciles the peer map with the new member list: new
 // members get a health loop, departed members get their loop stopped
-// and pool closed.
+// and connection closed.
 func (n *Node) syncPeers(members []string) {
 	want := make(map[string]bool, len(members))
 	for _, m := range members {
@@ -417,9 +417,9 @@ func (n *Node) syncPeers(members []string) {
 	for _, p := range removed {
 		close(p.quit)
 		p.mu.Lock()
-		if p.pool != nil {
-			p.pool.Close()
-			p.pool = nil
+		if p.conn != nil {
+			p.conn.Close()
+			p.conn = nil
 		}
 		p.down = true
 		p.mu.Unlock()
@@ -444,7 +444,7 @@ func (n *Node) WaitReady(timeout time.Duration) error {
 		var waiting []string
 		n.peersMu.RLock()
 		for addr, p := range n.peers {
-			if _, up := p.livePool(); !up {
+			if _, up := p.liveConn(); !up {
 				waiting = append(waiting, addr)
 			}
 		}
@@ -503,19 +503,19 @@ func (n *Node) healthLoop(p *peer) {
 	defer n.wg.Done()
 	attempt := 0
 	for {
-		if _, up := p.livePool(); up {
+		if _, up := p.liveConn(); up {
 			attempt = 0
 		} else {
-			pool, err := n.cfg.DialFunc(p.addr)
+			conn, err := n.cfg.DialFunc(p.addr)
 			if err == nil {
 				if n.cfg.PeerCallTimeout > 0 {
-					pool.SetCallTimeout(n.cfg.PeerCallTimeout)
+					conn.SetCallTimeout(n.cfg.PeerCallTimeout)
 				}
 				p.mu.Lock()
-				if p.pool != nil {
-					p.pool.Close()
+				if p.conn != nil {
+					p.conn.Close()
 				}
-				p.pool = pool
+				p.conn = conn
 				p.down = false
 				p.mu.Unlock()
 				n.logf("cluster: peer %s up", p.addr)
@@ -533,34 +533,34 @@ func (n *Node) healthLoop(p *peer) {
 		case <-n.cfg.Clock.After(n.NextBackoff(p.addr, attempt)):
 		}
 
-		if pool, up := p.livePool(); up {
-			if _, err := lapclient.Ping(pool); err != nil {
+		if conn, up := p.liveConn(); up {
+			if _, err := lapclient.Ping(conn); err != nil {
 				n.fault(p, err)
 			}
 		}
 	}
 }
 
-// livePool returns the peer's pool if it is up.
-func (p *peer) livePool() (*lapclient.Pool, bool) {
+// liveConn returns the peer's connection if it is up.
+func (p *peer) liveConn() (*lapclient.Conn, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.pool == nil || p.down {
+	if p.conn == nil || p.down {
 		return nil, false
 	}
-	return p.pool, true
+	return p.conn, true
 }
 
 // fault marks a peer down after a transport error; the health loop
-// owns the redial. The pool is closed so every caller blocked inside
-// it fails fast instead of waiting out the kernel.
+// owns the redial. The connection is closed so every caller blocked
+// inside it fails fast instead of waiting out the kernel.
 func (n *Node) fault(p *peer, err error) {
 	p.mu.Lock()
 	wasUp := !p.down
 	p.down = true
-	if p.pool != nil {
-		p.pool.Close()
-		p.pool = nil
+	if p.conn != nil {
+		p.conn.Close()
+		p.conn = nil
 	}
 	p.mu.Unlock()
 	if wasUp {
@@ -570,18 +570,18 @@ func (n *Node) fault(p *peer, err error) {
 
 // forward is the one peer RPC: every request this node sends on to
 // another member — span reads, owner-bound writes and closes, replica
-// pushes, handoff transfers — takes the peer's live pool, does one
-// exchange and classifies the failure. ok=false means the peer could
+// pushes, handoff transfers — takes the peer's live connection, does
+// one exchange and classifies the failure. ok=false means the peer could
 // not be reached (it was down, or a transport error just faulted it):
 // the caller degrades to local service. A ServerError means the peer
 // was reached and refused — ok stays true and the error propagates,
 // because the request itself is bad.
 func (n *Node) forward(p *peer, h wire.Header, payload []byte, dsts [][]byte) (rh wire.Header, ok bool, err error) {
-	pool, up := p.livePool()
+	conn, up := p.liveConn()
 	if !up {
 		return rh, false, nil
 	}
-	rh, _, err = pool.Do(h, payload, dsts)
+	rh, _, err = conn.Do(h, payload, dsts)
 	if err == nil {
 		return rh, true, nil
 	}
@@ -684,6 +684,9 @@ func (n *Node) ReplicateWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks i
 	_, ok, err := n.forward(p, lapclient.Req(wire.OpWrite, wire.FlagPeer|wire.FlagReplica, f, off, nblocks), data, nil)
 	return ok && err == nil
 }
+
+// Replicates implements lapcache.RemoteFetcher.
+func (n *Node) Replicates() bool { return n.replicas >= 2 }
 
 // ForwardClose implements lapcache.RemoteFetcher.
 func (n *Node) ForwardClose(f blockdev.FileID) (bool, error) {

@@ -63,6 +63,10 @@ type RemoteFetcher interface {
 	// ack. A tier without replication returns false immediately.
 	ReplicateWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) bool
 
+	// Replicates reports whether the tier keeps R=2 copies, so that a
+	// write of an owned file waits on another node for its push.
+	Replicates() bool
+
 	// ForwardClose tells f's owner this node's clients are done with
 	// the file for now, parking the owner-side prefetch chain.
 	// Best-effort: a down owner has no chain to park.

@@ -64,6 +64,8 @@ func (r *fakeRemote) ReplicateWrite(f blockdev.FileID, off blockdev.BlockNo, nbl
 	return false
 }
 
+func (r *fakeRemote) Replicates() bool { return true }
+
 func (r *fakeRemote) ForwardClose(f blockdev.FileID) (bool, error) {
 	r.closeCalls.Add(1)
 	return !r.down.Load(), nil

@@ -9,6 +9,7 @@ import (
 	"maps"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blockbuf"
@@ -19,10 +20,11 @@ import (
 // A connection speaks wire frames from its first byte (see
 // internal/wire): the header's version byte is the negotiation, and a
 // client's opening OpPing is the handshake that reports the server's
-// algorithm and block size. Requests are pipelined in order per
-// connection. Offsets and sizes are in blocks; clients convert byte
-// ranges with blockdev.ByteRangeToSpan, honouring the paper's
-// two-bytes-two-blocks rule. Reads stream raw block payloads straight
+// algorithm and block size. Requests are pipelined per connection;
+// each response carries its request's Seq, and the requests of one
+// file are answered in order. Offsets and sizes are in blocks; clients
+// convert byte ranges with blockdev.ByteRangeToSpan, honouring the
+// paper's two-bytes-two-blocks rule. Reads stream raw block payloads straight
 // from the cache's refcounted buffers — no copy.
 
 // pingPayload is the JSON document carried by a ping response (a rare
@@ -274,7 +276,12 @@ func (s *Server) armRead(conn net.Conn) {
 
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
-	h := &connHandler{s: s, conn: conn, br: bufio.NewReaderSize(conn, 64<<10)}
+	h := &connHandler{
+		s: s, conn: conn, br: bufio.NewReaderSize(conn, 64<<10),
+		out: new(outBatch), spare: new(outBatch),
+		files: make(map[blockdev.FileID]*fileQueue),
+	}
+	h.idle.L = &h.mu
 	reason := h.serve()
 	s.mu.Lock()
 	s.reasons[reason]++
@@ -304,52 +311,97 @@ func (s *Server) readReason(err error, midFrame bool) CloseReason {
 	return CloseTransport
 }
 
-// connHandler runs one connection's request loop. Responses go
-// through batch — vectored writes straight to conn, no bufio staging
-// copy.
+// connHandler runs one connection's request loop. The loop parses
+// every request. One that may wait, on a store read or on another
+// node, goes to its file's queue, so it holds up neither the loop nor
+// other files, while one file's requests keep their order: the
+// paper's rule, parallel across files and never within one. Responses
+// carry their request's Seq, so across files they may leave out of
+// order. All of them go through one batch: vectored writes straight
+// to conn, no bufio staging copy.
 type connHandler struct {
 	s    *Server
 	conn net.Conn
 	br   *bufio.Reader
+	bufs []*blockbuf.Buf // the loop's reused gather slice for read responses
+	// pipelined: the client has had a request buffered behind another,
+	// or arriving while a queue was in flight. Until then a client's
+	// request waits on the loop (see route).
+	pipelined bool
+	// queued counts the files with a queue, so the loop skips the lock
+	// while there is none (always, while every request hits).
+	queued atomic.Int32
 
-	// batch gathers response frames for one writev; release
-	// holds the refcounted cache buffers whose bytes the batch
-	// references, released only after the syscall returns (or the
-	// batch is dropped on a dying connection).
+	// mu guards the rest; idle is signalled whenever a queue drains.
+	mu   sync.Mutex
+	idle sync.Cond
+	// out gathers frames for the next writev; spare is the batch a
+	// writev is sending, and frames queued meanwhile leave with the
+	// flusher's next one.
+	out, spare *outBatch
+	flushing   bool
+	// held: the loop has a complete next request buffered and flushes
+	// when its burst ends, so a queued request's response waits for it.
+	held  bool
+	werr  error // the first failed write; the connection is dead
+	files map[blockdev.FileID]*fileQueue
+}
+
+// outBatch is one writev's worth of response frames and the
+// refcounted cache buffers whose bytes they reference, released only
+// after the syscall returns (or the batch is dropped on a dying
+// connection).
+type outBatch struct {
 	batch   wire.FrameBatch
 	release []*blockbuf.Buf
-	bufs    []*blockbuf.Buf // reused gather slice for read responses
 }
 
-// queueError stages an error frame for hd's request.
-func (h *connHandler) queueError(hd wire.Header, msg string) {
-	// AppendFrame only fails past MaxPayload; error messages are
-	// always far below it.
-	h.batch.AppendFrame(wire.Header{Op: hd.Op, Seq: hd.Seq}, []byte(msg)) //nolint:errcheck
-}
-
-// flushBatch writes the queued responses with one vectored write and
-// releases the cache buffers they referenced — after the syscall, per
-// the net.Buffers ownership rule (DESIGN.md §13).
-func (h *connHandler) flushBatch() error {
-	err := h.batch.Flush(h.conn)
-	for i, b := range h.release {
-		b.Release()
-		h.release[i] = nil
+func (b *outBatch) releaseAll() {
+	for i, buf := range b.release {
+		buf.Release()
+		b.release[i] = nil
 	}
-	h.release = h.release[:0]
-	return err
+	b.release = b.release[:0]
 }
 
-// dropBatch abandons queued responses on a dying connection, still
-// releasing their buffers.
-func (h *connHandler) dropBatch() {
-	h.batch.Reset()
-	for i, b := range h.release {
-		b.Release()
-		h.release[i] = nil
+// fileQueue holds one file's requests from the first that may wait
+// onwards, in arrival order; the head is the one being served.
+type fileQueue struct {
+	f    blockdev.FileID
+	reqs []queuedReq
+}
+
+type queuedReq struct {
+	hd      wire.Header
+	payload []byte
+}
+
+// flushLocked writes out, one writev per batch, until a writev returns
+// to an empty out; a flush already under way takes the frames instead.
+// The caller holds mu, which is released around each syscall.
+func (h *connHandler) flushLocked() {
+	if h.flushing {
+		return
 	}
-	h.release = h.release[:0]
+	h.flushing = true
+	for h.out.batch.Len() > 0 && h.werr == nil {
+		b := h.out
+		h.out, h.spare = h.spare, b
+		h.mu.Unlock()
+		// Release after the syscall: the net.Buffers ownership rule
+		// (DESIGN.md §13).
+		err := b.batch.Flush(h.conn)
+		b.releaseAll()
+		h.mu.Lock()
+		if err != nil {
+			h.werr = err
+		}
+	}
+	h.flushing = false
+	if h.werr != nil {
+		h.out.batch.Reset()
+		h.out.releaseAll()
+	}
 }
 
 // nextRequestBuffered reports whether a COMPLETE next request —
@@ -379,21 +431,23 @@ func (h *connHandler) nextRequestBuffered() bool {
 // maxCoalesce bounds how many responses accumulate in the batch
 // before a flush is forced even with more requests buffered; it caps
 // the memory pinned by gathered cache buffers and keeps one writev's
-// iovec list small.
+// iovec list small. It also bounds the files one connection has
+// queued: past it, the loop stops reading until a queue drains.
 const maxCoalesce = 64
 
 // serve is the connection's framed request loop. Read responses stream
 // block payloads directly from the cache's refcounted buffers onto the
 // socket with vectored writes — no staging copy — and responses to
-// pipelined requests coalesce into a single writev: the batch flushes
+// pipelined requests coalesce into a single writev: the loop flushes
 // exactly when no complete next request is already buffered (see
 // nextRequestBuffered), so a lone request's latency never waits on a
-// latch.
+// latch. A queued request's response flushes as it lands, unless the
+// loop is mid-burst and will flush it with its own.
 func (h *connHandler) serve() CloseReason {
 	s := h.s
 	var (
 		scratch [wire.HeaderSize]byte
-		payload []byte // reused for write payloads
+		payload []byte // reused for write payloads until a queue takes it
 	)
 	for {
 		s.armRead(h.conn)
@@ -404,69 +458,213 @@ func (h *connHandler) serve() CloseReason {
 		// waiting for an answer.
 		prefix, err := h.br.Peek(wire.PrefixSize)
 		if err != nil {
+			var ne net.Error
+			if len(prefix) == 0 && errors.As(err, &ne) && ne.Timeout() && !s.isClosing() && h.queued.Load() > 0 {
+				continue // not idle: a queued request is still being served
+			}
 			// A death after SOME header bytes — a truncated frame — is
 			// distinguishable from a death at the frame boundary.
-			h.dropBatch()
-			return s.readReason(err, len(prefix) > 0)
+			return h.finish(s.readReason(err, len(prefix) > 0))
 		}
 		if wire.CheckPrefix(prefix) != nil {
-			h.dropBatch()
-			return CloseProtocol
+			return h.finish(CloseProtocol)
 		}
 		if _, err := io.ReadFull(h.br, scratch[:]); err != nil {
-			h.dropBatch()
-			return CloseMidFrame
+			return h.finish(CloseMidFrame)
 		}
 		hd, err := wire.ParseHeader(scratch[:])
 		if err != nil {
-			h.dropBatch()
-			return CloseProtocol
+			return h.finish(CloseProtocol)
 		}
 		if payload, err = wire.ReadPayload(h.br, hd, payload); err != nil {
 			// The header arrived but its payload did not: mid-frame by
 			// definition, whatever the underlying error.
-			h.dropBatch()
-			return CloseMidFrame
+			return h.finish(CloseMidFrame)
 		}
-		h.dispatch(hd, payload)
-		if h.batch.Len() >= maxCoalesce || !h.nextRequestBuffered() {
-			if err := h.flushBatch(); err != nil {
-				return CloseWrite
-			}
+		h.pipelined = h.pipelined || h.nextRequestBuffered()
+		payload = h.route(hd, payload)
+		more := h.nextRequestBuffered()
+		h.mu.Lock()
+		h.held = more && h.out.batch.Len() < maxCoalesce
+		if !h.held {
+			h.flushLocked()
+		}
+		dead := h.werr != nil
+		h.mu.Unlock()
+		if dead {
+			return h.finish(CloseWrite)
 		}
 		if s.isClosing() {
-			if err := h.flushBatch(); err != nil {
-				return CloseWrite
-			}
-			return CloseShutdown
+			return h.finish(CloseShutdown)
 		}
 	}
 }
 
-// dispatch is the one request dispatcher: it maps (Op, Flags) onto the
-// engine's read, write and close bodies — the flags choose the mode,
-// never a different entry point — and stages the response into the
-// batch. Buffers queued for the wire move to h.release and are
-// released after the flush syscall.
-func (h *connHandler) dispatch(hd wire.Header, payload []byte) {
+// finish ends the loop: it waits for every queue to drain, flushes
+// what is left, and reports why the connection closes (a failed write
+// outranks the loop's reason).
+func (h *connHandler) finish(reason CloseReason) CloseReason {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.held = false
+	h.flushLocked()
+	for len(h.files) > 0 {
+		h.idle.Wait()
+	}
+	h.flushLocked()
+	if h.werr != nil {
+		return CloseWrite
+	}
+	return reason
+}
+
+// route serves a request on the loop or queues it behind its file. A
+// file with a queue takes all of its requests until the queue drains,
+// and a request that may wait starts one — unless it is a client's
+// own on a connection that has never pipelined: the loop would only
+// wait for the client's next request, so it waits on this one instead
+// and spares the hand-off. A peer's request that may wait is always
+// queued: another node may be waiting on this connection's loop (an
+// owner's push to its R=2 successor rides the same connection as that
+// successor's forwards), and two such loops waiting on each other
+// hold until the peer call timeout. It returns the payload buffer for
+// the loop's next request: the same one, or nil if a queue took it.
+func (h *connHandler) route(hd wire.Header, payload []byte) []byte {
+	f := blockdev.FileID(hd.File)
+	named := hd.Op == wire.OpRead || hd.Op == wire.OpWrite || hd.Op == wire.OpClose
+	if named && h.queued.Load() > 0 {
+		h.pipelined = true
+		h.mu.Lock()
+		if q := h.files[f]; q != nil {
+			q.reqs = append(q.reqs, queuedReq{hd, payload})
+			h.mu.Unlock()
+			return nil
+		}
+		h.mu.Unlock()
+	}
+	if !named || (!h.pipelined && hd.Flags&wire.FlagPeer == 0) || !h.s.mayWait(hd) {
+		h.bufs = h.dispatch(h.bufs, hd, payload, false)
+		return payload
+	}
+	// Only the loop creates queues, so f has none.
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for len(h.files) >= maxCoalesce {
+		h.held = false
+		h.flushLocked()
+		h.idle.Wait()
+	}
+	q := &fileQueue{f: f, reqs: []queuedReq{{hd, payload}}}
+	h.files[f] = q
+	h.queued.Add(1)
+	go h.drain(q)
+	return nil
+}
+
+// drain serves q's requests in order until it is empty, then retires
+// it.
+func (h *connHandler) drain(q *fileQueue) {
+	var bufs []*blockbuf.Buf
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	for len(q.reqs) > 0 {
+		r := q.reqs[0]
+		h.mu.Unlock()
+		bufs = h.dispatch(bufs, r.hd, r.payload, true)
+		h.mu.Lock()
+		q.reqs = append(q.reqs[:0], q.reqs[1:]...)
+	}
+	delete(h.files, q.f)
+	h.queued.Add(-1)
+	h.idle.Broadcast()
+}
+
+// mayWait reports whether serving hd may wait on a store read or on
+// another node: a read of a block not cached here, a forwarded write
+// or close, or a write that pushes its R=2 copy. It only places the
+// request: a block evicted after the check is read on the loop.
+func (s *Server) mayWait(hd wire.Header) bool {
+	m, ok := modeOf(hd.Flags)
+	if !ok || !hd.Flags.Known() {
+		return false
+	}
+	e, f := s.e, blockdev.FileID(hd.File)
+	switch hd.Op {
+	case wire.OpRead:
+		for i := int32(0); i < hd.Size && hd.Offset >= 0; i++ {
+			if !e.cache.Contains(blockdev.BlockID{File: f, Block: blockdev.BlockNo(hd.Offset + i)}) {
+				return true
+			}
+		}
+	case wire.OpWrite:
+		return e.remote != nil && m != modeReplica && (e.remote.Replicates() || m == modeClient && !e.remote.Owned(f))
+	case wire.OpClose:
+		return m == modeClient && e.remote != nil && !e.remote.Owned(f)
+	}
+	return false
+}
+
+// modeOf maps a request's FlagPeer and FlagReplica bits to the mode
+// the engine serves it in; FlagReplica alone is not a mode.
+func modeOf(fl wire.Flags) (reqMode, bool) {
+	switch fl & (wire.FlagPeer | wire.FlagReplica) {
+	case wire.FlagPeer:
+		return modePeer, true
+	case wire.FlagPeer | wire.FlagReplica:
+		return modeReplica, true
+	case wire.FlagReplica:
+		return 0, false
+	}
+	return modeClient, true
+}
+
+// dispatch serves one request and queues its response. Buffers queued
+// for the wire move to the batch's release list, released after the
+// flush syscall. A queued request flushes its response unless the
+// loop holds the batch; the loop flushes its own. bufs is the caller's
+// reused gather slice, returned empty.
+func (h *connHandler) dispatch(bufs []*blockbuf.Buf, hd wire.Header, payload []byte, queued bool) []*blockbuf.Buf {
+	out, body, bufs := h.exec(bufs[:0], hd, payload)
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if len(bufs) > 0 {
+		h.out.batch.AppendHeader(out)
+		for _, buf := range bufs {
+			h.out.batch.AppendPayload(buf.Bytes())
+			h.out.release = append(h.out.release, buf)
+		}
+	} else {
+		// AppendFrame only fails past MaxPayload; error messages and
+		// the JSON bodies are far below it.
+		h.out.batch.AppendFrame(out, body) //nolint:errcheck
+	}
+	if h.werr != nil || (queued && !h.held) {
+		h.flushLocked()
+	}
+	return bufs[:0]
+}
+
+// exec is the one request body: it maps (Op, Flags) onto the engine's
+// read, write and close bodies — the flags choose the mode, never a
+// different entry point — and returns the response header and either
+// its payload (an error message or a rare op's JSON document) or, for
+// a read that wants data, one retained buffer per block for the
+// caller.
+func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte) (wire.Header, []byte, []*blockbuf.Buf) {
 	s := h.s
+	refuse := func(msg string) (wire.Header, []byte, []*blockbuf.Buf) {
+		return wire.Header{Op: hd.Op, Seq: hd.Seq}, []byte(msg), bufs[:0]
+	}
 	// Version-skew guard: a structurally sound frame whose op or flags
 	// this build does not define gets an error frame, not a dropped
 	// connection — the payload has already been consumed, so the stream
 	// stays framed and the client can fall back.
 	if !hd.Op.Known() || !hd.Flags.Known() {
-		h.queueError(hd, fmt.Sprintf("unsupported op %s flags %#x", hd.Op, uint8(hd.Flags)))
-		return
+		return refuse(fmt.Sprintf("unsupported op %s flags %#x", hd.Op, uint8(hd.Flags)))
 	}
-	m := modeClient
-	switch hd.Flags & (wire.FlagPeer | wire.FlagReplica) {
-	case wire.FlagPeer:
-		m = modePeer
-	case wire.FlagPeer | wire.FlagReplica:
-		m = modeReplica
-	case wire.FlagReplica:
-		h.queueError(hd, "FlagReplica requires FlagPeer")
-		return
+	m, ok := modeOf(hd.Flags)
+	if !ok {
+		return refuse("FlagReplica requires FlagPeer")
 	}
 	f, off := blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset)
 	flags := wire.FlagOK
@@ -477,34 +675,27 @@ func (h *connHandler) dispatch(hd wire.Header, payload []byte) {
 		want := hd.Flags&wire.FlagWantData != 0
 		total := int64(hd.Size) * int64(s.e.BlockSize())
 		if want && (total <= 0 || total > wire.MaxDataBytes) {
-			h.queueError(hd, fmt.Sprintf("read of %d blocks exceeds the %d-byte payload cap", hd.Size, wire.MaxDataBytes))
-			return
+			return refuse(fmt.Sprintf("read of %d blocks exceeds the %d-byte payload cap", hd.Size, wire.MaxDataBytes))
 		}
-		bufs, hit, err := s.e.read(h.bufs[:0], f, off, hd.Size, m)
-		h.bufs = bufs[:0]
-		if err != nil {
-			h.queueError(hd, err.Error())
-			return
+		var (
+			hit bool
+			err error
+		)
+		if bufs, hit, err = s.e.read(bufs, f, off, hd.Size, m); err != nil {
+			return refuse(err.Error())
 		}
 		if hit {
 			flags |= wire.FlagHit
 		}
 		out := wire.Header{Op: hd.Op, Flags: flags, Seq: hd.Seq}
-		if want {
-			out.PayloadLen = uint32(total)
-		}
-		h.batch.AppendHeader(out)
-		for _, buf := range bufs {
-			if want {
-				// Ownership of the retained buffer moves to h.release;
-				// the bytes stay pinned until the flush syscall returns.
-				h.batch.AppendPayload(buf.Bytes())
-				h.release = append(h.release, buf)
-			} else {
+		if !want {
+			for _, buf := range bufs {
 				buf.Release()
 			}
+			return out, nil, bufs[:0]
 		}
-		return
+		out.PayloadLen = uint32(total)
+		return out, nil, bufs
 
 	case wire.OpWrite:
 		var data []byte
@@ -513,8 +704,7 @@ func (h *connHandler) dispatch(hd wire.Header, payload []byte) {
 		}
 		replicated, err := s.e.write(f, off, hd.Size, data, m)
 		if err != nil {
-			h.queueError(hd, err.Error())
-			return
+			return refuse(err.Error())
 		}
 		if replicated {
 			flags |= wire.FlagReplicated
@@ -536,8 +726,7 @@ func (h *connHandler) dispatch(hd wire.Header, payload []byte) {
 
 	case wire.OpOwner:
 		if s.Cluster == nil {
-			h.queueError(hd, "server is not clustered")
-			return
+			return refuse("server is not clustered")
 		}
 		addr, self := s.Cluster.OwnerOf(f)
 		doc = ownerPayload{Owner: addr, Self: self}
@@ -545,18 +734,15 @@ func (h *connHandler) dispatch(hd wire.Header, payload []byte) {
 	default:
 		// Unreachable while Known() covers every case above; kept so
 		// a future op added to wire but not here fails cleanly.
-		h.queueError(hd, fmt.Sprintf("unsupported op %s", hd.Op))
-		return
+		return refuse(fmt.Sprintf("unsupported op %s", hd.Op))
 	}
 
 	var body []byte
 	if doc != nil {
 		var err error
 		if body, err = json.Marshal(doc); err != nil {
-			h.queueError(hd, fmt.Sprintf("encode %s: %v", hd.Op, err))
-			return
+			return refuse(fmt.Sprintf("encode %s: %v", hd.Op, err))
 		}
 	}
-	// AppendFrame only fails past MaxPayload; these bodies are far below.
-	h.batch.AppendFrame(wire.Header{Op: hd.Op, Flags: flags, Seq: hd.Seq}, body) //nolint:errcheck
+	return wire.Header{Op: hd.Op, Flags: flags, Seq: hd.Seq}, body, bufs
 }

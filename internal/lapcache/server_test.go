@@ -355,3 +355,125 @@ func TestServerDispatchMatrix(t *testing.T) {
 		})
 	}
 }
+
+// pipeline writes frames to c in one call, so the server's loop finds
+// each next request already buffered.
+func pipeline(t *testing.T, c *rawConn, frames ...wire.Header) {
+	t.Helper()
+	var reqs bytes.Buffer
+	for _, h := range frames {
+		var payload []byte
+		if h.Op == wire.OpWrite {
+			payload = bytes.Repeat([]byte{byte(h.Seq)}, int(h.PayloadLen))
+		}
+		if err := wire.WriteFrame(&reqs, h, payload); err != nil {
+			t.Fatalf("build pipeline: %v", err)
+		}
+	}
+	if _, err := c.Write(reqs.Bytes()); err != nil {
+		t.Fatalf("send pipeline: %v", err)
+	}
+}
+
+// TestServerMissHoldsUpOnlyItsFile: a miss parked in the store holds up
+// neither the connection's read loop nor other files' requests. Hits of
+// other files pipelined behind it all come back while it is parked; a
+// request of its own file waits its turn behind it.
+func TestServerMissHoldsUpOnlyItsFile(t *testing.T) {
+	const (
+		blockSize = 256
+		hits      = 16
+	)
+	gate := newGateStore(NewMemStore(blockSize, 0), 0)
+	srv, addr := startTestServer(t, Config{
+		Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 64, Store: gate,
+	}, nil)
+	t.Cleanup(gate.Release) // runs before the server's Close, which waits on the store
+	for i := 0; i < hits; i++ {
+		srv.e.Preload(blockdev.FileID(10+i), 0, 1, false)
+	}
+	c := dialRaw(t, addr)
+	read := func(seq uint32, f int32) wire.Header {
+		return wire.Header{Op: wire.OpRead, Flags: wire.FlagWantData, Seq: seq, File: f, Size: 1}
+	}
+	frames := []wire.Header{read(1, 1)}
+	for i := 0; i < hits; i++ {
+		frames = append(frames, read(uint32(2+i), int32(10+i)))
+	}
+	frames = append(frames, read(hits+2, 1))
+	pipeline(t, c, frames...)
+	<-gate.started
+
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for i := 0; i < hits; i++ {
+		h, payload := c.recv(t, uint32(2+i))
+		if h.Flags&wire.FlagHit == 0 {
+			t.Fatalf("seq %d: not a hit", h.Seq)
+		}
+		checkPattern(t, payload, blockSize, blockdev.FileID(10+i), 0, 1)
+	}
+	gate.Release()
+	for _, seq := range []uint32{1, hits + 2} {
+		_, payload := c.recv(t, seq)
+		checkPattern(t, payload, blockSize, 1, 0, 1)
+	}
+}
+
+// TestServerFileOrder: the requests of one file keep their order when
+// the first of them waits. A write and a read of one block, pipelined
+// behind a parked miss of the same file, answer after it and in order,
+// and the read returns the written bytes.
+func TestServerFileOrder(t *testing.T) {
+	const blockSize = 256
+	gate := newGateStore(NewMemStore(blockSize, 0), 0)
+	_, addr := startTestServer(t, Config{
+		Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 64, Store: gate,
+	}, nil)
+	t.Cleanup(gate.Release) // runs before the server's Close, which waits on the store
+	c := dialRaw(t, addr)
+	pipeline(t, c,
+		wire.Header{Op: wire.OpRead, Flags: wire.FlagWantData, Seq: 1, File: 1, Size: 1},
+		wire.Header{Op: wire.OpWrite, Seq: 2, File: 1, Offset: 5, Size: 1, PayloadLen: blockSize},
+		wire.Header{Op: wire.OpRead, Flags: wire.FlagWantData, Seq: 3, File: 1, Offset: 5, Size: 1},
+	)
+	<-gate.started
+	c.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	if _, err := c.br.Peek(1); err == nil {
+		t.Fatal("a response overtook the parked miss of its file")
+	}
+	gate.Release()
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	c.recv(t, 1)
+	if h, _ := c.recv(t, 2); h.Flags&wire.FlagOK == 0 {
+		t.Fatal("write refused")
+	}
+	if _, payload := c.recv(t, 3); !bytes.Equal(payload, bytes.Repeat([]byte{2}, blockSize)) {
+		t.Fatal("the read did not return the bytes written before it")
+	}
+}
+
+// TestServerQueuedRequestIsNotIdle: a connection whose request waits
+// in its file's queue past IdleTimeout is busy, not idle, and keeps
+// serving other files meanwhile.
+func TestServerQueuedRequestIsNotIdle(t *testing.T) {
+	const blockSize = 256
+	gate := newGateStore(NewMemStore(blockSize, 0), 0)
+	srv, addr := startTestServer(t, Config{
+		Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 64, Store: gate,
+	}, func(s *Server) { s.IdleTimeout = 50 * time.Millisecond })
+	t.Cleanup(gate.Release)
+	srv.e.Preload(2, 0, 1, false)
+	c := dialRaw(t, addr)
+	read := func(seq uint32, f int32) wire.Header {
+		return wire.Header{Op: wire.OpRead, Flags: wire.FlagWantData, Seq: seq, File: f, Size: 1}
+	}
+	pipeline(t, c, read(1, 1), read(2, 2))
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	c.recv(t, 2)
+	<-gate.started
+	time.Sleep(150 * time.Millisecond) // three idle timeouts, the miss still parked
+	c.do(t, read(3, 2), nil)
+	gate.Release()
+	_, payload := c.recv(t, 1)
+	checkPattern(t, payload, blockSize, 1, 0, 1)
+}

@@ -68,10 +68,11 @@ func (s *MemStore) ReadBlock(b blockdev.BlockID, buf []byte) error {
 	if s.latency > 0 {
 		time.Sleep(s.latency)
 	}
+	// The copy stays under the read lock: WriteBlock overwrites a
+	// stored block in place.
 	s.mu.RLock()
-	data, ok := s.blocks[b]
-	s.mu.RUnlock()
-	if ok {
+	defer s.mu.RUnlock()
+	if data, ok := s.blocks[b]; ok {
 		copy(buf, data)
 		return nil
 	}
@@ -91,12 +92,16 @@ func (s *MemStore) Has(b blockdev.BlockID) bool {
 	return ok
 }
 
-// WriteBlock implements BackingStore.
+// WriteBlock implements BackingStore. An overwrite copies into the
+// block already stored and allocates nothing.
 func (s *MemStore) WriteBlock(b blockdev.BlockID, data []byte) error {
-	cp := make([]byte, s.blockSize)
-	copy(cp, data)
 	s.mu.Lock()
-	s.blocks[b] = cp
+	blk, ok := s.blocks[b]
+	if !ok {
+		blk = make([]byte, s.blockSize)
+		s.blocks[b] = blk
+	}
+	clear(blk[copy(blk, data):])
 	s.mu.Unlock()
 	return nil
 }

@@ -267,7 +267,7 @@ func TestTornFlushSeversConn(t *testing.T) {
 	})
 
 	t.Run("pool", func(t *testing.T) {
-		p, err := DialPoolWith(addr, 2, 8, labelConns(tearAfter(t, 40)))
+		p, err := dialPool(addr, 2, 8, labelConns(tearAfter(t, 40)))
 		if err != nil {
 			t.Fatalf("dial pool: %v", err)
 		}

@@ -166,14 +166,9 @@ func (c *Conn) Info() PingInfo { return c.info }
 // as dead — it is severed, and every in-flight call fails with a
 // transport error. Zero (the default) waits forever.
 //
-// The cluster tier sets this on its peer pools. A server handler that
-// issues a nested peer RPC (forwarding a client write to the owner,
-// pushing the owner's R=2 copy to its successor) must never block
-// unboundedly: per-connection request handling is sequential, so a
-// cycle of handlers waiting on each other's pipelined connections can
-// deadlock the whole cluster when rings transiently disagree. The
-// timeout converts such a cycle into a transport error the cluster
-// already tolerates — the peer degrades and the health loop redials.
+// The cluster tier sets this on its peer connections, so a peer that
+// stops answering costs a transport error the cluster already
+// tolerates — the peer degrades and the health loop redials.
 func (c *Conn) SetCallTimeout(d time.Duration) { c.callTimeout.Store(int64(d)) }
 
 // Close tears the connection down; in-flight calls fail.

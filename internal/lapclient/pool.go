@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/wire"
 )
@@ -28,29 +27,21 @@ var ErrNoLiveConn = errors.New("lapclient: no live connection in pool")
 // ErrNoLiveConn, and its owner dials a new one.
 //
 // Safe for concurrent use — the replayer shares one Pool across every
-// process goroutine, and the cluster layer keeps one per peer.
+// process goroutine.
 type Pool struct {
 	conns []*Conn
 	next  atomic.Uint32
 }
 
-// SetCallTimeout bounds calls on every member connection. See
-// Conn.SetCallTimeout for semantics.
-func (p *Pool) SetCallTimeout(d time.Duration) {
-	for _, c := range p.conns {
-		c.SetCallTimeout(d)
-	}
-}
-
 // DialPool opens nconns connections (0 = 4) with the given
 // per-connection window (0 = DefaultWindow).
 func DialPool(addr string, nconns, window int) (*Pool, error) {
-	return DialPoolWith(addr, nconns, window, nil)
+	return dialPool(addr, nconns, window, nil)
 }
 
-// DialPoolWith is DialPool with a connection interposer applied to
-// every member connection (nil = none).
-func DialPoolWith(addr string, nconns, window int, wrap ConnWrap) (*Pool, error) {
+// dialPool is DialPool with a connection interposer applied to every
+// member connection (nil = none).
+func dialPool(addr string, nconns, window int, wrap ConnWrap) (*Pool, error) {
 	if nconns <= 0 {
 		nconns = 4
 	}
@@ -65,9 +56,6 @@ func DialPoolWith(addr string, nconns, window int, wrap ConnWrap) (*Pool, error)
 	}
 	return p, nil
 }
-
-// Size returns the number of connection slots.
-func (p *Pool) Size() int { return len(p.conns) }
 
 // Info returns the server self-description from the handshake.
 func (p *Pool) Info() PingInfo { return p.conns[0].Info() }
@@ -109,12 +97,10 @@ func (p *Pool) pick() (*Conn, error) {
 
 // retriable reports an error worth re-issuing on another connection: a
 // transport failure, where the server never answered. A refusal is
-// final, and so is a call timeout (ErrDeadline): waiting it out again
-// on every other slot would multiply the stall SetCallTimeout exists
-// to bound.
+// final.
 func retriable(err error) bool {
 	var se *ServerError
-	return !errors.As(err, &se) && !errors.Is(err, ErrDeadline)
+	return !errors.As(err, &se)
 }
 
 // Do runs one exchange on a picked connection (see Conn.Do),

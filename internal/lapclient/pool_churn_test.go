@@ -70,7 +70,7 @@ func TestPoolChurnNoLostRequests(t *testing.T) {
 			}
 			return true
 		}
-		for i := 0; i < p.Size()-1; i++ {
+		for i := 0; i < len(p.conns)-1; i++ {
 			next := done.Load() + churnEvery
 			if !poll(func() bool { return done.Load() >= next }) {
 				return
@@ -114,7 +114,7 @@ func TestPoolChurnNoLostRequests(t *testing.T) {
 		t.Fatalf("completed %d of %d requests (%d failed) across %d churns",
 			got, workers*perWorker, failed.Load(), churns.Load())
 	}
-	if got, want := churns.Load(), int32(p.Size()-1); got != want {
+	if got, want := churns.Load(), int32(len(p.conns)-1); got != want {
 		t.Fatalf("churner closed %d connections, want %d — the test exercised too little", got, want)
 	}
 	if live := p.Live(); live != 1 {
