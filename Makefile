@@ -86,8 +86,9 @@ test:
 # Every suite under the race detector, once: the runtime engine and its
 # linearity stress, the wire hot path (coalescing latch, sharded accept,
 # torn vectored write), the cooperative tier's 3-node CHARISMA replay,
-# the fault-injection and chaos harnesses, the pool-churn
-# no-lost-request regression with its server-side audit, and the
+# the fault-injection and chaos harnesses, the connection-churn
+# no-lost-request regression (a shared Conn closed mid-load, its
+# callers redialing) with its server-side audit, and the
 # cross-predictor conformance suite over every core.NamedAlgorithms
 # entry.
 race:

@@ -69,22 +69,22 @@ func runChurnDemo() error {
 
 	// Phase 1 — populate through node 0. Every write should come back
 	// FlagReplicated: owner plus ring successor both installed it.
-	pool0, err := lapclient.DialPool(nodes[0].Addr, 2, 0)
+	conn0, err := lapclient.DialConn(nodes[0].Addr, 0)
 	if err != nil {
 		return err
 	}
 	replicated := 0
 	for f := 0; f < nFiles; f++ {
-		rh, _, err := pool0.Do(lapclient.Req(wire.OpWrite, 0, blockdev.FileID(f), 0, blocksPer), nil, nil)
+		rh, _, err := conn0.Do(lapclient.Req(wire.OpWrite, 0, blockdev.FileID(f), 0, blocksPer), nil, nil)
 		if err != nil {
-			pool0.Close()
+			conn0.Close()
 			return fmt.Errorf("populate file %d: %w", f, err)
 		}
 		if rh.Flags&wire.FlagReplicated != 0 {
 			replicated++
 		}
 	}
-	pool0.Close()
+	conn0.Close()
 	fmt.Printf("write:   %d files x %d blocks through %s; %d/%d acked replicated (owner + successor)\n",
 		nFiles, blocksPer, nodes[0].Addr, replicated, nFiles)
 	if replicated == 0 {
@@ -130,19 +130,19 @@ func runChurnDemo() error {
 	// Phase 3 — read every file the dead node owned, via a survivor.
 	// The moved arcs land on each file's old ring successor: exactly
 	// where the R=2 copies already sit, so these are memory hits.
-	poolS, err := lapclient.DialPool(nodes[survivor].Addr, 2, 0)
+	connS, err := lapclient.DialConn(nodes[survivor].Addr, 0)
 	if err != nil {
 		return err
 	}
 	t0 := time.Now()
 	for _, f := range victimFiles {
-		if _, _, err := poolS.Do(lapclient.Req(wire.OpRead, wire.FlagWantData, f, 0, blocksPer), nil, nil); err != nil {
-			poolS.Close()
+		if _, _, err := connS.Do(lapclient.Req(wire.OpRead, wire.FlagWantData, f, 0, blocksPer), nil, nil); err != nil {
+			connS.Close()
 			return fmt.Errorf("read file %d after kill: %w", f, err)
 		}
 	}
 	perRead := time.Since(t0) / time.Duration(len(victimFiles))
-	poolS.Close()
+	connS.Close()
 	fmt.Printf("reads:   %d dead-owner files served in %v/read — replica memory, vs the %v disk read without R=2\n",
 		len(victimFiles), perRead.Round(10*time.Microsecond), diskLatency)
 	if perRead >= diskLatency {

@@ -189,7 +189,6 @@ func main() {
 	srv.IdleTimeout = *idleTimeout
 	srv.Shards = *shards
 	if node != nil {
-		srv.Cluster = node
 		node.SetLocal(engine)
 		if err := node.Start(); err != nil {
 			log.Fatalf("cluster: %v", err)

@@ -7,11 +7,11 @@
 //	lapget -addr HOST:PORT -stats                       server counters
 //	lapget -addr HOST:PORT -replay trace.txt            replay a trace
 //
-// A replay drives one goroutine per traced process over a shared pool
-// of pipelined connections (tune with -conns and -window) and then
-// prints the client-side hit ratio next to the server's
-// prefetch-timeliness counters — the live analogue of the simulator's
-// experiment report.
+// A replay drives one goroutine per traced process over one shared
+// pipelined connection, whose window is the trace's process count (a
+// traced process has at most one request in flight), and then prints
+// the client-side hit ratio next to the server's prefetch-timeliness
+// counters — the live analogue of the simulator's experiment report.
 package main
 
 import (
@@ -37,8 +37,6 @@ func main() {
 		stats      = flag.Bool("stats", false, "print the server's counter snapshot as JSON")
 		replay     = flag.String("replay", "", "replay this trace file through the server")
 		thinkScale = flag.Float64("think-scale", 0, "multiply trace think times by this (0 = no thinking)")
-		conns      = flag.Int("conns", 0, "connection pool size for -replay (0 = min(8, procs))")
-		window     = flag.Int("window", 0, "per-connection in-flight window for -replay (0 = default)")
 	)
 	flag.Parse()
 
@@ -63,11 +61,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("parse trace %s: %v", *replay, err)
 		}
-		res, err := lapclient.ReplayTrace(*addr, tr, lapclient.ReplayOptions{
-			ThinkScale: *thinkScale,
-			Conns:      *conns,
-			Window:     *window,
-		})
+		res, err := lapclient.ReplayTrace([]string{*addr}, tr, lapclient.ReplayOptions{ThinkScale: *thinkScale})
 		if err != nil {
 			log.Fatalf("replay: %v", err)
 		}

@@ -25,57 +25,44 @@ const maxUnexpected = 16
 // error classification and data integrity, not per-op success).
 const stepAttempts = 3
 
-// nodeClient owns the client pool for one node, redialing it — within
-// a budget — whenever faults kill its connections. All the replay
-// processes sharded to that node go through it.
+// nodeClient owns the one client connection to a node, redialing it —
+// within a budget — whenever a fault kills it. All the replay
+// processes sharded to that node share it.
 type nodeClient struct {
 	addr   string
 	budget int
 
 	mu      sync.Mutex
-	pool    *lapclient.Pool
+	conn    *lapclient.Conn
 	redials int
 	closed  bool
 }
 
-// get returns a live pool, dialing a fresh one when every connection
-// of the current pool is dead.
-func (nc *nodeClient) get() (*lapclient.Pool, error) {
+// get returns a live connection, dialing a fresh one when the current
+// one is dead.
+func (nc *nodeClient) get() (*lapclient.Conn, error) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	if nc.closed {
 		return nil, errors.New("chaos: client closed")
 	}
-	if nc.pool != nil && nc.pool.Live() > 0 {
-		return nc.pool, nil
+	if nc.conn != nil && !nc.conn.Dead() {
+		return nc.conn, nil
 	}
-	if nc.pool != nil {
-		nc.pool.Close()
-		nc.pool = nil
+	if nc.conn != nil {
+		nc.conn.Close()
+		nc.conn = nil
 	}
 	if nc.redials >= nc.budget {
 		return nil, fmt.Errorf("chaos: redial budget (%d) spent for %s", nc.budget, nc.addr)
 	}
 	nc.redials++
-	p, err := lapclient.DialPool(nc.addr, 2, 0)
+	c, err := lapclient.DialConn(nc.addr, 0)
 	if err != nil {
 		return nil, err
 	}
-	nc.pool = p
-	return p, nil
-}
-
-// drop retires a pool a caller saw fail, if it is still the current
-// one (a racing goroutine may already have redialed).
-func (nc *nodeClient) drop(p *lapclient.Pool) {
-	nc.mu.Lock()
-	if nc.pool == p {
-		nc.pool = nil
-		nc.mu.Unlock()
-		p.Close()
-		return
-	}
-	nc.mu.Unlock()
+	nc.conn = c
+	return c, nil
 }
 
 // close tears the client down; in-flight callers fail fast.
@@ -83,9 +70,9 @@ func (nc *nodeClient) close() int {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	nc.closed = true
-	if nc.pool != nil {
-		nc.pool.Close()
-		nc.pool = nil
+	if nc.conn != nil {
+		nc.conn.Close()
+		nc.conn = nil
 	}
 	return nc.redials
 }
@@ -230,21 +217,20 @@ func (r *replayer) step(nc *nodeClient, s workload.Step) {
 	r.mu.Unlock()
 
 	for attempt := 0; attempt < stepAttempts; attempt++ {
-		pool, err := nc.get()
+		conn, err := nc.get()
 		if err != nil {
 			r.classify(err, "dial "+nc.addr)
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
-		err = r.issue(pool, s)
+		err = r.issue(conn, s)
 		if err == nil {
 			return
 		}
-		done := r.classify(err, fmt.Sprintf("%s f%d @%d+%d on %s", s.Kind, s.File, s.Offset, s.Size, nc.addr))
-		if done {
+		// A transport error has killed conn, so the next get redials.
+		if r.classify(err, fmt.Sprintf("%s f%d @%d+%d on %s", s.Kind, s.File, s.Offset, s.Size, nc.addr)) {
 			return
 		}
-		nc.drop(pool)
 	}
 }
 
@@ -281,13 +267,13 @@ func (r *replayer) classify(err error, context string) (done bool) {
 	return false
 }
 
-// issue performs one step against pool, verifying read data against
+// issue performs one step on conn, verifying read data against
 // the deterministic oracle.
-func (r *replayer) issue(pool *lapclient.Pool, s workload.Step) error {
+func (r *replayer) issue(conn *lapclient.Conn, s workload.Step) error {
 	span := blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, blockSize)
 	switch s.Kind {
 	case workload.OpRead:
-		rh, data, err := pool.Do(lapclient.Req(wire.OpRead, wire.FlagWantData, span.File, span.Start, span.Count), nil, nil)
+		rh, data, err := conn.Do(lapclient.Req(wire.OpRead, wire.FlagWantData, span.File, span.Start, span.Count), nil, nil)
 		if err != nil {
 			return err
 		}
@@ -312,7 +298,7 @@ func (r *replayer) issue(pool *lapclient.Pool, s workload.Step) error {
 		}
 		return nil
 	case workload.OpWrite:
-		rh, _, err := pool.Do(lapclient.Req(wire.OpWrite, 0, span.File, span.Start, span.Count), nil, nil)
+		rh, _, err := conn.Do(lapclient.Req(wire.OpWrite, 0, span.File, span.Start, span.Count), nil, nil)
 		if err != nil {
 			return err
 		}
@@ -326,7 +312,7 @@ func (r *replayer) issue(pool *lapclient.Pool, s workload.Step) error {
 		r.mu.Unlock()
 		return nil
 	default: // workload.OpClose
-		_, _, err := pool.Do(lapclient.Req(wire.OpClose, 0, s.File, 0, 0), nil, nil)
+		_, _, err := conn.Do(lapclient.Req(wire.OpClose, 0, s.File, 0, 0), nil, nil)
 		return err
 	}
 }

@@ -387,7 +387,7 @@ func clusterCharismaE2E(t *testing.T, tr *workload.Trace, alg core.AlgSpec) {
 		addrs[i] = m.Addr
 	}
 
-	res, err := lapclient.ReplayTraceMulti(addrs, tr, lapclient.ReplayOptions{})
+	res, err := lapclient.ReplayTrace(addrs, tr, lapclient.ReplayOptions{})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

@@ -335,7 +335,7 @@ func TestDynamicOwnershipMovesLinear(t *testing.T) {
 		}
 	}()
 
-	res, err := lapclient.ReplayTraceMulti(addrs, tr, lapclient.ReplayOptions{})
+	res, err := lapclient.ReplayTrace(addrs, tr, lapclient.ReplayOptions{})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}

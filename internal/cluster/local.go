@@ -150,7 +150,6 @@ func (m *LocalNode) boot(ln net.Listener) error {
 	// loops start: the first ring move must already re-probe drivers.
 	node.SetLocal(eng)
 	srv := lapcache.NewServer(eng)
-	srv.Cluster = node
 	if m.opts.TweakServer != nil {
 		m.opts.TweakServer(m.Index, srv)
 	}

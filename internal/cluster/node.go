@@ -132,9 +132,8 @@ type LocalEngine interface {
 }
 
 // Node wires one lapcached process into the peer group. It implements
-// lapcache.RemoteFetcher (the engine's forward path) and
-// lapcache.ClusterInfo (the server's membership view); the two
-// interfaces are how the engine stays free of any cluster import.
+// lapcache.RemoteFetcher (the engine's forward path), the one interface
+// through which the engine stays free of any cluster import.
 //
 // Each peer gets one pipelined binary connection and a health
 // goroutine: dial with exponential backoff while down, periodic pings
@@ -698,18 +697,19 @@ func (n *Node) ForwardClose(f blockdev.FileID) (bool, error) {
 	return ok, err
 }
 
-// --- lapcache.ClusterInfo ---
+// --- membership view ---
 
-// Self implements lapcache.ClusterInfo.
+// Self returns this node's advertise address.
 func (n *Node) Self() string { return n.self }
 
-// OwnerOf implements lapcache.ClusterInfo.
+// OwnerOf returns the advertise address of f's ring owner and whether
+// that owner is this node.
 func (n *Node) OwnerOf(f blockdev.FileID) (string, bool) {
 	owner := n.ring().Owner(f)
 	return owner, owner == n.self
 }
 
-// MemberAddrs implements lapcache.ClusterInfo.
+// MemberAddrs returns every ring member's advertise address, sorted.
 func (n *Node) MemberAddrs() []string { return n.ring().Members() }
 
 // OwnersOf returns the first k distinct ring members for f — owner

@@ -72,17 +72,3 @@ type RemoteFetcher interface {
 	// Best-effort: a down owner has no chain to park.
 	ForwardClose(f blockdev.FileID) (ok bool, err error)
 }
-
-// ClusterInfo is the server's read-only view of cluster membership,
-// behind the "owner" wire ops and the ping self-description. nil on a
-// single-node server.
-type ClusterInfo interface {
-	// Self returns this node's advertise address.
-	Self() string
-	// OwnerOf returns the advertise address of f's ring owner and
-	// whether that owner is this node.
-	OwnerOf(f blockdev.FileID) (addr string, self bool)
-	// MemberAddrs returns every ring member's advertise address,
-	// sorted.
-	MemberAddrs() []string
-}

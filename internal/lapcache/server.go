@@ -32,16 +32,6 @@ import (
 type pingPayload struct {
 	Alg       string `json:"alg"`
 	BlockSize int    `json:"block_size"`
-	// Self and Members describe cluster membership on a clustered
-	// server; absent on a single node.
-	Self    string   `json:"self,omitempty"`
-	Members []string `json:"members,omitempty"`
-}
-
-// ownerPayload is the JSON document answering an ownership query.
-type ownerPayload struct {
-	Owner string `json:"owner"`
-	Self  bool   `json:"self"`
 }
 
 // CloseReason classifies why one connection's serve loop ended. The
@@ -77,12 +67,6 @@ const (
 // Server fronts an Engine over TCP.
 type Server struct {
 	e *Engine
-
-	// Cluster, when non-nil, exposes ring membership through the
-	// "owner" op and lets peers address this node as part of a
-	// cooperative cache. nil on a single-node server, which answers
-	// ownership queries with an error.
-	Cluster ClusterInfo
 
 	// Shards is the number of accept goroutines on the shared listener
 	// (lapcached -shards; 0 or 1: one). They share one connection
@@ -714,22 +698,10 @@ func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte)
 		s.e.closeFile(f, m)
 
 	case wire.OpPing:
-		pp := pingPayload{Alg: s.e.AlgName(), BlockSize: s.e.BlockSize()}
-		if s.Cluster != nil {
-			pp.Self = s.Cluster.Self()
-			pp.Members = s.Cluster.MemberAddrs()
-		}
-		doc = pp
+		doc = pingPayload{Alg: s.e.AlgName(), BlockSize: s.e.BlockSize()}
 
 	case wire.OpStats:
 		doc = s.e.Snapshot()
-
-	case wire.OpOwner:
-		if s.Cluster == nil {
-			return refuse("server is not clustered")
-		}
-		addr, self := s.Cluster.OwnerOf(f)
-		doc = ownerPayload{Owner: addr, Self: self}
 
 	default:
 		// Unreachable while Known() covers every case above; kept so

@@ -50,14 +50,13 @@ func startServerEngine(t *testing.T, cfg lapcache.Config) (*lapcache.Engine, *la
 	return e, srv, ln.Addr().String()
 }
 
-// read runs one read exchange on a Conn or a Pool; data is nil unless
-// wantData.
-func read(x Exchanger, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, wantData bool) (data []byte, hit bool, err error) {
+// read runs one read exchange on c; data is nil unless wantData.
+func read(c *Conn, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, wantData bool) (data []byte, hit bool, err error) {
 	var flags wire.Flags
 	if wantData {
 		flags = wire.FlagWantData
 	}
-	rh, data, err := x.Do(Req(wire.OpRead, flags, f, off, nblocks), nil, nil)
+	rh, data, err := c.Do(Req(wire.OpRead, flags, f, off, nblocks), nil, nil)
 	return data, rh.Flags&wire.FlagHit != 0, err
 }
 
@@ -128,7 +127,7 @@ func TestReplayCharismaEndToEnd(t *testing.T) {
 		StrictLinear: true,
 	})
 
-	res, err := ReplayTrace(addr, tr, ReplayOptions{})
+	res, err := ReplayTrace([]string{addr}, tr, ReplayOptions{})
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -242,13 +241,16 @@ func TestProtocolNegotiationMatrix(t *testing.T) {
 		}
 		defer c.Close()
 
-		_, _, err = c.Do(wire.Header{Op: wire.Op(200)}, nil, nil)
+		// Op 6 is the retired ownership query: unknown like any future op.
 		var se *ServerError
-		if !errors.As(err, &se) {
-			t.Fatalf("future op: err = %v, want *ServerError", err)
-		}
-		if se.Op != wire.Op(200) {
-			t.Errorf("error frame echoes op %d, want 200", se.Op)
+		for _, op := range []wire.Op{6, 200} {
+			_, _, err = c.Do(wire.Header{Op: op}, nil, nil)
+			if !errors.As(err, &se) {
+				t.Fatalf("op %d: err = %v, want *ServerError", op, err)
+			}
+			if se.Op != op {
+				t.Errorf("error frame echoes op %d, want %d", se.Op, op)
+			}
 		}
 
 		_, _, err = c.Do(wire.Header{Op: wire.OpPing, Flags: wire.Flags(0x80)}, nil, nil)
@@ -262,9 +264,9 @@ func TestProtocolNegotiationMatrix(t *testing.T) {
 		}
 	})
 
-	// Cluster ops against a single-node (non-clustered) server: the
-	// ownership query is refused cleanly, and a peer-flagged read is
-	// served locally — both without disturbing the connection.
+	// Cluster ops against a single-node (non-clustered) server: a
+	// peer-flagged write and read are served locally, without
+	// disturbing the connection.
 	t.Run("cluster-ops-vs-unclustered-server", func(t *testing.T) {
 		addr := startServer(t, cfg)
 		c, err := DialConn(addr, 0)
@@ -272,12 +274,6 @@ func TestProtocolNegotiationMatrix(t *testing.T) {
 			t.Fatalf("binary dial: %v", err)
 		}
 		defer c.Close()
-
-		_, _, err = Owner(c, 3)
-		var se *ServerError
-		if !errors.As(err, &se) {
-			t.Fatalf("owner query: err = %v, want *ServerError", err)
-		}
 
 		if _, _, err := c.Do(Req(wire.OpWrite, wire.FlagPeer, 3, 0, 1), nil, nil); err != nil {
 			t.Fatalf("peer write: %v", err)
@@ -299,63 +295,6 @@ func TestProtocolNegotiationMatrix(t *testing.T) {
 			t.Fatalf("peer close: %v", err)
 		}
 	})
-}
-
-// TestPoolSkipsDeadConns kills connections out from under a pool and
-// asserts the round-robin routes around them: a pool degrades from N
-// connections to however many survive, and only errors with
-// ErrNoLiveConn once every peer connection is gone.
-func TestPoolSkipsDeadConns(t *testing.T) {
-	addr := startServer(t, lapcache.Config{
-		Alg: core.SpecNP, BlockSize: 128, CacheBlocks: 32,
-	})
-	p, err := DialPool(addr, 3, 0)
-	if err != nil {
-		t.Fatalf("dial pool: %v", err)
-	}
-	defer p.Close()
-	if _, _, err := p.Do(Req(wire.OpWrite, 0, 1, 0, 1), nil, nil); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-
-	// Tear down two of the three connections, as a dying peer would.
-	killConn := func(c *Conn) {
-		t.Helper()
-		c.Close()
-		waitFor(t, "connection to report dead", c.Dead)
-	}
-	killConn(p.conns[0])
-	killConn(p.conns[2])
-	if live := p.Live(); live != 1 {
-		t.Fatalf("Live() = %d after killing 2 of 3, want 1", live)
-	}
-
-	// Every pick must land on the one survivor, round-robin included.
-	for i := 0; i < 10; i++ {
-		if _, _, err := read(p, 1, 0, 1, false); err != nil {
-			t.Fatalf("read %d with 1 live conn: %v", i, err)
-		}
-	}
-
-	killConn(p.conns[1])
-	if _, _, err := read(p, 1, 0, 1, false); !errors.Is(err, ErrNoLiveConn) {
-		t.Fatalf("read with 0 live conns: err = %v, want ErrNoLiveConn", err)
-	}
-	if _, err := Stats(p); !errors.Is(err, ErrNoLiveConn) {
-		t.Fatalf("stats with 0 live conns: err = %v, want ErrNoLiveConn", err)
-	}
-}
-
-// waitFor polls cond until it holds or the deadline passes.
-func waitFor(t *testing.T, what string, cond func() bool) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out waiting for %s", what)
-		}
-		time.Sleep(time.Millisecond)
-	}
 }
 
 // TestBinaryConnDataIntegrity pushes real payloads through the framed

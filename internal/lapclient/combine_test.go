@@ -3,7 +3,6 @@ package lapclient
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -186,34 +185,27 @@ func TestCombinedFlushCombines(t *testing.T) {
 	})
 }
 
-// labelConns wraps the n-th dialed connection under the link label
-// "conn<n>", so a fault rule can single out one pool member.
-func labelConns(in *faultinject.Injector) ConnWrap {
-	var n atomic.Int32
-	return func(c net.Conn) net.Conn { return in.WrapConn(c, fmt.Sprintf("conn%d", n.Add(1)-1)) }
-}
-
-// tearAfter plans a torn write on conn0 after its first n writes: the
-// delay rule's 1 ns stall spends its budget on them (the handshake
-// included), then the partial rule sends half of the next one and
-// severs the connection.
-func tearAfter(t *testing.T, n int64) *faultinject.Injector {
+// tearAfter wraps a connection so that its write after the first n is
+// torn: the delay rule's 1 ns stall spends its budget on those (the
+// handshake included), then the partial rule sends half of the next
+// one and severs the connection.
+func tearAfter(t *testing.T, n int64) ConnWrap {
 	t.Helper()
 	in, err := faultinject.New(faultinject.Plan{Rules: []faultinject.Rule{
-		{Site: faultinject.SiteConnSend, Kind: faultinject.KindDelay, P: 1, Count: n, Delay: time.Nanosecond, Links: []string{"conn0"}},
-		{Site: faultinject.SiteConnSend, Kind: faultinject.KindPartial, P: 1, Count: 1, Links: []string{"conn0"}},
+		{Site: faultinject.SiteConnSend, Kind: faultinject.KindDelay, P: 1, Count: n, Delay: time.Nanosecond},
+		{Site: faultinject.SiteConnSend, Kind: faultinject.KindPartial, P: 1, Count: 1},
 	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return in
+	return func(c net.Conn) net.Conn { return in.WrapConn(c, "conn") }
 }
 
 // tornLoad is eight callers' mixed reads and writes of distinct blocks
-// through x. Every call must come back: nil with its own block's bytes,
+// through c. Every call must come back: nil with its own block's bytes,
 // or a transport error (never a *ServerError: the server never saw a
 // bad frame it could answer). It returns how many calls failed.
-func tornLoad(t *testing.T, x Exchanger, blockSize int) int64 {
+func tornLoad(t *testing.T, c *Conn, blockSize int) int64 {
 	var failed atomic.Int64
 	fanOut(t, 8, func(g int) {
 		f := blockdev.FileID(g + 1)
@@ -221,9 +213,9 @@ func tornLoad(t *testing.T, x Exchanger, blockSize int) int64 {
 		for i := 0; i < 50; i++ {
 			var err error
 			if i%4 == 3 {
-				_, _, err = x.Do(Req(wire.OpWrite, 0, f, blockdev.BlockNo(i), 1), writePayload(g, i, blockSize), nil)
+				_, _, err = c.Do(Req(wire.OpWrite, 0, f, blockdev.BlockNo(i), 1), writePayload(g, i, blockSize), nil)
 			} else {
-				_, _, err = x.Do(Req(wire.OpRead, wire.FlagWantData, f, blockdev.BlockNo(i), 1), nil, dst)
+				_, _, err = c.Do(Req(wire.OpRead, wire.FlagWantData, f, blockdev.BlockNo(i), 1), nil, dst)
 				if err == nil && !bytes.Equal(dst[0], fillBlock(f, blockdev.BlockNo(i), blockSize)) {
 					t.Errorf("caller %d read %d: another call's bytes", g, i)
 					return
@@ -244,8 +236,8 @@ func tornLoad(t *testing.T, x Exchanger, blockSize int) int64 {
 
 // TestTornFlushSeversConn: a write torn mid-batch must fail the
 // connection — every queued and in-flight call gets a transport error,
-// none hangs and none receives another call's bytes — and through a
-// two-connection Pool the same load completes on the survivor.
+// none hangs and none receives another call's bytes — and mark the
+// Conn dead, so its owner knows to redial.
 func TestTornFlushSeversConn(t *testing.T) {
 	const blockSize = 256
 	addr := startServer(t, lapcache.Config{
@@ -253,7 +245,7 @@ func TestTornFlushSeversConn(t *testing.T) {
 	})
 
 	t.Run("conn", func(t *testing.T) {
-		c, err := DialConnWith(addr, 8, labelConns(tearAfter(t, 40)))
+		c, err := DialConnWith(addr, 8, tearAfter(t, 40))
 		if err != nil {
 			t.Fatalf("dial: %v", err)
 		}
@@ -263,20 +255,6 @@ func TestTornFlushSeversConn(t *testing.T) {
 		}
 		if !c.Dead() {
 			t.Error("connection still live after a torn write")
-		}
-	})
-
-	t.Run("pool", func(t *testing.T) {
-		p, err := dialPool(addr, 2, 8, labelConns(tearAfter(t, 40)))
-		if err != nil {
-			t.Fatalf("dial pool: %v", err)
-		}
-		defer p.Close()
-		if failed := tornLoad(t, p, blockSize); failed != 0 {
-			t.Errorf("%d calls failed through the pool; the survivor should have carried them", failed)
-		}
-		if !p.conns[0].Dead() {
-			t.Error("conn0 was never torn")
 		}
 	})
 

@@ -257,7 +257,7 @@ func (c *Conn) fail(err error) {
 }
 
 // Dead reports that the connection's reader has exited — it can never
-// carry another request. Pools skip dead connections when picking.
+// carry another request, and its owner dials a new one.
 func (c *Conn) Dead() bool {
 	select {
 	case <-c.dead:

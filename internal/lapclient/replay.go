@@ -16,10 +16,6 @@ type ReplayOptions struct {
 	// entirely — the usual choice, since the trace's virtual think
 	// times are far longer than a live server's service times).
 	ThinkScale float64
-	// Conns is the per-node connection pool size (0 = min(8, procs)).
-	Conns int
-	// Window is the per-connection in-flight cap (0 = DefaultWindow).
-	Window int
 }
 
 // ReplayResult summarizes a trace replay from the client's side.
@@ -41,46 +37,37 @@ func (r ReplayResult) HitRatio() float64 {
 	return float64(r.ReadHits) / float64(r.Reads)
 }
 
-// ReplayTrace drives a server with a workload trace: one goroutine
-// per traced process, each running its closed loop in order. The
-// processes share a pool of pipelined connections, so the replay runs
-// at closed-loop concurrency without one slow round trip head-of-line
-// blocking every other process.
-func ReplayTrace(addr string, tr *workload.Trace, opts ReplayOptions) (ReplayResult, error) {
-	return ReplayTraceMulti([]string{addr}, tr, opts)
-}
-
-// ReplayTraceMulti replays a trace against a cluster: traced processes
+// ReplayTrace drives live servers with a workload trace: one goroutine
+// per traced process, each running its closed loop in order. Processes
 // are sharded round-robin across the given node addresses, the way a
 // real workload's clients would each mount whichever cache node is
-// nearest. Every node must report the same block size. With one
-// address it is exactly ReplayTrace.
-func ReplayTraceMulti(addrs []string, tr *workload.Trace, opts ReplayOptions) (ReplayResult, error) {
+// nearest, and the processes of one node share one pipelined Conn to
+// it. A traced process has at most one request in flight, so that
+// connection's window is the node's share of processes, and no process
+// ever waits for a slot. Every node must report the same block size.
+func ReplayTrace(addrs []string, tr *workload.Trace, opts ReplayOptions) (ReplayResult, error) {
 	if len(addrs) == 0 {
 		return ReplayResult{}, fmt.Errorf("lapclient: replay needs at least one address")
 	}
-	nconns := opts.Conns
-	if nconns <= 0 {
-		nconns = min(8, len(tr.Procs))
-	}
-	pools := make([]*Pool, 0, len(addrs))
+	window := (len(tr.Procs) + len(addrs) - 1) / len(addrs)
+	conns := make([]*Conn, 0, len(addrs))
 	defer func() {
-		for _, p := range pools {
-			p.Close()
+		for _, c := range conns {
+			c.Close()
 		}
 	}()
 	for _, addr := range addrs {
-		p, err := DialPool(addr, nconns, opts.Window)
+		c, err := DialConn(addr, window)
 		if err != nil {
 			return ReplayResult{}, fmt.Errorf("lapclient: node %s: %w", addr, err)
 		}
-		pools = append(pools, p)
-		if bs := p.Info().BlockSize; bs <= 0 || bs != pools[0].Info().BlockSize {
+		conns = append(conns, c)
+		if bs := c.Info().BlockSize; bs <= 0 || bs != conns[0].Info().BlockSize {
 			return ReplayResult{}, fmt.Errorf("lapclient: node %s reports block size %d (first node: %d)",
-				addr, bs, pools[0].Info().BlockSize)
+				addr, bs, conns[0].Info().BlockSize)
 		}
 	}
-	blockSize := int64(pools[0].Info().BlockSize)
+	blockSize := int64(conns[0].Info().BlockSize)
 
 	res := ReplayResult{Procs: len(tr.Procs)}
 	var (
@@ -100,7 +87,7 @@ func ReplayTraceMulti(addrs []string, tr *workload.Trace, opts ReplayOptions) (R
 		wg.Add(1)
 		go func(pi int, p *workload.Process) {
 			defer wg.Done()
-			pool := pools[pi%len(pools)]
+			c := conns[pi%len(conns)]
 			var local ReplayResult
 			for _, s := range p.Steps {
 				if opts.ThinkScale > 0 && s.Think > 0 {
@@ -110,7 +97,7 @@ func ReplayTraceMulti(addrs []string, tr *workload.Trace, opts ReplayOptions) (R
 				switch s.Kind {
 				case workload.OpRead:
 					span := blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, blockSize)
-					rh, _, err := pool.Do(Req(wire.OpRead, 0, span.File, span.Start, span.Count), nil, nil)
+					rh, _, err := c.Do(Req(wire.OpRead, 0, span.File, span.Start, span.Count), nil, nil)
 					if err != nil {
 						fail(err)
 						return
@@ -121,13 +108,13 @@ func ReplayTraceMulti(addrs []string, tr *workload.Trace, opts ReplayOptions) (R
 					}
 				case workload.OpWrite:
 					span := blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, blockSize)
-					if _, _, err := pool.Do(Req(wire.OpWrite, 0, span.File, span.Start, span.Count), nil, nil); err != nil {
+					if _, _, err := c.Do(Req(wire.OpWrite, 0, span.File, span.Start, span.Count), nil, nil); err != nil {
 						fail(err)
 						return
 					}
 					local.Writes++
 				case workload.OpClose:
-					if _, _, err := pool.Do(Req(wire.OpClose, 0, s.File, 0, 0), nil, nil); err != nil {
+					if _, _, err := c.Do(Req(wire.OpClose, 0, s.File, 0, 0), nil, nil); err != nil {
 						fail(err)
 						return
 					}

@@ -22,8 +22,9 @@
 //
 // The payload carries raw block data for reads (FlagWantData) and
 // writes, a UTF-8 error message on failure frames, and a JSON document
-// for ping/stats/owner responses (rare, so their encoding does not
-// matter).
+// for ping/stats responses (rare, so their encoding does not matter).
+// Op 6 (a retired ownership query) is unknown, like any op past
+// OpStats.
 //
 // (Op, Flags) is the whole request surface: the op says what to do,
 // FlagPeer/FlagReplica say on whose behalf (a client, a forwarding
@@ -84,13 +85,8 @@ const (
 	OpWrite Op = 3
 	OpClose Op = 4
 	OpStats Op = 5
-	// OpOwner asks a clustered server which node owns the frame's file
-	// on the consistent-hash ring. The response payload is a JSON
-	// document {"owner": addr, "self": bool}; a non-clustered server
-	// answers with an error frame.
-	OpOwner Op = 6
 
-	opMax = OpOwner
+	opMax = OpStats
 )
 
 // Known reports whether this implementation dispatches the op. Unknown
@@ -111,8 +107,6 @@ func (o Op) String() string {
 		return "close"
 	case OpStats:
 		return "stats"
-	case OpOwner:
-		return "owner"
 	default:
 		return fmt.Sprintf("op(%d)", uint8(o))
 	}

@@ -66,18 +66,24 @@ func TestParseHeaderSkewTolerance(t *testing.T) {
 		return b[:]
 	}
 
-	h, err := ParseHeader(mk(func(b []byte) { b[0] = byte(opMax) + 37 }))
-	if err != nil {
-		t.Fatalf("future op rejected at parse: %v", err)
-	}
-	if h.Op.Known() {
-		t.Errorf("op %d reported as known", h.Op)
-	}
-	if got := h.Op.String(); got != "op(43)" {
-		t.Errorf("future op renders as %q", got)
+	// Op 6 was the retired ownership query; opMax+37 is a future op.
+	for _, tc := range []struct {
+		op   byte
+		name string
+	}{{6, "op(6)"}, {byte(opMax) + 37, "op(42)"}} {
+		h, err := ParseHeader(mk(func(b []byte) { b[0] = tc.op }))
+		if err != nil {
+			t.Fatalf("op %d rejected at parse: %v", tc.op, err)
+		}
+		if h.Op.Known() {
+			t.Errorf("op %d reported as known", h.Op)
+		}
+		if got := h.Op.String(); got != tc.name {
+			t.Errorf("op %d renders as %q, want %q", tc.op, got, tc.name)
+		}
 	}
 
-	h, err = ParseHeader(mk(func(b []byte) { b[1] = 0xF0 }))
+	h, err := ParseHeader(mk(func(b []byte) { b[1] = 0xF0 }))
 	if err != nil {
 		t.Fatalf("future flags rejected at parse: %v", err)
 	}
@@ -87,8 +93,8 @@ func TestParseHeaderSkewTolerance(t *testing.T) {
 	if !(FlagWantData | FlagPeer).Known() {
 		t.Error("defined flags reported as unknown")
 	}
-	if !OpOwner.Known() {
-		t.Error("OpOwner reported as unknown")
+	if !OpStats.Known() {
+		t.Error("OpStats reported as unknown")
 	}
 }
 
