@@ -57,15 +57,20 @@ func (m *BlockPPM) nodeCount() int { return m.nodes.len() }
 
 // Observe records the blocks of a real request, one by one, as the
 // original paging-oriented algorithm would see them.
-func (m *BlockPPM) Observe(r Request, _ Tick) Cursor {
+func (m *BlockPPM) Observe(r Request, _ Tick) (c Cursor) {
+	m.observeTo(r, &c)
+	return c
+}
+
+func (m *BlockPPM) observeTo(r Request, dst *Cursor) {
 	for b := r.Offset; b < r.End(); b++ {
 		if m.started && m.hist.full(m.order) {
-			m.nodes.update(m.hist).setLink(blockPair(b))
+			m.nodes.at(m.nodes.update(&m.hist)).setLink(blockPair(b))
 		}
-		m.hist = m.hist.shift(blockPair(b), m.order)
+		m.hist.shiftFrom(&m.hist, blockPair(b), m.order)
 		m.started = true
 	}
-	return Cursor{Offset: r.Offset, Size: r.Size, hist: m.hist}
+	dst.Offset, dst.Size, dst.hist = r.Offset, r.Size, m.hist
 }
 
 // Predict returns the most frequent successor of the cursor's history,
@@ -73,13 +78,20 @@ func (m *BlockPPM) Observe(r Request, _ Tick) Cursor {
 // There is no fallback: unseen histories predict nothing — exactly the
 // cold-start weakness IS_PPM's interval model removes.
 func (m *BlockPPM) Predict(cur Cursor) (Prediction, Cursor, bool) {
-	if cur.hist.full(m.order) {
-		if nd := m.nodes.get(cur.hist); nd != nil {
+	p, ok := m.predictTo(&cur, &cur)
+	return p, cur, ok
+}
+
+func (m *BlockPPM) predictTo(src, dst *Cursor) (Prediction, bool) {
+	if src.hist.full(m.order) {
+		if nd := m.nodes.get(&src.hist); nd != nil {
 			if next, ok := nd.successor(MostProbableLinkPolicy); ok {
 				b := blockdev.BlockNo(next.interval)
-				return Prediction{Request: Request{Offset: b, Size: 1}}, Cursor{Offset: b, Size: 1, hist: cur.hist.shift(next, m.order)}, true
+				dst.Offset, dst.Size = b, 1
+				dst.hist.shiftFrom(&src.hist, next, m.order)
+				return Prediction{Request: Request{Offset: b, Size: 1}}, true
 			}
 		}
 	}
-	return Prediction{}, cur, false
+	return Prediction{}, false
 }

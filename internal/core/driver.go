@@ -140,9 +140,15 @@ type pendingBlock struct {
 // each, not a walk, until the host evicts something (see anchor).
 type Driver struct {
 	cfg       DriverConfig
+	steps     stepper // the predictor's in-place steps
+	now       Tick    // the tick of the request being observed
 	degree    DegreePolicy
 	evictions evictionCounter // nil when the env does not count
-	cursor    Cursor
+	// cursors[live] is where the walk stands. A step is predicted, and
+	// a request observed, into the other slot, and live flips to it
+	// only when the walk takes that position.
+	cursors [2]Cursor
+	live    int
 	// dry marks a dry spell: refill stopped the chain for want of work
 	// and no request since restarted, closed or passed it, or led it to
 	// an uncached block. A dry chain, once woken, stands at the user.
@@ -172,7 +178,8 @@ type evictionCounter interface{ Evictions() uint64 }
 // took dry steps and stopped at far (at the dry guard, or with the next
 // prediction past the end of the file), and every block on the way was
 // seen cached, or in flight from this generation (which lands before
-// inFlight forgets it), after the host's count read evictions. While
+// inFlight forgets it), after the host's count read evictions. expect
+// and far are copies of the walk's slots, taken once per walk. While
 // the count stands they still are, so the walk from expect, should the
 // next request land there, would repeat all but the first of those
 // steps and go on from far: refill skips them. Anything else walks in
@@ -200,6 +207,11 @@ func NewDriver(cfg DriverConfig) *Driver {
 	}
 	counter, _ := cfg.Env.(evictionCounter)
 	d := &Driver{cfg: cfg, degree: cfg.Degree, evictions: counter, stopped: true}
+	if steps, ok := cfg.Predictor.(stepper); ok {
+		d.steps = steps
+	} else {
+		d.steps = valueSteps{cfg.Predictor, &d.now}
+	}
 	if cfg.Mode == ModeAggressive && cfg.Degree.Cap() == 0 {
 		d.inFlight = make(map[blockdev.BlockNo]struct{})
 	}
@@ -218,13 +230,16 @@ func (d *Driver) Outstanding() int { return d.outstanding }
 // arrived — the paper's criterion for "the system prediction was
 // correct and there is no need to modify the prefetching path" (§3.1).
 func (d *Driver) OnUserRequest(r Request, now Tick, satisfied bool) {
-	real := d.cfg.Predictor.Observe(r, now)
+	d.now = now
+	real := &d.cursors[1-d.live]
+	d.steps.observeTo(r, real)
 	switch d.cfg.Mode {
 	case ModeOneShot:
 		// Predict exactly the next request from the real position and
-		// queue its blocks, replacing any batch not yet issued.
+		// queue its blocks, replacing any batch not yet issued. No walk
+		// follows, so the step may overwrite the position it came from.
 		d.dropPending()
-		pred, _, ok := d.cfg.Predictor.Predict(real)
+		pred, ok := d.steps.predictTo(real, real)
 		d.stats.PredictionSteps++
 		if ok {
 			d.enqueue(pred)
@@ -233,11 +248,12 @@ func (d *Driver) OnUserRequest(r Request, now Tick, satisfied bool) {
 		if !satisfied {
 			// Misprediction: reset the chain to the real stream
 			// position and restart from the last requested block.
-			d.restartFrom(real)
+			d.live = 1 - d.live
+			d.restart()
 		} else if d.stopped {
 			// Correctly predicted but the chain had stopped (end of
 			// file or dry); resume from the real position.
-			d.cursor = real
+			d.live = 1 - d.live
 			d.stopped = false
 		} else {
 			// Leave the running chain alone ("continues bringing new
@@ -261,8 +277,8 @@ func (d *Driver) StopChain() {
 	d.dry = false
 }
 
-func (d *Driver) restartFrom(real Cursor) {
-	d.cursor = real
+// restart begins a new chain generation from the live cursor.
+func (d *Driver) restart() {
 	d.dropPending()
 	d.gen++
 	clear(d.inFlight)
@@ -361,11 +377,12 @@ func (d *Driver) refill() bool {
 	skip := false
 	if d.evictions != nil {
 		a.evictions = d.evictions.Evictions()
-		skip = d.dry && d.anchor.ok && d.cursor == d.anchor.expect && a.evictions == d.anchor.evictions
+		skip = d.dry && d.anchor.ok && d.cursors[d.live] == d.anchor.expect && a.evictions == d.anchor.evictions
 	}
 	d.anchor.ok = false
 	for first := true; ; first = false {
-		pred, next, ok := d.cfg.Predictor.Predict(d.cursor)
+		next := &d.cursors[1-d.live]
+		pred, ok := d.steps.predictTo(&d.cursors[d.live], next)
 		d.stats.PredictionSteps++
 		if !ok || !d.inFile(pred) {
 			// End of file, past blocks seen cached: that stays so. What
@@ -374,13 +391,13 @@ func (d *Driver) refill() bool {
 			break
 		}
 		if first {
-			a.expect = next
+			a.expect = *next
 			if skip {
-				d.cursor, a.dry = d.anchor.far, d.anchor.dry-1
+				d.cursors[d.live], a.dry = d.anchor.far, d.anchor.dry-1
 				continue
 			}
 		}
-		d.cursor = next
+		d.live = 1 - d.live
 		if d.enqueue(pred) {
 			d.dry = false
 			return true
@@ -392,7 +409,7 @@ func (d *Driver) refill() bool {
 	}
 	d.stopped = true
 	if d.dry { // a spell already counted, and a walk that began at the user
-		a.far = d.cursor
+		a.far = d.cursors[d.live]
 		d.anchor = a
 	} else {
 		d.dry = true
@@ -417,12 +434,12 @@ type prefetchOp struct {
 
 // isCancelled keys on the generation only: a same-generation operation
 // always runs to completion so the outstanding count stays consistent
-// (stale generations reset it in restartFrom).
+// (stale generations reset it in restart).
 func (op *prefetchOp) isCancelled() bool { return op.d.gen != op.gen }
 
 // complete undoes the operation's +1 exactly once. An operation from
 // an abandoned chain (the generation moved under it) finds its slot
-// already reclaimed by StopChain/restartFrom's bulk reset, and a
+// already reclaimed by StopChain/restart's bulk reset, and a
 // completion that fires twice hits the latch — under a K>1 window a
 // stray second decrement would silently free a slot and let the window
 // overshoot its bound.

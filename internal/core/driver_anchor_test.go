@@ -63,8 +63,12 @@ func (s *randomStream) next() Request {
 // closes, refusals, and a cache that loses blocks at random, most of
 // them just ahead of the user, in bursts with quiet spells between —
 // and must agree, step by step, on every Env.Prefetch call and every
-// counter but the number of predictions it took. A stream stays under
-// DefaultMaxNodes requests, so no history table displaces a node.
+// counter but the number of predictions it took. A third driver sees
+// the count too, but its predictor shows only the Predictor methods, so
+// it walks through NewDriver's adapter over the value forms: it must
+// agree with the first on everything, the number of predictions
+// included. A stream stays under DefaultMaxNodes requests, so no
+// history table displaces a node.
 func TestAnchorPreservesDecisions(t *testing.T) {
 	const (
 		blocks = 600
@@ -83,16 +87,19 @@ func TestAnchorPreservesDecisions(t *testing.T) {
 					env *fakeEnv
 					d   *Driver
 				}
-				var sides [2]side
+				var sides [3]side
 				for i := range sides {
 					env := cachedEnv(blocks)
 					env.limit = 4
-					host := Env(env)
-					if i == 1 {
+					host, pred := Env(env), spec.NewPredictor()
+					switch i {
+					case 1:
 						host = blind{env}
+					case 2:
+						pred = valueOnly{pred}
 					}
 					sides[i] = side{env, NewDriver(DriverConfig{
-						Predictor: spec.NewPredictor(), Mode: spec.Mode, Degree: spec.NewDegreePolicy(),
+						Predictor: pred, Mode: spec.Mode, Degree: spec.NewDegreePolicy(),
 						File: 1, FileBlocks: blocks, Env: host,
 					})}
 				}
@@ -136,19 +143,25 @@ func TestAnchorPreservesDecisions(t *testing.T) {
 					default:
 						continue
 					}
-					act(sides[0])
-					act(sides[1])
-					a, b := sides[0], sides[1]
-					as, bs := a.d.Stats(), b.d.Stats()
-					as.PredictionSteps, bs.PredictionSteps = 0, 0
-					if as != bs || a.d.Outstanding() != b.d.Outstanding() ||
-						!slices.Equal(a.env.issued, b.env.issued) || !slices.Equal(a.env.fallbacks, b.env.fallbacks) {
-						t.Fatalf("seed %d step %d: the drivers part ways\ncounting: %+v\n          issued %v\nblind:    %+v\n          issued %v",
-							seed, step, as, tail(a.env.issued), bs, tail(b.env.issued))
+					for _, s := range sides {
+						act(s)
+					}
+					a := sides[0]
+					for i, b := range sides[1:] {
+						as, bs := a.d.Stats(), b.d.Stats()
+						if i == 0 {
+							as.PredictionSteps, bs.PredictionSteps = 0, 0
+						}
+						if as != bs || a.d.Outstanding() != b.d.Outstanding() ||
+							!slices.Equal(a.env.issued, b.env.issued) || !slices.Equal(a.env.fallbacks, b.env.fallbacks) {
+							t.Fatalf("seed %d step %d: the drivers part ways\ncounting: %+v\n          issued %v\n%-9s %+v\n          issued %v",
+								seed, step, as, tail(a.env.issued), [...]string{"blind:", "adapted:"}[i], bs, tail(b.env.issued))
+						}
 					}
 					// Compared; keep the logs short.
-					a.env.issued, a.env.fallbacks = a.env.issued[:0], a.env.fallbacks[:0]
-					b.env.issued, b.env.fallbacks = b.env.issued[:0], b.env.fallbacks[:0]
+					for _, s := range sides {
+						s.env.issued, s.env.fallbacks = s.env.issued[:0], s.env.fallbacks[:0]
+					}
 				}
 				walked += sides[1].d.Stats().PredictionSteps
 				skipped += sides[1].d.Stats().PredictionSteps - sides[0].d.Stats().PredictionSteps
@@ -173,6 +186,9 @@ func cachedEnv(blocks int) *fakeEnv {
 	return env
 }
 
+// valueOnly hides a predictor's in-place steps from NewDriver.
+type valueOnly struct{ Predictor }
+
 func tail(b []blockdev.BlockID) []blockdev.BlockID {
 	if len(b) > 8 {
 		b = b[len(b)-8:]
@@ -181,16 +197,19 @@ func tail(b []blockdev.BlockID) []blockdev.BlockID {
 }
 
 // counted wraps a predictor and an env to count the calls a driver
-// makes of each.
+// makes of each. It steps in place, as the package's predictors do, so
+// what it counts is the path the simulator and the runtime take.
 type counted struct {
 	Predictor
 	*fakeEnv
 	predicts, lookups int
 }
 
-func (c *counted) Predict(cur Cursor) (Prediction, Cursor, bool) {
+func (c *counted) observeTo(r Request, dst *Cursor) { c.Predictor.(stepper).observeTo(r, dst) }
+
+func (c *counted) predictTo(src, dst *Cursor) (Prediction, bool) {
 	c.predicts++
-	return c.Predictor.Predict(cur)
+	return c.Predictor.(stepper).predictTo(src, dst)
 }
 
 func (c *counted) Cached(b blockdev.BlockID) bool {

@@ -35,14 +35,23 @@ type histKey struct {
 // shift returns the key advanced by one more pair, dropping the oldest
 // when the window is full.
 func (k histKey) shift(pr pair, order int) histKey {
+	k.shiftFrom(&k, pr, order)
+	return k
+}
+
+// shiftFrom sets k to src advanced by one more pair, byte for byte what
+// src.shift(pr, order) returns. k may be src.
+func (k *histKey) shiftFrom(src *histKey, pr pair, order int) {
+	if k != src {
+		*k = *src
+	}
 	if int(k.n) < order {
 		k.p[k.n] = pr
 		k.n++
-		return k
+		return
 	}
 	copy(k.p[:order-1], k.p[1:order])
 	k.p[order-1] = pr
-	return k
 }
 
 // full reports whether the key holds a complete order-length history.
@@ -100,8 +109,11 @@ type ISPPM struct {
 	hist    histKey
 	// prevValid marks that hist identified an existing node at the
 	// last Observe, so the next Observe can add the connecting link.
+	// prevPos is the slab position that node had then: the next Observe
+	// links through it while it still holds prevKey.
 	prevValid bool
 	prevKey   histKey
+	prevPos   int32
 }
 
 // NewISPPM returns an order-j predictor with the default graph bound.
@@ -140,27 +152,33 @@ func (m *ISPPM) nodeCount() int { return m.nodes.len() }
 
 // Observe records a real user request, growing the pattern graph as in
 // the paper's Figure 2, and returns the cursor positioned after it.
-func (m *ISPPM) Observe(r Request, _ Tick) Cursor {
+func (m *ISPPM) Observe(r Request, _ Tick) (c Cursor) {
+	m.observeTo(r, &c)
+	return c
+}
+
+func (m *ISPPM) observeTo(r Request, dst *Cursor) {
 	if !m.started {
 		// First request: no interval can be computed yet (§2.2, t1).
 		m.started = true
 		m.lastReq = r
 		m.hist = histKey{}
 		m.prevValid = false
-		return Cursor{Offset: r.Offset, Size: r.Size}
+		*dst = Cursor{Offset: r.Offset, Size: r.Size}
+		return
 	}
 	pr := pair{interval: int32(r.Offset - m.lastReq.Offset), size: r.Size}
-	m.hist = m.hist.shift(pr, m.order)
+	m.hist.shiftFrom(&m.hist, pr, m.order)
 	if m.hist.full(m.order) {
-		m.nodes.update(m.hist)
+		pos := m.nodes.update(&m.hist)
 		if m.prevValid {
-			m.nodes.getOrCreate(m.prevKey).setLink(pr)
+			m.nodes.getOrCreateAt(m.prevPos, &m.prevKey).setLink(pr)
 		}
-		m.prevKey = m.hist
+		m.prevKey, m.prevPos = m.hist, pos
 		m.prevValid = true
 	}
 	m.lastReq = r
-	return Cursor{Offset: r.Offset, Size: r.Size, hist: m.hist}
+	dst.Offset, dst.Size, dst.hist = r.Offset, r.Size, m.hist
 }
 
 // setLink counts one traversal of the link that adds pr.
@@ -195,31 +213,32 @@ func (nd *node) successor(p LinkPolicy) (pair, bool) {
 // Size are the absolute position of the last request, which turns the
 // graph's interval-relative links into block numbers.
 func (m *ISPPM) Predict(cur Cursor) (Prediction, Cursor, bool) {
-	if cur.hist.full(m.order) {
-		if nd := m.nodes.get(cur.hist); nd != nil {
+	p, ok := m.predictTo(&cur, &cur)
+	return p, cur, ok
+}
+
+func (m *ISPPM) predictTo(src, dst *Cursor) (Prediction, bool) {
+	if src.hist.full(m.order) {
+		if nd := m.nodes.get(&src.hist); nd != nil {
 			if next, ok := nd.successor(m.policy); ok {
-				pred := Prediction{Request: Request{
-					Offset: cur.Offset + blockdev.BlockNo(next.interval),
-					Size:   next.size,
-				}}
-				nc := Cursor{Offset: pred.Offset, Size: pred.Size, hist: cur.hist.shift(next, m.order)}
-				return pred, nc, true
+				off := src.Offset + blockdev.BlockNo(next.interval)
+				dst.Offset, dst.Size = off, next.size
+				dst.hist.shiftFrom(&src.hist, next, m.order)
+				return Prediction{Request: Request{Offset: off, Size: next.size}}, true
 			}
 		}
 	}
 	if m.noFallback {
-		return Prediction{}, cur, false
+		return Prediction{}, false
 	}
 	// OBA fallback: one block past the end of the last request. The
 	// speculative history advances with the synthetic pair so that a
 	// later window may re-match the graph.
-	fbOffset := cur.Offset + blockdev.BlockNo(cur.Size)
-	pred := Prediction{
-		Request:  Request{Offset: fbOffset, Size: 1},
-		Fallback: true,
-	}
-	syn := pair{interval: int32(fbOffset - cur.Offset), size: 1}
-	return pred, Cursor{Offset: fbOffset, Size: 1, hist: cur.hist.shift(syn, m.order)}, true
+	fbOffset := src.Offset + blockdev.BlockNo(src.Size)
+	syn := pair{interval: int32(fbOffset - src.Offset), size: 1}
+	dst.Offset, dst.Size = fbOffset, 1
+	dst.hist.shiftFrom(&src.hist, syn, m.order)
+	return Prediction{Request: Request{Offset: fbOffset, Size: 1}, Fallback: true}, true
 }
 
 // mostRecentLink returns, for tests, the MRU successor
@@ -233,7 +252,7 @@ func (m *ISPPM) mostRecentLink(pairs [][2]int32) (interval, size int32, ok bool)
 	for _, p := range pairs {
 		k = k.shift(pair{interval: p[0], size: p[1]}, m.order)
 	}
-	nd := m.nodes.get(k)
+	nd := m.nodes.get(&k)
 	if nd == nil || len(nd.links) == 0 {
 		return 0, 0, false
 	}

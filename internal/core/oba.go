@@ -18,12 +18,21 @@ func (*OBA) Name() string { return "OBA" }
 
 // Observe records a user request; OBA keeps no history, the cursor on
 // the request is all there is.
-func (*OBA) Observe(r Request, _ Tick) Cursor {
-	return Cursor{Offset: r.Offset, Size: r.Size}
+func (m *OBA) Observe(r Request, _ Tick) (c Cursor) {
+	m.observeTo(r, &c)
+	return c
 }
 
+func (*OBA) observeTo(r Request, dst *Cursor) { *dst = Cursor{Offset: r.Offset, Size: r.Size} }
+
 // Predict returns the single block following the cursor's request.
-func (*OBA) Predict(c Cursor) (Prediction, Cursor, bool) {
-	next := Request{Offset: c.Offset + blockdev.BlockNo(c.Size), Size: 1}
-	return Prediction{Request: next}, Cursor{Offset: next.Offset, Size: 1}, true
+func (m *OBA) Predict(c Cursor) (Prediction, Cursor, bool) {
+	p, _ := m.predictTo(&c, &c)
+	return p, c, true
+}
+
+func (*OBA) predictTo(src, dst *Cursor) (Prediction, bool) {
+	next := Request{Offset: src.Offset + blockdev.BlockNo(src.Size), Size: 1}
+	*dst = Cursor{Offset: next.Offset, Size: 1}
+	return Prediction{Request: next}, true
 }

@@ -56,16 +56,17 @@ type Cursor struct {
 	// observed or, further along a chain, the last one predicted.
 	Offset blockdev.BlockNo
 	Size   int32
-	// _ keeps a Cursor at 80 bytes, which amd64 copies in aligned
-	// 16-byte moves. At 76 it is copied in five overlapping ones, and
-	// the simulator's sweep (bench sim_sweep) ran 3–4 % slower.
-	_ int32
 	// hist is the history window of the two PPM predictors.
 	hist histKey
 }
 
 // Predictor learns the access stream of one file and predicts the next
 // request. Implementations are single-goroutine, like the simulator.
+//
+// A predictor written outside this package implements these value
+// forms, and NewDriver adapts them to its walk. The package's own
+// predictors also step in place (see stepper), which is the path the
+// driver takes for them; their Observe and Predict wrap it.
 type Predictor interface {
 	// Name identifies the algorithm (e.g. "OBA", "IS_PPM:3").
 	Name() string
@@ -77,4 +78,30 @@ type Predictor interface {
 	// when the predictor has no basis for any guess (e.g. before the
 	// first request).
 	Predict(c Cursor) (p Prediction, next Cursor, ok bool)
+}
+
+// stepper is Predictor's Observe and Predict writing the cursor in
+// place, so that the driver's walk, a Predict per step on every request
+// and every prefetch completion, copies no cursor. Each writes dst with
+// the very bytes the value form returns and leaves dst as it was when
+// ok is false; dst may be src.
+type stepper interface {
+	observeTo(r Request, dst *Cursor)
+	predictTo(src, dst *Cursor) (Prediction, bool)
+}
+
+// valueSteps adapts a Predictor that has only the value forms.
+type valueSteps struct {
+	Predictor
+	now *Tick // the tick of the request being observed
+}
+
+func (v valueSteps) observeTo(r Request, dst *Cursor) { *dst = v.Observe(r, *v.now) }
+
+func (v valueSteps) predictTo(src, dst *Cursor) (Prediction, bool) {
+	p, next, ok := v.Predict(*src)
+	if ok {
+		*dst = next
+	}
+	return p, ok
 }

@@ -32,10 +32,34 @@ type fuzzTarget struct {
 // on the simulator's clock, and the stream is fed to two fresh
 // instances whose prediction chains must be identical: a
 // predictor's output is a function of its input alone, whatever the
-// order Go iterates its maps in.
+// order Go iterates its maps in. A third instance takes the in-place
+// steps the driver takes, over two cursor slots as the driver holds
+// them, so every step overwrites what the one before last left: its
+// chains, and every cursor on the way, must be the value forms'.
 func fuzzPredictor(t *testing.T, tg fuzzTarget, stream []byte) {
-	run := func() (chains []Prediction) {
+	run := func(inPlace bool) (chains []Prediction, cursors []Cursor) {
 		p := tg.fresh()
+		var slots [2]Cursor
+		live := 0
+		// observe and predict leave the new cursor in slots[live].
+		observe := func(r Request, now Tick) {
+			if inPlace {
+				p.(stepper).observeTo(r, &slots[1-live])
+				live = 1 - live
+			} else {
+				slots[live] = p.Observe(r, now)
+			}
+		}
+		predict := func() (pred Prediction, ok bool) {
+			if inPlace {
+				if pred, ok = p.(stepper).predictTo(&slots[live], &slots[1-live]); ok {
+					live = 1 - live
+				}
+				return pred, ok
+			}
+			pred, slots[live], ok = p.Predict(slots[live])
+			return pred, ok
+		}
 		seen := make(map[blockdev.BlockNo]bool)
 		for i := 0; i+1 < len(stream); i += 2 {
 			b := blockdev.BlockNo(stream[i])
@@ -44,10 +68,11 @@ func fuzzPredictor(t *testing.T, tg fuzzTarget, stream []byte) {
 			for x := b; tg.blockwise && x < b+blockdev.BlockNo(sz); x++ {
 				seen[x] = true
 			}
-			cur := p.Observe(Request{Offset: b, Size: sz}, Tick(i/8))
+			observe(Request{Offset: b, Size: sz}, Tick(i/8))
+			cursors = append(cursors, slots[live])
 
 			for steps := 0; steps < tg.maxChain; steps++ {
-				pred, next, ok := p.Predict(cur)
+				pred, ok := predict()
 				if !ok {
 					break
 				}
@@ -58,16 +83,27 @@ func fuzzPredictor(t *testing.T, tg fuzzTarget, stream []byte) {
 					t.Fatalf("predicted non-positive size %d", pred.Request.Size)
 				}
 				chains = append(chains, pred)
-				cur = next
+				cursors = append(cursors, slots[live])
 			}
 			if rc := tg.rows(p); rc > tg.maxRows {
 				t.Fatalf("table grew to %d rows, bound is %d", rc, tg.maxRows)
 			}
 		}
-		return chains
+		return chains, cursors
 	}
-	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+	a, ac := run(false)
+	if b, _ := run(false); !reflect.DeepEqual(a, b) {
 		t.Fatalf("two fresh instances disagree on one stream:\n%v\n%v", a, b)
+	}
+	b, bc := run(true)
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("the in-place steps predict otherwise than the value forms:\n%v\n%v", a, b)
+	}
+	// Equal chains give as many cursors: one per request and per step.
+	for i := range ac {
+		if ac[i] != bc[i] {
+			t.Fatalf("cursor %d of %d: value forms %+v, in place %+v", i, len(ac), ac[i], bc[i])
+		}
 	}
 }
 
@@ -87,17 +123,26 @@ func churn() []byte {
 	return s
 }
 
-// FuzzISPPM fuzzes the paper's predictor under a graph of eight nodes.
+// FuzzISPPM fuzzes the paper's predictor under a graph of eight nodes,
+// at order 1 and at order 3, where a cold window is shorter than the
+// one a reused cursor slot held before.
 func FuzzISPPM(f *testing.F) {
 	f.Add([]byte{0, 1, 3, 2, 8, 1, 11, 2, 16, 1, 19, 2})
 	f.Add([]byte{0, 0, 0, 0, 0, 0})
 	f.Add(churn())
-	tg := fuzzTarget{
-		fresh:   func() Predictor { return newISPPMSized(1, 8) },
-		rows:    func(p Predictor) int { return p.(*ISPPM).nodeCount() },
-		maxRows: 8, maxChain: 6,
+	var tgs []fuzzTarget
+	for _, order := range []int{1, 3} {
+		tgs = append(tgs, fuzzTarget{
+			fresh:   func() Predictor { return newISPPMSized(order, 8) },
+			rows:    func(p Predictor) int { return p.(*ISPPM).nodeCount() },
+			maxRows: 8, maxChain: 6,
+		})
 	}
-	f.Fuzz(func(t *testing.T, stream []byte) { fuzzPredictor(t, tg, stream) })
+	f.Fuzz(func(t *testing.T, stream []byte) {
+		for _, tg := range tgs {
+			fuzzPredictor(t, tg, stream)
+		}
+	})
 }
 
 // FuzzBlockPPM does the same for the block-granularity baseline, at

@@ -35,27 +35,40 @@ func newTable(max int) table { return table{max: max, head: -1, tail: -1} }
 func (t *table) len() int { return len(t.entries) }
 
 // get returns k's node, or nil when absent. Reading is not an update.
-func (t *table) get(k histKey) *node {
-	if pos := t.find(&k, k.hash()); pos >= 0 {
+func (t *table) get(k *histKey) *node {
+	if pos := t.find(k, k.hash()); pos >= 0 {
 		return &t.entries[pos].node
 	}
 	return nil
 }
 
+// at returns the node at slab position pos.
+func (t *table) at(pos int32) *node { return &t.entries[pos].node }
+
 // getOrCreate returns k's node, creating it empty when absent. A new
 // node is the most recently updated one; an existing node keeps its
 // place. The pointer is valid until the next call that creates a node.
-func (t *table) getOrCreate(k histKey) *node { return &t.entries[t.entry(&k)].node }
+func (t *table) getOrCreate(k *histKey) *node { return t.at(t.entry(k)) }
+
+// getOrCreateAt is getOrCreate given pos, a slab position k's entry
+// had before. A displacement rewrites an entry in place, so while the
+// entry at pos holds k it is k's, and no lookup is needed.
+func (t *table) getOrCreateAt(pos int32, k *histKey) *node {
+	if e := &t.entries[pos]; e.key.eq(k) {
+		return &e.node
+	}
+	return t.getOrCreate(k)
+}
 
 // update is getOrCreate that also makes k the most recently updated
-// node.
-func (t *table) update(k histKey) *node {
-	pos := t.entry(&k)
+// node; it returns the node's slab position.
+func (t *table) update(k *histKey) int32 {
+	pos := t.entry(k)
 	if pos != t.tail {
 		t.unlink(pos)
 		t.pushBack(pos)
 	}
-	return &t.entries[pos].node
+	return pos
 }
 
 func (t *table) entry(k *histKey) int32 {

@@ -72,13 +72,13 @@ func TestTableDisplacementOrder(t *testing.T) {
 		k := tableKey(s.key)
 		switch s.op {
 		case "get":
-			if found := tb.get(k) != nil; found != slices.Contains(s.want, k) {
+			if found := tb.get(&k) != nil; found != slices.Contains(s.want, k) {
 				t.Fatalf("step %d: get(%d) found = %v", i, s.key, found)
 			}
 		case "getOrCreate":
-			tb.getOrCreate(k).setLink(created)
+			tb.getOrCreate(&k).setLink(created)
 		case "update":
-			tb.update(k).setLink(updated)
+			tb.at(tb.update(&k)).setLink(updated)
 		}
 		if got := tb.keys(); !reflect.DeepEqual(got, s.want) {
 			t.Fatalf("step %d (%s %d): order %v, want %v", i, s.op, s.key, got, s.want)
@@ -89,13 +89,14 @@ func TestTableDisplacementOrder(t *testing.T) {
 	}
 	// Nodes live as long as their entry and start empty, also in a
 	// displaced entry's reused slot.
-	if nd := tb.get(tableKey(6)); len(nd.links) != 2 || nd.mru != updated {
+	k1, k6 := tableKey(1), tableKey(6)
+	if nd := tb.get(&k6); len(nd.links) != 2 || nd.mru != updated {
 		t.Errorf("entry 6 holds %+v, want links c and u, u the most recent", *nd)
 	}
-	if tb.get(tableKey(1)) != nil {
+	if tb.get(&k1) != nil {
 		t.Error("displaced entry 1 still readable")
 	}
-	if nd := tb.getOrCreate(tableKey(1)); !reflect.DeepEqual(*nd, node{links: nd.links}) || len(nd.links) != 0 {
+	if nd := tb.getOrCreate(&k1); !reflect.DeepEqual(*nd, node{links: nd.links}) || len(nd.links) != 0 {
 		t.Errorf("re-created entry 1 holds %+v, want an empty node", *nd)
 	}
 }
@@ -174,7 +175,10 @@ var tableFuzzKeys = func() []histKey {
 // sequence of get, getOrCreate and update calls (each creating or
 // updating call then adds a link to the node it returns) and compares,
 // after every call, presence, len, displacement order and every node.
-// The first byte picks the cap, 1 to 16; then each call takes two
+// Every other getOrCreate goes through getOrCreateAt with the position
+// the last update returned, as IS_PPM links through it; entries
+// displaced since, or rewritten under another key, are what it must
+// see. The first byte picks the cap, 1 to 16; then each call takes two
 // bytes, the call and its link, and the key.
 func FuzzTable(f *testing.F) {
 	seq := func(max byte, keys ...int) []byte {
@@ -208,19 +212,25 @@ func FuzzTable(f *testing.F) {
 		}
 		max := 1 + int(calls[0]%16)
 		tb, ref := newTable(max), newRefTable(max)
+		last := int32(-1)
 		for i := 1; i+1 < len(calls); i += 2 {
 			k := tableFuzzKeys[int(calls[i+1])%len(tableFuzzKeys)]
 			link := pair{interval: int32(calls[i] / 3 % 5)}
 			switch calls[i] % 3 {
 			case 0:
-				if got, want := tb.get(k), ref.get(k); (got == nil) != (want == nil) {
+				if got, want := tb.get(&k), ref.get(k); (got == nil) != (want == nil) {
 					t.Fatalf("call %d: get found %v, reference %v", i, got != nil, want != nil)
 				}
 			case 1:
-				tb.getOrCreate(k).setLink(link)
+				if last >= 0 && calls[i]/15%2 == 1 {
+					tb.getOrCreateAt(last, &k).setLink(link)
+				} else {
+					tb.getOrCreate(&k).setLink(link)
+				}
 				ref.getOrCreate(k).setLink(link)
 			case 2:
-				tb.update(k).setLink(link)
+				last = tb.update(&k)
+				tb.at(last).setLink(link)
 				ref.update(k).setLink(link)
 			}
 			if tb.len() != len(ref.entries) {
@@ -234,7 +244,7 @@ func FuzzTable(f *testing.F) {
 				t.Fatalf("call %d: order %v, reference %v", i, got, want)
 			}
 			for _, k := range want {
-				got, want := tb.get(k), ref.get(k)
+				got, want := tb.get(&k), ref.get(k)
 				if got == nil || got.mru != want.mru || got.top != want.top ||
 					got.topCount != want.topCount || !maps.Equal(got.links, want.links) {
 					t.Fatalf("call %d: node %v is %+v, reference %+v", i, k, got, want)
