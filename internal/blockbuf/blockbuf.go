@@ -51,9 +51,6 @@ func NewPool(size int) *Pool {
 	return &Pool{size: size}
 }
 
-// BlockSize returns the size of every buffer in the pool.
-func (p *Pool) BlockSize() int { return p.size }
-
 // SetPoison switches the pool's test mode: every Release of a last
 // reference overwrites the buffer with a poison pattern, and every
 // recycle verifies the pattern is intact — catching holders that keep
@@ -106,10 +103,6 @@ type Buf struct {
 // caller holds a reference; the slice must not be retained past
 // Release.
 func (b *Buf) Bytes() []byte { return b.data }
-
-// Refs returns the current reference count (for tests and
-// assertions).
-func (b *Buf) Refs() int32 { return b.refs.Load() }
 
 // Retain takes an additional reference and returns b for chaining.
 // The caller must already hold a reference (retaining a buffer whose

@@ -8,21 +8,21 @@ import (
 func TestLifecycle(t *testing.T) {
 	p := NewPool(64)
 	b := p.Get()
-	if b.Refs() != 1 {
-		t.Fatalf("fresh buf refs = %d, want 1", b.Refs())
+	if p.Live() != 1 {
+		t.Fatalf("fresh buf: live = %d, want 1", p.Live())
 	}
 	if len(b.Bytes()) != 64 {
 		t.Fatalf("len = %d, want 64", len(b.Bytes()))
 	}
 	b.Retain()
-	if b.Refs() != 2 {
-		t.Fatalf("after Retain refs = %d, want 2", b.Refs())
-	}
 	b.Release()
-	if b.Refs() != 1 {
-		t.Fatalf("after Release refs = %d, want 1", b.Refs())
+	if p.Live() != 1 {
+		t.Fatalf("after Retain and one Release live = %d, want 1", p.Live())
 	}
 	b.Release() // back to the pool
+	if p.Live() != 0 {
+		t.Fatalf("after the last Release live = %d, want 0", p.Live())
+	}
 
 	allocs, recycles := p.Stats()
 	if allocs != 1 || recycles != 0 {
@@ -119,10 +119,13 @@ func TestConcurrentRetainRelease(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if b.Refs() != 1 {
-		t.Errorf("refs = %d after balanced retain/release storm, want 1", b.Refs())
+	if p.Live() != 1 {
+		t.Errorf("live = %d after balanced retain/release storm, want 1", p.Live())
 	}
-	b.Release()
+	b.Release() // the owner's reference, the last one
+	if p.Live() != 0 {
+		t.Errorf("live = %d after the owner's Release, want 0", p.Live())
+	}
 }
 
 // TestPoolRecyclesUnderChurn checks steady-state churn stops

@@ -135,11 +135,6 @@ func (s Span) Block(i int32) BlockID { return BlockID{s.File, s.Start + BlockNo(
 // End returns the first block index after the span.
 func (s Span) End() BlockNo { return s.Start + BlockNo(s.Count) }
 
-// Contains reports whether the span covers block b of the same file.
-func (s Span) Contains(b BlockID) bool {
-	return b.File == s.File && b.Block >= s.Start && b.Block < s.End()
-}
-
 // String renders the span as "file:[start,end)".
 func (s Span) String() string {
 	return fmt.Sprintf("%d:[%d,%d)", s.File, s.Start, s.End())
@@ -180,9 +175,6 @@ func NewStriper(nDisks int) *Striper {
 	}
 	return &Striper{disks: int32(nDisks)}
 }
-
-// Disks returns the number of disks being striped over.
-func (s *Striper) Disks() int { return int(s.disks) }
 
 // DiskFor returns the disk holding block b.
 func (s *Striper) DiskFor(b BlockID) DiskID {

@@ -62,19 +62,6 @@ func TestSpanBlocks(t *testing.T) {
 	}
 }
 
-func TestSpanContains(t *testing.T) {
-	s := Span{File: 1, Start: 5, Count: 2}
-	if !s.Contains(BlockID{1, 5}) || !s.Contains(BlockID{1, 6}) {
-		t.Error("span should contain its blocks")
-	}
-	if s.Contains(BlockID{1, 4}) || s.Contains(BlockID{1, 7}) {
-		t.Error("span contains blocks outside range")
-	}
-	if s.Contains(BlockID{2, 5}) {
-		t.Error("span contains block of another file")
-	}
-}
-
 func TestBlockIDNextAndString(t *testing.T) {
 	b := BlockID{4, 9}
 	if b.Next() != (BlockID{4, 10}) {
@@ -218,9 +205,6 @@ func mustPanic(t *testing.T, b BlockID, n *Numbering) {
 
 func TestStriperCoversAllDisks(t *testing.T) {
 	st := NewStriper(16)
-	if st.Disks() != 16 {
-		t.Fatalf("Disks = %d", st.Disks())
-	}
 	seen := make(map[DiskID]bool)
 	for blk := BlockNo(0); blk < 16; blk++ {
 		seen[st.DiskFor(BlockID{File: 1, Block: blk})] = true

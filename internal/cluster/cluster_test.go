@@ -442,7 +442,7 @@ func clusterCharismaE2E(t *testing.T, tr *workload.Trace, alg core.AlgSpec) {
 				t.Errorf("file %d high-water %d on node %d, cap %d cluster-wide", f, hw, i, degreeCap)
 			}
 			for j, other := range nodes {
-				if j != i && other.Engine.Ledger().FileHighWater(f) != 0 {
+				if j != i && other.Engine.Ledger().HighWaters()[f] != 0 {
 					t.Errorf("file %d has outstanding-prefetch history on BOTH node %d and node %d", f, i, j)
 				}
 			}

@@ -70,9 +70,9 @@ func TestDynamicFailoverReplicaServes(t *testing.T) {
 	f := fileOwnedBy(t, nodes, 1)
 
 	// Identify the replica successor and the bystander.
-	owners := nodes[0].Node.OwnersOf(f, 2)
+	owners := nodes[0].Node.ring().Owners(f, 2)
 	if len(owners) != 2 {
-		t.Fatalf("OwnersOf returned %v, want owner+successor", owners)
+		t.Fatalf("ring owners are %v, want owner+successor", owners)
 	}
 	if owners[0] != nodes[1].Addr {
 		t.Fatalf("owner mismatch: %v vs %s", owners, nodes[1].Addr)
@@ -108,7 +108,7 @@ func TestDynamicFailoverReplicaServes(t *testing.T) {
 	waitFor(t, "ring to shrink to 2 members", func() bool {
 		return len(bystander.Node.MemberAddrs()) == 2 && len(succ.Node.MemberAddrs()) == 2
 	})
-	if got := bystander.Node.OwnersOf(f, 1)[0]; got != succ.Addr {
+	if got := bystander.Node.ring().Owners(f, 1)[0]; got != succ.Addr {
 		t.Fatalf("new owner is %s, want the old successor %s (consistent hashing must promote the replica)", got, succ.Addr)
 	}
 
@@ -135,7 +135,7 @@ func TestDynamicFailoverReplicaServes(t *testing.T) {
 func TestDynamicReplicaFallbackBeforeConviction(t *testing.T) {
 	nodes := startDynamicCluster(t, 3, func(cfg *lapcache.Config) {})
 	f := fileOwnedBy(t, nodes, 1)
-	owners := nodes[0].Node.OwnersOf(f, 2)
+	owners := nodes[0].Node.ring().Owners(f, 2)
 	var bystander *LocalNode
 	for _, m := range nodes {
 		if m.Addr != owners[0] && m.Addr != owners[1] {
@@ -164,7 +164,7 @@ func TestDynamicReplicaFallbackBeforeConviction(t *testing.T) {
 	})
 	// Ownership must NOT have moved yet — the detector still counts the
 	// owner (gossip is alive), only its data port is down.
-	if got := bystander.Node.OwnersOf(f, 1)[0]; got != nodes[1].Addr {
+	if got := bystander.Node.ring().Owners(f, 1)[0]; got != nodes[1].Addr {
 		t.Errorf("ring moved on an unconvicted owner: owner now %s", got)
 	}
 }
@@ -220,7 +220,7 @@ func TestDynamicHandoffMovesBlocksUnderBudget(t *testing.T) {
 	// serves locally whatever the ring says).
 	var f blockdev.FileID
 	for cand := blockdev.FileID(1); cand < 10000; cand++ {
-		ow := nodes[0].Node.OwnersOf(cand, 2)
+		ow := nodes[0].Node.ring().Owners(cand, 2)
 		if ow[0] != nodes[0].Addr && ow[1] != nodes[0].Addr {
 			f = cand
 			break
@@ -234,7 +234,7 @@ func TestDynamicHandoffMovesBlocksUnderBudget(t *testing.T) {
 		t.Fatalf("strand blocks: %v", err)
 	}
 
-	ownerAddr := nodes[0].Node.OwnersOf(f, 1)[0]
+	ownerAddr := nodes[0].Node.ring().Owners(f, 1)[0]
 	var owner *LocalNode
 	for _, m := range nodes {
 		if m.Addr == ownerAddr {

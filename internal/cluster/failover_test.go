@@ -128,7 +128,7 @@ func TestOwnerDegradeRecover(t *testing.T) {
 func filePlacedOn(t *testing.T, owner, successor *LocalNode) blockdev.FileID {
 	t.Helper()
 	for f := blockdev.FileID(1); f < 10000; f++ {
-		if ow := owner.Node.OwnersOf(f, 2); ow[0] == owner.Addr && ow[1] == successor.Addr {
+		if ow := owner.Node.ring().Owners(f, 2); ow[0] == owner.Addr && ow[1] == successor.Addr {
 			return f
 		}
 	}

@@ -712,13 +712,8 @@ func (n *Node) OwnerOf(f blockdev.FileID) (string, bool) {
 // MemberAddrs returns every ring member's advertise address, sorted.
 func (n *Node) MemberAddrs() []string { return n.ring().Members() }
 
-// OwnersOf returns the first k distinct ring members for f — owner
-// first, then replica successors — on the current ring. Tests and the
-// chaos digest use it to reason about placement.
-func (n *Node) OwnersOf(f blockdev.FileID, k int) []string { return n.ring().Owners(f, k) }
-
 // PeerDown reports whether addr is currently marked down (false for
-// self and unknown addresses); tests and the demo read it.
+// self and unknown addresses); tests read it.
 func (n *Node) PeerDown(addr string) bool {
 	p, ok := n.peerFor(addr)
 	if !ok {
@@ -735,5 +730,5 @@ func (n *Node) HandoffStats() HandoffStats { return n.handoff.stats() }
 // RunHandoff drains one full rebalancing pass synchronously,
 // respecting the byte/s budget, and reports how many blocks moved.
 // The background loop runs the same pass after every ring move;
-// benchmarks and tests call it directly.
+// tests call it directly.
 func (n *Node) RunHandoff() int { return n.handoff.runOnce() }

@@ -172,27 +172,3 @@ func (r *Ring) Members() []string {
 	copy(out, r.members)
 	return out
 }
-
-// Shares returns each member's exact fraction of the hash circle —
-// the sum of the arcs its virtual nodes claim, out of 2^64. This is
-// the stationary distribution of Owner over uniformly hashed files,
-// computed in closed form so balance tests need no sampling.
-func (r *Ring) Shares() map[string]float64 {
-	arcs := make(map[string]uint64, len(r.members))
-	for i, pt := range r.points {
-		// The point at points[i] owns the arc ending at its own hash and
-		// starting just past the previous point's hash (wrapping).
-		var arc uint64
-		if i == 0 {
-			arc = pt.hash + (^uint64(0) - r.points[len(r.points)-1].hash) + 1
-		} else {
-			arc = pt.hash - r.points[i-1].hash
-		}
-		arcs[r.members[pt.member]] += arc
-	}
-	out := make(map[string]float64, len(arcs))
-	for m, a := range arcs {
-		out[m] = float64(a) / float64(1<<63) / 2
-	}
-	return out
-}

@@ -1,18 +1,9 @@
 package conformance
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io"
-	"os"
-	"os/exec"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -31,72 +22,27 @@ var settersAllowed = map[string]string{
 // cold-code rule for settings: every exported field of an exported
 // *Config, *Opts or *Options struct under internal/ is set by the
 // non-test code of some other package, here or in bench/ — a field
-// nobody else sets has one value in use and is a constant. It
-// type-checks every package against the go command's export data, so
-// a field is credited only to the struct it belongs to, not to every
-// struct with a field of the same name.
+// nobody else sets has one value in use and is a constant. It reads
+// the type-checked load (loadModules), so a field is credited only to
+// the struct it belongs to, not to every struct with a field of the
+// same name.
 func TestEverySettingHasASetter(t *testing.T) {
-	root, err := filepath.Abs(filepath.Join("..", ".."))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var pkgs []listedPackage
-	exports := map[string]string{}
-	for _, dir := range []string{root, filepath.Join(root, "bench")} {
-		listed, err := goListExport(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, p := range listed {
-			if _, ok := exports[p.ImportPath]; !ok && p.Export != "" {
-				exports[p.ImportPath] = p.Export
-			}
-			if !p.DepOnly {
-				pkgs = append(pkgs, p)
-			}
-		}
-	}
-
-	fset := token.NewFileSet()
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		f, ok := exports[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(f)
-	})
+	l := loadModules(t)
 
 	// fields lists each settings struct's exported fields by key
 	// ("pkg.Type"); set holds "pkg.Type.Field" for every field some
 	// other package's non-test code sets.
 	fields := map[string][]string{}
 	set := map[string]bool{}
-	for _, p := range pkgs {
-		var files []*ast.File
-		for _, name := range p.GoFiles {
-			f, err := parser.ParseFile(fset, filepath.Join(p.Dir, name), nil, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			files = append(files, f)
-		}
-		info := &types.Info{
-			Types:      map[ast.Expr]types.TypeAndValue{},
-			Selections: map[*ast.SelectorExpr]*types.Selection{},
-		}
-		conf := types.Config{Importer: imp}
-		pkg, err := conf.Check(p.ImportPath, fset, files, info)
-		if err != nil {
-			t.Fatalf("type-check %s: %v", p.ImportPath, err)
-		}
-		if strings.HasPrefix(p.ImportPath, "repro/internal/") {
-			for key, names := range settingsStructs(pkg) {
+	for _, p := range l.pkgs {
+		if strings.HasPrefix(p.path, "repro/internal/") {
+			for key, names := range settingsStructs(p.pkg) {
 				fields[key] = names
 			}
 		}
-		for _, f := range files {
-			for _, ref := range settersIn(f, info) {
-				if ref.pkg != p.ImportPath {
+		for _, f := range p.files {
+			for _, ref := range settersIn(f, p.info) {
+				if ref.pkg != p.path {
 					set[ref.key] = true
 				}
 			}
@@ -136,42 +82,6 @@ func TestEverySettingHasASetter(t *testing.T) {
 			t.Errorf("settersAllowed[%q] excuses no unset field: delete the entry", key)
 		}
 	}
-}
-
-// listedPackage is the part of `go list -json` the gate reads.
-type listedPackage struct {
-	ImportPath string
-	Dir        string
-	GoFiles    []string
-	Export     string
-	DepOnly    bool
-}
-
-// goListExport lists the packages of the module in dir and their
-// dependencies, each with the path of its compiled export data.
-func goListExport(dir string) ([]listedPackage, error) {
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.Command(goTool, "list", "-export", "-deps", "-json=ImportPath,Dir,GoFiles,Export,DepOnly", "./...")
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, fmt.Errorf("go list in %s: %v\n%s", dir, err, stderr.Bytes())
-	}
-	var pkgs []listedPackage
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for dec.More() {
-		var p listedPackage
-		if err := dec.Decode(&p); err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	return pkgs, nil
 }
 
 // settingsStructs returns pkg's exported structs named *Config, *Opts

@@ -49,9 +49,6 @@ func newBlockPPM(order, maxNodes int) *BlockPPM {
 // Name identifies the algorithm, e.g. "BlockPPM:1".
 func (m *BlockPPM) Name() string { return fmt.Sprintf("BlockPPM:%d", m.order) }
 
-// Order returns the Markov order.
-func (m *BlockPPM) Order() int { return m.order }
-
 // nodeCount returns the number of graph nodes.
 func (m *BlockPPM) nodeCount() int { return m.nodes.len() }
 

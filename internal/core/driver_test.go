@@ -395,7 +395,7 @@ func TestUnlimitedCycleIssuesEachBlockOnce(t *testing.T) {
 			d.OnUserRequest(Request{Offset: b.Block, Size: 1}, Tick(e.Now()), satisfied)
 		})
 	}
-	if !e.RunLimit(100_000) {
+	if e.RunUntil(func() bool { return e.Fired() >= 100_000 }); e.Fired() >= 100_000 {
 		t.Fatal("the simulation never drained")
 	}
 	if env.dups != 0 || env.issued > diskEnvIssueCap {

@@ -58,19 +58,15 @@ func (k *histKey) shiftFrom(src *histKey, pr pair, order int) {
 func (k histKey) full(order int) bool { return int(k.n) >= order }
 
 // LinkPolicy selects which outgoing graph link drives a prediction.
+// The zero value follows the most recently traversed link — the
+// paper's choice, which it found more accurate than counts for file
+// access (§2.2).
 type LinkPolicy int
 
-// Link policies.
-const (
-	// MostRecentLinkPolicy follows the most recently traversed link —
-	// the paper's choice, which it found more accurate than counts
-	// for file access (§2.2).
-	MostRecentLinkPolicy LinkPolicy = iota
-	// MostProbableLinkPolicy follows the most traversed link — the
-	// original Vitter & Krishnan PPM heuristic, kept for the ablation
-	// benchmarks.
-	MostProbableLinkPolicy
-)
+// MostProbableLinkPolicy follows the most traversed link — the
+// original Vitter & Krishnan PPM heuristic, kept for the ablation
+// benchmarks.
+const MostProbableLinkPolicy LinkPolicy = 1
 
 // node is one vertex of the pattern graph. Its outgoing links are
 // counted and the last one traversed is remembered (mru and top mean
@@ -143,9 +139,6 @@ func (m *ISPPM) SetFallback(enabled bool) { m.noFallback = !enabled }
 
 // Name identifies the algorithm with its order, e.g. "IS_PPM:3".
 func (m *ISPPM) Name() string { return fmt.Sprintf("IS_PPM:%d", m.order) }
-
-// Order returns the Markov order j.
-func (m *ISPPM) Order() int { return m.order }
 
 // nodeCount returns the number of nodes currently in the graph.
 func (m *ISPPM) nodeCount() int { return m.nodes.len() }

@@ -284,9 +284,6 @@ func TestISPPMName(t *testing.T) {
 	if NewISPPM(1).Name() != "IS_PPM:1" || NewISPPM(3).Name() != "IS_PPM:3" {
 		t.Error("names wrong")
 	}
-	if NewISPPM(2).Order() != 2 {
-		t.Error("Order wrong")
-	}
 }
 
 func TestISPPMMostRecentLinkWrongOrder(t *testing.T) {

@@ -75,17 +75,6 @@ func (l *Ledger) MaxHighWater() int {
 	return l.maxHW
 }
 
-// FileHighWater returns the most prefetches ever simultaneously in
-// flight for file f.
-func (l *Ledger) FileHighWater(f blockdev.FileID) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if m := l.files[f]; m != nil {
-		return m.highWater
-	}
-	return 0
-}
-
 // HighWaters returns a copy of every file's high-water mark, leaving
 // out files that never had a prefetch in flight. Cluster
 // tests join these maps across nodes to assert the paper's invariant

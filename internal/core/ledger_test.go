@@ -33,7 +33,7 @@ func TestLedger(t *testing.T) {
 		wantHW: map[blockdev.FileID]int{1: 2, 2: 1},
 	}, {
 		// A file seen only through a zero delta never had a prefetch in
-		// flight: HighWaters leaves it out and FileHighWater reports 0.
+		// flight: HighWaters leaves it out.
 		name:   "zero-delta",
 		deltas: []delta{{3, 0}, {4, 1}, {4, -1}},
 		wantHW: map[blockdev.FileID]int{4: 1},
@@ -69,21 +69,21 @@ func TestLedger(t *testing.T) {
 			hw := l.HighWaters()
 			max := 0
 			for f, want := range tc.wantHW {
-				if hw[f] != want || l.FileHighWater(f) != want {
-					t.Errorf("file %d high-water = %d/%d, want %d", f, hw[f], l.FileHighWater(f), want)
+				if hw[f] != want {
+					t.Errorf("file %d high-water = %d, want %d", f, hw[f], want)
 				}
 				if want > max {
 					max = want
 				}
 				// The copy must be detached from the ledger.
 				hw[f] = 99
-				if l.FileHighWater(f) != want {
+				if l.HighWaters()[f] != want {
 					t.Error("HighWaters returned the internal map")
 				}
 			}
 			for _, d := range tc.deltas {
-				if _, ok := tc.wantHW[d.f]; !ok && l.FileHighWater(d.f) != 0 {
-					t.Errorf("file %d high-water = %d, want 0", d.f, l.FileHighWater(d.f))
+				if _, ok := tc.wantHW[d.f]; !ok && hw[d.f] != 0 {
+					t.Errorf("file %d high-water = %d, want 0", d.f, hw[d.f])
 				}
 			}
 			if len(hw) != len(tc.wantHW) {

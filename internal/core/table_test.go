@@ -358,7 +358,7 @@ func TestPredictionsAtCap(t *testing.T) {
 	}
 	for _, order := range []int{1, 2, 3, 8} {
 		for _, max := range []int{1, 3, 16, 200} {
-			for _, policy := range []LinkPolicy{MostRecentLinkPolicy, MostProbableLinkPolicy} {
+			for _, policy := range []LinkPolicy{0 /* most recent */, MostProbableLinkPolicy} {
 				p := newISPPMSized(order, max)
 				p.SetLinkPolicy(policy)
 				check(fmt.Sprintf("%s/max%d/policy%d", p.Name(), max, policy), p, p.nodeCount, max)

@@ -53,12 +53,6 @@ func (a *Array) DiskFor(b blockdev.BlockID) *Disk {
 	return a.disks[a.striper.DiskFor(b)]
 }
 
-// Disks returns the number of disks in the array.
-func (a *Array) Disks() int { return len(a.disks) }
-
-// Disk returns disk i.
-func (a *Array) Disk(i int) *Disk { return a.disks[i] }
-
 // Read queues a read of block b at the given priority; done fires at
 // completion. cancelled, if non-nil, lets the caller abandon the
 // operation while it is still queued (used by aggressive prefetchers

@@ -123,13 +123,18 @@ func TestWriteCounts(t *testing.T) {
 func TestArrayShape(t *testing.T) {
 	e := sim.NewEngine(1)
 	a := NewArray(e, machine.PM())
-	if a.Disks() != 16 {
-		t.Fatalf("Disks = %d, want 16", a.Disks())
-	}
-	for i := 0; i < a.Disks(); i++ {
-		if a.Disk(i).ID() != blockdev.DiskID(i) {
-			t.Errorf("disk %d has ID %d", i, a.Disk(i).ID())
+	st := blockdev.NewStriper(16)
+	seen := map[*Disk]bool{}
+	for blk := blockdev.BlockNo(0); blk < 32; blk++ {
+		b := blockdev.BlockID{File: 3, Block: blk}
+		d := a.DiskFor(b)
+		if d.ID() != st.DiskFor(b) {
+			t.Errorf("block %v on disk %d, the striper says %d", b, d.ID(), st.DiskFor(b))
 		}
+		seen[d] = true
+	}
+	if len(seen) != 16 {
+		t.Errorf("32 blocks of one file reached %d disks, want 16", len(seen))
 	}
 }
 

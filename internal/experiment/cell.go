@@ -145,17 +145,6 @@ type Result struct {
 	SimTime  sim.Time `json:"sim_time_ns"`
 }
 
-// RunCell simulates one cell under the given scale. The workload trace
-// depends only on the scale and workload kind, so every algorithm and
-// cache size is measured against the identical request stream.
-func RunCell(s Scale, c Cell) (Result, error) {
-	tr, mach, err := s.Trace(c.Workload)
-	if err != nil {
-		return Result{}, err
-	}
-	return RunTrace(tr, mach, c, s.WarmFraction)
-}
-
 // RunTrace simulates an explicit trace (for example one loaded from a
 // tracegen file) on the given machine under cell c's file system,
 // algorithm and cache size; c.Workload is informational only.

@@ -7,14 +7,24 @@ import (
 	"repro/internal/core"
 )
 
+// runCell simulates one cell the way every sweep does: through
+// RunCells, on the trace and machine s names for its workload.
+func runCell(s Scale, c Cell) (Result, error) {
+	rs, err := RunCells(s.Trace, []Cell{c}, s.WarmFraction, 1)
+	if err != nil {
+		return Result{}, err
+	}
+	return rs[0], nil
+}
+
 func TestRunCellDeterministic(t *testing.T) {
 	s := TinyScale()
 	c := Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecLnAgrOBA, CacheMB: 4}
-	a, err := RunCell(s, c)
+	a, err := runCell(s, c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunCell(s, c)
+	b, err := runCell(s, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,25 +35,25 @@ func TestRunCellDeterministic(t *testing.T) {
 
 func TestRunCellRejectsBadConfig(t *testing.T) {
 	s := TinyScale()
-	if _, err := RunCell(s, Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecNP, CacheMB: 0}); err == nil {
+	if _, err := runCell(s, Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecNP, CacheMB: 0}); err == nil {
 		t.Error("zero cache accepted")
 	}
-	if _, err := RunCell(s, Cell{FS: FSKind(9), Workload: Charisma, Alg: core.SpecNP, CacheMB: 1}); err == nil {
+	if _, err := runCell(s, Cell{FS: FSKind(9), Workload: Charisma, Alg: core.SpecNP, CacheMB: 1}); err == nil {
 		t.Error("bad fs accepted")
 	}
-	if _, err := RunCell(s, Cell{FS: PAFS, Workload: WorkloadKind(9), Alg: core.SpecNP, CacheMB: 1}); err == nil {
+	if _, err := runCell(s, Cell{FS: PAFS, Workload: WorkloadKind(9), Alg: core.SpecNP, CacheMB: 1}); err == nil {
 		t.Error("bad workload accepted")
 	}
 	bad := TinyScale()
 	bad.Charisma.Apps = 0
-	if _, err := RunCell(bad, Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecNP, CacheMB: 1}); err == nil {
+	if _, err := runCell(bad, Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecNP, CacheMB: 1}); err == nil {
 		t.Error("bad workload params accepted")
 	}
 }
 
 func TestRunCellProducesSaneMetrics(t *testing.T) {
 	s := TinyScale()
-	r, err := RunCell(s, Cell{FS: XFS, Workload: Sprite, Alg: core.SpecLnAgrISPPM1, CacheMB: 4})
+	r, err := runCell(s, Cell{FS: XFS, Workload: Sprite, Alg: core.SpecLnAgrISPPM1, CacheMB: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

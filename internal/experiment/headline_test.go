@@ -13,11 +13,11 @@ import (
 // suite fails loudly rather than silently producing a flat figure.
 func TestHeadlineResultHolds(t *testing.T) {
 	s := TinyScale()
-	np, err := RunCell(s, Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecNP, CacheMB: 16})
+	np, err := runCell(s, Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecNP, CacheMB: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
-	agr, err := RunCell(s, Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecLnAgrISPPM1, CacheMB: 16})
+	agr, err := runCell(s, Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecLnAgrISPPM1, CacheMB: 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,11 +34,11 @@ func TestHeadlineResultHolds(t *testing.T) {
 // TestSpriteHeadlineHolds does the same for the NOW workload.
 func TestSpriteHeadlineHolds(t *testing.T) {
 	s := TinyScale()
-	np, err := RunCell(s, Cell{FS: PAFS, Workload: Sprite, Alg: core.SpecNP, CacheMB: 4})
+	np, err := runCell(s, Cell{FS: PAFS, Workload: Sprite, Alg: core.SpecNP, CacheMB: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	agr, err := RunCell(s, Cell{FS: PAFS, Workload: Sprite, Alg: core.SpecLnAgrISPPM1, CacheMB: 4})
+	agr, err := runCell(s, Cell{FS: PAFS, Workload: Sprite, Alg: core.SpecLnAgrISPPM1, CacheMB: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,13 +53,13 @@ func TestSpriteHeadlineHolds(t *testing.T) {
 // unthrottled aggressive variant.
 func TestLinearBeatsUnlimitedOnDiskTraffic(t *testing.T) {
 	s := TinyScale()
-	lin, err := RunCell(s, Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecLnAgrISPPM1, CacheMB: 1})
+	lin, err := runCell(s, Cell{FS: PAFS, Workload: Charisma, Alg: core.SpecLnAgrISPPM1, CacheMB: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	unl := core.SpecLnAgrISPPM1
 	unl.MaxOutstanding = 0
-	unlimited, err := RunCell(s, Cell{FS: PAFS, Workload: Charisma, Alg: unl, CacheMB: 1})
+	unlimited, err := runCell(s, Cell{FS: PAFS, Workload: Charisma, Alg: unl, CacheMB: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

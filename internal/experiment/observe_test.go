@@ -26,7 +26,7 @@ func TestLinearityHighWater(t *testing.T) {
 		{FS: PAFS, Workload: Sprite, Alg: core.SpecLnAgrOBA, CacheMB: 4},
 		{FS: PAFS, Workload: Sprite, Alg: core.SpecLnAgrISPPM3, CacheMB: 16},
 	} {
-		r, err := RunCell(s, c)
+		r, err := runCell(s, c)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,7 +41,7 @@ func TestLinearityHighWater(t *testing.T) {
 	// CHARISMA's shared files are read by several nodes at once, so
 	// xFS's independent per-node drivers must overlap.
 	c := Cell{FS: XFS, Workload: Charisma, Alg: core.SpecLnAgrOBA, CacheMB: 4}
-	r, err := RunCell(s, c)
+	r, err := runCell(s, c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestGoldenObservability(t *testing.T) {
 			timely: 244, late: 16, wasted: 0, unused: 142, hw: 1, events: 3923,
 		},
 	} {
-		r, err := RunCell(s, g.cell)
+		r, err := runCell(s, g.cell)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -159,7 +159,7 @@ func TestRunStopsDispatchOnFailure(t *testing.T) {
 
 // TestRunCellsOneTracePerWorkload pins the pool's input contract: each
 // distinct workload's trace is asked for once however many cells use
-// it, results come back in cell order, and they equal RunCell's.
+// it, results come back in cell order, and they equal each cell run alone.
 func TestRunCellsOneTracePerWorkload(t *testing.T) {
 	s := TinyScale()
 	asked := make(map[WorkloadKind]int)
@@ -183,12 +183,12 @@ func TestRunCellsOneTracePerWorkload(t *testing.T) {
 		t.Errorf("traces asked for %v, want CHARISMA and Sprite once each", asked)
 	}
 	for i, c := range cells {
-		want, err := RunCell(s, c)
+		want, err := runCell(s, c)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if results[i] != want {
-			t.Errorf("result %d is not RunCell(%s)", i, c)
+			t.Errorf("result %d is not runCell(%s)", i, c)
 		}
 	}
 
@@ -199,10 +199,10 @@ func TestRunCellsOneTracePerWorkload(t *testing.T) {
 	}
 }
 
-// TestRunRejectsInvalidSpec pins the error path of RunCell itself.
+// TestRunRejectsInvalidSpec pins the error path of a cell run.
 func TestRunRejectsInvalidSpec(t *testing.T) {
 	s := TinyScale()
-	_, err := RunCell(s, Cell{FS: PAFS, Workload: Charisma,
+	_, err := runCell(s, Cell{FS: PAFS, Workload: Charisma,
 		Alg: core.AlgSpec{Kind: core.AlgKind(99)}, CacheMB: 4})
 	if err == nil {
 		t.Fatal("unknown algorithm kind accepted")

@@ -15,7 +15,7 @@ func TestSmokeCells(t *testing.T) {
 		{FS: XFS, Workload: Sprite, Alg: core.SpecNP, CacheMB: 4},
 		{FS: XFS, Workload: Sprite, Alg: core.SpecLnAgrISPPM1, CacheMB: 4},
 	} {
-		r, err := RunCell(s, c)
+		r, err := runCell(s, c)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -83,7 +83,7 @@ func TestRunTraceMatchesRunCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	cell := Cell{FS: PAFS, Workload: Sprite, Alg: core.SpecLnAgrOBA, CacheMB: 4}
-	direct, err := RunCell(s, cell)
+	direct, err := runCell(s, cell)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,13 +92,13 @@ func TestRunTraceMatchesRunCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	if direct != viaTrace {
-		t.Error("RunTrace with the generated trace differs from RunCell")
+		t.Error("RunTrace with the generated trace differs from the cell RunCells runs")
 	}
 }
 
 // TestTraceFileRoundTrip is the tracegen → lapsim -trace path for every
 // workload: a trace written out and read back, run on the machine
-// Scale.Trace names for its workload, must reproduce RunCell field for
+// Scale.Trace names for its workload, must reproduce RunCells field for
 // field. It fails if a replay picks its machine any other way.
 func TestTraceFileRoundTrip(t *testing.T) {
 	s := TinyScale()
@@ -123,7 +123,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		cell := Cell{FS: PAFS, Workload: wl, Alg: core.SpecLnAgrISPPM1, CacheMB: 1}
-		direct, err := RunCell(s, cell)
+		direct, err := runCell(s, cell)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestTraceFileRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		if direct != replayed {
-			t.Errorf("%s: replayed trace file differs from RunCell:\ngenerated: %+v\nreplayed:  %+v", wl, direct, replayed)
+			t.Errorf("%s: replayed trace file differs from RunCells:\ngenerated: %+v\nreplayed:  %+v", wl, direct, replayed)
 		}
 	}
 }

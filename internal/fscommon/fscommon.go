@@ -21,8 +21,6 @@ import (
 
 // FileSystem is what the trace runner and the experiment layer drive.
 type FileSystem interface {
-	// Name identifies the file system ("PAFS" or "xFS").
-	Name() string
 	// Read serves a user read of span for a process on client; done
 	// fires when every block has reached the client.
 	Read(client blockdev.NodeID, span blockdev.Span, done func(at sim.Time))
@@ -232,7 +230,7 @@ func (b *Base) DemandFetch(blk blockdev.BlockID, node blockdev.NodeID, done func
 
 func (op *diskOp) fetched(e *sim.Engine, at sim.Time) {
 	b := op.b
-	b.Coll.DiskRead(false)
+	b.Coll.DiskRead()
 	_, victims := b.Cch.Insert(op.node, op.blk, cachesim.InsertOptions{})
 	b.FlushVictims(victims)
 	// A waiter that misses on the block again starts a new fetch.
@@ -277,7 +275,7 @@ func (op *diskOp) poll() bool {
 func (op *diskOp) prefetched(*sim.Engine, sim.Time) {
 	b, done := op.b, op.done
 	b.PrefetchEnd(op.blk)
-	b.Coll.DiskRead(true)
+	b.Coll.DiskRead()
 	_, victims := b.Cch.Insert(op.node, op.blk, cachesim.InsertOptions{Prefetched: true})
 	b.FlushVictims(victims)
 	op.release()

@@ -59,9 +59,6 @@ func TestRunnerCompletesTrace(t *testing.T) {
 	if !r.Done() {
 		t.Fatal("runner did not complete the trace")
 	}
-	if r.CompletedSteps() != tr.TotalSteps() {
-		t.Errorf("completed %d steps, want %d", r.CompletedSteps(), tr.TotalSteps())
-	}
 	if got := fs.Collector().Reads(); got != uint64(tr.TotalSteps()) {
 		t.Errorf("collector saw %d reads, want %d", got, tr.TotalSteps())
 	}
@@ -100,8 +97,8 @@ func TestRunnerClosedLoopOrdering(t *testing.T) {
 	r := fscommon.NewRunner(fs, tr, 0)
 	r.Run(e)
 	// 8 distinct blocks per file: only the first pass misses.
-	if got := fs.Collector().DiskDemandReads(); got != 16 {
-		t.Errorf("demand reads = %d, want 16 (8 per file)", got)
+	if got := fs.Collector().DiskReads(); got != 16 {
+		t.Errorf("disk reads = %d, want 16 (8 per file)", got)
 	}
 }
 

@@ -59,9 +59,6 @@ func (r *Runner) Run(e *sim.Engine) sim.Time {
 // Done reports whether every process completed its steps.
 func (r *Runner) Done() bool { return r.finishedProcs == len(r.trace.Procs) }
 
-// CompletedSteps returns how many requests have finished.
-func (r *Runner) CompletedSteps() int { return r.completedSteps }
-
 // process is one trace process mid-replay: the step it is on and the
 // two callbacks that step needs, bound once (a process has one step
 // outstanding at a time).
@@ -105,7 +102,7 @@ func (p *process) completeStep(at sim.Time) {
 	case workload.OpRead:
 		coll.ReadDone(latency)
 	case workload.OpWrite:
-		coll.WriteDone(latency)
+		coll.WriteDone()
 	}
 	r.completedSteps++
 	if r.completedSteps == r.warmThreshold {

@@ -52,15 +52,18 @@ func TestStopBackgroundStopsDaemonAndMeasurement(t *testing.T) {
 	if !fs.Stopped() {
 		t.Error("Stopped false after StopBackground")
 	}
-	if fs.Collector().Measuring() {
-		t.Error("collector still measuring after StopBackground")
-	}
+	// A block nobody cached costs a disk read, which a closed window
+	// does not count.
+	fs.Read(0, blockdev.Span{File: 0, Start: 9, Count: 1}, func(sim.Time) {})
 	// Draining must terminate even though dirty blocks remain.
-	if !e.RunLimit(100000) {
+	if e.RunUntil(func() bool { return e.Fired() >= 100000 }); e.Fired() >= 100000 {
 		t.Error("event queue did not drain after StopBackground")
 	}
 	if fs.Collector().DiskWrites() != 0 {
 		t.Error("stopped daemon still flushed")
+	}
+	if fs.Collector().DiskReads() != 0 {
+		t.Error("collector still measuring after StopBackground")
 	}
 }
 
@@ -105,21 +108,21 @@ func TestCloseStopsChainPAFS(t *testing.T) {
 	fs.Read(0, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
 	// Let a few prefetches through, then close: the chain must stop
 	// well before the end of the 512-block file.
-	e.RunUntil(func() bool { return fs.Collector().DiskPrefetchReads() >= 3 })
+	e.RunUntil(func() bool { return fs.Collector().PrefetchIssuedCount() >= 3 })
 	closed := false
 	fs.Close(0, 0, func(sim.Time) { closed = true })
 	e.Run()
 	if !closed {
 		t.Fatal("close never completed")
 	}
-	if got := fs.Collector().DiskPrefetchReads(); got > 20 {
-		t.Errorf("%d prefetch reads after close; chain did not stop", got)
+	if got := fs.Collector().PrefetchIssuedCount(); got > 20 {
+		t.Errorf("%d prefetches issued after close; chain did not stop", got)
 	}
 	// A new request resumes prefetching.
-	before := fs.Collector().DiskPrefetchReads()
+	before := fs.Collector().PrefetchIssuedCount()
 	fs.Read(0, blockdev.Span{File: 0, Start: 100, Count: 1}, func(sim.Time) {})
-	e.RunUntil(func() bool { return fs.Collector().DiskPrefetchReads() > before+2 })
-	if fs.Collector().DiskPrefetchReads() <= before {
+	e.RunUntil(func() bool { return fs.Collector().PrefetchIssuedCount() > before+2 })
+	if fs.Collector().PrefetchIssuedCount() <= before {
 		t.Error("chain did not resume after reopen")
 	}
 	fs.StopBackground()
@@ -135,7 +138,7 @@ func TestCloseStopsOnlyThatNodeXFS(t *testing.T) {
 	fs.Collector().StartMeasurement()
 	fs.Read(0, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
 	fs.Read(1, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
-	e.RunUntil(func() bool { return fs.Collector().DiskPrefetchReads() >= 6 })
+	e.RunUntil(func() bool { return fs.Collector().PrefetchIssuedCount() >= 6 })
 	// Node 0 closes; node 1's chain keeps walking.
 	fs.Close(0, 0, func(sim.Time) {})
 	before := fs.Collector().PrefetchIssuedCount()

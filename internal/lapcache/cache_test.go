@@ -71,10 +71,10 @@ func TestCacheGetOutlivesEviction(t *testing.T) {
 	if held.Bytes()[0] != 0xAA {
 		t.Errorf("held buffer mutated after eviction: %#x", held.Bytes()[0])
 	}
-	if held.Refs() != 1 {
-		t.Errorf("held refs = %d, want 1", held.Refs())
+	held.Release() // the cache dropped its reference: this one is the last
+	if live := p.Live(); live != 1 {
+		t.Errorf("live = %d after releasing the evicted block, want 1 (block 1 only)", live)
 	}
-	held.Release()
 }
 
 func TestCachePrefetchedFlagLifecycle(t *testing.T) {

@@ -759,15 +759,13 @@ func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks in
 	return nil
 }
 
-// CloseFile stops f's prefetch chain until its next request, as the
+// closeFile stops f's prefetch chain until its next request, as the
 // simulator does on trace close steps. The learned model is kept. On
-// a cluster node the close of a non-owned file is relayed to the ring
-// owner — the only node with a chain to park — best-effort: a dead
-// owner has nothing running for the file anyway.
-func (e *Engine) CloseFile(f blockdev.FileID) { e.closeFile(f, modeClient) }
-
-// closeFile is the one close body; a peer-forwarded close parks the
-// local chain and is never relayed again.
+// a cluster node a client's close of a non-owned file is relayed to
+// the ring owner — the only node with a chain to park — best-effort:
+// a dead owner has nothing running for the file anyway. A
+// peer-forwarded close parks the local chain and is never relayed
+// again.
 func (e *Engine) closeFile(f blockdev.FileID, m reqMode) {
 	if m == modeClient && e.remote != nil && !e.remote.Owned(f) {
 		e.remote.ForwardClose(f) //nolint:errcheck // best-effort

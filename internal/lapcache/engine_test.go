@@ -253,7 +253,7 @@ func TestCloseFileStopsChain(t *testing.T) {
 	if _, _, err := readCopy(e, 1, 0, 1); err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	e.CloseFile(1)
+	e.closeFile(1, modeClient)
 	waitFor(t, "quiescence after close", func() bool {
 		s := e.Snapshot()
 		return s.PrefetchCompleted+s.PrefetchCancelled+s.PrefetchDupSkipped >= s.PrefetchIssued

@@ -40,10 +40,10 @@ func TestHotpathCoalescedPipeline(t *testing.T) {
 			// after every dispatch until the queue drains.
 			var reqs bytes.Buffer
 			for i := 0; i < tc.burst; i++ {
-				if err := wire.WriteFrame(&reqs, wire.Header{
+				if _, err := reqs.Write(frameBytes(wire.Header{
 					Op: wire.OpRead, Flags: wire.FlagWantData,
 					Seq: uint32(i + 1), File: 9, Offset: int32(i), Size: 1,
-				}, nil); err != nil {
+				}, nil)); err != nil {
 					t.Fatalf("build burst: %v", err)
 				}
 			}
@@ -96,10 +96,10 @@ func TestHotpathShardStress(t *testing.T) {
 			want := make([]byte, blockSize)
 			f := blockdev.FileID(c + 1)
 			for i := 0; i < reads; i++ {
-				if err := wire.WriteFrame(conn, wire.Header{
+				if _, err := conn.Write(frameBytes(wire.Header{
 					Op: wire.OpRead, Flags: wire.FlagWantData,
 					Seq: uint32(i + 1), File: int32(f), Offset: int32(i % 8), Size: 1,
-				}, nil); err != nil {
+				}, nil)); err != nil {
 					errs <- err
 					return
 				}
@@ -161,9 +161,9 @@ func TestHotpathTornVectoredWrite(t *testing.T) {
 	})
 	c := dialRaw(t, addr)
 
-	if err := wire.WriteFrame(c, wire.Header{
+	if _, err := c.Write(frameBytes(wire.Header{
 		Op: wire.OpRead, Flags: wire.FlagWantData, Seq: 1, File: 2, Size: 1,
-	}, nil); err != nil {
+	}, nil)); err != nil {
 		t.Fatalf("write request: %v", err)
 	}
 	// The response header is torn partway through: the client must see

@@ -100,11 +100,11 @@ func TestRemoteForwardWriteAndClose(t *testing.T) {
 		t.Errorf("read after write-through forwarded anyway (%d fetches)", got)
 	}
 
-	e.CloseFile(3)
+	e.closeFile(3, modeClient)
 	if got := rem.closeCalls.Load(); got != 1 {
 		t.Errorf("ForwardClose called %d times, want 1", got)
 	}
-	e.CloseFile(2) // owned: no relay
+	e.closeFile(2, modeClient) // owned: no relay
 	if got := rem.closeCalls.Load(); got != 1 {
 		t.Errorf("owned close relayed (%d calls)", got)
 	}

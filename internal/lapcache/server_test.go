@@ -60,9 +60,14 @@ func dialRaw(t *testing.T, addr string) *rawConn {
 // recv reads one response frame and checks it echoes seq.
 func (c *rawConn) recv(t *testing.T, seq uint32) (wire.Header, []byte) {
 	t.Helper()
-	h, payload, err := wire.DecodeFrame(c.br, nil)
+	var scratch [wire.HeaderSize]byte
+	h, err := wire.ReadHeader(c.br, scratch[:])
 	if err != nil {
 		t.Fatalf("seq %d: read response: %v", seq, err)
+	}
+	payload, err := wire.ReadPayload(c.br, h, nil)
+	if err != nil {
+		t.Fatalf("seq %d: read response payload: %v", seq, err)
 	}
 	if h.Seq != seq {
 		t.Fatalf("response echoes seq %d, want %d", h.Seq, seq)
@@ -70,10 +75,19 @@ func (c *rawConn) recv(t *testing.T, seq uint32) (wire.Header, []byte) {
 	return h, payload
 }
 
+// frameBytes encodes one complete frame: h's header, with PayloadLen
+// set to len(payload), then the payload.
+func frameBytes(h wire.Header, payload []byte) []byte {
+	h.PayloadLen = uint32(len(payload))
+	b := make([]byte, wire.HeaderSize, wire.HeaderSize+len(payload))
+	wire.PutHeader(b, h)
+	return append(b, payload...)
+}
+
 // do runs one request/response exchange.
 func (c *rawConn) do(t *testing.T, h wire.Header, payload []byte) (wire.Header, []byte) {
 	t.Helper()
-	if err := wire.WriteFrame(c, h, payload); err != nil {
+	if _, err := c.Write(frameBytes(h, payload)); err != nil {
 		t.Fatalf("send %s: %v", h.Op, err)
 	}
 	return c.recv(t, h.Seq)
@@ -154,9 +168,9 @@ func TestServerCloseDrainsInFlight(t *testing.T) {
 	}, nil)
 
 	c := dialRaw(t, addr)
-	if err := wire.WriteFrame(c, wire.Header{
+	if _, err := c.Write(frameBytes(wire.Header{
 		Op: wire.OpRead, Flags: wire.FlagWantData, Seq: 1, File: 1, Size: 1,
-	}, nil); err != nil {
+	}, nil)); err != nil {
 		t.Fatalf("send: %v", err)
 	}
 	<-gate.started // the read is now in dispatch, parked in the store
@@ -202,9 +216,9 @@ func TestServerCloseNotWedgedBySlowClient(t *testing.T) {
 	// ends can absorb, so the handler wedges in its vectored write when
 	// we never read a byte.
 	for seq := uint32(1); seq <= 2; seq++ {
-		if err := wire.WriteFrame(c, wire.Header{
+		if _, err := c.Write(frameBytes(wire.Header{
 			Op: wire.OpRead, Flags: wire.FlagWantData, Seq: seq, File: 1, Size: 1024,
-		}, nil); err != nil {
+		}, nil)); err != nil {
 			t.Fatalf("send: %v", err)
 		}
 	}
@@ -366,7 +380,7 @@ func pipeline(t *testing.T, c *rawConn, frames ...wire.Header) {
 		if h.Op == wire.OpWrite {
 			payload = bytes.Repeat([]byte{byte(h.Seq)}, int(h.PayloadLen))
 		}
-		if err := wire.WriteFrame(&reqs, h, payload); err != nil {
+		if _, err := reqs.Write(frameBytes(h, payload)); err != nil {
 			t.Fatalf("build pipeline: %v", err)
 		}
 	}

@@ -53,7 +53,7 @@ func TestLinearHighWaterUnderStress(t *testing.T) {
 					return
 				}
 				if g%4 == 0 && i%50 == 49 {
-					e.CloseFile(7)
+					e.closeFile(7, modeClient)
 				}
 			}
 		}(g)
@@ -74,7 +74,7 @@ func TestLinearHighWaterUnderStress(t *testing.T) {
 	if snap.PrefetchIssued == 0 {
 		t.Fatal("stress run issued no prefetches; the test exercised nothing")
 	}
-	if hw := e.Ledger().FileHighWater(7); hw != 1 {
+	if hw := e.Ledger().HighWaters()[7]; hw != 1 {
 		t.Errorf("file 7 outstanding high-water = %d, want exactly 1", hw)
 	}
 	if snap.MaxFileOutstandingHW != 1 {

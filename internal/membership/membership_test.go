@@ -99,8 +99,6 @@ func (t *memTransport) Close() error {
 	return nil
 }
 
-func (t *memTransport) LocalAddr() string { return t.addr }
-
 func testConfig(hub *memHub, addr string, seeds []string) Config {
 	return Config{
 		Self:          addr,
@@ -373,11 +371,13 @@ func TestUDPTransport(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Each socket's port is the one the OS picked.
+	addr := func(tr Transport) string { return tr.(*udpTransport).pc.LocalAddr().String() }
 	mkcfg := func(tr Transport, seeds []string) Config {
-		return Config{Self: tr.LocalAddr(), Seeds: seeds, ProbeInterval: 10 * time.Millisecond, Transport: tr}
+		return Config{Self: addr(tr), Seeds: seeds, ProbeInterval: 10 * time.Millisecond, Transport: tr}
 	}
 	a := start(t, mkcfg(trA, nil))
-	b := start(t, mkcfg(trB, []string{trA.LocalAddr()}))
+	b := start(t, mkcfg(trB, []string{addr(trA)}))
 	waitFor(t, "UDP convergence", 5*time.Second, func() bool {
 		return len(a.alive()) == 2 && len(b.alive()) == 2
 	})

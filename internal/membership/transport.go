@@ -20,7 +20,6 @@ type Transport interface {
 	// when the transport is closed or broken.
 	ReadFrom(p []byte) (n int, from string, err error)
 	Close() error
-	LocalAddr() string
 }
 
 // ErrTransportClosed reports a read on a closed transport.
@@ -68,5 +67,4 @@ func (t *udpTransport) ReadFrom(p []byte) (int, string, error) {
 	return n, from.String(), nil
 }
 
-func (t *udpTransport) Close() error      { return t.pc.Close() }
-func (t *udpTransport) LocalAddr() string { return t.pc.LocalAddr().String() }
+func (t *udpTransport) Close() error { return t.pc.Close() }

@@ -22,10 +22,6 @@ type Network struct {
 	engine *sim.Engine
 	ports  []*sim.Resource
 
-	msgsLocal  uint64
-	msgsRemote uint64
-	bytesMoved uint64
-
 	// idle holds the records of finished intra-node copies for Local
 	// to reuse.
 	idle []*localCopy
@@ -78,13 +74,10 @@ func (n *Network) Send(from, to blockdev.NodeID, size int64, done func(e *sim.En
 	if int(from) < 0 || int(from) >= len(n.ports) || int(to) < 0 || int(to) >= len(n.ports) {
 		panic(fmt.Sprintf("netmodel: send %d -> %d outside machine of %d nodes", from, to, len(n.ports)))
 	}
-	n.bytesMoved += uint64(size)
 	if from == to {
-		n.msgsLocal++
 		n.Local(size, done)
 		return
 	}
-	n.msgsRemote++
 	n.ports[from].Submit(sim.Request{
 		Service:  n.RemoteCost(size),
 		Priority: sim.PriorityUser,
@@ -130,15 +123,6 @@ func (n *Network) MaxPortQueueLen() int {
 	}
 	return max
 }
-
-// MessagesLocal returns the count of intra-node messages delivered.
-func (n *Network) MessagesLocal() uint64 { return n.msgsLocal }
-
-// MessagesRemote returns the count of cross-network messages delivered.
-func (n *Network) MessagesRemote() uint64 { return n.msgsRemote }
-
-// BytesMoved returns the total payload bytes moved, local and remote.
-func (n *Network) BytesMoved() uint64 { return n.bytesMoved }
 
 // ControlMessageSize is the size charged for request/response control
 // messages (RPC headers) as opposed to block payloads.

@@ -48,8 +48,8 @@ func TestSendLocalArrivesAtLocalCost(t *testing.T) {
 	if at != sim.Time(0).Add(n.LocalCost(8192)) {
 		t.Errorf("local send arrived at %v, want %v", at, n.LocalCost(8192))
 	}
-	if n.MessagesLocal() != 1 || n.MessagesRemote() != 0 {
-		t.Error("message counters wrong")
+	if u := n.Utilization(); u != 0 {
+		t.Errorf("local send used the network ports: utilization %v, want 0", u)
 	}
 }
 
@@ -92,13 +92,24 @@ func TestSendPanicsOnBadNode(t *testing.T) {
 	n.Send(0, 100, 1, func(*sim.Engine, sim.Time) {})
 }
 
+// TestBytesMovedAccounting checks that every message is charged its
+// own size: a local copy of 100 bytes and two remote messages of 200
+// and 300 bytes from one port arrive when their sizes say.
 func TestBytesMovedAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, machine.PM())
-	n.Send(0, 0, 100, func(*sim.Engine, sim.Time) {})
-	n.Send(0, 1, 200, func(*sim.Engine, sim.Time) {})
+	var local, first, second sim.Time
+	n.Send(0, 0, 100, func(_ *sim.Engine, at sim.Time) { local = at })
+	n.Send(0, 1, 200, func(_ *sim.Engine, at sim.Time) { first = at })
+	n.Send(0, 1, 300, func(_ *sim.Engine, at sim.Time) { second = at })
 	e.Run()
-	if n.BytesMoved() != 300 {
-		t.Errorf("BytesMoved = %d, want 300", n.BytesMoved())
+	if want := sim.Time(0).Add(n.LocalCost(100)); local != want {
+		t.Errorf("100-byte local copy arrived at %v, want %v", local, want)
+	}
+	if want := sim.Time(0).Add(n.RemoteCost(200)); first != want {
+		t.Errorf("200-byte message arrived at %v, want %v", first, want)
+	}
+	if want := first.Add(n.RemoteCost(300)); second != want {
+		t.Errorf("300-byte message arrived at %v, want %v", second, want)
 	}
 }

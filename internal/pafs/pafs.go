@@ -47,9 +47,6 @@ func New(e *sim.Engine, cfg Config, tr *workload.Trace) *FS {
 	return fs
 }
 
-// Name identifies the file system.
-func (fs *FS) Name() string { return "PAFS" }
-
 // Start launches the write-back daemon.
 func (fs *FS) Start() { fs.StartWriteback() }
 
@@ -92,9 +89,6 @@ func (fs *FS) driverFor(f blockdev.FileID) *core.Driver {
 	fs.drivers[f] = d
 	return d
 }
-
-// Drivers exposes per-file driver statistics (for experiments).
-func (fs *FS) Drivers() map[blockdev.FileID]*core.Driver { return fs.drivers }
 
 // Read serves a user read: the client contacts the file's server, the
 // server gathers every block — from the cooperative cache or from disk

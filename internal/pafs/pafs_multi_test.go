@@ -25,8 +25,8 @@ func TestMultiBlockMissFetchesInParallel(t *testing.T) {
 	if lat < 2*service {
 		t.Errorf("4-block miss took %v, impossibly fast for 2 disks", lat)
 	}
-	if fs.Collector().DiskDemandReads() != 4 {
-		t.Errorf("demand reads = %d, want 4", fs.Collector().DiskDemandReads())
+	if fs.Collector().DiskReads() != 4 {
+		t.Errorf("disk reads = %d, want 4", fs.Collector().DiskReads())
 	}
 }
 
@@ -34,11 +34,11 @@ func TestPartialHitFetchesOnlyMisses(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 64, 100)
 	fs.Read(0, span(0, 0, 2), func(sim.Time) {})
 	e.Run()
-	before := fs.Collector().DiskDemandReads()
+	before := fs.Collector().DiskReads()
 	// Blocks 0,1 cached; 2,3 not: the 4-block request fetches two.
 	fs.Read(1, span(0, 0, 4), func(sim.Time) {})
 	e.Run()
-	if got := fs.Collector().DiskDemandReads() - before; got != 2 {
+	if got := fs.Collector().DiskReads() - before; got != 2 {
 		t.Errorf("partial hit fetched %d blocks, want 2", got)
 	}
 }
@@ -47,13 +47,17 @@ func TestRemoteHitMovesDataOverNetwork(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 64, 100)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	remoteBefore := fs.Net.MessagesRemote()
 	// Another node reads the same block: at least one remote transfer
-	// (holder -> client) must cross the network.
-	fs.Read(3, span(0, 0, 1), func(sim.Time) {})
+	// (holder -> client) must cross the network, and no disk read.
+	reads, start := fs.Collector().DiskReads(), e.Now()
+	var end sim.Time
+	fs.Read(3, span(0, 0, 1), func(at sim.Time) { end = at })
 	e.Run()
-	if fs.Net.MessagesRemote() <= remoteBefore {
-		t.Error("remote hit produced no network traffic")
+	if lat, floor := end.Sub(start), fs.Net.RemoteCost(fs.Cfg.BlockSize); lat < floor {
+		t.Errorf("remote hit took %v, less than one block across the network (%v)", lat, floor)
+	}
+	if fs.Collector().DiskReads() != reads {
+		t.Error("remote hit went to disk")
 	}
 }
 
@@ -95,10 +99,10 @@ func TestPrefetchedBlockServedToOtherClient(t *testing.T) {
 	e, fs := newFS(core.SpecLnAgrOBA, 64, 40)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run() // chain walks the whole file
-	demand := fs.Collector().DiskDemandReads()
+	demand := fs.Collector().DiskReads()
 	fs.Read(1, span(0, 20, 4), func(sim.Time) {})
 	e.Run()
-	if fs.Collector().DiskDemandReads() != demand {
+	if fs.Collector().DiskReads() != demand {
 		t.Error("client 1 missed on blocks client 0's chain prefetched")
 	}
 }
@@ -129,7 +133,7 @@ func TestBlockPPMRunsEndToEnd(t *testing.T) {
 	// The learned graph wraps 19 -> 0, so with an evicting cache the
 	// chain churns forever (the runner's close/stop machinery bounds
 	// it in real runs); bound this direct drive by event count.
-	e.RunLimit(500000)
+	e.RunUntil(func() bool { return e.Fired() >= 500000 })
 	if fs.Collector().PrefetchIssuedCount() == 0 {
 		t.Error("block-PPM never prefetched despite a repeated sequence")
 	}

@@ -48,8 +48,8 @@ func TestReadMissGoesToDisk(t *testing.T) {
 	var at sim.Time
 	fs.Read(0, span(0, 0, 1), func(tm sim.Time) { at = tm })
 	e.Run()
-	if fs.Collector().DiskDemandReads() != 1 {
-		t.Fatalf("demand reads = %d, want 1", fs.Collector().DiskDemandReads())
+	if fs.Collector().DiskReads() != 1 {
+		t.Fatalf("disk reads = %d, want 1", fs.Collector().DiskReads())
 	}
 	// A miss must cost at least the disk service time.
 	if at < sim.Time(0).Add(sim.Milliseconds(10.5)) {
@@ -64,12 +64,12 @@ func TestReadHitAvoidsDisk(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 64, 100)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	reads := fs.Collector().DiskDemandReads()
+	reads := fs.Collector().DiskReads()
 	var hitAt, start sim.Time
 	start = e.Now()
 	fs.Read(1, span(0, 0, 1), func(tm sim.Time) { hitAt = tm })
 	e.Run()
-	if fs.Collector().DiskDemandReads() != reads {
+	if fs.Collector().DiskReads() != reads {
 		t.Error("hit went to disk")
 	}
 	lat := hitAt.Sub(start)
@@ -90,8 +90,8 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 	if done != 2 {
 		t.Fatalf("completed %d reads, want 2", done)
 	}
-	if got := fs.Collector().DiskDemandReads(); got != 1 {
-		t.Errorf("demand reads = %d, want 1 (coalesced)", got)
+	if got := fs.Collector().DiskReads(); got != 1 {
+		t.Errorf("disk reads = %d, want 1 (coalesced)", got)
 	}
 }
 
@@ -148,7 +148,7 @@ func TestLnAgrOBAPrefetchesSequentially(t *testing.T) {
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
 	// The chain must have walked to the end of the 20-block file.
-	if got := fs.Collector().DiskPrefetchReads(); got != 19 {
+	if got := fs.Collector().PrefetchIssuedCount(); got != 19 {
 		t.Errorf("prefetch reads = %d, want 19", got)
 	}
 	for b := 0; b < 20; b++ {
@@ -167,7 +167,7 @@ func TestLinearInvariantOneOutstandingPerFile(t *testing.T) {
 	var watch func(*sim.Engine)
 	watch = func(e *sim.Engine) {
 		inFlight := 0
-		for _, drv := range fs.Drivers() {
+		for _, drv := range fs.drivers {
 			if drv.Outstanding() > 1 {
 				violated = true
 			}
@@ -222,10 +222,10 @@ func TestMispredictRestartsFromNewPosition(t *testing.T) {
 	e, fs := newFS(core.SpecLnAgrOBA, 32, 1000)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	// Let the chain prefetch a handful of blocks.
-	e.RunUntil(func() bool { return fs.Collector().DiskPrefetchReads() >= 5 })
+	e.RunUntil(func() bool { return fs.Collector().PrefetchIssuedCount() >= 5 })
 	// Jump far away: a misprediction.
 	fs.Read(0, span(0, 500, 1), func(sim.Time) {})
-	e.RunUntil(func() bool { return fs.Collector().DiskPrefetchReads() >= 12 })
+	e.RunUntil(func() bool { return fs.Collector().PrefetchIssuedCount() >= 12 })
 	if !fs.Cache().Contains(blockdev.BlockID{File: 0, Block: 501}) {
 		t.Error("chain did not restart at the new position")
 	}
@@ -244,19 +244,20 @@ func TestServerForIsStable(t *testing.T) {
 
 func TestNameAndStart(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 16, 10)
-	if fs.Name() != "PAFS" {
-		t.Error("name wrong")
-	}
 	fs.Start()
-	// The daemon reschedules forever; just step a few events.
-	e.RunLimit(4)
+	// The daemon reschedules forever: a bounded run stops at its limit
+	// with the daemon's next tick still queued.
+	e.RunUntil(func() bool { return e.Fired() >= 4 })
+	if e.Fired() != 4 {
+		t.Errorf("fired %d events, want the bound of 4: the daemon stopped rescheduling", e.Fired())
+	}
 }
 
 func TestNPHasNoDrivers(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 16, 10)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	if len(fs.Drivers()) != 0 {
+	if len(fs.drivers) != 0 {
 		t.Error("NP created prefetch drivers")
 	}
 	if fs.Collector().PrefetchIssuedCount() != 0 {

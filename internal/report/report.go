@@ -23,9 +23,6 @@ var PaperTable2 = map[string][5]float64{
 	"Ln_Agr_IS_PPM:3": {4.0, 7.6, 10.1, 10.5, 10.5},
 }
 
-// PaperTable2Sizes are Table 2's cache sizes in MB.
-var PaperTable2Sizes = [5]int{1, 2, 4, 8, 16}
-
 // Verdict grades one reproduced item.
 type Verdict string
 

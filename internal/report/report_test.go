@@ -115,9 +115,6 @@ func TestPaperTable2Embeds(t *testing.T) {
 	if PaperTable2["NP"][4] != 11.7 || PaperTable2["Ln_Agr_IS_PPM:3"][0] != 4.0 {
 		t.Error("Table 2 values wrong")
 	}
-	if PaperTable2Sizes != [5]int{1, 2, 4, 8, 16} {
-		t.Error("Table 2 sizes wrong")
-	}
 }
 
 // TestVerdictsGoldenTiny pins all 16 rows of the verdict table at the

@@ -93,15 +93,6 @@ func (e *Engine) Run() Time {
 	return e.RunUntil(func() bool { return false })
 }
 
-// RunLimit executes at most maxEvents events, returning true if the
-// queue drained before the limit was reached. It guards tests against
-// accidental infinite event loops.
-func (e *Engine) RunLimit(maxEvents uint64) bool {
-	start := e.fired
-	e.RunUntil(func() bool { return e.fired-start >= maxEvents })
-	return e.pending() == 0
-}
-
 // pending returns the number of events scheduled and not yet fired.
 func (e *Engine) pending() int { return len(e.queue) + e.lane.len() }
 

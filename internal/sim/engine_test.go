@@ -130,19 +130,6 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 	e.After(-1, func(*Engine) {})
 }
 
-func TestEngineRunLimit(t *testing.T) {
-	e := NewEngine(1)
-	var tick func(*Engine)
-	tick = func(e *Engine) { e.After(1, tick) } // unbounded chain
-	e.After(0, tick)
-	if e.RunLimit(1000) {
-		t.Error("RunLimit reported drained queue for an infinite chain")
-	}
-	if e.Fired() != 1000 {
-		t.Errorf("fired %d, want 1000", e.Fired())
-	}
-}
-
 func TestEngineReentrantRunPanics(t *testing.T) {
 	e := NewEngine(1)
 	e.After(1, func(e *Engine) {
@@ -212,9 +199,6 @@ func TestTimeArithmetic(t *testing.T) {
 	}
 	if tm.Sub(Time(500_000)) != Duration(1_000_000) {
 		t.Error("Sub wrong")
-	}
-	if !Time(1).Before(Time(2)) || !Time(2).After(Time(1)) {
-		t.Error("Before/After wrong")
 	}
 	if Milliseconds(1).Milliseconds() != 1 {
 		t.Error("Milliseconds round trip failed")

@@ -63,14 +63,8 @@ func NewResource(e *Engine, name string) *Resource {
 	return r
 }
 
-// Name returns the label given at construction.
-func (r *Resource) Name() string { return r.name }
-
 // QueueLen returns the number of requests waiting (not in service).
 func (r *Resource) QueueLen() int { return r.queue[0].len() + r.queue[1].len() }
-
-// Busy reports whether a request is currently in service.
-func (r *Resource) Busy() bool { return r.cur != nil }
 
 // BusyTime returns the cumulative time the resource spent serving.
 func (r *Resource) BusyTime() Duration { return r.busyTime }

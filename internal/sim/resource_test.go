@@ -118,9 +118,6 @@ func TestResourceAccounting(t *testing.T) {
 	if u := r.Utilization(); u != 1.0 {
 		t.Errorf("utilization %v, want 1.0", u)
 	}
-	if r.Name() != "disk" {
-		t.Errorf("name %q", r.Name())
-	}
 }
 
 func TestResourceNegativeServicePanics(t *testing.T) {
@@ -153,7 +150,7 @@ func TestResourceConservationProperty(t *testing.T) {
 			r.Submit(Request{Service: svc, Priority: p, Done: func(*Engine, Time) { served++ }})
 		}
 		e.Run()
-		return r.BusyTime() == total && !r.Busy() && r.QueueLen() == 0 &&
+		return r.BusyTime() == total && r.cur == nil && r.QueueLen() == 0 &&
 			served == len(services)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

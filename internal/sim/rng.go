@@ -138,9 +138,6 @@ func NewZipfTable(n int, s float64) *ZipfTable {
 	return &ZipfTable{cum: cum}
 }
 
-// N returns the size of the table's support.
-func (t *ZipfTable) N() int { return len(t.cum) }
-
 // Sample draws one index from the table using r.
 func (t *ZipfTable) Sample(r *RNG) int {
 	u := r.Float64()

@@ -158,8 +158,8 @@ func TestZipfTableSkew(t *testing.T) {
 	if ratio < 1.7 || ratio > 2.3 {
 		t.Errorf("Zipf p(0)/p(1) = %.2f, want ~2", ratio)
 	}
-	if tab.N() != 100 {
-		t.Errorf("N = %d", tab.N())
+	if len(tab.cum) != 100 {
+		t.Errorf("support = %d, want 100", len(tab.cum))
 	}
 }
 

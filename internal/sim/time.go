@@ -39,18 +39,8 @@ func (t Time) Add(d Duration) Time { return t + Time(d) }
 // Sub returns the duration elapsed from u to t.
 func (t Time) Sub(u Time) Duration { return Duration(t - u) }
 
-// Before reports whether t precedes u.
-func (t Time) Before(u Time) bool { return t < u }
-
-// After reports whether t follows u.
-func (t Time) After(u Time) bool { return t > u }
-
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
-
-// Milliseconds returns the time as a floating-point number of
-// milliseconds; the paper reports read latencies in this unit.
-func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
 
 // String formats the time using Go duration notation.
 func (t Time) String() string { return time.Duration(t).String() }

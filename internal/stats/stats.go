@@ -17,14 +17,11 @@ type Collector struct {
 	reads         uint64
 	readLatency   sim.Duration
 	writes        uint64
-	writeLatency  sim.Duration
 	readBlocks    uint64
 	readBlocksHit uint64
 
-	diskReads         uint64
-	diskDemandReads   uint64
-	diskPrefetchReads uint64
-	diskWrites        uint64
+	diskReads  uint64
+	diskWrites uint64
 	// written marks, by slot in the cell's blockdev.Numbering, every
 	// block written to disk; distinct counts the marks.
 	written  []bool
@@ -56,9 +53,6 @@ func (c *Collector) StartMeasurement() { c.measuring = true }
 // paper's fixed measurement interval inside a longer trace.
 func (c *Collector) StopMeasurement() { c.measuring = false }
 
-// Measuring reports whether the window is open.
-func (c *Collector) Measuring() bool { return c.measuring }
-
 // ReadDone records a completed user read request and its latency.
 func (c *Collector) ReadDone(latency sim.Duration) {
 	if !c.measuring {
@@ -68,13 +62,12 @@ func (c *Collector) ReadDone(latency sim.Duration) {
 	c.readLatency += latency
 }
 
-// WriteDone records a completed user write request and its latency.
-func (c *Collector) WriteDone(latency sim.Duration) {
+// WriteDone records a completed user write request.
+func (c *Collector) WriteDone() {
 	if !c.measuring {
 		return
 	}
 	c.writes++
-	c.writeLatency += latency
 }
 
 // ReadBlocks records how many blocks a read request covered and how
@@ -87,18 +80,12 @@ func (c *Collector) ReadBlocks(total, hit int) {
 	c.readBlocksHit += uint64(hit)
 }
 
-// DiskRead records one disk block read; prefetch marks speculative
-// reads.
-func (c *Collector) DiskRead(prefetch bool) {
+// DiskRead records one disk block read, demand or prefetch.
+func (c *Collector) DiskRead() {
 	if !c.measuring {
 		return
 	}
 	c.diskReads++
-	if prefetch {
-		c.diskPrefetchReads++
-	} else {
-		c.diskDemandReads++
-	}
 }
 
 // DiskWrite records one disk block write of the block numbered slot.
@@ -168,22 +155,8 @@ func (c *Collector) AvgReadTime() sim.Duration {
 	return c.readLatency / sim.Duration(c.reads)
 }
 
-// AvgWriteTime returns the mean user write latency.
-func (c *Collector) AvgWriteTime() sim.Duration {
-	if c.writes == 0 {
-		return 0
-	}
-	return c.writeLatency / sim.Duration(c.writes)
-}
-
 // DiskReads returns total disk block reads in the window.
 func (c *Collector) DiskReads() uint64 { return c.diskReads }
-
-// DiskDemandReads returns demand (non-prefetch) disk reads.
-func (c *Collector) DiskDemandReads() uint64 { return c.diskDemandReads }
-
-// DiskPrefetchReads returns prefetch disk reads.
-func (c *Collector) DiskPrefetchReads() uint64 { return c.diskPrefetchReads }
 
 // DiskWrites returns total disk block writes in the window.
 func (c *Collector) DiskWrites() uint64 { return c.diskWrites }
@@ -199,9 +172,6 @@ func (c *Collector) WritesPerBlock() float64 {
 	}
 	return float64(c.diskWrites) / float64(c.distinct)
 }
-
-// DistinctBlocksWritten returns the number of distinct blocks written.
-func (c *Collector) DistinctBlocksWritten() int { return c.distinct }
 
 // PrefetchIssuedCount returns the number of prefetch operations
 // launched in the window.

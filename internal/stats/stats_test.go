@@ -10,10 +10,9 @@ import (
 // A gating bug in any of them shows up as a snapshot difference.
 func fireEverything(c *Collector) {
 	c.ReadDone(sim.Milliseconds(5))
-	c.WriteDone(sim.Milliseconds(5))
+	c.WriteDone()
 	c.ReadBlocks(4, 2)
-	c.DiskRead(false)
-	c.DiskRead(true)
+	c.DiskRead()
 	c.DiskWrite(1)
 	c.PrefetchIssued(false)
 	c.PrefetchIssued(true)
@@ -28,15 +27,11 @@ func snapshot(c *Collector) map[string]float64 {
 		"reads":          float64(c.Reads()),
 		"writes":         float64(c.Writes()),
 		"avgRead":        float64(c.AvgReadTime()),
-		"avgWrite":       float64(c.AvgWriteTime()),
 		"hitRatio":       c.BlockHitRatio(),
 		"diskReads":      float64(c.DiskReads()),
-		"diskDemand":     float64(c.DiskDemandReads()),
-		"diskPrefetch":   float64(c.DiskPrefetchReads()),
 		"diskWrites":     float64(c.DiskWrites()),
 		"diskAccesses":   float64(c.DiskAccesses()),
 		"writesPerBlock": c.WritesPerBlock(),
-		"distinctBlocks": float64(c.DistinctBlocksWritten()),
 		"pfIssued":       float64(c.PrefetchIssuedCount()),
 		"fallback":       c.FallbackFraction(),
 		"pfTimely":       float64(c.PrefetchTimelyCount()),
@@ -56,16 +51,10 @@ func assertAllZero(t *testing.T, c *Collector, when string) {
 
 func TestCollectorGatesOnMeasurement(t *testing.T) {
 	c := New(4)
-	if c.Measuring() {
-		t.Error("Measuring true before start")
-	}
 	fireEverything(c)
 	assertAllZero(t, c, "before StartMeasurement")
 
 	c.StartMeasurement()
-	if !c.Measuring() {
-		t.Error("Measuring false after start")
-	}
 	fireEverything(c)
 	inWindow := snapshot(c)
 	if inWindow["reads"] != 1 || inWindow["pfTimely"] != 1 ||
@@ -79,9 +68,6 @@ func TestCollectorGatesOnMeasurement(t *testing.T) {
 	}
 
 	c.StopMeasurement()
-	if c.Measuring() {
-		t.Error("Measuring true after stop")
-	}
 	fireEverything(c)
 	after := snapshot(c)
 	for name, v := range after {
@@ -115,27 +101,15 @@ func TestAvgReadTime(t *testing.T) {
 	}
 }
 
-func TestAvgWriteTime(t *testing.T) {
-	c := New(4)
-	c.StartMeasurement()
-	c.WriteDone(sim.Milliseconds(10))
-	if c.AvgWriteTime() != sim.Milliseconds(10) || c.Writes() != 1 {
-		t.Error("write accounting wrong")
-	}
-	if New(4).AvgWriteTime() != 0 {
-		t.Error("empty collector should report 0")
-	}
-}
-
 func TestDiskCounters(t *testing.T) {
 	c := New(4)
 	c.StartMeasurement()
-	c.DiskRead(false)
-	c.DiskRead(true)
-	c.DiskRead(true)
+	c.DiskRead()
+	c.DiskRead()
+	c.DiskRead()
 	c.DiskWrite(0)
-	if c.DiskReads() != 3 || c.DiskDemandReads() != 1 || c.DiskPrefetchReads() != 2 {
-		t.Error("read split wrong")
+	if c.DiskReads() != 3 {
+		t.Errorf("DiskReads = %d, want 3", c.DiskReads())
 	}
 	if c.DiskWrites() != 1 || c.DiskAccesses() != 4 {
 		t.Error("totals wrong")
@@ -171,8 +145,8 @@ func TestWritesPerBlock(t *testing.T) {
 			if got := c.DiskWrites(); got != uint64(len(tc.slots)) {
 				t.Errorf("DiskWrites = %d, want %d", got, len(tc.slots))
 			}
-			if got := c.DistinctBlocksWritten(); got != tc.distinct {
-				t.Errorf("DistinctBlocksWritten = %d, want %d", got, tc.distinct)
+			if got := c.distinct; got != tc.distinct {
+				t.Errorf("distinct blocks = %d, want %d", got, tc.distinct)
 			}
 			if got := c.WritesPerBlock(); got != tc.perBlock {
 				t.Errorf("WritesPerBlock = %v, want %v", got, tc.perBlock)

@@ -258,43 +258,6 @@ func ReadPayload(r io.Reader, h Header, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeFrame reads one complete frame (header + payload) from r.
-// buf is an optional reusable payload buffer. Any malformed input
-// yields an error — never a panic, never an allocation beyond the
-// validated payload length.
-func DecodeFrame(r io.Reader, buf []byte) (Header, []byte, error) {
-	var scratch [HeaderSize]byte
-	h, err := ReadHeader(r, scratch[:])
-	if err != nil {
-		return Header{}, nil, err
-	}
-	payload, err := ReadPayload(r, h, buf)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	return h, payload, nil
-}
-
-// WriteFrame writes a complete frame. h.PayloadLen is overwritten
-// with len(payload).
-func WriteFrame(w io.Writer, h Header, payload []byte) error {
-	if len(payload) > MaxPayload {
-		return ErrFrameTooLarge
-	}
-	h.PayloadLen = uint32(len(payload))
-	var hdr [HeaderSize]byte
-	PutHeader(hdr[:], h)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) > 0 {
-		if _, err := w.Write(payload); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // flushBuffers writes every slice in *v with one vectored write
 // (writev when w is a *net.TCPConn; sequential Write calls otherwise,
 // which is what keeps per-Write fault interposers working) and then

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"io"
+	"net"
 	"testing"
 )
 
@@ -98,16 +99,61 @@ func TestParseHeaderSkewTolerance(t *testing.T) {
 	}
 }
 
+// frame encodes one complete frame as a FrameBatch queues it, the way
+// both ends of the protocol write.
+func frame(t testing.TB, h Header, payload []byte) []byte {
+	t.Helper()
+	var b FrameBatch
+	if err := b.AppendFrame(h, payload); err != nil {
+		t.Fatalf("AppendFrame: %v", err)
+	}
+	var out bytes.Buffer
+	if err := b.Flush(&out); err != nil {
+		t.Fatalf("Flush: %v", err)
+	}
+	return out.Bytes()
+}
+
+// readFrame reads one frame the way the client's read loop does:
+// ReadHeader, then ReadPayload.
+func readFrame(r io.Reader) (Header, []byte, error) {
+	var scratch [HeaderSize]byte
+	h, err := ReadHeader(r, scratch[:])
+	if err != nil {
+		return Header{}, nil, err
+	}
+	payload, err := ReadPayload(r, h, nil)
+	return h, payload, err
+}
+
+// serveFrame parses one frame the way the server's read loop does: the
+// prefix check, ParseHeader over the first HeaderSize bytes, then
+// ReadPayload over the rest. short reports input that passes the
+// prefix check (if it is that long) and ends inside the header: the
+// server's read of the header fails there, not a parse.
+func serveFrame(data []byte) (h Header, payload []byte, short bool, err error) {
+	if len(data) < PrefixSize {
+		return Header{}, nil, true, nil
+	}
+	if err := CheckPrefix(data[:PrefixSize]); err != nil {
+		return Header{}, nil, false, err
+	}
+	if len(data) < HeaderSize {
+		return Header{}, nil, true, nil
+	}
+	if h, err = ParseHeader(data[:HeaderSize]); err != nil {
+		return Header{}, nil, false, err
+	}
+	payload, err = ReadPayload(bytes.NewReader(data[HeaderSize:]), h, nil)
+	return h, payload, false, err
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xA5}, 1000)
-	var net bytes.Buffer
 	h := Header{Op: OpWrite, Seq: 7, File: 1, Offset: 2, Size: 3}
-	if err := WriteFrame(&net, h, payload); err != nil {
-		t.Fatalf("WriteFrame: %v", err)
-	}
-	got, gotPayload, err := DecodeFrame(&net, nil)
+	got, gotPayload, err := readFrame(bytes.NewReader(frame(t, h, payload)))
 	if err != nil {
-		t.Fatalf("DecodeFrame: %v", err)
+		t.Fatalf("readFrame: %v", err)
 	}
 	if got.Op != OpWrite || got.Seq != 7 || int(got.PayloadLen) != len(payload) {
 		t.Errorf("header: %+v", got)
@@ -118,33 +164,40 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestDecodeFrameTruncatedPayload(t *testing.T) {
-	var net bytes.Buffer
-	if err := WriteFrame(&net, Header{Op: OpWrite, Seq: 1}, make([]byte, 100)); err != nil {
-		t.Fatal(err)
+	data := frame(t, Header{Op: OpWrite, Seq: 1}, make([]byte, 100))
+	short := data[:len(data)-40]
+	if _, _, err := readFrame(bytes.NewReader(short)); err == nil {
+		t.Error("client: truncated payload decoded without error")
 	}
-	short := net.Bytes()[:net.Len()-40]
-	if _, _, err := DecodeFrame(bytes.NewReader(short), nil); err == nil {
-		t.Error("truncated payload decoded without error")
+	if _, _, _, err := serveFrame(short); err == nil {
+		t.Error("server: truncated payload decoded without error")
 	}
 }
 
 func TestWriteFrameRejectsOversize(t *testing.T) {
-	if err := WriteFrame(io.Discard, Header{Op: OpWrite}, make([]byte, MaxPayload+1)); err == nil {
+	var b FrameBatch
+	if err := b.AppendFrame(Header{Op: OpWrite}, make([]byte, MaxPayload+1)); err == nil {
+		t.Error("oversized payload queued")
+	}
+	var scratch [HeaderSize]byte
+	var vec net.Buffers
+	if err := WriteFrameVectored(io.Discard, scratch[:], Header{Op: OpWrite}, make([]byte, MaxPayload+1), &vec); err == nil {
 		t.Error("oversized payload written")
 	}
 }
 
-// FuzzWireDecode feeds arbitrary bytes to the frame decoder: it must
-// error or succeed, never panic, and never allocate past the declared
-// payload length (enforced structurally: ReadPayload only allocates
-// after PayloadLen has been validated against MaxPayload).
+// FuzzWireDecode feeds arbitrary bytes to the two frame readers
+// production runs — the client's (ReadHeader, ReadPayload) and the
+// server's (CheckPrefix, ParseHeader over the first HeaderSize bytes,
+// ReadPayload) — which must agree. Each must error or succeed, never
+// panic, and never allocate past the declared payload length (enforced
+// structurally: ReadPayload only allocates after PayloadLen has been
+// validated against MaxPayload).
 func FuzzWireDecode(f *testing.F) {
 	var seed [HeaderSize]byte
 	PutHeader(seed[:], Header{Op: OpRead, Flags: FlagWantData, Seq: 1, File: 2, Offset: 3, Size: 4})
 	f.Add(seed[:])
-	var framed bytes.Buffer
-	WriteFrame(&framed, Header{Op: OpWrite, Seq: 9}, []byte("payload")) //nolint:errcheck
-	f.Add(framed.Bytes())
+	f.Add(frame(f, Header{Op: OpWrite, Seq: 9}, []byte("payload")))
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	trunc := append([]byte(nil), seed[:]...)
@@ -152,7 +205,18 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(trunc)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		h, payload, err := DecodeFrame(bytes.NewReader(data), nil)
+		h, payload, err := readFrame(bytes.NewReader(data))
+		sh, spayload, short, serr := serveFrame(data)
+		switch {
+		case short:
+			if err == nil {
+				t.Fatalf("client accepted %d bytes, shorter than a header", len(data))
+			}
+		case (err == nil) != (serr == nil):
+			t.Fatalf("client error %v, server error %v", err, serr)
+		case err == nil && (sh != h || !bytes.Equal(spayload, payload)):
+			t.Fatalf("client read %+v, server %+v", h, sh)
+		}
 		if err != nil {
 			return
 		}
@@ -168,11 +232,7 @@ func FuzzWireDecode(f *testing.F) {
 			t.Fatalf("decoder accepted payload length %d over MaxPayload", h.PayloadLen)
 		}
 		// Re-encode and re-decode: must be stable.
-		var out bytes.Buffer
-		if err := WriteFrame(&out, h, payload); err != nil {
-			t.Fatalf("re-encode of accepted frame: %v", err)
-		}
-		h2, p2, err := DecodeFrame(bytes.NewReader(out.Bytes()), nil)
+		h2, p2, err := readFrame(bytes.NewReader(frame(t, h, payload)))
 		if err != nil {
 			t.Fatalf("re-decode of accepted frame: %v", err)
 		}

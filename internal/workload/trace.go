@@ -83,19 +83,6 @@ func (t *Trace) TotalSteps() int {
 	return n
 }
 
-// ReadSteps returns the number of read requests.
-func (t *Trace) ReadSteps() int {
-	n := 0
-	for i := range t.Procs {
-		for _, s := range t.Procs[i].Steps {
-			if s.Kind == OpRead {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // DistinctBlocks returns the total data footprint in blocks.
 func (t *Trace) DistinctBlocks() int64 {
 	var n int64

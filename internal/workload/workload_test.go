@@ -24,7 +24,7 @@ func TestCharismaGeneratesValidTrace(t *testing.T) {
 	if len(tr.FileBlocks) != p.Apps*(p.FilesPerApp+1) {
 		t.Errorf("files = %d, want %d", len(tr.FileBlocks), p.Apps*(p.FilesPerApp+1))
 	}
-	if tr.TotalSteps() == 0 || tr.ReadSteps() == 0 {
+	if tr.TotalSteps() == 0 || Analyze(tr, p.BlockSize).Reads == 0 {
 		t.Error("empty trace")
 	}
 }

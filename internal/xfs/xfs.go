@@ -62,9 +62,6 @@ func New(e *sim.Engine, cfg Config, tr *workload.Trace) *FS {
 	return fs
 }
 
-// Name identifies the file system.
-func (fs *FS) Name() string { return "xFS" }
-
 // Start launches the write-back daemon.
 func (fs *FS) Start() { fs.StartWriteback() }
 
@@ -119,10 +116,6 @@ func (fs *FS) driverFor(node blockdev.NodeID, f blockdev.FileID) *core.Driver {
 	fs.drivers[k] = d
 	return d
 }
-
-// DriverCount returns how many (node, file) drivers exist (test and
-// diagnostic hook: shared files should spawn several).
-func (fs *FS) DriverCount() int { return len(fs.drivers) }
 
 // Read serves a user read with xFS's local-first path: local pool,
 // then the manager redirects to a remote holder or to disk. The data

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/netmodel"
 	"repro/internal/sim"
 )
 
@@ -11,10 +12,10 @@ func TestPartialLocalHitFetchesOnlyMisses(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 32, 100)
 	fs.Read(0, span(0, 0, 2), func(sim.Time) {})
 	e.Run()
-	before := fs.Collector().DiskDemandReads()
+	before := fs.Collector().DiskReads()
 	fs.Read(0, span(0, 0, 4), func(sim.Time) {})
 	e.Run()
-	if got := fs.Collector().DiskDemandReads() - before; got != 2 {
+	if got := fs.Collector().DiskReads() - before; got != 2 {
 		t.Errorf("partial local hit fetched %d blocks, want 2", got)
 	}
 }
@@ -23,13 +24,18 @@ func TestManagerRedirectCountsNetworkMessages(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 32, 100)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	before := fs.Net.MessagesRemote() + fs.Net.MessagesLocal()
-	// Remote hit path: client 3 -> manager -> holder 0 -> client 3.
-	fs.Read(3, span(0, 0, 1), func(sim.Time) {})
+	// Remote hit path: client 3 -> manager -> holder 0 -> client 3, so
+	// the read takes a control message and a block message, no more.
+	ctrl := fs.Net.RemoteCost(netmodel.ControlMessageSize)
+	if fs.HomeNode(0) == 3 {
+		ctrl = fs.Net.LocalCost(netmodel.ControlMessageSize)
+	}
+	start := e.Now()
+	var end sim.Time
+	fs.Read(3, span(0, 0, 1), func(at sim.Time) { end = at })
 	e.Run()
-	delta := fs.Net.MessagesRemote() + fs.Net.MessagesLocal() - before
-	if delta < 2 {
-		t.Errorf("remote hit produced %d messages, want at least control + data", delta)
+	if lat, want := end.Sub(start), ctrl+fs.Net.RemoteCost(fs.Cfg.BlockSize); lat != want {
+		t.Errorf("remote hit took %v, want %v: one control message to the manager and one block from the holder", lat, want)
 	}
 }
 
@@ -79,8 +85,8 @@ func TestSatisfiedIsLocalNotGlobal(t *testing.T) {
 	// own driver starts a chain of its own.
 	fs.Read(1, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	if fs.DriverCount() != 2 {
-		t.Fatalf("driver count = %d, want 2", fs.DriverCount())
+	if len(fs.drivers) != 2 {
+		t.Fatalf("driver count = %d, want 2", len(fs.drivers))
 	}
 	// Node 1's local pool must have gained its own copies.
 	count := 0
