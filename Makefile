@@ -8,15 +8,16 @@
 # once), a short run of every fuzz target over its seed corpus, the
 # committed EXPERIMENTS.md against the report the code generates, and
 # the bench/ module (its own go.mod, so nothing above compiles it).
-# Performance numbers come from `bash bench/run.sh` alone. The eleven
+# Performance numbers come from `bash bench/run.sh` alone. The thirteen
 # zero-allocation gates (engine hit, miss from a one-entry shard, miss
 # evicting from full eight-entry shards, prefetched hit and predicted
 # hit; loopback hit; remote hit; simulator event and resource request;
 # simulated cache insert, eviction and use on full pools; warm
-# predictor step), the pipelined loopback hit's bound (eight
-# callers sharing one connection's flush: at most 0.01 per read,
-# lapclient:TestPipelinedHitAllocs) and
-# the bound on a simulated cell's allocations per event (at most 0.42,
+# predictor step; a pattern-graph node's first link; a chain restart
+# that drops its queued prefetch), the pipelined loopback hit's bound
+# (eight callers sharing one connection's flush: at most 0.01 per
+# read, lapclient:TestPipelinedHitAllocs) and the bounds on a simulated
+# cell's allocations per event (one per cell, at most 0.30 and 0.33,
 # experiment:TestCellAllocsPerEvent) are tests
 # tagged !race: `make test` enforces them, `make race` skips them
 # (`go test -run 'Allocs|DryHitCost' ./internal/lapcache/

@@ -51,8 +51,19 @@ func (e *env) Cached(b blockdev.BlockID) bool { return e.cached[b] }
 // Evictions (core.Env's optional count) never moves: the set only grows.
 func (e *env) Evictions() uint64 { return 0 }
 
+// Prefetch reads b at prefetch priority. The disk polls drop when the
+// read reaches the head of its queue and never completes a dropped
+// read, so drop fires done itself: core.Env asks for done once, served
+// or dropped.
 func (e *env) Prefetch(b blockdev.BlockID, _ bool, cancelled func() bool, done func()) bool {
-	e.disks.Read(b, sim.PriorityPrefetch, cancelled, func(eng *sim.Engine, at sim.Time) {
+	drop := func() bool {
+		if !cancelled() {
+			return false
+		}
+		done()
+		return true
+	}
+	e.disks.Read(b, sim.PriorityPrefetch, drop, func(eng *sim.Engine, at sim.Time) {
 		e.cached[b] = true
 		done()
 	})

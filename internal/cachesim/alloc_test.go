@@ -11,9 +11,9 @@ import (
 // TestWarmInsertAllocs gates the cache's steady state at zero
 // allocations under both policies: on full pools, an insert evicts (or
 // under N-chance forwards) to make room, and a use moves the copy on
-// its recency lists, all inside the slab and tables New allocated. The
-// race detector instruments allocation, so the gate runs under plain
-// `go test` only.
+// its recency lists, all inside the slab the fill grew and the tables
+// New allocated. The race detector instruments allocation, so the gate
+// runs under plain `go test` only.
 func TestWarmInsertAllocs(t *testing.T) {
 	for _, p := range []Policy{GlobalLRU{}, NChance{Recirculations: 2}} {
 		_, c := newTestCache(4, 8, p)

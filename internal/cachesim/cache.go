@@ -5,9 +5,10 @@
 // managers — a globally managed LRU (PAFS-style, §4) and per-node LRU
 // with N-chance singlet forwarding (xFS-style, after Dahlin et al.).
 //
-// The state is flat: every copy lives in one slab with a record per
-// buffer of the machine, allocated when the cache is made; the recency
-// lists and the directory link copies by slab index; and blocks are
+// The state is flat: every copy lives in one slab, which grows a record
+// at a time as copies are placed, up to one record per buffer of the
+// machine; the recency lists and the directory link copies by slab
+// index; and blocks are
 // addressed by their slot in the cell's blockdev.Numbering, so the
 // directory and the dirty set are tables, not maps. Nothing here holds
 // a pointer that an insert, an eviction or a touch would move.
@@ -83,8 +84,8 @@ type Stats struct {
 type Cache struct {
 	num     *blockdev.Numbering
 	perNode int32 // capacity per node, in blocks
-	// copies is the slab, one record per buffer of the machine; free
-	// holds the indices of the records no copy occupies.
+	// copies is the slab, at most one record per buffer of the
+	// machine; free holds the indices of the records a copy left.
 	copies []Copy
 	free   []int32
 	nodes  []list // each node's copies, by recency
@@ -125,22 +126,15 @@ func New(e *sim.Engine, nNodes, perNode int, policy Policy, num *blockdev.Number
 	if nNodes <= 0 || perNode <= 0 {
 		panic(fmt.Sprintf("cachesim: invalid geometry %d nodes x %d blocks", nNodes, perNode))
 	}
-	size := nNodes * perNode
 	c := &Cache{
 		num:     num,
 		perNode: int32(perNode),
-		copies:  make([]Copy, size),
-		free:    make([]int32, size),
 		nodes:   make([]list, nNodes),
 		glob:    emptyList,
 		dir:     make([]list, num.Len()),
 		dirty:   make([]bool, num.Len()),
 		policy:  policy,
 		rng:     e.RNG().Split(),
-	}
-	for i := range c.copies {
-		c.copies[i].self = int32(i)
-		c.free[i] = int32(size - 1 - i)
 	}
 	for i := range c.nodes {
 		c.nodes[i] = emptyList
@@ -236,11 +230,16 @@ func (c *Cache) Insert(pref blockdev.NodeID, b blockdev.BlockID, opts InsertOpti
 }
 
 // place puts a new copy of the block in slot, on a node with a free
-// buffer, into a free slab record, the recency lists and the directory.
+// buffer, into a slab record, the recency lists and the directory. The
+// record is the one a copy left last or, when none is free, a new one
+// at the slab's end: the slab never outgrows the machine's buffers.
 func (c *Cache) place(v Copy, slot int32) {
-	n := len(c.free) - 1
-	i := c.free[n]
-	c.free = c.free[:n]
+	i := int32(len(c.copies))
+	if n := len(c.free) - 1; n >= 0 {
+		i, c.free = c.free[n], c.free[:n]
+	} else {
+		c.copies = append(c.copies, Copy{})
+	}
 	v.self, v.slot = i, slot
 	c.copies[i] = v
 	c.pushBack(&c.nodes[v.Node], nodeList, i)

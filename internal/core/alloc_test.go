@@ -63,3 +63,75 @@ func TestObservePredictAllocs(t *testing.T) {
 		})
 	}
 }
+
+// TestFirstLinkAllocs gates a node's first link at zero allocations:
+// it is held inline, and the map is made only for a second.
+func TestFirstLinkAllocs(t *testing.T) {
+	var nd node
+	if allocs := testing.AllocsPerRun(100, func() {
+		nd = node{}
+		nd.setLink(pair{interval: 3, size: 2})
+	}); allocs != 0 {
+		t.Errorf("%v allocs per first link, want 0", allocs)
+	}
+	if nd.firstCount != 1 || nd.more != nil {
+		t.Errorf("after one link the node is %+v, want it inline", nd)
+	}
+}
+
+// dropEnv queues prefetches in a fixed ring and serves none: drop polls
+// every operation but the newest, and drops it, done and all, as both
+// hosts do with an operation whose chain has moved on.
+type dropEnv struct {
+	ops     [4]fakeOp
+	n       int
+	dropped int
+}
+
+func (*dropEnv) Cached(blockdev.BlockID) bool { return false }
+
+func (env *dropEnv) Prefetch(b blockdev.BlockID, _ bool, cancelled func() bool, done func()) bool {
+	env.ops[env.n] = fakeOp{b, cancelled, done}
+	env.n++
+	return true
+}
+
+func (env *dropEnv) drop() {
+	for i := 0; i < env.n-1; i++ {
+		if op := env.ops[i]; op.cancelled() {
+			op.done()
+			env.dropped++
+		}
+	}
+	env.ops[0], env.n = env.ops[env.n-1], 1
+}
+
+// TestRestartDropAllocs gates a restarting chain at zero allocations:
+// every request mispredicts, so the chain restarts with its one queued
+// prefetch stale, and the host drops that prefetch and fires its done,
+// which hands the driver its record back for the next issue to take.
+// A host that dropped without done would cost every restart a record
+// and its two method values.
+func TestRestartDropAllocs(t *testing.T) {
+	env := &dropEnv{}
+	d := NewDriver(DriverConfig{
+		Predictor: NewOBA(), Mode: ModeAggressive, Degree: &FixedDegree{K: 1},
+		File: 1, FileBlocks: 1 << 20, Env: env,
+	})
+	i := 0
+	restart := func() {
+		i++
+		d.OnUserRequest(Request{Offset: blockdev.BlockNo(i % 1000 * 16), Size: 1}, Tick(i), false)
+		env.drop()
+	}
+	for range 10 {
+		restart()
+	}
+	if allocs := testing.AllocsPerRun(1000, restart); allocs != 0 {
+		t.Errorf("%v allocs per restart that drops a queued prefetch, want 0", allocs)
+	}
+	if st := d.Stats(); env.dropped != i-1 || st.Restarts != uint64(i) || st.Issued != uint64(i) {
+		t.Errorf("%d requests: %d dropped, %d restarts, %d issued; want %d, %d, %d",
+			i, env.dropped, st.Restarts, st.Issued, i-1, i, i)
+	}
+}

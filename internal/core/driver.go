@@ -47,18 +47,22 @@ type Env interface {
 	// Prefetch launches a low-priority fetch of b. fallback reports
 	// whether the block was predicted by the cold-start OBA fallback
 	// (for the paper's fallback-fraction accounting). cancelled is
-	// polled when the backing store would start the operation; done
-	// fires at completion (not called when cancelled). Prefetch reports
-	// whether the operation was accepted: an environment under
-	// backpressure (the runtime's bounded prefetch queue) may refuse,
-	// which parks the driver's chain until the next user request.
+	// polled when the backing store would start the operation, and
+	// true drops it; done fires when the operation is served or
+	// dropped. Prefetch reports whether the operation was accepted: an
+	// environment under backpressure (the runtime's bounded prefetch
+	// queue) may refuse, which parks the driver's chain until the next
+	// user request.
 	//
 	// The driver may assume, of every accepted operation: cancelled is
-	// polled at most once and only before service starts; done fires at
-	// most once, and never after cancelled returned true. A refused
+	// polled at most once and only before service starts; done fires
+	// exactly once for every accepted operation that is served or
+	// dropped; after cancelled returned true it completes nothing (the
+	// driver only takes the operation's record back). A refused
 	// operation gets neither call. The driver reuses an operation's
 	// record once its done has run, so a done fired again later would
-	// complete whichever operation holds the record then.
+	// complete whichever operation holds the record then, and a done
+	// never fired leaves the record to the collector.
 	Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) (accepted bool)
 }
 

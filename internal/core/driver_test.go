@@ -56,17 +56,17 @@ func (f *fakeEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() b
 }
 
 // completeOne finishes the oldest in-flight prefetch, inserting the
-// block into the cache unless the operation was cancelled.
+// block into the cache unless the operation was cancelled; done fires
+// either way, as it does on both hosts.
 func (f *fakeEnv) completeOne() bool {
 	if len(f.inflight) == 0 {
 		return false
 	}
 	op := f.inflight[0]
 	f.inflight = f.inflight[1:]
-	if op.cancelled != nil && op.cancelled() {
-		return true
+	if op.cancelled == nil || !op.cancelled() {
+		f.cache[op.b] = true
 	}
-	f.cache[op.b] = true
 	op.done()
 	return true
 }
@@ -323,7 +323,7 @@ func TestDryPatternDoesNotSpin(t *testing.T) {
 // diskEnv hosts a driver the way the simulator does: Cached sees only
 // landed blocks, never a prefetch in flight, and an accepted prefetch
 // lands on the sim clock after a fixed disk latency, or is dropped
-// there when its chain has moved on. dups counts blocks issued again
+// there when its chain has moved on; done fires either way. dups counts blocks issued again
 // while an operation of the same chain still had them in flight.
 type diskEnv struct {
 	e        *sim.Engine
@@ -362,8 +362,8 @@ func (env *diskEnv) Prefetch(b blockdev.BlockID, _ bool, cancelled func() bool, 
 		}
 		if !cancelled() {
 			env.cache[b] = true
-			done()
 		}
+		done()
 	})
 	return true
 }

@@ -70,15 +70,21 @@ const MostProbableLinkPolicy LinkPolicy = 1
 
 // node is one vertex of the pattern graph. Its outgoing links are
 // counted and the last one traversed is remembered (mru and top mean
-// something once links is non-empty); prediction follows the
+// something once the node has a link); prediction follows the
 // configured link policy. A link is keyed by the pair it adds: its
 // target is always the source's window shifted by that pair, so the
 // pair is all a prediction needs.
+//
+// Most nodes only ever get one link, so the first is held inline and
+// the map, which finds any other in constant time however many there
+// are, is made when a second arrives.
 type node struct {
-	links    map[pair]uint32
-	mru      pair // the link traversed last
-	top      pair // cached argmax over links by count
-	topCount uint32
+	first      pair   // the node's first link
+	firstCount uint32 // its count; 0 when the node has no link
+	topCount   uint32
+	mru        pair // the link traversed last
+	top        pair // cached argmax over links by count
+	more       map[pair]uint32
 }
 
 // ISPPM is the Interval-and-Size prediction-by-partial-match predictor
@@ -176,11 +182,18 @@ func (m *ISPPM) observeTo(r Request, dst *Cursor) {
 
 // setLink counts one traversal of the link that adds pr.
 func (nd *node) setLink(pr pair) {
-	if nd.links == nil {
-		nd.links = make(map[pair]uint32)
+	var c uint32
+	if nd.firstCount == 0 || nd.first == pr {
+		nd.first = pr
+		nd.firstCount++
+		c = nd.firstCount
+	} else {
+		if nd.more == nil {
+			nd.more = make(map[pair]uint32)
+		}
+		c = nd.more[pr] + 1
+		nd.more[pr] = c
 	}
-	c := nd.links[pr] + 1
-	nd.links[pr] = c
 	// A refreshed or new link is by construction the most recent.
 	nd.mru = pr
 	if c > nd.topCount {
@@ -191,7 +204,7 @@ func (nd *node) setLink(pr pair) {
 
 // successor returns the pair the link the given policy follows adds.
 func (nd *node) successor(p LinkPolicy) (pair, bool) {
-	if len(nd.links) == 0 {
+	if nd.firstCount == 0 {
 		return pair{}, false
 	}
 	if p == MostProbableLinkPolicy {
@@ -246,7 +259,7 @@ func (m *ISPPM) mostRecentLink(pairs [][2]int32) (interval, size int32, ok bool)
 		k = k.shift(pair{interval: p[0], size: p[1]}, m.order)
 	}
 	nd := m.nodes.get(&k)
-	if nd == nil || len(nd.links) == 0 {
+	if nd == nil || nd.firstCount == 0 {
 		return 0, 0, false
 	}
 	return nd.mru.interval, nd.mru.size, true

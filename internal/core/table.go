@@ -91,8 +91,8 @@ func (t *table) entry(k *histKey) int32 {
 		e.key = *k
 		// The victim's link map, emptied, serves the new node: a
 		// displacement allocates nothing.
-		clear(e.node.links)
-		e.node = node{links: e.node.links}
+		clear(e.node.more)
+		e.node = node{more: e.node.more}
 	}
 	t.place(h, pos)
 	t.pushBack(pos)

@@ -90,14 +90,91 @@ func TestTableDisplacementOrder(t *testing.T) {
 	// Nodes live as long as their entry and start empty, also in a
 	// displaced entry's reused slot.
 	k1, k6 := tableKey(1), tableKey(6)
-	if nd := tb.get(&k6); len(nd.links) != 2 || nd.mru != updated {
+	if nd := tb.get(&k6); len(nd.linkCounts()) != 2 || nd.mru != updated {
 		t.Errorf("entry 6 holds %+v, want links c and u, u the most recent", *nd)
 	}
 	if tb.get(&k1) != nil {
 		t.Error("displaced entry 1 still readable")
 	}
-	if nd := tb.getOrCreate(&k1); !reflect.DeepEqual(*nd, node{links: nd.links}) || len(nd.links) != 0 {
+	if nd := tb.getOrCreate(&k1); !reflect.DeepEqual(*nd, node{more: nd.more}) || len(nd.more) != 0 {
 		t.Errorf("re-created entry 1 holds %+v, want an empty node", *nd)
+	}
+}
+
+// linkCounts returns every link of the node with its count.
+func (nd *node) linkCounts() map[pair]uint32 {
+	links := make(map[pair]uint32)
+	if nd.firstCount > 0 {
+		links[nd.first] = nd.firstCount
+	}
+	for pr, c := range nd.more {
+		if _, dup := links[pr]; dup || c == 0 {
+			panic(fmt.Sprintf("link %v held twice, or with no count", pr))
+		}
+		links[pr] = c
+	}
+	return links
+}
+
+// refNode keeps every link in one map: the reference FuzzTable and
+// TestNodeManyLinks hold node to.
+type refNode struct {
+	links    map[pair]uint32
+	mru, top pair
+	topCount uint32
+}
+
+func (nd *refNode) setLink(pr pair) {
+	if nd.links == nil {
+		nd.links = make(map[pair]uint32)
+	}
+	c := nd.links[pr] + 1
+	nd.links[pr] = c
+	nd.mru = pr
+	if c > nd.topCount {
+		nd.top, nd.topCount = pr, c
+	}
+}
+
+// matches reports whether nd holds the reference's links, counts, mru
+// and top.
+func (nd *node) matches(ref *refNode) bool {
+	return nd.mru == ref.mru && nd.top == ref.top && nd.topCount == ref.topCount &&
+		maps.Equal(nd.linkCounts(), ref.links)
+}
+
+// TestNodeManyLinks gives one node 10 000 distinct links, most
+// traversed once and some again and again, and holds its counts, top
+// and mru to the reference after every traversal. Live seq_prefetch
+// builds nodes of high fan-out, so a link is found through the map, not
+// by a walk.
+func TestNodeManyLinks(t *testing.T) {
+	const distinct = 10000
+	var nd node
+	var ref refNode
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < 3*distinct; i++ {
+		var pr pair
+		switch {
+		case i < distinct:
+			pr = pair{interval: int32(i) - distinct/2, size: int32(i % 7)}
+		case i%3 == 0:
+			pr = pair{interval: int32(rng.Intn(distinct)) - distinct/2, size: int32(rng.Intn(7))}
+		default:
+			pr = pair{interval: int32(rng.Intn(16)) - distinct/2, size: int32(rng.Intn(7))}
+		}
+		nd.setLink(pr)
+		ref.setLink(pr)
+		if nd.mru != ref.mru || nd.top != ref.top || nd.topCount != ref.topCount {
+			t.Fatalf("traversal %d of %v: mru %v top %v (%d), reference %v %v (%d)",
+				i, pr, nd.mru, nd.top, nd.topCount, ref.mru, ref.top, ref.topCount)
+		}
+	}
+	if !nd.matches(&ref) {
+		t.Fatalf("the node's %d links differ from the reference's %d", len(nd.linkCounts()), len(ref.links))
+	}
+	if len(ref.links) < distinct {
+		t.Fatalf("%d distinct links, want at least %d", len(ref.links), distinct)
 	}
 }
 
@@ -111,23 +188,23 @@ type refTable struct {
 
 type refEntry struct {
 	key histKey
-	val node
+	val refNode
 }
 
 func newRefTable(max int) refTable {
 	return refTable{max: max, entries: make(map[histKey]*list.Element), order: list.New()}
 }
 
-func (t *refTable) get(k histKey) *node {
+func (t *refTable) get(k histKey) *refNode {
 	if el := t.entries[k]; el != nil {
 		return &el.Value.(*refEntry).val
 	}
 	return nil
 }
 
-func (t *refTable) getOrCreate(k histKey) *node { return &t.entry(k).Value.(*refEntry).val }
+func (t *refTable) getOrCreate(k histKey) *refNode { return &t.entry(k).Value.(*refEntry).val }
 
-func (t *refTable) update(k histKey) *node {
+func (t *refTable) update(k histKey) *refNode {
 	el := t.entry(k)
 	t.order.MoveToBack(el)
 	return &el.Value.(*refEntry).val
@@ -174,7 +251,9 @@ var tableFuzzKeys = func() []histKey {
 // FuzzTable drives the slab table and the reference with one fuzzed
 // sequence of get, getOrCreate and update calls (each creating or
 // updating call then adds a link to the node it returns) and compares,
-// after every call, presence, len, displacement order and every node.
+// after every call, presence, len, displacement order and every node:
+// its links and their counts, mru and top, against a reference node
+// that keeps every link in one map.
 // Every other getOrCreate goes through getOrCreateAt with the position
 // the last update returned, as IS_PPM links through it; entries
 // displaced since, or rewritten under another key, are what it must
@@ -245,8 +324,7 @@ func FuzzTable(f *testing.F) {
 			}
 			for _, k := range want {
 				got, want := tb.get(&k), ref.get(k)
-				if got == nil || got.mru != want.mru || got.top != want.top ||
-					got.topCount != want.topCount || !maps.Equal(got.links, want.links) {
+				if got == nil || !got.matches(want) {
 					t.Fatalf("call %d: node %v is %+v, reference %+v", i, k, got, want)
 				}
 			}

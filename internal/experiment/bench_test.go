@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -11,9 +12,10 @@ import (
 // BenchmarkSweep simulates the 84 standard cells — {CHARISMA, Sprite}
 // x {PAFS, xFS} x the seven standard algorithms x {1, 4, 16} MB, at
 // the small scale — one after another on one goroutine, and reports the
-// simulated requests each second of host time completes. The traces are
-// generated before the timer starts. It is the in-tree handle on what
-// the simulator costs, the work bench's sim_sweep times:
+// simulated requests each second of host time completes and the
+// allocations each simulator event costs, set-up included. The traces
+// are generated before the timer starts. It is the in-tree handle on
+// what the simulator costs, the work bench's sim_sweep times:
 //
 //	go test -run '^$' -bench Sweep -benchtime 2x -cpuprofile cpu.out -o exp.test ./internal/experiment/
 func BenchmarkSweep(b *testing.B) {
@@ -37,7 +39,12 @@ func BenchmarkSweep(b *testing.B) {
 			}
 		}
 	}
-	var requests uint64
+	var (
+		requests, events uint64
+		before, after    runtime.MemStats
+	)
+	b.ReportAllocs()
+	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, j := range jobs {
@@ -46,7 +53,11 @@ func BenchmarkSweep(b *testing.B) {
 				b.Fatal(err)
 			}
 			requests += r.Reads + r.Writes
+			events += r.EventsFired
 		}
 	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
 	b.ReportMetric(float64(requests)/b.Elapsed().Seconds(), "requests/s")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(events), "allocs/event")
 }

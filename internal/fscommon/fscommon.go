@@ -54,8 +54,9 @@ type Base struct {
 	Disks  *diskmodel.Array
 	Cch    *cachesim.Cache
 	Coll   *stats.Collector
-	// num numbers every block of the trace's files: the cache, inflight
-	// and pfInflight are indexed by a block's slot.
+	// num numbers every block of the trace's files (the trace's shared
+	// numbering): the cache, inflight and pfInflight are indexed by a
+	// block's slot.
 	num *blockdev.Numbering
 
 	// Ledger aggregates per-file outstanding-prefetch counts across
@@ -104,7 +105,7 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 	if err := cfg.Validate(); err != nil {
 		panic(fmt.Sprintf("fscommon: %v", err))
 	}
-	num := blockdev.NewNumbering(tr.FileBlocks)
+	num := tr.Numbering()
 	b := &Base{
 		Engine:     e,
 		Cfg:        cfg,
@@ -244,9 +245,9 @@ func (op *diskOp) fetched(e *sim.Engine, at sim.Time) {
 // Prefetch is core.Env.Prefetch for both file systems, which differ
 // only in the node whose pool receives the copy: a low-priority disk
 // read of blk, inserted flagged as prefetched. The disk polls
-// cancelled once, when the read reaches the head of its queue, and a
-// dropped read never completes, so exactly one of the two ends the
-// operation.
+// cancelled once, when the read reaches the head of its queue; done
+// fires once either way, after the copy is inserted or at once when
+// the read is dropped.
 func (b *Base) Prefetch(node blockdev.NodeID, blk blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
 	if b.Stopped() {
 		// Draining after the trace: never calling done stalls the
@@ -263,12 +264,16 @@ func (b *Base) Prefetch(node blockdev.NodeID, blk blockdev.BlockID, fallback boo
 
 // poll drops a cancelled prefetch, which also closes its in-flight
 // window: without that a dropped prefetch would look in flight forever.
+// The disk never completes a dropped read, so poll calls done, which
+// hands the driver back its record and completes nothing (core.Env).
 func (op *diskOp) poll() bool {
 	if op.cancelled == nil || !op.cancelled() {
 		return false
 	}
+	done := op.done
 	op.b.PrefetchEnd(op.blk)
 	op.release()
+	done()
 	return true
 }
 

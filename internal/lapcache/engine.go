@@ -951,19 +951,21 @@ func (e *Engine) worker() {
 // then the demand path's claim → fill with the speculative flag set —
 // except that a prefetch never waits: a block already cached or being
 // produced by someone else (a demand miss, an earlier prefetch) is
-// skipped. Either way the driver's completion callback fires under the
-// file's mutex, decrementing outstanding and pumping the chain.
+// skipped. Whatever the outcome, the driver's completion callback fires
+// once under the file's mutex; after a fetch or a skip it decrements
+// outstanding and pumps the chain.
 func (e *Engine) runPrefetch(op prefetchOp) {
 	op.fl.mu.Lock()
-	cancelled := op.cancelled()
-	op.fl.mu.Unlock()
-	if cancelled {
+	if op.cancelled() {
 		// The chain this operation belonged to was restarted or
 		// stopped before dispatch; its driver already reset the
-		// outstanding count, so done must not fire.
+		// outstanding count, so done only hands back its record.
+		op.done()
+		op.fl.mu.Unlock()
 		e.m.prefetchCancelled.Add(1)
 		return
 	}
+	op.fl.mu.Unlock()
 
 	e.flightMu.Lock()
 	fo, _ := e.claim(op.b, 1, true)

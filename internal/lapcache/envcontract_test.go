@@ -28,11 +28,11 @@ func (s *stepStore) ReadBlock(b blockdev.BlockID, buf []byte) error {
 
 // TestEnvPrefetchContract pins what core.Env promises the driver about
 // the two callbacks of an accepted prefetch — the promise that lets
-// the driver reuse an operation's record once its done has run — on
-// both hosts: the simulator's fscommon.Base.Prefetch over one disk and
-// the runtime's prefetch queue under one worker. One script: four
-// operations issued back to back, so the first is in service while the
-// others wait their turn.
+// the driver reuse an operation's record once its done has run, a
+// dropped operation's too — on both hosts: the simulator's
+// fscommon.Base.Prefetch over one disk and the runtime's prefetch queue
+// under one worker. One script: four operations issued back to back, so
+// the first is in service while the others wait their turn.
 func TestEnvPrefetchContract(t *testing.T) {
 	const file = blockdev.FileID(1)
 	type staleness int
@@ -41,17 +41,19 @@ func TestEnvPrefetchContract(t *testing.T) {
 		whileQueued           // its chain restarted before its turn came
 		inService             // its chain restarted while it was being served
 	)
+	// Every accepted operation's done fires once: after it is served, or
+	// after cancelled said true and it was dropped.
 	rows := []struct {
-		name      string
-		stale     staleness
-		wantDones int // if accepted
+		name    string
+		stale   staleness
+		dropped bool // if accepted
 	}{
-		{"accept, complete", never, 1},
-		{"cancel while queued", whileQueued, 0},
-		{"restart in service, then complete", inService, 1},
+		{"accept, complete", never, false},
+		{"cancel while queued", whileQueued, true},
+		{"restart in service, then complete", inService, false},
 		// The runtime's queue (two slots here) is full by now and refuses;
 		// the simulator never refuses and runs it like the first.
-		{"refuse, or accept and complete", never, 1},
+		{"refuse, or accept and complete", never, false},
 	}
 	// host is an Env plus the test's handle on its clock: advance lets
 	// the operation in service end and the next live one start; drain
@@ -151,8 +153,8 @@ func TestEnvPrefetchContract(t *testing.T) {
 					}
 				case o.polls > 1 || o.polledInService:
 					t.Errorf("%s: cancelled polled %d times (in service: %v), want at most once and before service", row.name, o.polls, o.polledInService)
-				case o.dones != row.wantDones || o.doneAfterCancelled:
-					t.Errorf("%s: done fired %d times (after cancelled said true: %v), want %d", row.name, o.dones, o.doneAfterCancelled, row.wantDones)
+				case o.dones != 1 || o.doneAfterCancelled != row.dropped:
+					t.Errorf("%s: done fired %d times (after cancelled said true: %v), want once (%v)", row.name, o.dones, o.doneAfterCancelled, row.dropped)
 				}
 				o.mu.Unlock()
 			}

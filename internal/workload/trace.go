@@ -15,6 +15,7 @@ package workload
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/blockdev"
 	"repro/internal/sim"
@@ -65,13 +66,27 @@ type Process struct {
 	Steps []Step
 }
 
-// Trace is a complete workload.
+// Trace is a complete workload. FileBlocks must not change once the
+// trace is first simulated: every run of the trace shares the one
+// Numbering built from it then. A block outside that numbering panics
+// in Numbering.Slot, so a stale numbering fails loudly.
 type Trace struct {
 	Name string
 	// FileBlocks maps every file to its length in blocks; the file
 	// systems need it to clip prefetching at end of file.
 	FileBlocks map[blockdev.FileID]blockdev.BlockNo
 	Procs      []Process
+
+	numOnce sync.Once
+	num     *blockdev.Numbering
+}
+
+// Numbering returns the numbering of FileBlocks' blocks, built on the
+// first call and shared read-only by every later one, from any
+// goroutine: the cells of a sweep run on one trace number it once.
+func (t *Trace) Numbering() *blockdev.Numbering {
+	t.numOnce.Do(func() { t.num = blockdev.NewNumbering(t.FileBlocks) })
+	return t.num
 }
 
 // TotalSteps returns the number of requests across all processes.
