@@ -8,7 +8,11 @@
 # once), a short run of every fuzz target over its seed corpus, the
 # committed EXPERIMENTS.md against the report the code generates, and
 # the bench/ module (its own go.mod, so nothing above compiles it).
-# Performance numbers come from `bash bench/run.sh` alone. The thirteen
+# Performance numbers come from `bash bench/run.sh` alone. CI adds
+# repeated race runs of the timing-dependent suites (see ci.yml's
+# header): among them the prefetch window's concurrent feedback
+# (core:TestAdaptiveConcurrentFeedback) and the adaptive engine
+# (lapcache:TestAdaptiveEngine*), twenty times each. The thirteen
 # zero-allocation gates (engine hit, miss from a one-entry shard, miss
 # evicting from full eight-entry shards, prefetched hit and predicted
 # hit; loopback hit; remote hit; simulator event and resource request;
@@ -120,7 +124,7 @@ check-bench:
 	bash bench/run.sh -all -check
 
 # Chaos soak: random seeds in a loop (SOAK_RUNS, default 20). Every
-# other run puts the AdaptiveFDP degree policy on the seed-chosen
+# other run puts the adaptive prefetch window on the seed-chosen
 # victim node (strict linear elsewhere), so the audit exercises both
 # the exact HW==1 bound and the generalized HW<=cap bound. Each run
 # prints its seed up front, so a failure names the exact seed to replay

@@ -15,7 +15,7 @@ import (
 // and rejoins after conviction. The same seed reproduces the same
 // faulted-site set bit for bit (the digest printed in the report), so
 // a failing seed from `make soak` replays here directly. adaptiveVictim
-// runs the AdaptiveFDP degree policy on the seed-chosen victim node —
+// runs the adaptive prefetch window on the seed-chosen victim node —
 // the audit then bounds its ledger by the adaptive cap while every
 // strict node stays bounded by exactly 1 (make soak alternates this).
 func runChaos(scale experiment.Scale, seed uint64, churn, adaptiveVictim bool) error {

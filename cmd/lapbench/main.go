@@ -30,7 +30,7 @@ func main() {
 	format := flag.String("format", "text", "output format for a single figure: text, csv, json")
 	seed := flag.Uint64("seed", 1, "fault-plan seed for -exp chaos")
 	churn := flag.Bool("churn", true, "for -exp chaos: gossip membership with R=2 replication, gossip faults, and a mid-replay node kill + rejoin")
-	adaptiveVictim := flag.Bool("adaptive-victim", false, "for -exp chaos: run the AdaptiveFDP degree policy on the seed-chosen victim node (strict elsewhere)")
+	adaptiveVictim := flag.Bool("adaptive-victim", false, "for -exp chaos: run the adaptive prefetch window on the seed-chosen victim node (strict elsewhere)")
 	flag.Parse()
 
 	scale, err := experiment.ScaleByName(*scaleName)

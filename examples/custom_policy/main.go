@@ -85,7 +85,7 @@ func simulateScan(pred core.Predictor) (hits, total int) {
 	drv := core.NewDriver(core.DriverConfig{
 		Predictor:  pred,
 		Mode:       core.ModeAggressive,
-		Degree:     &core.FixedDegree{K: 1}, // the paper's linear throttle
+		Degree:     core.SpecLnAgrOBA.NewDegreePolicy(), // the paper's linear throttle: one in flight
 		File:       1,
 		FileBlocks: fileBlocks,
 		Env:        envr,

@@ -7,7 +7,7 @@
 //   - Linearity: per file, only the ring owner ever drives prefetches,
 //     with an outstanding high-water of at most the degree policy's cap
 //     — exactly 1 under the default StrictLinear policy, ≤ the
-//     controller's hard K under AdaptiveFDP — faults included.
+//     controller's hard K under an adaptive window — faults included.
 //   - Buffer lifecycle: with poison mode on, no buffer is written
 //     after release, and after teardown the pool's live count is zero
 //     (no leak survived any error path).
@@ -69,7 +69,7 @@ type Config struct {
 	// The plan's gossip rules only fire in this mode, and the
 	// replication/convergence/handoff invariants only bind here.
 	Churn bool
-	// AdaptiveVictim runs the AdaptiveFDP variant of the fleet's
+	// AdaptiveVictim runs the adaptive variant of the fleet's
 	// algorithm on the seed-chosen victim node (the one Churn kills),
 	// leaving the rest pinned strict — the mixed-fleet shape of a
 	// staged rollout. The victim's ledger is audited against the
@@ -294,7 +294,7 @@ func Run(cfg Config) (Result, error) {
 	victim := int(cfg.Seed % fleetSize)
 	algFor := func(i int) core.AlgSpec {
 		if cfg.AdaptiveVictim && i == victim {
-			return core.AdaptiveVariant(core.SpecLnAgrISPPM1, core.DefaultAdaptiveCap)
+			return core.SpecAdAgrISPPM1
 		}
 		return core.SpecLnAgrISPPM1
 	}

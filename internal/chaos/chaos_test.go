@@ -143,7 +143,7 @@ func contains(s, sub string) bool {
 }
 
 // TestChaosChurnAdaptiveVictim is the generalized-bound run: the
-// seed-chosen victim node runs the AdaptiveFDP degree policy while
+// seed-chosen victim node runs the adaptive prefetch window while
 // every other node stays pinned to strict linear, and the cluster is
 // churned (kill + rejoin) under gossip faults. The audit must bound
 // every node's ledger by its *own* policy cap — the victim within the

@@ -28,7 +28,7 @@ type AlgSpec struct {
 	// When Adaptive is set it is the controller's hard cap K instead.
 	MaxOutstanding int
 	// Adaptive replaces the static throttle with the feedback-directed
-	// AdaptiveFDP controller: the per-file window starts at 1 and moves
+	// controller (DegreePolicy): the per-file window starts at 1 and moves
 	// within [1, MaxOutstanding] from measured accuracy and timeliness.
 	// Only meaningful with ModeAggressive.
 	Adaptive bool
@@ -115,28 +115,15 @@ func (s AlgSpec) Validate() error {
 	return nil
 }
 
-// NewDegreePolicy instantiates the spec's outstanding-prefetch policy:
-// the AdaptiveFDP controller (cap = MaxOutstanding) for adaptive
-// specs, otherwise the static FixedDegree the paper assumes. Per-file:
-// each driver needs its own.
-func (s AlgSpec) NewDegreePolicy() DegreePolicy {
+// NewDegreePolicy builds one file's prefetch window: adaptive from 1
+// up to a hard cap of MaxOutstanding when the spec is Adaptive,
+// otherwise static at MaxOutstanding, the paper's throttle. Per-file:
+// each file needs its own.
+func (s AlgSpec) NewDegreePolicy() *DegreePolicy {
 	if s.Adaptive {
-		return NewAdaptiveFDP(s.MaxOutstanding)
+		return &DegreePolicy{cap: s.MaxOutstanding, adaptive: true, degree: 1}
 	}
-	return &FixedDegree{K: s.MaxOutstanding}
-}
-
-// AdaptiveVariant returns s driven by the feedback controller with the
-// given hard cap (<= 0 selects DefaultAdaptiveCap). The mode is forced
-// aggressive: adaptivity modulates a running chain.
-func AdaptiveVariant(s AlgSpec, cap int) AlgSpec {
-	if cap <= 0 {
-		cap = DefaultAdaptiveCap
-	}
-	s.Adaptive = true
-	s.Mode = ModeAggressive
-	s.MaxOutstanding = cap
-	return s
+	return &DegreePolicy{cap: s.MaxOutstanding, degree: s.MaxOutstanding}
 }
 
 // Prefetches reports whether the configuration prefetches at all.
@@ -187,11 +174,11 @@ var (
 	// pinned at 1. These go beyond the paper (ROADMAP).
 
 	// SpecAdAgrOBA is adaptive aggressive OBA.
-	SpecAdAgrOBA = AdaptiveVariant(SpecLnAgrOBA, DefaultAdaptiveCap)
+	SpecAdAgrOBA = AlgSpec{Kind: AlgOBA, Mode: ModeAggressive, MaxOutstanding: DefaultAdaptiveCap, Adaptive: true}
 	// SpecAdAgrISPPM1 is adaptive aggressive IS_PPM:1.
-	SpecAdAgrISPPM1 = AdaptiveVariant(SpecLnAgrISPPM1, DefaultAdaptiveCap)
+	SpecAdAgrISPPM1 = AlgSpec{Kind: AlgISPPM, Order: 1, Mode: ModeAggressive, MaxOutstanding: DefaultAdaptiveCap, Adaptive: true}
 	// SpecAdAgrISPPM3 is adaptive aggressive IS_PPM:3.
-	SpecAdAgrISPPM3 = AdaptiveVariant(SpecLnAgrISPPM3, DefaultAdaptiveCap)
+	SpecAdAgrISPPM3 = AlgSpec{Kind: AlgISPPM, Order: 3, Mode: ModeAggressive, MaxOutstanding: DefaultAdaptiveCap, Adaptive: true}
 )
 
 // StandardAlgorithms returns the seven configurations every figure of

@@ -90,7 +90,8 @@ func TestLookupAlgEveryRegisteredName(t *testing.T) {
 			continue
 		}
 		for _, cap := range []int{2, 4, DefaultAdaptiveCap} {
-			specs = append(specs, AdaptiveVariant(s, cap))
+			s.Adaptive, s.MaxOutstanding = true, cap
+			specs = append(specs, s)
 		}
 		for _, k := range []int{0, 1, 4} {
 			s.Adaptive, s.MaxOutstanding = false, k

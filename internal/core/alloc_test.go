@@ -115,7 +115,7 @@ func (env *dropEnv) drop() {
 func TestRestartDropAllocs(t *testing.T) {
 	env := &dropEnv{}
 	d := NewDriver(DriverConfig{
-		Predictor: NewOBA(), Mode: ModeAggressive, Degree: &FixedDegree{K: 1},
+		Predictor: NewOBA(), Mode: ModeAggressive, Degree: staticWindow(1),
 		File: 1, FileBlocks: 1 << 20, Env: env,
 	})
 	i := 0

@@ -6,9 +6,14 @@ import (
 	"testing"
 )
 
+// staticWindow is the window a K<k>_ spec builds (Ln_ at 1, Agr_ at 0).
+func staticWindow(k int) *DegreePolicy {
+	return AlgSpec{Mode: ModeAggressive, MaxOutstanding: k}.NewDegreePolicy()
+}
+
 // feedWindow delivers one evaluation window of feedback, split
 // timely:late:wasted in eighths, so a test can steer one verdict.
-func feedWindow(p *AdaptiveFDP, timely, late, wasted int) {
+func feedWindow(p *DegreePolicy, timely, late, wasted int) {
 	if timely+late+wasted != 8 {
 		panic("feedWindow takes eighths")
 	}
@@ -26,33 +31,36 @@ func feedWindow(p *AdaptiveFDP, timely, late, wasted int) {
 
 func TestFixedDegreeIsStatic(t *testing.T) {
 	for _, k := range []int{0, 1, 4} {
-		p := &FixedDegree{K: k}
-		if p.Allow() != k || p.Cap() != k {
-			t.Errorf("FixedDegree{%d}: Allow=%d Cap=%d, want both %d", k, p.Allow(), p.Cap(), k)
+		p := staticWindow(k)
+		if p.Allow() != k || p.cap != k {
+			t.Errorf("static window %d: Allow=%d cap=%d, want both %d", k, p.Allow(), p.cap, k)
 		}
 	}
-	// Feedback must be a no-op on the static policy.
-	p := &FixedDegree{K: 1}
-	p.OnTimely()
-	p.OnLate()
-	p.OnWasted()
+	// Feedback must be a no-op on a static window.
+	p := staticWindow(1)
+	for i := 0; i < 4*adaptiveWindow; i++ {
+		p.OnTimely()
+		p.OnLate()
+		p.OnWasted()
+	}
+	p.OnBackpressure()
 	if p.Allow() != 1 {
-		t.Error("feedback moved a FixedDegree")
+		t.Errorf("feedback moved a static window to %d", p.Allow())
 	}
 }
 
 func TestAdaptiveStartsLinear(t *testing.T) {
-	p := NewAdaptiveFDP(DefaultAdaptiveCap)
+	p := SpecAdAgrISPPM1.NewDegreePolicy()
 	if p.Allow() != 1 {
 		t.Errorf("initial Allow = %d, want 1 (linear until feedback earns more)", p.Allow())
 	}
-	if p.Cap() != DefaultAdaptiveCap {
-		t.Errorf("Cap = %d, want %d", p.Cap(), DefaultAdaptiveCap)
+	if p.cap != DefaultAdaptiveCap {
+		t.Errorf("cap = %d, want %d", p.cap, DefaultAdaptiveCap)
 	}
 }
 
 func TestAdaptiveWidensWhenAccurateAndLate(t *testing.T) {
-	p := NewAdaptiveFDP(DefaultAdaptiveCap)
+	p := SpecAdAgrISPPM1.NewDegreePolicy()
 	// All-useful, heavily late windows: the timely-starved signature.
 	feedWindow(p, 4, 4, 0)
 	if p.Allow() != 1 {
@@ -70,14 +78,13 @@ func TestAdaptiveWidensWhenAccurateAndLate(t *testing.T) {
 	if p.Allow() != DefaultAdaptiveCap {
 		t.Errorf("Allow = %d after sustained starvation, want cap %d", p.Allow(), DefaultAdaptiveCap)
 	}
-	s := p.Stats()
-	if s.Widens != uint64(DefaultAdaptiveCap-1) {
-		t.Errorf("Widens = %d, want %d", s.Widens, DefaultAdaptiveCap-1)
+	if _, widens, _ := p.Stats(); widens != uint64(DefaultAdaptiveCap-1) {
+		t.Errorf("widens = %d, want %d", widens, DefaultAdaptiveCap-1)
 	}
 }
 
 func TestAdaptiveClampsOnInaccuracy(t *testing.T) {
-	p := NewAdaptiveFDP(DefaultAdaptiveCap)
+	p := SpecAdAgrISPPM1.NewDegreePolicy()
 	for i := 0; i < 6; i++ {
 		feedWindow(p, 4, 4, 0)
 	}
@@ -90,18 +97,18 @@ func TestAdaptiveClampsOnInaccuracy(t *testing.T) {
 	if p.Allow() != 1 {
 		t.Errorf("Allow = %d after inaccurate window, want immediate clamp to 1", p.Allow())
 	}
-	if s := p.Stats(); s.Clamps != 1 {
-		t.Errorf("Clamps = %d, want 1", s.Clamps)
+	if _, _, clamps := p.Stats(); clamps != 1 {
+		t.Errorf("clamps = %d, want 1", clamps)
 	}
 	// Clamping when already linear is not counted again.
 	feedWindow(p, 1, 1, 6)
-	if s := p.Stats(); s.Clamps != 1 {
-		t.Errorf("Clamps = %d after clamp-at-1, want still 1", s.Clamps)
+	if _, _, clamps := p.Stats(); clamps != 1 {
+		t.Errorf("clamps = %d after clamp-at-1, want still 1", clamps)
 	}
 }
 
 func TestAdaptiveNarrowsWhenNothingLate(t *testing.T) {
-	p := NewAdaptiveFDP(DefaultAdaptiveCap)
+	p := SpecAdAgrISPPM1.NewDegreePolicy()
 	for i := 0; i < 4; i++ {
 		feedWindow(p, 4, 4, 0)
 	}
@@ -128,7 +135,7 @@ func TestAdaptiveNarrowsWhenNothingLate(t *testing.T) {
 }
 
 func TestAdaptiveHysteresisResetsOnDisagreement(t *testing.T) {
-	p := NewAdaptiveFDP(DefaultAdaptiveCap)
+	p := SpecAdAgrISPPM1.NewDegreePolicy()
 	feedWindow(p, 4, 4, 0) // widen verdict (streak 1)
 	feedWindow(p, 3, 2, 3) // accuracy 5/8 = 0.625: neutral, streak resets
 	feedWindow(p, 4, 4, 0) // widen verdict (streak 1 again)
@@ -138,7 +145,7 @@ func TestAdaptiveHysteresisResetsOnDisagreement(t *testing.T) {
 }
 
 func TestAdaptiveBackpressureHalves(t *testing.T) {
-	p := NewAdaptiveFDP(DefaultAdaptiveCap)
+	p := SpecAdAgrISPPM1.NewDegreePolicy()
 	for i := 0; i < 12; i++ {
 		feedWindow(p, 4, 4, 0)
 	}
@@ -158,67 +165,39 @@ func TestAdaptiveBackpressureHalves(t *testing.T) {
 	if p.Allow() != 1 {
 		t.Errorf("Allow = %d, backpressure at 1 must stay 1", p.Allow())
 	}
-	if s := p.Stats(); s.Backpressure != 4 {
-		t.Errorf("Backpressure = %d, want 4", s.Backpressure)
-	}
 }
 
+// TestAdaptiveConcurrentFeedback feeds an adaptive window from eight
+// goroutines: first a mix of every event with the envelope checked
+// throughout (the race detector's half), then an exact number of late
+// events, none of which may be lost: six all-late windows are three
+// widen steps.
 func TestAdaptiveConcurrentFeedback(t *testing.T) {
-	p := NewAdaptiveFDP(DefaultAdaptiveCap)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				switch (g + i) % 4 {
-				case 0:
-					p.OnTimely()
-				case 1:
-					p.OnLate()
-				case 2:
-					p.OnWasted()
-				case 3:
-					p.OnBackpressure()
+	p := SpecAdAgrISPPM1.NewDegreePolicy()
+	const goroutines = 8
+	run := func(events int, feed func(g, i int)) {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for i := 0; i < events; i++ {
+					feed(g, i)
+					if a := p.Allow(); a < 1 || a > p.cap {
+						t.Errorf("Allow = %d outside [1, %d] under concurrency", a, p.cap)
+						return
+					}
 				}
-				if a := p.Allow(); a < 1 || a > p.Cap() {
-					panic("Allow out of [1, Cap] under concurrency")
-				}
-			}
-		}(g)
+			}(g)
+		}
+		wg.Wait()
 	}
-	wg.Wait()
-	s := p.Stats()
-	if s.Timely+s.Late+s.Wasted != 6000 {
-		t.Errorf("lifetime feedback total = %d, want 6000", s.Timely+s.Late+s.Wasted)
-	}
-}
+	run(1000, func(g, i int) { feedEvent(p, byte(g+i)) })
 
-func TestDegreeSetRoutesPerFile(t *testing.T) {
-	s := NewDegreeSet(SpecAdAgrISPPM1)
-	a, b := s.For(1), s.For(2)
-	if a == b {
-		t.Fatal("distinct files share a policy")
-	}
-	if s.For(1) != a {
-		t.Fatal("For is not stable per file")
-	}
-	// Starve file 1 only; file 2 must stay linear.
-	for i := 0; i < 200; i++ {
-		s.OnTimely(1)
-		s.OnLate(1)
-	}
-	if a.Allow() <= 1 {
-		t.Errorf("file 1 Allow = %d, want widened", a.Allow())
-	}
-	if b.Allow() != 1 {
-		t.Errorf("file 2 Allow = %d, want untouched 1", b.Allow())
-	}
-
-	// A strict-linear spec hands out static policies.
-	ls := NewDegreeSet(SpecLnAgrISPPM1)
-	if _, ok := ls.For(1).(*FixedDegree); !ok {
-		t.Errorf("linear spec policy = %T, want *FixedDegree", ls.For(1))
+	p = SpecAdAgrISPPM1.NewDegreePolicy()
+	run(6*adaptiveWindow/goroutines, func(int, int) { p.OnLate() })
+	if window, widens, _ := p.Stats(); window != 4 || widens != 3 {
+		t.Errorf("six all-late windows: window %d after %d widens, want 4 after 3", window, widens)
 	}
 }
 
@@ -244,7 +223,7 @@ var degreeSeeds = [][]byte{
 // fuzzCap varies the controller's ceiling with the input's length.
 func fuzzCap(events []byte) int { return 1 + len(events)%11 }
 
-func feedEvent(p *AdaptiveFDP, ev byte) {
+func feedEvent(p *DegreePolicy, ev byte) {
 	switch ev % 4 {
 	case 0:
 		p.OnTimely()
@@ -257,23 +236,35 @@ func feedEvent(p *AdaptiveFDP, ev byte) {
 	}
 }
 
+// adaptiveWindowOf builds an adaptive window with the given hard cap,
+// as an Ad<cap>_ spec does.
+func adaptiveWindowOf(cap int) *DegreePolicy {
+	return AlgSpec{Mode: ModeAggressive, MaxOutstanding: cap, Adaptive: true}.NewDegreePolicy()
+}
+
 // TestDegreeSeedsMoveTheController keeps FuzzDegreePolicy's envelope
 // check from going vacuous: a seed corpus too short to complete an
-// evaluation window would leave Allow at 1 throughout.
+// evaluation window would leave Allow at 1 throughout. A narrow is a
+// one-step drop on a feedback event that Stats does not count as a
+// clamp.
 func TestDegreeSeedsMoveTheController(t *testing.T) {
 	var atCap, halved bool
 	var clamps, narrows uint64
 	for _, events := range degreeSeeds {
-		p := NewAdaptiveFDP(fuzzCap(events))
+		p := adaptiveWindowOf(fuzzCap(events))
 		for _, ev := range events {
 			before := p.Allow()
+			_, _, clampsBefore := p.Stats()
 			feedEvent(p, ev)
-			atCap = atCap || p.Cap() > 1 && p.Allow() == p.Cap()
-			halved = halved || ev%4 == 3 && p.Allow() < before
+			after, _, clampsAfter := p.Stats()
+			atCap = atCap || p.cap > 1 && after == p.cap
+			halved = halved || ev%4 == 3 && after < before
+			if ev%4 != 3 && after == before-1 && clampsAfter == clampsBefore {
+				narrows++
+			}
 		}
-		s := p.Stats()
-		clamps += s.Clamps
-		narrows += s.Narrows
+		_, _, c := p.Stats()
+		clamps += c
 	}
 	if !atCap || !halved || clamps == 0 || narrows == 0 {
 		t.Errorf("seeds reach cap %v, halve %v, clamp %d times, narrow %d times; want all",
@@ -281,29 +272,54 @@ func TestDegreeSeedsMoveTheController(t *testing.T) {
 	}
 }
 
-// FuzzDegreePolicy drives an AdaptiveFDP with an arbitrary feedback
-// sequence and checks the controller's safety envelope: Allow stays in
-// [1, Cap] after every event, and the stats counters never go
-// inconsistent.
+// FuzzDegreePolicy drives prefetch windows with an arbitrary event
+// sequence. A static window of 0, 1 or 4 never moves off its K. An
+// adaptive one keeps its safety envelope: Allow stays in [1, cap]
+// after every event, a feedback event moves it by at most one step or
+// clamps it to 1, backpressure halves it (not below 1), and Stats
+// counts every widen and clamp it takes.
 func FuzzDegreePolicy(f *testing.F) {
 	for _, s := range degreeSeeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, events []byte) {
-		p := NewAdaptiveFDP(fuzzCap(events))
-		for _, ev := range events {
-			feedEvent(p, ev)
-			if a := p.Allow(); a < 1 || a > p.Cap() {
-				t.Fatalf("Allow = %d outside [1, %d] after event %d", a, p.Cap(), ev%4)
+		for _, k := range []int{0, 1, 4} {
+			p := staticWindow(k)
+			for _, ev := range events {
+				feedEvent(p, ev)
+			}
+			if window, widens, clamps := p.Stats(); p.Allow() != k || window != k || widens+clamps != 0 {
+				t.Fatalf("static window %d moved: Allow %d, Stats (%d, %d, %d)", k, p.Allow(), window, widens, clamps)
 			}
 		}
-		s := p.Stats()
-		if s.Timely+s.Late+s.Wasted != uint64(len(events))-s.Backpressure {
-			t.Fatalf("lifetime totals %d+%d+%d != events %d - backpressure %d",
-				s.Timely, s.Late, s.Wasted, len(events), s.Backpressure)
-		}
-		if s.Degree != p.Allow() {
-			t.Fatalf("Stats.Degree = %d, Allow = %d", s.Degree, p.Allow())
+
+		p := adaptiveWindowOf(fuzzCap(events))
+		for _, ev := range events {
+			before, widens, clamps := p.Stats()
+			feedEvent(p, ev)
+			a := p.Allow()
+			if a < 1 || a > p.cap {
+				t.Fatalf("Allow = %d outside [1, %d] after event %d", a, p.cap, ev%4)
+			}
+			window, widensAfter, clampsAfter := p.Stats()
+			if window != a {
+				t.Fatalf("Stats window = %d, Allow = %d", window, a)
+			}
+			var ok bool
+			switch {
+			case ev%4 == 3:
+				ok = a == max(before/2, 1) && widensAfter == widens && clampsAfter == clamps
+			case a == before+1:
+				ok = widensAfter == widens+1 && clampsAfter == clamps
+			case a == 1 && before > 1 && clampsAfter == clamps+1:
+				ok = widensAfter == widens
+			default:
+				ok = (a == before || a == before-1) && widensAfter == widens && clampsAfter == clamps
+			}
+			if !ok {
+				t.Fatalf("event %d moved the window %d -> %d, widens %d -> %d, clamps %d -> %d",
+					ev%4, before, a, widens, widensAfter, clamps, clampsAfter)
+			}
 		}
 	})
 }

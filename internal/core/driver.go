@@ -83,10 +83,10 @@ type DriverConfig struct {
 	// Mode selects one-shot or aggressive operation.
 	Mode Mode
 	// Degree bounds in-flight prefetch operations for this file: the
-	// driver consults Degree.Allow() before every issue.
-	// &FixedDegree{K: 1} is the paper's *linear* throttle (§3.2), K: 0
-	// the uncontrolled aggressive variant kept for the ablations.
-	Degree DegreePolicy
+	// driver consults Degree.Allow() before every issue. A static
+	// window of 1 is the paper's *linear* throttle (§3.2), of 0 the
+	// uncontrolled aggressive variant kept for the ablations.
+	Degree *DegreePolicy
 	// File is the file this driver serves.
 	File blockdev.FileID
 	// FileBlocks is the file length; predictions are clipped to
@@ -117,7 +117,7 @@ type DriverStats struct {
 	Rejected        uint64 // prefetches refused by the env (backpressure)
 	PredictionSteps uint64 // Predict calls made while walking
 	// HighWater is the most prefetches this driver ever had in flight
-	// at once; ≤ the degree policy's Cap by construction (exactly ≤ 1
+	// at once; ≤ the degree policy's cap by construction (exactly ≤ 1
 	// under the paper's linear throttle), so it verifies the bound
 	// directly.
 	HighWater int
@@ -146,7 +146,7 @@ type Driver struct {
 	cfg       DriverConfig
 	steps     stepper // the predictor's in-place steps
 	now       Tick    // the tick of the request being observed
-	degree    DegreePolicy
+	degree    *DegreePolicy
 	evictions evictionCounter // nil when the env does not count
 	// cursors[live] is where the walk stands. A step is predicted, and
 	// a request observed, into the other slot, and live flips to it
@@ -216,7 +216,7 @@ func NewDriver(cfg DriverConfig) *Driver {
 	} else {
 		d.steps = valueSteps{cfg.Predictor, &d.now}
 	}
-	if cfg.Mode == ModeAggressive && cfg.Degree.Cap() == 0 {
+	if cfg.Mode == ModeAggressive && cfg.Degree.cap == 0 {
 		d.inFlight = make(map[blockdev.BlockNo]struct{})
 	}
 	return d
@@ -486,9 +486,7 @@ func (d *Driver) issue(blk blockdev.BlockID, fallback bool) bool {
 		d.changeOutstanding(-1)
 		d.free = append(d.free, op)
 		d.stats.Rejected++
-		if bp, ok := d.degree.(backpressureAware); ok {
-			bp.OnBackpressure()
-		}
+		d.degree.OnBackpressure()
 		return false
 	}
 	d.stats.Issued++

@@ -11,7 +11,7 @@ func TestOneShotUnlimitedIssuesBatchInParallel(t *testing.T) {
 	env := newFakeEnv()
 	m := NewISPPM(1)
 	d := NewDriver(DriverConfig{
-		Predictor: m, Mode: ModeOneShot, Degree: &FixedDegree{K: 0},
+		Predictor: m, Mode: ModeOneShot, Degree: staticWindow(0),
 		File: 1, FileBlocks: 1000, Env: env,
 	})
 	// Teach a pattern with 8-block requests at stride 10.

@@ -85,7 +85,7 @@ func newDriver(t *testing.T, pred Predictor, mode Mode, maxOut int, fileBlocks i
 	return NewDriver(DriverConfig{
 		Predictor:  pred,
 		Mode:       mode,
-		Degree:     &FixedDegree{K: maxOut},
+		Degree:     staticWindow(maxOut),
 		File:       1,
 		FileBlocks: blockdev.BlockNo(fileBlocks),
 		Env:        env,
@@ -260,7 +260,7 @@ func TestDriverClipsPredictionsToFile(t *testing.T) {
 	env := newFakeEnv()
 	m := NewISPPM(1)
 	d := NewDriver(DriverConfig{
-		Predictor: m, Mode: ModeOneShot, Degree: &FixedDegree{K: 1},
+		Predictor: m, Mode: ModeOneShot, Degree: staticWindow(1),
 		File: 1, FileBlocks: 20, Env: env,
 	})
 	// Teach stride 8 with size 4: prediction from offset 16 would be
@@ -299,7 +299,7 @@ func TestDryPatternDoesNotSpin(t *testing.T) {
 	env := newFakeEnv()
 	m := NewISPPM(1)
 	d := NewDriver(DriverConfig{
-		Predictor: m, Mode: ModeAggressive, Degree: &FixedDegree{K: 1},
+		Predictor: m, Mode: ModeAggressive, Degree: staticWindow(1),
 		File: 1, FileBlocks: 100, Env: env,
 	})
 	// Pre-train a two-block cycle 10 <-> 20 directly on the predictor
@@ -380,7 +380,7 @@ func TestUnlimitedCycleIssuesEachBlockOnce(t *testing.T) {
 	env := &diskEnv{e: e, cache: map[blockdev.BlockID]bool{}, inflight: map[blockdev.BlockID][]*fakeOp{}}
 	m := NewISPPM(1)
 	d := NewDriver(DriverConfig{
-		Predictor: m, Mode: ModeAggressive, Degree: &FixedDegree{K: 0},
+		Predictor: m, Mode: ModeAggressive, Degree: staticWindow(0),
 		File: 1, FileBlocks: 64, Env: env,
 	})
 	cycle := []blockdev.BlockNo{10, 20, 35} // intervals +10, +15, -25: a cycle IS_PPM:1 tells apart
@@ -430,10 +430,10 @@ func TestModeString(t *testing.T) {
 func TestNewDriverValidation(t *testing.T) {
 	env := newFakeEnv()
 	bad := []DriverConfig{
-		{Mode: ModeOneShot, Degree: &FixedDegree{K: 1}, File: 1, FileBlocks: 10, Env: env},            // nil predictor
-		{Predictor: NewOBA(), Mode: ModeOneShot, Degree: &FixedDegree{K: 1}, File: 1, FileBlocks: 10}, // nil env
-		{Predictor: NewOBA(), File: 1, FileBlocks: 10, Env: env},                                      // nil degree policy
-		{Predictor: NewOBA(), Degree: &FixedDegree{K: 1}, File: 1, FileBlocks: 0, Env: env},
+		{Mode: ModeOneShot, Degree: staticWindow(1), File: 1, FileBlocks: 10, Env: env},            // nil predictor
+		{Predictor: NewOBA(), Mode: ModeOneShot, Degree: staticWindow(1), File: 1, FileBlocks: 10}, // nil env
+		{Predictor: NewOBA(), File: 1, FileBlocks: 10, Env: env},                                   // nil degree policy
+		{Predictor: NewOBA(), Degree: staticWindow(1), File: 1, FileBlocks: 0, Env: env},
 	}
 	for i, cfg := range bad {
 		func() {

@@ -28,7 +28,7 @@ func TestDriverReportsOutstandingToObserver(t *testing.T) {
 	d := NewDriver(DriverConfig{
 		Predictor:  NewOBA(),
 		Mode:       ModeAggressive,
-		Degree:     &FixedDegree{K: 1},
+		Degree:     staticWindow(1),
 		File:       1,
 		FileBlocks: 10,
 		Env:        env,
@@ -69,7 +69,7 @@ func TestDriverStopChainReleasesOutstanding(t *testing.T) {
 	d := NewDriver(DriverConfig{
 		Predictor:  NewOBA(),
 		Mode:       ModeAggressive,
-		Degree:     &FixedDegree{K: 1},
+		Degree:     staticWindow(1),
 		File:       2,
 		FileBlocks: 10,
 		Env:        env,
@@ -103,7 +103,7 @@ func TestDriverObserverWindowedPeak(t *testing.T) {
 	d := NewDriver(DriverConfig{
 		Predictor:  NewOBA(),
 		Mode:       ModeAggressive,
-		Degree:     &FixedDegree{K: k},
+		Degree:     staticWindow(k),
 		File:       3,
 		FileBlocks: 64,
 		Env:        env,
@@ -145,7 +145,7 @@ func TestDriverStopChainWindowedOrphans(t *testing.T) {
 	d := NewDriver(DriverConfig{
 		Predictor:  NewOBA(),
 		Mode:       ModeAggressive,
-		Degree:     &FixedDegree{K: k},
+		Degree:     staticWindow(k),
 		File:       4,
 		FileBlocks: 64,
 		Env:        env,
@@ -219,7 +219,7 @@ func TestDriverDoubleFiredDoneReleasesOnce(t *testing.T) {
 	d := NewDriver(DriverConfig{
 		Predictor:  NewOBA(),
 		Mode:       ModeAggressive,
-		Degree:     &FixedDegree{K: k},
+		Degree:     staticWindow(k),
 		File:       5,
 		FileBlocks: 8,
 		Env:        env,

@@ -17,7 +17,7 @@ func TestDriverOutstandingInvariantProperty(t *testing.T) {
 		d := NewDriver(DriverConfig{
 			Predictor:  NewISPPM(1),
 			Mode:       ModeAggressive,
-			Degree:     &FixedDegree{K: maxOut},
+			Degree:     staticWindow(maxOut),
 			File:       1,
 			FileBlocks: 256,
 			Env:        env,

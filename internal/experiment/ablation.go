@@ -36,7 +36,7 @@ func Ablations() []AblationSpec {
 	// The feedback-controlled window sits between linear1 and the
 	// static window4: it starts linear and must earn depth from
 	// accuracy and timeliness.
-	add("linearity", "adaptive", core.AdaptiveVariant(base, core.DefaultAdaptiveCap))
+	add("linearity", "adaptive", core.SpecAdAgrISPPM1)
 
 	add("linkPolicy", "mostRecent", base)
 	prob := base

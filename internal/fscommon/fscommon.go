@@ -65,12 +65,10 @@ type Base struct {
 	// register it as their drivers' observer.
 	Ledger *core.Ledger
 
-	// Degrees hands out the per-file outstanding-prefetch policy and
-	// routes the timely/late/wasted lifecycle events both file systems
-	// already classify to the owning file's controller. Static under
-	// the paper's specs; the feedback loop only moves for Adaptive
-	// ones.
-	Degrees *core.DegreeSet
+	// alg builds the per-file prefetch windows, kept in degrees (see
+	// Degree).
+	alg     core.AlgSpec
+	degrees map[blockdev.FileID]*core.DegreePolicy
 
 	// inflight coalesces concurrent demand fetches of one block onto
 	// the first one's disk read; by slot, nil when none is pending.
@@ -98,7 +96,7 @@ type Base struct {
 
 // NewBase builds the shared substrate stack for the given machine,
 // cache geometry and replacement policy. alg supplies the per-file
-// degree policies (see Degrees).
+// prefetch windows (see Degree).
 func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 	policy cachesim.Policy, tr *workload.Trace, alg core.AlgSpec) *Base {
 
@@ -114,7 +112,8 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 		Cch:        cachesim.New(e, cfg.Nodes, cacheBlocksPerNode, policy, num),
 		Coll:       stats.New(num.Len()),
 		Ledger:     core.NewLedger(0, false),
-		Degrees:    core.NewDegreeSet(alg),
+		alg:        alg,
+		degrees:    make(map[blockdev.FileID]*core.DegreePolicy),
 		num:        num,
 		inflight:   make([]*diskOp, num.Len()),
 		pfInflight: make([]int32, num.Len()),
@@ -127,9 +126,22 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 	// prefetch.
 	b.Cch.OnPrefetchUsed = func(id blockdev.BlockID) {
 		b.Coll.PrefetchTimely()
-		b.Degrees.OnTimely(id.File)
+		b.Degree(id.File).OnTimely()
 	}
 	return b
+}
+
+// Degree returns f's prefetch window, creating it on first use. Every
+// driver of f shares it, and the timely/late/wasted lifecycle events
+// both file systems classify feed it; a static window (the paper's
+// specs) ignores them.
+func (b *Base) Degree(f blockdev.FileID) *core.DegreePolicy {
+	p := b.degrees[f]
+	if p == nil {
+		p = b.alg.NewDegreePolicy()
+		b.degrees[f] = p
+	}
+	return p
 }
 
 // Collector returns the metrics sink.
@@ -224,7 +236,7 @@ func (b *Base) DemandFetch(blk blockdev.BlockID, node blockdev.NodeID, done func
 		// The predictor was right but the prefetch lost the race: demand
 		// traffic now duplicates the read at user priority.
 		b.Coll.PrefetchLate()
-		b.Degrees.OnLate(blk.File)
+		b.Degree(blk.File).OnLate()
 	}
 	b.Disks.Read(blk, sim.PriorityUser, nil, op.onDone)
 }
@@ -298,7 +310,7 @@ func (b *Base) FlushVictims(victims []cachesim.Victim) {
 	for _, v := range victims {
 		if v.WasUnusedPrefetch {
 			b.Coll.PrefetchWasted()
-			b.Degrees.OnWasted(v.Block.File)
+			b.Degree(v.Block.File).OnWasted()
 		}
 		if v.Dirty {
 			b.writeBack(v.Block)

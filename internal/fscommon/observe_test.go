@@ -61,3 +61,50 @@ func TestDroppedPrefetchClosesWindow(t *testing.T) {
 			completed, dropped, b.Cch.Contains(live), b.Cch.Contains(stale))
 	}
 }
+
+// TestBaseDegreeRoutesPerFile: each file gets its own window, every
+// caller asking for one file gets the same one (xFS's per-node drivers
+// of a file share it, DESIGN §12), the lifecycle events move only
+// their own file's adaptive window, and a static spec's window ignores
+// them.
+func TestBaseDegreeRoutesPerFile(t *testing.T) {
+	base := func(alg core.AlgSpec) *Base {
+		cfg := machine.PM()
+		cfg.Nodes, cfg.Disks = 2, 1
+		tr := &workload.Trace{FileBlocks: map[blockdev.FileID]blockdev.BlockNo{1: 8, 2: 8}}
+		return NewBase(sim.NewEngine(1), cfg, 16, cachesim.GlobalLRU{}, tr, alg)
+	}
+	b := base(core.SpecAdAgrISPPM1)
+	one, two := b.Degree(1), b.Degree(2)
+	if one == two {
+		t.Fatal("two files share a window")
+	}
+	if b.Degree(1) != one {
+		t.Fatal("a second driver of file 1 got another window")
+	}
+	// Starve file 1 only; file 2 must stay linear.
+	for i := 0; i < 200; i++ {
+		b.Degree(1).OnTimely()
+		b.Degree(1).OnLate()
+	}
+	if one.Allow() <= 1 {
+		t.Errorf("file 1 window = %d, want widened", one.Allow())
+	}
+	if two.Allow() != 1 {
+		t.Errorf("file 2 window = %d, want untouched 1", two.Allow())
+	}
+
+	// A static K4_ window: all-timely feedback would narrow an adaptive
+	// one, all-wasted clamp it to 1; this one stays at 4.
+	k4 := core.SpecLnAgrISPPM1
+	k4.MaxOutstanding = 4
+	w := base(k4).Degree(1)
+	for _, feed := range []func(){w.OnTimely, w.OnLate, w.OnWasted} {
+		for i := 0; i < 200; i++ {
+			feed()
+		}
+		if w.Allow() != 4 {
+			t.Errorf("static K4_ window = %d after feedback, want 4", w.Allow())
+		}
+	}
+}

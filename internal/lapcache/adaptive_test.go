@@ -1,6 +1,9 @@
 package lapcache
 
 import (
+	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -9,7 +12,7 @@ import (
 )
 
 // TestAdaptiveEngineWidensUnderStarvation runs a pause-free sequential
-// reader against a slow store under the AdaptiveFDP policy: the
+// reader against a slow store under the adaptive window: the
 // controller must widen past linear (the ledger's per-file high-water
 // exceeds 1) while never passing the hard cap, and the ledger — whose
 // limit is the policy cap — must count zero violations.
@@ -42,19 +45,33 @@ func TestAdaptiveEngineWidensUnderStarvation(t *testing.T) {
 	if s.LinearViolations != 0 {
 		t.Errorf("ledger counted %d violations of the cap-%d limit", s.LinearViolations, core.SpecAdAgrISPPM1.MaxOutstanding)
 	}
-	agg, adaptive := e.DegreeStats()
-	if !adaptive {
-		t.Fatal("DegreeStats reports a non-adaptive engine")
+	if s.DegreeWidens == 0 {
+		t.Errorf("controller never widened (window now %d)", s.MaxDegree)
 	}
-	if agg.Widens == 0 {
-		t.Errorf("controller never widened (stats %+v)", agg)
+	if s.DegreeCap != core.DefaultAdaptiveCap {
+		t.Errorf("snapshot degree cap %d, want %d", s.DegreeCap, core.DefaultAdaptiveCap)
 	}
-	if agg.Degree < 1 || agg.Degree > agg.Cap {
-		t.Errorf("aggregate degree %d outside [1, %d]", agg.Degree, agg.Cap)
+	if s.MaxDegree < 1 || s.MaxDegree > s.DegreeCap {
+		t.Errorf("widest window %d outside [1, %d]", s.MaxDegree, s.DegreeCap)
 	}
-	if s.DegreeCap != core.DefaultAdaptiveCap || s.MaxDegree != agg.Degree {
-		t.Errorf("snapshot degree fields (cap %d, max %d) disagree with stats (%d, %d)",
-			s.DegreeCap, s.MaxDegree, core.DefaultAdaptiveCap, agg.Degree)
+}
+
+// TestAdaptiveEngineFreshSnapshotReportsCap: an adaptive engine that
+// has touched no file yet still reports its spec's cap, and every
+// window starts linear, so `lapget -stats` shows degree_cap from the
+// first request on.
+func TestAdaptiveEngineFreshSnapshotReportsCap(t *testing.T) {
+	s := newTestEngine(t, Config{Alg: core.SpecAdAgrISPPM1}).Snapshot()
+	if s.DegreeCap != core.DefaultAdaptiveCap || s.MaxDegree != 1 {
+		t.Errorf("fresh adaptive snapshot: cap %d, widest window %d; want %d, 1",
+			s.DegreeCap, s.MaxDegree, core.DefaultAdaptiveCap)
+	}
+	js, err := json.Marshal(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf(`"degree_cap":%d`, core.DefaultAdaptiveCap); !strings.Contains(string(js), want) {
+		t.Errorf("snapshot JSON lacks %s: %s", want, js)
 	}
 }
 
@@ -86,9 +103,6 @@ func TestAdaptiveEngineStrictStaysLinear(t *testing.T) {
 	}
 	if s.LinearViolations != 0 {
 		t.Errorf("linear violations = %d, want 0", s.LinearViolations)
-	}
-	if _, adaptive := e.DegreeStats(); adaptive {
-		t.Error("strict engine reports adaptive degree stats")
 	}
 	if s.DegreeCap != 0 || s.MaxDegree != 0 || s.DegreeWidens != 0 {
 		t.Errorf("strict snapshot leaked degree fields: %+v", s)

@@ -108,12 +108,12 @@ type fileState struct {
 	driver *core.Driver // nil when Alg is NP or the file is not owned
 	tick   core.Tick    // per-file logical clock fed to the predictor
 
-	// degree is the file's outstanding-prefetch policy. Immutable after
-	// fileState creation (the policy itself is internally synchronized),
-	// so feedback paths may read it without holding mu. It outlives the
+	// degree is the file's prefetch window. Immutable after fileState
+	// creation (an adaptive window is internally synchronized), so
+	// feedback paths may read it without holding mu. It outlives the
 	// driver across ownership churn: a resumed file keeps its learned
 	// window just as it keeps its learned predictor state.
-	degree core.DegreePolicy
+	degree *core.DegreePolicy
 
 	// epoch is the ownership epoch this file's driver decision was
 	// made under; when the remote tier's Epoch moves past it, the next
@@ -583,8 +583,8 @@ func (e *Engine) fill(bufs []*blockbuf.Buf, fo *fetchOp, b blockdev.BlockID, n i
 }
 
 // The three prefetch outcomes, each booked at exactly one site: the
-// counter and, on an adaptive engine, the file's degree controller
-// (static policies ignore feedback, so non-adaptive engines skip the
+// counter and, on an adaptive engine, the file's prefetch window
+// (static windows ignore feedback, so non-adaptive engines skip the
 // fileState lookup and stay on the historical hot path).
 
 // timely: a user request touched a speculative block that had already
@@ -846,11 +846,17 @@ func (e *Engine) Snapshot() Snapshot {
 		LinearViolations:     e.ledger.Violations(),
 		CachedBlocks:         e.cache.Len(),
 	}
-	if agg, ok := e.DegreeStats(); ok {
-		s.DegreeCap = agg.Cap
-		s.MaxDegree = agg.Degree
-		s.DegreeWidens = agg.Widens
-		s.DegreeClamps = agg.Clamps
+	if e.adaptive {
+		// Every window starts linear, so a fresh engine reports 1.
+		s.DegreeCap, s.MaxDegree = e.cfg.Alg.MaxOutstanding, 1
+		e.filesMu.RLock()
+		for _, fl := range e.files {
+			window, widens, clamps := fl.degree.Stats()
+			s.MaxDegree = max(s.MaxDegree, window)
+			s.DegreeWidens += widens
+			s.DegreeClamps += clamps
+		}
+		e.filesMu.RUnlock()
 	}
 	return s
 }
@@ -858,40 +864,6 @@ func (e *Engine) Snapshot() Snapshot {
 // Ledger exposes the linearity ledger (tests assert on high-water
 // marks through it).
 func (e *Engine) Ledger() *core.Ledger { return e.ledger }
-
-// DegreeStats aggregates the adaptive controllers across every file
-// the engine has touched. adaptive reports whether the engine runs
-// the feedback policy at all; a static engine returns zeros.
-func (e *Engine) DegreeStats() (agg core.AdaptiveStats, adaptive bool) {
-	if !e.adaptive {
-		return core.AdaptiveStats{}, false
-	}
-	agg.Degree = 1 // every controller starts linear
-	e.filesMu.RLock()
-	defer e.filesMu.RUnlock()
-	for _, fl := range e.files {
-		a, ok := fl.degree.(*core.AdaptiveFDP)
-		if !ok {
-			continue
-		}
-		s := a.Stats()
-		if s.Degree > agg.Degree {
-			agg.Degree = s.Degree
-		}
-		if s.Cap > agg.Cap {
-			agg.Cap = s.Cap
-		}
-		agg.Evals += s.Evals
-		agg.Widens += s.Widens
-		agg.Narrows += s.Narrows
-		agg.Clamps += s.Clamps
-		agg.Backpressure += s.Backpressure
-		agg.Timely += s.Timely
-		agg.Late += s.Late
-		agg.Wasted += s.Wasted
-	}
-	return agg, true
-}
 
 // Shutdown stops the worker pool. Queued prefetch operations are
 // abandoned; in-progress ones finish first. Idempotent.

@@ -122,10 +122,10 @@ type Snapshot struct {
 	// misconfigured (it is also asserted server-side when strict).
 	LinearViolations uint64 `json:"linear_violations"`
 
-	// Degree policy (zero / omitted on static engines). DegreeCap is
-	// the policy's hard ceiling; MaxDegree the deepest window any
-	// file's adaptive controller reached; DegreeWidens/DegreeClamps
-	// count its widen steps and hard resets to linear.
+	// Prefetch windows (zero / omitted on static engines). DegreeCap
+	// is the spec's hard ceiling; MaxDegree the widest window any file
+	// holds now (1 before feedback moves one); DegreeWidens and
+	// DegreeClamps sum the widen steps and hard resets to linear.
 	DegreeCap    int    `json:"degree_cap,omitempty"`
 	MaxDegree    int    `json:"max_degree,omitempty"`
 	DegreeWidens uint64 `json:"degree_widens,omitempty"`

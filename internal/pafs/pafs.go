@@ -80,7 +80,7 @@ func (fs *FS) driverFor(f blockdev.FileID) *core.Driver {
 	d := core.NewDriver(core.DriverConfig{
 		Predictor:  fs.alg.NewPredictor(),
 		Mode:       fs.alg.Mode,
-		Degree:     fs.Degrees.For(f),
+		Degree:     fs.Degree(f),
 		File:       f,
 		FileBlocks: fs.FileBlocks(f),
 		Env:        pafsEnv{fs: fs, server: fs.HomeNode(f)},

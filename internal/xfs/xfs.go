@@ -107,7 +107,7 @@ func (fs *FS) driverFor(node blockdev.NodeID, f blockdev.FileID) *core.Driver {
 	d := core.NewDriver(core.DriverConfig{
 		Predictor:  fs.alg.NewPredictor(),
 		Mode:       fs.alg.Mode,
-		Degree:     fs.Degrees.For(f),
+		Degree:     fs.Degree(f),
 		File:       f,
 		FileBlocks: fs.FileBlocks(f),
 		Env:        xfsEnv{fs: fs, node: node},
