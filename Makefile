@@ -59,7 +59,7 @@ no-result-files:
 # gates over one type-checked load of this module and bench/ (one `go
 # list -export -deps` per module, each package checked once):
 # conformance:TestEverySettingHasASetter fails on any exported field of
-# an internal *Config, *Opts or *Options struct that no other package's
+# an internal *Config, *Opts, *Options or *Server struct that no other package's
 # non-test code sets (one value in use is a constant), less its
 # allow-list, and logs each struct's field and setter counts;
 # conformance:TestEveryExportHasAConsumer fails on any exported

@@ -24,8 +24,8 @@ import (
 // of (plan, trace, topology), independent of any execution.
 func selectedSites(inj *faultinject.Injector, nnodes int, fileBlocks map[blockdev.FileID]blockdev.BlockNo) (map[string]int, uint64) {
 	sites := make(map[string]int)
-	add := func(site string, key uint64, label string, file int32) {
-		for _, ri := range inj.MatchingRules(site, key, label, file) {
+	add := func(site string, key uint64, label string) {
+		for _, ri := range inj.MatchingRules(site, key, label) {
 			sites[fmt.Sprintf("%d|%s|%s", ri, site, label)] = ri
 		}
 	}
@@ -43,8 +43,8 @@ func selectedSites(inj *faultinject.Injector, nnodes int, fileBlocks map[blockde
 				id := blockdev.BlockID{File: f, Block: b}
 				label := fmt.Sprintf("%s f%d:%d", node, f, b)
 				key := faultinject.StoreKey(node, id)
-				add(faultinject.SiteStoreRead, key, label, int32(f))
-				add(faultinject.SiteStoreWrite, key, label, int32(f))
+				add(faultinject.SiteStoreRead, key, label)
+				add(faultinject.SiteStoreWrite, key, label)
 			}
 		}
 	}
@@ -59,9 +59,9 @@ func selectedSites(inj *faultinject.Injector, nnodes int, fileBlocks map[blockde
 	}
 	for _, link := range links {
 		key := faultinject.LabelKey(link)
-		add(faultinject.SiteConnSend, key, link, -1)
-		add(faultinject.SiteConnRecv, key, link, -1)
-		add(faultinject.SitePeerDial, key, link, -1)
+		add(faultinject.SiteConnSend, key, link)
+		add(faultinject.SiteConnRecv, key, link)
+		add(faultinject.SitePeerDial, key, link)
 	}
 	// Gossip links are their own namespace: every directed pair, the
 	// keyspace GossipFault hashes. Enumerated unconditionally — without
@@ -73,7 +73,7 @@ func selectedSites(inj *faultinject.Injector, nnodes int, fileBlocks map[blockde
 				continue
 			}
 			link := fmt.Sprintf("gossip:n%d->n%d", i, j)
-			add(faultinject.SiteGossip, faultinject.LabelKey(link), link, -1)
+			add(faultinject.SiteGossip, faultinject.LabelKey(link), link)
 		}
 	}
 

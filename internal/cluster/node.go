@@ -180,8 +180,7 @@ type peer struct {
 	quit chan struct{} // closed when the member leaves the ring
 
 	mu   sync.Mutex
-	conn *lapclient.Conn // nil while down
-	down bool            // true until the first successful dial
+	conn *lapclient.Conn // nil while down, and until the first successful dial
 }
 
 // NewNode validates the membership and builds the node. Call Start to
@@ -235,7 +234,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.history = []*Ring{ring}
 	for _, m := range ring.Members() {
 		if m != n.self {
-			n.peers[m] = &peer{addr: m, down: true, quit: make(chan struct{})}
+			n.peers[m] = &peer{addr: m, quit: make(chan struct{})}
 		}
 	}
 	if len(cfg.Join) > 0 {
@@ -310,7 +309,6 @@ func (n *Node) Close() {
 			p.conn.Close()
 			p.conn = nil
 		}
-		p.down = true
 		p.mu.Unlock()
 	}
 }
@@ -394,7 +392,7 @@ func (n *Node) syncPeers(members []string) {
 	var added []*peer
 	for addr := range want {
 		if _, ok := n.peers[addr]; !ok {
-			p := &peer{addr: addr, down: true, quit: make(chan struct{})}
+			p := &peer{addr: addr, quit: make(chan struct{})}
 			n.peers[addr] = p
 			added = append(added, p)
 		}
@@ -420,7 +418,6 @@ func (n *Node) syncPeers(members []string) {
 			p.conn.Close()
 			p.conn = nil
 		}
-		p.down = true
 		p.mu.Unlock()
 	}
 }
@@ -515,7 +512,6 @@ func (n *Node) healthLoop(p *peer) {
 					p.conn.Close()
 				}
 				p.conn = conn
-				p.down = false
 				p.mu.Unlock()
 				n.logf("cluster: peer %s up", p.addr)
 				attempt = 0
@@ -544,10 +540,7 @@ func (n *Node) healthLoop(p *peer) {
 func (p *peer) liveConn() (*lapclient.Conn, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.conn == nil || p.down {
-		return nil, false
-	}
-	return p.conn, true
+	return p.conn, p.conn != nil
 }
 
 // fault marks a peer down after a transport error; the health loop
@@ -555,9 +548,8 @@ func (p *peer) liveConn() (*lapclient.Conn, bool) {
 // inside it fails fast instead of waiting out the kernel.
 func (n *Node) fault(p *peer, err error) {
 	p.mu.Lock()
-	wasUp := !p.down
-	p.down = true
-	if p.conn != nil {
+	wasUp := p.conn != nil
+	if wasUp {
 		p.conn.Close()
 		p.conn = nil
 	}
@@ -721,7 +713,7 @@ func (n *Node) PeerDown(addr string) bool {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.down
+	return p.conn == nil
 }
 
 // HandoffStats reports the rebalancing loop's lifetime counters.

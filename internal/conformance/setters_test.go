@@ -20,7 +20,8 @@ var settersAllowed = map[string]string{
 
 // TestEverySettingHasASetter is the exported-identifier half of the
 // cold-code rule for settings: every exported field of an exported
-// *Config, *Opts or *Options struct under internal/ is set by the
+// *Config, *Opts, *Options or *Server struct under internal/ (a
+// server's exported fields are its settings) is set by the
 // non-test code of some other package, here or in bench/ — a field
 // nobody else sets has one value in use and is a constant. It reads
 // the type-checked load (loadModules), so a field is credited only to
@@ -84,8 +85,9 @@ func TestEverySettingHasASetter(t *testing.T) {
 	}
 }
 
-// settingsStructs returns pkg's exported structs named *Config, *Opts
-// or *Options, keyed "pkg.Type", each with its exported field names.
+// settingsStructs returns pkg's exported structs named *Config, *Opts,
+// *Options or *Server, keyed "pkg.Type", each with its exported field
+// names.
 func settingsStructs(pkg *types.Package) map[string][]string {
 	out := map[string][]string{}
 	scope := pkg.Scope()
@@ -94,7 +96,8 @@ func settingsStructs(pkg *types.Package) map[string][]string {
 		if !ok || !tn.Exported() || tn.IsAlias() {
 			continue
 		}
-		if !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Opts") && !strings.HasSuffix(name, "Options") {
+		if !strings.HasSuffix(name, "Config") && !strings.HasSuffix(name, "Opts") &&
+			!strings.HasSuffix(name, "Options") && !strings.HasSuffix(name, "Server") {
 			continue
 		}
 		st, ok := tn.Type().Underlying().(*types.Struct)

@@ -172,26 +172,21 @@ func RunTraceObserved(tr *workload.Trace, mach machine.Config, c Cell, warmFract
 	}
 	cacheBlocks := mach.CacheBlocksPerNode(c.CacheMB)
 
-	var (
-		fs   fscommon.FileSystem
-		base *fscommon.Base // what both file systems are built on
-	)
+	var fs *fscommon.Base // what both file systems are built on
 	switch c.FS {
 	case PAFS:
-		p := pafs.New(e, pafs.Config{
+		fs = pafs.New(e, pafs.Config{
 			Machine:            mach,
 			CacheBlocksPerNode: cacheBlocks,
 			Algorithm:          c.Alg,
-		}, tr)
-		fs, base = p, p.Base
+		}, tr).Base
 	case XFS:
-		x := xfs.New(e, xfs.Config{
+		fs = xfs.New(e, xfs.Config{
 			Machine:            mach,
 			CacheBlocksPerNode: cacheBlocks,
 			Algorithm:          c.Alg,
 			Recirculations:     c.Recirculations,
-		}, tr)
-		fs, base = x, x.Base
+		}, tr).Base
 	default:
 		return Result{}, fmt.Errorf("experiment: unknown file system %d", c.FS)
 	}
@@ -202,9 +197,9 @@ func RunTraceObserved(tr *workload.Trace, mach machine.Config, c Cell, warmFract
 		return Result{}, fmt.Errorf("experiment: %s did not complete", c)
 	}
 
-	coll := fs.Collector()
-	cst := fs.Cache().Stats()
-	wasted := cst.WastedPrefetches + fs.Cache().UnusedPrefetchedCopies()
+	coll := fs.Coll
+	cst := fs.Cch.Stats()
+	wasted := cst.WastedPrefetches + fs.Cch.UnusedPrefetchedCopies()
 	used := cst.UsedPrefetches
 	misprediction := 0.0
 	if wasted+used > 0 {
@@ -224,14 +219,14 @@ func RunTraceObserved(tr *workload.Trace, mach machine.Config, c Cell, warmFract
 		PrefetchTimely:      coll.PrefetchTimelyCount(),
 		PrefetchLate:        coll.PrefetchLateCount(),
 		PrefetchWasted:      coll.PrefetchWastedCount(),
-		PrefetchUnusedAtEnd: fs.Cache().UnusedPrefetchedCopies(),
-		MaxFilePrefetchHW:   base.Ledger.MaxHighWater(),
+		PrefetchUnusedAtEnd: fs.Cch.UnusedPrefetchedCopies(),
+		MaxFilePrefetchHW:   fs.Ledger.MaxHighWater(),
 
-		DiskUtilization:   base.Disks.Utilization(),
-		DiskPrefetchShare: base.Disks.PrefetchBusyFraction(),
-		DiskMaxQueue:      base.Disks.MaxQueueLenAll(),
-		NetUtilization:    base.Net.Utilization(),
-		NetMaxQueue:       base.Net.MaxPortQueueLen(),
+		DiskUtilization:   fs.Disks.Utilization(),
+		DiskPrefetchShare: fs.Disks.PrefetchBusyFraction(),
+		DiskMaxQueue:      fs.Disks.MaxQueueLenAll(),
+		NetUtilization:    fs.Net.Utilization(),
+		NetMaxQueue:       fs.Net.MaxPortQueueLen(),
 		EventsFired:       e.Fired(),
 
 		HitRatio: coll.BlockHitRatio(),

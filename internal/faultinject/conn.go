@@ -45,7 +45,7 @@ func headerShaped(p []byte) bool {
 // header corruption (KindCorrupt: the version byte of a frame-shaped
 // write flips, guaranteeing the receiver rejects the frame).
 func (c *Conn) Write(p []byte) (int, error) {
-	f, ok := c.in.eval(SiteConnSend, c.key, c.link, -1)
+	f, ok := c.in.eval(SiteConnSend, c.key, c.link)
 	if !ok {
 		return c.Conn.Write(p)
 	}
@@ -92,7 +92,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 // Read implements net.Conn with recv-side faults: stalls and
 // mid-stream disconnects.
 func (c *Conn) Read(p []byte) (int, error) {
-	f, ok := c.in.eval(SiteConnRecv, c.key, c.link, -1)
+	f, ok := c.in.eval(SiteConnRecv, c.key, c.link)
 	if !ok {
 		return c.Conn.Read(p)
 	}

@@ -128,9 +128,6 @@ type Rule struct {
 	// the node label of store sites). An asymmetric partition is a
 	// dial/conn rule whose Links name one direction only.
 	Links []string `json:"links,omitempty"`
-	// Files, when non-empty, restricts store-site rules to these
-	// files.
-	Files []int32 `json:"files,omitempty"`
 }
 
 // Plan is a complete, serializable fault schedule: a seed and a rule
@@ -280,26 +277,14 @@ func (in *Injector) selected(ri int, site string, key uint64) bool {
 	return float64(h)/float64(^uint64(0)) < r.P
 }
 
-// matches reports whether rule ri fires at (site, key, label, file):
-// site equality, the Files/Links filters, and the seeded selection —
+// matches reports whether rule ri fires at (site, key, label): site
+// equality, the Links filter, and the seeded selection —
 // everything about the decision except the runtime budget. It is a
 // pure function of the plan.
-func (in *Injector) matches(ri int, site string, key uint64, label string, file int32) bool {
+func (in *Injector) matches(ri int, site string, key uint64, label string) bool {
 	r := &in.plan.Rules[ri]
 	if r.Site != site {
 		return false
-	}
-	if len(r.Files) > 0 && file >= 0 {
-		found := false
-		for _, f := range r.Files {
-			if f == file {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
 	}
 	if len(r.Links) > 0 {
 		found := false
@@ -325,29 +310,28 @@ func (in *Injector) matches(ri int, site string, key uint64, label string, file 
 // observed at a site is always one of them but, once an earlier
 // rule's budget is spent, not necessarily the first (observed sites
 // are a timing-dependent subset of this set; see Report.Digest).
-func (in *Injector) MatchingRules(site string, key uint64, label string, file int32) []int {
+func (in *Injector) MatchingRules(site string, key uint64, label string) []int {
 	if in == nil {
 		return nil
 	}
 	var rs []int
 	for ri := range in.plan.Rules {
-		if in.matches(ri, site, key, label, file) {
+		if in.matches(ri, site, key, label) {
 			rs = append(rs, ri)
 		}
 	}
 	return rs
 }
 
-// eval runs key (with its human-readable label, and the file for store
-// sites, else -1) through every rule at site; the first matching rule
-// with remaining budget wins.
-func (in *Injector) eval(site string, key uint64, label string, file int32) (Fault, bool) {
+// eval runs key (with its human-readable label) through every rule at
+// site; the first matching rule with remaining budget wins.
+func (in *Injector) eval(site string, key uint64, label string) (Fault, bool) {
 	if in == nil {
 		return Fault{}, false
 	}
 	for ri := range in.plan.Rules {
 		r := &in.plan.Rules[ri]
-		if !in.matches(ri, site, key, label, file) {
+		if !in.matches(ri, site, key, label) {
 			continue
 		}
 		sk := siteKey{rule: ri, key: key}
@@ -452,7 +436,7 @@ func (r Report) String() string {
 // partition when only one direction is selected — until the rule's
 // budget heals it. A KindDelay/KindHang rule stalls the dial instead.
 func (in *Injector) DialFault(link string) error {
-	f, ok := in.eval(SitePeerDial, labelKey(link), link, -1)
+	f, ok := in.eval(SitePeerDial, labelKey(link), link)
 	if !ok {
 		return nil
 	}
@@ -470,7 +454,7 @@ func (in *Injector) DialFault(link string) error {
 // dropped (KindError) or stalled (KindDelay) until the rule's budget
 // heals it. It plugs into membership.Config.Intercept.
 func (in *Injector) GossipFault(link string) error {
-	f, ok := in.eval(SiteGossip, labelKey(link), link, -1)
+	f, ok := in.eval(SiteGossip, labelKey(link), link)
 	if !ok {
 		return nil
 	}

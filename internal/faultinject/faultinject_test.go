@@ -56,8 +56,8 @@ func TestSelectionIsDeterministic(t *testing.T) {
 	const n = 20000
 	hits := 0
 	for k := uint64(0); k < n; k++ {
-		ra := a.MatchingRules(SiteStoreRead, k, "lbl", 0)
-		rb := b.MatchingRules(SiteStoreRead, k, "lbl", 0)
+		ra := a.MatchingRules(SiteStoreRead, k, "lbl")
+		rb := b.MatchingRules(SiteStoreRead, k, "lbl")
 		if len(ra) != len(rb) {
 			t.Fatalf("key %d: injectors disagree (%v vs %v)", k, ra, rb)
 		}
@@ -84,9 +84,9 @@ func TestSelectionVariesWithSeedRuleSite(t *testing.T) {
 	const n = 4096
 	diffSeed, diffSite := 0, 0
 	for k := uint64(0); k < n; k++ {
-		ar := len(a.MatchingRules(SiteStoreRead, k, "l", 0)) > 0
-		br := len(b.MatchingRules(SiteStoreRead, k, "l", 0)) > 0
-		aw := len(a.MatchingRules(SiteStoreWrite, k, "l", 0)) > 0
+		ar := len(a.MatchingRules(SiteStoreRead, k, "l")) > 0
+		br := len(b.MatchingRules(SiteStoreRead, k, "l")) > 0
+		aw := len(a.MatchingRules(SiteStoreWrite, k, "l")) > 0
 		if ar != br {
 			diffSeed++
 		}
@@ -116,12 +116,12 @@ func TestBudgetFallThrough(t *testing.T) {
 		ok   bool
 	}{{0, true}, {0, true}, {1, true}, {0, false}, {0, false}}
 	for i, w := range want {
-		f, ok := in.eval(SiteStoreRead, 9, "l", 0)
+		f, ok := in.eval(SiteStoreRead, 9, "l")
 		if ok != w.ok || (ok && f.Rule != w.rule) {
 			t.Fatalf("call %d: got rule=%d ok=%v, want rule=%d ok=%v", i, f.Rule, ok, w.rule, w.ok)
 		}
 	}
-	rs := in.MatchingRules(SiteStoreRead, 9, "l", 0)
+	rs := in.MatchingRules(SiteStoreRead, 9, "l")
 	if len(rs) != 2 || rs[0] != 0 || rs[1] != 1 {
 		t.Errorf("MatchingRules = %v, want [0 1] (both rules select at P=1)", rs)
 	}
@@ -147,10 +147,10 @@ func TestBudgetFallThrough(t *testing.T) {
 func TestBudgetIsPerKey(t *testing.T) {
 	in := mustNew(t, Plan{Rules: []Rule{{Site: SitePeerDial, Kind: KindError, P: 1, Count: 1}}})
 	for _, key := range []uint64{1, 2, 3} {
-		if _, ok := in.eval(SitePeerDial, key, "l", -1); !ok {
+		if _, ok := in.eval(SitePeerDial, key, "l"); !ok {
 			t.Fatalf("key %d: first call should fault", key)
 		}
-		if _, ok := in.eval(SitePeerDial, key, "l", -1); ok {
+		if _, ok := in.eval(SitePeerDial, key, "l"); ok {
 			t.Fatalf("key %d: budget 1 spent, second call should pass", key)
 		}
 	}
@@ -161,15 +161,8 @@ func TestBudgetIsPerKey(t *testing.T) {
 
 func TestFileAndLinkSelectors(t *testing.T) {
 	in := mustNew(t, Plan{Rules: []Rule{
-		{Site: SiteStoreRead, Kind: KindError, P: 1, Files: []int32{3}},
 		{Site: SitePeerDial, Kind: KindError, P: 1, Links: []string{"->n2"}},
 	}})
-	if _, ok := in.eval(SiteStoreRead, 1, "l", 3); !ok {
-		t.Error("file 3 should match the Files selector")
-	}
-	if _, ok := in.eval(SiteStoreRead, 1, "l", 4); ok {
-		t.Error("file 4 must not match Files:[3]")
-	}
 	if err := in.DialFault("peer:n0->n2"); err == nil {
 		t.Error("link peer:n0->n2 should match Links:[->n2]")
 	}
@@ -181,13 +174,13 @@ func TestFileAndLinkSelectors(t *testing.T) {
 // TestNilInjectorInjectsNothing: every entry point is nil-safe.
 func TestNilInjectorInjectsNothing(t *testing.T) {
 	var in *Injector
-	if _, ok := in.eval(SiteStoreRead, 1, "l", 0); ok {
+	if _, ok := in.eval(SiteStoreRead, 1, "l"); ok {
 		t.Error("nil injector faulted")
 	}
 	if err := in.DialFault("peer:n0->n1"); err != nil {
 		t.Errorf("nil DialFault: %v", err)
 	}
-	if rs := in.MatchingRules(SiteStoreRead, 1, "l", 0); rs != nil {
+	if rs := in.MatchingRules(SiteStoreRead, 1, "l"); rs != nil {
 		t.Errorf("nil MatchingRules = %v", rs)
 	}
 	if in.Total() != 0 || in.Report().Total != 0 {
@@ -259,7 +252,7 @@ func TestReportDeterminism(t *testing.T) {
 			{Site: SiteStoreRead, Kind: KindError, P: 0.5},
 		}})
 		for k := uint64(0); k < 64; k++ {
-			in.eval(SiteStoreRead, k, "lbl", 0)
+			in.eval(SiteStoreRead, k, "lbl")
 		}
 		return in.Report()
 	}
@@ -293,7 +286,7 @@ func TestConcurrentEvalIsRaceFreeAndBudgeted(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
-				in.eval(SiteConnSend, 7, "link", -1)
+				in.eval(SiteConnSend, 7, "link")
 			}
 		}()
 	}

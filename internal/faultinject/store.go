@@ -43,7 +43,7 @@ func (s *Store) key(b blockdev.BlockID) uint64 {
 // ReadBlock implements BlockStore.
 func (s *Store) ReadBlock(b blockdev.BlockID, buf []byte) error {
 	f, ok := s.in.eval(SiteStoreRead, s.key(b),
-		fmt.Sprintf("%s f%d:%d", s.node, b.File, b.Block), int32(b.File))
+		fmt.Sprintf("%s f%d:%d", s.node, b.File, b.Block))
 	if !ok {
 		return s.inner.ReadBlock(b, buf)
 	}
@@ -72,7 +72,7 @@ func (s *Store) ReadBlock(b blockdev.BlockID, buf []byte) error {
 // WriteBlock implements BlockStore.
 func (s *Store) WriteBlock(b blockdev.BlockID, data []byte) error {
 	f, ok := s.in.eval(SiteStoreWrite, s.key(b),
-		fmt.Sprintf("%s f%d:%d", s.node, b.File, b.Block), int32(b.File))
+		fmt.Sprintf("%s f%d:%d", s.node, b.File, b.Block))
 	if !ok {
 		return s.inner.WriteBlock(b, data)
 	}

@@ -19,34 +19,10 @@ import (
 	"repro/internal/workload"
 )
 
-// FileSystem is what the trace runner and the experiment layer drive.
-type FileSystem interface {
-	// Read serves a user read of span for a process on client; done
-	// fires when every block has reached the client.
-	Read(client blockdev.NodeID, span blockdev.Span, done func(at sim.Time))
-	// Write serves a user write of span from client; done fires when
-	// the data is absorbed by the cache.
-	Write(client blockdev.NodeID, span blockdev.Span, done func(at sim.Time))
-	// Close tells the file system the client is done with the file
-	// for now; its prefetch chain stops until the next request.
-	Close(client blockdev.NodeID, file blockdev.FileID, done func(at sim.Time))
-	// SpanOf converts a trace step to the block span Read and Write
-	// take.
-	SpanOf(workload.Step) blockdev.Span
-	// Collector exposes the metrics sink.
-	Collector() *stats.Collector
-	// Cache exposes the cooperative cache (for end-of-run accounting).
-	Cache() *cachesim.Cache
-	// Start launches background machinery (the write-back daemon).
-	Start()
-	// StopBackground ends the background machinery so the simulation
-	// can drain after the trace completes.
-	StopBackground()
-}
-
 // Base wires the substrates together; PAFS and xFS embed a pointer to
-// it. It owns free lists and records whose callbacks are bound to it,
-// so it is never copied.
+// it and register their Protocol with Serve, and the Runner drives a
+// trace through it. It owns free lists and records whose callbacks are
+// bound to it, so it is never copied.
 type Base struct {
 	Engine *sim.Engine
 	Cfg    machine.Config
@@ -65,9 +41,10 @@ type Base struct {
 	// register it as their drivers' observer.
 	Ledger *core.Ledger
 
-	// alg builds the per-file prefetch windows, kept in degrees (see
-	// Degree).
-	alg     core.AlgSpec
+	// Alg is the prefetching configuration: it builds the drivers
+	// (NewDriver) and the per-file prefetch windows, kept in degrees
+	// (see Degree).
+	Alg     core.AlgSpec
 	degrees map[blockdev.FileID]*core.DegreePolicy
 
 	// inflight coalesces concurrent demand fetches of one block onto
@@ -112,7 +89,7 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 		Cch:        cachesim.New(e, cfg.Nodes, cacheBlocksPerNode, policy, num),
 		Coll:       stats.New(num.Len()),
 		Ledger:     core.NewLedger(0, false),
-		alg:        alg,
+		Alg:        alg,
 		degrees:    make(map[blockdev.FileID]*core.DegreePolicy),
 		num:        num,
 		inflight:   make([]*diskOp, num.Len()),
@@ -138,17 +115,35 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 func (b *Base) Degree(f blockdev.FileID) *core.DegreePolicy {
 	p := b.degrees[f]
 	if p == nil {
-		p = b.alg.NewDegreePolicy()
+		p = b.Alg.NewDegreePolicy()
 		b.degrees[f] = p
 	}
 	return p
 }
 
-// Collector returns the metrics sink.
-func (b *Base) Collector() *stats.Collector { return b.Coll }
+// NewDriver builds a prefetch driver for file f that issues through
+// env: the file system decides where a file's drivers run and what
+// their env asks, the Base what they are. Every driver of f shares f's
+// prefetch window and reports to the Ledger.
+func (b *Base) NewDriver(f blockdev.FileID, env core.Env) *core.Driver {
+	return core.NewDriver(core.DriverConfig{
+		Predictor:  b.Alg.NewPredictor(),
+		Mode:       b.Alg.Mode,
+		Degree:     b.Degree(f),
+		File:       f,
+		FileBlocks: b.FileBlocks(f),
+		Env:        env,
+		Observer:   b.Ledger,
+	})
+}
 
-// Cache returns the cooperative cache.
-func (b *Base) Cache() *cachesim.Cache { return b.Cch }
+// Observe feeds a request just served to driver d, nil under NP; hits
+// is how many of its blocks were cached on arrival where d looks.
+func (b *Base) Observe(d *core.Driver, span blockdev.Span, hits int) {
+	if d != nil {
+		d.OnUserRequest(core.Request{Offset: span.Start, Size: span.Count}, core.Tick(b.Engine.Now()), hits == int(span.Count))
+	}
+}
 
 // FileBlocks returns file f's size in blocks, panicking on unknown
 // files (the trace validates against its file table, so it is a bug).

@@ -54,12 +54,12 @@ func TestRunnerCompletesTrace(t *testing.T) {
 		CacheBlocksPerNode: 64,
 		Algorithm:          core.SpecNP,
 	}, tr)
-	r := fscommon.NewRunner(fs, tr, 0)
+	r := fscommon.NewRunner(fs.Base, tr, 0)
 	r.Run(e)
 	if !r.Done() {
 		t.Fatal("runner did not complete the trace")
 	}
-	if got := fs.Collector().Reads(); got != uint64(tr.TotalSteps()) {
+	if got := fs.Coll.Reads(); got != uint64(tr.TotalSteps()) {
 		t.Errorf("collector saw %d reads, want %d", got, tr.TotalSteps())
 	}
 }
@@ -72,13 +72,13 @@ func TestRunnerWarmupGatesMeasurement(t *testing.T) {
 		CacheBlocksPerNode: 64,
 		Algorithm:          core.SpecNP,
 	}, tr)
-	r := fscommon.NewRunner(fs, tr, 0.5)
+	r := fscommon.NewRunner(fs.Base, tr, 0.5)
 	r.Run(e)
 	if !r.Done() {
 		t.Fatal("runner did not complete")
 	}
 	total := uint64(tr.TotalSteps())
-	got := fs.Collector().Reads()
+	got := fs.Coll.Reads()
 	if got >= total || got == 0 {
 		t.Errorf("measured %d of %d reads; warm-up gating broken", got, total)
 	}
@@ -94,10 +94,10 @@ func TestRunnerClosedLoopOrdering(t *testing.T) {
 		CacheBlocksPerNode: 64,
 		Algorithm:          core.SpecNP,
 	}, tr)
-	r := fscommon.NewRunner(fs, tr, 0)
+	r := fscommon.NewRunner(fs.Base, tr, 0)
 	r.Run(e)
 	// 8 distinct blocks per file: only the first pass misses.
-	if got := fs.Collector().DiskReads(); got != 16 {
+	if got := fs.Coll.DiskReads(); got != 16 {
 		t.Errorf("disk reads = %d, want 16 (8 per file)", got)
 	}
 }
@@ -117,7 +117,7 @@ func TestRunnerRejectsBadWarmFraction(t *testing.T) {
 					t.Errorf("warm fraction %v accepted", f)
 				}
 			}()
-			fscommon.NewRunner(fs, tr, f)
+			fscommon.NewRunner(fs.Base, tr, f)
 		}()
 	}
 }

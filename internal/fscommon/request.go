@@ -6,10 +6,20 @@ import (
 	"repro/internal/workload"
 )
 
-// Protocol is the file system's half of the request records below: the
-// records carry a user request's state from event to event, the file
-// system says what each event does.
+// Protocol is what makes a Base one file system or the other: where a
+// user request goes, and what each of its events does. The Runner
+// hands it the trace's requests; the records below carry a request's
+// state from event to event.
 type Protocol interface {
+	// Read serves a user read of span for a process on client; done
+	// fires when every block has reached the client.
+	Read(client blockdev.NodeID, span blockdev.Span, done func(at sim.Time))
+	// Write serves a user write of span from client; done fires when
+	// the data is absorbed by the cache.
+	Write(client blockdev.NodeID, span blockdev.Span, done func(at sim.Time))
+	// Close tells the file system the client is done with the file
+	// for now; its prefetch chain stops until the next request.
+	Close(client blockdev.NodeID, file blockdev.FileID, done func(at sim.Time))
 	// Arrive continues request r once the message, or the local delay,
 	// it was sent off with (Request.Arrived) has ended.
 	Arrive(r *Request, e *sim.Engine, at sim.Time)
@@ -18,8 +28,9 @@ type Protocol interface {
 	Advance(m *Miss, e *sim.Engine, at sim.Time)
 }
 
-// Serve names the file system whose requests the Base's records carry;
-// PAFS and xFS call it once, on construction.
+// Serve names the file system the Base is: the Runner's requests go to
+// it and the Base's records carry them. PAFS and xFS call it once, on
+// construction.
 func (b *Base) Serve(p Protocol) { b.proto = p }
 
 // Request is one user request in flight. Its callbacks are bound once,

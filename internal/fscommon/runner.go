@@ -10,7 +10,7 @@ import (
 // Runner replays a trace against a file system: every process is a
 // closed loop (think, issue, wait) so I/O speedups shorten the run.
 type Runner struct {
-	fs     FileSystem
+	b      *Base
 	trace  *workload.Trace
 	engine *sim.Engine
 
@@ -19,28 +19,30 @@ type Runner struct {
 	finishedProcs  int
 }
 
-// NewRunner prepares a replay. warmFraction is the share of total
-// requests completed before the measurement window opens (the paper
-// warms the cache with the first hours of each trace); 0 measures
-// everything. It panics on a fraction outside [0,1).
-func NewRunner(fs FileSystem, tr *workload.Trace, warmFraction float64) *Runner {
+// NewRunner prepares a replay against the file system b serves (see
+// Serve). warmFraction is the share of total requests completed before
+// the measurement window opens (the paper warms the cache with the
+// first hours of each trace); 0 measures everything. It panics on a
+// fraction outside [0,1).
+func NewRunner(b *Base, tr *workload.Trace, warmFraction float64) *Runner {
 	if warmFraction < 0 || warmFraction >= 1 {
 		panic(fmt.Sprintf("fscommon: warm fraction %v outside [0,1)", warmFraction))
 	}
 	return &Runner{
-		fs:            fs,
+		b:             b,
 		trace:         tr,
 		warmThreshold: int(warmFraction * float64(tr.TotalSteps())),
 	}
 }
 
 // Run replays the whole trace to completion on the engine and returns
-// the final simulated time. The file system's collector starts
-// measuring once the warm threshold is crossed (immediately if 0).
+// the final simulated time, with the write-back daemon running
+// throughout. The collector starts measuring once the warm threshold
+// is crossed (immediately if 0).
 func (r *Runner) Run(e *sim.Engine) sim.Time {
-	r.fs.Start()
+	r.b.StartWriteback()
 	if r.warmThreshold == 0 {
-		r.fs.Collector().StartMeasurement()
+		r.b.Coll.StartMeasurement()
 	}
 	r.engine = e
 	for i := range r.trace.Procs {
@@ -52,7 +54,7 @@ func (r *Runner) Run(e *sim.Engine) sim.Time {
 	// The trace is finished: end the write-back daemon and drain
 	// whatever is still in flight — trailing demand fetches, prefetch
 	// chains walking to end of file, queued flushes.
-	r.fs.StopBackground()
+	r.b.StopBackground()
 	return e.Run()
 }
 
@@ -82,22 +84,22 @@ func (p *process) schedule() {
 }
 
 func (p *process) issueStep(e *sim.Engine) {
-	fs, step := p.runner.fs, p.trace.Steps[p.idx]
+	b, step := p.runner.b, p.trace.Steps[p.idx]
 	p.issued = e.Now()
 	switch step.Kind {
 	case workload.OpRead:
-		fs.Read(p.trace.Node, fs.SpanOf(step), p.complete)
+		b.proto.Read(p.trace.Node, b.SpanOf(step), p.complete)
 	case workload.OpWrite:
-		fs.Write(p.trace.Node, fs.SpanOf(step), p.complete)
+		b.proto.Write(p.trace.Node, b.SpanOf(step), p.complete)
 	case workload.OpClose:
-		fs.Close(p.trace.Node, step.File, p.complete)
+		b.proto.Close(p.trace.Node, step.File, p.complete)
 	}
 }
 
 func (p *process) completeStep(at sim.Time) {
 	r := p.runner
 	latency := at.Sub(p.issued)
-	coll := r.fs.Collector()
+	coll := r.b.Coll
 	switch p.trace.Steps[p.idx].Kind {
 	case workload.OpRead:
 		coll.ReadDone(latency)

@@ -18,19 +18,19 @@ func TestWritebackSmearedAcrossPeriod(t *testing.T) {
 	fs := pafs.New(e, pafs.Config{
 		Machine: cfg, CacheBlocksPerNode: 256, Algorithm: core.SpecNP,
 	}, tr)
-	fs.Collector().StartMeasurement()
-	fs.Start()
+	fs.Coll.StartMeasurement()
+	fs.StartWriteback()
 	// Dirty 16 blocks at t=0.
 	fs.Write(0, blockdev.Span{File: 0, Start: 0, Count: 16}, func(sim.Time) {})
 	// At the first tick (t=10s) the flushes must be spread across
 	// [10s, 20s), not all issued at the tick.
 	e.RunUntil(func() bool { return e.Now() > sim.Time(sim.Seconds(10.5)) })
-	early := fs.Collector().DiskWrites()
+	early := fs.Coll.DiskWrites()
 	if early == 16 {
 		t.Error("all flushes issued in a burst at the tick")
 	}
 	e.RunUntil(func() bool { return e.Now() > sim.Time(sim.Seconds(21)) })
-	if got := fs.Collector().DiskWrites(); got != 16 {
+	if got := fs.Coll.DiskWrites(); got != 16 {
 		t.Errorf("flushes after a full period = %d, want 16", got)
 	}
 }
@@ -42,8 +42,8 @@ func TestStopBackgroundStopsDaemonAndMeasurement(t *testing.T) {
 	fs := pafs.New(e, pafs.Config{
 		Machine: cfg, CacheBlocksPerNode: 64, Algorithm: core.SpecNP,
 	}, tr)
-	fs.Collector().StartMeasurement()
-	fs.Start()
+	fs.Coll.StartMeasurement()
+	fs.StartWriteback()
 	if fs.Stopped() {
 		t.Error("Stopped before StopBackground")
 	}
@@ -59,10 +59,10 @@ func TestStopBackgroundStopsDaemonAndMeasurement(t *testing.T) {
 	if e.RunUntil(func() bool { return e.Fired() >= 100000 }); e.Fired() >= 100000 {
 		t.Error("event queue did not drain after StopBackground")
 	}
-	if fs.Collector().DiskWrites() != 0 {
+	if fs.Coll.DiskWrites() != 0 {
 		t.Error("stopped daemon still flushed")
 	}
-	if fs.Collector().DiskReads() != 0 {
+	if fs.Coll.DiskReads() != 0 {
 		t.Error("collector still measuring after StopBackground")
 	}
 }
@@ -73,12 +73,12 @@ func TestStoppedFSIgnoresPrefetch(t *testing.T) {
 	fs := pafs.New(e, pafs.Config{
 		Machine: smallMachine(), CacheBlocksPerNode: 256, Algorithm: core.SpecLnAgrOBA,
 	}, tr)
-	fs.Collector().StartMeasurement()
+	fs.Coll.StartMeasurement()
 	fs.StopBackground()
 	fs.Read(0, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
 	e.Run()
 	// The demand read happens; the chain must not start.
-	if got := fs.Collector().PrefetchIssuedCount(); got != 0 {
+	if got := fs.Coll.PrefetchIssuedCount(); got != 0 {
 		t.Errorf("stopped FS issued %d prefetches", got)
 	}
 }
@@ -89,11 +89,11 @@ func TestStoppedXFSIgnoresPrefetch(t *testing.T) {
 	fs := xfs.New(e, xfs.Config{
 		Machine: smallMachine(), CacheBlocksPerNode: 256, Algorithm: core.SpecLnAgrOBA,
 	}, tr)
-	fs.Collector().StartMeasurement()
+	fs.Coll.StartMeasurement()
 	fs.StopBackground()
 	fs.Read(0, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
 	e.Run()
-	if got := fs.Collector().PrefetchIssuedCount(); got != 0 {
+	if got := fs.Coll.PrefetchIssuedCount(); got != 0 {
 		t.Errorf("stopped xFS issued %d prefetches", got)
 	}
 }
@@ -104,25 +104,25 @@ func TestCloseStopsChainPAFS(t *testing.T) {
 	fs := pafs.New(e, pafs.Config{
 		Machine: smallMachine(), CacheBlocksPerNode: 1024, Algorithm: core.SpecLnAgrOBA,
 	}, tr)
-	fs.Collector().StartMeasurement()
+	fs.Coll.StartMeasurement()
 	fs.Read(0, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
 	// Let a few prefetches through, then close: the chain must stop
 	// well before the end of the 512-block file.
-	e.RunUntil(func() bool { return fs.Collector().PrefetchIssuedCount() >= 3 })
+	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() >= 3 })
 	closed := false
 	fs.Close(0, 0, func(sim.Time) { closed = true })
 	e.Run()
 	if !closed {
 		t.Fatal("close never completed")
 	}
-	if got := fs.Collector().PrefetchIssuedCount(); got > 20 {
+	if got := fs.Coll.PrefetchIssuedCount(); got > 20 {
 		t.Errorf("%d prefetches issued after close; chain did not stop", got)
 	}
 	// A new request resumes prefetching.
-	before := fs.Collector().PrefetchIssuedCount()
+	before := fs.Coll.PrefetchIssuedCount()
 	fs.Read(0, blockdev.Span{File: 0, Start: 100, Count: 1}, func(sim.Time) {})
-	e.RunUntil(func() bool { return fs.Collector().PrefetchIssuedCount() > before+2 })
-	if fs.Collector().PrefetchIssuedCount() <= before {
+	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() > before+2 })
+	if fs.Coll.PrefetchIssuedCount() <= before {
 		t.Error("chain did not resume after reopen")
 	}
 	fs.StopBackground()
@@ -135,15 +135,15 @@ func TestCloseStopsOnlyThatNodeXFS(t *testing.T) {
 	fs := xfs.New(e, xfs.Config{
 		Machine: smallMachine(), CacheBlocksPerNode: 1024, Algorithm: core.SpecLnAgrOBA,
 	}, tr)
-	fs.Collector().StartMeasurement()
+	fs.Coll.StartMeasurement()
 	fs.Read(0, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
 	fs.Read(1, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
-	e.RunUntil(func() bool { return fs.Collector().PrefetchIssuedCount() >= 6 })
+	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() >= 6 })
 	// Node 0 closes; node 1's chain keeps walking.
 	fs.Close(0, 0, func(sim.Time) {})
-	before := fs.Collector().PrefetchIssuedCount()
-	e.RunUntil(func() bool { return fs.Collector().PrefetchIssuedCount() > before+5 })
-	if fs.Collector().PrefetchIssuedCount() <= before {
+	before := fs.Coll.PrefetchIssuedCount()
+	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() > before+5 })
+	if fs.Coll.PrefetchIssuedCount() <= before {
 		t.Error("closing one node's file stopped every chain")
 	}
 	fs.StopBackground()

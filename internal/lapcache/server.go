@@ -77,14 +77,14 @@ type Server struct {
 	// request for the duration (lapcached -idle-timeout). Zero keeps
 	// connections open forever, the historical behaviour.
 	IdleTimeout time.Duration
-	// DrainGrace bounds how long Close waits for an in-flight
-	// response to flush to a slow client before the write is abandoned
-	// (default 2s).
-	DrainGrace time.Duration
 	// ConnWrap, when non-nil, interposes on every accepted connection
 	// before any protocol traffic; the chaos harness uses it to inject
 	// transport faults on the server side of the wire.
 	ConnWrap func(net.Conn) net.Conn
+
+	// drainGrace bounds how long Close waits for an in-flight response
+	// to flush to a slow client before the write is abandoned.
+	drainGrace time.Duration
 
 	// mu guards the listener, closed and the connection registry: the
 	// open connections and how each closed one ended.
@@ -100,10 +100,11 @@ type Server struct {
 // NewServer returns a server around e.
 func NewServer(e *Engine) *Server {
 	return &Server{
-		e:       e,
-		conns:   make(map[net.Conn]struct{}),
-		reasons: make(map[CloseReason]uint64),
-		closing: make(chan struct{}),
+		e:          e,
+		drainGrace: 2 * time.Second,
+		conns:      make(map[net.Conn]struct{}),
+		reasons:    make(map[CloseReason]uint64),
+		closing:    make(chan struct{}),
 	}
 }
 
@@ -204,7 +205,7 @@ func (s *Server) acceptLoop(ln net.Listener) error {
 
 // Close stops accepting and shuts down draining: every in-flight
 // request finishes dispatching and its response is flushed (bounded
-// by DrainGrace for clients too slow to take the bytes) before the
+// by drainGrace for clients too slow to take the bytes) before the
 // connection closes; idle connections are interrupted immediately.
 func (s *Server) Close() {
 	s.mu.Lock()
@@ -218,17 +219,13 @@ func (s *Server) Close() {
 	if s.ln != nil {
 		s.ln.Close()
 	}
-	grace := s.DrainGrace
-	if grace <= 0 {
-		grace = 2 * time.Second
-	}
 	now := time.Now()
 	for c := range s.conns {
 		// Unblock handlers parked in a read between requests; a
 		// handler mid-dispatch is not reading and finishes its
 		// response first (the drain), bounded by the write deadline.
 		c.SetReadDeadline(now)
-		c.SetWriteDeadline(now.Add(grace))
+		c.SetWriteDeadline(now.Add(s.drainGrace))
 	}
 	s.mu.Unlock()
 	s.wg.Wait()

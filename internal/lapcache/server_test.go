@@ -204,12 +204,12 @@ func TestServerCloseDrainsInFlight(t *testing.T) {
 
 // TestServerCloseNotWedgedBySlowClient: a client that stops reading
 // while a large response is mid-flush cannot hold Close hostage past
-// DrainGrace.
+// drainGrace.
 func TestServerCloseNotWedgedBySlowClient(t *testing.T) {
 	const blockSize = 8192
 	srv, addr := startTestServer(t, Config{
 		Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 512,
-	}, func(s *Server) { s.DrainGrace = 200 * time.Millisecond })
+	}, func(s *Server) { s.drainGrace = 200 * time.Millisecond })
 
 	c := dialRaw(t, addr)
 	// Two 8 MiB responses: far past what the socket buffers of both

@@ -59,7 +59,7 @@ func TestEnvEvictionCount(t *testing.T) {
 	fs.Write(1, span(0, 3, 3), func(sim.Time) {})
 	run()
 	for b := 0; b < blocks; b++ {
-		fs.Cache().Drop(blockdev.BlockID{File: 0, Block: blockdev.BlockNo(b)})
+		fs.Cch.Drop(blockdev.BlockID{File: 0, Block: blockdev.BlockNo(b)})
 		w.look(t, 0, blocks)
 	}
 	if w.flips < blocks/2 {

@@ -31,7 +31,6 @@ type Config struct {
 // FS is one simulated PAFS instance.
 type FS struct {
 	*fscommon.Base
-	alg     core.AlgSpec
 	drivers map[blockdev.FileID]*core.Driver
 }
 
@@ -40,15 +39,11 @@ func New(e *sim.Engine, cfg Config, tr *workload.Trace) *FS {
 	fs := &FS{
 		Base: fscommon.NewBase(e, cfg.Machine, cfg.CacheBlocksPerNode,
 			cachesim.GlobalLRU{}, tr, cfg.Algorithm),
-		alg:     cfg.Algorithm,
 		drivers: make(map[blockdev.FileID]*core.Driver),
 	}
 	fs.Serve(fs)
 	return fs
 }
-
-// Start launches the write-back daemon.
-func (fs *FS) Start() { fs.StartWriteback() }
 
 // pafsEnv adapts the FS for a per-file prefetch driver. PAFS drivers
 // see the whole cooperative cache: a block cached anywhere need not be
@@ -71,21 +66,13 @@ func (e pafsEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bo
 
 // driverFor lazily creates the per-file driver; nil when NP.
 func (fs *FS) driverFor(f blockdev.FileID) *core.Driver {
-	if !fs.alg.Prefetches() {
+	if !fs.Alg.Prefetches() {
 		return nil
 	}
 	if d, ok := fs.drivers[f]; ok {
 		return d
 	}
-	d := core.NewDriver(core.DriverConfig{
-		Predictor:  fs.alg.NewPredictor(),
-		Mode:       fs.alg.Mode,
-		Degree:     fs.Degree(f),
-		File:       f,
-		FileBlocks: fs.FileBlocks(f),
-		Env:        pafsEnv{fs: fs, server: fs.HomeNode(f)},
-		Observer:   fs.Ledger,
-	})
+	d := fs.NewDriver(f, pafsEnv{fs: fs, server: fs.HomeNode(f)})
 	fs.drivers[f] = d
 	return d
 }
@@ -148,7 +135,8 @@ func (fs *FS) serveRead(r *fscommon.Request) {
 		fs.DemandFetch(blk, r.Client, fs.NewMiss(r, blk).Step)
 	}
 	fs.Coll.ReadBlocks(int(r.Span.Count), hits)
-	fs.observed(r.Span, hits)
+	// The server's prefetcher reacts to the request it has just served.
+	fs.Observe(fs.driverFor(r.Span.File), r.Span, hits)
 }
 
 // Advance runs when a missed block's demand fetch completes. The block
@@ -188,13 +176,5 @@ func (fs *FS) serveWrite(r *fscommon.Request) {
 		}
 		fs.Net.Send(r.Client, target, fs.Cfg.BlockSize, r.BlockDone)
 	}
-	fs.observed(r.Span, hits)
-}
-
-// observed feeds the request the server has just served to the file's
-// prefetcher; hits is how many of its blocks were cached on arrival.
-func (fs *FS) observed(span blockdev.Span, hits int) {
-	if d := fs.driverFor(span.File); d != nil {
-		d.OnUserRequest(core.Request{Offset: span.Start, Size: span.Count}, core.Tick(fs.Engine.Now()), hits == int(span.Count))
-	}
+	fs.Observe(fs.driverFor(r.Span.File), r.Span, hits)
 }

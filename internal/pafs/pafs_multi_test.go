@@ -25,8 +25,8 @@ func TestMultiBlockMissFetchesInParallel(t *testing.T) {
 	if lat < 2*service {
 		t.Errorf("4-block miss took %v, impossibly fast for 2 disks", lat)
 	}
-	if fs.Collector().DiskReads() != 4 {
-		t.Errorf("disk reads = %d, want 4", fs.Collector().DiskReads())
+	if fs.Coll.DiskReads() != 4 {
+		t.Errorf("disk reads = %d, want 4", fs.Coll.DiskReads())
 	}
 }
 
@@ -34,11 +34,11 @@ func TestPartialHitFetchesOnlyMisses(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 64, 100)
 	fs.Read(0, span(0, 0, 2), func(sim.Time) {})
 	e.Run()
-	before := fs.Collector().DiskReads()
+	before := fs.Coll.DiskReads()
 	// Blocks 0,1 cached; 2,3 not: the 4-block request fetches two.
 	fs.Read(1, span(0, 0, 4), func(sim.Time) {})
 	e.Run()
-	if got := fs.Collector().DiskReads() - before; got != 2 {
+	if got := fs.Coll.DiskReads() - before; got != 2 {
 		t.Errorf("partial hit fetched %d blocks, want 2", got)
 	}
 }
@@ -49,14 +49,14 @@ func TestRemoteHitMovesDataOverNetwork(t *testing.T) {
 	e.Run()
 	// Another node reads the same block: at least one remote transfer
 	// (holder -> client) must cross the network, and no disk read.
-	reads, start := fs.Collector().DiskReads(), e.Now()
+	reads, start := fs.Coll.DiskReads(), e.Now()
 	var end sim.Time
 	fs.Read(3, span(0, 0, 1), func(at sim.Time) { end = at })
 	e.Run()
 	if lat, floor := end.Sub(start), fs.Net.RemoteCost(fs.Cfg.BlockSize); lat < floor {
 		t.Errorf("remote hit took %v, less than one block across the network (%v)", lat, floor)
 	}
-	if fs.Collector().DiskReads() != reads {
+	if fs.Coll.DiskReads() != reads {
 		t.Error("remote hit went to disk")
 	}
 }
@@ -65,12 +65,12 @@ func TestWriteThenReadHitsCache(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 64, 100)
 	fs.Write(0, span(0, 10, 2), func(sim.Time) {})
 	e.Run()
-	reads := fs.Collector().DiskReads()
+	reads := fs.Coll.DiskReads()
 	var end sim.Time
 	start := e.Now()
 	fs.Read(0, span(0, 10, 2), func(at sim.Time) { end = at })
 	e.Run()
-	if fs.Collector().DiskReads() != reads {
+	if fs.Coll.DiskReads() != reads {
 		t.Error("read of freshly written blocks went to disk")
 	}
 	if end.Sub(start) > sim.Milliseconds(5) {
@@ -87,7 +87,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	// Reading 16 fresh blocks evicts the 8 dirty ones.
 	fs.Read(0, span(0, 20, 16), func(sim.Time) {})
 	e.Run()
-	if got := fs.Collector().DiskWrites(); got != 8 {
+	if got := fs.Coll.DiskWrites(); got != 8 {
 		t.Errorf("eviction writes = %d, want 8", got)
 	}
 }
@@ -99,10 +99,10 @@ func TestPrefetchedBlockServedToOtherClient(t *testing.T) {
 	e, fs := newFS(core.SpecLnAgrOBA, 64, 40)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run() // chain walks the whole file
-	demand := fs.Collector().DiskReads()
+	demand := fs.Coll.DiskReads()
 	fs.Read(1, span(0, 20, 4), func(sim.Time) {})
 	e.Run()
-	if fs.Collector().DiskReads() != demand {
+	if fs.Coll.DiskReads() != demand {
 		t.Error("client 1 missed on blocks client 0's chain prefetched")
 	}
 }
@@ -134,7 +134,7 @@ func TestBlockPPMRunsEndToEnd(t *testing.T) {
 	// chain churns forever (the runner's close/stop machinery bounds
 	// it in real runs); bound this direct drive by event count.
 	e.RunUntil(func() bool { return e.Fired() >= 500000 })
-	if fs.Collector().PrefetchIssuedCount() == 0 {
+	if fs.Coll.PrefetchIssuedCount() == 0 {
 		t.Error("block-PPM never prefetched despite a repeated sequence")
 	}
 }
@@ -149,7 +149,7 @@ func TestHoldersAfterGlobalPlacement(t *testing.T) {
 	}
 	found := 0
 	for i := 0; i < 12; i++ {
-		if fs.Cache().Contains(blockdev.BlockID{File: 0, Block: blockdev.BlockNo(i)}) {
+		if fs.Cch.Contains(blockdev.BlockID{File: 0, Block: blockdev.BlockNo(i)}) {
 			found++
 		}
 	}

@@ -35,7 +35,7 @@ func newFS(alg core.AlgSpec, cacheBlocks int, fileBlocks int) (*sim.Engine, *FS)
 		CacheBlocksPerNode: cacheBlocks,
 		Algorithm:          alg,
 	}, oneFileTrace(fileBlocks))
-	fs.Collector().StartMeasurement()
+	fs.Coll.StartMeasurement()
 	return e, fs
 }
 
@@ -48,14 +48,14 @@ func TestReadMissGoesToDisk(t *testing.T) {
 	var at sim.Time
 	fs.Read(0, span(0, 0, 1), func(tm sim.Time) { at = tm })
 	e.Run()
-	if fs.Collector().DiskReads() != 1 {
-		t.Fatalf("disk reads = %d, want 1", fs.Collector().DiskReads())
+	if fs.Coll.DiskReads() != 1 {
+		t.Fatalf("disk reads = %d, want 1", fs.Coll.DiskReads())
 	}
 	// A miss must cost at least the disk service time.
 	if at < sim.Time(0).Add(sim.Milliseconds(10.5)) {
 		t.Errorf("miss completed at %v, faster than a disk seek", at)
 	}
-	if !fs.Cache().Contains(blockdev.BlockID{File: 0, Block: 0}) {
+	if !fs.Cch.Contains(blockdev.BlockID{File: 0, Block: 0}) {
 		t.Error("fetched block not cached")
 	}
 }
@@ -64,12 +64,12 @@ func TestReadHitAvoidsDisk(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 64, 100)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	reads := fs.Collector().DiskReads()
+	reads := fs.Coll.DiskReads()
 	var hitAt, start sim.Time
 	start = e.Now()
 	fs.Read(1, span(0, 0, 1), func(tm sim.Time) { hitAt = tm })
 	e.Run()
-	if fs.Collector().DiskReads() != reads {
+	if fs.Coll.DiskReads() != reads {
 		t.Error("hit went to disk")
 	}
 	lat := hitAt.Sub(start)
@@ -90,7 +90,7 @@ func TestConcurrentMissesCoalesce(t *testing.T) {
 	if done != 2 {
 		t.Fatalf("completed %d reads, want 2", done)
 	}
-	if got := fs.Collector().DiskReads(); got != 1 {
+	if got := fs.Coll.DiskReads(); got != 1 {
 		t.Errorf("disk reads = %d, want 1 (coalesced)", got)
 	}
 }
@@ -99,11 +99,11 @@ func TestWriteDirtiesCacheWithoutDiskRead(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 64, 100)
 	fs.Write(0, span(0, 0, 4), func(sim.Time) {})
 	e.Run()
-	if fs.Collector().DiskReads() != 0 {
+	if fs.Coll.DiskReads() != 0 {
 		t.Error("full-block write triggered a disk read")
 	}
-	if len(fs.Cache().DirtyBlocks()) != 4 {
-		t.Errorf("dirty blocks = %d, want 4", len(fs.Cache().DirtyBlocks()))
+	if len(fs.Cch.DirtyBlocks()) != 4 {
+		t.Errorf("dirty blocks = %d, want 4", len(fs.Cch.DirtyBlocks()))
 	}
 }
 
@@ -112,16 +112,16 @@ func TestWritebackDaemonFlushesDirtyBlocks(t *testing.T) {
 	cfg := smallMachine()
 	cfg.WritebackPeriod = sim.Seconds(1)
 	fs := New(e, Config{Machine: cfg, CacheBlocksPerNode: 64, Algorithm: core.SpecNP}, oneFileTrace(100))
-	fs.Collector().StartMeasurement()
-	fs.Start()
+	fs.Coll.StartMeasurement()
+	fs.StartWriteback()
 	fs.Write(0, span(0, 0, 2), func(sim.Time) {})
 	// Run past one write-back period; the daemon reschedules forever,
 	// so bound the event count instead of draining.
 	e.RunUntil(func() bool { return e.Now() > sim.Time(sim.Seconds(1.5)) })
-	if got := fs.Collector().DiskWrites(); got != 2 {
+	if got := fs.Coll.DiskWrites(); got != 2 {
 		t.Errorf("disk writes = %d, want 2 (periodic flush)", got)
 	}
-	if len(fs.Cache().DirtyBlocks()) != 0 {
+	if len(fs.Cch.DirtyBlocks()) != 0 {
 		t.Error("blocks still dirty after flush")
 	}
 }
@@ -131,14 +131,14 @@ func TestRewriteAcrossPeriodsWritesTwice(t *testing.T) {
 	cfg := smallMachine()
 	cfg.WritebackPeriod = sim.Seconds(1)
 	fs := New(e, Config{Machine: cfg, CacheBlocksPerNode: 64, Algorithm: core.SpecNP}, oneFileTrace(100))
-	fs.Collector().StartMeasurement()
-	fs.Start()
+	fs.Coll.StartMeasurement()
+	fs.StartWriteback()
 	fs.Write(0, span(0, 0, 1), func(sim.Time) {})
 	e.At(sim.Time(sim.Seconds(1.2)), func(*sim.Engine) {
 		fs.Write(0, span(0, 0, 1), func(sim.Time) {})
 	})
 	e.RunUntil(func() bool { return e.Now() > sim.Time(sim.Seconds(2.5)) })
-	if got := fs.Collector().WritesPerBlock(); got != 2 {
+	if got := fs.Coll.WritesPerBlock(); got != 2 {
 		t.Errorf("writes per block = %v, want 2 (the Table 2 mechanism)", got)
 	}
 }
@@ -148,11 +148,11 @@ func TestLnAgrOBAPrefetchesSequentially(t *testing.T) {
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
 	// The chain must have walked to the end of the 20-block file.
-	if got := fs.Collector().PrefetchIssuedCount(); got != 19 {
+	if got := fs.Coll.PrefetchIssuedCount(); got != 19 {
 		t.Errorf("prefetch reads = %d, want 19", got)
 	}
 	for b := 0; b < 20; b++ {
-		if !fs.Cache().Contains(blockdev.BlockID{File: 0, Block: blockdev.BlockNo(b)}) {
+		if !fs.Cch.Contains(blockdev.BlockID{File: 0, Block: blockdev.BlockNo(b)}) {
 			t.Errorf("block %d not cached after aggressive walk", b)
 		}
 	}
@@ -222,11 +222,11 @@ func TestMispredictRestartsFromNewPosition(t *testing.T) {
 	e, fs := newFS(core.SpecLnAgrOBA, 32, 1000)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	// Let the chain prefetch a handful of blocks.
-	e.RunUntil(func() bool { return fs.Collector().PrefetchIssuedCount() >= 5 })
+	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() >= 5 })
 	// Jump far away: a misprediction.
 	fs.Read(0, span(0, 500, 1), func(sim.Time) {})
-	e.RunUntil(func() bool { return fs.Collector().PrefetchIssuedCount() >= 12 })
-	if !fs.Cache().Contains(blockdev.BlockID{File: 0, Block: 501}) {
+	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() >= 12 })
+	if !fs.Cch.Contains(blockdev.BlockID{File: 0, Block: 501}) {
 		t.Error("chain did not restart at the new position")
 	}
 }
@@ -244,7 +244,7 @@ func TestServerForIsStable(t *testing.T) {
 
 func TestNameAndStart(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 16, 10)
-	fs.Start()
+	fs.StartWriteback()
 	// The daemon reschedules forever: a bounded run stops at its limit
 	// with the daemon's next tick still queued.
 	e.RunUntil(func() bool { return e.Fired() >= 4 })
@@ -260,7 +260,7 @@ func TestNPHasNoDrivers(t *testing.T) {
 	if len(fs.drivers) != 0 {
 		t.Error("NP created prefetch drivers")
 	}
-	if fs.Collector().PrefetchIssuedCount() != 0 {
+	if fs.Coll.PrefetchIssuedCount() != 0 {
 		t.Error("NP issued prefetches")
 	}
 }
@@ -270,10 +270,10 @@ func TestFallbackFractionAccounted(t *testing.T) {
 	e, fs := newFS(core.SpecLnAgrISPPM1, 64, 10)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	if fs.Collector().PrefetchIssuedCount() == 0 {
+	if fs.Coll.PrefetchIssuedCount() == 0 {
 		t.Fatal("no prefetches issued")
 	}
-	if got := fs.Collector().FallbackFraction(); got != 1.0 {
+	if got := fs.Coll.FallbackFraction(); got != 1.0 {
 		t.Errorf("fallback fraction = %v, want 1.0 (cold file)", got)
 	}
 }

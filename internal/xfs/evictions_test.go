@@ -59,7 +59,7 @@ func TestEnvEvictionCount(t *testing.T) {
 			run()
 		}
 	}
-	if fs.Cache().Stats().Forwards == 0 {
+	if fs.Cch.Stats().Forwards == 0 {
 		t.Error("no singlet was ever forwarded")
 	}
 	if w.flips < blocks/4 {

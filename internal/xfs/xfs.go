@@ -40,7 +40,6 @@ type driverKey struct {
 // FS is one simulated xFS instance.
 type FS struct {
 	*fscommon.Base
-	alg     core.AlgSpec
 	drivers map[driverKey]*core.Driver
 }
 
@@ -55,15 +54,11 @@ func New(e *sim.Engine, cfg Config, tr *workload.Trace) *FS {
 	fs := &FS{
 		Base: fscommon.NewBase(e, cfg.Machine, cfg.CacheBlocksPerNode,
 			cachesim.NChance{Recirculations: recirc}, tr, cfg.Algorithm),
-		alg:     cfg.Algorithm,
 		drivers: make(map[driverKey]*core.Driver),
 	}
 	fs.Serve(fs)
 	return fs
 }
-
-// Start launches the write-back daemon.
-func (fs *FS) Start() { fs.StartWriteback() }
 
 // xfsEnv adapts the FS for one node's per-file driver. The locality
 // difference from PAFS is deliberate: a node considers only its *own*
@@ -93,7 +88,7 @@ func (e xfsEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() boo
 
 // driverFor lazily creates the per-(node,file) driver; nil when NP.
 func (fs *FS) driverFor(node blockdev.NodeID, f blockdev.FileID) *core.Driver {
-	if !fs.alg.Prefetches() {
+	if !fs.Alg.Prefetches() {
 		return nil
 	}
 	k := driverKey{node, f}
@@ -104,15 +99,7 @@ func (fs *FS) driverFor(node blockdev.NodeID, f blockdev.FileID) *core.Driver {
 	// the bound applies per driver, so the machine-wide aggregate can
 	// still exceed it — the same per-node-vs-global gap that keeps
 	// xFS's prefetching "not really linear" in the paper (§4).
-	d := core.NewDriver(core.DriverConfig{
-		Predictor:  fs.alg.NewPredictor(),
-		Mode:       fs.alg.Mode,
-		Degree:     fs.Degree(f),
-		File:       f,
-		FileBlocks: fs.FileBlocks(f),
-		Env:        xfsEnv{fs: fs, node: node},
-		Observer:   fs.Ledger,
-	})
+	d := fs.NewDriver(f, xfsEnv{fs: fs, node: node})
 	fs.drivers[k] = d
 	return d
 }
@@ -135,7 +122,9 @@ func (fs *FS) Read(client blockdev.NodeID, span blockdev.Span, done func(at sim.
 		fs.Net.Send(client, fs.HomeNode(blk.File), netmodel.ControlMessageSize, fs.NewMiss(r, blk).Step)
 	}
 	fs.Coll.ReadBlocks(int(span.Count), localHits)
-	fs.observed(client, span, localHits)
+	// The client's prefetcher for the file reacts to what its own pool
+	// held.
+	fs.Observe(fs.driverFor(client, span.File), span, localHits)
 }
 
 // The stages of a block the client's pool did not have.
@@ -213,13 +202,5 @@ func (fs *FS) Write(client blockdev.NodeID, span blockdev.Span, done func(at sim
 		fs.FlushVictims(victims)
 		fs.Net.Local(fs.Cfg.BlockSize, r.BlockDone)
 	}
-	fs.observed(client, span, localHits)
-}
-
-// observed feeds the request just served to the client's prefetcher
-// for the file; hits is how many of its blocks the client's pool held.
-func (fs *FS) observed(client blockdev.NodeID, span blockdev.Span, hits int) {
-	if d := fs.driverFor(client, span.File); d != nil {
-		d.OnUserRequest(core.Request{Offset: span.Start, Size: span.Count}, core.Tick(fs.Engine.Now()), hits == int(span.Count))
-	}
+	fs.Observe(fs.driverFor(client, span.File), span, localHits)
 }

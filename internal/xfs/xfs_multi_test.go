@@ -12,10 +12,10 @@ func TestPartialLocalHitFetchesOnlyMisses(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 32, 100)
 	fs.Read(0, span(0, 0, 2), func(sim.Time) {})
 	e.Run()
-	before := fs.Collector().DiskReads()
+	before := fs.Coll.DiskReads()
 	fs.Read(0, span(0, 0, 4), func(sim.Time) {})
 	e.Run()
-	if got := fs.Collector().DiskReads() - before; got != 2 {
+	if got := fs.Coll.DiskReads() - before; got != 2 {
 		t.Errorf("partial local hit fetched %d blocks, want 2", got)
 	}
 }
@@ -43,12 +43,12 @@ func TestLocalWriteFollowedByLocalRead(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 32, 100)
 	fs.Write(2, span(0, 5, 2), func(sim.Time) {})
 	e.Run()
-	reads := fs.Collector().DiskReads()
+	reads := fs.Coll.DiskReads()
 	start := e.Now()
 	var end sim.Time
 	fs.Read(2, span(0, 5, 2), func(at sim.Time) { end = at })
 	e.Run()
-	if fs.Collector().DiskReads() != reads {
+	if fs.Coll.DiskReads() != reads {
 		t.Error("read of locally written blocks went to disk")
 	}
 	if end.Sub(start) > sim.Milliseconds(2) {
@@ -64,12 +64,12 @@ func TestNoForwardingConfigDropsSinglets(t *testing.T) {
 		Algorithm:          core.SpecNP,
 		Recirculations:     -1, // plain local LRU
 	}, oneFileTrace(100))
-	fs.Collector().StartMeasurement()
+	fs.Coll.StartMeasurement()
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
 	fs.Read(0, span(0, 1, 1), func(sim.Time) {})
 	e.Run()
-	if fs.Cache().Stats().Forwards != 0 {
+	if fs.Cch.Stats().Forwards != 0 {
 		t.Error("forwarding happened despite Recirculations=-1")
 	}
 }
@@ -91,7 +91,7 @@ func TestSatisfiedIsLocalNotGlobal(t *testing.T) {
 	// Node 1's local pool must have gained its own copies.
 	count := 0
 	for b := 0; b < 50; b++ {
-		if fs.Cache().ContainsOn(1, span(0, b, 1).Block(0)) {
+		if fs.Cch.ContainsOn(1, span(0, b, 1).Block(0)) {
 			count++
 		}
 	}

@@ -32,7 +32,7 @@ func newFS(alg core.AlgSpec, cacheBlocks, fileBlocks int) (*sim.Engine, *FS) {
 		CacheBlocksPerNode: cacheBlocks,
 		Algorithm:          alg,
 	}, oneFileTrace(fileBlocks))
-	fs.Collector().StartMeasurement()
+	fs.Coll.StartMeasurement()
 	return e, fs
 }
 
@@ -44,11 +44,11 @@ func TestMissFetchesToLocalPool(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 32, 100)
 	fs.Read(2, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	if !fs.Cache().ContainsOn(2, blockdev.BlockID{File: 0, Block: 0}) {
+	if !fs.Cch.ContainsOn(2, blockdev.BlockID{File: 0, Block: 0}) {
 		t.Error("miss did not create a local copy on the client")
 	}
-	if fs.Collector().DiskReads() != 1 {
-		t.Errorf("disk reads = %d, want 1", fs.Collector().DiskReads())
+	if fs.Coll.DiskReads() != 1 {
+		t.Errorf("disk reads = %d, want 1", fs.Coll.DiskReads())
 	}
 }
 
@@ -56,17 +56,17 @@ func TestRemoteHitCopiesWithoutDisk(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 32, 100)
 	fs.Read(2, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	reads := fs.Collector().DiskReads()
+	reads := fs.Coll.DiskReads()
 	fs.Read(3, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	if fs.Collector().DiskReads() != reads {
+	if fs.Coll.DiskReads() != reads {
 		t.Error("remote hit went to disk")
 	}
 	blk := blockdev.BlockID{File: 0, Block: 0}
-	if !fs.Cache().ContainsOn(3, blk) {
+	if !fs.Cch.ContainsOn(3, blk) {
 		t.Error("remote hit did not create a local duplicate")
 	}
-	if !fs.Cache().ContainsOn(2, blk) {
+	if !fs.Cch.ContainsOn(2, blk) {
 		t.Error("remote hit destroyed the source copy")
 	}
 }
@@ -101,7 +101,7 @@ func TestPerNodeDriversDuplicatePrefetch(t *testing.T) {
 	// Both nodes should end up with their own copies of the walked
 	// blocks (via disk or peer copy).
 	blk := blockdev.BlockID{File: 0, Block: 10}
-	on0, on1 := fs.Cache().ContainsOn(0, blk), fs.Cache().ContainsOn(1, blk)
+	on0, on1 := fs.Cch.ContainsOn(0, blk), fs.Cch.ContainsOn(1, blk)
 	if !on0 || !on1 {
 		t.Errorf("block 10 local copies: node0=%v node1=%v, want both", on0, on1)
 	}
@@ -114,10 +114,10 @@ func TestPrefetchDuplicatesDiskWork(t *testing.T) {
 	e, fs := newFS(core.SpecLnAgrOBA, 64, 20)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	diskReads := fs.Collector().DiskReads()
+	diskReads := fs.Coll.DiskReads()
 	fs.Read(1, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	extra := fs.Collector().DiskReads() - diskReads
+	extra := fs.Coll.DiskReads() - diskReads
 	if extra == 0 {
 		t.Error("no duplicated prefetch disk reads; xFS linearity should be per node only")
 	}
@@ -130,13 +130,13 @@ func TestWriteInvalidatesRemoteCopies(t *testing.T) {
 	fs.Write(3, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
 	blk := blockdev.BlockID{File: 0, Block: 0}
-	if fs.Cache().ContainsOn(2, blk) {
+	if fs.Cch.ContainsOn(2, blk) {
 		t.Error("stale copy survived a write by another node")
 	}
-	if !fs.Cache().ContainsOn(3, blk) {
+	if !fs.Cch.ContainsOn(3, blk) {
 		t.Error("writer has no local copy")
 	}
-	if len(fs.Cache().DirtyBlocks()) != 1 {
+	if len(fs.Cch.DirtyBlocks()) != 1 {
 		t.Error("written block not dirty")
 	}
 }
@@ -166,14 +166,14 @@ func TestDefaultRecirculations(t *testing.T) {
 		CacheBlocksPerNode: 1,
 		Algorithm:          core.SpecNP,
 	}, oneFileTrace(100))
-	fs.Collector().StartMeasurement()
+	fs.Coll.StartMeasurement()
 	// Fill node 0's single buffer, then insert another block; the
 	// singlet must be forwarded (N-chance active by default).
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
 	fs.Read(0, span(0, 1, 1), func(sim.Time) {})
 	e.Run()
-	if fs.Cache().Stats().Forwards == 0 {
+	if fs.Cch.Stats().Forwards == 0 {
 		t.Error("no N-chance forwarding with default config")
 	}
 }
