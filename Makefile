@@ -2,8 +2,9 @@
 # result file but BENCHMARK.json, no internal package without a consumer,
 # no command or example README leaves out, no Fuzz* function the fuzz
 # recipe leaves out or names in vain, no settings field that no other
-# package sets and no exported identifier that no non-test code uses
-# (check-cold), gofmt, vet,
+# package sets, no exported identifier that no non-test code uses and
+# no code name in the documents that names nothing (check-cold), gofmt,
+# vet,
 # build, the whole test suite under the race detector (each package
 # once), a short run of every fuzz target over its seed corpus, the
 # committed EXPERIMENTS.md against the report the code generates, and
@@ -55,8 +56,8 @@ no-result-files:
 # target) pairs the fuzz recipe runs must be exactly the func Fuzz* in
 # *_test.go: `go test -fuzz FuzzGone` prints "no fuzz tests to fuzz"
 # and exits 0, so a stale line would otherwise pass in silence, and a
-# new target would never be fuzzed. Then the exported halves, two
-# gates over one type-checked load of this module and bench/ (one `go
+# new target would never be fuzzed. Then the exported halves and the
+# documents, three gates over one type-checked load of this module and bench/ (one `go
 # list -export -deps` per module, each package checked once):
 # conformance:TestEverySettingHasASetter fails on any exported field of
 # an internal *Config, *Opts, *Options or *Server struct that no other package's
@@ -66,7 +67,13 @@ no-result-files:
 # function, method, type, var or const under internal/ that no non-test
 # code uses outside its own declaration (a method also counts as used
 # through an interface method that non-test code calls, or a standard
-# one such as fmt.Stringer), less its allow-list of at most five.
+# one such as fmt.Stringer), less its allow-list of at most five; and
+# conformance:TestDocsNameOnlyWhatExists, the converse, over the same
+# load: every code name DESIGN.md, README.md and EXPERIMENTS.md put in
+# backticks (pkg.Name, Type.Method, pkg:TestName, TestPrefix*, a bare
+# camel-case name) exists, unexported names and test functions
+# included, unless its sentence says "gone in PR N" or gives a
+# `git show <rev>:path`.
 check-cold:
 	@used=$$({ $(GO) list -f '{{join .Imports "\n"}}' ./... && cd bench && $(GO) list -f '{{join .Imports "\n"}}' ./...; } | sort -u); \
 	for p in $$($(GO) list ./internal/...); do \
@@ -79,7 +86,7 @@ check-cold:
 	run=$$($(MAKE) -s -n --no-print-directory fuzz | sed -nE 's#.* test ([^ ]+) .*-fuzz ([A-Za-z0-9_]+).*#\1 \2#p' | sort); \
 	[ "$$have" = "$$run" ] || { echo "check-cold: the fuzz recipe and the Fuzz* functions in *_test.go differ:"; \
 		{ printf '%s\n' "$$have" | sed 's/^/only-defined /'; printf '%s\n' "$$run" | sed 's/^/only-in-fuzz-recipe /'; } | sort -k2 | uniq -u -f1; bad=1; }; \
-	out=$$($(GO) test -count=1 -run '^(TestEverySettingHasASetter|TestEveryExportHasAConsumer)$$' ./internal/conformance/) || { printf '%s\n' "$$out"; bad=1; }; \
+	out=$$($(GO) test -count=1 -run '^(TestEverySettingHasASetter|TestEveryExportHasAConsumer|TestDocsNameOnlyWhatExists)$$' ./internal/conformance/) || { printf '%s\n' "$$out"; bad=1; }; \
 	[ -z "$$bad" ]
 
 # gofmt -l walks every .go file under the checkout, bench/ included.

@@ -42,8 +42,21 @@ func (s *strider) Predict(c core.Cursor) (core.Prediction, core.Cursor, bool) {
 
 // env adapts a bare disk array and a block set into the driver's Env.
 type env struct {
+	e      *sim.Engine
 	disks  *diskmodel.Array
 	cached map[blockdev.BlockID]bool
+	idle   []*read // finished prefetch reads, for reuse
+}
+
+// read is one prefetch read in flight. The simulator schedules
+// handlers by the ID Bind returns, so the record binds its completion
+// once, when it is first made, and is reused after.
+type read struct {
+	env       *env
+	b         blockdev.BlockID
+	cancelled func() bool
+	done      func()
+	landed    sim.HandlerID // the disk finished the read
 }
 
 func (e *env) Cached(b blockdev.BlockID) bool { return e.cached[b] }
@@ -56,65 +69,99 @@ func (e *env) Evictions() uint64 { return 0 }
 // read, so drop fires done itself: core.Env asks for done once, served
 // or dropped.
 func (e *env) Prefetch(b blockdev.BlockID, _ bool, cancelled func() bool, done func()) bool {
-	drop := func() bool {
-		if !cancelled() {
-			return false
-		}
-		done()
-		return true
+	var r *read
+	if n := len(e.idle); n > 0 {
+		r, e.idle = e.idle[n-1], e.idle[:n-1]
+	} else {
+		r = &read{env: e}
+		r.landed = e.e.Bind(r.finish)
 	}
-	e.disks.Read(b, sim.PriorityPrefetch, drop, func(eng *sim.Engine, at sim.Time) {
-		e.cached[b] = true
-		done()
-	})
+	r.b, r.cancelled, r.done = b, cancelled, done
+	e.disks.Read(b, sim.PriorityPrefetch, r.drop, r.landed)
 	return true
 }
 
-// simulateScan runs a strided read stream (stride 4, one block per
-// request, 25 ms of think time) against the given predictor and
-// reports how many requests found their block already prefetched.
+func (r *read) drop() bool {
+	if !r.cancelled() {
+		return false
+	}
+	r.release()()
+	return true
+}
+
+func (r *read) finish(*sim.Engine) {
+	r.env.cached[r.b] = true
+	r.release()()
+}
+
+// release frees the record and returns the done it held.
+func (r *read) release() func() {
+	done := r.done
+	r.cancelled, r.done = nil, nil
+	r.env.idle = append(r.env.idle, r)
+	return done
+}
+
+// The scan: stride 4, one block per request, 25 ms of think time.
+const (
+	stride     = 4
+	fileBlocks = 4000
+	requests   = 400
+)
+
+// scan is the strided read stream, with one request outstanding at a
+// time: landed ends a request's disk read, next its think time.
+type scan struct {
+	envr         *env
+	drv          *core.Driver
+	i            int
+	off          blockdev.BlockNo
+	hits         int
+	landed, next sim.HandlerID
+}
+
+// step issues request s.i, of block s.off.
+func (s *scan) step(e *sim.Engine) {
+	if s.i >= requests {
+		return
+	}
+	blk := blockdev.BlockID{File: 1, Block: s.off}
+	satisfied := s.envr.cached[blk]
+	if satisfied {
+		s.hits++
+		e.Fire(s.landed)
+	} else {
+		s.envr.disks.Read(blk, sim.PriorityUser, nil, s.landed)
+	}
+	s.drv.OnUserRequest(core.Request{Offset: blk.Block, Size: 1}, core.Tick(e.Now()), satisfied)
+}
+
+// land marks the block of request s.i cached and starts the think time
+// of the next.
+func (s *scan) land(e *sim.Engine) {
+	s.envr.cached[blockdev.BlockID{File: 1, Block: s.off}] = true
+	s.i, s.off = s.i+1, s.off+stride
+	e.After(sim.Milliseconds(25), s.next)
+}
+
+// simulateScan runs the scan against the given predictor and reports
+// how many requests found their block already prefetched.
 func simulateScan(pred core.Predictor) (hits, total int) {
-	const (
-		stride     = 4
-		fileBlocks = 4000
-		requests   = 400
-	)
 	e := sim.NewEngine(7)
 	cfg := machine.PM()
-	envr := &env{disks: diskmodel.NewArray(e, cfg), cached: make(map[blockdev.BlockID]bool)}
-	drv := core.NewDriver(core.DriverConfig{
+	envr := &env{e: e, disks: diskmodel.NewArray(e, cfg), cached: make(map[blockdev.BlockID]bool)}
+	s := &scan{envr: envr, drv: core.NewDriver(core.DriverConfig{
 		Predictor:  pred,
 		Mode:       core.ModeAggressive,
 		Degree:     core.SpecLnAgrOBA.NewDegreePolicy(), // the paper's linear throttle: one in flight
 		File:       1,
 		FileBlocks: fileBlocks,
 		Env:        envr,
-	})
-	var step func(i int, off blockdev.BlockNo)
-	step = func(i int, off blockdev.BlockNo) {
-		if i >= requests {
-			return
-		}
-		blk := blockdev.BlockID{File: 1, Block: off}
-		satisfied := envr.cached[blk]
-		if satisfied {
-			hits++
-		}
-		total++
-		finish := func(*sim.Engine, sim.Time) {
-			envr.cached[blk] = true
-			e.After(sim.Milliseconds(25), func(*sim.Engine) { step(i+1, off+stride) })
-		}
-		if satisfied {
-			finish(e, e.Now())
-		} else {
-			envr.disks.Read(blk, sim.PriorityUser, nil, finish)
-		}
-		drv.OnUserRequest(core.Request{Offset: off, Size: 1}, core.Tick(e.Now()), satisfied)
-	}
-	step(0, 0)
+	})}
+	s.landed, s.next = e.Bind(s.land), e.Bind(s.step)
+	s.step(e)
 	e.Run()
-	return hits, total
+	return s.hits, s.i // every request issued has landed
 }
 
 func main() {

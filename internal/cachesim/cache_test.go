@@ -148,7 +148,7 @@ func TestGlobalLRUEvictsOldestAnywhere(t *testing.T) {
 		b    blockdev.BlockID
 	}{{0, blk(1, 0)}, {0, blk(1, 1)}, {1, blk(1, 2)}, {1, blk(1, 3)}}
 	for i, f := range fill {
-		e.At(sim.Time(i+1), func(*sim.Engine) {})
+		e.At(sim.Time(i+1), e.Bind(func(*sim.Engine) {}))
 		e.Run()
 		c.Insert(f.node, f.b, InsertOptions{})
 	}

@@ -27,14 +27,14 @@ func TestGlobalLRUVictimAgeOrder(t *testing.T) {
 	e, c := newTestCache(2, 2, GlobalLRU{})
 	// Insert four blocks at increasing times.
 	for i := 0; i < 4; i++ {
-		e.At(sim.Time(i+1), func(*sim.Engine) {})
+		e.At(sim.Time(i+1), e.Bind(func(*sim.Engine) {}))
 		e.Run()
 		c.Insert(blockdev.NodeID(i%2), blk(1, i), InsertOptions{})
 	}
 	// Victims must come out oldest first as we keep inserting.
 	var evicted []blockdev.BlockID
 	for i := 4; i < 7; i++ {
-		e.At(sim.Time(i+1), func(*sim.Engine) {})
+		e.At(sim.Time(i+1), e.Bind(func(*sim.Engine) {}))
 		e.Run()
 		_, vs := c.Insert(0, blk(1, i), InsertOptions{})
 		for _, v := range vs {
@@ -55,12 +55,12 @@ func TestGlobalLRUVictimAgeOrder(t *testing.T) {
 func TestTouchProtectsFromEviction(t *testing.T) {
 	e, c := newTestCache(1, 3, GlobalLRU{})
 	for i := 0; i < 3; i++ {
-		e.At(sim.Time(i+1), func(*sim.Engine) {})
+		e.At(sim.Time(i+1), e.Bind(func(*sim.Engine) {}))
 		e.Run()
 		c.Insert(0, blk(1, i), InsertOptions{})
 	}
 	// Touch the oldest; the second-oldest must be the victim.
-	e.At(10, func(*sim.Engine) {})
+	e.At(10, e.Bind(func(*sim.Engine) {}))
 	e.Run()
 	use(c, 0, blk(1, 0))
 	_, vs := c.Insert(0, blk(1, 9), InsertOptions{})

@@ -352,7 +352,7 @@ func (env *diskEnv) Prefetch(b blockdev.BlockID, _ bool, cancelled func() bool, 
 	}
 	op := &fakeOp{b, cancelled, done}
 	env.inflight[b] = append(env.inflight[b], op)
-	env.e.After(sim.Milliseconds(2), func(*sim.Engine) {
+	env.e.After(sim.Milliseconds(2), env.e.Bind(func(*sim.Engine) {
 		ops := env.inflight[b]
 		for i := range ops {
 			if ops[i] == op {
@@ -364,7 +364,7 @@ func (env *diskEnv) Prefetch(b blockdev.BlockID, _ bool, cancelled func() bool, 
 			env.cache[b] = true
 		}
 		done()
-	})
+	}))
 	return true
 }
 
@@ -389,11 +389,11 @@ func TestUnlimitedCycleIssuesEachBlockOnce(t *testing.T) {
 	}
 	for i := 0; i < 10*len(cycle); i++ {
 		b := bid(1, int(cycle[i%len(cycle)]))
-		e.After(sim.Milliseconds(float64(i)), func(e *sim.Engine) {
+		e.After(sim.Milliseconds(float64(i)), e.Bind(func(e *sim.Engine) {
 			satisfied := env.cache[b]
 			env.cache[b] = true // the demand fetch
 			d.OnUserRequest(Request{Offset: b.Block, Size: 1}, Tick(e.Now()), satisfied)
-		})
+		}))
 	}
 	if e.RunUntil(func() bool { return e.Fired() >= 100_000 }); e.Fired() >= 100_000 {
 		t.Fatal("the simulation never drained")

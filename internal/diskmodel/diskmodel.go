@@ -57,7 +57,7 @@ func (a *Array) DiskFor(b blockdev.BlockID) *Disk {
 // completion. cancelled, if non-nil, lets the caller abandon the
 // operation while it is still queued (used by aggressive prefetchers
 // after a misprediction).
-func (a *Array) Read(b blockdev.BlockID, prio sim.Priority, cancelled func() bool, done func(e *sim.Engine, at sim.Time)) {
+func (a *Array) Read(b blockdev.BlockID, prio sim.Priority, cancelled func() bool, done sim.HandlerID) {
 	a.DiskFor(b).res.Submit(sim.Request{
 		Service:   a.readService,
 		Priority:  prio,
@@ -69,7 +69,7 @@ func (a *Array) Read(b blockdev.BlockID, prio sim.Priority, cancelled func() boo
 // Write queues a write of block b; writes always run at user priority
 // (they are either user-visible or fault-tolerance flushes, both of
 // which the paper treats as more important than prefetch).
-func (a *Array) Write(b blockdev.BlockID, done func(e *sim.Engine, at sim.Time)) {
+func (a *Array) Write(b blockdev.BlockID, done sim.HandlerID) {
 	a.DiskFor(b).res.Submit(sim.Request{
 		Service:  a.writeService,
 		Priority: sim.PriorityUser,

@@ -22,8 +22,8 @@ func TestServiceTimeFormula(t *testing.T) {
 	a := NewArray(e, machine.PM())
 	b := blockdev.BlockID{File: 9, Block: 3}
 	var readAt, writeAt sim.Time
-	a.Read(b, sim.PriorityUser, nil, func(_ *sim.Engine, tm sim.Time) { readAt = tm })
-	a.Write(b, func(_ *sim.Engine, tm sim.Time) { writeAt = tm })
+	a.Read(b, sim.PriorityUser, nil, e.Bind(func(e *sim.Engine) { readAt = e.Now() }))
+	a.Write(b, e.Bind(func(e *sim.Engine) { writeAt = e.Now() }))
 	e.Run()
 	if want := sim.Time(0).Add(readService); readAt != want {
 		t.Errorf("read done at %v, want %v", readAt, want)
@@ -38,7 +38,7 @@ func TestReadCompletesAfterServiceTime(t *testing.T) {
 	a := NewArray(e, machine.PM())
 	var done []sim.Time
 	a.Read(blockdev.BlockID{File: 1, Block: 0}, sim.PriorityUser, nil,
-		func(_ *sim.Engine, tm sim.Time) { done = append(done, tm) })
+		e.Bind(func(e *sim.Engine) { done = append(done, e.Now()) }))
 	e.Run()
 	if len(done) != 1 || done[0] != sim.Time(0).Add(readService) {
 		t.Errorf("read done at %v, want once at %v", done, readService)
@@ -54,9 +54,9 @@ func TestSameDiskSerializesDifferentDisksParallel(t *testing.T) {
 		t.Fatal("test assumes adjacent blocks stripe to different disks")
 	}
 	var t0, t1, t0b sim.Time
-	a.Read(b0, sim.PriorityUser, nil, func(_ *sim.Engine, tm sim.Time) { t0 = tm })
-	a.Read(b1, sim.PriorityUser, nil, func(_ *sim.Engine, tm sim.Time) { t1 = tm })
-	a.Read(b0, sim.PriorityUser, nil, func(_ *sim.Engine, tm sim.Time) { t0b = tm })
+	a.Read(b0, sim.PriorityUser, nil, e.Bind(func(e *sim.Engine) { t0 = e.Now() }))
+	a.Read(b1, sim.PriorityUser, nil, e.Bind(func(e *sim.Engine) { t1 = e.Now() }))
+	a.Read(b0, sim.PriorityUser, nil, e.Bind(func(e *sim.Engine) { t0b = e.Now() }))
 	e.Run()
 	if t0 != t1 {
 		t.Errorf("different disks should serve in parallel: %v vs %v", t0, t1)
@@ -72,9 +72,9 @@ func TestPrefetchYieldsToUser(t *testing.T) {
 	b := blockdev.BlockID{File: 2, Block: 0}
 	var order []string
 	// Fill the disk, then queue prefetch before user.
-	a.Read(b, sim.PriorityUser, nil, nil)
-	a.Read(b, sim.PriorityPrefetch, nil, func(*sim.Engine, sim.Time) { order = append(order, "prefetch") })
-	a.Read(b, sim.PriorityUser, nil, func(*sim.Engine, sim.Time) { order = append(order, "user") })
+	a.Read(b, sim.PriorityUser, nil, 0)
+	a.Read(b, sim.PriorityPrefetch, nil, e.Bind(func(*sim.Engine) { order = append(order, "prefetch") }))
+	a.Read(b, sim.PriorityUser, nil, e.Bind(func(*sim.Engine) { order = append(order, "user") }))
 	e.Run()
 	if len(order) != 2 || order[0] != "user" {
 		t.Errorf("order = %v, want user before prefetch", order)
@@ -90,10 +90,10 @@ func TestCancelledPrefetchNotCounted(t *testing.T) {
 	a := NewArray(e, machine.PM())
 	b := blockdev.BlockID{File: 3, Block: 5}
 	stale := true
-	a.Read(b, sim.PriorityUser, nil, nil) // occupy
-	a.Read(b, sim.PriorityPrefetch, func() bool { return stale }, func(*sim.Engine, sim.Time) {
+	a.Read(b, sim.PriorityUser, nil, 0) // occupy
+	a.Read(b, sim.PriorityPrefetch, func() bool { return stale }, e.Bind(func(*sim.Engine) {
 		t.Error("cancelled prefetch completed")
-	})
+	}))
 	e.Run()
 	// The dropped read took no disk time.
 	if e.Now() != sim.Time(0).Add(readService) || a.PrefetchBusyFraction() != 0 {
@@ -106,7 +106,7 @@ func TestWriteCounts(t *testing.T) {
 	a := NewArray(e, machine.NOW())
 	var done []sim.Time
 	for i := 0; i < 5; i++ {
-		a.Write(blockdev.BlockID{File: 1, Block: blockdev.BlockNo(i)}, func(_ *sim.Engine, tm sim.Time) { done = append(done, tm) })
+		a.Write(blockdev.BlockID{File: 1, Block: blockdev.BlockNo(i)}, e.Bind(func(e *sim.Engine) { done = append(done, e.Now()) }))
 	}
 	e.Run()
 	// Five blocks stripe over five of NOW's eight disks: all in parallel.
@@ -141,7 +141,7 @@ func TestArrayShape(t *testing.T) {
 func TestUtilizationPositiveAfterWork(t *testing.T) {
 	e := sim.NewEngine(1)
 	a := NewArray(e, machine.PM())
-	a.Read(blockdev.BlockID{File: 1, Block: 0}, sim.PriorityUser, nil, nil)
+	a.Read(blockdev.BlockID{File: 1, Block: 0}, sim.PriorityUser, nil, 0)
 	e.Run()
 	if u := a.Utilization(); u <= 0 || u > 1 {
 		t.Errorf("utilization = %v", u)

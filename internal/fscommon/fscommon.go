@@ -60,8 +60,9 @@ type Base struct {
 	// engine has no priority classes at all.
 	pfPriority sim.Priority
 	// wbStop ends the write-back daemon so the event queue can drain
-	// once the trace completes.
+	// once the trace completes; wbTick is the daemon's period.
 	wbStop bool
+	wbTick sim.HandlerID
 
 	// Finished records, for reuse (see diskOp, Request, Miss), and the
 	// file system whose stages the request records run.
@@ -174,57 +175,80 @@ func (b *Base) HostOf(blk blockdev.BlockID) blockdev.NodeID {
 
 // diskOp is one disk operation a file system has outstanding — a
 // demand fetch, a prefetch or a write-back — in a record that carries
-// what its completion needs, with the callbacks the disk takes bound
-// once, when the record is first made. A finished record goes back on
-// the Base's free list.
+// what its completion needs, with the handlers the disk and the engine
+// take bound once, when the record is first made. A finished record
+// goes back on the Base's free list.
 type diskOp struct {
 	b    *Base
+	kind opKind
 	blk  blockdev.BlockID
 	node blockdev.NodeID // the pool a fetched or prefetched block is for
-	// complete is what the operation's end does: fetched, prefetched
-	// or written.
-	complete func(op *diskOp, e *sim.Engine, at sim.Time)
 	// waiters are the requests a demand fetch serves.
-	waiters []func(e *sim.Engine, at sim.Time)
+	waiters []sim.HandlerID
 	// cancelled and done are a prefetch's callbacks into its driver.
 	cancelled func() bool
 	done      func()
 
-	onDone  func(e *sim.Engine, at sim.Time) // the disk finished
-	onPoll  func() bool                      // the disk asks whether to drop a prefetch
-	onSmear sim.Handler                      // a smeared write-back is due
+	onDone  sim.HandlerID // the disk finished
+	onPoll  func() bool   // the disk asks whether to drop a prefetch
+	onSmear sim.HandlerID // a smeared write-back is due
 }
 
-func (b *Base) newOp(blk blockdev.BlockID, node blockdev.NodeID, complete func(*diskOp, *sim.Engine, sim.Time)) *diskOp {
+// opKind is what a diskOp's end does.
+type opKind uint8
+
+const (
+	opFetch    opKind = iota // a demand fetch: fetched
+	opPrefetch               // prefetched
+	opWrite                  // a write-back: written
+)
+
+func (b *Base) newOp(kind opKind, blk blockdev.BlockID, node blockdev.NodeID) *diskOp {
 	var op *diskOp
 	if n := len(b.idleOps); n > 0 {
 		op, b.idleOps = b.idleOps[n-1], b.idleOps[:n-1]
 	} else {
 		op = &diskOp{b: b}
-		op.onDone = func(e *sim.Engine, at sim.Time) { op.complete(op, e, at) }
-		op.onPoll, op.onSmear = op.poll, op.smear
+		op.onDone, op.onSmear = b.Engine.Bind(op.finished), b.Engine.Bind(op.smear)
+		op.onPoll = op.poll
 	}
-	op.blk, op.node, op.complete = blk, node, complete
+	op.kind, op.blk, op.node = kind, blk, node
 	return op
 }
 
 // release drops what the record refers to and frees it for reuse.
+// Only a prefetch sets cancelled and done, so only it pays the pointer
+// writes that clear them.
 func (op *diskOp) release() {
-	clear(op.waiters)
-	op.waiters, op.cancelled, op.done = op.waiters[:0], nil, nil
+	op.waiters = op.waiters[:0]
+	if op.done != nil {
+		op.cancelled, op.done = nil, nil
+	}
 	op.b.idleOps = append(op.b.idleOps, op)
 }
 
+// finished is the disk's completion of the operation.
+func (op *diskOp) finished(e *sim.Engine) {
+	switch op.kind {
+	case opFetch:
+		op.fetched(e)
+	case opPrefetch:
+		op.prefetched()
+	case opWrite:
+		op.written()
+	}
+}
+
 // DemandFetch reads blk from disk at user priority, inserts it into
-// the cache for node, flushes any dirty victims, and invokes done.
+// the cache for node, flushes any dirty victims, and fires done.
 // Concurrent fetches of the same block coalesce onto one disk read.
-func (b *Base) DemandFetch(blk blockdev.BlockID, node blockdev.NodeID, done func(e *sim.Engine, at sim.Time)) {
+func (b *Base) DemandFetch(blk blockdev.BlockID, node blockdev.NodeID, done sim.HandlerID) {
 	slot := b.num.Slot(blk)
 	if op := b.inflight[slot]; op != nil {
 		op.waiters = append(op.waiters, done)
 		return
 	}
-	op := b.newOp(blk, node, (*diskOp).fetched)
+	op := b.newOp(opFetch, blk, node)
 	op.waiters = append(op.waiters, done)
 	b.inflight[slot] = op
 	if b.PrefetchInFlight(blk) {
@@ -236,7 +260,7 @@ func (b *Base) DemandFetch(blk blockdev.BlockID, node blockdev.NodeID, done func
 	b.Disks.Read(blk, sim.PriorityUser, nil, op.onDone)
 }
 
-func (op *diskOp) fetched(e *sim.Engine, at sim.Time) {
+func (op *diskOp) fetched(e *sim.Engine) {
 	b := op.b
 	b.Coll.DiskRead()
 	_, victims := b.Cch.Insert(op.node, op.blk, cachesim.InsertOptions{})
@@ -244,7 +268,7 @@ func (op *diskOp) fetched(e *sim.Engine, at sim.Time) {
 	// A waiter that misses on the block again starts a new fetch.
 	b.inflight[b.num.Slot(op.blk)] = nil
 	for _, w := range op.waiters {
-		w(e, at)
+		e.Fire(w)
 	}
 	op.release()
 }
@@ -263,7 +287,7 @@ func (b *Base) Prefetch(node blockdev.NodeID, blk blockdev.BlockID, fallback boo
 	}
 	b.Coll.PrefetchIssued(fallback)
 	b.PrefetchBegin(blk)
-	op := b.newOp(blk, node, (*diskOp).prefetched)
+	op := b.newOp(opPrefetch, blk, node)
 	op.cancelled, op.done = cancelled, done
 	b.Disks.Read(blk, b.pfPriority, op.onPoll, op.onDone)
 	return true
@@ -284,7 +308,7 @@ func (op *diskOp) poll() bool {
 	return true
 }
 
-func (op *diskOp) prefetched(*sim.Engine, sim.Time) {
+func (op *diskOp) prefetched() {
 	b, done := op.b, op.done
 	b.PrefetchEnd(op.blk)
 	b.Coll.DiskRead()
@@ -315,10 +339,10 @@ func (b *Base) FlushVictims(victims []cachesim.Victim) {
 
 // writeBack queues a disk write of blk, booked when it completes.
 func (b *Base) writeBack(blk blockdev.BlockID) {
-	b.Disks.Write(blk, b.newOp(blk, 0, (*diskOp).written).onDone)
+	b.Disks.Write(blk, b.newOp(opWrite, blk, 0).onDone)
 }
 
-func (op *diskOp) written(*sim.Engine, sim.Time) {
+func (op *diskOp) written() {
 	op.b.Coll.DiskWrite(op.b.num.Slot(op.blk))
 	op.release()
 }
@@ -337,25 +361,27 @@ func (op *diskOp) smear(*sim.Engine) {
 // paper's Table 2 effect — faster applications mean fewer periodic
 // writes per block — falls out of this loop.
 func (b *Base) StartWriteback() {
-	var tick func(e *sim.Engine)
-	tick = func(e *sim.Engine) {
-		if b.wbStop {
-			return
-		}
-		// Smear the flushes uniformly across the coming period instead
-		// of dumping them all at once: a synchronized burst of
-		// thousands of writes would periodically flood the disk queues
-		// and swamp every other effect being measured.
-		dirty := b.Cch.DirtyBlocks()
-		n := len(dirty)
-		for i, blk := range dirty {
-			delay := sim.Duration(int64(b.Cfg.WritebackPeriod) * int64(i) / int64(n))
-			e.After(delay, b.newOp(blk, 0, (*diskOp).written).onSmear)
-			b.Cch.ClearDirty(blk)
-		}
-		e.After(b.Cfg.WritebackPeriod, tick)
+	b.wbTick = b.Engine.Bind(b.writebackTick)
+	b.Engine.After(b.Cfg.WritebackPeriod, b.wbTick)
+}
+
+// writebackTick is one period of the write-back daemon.
+func (b *Base) writebackTick(e *sim.Engine) {
+	if b.wbStop {
+		return
 	}
-	b.Engine.After(b.Cfg.WritebackPeriod, tick)
+	// Smear the flushes uniformly across the coming period instead of
+	// dumping them all at once: a synchronized burst of thousands of
+	// writes would periodically flood the disk queues and swamp every
+	// other effect being measured.
+	dirty := b.Cch.DirtyBlocks()
+	n := len(dirty)
+	for i, blk := range dirty {
+		delay := sim.Duration(int64(b.Cfg.WritebackPeriod) * int64(i) / int64(n))
+		e.After(delay, b.newOp(opWrite, blk, 0).onSmear)
+		b.Cch.ClearDirty(blk)
+	}
+	e.After(b.Cfg.WritebackPeriod, b.wbTick)
 }
 
 // StopBackground ends the run's background activity: the write-back

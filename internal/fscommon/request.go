@@ -22,10 +22,10 @@ type Protocol interface {
 	Close(client blockdev.NodeID, file blockdev.FileID, done func(at sim.Time))
 	// Arrive continues request r once the message, or the local delay,
 	// it was sent off with (Request.Arrived) has ended.
-	Arrive(r *Request, e *sim.Engine, at sim.Time)
+	Arrive(r *Request, e *sim.Engine)
 	// Advance continues miss m once the message or disk read it was
 	// waiting on (Miss.Step) has ended.
-	Advance(m *Miss, e *sim.Engine, at sim.Time)
+	Advance(m *Miss, e *sim.Engine)
 }
 
 // Serve names the file system the Base is: the Runner's requests go to
@@ -33,27 +33,25 @@ type Protocol interface {
 // construction.
 func (b *Base) Serve(p Protocol) { b.proto = p }
 
-// Request is one user request in flight. Its callbacks are bound once,
+// Request is one user request in flight. Its handlers are bound once,
 // when the record is first made, and the record is reused after the
 // request finishes, so that a request's trip through the machine
-// allocates nothing: hand the callbacks to the network, the disks and
-// DemandFetch as they are.
+// allocates nothing: hand the handlers' IDs to the network, the disks
+// and DemandFetch as they are.
 type Request struct {
 	Kind   workload.OpKind
 	Client blockdev.NodeID
 	Span   blockdev.Span // of a close, only the file
 
 	// Arrived hands the request to Protocol.Arrive.
-	Arrived func(e *sim.Engine, at sim.Time)
-	// BlockDone reports that one of the Await-ed blocks has been
-	// served, at the time given. The request finishes with the last of
-	// them, at the latest time any reported, since a request is served
-	// when its last block is.
-	BlockDone func(e *sim.Engine, at sim.Time)
+	Arrived sim.HandlerID
+	// BlockDone reports that one of the request's blocks has been
+	// served. The request finishes with the last of them, since a
+	// request is served when its last block is.
+	BlockDone sim.HandlerID
 
 	base    *Base
 	waiting int
-	last    sim.Time
 	done    func(at sim.Time)
 }
 
@@ -65,19 +63,18 @@ func (b *Base) NewRequest(kind workload.OpKind, client blockdev.NodeID, span blo
 		r, b.idleRequests = b.idleRequests[n-1], b.idleRequests[:n-1]
 	} else {
 		r = &Request{base: b}
-		r.Arrived = func(e *sim.Engine, at sim.Time) { b.proto.Arrive(r, e, at) }
-		r.BlockDone = r.blockDone
+		r.Arrived = b.Engine.Bind(func(e *sim.Engine) { b.proto.Arrive(r, e) })
+		r.BlockDone = b.Engine.Bind(r.blockDone)
 	}
 	r.Kind, r.Client, r.Span, r.done = kind, client, span, done
-	r.waiting, r.last = int(span.Count), 0
+	r.waiting = int(span.Count)
 	return r
 }
 
-func (r *Request) blockDone(_ *sim.Engine, at sim.Time) {
-	r.last = max(r.last, at)
+func (r *Request) blockDone(e *sim.Engine) {
 	r.waiting--
 	if r.waiting == 0 {
-		r.Finish(r.last)
+		r.Finish(e.Now())
 	}
 }
 
@@ -91,14 +88,14 @@ func (r *Request) Finish(at sim.Time) {
 
 // Miss is one block of a request that was not where the request looked
 // first and has further to go: to the disk, to another node. Like a
-// Request it is a recycled record with its callback bound once.
+// Request it is a recycled record with its handler bound once.
 type Miss struct {
 	Req   *Request
 	Block blockdev.BlockID
 	// Stage is the file system's note of what the miss waits on.
 	Stage int
 	// Step hands the miss to Protocol.Advance.
-	Step func(e *sim.Engine, at sim.Time)
+	Step sim.HandlerID
 
 	base *Base
 }
@@ -110,7 +107,7 @@ func (b *Base) NewMiss(r *Request, blk blockdev.BlockID) *Miss {
 		m, b.idleMisses = b.idleMisses[n-1], b.idleMisses[:n-1]
 	} else {
 		m = &Miss{base: b}
-		m.Step = func(e *sim.Engine, at sim.Time) { b.proto.Advance(m, e, at) }
+		m.Step = b.Engine.Bind(func(e *sim.Engine) { b.proto.Advance(m, e) })
 	}
 	m.Req, m.Block, m.Stage = r, blk, 0
 	return m

@@ -47,7 +47,7 @@ func (r *Runner) Run(e *sim.Engine) sim.Time {
 	r.engine = e
 	for i := range r.trace.Procs {
 		p := &process{runner: r, trace: &r.trace.Procs[i]}
-		p.issue, p.complete = p.issueStep, p.completeStep
+		p.issue, p.complete = e.Bind(p.issueStep), p.completeStep
 		p.schedule()
 	}
 	e.RunUntil(r.Done)
@@ -62,14 +62,14 @@ func (r *Runner) Run(e *sim.Engine) sim.Time {
 func (r *Runner) Done() bool { return r.finishedProcs == len(r.trace.Procs) }
 
 // process is one trace process mid-replay: the step it is on and the
-// two callbacks that step needs, bound once (a process has one step
-// outstanding at a time).
+// handler and callback that step needs, bound once (a process has one
+// step outstanding at a time).
 type process struct {
 	runner   *Runner
 	trace    *workload.Process
 	idx      int      // the step being thought about or served
 	issued   sim.Time // when it was issued
-	issue    sim.Handler
+	issue    sim.HandlerID
 	complete func(at sim.Time)
 }
 

@@ -21,25 +21,6 @@ type Network struct {
 	cfg    machine.Config
 	engine *sim.Engine
 	ports  []*sim.Resource
-
-	// idle holds the records of finished intra-node copies for Local
-	// to reuse.
-	idle []*localCopy
-}
-
-// localCopy is one intra-node copy in progress: the completion to call
-// when its event fires, in a record whose handler is bound once.
-type localCopy struct {
-	net    *Network
-	done   func(e *sim.Engine, at sim.Time)
-	finish sim.Handler
-}
-
-func (c *localCopy) finished(e *sim.Engine) {
-	done := c.done
-	c.done = nil
-	c.net.idle = append(c.net.idle, c)
-	done(e, e.Now())
 }
 
 // New builds the interconnect for the given machine configuration.
@@ -66,11 +47,11 @@ func (n *Network) RemoteCost(size int64) sim.Duration {
 }
 
 // Send delivers a message of size bytes from node from to node to and
-// invokes done at arrival time. Intra-node messages bypass the network
+// fires done at arrival time. Intra-node messages bypass the network
 // port; cross-network messages serialize on the sender's port for the
 // transfer duration, so a node pumping many blocks queues behind
 // itself.
-func (n *Network) Send(from, to blockdev.NodeID, size int64, done func(e *sim.Engine, at sim.Time)) {
+func (n *Network) Send(from, to blockdev.NodeID, size int64, done sim.HandlerID) {
 	if int(from) < 0 || int(from) >= len(n.ports) || int(to) < 0 || int(to) >= len(n.ports) {
 		panic(fmt.Sprintf("netmodel: send %d -> %d outside machine of %d nodes", from, to, len(n.ports)))
 	}
@@ -86,18 +67,10 @@ func (n *Network) Send(from, to blockdev.NodeID, size int64, done func(e *sim.En
 }
 
 // Local models moving size bytes within one node without a message —
-// a copy between a node's cache and an application buffer — and
-// invokes done LocalCost(size) from now. Nothing is contended for.
-func (n *Network) Local(size int64, done func(e *sim.Engine, at sim.Time)) {
-	var c *localCopy
-	if k := len(n.idle); k > 0 {
-		c, n.idle = n.idle[k-1], n.idle[:k-1]
-	} else {
-		c = &localCopy{net: n}
-		c.finish = c.finished
-	}
-	c.done = done
-	n.engine.After(n.LocalCost(size), c.finish)
+// a copy between a node's cache and an application buffer — and fires
+// done LocalCost(size) from now. Nothing is contended for.
+func (n *Network) Local(size int64, done sim.HandlerID) {
+	n.engine.After(n.LocalCost(size), done)
 }
 
 // Utilization returns the mean busy fraction across the nodes' network

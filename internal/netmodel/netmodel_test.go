@@ -43,7 +43,7 @@ func TestSendLocalArrivesAtLocalCost(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, machine.PM())
 	var at sim.Time
-	n.Send(3, 3, 8192, func(_ *sim.Engine, t sim.Time) { at = t })
+	n.Send(3, 3, 8192, e.Bind(func(e *sim.Engine) { at = e.Now() }))
 	e.Run()
 	if at != sim.Time(0).Add(n.LocalCost(8192)) {
 		t.Errorf("local send arrived at %v, want %v", at, n.LocalCost(8192))
@@ -57,8 +57,8 @@ func TestSendRemoteSerializesOnSenderPort(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, machine.PM())
 	var first, second sim.Time
-	n.Send(0, 1, 8192, func(_ *sim.Engine, t sim.Time) { first = t })
-	n.Send(0, 2, 8192, func(_ *sim.Engine, t sim.Time) { second = t })
+	n.Send(0, 1, 8192, e.Bind(func(e *sim.Engine) { first = e.Now() }))
+	n.Send(0, 2, 8192, e.Bind(func(e *sim.Engine) { second = e.Now() }))
 	e.Run()
 	cost := n.RemoteCost(8192)
 	if first != sim.Time(0).Add(cost) {
@@ -73,8 +73,8 @@ func TestSendDifferentSendersRunInParallel(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, machine.PM())
 	var a, b sim.Time
-	n.Send(0, 2, 8192, func(_ *sim.Engine, t sim.Time) { a = t })
-	n.Send(1, 2, 8192, func(_ *sim.Engine, t sim.Time) { b = t })
+	n.Send(0, 2, 8192, e.Bind(func(e *sim.Engine) { a = e.Now() }))
+	n.Send(1, 2, 8192, e.Bind(func(e *sim.Engine) { b = e.Now() }))
 	e.Run()
 	if a != b {
 		t.Errorf("independent senders serialized: %v vs %v", a, b)
@@ -89,7 +89,7 @@ func TestSendPanicsOnBadNode(t *testing.T) {
 			t.Error("out-of-range node did not panic")
 		}
 	}()
-	n.Send(0, 100, 1, func(*sim.Engine, sim.Time) {})
+	n.Send(0, 100, 1, e.Bind(func(*sim.Engine) {}))
 }
 
 // TestBytesMovedAccounting checks that every message is charged its
@@ -99,9 +99,9 @@ func TestBytesMovedAccounting(t *testing.T) {
 	e := sim.NewEngine(1)
 	n := New(e, machine.PM())
 	var local, first, second sim.Time
-	n.Send(0, 0, 100, func(_ *sim.Engine, at sim.Time) { local = at })
-	n.Send(0, 1, 200, func(_ *sim.Engine, at sim.Time) { first = at })
-	n.Send(0, 1, 300, func(_ *sim.Engine, at sim.Time) { second = at })
+	n.Send(0, 0, 100, e.Bind(func(e *sim.Engine) { local = e.Now() }))
+	n.Send(0, 1, 200, e.Bind(func(e *sim.Engine) { first = e.Now() }))
+	n.Send(0, 1, 300, e.Bind(func(e *sim.Engine) { second = e.Now() }))
 	e.Run()
 	if want := sim.Time(0).Add(n.LocalCost(100)); local != want {
 		t.Errorf("100-byte local copy arrived at %v, want %v", local, want)

@@ -108,7 +108,7 @@ func (fs *FS) toServer(r *fscommon.Request) {
 }
 
 // Arrive runs at the file's server when a client's message gets there.
-func (fs *FS) Arrive(r *fscommon.Request, _ *sim.Engine, at sim.Time) {
+func (fs *FS) Arrive(r *fscommon.Request, e *sim.Engine) {
 	switch r.Kind {
 	case workload.OpRead:
 		fs.serveRead(r)
@@ -118,7 +118,7 @@ func (fs *FS) Arrive(r *fscommon.Request, _ *sim.Engine, at sim.Time) {
 		if d, ok := fs.drivers[r.Span.File]; ok {
 			d.StopChain()
 		}
-		r.Finish(at)
+		r.Finish(e.Now())
 	}
 }
 
@@ -142,7 +142,7 @@ func (fs *FS) serveRead(r *fscommon.Request) {
 // Advance runs when a missed block's demand fetch completes. The block
 // may have been placed on any node by the global policy; ship it from
 // there to the client.
-func (fs *FS) Advance(m *fscommon.Miss, _ *sim.Engine, _ sim.Time) {
+func (fs *FS) Advance(m *fscommon.Miss, _ *sim.Engine) {
 	r := m.Req
 	src := r.Client
 	if cp := fs.Cch.Find(m.Block); cp != nil {

@@ -126,7 +126,7 @@ func TestBlockPPMRunsEndToEnd(t *testing.T) {
 			next, nextPass = 0, p+1
 		}
 		fs.Read(0, span(0, b, 1), func(sim.Time) {
-			e.After(sim.Milliseconds(20), func(*sim.Engine) { pass(next, nextPass) })
+			e.After(sim.Milliseconds(20), e.Bind(func(*sim.Engine) { pass(next, nextPass) }))
 		})
 	}
 	pass(0, 0)

@@ -134,9 +134,9 @@ func TestRewriteAcrossPeriodsWritesTwice(t *testing.T) {
 	fs.Coll.StartMeasurement()
 	fs.StartWriteback()
 	fs.Write(0, span(0, 0, 1), func(sim.Time) {})
-	e.At(sim.Time(sim.Seconds(1.2)), func(*sim.Engine) {
+	e.At(sim.Time(sim.Seconds(1.2)), e.Bind(func(*sim.Engine) {
 		fs.Write(0, span(0, 0, 1), func(sim.Time) {})
-	})
+	}))
 	e.RunUntil(func() bool { return e.Now() > sim.Time(sim.Seconds(2.5)) })
 	if got := fs.Coll.WritesPerBlock(); got != 2 {
 		t.Errorf("writes per block = %v, want 2 (the Table 2 mechanism)", got)
@@ -164,8 +164,8 @@ func TestLinearInvariantOneOutstandingPerFile(t *testing.T) {
 	e, fs := newFS(core.SpecLnAgrOBA, 64, 50)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	violated := false
-	var watch func(*sim.Engine)
-	watch = func(e *sim.Engine) {
+	var watch sim.HandlerID
+	watch = e.Bind(func(e *sim.Engine) {
 		inFlight := 0
 		for _, drv := range fs.drivers {
 			if drv.Outstanding() > 1 {
@@ -177,7 +177,7 @@ func TestLinearInvariantOneOutstandingPerFile(t *testing.T) {
 			violated = true
 		}
 		e.After(sim.Milliseconds(1), watch) // RunUntil's bound ends the watch
-	}
+	})
 	e.After(0, watch)
 	e.RunUntil(func() bool { return e.Now() > sim.Time(sim.Seconds(5)) })
 	if violated {
@@ -201,7 +201,7 @@ func TestPrefetchImprovesSequentialReadLatency(t *testing.T) {
 				total += at.Sub(issue)
 				reads++
 				// Think a little, then read the next block.
-				e.After(sim.Milliseconds(2), func(*sim.Engine) { next(b + 1) })
+				e.After(sim.Milliseconds(2), e.Bind(func(*sim.Engine) { next(b + 1) }))
 			})
 		}
 		next(0)

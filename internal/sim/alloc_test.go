@@ -13,7 +13,7 @@ func TestEventPathAllocs(t *testing.T) {
 	t.Run("scheduleFire", func(t *testing.T) {
 		e := NewEngine(1)
 		fired := 0
-		var tick Handler = func(*Engine) { fired++ }
+		tick := e.Bind(func(*Engine) { fired++ })
 		burst := func() {
 			for i := 0; i < 8; i++ {
 				e.After(Duration(8-i), tick)
@@ -32,7 +32,7 @@ func TestEventPathAllocs(t *testing.T) {
 		e := NewEngine(1)
 		r := NewResource(e, "disk0")
 		served, dropped := 0, 0
-		done := func(*Engine, Time) { served++ }
+		done := e.Bind(func(*Engine) { served++ })
 		stale := func() bool { dropped++; return true }
 		burst := func() {
 			// Three queue behind the first; one of them is dropped.

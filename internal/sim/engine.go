@@ -3,8 +3,15 @@ package sim
 import "fmt"
 
 // Handler is the callback invoked when an event fires. It receives the
-// engine so that it can schedule follow-up events.
+// engine so that it can schedule follow-up events; the event's time is
+// e.Now().
 type Handler func(e *Engine)
+
+// HandlerID names a handler bound to an engine with Bind. Events carry
+// the ID, and so do a resource's requests and the file systems'
+// records, so that scheduling or firing one writes no pointer. The zero
+// HandlerID names no handler.
+type HandlerID int32
 
 // Engine is a discrete-event simulation core. The zero value is not
 // usable; construct one with NewEngine.
@@ -18,16 +25,14 @@ type Engine struct {
 	// the heap, queue. A run of events scheduled in time order (the
 	// write-back daemon's smear of a period's flushes: thousands of
 	// events, 30 simulated seconds deep) lands in the lane rather than
-	// deepening the heap. Events live in both by value, and carry their
-	// handler's slot in handlers rather than the handler itself, so an
-	// event holds no pointer and moving one costs the collector
-	// nothing. Scheduling an event allocates nothing.
+	// deepening the heap. Events live in both by value and carry their
+	// handler's ID, so an event holds no pointer and moving one costs
+	// the collector nothing. Scheduling an event allocates nothing.
 	queue minHeap
 	lane  fifo[event]
-	// handlers holds each scheduled event's handler by slot; free lists
-	// the slots no event holds.
+	// handlers is the table Bind appends to: HandlerID h is
+	// handlers[h], and handlers[0] is nil, so the zero ID binds nothing.
 	handlers []Handler
-	free     []int32
 	seq      uint64
 	rng      *RNG
 	fired    uint64
@@ -38,7 +43,7 @@ type Engine struct {
 // NewEngine returns an engine whose clock starts at zero and whose
 // random stream is derived from seed.
 func NewEngine(seed uint64) *Engine {
-	return &Engine{rng: NewRNG(seed)}
+	return &Engine{rng: NewRNG(seed), handlers: make([]Handler, 1)}
 }
 
 // Now returns the current virtual time.
@@ -51,25 +56,43 @@ func (e *Engine) RNG() *RNG { return e.rng }
 // progress accounting and runaway detection in tests.
 func (e *Engine) Fired() uint64 { return e.fired }
 
-// At schedules fn to run at absolute time t. Scheduling in the past is
-// a programming error and panics, because it would silently corrupt
-// causality.
-func (e *Engine) At(t Time, fn Handler) {
+// Bind adds fn to the engine's handler table and returns its ID, which
+// can be scheduled any number of times. The table only grows, so a
+// handler is bound once, when the record it serves is first made, and
+// not once per event. Binding nil panics.
+func (e *Engine) Bind(fn Handler) HandlerID {
+	if fn == nil {
+		panic("sim: binding nil handler")
+	}
+	e.handlers = append(e.handlers, fn)
+	return HandlerID(len(e.handlers) - 1)
+}
+
+// check panics unless h names a bound handler.
+func (e *Engine) check(h HandlerID) {
+	if h <= 0 || int(h) >= len(e.handlers) {
+		panic(fmt.Sprintf("sim: handler %d is not bound", h))
+	}
+}
+
+// Fire runs handler h now, outside the queue: it is not an event, so
+// Fired and the tracer do not see it. A completion that can be
+// delivered at once (a block already where it is wanted) goes through
+// Fire rather than through a zero-delay event.
+func (e *Engine) Fire(h HandlerID) {
+	e.check(h)
+	e.handlers[h](e)
+}
+
+// At schedules handler h to run at absolute time t. Scheduling in the
+// past is a programming error and panics, because it would silently
+// corrupt causality; so does scheduling an ID Bind did not return.
+func (e *Engine) At(t Time, h HandlerID) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now))
 	}
-	if fn == nil {
-		panic("sim: scheduling nil handler")
-	}
-	var slot int32
-	if n := len(e.free); n > 0 {
-		slot, e.free = e.free[n-1], e.free[:n-1]
-		e.handlers[slot] = fn
-	} else {
-		slot = int32(len(e.handlers))
-		e.handlers = append(e.handlers, fn)
-	}
-	ev := event{at: int64(t), seq: e.seq, slot: slot}
+	e.check(h)
+	ev := event{at: int64(t), seq: e.seq, h: h}
 	e.seq++
 	if e.lane.len() == 0 || e.lane.back().at <= ev.at {
 		e.lane.push(ev)
@@ -78,13 +101,13 @@ func (e *Engine) At(t Time, fn Handler) {
 	}
 }
 
-// After schedules fn to run d after the current time. A negative delay
-// panics.
-func (e *Engine) After(d Duration, fn Handler) {
+// After schedules handler h to run d after the current time. A
+// negative delay panics.
+func (e *Engine) After(d Duration, h HandlerID) {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	e.At(e.now.Add(d), fn)
+	e.At(e.now.Add(d), h)
 }
 
 // Run executes events in time order until the queue is empty and
@@ -94,7 +117,7 @@ func (e *Engine) Run() Time {
 }
 
 // pending returns the number of events scheduled and not yet fired.
-func (e *Engine) pending() int { return len(e.queue) + e.lane.len() }
+func (e *Engine) pending() int { return e.queue.n + e.lane.len() }
 
 // RunUntil executes events in time order until the queue drains or
 // stop returns true (checked before each event). It returns the clock.
@@ -109,20 +132,17 @@ func (e *Engine) RunUntil(stop func() bool) Time {
 			break
 		}
 		var ev event
-		if e.lane.len() > 0 && (len(e.queue) == 0 || e.lane.front().before(&e.queue[0])) {
+		if e.lane.len() > 0 && (e.queue.n == 0 || e.lane.front().before(&e.queue.q[0])) {
 			ev = e.lane.pop()
 		} else {
 			ev = e.queue.pop()
 		}
-		fn := e.handlers[ev.slot]
-		e.handlers[ev.slot] = nil // keep nothing the handler refers to alive
-		e.free = append(e.free, ev.slot)
 		e.now = Time(ev.at)
 		e.fired++
 		if e.tracer != nil {
 			e.tracer.Record(TraceRecord{At: e.now, Kind: TraceEventFired, Seq: ev.seq})
 		}
-		fn(e)
+		e.handlers[ev.h](e)
 	}
 	return e.now
 }

@@ -8,15 +8,23 @@ import (
 )
 
 // TestEventHoldsNoPointer keeps the engine's events pointer-free, in
-// the heap and in the lane: a sift moves events up and down the heap on
-// every event, and an event holding a pointer would make each move a
-// write the collector has to see. The handler stays in Engine.handlers
-// and the event carries its slot.
+// the heap and in the lane, and so a resource's queued requests: a sift
+// moves events up and down the heap on every event, and an event
+// holding a pointer would make each move a write the collector has to
+// see. The handler stays in Engine.handlers and the event carries its
+// ID; the request stays in Resource.recs and the queue carries its
+// index.
 func TestEventHoldsNoPointer(t *testing.T) {
-	var e Engine
-	for name, q := range map[string]any{"heap": e.queue, "lane": e.lane.ring} {
+	var (
+		e Engine
+		r Resource
+	)
+	for name, q := range map[string]any{
+		"engine's heap": e.queue.q, "engine's lane": e.lane.ring,
+		"resource's queue": r.queue[PriorityUser].ring, "resource's free list": r.free.ring,
+	} {
 		if ev := reflect.TypeOf(q).Elem(); holdsPointer(ev) {
-			t.Errorf("the engine's %s element %v holds a pointer", name, ev)
+			t.Errorf("the %s element %v holds a pointer", name, ev)
 		}
 	}
 }
@@ -46,7 +54,7 @@ func TestEngineRunsEventsInTimeOrder(t *testing.T) {
 	var got []Time
 	for _, d := range []Duration{50, 10, 30, 20, 40} {
 		d := d
-		e.After(d, func(e *Engine) { got = append(got, e.Now()) })
+		e.After(d, e.Bind(func(e *Engine) { got = append(got, e.Now()) }))
 	}
 	e.Run()
 	want := []Time{10, 20, 30, 40, 50}
@@ -65,7 +73,7 @@ func TestEngineTieBreakIsFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		e.At(100, func(*Engine) { order = append(order, i) })
+		e.At(100, e.Bind(func(*Engine) { order = append(order, i) }))
 	}
 	e.Run()
 	for i, v := range order {
@@ -79,8 +87,8 @@ func TestEngineClockAdvancesMonotonically(t *testing.T) {
 	e := NewEngine(7)
 	last := Time(-1)
 	var depth int
-	var spawn func(*Engine)
-	spawn = func(e *Engine) {
+	var spawn HandlerID
+	spawn = e.Bind(func(e *Engine) {
 		if e.Now() < last {
 			t.Fatalf("clock went backwards: %v after %v", e.Now(), last)
 		}
@@ -89,7 +97,7 @@ func TestEngineClockAdvancesMonotonically(t *testing.T) {
 			depth++
 			e.After(Duration(e.RNG().Intn(50)), spawn)
 		}
-	}
+	})
 	e.After(0, spawn)
 	e.Run()
 	if e.Fired() != 101 {
@@ -99,25 +107,44 @@ func TestEngineClockAdvancesMonotonically(t *testing.T) {
 
 func TestEngineSchedulingInPastPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.After(100, func(e *Engine) {
+	e.After(100, e.Bind(func(e *Engine) {
 		defer func() {
 			if recover() == nil {
 				t.Error("scheduling in the past did not panic")
 			}
 		}()
-		e.At(50, func(*Engine) {})
-	})
+		e.At(50, e.Bind(func(*Engine) {}))
+	}))
 	e.Run()
 }
 
+// TestEngineNilHandlerPanics: binding nil panics, and so does
+// scheduling or firing the zero HandlerID or one Bind never returned.
 func TestEngineNilHandlerPanics(t *testing.T) {
 	e := NewEngine(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("nil handler did not panic")
-		}
-	}()
-	e.After(1, nil)
+	h := e.Bind(func(*Engine) {})
+	for name, call := range map[string]func(){
+		"Bind(nil)":      func() { e.Bind(nil) },
+		"After(zero)":    func() { e.After(1, 0) },
+		"At(zero)":       func() { e.At(1, 0) },
+		"Fire(zero)":     func() { e.Fire(0) },
+		"After(unbound)": func() { e.After(1, h+100) },
+		"Submit(unbound)": func() {
+			NewResource(e, "disk").Submit(Request{Service: 1, Done: h + 100})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s did not panic", name)
+				}
+			}()
+			call()
+		}()
+	}
+	if e.pending() != 0 {
+		t.Errorf("%d events scheduled by calls that panicked", e.pending())
+	}
 }
 
 func TestEngineNegativeDelayPanics(t *testing.T) {
@@ -127,19 +154,19 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 			t.Error("negative delay did not panic")
 		}
 	}()
-	e.After(-1, func(*Engine) {})
+	e.After(-1, e.Bind(func(*Engine) {}))
 }
 
 func TestEngineReentrantRunPanics(t *testing.T) {
 	e := NewEngine(1)
-	e.After(1, func(e *Engine) {
+	e.After(1, e.Bind(func(e *Engine) {
 		defer func() {
 			if recover() == nil {
 				t.Error("reentrant Run did not panic")
 			}
 		}()
 		e.Run()
-	})
+	}))
 	e.Run()
 }
 
@@ -147,15 +174,15 @@ func TestEngineDeterminism(t *testing.T) {
 	run := func(seed uint64) []Time {
 		e := NewEngine(seed)
 		var times []Time
-		var spawn func(*Engine)
+		var spawn HandlerID
 		n := 0
-		spawn = func(e *Engine) {
+		spawn = e.Bind(func(e *Engine) {
 			times = append(times, e.Now())
 			if n < 200 {
 				n++
 				e.After(Duration(e.RNG().Intn(1000)+1), spawn)
 			}
-		}
+		})
 		e.After(0, spawn)
 		e.Run()
 		return times
@@ -218,7 +245,7 @@ func TestEngineOrderProperty(t *testing.T) {
 		e := NewEngine(99)
 		var fired []Time
 		for _, d := range delays {
-			e.After(Duration(d), func(e *Engine) { fired = append(fired, e.Now()) })
+			e.After(Duration(d), e.Bind(func(e *Engine) { fired = append(fired, e.Now()) }))
 		}
 		e.Run()
 		if len(fired) != len(delays) {
@@ -260,13 +287,13 @@ func FuzzEventOrder(f *testing.F) {
 		schedule = func(d byte) {
 			k := key{e.Now().Add(Duration(d % 16)), len(scheduled)}
 			scheduled = append(scheduled, k)
-			e.At(k.at, func(e *Engine) {
+			e.At(k.at, e.Bind(func(e *Engine) {
 				fired = append(fired, k)
 				if d%2 == 1 && next < len(delays) {
 					next++
 					schedule(delays[next-1])
 				}
-			})
+			}))
 		}
 		for next < len(delays) && next < (len(delays)+1)/2 {
 			next++
@@ -304,14 +331,14 @@ func FuzzEventOrder(f *testing.F) {
 func TestLaneCarriesMonotoneBurst(t *testing.T) {
 	e := NewEngine(1)
 	fired := 0
-	count := func(*Engine) { fired++ }
+	count := e.Bind(func(*Engine) { fired++ })
 	for i := 0; i < 1000; i++ {
 		e.After(Duration(1000+10*i), count)
 		if i%125 == 0 {
 			e.After(Duration(1+i), count)
 		}
 	}
-	if n := len(e.queue); n > 16 {
+	if n := e.queue.n; n > 16 {
 		t.Errorf("the heap holds %d events, want at most 16", n)
 	}
 	if e.lane.len() < 1000 {

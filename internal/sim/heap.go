@@ -1,12 +1,12 @@
 package sim
 
 // event is one scheduled event: its time, its scheduling order and its
-// handler's slot in Engine.handlers. It holds no pointer, so moving one
-// costs the collector nothing.
+// handler's ID. It holds no pointer, so moving one costs the collector
+// nothing.
 type event struct {
-	at   int64  // compared first
-	seq  uint64 // breaks ties: first scheduled, first fired
-	slot int32
+	at  int64  // compared first
+	seq uint64 // breaks ties: first scheduled, first fired
+	h   HandlerID
 }
 
 func (a *event) before(b *event) bool {
@@ -16,16 +16,22 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// minHeap is a binary min-heap of events held by value in one slice, so
-// pushing and popping allocate nothing once the slice has grown to the
-// heap's high-water mark.
-type minHeap []event
+// minHeap is a binary min-heap of events held by value in q[:n]. Its
+// length is the int n, so pushing and popping write no slice header and
+// allocate nothing once q has grown to the heap's high-water mark.
+type minHeap struct {
+	q []event
+	n int
+}
 
 func (h *minHeap) push(x event) {
-	*h = append(*h, x)
-	q := *h
+	if h.n == len(h.q) {
+		h.q = append(h.q, x)
+	}
+	q := h.q
 	// Sift the hole up instead of swapping: one copy per level.
-	i := len(q) - 1
+	i := h.n
+	h.n++
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !x.before(&q[parent]) {
@@ -39,15 +45,14 @@ func (h *minHeap) push(x event) {
 
 // pop removes and returns the least event; the heap must not be empty.
 func (h *minHeap) pop() event {
-	q := *h
+	q := h.q
 	top := q[0]
-	n := len(q) - 1
-	x := q[n]
-	q = q[:n]
-	*h = q
+	h.n--
+	n := h.n
 	if n == 0 {
 		return top
 	}
+	x := q[n]
 	i := 0
 	for {
 		child := 2*i + 1
@@ -67,10 +72,10 @@ func (h *minHeap) pop() event {
 	return top
 }
 
-// fifo is a first-in, first-out queue in a ring whose length is a power
-// of two. It grows by doubling and never shrinks, so pushing and
-// popping allocate nothing once it has grown to the queue's high-water
-// mark.
+// fifo is a first-in, first-out queue of pointer-free values in a ring
+// whose length is a power of two. It grows by doubling and never
+// shrinks, so pushing and popping write no slice header and allocate
+// nothing once it has grown to the queue's high-water mark.
 type fifo[T any] struct {
 	ring []T
 	head int // the front's index in ring
@@ -95,8 +100,6 @@ func (q *fifo[T]) push(v T) {
 // pop removes and returns the front; the queue must not be empty.
 func (q *fifo[T]) pop() T {
 	v := q.ring[q.head]
-	var zero T
-	q.ring[q.head] = zero // drop the reference the vacated slot holds
 	q.head = (q.head + 1) & (len(q.ring) - 1)
 	q.n--
 	return v

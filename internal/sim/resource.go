@@ -21,8 +21,8 @@ type Request struct {
 	// Priority selects the queue class; within a class requests are
 	// FCFS by enqueue time.
 	Priority Priority
-	// Done is invoked when service completes, with the completion time.
-	Done func(e *Engine, at Time)
+	// Done, if not zero, fires when service completes.
+	Done HandlerID
 	// Cancelled, if it returns true at dispatch time, causes the
 	// request to be dropped without service. Aggressive prefetchers use
 	// this to abandon stale prefetches still sitting in disk queues. It
@@ -39,15 +39,19 @@ type Request struct {
 type Resource struct {
 	name   string
 	engine *Engine
+	// recs holds the resource's own copies of its requests, and the
+	// queues and cur index into it, so that queueing, starting and
+	// finishing a request write no pointer. free lists the records of
+	// finished requests for Submit to reuse.
+	recs []Request
+	free fifo[int32]
 	// queue holds the waiting requests, one FIFO per Priority: strict
 	// priority between the classes, FCFS inside each.
-	queue [2]fifo[*Request]
-	// cur is the request in service, nil when idle; complete, bound
+	queue [2]fifo[int32]
+	// cur is the request in service, -1 when idle; complete, bound
 	// once, is the event that ends it.
-	cur      *Request
-	complete Handler
-	// free holds the records of finished requests for Submit to reuse.
-	free []*Request
+	cur      int32
+	complete HandlerID
 
 	// What a Result and the tracer read: time, not counts (a file
 	// system's stats.Collector counts the operations it completes).
@@ -58,8 +62,8 @@ type Resource struct {
 
 // NewResource creates an idle resource attached to the engine.
 func NewResource(e *Engine, name string) *Resource {
-	r := &Resource{name: name, engine: e}
-	r.complete = r.finish
+	r := &Resource{name: name, engine: e, cur: -1}
+	r.complete = e.Bind(r.finish)
 	return r
 }
 
@@ -86,7 +90,7 @@ func (r *Resource) Utilization() float64 {
 	return r.busyTime.Seconds() / now.Seconds()
 }
 
-// Submit enqueues req for service. The request's Done callback fires
+// Submit enqueues req for service. The request's Done handler fires
 // at completion; submission order is remembered for FCFS within a
 // priority class. The resource keeps its own copy of req in a record
 // it reuses once the request has completed or been dropped.
@@ -97,16 +101,23 @@ func (r *Resource) Submit(req Request) {
 	if uint(req.Priority) > 1 {
 		panic(fmt.Sprintf("sim: request priority %d outside {0, 1}", req.Priority))
 	}
-	now := r.engine.Now()
-	req.enqueued = now
-	var rec *Request
-	if n := len(r.free); n > 0 {
-		rec, r.free = r.free[n-1], r.free[:n-1]
-	} else {
-		rec = new(Request)
+	if req.Done != 0 {
+		r.engine.check(req.Done)
 	}
-	*rec = req
-	r.queue[req.Priority].push(rec)
+	now := r.engine.Now()
+	if r.free.len() == 0 {
+		r.free.push(int32(len(r.recs)))
+		r.recs = append(r.recs, Request{})
+	}
+	i := r.free.pop()
+	// Field by field: a free record's Cancelled is nil, and copying
+	// the whole request would write that pointer for every request.
+	rec := &r.recs[i]
+	rec.Service, rec.Priority, rec.Done, rec.enqueued = req.Service, req.Priority, req.Done, now
+	if req.Cancelled != nil {
+		rec.Cancelled = req.Cancelled
+	}
+	r.queue[req.Priority].push(i)
 	if n := r.QueueLen(); n > r.maxWaiting {
 		r.maxWaiting = n
 	}
@@ -119,7 +130,7 @@ func (r *Resource) Submit(req Request) {
 
 // dispatch starts the next request if the resource is idle.
 func (r *Resource) dispatch() {
-	if r.cur != nil {
+	if r.cur >= 0 {
 		return
 	}
 	for {
@@ -131,16 +142,18 @@ func (r *Resource) dispatch() {
 			}
 		}
 		now := r.engine.Now()
-		req := q.pop()
+		i := q.pop()
+		// A copy: Cancelled may Submit, and growing recs moves them.
+		req := r.recs[i]
 		if req.Cancelled != nil && req.Cancelled() {
 			if t := r.engine.tracer; t != nil {
 				t.Record(TraceRecord{At: now, Kind: TraceDrop, Resource: r.name,
 					Priority: req.Priority, QueueLen: r.QueueLen()})
 			}
-			r.recycle(req)
+			r.recycle(i)
 			continue
 		}
-		r.cur = req
+		r.cur = i
 		r.busyTime += req.Service
 		r.busyClass[req.Priority] += req.Service
 		if t := r.engine.tracer; t != nil {
@@ -157,23 +170,27 @@ func (r *Resource) dispatch() {
 // resource is idle again before Done runs, so a Done that submits to
 // this resource competes with the queue like any other arrival.
 func (r *Resource) finish(e *Engine) {
-	req := r.cur
-	r.cur = nil
+	i := r.cur
+	r.cur = -1
+	req := &r.recs[i]
 	if t := e.tracer; t != nil {
 		t.Record(TraceRecord{At: e.Now(), Kind: TraceDone, Resource: r.name,
 			Priority: req.Priority, Service: req.Service, QueueLen: r.QueueLen()})
 	}
 	done := req.Done
-	r.recycle(req)
-	if done != nil {
-		done(e, e.Now())
+	r.recycle(i)
+	if done != 0 {
+		e.handlers[done](e)
 	}
 	r.dispatch()
 }
 
-// recycle clears the record's callbacks, so that it keeps nothing
-// alive, and makes it available to the next Submit.
-func (r *Resource) recycle(req *Request) {
-	*req = Request{}
-	r.free = append(r.free, req)
+// recycle drops the record's Cancelled hook, so that it keeps nothing
+// alive, and makes it available to the next Submit. Only prefetch
+// reads set the hook, so only they pay the pointer write.
+func (r *Resource) recycle(i int32) {
+	if r.recs[i].Cancelled != nil {
+		r.recs[i].Cancelled = nil
+	}
+	r.free.push(i)
 }

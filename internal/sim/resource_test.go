@@ -13,7 +13,7 @@ func TestResourceServesFCFS(t *testing.T) {
 		r.Submit(Request{
 			Service:  10 * Millisecond,
 			Priority: PriorityUser,
-			Done:     func(_ *Engine, at Time) { done = append(done, at) },
+			Done:     e.Bind(func(e *Engine) { done = append(done, e.Now()) }),
 		})
 	}
 	e.Run()
@@ -36,9 +36,9 @@ func TestResourcePriorityUserBeforePrefetch(t *testing.T) {
 	r.Submit(Request{Service: 5, Priority: PriorityUser})
 	// Prefetch submitted first, user second: user must still win.
 	r.Submit(Request{Service: 5, Priority: PriorityPrefetch,
-		Done: func(*Engine, Time) { order = append(order, "prefetch") }})
+		Done: e.Bind(func(*Engine) { order = append(order, "prefetch") })})
 	r.Submit(Request{Service: 5, Priority: PriorityUser,
-		Done: func(*Engine, Time) { order = append(order, "user") }})
+		Done: e.Bind(func(*Engine) { order = append(order, "user") })})
 	e.Run()
 	if len(order) != 2 || order[0] != "user" || order[1] != "prefetch" {
 		t.Errorf("service order = %v, want [user prefetch]", order)
@@ -50,12 +50,12 @@ func TestResourceNonPreemptive(t *testing.T) {
 	r := NewResource(e, "disk")
 	var prefetchDone, userDone Time
 	r.Submit(Request{Service: 100, Priority: PriorityPrefetch,
-		Done: func(_ *Engine, at Time) { prefetchDone = at }})
+		Done: e.Bind(func(e *Engine) { prefetchDone = e.Now() })})
 	// User request arrives mid-service; must wait for completion.
-	e.After(10, func(*Engine) {
+	e.After(10, e.Bind(func(*Engine) {
 		r.Submit(Request{Service: 50, Priority: PriorityUser,
-			Done: func(_ *Engine, at Time) { userDone = at }})
-	})
+			Done: e.Bind(func(e *Engine) { userDone = e.Now() })})
+	}))
 	e.Run()
 	if prefetchDone != 100 {
 		t.Errorf("prefetch done at %v, want 100", prefetchDone)
@@ -77,7 +77,7 @@ func TestResourceCancelledRequestDropped(t *testing.T) {
 		Service:   10,
 		Priority:  PriorityPrefetch,
 		Cancelled: func() bool { return stale },
-		Done:      func(*Engine, Time) { fired = true },
+		Done:      e.Bind(func(*Engine) { fired = true }),
 	})
 	e.Run()
 	if fired {
@@ -147,10 +147,10 @@ func TestResourceConservationProperty(t *testing.T) {
 			if prefetchMask&(1<<(uint(i)%64)) != 0 {
 				p = PriorityPrefetch
 			}
-			r.Submit(Request{Service: svc, Priority: p, Done: func(*Engine, Time) { served++ }})
+			r.Submit(Request{Service: svc, Priority: p, Done: e.Bind(func(*Engine) { served++ })})
 		}
 		e.Run()
-		return r.BusyTime() == total && r.cur == nil && r.QueueLen() == 0 &&
+		return r.BusyTime() == total && r.cur < 0 && r.QueueLen() == 0 &&
 			served == len(services)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

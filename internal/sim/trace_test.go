@@ -22,23 +22,23 @@ func (t *recordingTracer) count(k TraceKind) int {
 // driveContention queues three requests at once (one prefetch between
 // two user-priority ones) plus a cancelled one, then drains.
 func driveContention(e *Engine, r *Resource, cancelled *bool) (doneOrder []Priority) {
-	e.At(0, func(e *Engine) {
+	e.At(0, e.Bind(func(e *Engine) {
 		for _, p := range []Priority{PriorityUser, PriorityPrefetch, PriorityUser} {
 			p := p
 			r.Submit(Request{
 				Service:  10 * Millisecond,
 				Priority: p,
-				Done:     func(*Engine, Time) { doneOrder = append(doneOrder, p) },
+				Done:     e.Bind(func(*Engine) { doneOrder = append(doneOrder, p) }),
 			})
 		}
 		r.Submit(Request{
 			Service:   10 * Millisecond,
 			Priority:  PriorityPrefetch,
 			Cancelled: func() bool { return *cancelled },
-			Done:      func(*Engine, Time) { doneOrder = append(doneOrder, PriorityPrefetch) },
+			Done:      e.Bind(func(*Engine) { doneOrder = append(doneOrder, PriorityPrefetch) }),
 		})
 		*cancelled = true
-	})
+	}))
 	e.Run()
 	return doneOrder
 }

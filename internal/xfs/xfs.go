@@ -137,7 +137,7 @@ const (
 // Advance moves a missed block on. At the manager: redirect to a
 // caching node, or go to disk. Either way the block becomes a local
 // copy at the client.
-func (fs *FS) Advance(m *fscommon.Miss, e *sim.Engine, at sim.Time) {
+func (fs *FS) Advance(m *fscommon.Miss, e *sim.Engine) {
 	r, blk := m.Req, m.Block
 	switch m.Stage {
 	case atManager:
@@ -153,7 +153,7 @@ func (fs *FS) Advance(m *fscommon.Miss, e *sim.Engine, at sim.Time) {
 		_, victims := fs.Cch.Insert(r.Client, blk, cachesim.InsertOptions{})
 		fs.FlushVictims(victims)
 		m.Release()
-		r.BlockDone(e, at)
+		e.Fire(r.BlockDone)
 	case fetching:
 		// Data travels from the disk's host node to the client.
 		fs.Net.Send(fs.HostOf(blk), r.Client, fs.Cfg.BlockSize, r.BlockDone)
@@ -171,11 +171,11 @@ func (fs *FS) Close(client blockdev.NodeID, file blockdev.FileID, done func(at s
 
 // Arrive ends a close's local delay; reads and writes never leave the
 // client as a whole, only block by block.
-func (fs *FS) Arrive(r *fscommon.Request, _ *sim.Engine, at sim.Time) {
+func (fs *FS) Arrive(r *fscommon.Request, e *sim.Engine) {
 	if d, ok := fs.drivers[driverKey{r.Client, r.Span.File}]; ok {
 		d.StopChain()
 	}
-	r.Finish(at)
+	r.Finish(e.Now())
 }
 
 // Write absorbs a user write into the client's local pool, creating or

@@ -192,7 +192,7 @@ func TestColdWholeFileScanBenefitsFromPrefetch(t *testing.T) {
 			fs.Read(0, span(0, b, 1), func(at sim.Time) {
 				total += at.Sub(issue)
 				reads++
-				e.After(sim.Milliseconds(2), func(*sim.Engine) { next(b + 1) })
+				e.After(sim.Milliseconds(2), e.Bind(func(*sim.Engine) { next(b + 1) }))
 			})
 		}
 		next(0)
