@@ -130,9 +130,10 @@ check-bench:
 	cd bench && $(GO) vet . && $(GO) test -race .
 	bash bench/run.sh -all -check
 
-# Chaos soak: random seeds in a loop (SOAK_RUNS, default 20). Every
-# other run puts the adaptive prefetch window on the seed-chosen
-# victim node (strict linear elsewhere), so the audit exercises both
+# Chaos soak: random seeds in a loop (SOAK_RUNS, default 20), each a
+# 3-node fleet on the fixed ring under the seeded fault plan. Every
+# other run puts the adaptive prefetch window on one seed-chosen node,
+# the victim (strict linear elsewhere), so the audit exercises both
 # the exact HW==1 bound and the generalized HW<=cap bound. Each run
 # prints its seed up front, so a failure names the exact seed to replay
 # with `go run ./cmd/lapbench -exp chaos -seed N [-adaptive-victim]`.
@@ -153,7 +154,6 @@ fuzz:
 	$(GO) test ./internal/workload/ -run FuzzDecode -fuzz FuzzDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -run FuzzWireDecode -fuzz FuzzWireDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/cluster/ -run FuzzRing -fuzz FuzzRing -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/membership/ -run FuzzMembershipDecode -fuzz FuzzMembershipDecode -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzDegreePolicy -fuzz FuzzDegreePolicy -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzISPPM -fuzz FuzzISPPM -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/core/ -run FuzzBlockPPM -fuzz FuzzBlockPPM -fuzztime $(FUZZTIME)

@@ -9,20 +9,17 @@ import (
 
 // runChaos executes one seeded chaos run: a live 3-node cluster
 // replaying the scale's CHARISMA trace under the default fault plan,
-// with the full invariant audit. With churn (the default, and what
-// `make soak` exercises) the cluster runs gossip membership
-// with R=2 replication, and one seed-chosen node is killed mid-replay
-// and rejoins after conviction. The same seed reproduces the same
+// with the full invariant audit, on the fixed ring (what `make soak`
+// exercises). The same seed reproduces the same
 // faulted-site set bit for bit (the digest printed in the report), so
 // a failing seed from `make soak` replays here directly. adaptiveVictim
 // runs the adaptive prefetch window on the seed-chosen victim node —
 // the audit then bounds its ledger by the adaptive cap while every
 // strict node stays bounded by exactly 1 (make soak alternates this).
-func runChaos(scale experiment.Scale, seed uint64, churn, adaptiveVictim bool) error {
+func runChaos(scale experiment.Scale, seed uint64, adaptiveVictim bool) error {
 	res, err := chaos.Run(chaos.Config{
 		Seed:           seed,
 		Charisma:       scale.Charisma,
-		Churn:          churn,
 		AdaptiveVictim: adaptiveVictim,
 	})
 	if err != nil {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	lapbench [-exp all|table1|fig4..fig11|table2|claims|report|ablations|churn|chaos] [-scale full|small|tiny] [-workers N] [-v]
+//	lapbench [-exp all|table1|fig4..fig11|table2|claims|report|ablations|chaos] [-scale full|small|tiny] [-workers N] [-v]
 //
 // Results print as aligned text tables, one per artifact. The full
 // scale regenerates everything EXPERIMENTS.md records and takes a few
@@ -23,13 +23,12 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "artifact to run: all, table1, fig4..fig11, table2, claims, report, ablations, churn, chaos")
+	exp := flag.String("exp", "all", "artifact to run: all, table1, fig4..fig11, table2, claims, report, ablations, chaos")
 	scaleName := flag.String("scale", "full", "experiment scale: full, small, tiny")
 	workers := flag.Int("workers", 0, "parallel simulation workers (0 = GOMAXPROCS)")
 	verbose := flag.Bool("v", false, "print per-cell diagnostics for the artifact's matrix")
 	format := flag.String("format", "text", "output format for a single figure: text, csv, json")
 	seed := flag.Uint64("seed", 1, "fault-plan seed for -exp chaos")
-	churn := flag.Bool("churn", true, "for -exp chaos: gossip membership with R=2 replication, gossip faults, and a mid-replay node kill + rejoin")
 	adaptiveVictim := flag.Bool("adaptive-victim", false, "for -exp chaos: run the adaptive prefetch window on the seed-chosen victim node (strict elsewhere)")
 	flag.Parse()
 
@@ -59,13 +58,10 @@ func main() {
 		rep, err := report.Build(suite)
 		exitOn(err)
 		fmt.Print(rep.Render())
-	case "churn":
-		// The kill/join/heal walkthrough runs its own fixed-size fleet.
-		exitOn(runChurnDemo())
 	case "chaos":
 		// Chaos runs at the tiny scale regardless of -scale: the point
 		// is fault density, not workload volume.
-		exitOn(runChaos(experiment.TinyScale(), *seed, *churn, *adaptiveVictim))
+		exitOn(runChaos(experiment.TinyScale(), *seed, *adaptiveVictim))
 	case "ablations":
 		out, err := experiment.RunAblations(scale)
 		exitOn(err)

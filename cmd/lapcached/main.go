@@ -8,7 +8,7 @@
 //	          [-store mem|dir] [-latency 2ms] [-trace FILE] [-strict]
 //	          [-shards N]
 //	          [-peers a:7020,b:7020,c:7020] [-advertise a:7020]
-//	          [-join a:7020,b:7020] [-replicas 2] [-handoff-bps N]
+//	          [-replicas 2]
 //
 // -shards N stripes the engine's block cache over N mutexes and runs N
 // accept loops on the listener; they share one connection table and
@@ -27,16 +27,11 @@
 // memory hit instead of a local disk read — and only the owner runs a
 // file's prefetch chain, so the linear bound holds cluster-wide.
 // Every member must be started with the same -peers list (order does
-// not matter) and the same -block-size.
-//
-// With -join, a heartbeat gossip detector runs the membership
-// instead: it discovers the fleet, a versioned ring moves ownership on
-// every join and death, writes replicate to the owner's ring successor
-// before the ack (R=2 by default), and background rebalancing pushes
-// moved arcs to their new owners under the -handoff-bps byte budget.
-// Nodes join and die without any restart of the rest of the fleet. The
-// first node of a fleet joins itself (-join with its own address);
-// -peers, if also given, is the ring until the first gossip view.
+// not matter) and the same -block-size. The list is the ring for the
+// node's whole life: a down member degrades its files to each node's
+// local store, and ownership never moves. With -replicas 2, writes are
+// also pushed to the owner's ring successor before the ack, and the
+// successor's memory serves reads while the owner is down.
 package main
 
 import (
@@ -77,10 +72,8 @@ func main() {
 		strict      = flag.Bool("strict", false, "panic if a file ever exceeds the degree policy's outstanding limit")
 		idleTimeout = flag.Duration("idle-timeout", 0, "drop connections idle for this long (0 = never)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP address for expvar counters (off when empty)")
-		peers       = flag.String("peers", "", "comma-separated cluster members, self included: the fixed ring, or the initial one with -join (empty = single node)")
-		join        = flag.String("join", "", "comma-separated gossip seeds: starts the failure detector, so joins and deaths move the ring (the first node of a fleet lists itself)")
-		replicas    = flag.Int("replicas", 0, "ring members holding each block: 1 = owner only, 2 = owner + successor (0 = 2 with -join, 1 without)")
-		handoffBps  = flag.Int64("handoff-bps", 0, "rebalancing byte budget per second after a ring move (0 = default, negative = unlimited)")
+		peers       = flag.String("peers", "", "comma-separated cluster members, self included: the fixed ring (empty = single node)")
+		replicas    = flag.Int("replicas", 0, "ring members holding each block: 1 = owner only, 2 = owner + successor (0 = 1)")
 		advertise   = flag.String("advertise", "", "address peers dial for this node (default -addr)")
 	)
 	flag.Parse()
@@ -142,20 +135,18 @@ func main() {
 	}
 
 	var node *cluster.Node
-	if *peers != "" || *join != "" {
+	if *peers != "" {
 		self := *advertise
 		if self == "" {
 			self = *addr
 		}
 		ccfg := cluster.Config{
-			Self:       self,
-			Peers:      splitList(*peers),
-			Join:       splitList(*join),
-			Replicas:   *replicas,
-			HandoffBps: *handoffBps,
-			Logf:       log.Printf,
+			Self:     self,
+			Peers:    splitList(*peers),
+			Replicas: *replicas,
+			Logf:     log.Printf,
 		}
-		if *peers != "" && !slices.Contains(ccfg.Peers, self) {
+		if !slices.Contains(ccfg.Peers, self) {
 			log.Fatalf("-peers %q does not include this node's advertise address %q", *peers, self)
 		}
 		n, err := cluster.NewNode(ccfg)
@@ -190,9 +181,7 @@ func main() {
 	srv.Shards = *shards
 	if node != nil {
 		node.SetLocal(engine)
-		if err := node.Start(); err != nil {
-			log.Fatalf("cluster: %v", err)
-		}
+		node.Start()
 		log.Printf("cluster: self=%s members=%v", node.Self(), node.MemberAddrs())
 	}
 	log.Printf("lapcached: alg=%s cache=%d blocks (%d B each) store=%s listening on %s",

@@ -17,22 +17,6 @@
 //     that succeed return bit-exact oracle data (the deterministic
 //     fill pattern), and the run terminates — no wedge, ever.
 //
-// Churn mode (Config.Churn) additionally boots the cluster with
-// gossip membership and R=2 replication, drops and delays
-// gossip datagrams per the plan, and kills one seed-chosen node
-// mid-replay, restarting it after the suspicion window has convicted
-// it. Three more invariants then apply:
-//
-//   - No lost acked write: every write the cluster acknowledged as
-//     replicated is still present in at least one surviving backing
-//     store after the churn — killing either copy holder may not lose
-//     acked data.
-//   - Convergent ownership after heal: once the killed node is back,
-//     every member's ring reconverges to the full fleet within a
-//     bounded window (the restarted node outranks its own tombstone).
-//   - Bounded handoff: the bytes each node's rebalancing loop moved
-//     stay under its configured byte/s budget for the run's duration.
-//
 // Determinism: the faulted-site set is a pure function of the plan
 // seed (see faultinject), so a failing run is replayed bit for bit by
 // rerunning its seed — `lapbench -exp chaos -seed N`.
@@ -43,7 +27,6 @@ import (
 	"net"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/blockdev"
@@ -63,17 +46,11 @@ type Config struct {
 	// Charisma generates the replayed trace; its Seed field is
 	// overridden with Seed.
 	Charisma workload.CharismaParams
-	// Churn starts the cluster's gossip failure detector with
-	// R=2 replication and a bounded-rate handoff loop, then kills one
-	// seed-chosen node mid-replay and restarts it after conviction.
-	// The plan's gossip rules only fire in this mode, and the
-	// replication/convergence/handoff invariants only bind here.
-	Churn bool
 	// AdaptiveVictim runs the adaptive variant of the fleet's
-	// algorithm on the seed-chosen victim node (the one Churn kills),
-	// leaving the rest pinned strict — the mixed-fleet shape of a
-	// staged rollout. The victim's ledger is audited against the
-	// adaptive cap, everyone else's against 1.
+	// algorithm on one seed-chosen node, the victim, leaving the rest
+	// pinned strict — the mixed-fleet shape of a staged rollout. The
+	// victim's ledger is audited against the adaptive cap, everyone
+	// else's against 1.
 	AdaptiveVictim bool
 }
 
@@ -81,29 +58,13 @@ type Config struct {
 // running the paper's linear aggressive IS_PPM:1 (AdaptiveVictim
 // aside). replayTimeout bounds the whole replay; exceeding it is the
 // wedge invariant failing. Each node's client may redial redialBudget
-// times, churnRedialBudget under Churn, where refused dials to the
-// down victim burn budget fast and its client must still recover after
-// the restart.
+// times.
 const (
-	fleetSize         = 3
-	blockSize         = 512
-	cacheBlocks       = 4096
-	replayTimeout     = 60 * time.Second
-	redialBudget      = 64
-	churnRedialBudget = 512
-)
-
-// Churn-mode tuning. The kill lands early in the replay; the down
-// window outlasts the suspicion timeout so the victim is convicted
-// and ownership actually moves before the heal. The handoff budget is
-// small enough that a budget-accounting bug would trip the audit on a
-// tiny-scale run.
-const (
-	churnHandoffBps  = 1 << 20 // 1 MiB/s rebalancing budget per node
-	churnSuspicion   = 250 * time.Millisecond
-	churnKillAt      = 150 * time.Millisecond
-	churnDownFor     = 600 * time.Millisecond
-	convergenceGrace = 10 * time.Second
+	fleetSize     = 3
+	blockSize     = 512
+	cacheBlocks   = 4096
+	replayTimeout = 60 * time.Second
+	redialBudget  = 64
 )
 
 // Invariants is the harness's verdict, one field per claim.
@@ -131,19 +92,6 @@ type Invariants struct {
 	TransportErrors  int      `json:"transport_errors"`  // tolerated iff plan targets the wire
 	DegradedReads    uint64   `json:"degraded_reads"`    // informational
 	Wedged           bool     `json:"wedged"`            // must be false
-	// Replication durability (churn mode): blocks acked with the
-	// replicated flag, and any of them missing from every surviving
-	// backing store after the churn.
-	AckedReplicated int      `json:"acked_replicated"`  // informational
-	LostAckedWrites []string `json:"lost_acked_writes"` // must be empty
-	// Membership convergence after heal: members whose ring never
-	// reconverged to the full fleet inside the grace window.
-	Unconverged []string `json:"unconverged"` // must be empty
-	// Bounded rebalancing: total handoff bytes, and any node whose
-	// moved bytes exceeded its byte/s budget for the run's duration.
-	HandoffBytes      uint64   `json:"handoff_bytes"`       // informational
-	HandoffBlocks     uint64   `json:"handoff_blocks"`      // informational
-	HandoffOverBudget []string `json:"handoff_over_budget"` // must be empty
 }
 
 // Check returns an error naming every violated invariant, or nil.
@@ -177,16 +125,6 @@ func (v Invariants) Check() error {
 	if len(v.UnexpectedErrors) > 0 {
 		bad = append(bad, fmt.Sprintf("%d unexpected errors (first: %s)",
 			len(v.UnexpectedErrors), v.UnexpectedErrors[0]))
-	}
-	if len(v.LostAckedWrites) > 0 {
-		bad = append(bad, fmt.Sprintf("%d lost acked writes: replicated-acked blocks missing from every surviving store (first: %s)",
-			len(v.LostAckedWrites), v.LostAckedWrites[0]))
-	}
-	if len(v.Unconverged) > 0 {
-		bad = append(bad, fmt.Sprintf("membership failed to converge after heal: %v", v.Unconverged))
-	}
-	if len(v.HandoffOverBudget) > 0 {
-		bad = append(bad, fmt.Sprintf("handoff exceeded its byte budget: %v", v.HandoffOverBudget))
 	}
 	if len(bad) == 0 {
 		return nil
@@ -234,9 +172,6 @@ func (r Result) String() string {
 		r.Inv.MaxOwnerHW, r.Inv.DegreeCap, len(r.Inv.OverCap), len(r.Inv.NonOwnerDriven), r.Inv.LinearViolations, r.Inv.BufLive,
 		r.Inv.DataMismatches, len(r.Inv.UnexpectedErrors), r.Inv.InjectedErrors,
 		r.Inv.TransportErrors, r.Inv.DegradedReads, r.Inv.Wedged)
-	fmt.Fprintf(&b, "churn: ackedReplicated=%d lostAcked=%d unconverged=%d handoff=%dB/%dblk overBudget=%d\n",
-		r.Inv.AckedReplicated, len(r.Inv.LostAckedWrites), len(r.Inv.Unconverged),
-		r.Inv.HandoffBytes, r.Inv.HandoffBlocks, len(r.Inv.HandoffOverBudget))
 	if err := r.Inv.Check(); err != nil {
 		fmt.Fprintf(&b, "VERDICT: FAIL — %v\n", err)
 	} else {
@@ -263,15 +198,9 @@ func Run(cfg Config) (Result, error) {
 		return Result{}, err
 	}
 
-	// The trace speaks bytes in its own block units (CHARISMA's 8 KiB);
-	// the engines run on blockSize. Convert each file's extent to
-	// engine blocks once — this map IS the runtime keyspace, so the
-	// engines and the selected-site enumeration must share it exactly.
-	fileBlocks := make(map[blockdev.FileID]blockdev.BlockNo, len(tr.FileBlocks))
-	for f, nb := range tr.FileBlocks {
-		bytes := int64(nb) * params.BlockSize
-		fileBlocks[f] = blockdev.BlockNo((bytes + blockSize - 1) / blockSize)
-	}
+	// This map IS the runtime keyspace: the engines and the
+	// selected-site enumeration must share it exactly.
+	fileBlocks := engineFileBlocks(tr, params.BlockSize)
 
 	res := Result{Seed: cfg.Seed, Nodes: fleetSize}
 	selected, planDigest := selectedSites(inj, fleetSize, fileBlocks)
@@ -281,16 +210,8 @@ func Run(cfg Config) (Result, error) {
 	// never from ephemeral ports, so site sets compare across runs.
 	nodeName := func(i int) string { return fmt.Sprintf("n%d", i) }
 
-	// Raw (unwrapped) stores, by node index, for the durability audit:
-	// a Restart rebuilds node i's stack through this same closure, so
-	// the slice always holds each node's *current* store — the killed
-	// node's old store is gone, which is exactly the loss the
-	// replication invariant must survive.
-	var rawMu sync.Mutex
-	rawStores := make([]*lapcache.MemStore, fleetSize)
-
-	// The victim is the node Churn kills; AdaptiveVictim also gives it
-	// the feedback-controlled degree policy, strict everywhere else.
+	// AdaptiveVictim gives the victim the feedback-controlled degree
+	// policy, strict everywhere else.
 	victim := int(cfg.Seed % fleetSize)
 	algFor := func(i int) core.AlgSpec {
 		if cfg.AdaptiveVictim && i == victim {
@@ -300,10 +221,6 @@ func Run(cfg Config) (Result, error) {
 	}
 
 	mkcfg := func(i int, addrs []string) lapcache.Config {
-		store := lapcache.NewMemStore(blockSize, 0)
-		rawMu.Lock()
-		rawStores[i] = store
-		rawMu.Unlock()
 		return lapcache.Config{
 			Alg:         algFor(i),
 			BlockSize:   blockSize,
@@ -315,40 +232,18 @@ func Run(cfg Config) (Result, error) {
 			// failed invariant, not a panic that kills the harness.
 			StrictLinear: false,
 			PoisonBufs:   true,
-			Store:        inj.WrapStore(store, "store@"+nodeName(i)),
+			Store:        inj.WrapStore(lapcache.NewMemStore(blockSize, 0), "store@"+nodeName(i)),
 		}
 	}
 	opts := cluster.StartLocalOpts{
 		TweakNode: func(i int, ncfg *cluster.Config) {
-			peers := append([]string(nil), ncfg.Peers...)
+			peers := ncfg.Peers
 			ncfg.PingInterval = 20 * time.Millisecond
 			ncfg.BackoffMax = 200 * time.Millisecond
-			if cfg.Churn {
-				// Gossip membership with R=2 replication. Every node
-				// seeds off every other, so a restarted member — the
-				// would-be seed included — re-announces itself and
-				// outranks its own tombstone without operator action.
-				for _, a := range peers {
-					if a != ncfg.Self {
-						ncfg.Join = append(ncfg.Join, a)
-					}
-				}
-				ncfg.GossipInterval = 20 * time.Millisecond
-				ncfg.SuspicionTimeout = churnSuspicion
-				ncfg.HandoffBps = churnHandoffBps
-				// Healthy calls here are sub-millisecond and injected
-				// delays single-digit ms; one second of silence means a
-				// handler wait cycle, which the timeout severs.
-				ncfg.PeerCallTimeout = time.Second
-				ncfg.GossipIntercept = func(to string) error {
-					for j, a := range peers {
-						if a == to {
-							return inj.GossipFault(fmt.Sprintf("gossip:%s->%s", nodeName(i), nodeName(j)))
-						}
-					}
-					return nil
-				}
-			}
+			// Healthy calls here are sub-millisecond and injected stalls
+			// tens of milliseconds; a second of silence is a wedged peer,
+			// which the timeout severs well inside replayTimeout.
+			ncfg.PeerCallTimeout = time.Second
 			ncfg.DialFunc = func(addr string) (*lapclient.Conn, error) {
 				to := -1
 				for j, a := range peers {
@@ -395,34 +290,10 @@ func Run(cfg Config) (Result, error) {
 
 	// Replay under a wedge watchdog: the run must terminate on its own
 	// inside the timeout, deadlines and degrade paths doing their job.
-	rep := newReplayer(nodes, inj, plan, cfg.Churn, tr)
+	rep := newReplayer(nodes, inj, plan, tr)
 	done := make(chan struct{})
 	start := time.Now()
 	go func() { rep.run(); close(done) }()
-
-	// Churn: kill one seed-chosen node under the replay's feet, leave
-	// it down past conviction, then restart it on the same address.
-	// At most one node is ever down — the bound R=2 replication is
-	// sound against.
-	churnDone := make(chan struct{})
-	var churnErr error
-	if cfg.Churn {
-		go func() {
-			defer close(churnDone)
-			time.Sleep(churnKillAt)
-			nodes[victim].Kill()
-			time.Sleep(churnDownFor)
-			for attempt := 0; ; attempt++ {
-				churnErr = nodes[victim].Restart(10 * time.Second)
-				if churnErr == nil || attempt == 4 {
-					return
-				}
-				time.Sleep(100 * time.Millisecond)
-			}
-		}()
-	} else {
-		close(churnDone)
-	}
 
 	select {
 	case <-done:
@@ -430,10 +301,6 @@ func Run(cfg Config) (Result, error) {
 		res.Inv.Wedged = true
 	}
 	res.Elapsed = time.Since(start)
-	<-churnDone
-	if churnErr != nil {
-		return res, fmt.Errorf("chaos: churn restart: %w", churnErr)
-	}
 	rep.closeClients()
 
 	var unexpectedN int
@@ -445,33 +312,8 @@ func Run(cfg Config) (Result, error) {
 			fmt.Sprintf("... and %d more", unexpectedN-len(res.Inv.UnexpectedErrors)))
 	}
 
-	// Heal audit: every member's ring must reconverge to the full
-	// fleet — instant without churn, bounded by gossip (the restarted
-	// node outranking its own tombstone) after churn.
-	want := make([]string, 0, len(nodes))
-	for _, m := range nodes {
-		want = append(want, m.Addr)
-	}
-	sort.Strings(want)
-	healDeadline := time.Now().Add(convergenceGrace)
-	for {
-		res.Inv.Unconverged = res.Inv.Unconverged[:0]
-		for _, m := range nodes {
-			got := append([]string(nil), m.Node.MemberAddrs()...)
-			sort.Strings(got)
-			if !equalAddrs(got, want) {
-				res.Inv.Unconverged = append(res.Inv.Unconverged,
-					fmt.Sprintf("n%d sees %d/%d members: %v", m.Index, len(got), len(want), got))
-			}
-		}
-		if len(res.Inv.Unconverged) == 0 || time.Now().After(healDeadline) {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
 	// Audit the live cluster before teardown: counters, ledgers,
-	// ownership, handoff budgets.
+	// ownership.
 	res.Close = make(map[lapcache.CloseReason]uint64)
 	for _, m := range nodes {
 		snap := m.Engine.Snapshot()
@@ -491,10 +333,7 @@ func Run(cfg Config) (Result, error) {
 			if hw == 0 {
 				continue
 			}
-			// Ownership is audited against every ring epoch the node has
-			// installed: a node legitimately holds prefetch history for a
-			// file it owned before the ring moved.
-			if !m.Node.OwnedEver(f) {
+			if !m.Node.Owned(f) {
 				res.Inv.NonOwnerDriven = append(res.Inv.NonOwnerDriven,
 					fmt.Sprintf("file %d on non-owner %s (hw=%d)", f, m.Addr, hw))
 			}
@@ -506,54 +345,9 @@ func Run(cfg Config) (Result, error) {
 				res.Inv.MaxOwnerHW = hw
 			}
 		}
-		hs := m.Node.HandoffStats()
-		res.Inv.HandoffBytes += hs.BytesMoved
-		res.Inv.HandoffBlocks += hs.BlocksMoved
-		if bps := m.Node.HandoffBudget(); bps > 0 {
-			// Allowed = rate x wall-clock since boot, plus the burst the
-			// token bucket seeds and one extra second of slack for clock
-			// skew between this audit and the node's own accounting.
-			allowed := uint64(float64(bps)*time.Since(start).Seconds()) + uint64(bps/8) + uint64(bps)
-			if hs.BytesMoved > allowed {
-				res.Inv.HandoffOverBudget = append(res.Inv.HandoffOverBudget,
-					fmt.Sprintf("n%d moved %d bytes, budget %d B/s allows %d", m.Index, hs.BytesMoved, bps, allowed))
-			}
-		}
 	}
 	sort.Strings(res.Inv.NonOwnerDriven)
 	sort.Strings(res.Inv.OverCap)
-
-	// Durability audit: every block the cluster acked as replicated
-	// must still be present in at least one current raw store.
-	// MemStore.Has distinguishes a persisted block from a synthesized
-	// fill pattern — the read oracle alone cannot see this loss, since
-	// a store that dropped the write would synthesize the exact bytes
-	// the oracle expects.
-	acked := rep.ackedBlocks()
-	res.Inv.AckedReplicated = len(acked)
-	rawMu.Lock()
-	stores := append([]*lapcache.MemStore(nil), rawStores...)
-	rawMu.Unlock()
-	lost := 0
-	for _, id := range acked {
-		present := false
-		for _, st := range stores {
-			if st != nil && st.Has(id) {
-				present = true
-				break
-			}
-		}
-		if !present {
-			lost++
-			if len(res.Inv.LostAckedWrites) < maxUnexpected {
-				res.Inv.LostAckedWrites = append(res.Inv.LostAckedWrites, fmt.Sprintf("f%d:%d", id.File, id.Block))
-			}
-		}
-	}
-	if lost > len(res.Inv.LostAckedWrites) {
-		res.Inv.LostAckedWrites = append(res.Inv.LostAckedWrites,
-			fmt.Sprintf("... and %d more", lost-len(res.Inv.LostAckedWrites)))
-	}
 
 	// Teardown, then the leak audit: with servers drained, engines
 	// stopped and caches cleared, every Get has seen its final Release.
@@ -570,17 +364,16 @@ func Run(cfg Config) (Result, error) {
 	return res, nil
 }
 
-// equalAddrs reports whether two sorted address lists are identical.
-func equalAddrs(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
+// engineFileBlocks converts each file's extent from the trace's block
+// units (CHARISMA's 8 KiB, traceBlockSize bytes) to the engines'
+// blockSize, rounding up.
+func engineFileBlocks(tr *workload.Trace, traceBlockSize int64) map[blockdev.FileID]blockdev.BlockNo {
+	out := make(map[blockdev.FileID]blockdev.BlockNo, len(tr.FileBlocks))
+	for f, nb := range tr.FileBlocks {
+		bytes := int64(nb) * traceBlockSize
+		out[f] = blockdev.BlockNo((bytes + blockSize - 1) / blockSize)
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return out
 }
 
 // oracleCheck verifies data against the deterministic fill pattern,

@@ -5,6 +5,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiment"
+	"repro/internal/faultinject"
+	"repro/internal/workload"
 )
 
 // runTiny executes one tiny-scale chaos run and fails the test on
@@ -44,34 +46,6 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 }
 
-// TestChaosChurn is the churn headline run: gossip
-// membership with R=2 replication, gossip-datagram faults, and one
-// node killed mid-replay and rejoining after conviction. Every base
-// invariant must still hold, plus the three churn invariants: no
-// replicated-acked write lost to the kill, every ring reconverged
-// after the heal, and handoff traffic inside its byte budget.
-func TestChaosChurn(t *testing.T) {
-	if testing.Short() {
-		t.Skip("boots a 3-node cluster and churns it")
-	}
-	res, err := Run(Config{Seed: 3, Charisma: experiment.TinyScale().Charisma, Churn: true})
-	if err != nil {
-		t.Fatalf("chaos churn run: %v", err)
-	}
-	if err := res.Inv.Check(); err != nil {
-		t.Fatalf("invariants violated:\n%v\nfull result:\n%s", err, res.String())
-	}
-	if res.Inv.AckedReplicated == 0 {
-		t.Error("no write was ever acked as replicated: the R=2 path never engaged")
-	}
-	if res.Injected < 500 {
-		t.Errorf("only %d faults injected, want >= 500 for a meaningful run", res.Injected)
-	}
-	if res.Requests == 0 || res.Reads == 0 || res.Writes == 0 {
-		t.Errorf("replay moved no traffic: %+v", res)
-	}
-}
-
 // TestChaosSeedReproducibility: the selection digest is a pure
 // function of (seed, trace, topology) — identical across runs of the
 // same seed, different across seeds — and every observed fault falls
@@ -100,6 +74,37 @@ func TestChaosSeedReproducibility(t *testing.T) {
 	}
 }
 
+// TestPlanDigests pins the plan digest of seeds 1–5 over the tiny
+// CHARISMA trace, computed without booting a fleet: the digest is a
+// pure function of (seed, plan, trace, topology), so a change to the
+// plan, the site enumeration, the selection hash or the trace moves
+// one of these values, and a failing seed's replay token silently
+// changes meaning.
+func TestPlanDigests(t *testing.T) {
+	want := map[uint64]uint64{
+		1: 0x76187fc26005feef,
+		2: 0xa1778d8d46f0ffd5,
+		3: 0x6cd921228cb4b1f6,
+		4: 0x0bd608a20c9aa669,
+		5: 0xe2d6c75bb5f67eec,
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		inj, err := faultinject.New(faultPlan(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		params := experiment.TinyScale().Charisma
+		params.Seed = seed
+		tr, err := workload.GenerateCharisma(params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, got := selectedSites(inj, fleetSize, engineFileBlocks(tr, params.BlockSize)); got != want[seed] {
+			t.Errorf("seed %d: plan digest %016x, want %016x", seed, got, want[seed])
+		}
+	}
+}
+
 // TestInvariantsCheck: the verdict function flags each violation class
 // and stays quiet on a clean result.
 func TestInvariantsCheck(t *testing.T) {
@@ -117,16 +122,13 @@ func TestInvariantsCheck(t *testing.T) {
 		UnexpectedErrors:   []string{"read f3: boom"},
 		UnselectedObserved: []string{"0|store.read|store@n0 f1:2"},
 		Wedged:             true,
-		LostAckedWrites:    []string{"f1:2"},
-		Unconverged:        []string{"n0 sees 2/3 members"},
-		HandoffOverBudget:  []string{"n1 moved 9999999 bytes"},
 	}
 	err := bad.Check()
 	if err == nil {
 		t.Fatal("violated invariants passed Check")
 	}
 	for _, want := range []string{"high-water", "non-owner", "linear", "leaked", "mismatch", "unexpected",
-		"selected set", "wedged", "lost acked", "converge", "handoff"} {
+		"selected set", "wedged"} {
 		if !contains(err.Error(), want) {
 			t.Errorf("Check verdict misses %q: %v", want, err)
 		}
@@ -144,24 +146,24 @@ func contains(s, sub string) bool {
 
 // TestChaosChurnAdaptiveVictim is the generalized-bound run: the
 // seed-chosen victim node runs the adaptive prefetch window while
-// every other node stays pinned to strict linear, and the cluster is
-// churned (kill + rejoin) under gossip faults. The audit must bound
-// every node's ledger by its *own* policy cap — the victim within the
-// adaptive hard K, the strict nodes within exactly 1 — with zero
-// ledger violations anywhere: LinearViolations stays exact under
-// StrictLinear because the strict engines' ledger limit is still 1.
+// every other node stays pinned to strict linear, on the fixed ring
+// under the default fault plan. (The mid-replay kill and rejoin that
+// gave the test its name went with churn mode; see CHANGES.md.) The audit
+// must bound every node's ledger by its *own* policy cap — the victim
+// within the adaptive hard K, the strict nodes within exactly 1 —
+// with zero ledger violations anywhere: LinearViolations stays exact
+// because the strict engines' ledger limit is still 1.
 func TestChaosChurnAdaptiveVictim(t *testing.T) {
 	if testing.Short() {
-		t.Skip("boots a 3-node cluster and churns it")
+		t.Skip("boots a 3-node cluster")
 	}
 	res, err := Run(Config{
 		Seed:           3,
 		Charisma:       experiment.TinyScale().Charisma,
-		Churn:          true,
 		AdaptiveVictim: true,
 	})
 	if err != nil {
-		t.Fatalf("chaos adaptive churn run: %v", err)
+		t.Fatalf("chaos adaptive-victim run: %v", err)
 	}
 	if err := res.Inv.Check(); err != nil {
 		t.Fatalf("invariants violated:\n%v\nfull result:\n%s", err, res.String())

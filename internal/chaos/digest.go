@@ -63,20 +63,6 @@ func selectedSites(inj *faultinject.Injector, nnodes int, fileBlocks map[blockde
 		add(faultinject.SiteConnRecv, key, link)
 		add(faultinject.SitePeerDial, key, link)
 	}
-	// Gossip links are their own namespace: every directed pair, the
-	// keyspace GossipFault hashes. Enumerated unconditionally — without
-	// churn no gossip runs, so the entries are selectable but
-	// never observed, which keeps the digest identical across modes.
-	for i := 0; i < nnodes; i++ {
-		for j := 0; j < nnodes; j++ {
-			if i == j {
-				continue
-			}
-			link := fmt.Sprintf("gossip:n%d->n%d", i, j)
-			add(faultinject.SiteGossip, faultinject.LabelKey(link), link)
-		}
-	}
-
 	keys := make([]string, 0, len(sites))
 	for k := range sites {
 		keys = append(keys, k)

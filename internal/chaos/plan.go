@@ -43,15 +43,6 @@ func faultPlan(seed uint64) faultinject.Plan {
 			// so some failures are asymmetric partitions — and slow dials.
 			{Site: faultinject.SitePeerDial, Kind: faultinject.KindError, P: 0.5, Count: 5, Links: []string{"peer:"}},
 			{Site: faultinject.SitePeerDial, Kind: faultinject.KindDelay, P: 0.3, Count: 2, Delay: 5 * time.Millisecond, Links: []string{"peer:"}},
-
-			// Gossip: dropped and delayed membership datagrams, selected
-			// per directed link — asymmetric gossip partitions that the
-			// detector's heartbeats must relay around. Budgets are
-			// deliberately too small to sustain a false conviction through
-			// a whole suspicion window: faults delay the ring, they do not
-			// get to invent a death. Inert without churn (no gossip runs).
-			{Site: faultinject.SiteGossip, Kind: faultinject.KindError, P: 0.4, Count: 8, Links: []string{"gossip:"}},
-			{Site: faultinject.SiteGossip, Kind: faultinject.KindDelay, P: 0.2, Count: 4, Delay: 3 * time.Millisecond, Links: []string{"gossip:"}},
 		},
 	}
 }

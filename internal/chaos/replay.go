@@ -3,7 +3,6 @@ package chaos
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -98,15 +97,10 @@ type replayer struct {
 	transportErrs int
 	unexpectedN   int
 	unexpected    []string
-	// acked holds every block the cluster acknowledged as replicated
-	// (FlagReplicated: installed on the owner AND its ring successor).
-	// The no-lost-acked-write invariant checks each against the union
-	// of the surviving raw stores after churn.
-	acked map[blockdev.BlockID]struct{}
 }
 
-func newReplayer(nodes []*cluster.LocalNode, inj *faultinject.Injector, plan faultinject.Plan, churn bool, tr *workload.Trace) *replayer {
-	r := &replayer{tr: tr, acked: make(map[blockdev.BlockID]struct{})}
+func newReplayer(nodes []*cluster.LocalNode, inj *faultinject.Injector, plan faultinject.Plan, tr *workload.Trace) *replayer {
+	r := &replayer{tr: tr}
 	for _, rule := range plan.Rules {
 		switch rule.Site {
 		case faultinject.SiteConnSend, faultinject.SiteConnRecv, faultinject.SitePeerDial:
@@ -115,15 +109,8 @@ func newReplayer(nodes []*cluster.LocalNode, inj *faultinject.Injector, plan fau
 			}
 		}
 	}
-	// Churn kills a node under the replay's feet: torn connections and
-	// refused dials to the victim are part of the schedule, not bugs.
-	budget := redialBudget
-	if churn {
-		r.tolerate = true
-		budget = churnRedialBudget
-	}
 	for _, m := range nodes {
-		r.clients = append(r.clients, &nodeClient{addr: m.Addr, budget: budget})
+		r.clients = append(r.clients, &nodeClient{addr: m.Addr, budget: redialBudget})
 	}
 	return r
 }
@@ -164,24 +151,6 @@ func (r *replayer) stats() (requests, reads, hits, writes, redials, mismatches, 
 	defer r.mu.Unlock()
 	return r.requests, r.reads, r.hits, r.writes, r.redials, r.mismatches,
 		r.injectedErrs, r.transportErrs, r.unexpectedN, append([]string(nil), r.unexpected...)
-}
-
-// ackedBlocks returns every replicated-acked block, sorted, for the
-// post-run durability audit.
-func (r *replayer) ackedBlocks() []blockdev.BlockID {
-	r.mu.Lock()
-	out := make([]blockdev.BlockID, 0, len(r.acked))
-	for id := range r.acked {
-		out = append(out, id)
-	}
-	r.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].File != out[j].File {
-			return out[i].File < out[j].File
-		}
-		return out[i].Block < out[j].Block
-	})
-	return out
 }
 
 // isInjected reports whether err is one the plan manufactured. The
@@ -298,17 +267,11 @@ func (r *replayer) issue(conn *lapclient.Conn, s workload.Step) error {
 		}
 		return nil
 	case workload.OpWrite:
-		rh, _, err := conn.Do(lapclient.Req(wire.OpWrite, 0, span.File, span.Start, span.Count), nil, nil)
-		if err != nil {
+		if _, _, err := conn.Do(lapclient.Req(wire.OpWrite, 0, span.File, span.Start, span.Count), nil, nil); err != nil {
 			return err
 		}
 		r.mu.Lock()
 		r.writes++
-		if rh.Flags&wire.FlagReplicated != 0 { // durably double-homed: audited after the run
-			for i := int32(0); i < span.Count; i++ {
-				r.acked[blockdev.BlockID{File: span.File, Block: span.Start + blockdev.BlockNo(i)}] = struct{}{}
-			}
-		}
 		r.mu.Unlock()
 		return nil
 	default: // workload.OpClose

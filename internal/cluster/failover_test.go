@@ -11,10 +11,8 @@ import (
 // kill some members, prove reads and writes of an affected file
 // degrade to the survivor's local store (availability holds, ownership
 // does not move), then restart the dead members and prove the remote
-// path comes back — fallbacks stop, peer service resumes. Every row
-// runs twice: without a detector, and with the gossip detector on and
-// a suspicion timeout longer than the test, so that liveness never
-// moving ownership is a property of both.
+// path comes back — fallbacks stop, peer service resumes. The ring is
+// fixed and no failure detector runs: liveness never moves ownership.
 func TestOwnerDegradeRecover(t *testing.T) {
 	cases := []struct {
 		name string
@@ -29,96 +27,85 @@ func TestOwnerDegradeRecover(t *testing.T) {
 		{name: "bystander dies", kill: []int{2}, wantFallback: false},
 		{name: "owner and bystander die", kill: []int{0, 2}, wantFallback: true},
 	}
-	detectors := []struct {
-		name  string
-		tweak func(i int, cfg *Config)
-	}{
-		{"no detector", nil},
-		{"gossip", gossipTweak(time.Minute)},
-	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, det := range detectors {
-				t.Run(det.name, func(t *testing.T) {
-					nodes := startClusterWith(t, 3, nil, StartLocalOpts{TweakNode: det.tweak})
-					waitConverged(t, nodes, 3)
-					owner, reader, bystander := nodes[0], nodes[1], nodes[2]
-					roles := []*LocalNode{owner, reader, bystander}
-					// The reader is the file's R=2 successor, so with the owner
-					// dead no replica serves it and the read degrades to the
-					// reader's own store at either replica count.
-					f := filePlacedOn(t, owner, reader)
-					epoch := reader.Node.Epoch()
+			t.Run("no detector", func(t *testing.T) {
+				nodes := startCluster(t, 3, nil)
+				owner, reader, bystander := nodes[0], nodes[1], nodes[2]
+				roles := []*LocalNode{owner, reader, bystander}
+				// The reader is the file's R=2 successor, so with the owner
+				// dead no replica serves it and the read degrades to the
+				// reader's own store at either replica count.
+				f := filePlacedOn(t, owner, reader)
 
-					// Healthy phase: the forward path works.
-					if _, _, err := readCopy(reader.Engine, f, 0, 2); err != nil {
-						t.Fatalf("read before failure: %v", err)
-					}
-					healthyFB := reader.Engine.Snapshot().RemoteFallbacks
+				// Healthy phase: the forward path works.
+				if _, _, err := readCopy(reader.Engine, f, 0, 2); err != nil {
+					t.Fatalf("read before failure: %v", err)
+				}
+				healthyFB := reader.Engine.Snapshot().RemoteFallbacks
 
-					for _, ki := range tc.kill {
-						roles[ki].Kill()
-					}
+				for _, ki := range tc.kill {
+					roles[ki].kill()
+				}
 
-					// Degraded phase: fresh offsets so nothing is served from the
-					// reader's own cache. Reads must succeed (possibly after the
-					// first attempt surfaces the transport fault and marks the
-					// peer down).
-					waitFor(t, "degraded read", func() bool {
-						_, _, err := readCopy(reader.Engine, f, 8, 4)
-						return err == nil
-					})
-					if err := reader.Engine.Write(f, 20, 2, nil); err != nil {
-						t.Fatalf("degraded write: %v", err)
-					}
-					fb := reader.Engine.Snapshot().RemoteFallbacks
-					if tc.wantFallback && fb == healthyFB {
-						t.Error("no remote fallbacks recorded with the owner dead")
-					}
-					if !tc.wantFallback && fb != healthyFB {
-						t.Errorf("reader recorded %d fallbacks though the file's owner is alive", fb-healthyFB)
-					}
-					// Ownership never moves: liveness is not membership.
-					if addr, self := reader.Node.OwnerOf(f); self || addr != owner.Addr {
-						t.Errorf("ownership moved to %q while the owner was down", addr)
-					}
-
-					// Recovery phase: restart the dead members and wait for the
-					// reader's health loop to redial them. Restarts run
-					// concurrently — each one's WaitReady needs the others up, so
-					// sequential restarts of two dead members would deadlock on
-					// each other.
-					errs := make(chan error, len(tc.kill))
-					for _, ki := range tc.kill {
-						go func(m *LocalNode) { errs <- m.Restart(5 * time.Second) }(roles[ki])
-					}
-					for range tc.kill {
-						if err := <-errs; err != nil {
-							t.Fatalf("restart: %v", err)
-						}
-					}
-					for _, ki := range tc.kill {
-						addr := roles[ki].Addr
-						waitFor(t, "peer redialed", func() bool { return !reader.Node.PeerDown(addr) })
-					}
-
-					// The remote path must carry traffic again: a read of blocks
-					// the reader has never cached goes to the (restarted) owner,
-					// with no new fallbacks.
-					fbBefore := reader.Engine.Snapshot().RemoteFallbacks
-					rrBefore := reader.Engine.Snapshot().RemoteReads
-					waitFor(t, "remote path recovered", func() bool {
-						if _, _, err := readCopy(reader.Engine, f, 40, 2); err != nil {
-							return false
-						}
-						s := reader.Engine.Snapshot()
-						return s.RemoteReads > rrBefore && s.RemoteFallbacks == fbBefore
-					})
-					if got := reader.Node.Epoch(); got != epoch {
-						t.Errorf("the reader's ring moved (epoch %d → %d) though no member was convicted", epoch, got)
-					}
+				// Degraded phase: fresh offsets so nothing is served from the
+				// reader's own cache. Reads must succeed (possibly after the
+				// first attempt surfaces the transport fault and marks the
+				// peer down).
+				waitFor(t, "degraded read", func() bool {
+					_, _, err := readCopy(reader.Engine, f, 8, 4)
+					return err == nil
 				})
-			}
+				if err := reader.Engine.Write(f, 20, 2, nil); err != nil {
+					t.Fatalf("degraded write: %v", err)
+				}
+				fb := reader.Engine.Snapshot().RemoteFallbacks
+				if tc.wantFallback && fb == healthyFB {
+					t.Error("no remote fallbacks recorded with the owner dead")
+				}
+				if !tc.wantFallback && fb != healthyFB {
+					t.Errorf("reader recorded %d fallbacks though the file's owner is alive", fb-healthyFB)
+				}
+				// Ownership never moves: liveness is not membership.
+				if addr, self := reader.Node.OwnerOf(f); self || addr != owner.Addr {
+					t.Errorf("ownership moved to %q while the owner was down", addr)
+				}
+
+				// Recovery phase: restart the dead members and wait for the
+				// reader's health loop to redial them. Restarts run
+				// concurrently — each one's WaitReady needs the others up, so
+				// sequential restarts of two dead members would deadlock on
+				// each other.
+				errs := make(chan error, len(tc.kill))
+				for _, ki := range tc.kill {
+					go func(m *LocalNode) { errs <- m.restart(5 * time.Second) }(roles[ki])
+				}
+				for range tc.kill {
+					if err := <-errs; err != nil {
+						t.Fatalf("restart: %v", err)
+					}
+				}
+				for _, ki := range tc.kill {
+					addr := roles[ki].Addr
+					waitFor(t, "peer redialed", func() bool { return !reader.Node.PeerDown(addr) })
+				}
+
+				// The remote path must carry traffic again: a read of blocks
+				// the reader has never cached goes to the (restarted) owner,
+				// with no new fallbacks.
+				fbBefore := reader.Engine.Snapshot().RemoteFallbacks
+				rrBefore := reader.Engine.Snapshot().RemoteReads
+				waitFor(t, "remote path recovered", func() bool {
+					if _, _, err := readCopy(reader.Engine, f, 40, 2); err != nil {
+						return false
+					}
+					s := reader.Engine.Snapshot()
+					return s.RemoteReads > rrBefore && s.RemoteFallbacks == fbBefore
+				})
+				if addr, _ := reader.Node.OwnerOf(f); addr != owner.Addr {
+					t.Errorf("ownership moved to %q across the failure and the recovery", addr)
+				}
+			})
 		})
 	}
 }
@@ -128,7 +115,7 @@ func TestOwnerDegradeRecover(t *testing.T) {
 func filePlacedOn(t *testing.T, owner, successor *LocalNode) blockdev.FileID {
 	t.Helper()
 	for f := blockdev.FileID(1); f < 10000; f++ {
-		if ow := owner.Node.ring().Owners(f, 2); ow[0] == owner.Addr && ow[1] == successor.Addr {
+		if ow := owner.Node.ring.Owners(f, 2); ow[0] == owner.Addr && ow[1] == successor.Addr {
 			return f
 		}
 	}
@@ -142,15 +129,15 @@ func TestRestartKeepsAddress(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
 	m := nodes[1]
 	addr := m.Addr
-	m.Kill()
-	if err := m.Restart(5 * time.Second); err != nil {
+	m.kill()
+	if err := m.restart(5 * time.Second); err != nil {
 		t.Fatalf("restart: %v", err)
 	}
 	if m.Addr != addr {
 		t.Errorf("restart moved the advertise address %s -> %s", addr, m.Addr)
 	}
 	// The restarted member serves again: its peers were re-dialed by
-	// Restart's WaitReady, and a file it owns is readable through it.
+	// restart's WaitReady, and a file it owns is readable through it.
 	f := fileOwnedBy(t, nodes, 1)
 	waitFor(t, "restarted member serves", func() bool {
 		_, _, err := readCopy(nodes[0].Engine, f, 0, 1)

@@ -12,7 +12,8 @@ import (
 // StartLocal: a real lapcached stack (engine, TCP server, cluster
 // node) on a loopback port. It remembers enough of its birth
 // configuration to be killed and restarted on the same advertise
-// address — the harness behind owner-failure/owner-return tests.
+// address — the harness behind this package's owner-failure and
+// owner-return tests.
 type LocalNode struct {
 	Addr   string
 	Index  int
@@ -107,10 +108,7 @@ func StartLocalWith(n int, mkcfg func(i int, addrs []string) lapcache.Config, op
 	}
 
 	for _, m := range nodes {
-		if err := m.Node.Start(); err != nil {
-			stop()
-			return nil, nil, err
-		}
+		m.Node.Start()
 	}
 	if !opts.NoWaitReady {
 		for _, m := range nodes {
@@ -124,7 +122,7 @@ func StartLocalWith(n int, mkcfg func(i int, addrs []string) lapcache.Config, op
 }
 
 // boot assembles this member's stack on ln and starts serving (but
-// does not Start the health loops — StartLocalWith and Restart
+// does not Start the health loops — StartLocalWith and restart
 // sequence that themselves).
 func (m *LocalNode) boot(ln net.Listener) error {
 	ncfg := Config{
@@ -146,8 +144,8 @@ func (m *LocalNode) boot(ln net.Listener) error {
 		node.Close()
 		return err
 	}
-	// Hand the node its engine callbacks before the health and gossip
-	// loops start: the first ring move must already re-probe drivers.
+	// Hand the node its engine callbacks before the server serves: the
+	// first replica-served read already read-repairs.
 	node.SetLocal(eng)
 	srv := lapcache.NewServer(eng)
 	if m.opts.TweakServer != nil {
@@ -158,23 +156,23 @@ func (m *LocalNode) boot(ln net.Listener) error {
 	return nil
 }
 
-// Kill tears this member down — server, health loops, engine — while
+// kill tears this member down — server, health loops, engine — while
 // the rest of the cluster keeps running; peers mark it down and
 // degrade its files to their local stores. The fields stay set (their
 // Close/Shutdown are idempotent, so the cluster-wide stop function
-// remains safe); Restart replaces them.
-func (m *LocalNode) Kill() {
+// remains safe); restart replaces them.
+func (m *LocalNode) kill() {
 	m.Server.Close()
 	m.Node.Close()
 	m.Engine.Shutdown()
 }
 
-// Restart boots a fresh stack — new engine, server and health loops —
-// on the same advertise address a Kill vacated, then waits for the
+// restart boots a fresh stack — new engine, server and health loops —
+// on the same advertise address a kill vacated, then waits for the
 // returned member to see its peers. The surviving nodes' health loops
 // redial it on their own (jittered backoff), so full mesh recovery
 // lags this call by up to one backoff interval.
-func (m *LocalNode) Restart(timeout time.Duration) error {
+func (m *LocalNode) restart(timeout time.Duration) error {
 	ln, err := net.Listen("tcp", m.Addr)
 	if err != nil {
 		return fmt.Errorf("cluster: restart rebind %s: %w", m.Addr, err)
@@ -183,8 +181,6 @@ func (m *LocalNode) Restart(timeout time.Duration) error {
 		ln.Close()
 		return err
 	}
-	if err := m.Node.Start(); err != nil {
-		return err
-	}
+	m.Node.Start()
 	return m.Node.WaitReady(timeout)
 }

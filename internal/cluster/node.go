@@ -3,14 +3,11 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blockdev"
 	"repro/internal/lapclient"
-	"repro/internal/membership"
 	"repro/internal/wire"
 )
 
@@ -20,25 +17,14 @@ type Config struct {
 	// and the identity the ring hashes. It must appear in Peers (it is
 	// added if missing).
 	Self string
-	// Peers is the initial ring, self included or not. Without Join it
-	// is the ring for the whole run.
+	// Peers is the ring, self included or not: the member list is
+	// fixed for the node's whole life.
 	Peers []string
-	// Join lists gossip seed addresses. A non-empty Join starts the
-	// failure detector (internal/membership), whose views drive the
-	// ring, so joins and deaths move ownership instead of degrading it.
-	// The first node of a fleet joins itself.
-	Join []string
 	// Replicas is how many ring members hold each block: 1 = owner
 	// only, 2 = owner plus its ring successor (writes are pushed to
 	// the successor before the ack, and the successor's memory serves
-	// reads while the owner is dead). 0 defaults to 2 with Join and 1
-	// without.
+	// reads while the owner is down). 0 defaults to 1.
 	Replicas int
-	// HandoffBps budgets the background rebalancing pushes after a
-	// ring move, in bytes per second (0 = DefaultHandoffBps, < 0 =
-	// unlimited). The budget is what keeps a join or a death from
-	// starving foreground traffic on the same links.
-	HandoffBps int64
 	// PingInterval paces the per-peer health loop: how often a live
 	// peer is pinged and how soon a dead one is first re-dialed
 	// (0 = 250ms). Consecutive dial failures back off exponentially
@@ -47,24 +33,12 @@ type Config struct {
 	// resets the backoff to PingInterval.
 	PingInterval time.Duration
 	BackoffMax   time.Duration
-	// GossipInterval is the failure detector's gossip period (0 = the
-	// membership default); SuspicionTimeout how long a member's
-	// heartbeat may stand still — the member still owning its arcs —
-	// before it is declared Dead and the ring moves (0 = 8 gossip
-	// periods).
-	GossipInterval   time.Duration
-	SuspicionTimeout time.Duration
-	// GossipIntercept, when set, is consulted before every gossip send
-	// with the destination address; a non-nil return drops the
-	// datagram. The fault harness scripts partitions through it.
-	GossipIntercept func(to string) error
 	// PeerCallTimeout bounds every synchronous RPC to a peer
-	// (0 = DefaultPeerCallTimeout, < 0 = unbounded): a peer that has
-	// stopped answering, or a cycle within one file's requests while
-	// rings transiently disagree, costs a bounded wait. On expiry the
-	// connection is severed and the call fails like any transport
-	// error: the peer degrades to local service and the health loop
-	// redials.
+	// (0 = DefaultPeerCallTimeout, < 0 = unbounded): a peer whose
+	// process is alive but has stopped answering costs a bounded wait,
+	// not a hung caller. On expiry the connection is severed and the
+	// call fails like any transport error: the peer degrades to local
+	// service and the health loop redials.
 	PeerCallTimeout time.Duration
 	// DialFunc overrides how the one connection to a peer is dialed
 	// (nil = lapclient.DialConn with window PeerWindow). The
@@ -84,20 +58,10 @@ type Config struct {
 // rather than split across connections.
 const PeerWindow = 2 * lapclient.DefaultWindow
 
-// DefaultHandoffBps is the rebalancing budget when the caller passes
-// 0: fast enough to drain a test-sized cache in well under a second,
-// slow enough that rebalancing is visibly not a firehose.
-const DefaultHandoffBps = 4 << 20
-
 // DefaultPeerCallTimeout bounds peer RPCs when the caller passes 0:
 // two orders of magnitude above any healthy round trip, far below
 // "operator notices the cluster is wedged".
 const DefaultPeerCallTimeout = 5 * time.Second
-
-// ringHistory bounds how many past rings a node remembers for
-// OwnedEver — enough to cover every move in a chaos run, small enough
-// that a long-lived node does not grow without bound.
-const ringHistory = 64
 
 // Clock is the slice of time the health loop consumes; tests inject a
 // fake to step backoff schedules without sleeping.
@@ -110,25 +74,13 @@ type realClock struct{}
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // LocalEngine is the slice of the local cache engine the node calls
-// back into: ownership re-probes when the ring changes, read-repair
-// installs after a replica serves a read, and the block iterator the
-// handoff loop drains. It is implemented by *lapcache.Engine; the
-// interface keeps the import arrow pointing from cluster to lapcache
-// only through lapclient.
+// back into: the read-repair install after a replica serves a read. It
+// is implemented by *lapcache.Engine; the interface keeps the import
+// arrow pointing from cluster to lapcache only through lapclient.
 type LocalEngine interface {
-	// OwnershipChanged re-probes every cached ownership decision —
-	// prefetch chains move to the new owner, suspended chains resume.
-	OwnershipChanged()
 	// RepairInstall writes blocks fetched from a replica through to
 	// the local store, restoring two reachable copies.
 	RepairInstall(f blockdev.FileID, off blockdev.BlockNo, srcs [][]byte)
-	// CachedBlockIDs snapshots the identities of every locally cached
-	// block; ReadBlockLocal reads one of them (cache first, then
-	// store) into dst. The handoff loop pairs them to re-home blocks.
-	CachedBlockIDs() []blockdev.BlockID
-	ReadBlockLocal(b blockdev.BlockID, dst []byte) error
-	// BlockSize sizes handoff buffers.
-	BlockSize() int
 }
 
 // Node wires one lapcached process into the peer group. It implements
@@ -142,31 +94,17 @@ type LocalEngine interface {
 // forwards degrade to the local store immediately instead of each
 // paying a TCP timeout.
 //
-// The ring is versioned: ringPtr holds the current assignment and
-// epoch counts every change. The epoch moves on a membership-driven
-// ring swap only: Owned reads the ring alone, so a peer going down or
-// coming back changes no ownership decision (a forward to a down
-// peer degrades to local service at the call, and nothing caches
-// that outcome).
+// The ring and the peer map are fixed at NewNode: Owned reads the ring
+// alone, so a peer going down or coming back changes no ownership
+// decision (a forward to a down peer degrades to local service at the
+// call, and nothing caches that outcome).
 type Node struct {
 	cfg      Config
 	self     string
 	replicas int
-
-	ringPtr atomic.Pointer[Ring]
-	epoch   atomic.Uint64
-
-	histMu  sync.Mutex
-	history []*Ring
-
-	peersMu sync.RWMutex
-	peers   map[string]*peer // keyed by advertise address, self excluded
-
-	localMu sync.RWMutex
-	local   LocalEngine
-
-	mship   *membership.Membership // nil without Join
-	handoff *handoff
+	ring     *Ring
+	peers    map[string]*peer // keyed by advertise address, self excluded
+	local    LocalEngine
 
 	quit    chan struct{}
 	wg      sync.WaitGroup
@@ -177,13 +115,12 @@ type Node struct {
 // peer is one remote member and its connection state.
 type peer struct {
 	addr string
-	quit chan struct{} // closed when the member leaves the ring
 
 	mu   sync.Mutex
 	conn *lapclient.Conn // nil while down, and until the first successful dial
 }
 
-// NewNode validates the membership and builds the node. Call Start to
+// NewNode validates the member list and builds the node. Call Start to
 // begin dialing peers; a node that is never started degrades every
 // remote file to the local store (all peers read as down).
 func NewNode(cfg Config) (*Node, error) {
@@ -213,96 +150,47 @@ func NewNode(cfg Config) (*Node, error) {
 	replicas := cfg.Replicas
 	if replicas <= 0 {
 		replicas = 1
-		if len(cfg.Join) > 0 {
-			replicas = 2
-		}
-	}
-	bps := cfg.HandoffBps
-	if bps == 0 {
-		bps = DefaultHandoffBps
 	}
 	n := &Node{
 		cfg:      cfg,
 		self:     cfg.Self,
 		replicas: replicas,
+		ring:     ring,
 		peers:    make(map[string]*peer),
 		quit:     make(chan struct{}),
 	}
-	n.handoff = newHandoff(n, bps)
-	n.ringPtr.Store(ring)
-	n.epoch.Store(1)
-	n.history = []*Ring{ring}
 	for _, m := range ring.Members() {
 		if m != n.self {
-			n.peers[m] = &peer{addr: m, quit: make(chan struct{})}
-		}
-	}
-	if len(cfg.Join) > 0 {
-		n.mship, err = membership.New(membership.Config{
-			Self:             cfg.Self,
-			Seeds:            cfg.Join,
-			ProbeInterval:    cfg.GossipInterval,
-			SuspicionTimeout: cfg.SuspicionTimeout,
-			Intercept:        cfg.GossipIntercept,
-			OnUpdate:         n.onMembership,
-			Logf:             cfg.Logf,
-		})
-		if err != nil {
-			return nil, err
+			n.peers[m] = &peer{addr: m}
 		}
 	}
 	return n, nil
 }
 
-// SetLocal hands the node its engine callbacks. Wire it before Start
-// so the first ring move already re-probes drivers; a node without an
-// engine (tests exercising only routing) skips the callbacks.
-func (n *Node) SetLocal(l LocalEngine) {
-	n.localMu.Lock()
-	n.local = l
-	n.localMu.Unlock()
-}
+// SetLocal hands the node its engine callbacks. Wire it before the
+// local server serves: a node without an engine (tests exercising only
+// routing) skips the callbacks.
+func (n *Node) SetLocal(l LocalEngine) { n.local = l }
 
-func (n *Node) localEngine() LocalEngine {
-	n.localMu.RLock()
-	defer n.localMu.RUnlock()
-	return n.local
-}
-
-// Start launches the per-peer health loops, the handoff loop (idle
-// until the ring moves) and, with Join, the gossip detector.
-// Idempotent-hostile on purpose: call it exactly once, after the local
-// server is listening.
-func (n *Node) Start() error {
+// Start launches the per-peer health loops. Idempotent-hostile on
+// purpose: call it exactly once, after the local server is listening.
+func (n *Node) Start() {
 	if n.started {
 		panic("cluster: Node.Start called twice")
 	}
 	n.started = true
-	n.peersMu.RLock()
 	for _, p := range n.peers {
 		n.wg.Add(1)
 		go n.healthLoop(p)
 	}
-	n.peersMu.RUnlock()
-	n.handoff.start()
-	if n.mship != nil {
-		return n.mship.Start()
-	}
-	return nil
 }
 
-// Close stops the gossip layer, the health loops, and every peer
-// connection. No departure is announced: peers notice the silence,
-// exactly as they would a crash.
+// Close stops the health loops and every peer connection. No
+// departure is announced: peers notice the silence, exactly as they
+// would a crash.
 func (n *Node) Close() {
 	n.stop.Do(func() { close(n.quit) })
-	if n.mship != nil {
-		n.mship.Close() //nolint:errcheck // close errors carry nothing actionable
-	}
-	n.handoff.stop()
 	n.wg.Wait()
-	n.peersMu.Lock()
-	defer n.peersMu.Unlock()
 	for _, p := range n.peers {
 		p.mu.Lock()
 		if p.conn != nil {
@@ -311,123 +199,6 @@ func (n *Node) Close() {
 		}
 		p.mu.Unlock()
 	}
-}
-
-// ring returns the current assignment.
-func (n *Node) ring() *Ring { return n.ringPtr.Load() }
-
-// Epoch implements lapcache.RemoteFetcher: the version of the current
-// ownership assignment, bumped by ring moves.
-func (n *Node) Epoch() uint64 { return n.epoch.Load() }
-
-// onMembership is the gossip layer's view callback: rebuild the ring
-// from every non-dead member (self always included — a node that
-// hears a stale rumor of its own death keeps serving while the
-// refutation propagates) and swap it in if the set changed. A member
-// keeps its arcs until it is convicted: ownership moves on a whole
-// suspicion timeout of silence, not on one lost datagram.
-func (n *Node) onMembership(v membership.View) {
-	addrs := []string{n.self}
-	for _, m := range v.Members {
-		if m.Addr != n.self {
-			addrs = append(addrs, m.Addr)
-		}
-	}
-	sort.Strings(addrs)
-	cur := n.ring().Members()
-	if equalStrings(addrs, cur) {
-		return
-	}
-	ring, err := NewRing(addrs, 0)
-	if err != nil {
-		n.logf("cluster: rejecting membership view: %v", err)
-		return
-	}
-	n.swapRing(ring)
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// swapRing installs a new assignment: publish the ring, remember it
-// for OwnedEver, bump the epoch, reconcile the peer set, tell the
-// engine to re-probe, and wake the handoff loop to re-home blocks.
-func (n *Node) swapRing(r *Ring) {
-	n.ringPtr.Store(r)
-	n.histMu.Lock()
-	n.history = append(n.history, r)
-	if len(n.history) > ringHistory {
-		n.history = n.history[len(n.history)-ringHistory:]
-	}
-	n.histMu.Unlock()
-	n.epoch.Add(1)
-	n.syncPeers(r.Members())
-	if l := n.localEngine(); l != nil {
-		l.OwnershipChanged()
-	}
-	n.handoff.wake()
-	n.logf("cluster: ring moved to %v (epoch %d)", r.Members(), n.Epoch())
-}
-
-// syncPeers reconciles the peer map with the new member list: new
-// members get a health loop, departed members get their loop stopped
-// and connection closed.
-func (n *Node) syncPeers(members []string) {
-	want := make(map[string]bool, len(members))
-	for _, m := range members {
-		if m != n.self {
-			want[m] = true
-		}
-	}
-	n.peersMu.Lock()
-	var added []*peer
-	for addr := range want {
-		if _, ok := n.peers[addr]; !ok {
-			p := &peer{addr: addr, quit: make(chan struct{})}
-			n.peers[addr] = p
-			added = append(added, p)
-		}
-	}
-	var removed []*peer
-	for addr, p := range n.peers {
-		if !want[addr] {
-			removed = append(removed, p)
-			delete(n.peers, addr)
-		}
-	}
-	n.peersMu.Unlock()
-	for _, p := range added {
-		if n.started {
-			n.wg.Add(1)
-			go n.healthLoop(p)
-		}
-	}
-	for _, p := range removed {
-		close(p.quit)
-		p.mu.Lock()
-		if p.conn != nil {
-			p.conn.Close()
-			p.conn = nil
-		}
-		p.mu.Unlock()
-	}
-}
-
-// peerFor returns the peer entry for addr, if it is a current member.
-func (n *Node) peerFor(addr string) (*peer, bool) {
-	n.peersMu.RLock()
-	p, ok := n.peers[addr]
-	n.peersMu.RUnlock()
-	return p, ok
 }
 
 // WaitReady blocks until every peer is dialed and live, or the
@@ -438,13 +209,11 @@ func (n *Node) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		var waiting []string
-		n.peersMu.RLock()
 		for addr, p := range n.peers {
 			if _, up := p.liveConn(); !up {
 				waiting = append(waiting, addr)
 			}
 		}
-		n.peersMu.RUnlock()
 		if len(waiting) == 0 {
 			return nil
 		}
@@ -523,8 +292,6 @@ func (n *Node) healthLoop(p *peer) {
 		select {
 		case <-n.quit:
 			return
-		case <-p.quit:
-			return
 		case <-n.cfg.Clock.After(n.NextBackoff(p.addr, attempt)):
 		}
 
@@ -561,12 +328,12 @@ func (n *Node) fault(p *peer, err error) {
 
 // forward is the one peer RPC: every request this node sends on to
 // another member — span reads, owner-bound writes and closes, replica
-// pushes, handoff transfers — takes the peer's live connection, does
-// one exchange and classifies the failure. ok=false means the peer could
-// not be reached (it was down, or a transport error just faulted it):
-// the caller degrades to local service. A ServerError means the peer
-// was reached and refused — ok stays true and the error propagates,
-// because the request itself is bad.
+// pushes — takes the peer's live connection, does one exchange and
+// classifies the failure. ok=false means the peer could not be reached
+// (it was down, or a transport error just faulted it): the caller
+// degrades to local service. A ServerError means the peer was reached
+// and refused — ok stays true and the error propagates, because the
+// request itself is bad.
 func (n *Node) forward(p *peer, h wire.Header, payload []byte, dsts [][]byte) (rh wire.Header, ok bool, err error) {
 	conn, up := p.liveConn()
 	if !up {
@@ -589,7 +356,8 @@ func (n *Node) forward(p *peer, h wire.Header, payload []byte, dsts [][]byte) (r
 // ownerPeer resolves f's owner to its peer entry; ok=false means the
 // owner is this node (callers should not have forwarded) or unknown.
 func (n *Node) ownerPeer(f blockdev.FileID) (*peer, bool) {
-	return n.peerFor(n.ring().Owner(f))
+	p, ok := n.peers[n.ring.Owner(f)]
+	return p, ok
 }
 
 // replicaPeer resolves f's R=2 successor to its peer entry; ok=false
@@ -599,32 +367,18 @@ func (n *Node) replicaPeer(f blockdev.FileID) (*peer, bool) {
 	if n.replicas < 2 {
 		return nil, false
 	}
-	owners := n.ring().Owners(f, n.replicas)
+	owners := n.ring.Owners(f, n.replicas)
 	if len(owners) < 2 {
 		return nil, false
 	}
-	return n.peerFor(owners[1])
+	p, ok := n.peers[owners[1]]
+	return p, ok
 }
 
 // --- lapcache.RemoteFetcher ---
 
 // Owned implements lapcache.RemoteFetcher.
-func (n *Node) Owned(f blockdev.FileID) bool { return n.ring().Owner(f) == n.self }
-
-// OwnedEver reports whether any ring this node has ever installed
-// assigned f to it. The chaos harness's owner-only audit uses it: a
-// node legitimately accumulates prefetch history for a file it owned
-// under an earlier epoch.
-func (n *Node) OwnedEver(f blockdev.FileID) bool {
-	n.histMu.Lock()
-	defer n.histMu.Unlock()
-	for _, r := range n.history {
-		if r.Owner(f) == n.self {
-			return true
-		}
-	}
-	return false
-}
+func (n *Node) Owned(f blockdev.FileID) bool { return n.ring.Owner(f) == n.self }
 
 // FetchSpan implements lapcache.RemoteFetcher: one pipelined
 // peer-flagged read RPC whose payload lands directly in dsts, served
@@ -647,8 +401,8 @@ func (n *Node) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32,
 	}
 	rh, ok, err := n.forward(p, h, nil, dsts)
 	if ok && err == nil {
-		if l := n.localEngine(); l != nil {
-			l.RepairInstall(f, off, dsts)
+		if n.local != nil {
+			n.local.RepairInstall(f, off, dsts)
 		}
 	}
 	return rh.Flags&wire.FlagHit != 0, ok, err
@@ -689,7 +443,7 @@ func (n *Node) ForwardClose(f blockdev.FileID) (bool, error) {
 	return ok, err
 }
 
-// --- membership view ---
+// --- the member list ---
 
 // Self returns this node's advertise address.
 func (n *Node) Self() string { return n.self }
@@ -697,17 +451,17 @@ func (n *Node) Self() string { return n.self }
 // OwnerOf returns the advertise address of f's ring owner and whether
 // that owner is this node.
 func (n *Node) OwnerOf(f blockdev.FileID) (string, bool) {
-	owner := n.ring().Owner(f)
+	owner := n.ring.Owner(f)
 	return owner, owner == n.self
 }
 
 // MemberAddrs returns every ring member's advertise address, sorted.
-func (n *Node) MemberAddrs() []string { return n.ring().Members() }
+func (n *Node) MemberAddrs() []string { return n.ring.Members() }
 
 // PeerDown reports whether addr is currently marked down (false for
 // self and unknown addresses); tests read it.
 func (n *Node) PeerDown(addr string) bool {
-	p, ok := n.peerFor(addr)
+	p, ok := n.peers[addr]
 	if !ok {
 		return false
 	}
@@ -715,12 +469,3 @@ func (n *Node) PeerDown(addr string) bool {
 	defer p.mu.Unlock()
 	return p.conn == nil
 }
-
-// HandoffStats reports the rebalancing loop's lifetime counters.
-func (n *Node) HandoffStats() HandoffStats { return n.handoff.stats() }
-
-// RunHandoff drains one full rebalancing pass synchronously,
-// respecting the byte/s budget, and reports how many blocks moved.
-// The background loop runs the same pass after every ring move;
-// tests call it directly.
-func (n *Node) RunHandoff() int { return n.handoff.runOnce() }

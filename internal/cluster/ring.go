@@ -10,21 +10,14 @@
 // the property §4 credits for PAFS beating serverless xFS, whose
 // per-node predictors between them over-prefetch the same file.
 //
-// Every node runs one design. The ring is *versioned*: every ring
-// version bumps an epoch the engine uses to re-home each file's
-// prefetch chain exactly once. Liveness never changes ownership — a
-// dead owner degrades its files to each node's local store (latency,
-// not availability), because two nodes adopting one file's chain is
-// precisely the xFS failure mode the design exists to avoid. Only
-// membership moves the ring, and without Config.Join nothing does: the
-// member list is fixed for the run, the paper's own setup. With Join,
-// a heartbeat gossip detector (internal/membership) tracks joins and
-// deaths, and ownership moves when it convicts a member after a whole
-// suspicion timeout of silence, never on one lost datagram. An R=2
-// replica on the ring successor turns an owner's death from a disk
-// degrade into a remote memory hit, and a bounded-rate handoff loop,
-// idle until the ring moves, re-homes cached blocks after each move
-// without flooding the links the workload is still using.
+// The member list is fixed for a node's whole life (Config.Peers), the
+// paper's own setup: every node hashes the same list into the same
+// ring. Liveness never changes ownership — a down owner degrades its
+// files to each node's local store (latency, not availability),
+// because two nodes adopting one file's chain is precisely the xFS
+// failure mode the design exists to avoid. An R=2 replica on the ring
+// successor (Config.Replicas) turns a down owner from a disk degrade
+// into a remote memory hit.
 package cluster
 
 import (
@@ -38,7 +31,7 @@ import (
 // Ring is a consistent-hash ring over member addresses with virtual
 // nodes. It is pure arithmetic on the sorted member list, so every
 // node that was given the same membership computes identical
-// ownership — no coordination protocol, no gossip, no disagreement.
+// ownership — no coordination protocol, no disagreement.
 type Ring struct {
 	members []string
 	points  []ringPoint // sorted by hash

@@ -97,8 +97,8 @@ func TestRingBalanceProperty(t *testing.T) {
 // newcomer claims (~1/N of it, within the balance bound), every moved
 // file moves TO the newcomer, and removing it moves exactly those
 // files back — nothing else ever changes hands. This is the property
-// that makes a join's handoff traffic proportional to 1/N of the
-// data, not a full reshuffle.
+// that makes resizing a fleet re-home 1/N of the data, not a full
+// reshuffle.
 func TestRingJoinLeaveMovesOneNth(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	const files = 4000

@@ -13,9 +13,8 @@ import (
 // unset outside their own package, each with its reason. A key ending
 // in a type name covers every field of that type.
 var settersAllowed = map[string]string{
-	"machine.Config":              "the paper's Table 1, held as data",
-	"cluster.Config.Clock":        "the fake-clock seam for tests",
-	"membership.Config.Transport": "the in-memory gossip fabric for tests",
+	"machine.Config":       "the paper's Table 1, held as data",
+	"cluster.Config.Clock": "the fake-clock seam for tests",
 }
 
 // TestEverySettingHasASetter is the exported-identifier half of the

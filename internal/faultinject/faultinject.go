@@ -86,12 +86,6 @@ const (
 	SiteConnSend   = "conn.send"
 	SiteConnRecv   = "conn.recv"
 	SitePeerDial   = "peer.dial"
-	// SiteGossip is the membership layer's datagram send; keys are
-	// directed link labels ("gossip:n0->n1"), so faults model lossy or
-	// partitioned gossip paths. Dropping every datagram in one
-	// direction is an asymmetric gossip partition — the scenario
-	// heartbeats relayed through a third member exist to survive.
-	SiteGossip = "gossip.send"
 )
 
 // DefaultHang bounds a KindHang stall when Rule.Delay is zero. Hangs
@@ -151,14 +145,6 @@ func (p Plan) Validate() error {
 		case SiteConnRecv, SitePeerDial:
 			if r.Kind == KindCorrupt || r.Kind == KindPartial {
 				return fmt.Errorf("faultinject: rule %d: kind %q is not injectable at %s", i, r.Kind, r.Site)
-			}
-		case SiteGossip:
-			// A datagram is either delivered, delayed, or lost; there is
-			// no partial datagram, corruption is the codec's fuzz target
-			// rather than a runtime fault, and a hang would stall the
-			// prober rather than model the network.
-			if r.Kind != KindError && r.Kind != KindDelay {
-				return fmt.Errorf("faultinject: rule %d: kind %q is not injectable at %s (datagrams drop or delay)", i, r.Kind, r.Site)
 			}
 		default:
 			return fmt.Errorf("faultinject: rule %d: unknown site %q", i, r.Site)
@@ -447,22 +433,4 @@ func (in *Injector) DialFault(link string) error {
 		}
 	}
 	return fmt.Errorf("%w: dial %s", ErrInjected, link)
-}
-
-// GossipFault gates one membership datagram on the given directed
-// link label (e.g. "gossip:n0->n1"): a selected link's sends are
-// dropped (KindError) or stalled (KindDelay) until the rule's budget
-// heals it. It plugs into membership.Config.Intercept.
-func (in *Injector) GossipFault(link string) error {
-	f, ok := in.eval(SiteGossip, labelKey(link), link)
-	if !ok {
-		return nil
-	}
-	if f.Kind == KindDelay {
-		if d := f.stall(); d > 0 {
-			time.Sleep(d)
-		}
-		return nil
-	}
-	return fmt.Errorf("%w: gossip %s", ErrInjected, link)
 }

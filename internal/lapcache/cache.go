@@ -165,20 +165,6 @@ func (c *blockCache) Get(b blockdev.BlockID) (buf *blockbuf.Buf, wasPrefetched, 
 	return buf, wasPrefetched, true
 }
 
-// Peek returns a retained reference to the cached buffer for b without
-// touching recency or the prefetched flag: a read on nobody's behalf
-// (the rebalancing handoff) must neither promote a block nor decide a
-// prefetch's fate. The caller must Release it.
-func (c *blockCache) Peek(b blockdev.BlockID) (buf *blockbuf.Buf, ok bool) {
-	sh := c.shardFor(b)
-	sh.mu.Lock()
-	if i, found := sh.index[b]; found {
-		buf, ok = sh.slab[i].buf.Retain(), true
-	}
-	sh.mu.Unlock()
-	return buf, ok
-}
-
 // Contains reports whether b is cached, without touching recency (the
 // prefetch driver's visibility check must not promote blocks).
 func (c *blockCache) Contains(b blockdev.BlockID) bool {
@@ -295,24 +281,6 @@ func (c *blockCache) Clear() int {
 		}
 	}
 	return n
-}
-
-// BlockIDs snapshots every cached block's identity, shard by shard.
-// The snapshot is taken under each shard's lock in turn, so it is a
-// consistent picture per shard but not across shards — fine for the
-// handoff scan, which tolerates blocks appearing or evicting while it
-// walks.
-func (c *blockCache) BlockIDs() []blockdev.BlockID {
-	out := make([]blockdev.BlockID, 0, c.Len())
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		for j := range sh.slab {
-			out = append(out, sh.slab[j].id)
-		}
-		sh.mu.Unlock()
-	}
-	return out
 }
 
 // UnusedPrefetched counts cached blocks still flagged speculative;

@@ -113,32 +113,6 @@ func TestCachePrefetchedFlagLifecycle(t *testing.T) {
 	if c.Put(bid(1, 1), mkbuf(p, 1), false) {
 		t.Error("second demand overwrite reported another first touch")
 	}
-
-	// Peek reads on nobody's behalf: neither the flag nor the eviction
-	// order may change. Fill the shard with 2 (flagged, LRU) .. 9, peek
-	// at 2, insert one more: 2 must still be the victim, still flagged.
-	evicted := 0
-	c = newBlockCache(8, 1, func(blockdev.FileID) { evicted++ })
-	c.Put(bid(1, 2), mkbuf(p, 2), true)
-	for i := 3; i < 10; i++ {
-		c.Put(bid(1, i), mkbuf(p, byte(i)), false)
-	}
-	buf, ok := c.Peek(bid(1, 2))
-	if !ok || buf.Bytes()[0] != 2 {
-		t.Fatal("Peek missed a cached block")
-	}
-	buf.Release()
-	if c.UnusedPrefetched() != 1 {
-		t.Error("Peek cleared the prefetched flag")
-	}
-	c.Put(bid(1, 10), mkbuf(p, 10), false)
-	if c.Contains(bid(1, 2)) || evicted != 1 {
-		t.Errorf("Peek promoted the block: still cached=%v, wasted evictions=%d (want false, 1)",
-			c.Contains(bid(1, 2)), evicted)
-	}
-	if _, ok := c.Peek(bid(1, 2)); ok {
-		t.Error("Peek hit an evicted block")
-	}
 }
 
 func TestCacheWastedEvictionCount(t *testing.T) {
@@ -402,7 +376,7 @@ func (r *refCache) clear() {
 
 // FuzzBlockCache drives a one-shard blockCache and the reference with
 // one fuzzed sequence of Put (demand or speculative), Preinstall
-// (either flag), Get, Peek, Contains and Clear calls, and compares,
+// (either flag), Get, Contains and Clear calls, and compares,
 // after every call, the whole LRU order with each entry's buffer and
 // flag, Len, what the call returned, the files reported wasted and the
 // eviction count; at the end every buffer must be back in the pool.
@@ -415,21 +389,20 @@ func FuzzBlockCache(f *testing.F) {
 		preinstallDemand
 		preinstallSpeculative
 		get
-		peek
 		contains
 		calls
 	)
 	const clearCall = 31 // of a call byte's value mod 32; the others are taken mod calls
 	seq := func(capacity byte, ops ...byte) []byte { return append([]byte{capacity - 1}, ops...) }
-	// Three blocks fill cap 3; a Peek must not save the oldest from the
-	// next insert; a speculative Put over a demand block must not arm it,
+	// Three blocks fill cap 3; a Contains must not save the oldest from
+	// the next insert; a speculative Put over a demand block must not arm it,
 	// and over a speculative one must not disarm it.
 	f.Add(seq(3,
-		putDemand, 0, putSpeculative, 1, putDemand, 2, peek, 0, contains, 1, putDemand, 3,
+		putDemand, 0, putSpeculative, 1, putDemand, 2, contains, 0, contains, 1, putDemand, 3,
 		putSpeculative, 2, get, 2, putSpeculative, 1, putDemand, 4, get, 1,
 		preinstallSpeculative, 3, putSpeculative, 3, putDemand, 3, preinstallDemand, 5, putDemand, 6,
 		clearCall, 0, putSpeculative, 7, putDemand, 8))
-	f.Add(seq(1, putSpeculative, 0, putSpeculative, 0, get, 0, putDemand, 1, peek, 1, clearCall, 0))
+	f.Add(seq(1, putSpeculative, 0, putSpeculative, 0, get, 0, putDemand, 1, contains, 1, clearCall, 0))
 	// Long runs at caps 2, 5 and 16.
 	for _, capacity := range []byte{2, 5, 16} {
 		s, x := seq(capacity), uint32(capacity)
@@ -470,15 +443,6 @@ func FuzzBlockCache(f *testing.F) {
 				wantTag, wantPf, wantOK := ref.get(b)
 				if ok != wantOK || wasPf != wantPf || ok && buf.Bytes()[0] != wantTag {
 					t.Fatalf("call %d: Get(%v) ok %v prefetched %v, reference %v %v", i, b, ok, wasPf, wantOK, wantPf)
-				}
-				if ok {
-					buf.Release()
-				}
-			case peek:
-				buf, ok := c.Peek(b)
-				el := ref.entries[b]
-				if ok != (el != nil) || ok && buf.Bytes()[0] != el.Value.(*refBlock).tag {
-					t.Fatalf("call %d: Peek(%v) ok %v, reference %v", i, b, ok, el != nil)
 				}
 				if ok {
 					buf.Release()

@@ -110,22 +110,12 @@ type fileState struct {
 
 	// degree is the file's prefetch window. Immutable after fileState
 	// creation (an adaptive window is internally synchronized), so
-	// feedback paths may read it without holding mu. It outlives the
-	// driver across ownership churn: a resumed file keeps its learned
-	// window just as it keeps its learned predictor state.
+	// feedback paths may read it without holding mu.
 	degree *core.DegreePolicy
 
-	// epoch is the ownership epoch this file's driver decision was
-	// made under; when the remote tier's Epoch moves past it, the next
-	// access (or an OwnershipChanged sweep) re-probes Owned and
-	// creates, suspends, or resumes the driver accordingly.
-	epoch uint64
-	// suspended marks a driver whose file this node no longer owns:
-	// the chain is parked and the driver is never fed, but its learned
-	// predictor state is kept — if ownership returns (the common churn
-	// case: a restarted node reclaiming its arcs), prefetching resumes
-	// without relearning the access pattern.
-	suspended bool
+	// owned: this node runs f's chain (always, on a single node).
+	// Decided once, when the fileState is created: the ring is fixed.
+	owned bool
 }
 
 // Engine is a concurrent prefetching block cache.
@@ -245,7 +235,7 @@ func (e *Engine) fileState(f blockdev.FileID) *fileState {
 	if fl := e.files[f]; fl != nil {
 		return fl
 	}
-	fl = &fileState{degree: e.cfg.Alg.NewDegreePolicy()}
+	fl = &fileState{degree: e.cfg.Alg.NewDegreePolicy(), owned: e.remote == nil || e.remote.Owned(f)}
 	e.files[f] = fl
 	return fl
 }
@@ -269,77 +259,18 @@ func (e *Engine) newDriver(f blockdev.FileID, fl *fileState) *core.Driver {
 	})
 }
 
-// driverLocked returns f's driver if this node should be running it
-// right now, re-probing ownership lazily whenever the remote tier's
-// epoch has moved. In a cluster only the ring owner runs a file's
+// driverLocked returns f's driver, creating it on first use, if this
+// node runs f's chain. In a cluster only the ring owner runs a file's
 // driver: the whole point of per-file ownership is that exactly one
 // chain walker exists per file, so "≤ 1 outstanding prefetch" holds
-// across every node, not merely within each (PAFS vs. xFS, §4). A
-// membership move of the ring moves ownership, so the decision cannot
-// be made once at fileState creation: it is re-made per epoch, under
-// fl.mu, which is what keeps the invariant provable while ownership is
-// in motion — a driver is only ever created, suspended, or resumed by
-// a goroutine holding the same mutex the chain runs under.
+// across every node, not merely within each (PAFS vs. xFS, §4).
 //
 // Callers hold fl.mu.
 func (e *Engine) driverLocked(f blockdev.FileID, fl *fileState) *core.Driver {
-	if !e.cfg.Alg.Prefetches() {
-		return nil
-	}
-	if e.remote == nil {
-		if fl.driver == nil {
-			fl.driver = e.newDriver(f, fl)
-		}
-		return fl.driver
-	}
-	if ep := e.remote.Epoch(); ep != fl.epoch {
-		fl.epoch = ep
-		if e.remote.Owned(f) {
-			if fl.driver == nil {
-				fl.driver = e.newDriver(f, fl)
-			}
-			fl.suspended = false
-		} else if fl.driver != nil && !fl.suspended {
-			// Ownership left this node: park the chain NOW. The new
-			// owner may start the file's one true chain at any moment,
-			// and a parked chain issues nothing further even when its
-			// in-flight operation's completion callback fires.
-			fl.driver.StopChain()
-			fl.suspended = true
-		}
-	}
-	if fl.suspended {
-		return nil
+	if fl.driver == nil && fl.owned && e.cfg.Alg.Prefetches() {
+		fl.driver = e.newDriver(f, fl)
 	}
 	return fl.driver
-}
-
-// OwnershipChanged tells the engine the remote tier's ownership
-// assignment moved (a ring change). It sweeps every known file and
-// re-probes its driver decision eagerly. The sweep
-// matters for files this node LOST: their chains must stop even if no
-// request ever touches them again here — an active chain pumps itself
-// through completion callbacks, not through new requests, so lazy
-// re-probing alone would let two nodes walk one file's chain until
-// the old owner's next access. Files this node gained are also picked
-// up lazily on first access; the sweep just starts them sooner.
-func (e *Engine) OwnershipChanged() {
-	if e.remote == nil {
-		return
-	}
-	e.filesMu.RLock()
-	files := make([]blockdev.FileID, 0, len(e.files))
-	states := make([]*fileState, 0, len(e.files))
-	for f, fl := range e.files {
-		files = append(files, f)
-		states = append(states, fl)
-	}
-	e.filesMu.RUnlock()
-	for i, fl := range states {
-		fl.mu.Lock()
-		e.driverLocked(files[i], fl)
-		fl.mu.Unlock()
-	}
 }
 
 // reqMode says on whose behalf a request runs — the engine-side image
@@ -655,9 +586,7 @@ func (e *Engine) Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, d
 // write is the one write body. replicated reports the blocks are
 // durably installed on two distinct nodes' stores (owner plus its R=2
 // successor), so the write survives either one's death; the server
-// acks exactly this bit as FlagReplicated, and the chaos harness's
-// no-lost-acked-write invariant audits every write acked with it.
-// Single-node engines and replica-less tiers always report false.
+// acks exactly this bit as FlagReplicated. Single-node engines and replica-less tiers always report false.
 func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, m reqMode) (replicated bool, err error) {
 	if nblocks <= 0 || off < 0 {
 		return false, fmt.Errorf("lapcache: invalid write %d:[%d,+%d]", f, off, nblocks)
@@ -686,8 +615,8 @@ func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, d
 		return false, err
 	}
 	if m == modeReplica {
-		// Store + cache only: the owner's synchronous R=2 push and the
-		// rebalancing handoff both land here.
+		// Store + cache only: the owner's synchronous R=2 push lands
+		// here.
 		e.m.replicaInstalls.Add(uint64(nblocks))
 		return false, nil
 	}
@@ -870,29 +799,6 @@ func (e *Engine) Ledger() *core.Ledger { return e.ledger }
 func (e *Engine) Shutdown() {
 	e.stop.Do(func() { close(e.quit) })
 	e.wg.Wait()
-}
-
-// CachedBlockIDs snapshots the identity of every cached block. The
-// rebalancing handoff iterates it after a ring move to find blocks
-// whose arcs now belong to another node; the snapshot is taken shard
-// by shard under the cache locks, the walk happens outside them.
-func (e *Engine) CachedBlockIDs() []blockdev.BlockID {
-	return e.cache.BlockIDs()
-}
-
-// ReadBlockLocal copies block b into dst from the local cache or — if
-// it was evicted since the caller snapshotted CachedBlockIDs — the
-// local backing store. Strictly local, no driver feed: the handoff
-// path moves bytes, it is not part of any file's access stream — so
-// the cached copy is peeked, leaving its recency and its speculative
-// flag (hence its eventual timely/wasted/unused fate) as they were.
-func (e *Engine) ReadBlockLocal(b blockdev.BlockID, dst []byte) error {
-	if buf, ok := e.cache.Peek(b); ok {
-		copy(dst, buf.Bytes())
-		buf.Release()
-		return nil
-	}
-	return e.store.ReadBlock(b, dst)
 }
 
 // DrainCache releases every cached block back to the buffer pool and

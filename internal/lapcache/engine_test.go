@@ -208,43 +208,6 @@ func TestBackpressureDrops(t *testing.T) {
 	waitFor(t, "a dropped prefetch", func() bool { return e.Snapshot().PrefetchDropped >= 1 })
 }
 
-// TestReadBlockLocalIsNotAnAccess: the handoff sweep's reader moves
-// bytes on nobody's behalf, so it must not decide a prefetch's fate —
-// a still-untouched speculative block stays flagged (unused, and
-// timely on its real first touch) — and must still fall back to the
-// store for a block evicted since the sweep's snapshot.
-func TestReadBlockLocalIsNotAnAccess(t *testing.T) {
-	e := newTestEngine(t, Config{Alg: core.SpecNP})
-	e.Preload(1, 0, 4, true)
-	dst, want := make([]byte, e.BlockSize()), make([]byte, e.BlockSize())
-	for _, b := range e.CachedBlockIDs() {
-		if err := e.ReadBlockLocal(b, dst); err != nil {
-			t.Fatalf("ReadBlockLocal(%v): %v", b, err)
-		}
-		FillPattern(b, want)
-		if !bytes.Equal(dst, want) {
-			t.Errorf("ReadBlockLocal(%v): wrong bytes", b)
-		}
-	}
-	if s := e.Snapshot(); s.PrefetchUnused != 4 || s.PrefetchTimely != 0 {
-		t.Errorf("after the sweep: unused=%d timely=%d, want 4/0", s.PrefetchUnused, s.PrefetchTimely)
-	}
-	if _, _, err := readCopy(e, 1, 0, 4); err != nil {
-		t.Fatal(err)
-	}
-	if s := e.Snapshot(); s.PrefetchUnused != 0 || s.PrefetchTimely != 4 {
-		t.Errorf("after the first touch: unused=%d timely=%d, want 0/4", s.PrefetchUnused, s.PrefetchTimely)
-	}
-	uncached := blockdev.BlockID{File: 1, Block: 99}
-	if err := e.ReadBlockLocal(uncached, dst); err != nil {
-		t.Fatalf("ReadBlockLocal of an uncached block: %v", err)
-	}
-	FillPattern(uncached, want)
-	if !bytes.Equal(dst, want) {
-		t.Error("ReadBlockLocal of an uncached block did not read the store")
-	}
-}
-
 func TestCloseFileStopsChain(t *testing.T) {
 	e := newTestEngine(t, Config{
 		Alg:        core.SpecLnAgrOBA,

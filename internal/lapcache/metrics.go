@@ -96,8 +96,8 @@ type Snapshot struct {
 	// R=2 replication. ReplicatedWrites counts local writes whose
 	// replica push was acknowledged by the successor (the writes acked
 	// FlagReplicated); ReplicaInstalls counts blocks this node
-	// installed as another file's replica copy (synchronous pushes
-	// plus handoff transfers); ReadRepairs counts blocks written
+	// installed as another file's replica copy (the owner's
+	// synchronous pushes); ReadRepairs counts blocks written
 	// through to the local store after a replica served them with the
 	// owner down — redundancy restored by the read itself.
 	ReplicatedWrites uint64 `json:"replicated_writes,omitempty"`

@@ -25,16 +25,11 @@ import "repro/internal/blockdev"
 // held.
 type RemoteFetcher interface {
 	// Owned reports whether this node owns f — runs its prefetch
-	// chain and serves its backing-store reads. Pure ring arithmetic:
-	// it must be cheap, deterministic, and identical on every node.
+	// chain and serves its backing-store reads. Pure ring arithmetic
+	// over a fixed member list: it must be cheap, deterministic,
+	// identical on every node, and constant for the node's life (the
+	// engine decides a file's driver placement once).
 	Owned(f blockdev.FileID) bool
-
-	// Epoch numbers the current ownership assignment: it increments
-	// whenever the answer to Owned may have changed — a membership
-	// move of the ring. The engine compares it per file to decide when
-	// its cached ownership decision (driver placement) must be
-	// re-probed. A fixed ring may return a constant.
-	Epoch() uint64
 
 	// FetchSpan reads nblocks blocks of f starting at off from the
 	// file's owner — or, when the owner is unreachable and the tier

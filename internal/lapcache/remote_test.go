@@ -29,8 +29,6 @@ type fakeRemote struct {
 
 func (r *fakeRemote) Owned(f blockdev.FileID) bool { return f%2 == 0 }
 
-func (r *fakeRemote) Epoch() uint64 { return 1 }
-
 func (r *fakeRemote) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit, ok bool, err error) {
 	r.fetchCalls.Add(1)
 	r.mu.Lock()

@@ -80,18 +80,6 @@ func (s *MemStore) ReadBlock(b blockdev.BlockID, buf []byte) error {
 	return nil
 }
 
-// Has reports whether b was ever explicitly written (as opposed to
-// reading back as its synthesized fill pattern). The chaos harness's
-// no-lost-acked-write invariant probes it: ReadBlock cannot tell a
-// persisted block from a synthesized one, which is exactly the
-// blindness that would let a lost write escape the data oracle.
-func (s *MemStore) Has(b blockdev.BlockID) bool {
-	s.mu.RLock()
-	_, ok := s.blocks[b]
-	s.mu.RUnlock()
-	return ok
-}
-
 // WriteBlock implements BackingStore. An overwrite copies into the
 // block already stored and allocates nothing.
 func (s *MemStore) WriteBlock(b blockdev.BlockID, data []byte) error {

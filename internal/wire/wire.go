@@ -125,21 +125,21 @@ const (
 	// cached on arrival.
 	FlagHit Flags = 1 << 2
 	// FlagPeer (requests) marks a request forwarded by a cluster peer:
-	// the receiver serves it strictly locally and never re-forwards,
-	// which is what makes forwarding loop-free even if two nodes
-	// momentarily disagree about ring membership.
+	// the receiver serves it strictly locally and never re-forwards.
+	// That is what lets a file's R=2 successor serve a read of a file
+	// it does not own while the owner is down, and it keeps forwarding
+	// loop-free even between nodes started with different -peers lists.
 	FlagPeer Flags = 1 << 3
 	// FlagReplica (write requests, with FlagPeer) marks a replica
 	// install: the receiver stores the blocks as the file's R=2 copy —
-	// no driver feed, no re-replication, never re-forwarded. Both the
-	// engine's synchronous replication and the rebalancing handoff
-	// push blocks under this flag.
+	// no driver feed, no re-replication, never re-forwarded. The
+	// owner's synchronous replication pushes blocks under this flag.
 	FlagReplica Flags = 1 << 4
 	// FlagReplicated (write responses) reports the write is durably
 	// double-homed: the owner installed it locally AND a replica
-	// acknowledged the copy. Clients that care about surviving a node
-	// kill (the chaos harness's no-lost-acked-write invariant) track
-	// exactly the writes acked with this bit.
+	// acknowledged the copy. A client that must survive the owner's
+	// death can count on exactly the writes acked with this bit: the
+	// successor's memory serves them while the owner is down.
 	FlagReplicated Flags = 1 << 5
 
 	flagsKnown = FlagWantData | FlagOK | FlagHit | FlagPeer | FlagReplica | FlagReplicated
