@@ -8,7 +8,6 @@
 //	          [-store mem|dir] [-latency 2ms] [-trace FILE] [-strict]
 //	          [-shards N]
 //	          [-peers a:7020,b:7020,c:7020] [-advertise a:7020]
-//	          [-replicas 2]
 //
 // -shards N stripes the engine's block cache over N mutexes and runs N
 // accept loops on the listener; they share one connection table and
@@ -29,9 +28,7 @@
 // Every member must be started with the same -peers list (order does
 // not matter) and the same -block-size. The list is the ring for the
 // node's whole life: a down member degrades its files to each node's
-// local store, and ownership never moves. With -replicas 2, writes are
-// also pushed to the owner's ring successor before the ack, and the
-// successor's memory serves reads while the owner is down.
+// local store, and ownership never moves.
 package main
 
 import (
@@ -73,7 +70,6 @@ func main() {
 		idleTimeout = flag.Duration("idle-timeout", 0, "drop connections idle for this long (0 = never)")
 		debugAddr   = flag.String("debug-addr", "", "HTTP address for expvar counters (off when empty)")
 		peers       = flag.String("peers", "", "comma-separated cluster members, self included: the fixed ring (empty = single node)")
-		replicas    = flag.Int("replicas", 0, "ring members holding each block: 1 = owner only, 2 = owner + successor (0 = 1)")
 		advertise   = flag.String("advertise", "", "address peers dial for this node (default -addr)")
 	)
 	flag.Parse()
@@ -141,10 +137,9 @@ func main() {
 			self = *addr
 		}
 		ccfg := cluster.Config{
-			Self:     self,
-			Peers:    splitList(*peers),
-			Replicas: *replicas,
-			Logf:     log.Printf,
+			Self:  self,
+			Peers: splitList(*peers),
+			Logf:  log.Printf,
 		}
 		if !slices.Contains(ccfg.Peers, self) {
 			log.Fatalf("-peers %q does not include this node's advertise address %q", *peers, self)
@@ -180,7 +175,6 @@ func main() {
 	srv.IdleTimeout = *idleTimeout
 	srv.Shards = *shards
 	if node != nil {
-		node.SetLocal(engine)
 		node.Start()
 		log.Printf("cluster: self=%s members=%v", node.Self(), node.MemberAddrs())
 	}

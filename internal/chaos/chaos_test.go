@@ -46,31 +46,25 @@ func TestChaosAcceptance(t *testing.T) {
 	}
 }
 
-// TestChaosSeedReproducibility: the selection digest is a pure
-// function of (seed, trace, topology) — identical across runs of the
-// same seed, different across seeds — and every observed fault falls
-// inside the enumerated selected set both times.
+// TestChaosSeedReproducibility: a booted run's selection digest is
+// the one TestPlanDigests computes without a fleet — so the pin there
+// shows one seed always gives the same digest, and its distinct pins
+// show different seeds differ — and every observed fault falls inside
+// the enumerated selected set.
 func TestChaosSeedReproducibility(t *testing.T) {
 	if testing.Short() {
-		t.Skip("boots 3-node clusters")
+		t.Skip("boots a 3-node cluster")
 	}
-	a := runTiny(t, 5)
-	b := runTiny(t, 5)
-	if a.PlanDigest != b.PlanDigest {
-		t.Errorf("same seed, different plan digests: %016x vs %016x", a.PlanDigest, b.PlanDigest)
+	const want uint64 = 0xe2d6c75bb5f67eec // TestPlanDigests' seed 5
+	r := runTiny(t, 5)
+	if r.PlanDigest != want {
+		t.Errorf("seed 5: plan digest %016x, want %016x", r.PlanDigest, want)
 	}
-	if len(a.Inv.UnselectedObserved) != 0 || len(b.Inv.UnselectedObserved) != 0 {
-		t.Errorf("observed faults outside the selected set: %v / %v",
-			a.Inv.UnselectedObserved, b.Inv.UnselectedObserved)
+	if len(r.Inv.UnselectedObserved) != 0 {
+		t.Errorf("observed faults outside the selected set: %v", r.Inv.UnselectedObserved)
 	}
-	c := runTiny(t, 6)
-	if c.PlanDigest == a.PlanDigest {
-		t.Error("different seeds produced the same plan digest")
-	}
-	for _, r := range []Result{a, b, c} {
-		if err := r.Inv.Check(); err != nil {
-			t.Errorf("seed %d: %v", r.Seed, err)
-		}
+	if err := r.Inv.Check(); err != nil {
+		t.Errorf("seed %d: %v", r.Seed, err)
 	}
 }
 

@@ -12,7 +12,6 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/lapcache"
 	"repro/internal/lapclient"
-	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -70,19 +69,6 @@ func readCopy(e *lapcache.Engine, f blockdev.FileID, off blockdev.BlockNo, nbloc
 		buf.Release()
 	}
 	return data, hit, err
-}
-
-// writeVia sends one write frame to a node's server, as a client
-// (flags 0) or a forwarding peer would, and reports the replicated ack.
-func writeVia(t *testing.T, n *LocalNode, flags wire.Flags, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (replicated bool, err error) {
-	t.Helper()
-	c, err := lapclient.DialConn(n.Addr, 1)
-	if err != nil {
-		t.Fatalf("dial %s: %v", n.Addr, err)
-	}
-	defer c.Close()
-	rh, _, err := c.Do(lapclient.Req(wire.OpWrite, flags, f, off, nblocks), data, nil)
-	return rh.Flags&wire.FlagReplicated != 0, err
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -305,51 +291,6 @@ func TestOnePeerConnection(t *testing.T) {
 	if hit, ok, err := nodes[0].Node.FetchSpan(f, spans+1, 1, dsts); !hit || !ok || err != nil {
 		t.Errorf("fetch after the redial: hit=%v ok=%v err=%v", hit, ok, err)
 	}
-}
-
-// TestReplicatedWritersDoNotStall: static R=2 under two concurrent
-// writers, on nodes 0 and 1. A forwarded write waits on its owner, and
-// the owner's handler waits on the push to its successor. Two such
-// waits held on the read loops of one pair of peer connections would
-// hold each other until the peer call timeout degraded the write to
-// the front node's store and dropped its replicated ack. Every write
-// must be acked replicated, well inside the timeout.
-func TestReplicatedWritersDoNotStall(t *testing.T) {
-	const (
-		writers = 2
-		writes  = 1500
-		files   = 96
-		timeout = time.Second
-	)
-	nodes := startClusterWith(t, 3, nil, StartLocalOpts{TweakNode: func(_ int, cfg *Config) {
-		cfg.Replicas = 2
-		cfg.PeerCallTimeout = timeout
-	}})
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		c, err := lapclient.DialConn(nodes[w].Addr, 1)
-		if err != nil {
-			t.Fatalf("dial node %d: %v", w, err)
-		}
-		defer c.Close()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			data := make([]byte, testBlockSize)
-			for i := 0; i < writes; i++ {
-				f := blockdev.FileID(1 + (i*7+w*31)%files)
-				off := blockdev.BlockNo(i % 64)
-				start := time.Now()
-				rh, _, err := c.Do(lapclient.Req(wire.OpWrite, 0, f, off, 1), data, nil)
-				if err != nil || rh.Flags&wire.FlagReplicated == 0 || time.Since(start) >= timeout {
-					t.Errorf("writer %d, write %d of file %d: replicated=%v err=%v after %v",
-						w, i, f, rh.Flags&wire.FlagReplicated != 0, err, time.Since(start))
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
 }
 
 // TestClusterCharismaE2E is the cluster acceptance run: a synthetic

@@ -33,10 +33,7 @@ func TestOwnerDegradeRecover(t *testing.T) {
 				nodes := startCluster(t, 3, nil)
 				owner, reader, bystander := nodes[0], nodes[1], nodes[2]
 				roles := []*LocalNode{owner, reader, bystander}
-				// The reader is the file's R=2 successor, so with the owner
-				// dead no replica serves it and the read degrades to the
-				// reader's own store at either replica count.
-				f := filePlacedOn(t, owner, reader)
+				f := fileOwnedBy(t, nodes, 0)
 
 				// Healthy phase: the forward path works.
 				if _, _, err := readCopy(reader.Engine, f, 0, 2); err != nil {
@@ -108,19 +105,6 @@ func TestOwnerDegradeRecover(t *testing.T) {
 			})
 		})
 	}
-}
-
-// filePlacedOn finds a file whose R=2 placement is exactly (owner,
-// successor).
-func filePlacedOn(t *testing.T, owner, successor *LocalNode) blockdev.FileID {
-	t.Helper()
-	for f := blockdev.FileID(1); f < 10000; f++ {
-		if ow := owner.Node.ring.Owners(f, 2); ow[0] == owner.Addr && ow[1] == successor.Addr {
-			return f
-		}
-	}
-	t.Fatal("no file placed on the wanted owner and successor in 10000 tries")
-	return 0
 }
 
 // TestRestartKeepsAddress: a restarted member rebinds its advertise

@@ -144,9 +144,6 @@ func (m *LocalNode) boot(ln net.Listener) error {
 		node.Close()
 		return err
 	}
-	// Hand the node its engine callbacks before the server serves: the
-	// first replica-served read already read-repairs.
-	node.SetLocal(eng)
 	srv := lapcache.NewServer(eng)
 	if m.opts.TweakServer != nil {
 		m.opts.TweakServer(m.Index, srv)

@@ -20,11 +20,6 @@ type Config struct {
 	// Peers is the ring, self included or not: the member list is
 	// fixed for the node's whole life.
 	Peers []string
-	// Replicas is how many ring members hold each block: 1 = owner
-	// only, 2 = owner plus its ring successor (writes are pushed to
-	// the successor before the ack, and the successor's memory serves
-	// reads while the owner is down). 0 defaults to 1.
-	Replicas int
 	// PingInterval paces the per-peer health loop: how often a live
 	// peer is pinged and how soon a dead one is first re-dialed
 	// (0 = 250ms). Consecutive dial failures back off exponentially
@@ -73,16 +68,6 @@ type realClock struct{}
 
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
-// LocalEngine is the slice of the local cache engine the node calls
-// back into: the read-repair install after a replica serves a read. It
-// is implemented by *lapcache.Engine; the interface keeps the import
-// arrow pointing from cluster to lapcache only through lapclient.
-type LocalEngine interface {
-	// RepairInstall writes blocks fetched from a replica through to
-	// the local store, restoring two reachable copies.
-	RepairInstall(f blockdev.FileID, off blockdev.BlockNo, srcs [][]byte)
-}
-
 // Node wires one lapcached process into the peer group. It implements
 // lapcache.RemoteFetcher (the engine's forward path), the one interface
 // through which the engine stays free of any cluster import.
@@ -99,12 +84,10 @@ type LocalEngine interface {
 // decision (a forward to a down peer degrades to local service at the
 // call, and nothing caches that outcome).
 type Node struct {
-	cfg      Config
-	self     string
-	replicas int
-	ring     *Ring
-	peers    map[string]*peer // keyed by advertise address, self excluded
-	local    LocalEngine
+	cfg   Config
+	self  string
+	ring  *Ring
+	peers map[string]*peer // keyed by advertise address, self excluded
 
 	quit    chan struct{}
 	wg      sync.WaitGroup
@@ -147,17 +130,12 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = realClock{}
 	}
-	replicas := cfg.Replicas
-	if replicas <= 0 {
-		replicas = 1
-	}
 	n := &Node{
-		cfg:      cfg,
-		self:     cfg.Self,
-		replicas: replicas,
-		ring:     ring,
-		peers:    make(map[string]*peer),
-		quit:     make(chan struct{}),
+		cfg:   cfg,
+		self:  cfg.Self,
+		ring:  ring,
+		peers: make(map[string]*peer),
+		quit:  make(chan struct{}),
 	}
 	for _, m := range ring.Members() {
 		if m != n.self {
@@ -166,11 +144,6 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	return n, nil
 }
-
-// SetLocal hands the node its engine callbacks. Wire it before the
-// local server serves: a node without an engine (tests exercising only
-// routing) skips the callbacks.
-func (n *Node) SetLocal(l LocalEngine) { n.local = l }
 
 // Start launches the per-peer health loops. Idempotent-hostile on
 // purpose: call it exactly once, after the local server is listening.
@@ -327,8 +300,7 @@ func (n *Node) fault(p *peer, err error) {
 }
 
 // forward is the one peer RPC: every request this node sends on to
-// another member — span reads, owner-bound writes and closes, replica
-// pushes — takes the peer's live connection, does one exchange and
+// another member — span reads, owner-bound writes and closes — takes the peer's live connection, does one exchange and
 // classifies the failure. ok=false means the peer could not be reached
 // (it was down, or a transport error just faulted it): the caller
 // degrades to local service. A ServerError means the peer was reached
@@ -360,21 +332,6 @@ func (n *Node) ownerPeer(f blockdev.FileID) (*peer, bool) {
 	return p, ok
 }
 
-// replicaPeer resolves f's R=2 successor to its peer entry; ok=false
-// when replication is off, the ring is too small, or the successor is
-// this node.
-func (n *Node) replicaPeer(f blockdev.FileID) (*peer, bool) {
-	if n.replicas < 2 {
-		return nil, false
-	}
-	owners := n.ring.Owners(f, n.replicas)
-	if len(owners) < 2 {
-		return nil, false
-	}
-	p, ok := n.peers[owners[1]]
-	return p, ok
-}
-
 // --- lapcache.RemoteFetcher ---
 
 // Owned implements lapcache.RemoteFetcher.
@@ -382,56 +339,26 @@ func (n *Node) Owned(f blockdev.FileID) bool { return n.ring.Owner(f) == n.self 
 
 // FetchSpan implements lapcache.RemoteFetcher: one pipelined
 // peer-flagged read RPC whose payload lands directly in dsts, served
-// strictly locally by the receiver. When the owner is unreachable and
-// the tier replicates, the file's ring successor — holding every acked
-// write of f in its memory — serves instead, and the fetched blocks
-// are written through to the local store (read-repair) so the data is
-// two-copy again even with the owner gone.
+// strictly locally by the receiver. An unreachable owner (down, or
+// never a peer) returns ok=false: the caller degrades to its store.
 func (n *Node) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit, ok bool, err error) {
-	h := lapclient.Req(wire.OpRead, wire.FlagWantData|wire.FlagPeer, f, off, nblocks)
-	if p, found := n.ownerPeer(f); found {
-		if rh, ok, err := n.forward(p, h, nil, dsts); ok {
-			return rh.Flags&wire.FlagHit != 0, true, err
-		}
-	}
-	// Owner gone (or was never a peer): try the replica.
-	p, found := n.replicaPeer(f)
-	if !found {
-		return false, false, nil
-	}
-	rh, ok, err := n.forward(p, h, nil, dsts)
-	if ok && err == nil {
-		if n.local != nil {
-			n.local.RepairInstall(f, off, dsts)
-		}
-	}
-	return rh.Flags&wire.FlagHit != 0, ok, err
-}
-
-// ForwardWrite implements lapcache.RemoteFetcher.
-func (n *Node) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (ok, replicated bool, err error) {
 	p, found := n.ownerPeer(f)
 	if !found {
 		return false, false, nil
 	}
-	rh, ok, err := n.forward(p, lapclient.Req(wire.OpWrite, wire.FlagPeer, f, off, nblocks), data, nil)
-	return ok, rh.Flags&wire.FlagReplicated != 0, err
+	rh, ok, err := n.forward(p, lapclient.Req(wire.OpRead, wire.FlagWantData|wire.FlagPeer, f, off, nblocks), nil, dsts)
+	return rh.Flags&wire.FlagHit != 0, ok, err
 }
 
-// ReplicateWrite implements lapcache.RemoteFetcher: push the span to
-// f's ring successor as a replica install. Best-effort — a down
-// successor just means the ack goes out without FlagReplicated.
-func (n *Node) ReplicateWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) bool {
-	p, found := n.replicaPeer(f)
+// ForwardWrite implements lapcache.RemoteFetcher.
+func (n *Node) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (bool, error) {
+	p, found := n.ownerPeer(f)
 	if !found {
-		return false
+		return false, nil
 	}
-	_, ok, err := n.forward(p, lapclient.Req(wire.OpWrite, wire.FlagPeer|wire.FlagReplica, f, off, nblocks), data, nil)
-	return ok && err == nil
+	_, ok, err := n.forward(p, lapclient.Req(wire.OpWrite, wire.FlagPeer, f, off, nblocks), data, nil)
+	return ok, err
 }
-
-// Replicates implements lapcache.RemoteFetcher.
-func (n *Node) Replicates() bool { return n.replicas >= 2 }
 
 // ForwardClose implements lapcache.RemoteFetcher.
 func (n *Node) ForwardClose(f blockdev.FileID) (bool, error) {

@@ -15,9 +15,7 @@
 // ring. Liveness never changes ownership — a down owner degrades its
 // files to each node's local store (latency, not availability),
 // because two nodes adopting one file's chain is precisely the xFS
-// failure mode the design exists to avoid. An R=2 replica on the ring
-// successor (Config.Replicas) turns a down owner from a disk degrade
-// into a remote memory hit.
+// failure mode the design exists to avoid.
 package cluster
 
 import (
@@ -136,27 +134,6 @@ func (r *Ring) Owner(f blockdev.FileID) string {
 		i = 0
 	}
 	return r.members[r.points[i].member]
-}
-
-// Owners returns the first n distinct members at or clockwise after
-// f's hash: Owners(f, 2)[0] is the owner, [1] the R=2 replica
-// successor. Fewer than n members yields all of them, owner first.
-func (r *Ring) Owners(f blockdev.FileID, n int) []string {
-	if n > len(r.members) {
-		n = len(r.members)
-	}
-	h := fileHash(f)
-	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[int]bool, n)
-	for k := 0; k < len(r.points) && len(out) < n; k++ {
-		pt := r.points[(i+k)%len(r.points)]
-		if !seen[pt.member] {
-			seen[pt.member] = true
-			out = append(out, r.members[pt.member])
-		}
-	}
-	return out
 }
 
 // Members returns the sorted member addresses.

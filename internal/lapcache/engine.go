@@ -274,8 +274,8 @@ func (e *Engine) driverLocked(f blockdev.FileID, fl *fileState) *core.Driver {
 }
 
 // reqMode says on whose behalf a request runs — the engine-side image
-// of the wire's FlagPeer/FlagReplica bits, and the only thing that
-// distinguishes one read, write or close from another.
+// of the wire's FlagPeer bit, and the only thing that distinguishes
+// one read, write or close from another.
 type reqMode uint8
 
 const (
@@ -290,11 +290,6 @@ const (
 	// requests, which is exactly what lets it model the cluster-wide
 	// access stream and run the one true prefetch chain.
 	modePeer
-	// modeReplica: a replica install (FlagPeer|FlagReplica). Strictly
-	// local like modePeer, and additionally invisible to the driver and
-	// never replicated onward — only the owner models the file's access
-	// stream, and a replica push must never fan out further.
-	modeReplica
 )
 
 // ReadInto serves a demand read of nblocks blocks starting at off,
@@ -328,9 +323,7 @@ func (e *Engine) read(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.Bloc
 	if err != nil {
 		return bufs, false, err
 	}
-	if m != modeReplica {
-		e.feedDriver(f, core.Request{Offset: off, Size: nblocks}, hit)
-	}
+	e.feedDriver(f, core.Request{Offset: off, Size: nblocks}, hit)
 	return bufs, hit, nil
 }
 
@@ -447,7 +440,7 @@ func (e *Engine) claim(b blockdev.BlockID, limit int32, prefetch bool) (*fetchOp
 // the claimed run [b, b+n) into fresh buffers appended to bufs, publish
 // them in the cache, record the outcome on fo, unregister the run and
 // wake the joiners. From the owner the run is one span RPC, and a run
-// no live owner (or replica) can serve degrades to the local store: a
+// no live owner can serve degrades to the local store: a
 // dead owner costs latency, not availability. fromMemory reports the
 // owner answered every block from its memory.
 //
@@ -460,7 +453,7 @@ func (e *Engine) fill(bufs []*blockbuf.Buf, fo *fetchOp, b blockdev.BlockID, n i
 	}
 	run := bufs[base:]
 
-	served := false // the owner or its replica answered
+	served := false // the owner answered
 	if fromOwner {
 		dp, _ := e.dsts.Get().(*[][]byte)
 		if dp == nil {
@@ -579,81 +572,43 @@ func (fo *fetchOp) join() { fo.refs.Add(1) }
 // the local cache; only if no owner is reachable does the write land
 // in the local store.
 func (e *Engine) Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	_, err := e.write(f, off, nblocks, data, modeClient)
-	return err
+	return e.write(f, off, nblocks, data, modeClient)
 }
 
-// write is the one write body. replicated reports the blocks are
-// durably installed on two distinct nodes' stores (owner plus its R=2
-// successor), so the write survives either one's death; the server
-// acks exactly this bit as FlagReplicated. Single-node engines and replica-less tiers always report false.
-func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, m reqMode) (replicated bool, err error) {
+// write is the one write body.
+func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, m reqMode) error {
 	if nblocks <= 0 || off < 0 {
-		return false, fmt.Errorf("lapcache: invalid write %d:[%d,+%d]", f, off, nblocks)
+		return fmt.Errorf("lapcache: invalid write %d:[%d,+%d]", f, off, nblocks)
 	}
 	if data != nil && len(data) != int(nblocks)*e.cfg.BlockSize {
-		return false, fmt.Errorf("lapcache: write payload is %d bytes, want %d",
+		return fmt.Errorf("lapcache: write payload is %d bytes, want %d",
 			len(data), int(nblocks)*e.cfg.BlockSize)
 	}
 	if m == modeClient && e.remote != nil && !e.remote.Owned(f) {
-		ok, replicated, err := e.remote.ForwardWrite(f, off, nblocks, data)
+		ok, err := e.remote.ForwardWrite(f, off, nblocks, data)
 		if ok {
 			if err != nil {
-				return false, err // the owner itself refused: propagate
+				return err // the owner itself refused: propagate
 			}
 			e.m.forwardedWrites.Add(1)
 			e.m.writes.Add(1)
-			e.installSpan(f, off, nblocks, data, m, false) //nolint:errcheck // cache-only install cannot fail
-			return replicated, nil
+			e.installSpan(f, off, nblocks, data, false) //nolint:errcheck // cache-only install cannot fail
+			return nil
 		}
 		e.m.remoteFallbacks.Add(1)
 	}
 	if m == modePeer {
 		e.m.peerWrites.Add(1)
 	}
-	if err := e.installSpan(f, off, nblocks, data, m, true); err != nil {
-		return false, err
-	}
-	if m == modeReplica {
-		// Store + cache only: the owner's synchronous R=2 push lands
-		// here.
-		e.m.replicaInstalls.Add(uint64(nblocks))
-		return false, nil
+	if err := e.installSpan(f, off, nblocks, data, true); err != nil {
+		return err
 	}
 	e.m.writes.Add(1)
-	// Synchronous R=2: the successor's copy is what turns this node's
-	// death into a remote memory hit instead of a disk read. The push
-	// rides inside the write's latency (durability before the ack),
-	// and a failed push degrades the ack to replicated=false rather
-	// than failing the write — replication is a promise about
-	// redundancy, never an availability tax.
-	if e.remote != nil && e.remote.ReplicateWrite(f, off, nblocks, data) {
-		replicated = true
-		e.m.replicatedWrites.Add(1)
-	}
 	// The write is part of the file's access stream: the predictors
 	// model (offset-interval, size) pairs of all requests. A write
 	// never waits on prefetched data, so it counts as satisfied.
 	e.feedDriver(f, core.Request{Offset: off, Size: nblocks}, true)
-	return replicated, nil
-}
-
-// RepairInstall persists blocks that a replica served (the owner
-// being unreachable) into the local store — read-repair: with the
-// owner down, the fetched data was one node death away from the disk
-// path, and the reader already paid for the bytes, so writing them
-// through restores two-copy redundancy for free. The cache install
-// happens on the normal remote-read path; this adds only the store
-// copy. srcs is one pre-filled slice per block.
-func (e *Engine) RepairInstall(f blockdev.FileID, off blockdev.BlockNo, srcs [][]byte) {
-	for i, src := range srcs {
-		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
-		if err := e.store.WriteBlock(b, src); err != nil {
-			return
-		}
-		e.m.storeWrites.Add(1)
-	}
-	e.m.readRepairs.Add(uint64(len(srcs)))
+	return nil
 }
 
 // installSpan installs nblocks blocks (nil data = fill pattern) in the
@@ -662,9 +617,8 @@ func (e *Engine) RepairInstall(f blockdev.FileID, off blockdev.BlockNo, srcs [][
 // blocks whose authoritative write landed on the owner, so this node's
 // next reads of them are local hits rather than forwards. A client's
 // or peer's write over a still-flagged speculative block is that
-// block's first user touch — timely, as in the simulator's write path;
-// a replica install is not a user access and books nothing.
-func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, m reqMode, toStore bool) error {
+// block's first user touch — timely, as in the simulator's write path.
+func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, toStore bool) error {
 	for i := int32(0); i < nblocks; i++ {
 		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
 		buf := e.pool.Get()
@@ -681,7 +635,7 @@ func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks in
 			e.m.storeWrites.Add(1)
 		}
 		// The cache takes the reference.
-		if e.cache.Put(b, buf, false) && m != modeReplica {
+		if e.cache.Put(b, buf, false) {
 			e.timely(f)
 		}
 	}
@@ -768,9 +722,6 @@ func (e *Engine) Snapshot() Snapshot {
 		ForwardedWrites:      e.m.forwardedWrites.Load(),
 		PeerReadsServed:      e.m.peerReads.Load(),
 		PeerWritesServed:     e.m.peerWrites.Load(),
-		ReplicatedWrites:     e.m.replicatedWrites.Load(),
-		ReplicaInstalls:      e.m.replicaInstalls.Load(),
-		ReadRepairs:          e.m.readRepairs.Load(),
 		MaxFileOutstandingHW: e.ledger.MaxHighWater(),
 		LinearViolations:     e.ledger.Violations(),
 		CachedBlocks:         e.cache.Len(),

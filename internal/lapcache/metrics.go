@@ -36,11 +36,6 @@ type Metrics struct {
 	forwardedWrites atomic.Uint64
 	peerReads       atomic.Uint64
 	peerWrites      atomic.Uint64
-
-	// R=2 replication (zero without a replicating tier).
-	replicatedWrites atomic.Uint64
-	replicaInstalls  atomic.Uint64
-	readRepairs      atomic.Uint64
 }
 
 // Snapshot is a frozen, JSON-exportable view of the engine's counters
@@ -92,17 +87,6 @@ type Snapshot struct {
 	ForwardedWrites  uint64 `json:"forwarded_writes,omitempty"`
 	PeerReadsServed  uint64 `json:"peer_reads_served,omitempty"`
 	PeerWritesServed uint64 `json:"peer_writes_served,omitempty"`
-
-	// R=2 replication. ReplicatedWrites counts local writes whose
-	// replica push was acknowledged by the successor (the writes acked
-	// FlagReplicated); ReplicaInstalls counts blocks this node
-	// installed as another file's replica copy (the owner's
-	// synchronous pushes); ReadRepairs counts blocks written
-	// through to the local store after a replica served them with the
-	// owner down — redundancy restored by the read itself.
-	ReplicatedWrites uint64 `json:"replicated_writes,omitempty"`
-	ReplicaInstalls  uint64 `json:"replica_installs,omitempty"`
-	ReadRepairs      uint64 `json:"read_repairs,omitempty"`
 
 	// Buffer pool traffic: fills served by allocating a new block
 	// buffer vs. recycling a released one. A steady-state ratio near

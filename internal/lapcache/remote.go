@@ -32,35 +32,19 @@ type RemoteFetcher interface {
 	Owned(f blockdev.FileID) bool
 
 	// FetchSpan reads nblocks blocks of f starting at off from the
-	// file's owner — or, when the owner is unreachable and the tier
-	// replicates, from the file's R=2 successor holding the replica in
-	// memory — landing one block per dsts slice (each pre-sized to the
-	// block size). hit reports the serving node answered every block
+	// file's owner, landing one block per dsts slice (each pre-sized
+	// to the block size). hit reports the owner answered every block
 	// from its memory: a remote memory hit, the cooperative-cache fast
-	// path. ok=false means neither owner nor replica is reachable: the
-	// caller degrades to its local store (latency, not availability).
-	// err is only non-nil when ok is true: the serving node itself
-	// refused the request.
+	// path. ok=false means the owner is unreachable: the caller
+	// degrades to its local store (latency, not availability). err is
+	// only non-nil when ok is true: the owner itself refused the
+	// request.
 	FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit, ok bool, err error)
 
 	// ForwardWrite sends a write of f to its owner so the data lands
-	// in the owner's store and cache. replicated reports the owner's
-	// durable-ack: it also installed the blocks on its R=2 successor.
-	// Semantics of ok and err match FetchSpan: ok=false degrades the
-	// write to the local store.
-	ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (ok, replicated bool, err error)
-
-	// ReplicateWrite pushes nblocks blocks of f (nil data = the
-	// deterministic fill pattern) to the file's R=2 successor as a
-	// replica install, returning whether the copy was acknowledged.
-	// Best-effort and synchronous: the engine calls it after its own
-	// store write, and the pair of returns decides the FlagReplicated
-	// ack. A tier without replication returns false immediately.
-	ReplicateWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) bool
-
-	// Replicates reports whether the tier keeps R=2 copies, so that a
-	// write of an owned file waits on another node for its push.
-	Replicates() bool
+	// in the owner's store and cache. Semantics of ok and err match
+	// FetchSpan: ok=false degrades the write to the local store.
+	ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (ok bool, err error)
 
 	// ForwardClose tells f's owner this node's clients are done with
 	// the file for now, parking the owner-side prefetch chain.

@@ -17,7 +17,6 @@ type fakeRemote struct {
 	fetchCalls atomic.Int32
 	writeCalls atomic.Int32
 	closeCalls atomic.Int32
-	replCalls  atomic.Int32
 	down       atomic.Bool           // every forward reports no live owner
 	miss       atomic.Bool           // the owner serves spans from its disk, not its memory
 	refuse     atomic.Pointer[error] // the owner is reached and refuses every span
@@ -52,17 +51,10 @@ func (r *fakeRemote) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks 
 	return !r.miss.Load(), true, nil
 }
 
-func (r *fakeRemote) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (ok, replicated bool, err error) {
+func (r *fakeRemote) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (bool, error) {
 	r.writeCalls.Add(1)
-	return !r.down.Load(), false, nil
+	return !r.down.Load(), nil
 }
-
-func (r *fakeRemote) ReplicateWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) bool {
-	r.replCalls.Add(1)
-	return false
-}
-
-func (r *fakeRemote) Replicates() bool { return true }
 
 func (r *fakeRemote) ForwardClose(f blockdev.FileID) (bool, error) {
 	r.closeCalls.Add(1)

@@ -305,9 +305,9 @@ type connHandler struct {
 	conn net.Conn
 	br   *bufio.Reader
 	bufs []*blockbuf.Buf // the loop's reused gather slice for read responses
-	// pipelined: the client has had a request buffered behind another,
-	// or arriving while a queue was in flight. Until then a client's
-	// request waits on the loop (see route).
+	// pipelined: the sender has had a request buffered behind another,
+	// or arriving while a queue was in flight. Until then a request
+	// waits on the loop (see route).
 	pipelined bool
 	// queued counts the files with a queue, so the loop skips the lock
 	// while there is none (always, while every request hits).
@@ -501,15 +501,13 @@ func (h *connHandler) finish(reason CloseReason) CloseReason {
 
 // route serves a request on the loop or queues it behind its file. A
 // file with a queue takes all of its requests until the queue drains,
-// and a request that may wait starts one — unless it is a client's
-// own on a connection that has never pipelined: the loop would only
-// wait for the client's next request, so it waits on this one instead
-// and spares the hand-off. A peer's request that may wait is always
-// queued: another node may be waiting on this connection's loop (an
-// owner's push to its R=2 successor rides the same connection as that
-// successor's forwards), and two such loops waiting on each other
-// hold until the peer call timeout. It returns the payload buffer for
-// the loop's next request: the same one, or nil if a queue took it.
+// and a request that may wait starts one — unless its connection has
+// never pipelined: the loop would only wait for the sender's next
+// request, so it waits on this one instead and spares the hand-off.
+// A peer's request takes the same rule: it is served strictly
+// locally, so it never waits on another node. It returns the payload
+// buffer for the loop's next request: the same one, or nil if a queue
+// took it.
 func (h *connHandler) route(hd wire.Header, payload []byte) []byte {
 	f := blockdev.FileID(hd.File)
 	named := hd.Op == wire.OpRead || hd.Op == wire.OpWrite || hd.Op == wire.OpClose
@@ -523,7 +521,7 @@ func (h *connHandler) route(hd wire.Header, payload []byte) []byte {
 		}
 		h.mu.Unlock()
 	}
-	if !named || (!h.pipelined && hd.Flags&wire.FlagPeer == 0) || !h.s.mayWait(hd) {
+	if !named || !h.pipelined || !h.s.mayWait(hd) {
 		h.bufs = h.dispatch(h.bufs, hd, payload, false)
 		return payload
 	}
@@ -561,12 +559,11 @@ func (h *connHandler) drain(q *fileQueue) {
 }
 
 // mayWait reports whether serving hd may wait on a store read or on
-// another node: a read of a block not cached here, a forwarded write
-// or close, or a write that pushes its R=2 copy. It only places the
+// another node: a read of a block not cached here, or a client's write
+// or close of a file owned elsewhere (forwarded). It only places the
 // request: a block evicted after the check is read on the loop.
 func (s *Server) mayWait(hd wire.Header) bool {
-	m, ok := modeOf(hd.Flags)
-	if !ok || !hd.Flags.Known() {
+	if !hd.Flags.Known() {
 		return false
 	}
 	e, f := s.e, blockdev.FileID(hd.File)
@@ -577,26 +574,19 @@ func (s *Server) mayWait(hd wire.Header) bool {
 				return true
 			}
 		}
-	case wire.OpWrite:
-		return e.remote != nil && m != modeReplica && (e.remote.Replicates() || m == modeClient && !e.remote.Owned(f))
-	case wire.OpClose:
-		return m == modeClient && e.remote != nil && !e.remote.Owned(f)
+	case wire.OpWrite, wire.OpClose:
+		return modeOf(hd.Flags) == modeClient && e.remote != nil && !e.remote.Owned(f)
 	}
 	return false
 }
 
-// modeOf maps a request's FlagPeer and FlagReplica bits to the mode
-// the engine serves it in; FlagReplica alone is not a mode.
-func modeOf(fl wire.Flags) (reqMode, bool) {
-	switch fl & (wire.FlagPeer | wire.FlagReplica) {
-	case wire.FlagPeer:
-		return modePeer, true
-	case wire.FlagPeer | wire.FlagReplica:
-		return modeReplica, true
-	case wire.FlagReplica:
-		return 0, false
+// modeOf maps a request's FlagPeer bit to the mode the engine serves
+// it in.
+func modeOf(fl wire.Flags) reqMode {
+	if fl&wire.FlagPeer != 0 {
+		return modePeer
 	}
-	return modeClient, true
+	return modeClient
 }
 
 // dispatch serves one request and queues its response. Buffers queued
@@ -643,10 +633,7 @@ func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte)
 	if !hd.Op.Known() || !hd.Flags.Known() {
 		return refuse(fmt.Sprintf("unsupported op %s flags %#x", hd.Op, uint8(hd.Flags)))
 	}
-	m, ok := modeOf(hd.Flags)
-	if !ok {
-		return refuse("FlagReplica requires FlagPeer")
-	}
+	m := modeOf(hd.Flags)
 	f, off := blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset)
 	flags := wire.FlagOK
 	var doc any // JSON response document of the rare ops
@@ -683,12 +670,8 @@ func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte)
 		if hd.PayloadLen > 0 {
 			data = payload
 		}
-		replicated, err := s.e.write(f, off, hd.Size, data, m)
-		if err != nil {
+		if err := s.e.write(f, off, hd.Size, data, m); err != nil {
 			return refuse(err.Error())
-		}
-		if replicated {
-			flags |= wire.FlagReplicated
 		}
 
 	case wire.OpClose:

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"net"
-	"strings"
 	"testing"
 	"time"
 
@@ -237,13 +236,11 @@ func TestServerCloseNotWedgedBySlowClient(t *testing.T) {
 }
 
 // TestServerDispatchMatrix drives the one dispatcher raw over the
-// whole request surface — {client, peer, peer+replica} × {read, write,
-// close} — and pins the loop-free contracts the flags stand for: a
-// peer-flagged request is never re-forwarded, a replica install
-// neither feeds the driver nor replicates onward, and FlagReplica
-// without FlagPeer is refused with an error frame that leaves the
-// stream framed. fakeRemote (remote_test.go) owns the even files and
-// counts every forward.
+// whole request surface — {client, peer} × {read, write, close} — and
+// pins the loop-free contract FlagPeer stands for: a peer-flagged
+// request is never re-forwarded, and still feeds the owner's driver.
+// fakeRemote (remote_test.go) owns the even files and counts every
+// forward.
 func TestServerDispatchMatrix(t *testing.T) {
 	const (
 		blockSize = 512
@@ -282,15 +279,12 @@ func TestServerDispatchMatrix(t *testing.T) {
 
 	off := int32(0) // fresh blocks per cell, so no cell is served from another's leftovers
 	for _, mode := range []struct {
-		name       string
-		flags      wire.Flags
-		forwards   bool // requests for a foreign file go to its owner
-		feeds      bool // reads and writes of an owned file reach its driver
-		replicates bool // writes of an owned file push the R=2 copy
+		name     string
+		flags    wire.Flags
+		forwards bool // requests for a foreign file go to its owner
 	}{
-		{"client", 0, true, true, true},
-		{"peer", wire.FlagPeer, false, true, true},
-		{"peer+replica", wire.FlagPeer | wire.FlagReplica, false, false, false},
+		{"client", 0, true},
+		{"peer", wire.FlagPeer, false},
 	} {
 		for _, op := range []wire.Op{wire.OpRead, wire.OpWrite, wire.OpClose} {
 			t.Run(mode.name+"/"+op.String(), func(t *testing.T) {
@@ -307,7 +301,7 @@ func TestServerDispatchMatrix(t *testing.T) {
 					t.Errorf("foreign file: %d forwards, want forwarding=%v", got, mode.forwards)
 				}
 
-				before, ticks, repl, snap := forwards(), fed(), rem.replCalls.Load(), e.Snapshot()
+				before, ticks, snap := forwards(), fed(), e.Snapshot()
 				h, payload = send(t, op, mode.flags, owned, off)
 				if h.Flags&wire.FlagOK == 0 {
 					t.Fatalf("owned file: refused: %s", payload)
@@ -316,57 +310,19 @@ func TestServerDispatchMatrix(t *testing.T) {
 					t.Errorf("owned file: %d forwards, want 0", got)
 				}
 				wantFed := core.Tick(0)
-				if mode.feeds && op != wire.OpClose {
+				if op != wire.OpClose {
 					wantFed = 1
 				}
 				if got := fed() - ticks; got != wantFed {
 					t.Errorf("owned file: driver fed %d requests, want %d", got, wantFed)
 				}
-				wantRepl := int32(0)
-				if mode.replicates && op == wire.OpWrite {
-					wantRepl = 1
-				}
-				if got := rem.replCalls.Load() - repl; got != wantRepl {
-					t.Errorf("owned file: %d replica pushes, want %d", got, wantRepl)
-				}
-				after := e.Snapshot()
 				if op == wire.OpWrite {
-					wantInstalls := uint64(0)
-					if mode.flags&wire.FlagReplica != 0 {
-						wantInstalls = 2
-					}
-					if got := after.ReplicaInstalls - snap.ReplicaInstalls; got != wantInstalls {
-						t.Errorf("owned file: %d replica installs, want %d", got, wantInstalls)
-					}
-					if got := after.StoreWrites - snap.StoreWrites; got != 2 {
+					if got := e.Snapshot().StoreWrites - snap.StoreWrites; got != 2 {
 						t.Errorf("owned file: %d store writes, want 2", got)
 					}
 				}
 			})
 		}
-	}
-
-	for _, op := range []wire.Op{wire.OpRead, wire.OpWrite, wire.OpClose} {
-		t.Run("replica-without-peer/"+op.String(), func(t *testing.T) {
-			before, ticks := forwards(), fed()
-			for _, f := range []blockdev.FileID{owned, foreign} {
-				h, msg := send(t, op, wire.FlagReplica, f, 200)
-				if h.Flags&wire.FlagOK != 0 {
-					t.Fatalf("file %d: FlagReplica without FlagPeer accepted", f)
-				}
-				if h.Op != op || !strings.Contains(string(msg), "FlagPeer") {
-					t.Errorf("file %d: error frame op=%s %q", f, h.Op, msg)
-				}
-			}
-			if forwards() != before || fed() != ticks {
-				t.Error("a refused request reached the engine")
-			}
-			// The stream is still framed: the next request is served.
-			seq++
-			if h, msg := c.do(t, wire.Header{Op: wire.OpPing, Seq: seq}, nil); h.Flags&wire.FlagOK == 0 {
-				t.Fatalf("ping after the refusals: %s", msg)
-			}
-		})
 	}
 }
 

@@ -6,8 +6,8 @@
 // client type.
 //
 // Conn's one exchange, Do, takes the request as a wire.Header: the
-// (Op, Flags) pair is the whole request surface, so a peer forward or
-// a replica install is a flag the caller sets, not another method.
+// (Op, Flags) pair is the whole request surface, so a peer forward is
+// a flag the caller sets, not another method.
 package lapclient
 
 import (

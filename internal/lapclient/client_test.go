@@ -257,8 +257,17 @@ func TestProtocolNegotiationMatrix(t *testing.T) {
 		if !errors.As(err, &se) {
 			t.Fatalf("future flags: err = %v, want *ServerError", err)
 		}
+		// Bits 4 and 5 are retired (a replica install and its ack): a
+		// peer write carrying either is refused after its payload is
+		// consumed, so the stream stays framed.
+		for _, fl := range []wire.Flags{1 << 4, 1 << 5} {
+			_, _, err = c.Do(Req(wire.OpWrite, wire.FlagPeer|fl, 1, 0, 1), make([]byte, cfg.BlockSize), nil)
+			if !errors.As(err, &se) {
+				t.Fatalf("retired flag %#x: err = %v, want *ServerError", uint8(fl), err)
+			}
+		}
 
-		// The connection survives both rejections.
+		// The connection survives every rejection.
 		if _, err := Ping(c); err != nil {
 			t.Fatalf("ping after rejected frames: %v", err)
 		}

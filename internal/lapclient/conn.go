@@ -329,7 +329,7 @@ func (c *Conn) flush() {
 
 // Do runs one pipelined request/response exchange — the connection's
 // one way to put a frame on the wire. It returns the response header
-// (FlagHit, FlagReplicated) and payload; an error frame surfaces as a
+// (FlagHit) and payload; an error frame surfaces as a
 // *ServerError. When dsts is non-nil the payload of a successful read
 // is landed directly in it (one pre-sized slice per block) and the
 // returned payload is nil: with the shared vectored write and the

@@ -27,9 +27,9 @@
 // OpStats.
 //
 // (Op, Flags) is the whole request surface: the op says what to do,
-// FlagPeer/FlagReplica say on whose behalf (a client, a forwarding
-// peer, a replicating owner), FlagWantData says whether a read returns
-// its blocks.
+// FlagPeer says on whose behalf (a client or a forwarding peer),
+// FlagWantData says whether a read returns its blocks. Bits 4 and 5
+// are retired: unknown, like any bit past FlagPeer.
 //
 // # Version skew
 //
@@ -125,24 +125,12 @@ const (
 	// cached on arrival.
 	FlagHit Flags = 1 << 2
 	// FlagPeer (requests) marks a request forwarded by a cluster peer:
-	// the receiver serves it strictly locally and never re-forwards.
-	// That is what lets a file's R=2 successor serve a read of a file
-	// it does not own while the owner is down, and it keeps forwarding
-	// loop-free even between nodes started with different -peers lists.
+	// the receiver serves it strictly locally and never re-forwards,
+	// which keeps forwarding loop-free even between nodes started with
+	// different -peers lists.
 	FlagPeer Flags = 1 << 3
-	// FlagReplica (write requests, with FlagPeer) marks a replica
-	// install: the receiver stores the blocks as the file's R=2 copy —
-	// no driver feed, no re-replication, never re-forwarded. The
-	// owner's synchronous replication pushes blocks under this flag.
-	FlagReplica Flags = 1 << 4
-	// FlagReplicated (write responses) reports the write is durably
-	// double-homed: the owner installed it locally AND a replica
-	// acknowledged the copy. A client that must survive the owner's
-	// death can count on exactly the writes acked with this bit: the
-	// successor's memory serves them while the owner is down.
-	FlagReplicated Flags = 1 << 5
 
-	flagsKnown = FlagWantData | FlagOK | FlagHit | FlagPeer | FlagReplica | FlagReplicated
+	flagsKnown = FlagWantData | FlagOK | FlagHit | FlagPeer
 )
 
 // Known reports whether every set bit is a flag this implementation
