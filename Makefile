@@ -34,11 +34,14 @@
 # that has nothing to fetch — a gate in calls, so both targets run it).
 # `make loc` prints the size ROADMAP and CHANGES.md quote: non-test Go
 # lines outside bench/, tracked or new (it gates nothing).
+# `make profile-sweep` profiles the simulator without bench/: three
+# passes of experiment:BenchmarkSweepRunCells into .bench_build/sweep.cpu,
+# then pprof's top 30 (it gates nothing either).
 
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check no-result-files check-cold check-record check-bench soak fmt vet build test race fuzz report loc
+.PHONY: check no-result-files check-cold check-record check-bench soak fmt vet build test race fuzz report loc profile-sweep
 
 check: no-result-files check-cold fmt vet build race fuzz check-record check-bench
 
@@ -171,3 +174,12 @@ report:
 # in CHANGES.md reports.
 loc:
 	@git ls-files -co --exclude-standard '*.go' ':!:*_test.go' ':!:bench/' | xargs cat | wc -l
+
+# The simulator's CPU profile: the 84 standard small-scale cells on two
+# RunCells workers, as sim_sweep runs them, three passes, so the
+# collector's write barriers show (DESIGN §6). The profile and the test
+# binary pprof reads it with go under .bench_build.
+profile-sweep:
+	@mkdir -p .bench_build
+	$(GO) test -run '^$$' -bench SweepRunCells -benchtime 3x -cpuprofile $(CURDIR)/.bench_build/sweep.cpu -o $(CURDIR)/.bench_build/experiment.test ./internal/experiment/
+	$(GO) tool pprof -top -nodecount=30 .bench_build/experiment.test .bench_build/sweep.cpu

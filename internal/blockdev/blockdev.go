@@ -41,45 +41,75 @@ func (b BlockID) Next() BlockID { return BlockID{b.File, b.Block + 1} }
 // of the lowest file ID take slots 0, 1, ..., the next file's follow,
 // and so on, so slots run densely over [0, Len()) in (file, block)
 // order. A table indexed by slot then stands in for a map keyed by
-// BlockID, and sorting slots sorts blocks. A simulated cell knows its
-// whole file table before it starts (the trace's FileBlocks), and it is
-// small: a few thousand blocks at the scales the experiments run.
+// BlockID, and sorting slots sorts blocks. Files are numbered the same
+// way: a file's ordinal is its rank in ID order, dense over
+// [0, Files()), so a table indexed by ordinal stands in for a map keyed
+// by FileID. A simulated cell knows its whole file table before it
+// starts (the trace's FileBlocks), and it is small: a few thousand
+// blocks at the scales the experiments run.
 type Numbering struct {
-	// files finds each file's first slot and length: an open-addressed
-	// table and not a slice indexed by ID, because a decoded trace need
-	// not number its files densely. It is at most half full, and an
-	// entry whose blocks is negative is empty.
-	files []fileSlots
-	shift uint // 64 - log2(len(files)): a hash's top bits pick its home entry
-	n     int32
+	// files holds every file's slots, by ordinal.
+	files []FileSlots
+	// index finds a file's ordinal: an open-addressed table and not a
+	// slice indexed by ID, because a decoded trace need not number its
+	// files densely. It is at most half full, and a negative entry is
+	// empty.
+	index []int32
+	shift uint // 64 - log2(len(index)): a hash's top bits pick its home entry
+	// owner is, by slot, the ordinal of the file the slot belongs to.
+	owner []int32
 }
 
-type fileSlots struct {
-	file          FileID
-	first, blocks int32
+// FileSlots is one numbered file, resolved: its ID, its ordinal, and
+// its blocks' slots [First, First+Blocks). A caller that resolves a
+// file once (Numbering.File) and keeps the result finds a block's slot
+// with one range check and no lookup.
+type FileSlots struct {
+	ID      FileID
+	Ordinal int32
+	First   int32
+	Blocks  int32
+}
+
+// Slot returns b's slot. A block of another file, or outside this
+// one, is a bug, and panics.
+func (f FileSlots) Slot(b BlockID) int32 {
+	if b.File != f.ID || uint32(b.Block) >= uint32(f.Blocks) {
+		panic(fmt.Sprintf("blockdev: block %v outside file %d's %d blocks", b, f.ID, f.Blocks))
+	}
+	return f.First + int32(b.Block)
 }
 
 // NewNumbering numbers the blocks of files, a map from every file to
 // its length in blocks.
 func NewNumbering(files map[FileID]BlockNo) *Numbering {
-	ids := make([]FileID, 0, len(files))
-	for f := range files {
+	ids, total := make([]FileID, 0, len(files)), 0
+	for f, blocks := range files {
 		ids = append(ids, f)
+		total += int(blocks)
 	}
 	slices.Sort(ids)
 	size := 1 << bits.Len(uint(2*len(ids)))
-	n := &Numbering{files: make([]fileSlots, size), shift: 64 - uint(bits.TrailingZeros(uint(size)))}
-	for i := range n.files {
-		n.files[i].blocks = -1
+	n := &Numbering{
+		files: make([]FileSlots, len(ids)),
+		index: make([]int32, size),
+		shift: 64 - uint(bits.TrailingZeros(uint(size))),
+		owner: make([]int32, 0, total),
+	}
+	for i := range n.index {
+		n.index[i] = -1
 	}
 	mask := uint64(size - 1)
-	for _, f := range ids {
+	for o, f := range ids {
 		s := fileHash(f) >> n.shift
-		for n.files[s].blocks >= 0 {
+		for n.index[s] >= 0 {
 			s = (s + 1) & mask
 		}
-		n.files[s] = fileSlots{file: f, first: n.n, blocks: int32(files[f])}
-		n.n += int32(files[f])
+		n.index[s] = int32(o)
+		n.files[o] = FileSlots{ID: f, Ordinal: int32(o), First: int32(len(n.owner)), Blocks: int32(files[f])}
+		for range files[f] {
+			n.owner = append(n.owner, int32(o))
+		}
 	}
 	return n
 }
@@ -87,38 +117,43 @@ func NewNumbering(files map[FileID]BlockNo) *Numbering {
 func fileHash(f FileID) uint64 { return uint64(uint32(f)) * 0x9e3779b97f4a7c15 }
 
 // find returns f's entry, or nil when f is not numbered.
-func (n *Numbering) find(f FileID) *fileSlots {
-	mask := uint64(len(n.files) - 1)
+func (n *Numbering) find(f FileID) *FileSlots {
+	mask := uint64(len(n.index) - 1)
 	for s := fileHash(f) >> n.shift; ; s = (s + 1) & mask {
-		e := &n.files[s]
-		if e.blocks < 0 {
+		o := n.index[s]
+		if o < 0 {
 			return nil
 		}
-		if e.file == f {
+		if e := &n.files[o]; e.ID == f {
 			return e
 		}
 	}
 }
 
 // Len returns the number of slots: the blocks of every file together.
-func (n *Numbering) Len() int { return int(n.n) }
+func (n *Numbering) Len() int { return len(n.owner) }
 
-// Slot returns b's slot. A block outside the table is a bug, and
-// panics.
-func (n *Numbering) Slot(b BlockID) int32 {
-	fs := n.find(b.File)
-	if fs == nil || uint32(b.Block) >= uint32(fs.blocks) {
-		panic(fmt.Sprintf("blockdev: block %v outside the numbered files", b))
+// Files returns the number of files, zero-length ones included.
+func (n *Numbering) Files() int { return len(n.files) }
+
+// File resolves file f, and its Slot then finds a block's slot: this
+// lookup is the one place a FileID becomes a slot. A file outside the
+// table is a bug, and panics.
+func (n *Numbering) File(f FileID) FileSlots {
+	fs := n.find(f)
+	if fs == nil {
+		panic(fmt.Sprintf("blockdev: file %d outside the numbered files", f))
 	}
-	return fs.first + int32(b.Block)
+	return *fs
 }
 
-// Blocks returns file f's length in blocks, and whether f is numbered.
-func (n *Numbering) Blocks(f FileID) (BlockNo, bool) {
-	if fs := n.find(f); fs != nil {
-		return BlockNo(fs.blocks), true
-	}
-	return 0, false
+// Ordinal returns the ordinal of the file slot belongs to.
+func (n *Numbering) Ordinal(slot int32) int32 { return n.owner[slot] }
+
+// Block returns the block in slot.
+func (n *Numbering) Block(slot int32) BlockID {
+	fs := &n.files[n.owner[slot]]
+	return BlockID{fs.ID, BlockNo(slot - fs.First)}
 }
 
 // Span is a contiguous range of blocks [Start, Start+Count) of one

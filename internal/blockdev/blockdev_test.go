@@ -1,6 +1,7 @@
 package blockdev
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -83,31 +84,22 @@ func TestNumberingIsDenseInBlockOrder(t *testing.T) {
 	}
 	want := []BlockID{{3, 0}, {3, 1}, {3, 2}, {9, 0}, {9, 1}, {40, 0}}
 	for slot, b := range want {
-		if got := n.Slot(b); got != int32(slot) {
+		if got := n.File(b.File).Slot(b); got != int32(slot) {
 			t.Errorf("Slot(%v) = %d, want %d", b, got, slot)
 		}
 	}
-	if blocks, ok := n.Blocks(9); blocks != 2 || !ok {
-		t.Errorf("Blocks(9) = %d, %v; want 2, true", blocks, ok)
+	if fs := n.File(9); fs.Blocks != 2 || fs.First != 3 {
+		t.Errorf("File(9) = %+v; want 2 blocks from slot 3", fs)
 	}
-	if _, ok := n.Blocks(8); ok {
-		t.Error("Blocks(8) found a file the table does not have")
-	}
+	mustPanicOn(t, "File(8)", func() { n.File(8) })
 	for _, b := range []BlockID{{3, 3}, {3, -1}, {7, 0}, {8, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Slot(%v) did not panic", b)
-				}
-			}()
-			n.Slot(b)
-		}()
+		mustPanic(t, b, n)
 	}
 }
 
 // refNumbering is the map the open-addressed table replaced: each
 // file's first slot and length, slots dense in (file, block) order.
-type refNumbering map[FileID]fileSlots
+type refNumbering map[FileID]struct{ first, blocks int32 }
 
 func newRefNumbering(files map[FileID]BlockNo) refNumbering {
 	ids := make([]FileID, 0, len(files))
@@ -117,7 +109,7 @@ func newRefNumbering(files map[FileID]BlockNo) refNumbering {
 	slices.Sort(ids)
 	ref, next := make(refNumbering, len(ids)), int32(0)
 	for _, f := range ids {
-		ref[f] = fileSlots{file: f, first: next, blocks: int32(files[f])}
+		ref[f] = struct{ first, blocks int32 }{next, int32(files[f])}
 		next += int32(files[f])
 	}
 	return ref
@@ -157,12 +149,12 @@ func TestNumberingMatchesMap(t *testing.T) {
 			total := 0
 			for f, fs := range ref {
 				total += int(fs.blocks)
-				if blocks, ok := n.Blocks(f); !ok || int32(blocks) != fs.blocks {
-					t.Errorf("Blocks(%d) = %d, %v; want %d, true", f, blocks, ok, fs.blocks)
+				if got := n.File(f); got.Blocks != fs.blocks || got.First != fs.first {
+					t.Errorf("File(%d) = %+v; want %d blocks from slot %d", f, got, fs.blocks, fs.first)
 				}
 				for b := int32(0); b < fs.blocks; b++ {
 					id := BlockID{f, BlockNo(b)}
-					if got := n.Slot(id); got != fs.first+b {
+					if got := n.File(f).Slot(id); got != fs.first+b {
 						t.Errorf("Slot(%v) = %d, want %d", id, got, fs.first+b)
 					}
 				}
@@ -174,8 +166,8 @@ func TestNumberingMatchesMap(t *testing.T) {
 			}
 			if tc.probes {
 				displaced := 0
-				for s, e := range n.files {
-					if e.blocks >= 0 && uint64(s) != fileHash(e.file)>>n.shift {
+				for s, o := range n.index {
+					if o >= 0 && uint64(s) != fileHash(n.files[o].ID)>>n.shift {
 						displaced++
 					}
 				}
@@ -184,9 +176,7 @@ func TestNumberingMatchesMap(t *testing.T) {
 				}
 			}
 			for _, f := range tc.absent {
-				if blocks, ok := n.Blocks(f); ok || blocks != 0 {
-					t.Errorf("Blocks(%d) = %d, %v for a file the table does not have", f, blocks, ok)
-				}
+				mustPanicOn(t, fmt.Sprintf("File(%d)", f), func() { n.File(f) })
 				mustPanic(t, BlockID{f, 0}, n)
 			}
 		})
@@ -195,12 +185,60 @@ func TestNumberingMatchesMap(t *testing.T) {
 
 func mustPanic(t *testing.T, b BlockID, n *Numbering) {
 	t.Helper()
+	mustPanicOn(t, fmt.Sprintf("Slot(%v)", b), func() { n.File(b.File).Slot(b) })
+}
+
+func mustPanicOn(t *testing.T, call string, f func()) {
+	t.Helper()
 	defer func() {
 		if recover() == nil {
-			t.Errorf("Slot(%v) did not panic", b)
+			t.Errorf("%s did not panic", call)
 		}
 	}()
-	n.Slot(b)
+	f()
+}
+
+// TestNumberingOrdinals: files get ordinals by rank in ID order however
+// sparse their IDs, a resolved file finds each block at its first slot
+// plus the block number, and Block and Ordinal map every slot back.
+// Every resolving call panics on a file the table does not have or a
+// block past its file's end.
+func TestNumberingOrdinals(t *testing.T) {
+	ids := []FileID{3, 7, 1 << 20, 1 << 30}
+	files := map[FileID]BlockNo{1 << 30: 2, 7: 3, 3: 1, 1 << 20: 4}
+	n := NewNumbering(files)
+	if n.Files() != len(ids) {
+		t.Fatalf("Files = %d, want %d", n.Files(), len(ids))
+	}
+	next := int32(0)
+	for o, f := range ids {
+		fs := n.File(f)
+		if fs != (FileSlots{ID: f, Ordinal: int32(o), First: next, Blocks: int32(files[f])}) {
+			t.Errorf("File(%d) = %+v, want ordinal %d, %d blocks from slot %d", f, fs, o, files[f], next)
+		}
+		next += int32(files[f])
+		for b := BlockNo(0); b < files[f]; b++ {
+			id := BlockID{f, b}
+			slot := fs.Slot(id)
+			if slot != fs.First+int32(b) {
+				t.Errorf("Slot(%v) = %d, want %d", id, slot, fs.First+int32(b))
+			}
+			if n.Block(slot) != id || n.Ordinal(slot) != int32(o) {
+				t.Errorf("slot %d maps back to %v of ordinal %d, want %v of %d", slot, n.Block(slot), n.Ordinal(slot), id, o)
+			}
+		}
+		mustPanic(t, BlockID{f, files[f]}, n)
+		mustPanic(t, BlockID{f, -1}, n)
+	}
+	if n.Len() != int(next) {
+		t.Errorf("Len = %d, want %d", n.Len(), next)
+	}
+	mustPanicOn(t, "file 3's Slot of a block of file 7", func() { n.File(3).Slot(BlockID{7, 0}) })
+	for _, f := range []FileID{0, 4, 1<<20 + 1, -3} {
+		mustPanicOn(t, fmt.Sprintf("File(%d)", f), func() { n.File(f) })
+	}
+	mustPanicOn(t, "Block past the last slot", func() { n.Block(int32(n.Len())) })
+	mustPanicOn(t, "Ordinal past the last slot", func() { n.Ordinal(int32(n.Len())) })
 }
 
 func TestStriperCoversAllDisks(t *testing.T) {

@@ -19,7 +19,7 @@ func TestWarmInsertAllocs(t *testing.T) {
 		_, c := newTestCache(4, 8, p)
 		var (
 			next, used int
-			last       blockdev.BlockID
+			last       int32
 			lastNode   blockdev.NodeID
 		)
 		burst := func() {

@@ -9,8 +9,9 @@
 // at a time as copies are placed, up to one record per buffer of the
 // machine; the recency lists and the directory link copies by slab
 // index; and blocks are
-// addressed by their slot in the cell's blockdev.Numbering, so the
-// directory and the dirty set are tables, not maps. Nothing here holds
+// addressed by their slot in the cell's blockdev.Numbering, in every
+// call and every record, so the directory and the dirty set are
+// tables, not maps, and the cache never looks a block up. Nothing here holds
 // a pointer that an insert, an eviction or a touch would move.
 package cachesim
 
@@ -25,8 +26,8 @@ import (
 // cache's slab, linked by slab index into its node's recency list, the
 // machine-wide recency list and its block's directory entry.
 type Copy struct {
-	Block blockdev.BlockID
-	Node  blockdev.NodeID
+	Slot int32 // the block's slot in the numbering
+	Node blockdev.NodeID
 	// Dirty marks data newer than the disk image.
 	Dirty bool
 	// Prefetched marks a copy brought in speculatively and not yet
@@ -36,7 +37,6 @@ type Copy struct {
 	Recirculated int32
 
 	self  int32   // this record's slab index
-	slot  int32   // Block's slot in the numbering
 	links [3]link // the copy's place on each of its lists, by list kind
 }
 
@@ -64,7 +64,7 @@ var emptyList = list{head: none, tail: none}
 // block's contents must be written to disk before the buffer is
 // reused.
 type Victim struct {
-	Block blockdev.BlockID
+	Slot  int32
 	Dirty bool
 	// WasUnusedPrefetch marks a speculative block evicted before any
 	// user request touched it — a wasted prefetch.
@@ -82,7 +82,6 @@ type Stats struct {
 // Cache is the cooperative cache: per-node pools plus the global
 // directory.
 type Cache struct {
-	num     *blockdev.Numbering
 	perNode int32 // capacity per node, in blocks
 	// copies is the slab, at most one record per buffer of the
 	// machine; free holds the indices of the records a copy left.
@@ -98,15 +97,16 @@ type Cache struct {
 	stats     Stats
 	scanStart int // rotating start for free-buffer scans
 
-	// The buffers Insert returns its victims in and DirtyBlocks its
-	// blocks, reused from call to call.
+	// The buffers Insert returns its victims in and DirtySlots its
+	// slots, reused from call to call.
 	victims    []Victim
-	dirtyOrder []blockdev.BlockID
+	dirtyOrder []int32
 
-	// OnPrefetchUsed, if set, fires when a user request first touches a
-	// prefetched copy — the moment a prefetch is known to have been
-	// timely. Observation only: the hook must not mutate the cache.
-	OnPrefetchUsed func(b blockdev.BlockID)
+	// OnPrefetchUsed, if set, fires with the block's slot when a user
+	// request first touches a prefetched copy — the moment a prefetch
+	// is known to have been timely. Observation only: the hook must not
+	// mutate the cache.
+	OnPrefetchUsed func(slot int32)
 }
 
 // Policy chooses how room is made when a node's pool is full.
@@ -119,20 +119,19 @@ type Policy interface {
 }
 
 // New constructs a cache of nNodes pools with perNode blocks each over
-// the blocks num numbers, managed by the given policy. The RNG is split
-// from the engine's stream (N-chance forwarding picks random target
-// nodes).
-func New(e *sim.Engine, nNodes, perNode int, policy Policy, num *blockdev.Numbering) *Cache {
+// slots slots (a numbering's Len), managed by the given policy. The RNG
+// is split from the engine's stream (N-chance forwarding picks random
+// target nodes).
+func New(e *sim.Engine, nNodes, perNode int, policy Policy, slots int) *Cache {
 	if nNodes <= 0 || perNode <= 0 {
 		panic(fmt.Sprintf("cachesim: invalid geometry %d nodes x %d blocks", nNodes, perNode))
 	}
 	c := &Cache{
-		num:     num,
 		perNode: int32(perNode),
 		nodes:   make([]list, nNodes),
 		glob:    emptyList,
-		dir:     make([]list, num.Len()),
-		dirty:   make([]bool, num.Len()),
+		dir:     make([]list, slots),
+		dirty:   make([]bool, slots),
 		policy:  policy,
 		rng:     e.RNG().Split(),
 	}
@@ -148,26 +147,26 @@ func New(e *sim.Engine, nNodes, perNode int, policy Policy, num *blockdev.Number
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// Contains reports whether any copy of b is cached.
-func (c *Cache) Contains(b blockdev.BlockID) bool { return c.dir[c.num.Slot(b)].len > 0 }
+// Contains reports whether any copy of the block in slot is cached.
+func (c *Cache) Contains(slot int32) bool { return c.dir[slot].len > 0 }
 
-// ContainsOn reports whether node n holds a copy of b.
-func (c *Cache) ContainsOn(n blockdev.NodeID, b blockdev.BlockID) bool {
-	return c.findOn(n, c.num.Slot(b)) != none
+// ContainsOn reports whether node n holds a copy of the block in slot.
+func (c *Cache) ContainsOn(n blockdev.NodeID, slot int32) bool {
+	return c.findOn(n, slot) != none
 }
 
-// Find returns b's first copy in directory order — the holder a request
-// is served from — or nil if the block is uncached. Copies join the
-// order at its end; one that leaves gives its place to the last. The
-// copy is the cache's own record: read it, hand it to Use, and do not
-// keep it past the next Insert or Drop.
-func (c *Cache) Find(b blockdev.BlockID) *Copy {
-	return c.at(c.dir[c.num.Slot(b)].head)
+// Find returns the first copy in directory order of the block in slot
+// — the holder a request is served from — or nil if the block is
+// uncached. Copies join the order at its end; one that leaves gives its
+// place to the last. The copy is the cache's own record: read it, hand
+// it to Use, and do not keep it past the next Insert or Drop.
+func (c *Cache) Find(slot int32) *Copy {
+	return c.at(c.dir[slot].head)
 }
 
-// FindOn returns node n's copy of b, or nil; see Find.
-func (c *Cache) FindOn(n blockdev.NodeID, b blockdev.BlockID) *Copy {
-	return c.at(c.findOn(n, c.num.Slot(b)))
+// FindOn returns node n's copy of the block in slot, or nil; see Find.
+func (c *Cache) FindOn(n blockdev.NodeID, slot int32) *Copy {
+	return c.at(c.findOn(n, slot))
 }
 
 // at returns the copy in slab record i, or nil for none.
@@ -194,14 +193,13 @@ type InsertOptions struct {
 	Prefetched bool
 }
 
-// Insert places a copy of b for node pref, evicting as needed per the
-// policy, and returns the node the copy landed on plus any victims the
+// Insert places a copy of the block in slot for node pref, evicting
+// as needed per the policy, and returns the node the copy landed on plus any victims the
 // caller must flush. Inserting a block already present on the chosen
 // node is a touch plus flag merge, not a duplicate. The victims share
 // one buffer the cache reuses: they are valid until the next Insert.
-func (c *Cache) Insert(pref blockdev.NodeID, b blockdev.BlockID, opts InsertOptions) (blockdev.NodeID, []Victim) {
+func (c *Cache) Insert(pref blockdev.NodeID, slot int32, opts InsertOptions) (blockdev.NodeID, []Victim) {
 	c.checkNode(pref)
-	slot := c.num.Slot(b)
 	// N-chance forwarding can cascade and refill a node that MakeRoom
 	// just drained, so loop until the target really has a free buffer.
 	// Termination: every MakeRoom call either drops a copy or uses up
@@ -225,28 +223,28 @@ func (c *Cache) Insert(pref blockdev.NodeID, b blockdev.BlockID, opts InsertOpti
 		}
 		return target, victims
 	}
-	c.place(Copy{Block: b, Node: target, Dirty: opts.Dirty, Prefetched: opts.Prefetched}, slot)
+	c.place(Copy{Slot: slot, Node: target, Dirty: opts.Dirty, Prefetched: opts.Prefetched})
 	return target, victims
 }
 
-// place puts a new copy of the block in slot, on a node with a free
-// buffer, into a slab record, the recency lists and the directory. The
-// record is the one a copy left last or, when none is free, a new one
-// at the slab's end: the slab never outgrows the machine's buffers.
-func (c *Cache) place(v Copy, slot int32) {
+// place puts a new copy, on a node with a free buffer, into a slab
+// record, the recency lists and the directory. The record is the one a
+// copy left last or, when none is free, a new one at the slab's end:
+// the slab never outgrows the machine's buffers.
+func (c *Cache) place(v Copy) {
 	i := int32(len(c.copies))
 	if n := len(c.free) - 1; n >= 0 {
 		i, c.free = c.free[n], c.free[:n]
 	} else {
 		c.copies = append(c.copies, Copy{})
 	}
-	v.self, v.slot = i, slot
+	v.self = i
 	c.copies[i] = v
 	c.pushBack(&c.nodes[v.Node], nodeList, i)
 	c.pushBack(&c.glob, globList, i)
-	c.pushBack(&c.dir[slot], dirList, i)
+	c.pushBack(&c.dir[v.Slot], dirList, i)
 	if v.Dirty {
-		c.dirty[slot] = true
+		c.dirty[v.Slot] = true
 	}
 }
 
@@ -259,15 +257,14 @@ func (c *Cache) Use(cp *Copy) {
 		cp.Prefetched = false
 		c.stats.UsedPrefetches++
 		if c.OnPrefetchUsed != nil {
-			c.OnPrefetchUsed(cp.Block)
+			c.OnPrefetchUsed(cp.Slot)
 		}
 	}
 }
 
-// MarkDirty flags b's copies as newer than disk. It reports whether
-// the block was cached.
-func (c *Cache) MarkDirty(b blockdev.BlockID) bool {
-	slot := c.num.Slot(b)
+// MarkDirty flags the copies of the block in slot as newer than disk.
+// It reports whether the block was cached.
+func (c *Cache) MarkDirty(slot int32) bool {
 	if c.dir[slot].len == 0 {
 		return false
 	}
@@ -285,9 +282,9 @@ func (c *Cache) removeCopy(i int32) Copy {
 	cp := &c.copies[i]
 	c.unlink(&c.nodes[cp.Node], nodeList, i)
 	c.unlink(&c.glob, globList, i)
-	c.dirRemove(&c.dir[cp.slot], i)
-	if c.dir[cp.slot].len == 0 {
-		c.dirty[cp.slot] = false
+	c.dirRemove(&c.dir[cp.Slot], i)
+	if c.dir[cp.Slot].len == 0 {
+		c.dirty[cp.Slot] = false
 	}
 	c.free = append(c.free, i)
 	return *cp
@@ -299,20 +296,20 @@ func (c *Cache) evict(i int32, out []Victim) []Victim {
 	if cp.Prefetched {
 		c.stats.WastedPrefetches++
 	}
-	dirtyLast := cp.Dirty && c.dir[cp.slot].len == 1
+	dirtyLast := cp.Dirty && c.dir[cp.Slot].len == 1
 	was := c.removeCopy(i)
 	return append(out, Victim{
-		Block:             was.Block,
+		Slot:              was.Slot,
 		Dirty:             dirtyLast,
 		WasUnusedPrefetch: was.Prefetched,
 	})
 }
 
-// Drop removes every copy of b without victim processing (used when a
-// write invalidates stale prefetched data). It reports whether any
-// copy existed.
-func (c *Cache) Drop(b blockdev.BlockID) bool {
-	d := &c.dir[c.num.Slot(b)]
+// Drop removes every copy of the block in slot without victim
+// processing (used when a write invalidates stale prefetched data). It
+// reports whether any copy existed.
+func (c *Cache) Drop(slot int32) bool {
+	d := &c.dir[slot]
 	if d.len == 0 {
 		return false
 	}
@@ -335,23 +332,23 @@ func (c *Cache) UnusedPrefetchedCopies() uint64 {
 	return n
 }
 
-// DirtyBlocks returns the blocks with at least one dirty copy, ordered
-// by file then block (slot order). The slice is reused: it is valid
+// DirtySlots returns the slots of the blocks with at least one dirty
+// copy, in order: by file then block. The slice is reused: it is valid
 // until the next call.
-func (c *Cache) DirtyBlocks() []blockdev.BlockID {
+func (c *Cache) DirtySlots() []int32 {
 	out := c.dirtyOrder[:0]
 	for slot, dirty := range c.dirty {
 		if dirty {
-			out = append(out, c.copies[c.dir[slot].head].Block)
+			out = append(out, int32(slot))
 		}
 	}
 	c.dirtyOrder = out
 	return out
 }
 
-// ClearDirty marks b clean after a successful disk write.
-func (c *Cache) ClearDirty(b blockdev.BlockID) {
-	slot := c.num.Slot(b)
+// ClearDirty marks the block in slot clean after a successful disk
+// write.
+func (c *Cache) ClearDirty(slot int32) {
 	for i := c.dir[slot].head; i != none; i = c.copies[i].links[dirList].next {
 		c.copies[i].Dirty = false
 	}

@@ -9,27 +9,28 @@ import (
 	"repro/internal/sim"
 )
 
-func blk(f, b int) blockdev.BlockID {
-	return blockdev.BlockID{File: blockdev.FileID(f), Block: blockdev.BlockNo(b)}
-}
-
 // testFiles numbers files 0-9 of 128 blocks each, every block the
 // tests use.
-func testFiles() *blockdev.Numbering {
+var testFiles = func() *blockdev.Numbering {
 	files := make(map[blockdev.FileID]blockdev.BlockNo)
 	for f := blockdev.FileID(0); f < 10; f++ {
 		files[f] = 128
 	}
 	return blockdev.NewNumbering(files)
+}()
+
+// blk returns the slot of block b of file f in testFiles.
+func blk(f, b int) int32 {
+	return testFiles.File(blockdev.FileID(f)).Slot(blockdev.BlockID{File: blockdev.FileID(f), Block: blockdev.BlockNo(b)})
 }
 
 func newTestCache(nodes, perNode int, p Policy) (*sim.Engine, *Cache) {
 	e := sim.NewEngine(1)
-	return e, New(e, nodes, perNode, p, testFiles())
+	return e, New(e, nodes, perNode, p, testFiles.Len())
 }
 
 // copiesOf counts b's copies through the directory, node by node.
-func copiesOf(c *Cache, b blockdev.BlockID) int {
+func copiesOf(c *Cache, b int32) int {
 	n := 0
 	for i := range c.nodes {
 		if c.FindOn(blockdev.NodeID(i), b) != nil {
@@ -43,7 +44,7 @@ func copiesOf(c *Cache, b blockdev.BlockID) int {
 func nodeLen(c *Cache, n blockdev.NodeID) int { return int(c.nodes[n].len) }
 
 // use is a user access to node n's copy of b, if there is one.
-func use(c *Cache, n blockdev.NodeID, b blockdev.BlockID) bool {
+func use(c *Cache, n blockdev.NodeID, b int32) bool {
 	cp := c.FindOn(n, b)
 	if cp != nil {
 		c.Use(cp)
@@ -119,7 +120,7 @@ func TestFindHolderAfterRemoval(t *testing.T) {
 		}
 		// Every pool is full and node 0's copy is the oldest and not a
 		// singlet, so both policies evict it to make room on node 0.
-		if _, victims := c.Insert(0, blk(2, 0), InsertOptions{}); len(victims) != 1 || victims[0].Block != blk(1, 0) {
+		if _, victims := c.Insert(0, blk(2, 0), InsertOptions{}); len(victims) != 1 || victims[0].Slot != blk(1, 0) {
 			t.Fatalf("%T: victims = %v, want node 0's copy of 1:0", p, victims)
 		}
 		if cp := c.Find(blk(1, 0)); cp == nil || cp.Node != 2 {
@@ -135,7 +136,7 @@ func TestInsertDuplicateMergesNotDuplicates(t *testing.T) {
 	if n := copiesOf(c, blk(1, 0)); n != 1 {
 		t.Errorf("%d copies, want 1 (merge, not duplicate)", n)
 	}
-	if got := c.DirtyBlocks(); len(got) != 1 {
+	if got := c.DirtySlots(); len(got) != 1 {
 		t.Errorf("dirty blocks = %v", got)
 	}
 }
@@ -145,7 +146,7 @@ func TestGlobalLRUEvictsOldestAnywhere(t *testing.T) {
 	// Fill both nodes; advance clock between inserts for distinct ages.
 	fill := []struct {
 		node blockdev.NodeID
-		b    blockdev.BlockID
+		b    int32
 	}{{0, blk(1, 0)}, {0, blk(1, 1)}, {1, blk(1, 2)}, {1, blk(1, 3)}}
 	for i, f := range fill {
 		e.At(sim.Time(i+1), e.Bind(func(*sim.Engine) {}))
@@ -156,7 +157,7 @@ func TestGlobalLRUEvictsOldestAnywhere(t *testing.T) {
 	use(c, 0, blk(1, 0))
 	// Inserting for node 1 (full) must evict 1:1 on node 0 and place there.
 	node, victims := c.Insert(1, blk(2, 0), InsertOptions{})
-	if len(victims) != 1 || victims[0].Block != blk(1, 1) {
+	if len(victims) != 1 || victims[0].Slot != blk(1, 1) {
 		t.Fatalf("victims = %v, want [1:1]", victims)
 	}
 	if node != 0 {
@@ -226,26 +227,26 @@ func TestMarkDirtyAndWritebackCycle(t *testing.T) {
 	if c.MarkDirty(blk(7, 7)) {
 		t.Error("MarkDirty hit absent block")
 	}
-	dirty := c.DirtyBlocks()
+	dirty := c.DirtySlots()
 	if len(dirty) != 1 || dirty[0] != blk(1, 0) {
-		t.Fatalf("DirtyBlocks = %v", dirty)
+		t.Fatalf("DirtySlots = %v", dirty)
 	}
 	c.ClearDirty(blk(1, 0))
-	if len(c.DirtyBlocks()) != 0 {
+	if len(c.DirtySlots()) != 0 {
 		t.Error("block still dirty after ClearDirty")
 	}
 }
 
 func TestDirtyBlocksSorted(t *testing.T) {
 	_, c := newTestCache(1, 8, GlobalLRU{})
-	for _, b := range []blockdev.BlockID{blk(2, 1), blk(1, 5), blk(1, 2), blk(2, 0)} {
+	for _, b := range []int32{blk(2, 1), blk(1, 5), blk(1, 2), blk(2, 0)} {
 		c.Insert(0, b, InsertOptions{Dirty: true})
 	}
-	got := c.DirtyBlocks()
-	want := []blockdev.BlockID{blk(1, 2), blk(1, 5), blk(2, 0), blk(2, 1)}
+	got := c.DirtySlots()
+	want := []int32{blk(1, 2), blk(1, 5), blk(2, 0), blk(2, 1)}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("DirtyBlocks = %v, want %v", got, want)
+			t.Fatalf("DirtySlots = %v, want %v", got, want)
 		}
 	}
 }
@@ -256,7 +257,7 @@ func TestDrop(t *testing.T) {
 	if !c.Drop(blk(1, 0)) {
 		t.Fatal("Drop missed cached block")
 	}
-	if c.Contains(blk(1, 0)) || len(c.DirtyBlocks()) != 0 || nodeLen(c, 0) != 0 {
+	if c.Contains(blk(1, 0)) || len(c.DirtySlots()) != 0 || nodeLen(c, 0) != 0 {
 		t.Error("Drop left residue")
 	}
 	if c.Drop(blk(1, 0)) {
@@ -296,7 +297,7 @@ func TestNChanceDropsDuplicates(t *testing.T) {
 	}
 	// Evicting the duplicate on node 1 must drop, not forward.
 	_, victims := c.Insert(1, blk(2, 0), InsertOptions{})
-	if len(victims) != 1 || victims[0].Block != blk(1, 0) {
+	if len(victims) != 1 || victims[0].Slot != blk(1, 0) {
 		t.Fatalf("victims = %v, want dropped duplicate 1:0", victims)
 	}
 	if c.Stats().Forwards != 0 {
@@ -319,7 +320,7 @@ func TestNChanceRecirculationLimit(t *testing.T) {
 	_, victims := c.Insert(1, blk(1, 2), InsertOptions{})
 	found := false
 	for _, v := range victims {
-		if v.Block == blk(1, 0) {
+		if v.Slot == blk(1, 0) {
 			found = true
 		}
 	}
@@ -332,7 +333,7 @@ func TestNChanceDirtySingletKeepsDirtyThroughForward(t *testing.T) {
 	_, c := newTestCache(3, 1, NChance{Recirculations: 2})
 	c.Insert(0, blk(1, 0), InsertOptions{Dirty: true})
 	c.Insert(0, blk(1, 1), InsertOptions{})
-	if len(c.DirtyBlocks()) != 1 {
+	if len(c.DirtySlots()) != 1 {
 		t.Error("dirty flag lost across forward")
 	}
 }
@@ -360,7 +361,7 @@ func TestNewPanicsOnBadGeometry(t *testing.T) {
 					t.Errorf("New(%d,%d) did not panic", g.n, g.c)
 				}
 			}()
-			New(e, g.n, g.c, GlobalLRU{}, testFiles())
+			New(e, g.n, g.c, GlobalLRU{}, testFiles.Len())
 		}()
 	}
 }
@@ -381,7 +382,7 @@ func TestInsertPanicsOnBadNode(t *testing.T) {
 func TestDirectoryConsistencyProperty(t *testing.T) {
 	f := func(ops []uint32) bool {
 		e := sim.NewEngine(9)
-		c := New(e, 4, 3, NChance{Recirculations: 2}, testFiles())
+		c := New(e, 4, 3, NChance{Recirculations: 2}, testFiles.Len())
 		for _, op := range ops {
 			node := blockdev.NodeID(op % 4)
 			b := blk(int(op>>2%3), int(op>>4%32))

@@ -63,7 +63,7 @@ func (p NChance) MakeRoom(c *Cache, pref blockdev.NodeID, out []Victim) (blockde
 		return pref, out
 	}
 	v := &c.copies[victim]
-	singlet := c.dir[v.slot].len == 1
+	singlet := c.dir[v.Slot].len == 1
 	if singlet && int(v.Recirculated) < p.Recirculations && len(c.nodes) > 1 {
 		// Forward to a random other node; this may cascade an eviction
 		// there, which is the protocol's intent (the oldest block on
@@ -73,8 +73,8 @@ func (p NChance) MakeRoom(c *Cache, pref blockdev.NodeID, out []Victim) (blockde
 		for c.nodes[target].len >= c.perNode {
 			_, out = p.MakeRoom(c, target, out)
 		}
-		c.place(Copy{Block: fwd.Block, Node: target, Dirty: fwd.Dirty,
-			Prefetched: fwd.Prefetched, Recirculated: fwd.Recirculated + 1}, fwd.slot)
+		c.place(Copy{Slot: fwd.Slot, Node: target, Dirty: fwd.Dirty,
+			Prefetched: fwd.Prefetched, Recirculated: fwd.Recirculated + 1})
 		c.stats.Forwards++
 		return pref, out
 	}

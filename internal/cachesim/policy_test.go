@@ -32,16 +32,16 @@ func TestGlobalLRUVictimAgeOrder(t *testing.T) {
 		c.Insert(blockdev.NodeID(i%2), blk(1, i), InsertOptions{})
 	}
 	// Victims must come out oldest first as we keep inserting.
-	var evicted []blockdev.BlockID
+	var evicted []int32
 	for i := 4; i < 7; i++ {
 		e.At(sim.Time(i+1), e.Bind(func(*sim.Engine) {}))
 		e.Run()
 		_, vs := c.Insert(0, blk(1, i), InsertOptions{})
 		for _, v := range vs {
-			evicted = append(evicted, v.Block)
+			evicted = append(evicted, v.Slot)
 		}
 	}
-	want := []blockdev.BlockID{blk(1, 0), blk(1, 1), blk(1, 2)}
+	want := []int32{blk(1, 0), blk(1, 1), blk(1, 2)}
 	if len(evicted) != len(want) {
 		t.Fatalf("evicted %v", evicted)
 	}
@@ -64,7 +64,7 @@ func TestTouchProtectsFromEviction(t *testing.T) {
 	e.Run()
 	use(c, 0, blk(1, 0))
 	_, vs := c.Insert(0, blk(1, 9), InsertOptions{})
-	if len(vs) != 1 || vs[0].Block != blk(1, 1) {
+	if len(vs) != 1 || vs[0].Slot != blk(1, 1) {
 		t.Errorf("victims = %v, want [1:1]", vs)
 	}
 }

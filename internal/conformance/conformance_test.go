@@ -172,11 +172,11 @@ func TestPrefetchFateRules(t *testing.T) {
 
 	simulator := func() func(kind, blockdev.BlockNo) fate {
 		files := blockdev.NewNumbering(map[blockdev.FileID]blockdev.BlockNo{file: 16})
-		c := cachesim.New(sim.NewEngine(1), 1, capacity, cachesim.GlobalLRU{}, files)
+		c := cachesim.New(sim.NewEngine(1), 1, capacity, cachesim.GlobalLRU{}, files.Len())
 		var timely uint64
-		c.OnPrefetchUsed = func(blockdev.BlockID) { timely++ }
+		c.OnPrefetchUsed = func(int32) { timely++ }
 		return func(do kind, blk blockdev.BlockNo) fate {
-			b := blockdev.BlockID{File: file, Block: blk}
+			b := files.File(file).Slot(blockdev.BlockID{File: file, Block: blk})
 			switch cp := c.Find(b); {
 			case do == arrive:
 				c.Insert(0, b, cachesim.InsertOptions{Prefetched: true})

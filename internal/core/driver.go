@@ -67,13 +67,15 @@ type Env interface {
 }
 
 // OutstandingObserver is notified whenever a driver's logical count of
-// in-flight prefetches changes. The file systems aggregate the deltas
-// per file: under PAFS one driver owns a file machine-wide, so the
-// aggregate can never exceed the linear limit; under xFS every node
-// runs its own driver and the aggregate exposes how far the per-node
-// implementation strays from truly linear prefetching (§4).
+// in-flight prefetches changes. An observer watches one file, the
+// driver's, so it is told the delta alone. The file systems aggregate
+// the deltas per file (a Ledger's FileMarks): under PAFS one driver
+// owns a file machine-wide, so the aggregate can never exceed the
+// linear limit; under xFS every node runs its own driver and the
+// aggregate exposes how far the per-node implementation strays from
+// truly linear prefetching (§4).
 type OutstandingObserver interface {
-	OutstandingChanged(f blockdev.FileID, delta int)
+	OutstandingChanged(delta int)
 }
 
 // DriverConfig assembles a per-file prefetch driver.
@@ -96,7 +98,8 @@ type DriverConfig struct {
 	Env Env
 	// Observer, if non-nil, receives every change of the driver's
 	// logical outstanding-prefetch count (issue +1, completion -1, and
-	// the reset to zero when a chain restarts or stops).
+	// the reset to zero when a chain restarts or stops). It watches
+	// File: a host passes the file's Ledger marks.
 	Observer OutstandingObserver
 }
 
@@ -306,7 +309,7 @@ func (d *Driver) changeOutstanding(delta int) {
 		d.stats.HighWater = d.outstanding
 	}
 	if d.cfg.Observer != nil {
-		d.cfg.Observer.OutstandingChanged(d.cfg.File, delta)
+		d.cfg.Observer.OutstandingChanged(delta)
 	}
 }
 

@@ -14,39 +14,57 @@ import (
 // file's high-water mark stays at the driver's limit (1 for Ln_Agr_*),
 // while xFS runs a driver per (node, file) and shared files push the
 // aggregate above 1 — the "not really linear" behaviour of §4 made
-// measurable. Safe for concurrent use.
+// measurable. A driver reports through its file's marks, resolved once
+// when the driver is made (Marks). Safe for concurrent use.
 type Ledger struct {
 	mu         sync.Mutex
 	limit      int // 0 = unlimited
 	strict     bool
-	files      map[blockdev.FileID]*fileMarks
+	files      map[blockdev.FileID]*FileMarks
 	maxHW      int
 	violations uint64
 }
 
-// fileMarks is one file's count of prefetches in flight and its
-// high-water mark.
-type fileMarks struct{ outstanding, highWater int }
+// FileMarks is one file's entry in a Ledger: its count of prefetches
+// in flight, summed over every driver of the file, and its high-water
+// mark. It is the OutstandingObserver a driver of the file reports to,
+// so an update takes the ledger's lock and looks nothing up.
+type FileMarks struct {
+	l                      *Ledger
+	file                   blockdev.FileID
+	outstanding, highWater int
+}
 
 // NewLedger returns a ledger checking a per-file limit (0 = unlimited:
 // high-water marks are recorded, nothing is a violation). strict turns
 // violations into panics rather than counts.
 func NewLedger(limit int, strict bool) *Ledger {
-	return &Ledger{limit: limit, strict: strict, files: make(map[blockdev.FileID]*fileMarks)}
+	return &Ledger{limit: limit, strict: strict, files: make(map[blockdev.FileID]*FileMarks)}
 }
 
-// OutstandingChanged implements OutstandingObserver.
-func (l *Ledger) OutstandingChanged(f blockdev.FileID, delta int) {
+// Marks returns file f's marks, creating them on first use: every
+// driver of f that reports through them adds to one count.
+func (l *Ledger) Marks(f blockdev.FileID) *FileMarks {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	m := l.files[f]
 	if m == nil {
-		m = new(fileMarks)
+		m = &FileMarks{l: l, file: f}
 		l.files[f] = m
 	}
+	return m
+}
+
+// OutstandingChanged implements OutstandingObserver: it adds delta to
+// the file's count, checks it against the ledger's limit and raises
+// the high-water marks.
+func (m *FileMarks) OutstandingChanged(delta int) {
+	l := m.l
+	l.mu.Lock()
 	n := m.outstanding + delta
 	if n < 0 {
 		l.mu.Unlock()
-		panic(fmt.Sprintf("core: file %d outstanding prefetches went negative (%d)", f, n))
+		panic(fmt.Sprintf("core: file %d outstanding prefetches went negative (%d)", m.file, n))
 	}
 	m.outstanding = n
 	if n > m.highWater {
@@ -60,7 +78,7 @@ func (l *Ledger) OutstandingChanged(f blockdev.FileID, delta int) {
 		if l.strict {
 			l.mu.Unlock()
 			panic(fmt.Sprintf("core: file %d has %d outstanding prefetches, linear limit is %d",
-				f, n, l.limit))
+				m.file, n, l.limit))
 		}
 	}
 	l.mu.Unlock()

@@ -64,7 +64,7 @@ func TestLedger(t *testing.T) {
 						}
 					}()
 				}
-				l.OutstandingChanged(d.f, d.d)
+				l.Marks(d.f).OutstandingChanged(d.d)
 			}
 			hw := l.HighWaters()
 			max := 0
@@ -96,5 +96,61 @@ func TestLedger(t *testing.T) {
 				t.Errorf("violations = %d, want %d", l.Violations(), tc.violations)
 			}
 		})
+	}
+}
+
+// TestLedgerFileMarks: two drivers of one file (xFS's per-node case)
+// each resolve the file's marks when they are made and report through
+// them; their prefetches sum into one outstanding count and one
+// high-water mark, keyed by the file in HighWaters. The marks keep the
+// ledger's rules: a count below zero panics, and a strict ledger
+// panics past its limit.
+func TestLedgerFileMarks(t *testing.T) {
+	l := NewLedger(0, false)
+	envs := []*fakeEnv{newFakeEnv(), newFakeEnv()}
+	for _, env := range envs {
+		d := NewDriver(DriverConfig{
+			Predictor:  NewOBA(),
+			Mode:       ModeAggressive,
+			Degree:     staticWindow(1),
+			File:       7,
+			FileBlocks: 16,
+			Env:        env,
+			Observer:   l.Marks(7),
+		})
+		d.OnUserRequest(Request{Offset: 0, Size: 1}, 1, false)
+	}
+	if m := l.Marks(7); m.outstanding != 2 {
+		t.Errorf("file 7 outstanding = %d with one prefetch from each driver, want 2", m.outstanding)
+	}
+	for _, env := range envs {
+		env.completeAll() // the chain walks to the end of the file
+	}
+	if m := l.Marks(7); m.outstanding != 0 {
+		t.Errorf("file 7 outstanding = %d after both chains drained, want 0", m.outstanding)
+	}
+	l.Marks(9).OutstandingChanged(1)
+	if hw := l.HighWaters(); len(hw) != 2 || hw[7] != 2 || hw[9] != 1 {
+		t.Errorf("HighWaters = %v, want map[7:2 9:1]", hw)
+	}
+	if l.MaxHighWater() != 2 {
+		t.Errorf("max high-water = %d, want 2", l.MaxHighWater())
+	}
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	mustPanic("a count below zero", func() { l.Marks(7).OutstandingChanged(-1) })
+	strict := NewLedger(1, true)
+	m := strict.Marks(3)
+	m.OutstandingChanged(1)
+	mustPanic("a strict ledger past its limit", func() { m.OutstandingChanged(1) })
+	if strict.Violations() != 1 {
+		t.Errorf("strict ledger violations = %d, want 1", strict.Violations())
 	}
 }

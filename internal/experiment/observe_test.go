@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"slices"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/workload"
@@ -48,6 +50,43 @@ func TestLinearityHighWater(t *testing.T) {
 	if r.MaxFilePrefetchHW <= 1 {
 		t.Errorf("%s: aggregate outstanding high-water = %d, want > 1 (per-node chains should overlap)",
 			c, r.MaxFilePrefetchHW)
+	}
+}
+
+// TestSparseFileIDs runs the tiny CHARISMA trace with its files
+// renumbered f → 1000·f + 7, in FileBlocks and in every step: no
+// per-file table of the simulator may be indexed by FileID, so a PAFS
+// and an xFS cell both run to completion, and PAFS still keeps one
+// prefetch in flight per file.
+func TestSparseFileIDs(t *testing.T) {
+	tr, mach, err := TinyScale().Trace(Charisma)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sparse := func(f blockdev.FileID) blockdev.FileID { return 1000*f + 7 }
+	renumbered := &workload.Trace{Name: tr.Name, FileBlocks: make(map[blockdev.FileID]blockdev.BlockNo, len(tr.FileBlocks))}
+	for f, blocks := range tr.FileBlocks {
+		renumbered.FileBlocks[sparse(f)] = blocks
+	}
+	for _, p := range tr.Procs {
+		steps := slices.Clone(p.Steps)
+		for i := range steps {
+			steps[i].File = sparse(steps[i].File)
+		}
+		renumbered.Procs = append(renumbered.Procs, workload.Process{Node: p.Node, Steps: steps})
+	}
+	for _, fs := range []FSKind{PAFS, XFS} {
+		c := Cell{FS: fs, Workload: Charisma, Alg: core.SpecLnAgrISPPM1, CacheMB: 4}
+		r, err := RunTrace(renumbered, mach, c, TinyScale().WarmFraction)
+		if err != nil {
+			t.Fatalf("%s: %v", c, err)
+		}
+		if r.Reads == 0 || r.PrefetchIssued == 0 {
+			t.Errorf("%s: %d reads and %d prefetches issued, want some of each", c, r.Reads, r.PrefetchIssued)
+		}
+		if fs == PAFS && r.MaxFilePrefetchHW != 1 {
+			t.Errorf("%s: max_file_prefetch_outstanding = %d, want 1", c, r.MaxFilePrefetchHW)
+		}
 	}
 }
 

@@ -30,9 +30,10 @@ type Base struct {
 	Disks  *diskmodel.Array
 	Cch    *cachesim.Cache
 	Coll   *stats.Collector
-	// num numbers every block of the trace's files (the trace's shared
+	// num numbers every file and block of the trace (the trace's shared
 	// numbering): the cache, inflight and pfInflight are indexed by a
-	// block's slot.
+	// block's slot, degrees by a file's ordinal. A request resolves its
+	// file once (NewRequest), and everything after it carries slots.
 	num *blockdev.Numbering
 
 	// Ledger aggregates per-file outstanding-prefetch counts across
@@ -42,10 +43,10 @@ type Base struct {
 	Ledger *core.Ledger
 
 	// Alg is the prefetching configuration: it builds the drivers
-	// (NewDriver) and the per-file prefetch windows, kept in degrees
-	// (see Degree).
+	// (NewDriver) and the per-file prefetch windows, kept in degrees by
+	// ordinal (see Degree).
 	Alg     core.AlgSpec
-	degrees map[blockdev.FileID]*core.DegreePolicy
+	degrees []*core.DegreePolicy
 
 	// inflight coalesces concurrent demand fetches of one block onto
 	// the first one's disk read; by slot, nil when none is pending.
@@ -87,11 +88,11 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 		Cfg:        cfg,
 		Net:        netmodel.New(e, cfg),
 		Disks:      diskmodel.NewArray(e, cfg),
-		Cch:        cachesim.New(e, cfg.Nodes, cacheBlocksPerNode, policy, num),
+		Cch:        cachesim.New(e, cfg.Nodes, cacheBlocksPerNode, policy, num.Len()),
 		Coll:       stats.New(num.Len()),
 		Ledger:     core.NewLedger(0, false),
 		Alg:        alg,
-		degrees:    make(map[blockdev.FileID]*core.DegreePolicy),
+		degrees:    make([]*core.DegreePolicy, num.Files()),
 		num:        num,
 		inflight:   make([]*diskOp, num.Len()),
 		pfInflight: make([]int32, num.Len()),
@@ -102,22 +103,22 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 	}
 	// A prefetched copy touched by a user request was a timely
 	// prefetch.
-	b.Cch.OnPrefetchUsed = func(id blockdev.BlockID) {
+	b.Cch.OnPrefetchUsed = func(slot int32) {
 		b.Coll.PrefetchTimely()
-		b.Degree(id.File).OnTimely()
+		b.Degree(b.num.Ordinal(slot)).OnTimely()
 	}
 	return b
 }
 
-// Degree returns f's prefetch window, creating it on first use. Every
-// driver of f shares it, and the timely/late/wasted lifecycle events
-// both file systems classify feed it; a static window (the paper's
-// specs) ignores them.
-func (b *Base) Degree(f blockdev.FileID) *core.DegreePolicy {
-	p := b.degrees[f]
+// Degree returns the prefetch window of the file of ordinal ord,
+// creating it on first use. Every driver of the file shares it, and
+// the timely/late/wasted lifecycle events both file systems classify
+// feed it; a static window (the paper's specs) ignores them.
+func (b *Base) Degree(ord int32) *core.DegreePolicy {
+	p := b.degrees[ord]
 	if p == nil {
 		p = b.Alg.NewDegreePolicy()
-		b.degrees[f] = p
+		b.degrees[ord] = p
 	}
 	return p
 }
@@ -125,16 +126,17 @@ func (b *Base) Degree(f blockdev.FileID) *core.DegreePolicy {
 // NewDriver builds a prefetch driver for file f that issues through
 // env: the file system decides where a file's drivers run and what
 // their env asks, the Base what they are. Every driver of f shares f's
-// prefetch window and reports to the Ledger.
-func (b *Base) NewDriver(f blockdev.FileID, env core.Env) *core.Driver {
+// prefetch window and reports to f's marks in the Ledger, both
+// resolved here, once.
+func (b *Base) NewDriver(f blockdev.FileSlots, env core.Env) *core.Driver {
 	return core.NewDriver(core.DriverConfig{
 		Predictor:  b.Alg.NewPredictor(),
 		Mode:       b.Alg.Mode,
-		Degree:     b.Degree(f),
-		File:       f,
-		FileBlocks: b.FileBlocks(f),
+		Degree:     b.Degree(f.Ordinal),
+		File:       f.ID,
+		FileBlocks: blockdev.BlockNo(f.Blocks),
 		Env:        env,
-		Observer:   b.Ledger,
+		Observer:   b.Ledger.Marks(f.ID),
 	})
 }
 
@@ -144,16 +146,6 @@ func (b *Base) Observe(d *core.Driver, span blockdev.Span, hits int) {
 	if d != nil {
 		d.OnUserRequest(core.Request{Offset: span.Start, Size: span.Count}, core.Tick(b.Engine.Now()), hits == int(span.Count))
 	}
-}
-
-// FileBlocks returns file f's size in blocks, panicking on unknown
-// files (the trace validates against its file table, so it is a bug).
-func (b *Base) FileBlocks(f blockdev.FileID) blockdev.BlockNo {
-	n, ok := b.num.Blocks(f)
-	if !ok {
-		panic(fmt.Sprintf("fscommon: unknown file %d", f))
-	}
-	return n
 }
 
 // HomeNode returns the node file f hashes to: PAFS runs the file's
@@ -168,9 +160,10 @@ func (b *Base) DiskHostNode(d blockdev.DiskID) blockdev.NodeID {
 	return blockdev.NodeID(int(d) * b.Cfg.Nodes / b.Cfg.Disks)
 }
 
-// HostOf returns the node attached to the disk holding blk.
-func (b *Base) HostOf(blk blockdev.BlockID) blockdev.NodeID {
-	return b.DiskHostNode(b.Disks.DiskFor(blk).ID())
+// HostOf returns the node attached to the disk holding the block in
+// slot.
+func (b *Base) HostOf(slot int32) blockdev.NodeID {
+	return b.DiskHostNode(b.Disks.DiskFor(b.num.Block(slot)).ID())
 }
 
 // diskOp is one disk operation a file system has outstanding — a
@@ -181,8 +174,9 @@ func (b *Base) HostOf(blk blockdev.BlockID) blockdev.NodeID {
 type diskOp struct {
 	b    *Base
 	kind opKind
-	blk  blockdev.BlockID
-	node blockdev.NodeID // the pool a fetched or prefetched block is for
+	slot int32
+	blk  blockdev.BlockID // the block in slot, which the disks stripe by
+	node blockdev.NodeID  // the pool a fetched or prefetched block is for
 	// waiters are the requests a demand fetch serves.
 	waiters []sim.HandlerID
 	// cancelled and done are a prefetch's callbacks into its driver.
@@ -203,7 +197,7 @@ const (
 	opWrite                  // a write-back: written
 )
 
-func (b *Base) newOp(kind opKind, blk blockdev.BlockID, node blockdev.NodeID) *diskOp {
+func (b *Base) newOp(kind opKind, slot int32, node blockdev.NodeID) *diskOp {
 	var op *diskOp
 	if n := len(b.idleOps); n > 0 {
 		op, b.idleOps = b.idleOps[n-1], b.idleOps[:n-1]
@@ -212,7 +206,7 @@ func (b *Base) newOp(kind opKind, blk blockdev.BlockID, node blockdev.NodeID) *d
 		op.onDone, op.onSmear = b.Engine.Bind(op.finished), b.Engine.Bind(op.smear)
 		op.onPoll = op.poll
 	}
-	op.kind, op.blk, op.node = kind, blk, node
+	op.kind, op.slot, op.blk, op.node = kind, slot, b.num.Block(slot), node
 	return op
 }
 
@@ -239,34 +233,34 @@ func (op *diskOp) finished(e *sim.Engine) {
 	}
 }
 
-// DemandFetch reads blk from disk at user priority, inserts it into
-// the cache for node, flushes any dirty victims, and fires done.
-// Concurrent fetches of the same block coalesce onto one disk read.
-func (b *Base) DemandFetch(blk blockdev.BlockID, node blockdev.NodeID, done sim.HandlerID) {
-	slot := b.num.Slot(blk)
+// DemandFetch reads the block in slot from disk at user priority,
+// inserts it into the cache for node, flushes any dirty victims, and
+// fires done. Concurrent fetches of the same block coalesce onto one
+// disk read.
+func (b *Base) DemandFetch(slot int32, node blockdev.NodeID, done sim.HandlerID) {
 	if op := b.inflight[slot]; op != nil {
 		op.waiters = append(op.waiters, done)
 		return
 	}
-	op := b.newOp(opFetch, blk, node)
+	op := b.newOp(opFetch, slot, node)
 	op.waiters = append(op.waiters, done)
 	b.inflight[slot] = op
-	if b.PrefetchInFlight(blk) {
+	if b.PrefetchInFlight(slot) {
 		// The predictor was right but the prefetch lost the race: demand
 		// traffic now duplicates the read at user priority.
 		b.Coll.PrefetchLate()
-		b.Degree(blk.File).OnLate()
+		b.Degree(b.num.Ordinal(slot)).OnLate()
 	}
-	b.Disks.Read(blk, sim.PriorityUser, nil, op.onDone)
+	b.Disks.Read(op.blk, sim.PriorityUser, nil, op.onDone)
 }
 
 func (op *diskOp) fetched(e *sim.Engine) {
 	b := op.b
 	b.Coll.DiskRead()
-	_, victims := b.Cch.Insert(op.node, op.blk, cachesim.InsertOptions{})
+	_, victims := b.Cch.Insert(op.node, op.slot, cachesim.InsertOptions{})
 	b.FlushVictims(victims)
 	// A waiter that misses on the block again starts a new fetch.
-	b.inflight[b.num.Slot(op.blk)] = nil
+	b.inflight[op.slot] = nil
 	for _, w := range op.waiters {
 		e.Fire(w)
 	}
@@ -275,21 +269,21 @@ func (op *diskOp) fetched(e *sim.Engine) {
 
 // Prefetch is core.Env.Prefetch for both file systems, which differ
 // only in the node whose pool receives the copy: a low-priority disk
-// read of blk, inserted flagged as prefetched. The disk polls
+// read of the block in slot, inserted flagged as prefetched. The disk polls
 // cancelled once, when the read reaches the head of its queue; done
 // fires once either way, after the copy is inserted or at once when
 // the read is dropped.
-func (b *Base) Prefetch(node blockdev.NodeID, blk blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
+func (b *Base) Prefetch(node blockdev.NodeID, slot int32, fallback bool, cancelled func() bool, done func()) bool {
 	if b.Stopped() {
 		// Draining after the trace: never calling done stalls the
 		// chain, which is exactly what lets the run end.
 		return true
 	}
 	b.Coll.PrefetchIssued(fallback)
-	b.PrefetchBegin(blk)
-	op := b.newOp(opPrefetch, blk, node)
+	b.PrefetchBegin(slot)
+	op := b.newOp(opPrefetch, slot, node)
 	op.cancelled, op.done = cancelled, done
-	b.Disks.Read(blk, b.pfPriority, op.onPoll, op.onDone)
+	b.Disks.Read(op.blk, b.pfPriority, op.onPoll, op.onDone)
 	return true
 }
 
@@ -302,7 +296,7 @@ func (op *diskOp) poll() bool {
 		return false
 	}
 	done := op.done
-	op.b.PrefetchEnd(op.blk)
+	op.b.PrefetchEnd(op.slot)
 	op.release()
 	done()
 	return true
@@ -310,17 +304,18 @@ func (op *diskOp) poll() bool {
 
 func (op *diskOp) prefetched() {
 	b, done := op.b, op.done
-	b.PrefetchEnd(op.blk)
+	b.PrefetchEnd(op.slot)
 	b.Coll.DiskRead()
-	_, victims := b.Cch.Insert(op.node, op.blk, cachesim.InsertOptions{Prefetched: true})
+	_, victims := b.Cch.Insert(op.node, op.slot, cachesim.InsertOptions{Prefetched: true})
 	b.FlushVictims(victims)
 	op.release()
 	done()
 }
 
-// DemandFetchInFlight reports whether a demand read of blk is pending.
-func (b *Base) DemandFetchInFlight(blk blockdev.BlockID) bool {
-	return b.inflight[b.num.Slot(blk)] != nil
+// DemandFetchInFlight reports whether a demand read of the block in
+// slot is pending.
+func (b *Base) DemandFetchInFlight(slot int32) bool {
+	return b.inflight[slot] != nil
 }
 
 // FlushVictims writes evicted dirty blocks back to disk and accounts
@@ -329,21 +324,23 @@ func (b *Base) FlushVictims(victims []cachesim.Victim) {
 	for _, v := range victims {
 		if v.WasUnusedPrefetch {
 			b.Coll.PrefetchWasted()
-			b.Degree(v.Block.File).OnWasted()
+			b.Degree(b.num.Ordinal(v.Slot)).OnWasted()
 		}
 		if v.Dirty {
-			b.writeBack(v.Block)
+			b.writeBack(v.Slot)
 		}
 	}
 }
 
-// writeBack queues a disk write of blk, booked when it completes.
-func (b *Base) writeBack(blk blockdev.BlockID) {
-	b.Disks.Write(blk, b.newOp(opWrite, blk, 0).onDone)
+// writeBack queues a disk write of the block in slot, booked when it
+// completes.
+func (b *Base) writeBack(slot int32) {
+	op := b.newOp(opWrite, slot, 0)
+	b.Disks.Write(op.blk, op.onDone)
 }
 
 func (op *diskOp) written() {
-	op.b.Coll.DiskWrite(op.b.num.Slot(op.blk))
+	op.b.Coll.DiskWrite(op.slot)
 	op.release()
 }
 
@@ -374,12 +371,12 @@ func (b *Base) writebackTick(e *sim.Engine) {
 	// dumping them all at once: a synchronized burst of thousands of
 	// writes would periodically flood the disk queues and swamp every
 	// other effect being measured.
-	dirty := b.Cch.DirtyBlocks()
+	dirty := b.Cch.DirtySlots()
 	n := len(dirty)
-	for i, blk := range dirty {
+	for i, slot := range dirty {
 		delay := sim.Duration(int64(b.Cfg.WritebackPeriod) * int64(i) / int64(n))
-		e.After(delay, b.newOp(opWrite, blk, 0).onSmear)
-		b.Cch.ClearDirty(blk)
+		e.After(delay, b.newOp(opWrite, slot, 0).onSmear)
+		b.Cch.ClearDirty(slot)
 	}
 	e.After(b.Cfg.WritebackPeriod, b.wbTick)
 }

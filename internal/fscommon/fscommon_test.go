@@ -130,15 +130,18 @@ func TestBaseHostOfInRange(t *testing.T) {
 		CacheBlocksPerNode: 8,
 		Algorithm:          core.SpecNP,
 	}, tr)
-	for b := 0; b < 16; b++ {
-		n := fs.HostOf(blockdev.BlockID{File: 0, Block: blockdev.BlockNo(b)})
+	for b := int32(0); b < int32(tr.Numbering().Len()); b++ {
+		n := fs.HostOf(b)
 		if int(n) < 0 || int(n) >= fs.Cfg.Nodes {
 			t.Errorf("HostOf block %d = node %d out of range", b, n)
 		}
 	}
 }
 
-func TestBaseFileBlocksPanicsOnUnknownFile(t *testing.T) {
+// TestRequestOnUnknownFilePanics: a request resolves its file when it
+// is made, and a file outside the trace's table is a bug, for a close
+// as much as for a read.
+func TestRequestOnUnknownFilePanics(t *testing.T) {
 	e := sim.NewEngine(1)
 	tr := seqTrace(4, 1)
 	fs := pafs.New(e, pafs.Config{
@@ -146,10 +149,20 @@ func TestBaseFileBlocksPanicsOnUnknownFile(t *testing.T) {
 		CacheBlocksPerNode: 8,
 		Algorithm:          core.SpecNP,
 	}, tr)
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown file did not panic")
-		}
-	}()
-	fs.FileBlocks(999)
+	for name, issue := range map[string]func(){
+		"read":  func() { fs.Read(0, blockdev.Span{File: 999, Count: 1}, func(sim.Time) {}) },
+		"close": func() { fs.Close(0, 999, func(sim.Time) {}) },
+		"read past the end of a file": func() {
+			fs.Read(0, blockdev.Span{File: 0, Start: tr.FileBlocks[0] - 1, Count: 2}, func(sim.Time) {})
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("a %s did not panic", name)
+				}
+			}()
+			issue()
+		}()
+	}
 }

@@ -14,7 +14,7 @@ import (
 func TestPrefetchInflightWindow(t *testing.T) {
 	num := blockdev.NewNumbering(map[blockdev.FileID]blockdev.BlockNo{1: 8})
 	b := &Base{num: num, pfInflight: make([]int32, num.Len())}
-	blk := blockdev.BlockID{File: 1, Block: 7}
+	blk := num.File(1).Slot(blockdev.BlockID{File: 1, Block: 7})
 	if b.PrefetchInFlight(blk) {
 		t.Error("in flight before begin")
 	}
@@ -39,7 +39,8 @@ func TestDroppedPrefetchClosesWindow(t *testing.T) {
 	cfg.Nodes, cfg.Disks = 2, 1
 	tr := &workload.Trace{FileBlocks: map[blockdev.FileID]blockdev.BlockNo{3: 8}}
 	b := NewBase(e, cfg, 16, cachesim.GlobalLRU{}, tr, core.SpecLnAgrOBA)
-	live, stale := blockdev.BlockID{File: 3, Block: 1}, blockdev.BlockID{File: 3, Block: 2}
+	file := tr.Numbering().File(3)
+	live, stale := file.Slot(blockdev.BlockID{File: 3, Block: 1}), file.Slot(blockdev.BlockID{File: 3, Block: 2})
 
 	completed, dropped := 0, 0
 	b.Prefetch(0, live, false, func() bool { return false }, func() { completed++ })
@@ -75,17 +76,18 @@ func TestBaseDegreeRoutesPerFile(t *testing.T) {
 		return NewBase(sim.NewEngine(1), cfg, 16, cachesim.GlobalLRU{}, tr, alg)
 	}
 	b := base(core.SpecAdAgrISPPM1)
-	one, two := b.Degree(1), b.Degree(2)
+	degree := func(f blockdev.FileID) *core.DegreePolicy { return b.Degree(b.num.File(f).Ordinal) }
+	one, two := degree(1), degree(2)
 	if one == two {
 		t.Fatal("two files share a window")
 	}
-	if b.Degree(1) != one {
+	if degree(1) != one {
 		t.Fatal("a second driver of file 1 got another window")
 	}
 	// Starve file 1 only; file 2 must stay linear.
 	for i := 0; i < 200; i++ {
-		b.Degree(1).OnTimely()
-		b.Degree(1).OnLate()
+		degree(1).OnTimely()
+		degree(1).OnLate()
 	}
 	if one.Allow() <= 1 {
 		t.Errorf("file 1 window = %d, want widened", one.Allow())
@@ -98,7 +100,7 @@ func TestBaseDegreeRoutesPerFile(t *testing.T) {
 	// one, all-wasted clamp it to 1; this one stays at 4.
 	k4 := core.SpecLnAgrISPPM1
 	k4.MaxOutstanding = 4
-	w := base(k4).Degree(1)
+	w := base(k4).Degree(0)
 	for _, feed := range []func(){w.OnTimely, w.OnLate, w.OnWasted} {
 		for i := 0; i < 200; i++ {
 			feed()

@@ -42,6 +42,9 @@ type Request struct {
 	Kind   workload.OpKind
 	Client blockdev.NodeID
 	Span   blockdev.Span // of a close, only the file
+	// File is the span's file, resolved once, when the request is made:
+	// its ordinal finds the file's drivers, and Slot its blocks.
+	File blockdev.FileSlots
 
 	// Arrived hands the request to Protocol.Arrive.
 	Arrived sim.HandlerID
@@ -51,12 +54,15 @@ type Request struct {
 	BlockDone sim.HandlerID
 
 	base    *Base
+	first   int32 // the slot of the span's first block
 	waiting int
 	done    func(at sim.Time)
 }
 
 // NewRequest returns the record of a user request whose completion is
-// done.
+// done. It resolves the span's file and checks that every block of the
+// span lies inside it: a request outside the trace's file table is a
+// bug, and panics.
 func (b *Base) NewRequest(kind workload.OpKind, client blockdev.NodeID, span blockdev.Span, done func(at sim.Time)) *Request {
 	var r *Request
 	if n := len(b.idleRequests); n > 0 {
@@ -67,9 +73,18 @@ func (b *Base) NewRequest(kind workload.OpKind, client blockdev.NodeID, span blo
 		r.BlockDone = b.Engine.Bind(r.blockDone)
 	}
 	r.Kind, r.Client, r.Span, r.done = kind, client, span, done
+	r.File = b.num.File(span.File)
+	if span.Count > 0 {
+		// Both ends are checked, so every block between is inside too.
+		r.first = r.File.Slot(span.Block(0))
+		r.File.Slot(span.Block(span.Count - 1))
+	}
 	r.waiting = int(span.Count)
 	return r
 }
+
+// Slot returns the slot of the span's i-th block, 0 <= i < Span.Count.
+func (r *Request) Slot(i int32) int32 { return r.first + i }
 
 func (r *Request) blockDone(e *sim.Engine) {
 	r.waiting--
@@ -90,8 +105,8 @@ func (r *Request) Finish(at sim.Time) {
 // first and has further to go: to the disk, to another node. Like a
 // Request it is a recycled record with its handler bound once.
 type Miss struct {
-	Req   *Request
-	Block blockdev.BlockID
+	Req  *Request
+	Slot int32 // the block's slot
 	// Stage is the file system's note of what the miss waits on.
 	Stage int
 	// Step hands the miss to Protocol.Advance.
@@ -100,8 +115,9 @@ type Miss struct {
 	base *Base
 }
 
-// NewMiss returns the record of block blk of request r, at stage 0.
-func (b *Base) NewMiss(r *Request, blk blockdev.BlockID) *Miss {
+// NewMiss returns the record of the block in slot of request r, at
+// stage 0.
+func (b *Base) NewMiss(r *Request, slot int32) *Miss {
 	var m *Miss
 	if n := len(b.idleMisses); n > 0 {
 		m, b.idleMisses = b.idleMisses[n-1], b.idleMisses[:n-1]
@@ -109,7 +125,7 @@ func (b *Base) NewMiss(r *Request, blk blockdev.BlockID) *Miss {
 		m = &Miss{base: b}
 		m.Step = b.Engine.Bind(func(e *sim.Engine) { b.proto.Advance(m, e) })
 	}
-	m.Req, m.Block, m.Stage = r, blk, 0
+	m.Req, m.Slot, m.Stage = r, slot, 0
 	return m
 }
 

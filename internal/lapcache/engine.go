@@ -255,7 +255,7 @@ func (e *Engine) newDriver(f blockdev.FileID, fl *fileState) *core.Driver {
 		File:       f,
 		FileBlocks: blocks,
 		Env:        &runtimeEnv{e: e, fl: fl},
-		Observer:   e.ledger,
+		Observer:   e.ledger.Marks(f),
 	})
 }
 

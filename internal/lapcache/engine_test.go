@@ -233,22 +233,22 @@ func TestCloseFileStopsChain(t *testing.T) {
 // linear engine is a panic, not a statistic.
 func TestLedgerStrictPanics(t *testing.T) {
 	e := newTestEngine(t, Config{Alg: core.SpecLnAgrOBA, StrictLinear: true})
-	e.Ledger().OutstandingChanged(1, 1)
+	e.Ledger().Marks(1).OutstandingChanged(1)
 	defer func() {
 		if recover() == nil {
 			t.Error("second outstanding prefetch did not panic in strict mode")
 		}
 	}()
-	e.Ledger().OutstandingChanged(1, 1)
+	e.Ledger().Marks(1).OutstandingChanged(1)
 }
 
 // TestLedgerCountsViolations: without StrictLinear the same breach is
 // counted, and both it and the high-water mark surface in Snapshot.
 func TestLedgerCountsViolations(t *testing.T) {
 	e := newTestEngine(t, Config{Alg: core.SpecLnAgrOBA})
-	e.Ledger().OutstandingChanged(2, 1)
-	e.Ledger().OutstandingChanged(2, 1)
-	e.Ledger().OutstandingChanged(2, -2)
+	e.Ledger().Marks(2).OutstandingChanged(1)
+	e.Ledger().Marks(2).OutstandingChanged(1)
+	e.Ledger().Marks(2).OutstandingChanged(-2)
 	if s := e.Snapshot(); s.LinearViolations != 1 || s.MaxFileOutstandingHW != 2 {
 		t.Errorf("snapshot: violations=%d maxHW=%d, want 1/2", s.LinearViolations, s.MaxFileOutstandingHW)
 	}

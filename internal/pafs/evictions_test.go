@@ -46,7 +46,8 @@ func (w *evictionWatch) look(t *testing.T, file blockdev.FileID, blocks int) {
 func TestEnvEvictionCount(t *testing.T) {
 	const blocks = 48
 	e, fs := newFS(core.SpecLnAgrOBA, 2, blocks)
-	w := &evictionWatch{env: pafsEnv{fs: fs, server: fs.HomeNode(0)}, was: map[blockdev.BlockID]bool{}}
+	file := oneFileTrace(blocks).Numbering().File(0) // numbered as fs's trace is
+	w := &evictionWatch{env: pafsEnv{fs: fs, server: fs.HomeNode(0), file: file}, was: map[blockdev.BlockID]bool{}}
 	run := func() {
 		e.RunUntil(func() bool { w.look(t, 0, blocks); return false })
 		w.look(t, 0, blocks)
@@ -59,7 +60,7 @@ func TestEnvEvictionCount(t *testing.T) {
 	fs.Write(1, span(0, 3, 3), func(sim.Time) {})
 	run()
 	for b := 0; b < blocks; b++ {
-		fs.Cch.Drop(blockdev.BlockID{File: 0, Block: blockdev.BlockNo(b)})
+		fs.Cch.Drop(file.Slot(blockdev.BlockID{File: 0, Block: blockdev.BlockNo(b)}))
 		w.look(t, 0, blocks)
 	}
 	if w.flips < blocks/2 {

@@ -31,7 +31,9 @@ type Config struct {
 // FS is one simulated PAFS instance.
 type FS struct {
 	*fscommon.Base
-	drivers map[blockdev.FileID]*core.Driver
+	// drivers holds each file's driver by ordinal, nil until the file
+	// is first served.
+	drivers []*core.Driver
 }
 
 // New builds a PAFS over the given machine for the given trace.
@@ -39,7 +41,7 @@ func New(e *sim.Engine, cfg Config, tr *workload.Trace) *FS {
 	fs := &FS{
 		Base: fscommon.NewBase(e, cfg.Machine, cfg.CacheBlocksPerNode,
 			cachesim.GlobalLRU{}, tr, cfg.Algorithm),
-		drivers: make(map[blockdev.FileID]*core.Driver),
+		drivers: make([]*core.Driver, tr.Numbering().Files()),
 	}
 	fs.Serve(fs)
 	return fs
@@ -51,29 +53,31 @@ func New(e *sim.Engine, cfg Config, tr *workload.Trace) *FS {
 type pafsEnv struct {
 	fs     *FS
 	server blockdev.NodeID
+	file   blockdev.FileSlots
 }
 
 func (e pafsEnv) Cached(b blockdev.BlockID) bool {
-	return e.fs.Cch.Contains(b) || e.fs.DemandFetchInFlight(b)
+	slot := e.file.Slot(b)
+	return e.fs.Cch.Contains(slot) || e.fs.DemandFetchInFlight(slot)
 }
 
 // Evictions: a fetch in flight always lands, so only a removal counts.
 func (e pafsEnv) Evictions() uint64 { return e.fs.Cch.Stats().Removals }
 
 func (e pafsEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
-	return e.fs.Base.Prefetch(e.server, b, fallback, cancelled, done)
+	return e.fs.Base.Prefetch(e.server, e.file.Slot(b), fallback, cancelled, done)
 }
 
 // driverFor lazily creates the per-file driver; nil when NP.
-func (fs *FS) driverFor(f blockdev.FileID) *core.Driver {
+func (fs *FS) driverFor(f blockdev.FileSlots) *core.Driver {
 	if !fs.Alg.Prefetches() {
 		return nil
 	}
-	if d, ok := fs.drivers[f]; ok {
-		return d
+	d := fs.drivers[f.Ordinal]
+	if d == nil {
+		d = fs.NewDriver(f, pafsEnv{fs: fs, server: fs.HomeNode(f.ID), file: f})
+		fs.drivers[f.Ordinal] = d
 	}
-	d := fs.NewDriver(f, pafsEnv{fs: fs, server: fs.HomeNode(f)})
-	fs.drivers[f] = d
 	return d
 }
 
@@ -115,7 +119,7 @@ func (fs *FS) Arrive(r *fscommon.Request, e *sim.Engine) {
 	case workload.OpWrite:
 		fs.serveWrite(r)
 	case workload.OpClose:
-		if d, ok := fs.drivers[r.Span.File]; ok {
+		if d := fs.drivers[r.File.Ordinal]; d != nil {
 			d.StopChain()
 		}
 		r.Finish(e.Now())
@@ -125,18 +129,18 @@ func (fs *FS) Arrive(r *fscommon.Request, e *sim.Engine) {
 func (fs *FS) serveRead(r *fscommon.Request) {
 	hits := 0
 	for i := int32(0); i < r.Span.Count; i++ {
-		blk := r.Span.Block(i)
-		if cp := fs.Cch.Find(blk); cp != nil {
+		slot := r.Slot(i)
+		if cp := fs.Cch.Find(slot); cp != nil {
 			hits++
 			fs.Cch.Use(cp)
 			fs.Net.Send(cp.Node, r.Client, fs.Cfg.BlockSize, r.BlockDone)
 			continue
 		}
-		fs.DemandFetch(blk, r.Client, fs.NewMiss(r, blk).Step)
+		fs.DemandFetch(slot, r.Client, fs.NewMiss(r, slot).Step)
 	}
 	fs.Coll.ReadBlocks(int(r.Span.Count), hits)
 	// The server's prefetcher reacts to the request it has just served.
-	fs.Observe(fs.driverFor(r.Span.File), r.Span, hits)
+	fs.Observe(fs.driverFor(r.File), r.Span, hits)
 }
 
 // Advance runs when a missed block's demand fetch completes. The block
@@ -145,7 +149,7 @@ func (fs *FS) serveRead(r *fscommon.Request) {
 func (fs *FS) Advance(m *fscommon.Miss, _ *sim.Engine) {
 	r := m.Req
 	src := r.Client
-	if cp := fs.Cch.Find(m.Block); cp != nil {
+	if cp := fs.Cch.Find(m.Slot); cp != nil {
 		src = cp.Node
 	}
 	fs.Net.Send(src, r.Client, fs.Cfg.BlockSize, r.BlockDone)
@@ -157,24 +161,24 @@ func (fs *FS) serveWrite(r *fscommon.Request) {
 	// block of the same span.
 	hits := 0
 	for i := int32(0); i < r.Span.Count; i++ {
-		if fs.Cch.Contains(r.Span.Block(i)) {
+		if fs.Cch.Contains(r.Slot(i)) {
 			hits++
 		}
 	}
 	for i := int32(0); i < r.Span.Count; i++ {
-		blk := r.Span.Block(i)
+		slot := r.Slot(i)
 		var target blockdev.NodeID
-		if cp := fs.Cch.Find(blk); cp != nil {
+		if cp := fs.Cch.Find(slot); cp != nil {
 			target = cp.Node
 			fs.Cch.Use(cp)
-			fs.Cch.MarkDirty(blk)
+			fs.Cch.MarkDirty(slot)
 		} else {
 			// Full-block overwrite: no read-modify-write needed.
-			placed, victims := fs.Cch.Insert(r.Client, blk, cachesim.InsertOptions{Dirty: true})
+			placed, victims := fs.Cch.Insert(r.Client, slot, cachesim.InsertOptions{Dirty: true})
 			fs.FlushVictims(victims)
 			target = placed
 		}
 		fs.Net.Send(r.Client, target, fs.Cfg.BlockSize, r.BlockDone)
 	}
-	fs.Observe(fs.driverFor(r.Span.File), r.Span, hits)
+	fs.Observe(fs.driverFor(r.File), r.Span, hits)
 }

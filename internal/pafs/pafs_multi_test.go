@@ -3,7 +3,6 @@ package pafs
 import (
 	"testing"
 
-	"repro/internal/blockdev"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -149,7 +148,7 @@ func TestHoldersAfterGlobalPlacement(t *testing.T) {
 	}
 	found := 0
 	for i := 0; i < 12; i++ {
-		if fs.Cch.Contains(blockdev.BlockID{File: 0, Block: blockdev.BlockNo(i)}) {
+		if fs.Cch.Contains(slot(i)) {
 			found++
 		}
 	}

@@ -68,8 +68,9 @@ type Process struct {
 
 // Trace is a complete workload. FileBlocks must not change once the
 // trace is first simulated: every run of the trace shares the one
-// Numbering built from it then. A block outside that numbering panics
-// in Numbering.Slot, so a stale numbering fails loudly.
+// Numbering built from it then. A request on a file or block outside
+// that numbering panics when the file system resolves it, so a stale
+// numbering fails loudly.
 type Trace struct {
 	Name string
 	// FileBlocks maps every file to its length in blocks; the file

@@ -46,7 +46,8 @@ func (w *evictionWatch) look(t *testing.T, file blockdev.FileID, blocks int) {
 func TestEnvEvictionCount(t *testing.T) {
 	const blocks = 48
 	e, fs := newFS(core.SpecLnAgrOBA, 3, blocks)
-	w := &evictionWatch{env: xfsEnv{fs: fs, node: 0}, was: map[blockdev.BlockID]bool{}}
+	file := oneFileTrace(blocks).Numbering().File(0) // numbered as fs's trace is
+	w := &evictionWatch{env: xfsEnv{fs: fs, node: 0, file: file}, was: map[blockdev.BlockID]bool{}}
 	run := func() {
 		e.RunUntil(func() bool { w.look(t, 0, blocks); return false })
 		w.look(t, 0, blocks)

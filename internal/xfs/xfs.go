@@ -31,16 +31,15 @@ type Config struct {
 	Recirculations int
 }
 
-// driverKey identifies a per-node, per-file prefetch driver.
-type driverKey struct {
-	node blockdev.NodeID
-	file blockdev.FileID
-}
-
 // FS is one simulated xFS instance.
 type FS struct {
 	*fscommon.Base
-	drivers map[driverKey]*core.Driver
+	// drivers are the per-node, per-file drivers made, in the order
+	// they were made; driverAt finds one by file ordinal × node (see
+	// driverEntry): its index in drivers plus one, 0 for none. The
+	// table holds no pointer, four bytes per file and node.
+	drivers  []*core.Driver
+	driverAt []int32
 }
 
 // New builds an xFS over the given machine for the given trace.
@@ -54,7 +53,7 @@ func New(e *sim.Engine, cfg Config, tr *workload.Trace) *FS {
 	fs := &FS{
 		Base: fscommon.NewBase(e, cfg.Machine, cfg.CacheBlocksPerNode,
 			cachesim.NChance{Recirculations: recirc}, tr, cfg.Algorithm),
-		drivers: make(map[driverKey]*core.Driver),
+		driverAt: make([]int32, tr.Numbering().Files()*cfg.Machine.Nodes),
 	}
 	fs.Serve(fs)
 	return fs
@@ -68,10 +67,11 @@ func New(e *sim.Engine, cfg Config, tr *workload.Trace) *FS {
 type xfsEnv struct {
 	fs   *FS
 	node blockdev.NodeID
+	file blockdev.FileSlots
 }
 
 func (e xfsEnv) Cached(b blockdev.BlockID) bool {
-	return e.fs.Cch.ContainsOn(e.node, b)
+	return e.fs.Cch.ContainsOn(e.node, e.file.Slot(b))
 }
 
 // Evictions is machine-wide: it moves whenever this node loses a copy.
@@ -83,25 +83,31 @@ func (e xfsEnv) Evictions() uint64 { return e.fs.Cch.Stats().Removals }
 // traffic of Figure 9) that makes xFS's per-node prefetching "not
 // really linear" (§4, §5.2).
 func (e xfsEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
-	return e.fs.Base.Prefetch(e.node, b, fallback, cancelled, done)
+	return e.fs.Base.Prefetch(e.node, e.file.Slot(b), fallback, cancelled, done)
 }
 
 // driverFor lazily creates the per-(node,file) driver; nil when NP.
-func (fs *FS) driverFor(node blockdev.NodeID, f blockdev.FileID) *core.Driver {
+func (fs *FS) driverFor(node blockdev.NodeID, f blockdev.FileSlots) *core.Driver {
 	if !fs.Alg.Prefetches() {
 		return nil
 	}
-	k := driverKey{node, f}
-	if d, ok := fs.drivers[k]; ok {
-		return d
+	at := fs.driverEntry(node, f)
+	if *at > 0 {
+		return fs.drivers[*at-1]
 	}
 	// Every node's driver for f shares the file's one degree policy:
 	// the bound applies per driver, so the machine-wide aggregate can
 	// still exceed it — the same per-node-vs-global gap that keeps
 	// xFS's prefetching "not really linear" in the paper (§4).
-	d := fs.NewDriver(f, xfsEnv{fs: fs, node: node})
-	fs.drivers[k] = d
+	d := fs.NewDriver(f, xfsEnv{fs: fs, node: node, file: f})
+	fs.drivers = append(fs.drivers, d)
+	*at = int32(len(fs.drivers))
 	return d
+}
+
+// driverEntry returns the driverAt entry of node's driver of f.
+func (fs *FS) driverEntry(node blockdev.NodeID, f blockdev.FileSlots) *int32 {
+	return &fs.driverAt[int(f.Ordinal)*fs.Cfg.Nodes+int(node)]
 }
 
 // Read serves a user read with xFS's local-first path: local pool,
@@ -111,20 +117,20 @@ func (fs *FS) Read(client blockdev.NodeID, span blockdev.Span, done func(at sim.
 	r := fs.NewRequest(workload.OpRead, client, span, done)
 	localHits := 0
 	for i := int32(0); i < span.Count; i++ {
-		blk := span.Block(i)
-		if cp := fs.Cch.FindOn(client, blk); cp != nil {
+		slot := r.Slot(i)
+		if cp := fs.Cch.FindOn(client, slot); cp != nil {
 			localHits++
 			fs.Cch.Use(cp)
 			// Local copy: a memory copy into the application buffer.
 			fs.Net.Local(fs.Cfg.BlockSize, r.BlockDone)
 			continue
 		}
-		fs.Net.Send(client, fs.HomeNode(blk.File), netmodel.ControlMessageSize, fs.NewMiss(r, blk).Step)
+		fs.Net.Send(client, fs.HomeNode(span.File), netmodel.ControlMessageSize, fs.NewMiss(r, slot).Step)
 	}
 	fs.Coll.ReadBlocks(int(span.Count), localHits)
 	// The client's prefetcher for the file reacts to what its own pool
 	// held.
-	fs.Observe(fs.driverFor(client, span.File), span, localHits)
+	fs.Observe(fs.driverFor(client, r.File), span, localHits)
 }
 
 // The stages of a block the client's pool did not have.
@@ -138,25 +144,25 @@ const (
 // caching node, or go to disk. Either way the block becomes a local
 // copy at the client.
 func (fs *FS) Advance(m *fscommon.Miss, e *sim.Engine) {
-	r, blk := m.Req, m.Block
+	r, slot := m.Req, m.Slot
 	switch m.Stage {
 	case atManager:
-		if cp := fs.Cch.Find(blk); cp != nil {
+		if cp := fs.Cch.Find(slot); cp != nil {
 			fs.Cch.Use(cp)
 			m.Stage = copying
 			fs.Net.Send(cp.Node, r.Client, fs.Cfg.BlockSize, m.Step)
 			return
 		}
 		m.Stage = fetching
-		fs.DemandFetch(blk, r.Client, m.Step)
+		fs.DemandFetch(slot, r.Client, m.Step)
 	case copying:
-		_, victims := fs.Cch.Insert(r.Client, blk, cachesim.InsertOptions{})
+		_, victims := fs.Cch.Insert(r.Client, slot, cachesim.InsertOptions{})
 		fs.FlushVictims(victims)
 		m.Release()
 		e.Fire(r.BlockDone)
 	case fetching:
 		// Data travels from the disk's host node to the client.
-		fs.Net.Send(fs.HostOf(blk), r.Client, fs.Cfg.BlockSize, r.BlockDone)
+		fs.Net.Send(fs.HostOf(slot), r.Client, fs.Cfg.BlockSize, r.BlockDone)
 		m.Release()
 	}
 }
@@ -172,8 +178,8 @@ func (fs *FS) Close(client blockdev.NodeID, file blockdev.FileID, done func(at s
 // Arrive ends a close's local delay; reads and writes never leave the
 // client as a whole, only block by block.
 func (fs *FS) Arrive(r *fscommon.Request, e *sim.Engine) {
-	if d, ok := fs.drivers[driverKey{r.Client, r.Span.File}]; ok {
-		d.StopChain()
+	if at := *fs.driverEntry(r.Client, r.File); at > 0 {
+		fs.drivers[at-1].StopChain()
 	}
 	r.Finish(e.Now())
 }
@@ -188,19 +194,19 @@ func (fs *FS) Write(client blockdev.NodeID, span blockdev.Span, done func(at sim
 	// block of the same span.
 	localHits := 0
 	for i := int32(0); i < span.Count; i++ {
-		if fs.Cch.ContainsOn(client, span.Block(i)) {
+		if fs.Cch.ContainsOn(client, r.Slot(i)) {
 			localHits++
 		}
 	}
 	for i := int32(0); i < span.Count; i++ {
-		blk := span.Block(i)
-		if !fs.Cch.ContainsOn(client, blk) && fs.Cch.Contains(blk) {
+		slot := r.Slot(i)
+		if !fs.Cch.ContainsOn(client, slot) && fs.Cch.Contains(slot) {
 			// Invalidate remote copies; ownership moves here.
-			fs.Cch.Drop(blk)
+			fs.Cch.Drop(slot)
 		}
-		_, victims := fs.Cch.Insert(client, blk, cachesim.InsertOptions{Dirty: true})
+		_, victims := fs.Cch.Insert(client, slot, cachesim.InsertOptions{Dirty: true})
 		fs.FlushVictims(victims)
 		fs.Net.Local(fs.Cfg.BlockSize, r.BlockDone)
 	}
-	fs.Observe(fs.driverFor(client, span.File), span, localHits)
+	fs.Observe(fs.driverFor(client, r.File), span, localHits)
 }

@@ -90,8 +90,9 @@ func TestSatisfiedIsLocalNotGlobal(t *testing.T) {
 	}
 	// Node 1's local pool must have gained its own copies.
 	count := 0
+	file := oneFileTrace(50).Numbering().File(0) // numbered as fs's trace is
 	for b := 0; b < 50; b++ {
-		if fs.Cch.ContainsOn(1, span(0, b, 1).Block(0)) {
+		if fs.Cch.ContainsOn(1, file.Slot(span(0, b, 1).Block(0))) {
 			count++
 		}
 	}

@@ -36,6 +36,13 @@ func newFS(alg core.AlgSpec, cacheBlocks, fileBlocks int) (*sim.Engine, *FS) {
 	return e, fs
 }
 
+// slot returns block b of file 0's slot in the numbering of
+// oneFileTrace, the trace newFS runs: the file's blocks take slots
+// from 0 whatever its length.
+func slot(b int) int32 {
+	return oneFileTrace(b + 1).Numbering().File(0).Slot(blockdev.BlockID{File: 0, Block: blockdev.BlockNo(b)})
+}
+
 func span(f, start, count int) blockdev.Span {
 	return blockdev.Span{File: blockdev.FileID(f), Start: blockdev.BlockNo(start), Count: int32(count)}
 }
@@ -44,7 +51,7 @@ func TestMissFetchesToLocalPool(t *testing.T) {
 	e, fs := newFS(core.SpecNP, 32, 100)
 	fs.Read(2, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	if !fs.Cch.ContainsOn(2, blockdev.BlockID{File: 0, Block: 0}) {
+	if !fs.Cch.ContainsOn(2, slot(0)) {
 		t.Error("miss did not create a local copy on the client")
 	}
 	if fs.Coll.DiskReads() != 1 {
@@ -62,7 +69,7 @@ func TestRemoteHitCopiesWithoutDisk(t *testing.T) {
 	if fs.Coll.DiskReads() != reads {
 		t.Error("remote hit went to disk")
 	}
-	blk := blockdev.BlockID{File: 0, Block: 0}
+	blk := slot(0)
 	if !fs.Cch.ContainsOn(3, blk) {
 		t.Error("remote hit did not create a local duplicate")
 	}
@@ -100,7 +107,7 @@ func TestPerNodeDriversDuplicatePrefetch(t *testing.T) {
 	}
 	// Both nodes should end up with their own copies of the walked
 	// blocks (via disk or peer copy).
-	blk := blockdev.BlockID{File: 0, Block: 10}
+	blk := slot(10)
 	on0, on1 := fs.Cch.ContainsOn(0, blk), fs.Cch.ContainsOn(1, blk)
 	if !on0 || !on1 {
 		t.Errorf("block 10 local copies: node0=%v node1=%v, want both", on0, on1)
@@ -129,14 +136,14 @@ func TestWriteInvalidatesRemoteCopies(t *testing.T) {
 	e.Run()
 	fs.Write(3, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	blk := blockdev.BlockID{File: 0, Block: 0}
+	blk := slot(0)
 	if fs.Cch.ContainsOn(2, blk) {
 		t.Error("stale copy survived a write by another node")
 	}
 	if !fs.Cch.ContainsOn(3, blk) {
 		t.Error("writer has no local copy")
 	}
-	if len(fs.Cch.DirtyBlocks()) != 1 {
+	if len(fs.Cch.DirtySlots()) != 1 {
 		t.Error("written block not dirty")
 	}
 }
