@@ -12,8 +12,10 @@
 # Performance numbers come from `bash bench/run.sh` alone. CI adds
 # repeated race runs of the timing-dependent suites (see ci.yml's
 # header): among them the prefetch window's concurrent feedback
-# (core:TestAdaptiveConcurrentFeedback) and the adaptive engine
-# (lapcache:TestAdaptiveEngine*), twenty times each. The thirteen
+# (core:TestAdaptiveConcurrentFeedback), the adaptive engine
+# (lapcache:TestAdaptiveEngine*) and the windows' counts read while a
+# linear engine serves (lapcache:TestHighWatersReadWhileServing),
+# twenty times each. The thirteen
 # zero-allocation gates (engine hit, miss from a one-entry shard, miss
 # evicting from full eight-entry shards, prefetched hit and predicted
 # hit; loopback hit; remote hit; simulator event and resource request;
@@ -136,7 +138,7 @@ check-bench:
 # Chaos soak: random seeds in a loop (SOAK_RUNS, default 20), each a
 # 3-node fleet on the fixed ring under the seeded fault plan. Every
 # other run puts the adaptive prefetch window on one seed-chosen node,
-# the victim (strict linear elsewhere), so the audit exercises both
+# the victim (linear elsewhere), so the audit exercises both
 # the exact HW==1 bound and the generalized HW<=cap bound. Each run
 # prints its seed up front, so a failure names the exact seed to replay
 # with `go run ./cmd/lapbench -exp chaos -seed N [-adaptive-victim]`.

@@ -14,8 +14,9 @@ import (
 // faulted-site set bit for bit (the digest printed in the report), so
 // a failing seed from `make soak` replays here directly. adaptiveVictim
 // runs the adaptive prefetch window on the seed-chosen victim node —
-// the audit then bounds its ledger by the adaptive cap while every
-// strict node stays bounded by exactly 1 (make soak alternates this).
+// the audit then bounds its files' high-water marks by the adaptive cap
+// while every linear node stays bounded by exactly 1 (make soak
+// alternates this).
 func runChaos(scale experiment.Scale, seed uint64, adaptiveVictim bool) error {
 	res, err := chaos.Run(chaos.Config{
 		Seed:           seed,

@@ -6,8 +6,8 @@
 //
 //   - Linearity: per file, only the ring owner ever drives prefetches,
 //     with an outstanding high-water of at most the degree policy's cap
-//     — exactly 1 under the default StrictLinear policy, ≤ the
-//     controller's hard K under an adaptive window — faults included.
+//     — exactly 1 under the fleet's Ln_ algorithm, ≤ the controller's
+//     hard K under an adaptive window — faults included.
 //   - Buffer lifecycle: with poison mode on, no buffer is written
 //     after release, and after teardown the pool's live count is zero
 //     (no leak survived any error path).
@@ -48,9 +48,9 @@ type Config struct {
 	Charisma workload.CharismaParams
 	// AdaptiveVictim runs the adaptive variant of the fleet's
 	// algorithm on one seed-chosen node, the victim, leaving the rest
-	// pinned strict — the mixed-fleet shape of a staged rollout. The
-	// victim's ledger is audited against the adaptive cap, everyone
-	// else's against 1.
+	// pinned linear — the mixed-fleet shape of a staged rollout. The
+	// victim's per-file high-water marks are audited against the
+	// adaptive cap, everyone else's against 1.
 	AdaptiveVictim bool
 }
 
@@ -71,7 +71,7 @@ const (
 type Invariants struct {
 	// Linearity. DegreeCap is the largest per-file bound any node's
 	// policy allows: MaxOwnerHW must stay within it, and OverCap lists
-	// nodes whose ledger exceeded their *own* engine's cap — a mixed
+	// files whose high-water exceeded their node's *own* engine's cap — a mixed
 	// fleet is audited per node.
 	DegreeCap        int      `json:"degree_cap,omitempty"`
 	MaxOwnerHW       int      `json:"max_owner_hw"`      // must be <= DegreeCap
@@ -312,8 +312,8 @@ func Run(cfg Config) (Result, error) {
 			fmt.Sprintf("... and %d more", unexpectedN-len(res.Inv.UnexpectedErrors)))
 	}
 
-	// Audit the live cluster before teardown: counters, ledgers,
-	// ownership.
+	// Audit the live cluster before teardown: counters, high-water
+	// marks, ownership.
 	res.Close = make(map[lapcache.CloseReason]uint64)
 	for _, m := range nodes {
 		snap := m.Engine.Snapshot()
@@ -322,14 +322,14 @@ func Run(cfg Config) (Result, error) {
 		for reason, n := range m.Server.CloseCounts() {
 			res.Close[reason] += n
 		}
-		// Each node's ledger is bounded by its own engine's policy cap:
+		// Each node's marks are bounded by its own engine's policy cap:
 		// in a mixed fleet (AdaptiveVictim) the strict nodes still may
 		// not exceed 1 even though the fleet-wide DegreeCap is wider.
 		nodeCap := algFor(m.Index).MaxOutstanding
 		if nodeCap > res.Inv.DegreeCap {
 			res.Inv.DegreeCap = nodeCap
 		}
-		for f, hw := range m.Engine.Ledger().HighWaters() {
+		for f, hw := range m.Engine.HighWaters() {
 			if hw == 0 {
 				continue
 			}

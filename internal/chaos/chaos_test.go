@@ -143,10 +143,10 @@ func contains(s, sub string) bool {
 // every other node stays pinned to strict linear, on the fixed ring
 // under the default fault plan. (The mid-replay kill and rejoin that
 // gave the test its name went with churn mode; see CHANGES.md.) The audit
-// must bound every node's ledger by its *own* policy cap — the victim
-// within the adaptive hard K, the strict nodes within exactly 1 —
-// with zero ledger violations anywhere: LinearViolations stays exact
-// because the strict engines' ledger limit is still 1.
+// must bound every node's high-water marks by its *own* policy cap —
+// the victim within the adaptive hard K, the linear nodes within
+// exactly 1 — with zero violations anywhere: LinearViolations stays
+// exact because the linear engines' window cap is still 1.
 func TestChaosChurnAdaptiveVictim(t *testing.T) {
 	if testing.Short() {
 		t.Skip("boots a 3-node cluster")
@@ -174,7 +174,7 @@ func TestChaosChurnAdaptiveVictim(t *testing.T) {
 		t.Errorf("nodes exceeded their own policy cap: %v", res.Inv.OverCap)
 	}
 	if res.Inv.LinearViolations != 0 {
-		t.Errorf("%d ledger violations; the strict nodes' limit-1 ledgers must stay exact",
+		t.Errorf("%d linearity violations; the linear nodes' cap-1 windows must stay exact",
 			res.Inv.LinearViolations)
 	}
 	if res.Requests == 0 || res.Reads == 0 {

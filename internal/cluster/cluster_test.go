@@ -301,7 +301,7 @@ func TestOnePeerConnection(t *testing.T) {
 // outstanding-prefetch high-water within the degree policy's cap
 // CLUSTER-WIDE — exactly 1 under the strict linear throttle, at most
 // the controller's hard K when adaptive: only the ring owner ever runs
-// a file's chain, so joining the three ledgers per file must find
+// a file's chain, so joining the three nodes' marks per file must find
 // history on one node only — the PAFS property xFS lacks.
 func TestClusterCharismaE2E(t *testing.T) {
 	p := experiment.TinyScale().Charisma
@@ -360,14 +360,14 @@ func clusterCharismaE2E(t *testing.T, tr *workload.Trace, alg core.AlgSpec) {
 		t.Errorf("%d degree-cap violations across the cluster", violations)
 	}
 
-	// Cluster-wide linearity: join the per-node ledgers. For every
+	// Cluster-wide linearity: join the per-node high-water marks. For every
 	// file, only the ring owner may have driven prefetches at all, and
 	// its high-water must respect the cap (and reach it exactly under
 	// the strict throttle, whose cap is 1).
 	degreeCap := alg.MaxOutstanding
 	prefetchedFiles, maxHW := 0, 0
 	for i, m := range nodes {
-		for f, hw := range m.Engine.Ledger().HighWaters() {
+		for f, hw := range m.Engine.HighWaters() {
 			if hw == 0 {
 				continue
 			}
@@ -383,7 +383,7 @@ func clusterCharismaE2E(t *testing.T, tr *workload.Trace, alg core.AlgSpec) {
 				t.Errorf("file %d high-water %d on node %d, cap %d cluster-wide", f, hw, i, degreeCap)
 			}
 			for j, other := range nodes {
-				if j != i && other.Engine.Ledger().HighWaters()[f] != 0 {
+				if j != i && other.Engine.HighWaters()[f] != 0 {
 					t.Errorf("file %d has outstanding-prefetch history on BOTH node %d and node %d", f, i, j)
 				}
 			}

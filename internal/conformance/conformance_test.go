@@ -52,8 +52,8 @@ func TestSimConformance(t *testing.T) {
 // TestEngineConformance replays the demand script against a live
 // engine under every registered algorithm, with buffer poisoning on
 // throughout (a double-release or use-after-release panics the run),
-// and checks the teardown invariants: the ledger saw no violations and
-// never exceeded the cap, and after Shutdown + DrainCache not one
+// and checks the teardown invariants: no file's prefetch count went past
+// the cap, and after Shutdown + DrainCache not one
 // block buffer is still live.
 func TestEngineConformance(t *testing.T) {
 	for _, alg := range core.NamedAlgorithms() {
@@ -99,8 +99,8 @@ func TestEngineConformance(t *testing.T) {
 				t.Errorf("%d linearity violations", snap.LinearViolations)
 			}
 			if cap := alg.MaxOutstanding; cap > 0 {
-				if hw := e.Ledger().MaxHighWater(); hw > cap {
-					t.Errorf("ledger high-water %d exceeds policy cap %d", hw, cap)
+				if hw := snap.MaxFileOutstandingHW; hw > cap {
+					t.Errorf("file high-water %d exceeds policy cap %d", hw, cap)
 				}
 			}
 			e.Shutdown()

@@ -1,6 +1,12 @@
 package core
 
-import "sync"
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+
+	"repro/internal/blockdev"
+)
 
 // DegreePolicy is one file's prefetch window: how many prefetch
 // operations the file may have in flight at once. The paper pins it
@@ -21,12 +27,29 @@ import "sync"
 // concurrent use: the runtime calls Allow under the per-file driver
 // mutex but delivers feedback from whatever goroutine observed the
 // event. Build one with AlgSpec.NewDegreePolicy.
+//
+// The window also counts what it bounds: the file's prefetches in
+// flight, summed over every driver of the file, with their high-water
+// mark and how many updates took the count past cap. That is the
+// instrument behind the paper's linear invariant: PAFS, and a lapcache
+// cluster, run one driver per file, so a file's high-water stays at
+// the driver's limit (1 for Ln_Agr_*), while xFS runs a driver per
+// (node, file) and a shared file's count goes past it, the "not really
+// linear" behaviour of §4 made measurable.
 type DegreePolicy struct {
 	// cap is the largest value Allow can ever return; 0 means
-	// unlimited. Auditors (the ledger, the chaos audit) check
-	// high-water marks against it rather than the instantaneous Allow.
+	// unlimited. The high-water mark, OverCap and the chaos audit
+	// check against it rather than the instantaneous Allow.
 	cap      int
 	adaptive bool
+	strict   bool // an update past cap panics (SetStrict)
+
+	// inFlight is written by the file's drivers alone, which every host
+	// serializes per file, so it takes no lock; the two counters a
+	// concurrent reader takes (HighWater, OverCap) are atomics.
+	inFlight  int
+	highWater atomic.Int64
+	overCap   atomic.Uint64
 
 	// degree is the window. A static one never writes it after
 	// construction, so its Allow reads it without mu.
@@ -68,6 +91,38 @@ func (p *DegreePolicy) Allow() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.degree
+}
+
+// SetStrict makes an update that takes the file's prefetch count past
+// cap panic instead of being counted: the runtime's -strict.
+func (p *DegreePolicy) SetStrict() { p.strict = true }
+
+// HighWater returns the most prefetches the file ever had in flight at
+// once, over all its drivers.
+func (p *DegreePolicy) HighWater() int { return int(p.highWater.Load()) }
+
+// OverCap returns how many updates took the file's prefetch count past
+// cap (never, under an unlimited cap).
+func (p *DegreePolicy) OverCap() uint64 { return p.overCap.Load() }
+
+// addInFlight moves the file's prefetch count by a driver's delta
+// (issue +1, completion -1, a restarted chain's release); f names the
+// file in a panic. A count below zero is a driver bug and panics.
+func (p *DegreePolicy) addInFlight(delta int, f blockdev.FileID) {
+	n := p.inFlight + delta
+	if n < 0 {
+		panic(fmt.Sprintf("core: file %d outstanding prefetches went negative (%d)", f, n))
+	}
+	p.inFlight = n
+	if int64(n) > p.highWater.Load() {
+		p.highWater.Store(int64(n))
+	}
+	if p.cap > 0 && n > p.cap {
+		p.overCap.Add(1)
+		if p.strict {
+			panic(fmt.Sprintf("core: file %d has %d outstanding prefetches, linear limit is %d", f, n, p.cap))
+		}
+	}
 }
 
 // OnTimely records a prefetched block demanded after it arrived.

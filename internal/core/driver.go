@@ -66,18 +66,6 @@ type Env interface {
 	Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) (accepted bool)
 }
 
-// OutstandingObserver is notified whenever a driver's logical count of
-// in-flight prefetches changes. An observer watches one file, the
-// driver's, so it is told the delta alone. The file systems aggregate
-// the deltas per file (a Ledger's FileMarks): under PAFS one driver
-// owns a file machine-wide, so the aggregate can never exceed the
-// linear limit; under xFS every node runs its own driver and the
-// aggregate exposes how far the per-node implementation strays from
-// truly linear prefetching (§4).
-type OutstandingObserver interface {
-	OutstandingChanged(delta int)
-}
-
 // DriverConfig assembles a per-file prefetch driver.
 type DriverConfig struct {
 	// Predictor supplies predictions; the driver owns it.
@@ -87,7 +75,10 @@ type DriverConfig struct {
 	// Degree bounds in-flight prefetch operations for this file: the
 	// driver consults Degree.Allow() before every issue. A static
 	// window of 1 is the paper's *linear* throttle (§3.2), of 0 the
-	// uncontrolled aggressive variant kept for the ablations.
+	// uncontrolled aggressive variant kept for the ablations. Every
+	// change of the driver's in-flight count (issue +1, completion -1,
+	// the release when a chain restarts or stops) is added to the
+	// window's count, so drivers sharing a file's window sum into one.
 	Degree *DegreePolicy
 	// File is the file this driver serves.
 	File blockdev.FileID
@@ -96,11 +87,6 @@ type DriverConfig struct {
 	FileBlocks blockdev.BlockNo
 	// Env hosts the driver.
 	Env Env
-	// Observer, if non-nil, receives every change of the driver's
-	// logical outstanding-prefetch count (issue +1, completion -1, and
-	// the reset to zero when a chain restarts or stops). It watches
-	// File: a host passes the file's Ledger marks.
-	Observer OutstandingObserver
 }
 
 // maxDrySteps bounds consecutive chain predictions that yield no
@@ -299,7 +285,7 @@ func (d *Driver) restart() {
 func (d *Driver) dropPending() { d.pending, d.next = d.pending[:0], 0 }
 
 // changeOutstanding adjusts the logical in-flight count, maintains the
-// high-water mark, and notifies the observer.
+// high-water mark, and adds the change to the file's window.
 func (d *Driver) changeOutstanding(delta int) {
 	if delta == 0 {
 		return
@@ -308,9 +294,7 @@ func (d *Driver) changeOutstanding(delta int) {
 	if d.outstanding > d.stats.HighWater {
 		d.stats.HighWater = d.outstanding
 	}
-	if d.cfg.Observer != nil {
-		d.cfg.Observer.OutstandingChanged(delta)
-	}
+	d.degree.addInFlight(delta, d.cfg.File)
 }
 
 // enqueue clips a predicted request to the file and queues its blocks.

@@ -6,11 +6,11 @@ import (
 	"repro/internal/blockdev"
 )
 
-// TestLedger drives the one ledger with the inputs both of its former
-// halves were tested on: the simulator's unlimited ledger (xFS-style
-// overlap on a shared file, the peak surviving a drain, a negative
-// count) and the runtime's limit-checking one (violations counted, or
-// a panic when strict).
+// TestLedger drives files' prefetch counts, kept in their windows,
+// with the simulator's shapes on unlimited windows (xFS-style overlap
+// on a shared file, the peak surviving a drain, a negative count) and
+// the runtime's on capped ones (updates past the cap counted, or a
+// panic when strict).
 func TestLedger(t *testing.T) {
 	type delta struct {
 		f blockdev.FileID
@@ -18,7 +18,7 @@ func TestLedger(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name       string
-		limit      int
+		cap        int
 		strict     bool
 		deltas     []delta
 		wantHW     map[blockdev.FileID]int
@@ -26,14 +26,14 @@ func TestLedger(t *testing.T) {
 		panics     bool // on the last delta
 	}{{
 		// Two drivers overlap on file 1 (the xFS shared-file case), one
-		// driver stays linear on file 2; no limit, so nothing violates.
+		// driver stays linear on file 2; no cap, so nothing violates.
 		name: "high-water",
 		deltas: []delta{{1, 1}, {1, 1}, {1, -1}, {2, 1}, {2, -1}, {2, 1}, {2, -1},
 			{1, -1}}, // the peak survives the count draining to zero
 		wantHW: map[blockdev.FileID]int{1: 2, 2: 1},
 	}, {
 		// A file seen only through a zero delta never had a prefetch in
-		// flight: HighWaters leaves it out.
+		// flight: its high-water is 0.
 		name:   "zero-delta",
 		deltas: []delta{{3, 0}, {4, 1}, {4, -1}},
 		wantHW: map[blockdev.FileID]int{4: 1},
@@ -43,19 +43,28 @@ func TestLedger(t *testing.T) {
 		panics: true,
 	}, {
 		name:       "counts-violations",
-		limit:      1,
+		cap:        1,
 		deltas:     []delta{{2, 1}, {2, 1}, {2, -2}},
 		wantHW:     map[blockdev.FileID]int{2: 2},
 		violations: 1,
 	}, {
 		name:   "strict-panics",
-		limit:  1,
+		cap:    1,
 		strict: true,
 		deltas: []delta{{1, 1}, {1, 1}},
 		panics: true,
 	}} {
 		t.Run(tc.name, func(t *testing.T) {
-			l := NewLedger(tc.limit, tc.strict)
+			windows := make(map[blockdev.FileID]*DegreePolicy)
+			window := func(f blockdev.FileID) *DegreePolicy {
+				if windows[f] == nil {
+					windows[f] = staticWindow(tc.cap)
+					if tc.strict {
+						windows[f].SetStrict()
+					}
+				}
+				return windows[f]
+			}
 			for i, d := range tc.deltas {
 				if tc.panics && i == len(tc.deltas)-1 {
 					defer func() {
@@ -64,77 +73,52 @@ func TestLedger(t *testing.T) {
 						}
 					}()
 				}
-				l.Marks(d.f).OutstandingChanged(d.d)
+				window(d.f).addInFlight(d.d, d.f)
 			}
-			hw := l.HighWaters()
-			max := 0
-			for f, want := range tc.wantHW {
-				if hw[f] != want {
-					t.Errorf("file %d high-water = %d, want %d", f, hw[f], want)
+			var violations uint64
+			for f, w := range windows {
+				if hw := w.HighWater(); hw != tc.wantHW[f] {
+					t.Errorf("file %d high-water = %d, want %d", f, hw, tc.wantHW[f])
 				}
-				if want > max {
-					max = want
-				}
-				// The copy must be detached from the ledger.
-				hw[f] = 99
-				if l.HighWaters()[f] != want {
-					t.Error("HighWaters returned the internal map")
-				}
+				violations += w.OverCap()
 			}
-			for _, d := range tc.deltas {
-				if _, ok := tc.wantHW[d.f]; !ok && hw[d.f] != 0 {
-					t.Errorf("file %d high-water = %d, want 0", d.f, hw[d.f])
-				}
-			}
-			if len(hw) != len(tc.wantHW) {
-				t.Errorf("HighWaters = %v, want %v", hw, tc.wantHW)
-			}
-			if l.MaxHighWater() != max {
-				t.Errorf("max high-water = %d, want %d", l.MaxHighWater(), max)
-			}
-			if l.Violations() != tc.violations {
-				t.Errorf("violations = %d, want %d", l.Violations(), tc.violations)
+			if violations != tc.violations {
+				t.Errorf("violations = %d, want %d", violations, tc.violations)
 			}
 		})
 	}
 }
 
 // TestLedgerFileMarks: two drivers of one file (xFS's per-node case)
-// each resolve the file's marks when they are made and report through
-// them; their prefetches sum into one outstanding count and one
-// high-water mark, keyed by the file in HighWaters. The marks keep the
-// ledger's rules: a count below zero panics, and a strict ledger
-// panics past its limit.
+// share the file's window; their prefetches sum into one outstanding
+// count and one high-water mark, and the second takes the count past
+// the window's cap, which a window counts. A count below zero panics,
+// and a strict window panics past its cap.
 func TestLedgerFileMarks(t *testing.T) {
-	l := NewLedger(0, false)
+	w := staticWindow(1)
 	envs := []*fakeEnv{newFakeEnv(), newFakeEnv()}
 	for _, env := range envs {
 		d := NewDriver(DriverConfig{
 			Predictor:  NewOBA(),
 			Mode:       ModeAggressive,
-			Degree:     staticWindow(1),
+			Degree:     w,
 			File:       7,
 			FileBlocks: 16,
 			Env:        env,
-			Observer:   l.Marks(7),
 		})
 		d.OnUserRequest(Request{Offset: 0, Size: 1}, 1, false)
 	}
-	if m := l.Marks(7); m.outstanding != 2 {
-		t.Errorf("file 7 outstanding = %d with one prefetch from each driver, want 2", m.outstanding)
+	if w.inFlight != 2 {
+		t.Errorf("file 7 outstanding = %d with one prefetch from each driver, want 2", w.inFlight)
 	}
 	for _, env := range envs {
 		env.completeAll() // the chain walks to the end of the file
 	}
-	if m := l.Marks(7); m.outstanding != 0 {
-		t.Errorf("file 7 outstanding = %d after both chains drained, want 0", m.outstanding)
+	if w.inFlight != 0 {
+		t.Errorf("file 7 outstanding = %d after both chains drained, want 0", w.inFlight)
 	}
-	l.Marks(9).OutstandingChanged(1)
-	if hw := l.HighWaters(); len(hw) != 2 || hw[7] != 2 || hw[9] != 1 {
-		t.Errorf("HighWaters = %v, want map[7:2 9:1]", hw)
-	}
-	if l.MaxHighWater() != 2 {
-		t.Errorf("max high-water = %d, want 2", l.MaxHighWater())
+	if w.HighWater() != 2 || w.OverCap() == 0 {
+		t.Errorf("high-water = %d, over cap %d times; want 2 and at least once", w.HighWater(), w.OverCap())
 	}
 	mustPanic := func(name string, f func()) {
 		t.Helper()
@@ -145,12 +129,12 @@ func TestLedgerFileMarks(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("a count below zero", func() { l.Marks(7).OutstandingChanged(-1) })
-	strict := NewLedger(1, true)
-	m := strict.Marks(3)
-	m.OutstandingChanged(1)
-	mustPanic("a strict ledger past its limit", func() { m.OutstandingChanged(1) })
-	if strict.Violations() != 1 {
-		t.Errorf("strict ledger violations = %d, want 1", strict.Violations())
+	mustPanic("a count below zero", func() { w.addInFlight(-1, 7) })
+	strict := staticWindow(1)
+	strict.SetStrict()
+	strict.addInFlight(1, 3)
+	mustPanic("a strict window past its cap", func() { strict.addInFlight(1, 3) })
+	if strict.OverCap() != 1 {
+		t.Errorf("strict window over cap %d times, want 1", strict.OverCap())
 	}
 }

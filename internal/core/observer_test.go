@@ -6,51 +6,31 @@ import (
 	"repro/internal/blockdev"
 )
 
-// recordingObserver logs every outstanding delta the driver reports.
-type recordingObserver struct {
-	deltas []int
-	net    int
-}
-
-func (o *recordingObserver) OutstandingChanged(delta int) {
-	o.deltas = append(o.deltas, delta)
-	o.net += delta
-	if o.net < 0 {
-		panic("observer saw negative outstanding")
-	}
-}
+// The driver adds every change of its in-flight count to its file's
+// window: these tests read the window's count (inFlight) and peak
+// (HighWater), and the window panics if any interleaving drives the
+// count negative.
 
 func TestDriverReportsOutstandingToObserver(t *testing.T) {
 	env := newFakeEnv()
-	obs := &recordingObserver{}
+	w := staticWindow(1)
 	d := NewDriver(DriverConfig{
 		Predictor:  NewOBA(),
 		Mode:       ModeAggressive,
-		Degree:     staticWindow(1),
+		Degree:     w,
 		File:       1,
 		FileBlocks: 10,
 		Env:        env,
-		Observer:   obs,
 	})
 	d.OnUserRequest(Request{Offset: 0, Size: 2}, 1, false)
 	env.completeAll()
 
-	if obs.net != 0 {
-		t.Errorf("net outstanding after drain = %d, want 0", obs.net)
+	if w.inFlight != 0 {
+		t.Errorf("net outstanding after drain = %d, want 0", w.inFlight)
 	}
-	if len(obs.deltas) == 0 {
-		t.Fatal("observer saw nothing")
-	}
-	// With a degree of 1 the running sum may never exceed 1 — the
-	// linear throttle as the observer sees it.
-	run, peak := 0, 0
-	for _, dl := range obs.deltas {
-		run += dl
-		if run > peak {
-			peak = run
-		}
-	}
-	if peak != 1 {
+	// With a degree of 1 the count may never exceed 1 — the linear
+	// throttle as the file's window sees it.
+	if peak := w.HighWater(); peak != 1 {
 		t.Errorf("observed outstanding peak = %d, want 1", peak)
 	}
 	if d.Stats().HighWater != 1 {
@@ -60,66 +40,57 @@ func TestDriverReportsOutstandingToObserver(t *testing.T) {
 
 func TestDriverStopChainReleasesOutstanding(t *testing.T) {
 	env := newFakeEnv()
-	obs := &recordingObserver{}
+	w := staticWindow(1)
 	d := NewDriver(DriverConfig{
 		Predictor:  NewOBA(),
 		Mode:       ModeAggressive,
-		Degree:     staticWindow(1),
+		Degree:     w,
 		File:       2,
 		FileBlocks: 10,
 		Env:        env,
-		Observer:   obs,
 	})
 	d.OnUserRequest(Request{Offset: 0, Size: 2}, 1, false)
-	if obs.net != 1 {
-		t.Fatalf("outstanding before stop = %d, want 1 (prefetch in flight)", obs.net)
+	if w.inFlight != 1 {
+		t.Fatalf("outstanding before stop = %d, want 1 (prefetch in flight)", w.inFlight)
 	}
 	// Close the file while the prefetch is still in flight: the driver
 	// must hand the outstanding count back immediately, not wait for a
 	// completion that will be discarded.
 	d.StopChain()
-	if obs.net != 0 {
-		t.Errorf("outstanding after StopChain = %d, want 0", obs.net)
+	if w.inFlight != 0 {
+		t.Errorf("outstanding after StopChain = %d, want 0", w.inFlight)
 	}
 	// The orphaned completion must not double-release.
 	env.completeAll()
-	if obs.net != 0 {
-		t.Errorf("outstanding after orphan completion = %d, want 0", obs.net)
+	if w.inFlight != 0 {
+		t.Errorf("outstanding after orphan completion = %d, want 0", w.inFlight)
 	}
 }
 
 // TestDriverObserverWindowedPeak is the K>1 generalization of the
-// peak check: a windowed driver may run the observer's sum up to K,
+// peak check: a windowed driver may run the window's count up to K,
 // never past it, and still drain to zero.
 func TestDriverObserverWindowedPeak(t *testing.T) {
 	const k = 3
 	env := newFakeEnv()
-	obs := &recordingObserver{}
+	w := staticWindow(k)
 	d := NewDriver(DriverConfig{
 		Predictor:  NewOBA(),
 		Mode:       ModeAggressive,
-		Degree:     staticWindow(k),
+		Degree:     w,
 		File:       3,
 		FileBlocks: 64,
 		Env:        env,
-		Observer:   obs,
 	})
 	for i := 0; i < 8; i++ {
 		d.OnUserRequest(Request{Offset: blockdev.BlockNo(i), Size: 1}, Tick(i+1), false)
 	}
-	run, peak := 0, 0
-	for _, dl := range obs.deltas {
-		run += dl
-		if run > peak {
-			peak = run
-		}
-	}
-	if peak != k {
+	if peak := w.HighWater(); peak != k {
 		t.Errorf("observed outstanding peak = %d, want %d", peak, k)
 	}
 	env.completeAll()
-	if obs.net != 0 {
-		t.Errorf("net outstanding after drain = %d, want 0", obs.net)
+	if w.inFlight != 0 {
+		t.Errorf("net outstanding after drain = %d, want 0", w.inFlight)
 	}
 	if hw := d.Stats().HighWater; hw != k {
 		t.Errorf("driver high-water = %d, want %d", hw, k)
@@ -131,59 +102,50 @@ func TestDriverObserverWindowedPeak(t *testing.T) {
 // completions land amidst the new generation's: each orphan must be
 // discarded exactly once (no double-decrement), the restarted chain's
 // accounting must be untouched, and the peak must stay within K.
-// recordingObserver panics if any interleaving drives the sum
-// negative.
+// The window panics if any interleaving drives the count negative.
 func TestDriverStopChainWindowedOrphans(t *testing.T) {
 	const k = 3
 	env := newFakeEnv()
-	obs := &recordingObserver{}
+	w := staticWindow(k)
 	d := NewDriver(DriverConfig{
 		Predictor:  NewOBA(),
 		Mode:       ModeAggressive,
-		Degree:     staticWindow(k),
+		Degree:     w,
 		File:       4,
 		FileBlocks: 64,
 		Env:        env,
-		Observer:   obs,
 	})
 	d.OnUserRequest(Request{Offset: 0, Size: 1}, 1, false)
 	d.OnUserRequest(Request{Offset: 1, Size: 1}, 2, false)
-	if obs.net != k {
-		t.Fatalf("outstanding before stop = %d, want a full window of %d", obs.net, k)
+	if w.inFlight != k {
+		t.Fatalf("outstanding before stop = %d, want a full window of %d", w.inFlight, k)
 	}
 	orphans := len(env.inflight)
 
 	// Close with the window full: the driver hands back all K at once.
 	d.StopChain()
-	if obs.net != 0 {
-		t.Fatalf("outstanding after StopChain = %d, want 0", obs.net)
+	if w.inFlight != 0 {
+		t.Fatalf("outstanding after StopChain = %d, want 0", w.inFlight)
 	}
 
 	// Restart the chain; the old generation's operations are still in
 	// env.inflight ahead of the new ones.
 	d.OnUserRequest(Request{Offset: 20, Size: 1}, 3, false)
-	newOps := obs.net
+	newOps := w.inFlight
 	if newOps == 0 {
 		t.Fatal("restarted chain issued nothing")
 	}
 	for i := 0; i < orphans; i++ {
 		env.completeOne() // old-generation orphan: must be discarded
 	}
-	if obs.net < newOps {
-		t.Errorf("orphan completions stole %d release(s) from the live generation", newOps-obs.net)
+	if w.inFlight < newOps {
+		t.Errorf("orphan completions stole %d release(s) from the live generation", newOps-w.inFlight)
 	}
 	env.completeAll()
-	if obs.net != 0 {
-		t.Errorf("net outstanding after drain = %d, want 0", obs.net)
+	if w.inFlight != 0 {
+		t.Errorf("net outstanding after drain = %d, want 0", w.inFlight)
 	}
-	run, peak := 0, 0
-	for _, dl := range obs.deltas {
-		run += dl
-		if run > peak {
-			peak = run
-		}
-	}
-	if peak > k {
+	if peak := w.HighWater(); peak > k {
 		t.Errorf("observed outstanding peak = %d, want <= %d", peak, k)
 	}
 }
@@ -210,15 +172,14 @@ func (f *doubleFireEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled fu
 func TestDriverDoubleFiredDoneReleasesOnce(t *testing.T) {
 	const k = 2
 	env := &doubleFireEnv{cache: make(map[blockdev.BlockID]bool)}
-	obs := &recordingObserver{}
+	w := staticWindow(k)
 	d := NewDriver(DriverConfig{
 		Predictor:  NewOBA(),
 		Mode:       ModeAggressive,
-		Degree:     staticWindow(k),
+		Degree:     w,
 		File:       5,
 		FileBlocks: 8,
 		Env:        env,
-		Observer:   obs,
 	})
 	d.OnUserRequest(Request{Offset: 0, Size: 1}, 1, false)
 	fired := 0
@@ -227,20 +188,13 @@ func TestDriverDoubleFiredDoneReleasesOnce(t *testing.T) {
 		env.dones[i]()
 		fired++
 	}
-	if obs.net != 0 {
-		t.Errorf("net outstanding after double-fired drain = %d, want 0", obs.net)
+	if w.inFlight != 0 {
+		t.Errorf("net outstanding after double-fired drain = %d, want 0", w.inFlight)
 	}
 	if got := d.Stats().Completed; got != uint64(fired) {
 		t.Errorf("Completed = %d, want %d (each op counted once)", got, fired)
 	}
-	run, peak := 0, 0
-	for _, dl := range obs.deltas {
-		run += dl
-		if run > peak {
-			peak = run
-		}
-	}
-	if peak > k {
+	if peak := w.HighWater(); peak > k {
 		t.Errorf("observed outstanding peak = %d, want <= %d", peak, k)
 	}
 }

@@ -220,7 +220,7 @@ func RunTraceObserved(tr *workload.Trace, mach machine.Config, c Cell, warmFract
 		PrefetchLate:        coll.PrefetchLateCount(),
 		PrefetchWasted:      coll.PrefetchWastedCount(),
 		PrefetchUnusedAtEnd: fs.Cch.UnusedPrefetchedCopies(),
-		MaxFilePrefetchHW:   fs.Ledger.MaxHighWater(),
+		MaxFilePrefetchHW:   fs.MaxPrefetchHighWater(),
 
 		DiskUtilization:   fs.Disks.Utilization(),
 		DiskPrefetchShare: fs.Disks.PrefetchBusyFraction(),

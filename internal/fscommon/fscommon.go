@@ -36,15 +36,11 @@ type Base struct {
 	// file once (NewRequest), and everything after it carries slots.
 	num *blockdev.Numbering
 
-	// Ledger aggregates per-file outstanding-prefetch counts across
-	// every driver, machine-wide, with no limit enforced: xFS exceeding
-	// 1 on shared files is a finding, not a fault. Both file systems
-	// register it as their drivers' observer.
-	Ledger *core.Ledger
-
 	// Alg is the prefetching configuration: it builds the drivers
 	// (NewDriver) and the per-file prefetch windows, kept in degrees by
-	// ordinal (see Degree).
+	// ordinal (see Degree). A window counts its file's prefetches in
+	// flight over every driver, machine-wide, and never panics: xFS
+	// going past the cap on shared files is a finding, not a fault.
 	Alg     core.AlgSpec
 	degrees []*core.DegreePolicy
 
@@ -90,7 +86,6 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 		Disks:      diskmodel.NewArray(e, cfg),
 		Cch:        cachesim.New(e, cfg.Nodes, cacheBlocksPerNode, policy, num.Len()),
 		Coll:       stats.New(num.Len()),
-		Ledger:     core.NewLedger(0, false),
 		Alg:        alg,
 		degrees:    make([]*core.DegreePolicy, num.Files()),
 		num:        num,
@@ -126,8 +121,8 @@ func (b *Base) Degree(ord int32) *core.DegreePolicy {
 // NewDriver builds a prefetch driver for file f that issues through
 // env: the file system decides where a file's drivers run and what
 // their env asks, the Base what they are. Every driver of f shares f's
-// prefetch window and reports to f's marks in the Ledger, both
-// resolved here, once.
+// prefetch window, resolved here, once, and so adds to one count of
+// the file's prefetches in flight.
 func (b *Base) NewDriver(f blockdev.FileSlots, env core.Env) *core.Driver {
 	return core.NewDriver(core.DriverConfig{
 		Predictor:  b.Alg.NewPredictor(),
@@ -136,8 +131,20 @@ func (b *Base) NewDriver(f blockdev.FileSlots, env core.Env) *core.Driver {
 		File:       f.ID,
 		FileBlocks: blockdev.BlockNo(f.Blocks),
 		Env:        env,
-		Observer:   b.Ledger.Marks(f.ID),
 	})
+}
+
+// MaxPrefetchHighWater returns the largest per-file high-water mark of
+// prefetches in flight: 1 on a truly linear run, more when independent
+// chains overlapped on a shared file.
+func (b *Base) MaxPrefetchHighWater() int {
+	hw := 0
+	for _, p := range b.degrees {
+		if p != nil {
+			hw = max(hw, p.HighWater())
+		}
+	}
+	return hw
 }
 
 // Observe feeds a request just served to driver d, nil under NP; hits

@@ -13,9 +13,9 @@ import (
 
 // TestAdaptiveEngineWidensUnderStarvation runs a pause-free sequential
 // reader against a slow store under the adaptive window: the
-// controller must widen past linear (the ledger's per-file high-water
-// exceeds 1) while never passing the hard cap, and the ledger — whose
-// limit is the policy cap — must count zero violations.
+// controller must widen past linear (a file's high-water exceeds 1)
+// while never passing the hard cap, so no file's count ever goes past
+// its window's cap: zero violations.
 func TestAdaptiveEngineWidensUnderStarvation(t *testing.T) {
 	const (
 		f      = blockdev.FileID(7)
@@ -43,7 +43,7 @@ func TestAdaptiveEngineWidensUnderStarvation(t *testing.T) {
 		t.Errorf("high-water %d exceeds policy cap %d", s.MaxFileOutstandingHW, cap)
 	}
 	if s.LinearViolations != 0 {
-		t.Errorf("ledger counted %d violations of the cap-%d limit", s.LinearViolations, core.SpecAdAgrISPPM1.MaxOutstanding)
+		t.Errorf("windows counted %d violations of the cap-%d limit", s.LinearViolations, core.SpecAdAgrISPPM1.MaxOutstanding)
 	}
 	if s.DegreeWidens == 0 {
 		t.Errorf("controller never widened (window now %d)", s.MaxDegree)

@@ -17,12 +17,14 @@ package lapcache
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/blockbuf"
 	"repro/internal/blockdev"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // Config assembles an engine.
@@ -110,7 +112,10 @@ type fileState struct {
 
 	// degree is the file's prefetch window. Immutable after fileState
 	// creation (an adaptive window is internally synchronized), so
-	// feedback paths may read it without holding mu.
+	// feedback paths may read it without holding mu. It also counts the
+	// file's prefetches in flight, which the driver, under mu, updates;
+	// Snapshot and HighWaters read its atomic high-water and over-cap
+	// counts.
 	degree *core.DegreePolicy
 
 	// owned: this node runs f's chain (always, on a single node).
@@ -134,10 +139,9 @@ type Engine struct {
 	pool   *blockbuf.Pool
 	remote RemoteFetcher // nil on a single-node engine
 
-	m      Metrics
-	ledger *core.Ledger
-	fops   sync.Pool // recycled *fetchOp
-	dsts   sync.Pool // recycled *[][]byte: fill's FetchSpan destinations
+	m    Metrics
+	fops sync.Pool // recycled *fetchOp
+	dsts sync.Pool // recycled *[][]byte: fill's FetchSpan destinations
 	// adaptive gates the degree-policy half of timely/late/wasted.
 	adaptive bool
 
@@ -183,7 +187,6 @@ func New(cfg Config) (*Engine, error) {
 		store:      cfg.Store,
 		pool:       blockbuf.NewPool(cfg.BlockSize),
 		remote:     cfg.Remote,
-		ledger:     core.NewLedger(cfg.Alg.MaxOutstanding, cfg.StrictLinear),
 		adaptive:   cfg.Alg.Adaptive,
 		files:      make(map[blockdev.FileID]*fileState),
 		fileBlocks: make(map[blockdev.FileID]blockdev.BlockNo, len(cfg.FileBlocks)),
@@ -236,6 +239,9 @@ func (e *Engine) fileState(f blockdev.FileID) *fileState {
 		return fl
 	}
 	fl = &fileState{degree: e.cfg.Alg.NewDegreePolicy(), owned: e.remote == nil || e.remote.Owned(f)}
+	if e.cfg.StrictLinear {
+		fl.degree.SetStrict()
+	}
 	e.files[f] = fl
 	return fl
 }
@@ -255,7 +261,6 @@ func (e *Engine) newDriver(f blockdev.FileID, fl *fileState) *core.Driver {
 		File:       f,
 		FileBlocks: blocks,
 		Env:        &runtimeEnv{e: e, fl: fl},
-		Observer:   e.ledger.Marks(f),
 	})
 }
 
@@ -307,12 +312,22 @@ func (e *Engine) ReadInto(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.
 	return e.read(bufs, f, off, nblocks, modeClient)
 }
 
+// spanOK reports whether the engine serves a span of nblocks blocks at
+// off: a nonempty one, no longer than one read's payload cap
+// (wire.MaxDataBytes) in blocks, whether or not it carries data, and
+// with every block number in range. Outside input reaches read and
+// write as it is, and a longer span would gather a buffer per block.
+func (e *Engine) spanOK(off blockdev.BlockNo, nblocks int32) bool {
+	return nblocks > 0 && off >= 0 && int(nblocks) <= wire.MaxDataBytes/e.cfg.BlockSize &&
+		int64(off)+int64(nblocks) <= math.MaxInt32
+}
+
 // read is the one demand-read body: pick the source of missing blocks
 // (the ring owner when the file is remote and the request is a
 // client's own, the local store otherwise), serve the span, then feed
 // the request to the file's driver.
 func (e *Engine) read(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, m reqMode) ([]*blockbuf.Buf, bool, error) {
-	if nblocks <= 0 || off < 0 {
+	if !e.spanOK(off, nblocks) {
 		return bufs, false, fmt.Errorf("lapcache: invalid read %d:[%d,+%d]", f, off, nblocks)
 	}
 	if m != modeClient {
@@ -577,7 +592,7 @@ func (e *Engine) Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, d
 
 // write is the one write body.
 func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, m reqMode) error {
-	if nblocks <= 0 || off < 0 {
+	if !e.spanOK(off, nblocks) {
 		return fmt.Errorf("lapcache: invalid write %d:[%d,+%d]", f, off, nblocks)
 	}
 	if data != nil && len(data) != int(nblocks)*e.cfg.BlockSize {
@@ -697,53 +712,68 @@ func (e *Engine) Preload(f blockdev.FileID, off blockdev.BlockNo, nblocks int32,
 func (e *Engine) Snapshot() Snapshot {
 	bufAllocs, bufRecycles := e.pool.Stats()
 	s := Snapshot{
-		BufAllocs:            bufAllocs,
-		BufRecycles:          bufRecycles,
-		BufLive:              e.pool.Live(),
-		DemandHits:           e.m.demandHits.Load(),
-		DemandMisses:         e.m.demandMisses.Load(),
-		Writes:               e.m.writes.Load(),
-		PrefetchIssued:       e.m.prefetchIssued.Load(),
-		PrefetchFallback:     e.m.prefetchFallback.Load(),
-		PrefetchCompleted:    e.m.prefetchCompleted.Load(),
-		PrefetchCancelled:    e.m.prefetchCancelled.Load(),
-		PrefetchDropped:      e.m.prefetchDropped.Load(),
-		PrefetchDupSkipped:   e.m.prefetchDupSkip.Load(),
-		PrefetchTimely:       e.m.prefetchTimely.Load(),
-		PrefetchLate:         e.m.prefetchLate.Load(),
-		PrefetchWasted:       e.m.prefetchWasted.Load(),
-		PrefetchUnused:       e.cache.UnusedPrefetched(),
-		StoreReads:           e.m.storeReads.Load(),
-		StoreWrites:          e.m.storeWrites.Load(),
-		RemoteReads:          e.m.remoteReads.Load(),
-		RemoteHits:           e.m.remoteHits.Load(),
-		RemoteMisses:         e.m.remoteMisses.Load(),
-		RemoteFallbacks:      e.m.remoteFallbacks.Load(),
-		ForwardedWrites:      e.m.forwardedWrites.Load(),
-		PeerReadsServed:      e.m.peerReads.Load(),
-		PeerWritesServed:     e.m.peerWrites.Load(),
-		MaxFileOutstandingHW: e.ledger.MaxHighWater(),
-		LinearViolations:     e.ledger.Violations(),
-		CachedBlocks:         e.cache.Len(),
+		BufAllocs:          bufAllocs,
+		BufRecycles:        bufRecycles,
+		BufLive:            e.pool.Live(),
+		DemandHits:         e.m.demandHits.Load(),
+		DemandMisses:       e.m.demandMisses.Load(),
+		Writes:             e.m.writes.Load(),
+		PrefetchIssued:     e.m.prefetchIssued.Load(),
+		PrefetchFallback:   e.m.prefetchFallback.Load(),
+		PrefetchCompleted:  e.m.prefetchCompleted.Load(),
+		PrefetchCancelled:  e.m.prefetchCancelled.Load(),
+		PrefetchDropped:    e.m.prefetchDropped.Load(),
+		PrefetchDupSkipped: e.m.prefetchDupSkip.Load(),
+		PrefetchTimely:     e.m.prefetchTimely.Load(),
+		PrefetchLate:       e.m.prefetchLate.Load(),
+		PrefetchWasted:     e.m.prefetchWasted.Load(),
+		PrefetchUnused:     e.cache.UnusedPrefetched(),
+		StoreReads:         e.m.storeReads.Load(),
+		StoreWrites:        e.m.storeWrites.Load(),
+		RemoteReads:        e.m.remoteReads.Load(),
+		RemoteHits:         e.m.remoteHits.Load(),
+		RemoteMisses:       e.m.remoteMisses.Load(),
+		RemoteFallbacks:    e.m.remoteFallbacks.Load(),
+		ForwardedWrites:    e.m.forwardedWrites.Load(),
+		PeerReadsServed:    e.m.peerReads.Load(),
+		PeerWritesServed:   e.m.peerWrites.Load(),
+		CachedBlocks:       e.cache.Len(),
 	}
 	if e.adaptive {
 		// Every window starts linear, so a fresh engine reports 1.
 		s.DegreeCap, s.MaxDegree = e.cfg.Alg.MaxOutstanding, 1
-		e.filesMu.RLock()
-		for _, fl := range e.files {
+	}
+	e.filesMu.RLock()
+	for _, fl := range e.files {
+		s.MaxFileOutstandingHW = max(s.MaxFileOutstandingHW, fl.degree.HighWater())
+		s.LinearViolations += fl.degree.OverCap()
+		if e.adaptive {
 			window, widens, clamps := fl.degree.Stats()
 			s.MaxDegree = max(s.MaxDegree, window)
 			s.DegreeWidens += widens
 			s.DegreeClamps += clamps
 		}
-		e.filesMu.RUnlock()
 	}
+	e.filesMu.RUnlock()
 	return s
 }
 
-// Ledger exposes the linearity ledger (tests assert on high-water
-// marks through it).
-func (e *Engine) Ledger() *core.Ledger { return e.ledger }
+// HighWaters returns every file's high-water mark of prefetches in
+// flight, leaving out files that never had one. Cluster audits join
+// these maps across nodes to check the paper's invariant globally: in
+// linear mode a file's marks, over the whole cluster, never exceed 1,
+// since only its ring owner ever prefetches it.
+func (e *Engine) HighWaters() map[blockdev.FileID]int {
+	e.filesMu.RLock()
+	defer e.filesMu.RUnlock()
+	out := make(map[blockdev.FileID]int)
+	for f, fl := range e.files {
+		if hw := fl.degree.HighWater(); hw > 0 {
+			out[f] = hw
+		}
+	}
+	return out
+}
 
 // Shutdown stops the worker pool. Queued prefetch operations are
 // abandoned; in-progress ones finish first. Idempotent.

@@ -228,29 +228,53 @@ func TestCloseFileStopsChain(t *testing.T) {
 	}
 }
 
-// TestLedgerStrictPanics: Config.StrictLinear arms the engine's ledger
+// twoWalkers locks file f's state and gives it a second chain walker
+// beside the engine's own (what a second node driving the file would
+// be), with the engine's own already one prefetch deep. Each driver
+// stays within its window; the stray's first issue takes their sum
+// past it. The caller unlocks f's state.
+func twoWalkers(e *Engine, f blockdev.FileID) (fl *fileState, stray *core.Driver) {
+	fl = e.fileState(f)
+	fl.mu.Lock()
+	e.driverLocked(f, fl).OnUserRequest(core.Request{Offset: 0, Size: 1}, 1, false)
+	return fl, e.newDriver(f, fl)
+}
+
+// TestLedgerStrictPanics: Config.StrictLinear arms every file's window
 // at the algorithm's degree cap, so a second outstanding prefetch on a
 // linear engine is a panic, not a statistic.
 func TestLedgerStrictPanics(t *testing.T) {
 	e := newTestEngine(t, Config{Alg: core.SpecLnAgrOBA, StrictLinear: true})
-	e.Ledger().Marks(1).OutstandingChanged(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("second outstanding prefetch did not panic in strict mode")
-		}
+	fl, stray := twoWalkers(e, 1)
+	defer fl.mu.Unlock()
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second outstanding prefetch did not panic in strict mode")
+			}
+		}()
+		stray.OnUserRequest(core.Request{Offset: 8, Size: 1}, 2, false)
 	}()
-	e.Ledger().Marks(1).OutstandingChanged(1)
+	// Hand the stray's prefetch back, so the engine's own chain runs on
+	// within the cap once the file is unlocked.
+	stray.StopChain()
 }
 
 // TestLedgerCountsViolations: without StrictLinear the same breach is
-// counted, and both it and the high-water mark surface in Snapshot.
+// counted, and both it and the high-water mark surface in Snapshot and
+// HighWaters.
 func TestLedgerCountsViolations(t *testing.T) {
 	e := newTestEngine(t, Config{Alg: core.SpecLnAgrOBA})
-	e.Ledger().Marks(2).OutstandingChanged(1)
-	e.Ledger().Marks(2).OutstandingChanged(1)
-	e.Ledger().Marks(2).OutstandingChanged(-2)
-	if s := e.Snapshot(); s.LinearViolations != 1 || s.MaxFileOutstandingHW != 2 {
+	fl, stray := twoWalkers(e, 2)
+	stray.OnUserRequest(core.Request{Offset: 8, Size: 1}, 2, false)
+	s, hw := e.Snapshot(), e.HighWaters()
+	stray.StopChain()
+	fl.mu.Unlock()
+	if s.LinearViolations != 1 || s.MaxFileOutstandingHW != 2 {
 		t.Errorf("snapshot: violations=%d maxHW=%d, want 1/2", s.LinearViolations, s.MaxFileOutstandingHW)
+	}
+	if len(hw) != 1 || hw[2] != 2 {
+		t.Errorf("HighWaters = %v, want map[2:2]", hw)
 	}
 }
 

@@ -39,7 +39,7 @@ type Metrics struct {
 }
 
 // Snapshot is a frozen, JSON-exportable view of the engine's counters
-// plus the linearity ledger.
+// plus the per-file linearity marks.
 type Snapshot struct {
 	// Demand path.
 	DemandHits   uint64 `json:"demand_hits"`
@@ -101,8 +101,8 @@ type Snapshot struct {
 	// Linearity: the largest number of prefetches ever simultaneously
 	// in flight for any one file — exactly 1 on a linear run.
 	MaxFileOutstandingHW int `json:"max_file_outstanding_hw"`
-	// LinearViolations counts ledger updates that exceeded the
-	// configured per-file limit; always 0 unless the engine is
+	// LinearViolations counts updates of a file's prefetch count that
+	// took it past the file's window cap; always 0 unless the engine is
 	// misconfigured (it is also asserted server-side when strict).
 	LinearViolations uint64 `json:"linear_violations"`
 

@@ -569,7 +569,10 @@ func (s *Server) mayWait(hd wire.Header) bool {
 	e, f := s.e, blockdev.FileID(hd.File)
 	switch hd.Op {
 	case wire.OpRead:
-		for i := int32(0); i < hd.Size && hd.Offset >= 0; i++ {
+		if !e.spanOK(blockdev.BlockNo(hd.Offset), hd.Size) {
+			return false // exec refuses it
+		}
+		for i := int32(0); i < hd.Size; i++ {
 			if !e.cache.Contains(blockdev.BlockID{File: f, Block: blockdev.BlockNo(hd.Offset + i)}) {
 				return true
 			}
@@ -640,11 +643,6 @@ func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte)
 
 	switch hd.Op {
 	case wire.OpRead:
-		want := hd.Flags&wire.FlagWantData != 0
-		total := int64(hd.Size) * int64(s.e.BlockSize())
-		if want && (total <= 0 || total > wire.MaxDataBytes) {
-			return refuse(fmt.Sprintf("read of %d blocks exceeds the %d-byte payload cap", hd.Size, wire.MaxDataBytes))
-		}
 		var (
 			hit bool
 			err error
@@ -656,13 +654,13 @@ func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte)
 			flags |= wire.FlagHit
 		}
 		out := wire.Header{Op: hd.Op, Flags: flags, Seq: hd.Seq}
-		if !want {
+		if hd.Flags&wire.FlagWantData == 0 {
 			for _, buf := range bufs {
 				buf.Release()
 			}
 			return out, nil, bufs[:0]
 		}
-		out.PayloadLen = uint32(total)
+		out.PayloadLen = uint32(int(hd.Size) * s.e.BlockSize())
 		return out, nil, bufs
 
 	case wire.OpWrite:

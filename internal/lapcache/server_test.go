@@ -3,6 +3,7 @@ package lapcache
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -125,6 +126,35 @@ func TestServerLargeWantData(t *testing.T) {
 		t.Fatalf("read failed: %s", payload)
 	}
 	checkPattern(t, payload, blockSize, 3, 0, nblocks)
+}
+
+// TestServerRefusesOversizeSpan: a span longer than one read's payload
+// cap in blocks, or reaching past the last block number, gets an error
+// frame whether or not it carries data, and the connection stays
+// usable. Served, the data-less read would gather a buffer per block
+// and the write's block numbers would wrap negative.
+func TestServerRefusesOversizeSpan(t *testing.T) {
+	const blockSize = 512
+	_, addr := startTestServer(t, Config{
+		Alg: core.SpecNP, BlockSize: blockSize, CacheBlocks: 64,
+	}, nil)
+	c := dialRaw(t, addr)
+	overCap := int32(wire.MaxDataBytes/blockSize + 1)
+	for i, h := range []wire.Header{
+		{Op: wire.OpRead, File: 3, Size: overCap},
+		{Op: wire.OpWrite, File: 3, Offset: math.MaxInt32, Size: 2},
+		{Op: wire.OpRead, Flags: wire.FlagWantData, File: 3, Size: overCap},
+	} {
+		h.Seq = uint32(2*i + 1)
+		if got, msg := c.do(t, h, nil); got.Flags&wire.FlagOK != 0 {
+			t.Errorf("%s of %d blocks at %d was served, want an error frame", h.Op, h.Size, h.Offset)
+		} else if len(msg) == 0 {
+			t.Errorf("%s of %d blocks at %d: error frame carries no message", h.Op, h.Size, h.Offset)
+		}
+		if got, msg := c.do(t, wire.Header{Op: wire.OpPing, Seq: h.Seq + 1}, nil); got.Flags&wire.FlagOK == 0 {
+			t.Fatalf("ping after refused %s failed: %s", h.Op, msg)
+		}
+	}
 }
 
 // TestServerIdleTimeout: with -idle-timeout armed, a connection that

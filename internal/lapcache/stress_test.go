@@ -74,7 +74,7 @@ func TestLinearHighWaterUnderStress(t *testing.T) {
 	if snap.PrefetchIssued == 0 {
 		t.Fatal("stress run issued no prefetches; the test exercised nothing")
 	}
-	if hw := e.Ledger().HighWaters()[7]; hw != 1 {
+	if hw := e.HighWaters()[7]; hw != 1 {
 		t.Errorf("file 7 outstanding high-water = %d, want exactly 1", hw)
 	}
 	if snap.MaxFileOutstandingHW != 1 {
@@ -82,6 +82,58 @@ func TestLinearHighWaterUnderStress(t *testing.T) {
 	}
 	if snap.LinearViolations != 0 {
 		t.Errorf("%d linear violations", snap.LinearViolations)
+	}
+}
+
+// TestHighWatersReadWhileServing reads the files' prefetch counts,
+// through HighWaters and Snapshot, from another goroutine while a
+// linear engine serves a sequential stream: the driver updates its
+// file's window under the file's mutex, and the readers take the
+// window's atomic high-water and over-cap counters under none. Run
+// with -race (CI runs it twenty times). The stream's file must end at
+// a high-water of exactly 1.
+func TestHighWatersReadWhileServing(t *testing.T) {
+	const (
+		f      = blockdev.FileID(5)
+		blocks = 256
+	)
+	e := newTestEngine(t, Config{
+		Alg:         core.SpecLnAgrISPPM1,
+		CacheBlocks: 1024,
+		Store:       NewMemStore(512, 50*time.Microsecond),
+		FileBlocks:  map[blockdev.FileID]blockdev.BlockNo{f: blocks},
+	})
+	stop := make(chan struct{})
+	rounds := make(chan int, 1)
+	go func() {
+		n := 0
+		defer func() { rounds <- n }()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			hw, s := e.HighWaters()[f], e.Snapshot()
+			if hw > 1 || s.MaxFileOutstandingHW > 1 || s.LinearViolations != 0 {
+				t.Errorf("mid-stream: file high-water %d, max %d, %d violations; want <= 1, <= 1, 0",
+					hw, s.MaxFileOutstandingHW, s.LinearViolations)
+				return
+			}
+			n++
+		}
+	}()
+	for b := blockdev.BlockNo(0); b < blocks; b++ {
+		if _, _, err := readCopy(e, f, b, 1); err != nil {
+			t.Fatalf("Read(%d): %v", b, err)
+		}
+	}
+	close(stop)
+	if n := <-rounds; n == 0 {
+		t.Error("the reader never read the counts while the stream ran")
+	}
+	if hw := e.HighWaters()[f]; hw != 1 {
+		t.Errorf("file %d high-water = %d after the stream, want exactly 1", f, hw)
 	}
 }
 

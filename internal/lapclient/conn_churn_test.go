@@ -50,7 +50,7 @@ func (s *sharedConn) get() (*Conn, error) {
 // The server is audited afterwards: it ran the linear-aggressive
 // prefetcher in strict mode over poisoned buffers while its client
 // connections were cut with data reads and writes in flight, so after
-// teardown the ledger must show no violation, every block buffer must
+// teardown the engine must show no linearity violation, every block buffer must
 // be back in the pool, and no cut connection may have been misread as
 // a protocol error or an idle client.
 func TestConnChurnNoLostRequests(t *testing.T) {
@@ -167,11 +167,12 @@ func TestConnChurnNoLostRequests(t *testing.T) {
 	sc.c.Close()
 	srv.Close()
 	eng.Shutdown()
-	if v := eng.Ledger().Violations(); v != 0 {
-		t.Errorf("linearity ledger: %d violations, want 0", v)
+	snap := eng.Snapshot()
+	if v := snap.LinearViolations; v != 0 {
+		t.Errorf("linearity: %d violations, want 0", v)
 	}
-	if hw := eng.Ledger().MaxHighWater(); hw != 1 {
-		t.Errorf("ledger high-water %d, want exactly 1 (0 means prefetching never engaged)", hw)
+	if hw := snap.MaxFileOutstandingHW; hw != 1 {
+		t.Errorf("file high-water %d, want exactly 1 (0 means prefetching never engaged)", hw)
 	}
 	eng.DrainCache()
 	if live := eng.BufLive(); live != 0 {

@@ -449,8 +449,8 @@ var checks = []check{
 		},
 	},
 	{
-		// §4's structural claim read directly from the prefetch ledger
-		// instead of inferred from traffic: PAFS never has more than
+		// §4's structural claim read directly from the per-file
+		// prefetch counts instead of inferred from traffic: PAFS never has more than
 		// one prefetch outstanding for any file machine-wide, while
 		// xFS's independent per-node chains overlap on CHARISMA's
 		// shared files.

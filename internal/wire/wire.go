@@ -73,7 +73,8 @@ const PrefixSize = 4
 const MaxPayload = 1 << 24 // 16 MiB
 
 // MaxDataBytes caps the raw block payload of one read; the server
-// refuses larger spans with an error frame before gathering a block.
+// refuses a read or write spanning more blocks than that, with data or
+// without, with an error frame before touching a block.
 const MaxDataBytes = 11 << 20
 
 // Op identifies a request (and is echoed in its response).
