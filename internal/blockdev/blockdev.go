@@ -34,9 +34,6 @@ type BlockID struct {
 // String renders the block as "file:block".
 func (b BlockID) String() string { return fmt.Sprintf("%d:%d", b.File, b.Block) }
 
-// Next returns the sequentially following block of the same file.
-func (b BlockID) Next() BlockID { return BlockID{b.File, b.Block + 1} }
-
 // Numbering numbers every block of a fixed file table once: the blocks
 // of the lowest file ID take slots 0, 1, ..., the next file's follow,
 // and so on, so slots run densely over [0, Len()) in (file, block)

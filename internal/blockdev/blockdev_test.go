@@ -63,11 +63,8 @@ func TestSpanBlocks(t *testing.T) {
 	}
 }
 
-func TestBlockIDNextAndString(t *testing.T) {
+func TestBlockIDString(t *testing.T) {
 	b := BlockID{4, 9}
-	if b.Next() != (BlockID{4, 10}) {
-		t.Error("Next wrong")
-	}
 	if b.String() != "4:9" {
 		t.Errorf("String = %q", b.String())
 	}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"net"
 	"sync"
@@ -85,8 +86,8 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestClusterRemoteHit is the paper's core claim in miniature: a block
 // resident in a peer's memory is served to a non-owner as a remote
-// memory hit — no local disk read — and the owner's ledger records it
-// as peer service.
+// memory hit — no local disk read — and the owner counts it as peer
+// service.
 func TestClusterRemoteHit(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
 	f := fileOwnedBy(t, nodes, 1)
@@ -123,19 +124,48 @@ func TestClusterRemoteHit(t *testing.T) {
 		t.Error("owner served no peer reads")
 	}
 
-	// The fetched blocks are now cached locally: a re-read must not
-	// cross the network again.
+	// Each block has one copy, on its owner: a re-read goes to the
+	// owner again, and the non-owner still caches nothing.
 	if _, hit, err := readCopy(nodes[0].Engine, f, 0, 8); err != nil || !hit {
-		t.Fatalf("re-read: hit=%v err=%v, want local hit", hit, err)
+		t.Fatalf("re-read: hit=%v err=%v, want remote hit", hit, err)
 	}
-	if s := nodes[0].Engine.Snapshot(); s.RemoteReads != 8 {
-		t.Errorf("re-read went remote: RemoteReads=%d, want still 8", s.RemoteReads)
+	if s := nodes[0].Engine.Snapshot(); s.RemoteReads != 16 || s.CachedBlocks != 0 {
+		t.Errorf("re-read: RemoteReads=%d CachedBlocks=%d, want 16/0", s.RemoteReads, s.CachedBlocks)
 	}
 }
 
-// TestClusterForwardedWrite: a non-owner's write lands on the owner
-// (so the owner's cache stays the file's one authority) and is also
-// installed write-through locally.
+// TestFrontReadSeesOwnersWrite: a front node that has read a block of a
+// file owned elsewhere still sees another front's acknowledged write to
+// it, because the one copy lives on the owner. The written bytes differ
+// from the fill pattern, so a stale copy cannot pass for the new one.
+func TestFrontReadSeesOwnersWrite(t *testing.T) {
+	nodes := startCluster(t, 3, nil)
+	a, b := nodes[0].Engine, nodes[1].Engine
+	f := fileOwnedBy(t, nodes, 2)
+
+	before, _, err := readCopy(a, f, 0, 1)
+	if err != nil {
+		t.Fatalf("front A's first read: %v", err)
+	}
+	data := bytes.Repeat([]byte{0xAB}, testBlockSize)
+	if bytes.Equal(before, data) {
+		t.Fatal("the block already holds the bytes the test writes")
+	}
+	if err := b.Write(f, 0, 1, data); err != nil {
+		t.Fatalf("front B's write: %v", err)
+	}
+	after, _, err := readCopy(a, f, 0, 1)
+	if err != nil {
+		t.Fatalf("front A's second read: %v", err)
+	}
+	if !bytes.Equal(after, data) {
+		t.Error("front A read stale bytes after B's acknowledged write")
+	}
+}
+
+// TestClusterForwardedWrite: a non-owner's write lands on the owner,
+// whose store and cache hold the file's one copy, and nothing of it is
+// kept on the non-owner.
 func TestClusterForwardedWrite(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
 	f := fileOwnedBy(t, nodes, 2)
@@ -144,8 +174,8 @@ func TestClusterForwardedWrite(t *testing.T) {
 		t.Fatalf("forwarded write: %v", err)
 	}
 	s0 := nodes[0].Engine.Snapshot()
-	if s0.ForwardedWrites != 1 {
-		t.Errorf("ForwardedWrites=%d, want 1", s0.ForwardedWrites)
+	if s0.ForwardedWrites != 1 || s0.CachedBlocks != 0 {
+		t.Errorf("ForwardedWrites=%d CachedBlocks=%d, want 1/0", s0.ForwardedWrites, s0.CachedBlocks)
 	}
 	s2 := nodes[2].Engine.Snapshot()
 	if s2.PeerWritesServed != 1 {

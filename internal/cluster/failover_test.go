@@ -45,8 +45,7 @@ func TestOwnerDegradeRecover(t *testing.T) {
 					roles[ki].kill()
 				}
 
-				// Degraded phase: fresh offsets so nothing is served from the
-				// reader's own cache. Reads must succeed (possibly after the
+				// Degraded phase: reads must succeed (possibly after the
 				// first attempt surfaces the transport fault and marks the
 				// peer down).
 				waitFor(t, "degraded read", func() bool {
@@ -87,9 +86,8 @@ func TestOwnerDegradeRecover(t *testing.T) {
 					waitFor(t, "peer redialed", func() bool { return !reader.Node.PeerDown(addr) })
 				}
 
-				// The remote path must carry traffic again: a read of blocks
-				// the reader has never cached goes to the (restarted) owner,
-				// with no new fallbacks.
+				// The remote path must carry traffic again: a read goes to
+				// the (restarted) owner, with no new fallbacks.
 				fbBefore := reader.Engine.Snapshot().RemoteFallbacks
 				rrBefore := reader.Engine.Snapshot().RemoteReads
 				waitFor(t, "remote path recovered", func() bool {

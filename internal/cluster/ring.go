@@ -1,10 +1,12 @@
 // Package cluster is the cooperative peer tier: it lets N lapcached
 // instances form a peer group in which a consistent-hash ring assigns
 // every file exactly one owner node — the runtime image of PAFS's
-// per-file prefetch servers. Non-owner nodes forward misses to the
-// owner over the binary wire protocol, turning what would be a disk
-// read into a remote memory hit (the paper's premise: a remote
-// node's memory is an order of magnitude closer than disk), and only
+// per-file prefetch servers. Non-owner nodes forward every read and
+// write of a file to its owner over the binary wire protocol and keep
+// no copy, so each block has one, on its owner; a read the owner
+// serves from memory is a remote memory hit instead of a disk read
+// (the paper's premise: a remote node's memory is an order of
+// magnitude closer than disk), and only
 // the owner runs a file's linear-aggressive chain, so "at most one
 // outstanding prefetch per file" holds across the whole cluster —
 // the property §4 credits for PAFS beating serverless xFS, whose
@@ -13,9 +15,10 @@
 // The member list is fixed for a node's whole life (Config.Peers), the
 // paper's own setup: every node hashes the same list into the same
 // ring. Liveness never changes ownership — a down owner degrades its
-// files to each node's local store (latency, not availability),
-// because two nodes adopting one file's chain is precisely the xFS
-// failure mode the design exists to avoid.
+// files to each node's local store, because two nodes adopting one
+// file's chain is precisely the xFS failure mode the design exists to
+// avoid. A write degraded that way lands in the writer's store, which
+// no other node reads (DESIGN §8, "Consistency").
 package cluster
 
 import (

@@ -12,7 +12,9 @@
 // pool, whose fullness is the backpressure signal that parks a
 // driver's chain; and the per-file prefetch server of PAFS becomes a
 // per-file mutex under which the (single-threaded by contract) driver
-// runs.
+// runs. In a cluster (Config.Remote) that server is the file's ring
+// owner: every other node sends it each read and write of the file and
+// keeps no copy, so each block has one, on its owner.
 package lapcache
 
 import (
@@ -63,25 +65,25 @@ type Config struct {
 	PoisonBufs bool
 	// Remote, when non-nil, puts the engine in cooperative-cluster
 	// mode: reads and writes of files this node does not own are
-	// forwarded to the ring owner, and drivers are only created for
-	// owned files (the PAFS one-server-per-file rule, applied
-	// cluster-wide). nil is a single-node engine that owns everything.
+	// forwarded to the ring owner and cached nowhere else, and drivers
+	// are only created for owned files (the PAFS one-server-per-file
+	// rule, applied cluster-wide). nil is a single-node engine that
+	// owns everything.
 	Remote RemoteFetcher
 }
 
 // defaultFileBlocks sizes a file the engine has no length for.
 const defaultFileBlocks blockdev.BlockNo = 1 << 20
 
-// fetchOp is one in-flight fetch, demand or speculative, registered in
-// the inflight map under every block of the run it will produce (one
-// block from the store, a whole span from the owner). It is the
-// singleflight rendezvous: whoever claims it performs the fetch,
-// everyone else waits on wg; err is written before wg.Done.
+// fetchOp is one in-flight store fetch, demand or speculative,
+// registered in the inflight map under the block it will produce. It
+// is the singleflight rendezvous: whoever claims it performs the
+// fetch, everyone else waits on wg; err is written before wg.Done.
 //
 // Ops are recycled through Engine.fops (a demand miss used to cost an
 // op plus a done-channel allocation). refs counts the registrant plus
 // every waiter; the last releaseFetchOp returns the op to the pool.
-// Reuse is safe because the registrant deletes the map entries before
+// Reuse is safe because the registrant deletes the map entry before
 // calling Done — no waiter can join after that — and every waiter's
 // Wait has returned (and err been read) before refs can reach zero.
 type fetchOp struct {
@@ -141,7 +143,7 @@ type Engine struct {
 
 	m    Metrics
 	fops sync.Pool // recycled *fetchOp
-	dsts sync.Pool // recycled *[][]byte: fill's FetchSpan destinations
+	dsts sync.Pool // recycled *[][]byte: forwardRead's FetchSpan destinations
 	// adaptive gates the degree-policy half of timely/late/wasted.
 	adaptive bool
 
@@ -322,19 +324,20 @@ func (e *Engine) spanOK(off blockdev.BlockNo, nblocks int32) bool {
 		int64(off)+int64(nblocks) <= math.MaxInt32
 }
 
-// read is the one demand-read body: pick the source of missing blocks
-// (the ring owner when the file is remote and the request is a
-// client's own, the local store otherwise), serve the span, then feed
-// the request to the file's driver.
+// read is the one demand-read body: a client's read of a file owned
+// elsewhere goes to the owner; any other read is served here, then fed
+// to the file's driver.
 func (e *Engine) read(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, m reqMode) ([]*blockbuf.Buf, bool, error) {
 	if !e.spanOK(off, nblocks) {
 		return bufs, false, fmt.Errorf("lapcache: invalid read %d:[%d,+%d]", f, off, nblocks)
 	}
+	if e.forwarded(f, m) {
+		return e.forwardRead(bufs, f, off, nblocks)
+	}
 	if m != modeClient {
 		e.m.peerReads.Add(1)
 	}
-	fromOwner := m == modeClient && e.remote != nil && !e.remote.Owned(f)
-	bufs, hit, err := e.readSpan(bufs, f, off, nblocks, fromOwner)
+	bufs, hit, err := e.readSpan(bufs, f, off, nblocks)
 	if err != nil {
 		return bufs, false, err
 	}
@@ -342,20 +345,74 @@ func (e *Engine) read(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.Bloc
 	return bufs, hit, nil
 }
 
-// readSpan is the one way a demand read gets its blocks. Per block: a
-// cached copy is a hit, and the first touch of a still-flagged
+// forwarded reports whether a request of f goes to f's ring owner: a
+// client's own request of a file this node does not own.
+func (e *Engine) forwarded(f blockdev.FileID, m reqMode) bool {
+	return m == modeClient && e.remote != nil && !e.remote.Owned(f)
+}
+
+// forwardRead serves a client's read of a file owned elsewhere as one
+// span RPC to the owner, landing in fresh buffers appended to bufs for
+// the caller. The owner's predictor models (offset, size) requests, not
+// per-block chatter, and concurrent reads of one block, each sent here,
+// meet in the owner's own fetch path. This node keeps no copy, as each
+// block has one, on its owner, and runs no driver for the file. hit
+// reports the owner answered every block from its memory: a
+// cooperative-cache hit, the satisfaction the paper measures. With no
+// owner reachable the local store fills the buffers, and nothing is
+// cached.
+//
+// On error the appended buffers are released and bufs is returned at
+// its original length.
+func (e *Engine) forwardRead(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) ([]*blockbuf.Buf, bool, error) {
+	base := len(bufs)
+	dp, _ := e.dsts.Get().(*[][]byte)
+	if dp == nil {
+		dp = new([][]byte)
+	}
+	dsts := (*dp)[:0]
+	for k := int32(0); k < nblocks; k++ {
+		buf := e.pool.Get()
+		bufs = append(bufs, buf)
+		dsts = append(dsts, buf.Bytes())
+	}
+	hit, served, err := e.remote.FetchSpan(f, off, nblocks, dsts)
+	switch {
+	case !served:
+		e.m.remoteFallbacks.Add(1)
+		hit = false
+		for k, dst := range dsts {
+			if err = e.store.ReadBlock(blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(k)}, dst); err != nil {
+				break
+			}
+			e.m.storeReads.Add(1)
+		}
+	case err == nil:
+		e.m.remoteReads.Add(uint64(nblocks))
+		if hit {
+			e.m.remoteHits.Add(uint64(nblocks))
+		} else {
+			e.m.remoteMisses.Add(uint64(nblocks))
+		}
+	}
+	clear(dsts) // drop the block references before pooling
+	*dp = dsts[:0]
+	e.dsts.Put(dp)
+	if err != nil {
+		return dropFrom(bufs, base), false, err
+	}
+	return bufs, hit, nil
+}
+
+// readSpan is the one way a local demand read gets its blocks. Per
+// block: a cached copy is a hit, and the first touch of a still-flagged
 // speculative copy a timely prefetch; a fetch already under way is
 // joined, never repeated — a speculative one the demand caught in
 // flight is a late prefetch — and the block re-checked once it lands;
-// otherwise the reader claims the block and fills it itself. The
-// source alone decides how much one claim covers. The local store's
-// unit is a block, so concurrent readers of neighbouring blocks still
-// fetch in parallel. The owner's unit is a span: the maximal run of
-// blocks neither cached nor in flight travels as one RPC, because the
-// owner's predictor models (offset, size) requests, not per-block
-// chatter — and the owner's memory standing in for the disk is the
-// cooperative-cache fast path the paper is built on.
-func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, fromOwner bool) ([]*blockbuf.Buf, bool, error) {
+// otherwise the reader claims the block and fills it from the store
+// itself. A claim covers one block, so concurrent readers of
+// neighbouring blocks still fetch in parallel.
+func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) ([]*blockbuf.Buf, bool, error) {
 	base := len(bufs)
 	hit := true
 	waited := false // true while re-checking a block whose fetch we waited on
@@ -395,30 +452,19 @@ func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.
 			}
 			continue // the block should be cached now; re-check
 		}
-		limit := int32(1)
-		if fromOwner {
-			limit = nblocks - i
-		}
-		fo, n := e.claim(b, limit, false)
+		fo := e.claim(b, false)
 		e.flightMu.Unlock()
 		if fo == nil {
 			continue // landed between our Get miss and taking flightMu
 		}
-		var (
-			fromMemory bool
-			err        error
-		)
-		if bufs, fromMemory, err = e.fill(bufs, fo, b, n, fromOwner); err != nil {
+		buf, err := e.fill(fo, b)
+		bufs = append(bufs, buf)
+		if err != nil {
 			return dropFrom(bufs, base), false, err
 		}
-		e.m.demandMisses.Add(uint64(n)) // a miss for the LOCAL cache either way
-		// A run the owner served wholly from its memory is a
-		// cooperative-cache hit: the client avoided every disk, which is
-		// the cluster-wide satisfaction the paper measures.
-		if !fromMemory {
-			hit = false
-		}
-		i += n
+		e.m.demandMisses.Add(1)
+		hit = false
+		i++
 		waited = false
 	}
 	return bufs, hit, nil
@@ -432,93 +478,40 @@ func dropFrom(bufs []*blockbuf.Buf, base int) []*blockbuf.Buf {
 	return bufs[:base]
 }
 
-// claim registers one fetchOp for the run of up to limit blocks starting
-// at b that are neither cached nor in flight, making the caller the
-// one goroutine that fetches them. A nil op means b itself is taken.
-// Callers hold flightMu.
-func (e *Engine) claim(b blockdev.BlockID, limit int32, prefetch bool) (*fetchOp, int32) {
-	n := int32(0)
-	for nb := b; n < limit && e.inflight[nb] == nil && !e.cache.Contains(nb); nb = nb.Next() {
-		n++
-	}
-	if n == 0 {
-		return nil, 0
+// claim registers one fetchOp for b unless b is cached or in flight,
+// making the caller the one goroutine that fetches it. A nil op means
+// b is taken. Callers hold flightMu.
+func (e *Engine) claim(b blockdev.BlockID, prefetch bool) *fetchOp {
+	if e.inflight[b] != nil || e.cache.Contains(b) {
+		return nil
 	}
 	fo := e.newFetchOp(prefetch)
-	for k, nb := int32(0), b; k < n; k, nb = k+1, nb.Next() {
-		e.inflight[nb] = fo
-	}
-	return fo, n
+	e.inflight[b] = fo
+	return fo
 }
 
-// fill is the one body behind every fetch, demand or speculative: read
-// the claimed run [b, b+n) into fresh buffers appended to bufs, publish
-// them in the cache, record the outcome on fo, unregister the run and
-// wake the joiners. From the owner the run is one span RPC, and a run
-// no live owner can serve degrades to the local store: a
-// dead owner costs latency, not availability. fromMemory reports the
-// owner answered every block from its memory.
-//
-// Each appended buffer carries one reference for the caller, on error
-// too; the cache holds its own.
-func (e *Engine) fill(bufs []*blockbuf.Buf, fo *fetchOp, b blockdev.BlockID, n int32, fromOwner bool) (_ []*blockbuf.Buf, fromMemory bool, err error) {
-	base := len(bufs)
-	for k := int32(0); k < n; k++ {
-		bufs = append(bufs, e.pool.Get())
-	}
-	run := bufs[base:]
-
-	served := false // the owner answered
-	if fromOwner {
-		dp, _ := e.dsts.Get().(*[][]byte)
-		if dp == nil {
-			dp = new([][]byte)
-		}
-		dsts := (*dp)[:0]
-		for _, buf := range run {
-			dsts = append(dsts, buf.Bytes())
-		}
-		fromMemory, served, err = e.remote.FetchSpan(b.File, b.Block, n, dsts)
-		clear(dsts) // drop the block references before pooling
-		*dp = dsts[:0]
-		e.dsts.Put(dp)
-	}
-	switch {
-	case !served:
-		if fromOwner {
-			e.m.remoteFallbacks.Add(1)
-		}
-		for k, nb := 0, b; k < len(run); k, nb = k+1, nb.Next() {
-			if err = e.store.ReadBlock(nb, run[k].Bytes()); err != nil {
-				break
-			}
-			e.m.storeReads.Add(1)
-		}
-	case err == nil:
-		e.m.remoteReads.Add(uint64(n))
-		if fromMemory {
-			e.m.remoteHits.Add(uint64(n))
-		} else {
-			e.m.remoteMisses.Add(uint64(n))
-		}
-	}
+// fill is the one body behind every local fetch, demand or
+// speculative: read the claimed block b from the store into a fresh
+// buffer, publish it in the cache, record the outcome on fo, unregister
+// b and wake the joiners. The returned buffer carries one reference for
+// the caller, on error too; the cache holds its own.
+func (e *Engine) fill(fo *fetchOp, b blockdev.BlockID) (*blockbuf.Buf, error) {
+	buf := e.pool.Get()
+	err := e.store.ReadBlock(b, buf.Bytes())
 	if err == nil {
-		for k, nb := 0, b; k < len(run); k, nb = k+1, nb.Next() {
-			e.cache.Put(nb, run[k].Retain(), fo.prefetch)
-		}
+		e.m.storeReads.Add(1)
+		e.cache.Put(b, buf.Retain(), fo.prefetch)
 	}
 	fo.err = err
 	e.flightMu.Lock()
-	for k, nb := 0, b; k < len(run); k, nb = k+1, nb.Next() {
-		delete(e.inflight, nb)
-	}
+	delete(e.inflight, b)
 	if err != nil {
-		e.cache.evictions.Add(1) // runtimeEnv.Cached said they were coming
+		e.cache.evictions.Add(1) // runtimeEnv.Cached said it was coming
 	}
 	e.flightMu.Unlock()
 	fo.wg.Done()
 	e.releaseFetchOp(fo)
-	return bufs, served && fromMemory, err
+	return buf, err
 }
 
 // The three prefetch outcomes, each booked at exactly one site: the
@@ -583,9 +576,9 @@ func (fo *fetchOp) join() { fo.refs.Add(1) }
 // the cache as demand fills. A nil data writes each block's
 // deterministic fill pattern (the replay client's payload). On a
 // cluster node the write of a non-owned file goes to the ring owner —
-// its store is the file's store — with write-through copies kept in
-// the local cache; only if no owner is reachable does the write land
-// in the local store.
+// its store and cache hold the file's one copy — and nothing is kept
+// here; only if no owner is reachable does the write land in the local
+// store, uncached.
 func (e *Engine) Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
 	return e.write(f, off, nblocks, data, modeClient)
 }
@@ -599,18 +592,19 @@ func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, d
 		return fmt.Errorf("lapcache: write payload is %d bytes, want %d",
 			len(data), int(nblocks)*e.cfg.BlockSize)
 	}
-	if m == modeClient && e.remote != nil && !e.remote.Owned(f) {
+	if e.forwarded(f, m) {
 		ok, err := e.remote.ForwardWrite(f, off, nblocks, data)
-		if ok {
-			if err != nil {
-				return err // the owner itself refused: propagate
-			}
+		if !ok {
+			e.m.remoteFallbacks.Add(1)
+			err = e.installSpan(f, off, nblocks, data, false)
+		} else if err == nil {
 			e.m.forwardedWrites.Add(1)
-			e.m.writes.Add(1)
-			e.installSpan(f, off, nblocks, data, false) //nolint:errcheck // cache-only install cannot fail
-			return nil
 		}
-		e.m.remoteFallbacks.Add(1)
+		if err != nil {
+			return err // the owner refused, or the local store failed
+		}
+		e.m.writes.Add(1)
+		return nil
 	}
 	if m == modePeer {
 		e.m.peerWrites.Add(1)
@@ -626,14 +620,13 @@ func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, d
 	return nil
 }
 
-// installSpan installs nblocks blocks (nil data = fill pattern) in the
-// cache, writing each through to the store first when toStore is set.
-// Without it the copies are cache-only: the write-through image of
-// blocks whose authoritative write landed on the owner, so this node's
-// next reads of them are local hits rather than forwards. A client's
+// installSpan writes nblocks blocks (nil data = fill pattern) to the
+// store and, when cached is set, into the cache. Only a write degraded
+// to this node's store because f's owner is unreachable leaves it
+// unset: this node keeps no copy of a block it does not own. A client's
 // or peer's write over a still-flagged speculative block is that
 // block's first user touch — timely, as in the simulator's write path.
-func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, toStore bool) error {
+func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, cached bool) error {
 	for i := int32(0); i < nblocks; i++ {
 		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
 		buf := e.pool.Get()
@@ -642,15 +635,14 @@ func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks in
 		} else {
 			FillPattern(b, buf.Bytes())
 		}
-		if toStore {
-			if err := e.store.WriteBlock(b, buf.Bytes()); err != nil {
-				buf.Release()
-				return err
-			}
-			e.m.storeWrites.Add(1)
+		if err := e.store.WriteBlock(b, buf.Bytes()); err != nil {
+			buf.Release()
+			return err
 		}
-		// The cache takes the reference.
-		if e.cache.Put(b, buf, false) {
+		e.m.storeWrites.Add(1)
+		if !cached {
+			buf.Release()
+		} else if e.cache.Put(b, buf, false) { // the cache takes the reference
 			e.timely(f)
 		}
 	}
@@ -665,7 +657,7 @@ func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks in
 // peer-forwarded close parks the local chain and is never relayed
 // again.
 func (e *Engine) closeFile(f blockdev.FileID, m reqMode) {
-	if m == modeClient && e.remote != nil && !e.remote.Owned(f) {
+	if e.forwarded(f, m) {
 		e.remote.ForwardClose(f) //nolint:errcheck // best-effort
 		return
 	}
@@ -827,15 +819,14 @@ func (e *Engine) runPrefetch(op prefetchOp) {
 	op.fl.mu.Unlock()
 
 	e.flightMu.Lock()
-	fo, _ := e.claim(op.b, 1, true)
+	fo := e.claim(op.b, true)
 	e.flightMu.Unlock()
 	if fo == nil {
 		e.m.prefetchDupSkip.Add(1)
 	} else {
 		// A failed speculative read is nobody's error but its joiners'.
-		var one [1]*blockbuf.Buf
-		run, _, _ := e.fill(one[:0], fo, op.b, 1, false)
-		run[0].Release()
+		buf, _ := e.fill(fo, op.b)
+		buf.Release()
 		e.m.prefetchCompleted.Add(1)
 	}
 	op.fl.mu.Lock()

@@ -26,22 +26,29 @@ func (a fetchCounts) plus(b fetchCounts) fetchCounts {
 	}
 }
 
-// fetchSource is one place a missing block can come from.
+// fetchSource is one place a missing block can come from: the local
+// store, or, for a file the fake remote says another node owns, that
+// owner (in one of its states).
 type fetchSource struct {
 	name string
 	file blockdev.FileID   // fakeRemote owns even files; odd ones go to the owner
 	arm  func(*fakeRemote) // nil: a live owner serving from memory
-	// span is how many blocks one claim covers when a reader asks for
-	// fetchSpan of them: the store's unit is a block, the owner's a span.
+	// span is how many blocks one source call covers when a reader asks
+	// for fetchSpan of them: the store's unit is a block, the owner's a
+	// span.
 	span int32
-	// memory: a fill from this source still counts as a hit (the owner
+	// memory: a read from this source still counts as a hit (the owner
 	// served it from its memory).
 	memory bool
-	// fill is what fetching one claimed run of n blocks books.
+	// fill is what fetching one run of n blocks books.
 	fill func(n uint64) fetchCounts
 	// fail makes the source return errBoom (after any gate opens).
 	fail func(*fetchFixture)
 }
+
+// remote: the source's reads go to the file's owner, and the front
+// keeps no copy of what they bring.
+func (src fetchSource) remote() bool { return src.file%2 == 1 }
 
 const fetchSpan = 8
 
@@ -57,15 +64,15 @@ var fetchSources = []fetchSource{
 		}},
 	{name: "ownerHit", file: 7, span: fetchSpan, memory: true, fail: failRemote,
 		fill: func(n uint64) fetchCounts {
-			return fetchCounts{misses: n, remoteReads: n, remoteHits: n, fetchCalls: 1}
+			return fetchCounts{remoteReads: n, remoteHits: n, fetchCalls: 1}
 		}},
 	{name: "ownerMiss", file: 7, arm: func(r *fakeRemote) { r.miss.Store(true) }, span: fetchSpan, fail: failRemote,
 		fill: func(n uint64) fetchCounts {
-			return fetchCounts{misses: n, remoteReads: n, fetchCalls: 1}
+			return fetchCounts{remoteReads: n, fetchCalls: 1}
 		}},
 	{name: "ownerDownToStore", file: 7, arm: func(r *fakeRemote) { r.down.Store(true) }, span: fetchSpan, fail: failStore,
 		fill: func(n uint64) fetchCounts {
-			return fetchCounts{misses: n, fallbacks: 1, storeReads: n, storeCalls: int32(n), fetchCalls: 1}
+			return fetchCounts{fallbacks: 1, storeReads: n, storeCalls: int32(n), fetchCalls: 1}
 		}},
 }
 
@@ -115,7 +122,7 @@ func (fx *fetchFixture) read(off blockdev.BlockNo, n int32) (bool, error) {
 // gateSource holds the source's fetches open: entered blocks until a
 // fetch is inside the source, open lets it (and every later one) go.
 func (fx *fetchFixture) gateSource() (entered func(), open func()) {
-	if fx.src.file%2 == 0 {
+	if !fx.src.remote() {
 		return func() { <-fx.gs.started }, fx.gs.Release
 	}
 	fx.gs.Release()
@@ -127,7 +134,9 @@ func (fx *fetchFixture) gateSource() (entered func(), open func()) {
 // pile starts one reader of the source's whole span, waits until its
 // fetch is inside the (gated) source, piles joiners readers of the
 // span's last block onto it, opens the gate, and returns every
-// reader's outcome (the claiming reader's first).
+// reader's outcome (the claiming reader's first). A local fetch is
+// joined; a remote read joins nothing here, so every reader must be
+// inside the owner's FetchSpan before the gate opens.
 func (fx *fetchFixture) pile(joiners int) (hits []bool, errs []error) {
 	entered, open := fx.gateSource()
 	hits, errs = make([]bool, 1+joiners), make([]error, 1+joiners)
@@ -146,13 +155,19 @@ func (fx *fetchFixture) pile(joiners int) (hits []bool, errs []error) {
 			hits[j], errs[j] = fx.read(last, 1)
 		}(j)
 	}
-	// The run's one op is registered under every block it will produce.
-	waitFor(fx.t, "joiners to pile onto the in-flight fetch", func() bool {
-		fx.e.flightMu.Lock()
-		defer fx.e.flightMu.Unlock()
-		fo := fx.e.inflight[blockdev.BlockID{File: fx.src.file, Block: last}]
-		return fo != nil && int(fo.refs.Load()) == 1+joiners
-	})
+	if fx.src.remote() {
+		for j := 0; j < joiners; j++ {
+			entered()
+		}
+	} else {
+		// The fetch's one op is registered under its block.
+		waitFor(fx.t, "joiners to pile onto the in-flight fetch", func() bool {
+			fx.e.flightMu.Lock()
+			defer fx.e.flightMu.Unlock()
+			fo := fx.e.inflight[blockdev.BlockID{File: fx.src.file, Block: last}]
+			return fo != nil && int(fo.refs.Load()) == 1+joiners
+		})
+	}
 	open()
 	wg.Wait()
 	return hits, errs
@@ -164,28 +179,33 @@ func (fx *fetchFixture) inflightLen() int {
 	return len(fx.e.inflight)
 }
 
-// TestFetchPath drives the engine's one claim → fill → publish path
-// from every source a block can come from, in every state a demand
-// read can find the block in, and checks the hit flag, every counter
-// the path moves and — the singleflight contract — exactly one source
-// call per claimed run.
+// TestFetchPath drives the engine's two demand-read paths from every
+// source a block can come from, in every state a demand read can find
+// the block in on this node, and checks the hit flag and every counter
+// the path moves. A local read's contract is singleflight: exactly one
+// store call per claimed block, joined by every concurrent reader. A
+// read of a file owned elsewhere ignores every local state: it is
+// exactly one FetchSpan per read, whatever this node holds or has in
+// flight, and it leaves this node's cache as it found it.
 func TestFetchPath(t *testing.T) {
 	const joiners = 3
 	arrivals := []struct {
 		name string
-		// cached is how many blocks from 0 the row leaves cached.
+		// cached is how many blocks from 0 the row leaves cached: what
+		// the local reads brought, or, for a remote source, what the row
+		// staged.
 		cached func(src fetchSource) int32
 		// run stages the state, performs the read(s) and returns the
 		// read's hit flag with the expected flag and counters.
 		run func(fx *fetchFixture) (hit, wantHit bool, want fetchCounts)
 	}{
-		{"cold", func(fetchSource) int32 { return fetchSpan }, func(fx *fetchFixture) (bool, bool, fetchCounts) {
+		{"cold", func(src fetchSource) int32 { return local(src, fetchSpan) }, func(fx *fetchFixture) (bool, bool, fetchCounts) {
 			fx.gs.Release()
 			hit, err := fx.read(0, fetchSpan)
 			if err != nil {
 				t.Fatalf("read: %v", err)
 			}
-			// One claimed run per source unit: 8 for the store, 1 span RPC
+			// One source call per source unit: 8 for the store, 1 span RPC
 			// for the owner — its predictor must see the real request.
 			want := fetchCounts{}
 			for i := int32(0); i < fetchSpan; i += fx.src.span {
@@ -194,25 +214,38 @@ func TestFetchPath(t *testing.T) {
 			return hit, fx.src.memory, want
 		}},
 		{"resident", func(fetchSource) int32 { return fetchSpan }, func(fx *fetchFixture) (bool, bool, fetchCounts) {
+			fx.gs.Release()
 			fx.e.Preload(fx.src.file, 0, fetchSpan, false)
 			hit, err := fx.read(0, fetchSpan)
 			if err != nil {
 				t.Fatalf("read: %v", err)
 			}
+			if fx.src.remote() {
+				// A copy here of a block owned elsewhere is never read.
+				return hit, fx.src.memory, fx.src.fill(fetchSpan)
+			}
 			return hit, true, fetchCounts{hits: fetchSpan}
 		}},
 		{"residentPrefetched", func(fetchSource) int32 { return fetchSpan }, func(fx *fetchFixture) (bool, bool, fetchCounts) {
+			fx.gs.Release()
 			fx.e.Preload(fx.src.file, 0, fetchSpan, true)
 			hit, err := fx.read(0, fetchSpan)
 			if err != nil {
 				t.Fatalf("read: %v", err)
 			}
-			if unused := fx.e.Snapshot().PrefetchUnused; unused != 0 {
+			unused := fx.e.Snapshot().PrefetchUnused
+			if fx.src.remote() {
+				if unused != fetchSpan {
+					t.Errorf("%d blocks still flagged, want %d: a remote read touched this node's copies", unused, fetchSpan)
+				}
+				return hit, fx.src.memory, fx.src.fill(fetchSpan)
+			}
+			if unused != 0 {
 				t.Errorf("%d blocks still flagged after their first touch", unused)
 			}
 			return hit, true, fetchCounts{hits: fetchSpan, timely: fetchSpan}
 		}},
-		{"joinsDemandFill", func(src fetchSource) int32 { return src.span }, func(fx *fetchFixture) (bool, bool, fetchCounts) {
+		{"joinsDemandFill", func(src fetchSource) int32 { return local(src, src.span) }, func(fx *fetchFixture) (bool, bool, fetchCounts) {
 			hits, errs := fx.pile(joiners)
 			for i, err := range errs {
 				if err != nil {
@@ -227,12 +260,21 @@ func TestFetchPath(t *testing.T) {
 					t.Errorf("joiners disagree on the hit flag: %v", hits[1:])
 				}
 			}
-			// A joiner waited: a miss, whatever the source.
-			return hits[1], false, fx.src.fill(uint64(fx.src.span)).plus(fetchCounts{misses: joiners})
+			want := fx.src.fill(uint64(fx.src.span))
+			if fx.src.remote() {
+				// Every reader reached the owner, whose own fetch path is
+				// where concurrent reads of a block meet.
+				for j := 0; j < joiners; j++ {
+					want = want.plus(fx.src.fill(1))
+				}
+				return hits[1], fx.src.memory, want
+			}
+			// A joiner waited: a miss.
+			return hits[1], false, want.plus(fetchCounts{misses: joiners})
 		}},
 		{"joinsSpeculativeFill", func(fetchSource) int32 { return 1 }, func(fx *fetchFixture) (bool, bool, fetchCounts) {
-			// A prefetch of block 0 stuck inside the store; the file's
-			// owner never sees the demand that joins it.
+			// A prefetch of block 0 stuck inside the store. A local demand
+			// joins it; a remote one goes to the owner past it.
 			fl := fx.e.fileState(fx.src.file)
 			fx.e.pfq <- prefetchOp{
 				b:         blockdev.BlockID{File: fx.src.file, Block: 0},
@@ -249,13 +291,24 @@ func TestFetchPath(t *testing.T) {
 				}
 				done <- hit
 			}()
-			waitFor(t, "late classification", func() bool { return fx.e.Snapshot().PrefetchLate == 1 })
+			if fx.src.remote() {
+				// The read goes to the owner without looking at the fetch
+				// in flight here (a down owner's fallback then waits for
+				// the store like any other store read).
+				waitFor(t, "the read to reach the owner", func() bool { return fx.rem.fetchCalls.Load() == 1 })
+			} else {
+				waitFor(t, "late classification", func() bool { return fx.e.Snapshot().PrefetchLate == 1 })
+			}
 			fx.gs.Release()
 			hit := <-done
 			waitFor(t, "prefetch completion", func() bool { return fx.e.Snapshot().PrefetchCompleted == 1 })
+			prefetch := fetchCounts{storeReads: 1, storeCalls: 1}
+			if fx.src.remote() {
+				return hit, fx.src.memory, fx.src.fill(1).plus(prefetch)
+			}
 			// Late, not timely; and the block went through the store once
 			// although a prefetch and a demand both wanted it.
-			return hit, false, fetchCounts{misses: 1, late: 1, storeReads: 1, storeCalls: 1}
+			return hit, false, prefetch.plus(fetchCounts{misses: 1, late: 1})
 		}},
 	}
 	for _, src := range fetchSources {
@@ -273,13 +326,31 @@ func TestFetchPath(t *testing.T) {
 				if n := fx.inflightLen(); n != 0 {
 					t.Errorf("%d blocks still registered in flight", n)
 				}
+				cached := arr.cached(src)
+				if got := fx.e.Snapshot().CachedBlocks; got != int(cached) {
+					t.Errorf("%d blocks cached, want %d", got, cached)
+				}
+				if src.remote() {
+					// Reading again goes to the owner again, one FetchSpan,
+					// and still caches nothing here.
+					if hit, err := fx.read(0, fetchSpan); err != nil || hit != src.memory {
+						t.Errorf("re-read: hit=%v err=%v, want hit=%v", hit, err, src.memory)
+					}
+					want = want.plus(src.fill(fetchSpan))
+					if got := fx.counts(); got != want {
+						t.Errorf("re-read:\n got %+v\nwant %+v", got, want)
+					}
+					if got := fx.e.Snapshot().CachedBlocks; got != int(cached) {
+						t.Errorf("re-read: %d blocks cached, want still %d", got, cached)
+					}
+					return
+				}
 				// Everything read is cached now: reading it again is a pure
 				// hit that asks no source for anything.
-				reread := arr.cached(src)
-				if hit, err := fx.read(0, reread); err != nil || !hit {
+				if hit, err := fx.read(0, cached); err != nil || !hit {
 					t.Errorf("re-read: hit=%v err=%v", hit, err)
 				}
-				want = want.plus(fetchCounts{hits: uint64(reread)})
+				want = want.plus(fetchCounts{hits: uint64(cached)})
 				if got := fx.counts(); got != want {
 					t.Errorf("re-read moved more than demand_hits:\n got %+v\nwant %+v", got, want)
 				}
@@ -288,9 +359,18 @@ func TestFetchPath(t *testing.T) {
 	}
 }
 
-// TestFetchPathError fails each source under a claimed run with
-// joiners piled on it: every reader gets the error, nothing is cached
-// or left registered, and not one buffer of the run leaks.
+// local is n for a source read into this node's cache, 0 for a remote
+// one: this node keeps no copy of a block it does not own.
+func local(src fetchSource, n int32) int32 {
+	if src.remote() {
+		return 0
+	}
+	return n
+}
+
+// TestFetchPathError fails each source under a read with others piled
+// on it: every reader gets the error, nothing is cached or left
+// registered, and not one buffer of the reads leaks.
 func TestFetchPathError(t *testing.T) {
 	for _, src := range fetchSources {
 		src := src

@@ -41,7 +41,9 @@ type Metrics struct {
 // Snapshot is a frozen, JSON-exportable view of the engine's counters
 // plus the per-file linearity marks.
 type Snapshot struct {
-	// Demand path.
+	// Demand path: reads served by this node's cache or store. A
+	// client's read of a file owned elsewhere books neither; it is a
+	// remote read.
 	DemandHits   uint64 `json:"demand_hits"`
 	DemandMisses uint64 `json:"demand_misses"`
 	Writes       uint64 `json:"writes"`
@@ -68,17 +70,16 @@ type Snapshot struct {
 	PrefetchUnused uint64 `json:"prefetch_unused"`
 
 	// Backing store traffic: blocks successfully read (demand fills,
-	// prefetches and owner-unreachable fallbacks alike, counted at the
-	// one fill site) and successfully written; a failed call counts
-	// nothing.
+	// prefetches and owner-unreachable fallbacks alike) and
+	// successfully written; a failed call counts nothing.
 	StoreReads  uint64 `json:"store_reads"`
 	StoreWrites uint64 `json:"store_writes"`
 
 	// Cooperative peer tier. RemoteReads counts blocks fetched from a
 	// file's owner node; RemoteHits/RemoteMisses classify those
 	// forward RPCs by whether the owner served entirely from memory.
-	// RemoteFallbacks counts spans degraded to the local store because
-	// no live owner was reachable. PeerReadsServed/PeerWritesServed
+	// RemoteFallbacks counts reads and writes degraded to the local
+	// store because no live owner was reachable. PeerReadsServed/PeerWritesServed
 	// are the owner side: forwarded requests served for peers.
 	RemoteReads      uint64 `json:"remote_reads,omitempty"`
 	RemoteHits       uint64 `json:"remote_hits,omitempty"`

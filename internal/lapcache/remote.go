@@ -14,9 +14,10 @@ import "repro/internal/blockdev"
 // linear-aggressive chain, so the "at most one outstanding prefetch
 // per file" invariant holds across the whole cluster — the property
 // §4 credits for PAFS beating serverless xFS, whose per-node
-// predictors between them over-prefetch the same file. Non-owner
-// nodes keep a local cache (the client cache) and forward misses to
-// the owner, whose memory is an order of magnitude closer than disk.
+// predictors between them over-prefetch the same file. A non-owner
+// node keeps no copy of the file's blocks: it forwards every read and
+// write of the file to the owner, whose memory is an order of
+// magnitude closer than disk, and each block has one copy, there.
 
 // RemoteFetcher is the engine's hook into the peer tier. A nil
 // RemoteFetcher (the default) is a single-node engine: every file is
@@ -33,17 +34,18 @@ type RemoteFetcher interface {
 
 	// FetchSpan reads nblocks blocks of f starting at off from the
 	// file's owner, landing one block per dsts slice (each pre-sized
-	// to the block size). hit reports the owner answered every block
-	// from its memory: a remote memory hit, the cooperative-cache fast
-	// path. ok=false means the owner is unreachable: the caller
-	// degrades to its local store (latency, not availability). err is
-	// only non-nil when ok is true: the owner itself refused the
-	// request.
+	// to the block size): the caller's own buffers, which the engine
+	// hands to its client and never caches. hit reports the owner
+	// answered every block from its memory: a remote memory hit, the
+	// cooperative-cache fast path. ok=false means the owner is
+	// unreachable: the caller degrades to its local store. err is only
+	// non-nil when ok is true: the owner itself refused the request.
 	FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit, ok bool, err error)
 
 	// ForwardWrite sends a write of f to its owner so the data lands
-	// in the owner's store and cache. Semantics of ok and err match
-	// FetchSpan: ok=false degrades the write to the local store.
+	// in the owner's store and cache, the block's one copy. Semantics
+	// of ok and err match FetchSpan: ok=false degrades the write to
+	// the local store, where no other node will read it.
 	ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (ok bool, err error)
 
 	// ForwardClose tells f's owner this node's clients are done with

@@ -12,7 +12,7 @@ import (
 // fakeRemote is an in-process RemoteFetcher: files with even IDs are
 // owned locally, odd IDs belong to a fictitious peer whose spans are
 // served by FillPattern. A gate can hold FetchSpan open so tests can
-// pile concurrent misses onto one in-flight forward.
+// pile concurrent reads into it.
 type fakeRemote struct {
 	fetchCalls atomic.Int32
 	writeCalls atomic.Int32
@@ -62,8 +62,7 @@ func (r *fakeRemote) ForwardClose(f blockdev.FileID) (bool, error) {
 }
 
 // TestRemoteForwardWriteAndClose checks the owner-bound write path
-// (forward + local write-through copies) and the best-effort close
-// relay.
+// (forwarded, nothing kept here) and the best-effort close relay.
 func TestRemoteForwardWriteAndClose(t *testing.T) {
 	rem := &fakeRemote{}
 	e := newTestEngine(t, Config{Alg: core.SpecNP, Remote: rem})
@@ -75,10 +74,11 @@ func TestRemoteForwardWriteAndClose(t *testing.T) {
 		t.Errorf("ForwardWrite called %d times, want 1", got)
 	}
 	s := e.Snapshot()
-	if s.ForwardedWrites != 1 || s.StoreWrites != 0 {
-		t.Errorf("forwarded write: forwarded=%d local=%d, want 1/0", s.ForwardedWrites, s.StoreWrites)
+	if s.ForwardedWrites != 1 || s.StoreWrites != 0 || s.CachedBlocks != 0 {
+		t.Errorf("forwarded write: forwarded=%d local=%d cached=%d, want 1/0/0",
+			s.ForwardedWrites, s.StoreWrites, s.CachedBlocks)
 	}
-	// Write-through copies make the blocks local hits.
+	// The owner holds the one copy: a read after the write goes there.
 	bufs, hit, err := e.ReadInto(nil, 3, 4, 2)
 	if err != nil || !hit {
 		t.Fatalf("read-after-forwarded-write: hit=%v err=%v", hit, err)
@@ -86,8 +86,8 @@ func TestRemoteForwardWriteAndClose(t *testing.T) {
 	for _, buf := range bufs {
 		buf.Release()
 	}
-	if got := rem.fetchCalls.Load(); got != 0 {
-		t.Errorf("read after write-through forwarded anyway (%d fetches)", got)
+	if got := rem.fetchCalls.Load(); got != 1 {
+		t.Errorf("read after a forwarded write made %d fetches, want 1", got)
 	}
 
 	e.closeFile(3, modeClient)
@@ -99,16 +99,16 @@ func TestRemoteForwardWriteAndClose(t *testing.T) {
 		t.Errorf("owned close relayed (%d calls)", got)
 	}
 
-	// With no live owner the write lands in the local store instead —
-	// latency, not availability.
+	// With no live owner the write lands in the local store instead,
+	// and still not in the cache.
 	rem.down.Store(true)
 	if err := e.Write(5, 0, 2, nil); err != nil {
 		t.Fatalf("degraded write: %v", err)
 	}
 	s = e.Snapshot()
-	if s.RemoteFallbacks != 1 || s.StoreWrites != 2 || s.ForwardedWrites != 1 {
-		t.Errorf("degraded write: fallbacks=%d local=%d forwarded=%d, want 1/2/1",
-			s.RemoteFallbacks, s.StoreWrites, s.ForwardedWrites)
+	if s.RemoteFallbacks != 1 || s.StoreWrites != 2 || s.ForwardedWrites != 1 || s.CachedBlocks != 0 {
+		t.Errorf("degraded write: fallbacks=%d local=%d forwarded=%d cached=%d, want 1/2/1/0",
+			s.RemoteFallbacks, s.StoreWrites, s.ForwardedWrites, s.CachedBlocks)
 	}
 }
 

@@ -559,9 +559,9 @@ func (h *connHandler) drain(q *fileQueue) {
 }
 
 // mayWait reports whether serving hd may wait on a store read or on
-// another node: a read of a block not cached here, or a client's write
-// or close of a file owned elsewhere (forwarded). It only places the
-// request: a block evicted after the check is read on the loop.
+// another node: a client's request of a file owned elsewhere
+// (forwarded), or a read of a block not cached here. It only places
+// the request: a block evicted after the check is read on the loop.
 func (s *Server) mayWait(hd wire.Header) bool {
 	if !hd.Flags.Known() {
 		return false
@@ -572,13 +572,16 @@ func (s *Server) mayWait(hd wire.Header) bool {
 		if !e.spanOK(blockdev.BlockNo(hd.Offset), hd.Size) {
 			return false // exec refuses it
 		}
+		if e.forwarded(f, modeOf(hd.Flags)) {
+			return true
+		}
 		for i := int32(0); i < hd.Size; i++ {
 			if !e.cache.Contains(blockdev.BlockID{File: f, Block: blockdev.BlockNo(hd.Offset + i)}) {
 				return true
 			}
 		}
 	case wire.OpWrite, wire.OpClose:
-		return modeOf(hd.Flags) == modeClient && e.remote != nil && !e.remote.Owned(f)
+		return e.forwarded(f, modeOf(hd.Flags))
 	}
 	return false
 }
