@@ -21,14 +21,14 @@
 //
 // With -peers, the daemon joins a cooperative peer group: the listed
 // members (which must include this node's own -advertise address)
-// form a consistent-hash ring assigning every file one owner. Misses
-// on files owned elsewhere are forwarded to the owner — a remote
-// memory hit instead of a local disk read — and only the owner runs a
-// file's prefetch chain, so the linear bound holds cluster-wide.
+// form a consistent-hash ring assigning every file one owner. Reads
+// and writes of files owned elsewhere are forwarded to the owner — a
+// remote memory hit instead of a local disk read — and only the owner
+// runs a file's prefetch chain, so the linear bound holds cluster-wide.
 // Every member must be started with the same -peers list (order does
 // not matter) and the same -block-size. The list is the ring for the
-// node's whole life: a down member degrades its files to each node's
-// local store, and ownership never moves.
+// node's whole life: a request of a file whose owner is down fails,
+// and ownership never moves.
 package main
 
 import (

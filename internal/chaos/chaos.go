@@ -11,8 +11,9 @@
 //   - Buffer lifecycle: with poison mode on, no buffer is written
 //     after release, and after teardown the pool's live count is zero
 //     (no leak survived any error path).
-//   - Error integrity: every error a client sees is either an
-//     expected injection (it carries the faultinject marker) or a
+//   - Error integrity: every error a client sees is an expected
+//     injection (it carries the faultinject marker), a node's refusal
+//     of a request whose owner it could not reach (retried), or a
 //     tolerated transport failure on a link the plan targets; reads
 //     that succeed return bit-exact oracle data (the deterministic
 //     fill pattern), and the run terminates — no wedge, ever.
@@ -90,7 +91,7 @@ type Invariants struct {
 	UnexpectedErrors []string `json:"unexpected_errors"` // must be empty
 	InjectedErrors   int      `json:"injected_errors"`   // informational
 	TransportErrors  int      `json:"transport_errors"`  // tolerated iff plan targets the wire
-	DegradedReads    uint64   `json:"degraded_reads"`    // informational
+	RefusedForwards  uint64   `json:"refused_forwards"`  // informational
 	Wedged           bool     `json:"wedged"`            // must be false
 }
 
@@ -168,10 +169,10 @@ func (r Result) String() string {
 	}
 	sort.Strings(reasons)
 	fmt.Fprintf(&b, "closes: %s\n", strings.Join(reasons, " "))
-	fmt.Fprintf(&b, "invariants: ownerHW=%d/cap=%d overCap=%d nonOwnerDriven=%d linearViol=%d bufLive=%d mismatches=%d unexpected=%d injectedErrs=%d transportErrs=%d degraded=%d wedged=%v\n",
+	fmt.Fprintf(&b, "invariants: ownerHW=%d/cap=%d overCap=%d nonOwnerDriven=%d linearViol=%d bufLive=%d mismatches=%d unexpected=%d injectedErrs=%d transportErrs=%d refused=%d wedged=%v\n",
 		r.Inv.MaxOwnerHW, r.Inv.DegreeCap, len(r.Inv.OverCap), len(r.Inv.NonOwnerDriven), r.Inv.LinearViolations, r.Inv.BufLive,
 		r.Inv.DataMismatches, len(r.Inv.UnexpectedErrors), r.Inv.InjectedErrors,
-		r.Inv.TransportErrors, r.Inv.DegradedReads, r.Inv.Wedged)
+		r.Inv.TransportErrors, r.Inv.RefusedForwards, r.Inv.Wedged)
 	if err := r.Inv.Check(); err != nil {
 		fmt.Fprintf(&b, "VERDICT: FAIL — %v\n", err)
 	} else {
@@ -272,8 +273,9 @@ func Run(cfg Config) (Result, error) {
 			}
 		},
 		// Replay while the mesh is still forming: forwards that outrun
-		// an (injected-fault-ridden) dial degrade to the local store,
-		// which is one of the paths this harness exists to exercise.
+		// an (injected-fault-ridden) dial are refused with the owner
+		// unreachable, which is one of the paths this harness exists to
+		// exercise.
 		NoWaitReady: true,
 	}
 
@@ -289,7 +291,7 @@ func Run(cfg Config) (Result, error) {
 	}()
 
 	// Replay under a wedge watchdog: the run must terminate on its own
-	// inside the timeout, deadlines and degrade paths doing their job.
+	// inside the timeout, deadlines and refused forwards doing their job.
 	rep := newReplayer(nodes, inj, plan, tr)
 	done := make(chan struct{})
 	start := time.Now()
@@ -317,7 +319,7 @@ func Run(cfg Config) (Result, error) {
 	res.Close = make(map[lapcache.CloseReason]uint64)
 	for _, m := range nodes {
 		snap := m.Engine.Snapshot()
-		res.Inv.DegradedReads += snap.RemoteFallbacks
+		res.Inv.RefusedForwards += snap.RemoteFallbacks
 		res.Inv.LinearViolations += snap.LinearViolations
 		for reason, n := range m.Server.CloseCounts() {
 			res.Close[reason] += n

@@ -33,7 +33,7 @@ func faultPlan(seed uint64) faultinject.Plan {
 			// peer links, mid-stream disconnects and stalls everywhere.
 			// Budgets on the peer links are generous on purpose: the
 			// health loop's own pings spend the first few, so the rest
-			// must land on live forwards and drive real degrade events.
+			// must land on live forwards and drive real refused ones.
 			{Site: faultinject.SiteConnSend, Kind: faultinject.KindCorrupt, P: 0.6, Count: 5, Links: []string{"peer:"}},
 			{Site: faultinject.SiteConnSend, Kind: faultinject.KindPartial, P: 0.4, Count: 4},
 			{Site: faultinject.SiteConnSend, Kind: faultinject.KindHang, P: 0.3, Count: 1, Delay: 20 * time.Millisecond},

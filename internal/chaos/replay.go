@@ -10,6 +10,7 @@ import (
 	"repro/internal/blockdev"
 	"repro/internal/cluster"
 	"repro/internal/faultinject"
+	"repro/internal/lapcache"
 	"repro/internal/lapclient"
 	"repro/internal/wire"
 	"repro/internal/workload"
@@ -19,10 +20,16 @@ import (
 // counter keeps counting past it.
 const maxUnexpected = 16
 
-// stepAttempts bounds retries of one trace step across redials; a
-// step that keeps failing is abandoned (the invariants care about
-// error classification and data integrity, not per-op success).
+// stepAttempts bounds retries of one trace step across redials and
+// refusals; a step that keeps failing is abandoned (the invariants
+// care about error classification and data integrity, not per-op
+// success).
 const stepAttempts = 3
+
+// ownerRetryPause is how long a step refused with its file's owner
+// unreachable waits before its next attempt: one health-loop ping of
+// the fleet, time for the faulted peer link to be redialed.
+const ownerRetryPause = 20 * time.Millisecond
 
 // nodeClient owns the one client connection to a node, redialing it —
 // within a budget — whenever a fault kills it. All the replay
@@ -176,6 +183,8 @@ func (r *replayer) noteUnexpected(detail string) {
 //   - injected error (the marker): expected, counted, done — the
 //     system surfaced the fault as a typed failure instead of wedging
 //     or lying.
+//   - owner unreachable (the sentinel's text): expected while peer
+//     links fail, and retried after ownerRetryPause.
 //   - other ServerError: the server refused a well-formed request —
 //     unexpected, recorded.
 //   - transport error: tolerated (and retried on a fresh connection)
@@ -205,10 +214,16 @@ func (r *replayer) step(nc *nodeClient, s workload.Step) {
 
 // classify buckets one error; done reports that the step should not
 // be retried (the server answered — with a refusal — so the request
-// itself was delivered and the connection is fine).
+// itself was delivered and the connection is fine), except a refusal
+// with the file's owner unreachable, which is retried after
+// ownerRetryPause.
 func (r *replayer) classify(err error, context string) (done bool) {
 	var se *lapclient.ServerError
 	if errors.As(err, &se) {
+		if strings.Contains(se.Msg, lapcache.ErrOwnerUnreachable.Error()) {
+			time.Sleep(ownerRetryPause)
+			return false
+		}
 		if isInjected(err) {
 			r.mu.Lock()
 			r.injectedErrs++

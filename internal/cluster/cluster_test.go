@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -188,53 +189,11 @@ func TestClusterForwardedWrite(t *testing.T) {
 	}
 }
 
-// TestClusterFailover: killing an owner degrades its files to each
-// node's local store — reads keep succeeding (latency, not
-// availability) — and ownership does NOT move, because a second node
-// adopting the file's chain is the xFS over-prefetch failure mode.
-func TestClusterFailover(t *testing.T) {
-	nodes := startCluster(t, 3, nil)
-	f := fileOwnedBy(t, nodes, 1)
-
-	// Prove the forward path works, then kill the owner.
-	if _, _, err := readCopy(nodes[0].Engine, f, 0, 2); err != nil {
-		t.Fatalf("read before failover: %v", err)
-	}
-	nodes[1].Server.Close()
-	nodes[1].Node.Close()
-	nodes[1].Engine.Shutdown()
-
-	// Reads of the dead owner's file must degrade, not fail. The first
-	// attempt may surface the transport fault, which marks the peer
-	// down; from then on every read goes straight to the local store.
-	waitFor(t, "degraded read", func() bool {
-		_, _, err := readCopy(nodes[0].Engine, f, 8, 4)
-		return err == nil
-	})
-	s0 := nodes[0].Engine.Snapshot()
-	if s0.RemoteFallbacks == 0 {
-		t.Error("no remote fallbacks recorded after owner death")
-	}
-	if s0.StoreReads == 0 {
-		t.Error("degraded read did not touch the local store")
-	}
-	waitFor(t, "peer marked down", func() bool {
-		return nodes[0].Node.PeerDown(nodes[1].Addr)
-	})
-	// Ownership must not have moved.
-	if addr, self := nodes[0].Node.OwnerOf(f); self || addr != nodes[1].Addr {
-		t.Errorf("ownership moved to %q after owner death", addr)
-	}
-	// Writes degrade the same way.
-	if err := nodes[2].Engine.Write(f, 0, 1, nil); err != nil {
-		t.Fatalf("degraded write: %v", err)
-	}
-}
-
 // TestOnePeerConnection: a node keeps exactly one connection to each
 // peer, and every forward to that peer shares it — 64 concurrent
-// fetches to one owner ride it together. Severing it degrades the
-// next forward to the local store, and the health loop redials once.
+// fetches to one owner ride it together. Severing it fails the next
+// forward with lapcache.ErrOwnerUnreachable, and the health loop
+// redials once.
 // Node 0 runs on a fake clock, so its health loops redial only when
 // the test fires their timers.
 func TestOnePeerConnection(t *testing.T) {
@@ -284,8 +243,8 @@ func TestOnePeerConnection(t *testing.T) {
 		go func(off blockdev.BlockNo) {
 			defer wg.Done()
 			dsts := [][]byte{make([]byte, testBlockSize)}
-			if hit, ok, err := nodes[0].Node.FetchSpan(f, off, 1, dsts); !hit || !ok || err != nil {
-				t.Errorf("fetch of block %d: hit=%v ok=%v err=%v", off, hit, ok, err)
+			if hit, err := nodes[0].Node.FetchSpan(f, off, 1, dsts); !hit || err != nil {
+				t.Errorf("fetch of block %d: hit=%v err=%v", off, hit, err)
 			}
 		}(blockdev.BlockNo(i))
 	}
@@ -295,11 +254,11 @@ func TestOnePeerConnection(t *testing.T) {
 	links[fmt.Sprintf("0->%s", owner.Addr)].Close()
 	mu.Unlock()
 	before := nodes[0].Engine.Snapshot().RemoteFallbacks
-	if _, _, err := readCopy(nodes[0].Engine, f, spans, 1); err != nil {
-		t.Fatalf("read over the severed connection: %v", err)
+	if _, _, err := readCopy(nodes[0].Engine, f, spans, 1); !errors.Is(err, lapcache.ErrOwnerUnreachable) {
+		t.Fatalf("read over the severed connection: err=%v, want %v", err, lapcache.ErrOwnerUnreachable)
 	}
 	if got := nodes[0].Engine.Snapshot().RemoteFallbacks - before; got != 1 {
-		t.Errorf("the forward over the severed connection made %d fallbacks, want 1", got)
+		t.Errorf("the forward over the severed connection made %d refusals, want 1", got)
 	}
 	if !nodes[0].Node.PeerDown(owner.Addr) {
 		t.Error("owner not marked down after its connection was severed")
@@ -318,8 +277,8 @@ func TestOnePeerConnection(t *testing.T) {
 		t.Errorf("node 0 redialled the healthy peer: %d dials, want 1", got)
 	}
 	dsts := [][]byte{make([]byte, testBlockSize)}
-	if hit, ok, err := nodes[0].Node.FetchSpan(f, spans+1, 1, dsts); !hit || !ok || err != nil {
-		t.Errorf("fetch after the redial: hit=%v ok=%v err=%v", hit, ok, err)
+	if hit, err := nodes[0].Node.FetchSpan(f, spans+1, 1, dsts); !hit || err != nil {
+		t.Errorf("fetch after the redial: hit=%v err=%v", hit, err)
 	}
 }
 

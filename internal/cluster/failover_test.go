@@ -1,31 +1,37 @@
 package cluster
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/core"
+	"repro/internal/lapcache"
 )
 
 // TestOwnerDegradeRecover is the table-driven owner-failure matrix:
-// kill some members, prove reads and writes of an affected file
-// degrade to the survivor's local store (availability holds, ownership
-// does not move), then restart the dead members and prove the remote
-// path comes back — fallbacks stop, peer service resumes. The ring is
-// fixed and no failure detector runs: liveness never moves ownership.
+// kill some members; while they are dead, a reader's read and write of
+// a file whose owner died fail with lapcache.ErrOwnerUnreachable, the
+// owner is marked down, and the reader's store is never touched, while
+// a file whose owner lives is served as before. Then restart the dead
+// members and prove the remote path comes back at once: nothing cached
+// the refusal. The ring is fixed and no failure detector runs:
+// liveness never moves ownership.
 func TestOwnerDegradeRecover(t *testing.T) {
 	cases := []struct {
 		name string
 		// kill indexes members RELATIVE to the file: 0 = the file's
 		// owner, 1 = the reader, 2 = the bystander.
 		kill []int
-		// wantFallback: the reader must record remote fallbacks while
-		// the dead set holds.
-		wantFallback bool
+		// ownerDead: the file's owner is in the dead set, so the
+		// reader's requests must be refused while the set holds.
+		ownerDead bool
 	}{
-		{name: "owner dies", kill: []int{0}, wantFallback: true},
-		{name: "bystander dies", kill: []int{2}, wantFallback: false},
-		{name: "owner and bystander die", kill: []int{0, 2}, wantFallback: true},
+		{name: "owner dies", kill: []int{0}, ownerDead: true},
+		{name: "bystander dies", kill: []int{2}, ownerDead: false},
+		{name: "owner and bystander die", kill: []int{0, 2}, ownerDead: true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -39,28 +45,39 @@ func TestOwnerDegradeRecover(t *testing.T) {
 				if _, _, err := readCopy(reader.Engine, f, 0, 2); err != nil {
 					t.Fatalf("read before failure: %v", err)
 				}
-				healthyFB := reader.Engine.Snapshot().RemoteFallbacks
+				healthy := reader.Engine.Snapshot()
 
 				for _, ki := range tc.kill {
 					roles[ki].kill()
 				}
 
-				// Degraded phase: reads must succeed (possibly after the
-				// first attempt surfaces the transport fault and marks the
-				// peer down).
-				waitFor(t, "degraded read", func() bool {
-					_, _, err := readCopy(reader.Engine, f, 8, 4)
-					return err == nil
-				})
-				if err := reader.Engine.Write(f, 20, 2, nil); err != nil {
-					t.Fatalf("degraded write: %v", err)
+				// Outage phase: a request of the file either reaches its
+				// owner or fails with the sentinel — never served from, or
+				// written to, the reader's own store.
+				_, _, rerr := readCopy(reader.Engine, f, 8, 4)
+				werr := reader.Engine.Write(f, 20, 2, nil)
+				s := reader.Engine.Snapshot()
+				if tc.ownerDead {
+					if !errors.Is(rerr, lapcache.ErrOwnerUnreachable) || !errors.Is(werr, lapcache.ErrOwnerUnreachable) {
+						t.Errorf("with the owner dead: read err=%v, write err=%v; want %v for both",
+							rerr, werr, lapcache.ErrOwnerUnreachable)
+					}
+					if got := s.RemoteFallbacks - healthy.RemoteFallbacks; got != 2 {
+						t.Errorf("reader recorded %d refused forwards, want 2 (the read and the write)", got)
+					}
+					waitFor(t, "owner marked down", func() bool { return reader.Node.PeerDown(owner.Addr) })
+				} else {
+					if rerr != nil || werr != nil {
+						t.Errorf("with the owner alive: read err=%v, write err=%v", rerr, werr)
+					}
+					if s.RemoteFallbacks != healthy.RemoteFallbacks {
+						t.Errorf("reader recorded %d refused forwards though the file's owner is alive",
+							s.RemoteFallbacks-healthy.RemoteFallbacks)
+					}
 				}
-				fb := reader.Engine.Snapshot().RemoteFallbacks
-				if tc.wantFallback && fb == healthyFB {
-					t.Error("no remote fallbacks recorded with the owner dead")
-				}
-				if !tc.wantFallback && fb != healthyFB {
-					t.Errorf("reader recorded %d fallbacks though the file's owner is alive", fb-healthyFB)
+				if s.StoreReads != healthy.StoreReads || s.StoreWrites != healthy.StoreWrites {
+					t.Errorf("reader touched its own store for a file it does not own: reads %d→%d, writes %d→%d",
+						healthy.StoreReads, s.StoreReads, healthy.StoreWrites, s.StoreWrites)
 				}
 				// Ownership never moves: liveness is not membership.
 				if addr, self := reader.Node.OwnerOf(f); self || addr != owner.Addr {
@@ -86,22 +103,81 @@ func TestOwnerDegradeRecover(t *testing.T) {
 					waitFor(t, "peer redialed", func() bool { return !reader.Node.PeerDown(addr) })
 				}
 
-				// The remote path must carry traffic again: a read goes to
-				// the (restarted) owner, with no new fallbacks.
-				fbBefore := reader.Engine.Snapshot().RemoteFallbacks
-				rrBefore := reader.Engine.Snapshot().RemoteReads
-				waitFor(t, "remote path recovered", func() bool {
-					if _, _, err := readCopy(reader.Engine, f, 40, 2); err != nil {
-						return false
-					}
-					s := reader.Engine.Snapshot()
-					return s.RemoteReads > rrBefore && s.RemoteFallbacks == fbBefore
-				})
+				// The remote path carries traffic again from the first
+				// read: nothing cached the refusal, and no new one is
+				// recorded.
+				before := reader.Engine.Snapshot()
+				if _, _, err := readCopy(reader.Engine, f, 40, 2); err != nil {
+					t.Fatalf("first read after the redial: %v", err)
+				}
+				if s := reader.Engine.Snapshot(); s.RemoteReads == before.RemoteReads || s.RemoteFallbacks != before.RemoteFallbacks {
+					t.Errorf("after the redial: remote reads %d→%d, refusals %d→%d; want the read forwarded",
+						before.RemoteReads, s.RemoteReads, before.RemoteFallbacks, s.RemoteFallbacks)
+				}
 				if addr, _ := reader.Node.OwnerOf(f); addr != owner.Addr {
 					t.Errorf("ownership moved to %q across the failure and the recovery", addr)
 				}
 			})
 		})
+	}
+}
+
+// TestOutageWriteIsNotAcknowledged: a write taken while the file's
+// owner is down would land where no other node reads it, so it must
+// fail instead. Each member keeps its store across a restart, so the
+// returning owner still holds the last acknowledged bytes, and every
+// node reads them.
+func TestOutageWriteIsNotAcknowledged(t *testing.T) {
+	stores := make([]*lapcache.MemStore, 3)
+	for i := range stores {
+		stores[i] = lapcache.NewMemStore(testBlockSize, 0)
+	}
+	nodes, stop, err := StartLocal(3, func(i int, _ []string) lapcache.Config {
+		return lapcache.Config{
+			Alg:          core.SpecNP,
+			BlockSize:    testBlockSize,
+			CacheBlocks:  64,
+			StrictLinear: true,
+			PoisonBufs:   true,
+			Store:        stores[i],
+		}
+	})
+	if err != nil {
+		t.Fatalf("StartLocal: %v", err)
+	}
+	t.Cleanup(stop)
+	a, b, owner := nodes[0], nodes[1], nodes[2]
+	f := fileOwnedBy(t, nodes, 2)
+	v1 := bytes.Repeat([]byte{0x11}, testBlockSize)
+	v2 := bytes.Repeat([]byte{0x22}, testBlockSize)
+
+	if err := b.Engine.Write(f, 0, 1, v1); err != nil {
+		t.Fatalf("front B's write of v1: %v", err)
+	}
+
+	owner.kill()
+	writesBefore := a.Engine.Snapshot().StoreWrites
+	if err := a.Engine.Write(f, 0, 1, v2); !errors.Is(err, lapcache.ErrOwnerUnreachable) {
+		t.Errorf("front A's write of v2 with the owner down: err=%v, want %v", err, lapcache.ErrOwnerUnreachable)
+	}
+	if got := a.Engine.Snapshot().StoreWrites; got != writesBefore {
+		t.Errorf("front A wrote %d blocks to its own store for a file it does not own", got-writesBefore)
+	}
+
+	if err := owner.restart(5 * time.Second); err != nil {
+		t.Fatalf("restart: %v", err)
+	}
+	for _, m := range []*LocalNode{a, b} {
+		waitFor(t, "owner redialed", func() bool { return !m.Node.PeerDown(owner.Addr) })
+	}
+	for _, m := range []*LocalNode{owner, a, b} {
+		got, _, err := readCopy(m.Engine, f, 0, 1)
+		if err != nil {
+			t.Fatalf("node %d's read after the restart: %v", m.Index, err)
+		}
+		if !bytes.Equal(got, v1) {
+			t.Errorf("node %d read %#x..., want v1 (%#x...): the last acknowledged write", m.Index, got[0], v1[0])
+		}
 	}
 }
 

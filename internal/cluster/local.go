@@ -36,10 +36,10 @@ type StartLocalOpts struct {
 	// ConnWrap, IdleTimeout, drain tuning.
 	TweakServer func(i int, srv *lapcache.Server)
 	// NoWaitReady returns as soon as every node is serving, without
-	// waiting for the peer mesh: forwards that outrun a dial degrade to
-	// the local store, which is exactly what a fault harness wants to
-	// exercise (under injected dial faults a full mesh may take many
-	// backoff rounds to form).
+	// waiting for the peer mesh: forwards that outrun a dial fail with
+	// lapcache.ErrOwnerUnreachable, which is exactly what a fault
+	// harness wants to exercise (under injected dial faults a full mesh
+	// may take many backoff rounds to form).
 	NoWaitReady bool
 }
 
@@ -154,8 +154,8 @@ func (m *LocalNode) boot(ln net.Listener) error {
 }
 
 // kill tears this member down — server, health loops, engine — while
-// the rest of the cluster keeps running; peers mark it down and
-// degrade its files to their local stores. The fields stay set (their
+// the rest of the cluster keeps running; peers mark it down and fail
+// every request of its files until it returns. The fields stay set (their
 // Close/Shutdown are idempotent, so the cluster-wide stop function
 // remains safe); restart replaces them.
 func (m *LocalNode) kill() {

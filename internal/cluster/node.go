@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/blockdev"
+	"repro/internal/lapcache"
 	"repro/internal/lapclient"
 	"repro/internal/wire"
 )
@@ -32,8 +33,8 @@ type Config struct {
 	// (0 = DefaultPeerCallTimeout, < 0 = unbounded): a peer whose
 	// process is alive but has stopped answering costs a bounded wait,
 	// not a hung caller. On expiry the connection is severed and the
-	// call fails like any transport error: the peer degrades to local
-	// service and the health loop redials.
+	// call fails like any transport error: the peer is marked down
+	// and the health loop redials.
 	PeerCallTimeout time.Duration
 	// DialFunc overrides how the one connection to a peer is dialed
 	// (nil = lapclient.DialConn with window PeerWindow). The
@@ -76,13 +77,12 @@ func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) 
 // goroutine: dial with exponential backoff while down, periodic pings
 // while up, and any transport error — from the health loop or from a
 // forward in flight — marks the peer down on the spot so subsequent
-// forwards degrade to the local store immediately instead of each
-// paying a TCP timeout.
+// forwards fail at once instead of each paying a TCP timeout.
 //
 // The ring and the peer map are fixed at NewNode: Owned reads the ring
 // alone, so a peer going down or coming back changes no ownership
-// decision (a forward to a down peer degrades to local service at the
-// call, and nothing caches that outcome).
+// decision (a forward to a down peer fails at the call, and nothing
+// caches that outcome).
 type Node struct {
 	cfg   Config
 	self  string
@@ -104,8 +104,8 @@ type peer struct {
 }
 
 // NewNode validates the member list and builds the node. Call Start to
-// begin dialing peers; a node that is never started degrades every
-// remote file to the local store (all peers read as down).
+// begin dialing peers; a node that is never started fails every
+// forward with lapcache.ErrOwnerUnreachable (all peers read as down).
 func NewNode(cfg Config) (*Node, error) {
 	if cfg.Self == "" {
 		return nil, fmt.Errorf("cluster: config needs a self address")
@@ -176,8 +176,8 @@ func (n *Node) Close() {
 
 // WaitReady blocks until every peer is dialed and live, or the
 // timeout passes (error names the stragglers). Tests and the demo use
-// it to sequence startup; production callers can skip it — forwards
-// before readiness just degrade locally.
+// it to sequence startup; production callers can skip it — a forward
+// before readiness fails, and the client retries.
 func (n *Node) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
@@ -300,36 +300,33 @@ func (n *Node) fault(p *peer, err error) {
 }
 
 // forward is the one peer RPC: every request this node sends on to
-// another member — span reads, owner-bound writes and closes — takes the peer's live connection, does one exchange and
-// classifies the failure. ok=false means the peer could not be reached
-// (it was down, or a transport error just faulted it): the caller
-// degrades to local service. A ServerError means the peer was reached
-// and refused — ok stays true and the error propagates, because the
-// request itself is bad.
-func (n *Node) forward(p *peer, h wire.Header, payload []byte, dsts [][]byte) (rh wire.Header, ok bool, err error) {
+// f's owner — span reads, owner-bound writes and closes — takes the
+// owner's live connection, does one exchange and classifies the
+// failure. An owner that is down, was just faulted by a transport
+// error, or is not a peer fails the request with
+// lapcache.ErrOwnerUnreachable, unwrapped; a ServerError means the
+// owner was reached and refused, and propagates as it is.
+func (n *Node) forward(f blockdev.FileID, h wire.Header, payload []byte, dsts [][]byte) (wire.Header, error) {
+	p, ok := n.peers[n.ring.Owner(f)]
+	if !ok {
+		return wire.Header{}, lapcache.ErrOwnerUnreachable
+	}
 	conn, up := p.liveConn()
 	if !up {
-		return rh, false, nil
+		return wire.Header{}, lapcache.ErrOwnerUnreachable
 	}
-	rh, _, err = conn.Do(h, payload, dsts)
+	rh, _, err := conn.Do(h, payload, dsts)
 	if err == nil {
-		return rh, true, nil
+		return rh, nil
 	}
 	// Declared past the success return: &se escapes, and the remote-hit
 	// path is gated at 0 allocs/op.
 	var se *lapclient.ServerError
 	if errors.As(err, &se) {
-		return rh, true, err
+		return rh, err
 	}
 	n.fault(p, err)
-	return rh, false, nil
-}
-
-// ownerPeer resolves f's owner to its peer entry; ok=false means the
-// owner is this node (callers should not have forwarded) or unknown.
-func (n *Node) ownerPeer(f blockdev.FileID) (*peer, bool) {
-	p, ok := n.peers[n.ring.Owner(f)]
-	return p, ok
+	return rh, lapcache.ErrOwnerUnreachable
 }
 
 // --- lapcache.RemoteFetcher ---
@@ -339,35 +336,22 @@ func (n *Node) Owned(f blockdev.FileID) bool { return n.ring.Owner(f) == n.self 
 
 // FetchSpan implements lapcache.RemoteFetcher: one pipelined
 // peer-flagged read RPC whose payload lands directly in dsts, served
-// strictly locally by the receiver. An unreachable owner (down, or
-// never a peer) returns ok=false: the caller degrades to its store.
-func (n *Node) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit, ok bool, err error) {
-	p, found := n.ownerPeer(f)
-	if !found {
-		return false, false, nil
-	}
-	rh, ok, err := n.forward(p, lapclient.Req(wire.OpRead, wire.FlagWantData|wire.FlagPeer, f, off, nblocks), nil, dsts)
-	return rh.Flags&wire.FlagHit != 0, ok, err
+// strictly locally by the receiver.
+func (n *Node) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (bool, error) {
+	rh, err := n.forward(f, lapclient.Req(wire.OpRead, wire.FlagWantData|wire.FlagPeer, f, off, nblocks), nil, dsts)
+	return rh.Flags&wire.FlagHit != 0, err
 }
 
 // ForwardWrite implements lapcache.RemoteFetcher.
-func (n *Node) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (bool, error) {
-	p, found := n.ownerPeer(f)
-	if !found {
-		return false, nil
-	}
-	_, ok, err := n.forward(p, lapclient.Req(wire.OpWrite, wire.FlagPeer, f, off, nblocks), data, nil)
-	return ok, err
+func (n *Node) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
+	_, err := n.forward(f, lapclient.Req(wire.OpWrite, wire.FlagPeer, f, off, nblocks), data, nil)
+	return err
 }
 
 // ForwardClose implements lapcache.RemoteFetcher.
-func (n *Node) ForwardClose(f blockdev.FileID) (bool, error) {
-	p, found := n.ownerPeer(f)
-	if !found {
-		return false, nil
-	}
-	_, ok, err := n.forward(p, lapclient.Req(wire.OpClose, wire.FlagPeer, f, 0, 0), nil, nil)
-	return ok, err
+func (n *Node) ForwardClose(f blockdev.FileID) error {
+	_, err := n.forward(f, lapclient.Req(wire.OpClose, wire.FlagPeer, f, 0, 0), nil, nil)
+	return err
 }
 
 // --- the member list ---

@@ -14,11 +14,11 @@
 //
 // The member list is fixed for a node's whole life (Config.Peers), the
 // paper's own setup: every node hashes the same list into the same
-// ring. Liveness never changes ownership — a down owner degrades its
-// files to each node's local store, because two nodes adopting one
-// file's chain is precisely the xFS failure mode the design exists to
-// avoid. A write degraded that way lands in the writer's store, which
-// no other node reads (DESIGN §8, "Consistency").
+// ring. Liveness never changes ownership — a request of a file whose
+// owner is down fails, and the client retries, because two nodes
+// adopting one file's chain is precisely the xFS failure mode the
+// design exists to avoid, and a write taken by any node but the owner
+// would land where no other node reads it (DESIGN §8, "Consistency").
 package cluster
 
 import (

@@ -90,7 +90,7 @@ const (
 
 // DefaultHang bounds a KindHang stall when Rule.Delay is zero. Hangs
 // are bounded on purpose: the harness's job is to prove the system
-// escapes them through deadlines and degrade paths, and an unbounded
+// escapes them through deadlines and failed forwards, and an unbounded
 // sleep would turn an injection bug into a hung test run.
 const DefaultHang = 500 * time.Millisecond
 

@@ -19,10 +19,10 @@ type BlockStore interface {
 // Keys are (node, block ID) — a selected block is a bad sector on that
 // node's disk that fails (or stalls) every access until the rule's
 // budget heals it. The node is part of the key, not just the label:
-// in a cluster the same block is read by its owner normally and by
-// non-owners in degrade mode, and each node's disk must make its own
-// deterministic selection (a shared key would hand the first node to
-// arrive the budget, making the faulted-site set timing-dependent).
+// each node's disk makes its own deterministic selection over every
+// block, so a site names one disk, whichever node the ring makes a
+// block's owner (a shared key would hand the first node to arrive the
+// budget, making the faulted-site set timing-dependent).
 type Store struct {
 	inner BlockStore
 	in    *Injector

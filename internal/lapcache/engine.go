@@ -18,6 +18,7 @@
 package lapcache
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -358,9 +359,8 @@ func (e *Engine) forwarded(f blockdev.FileID, m reqMode) bool {
 // meet in the owner's own fetch path. This node keeps no copy, as each
 // block has one, on its owner, and runs no driver for the file. hit
 // reports the owner answered every block from its memory: a
-// cooperative-cache hit, the satisfaction the paper measures. With no
-// owner reachable the local store fills the buffers, and nothing is
-// cached.
+// cooperative-cache hit, the satisfaction the paper measures. With the
+// owner unreachable the read fails with ErrOwnerUnreachable.
 //
 // On error the appended buffers are released and bufs is returned at
 // its original length.
@@ -376,18 +376,8 @@ func (e *Engine) forwardRead(bufs []*blockbuf.Buf, f blockdev.FileID, off blockd
 		bufs = append(bufs, buf)
 		dsts = append(dsts, buf.Bytes())
 	}
-	hit, served, err := e.remote.FetchSpan(f, off, nblocks, dsts)
-	switch {
-	case !served:
-		e.m.remoteFallbacks.Add(1)
-		hit = false
-		for k, dst := range dsts {
-			if err = e.store.ReadBlock(blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(k)}, dst); err != nil {
-				break
-			}
-			e.m.storeReads.Add(1)
-		}
-	case err == nil:
+	hit, err := e.remote.FetchSpan(f, off, nblocks, dsts)
+	if e.refused(err) == nil {
 		e.m.remoteReads.Add(uint64(nblocks))
 		if hit {
 			e.m.remoteHits.Add(uint64(nblocks))
@@ -577,8 +567,7 @@ func (fo *fetchOp) join() { fo.refs.Add(1) }
 // deterministic fill pattern (the replay client's payload). On a
 // cluster node the write of a non-owned file goes to the ring owner —
 // its store and cache hold the file's one copy — and nothing is kept
-// here; only if no owner is reachable does the write land in the local
-// store, uncached.
+// here; with the owner unreachable it fails with ErrOwnerUnreachable.
 func (e *Engine) Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
 	return e.write(f, off, nblocks, data, modeClient)
 }
@@ -593,23 +582,17 @@ func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, d
 			len(data), int(nblocks)*e.cfg.BlockSize)
 	}
 	if e.forwarded(f, m) {
-		ok, err := e.remote.ForwardWrite(f, off, nblocks, data)
-		if !ok {
-			e.m.remoteFallbacks.Add(1)
-			err = e.installSpan(f, off, nblocks, data, false)
-		} else if err == nil {
-			e.m.forwardedWrites.Add(1)
+		if err := e.refused(e.remote.ForwardWrite(f, off, nblocks, data)); err != nil {
+			return err
 		}
-		if err != nil {
-			return err // the owner refused, or the local store failed
-		}
+		e.m.forwardedWrites.Add(1)
 		e.m.writes.Add(1)
 		return nil
 	}
 	if m == modePeer {
 		e.m.peerWrites.Add(1)
 	}
-	if err := e.installSpan(f, off, nblocks, data, true); err != nil {
+	if err := e.installSpan(f, off, nblocks, data); err != nil {
 		return err
 	}
 	e.m.writes.Add(1)
@@ -621,12 +604,10 @@ func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, d
 }
 
 // installSpan writes nblocks blocks (nil data = fill pattern) to the
-// store and, when cached is set, into the cache. Only a write degraded
-// to this node's store because f's owner is unreachable leaves it
-// unset: this node keeps no copy of a block it does not own. A client's
-// or peer's write over a still-flagged speculative block is that
-// block's first user touch — timely, as in the simulator's write path.
-func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, cached bool) error {
+// store and into the cache. A client's or peer's write over a
+// still-flagged speculative block is that block's first user touch —
+// timely, as in the simulator's write path.
+func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
 	for i := int32(0); i < nblocks; i++ {
 		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
 		buf := e.pool.Get()
@@ -640,9 +621,7 @@ func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks in
 			return err
 		}
 		e.m.storeWrites.Add(1)
-		if !cached {
-			buf.Release()
-		} else if e.cache.Put(b, buf, false) { // the cache takes the reference
+		if e.cache.Put(b, buf, false) { // the cache takes the reference
 			e.timely(f)
 		}
 	}
@@ -652,14 +631,12 @@ func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks in
 // closeFile stops f's prefetch chain until its next request, as the
 // simulator does on trace close steps. The learned model is kept. On
 // a cluster node a client's close of a non-owned file is relayed to
-// the ring owner — the only node with a chain to park — best-effort:
-// a dead owner has nothing running for the file anyway. A
-// peer-forwarded close parks the local chain and is never relayed
-// again.
-func (e *Engine) closeFile(f blockdev.FileID, m reqMode) {
+// the ring owner — the only node with a chain to park — and fails like
+// any forward when the owner is unreachable. A peer-forwarded close
+// parks the local chain and is never relayed again.
+func (e *Engine) closeFile(f blockdev.FileID, m reqMode) error {
 	if e.forwarded(f, m) {
-		e.remote.ForwardClose(f) //nolint:errcheck // best-effort
-		return
+		return e.refused(e.remote.ForwardClose(f))
 	}
 	fl := e.fileState(f)
 	fl.mu.Lock()
@@ -667,6 +644,16 @@ func (e *Engine) closeFile(f blockdev.FileID, m reqMode) {
 		d.StopChain()
 	}
 	fl.mu.Unlock()
+	return nil
+}
+
+// refused counts a forward the owner was unreachable for and returns
+// err unchanged.
+func (e *Engine) refused(err error) error {
+	if errors.Is(err, ErrOwnerUnreachable) {
+		e.m.remoteFallbacks.Add(1)
+	}
+	return err
 }
 
 // feedDriver runs one user request through f's driver under the

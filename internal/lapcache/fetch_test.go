@@ -44,6 +44,10 @@ type fetchSource struct {
 	fill func(n uint64) fetchCounts
 	// fail makes the source return errBoom (after any gate opens).
 	fail func(*fetchFixture)
+	// refusal is the error every read from the source returns whatever
+	// fail did: the owner could not be reached. nil for a source that
+	// serves.
+	refusal error
 }
 
 // remote: the source's reads go to the file's owner, and the front
@@ -70,9 +74,10 @@ var fetchSources = []fetchSource{
 		fill: func(n uint64) fetchCounts {
 			return fetchCounts{remoteReads: n, fetchCalls: 1}
 		}},
-	{name: "ownerDownToStore", file: 7, arm: func(r *fakeRemote) { r.down.Store(true) }, span: fetchSpan, fail: failStore,
-		fill: func(n uint64) fetchCounts {
-			return fetchCounts{fallbacks: 1, storeReads: n, storeCalls: int32(n), fetchCalls: 1}
+	{name: "ownerDown", file: 7, arm: func(r *fakeRemote) { r.down.Store(true) }, span: fetchSpan, fail: failStore,
+		refusal: ErrOwnerUnreachable,
+		fill: func(uint64) fetchCounts {
+			return fetchCounts{fallbacks: 1, fetchCalls: 1}
 		}},
 }
 
@@ -117,6 +122,20 @@ func (fx *fetchFixture) read(off blockdev.BlockNo, n int32) (bool, error) {
 		buf.Release()
 	}
 	return hit, err
+}
+
+// served reports whether err is what a read from the source returns:
+// nil, or the refusal of an owner that could not be reached.
+func (fx *fetchFixture) served(err error) bool { return errors.Is(err, fx.src.refusal) }
+
+// mustRead is read that fails the test on any error but the source's
+// refusal.
+func (fx *fetchFixture) mustRead(off blockdev.BlockNo, n int32) bool {
+	hit, err := fx.read(off, n)
+	if !fx.served(err) {
+		fx.t.Fatalf("read: err=%v, want %v", err, fx.src.refusal)
+	}
+	return hit
 }
 
 // gateSource holds the source's fetches open: entered blocks until a
@@ -201,10 +220,7 @@ func TestFetchPath(t *testing.T) {
 	}{
 		{"cold", func(src fetchSource) int32 { return local(src, fetchSpan) }, func(fx *fetchFixture) (bool, bool, fetchCounts) {
 			fx.gs.Release()
-			hit, err := fx.read(0, fetchSpan)
-			if err != nil {
-				t.Fatalf("read: %v", err)
-			}
+			hit := fx.mustRead(0, fetchSpan)
 			// One source call per source unit: 8 for the store, 1 span RPC
 			// for the owner — its predictor must see the real request.
 			want := fetchCounts{}
@@ -216,10 +232,7 @@ func TestFetchPath(t *testing.T) {
 		{"resident", func(fetchSource) int32 { return fetchSpan }, func(fx *fetchFixture) (bool, bool, fetchCounts) {
 			fx.gs.Release()
 			fx.e.Preload(fx.src.file, 0, fetchSpan, false)
-			hit, err := fx.read(0, fetchSpan)
-			if err != nil {
-				t.Fatalf("read: %v", err)
-			}
+			hit := fx.mustRead(0, fetchSpan)
 			if fx.src.remote() {
 				// A copy here of a block owned elsewhere is never read.
 				return hit, fx.src.memory, fx.src.fill(fetchSpan)
@@ -229,10 +242,7 @@ func TestFetchPath(t *testing.T) {
 		{"residentPrefetched", func(fetchSource) int32 { return fetchSpan }, func(fx *fetchFixture) (bool, bool, fetchCounts) {
 			fx.gs.Release()
 			fx.e.Preload(fx.src.file, 0, fetchSpan, true)
-			hit, err := fx.read(0, fetchSpan)
-			if err != nil {
-				t.Fatalf("read: %v", err)
-			}
+			hit := fx.mustRead(0, fetchSpan)
 			unused := fx.e.Snapshot().PrefetchUnused
 			if fx.src.remote() {
 				if unused != fetchSpan {
@@ -248,8 +258,8 @@ func TestFetchPath(t *testing.T) {
 		{"joinsDemandFill", func(src fetchSource) int32 { return local(src, src.span) }, func(fx *fetchFixture) (bool, bool, fetchCounts) {
 			hits, errs := fx.pile(joiners)
 			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("reader %d: %v", i, err)
+				if !fx.served(err) {
+					t.Fatalf("reader %d: err=%v, want %v", i, err, fx.src.refusal)
 				}
 			}
 			if hits[0] != fx.src.memory {
@@ -286,15 +296,14 @@ func TestFetchPath(t *testing.T) {
 			done := make(chan bool, 1)
 			go func() {
 				hit, err := fx.read(0, 1)
-				if err != nil {
-					t.Errorf("late read: %v", err)
+				if !fx.served(err) {
+					t.Errorf("late read: err=%v, want %v", err, fx.src.refusal)
 				}
 				done <- hit
 			}()
 			if fx.src.remote() {
 				// The read goes to the owner without looking at the fetch
-				// in flight here (a down owner's fallback then waits for
-				// the store like any other store read).
+				// in flight here.
 				waitFor(t, "the read to reach the owner", func() bool { return fx.rem.fetchCalls.Load() == 1 })
 			} else {
 				waitFor(t, "late classification", func() bool { return fx.e.Snapshot().PrefetchLate == 1 })
@@ -333,8 +342,8 @@ func TestFetchPath(t *testing.T) {
 				if src.remote() {
 					// Reading again goes to the owner again, one FetchSpan,
 					// and still caches nothing here.
-					if hit, err := fx.read(0, fetchSpan); err != nil || hit != src.memory {
-						t.Errorf("re-read: hit=%v err=%v, want hit=%v", hit, err, src.memory)
+					if hit, err := fx.read(0, fetchSpan); !fx.served(err) || hit != src.memory {
+						t.Errorf("re-read: hit=%v err=%v, want hit=%v err=%v", hit, err, src.memory, src.refusal)
 					}
 					want = want.plus(src.fill(fetchSpan))
 					if got := fx.counts(); got != want {
@@ -343,6 +352,7 @@ func TestFetchPath(t *testing.T) {
 					if got := fx.e.Snapshot().CachedBlocks; got != int(cached) {
 						t.Errorf("re-read: %d blocks cached, want still %d", got, cached)
 					}
+					fx.checkNoLeak()
 					return
 				}
 				// Everything read is cached now: reading it again is a pure
@@ -354,6 +364,7 @@ func TestFetchPath(t *testing.T) {
 				if got := fx.counts(); got != want {
 					t.Errorf("re-read moved more than demand_hits:\n got %+v\nwant %+v", got, want)
 				}
+				fx.checkNoLeak()
 			})
 		}
 	}
@@ -370,17 +381,22 @@ func local(src fetchSource, n int32) int32 {
 
 // TestFetchPathError fails each source under a read with others piled
 // on it: every reader gets the error, nothing is cached or left
-// registered, and not one buffer of the reads leaks.
+// registered, and not one buffer of the reads leaks. A source that
+// refuses every read fails with its refusal, whatever else fails.
 func TestFetchPathError(t *testing.T) {
 	for _, src := range fetchSources {
 		src := src
 		t.Run(src.name, func(t *testing.T) {
 			fx := newFetchFixture(t, src)
 			src.fail(fx)
+			want := errBoom
+			if src.refusal != nil {
+				want = src.refusal
+			}
 			_, errs := fx.pile(3)
 			for i, err := range errs {
-				if !errors.Is(err, errBoom) {
-					t.Errorf("reader %d: err=%v, want the source's error", i, err)
+				if !errors.Is(err, want) {
+					t.Errorf("reader %d: err=%v, want %v", i, err, want)
 				}
 			}
 			if n := fx.inflightLen(); n != 0 {
@@ -390,11 +406,17 @@ func TestFetchPathError(t *testing.T) {
 				t.Errorf("failed fill published something: cached=%d store_reads=%d remote_reads=%d",
 					s.CachedBlocks, s.StoreReads, s.RemoteReads)
 			}
-			fx.e.Shutdown()
-			fx.e.DrainCache()
-			if live := fx.e.BufLive(); live != 0 {
-				t.Errorf("%d buffers still live: the error path leaks run buffers", live)
-			}
+			fx.checkNoLeak()
 		})
+	}
+}
+
+// checkNoLeak stops the engine, empties its cache and fails the test
+// unless every buffer the reads took is back in the pool.
+func (fx *fetchFixture) checkNoLeak() {
+	fx.e.Shutdown()
+	fx.e.DrainCache()
+	if live := fx.e.BufLive(); live != 0 {
+		fx.t.Errorf("%d buffers still live: a read path leaks run buffers", live)
 	}
 }

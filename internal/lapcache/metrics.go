@@ -69,17 +69,17 @@ type Snapshot struct {
 	// in the cache at snapshot time.
 	PrefetchUnused uint64 `json:"prefetch_unused"`
 
-	// Backing store traffic: blocks successfully read (demand fills,
-	// prefetches and owner-unreachable fallbacks alike) and
-	// successfully written; a failed call counts nothing.
+	// Backing store traffic: blocks successfully read (demand fills
+	// and prefetches alike) and successfully written, only ever of
+	// files this node owns; a failed call counts nothing.
 	StoreReads  uint64 `json:"store_reads"`
 	StoreWrites uint64 `json:"store_writes"`
 
 	// Cooperative peer tier. RemoteReads counts blocks fetched from a
 	// file's owner node; RemoteHits/RemoteMisses classify those
 	// forward RPCs by whether the owner served entirely from memory.
-	// RemoteFallbacks counts reads and writes degraded to the local
-	// store because no live owner was reachable. PeerReadsServed/PeerWritesServed
+	// RemoteFallbacks counts forwards refused because the owner was
+	// unreachable (ErrOwnerUnreachable). PeerReadsServed/PeerWritesServed
 	// are the owner side: forwarded requests served for peers.
 	RemoteReads      uint64 `json:"remote_reads,omitempty"`
 	RemoteHits       uint64 `json:"remote_hits,omitempty"`

@@ -1,6 +1,10 @@
 package lapcache
 
-import "repro/internal/blockdev"
+import (
+	"errors"
+
+	"repro/internal/blockdev"
+)
 
 // The cooperative peer tier (internal/cluster) plugs into the engine
 // and the server through the two small interfaces below, rather than
@@ -19,11 +23,18 @@ import "repro/internal/blockdev"
 // write of the file to the owner, whose memory is an order of
 // magnitude closer than disk, and each block has one copy, there.
 
+// ErrOwnerUnreachable fails a client's read, write or close of a file
+// owned elsewhere when the owner could not be reached; nothing is
+// served from, or written to, this node's store instead. A client
+// matches its text in the server's error frame, and retries.
+var ErrOwnerUnreachable = errors.New("lapcache: owner unreachable")
+
 // RemoteFetcher is the engine's hook into the peer tier. A nil
 // RemoteFetcher (the default) is a single-node engine: every file is
 // owned locally and nothing is forwarded. Implementations must be safe
 // for concurrent use; every method is called without engine locks
-// held.
+// held. A forward fails with ErrOwnerUnreachable, unwrapped, or with
+// the error of an owner that was reached and refused.
 type RemoteFetcher interface {
 	// Owned reports whether this node owns f — runs its prefetch
 	// chain and serves its backing-store reads. Pure ring arithmetic
@@ -37,19 +48,14 @@ type RemoteFetcher interface {
 	// to the block size): the caller's own buffers, which the engine
 	// hands to its client and never caches. hit reports the owner
 	// answered every block from its memory: a remote memory hit, the
-	// cooperative-cache fast path. ok=false means the owner is
-	// unreachable: the caller degrades to its local store. err is only
-	// non-nil when ok is true: the owner itself refused the request.
-	FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit, ok bool, err error)
+	// cooperative-cache fast path.
+	FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit bool, err error)
 
 	// ForwardWrite sends a write of f to its owner so the data lands
-	// in the owner's store and cache, the block's one copy. Semantics
-	// of ok and err match FetchSpan: ok=false degrades the write to
-	// the local store, where no other node will read it.
-	ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (ok bool, err error)
+	// in the owner's store and cache, the block's one copy.
+	ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error
 
 	// ForwardClose tells f's owner this node's clients are done with
 	// the file for now, parking the owner-side prefetch chain.
-	// Best-effort: a down owner has no chain to park.
-	ForwardClose(f blockdev.FileID) (ok bool, err error)
+	ForwardClose(f blockdev.FileID) error
 }

@@ -1,6 +1,7 @@
 package lapcache
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,7 +18,7 @@ type fakeRemote struct {
 	fetchCalls atomic.Int32
 	writeCalls atomic.Int32
 	closeCalls atomic.Int32
-	down       atomic.Bool           // every forward reports no live owner
+	down       atomic.Bool           // the owner is unreachable: every forward fails
 	miss       atomic.Bool           // the owner serves spans from its disk, not its memory
 	refuse     atomic.Pointer[error] // the owner is reached and refuses every span
 
@@ -28,7 +29,7 @@ type fakeRemote struct {
 
 func (r *fakeRemote) Owned(f blockdev.FileID) bool { return f%2 == 0 }
 
-func (r *fakeRemote) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit, ok bool, err error) {
+func (r *fakeRemote) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (bool, error) {
 	r.fetchCalls.Add(1)
 	r.mu.Lock()
 	gate, entered := r.gate, r.entered
@@ -39,30 +40,39 @@ func (r *fakeRemote) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks 
 	if gate != nil {
 		<-gate
 	}
-	if r.down.Load() {
-		return false, false, nil
+	if err := r.reach(); err != nil {
+		return false, err
 	}
 	if err := r.refuse.Load(); err != nil {
-		return false, true, *err
+		return false, *err
 	}
 	for i := int32(0); i < nblocks; i++ {
 		FillPattern(blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}, dsts[i])
 	}
-	return !r.miss.Load(), true, nil
+	return !r.miss.Load(), nil
 }
 
-func (r *fakeRemote) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (bool, error) {
+func (r *fakeRemote) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
 	r.writeCalls.Add(1)
-	return !r.down.Load(), nil
+	return r.reach()
 }
 
-func (r *fakeRemote) ForwardClose(f blockdev.FileID) (bool, error) {
+func (r *fakeRemote) ForwardClose(f blockdev.FileID) error {
 	r.closeCalls.Add(1)
-	return !r.down.Load(), nil
+	return r.reach()
+}
+
+// reach is what trying to reach the owner returns.
+func (r *fakeRemote) reach() error {
+	if r.down.Load() {
+		return ErrOwnerUnreachable
+	}
+	return nil
 }
 
 // TestRemoteForwardWriteAndClose checks the owner-bound write path
-// (forwarded, nothing kept here) and the best-effort close relay.
+// (forwarded, nothing kept here) and the close relay, and that both
+// fail when the owner is unreachable.
 func TestRemoteForwardWriteAndClose(t *testing.T) {
 	rem := &fakeRemote{}
 	e := newTestEngine(t, Config{Alg: core.SpecNP, Remote: rem})
@@ -90,25 +100,35 @@ func TestRemoteForwardWriteAndClose(t *testing.T) {
 		t.Errorf("read after a forwarded write made %d fetches, want 1", got)
 	}
 
-	e.closeFile(3, modeClient)
+	if err := e.closeFile(3, modeClient); err != nil {
+		t.Fatalf("forwarded close: %v", err)
+	}
 	if got := rem.closeCalls.Load(); got != 1 {
 		t.Errorf("ForwardClose called %d times, want 1", got)
 	}
-	e.closeFile(2, modeClient) // owned: no relay
+	if err := e.closeFile(2, modeClient); err != nil { // owned: no relay
+		t.Fatalf("owned close: %v", err)
+	}
 	if got := rem.closeCalls.Load(); got != 1 {
 		t.Errorf("owned close relayed (%d calls)", got)
 	}
 
-	// With no live owner the write lands in the local store instead,
-	// and still not in the cache.
+	// With the owner unreachable the write is refused: nothing lands in
+	// this node's store or cache, and it is not acknowledged.
 	rem.down.Store(true)
-	if err := e.Write(5, 0, 2, nil); err != nil {
-		t.Fatalf("degraded write: %v", err)
+	if err := e.Write(5, 0, 2, nil); !errors.Is(err, ErrOwnerUnreachable) {
+		t.Fatalf("write with the owner down: err=%v, want %v", err, ErrOwnerUnreachable)
 	}
 	s = e.Snapshot()
-	if s.RemoteFallbacks != 1 || s.StoreWrites != 2 || s.ForwardedWrites != 1 || s.CachedBlocks != 0 {
-		t.Errorf("degraded write: fallbacks=%d local=%d forwarded=%d cached=%d, want 1/2/1/0",
-			s.RemoteFallbacks, s.StoreWrites, s.ForwardedWrites, s.CachedBlocks)
+	if s.RemoteFallbacks != 1 || s.StoreWrites != 0 || s.ForwardedWrites != 1 || s.Writes != 1 || s.CachedBlocks != 0 {
+		t.Errorf("refused write: fallbacks=%d local=%d forwarded=%d writes=%d cached=%d, want 1/0/1/1/0",
+			s.RemoteFallbacks, s.StoreWrites, s.ForwardedWrites, s.Writes, s.CachedBlocks)
+	}
+	if err := e.closeFile(5, modeClient); !errors.Is(err, ErrOwnerUnreachable) {
+		t.Fatalf("close with the owner down: err=%v, want %v", err, ErrOwnerUnreachable)
+	}
+	if got := e.Snapshot().RemoteFallbacks; got != 2 {
+		t.Errorf("refused close: fallbacks=%d, want 2", got)
 	}
 }
 

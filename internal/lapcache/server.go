@@ -676,7 +676,9 @@ func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte)
 		}
 
 	case wire.OpClose:
-		s.e.closeFile(f, m)
+		if err := s.e.closeFile(f, m); err != nil {
+			return refuse(err.Error())
+		}
 
 	case wire.OpPing:
 		doc = pingPayload{Alg: s.e.AlgName(), BlockSize: s.e.BlockSize()}

@@ -232,7 +232,7 @@ func TestProtocolNegotiationMatrix(t *testing.T) {
 	// build may send ops or flags this server has never heard of. The
 	// server must answer each with a clean error frame and keep the
 	// connection alive — never wedge it — so a mixed-version cluster
-	// degrades per-request instead of per-connection.
+	// fails per request instead of per connection.
 	t.Run("future-op-vs-new-server", func(t *testing.T) {
 		addr := startServer(t, cfg)
 		c, err := DialConn(addr, 0)

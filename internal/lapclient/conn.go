@@ -23,9 +23,10 @@ var ErrDeadline = errors.New("lapclient: request deadline exceeded")
 
 // ServerError is an error frame from the server: the request was
 // delivered and the server refused it. Every other failure mode —
-// dial, write, torn connection — surfaces as a plain error. The cluster layer leans on the distinction: a refusal
-// propagates to the caller, a transport error marks the peer down and
-// degrades service to the local store.
+// dial, write, torn connection — surfaces as a plain error. The
+// cluster layer leans on the distinction: a refusal propagates to the
+// caller, a transport error marks the peer down and fails the request
+// with lapcache.ErrOwnerUnreachable.
 type ServerError struct {
 	Op  wire.Op
 	Msg string
@@ -168,7 +169,7 @@ func (c *Conn) Info() PingInfo { return c.info }
 //
 // The cluster tier sets this on its peer connections, so a peer that
 // stops answering costs a transport error the cluster already
-// tolerates — the peer degrades and the health loop redials.
+// handles — the forward fails and the health loop redials.
 func (c *Conn) SetCallTimeout(d time.Duration) { c.callTimeout.Store(int64(d)) }
 
 // Close tears the connection down; in-flight calls fail.

@@ -41,8 +41,8 @@
 // connection. That is what lets a newer peer talk to an older server
 // during a rolling upgrade: the new op fails cleanly, the connection
 // stays usable, and the caller can fall back. (Peer forwards between
-// lapcached nodes rely on this: a mixed-version cluster degrades to
-// local service rather than wedging connections.) Bytes that are not
+// lapcached nodes rely on this: in a mixed-version cluster the request
+// fails rather than wedging the connection.) Bytes that are not
 // a frame at all — a client from before the binary protocol sending a
 // JSON line — fail the version check within the first PrefixSize
 // bytes, so the receiver can drop the connection without waiting for
