@@ -92,6 +92,7 @@ type Invariants struct {
 	InjectedErrors   int      `json:"injected_errors"`   // informational
 	TransportErrors  int      `json:"transport_errors"`  // tolerated iff plan targets the wire
 	RefusedForwards  uint64   `json:"refused_forwards"`  // informational
+	AbandonedSteps   int      `json:"abandoned_steps"`   // informational: steps given up after every attempt failed
 	Wedged           bool     `json:"wedged"`            // must be false
 }
 
@@ -169,10 +170,10 @@ func (r Result) String() string {
 	}
 	sort.Strings(reasons)
 	fmt.Fprintf(&b, "closes: %s\n", strings.Join(reasons, " "))
-	fmt.Fprintf(&b, "invariants: ownerHW=%d/cap=%d overCap=%d nonOwnerDriven=%d linearViol=%d bufLive=%d mismatches=%d unexpected=%d injectedErrs=%d transportErrs=%d refused=%d wedged=%v\n",
+	fmt.Fprintf(&b, "invariants: ownerHW=%d/cap=%d overCap=%d nonOwnerDriven=%d linearViol=%d bufLive=%d mismatches=%d unexpected=%d injectedErrs=%d transportErrs=%d refused=%d abandoned=%d wedged=%v\n",
 		r.Inv.MaxOwnerHW, r.Inv.DegreeCap, len(r.Inv.OverCap), len(r.Inv.NonOwnerDriven), r.Inv.LinearViolations, r.Inv.BufLive,
 		r.Inv.DataMismatches, len(r.Inv.UnexpectedErrors), r.Inv.InjectedErrors,
-		r.Inv.TransportErrors, r.Inv.RefusedForwards, r.Inv.Wedged)
+		r.Inv.TransportErrors, r.Inv.RefusedForwards, r.Inv.AbandonedSteps, r.Inv.Wedged)
 	if err := r.Inv.Check(); err != nil {
 		fmt.Fprintf(&b, "VERDICT: FAIL — %v\n", err)
 	} else {
@@ -243,7 +244,8 @@ func Run(cfg Config) (Result, error) {
 			ncfg.BackoffMax = 200 * time.Millisecond
 			// Healthy calls here are sub-millisecond and injected stalls
 			// tens of milliseconds; a second of silence is a wedged peer,
-			// which the timeout severs well inside replayTimeout.
+			// which the connection's watchdog severs after 1 to 1.5 s,
+			// well inside replayTimeout.
 			ncfg.PeerCallTimeout = time.Second
 			ncfg.DialFunc = func(addr string) (*lapclient.Conn, error) {
 				to := -1
@@ -308,7 +310,7 @@ func Run(cfg Config) (Result, error) {
 	var unexpectedN int
 	res.Requests, res.Reads, res.ReadHits, res.Writes, res.Redials,
 		res.Inv.DataMismatches, res.Inv.InjectedErrors, res.Inv.TransportErrors,
-		unexpectedN, res.Inv.UnexpectedErrors = rep.stats()
+		res.Inv.AbandonedSteps, unexpectedN, res.Inv.UnexpectedErrors = rep.stats()
 	if unexpectedN > len(res.Inv.UnexpectedErrors) {
 		res.Inv.UnexpectedErrors = append(res.Inv.UnexpectedErrors,
 			fmt.Sprintf("... and %d more", unexpectedN-len(res.Inv.UnexpectedErrors)))

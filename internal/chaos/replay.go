@@ -21,9 +21,9 @@ import (
 const maxUnexpected = 16
 
 // stepAttempts bounds retries of one trace step across redials and
-// refusals; a step that keeps failing is abandoned (the invariants
-// care about error classification and data integrity, not per-op
-// success).
+// refusals; a step that keeps failing is abandoned and counted (the
+// invariants care about error classification and data integrity, not
+// per-op success).
 const stepAttempts = 3
 
 // ownerRetryPause is how long a step refused with its file's owner
@@ -102,6 +102,7 @@ type replayer struct {
 	mismatches    int
 	injectedErrs  int
 	transportErrs int
+	abandoned     int // steps given up after stepAttempts attempts
 	unexpectedN   int
 	unexpected    []string
 }
@@ -153,11 +154,11 @@ func (r *replayer) closeClients() {
 
 // stats returns a locked snapshot of the replay counters (safe even
 // while a wedged replay goroutine is still failing in the background).
-func (r *replayer) stats() (requests, reads, hits, writes, redials, mismatches, injected, transport, unexpectedN int, unexpected []string) {
+func (r *replayer) stats() (requests, reads, hits, writes, redials, mismatches, injected, transport, abandoned, unexpectedN int, unexpected []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.requests, r.reads, r.hits, r.writes, r.redials, r.mismatches,
-		r.injectedErrs, r.transportErrs, r.unexpectedN, append([]string(nil), r.unexpected...)
+		r.injectedErrs, r.transportErrs, r.abandoned, r.unexpectedN, append([]string(nil), r.unexpected...)
 }
 
 // isInjected reports whether err is one the plan manufactured. The
@@ -177,7 +178,8 @@ func (r *replayer) noteUnexpected(detail string) {
 }
 
 // step issues one trace step, retrying through redials, and
-// classifies whatever comes back:
+// classifies whatever comes back; a step still failing after
+// stepAttempts attempts is counted as abandoned:
 //
 //   - success: reads are verified byte for byte against the oracle.
 //   - injected error (the marker): expected, counted, done — the
@@ -210,6 +212,9 @@ func (r *replayer) step(nc *nodeClient, s workload.Step) {
 			return
 		}
 	}
+	r.mu.Lock()
+	r.abandoned++
+	r.mu.Unlock()
 }
 
 // classify buckets one error; done reports that the step should not

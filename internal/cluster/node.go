@@ -32,9 +32,10 @@ type Config struct {
 	// PeerCallTimeout bounds every synchronous RPC to a peer
 	// (0 = DefaultPeerCallTimeout, < 0 = unbounded): a peer whose
 	// process is alive but has stopped answering costs a bounded wait,
-	// not a hung caller. On expiry the connection is severed and the
-	// call fails like any transport error: the peer is marked down
-	// and the health loop redials.
+	// not a hung caller. A call unanswered after more than the timeout
+	// (at most 1.5 times it: lapclient.Conn.SetCallTimeout) severs the
+	// connection and fails like any transport error: the peer is
+	// marked down and the health loop redials.
 	PeerCallTimeout time.Duration
 	// DialFunc overrides how the one connection to a peer is dialed
 	// (nil = lapclient.DialConn with window PeerWindow). The
@@ -54,9 +55,9 @@ type Config struct {
 // rather than split across connections.
 const PeerWindow = 2 * lapclient.DefaultWindow
 
-// DefaultPeerCallTimeout bounds peer RPCs when the caller passes 0:
-// two orders of magnitude above any healthy round trip, far below
-// "operator notices the cluster is wedged".
+// DefaultPeerCallTimeout bounds peer RPCs when the caller passes 0 (a
+// call fails after 5–7.5 s): two orders of magnitude above any healthy
+// round trip, far below "operator notices the cluster is wedged".
 const DefaultPeerCallTimeout = 5 * time.Second
 
 // Clock is the slice of time the health loop consumes; tests inject a

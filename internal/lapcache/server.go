@@ -240,15 +240,14 @@ func (s *Server) isClosing() bool {
 	}
 }
 
-// armRead sets the deadline for the next blocking read on conn:
-// the idle timeout if configured, cleared otherwise — and an
-// immediate deadline if the server is closing (re-checked after
-// setting, so a racing Close cannot be overwritten into oblivion).
+// armRead sets the deadline for the next blocking read on conn: the
+// idle timeout if configured, and an immediate deadline if the server
+// is closing (re-checked after setting, so a racing Close cannot be
+// overwritten into oblivion). Without an idle timeout only Close sets
+// one, so a request clears none (a network-poller trip for nothing).
 func (s *Server) armRead(conn net.Conn) {
 	if s.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.IdleTimeout))
-	} else {
-		conn.SetReadDeadline(time.Time{})
 	}
 	if s.isClosing() {
 		conn.SetReadDeadline(time.Now())

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"net"
 	"runtime"
 	"sync"
@@ -15,10 +16,10 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrDeadline reports a call whose response frame had not arrived
-// when the connection's call timeout (SetCallTimeout) expired. The
-// connection is severed with it, so every call then in flight fails
-// with an error wrapping ErrDeadline.
+// ErrDeadline reports a call unanswered for more than the
+// connection's call timeout d (at most 1.5 d; see SetCallTimeout). The
+// watchdog severs the connection with it, so every call then in flight
+// fails with an error wrapping ErrDeadline.
 var ErrDeadline = errors.New("lapclient: request deadline exceeded")
 
 // ServerError is an error frame from the server: the request was
@@ -42,7 +43,8 @@ const DefaultWindow = 32
 // and pipelined: up to window requests ride the wire at once, and a
 // reader goroutine matches responses to waiters by the frame sequence
 // number — so one slow round trip does not head-of-line block every
-// other caller on the connection.
+// other caller on the connection. A call in flight holds a slot of a
+// table made at dial, named by its Seq's low bits: no map, no pool.
 //
 // The write side is a group commit: Do queues its frame, and a caller
 // that finds no flush in progress writes everything queued with one
@@ -65,53 +67,30 @@ type Conn struct {
 	// writev began: callers woken but not yet queued again.
 	delivered atomic.Int64
 
-	seq    atomic.Uint32
-	window chan struct{} // in-flight slots
-
-	callTimeout atomic.Int64 // max call wait in ns; 0 = unbounded
+	free     chan int32    // indexes of unoccupied slots: the window
+	tick     atomic.Uint32 // watchdog ticks so far (see watch)
+	reading  atomic.Uint32 // 1 + the tick of the call whose payload is being read
+	watching atomic.Bool   // the watchdog has been started
 
 	pmu     sync.Mutex
-	pending map[uint32]*pendingCall
+	slots   []pendingCall // a power of two of them; on pmu: live, seq, tick
 	readErr error
-	dead    chan struct{} // closed when the reader goroutine exits
+	dead    chan struct{} // closed when the connection fails
 }
 
-// pendingCall is one in-flight request awaiting its response frame;
-// the caller waits on ch. When dsts is non-nil and the response is a
-// successful read whose payload length matches, the reader lands the
-// payload directly into the caller's buffers — the zero-copy half of
-// peer forwarding: block bytes go socket → blockbuf with no
-// intermediate allocation.
+// pendingCall is one slot of the connection's call table: while live,
+// the request whose Seq is seq awaits its response on ch (never closed:
+// a call drains its one delivery before freeing the slot). A
+// successful read whose payload fits dsts lands straight in the
+// caller's buffers — the zero-copy half of peer forwarding: block bytes
+// go socket → blockbuf with no intermediate allocation.
 type pendingCall struct {
 	ch   chan response
 	err  error // set by deliver before the ch send
 	dsts [][]byte
-
-	// tmr is the reusable call-timeout timer; it travels with the call
-	// record through the pool, so a timed call costs no timer
-	// allocation in steady state.
-	tmr *time.Timer
-}
-
-// callPool recycles call records — the pendingCall, its buffered
-// response channel and its timeout timer — across calls and
-// connections: the last per-request allocations on the hot read path.
-var callPool = sync.Pool{New: func() any { return &pendingCall{ch: make(chan response, 1)} }}
-
-// getCall takes a recycled call record for one exchange.
-func getCall(dsts [][]byte) *pendingCall {
-	call := callPool.Get().(*pendingCall)
-	call.err = nil
-	call.dsts = dsts
-	return call
-}
-
-// putCall recycles a call record. The caller must have consumed the
-// channel's delivery (or know none happened): a stale buffered
-// response would corrupt the next exchange.
-func putCall(call *pendingCall) {
-	call.dsts = nil
-	callPool.Put(call)
+	seq  uint32 // the Seq of the slot's current (or last) call
+	tick uint32 // the watchdog tick when that call registered
+	live bool   // the call awaits its response
 }
 
 // response is one matched response frame.
@@ -143,14 +122,18 @@ func DialConnWith(addr string, window int, wrap ConnWrap) (*Conn, error) {
 		window = DefaultWindow
 	}
 	c := &Conn{
-		conn:    conn,
-		queue:   new(wire.FrameBatch),
-		spare:   new(wire.FrameBatch),
-		window:  make(chan struct{}, window),
-		pending: make(map[uint32]*pendingCall),
-		dead:    make(chan struct{}),
+		conn:  conn,
+		queue: new(wire.FrameBatch),
+		spare: new(wire.FrameBatch),
+		free:  make(chan int32, window),
+		slots: make([]pendingCall, 1<<bits.Len(uint(window-1))),
+		dead:  make(chan struct{}),
 	}
 	c.wrote.L = &c.qmu
+	for i := range window {
+		c.slots[i] = pendingCall{ch: make(chan response, 1), seq: uint32(i)}
+		c.free <- int32(i)
+	}
 	go c.readLoop(bufio.NewReaderSize(conn, 64<<10))
 	if c.info, err = Ping(c); err != nil {
 		c.Close()
@@ -162,15 +145,50 @@ func DialConnWith(addr string, window int, wrap ConnWrap) (*Conn, error) {
 // Info returns the server self-description captured by the handshake.
 func (c *Conn) Info() PingInfo { return c.info }
 
-// SetCallTimeout bounds every call on the connection: a response
-// frame that hasn't arrived within d means the connection is treated
-// as dead — it is severed, and every in-flight call fails with a
-// transport error. Zero (the default) waits forever.
+// SetCallTimeout bounds every call on the connection: a call whose
+// response has not arrived after more than d, and at most 1.5 d, means
+// the connection is dead — it is severed, and every in-flight call
+// fails with a transport error wrapping ErrDeadline. The first
+// positive d starts the connection's one watchdog; later calls change
+// nothing, and without one a call waits forever.
 //
 // The cluster tier sets this on its peer connections, so a peer that
 // stops answering costs a transport error the cluster already
 // handles — the forward fails and the health loop redials.
-func (c *Conn) SetCallTimeout(d time.Duration) { c.callTimeout.Store(int64(d)) }
+func (c *Conn) SetCallTimeout(d time.Duration) {
+	if d > 0 && c.watching.CompareAndSwap(false, true) {
+		go c.watch(d)
+	}
+}
+
+// watch is the connection's watchdog, so that no call arms a timer.
+// Every d/2 it advances the tick; a call registers between two ticks,
+// so one that has seen three has waited more than d and at most 1.5 d
+// (give or take this goroutine's wake-up), and the watchdog severs the
+// connection; a call whose payload the reader is reading counts too.
+// It exits when the connection fails, for whatever reason.
+func (c *Conn) watch(d time.Duration) {
+	t := time.NewTicker(max(d/2, 1))
+	defer t.Stop()
+	for {
+		select {
+		case <-c.dead:
+			return
+		case <-t.C:
+		}
+		now, r := c.tick.Add(1), c.reading.Load()
+		overdue := r != 0 && now-(r-1) >= 3
+		c.pmu.Lock()
+		for i := range c.slots {
+			overdue = overdue || c.slots[i].live && now-c.slots[i].tick >= 3
+		}
+		c.pmu.Unlock()
+		if overdue {
+			c.fail(fmt.Errorf("lapclient: call timed out after %v: %w", d, ErrDeadline))
+			return
+		}
+	}
+}
 
 // Close tears the connection down; in-flight calls fail.
 func (c *Conn) Close() error { return c.conn.Close() }
@@ -188,8 +206,13 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 			return
 		}
 		c.pmu.Lock()
-		call := c.pending[h.Seq]
-		delete(c.pending, h.Seq)
+		call := &c.slots[h.Seq&uint32(len(c.slots)-1)]
+		if call.live && call.seq == h.Seq {
+			call.live = false // out of fail's reach: delivered below
+			c.reading.Store(call.tick + 1)
+		} else {
+			call = nil // a free slot, or an earlier call of it
+		}
 		c.pmu.Unlock()
 		if call == nil {
 			c.fail(fmt.Errorf("lapclient: response for unknown seq %d", h.Seq))
@@ -210,12 +233,13 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 			// concurrent caller, so the loop cannot reuse it.
 			resp.payload, err = wire.ReadPayload(br, h, nil)
 		}
+		c.reading.Store(0)
 		if err != nil {
-			// The current call has already left the pending map, so fail's
-			// sweep cannot reach it — deliver its error explicitly.
-			lost := fmt.Errorf("lapclient: connection lost: %w", err)
-			c.fail(lost)
-			c.deliver(call, response{}, lost)
+			// The current call is no longer live, so fail's sweep cannot
+			// reach it — deliver it the error that poisoned the
+			// connection (the watchdog's, if that cut the read short).
+			c.fail(fmt.Errorf("lapclient: connection lost: %w", err))
+			c.deliver(call, response{}, c.readErr) // set for good by now
 			return
 		}
 		c.delivered.Add(1)
@@ -223,10 +247,9 @@ func (c *Conn) readLoop(br *bufio.Reader) {
 	}
 }
 
-// deliver completes one call that has been removed from the pending
-// map: it records the error and hands the response to the waiter —
-// always a send, the channel is never closed, so the call record can
-// be recycled.
+// deliver completes one call that is no longer live: it records the
+// error and hands the response to the waiter — always a send, the
+// channel is never closed, so the slot can take the next call.
 func (c *Conn) deliver(call *pendingCall, resp response, err error) {
 	call.err = err
 	call.ch <- resp
@@ -242,23 +265,26 @@ func payloadLen(dsts [][]byte) int {
 }
 
 // fail poisons the connection: current and future callers get err.
+// It delivers under pmu (a live call's channel is empty), so no call
+// registers between the poisoning and the sweep.
 func (c *Conn) fail(err error) {
 	c.pmu.Lock()
 	if c.readErr == nil {
 		c.readErr = err
 		close(c.dead)
 	}
-	pending := c.pending
-	c.pending = make(map[uint32]*pendingCall)
+	for i := range c.slots {
+		if call := &c.slots[i]; call.live {
+			call.live = false
+			c.deliver(call, response{}, err)
+		}
+	}
 	c.pmu.Unlock()
 	c.conn.Close()
-	for _, call := range pending {
-		c.deliver(call, response{}, err)
-	}
 }
 
-// Dead reports that the connection's reader has exited — it can never
-// carry another request, and its owner dials a new one.
+// Dead reports that the connection has failed — it can never carry
+// another request, and its owner dials a new one.
 func (c *Conn) Dead() bool {
 	select {
 	case <-c.dead:
@@ -334,7 +360,7 @@ func (c *Conn) flush() {
 // *ServerError. When dsts is non-nil the payload of a successful read
 // is landed directly in it (one pre-sized slice per block) and the
 // returned payload is nil: with the shared vectored write and the
-// recycled call record, such a read costs zero allocations end to end
+// slot's reused call record, such a read costs zero allocations end to end
 // — the hot-path contract TestLocalHitAllocs and the cluster's
 // TestRemoteHitAllocs assert.
 //
@@ -347,58 +373,32 @@ func (c *Conn) Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []
 	if len(payload) > wire.MaxPayload {
 		return wire.Header{}, nil, wire.ErrFrameTooLarge
 	}
+	var slot int32
 	select {
-	case c.window <- struct{}{}:
+	case slot = <-c.free:
 	case <-c.dead:
-		return wire.Header{}, nil, c.err()
+		return wire.Header{}, nil, c.readErr // set before dead closed, and for good
 	}
-	defer func() { <-c.window }()
-
-	h.Seq = c.seq.Add(1)
-	call := getCall(dsts)
+	call := &c.slots[slot]
 	c.pmu.Lock()
-	if c.readErr != nil {
+	if err := c.readErr; err != nil {
 		c.pmu.Unlock()
-		putCall(call)
-		return wire.Header{}, nil, c.err()
+		c.free <- slot
+		return wire.Header{}, nil, err
 	}
-	c.pending[h.Seq] = call
+	call.seq += uint32(len(c.slots)) // the slot's next call: same low bits
+	call.tick = c.tick.Load()
+	call.dsts = dsts
+	call.live = true
+	h.Seq = call.seq
 	c.pmu.Unlock()
 
 	gen := c.send(h, payload)
 
-	var resp response
-	if d := time.Duration(c.callTimeout.Load()); d > 0 {
-		t := call.tmr
-		if t == nil {
-			t = time.NewTimer(d)
-			call.tmr = t
-		} else {
-			t.Reset(d)
-		}
-		select {
-		case resp = <-call.ch:
-			// A timer that fired between the delivery and Stop leaves
-			// its tick buffered (pre-1.23 timer semantics — go.mod pins
-			// an older language version); drain it so the recycled
-			// record's next Reset starts clean. Only this goroutine
-			// ever receives from t.C.
-			if !t.Stop() {
-				<-t.C
-			}
-		case <-t.C:
-			// The response is overdue past any plausible round trip.
-			// Sever the connection: fail delivers to every pending call
-			// (including this one), so the receive below cannot block.
-			// Rescuing just this call would desynchronize the pipeline —
-			// a late response frame would match no waiter.
-			c.fail(fmt.Errorf("lapclient: call timed out after %v: %w", d, ErrDeadline))
-			resp = <-call.ch
-		}
-	} else {
-		resp = <-call.ch
-	}
+	resp := <-call.ch
 	err := call.err
+	call.dsts = nil
+	c.free <- slot
 	if err != nil && len(payload) > 0 {
 		// A response proves the server read the whole frame, so the
 		// payload has left; a failure proves nothing of the kind: wait
@@ -409,7 +409,6 @@ func (c *Conn) Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []
 		}
 		c.qmu.Unlock()
 	}
-	putCall(call)
 	if err != nil {
 		return wire.Header{}, nil, err
 	}
@@ -422,15 +421,6 @@ func (c *Conn) Do(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, []
 			len(resp.payload), payloadLen(dsts))
 	}
 	return resp.h, resp.payload, nil
-}
-
-func (c *Conn) err() error {
-	c.pmu.Lock()
-	defer c.pmu.Unlock()
-	if c.readErr != nil {
-		return c.readErr
-	}
-	return errors.New("lapclient: connection closed")
 }
 
 // ReadInto reads nblocks blocks of f starting at off, landing the
