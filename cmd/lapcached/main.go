@@ -21,9 +21,9 @@
 //
 // With -peers, the daemon joins a cooperative peer group: the listed
 // members (which must include this node's own -advertise address)
-// form a consistent-hash ring assigning every file one owner. Reads
-// and writes of files owned elsewhere are forwarded to the owner — a
-// remote memory hit instead of a local disk read — and only the owner
+// form a consistent-hash ring assigning every file one owner. Reads,
+// writes and closes of files owned elsewhere are relayed to the owner —
+// a remote memory hit instead of a local disk read — and only the owner
 // runs a file's prefetch chain, so the linear bound holds cluster-wide.
 // Every member must be started with the same -peers list (order does
 // not matter) and the same -block-size. The list is the ring for the

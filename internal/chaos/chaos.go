@@ -87,13 +87,28 @@ type Invariants struct {
 	// bug in the injector.
 	UnselectedObserved []string `json:"unselected_observed"` // must be empty
 	// Error/data integrity.
-	DataMismatches   int      `json:"data_mismatches"`   // must be 0
-	UnexpectedErrors []string `json:"unexpected_errors"` // must be empty
-	InjectedErrors   int      `json:"injected_errors"`   // informational
-	TransportErrors  int      `json:"transport_errors"`  // tolerated iff plan targets the wire
-	RefusedForwards  uint64   `json:"refused_forwards"`  // informational
-	AbandonedSteps   int      `json:"abandoned_steps"`   // informational: steps given up after every attempt failed
-	Wedged           bool     `json:"wedged"`            // must be false
+	DataMismatches   int           `json:"data_mismatches"`   // must be 0
+	UnexpectedErrors []string      `json:"unexpected_errors"` // must be empty
+	InjectedErrors   int           `json:"injected_errors"`   // informational
+	TransportErrors  int           `json:"transport_errors"`  // tolerated iff plan targets the wire
+	RefusedForwards  uint64        `json:"refused_forwards"`  // informational
+	Abandoned        AbandonCounts `json:"abandoned"`         // informational
+	Wedged           bool          `json:"wedged"`            // must be false
+}
+
+// AbandonCounts counts the trace steps given up after every attempt
+// failed, and splits them by the class of the last error each saw.
+type AbandonCounts struct {
+	Steps     int `json:"steps"`
+	Owner     int `json:"owner_unreachable"` // refused: the file's owner unreachable
+	Injected  int `json:"injected"`          // an injected transport or dial fault
+	Transport int `json:"transport"`         // any other transport error
+	Dial      int `json:"dial"`              // no connection: a failed dial or a spent redial budget
+}
+
+// String renders the counts as the invariants line's abandoned= token.
+func (a AbandonCounts) String() string {
+	return fmt.Sprintf("%d(owner=%d,injected=%d,transport=%d,dial=%d)", a.Steps, a.Owner, a.Injected, a.Transport, a.Dial)
 }
 
 // Check returns an error naming every violated invariant, or nil.
@@ -170,10 +185,10 @@ func (r Result) String() string {
 	}
 	sort.Strings(reasons)
 	fmt.Fprintf(&b, "closes: %s\n", strings.Join(reasons, " "))
-	fmt.Fprintf(&b, "invariants: ownerHW=%d/cap=%d overCap=%d nonOwnerDriven=%d linearViol=%d bufLive=%d mismatches=%d unexpected=%d injectedErrs=%d transportErrs=%d refused=%d abandoned=%d wedged=%v\n",
+	fmt.Fprintf(&b, "invariants: ownerHW=%d/cap=%d overCap=%d nonOwnerDriven=%d linearViol=%d bufLive=%d mismatches=%d unexpected=%d injectedErrs=%d transportErrs=%d refused=%d abandoned=%v wedged=%v\n",
 		r.Inv.MaxOwnerHW, r.Inv.DegreeCap, len(r.Inv.OverCap), len(r.Inv.NonOwnerDriven), r.Inv.LinearViolations, r.Inv.BufLive,
 		r.Inv.DataMismatches, len(r.Inv.UnexpectedErrors), r.Inv.InjectedErrors,
-		r.Inv.TransportErrors, r.Inv.RefusedForwards, r.Inv.AbandonedSteps, r.Inv.Wedged)
+		r.Inv.TransportErrors, r.Inv.RefusedForwards, r.Inv.Abandoned, r.Inv.Wedged)
 	if err := r.Inv.Check(); err != nil {
 		fmt.Fprintf(&b, "VERDICT: FAIL — %v\n", err)
 	} else {
@@ -310,7 +325,7 @@ func Run(cfg Config) (Result, error) {
 	var unexpectedN int
 	res.Requests, res.Reads, res.ReadHits, res.Writes, res.Redials,
 		res.Inv.DataMismatches, res.Inv.InjectedErrors, res.Inv.TransportErrors,
-		res.Inv.AbandonedSteps, unexpectedN, res.Inv.UnexpectedErrors = rep.stats()
+		res.Inv.Abandoned, unexpectedN, res.Inv.UnexpectedErrors = rep.stats()
 	if unexpectedN > len(res.Inv.UnexpectedErrors) {
 		res.Inv.UnexpectedErrors = append(res.Inv.UnexpectedErrors,
 			fmt.Sprintf("... and %d more", unexpectedN-len(res.Inv.UnexpectedErrors)))

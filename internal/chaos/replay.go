@@ -102,7 +102,7 @@ type replayer struct {
 	mismatches    int
 	injectedErrs  int
 	transportErrs int
-	abandoned     int // steps given up after stepAttempts attempts
+	abandoned     AbandonCounts // steps given up after stepAttempts attempts
 	unexpectedN   int
 	unexpected    []string
 }
@@ -154,7 +154,7 @@ func (r *replayer) closeClients() {
 
 // stats returns a locked snapshot of the replay counters (safe even
 // while a wedged replay goroutine is still failing in the background).
-func (r *replayer) stats() (requests, reads, hits, writes, redials, mismatches, injected, transport, abandoned, unexpectedN int, unexpected []string) {
+func (r *replayer) stats() (requests, reads, hits, writes, redials, mismatches, injected, transport int, abandoned AbandonCounts, unexpectedN int, unexpected []string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.requests, r.reads, r.hits, r.writes, r.redials, r.mismatches,
@@ -179,7 +179,9 @@ func (r *replayer) noteUnexpected(detail string) {
 
 // step issues one trace step, retrying through redials, and
 // classifies whatever comes back; a step still failing after
-// stepAttempts attempts is counted as abandoned:
+// stepAttempts attempts is counted as abandoned, under the class of
+// the last error it saw (a failed get is a dial failure, whatever
+// classify books it as):
 //
 //   - success: reads are verified byte for byte against the oracle.
 //   - injected error (the marker): expected, counted, done — the
@@ -196,10 +198,12 @@ func (r *replayer) step(nc *nodeClient, s workload.Step) {
 	r.requests++
 	r.mu.Unlock()
 
+	var last *int // the abandonment counter of the last error
 	for attempt := 0; attempt < stepAttempts; attempt++ {
 		conn, err := nc.get()
 		if err != nil {
 			r.classify(err, "dial "+nc.addr)
+			last = &r.abandoned.Dial
 			time.Sleep(2 * time.Millisecond)
 			continue
 		}
@@ -208,12 +212,15 @@ func (r *replayer) step(nc *nodeClient, s workload.Step) {
 			return
 		}
 		// A transport error has killed conn, so the next get redials.
-		if r.classify(err, fmt.Sprintf("%s f%d @%d+%d on %s", s.Kind, s.File, s.Offset, s.Size, nc.addr)) {
+		done, class := r.classify(err, fmt.Sprintf("%s f%d @%d+%d on %s", s.Kind, s.File, s.Offset, s.Size, nc.addr))
+		if done {
 			return
 		}
+		last = class
 	}
 	r.mu.Lock()
-	r.abandoned++
+	r.abandoned.Steps++
+	*last++
 	r.mu.Unlock()
 }
 
@@ -221,22 +228,23 @@ func (r *replayer) step(nc *nodeClient, s workload.Step) {
 // be retried (the server answered — with a refusal — so the request
 // itself was delivered and the connection is fine), except a refusal
 // with the file's owner unreachable, which is retried after
-// ownerRetryPause.
-func (r *replayer) classify(err error, context string) (done bool) {
+// ownerRetryPause. A retried error's class is the abandonment counter
+// it books if the step runs out of attempts on it.
+func (r *replayer) classify(err error, context string) (done bool, class *int) {
 	var se *lapclient.ServerError
 	if errors.As(err, &se) {
 		if strings.Contains(se.Msg, lapcache.ErrOwnerUnreachable.Error()) {
 			time.Sleep(ownerRetryPause)
-			return false
+			return false, &r.abandoned.Owner
 		}
 		if isInjected(err) {
 			r.mu.Lock()
 			r.injectedErrs++
 			r.mu.Unlock()
-			return true
+			return true, nil
 		}
 		r.noteUnexpected(fmt.Sprintf("server refused %s: %v", context, err))
-		return true
+		return true, nil
 	}
 	if isInjected(err) {
 		// Injected at the transport (client-side wrap or dial gate):
@@ -244,16 +252,16 @@ func (r *replayer) classify(err error, context string) (done bool) {
 		r.mu.Lock()
 		r.injectedErrs++
 		r.mu.Unlock()
-		return false
+		return false, &r.abandoned.Injected
 	}
 	if r.tolerate {
 		r.mu.Lock()
 		r.transportErrs++
 		r.mu.Unlock()
-		return false
+		return false, &r.abandoned.Transport
 	}
 	r.noteUnexpected(fmt.Sprintf("transport error on %s (no wire faults planned): %v", context, err))
-	return false
+	return false, &r.abandoned.Transport
 }
 
 // issue performs one step on conn, verifying read data against

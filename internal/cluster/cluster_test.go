@@ -14,6 +14,7 @@ import (
 	"repro/internal/experiment"
 	"repro/internal/lapcache"
 	"repro/internal/lapclient"
+	"repro/internal/wire"
 	"repro/internal/workload"
 )
 
@@ -62,15 +63,41 @@ func fileOwnedBy(t *testing.T, nodes []*LocalNode, owner int) blockdev.FileID {
 	return 0
 }
 
-// readCopy demand-reads a span through a node's engine and copies the
-// bytes out.
-func readCopy(e *lapcache.Engine, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) (data []byte, hit bool, err error) {
-	bufs, hit, err := e.ReadInto(nil, f, off, nblocks)
-	for _, buf := range bufs {
-		data = append(data, buf.Bytes()...)
-		buf.Release()
+// readCopy demand-reads a span as a client of node m does, on a
+// connection of its own, and returns the bytes.
+func readCopy(m *LocalNode, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) (data []byte, hit bool, err error) {
+	c, err := lapclient.DialConn(m.Addr, 1)
+	if err != nil {
+		return nil, false, err
 	}
-	return data, hit, err
+	defer c.Close()
+	dsts := make([][]byte, nblocks)
+	for i := range dsts {
+		dsts[i] = make([]byte, c.Info().BlockSize)
+	}
+	if hit, err = c.ReadInto(f, off, nblocks, dsts); err != nil {
+		return nil, false, err
+	}
+	return bytes.Join(dsts, nil), hit, nil
+}
+
+// writeVia writes a span as a client of node m does, on a connection
+// of its own; nil data writes the fill pattern.
+func writeVia(m *LocalNode, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
+	c, err := lapclient.DialConn(m.Addr, 1)
+	if err != nil {
+		return err
+	}
+	defer c.Close()
+	return c.Write(f, off, nblocks, data)
+}
+
+// unreachable reports whether err is a front's refusal with the
+// file's owner unreachable, as a client sees it: an error frame
+// carrying lapcache.ErrOwnerUnreachable's text.
+func unreachable(err error) bool {
+	var se *lapclient.ServerError
+	return errors.As(err, &se) && se.Msg == lapcache.ErrOwnerUnreachable.Error()
 }
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -95,7 +122,7 @@ func TestClusterRemoteHit(t *testing.T) {
 
 	// Warm the owner's cache directly, then read through a non-owner.
 	nodes[1].Engine.Preload(f, 0, 8, false)
-	data, hit, err := readCopy(nodes[0].Engine, f, 0, 8)
+	data, hit, err := readCopy(nodes[0], f, 0, 8)
 	if err != nil {
 		t.Fatalf("read via non-owner: %v", err)
 	}
@@ -127,7 +154,7 @@ func TestClusterRemoteHit(t *testing.T) {
 
 	// Each block has one copy, on its owner: a re-read goes to the
 	// owner again, and the non-owner still caches nothing.
-	if _, hit, err := readCopy(nodes[0].Engine, f, 0, 8); err != nil || !hit {
+	if _, hit, err := readCopy(nodes[0], f, 0, 8); err != nil || !hit {
 		t.Fatalf("re-read: hit=%v err=%v, want remote hit", hit, err)
 	}
 	if s := nodes[0].Engine.Snapshot(); s.RemoteReads != 16 || s.CachedBlocks != 0 {
@@ -141,7 +168,7 @@ func TestClusterRemoteHit(t *testing.T) {
 // from the fill pattern, so a stale copy cannot pass for the new one.
 func TestFrontReadSeesOwnersWrite(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
-	a, b := nodes[0].Engine, nodes[1].Engine
+	a, b := nodes[0], nodes[1]
 	f := fileOwnedBy(t, nodes, 2)
 
 	before, _, err := readCopy(a, f, 0, 1)
@@ -152,7 +179,7 @@ func TestFrontReadSeesOwnersWrite(t *testing.T) {
 	if bytes.Equal(before, data) {
 		t.Fatal("the block already holds the bytes the test writes")
 	}
-	if err := b.Write(f, 0, 1, data); err != nil {
+	if err := writeVia(b, f, 0, 1, data); err != nil {
 		t.Fatalf("front B's write: %v", err)
 	}
 	after, _, err := readCopy(a, f, 0, 1)
@@ -171,7 +198,7 @@ func TestClusterForwardedWrite(t *testing.T) {
 	nodes := startCluster(t, 3, nil)
 	f := fileOwnedBy(t, nodes, 2)
 
-	if err := nodes[0].Engine.Write(f, 4, 3, nil); err != nil {
+	if err := writeVia(nodes[0], f, 4, 3, nil); err != nil {
 		t.Fatalf("forwarded write: %v", err)
 	}
 	s0 := nodes[0].Engine.Snapshot()
@@ -184,8 +211,37 @@ func TestClusterForwardedWrite(t *testing.T) {
 	}
 	// Owner now has the blocks in memory: a third node's read is a
 	// remote hit.
-	if _, hit, err := readCopy(nodes[1].Engine, f, 4, 3); err != nil || !hit {
+	if _, hit, err := readCopy(nodes[1], f, 4, 3); err != nil || !hit {
 		t.Fatalf("read-after-forwarded-write: hit=%v err=%v", hit, err)
+	}
+}
+
+// refusingStore is a store whose every write fails.
+type refusingStore struct{ lapcache.BackingStore }
+
+func (refusingStore) WriteBlock(blockdev.BlockID, []byte) error { return errors.New("disk on fire") }
+
+// TestFrontRelaysOwnerRefusal: an owner that is reached and refuses a
+// write is answered once, in its own words, whichever node the client
+// asked: a client of a front reads exactly what a client of the owner
+// reads. The refusal is not a transport fault: the front keeps the
+// owner up and books no unreachable owner.
+func TestFrontRelaysOwnerRefusal(t *testing.T) {
+	nodes := startCluster(t, 3, func(cfg *lapcache.Config) { cfg.Store = refusingStore{cfg.Store} })
+	front, owner := nodes[0], nodes[1]
+	f := fileOwnedBy(t, nodes, owner.Index)
+	const want = "lapclient: server error: disk on fire"
+	for _, m := range []*LocalNode{owner, front} {
+		if err := writeVia(m, f, 0, 1, nil); err == nil || err.Error() != want {
+			t.Errorf("write through node %d: err=%v, want %q", m.Index, err, want)
+		}
+	}
+	if front.Node.PeerDown(owner.Addr) {
+		t.Error("the front marked the owner down for refusing a write")
+	}
+	if s := front.Engine.Snapshot(); s.RemoteFallbacks != 0 || s.ForwardedWrites != 0 || s.StoreWrites != 0 {
+		t.Errorf("front: fallbacks=%d forwarded=%d store writes=%d, want 0/0/0",
+			s.RemoteFallbacks, s.ForwardedWrites, s.StoreWrites)
 	}
 }
 
@@ -243,7 +299,7 @@ func TestOnePeerConnection(t *testing.T) {
 		go func(off blockdev.BlockNo) {
 			defer wg.Done()
 			dsts := [][]byte{make([]byte, testBlockSize)}
-			if hit, err := nodes[0].Node.FetchSpan(f, off, 1, dsts); !hit || err != nil {
+			if hit, err := peerRead(nodes[0].Node, f, off, dsts); !hit || err != nil {
 				t.Errorf("fetch of block %d: hit=%v err=%v", off, hit, err)
 			}
 		}(blockdev.BlockNo(i))
@@ -254,7 +310,7 @@ func TestOnePeerConnection(t *testing.T) {
 	links[fmt.Sprintf("0->%s", owner.Addr)].Close()
 	mu.Unlock()
 	before := nodes[0].Engine.Snapshot().RemoteFallbacks
-	if _, _, err := readCopy(nodes[0].Engine, f, spans, 1); !errors.Is(err, lapcache.ErrOwnerUnreachable) {
+	if _, _, err := readCopy(nodes[0], f, spans, 1); !unreachable(err) {
 		t.Fatalf("read over the severed connection: err=%v, want %v", err, lapcache.ErrOwnerUnreachable)
 	}
 	if got := nodes[0].Engine.Snapshot().RemoteFallbacks - before; got != 1 {
@@ -277,9 +333,16 @@ func TestOnePeerConnection(t *testing.T) {
 		t.Errorf("node 0 redialled the healthy peer: %d dials, want 1", got)
 	}
 	dsts := [][]byte{make([]byte, testBlockSize)}
-	if hit, err := nodes[0].Node.FetchSpan(f, spans+1, 1, dsts); !hit || err != nil {
+	if hit, err := peerRead(nodes[0].Node, f, spans+1, dsts); !hit || err != nil {
 		t.Errorf("fetch after the redial: hit=%v err=%v", hit, err)
 	}
+}
+
+// peerRead is a front's relay of a one-block read: one Forward to the
+// file's owner, landing in dsts.
+func peerRead(n *Node, f blockdev.FileID, off blockdev.BlockNo, dsts [][]byte) (hit bool, err error) {
+	rh, err := n.Forward(lapclient.Req(wire.OpRead, wire.FlagWantData|wire.FlagPeer, f, off, 1), nil, dsts)
+	return rh.Flags&wire.FlagHit != 0, err
 }
 
 // TestClusterCharismaE2E is the cluster acceptance run: a synthetic

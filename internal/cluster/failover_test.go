@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"testing"
 	"time"
 
@@ -42,7 +41,7 @@ func TestOwnerDegradeRecover(t *testing.T) {
 				f := fileOwnedBy(t, nodes, 0)
 
 				// Healthy phase: the forward path works.
-				if _, _, err := readCopy(reader.Engine, f, 0, 2); err != nil {
+				if _, _, err := readCopy(reader, f, 0, 2); err != nil {
 					t.Fatalf("read before failure: %v", err)
 				}
 				healthy := reader.Engine.Snapshot()
@@ -54,11 +53,11 @@ func TestOwnerDegradeRecover(t *testing.T) {
 				// Outage phase: a request of the file either reaches its
 				// owner or fails with the sentinel — never served from, or
 				// written to, the reader's own store.
-				_, _, rerr := readCopy(reader.Engine, f, 8, 4)
-				werr := reader.Engine.Write(f, 20, 2, nil)
+				_, _, rerr := readCopy(reader, f, 8, 4)
+				werr := writeVia(reader, f, 20, 2, nil)
 				s := reader.Engine.Snapshot()
 				if tc.ownerDead {
-					if !errors.Is(rerr, lapcache.ErrOwnerUnreachable) || !errors.Is(werr, lapcache.ErrOwnerUnreachable) {
+					if !unreachable(rerr) || !unreachable(werr) {
 						t.Errorf("with the owner dead: read err=%v, write err=%v; want %v for both",
 							rerr, werr, lapcache.ErrOwnerUnreachable)
 					}
@@ -107,7 +106,7 @@ func TestOwnerDegradeRecover(t *testing.T) {
 				// read: nothing cached the refusal, and no new one is
 				// recorded.
 				before := reader.Engine.Snapshot()
-				if _, _, err := readCopy(reader.Engine, f, 40, 2); err != nil {
+				if _, _, err := readCopy(reader, f, 40, 2); err != nil {
 					t.Fatalf("first read after the redial: %v", err)
 				}
 				if s := reader.Engine.Snapshot(); s.RemoteReads == before.RemoteReads || s.RemoteFallbacks != before.RemoteFallbacks {
@@ -151,13 +150,13 @@ func TestOutageWriteIsNotAcknowledged(t *testing.T) {
 	v1 := bytes.Repeat([]byte{0x11}, testBlockSize)
 	v2 := bytes.Repeat([]byte{0x22}, testBlockSize)
 
-	if err := b.Engine.Write(f, 0, 1, v1); err != nil {
+	if err := writeVia(b, f, 0, 1, v1); err != nil {
 		t.Fatalf("front B's write of v1: %v", err)
 	}
 
 	owner.kill()
 	writesBefore := a.Engine.Snapshot().StoreWrites
-	if err := a.Engine.Write(f, 0, 1, v2); !errors.Is(err, lapcache.ErrOwnerUnreachable) {
+	if err := writeVia(a, f, 0, 1, v2); !unreachable(err) {
 		t.Errorf("front A's write of v2 with the owner down: err=%v, want %v", err, lapcache.ErrOwnerUnreachable)
 	}
 	if got := a.Engine.Snapshot().StoreWrites; got != writesBefore {
@@ -171,7 +170,7 @@ func TestOutageWriteIsNotAcknowledged(t *testing.T) {
 		waitFor(t, "owner redialed", func() bool { return !m.Node.PeerDown(owner.Addr) })
 	}
 	for _, m := range []*LocalNode{owner, a, b} {
-		got, _, err := readCopy(m.Engine, f, 0, 1)
+		got, _, err := readCopy(m, f, 0, 1)
 		if err != nil {
 			t.Fatalf("node %d's read after the restart: %v", m.Index, err)
 		}
@@ -198,7 +197,7 @@ func TestRestartKeepsAddress(t *testing.T) {
 	// restart's WaitReady, and a file it owns is readable through it.
 	f := fileOwnedBy(t, nodes, 1)
 	waitFor(t, "restarted member serves", func() bool {
-		_, _, err := readCopy(nodes[0].Engine, f, 0, 1)
+		_, _, err := readCopy(nodes[0], f, 0, 1)
 		return err == nil
 	})
 }

@@ -71,8 +71,10 @@ type realClock struct{}
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Node wires one lapcached process into the peer group. It implements
-// lapcache.RemoteFetcher (the engine's forward path), the one interface
-// through which the engine stays free of any cluster import.
+// lapcache.RemoteFetcher: Owned places a file's driver, and Forward is
+// the server's relay of a client's request to the file's owner — the
+// one interface through which lapcache stays free of any cluster
+// import.
 //
 // Each peer gets one pipelined binary connection and a health
 // goroutine: dial with exponential backoff while down, periodic pings
@@ -300,15 +302,21 @@ func (n *Node) fault(p *peer, err error) {
 	}
 }
 
-// forward is the one peer RPC: every request this node sends on to
-// f's owner — span reads, owner-bound writes and closes — takes the
-// owner's live connection, does one exchange and classifies the
-// failure. An owner that is down, was just faulted by a transport
-// error, or is not a peer fails the request with
-// lapcache.ErrOwnerUnreachable, unwrapped; a ServerError means the
-// owner was reached and refused, and propagates as it is.
-func (n *Node) forward(f blockdev.FileID, h wire.Header, payload []byte, dsts [][]byte) (wire.Header, error) {
-	p, ok := n.peers[n.ring.Owner(f)]
+// --- lapcache.RemoteFetcher ---
+
+// Owned implements lapcache.RemoteFetcher.
+func (n *Node) Owned(f blockdev.FileID) bool { return n.ring.Owner(f) == n.self }
+
+// Forward implements lapcache.RemoteFetcher, and is the one peer RPC:
+// every request this node relays to a file's owner takes the owner's
+// live connection, does one exchange and classifies the failure. An
+// owner that is down, was just faulted by a transport error, or is not
+// a peer fails the request with lapcache.ErrOwnerUnreachable,
+// unwrapped; an owner that was reached and refused fails it with its
+// own message, unwrapped, so the relay hands the client the owner's
+// words once.
+func (n *Node) Forward(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, error) {
+	p, ok := n.peers[n.ring.Owner(blockdev.FileID(h.File))]
 	if !ok {
 		return wire.Header{}, lapcache.ErrOwnerUnreachable
 	}
@@ -324,35 +332,10 @@ func (n *Node) forward(f blockdev.FileID, h wire.Header, payload []byte, dsts []
 	// path is gated at 0 allocs/op.
 	var se *lapclient.ServerError
 	if errors.As(err, &se) {
-		return rh, err
+		return rh, errors.New(se.Msg)
 	}
 	n.fault(p, err)
 	return rh, lapcache.ErrOwnerUnreachable
-}
-
-// --- lapcache.RemoteFetcher ---
-
-// Owned implements lapcache.RemoteFetcher.
-func (n *Node) Owned(f blockdev.FileID) bool { return n.ring.Owner(f) == n.self }
-
-// FetchSpan implements lapcache.RemoteFetcher: one pipelined
-// peer-flagged read RPC whose payload lands directly in dsts, served
-// strictly locally by the receiver.
-func (n *Node) FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (bool, error) {
-	rh, err := n.forward(f, lapclient.Req(wire.OpRead, wire.FlagWantData|wire.FlagPeer, f, off, nblocks), nil, dsts)
-	return rh.Flags&wire.FlagHit != 0, err
-}
-
-// ForwardWrite implements lapcache.RemoteFetcher.
-func (n *Node) ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	_, err := n.forward(f, lapclient.Req(wire.OpWrite, wire.FlagPeer, f, off, nblocks), data, nil)
-	return err
-}
-
-// ForwardClose implements lapcache.RemoteFetcher.
-func (n *Node) ForwardClose(f blockdev.FileID) error {
-	_, err := n.forward(f, lapclient.Req(wire.OpClose, wire.FlagPeer, f, 0, 0), nil, nil)
-	return err
 }
 
 // --- the member list ---

@@ -1,9 +1,9 @@
 // Package cluster is the cooperative peer tier: it lets N lapcached
 // instances form a peer group in which a consistent-hash ring assigns
 // every file exactly one owner node — the runtime image of PAFS's
-// per-file prefetch servers. Non-owner nodes forward every read and
-// write of a file to its owner over the binary wire protocol and keep
-// no copy, so each block has one, on its owner; a read the owner
+// per-file prefetch servers. A non-owner node's server relays every
+// read, write and close of a file to its owner over the binary wire
+// protocol and keeps no copy, so each block has one, on its owner; a read the owner
 // serves from memory is a remote memory hit instead of a disk read
 // (the paper's premise: a remote node's memory is an order of
 // magnitude closer than disk), and only

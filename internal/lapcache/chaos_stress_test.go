@@ -89,7 +89,7 @@ func TestEngineChaosStoreFaults(t *testing.T) {
 	// auditing the pool: a running chain re-issues from its completion
 	// callback, after the counters below have already balanced.
 	for f := range files {
-		e.closeFile(f, modeClient)
+		e.closeFile(f)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {

@@ -13,12 +13,12 @@
 // driver's chain; and the per-file prefetch server of PAFS becomes a
 // per-file mutex under which the (single-threaded by contract) driver
 // runs. In a cluster (Config.Remote) that server is the file's ring
-// owner: every other node sends it each read and write of the file and
-// keeps no copy, so each block has one, on its owner.
+// owner: every other node's server relays it each read, write and
+// close of the file and keeps no copy, so each block has one, on its
+// owner. The engine serves what reaches it; the server routes.
 package lapcache
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -65,11 +65,10 @@ type Config struct {
 	// later block. Costs a full-block write per recycle; tests only.
 	PoisonBufs bool
 	// Remote, when non-nil, puts the engine in cooperative-cluster
-	// mode: reads and writes of files this node does not own are
-	// forwarded to the ring owner and cached nowhere else, and drivers
-	// are only created for owned files (the PAFS one-server-per-file
-	// rule, applied cluster-wide). nil is a single-node engine that
-	// owns everything.
+	// mode: drivers are only created for files this node owns (the
+	// PAFS one-server-per-file rule, applied cluster-wide), and the
+	// server relays a client's request of any other file to its ring
+	// owner. nil is a single-node engine that owns everything.
 	Remote RemoteFetcher
 }
 
@@ -144,7 +143,6 @@ type Engine struct {
 
 	m    Metrics
 	fops sync.Pool // recycled *fetchOp
-	dsts sync.Pool // recycled *[][]byte: forwardRead's FetchSpan destinations
 	// adaptive gates the degree-policy half of timely/late/wasted.
 	adaptive bool
 
@@ -281,62 +279,20 @@ func (e *Engine) driverLocked(f blockdev.FileID, fl *fileState) *core.Driver {
 	return fl.driver
 }
 
-// reqMode says on whose behalf a request runs — the engine-side image
-// of the wire's FlagPeer bit, and the only thing that distinguishes
-// one read, write or close from another.
-type reqMode uint8
-
-const (
-	// modeClient: a client's own request. Files this node does not own
-	// are forwarded to the ring owner.
-	modeClient reqMode = iota
-	// modePeer: forwarded by a cluster peer (FlagPeer). Served strictly
-	// locally — cache, then backing store — and never re-forwarded,
-	// whatever the ring says: the contract that keeps forwarding
-	// loop-free. The request still feeds this node's driver: the owner
-	// sees every peer's accesses to its files as (offset, size)
-	// requests, which is exactly what lets it model the cluster-wide
-	// access stream and run the one true prefetch chain.
-	modePeer
-)
-
 // ReadInto serves a demand read of nblocks blocks starting at off,
 // appending one retained buffer per block to bufs (usually a reused
 // slice; pass bufs[:0]) and returning the extended slice. The caller
 // owns one reference to every appended buffer and must Release each;
 // the buffers stay valid even if the cache evicts or overwrites the
-// blocks meanwhile. hit reports that every block was served from
-// memory on arrival — this node's cache or, for a forwarded span, the
-// ring owner's — the satisfaction criterion fed to the driver (§3.1).
+// blocks meanwhile. hit reports that every block was served from this
+// node's memory on arrival — the satisfaction criterion fed to the
+// driver (§3.1). The read is then fed to the file's driver.
 //
 // On error the appended buffers are released and bufs is returned at
 // its original length.
 func (e *Engine) ReadInto(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) ([]*blockbuf.Buf, bool, error) {
-	return e.read(bufs, f, off, nblocks, modeClient)
-}
-
-// spanOK reports whether the engine serves a span of nblocks blocks at
-// off: a nonempty one, no longer than one read's payload cap
-// (wire.MaxDataBytes) in blocks, whether or not it carries data, and
-// with every block number in range. Outside input reaches read and
-// write as it is, and a longer span would gather a buffer per block.
-func (e *Engine) spanOK(off blockdev.BlockNo, nblocks int32) bool {
-	return nblocks > 0 && off >= 0 && int(nblocks) <= wire.MaxDataBytes/e.cfg.BlockSize &&
-		int64(off)+int64(nblocks) <= math.MaxInt32
-}
-
-// read is the one demand-read body: a client's read of a file owned
-// elsewhere goes to the owner; any other read is served here, then fed
-// to the file's driver.
-func (e *Engine) read(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32, m reqMode) ([]*blockbuf.Buf, bool, error) {
 	if !e.spanOK(off, nblocks) {
 		return bufs, false, fmt.Errorf("lapcache: invalid read %d:[%d,+%d]", f, off, nblocks)
-	}
-	if e.forwarded(f, m) {
-		return e.forwardRead(bufs, f, off, nblocks)
-	}
-	if m != modeClient {
-		e.m.peerReads.Add(1)
 	}
 	bufs, hit, err := e.readSpan(bufs, f, off, nblocks)
 	if err != nil {
@@ -346,52 +302,14 @@ func (e *Engine) read(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.Bloc
 	return bufs, hit, nil
 }
 
-// forwarded reports whether a request of f goes to f's ring owner: a
-// client's own request of a file this node does not own.
-func (e *Engine) forwarded(f blockdev.FileID, m reqMode) bool {
-	return m == modeClient && e.remote != nil && !e.remote.Owned(f)
-}
-
-// forwardRead serves a client's read of a file owned elsewhere as one
-// span RPC to the owner, landing in fresh buffers appended to bufs for
-// the caller. The owner's predictor models (offset, size) requests, not
-// per-block chatter, and concurrent reads of one block, each sent here,
-// meet in the owner's own fetch path. This node keeps no copy, as each
-// block has one, on its owner, and runs no driver for the file. hit
-// reports the owner answered every block from its memory: a
-// cooperative-cache hit, the satisfaction the paper measures. With the
-// owner unreachable the read fails with ErrOwnerUnreachable.
-//
-// On error the appended buffers are released and bufs is returned at
-// its original length.
-func (e *Engine) forwardRead(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) ([]*blockbuf.Buf, bool, error) {
-	base := len(bufs)
-	dp, _ := e.dsts.Get().(*[][]byte)
-	if dp == nil {
-		dp = new([][]byte)
-	}
-	dsts := (*dp)[:0]
-	for k := int32(0); k < nblocks; k++ {
-		buf := e.pool.Get()
-		bufs = append(bufs, buf)
-		dsts = append(dsts, buf.Bytes())
-	}
-	hit, err := e.remote.FetchSpan(f, off, nblocks, dsts)
-	if e.refused(err) == nil {
-		e.m.remoteReads.Add(uint64(nblocks))
-		if hit {
-			e.m.remoteHits.Add(uint64(nblocks))
-		} else {
-			e.m.remoteMisses.Add(uint64(nblocks))
-		}
-	}
-	clear(dsts) // drop the block references before pooling
-	*dp = dsts[:0]
-	e.dsts.Put(dp)
-	if err != nil {
-		return dropFrom(bufs, base), false, err
-	}
-	return bufs, hit, nil
+// spanOK reports whether the engine serves a span of nblocks blocks at
+// off: a nonempty one, no longer than one read's payload cap
+// (wire.MaxDataBytes) in blocks, whether or not it carries data, and
+// with every block number in range. Outside input reaches ReadInto and
+// Write as it is, and a longer span would gather a buffer per block.
+func (e *Engine) spanOK(off blockdev.BlockNo, nblocks int32) bool {
+	return nblocks > 0 && off >= 0 && int(nblocks) <= wire.MaxDataBytes/e.cfg.BlockSize &&
+		int64(off)+int64(nblocks) <= math.MaxInt32
 }
 
 // readSpan is the one way a local demand read gets its blocks. Per
@@ -564,33 +482,14 @@ func (fo *fetchOp) join() { fo.refs.Add(1) }
 
 // Write persists nblocks blocks starting at off and installs them in
 // the cache as demand fills. A nil data writes each block's
-// deterministic fill pattern (the replay client's payload). On a
-// cluster node the write of a non-owned file goes to the ring owner —
-// its store and cache hold the file's one copy — and nothing is kept
-// here; with the owner unreachable it fails with ErrOwnerUnreachable.
+// deterministic fill pattern (the replay client's payload).
 func (e *Engine) Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
-	return e.write(f, off, nblocks, data, modeClient)
-}
-
-// write is the one write body.
-func (e *Engine) write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte, m reqMode) error {
 	if !e.spanOK(off, nblocks) {
 		return fmt.Errorf("lapcache: invalid write %d:[%d,+%d]", f, off, nblocks)
 	}
 	if data != nil && len(data) != int(nblocks)*e.cfg.BlockSize {
 		return fmt.Errorf("lapcache: write payload is %d bytes, want %d",
 			len(data), int(nblocks)*e.cfg.BlockSize)
-	}
-	if e.forwarded(f, m) {
-		if err := e.refused(e.remote.ForwardWrite(f, off, nblocks, data)); err != nil {
-			return err
-		}
-		e.m.forwardedWrites.Add(1)
-		e.m.writes.Add(1)
-		return nil
-	}
-	if m == modePeer {
-		e.m.peerWrites.Add(1)
 	}
 	if err := e.installSpan(f, off, nblocks, data); err != nil {
 		return err
@@ -629,31 +528,14 @@ func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks in
 }
 
 // closeFile stops f's prefetch chain until its next request, as the
-// simulator does on trace close steps. The learned model is kept. On
-// a cluster node a client's close of a non-owned file is relayed to
-// the ring owner — the only node with a chain to park — and fails like
-// any forward when the owner is unreachable. A peer-forwarded close
-// parks the local chain and is never relayed again.
-func (e *Engine) closeFile(f blockdev.FileID, m reqMode) error {
-	if e.forwarded(f, m) {
-		return e.refused(e.remote.ForwardClose(f))
-	}
+// simulator does on trace close steps. The learned model is kept.
+func (e *Engine) closeFile(f blockdev.FileID) {
 	fl := e.fileState(f)
 	fl.mu.Lock()
 	if d := e.driverLocked(f, fl); d != nil {
 		d.StopChain()
 	}
 	fl.mu.Unlock()
-	return nil
-}
-
-// refused counts a forward the owner was unreachable for and returns
-// err unchanged.
-func (e *Engine) refused(err error) error {
-	if errors.Is(err, ErrOwnerUnreachable) {
-		e.m.remoteFallbacks.Add(1)
-	}
-	return err
 }
 
 // feedDriver runs one user request through f's driver under the

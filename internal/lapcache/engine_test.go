@@ -216,7 +216,7 @@ func TestCloseFileStopsChain(t *testing.T) {
 	if _, _, err := readCopy(e, 1, 0, 1); err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	e.closeFile(1, modeClient)
+	e.closeFile(1)
 	waitFor(t, "quiescence after close", func() bool {
 		s := e.Snapshot()
 		return s.PrefetchCompleted+s.PrefetchCancelled+s.PrefetchDupSkipped >= s.PrefetchIssued

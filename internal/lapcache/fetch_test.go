@@ -1,13 +1,16 @@
 package lapcache
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
+	"net"
 	"sync"
 	"testing"
 
 	"repro/internal/blockdev"
 	"repro/internal/core"
+	"repro/internal/wire"
 )
 
 // fetchCounts is every counter the one fetch path moves, plus the
@@ -82,13 +85,16 @@ var fetchSources = []fetchSource{
 }
 
 // fetchFixture is one engine wired to a gateable store and a gateable
-// fake owner.
+// fake owner, behind a server: a source's read of a file owned
+// elsewhere goes over the wire, which is where it is relayed.
 type fetchFixture struct {
-	t   *testing.T
-	e   *Engine
-	gs  *gateStore
-	rem *fakeRemote
-	src fetchSource
+	t    *testing.T
+	e    *Engine
+	srv  *Server
+	addr string
+	gs   *gateStore
+	rem  *fakeRemote
+	src  fetchSource
 }
 
 func newFetchFixture(t *testing.T, src fetchSource) *fetchFixture {
@@ -97,8 +103,11 @@ func newFetchFixture(t *testing.T, src fetchSource) *fetchFixture {
 	if src.arm != nil {
 		src.arm(rem)
 	}
-	e := newTestEngine(t, Config{Alg: core.SpecNP, Store: gs, Remote: rem, PoisonBufs: true})
-	return &fetchFixture{t: t, e: e, gs: gs, rem: rem, src: src}
+	srv, addr := startTestServer(t, Config{
+		Alg: core.SpecNP, BlockSize: 512, CacheBlocks: 128, Store: gs, Remote: rem, PoisonBufs: true,
+	}, nil)
+	t.Cleanup(gs.Release) // runs before the server's Close, which waits on the store
+	return &fetchFixture{t: t, e: srv.e, srv: srv, addr: addr, gs: gs, rem: rem, src: src}
 }
 
 func (fx *fetchFixture) counts() fetchCounts {
@@ -110,23 +119,79 @@ func (fx *fetchFixture) counts() fetchCounts {
 	}
 }
 
-// read is ReadInto plus a byte check against the fill pattern.
+// read reads n blocks of the source's file at off, checking their
+// bytes against the fill pattern: a local source through ReadInto, a
+// remote one as a client would, on a connection of its own to the
+// front. It may run off the test's goroutine.
 func (fx *fetchFixture) read(off blockdev.BlockNo, n int32) (bool, error) {
+	if fx.src.remote() {
+		return fx.readWire(off, n)
+	}
 	bufs, hit, err := fx.e.ReadInto(nil, fx.src.file, off, n)
-	want := make([]byte, fx.e.BlockSize())
+	blocks := make([][]byte, len(bufs))
 	for i, buf := range bufs {
-		FillPattern(blockdev.BlockID{File: fx.src.file, Block: off + blockdev.BlockNo(i)}, want)
-		if !bytes.Equal(buf.Bytes(), want) {
-			fx.t.Errorf("block %d: wrong bytes", off+blockdev.BlockNo(i))
-		}
+		blocks[i] = buf.Bytes()
+	}
+	fx.check(off, blocks)
+	for _, buf := range bufs {
 		buf.Release()
 	}
 	return hit, err
 }
 
+// readWire is read's request frame to the front; an error frame's
+// message comes back as the error.
+func (fx *fetchFixture) readWire(off blockdev.BlockNo, n int32) (bool, error) {
+	conn, err := net.Dial("tcp", fx.addr)
+	if err != nil {
+		return false, err
+	}
+	defer conn.Close()
+	h := wire.Header{Op: wire.OpRead, Flags: wire.FlagWantData, Seq: 1, File: int32(fx.src.file), Offset: int32(off), Size: n}
+	if _, err := conn.Write(frameBytes(h, nil)); err != nil {
+		return false, err
+	}
+	br := bufio.NewReader(conn)
+	var scratch [wire.HeaderSize]byte
+	rh, err := wire.ReadHeader(br, scratch[:])
+	if err != nil {
+		return false, err
+	}
+	payload, err := wire.ReadPayload(br, rh, nil)
+	if err != nil {
+		return false, err
+	}
+	if rh.Flags&wire.FlagOK == 0 {
+		return false, errors.New(string(payload))
+	}
+	bs := fx.e.BlockSize()
+	if len(payload) != int(n)*bs {
+		fx.t.Errorf("read payload %d bytes, want %d", len(payload), int(n)*bs)
+		return false, nil
+	}
+	blocks := make([][]byte, n)
+	for i := range blocks {
+		blocks[i] = payload[i*bs : (i+1)*bs]
+	}
+	fx.check(off, blocks)
+	return rh.Flags&wire.FlagHit != 0, nil
+}
+
+// check fails the test unless blocks are the fill pattern of the
+// source's file from off.
+func (fx *fetchFixture) check(off blockdev.BlockNo, blocks [][]byte) {
+	want := make([]byte, fx.e.BlockSize())
+	for i, b := range blocks {
+		FillPattern(blockdev.BlockID{File: fx.src.file, Block: off + blockdev.BlockNo(i)}, want)
+		if !bytes.Equal(b, want) {
+			fx.t.Errorf("block %d: wrong bytes", off+blockdev.BlockNo(i))
+		}
+	}
+}
+
 // served reports whether err is what a read from the source returns:
 // nil, or the refusal of an owner that could not be reached.
-func (fx *fetchFixture) served(err error) bool { return errors.Is(err, fx.src.refusal) }
+func (fx *fetchFixture) served(err error) bool { return sameErr(err, fx.src.refusal) }
 
 // mustRead is read that fails the test on any error but the source's
 // refusal.
@@ -155,7 +220,7 @@ func (fx *fetchFixture) gateSource() (entered func(), open func()) {
 // span's last block onto it, opens the gate, and returns every
 // reader's outcome (the claiming reader's first). A local fetch is
 // joined; a remote read joins nothing here, so every reader must be
-// inside the owner's FetchSpan before the gate opens.
+// inside its Forward to the owner before the gate opens.
 func (fx *fetchFixture) pile(joiners int) (hits []bool, errs []error) {
 	entered, open := fx.gateSource()
 	hits, errs = make([]bool, 1+joiners), make([]error, 1+joiners)
@@ -198,14 +263,15 @@ func (fx *fetchFixture) inflightLen() int {
 	return len(fx.e.inflight)
 }
 
-// TestFetchPath drives the engine's two demand-read paths from every
-// source a block can come from, in every state a demand read can find
-// the block in on this node, and checks the hit flag and every counter
-// the path moves. A local read's contract is singleflight: exactly one
-// store call per claimed block, joined by every concurrent reader. A
-// read of a file owned elsewhere ignores every local state: it is
-// exactly one FetchSpan per read, whatever this node holds or has in
-// flight, and it leaves this node's cache as it found it.
+// TestFetchPath drives the two demand-read paths, the engine's and the
+// server's relay, from every source a block can come from, in every
+// state a demand read can find the block in on this node, and checks
+// the hit flag and every counter the path moves. A local read's
+// contract is singleflight: exactly one store call per claimed block,
+// joined by every concurrent reader. A client's read of a file owned
+// elsewhere ignores every local state: it is exactly one Forward per
+// read, whatever this node holds or has in flight, and it leaves this
+// node's cache as it found it.
 func TestFetchPath(t *testing.T) {
 	const joiners = 3
 	arrivals := []struct {
@@ -340,7 +406,7 @@ func TestFetchPath(t *testing.T) {
 					t.Errorf("%d blocks cached, want %d", got, cached)
 				}
 				if src.remote() {
-					// Reading again goes to the owner again, one FetchSpan,
+					// Reading again goes to the owner again, one Forward,
 					// and still caches nothing here.
 					if hit, err := fx.read(0, fetchSpan); !fx.served(err) || hit != src.memory {
 						t.Errorf("re-read: hit=%v err=%v, want hit=%v err=%v", hit, err, src.memory, src.refusal)
@@ -395,7 +461,7 @@ func TestFetchPathError(t *testing.T) {
 			}
 			_, errs := fx.pile(3)
 			for i, err := range errs {
-				if !errors.Is(err, want) {
+				if !sameErr(err, want) {
 					t.Errorf("reader %d: err=%v, want %v", i, err, want)
 				}
 			}
@@ -411,9 +477,11 @@ func TestFetchPathError(t *testing.T) {
 	}
 }
 
-// checkNoLeak stops the engine, empties its cache and fails the test
-// unless every buffer the reads took is back in the pool.
+// checkNoLeak stops the server and the engine, empties the cache and
+// fails the test unless every buffer the reads took is back in the
+// pool.
 func (fx *fetchFixture) checkNoLeak() {
+	fx.srv.Close()
 	fx.e.Shutdown()
 	fx.e.DrainCache()
 	if live := fx.e.BufLive(); live != 0 {

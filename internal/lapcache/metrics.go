@@ -75,12 +75,14 @@ type Snapshot struct {
 	StoreReads  uint64 `json:"store_reads"`
 	StoreWrites uint64 `json:"store_writes"`
 
-	// Cooperative peer tier. RemoteReads counts blocks fetched from a
-	// file's owner node; RemoteHits/RemoteMisses classify those
-	// forward RPCs by whether the owner served entirely from memory.
-	// RemoteFallbacks counts forwards refused because the owner was
-	// unreachable (ErrOwnerUnreachable). PeerReadsServed/PeerWritesServed
-	// are the owner side: forwarded requests served for peers.
+	// Cooperative peer tier, booked by the server's relay: RemoteReads
+	// counts blocks read from a file's owner node; RemoteHits/
+	// RemoteMisses classify those blocks by whether the owner served
+	// their span entirely from memory; ForwardedWrites counts writes the
+	// owner took; RemoteFallbacks counts relayed requests refused because
+	// the owner was unreachable (ErrOwnerUnreachable).
+	// PeerReadsServed/PeerWritesServed are the owner side: FlagPeer
+	// requests served for peers.
 	RemoteReads      uint64 `json:"remote_reads,omitempty"`
 	RemoteHits       uint64 `json:"remote_hits,omitempty"`
 	RemoteMisses     uint64 `json:"remote_misses,omitempty"`

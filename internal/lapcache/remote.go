@@ -3,14 +3,16 @@ package lapcache
 import (
 	"errors"
 
+	"repro/internal/blockbuf"
 	"repro/internal/blockdev"
+	"repro/internal/wire"
 )
 
 // The cooperative peer tier (internal/cluster) plugs into the engine
-// and the server through the two small interfaces below, rather than
-// by importing the cluster package: lapclient imports lapcache for the
-// wire types, cluster imports lapclient for the peer connections, so
-// lapcache must stay at the bottom of that stack.
+// and the server through RemoteFetcher below, rather than by importing
+// the cluster package: lapclient imports lapcache for the wire types,
+// cluster imports lapclient for the peer connections, so lapcache must
+// stay at the bottom of that stack.
 //
 // The division of labour mirrors the paper's PAFS architecture. A
 // consistent-hash ring assigns every file one owner, the runtime image
@@ -19,9 +21,10 @@ import (
 // per file" invariant holds across the whole cluster — the property
 // §4 credits for PAFS beating serverless xFS, whose per-node
 // predictors between them over-prefetch the same file. A non-owner
-// node keeps no copy of the file's blocks: it forwards every read and
-// write of the file to the owner, whose memory is an order of
-// magnitude closer than disk, and each block has one copy, there.
+// node keeps no copy of the file's blocks: its server relays every
+// read, write and close of the file to the owner, whose memory is an
+// order of magnitude closer than disk, as the client sent it, and each
+// block has one copy, there. The engine serves whatever reaches it.
 
 // ErrOwnerUnreachable fails a client's read, write or close of a file
 // owned elsewhere when the owner could not be reached; nothing is
@@ -29,12 +32,10 @@ import (
 // matches its text in the server's error frame, and retries.
 var ErrOwnerUnreachable = errors.New("lapcache: owner unreachable")
 
-// RemoteFetcher is the engine's hook into the peer tier. A nil
-// RemoteFetcher (the default) is a single-node engine: every file is
-// owned locally and nothing is forwarded. Implementations must be safe
-// for concurrent use; every method is called without engine locks
-// held. A forward fails with ErrOwnerUnreachable, unwrapped, or with
-// the error of an owner that was reached and refused.
+// RemoteFetcher is the server's hook into the peer tier. A nil
+// RemoteFetcher (the default) is a single node: every file is owned
+// locally and nothing is relayed. Implementations must be safe for
+// concurrent use; every method is called without engine locks held.
 type RemoteFetcher interface {
 	// Owned reports whether this node owns f — runs its prefetch
 	// chain and serves its backing-store reads. Pure ring arithmetic
@@ -43,19 +44,87 @@ type RemoteFetcher interface {
 	// engine decides a file's driver placement once).
 	Owned(f blockdev.FileID) bool
 
-	// FetchSpan reads nblocks blocks of f starting at off from the
-	// file's owner, landing one block per dsts slice (each pre-sized
-	// to the block size): the caller's own buffers, which the engine
-	// hands to its client and never caches. hit reports the owner
-	// answered every block from its memory: a remote memory hit, the
-	// cooperative-cache fast path.
-	FetchSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, dsts [][]byte) (hit bool, err error)
+	// Forward sends one request, h with its payload, to the owner of
+	// file h.File and returns the owner's response header. A read
+	// response's payload lands in dsts, one pre-sized slice per block
+	// (nil for a read without FlagWantData). It fails with
+	// ErrOwnerUnreachable, unwrapped, or, when the owner was reached
+	// and refused, with an error whose text is the owner's message.
+	Forward(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, error)
+}
 
-	// ForwardWrite sends a write of f to its owner so the data lands
-	// in the owner's store and cache, the block's one copy.
-	ForwardWrite(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error
+// relayed reports whether the server sends hd on to its file's owner:
+// a client's read, write or close of a file this node does not own. A
+// peer's request is never relayed, which keeps forwarding loop-free,
+// and a span the engine refuses stays here to be refused.
+func (s *Server) relayed(hd wire.Header) bool {
+	e := s.e
+	if e.remote == nil || hd.Flags&wire.FlagPeer != 0 {
+		return false
+	}
+	switch hd.Op {
+	case wire.OpRead, wire.OpWrite:
+		if !e.spanOK(blockdev.BlockNo(hd.Offset), hd.Size) {
+			return false
+		}
+	case wire.OpClose:
+	default:
+		return false
+	}
+	return !e.remote.Owned(blockdev.FileID(hd.File))
+}
 
-	// ForwardClose tells f's owner this node's clients are done with
-	// the file for now, parking the owner-side prefetch chain.
-	ForwardClose(f blockdev.FileID) error
+// relay answers hd from its file's owner: one Forward of the client's
+// own header, FlagPeer set, and payload. A read that wants data lands
+// in fresh buffers appended to bufs for the response; this node keeps
+// no copy and runs no driver for the file. The owner's refusal reaches
+// the client as the owner worded it. It books the front's remote
+// counters: blocks read from the owner, by whether the owner answered
+// every one from memory (a cooperative-cache hit), writes it took, and
+// requests refused with the owner unreachable.
+func (s *Server) relay(bufs []*blockbuf.Buf, hd wire.Header, payload []byte) (wire.Header, []byte, []*blockbuf.Buf) {
+	e := s.e
+	var (
+		dp   *[][]byte
+		dsts [][]byte
+	)
+	if hd.Op == wire.OpRead && hd.Flags&wire.FlagWantData != 0 {
+		if dp, _ = s.dsts.Get().(*[][]byte); dp == nil {
+			dp = new([][]byte)
+		}
+		dsts = (*dp)[:0]
+		for range hd.Size {
+			buf := e.pool.Get()
+			bufs = append(bufs, buf)
+			dsts = append(dsts, buf.Bytes())
+		}
+	}
+	req := hd
+	req.Flags |= wire.FlagPeer
+	rh, err := e.remote.Forward(req, payload, dsts)
+	if dp != nil {
+		clear(dsts) // drop the block references before pooling
+		*dp = dsts[:0]
+		s.dsts.Put(dp)
+	}
+	if err != nil {
+		if errors.Is(err, ErrOwnerUnreachable) {
+			e.m.remoteFallbacks.Add(1)
+		}
+		return wire.Header{Op: hd.Op, Seq: hd.Seq}, []byte(err.Error()), dropFrom(bufs, 0)
+	}
+	switch hd.Op {
+	case wire.OpRead:
+		e.m.remoteReads.Add(uint64(hd.Size))
+		if rh.Flags&wire.FlagHit != 0 {
+			e.m.remoteHits.Add(uint64(hd.Size))
+		} else {
+			e.m.remoteMisses.Add(uint64(hd.Size))
+		}
+	case wire.OpWrite:
+		e.m.forwardedWrites.Add(1)
+		e.m.writes.Add(1)
+	}
+	out := wire.Header{Op: hd.Op, Flags: rh.Flags, Seq: hd.Seq, PayloadLen: uint32(len(bufs) * e.cfg.BlockSize)}
+	return out, nil, bufs
 }

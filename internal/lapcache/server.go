@@ -82,6 +82,9 @@ type Server struct {
 	// transport faults on the server side of the wire.
 	ConnWrap func(net.Conn) net.Conn
 
+	// dsts recycles the relay's read destinations (*[][]byte).
+	dsts sync.Pool
+
 	// drainGrace bounds how long Close waits for an in-flight response
 	// to flush to a slow client before the write is abandoned.
 	drainGrace time.Duration
@@ -558,40 +561,26 @@ func (h *connHandler) drain(q *fileQueue) {
 }
 
 // mayWait reports whether serving hd may wait on a store read or on
-// another node: a client's request of a file owned elsewhere
-// (forwarded), or a read of a block not cached here. It only places
-// the request: a block evicted after the check is read on the loop.
+// another node: a relayed request, or a read of a block not cached
+// here. It only places the request: a block evicted after the check is
+// read on the loop.
 func (s *Server) mayWait(hd wire.Header) bool {
 	if !hd.Flags.Known() {
 		return false
 	}
+	if s.relayed(hd) {
+		return true
+	}
 	e, f := s.e, blockdev.FileID(hd.File)
-	switch hd.Op {
-	case wire.OpRead:
-		if !e.spanOK(blockdev.BlockNo(hd.Offset), hd.Size) {
-			return false // exec refuses it
-		}
-		if e.forwarded(f, modeOf(hd.Flags)) {
+	if hd.Op != wire.OpRead || !e.spanOK(blockdev.BlockNo(hd.Offset), hd.Size) {
+		return false // not a read, or one exec refuses
+	}
+	for i := int32(0); i < hd.Size; i++ {
+		if !e.cache.Contains(blockdev.BlockID{File: f, Block: blockdev.BlockNo(hd.Offset + i)}) {
 			return true
 		}
-		for i := int32(0); i < hd.Size; i++ {
-			if !e.cache.Contains(blockdev.BlockID{File: f, Block: blockdev.BlockNo(hd.Offset + i)}) {
-				return true
-			}
-		}
-	case wire.OpWrite, wire.OpClose:
-		return e.forwarded(f, modeOf(hd.Flags))
 	}
 	return false
-}
-
-// modeOf maps a request's FlagPeer bit to the mode the engine serves
-// it in.
-func modeOf(fl wire.Flags) reqMode {
-	if fl&wire.FlagPeer != 0 {
-		return modePeer
-	}
-	return modeClient
 }
 
 // dispatch serves one request and queues its response. Buffers queued
@@ -620,12 +609,12 @@ func (h *connHandler) dispatch(bufs []*blockbuf.Buf, hd wire.Header, payload []b
 	return bufs[:0]
 }
 
-// exec is the one request body: it maps (Op, Flags) onto the engine's
-// read, write and close bodies — the flags choose the mode, never a
-// different entry point — and returns the response header and either
-// its payload (an error message or a rare op's JSON document) or, for
-// a read that wants data, one retained buffer per block for the
-// caller.
+// exec is the one request body. It relays a client's request of a
+// file owned elsewhere to the owner; it maps any other read, write or
+// close onto the engine's, which serves it here. It returns the
+// response header and either its payload (an error message or a rare
+// op's JSON document) or, for a read that wants data, one retained
+// buffer per block for the caller.
 func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte) (wire.Header, []byte, []*blockbuf.Buf) {
 	s := h.s
 	refuse := func(msg string) (wire.Header, []byte, []*blockbuf.Buf) {
@@ -638,7 +627,10 @@ func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte)
 	if !hd.Op.Known() || !hd.Flags.Known() {
 		return refuse(fmt.Sprintf("unsupported op %s flags %#x", hd.Op, uint8(hd.Flags)))
 	}
-	m := modeOf(hd.Flags)
+	if s.relayed(hd) {
+		return s.relay(bufs, hd, payload)
+	}
+	peer := hd.Flags&wire.FlagPeer != 0
 	f, off := blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset)
 	flags := wire.FlagOK
 	var doc any // JSON response document of the rare ops
@@ -649,8 +641,11 @@ func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte)
 			hit bool
 			err error
 		)
-		if bufs, hit, err = s.e.read(bufs, f, off, hd.Size, m); err != nil {
+		if bufs, hit, err = s.e.ReadInto(bufs, f, off, hd.Size); err != nil {
 			return refuse(err.Error())
+		}
+		if peer {
+			s.e.m.peerReads.Add(1)
 		}
 		if hit {
 			flags |= wire.FlagHit
@@ -670,14 +665,15 @@ func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte)
 		if hd.PayloadLen > 0 {
 			data = payload
 		}
-		if err := s.e.write(f, off, hd.Size, data, m); err != nil {
+		if err := s.e.Write(f, off, hd.Size, data); err != nil {
 			return refuse(err.Error())
+		}
+		if peer {
+			s.e.m.peerWrites.Add(1)
 		}
 
 	case wire.OpClose:
-		if err := s.e.closeFile(f, m); err != nil {
-			return refuse(err.Error())
-		}
+		s.e.closeFile(f)
 
 	case wire.OpPing:
 		doc = pingPayload{Alg: s.e.AlgName(), BlockSize: s.e.BlockSize()}

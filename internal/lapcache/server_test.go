@@ -3,6 +3,7 @@ package lapcache
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"math"
 	"net"
 	"testing"
@@ -73,6 +74,17 @@ func (c *rawConn) recv(t *testing.T, seq uint32) (wire.Header, []byte) {
 		t.Fatalf("response echoes seq %d, want %d", h.Seq, seq)
 	}
 	return h, payload
+}
+
+// call runs one request/response exchange and returns an error frame's
+// message as an error.
+func (c *rawConn) call(t *testing.T, h wire.Header, payload []byte) (wire.Header, error) {
+	t.Helper()
+	rh, msg := c.do(t, h, payload)
+	if rh.Flags&wire.FlagOK == 0 {
+		return rh, errors.New(string(msg))
+	}
+	return rh, nil
 }
 
 // frameBytes encodes one complete frame: h's header, with PayloadLen
@@ -269,8 +281,12 @@ func TestServerCloseNotWedgedBySlowClient(t *testing.T) {
 // whole request surface — {client, peer} × {read, write, close} — and
 // pins the loop-free contract FlagPeer stands for: a peer-flagged
 // request is never re-forwarded, and still feeds the owner's driver.
-// fakeRemote (remote_test.go) owns the even files and counts every
-// forward.
+// A relayed request reaches the owner as the client sent it, FlagPeer
+// added. fakeRemote (remote_test.go) owns the even files and counts
+// every forward. The last rows pin the relay's edges: a data-less read
+// stays data-less, a span the engine refuses never leaves the front,
+// and an unreachable owner is an error frame with
+// ErrOwnerUnreachable's text.
 func TestServerDispatchMatrix(t *testing.T) {
 	const (
 		blockSize = 512
@@ -306,6 +322,14 @@ func TestServerDispatchMatrix(t *testing.T) {
 		}
 		return c.do(t, h, nil)
 	}
+	// sendErr is send with an error frame's message as the error.
+	sendErr := func(t *testing.T, op wire.Op, f blockdev.FileID, off int32) (wire.Header, error) {
+		h, payload := send(t, op, 0, f, off)
+		if h.Flags&wire.FlagOK == 0 {
+			return h, errors.New(string(payload))
+		}
+		return h, nil
+	}
 
 	off := int32(0) // fresh blocks per cell, so no cell is served from another's leftovers
 	for _, mode := range []struct {
@@ -329,6 +353,10 @@ func TestServerDispatchMatrix(t *testing.T) {
 				}
 				if got := forwards() - before; (got == 1) != mode.forwards || got > 1 {
 					t.Errorf("foreign file: %d forwards, want forwarding=%v", got, mode.forwards)
+				}
+				if fh := rem.lastForward(); mode.forwards && (fh.Op != op || fh.Flags != matrixFlags(op)|wire.FlagPeer || fh.Offset != off) {
+					t.Errorf("foreign file: the owner got %s flags %#x at %d, want the client's %s flags %#x at %d",
+						fh.Op, uint8(fh.Flags), fh.Offset, op, uint8(matrixFlags(op)|wire.FlagPeer), off)
 				}
 
 				before, ticks, snap := forwards(), fed(), e.Snapshot()
@@ -354,6 +382,49 @@ func TestServerDispatchMatrix(t *testing.T) {
 			})
 		}
 	}
+	t.Run("client/read-dataless", func(t *testing.T) {
+		before := forwards()
+		seq++
+		h, payload := c.do(t, wire.Header{Op: wire.OpRead, Seq: seq, File: int32(foreign), Offset: 64, Size: 2}, nil)
+		if h.Flags&wire.FlagOK == 0 || len(payload) != 0 {
+			t.Fatalf("data-less read: flags %#x, %d payload bytes; want served with none", uint8(h.Flags), len(payload))
+		}
+		if got := forwards() - before; got != 1 {
+			t.Fatalf("data-less read: %d forwards, want 1", got)
+		}
+		if fh := rem.lastForward(); fh.Flags != wire.FlagPeer {
+			t.Errorf("data-less read reached the owner with flags %#x, want FlagPeer alone", uint8(fh.Flags))
+		}
+	})
+	t.Run("client/oversize", func(t *testing.T) {
+		before := forwards()
+		seq++
+		overCap := int32(wire.MaxDataBytes/blockSize + 1)
+		h := wire.Header{Op: wire.OpRead, Flags: wire.FlagWantData, Seq: seq, File: int32(foreign), Size: overCap}
+		if _, err := c.call(t, h, nil); err == nil {
+			t.Fatal("oversize read of a foreign file was served")
+		}
+		if got := forwards() - before; got != 0 {
+			t.Errorf("oversize read: %d forwards, want 0: the front refuses it", got)
+		}
+	})
+	t.Run("client/ownerDown", func(t *testing.T) {
+		rem.down.Store(true)
+		defer rem.down.Store(false)
+		for _, op := range []wire.Op{wire.OpRead, wire.OpWrite, wire.OpClose} {
+			if _, err := sendErr(t, op, foreign, 72); !sameErr(err, ErrOwnerUnreachable) {
+				t.Errorf("%s with the owner down: err=%v, want %q", op, err, ErrOwnerUnreachable)
+			}
+		}
+	})
+}
+
+// matrixFlags are the flags the matrix sends op with.
+func matrixFlags(op wire.Op) wire.Flags {
+	if op == wire.OpRead {
+		return wire.FlagWantData
+	}
+	return 0
 }
 
 // pipeline writes frames to c in one call, so the server's loop finds

@@ -53,7 +53,7 @@ func TestLinearHighWaterUnderStress(t *testing.T) {
 					return
 				}
 				if g%4 == 0 && i%50 == 49 {
-					e.closeFile(7, modeClient)
+					e.closeFile(7)
 				}
 			}
 		}(g)
