@@ -21,12 +21,13 @@
 //
 // With -peers, the daemon joins a cooperative peer group: the listed
 // members (which must include this node's own -advertise address)
-// form a consistent-hash ring assigning every file one owner. Reads,
-// writes and closes of files owned elsewhere are relayed to the owner —
-// a remote memory hit instead of a local disk read — and only the owner
-// runs a file's prefetch chain, so the linear bound holds cluster-wide.
+// form a consistent-hash ring assigning every file one owner. A
+// client's reads, writes and closes of files owned elsewhere are
+// relayed to the owner — a remote memory hit instead of a local disk
+// read — and a peer's refused, so only the owner runs a file's chain.
 // Every member must be started with the same -peers list (order does
-// not matter) and the same -block-size. The list is the ring for the
+// not matter; a peer on another is kept down and logged) and the same
+// -block-size. The list is the ring for the
 // node's whole life: a request of a file whose owner is down fails,
 // and ownership never moves.
 package main
@@ -149,7 +150,6 @@ func main() {
 			log.Fatalf("cluster: %v", err)
 		}
 		node = n
-		cfg.Remote = node
 	}
 
 	engine, err := lapcache.New(cfg)
@@ -175,8 +175,9 @@ func main() {
 	srv.IdleTimeout = *idleTimeout
 	srv.Shards = *shards
 	if node != nil {
+		srv.Remote = node // never a nil *cluster.Node: that is a non-nil Remote
 		node.Start()
-		log.Printf("cluster: self=%s members=%v", node.Self(), node.MemberAddrs())
+		log.Printf("cluster: self=%s members=%v", node.Self(), node.Members())
 	}
 	log.Printf("lapcached: alg=%s cache=%d blocks (%d B each) store=%s listening on %s",
 		alg.Name(), *cacheBlocks, *blockSize, *storeKind, ln.Addr())

@@ -79,6 +79,7 @@ type Invariants struct {
 	OverCap          []string `json:"over_cap"`          // must be empty
 	NonOwnerDriven   []string `json:"non_owner_driven"`  // must be empty
 	LinearViolations uint64   `json:"linear_violations"` // must be 0
+	PeerRefused      uint64   `json:"peer_refused"`      // must be 0: one ring, and no fault rewrites a header's file
 	// Buffer lifecycle.
 	BufLive     int64 `json:"buf_live"`     // must be 0 after teardown
 	DrainedBufs int   `json:"drained_bufs"` // informational
@@ -128,6 +129,9 @@ func (v Invariants) Check() error {
 	}
 	if v.LinearViolations > 0 {
 		bad = append(bad, fmt.Sprintf("%d linearity violations", v.LinearViolations))
+	}
+	if v.PeerRefused > 0 {
+		bad = append(bad, fmt.Sprintf("%d peer requests sent to a node that does not own the file", v.PeerRefused))
 	}
 	if v.BufLive != 0 {
 		bad = append(bad, fmt.Sprintf("%d block buffers leaked", v.BufLive))
@@ -185,8 +189,8 @@ func (r Result) String() string {
 	}
 	sort.Strings(reasons)
 	fmt.Fprintf(&b, "closes: %s\n", strings.Join(reasons, " "))
-	fmt.Fprintf(&b, "invariants: ownerHW=%d/cap=%d overCap=%d nonOwnerDriven=%d linearViol=%d bufLive=%d mismatches=%d unexpected=%d injectedErrs=%d transportErrs=%d refused=%d abandoned=%v wedged=%v\n",
-		r.Inv.MaxOwnerHW, r.Inv.DegreeCap, len(r.Inv.OverCap), len(r.Inv.NonOwnerDriven), r.Inv.LinearViolations, r.Inv.BufLive,
+	fmt.Fprintf(&b, "invariants: ownerHW=%d/cap=%d overCap=%d nonOwnerDriven=%d linearViol=%d peerRefused=%d bufLive=%d mismatches=%d unexpected=%d injectedErrs=%d transportErrs=%d refused=%d abandoned=%v wedged=%v\n",
+		r.Inv.MaxOwnerHW, r.Inv.DegreeCap, len(r.Inv.OverCap), len(r.Inv.NonOwnerDriven), r.Inv.LinearViolations, r.Inv.PeerRefused, r.Inv.BufLive,
 		r.Inv.DataMismatches, len(r.Inv.UnexpectedErrors), r.Inv.InjectedErrors,
 		r.Inv.TransportErrors, r.Inv.RefusedForwards, r.Inv.Abandoned, r.Inv.Wedged)
 	if err := r.Inv.Check(); err != nil {
@@ -338,6 +342,7 @@ func Run(cfg Config) (Result, error) {
 		snap := m.Engine.Snapshot()
 		res.Inv.RefusedForwards += snap.RemoteFallbacks
 		res.Inv.LinearViolations += snap.LinearViolations
+		res.Inv.PeerRefused += snap.PeerRefused
 		for reason, n := range m.Server.CloseCounts() {
 			res.Close[reason] += n
 		}

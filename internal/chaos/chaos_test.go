@@ -111,6 +111,7 @@ func TestInvariantsCheck(t *testing.T) {
 		MaxOwnerHW:         3,
 		NonOwnerDriven:     []string{"n2 file 9"},
 		LinearViolations:   2,
+		PeerRefused:        1,
 		BufLive:            4,
 		DataMismatches:     1,
 		UnexpectedErrors:   []string{"read f3: boom"},
@@ -121,7 +122,7 @@ func TestInvariantsCheck(t *testing.T) {
 	if err == nil {
 		t.Fatal("violated invariants passed Check")
 	}
-	for _, want := range []string{"high-water", "non-owner", "linear", "leaked", "mismatch", "unexpected",
+	for _, want := range []string{"high-water", "non-owner", "linear", "does not own", "leaked", "mismatch", "unexpected",
 		"selected set", "wedged"} {
 		if !contains(err.Error(), want) {
 			t.Errorf("Check verdict misses %q: %v", want, err)

@@ -112,14 +112,19 @@ func TestNextBackoffDecorrelated(t *testing.T) {
 // fake clock and a gated dialer: consecutive failures walk the
 // exponential schedule, one success snaps it back to PingInterval.
 func TestHealthLoopBackoffAndReset(t *testing.T) {
-	// A real single-node server for the success dial to land on.
-	target, stopTarget, err := StartLocal(1, func(i int, addrs []string) lapcache.Config {
+	// A real server for the success dial to land on, on the test node's
+	// ring ({self:1, target}), so the handshake matches; it never
+	// reaches self:1.
+	target, stopTarget, err := StartLocalWith(1, func(i int, addrs []string) lapcache.Config {
 		return lapcache.Config{
 			Alg:         core.SpecNP,
 			BlockSize:   512,
 			CacheBlocks: 64,
 			Store:       lapcache.NewMemStore(512, 0),
 		}
+	}, StartLocalOpts{
+		TweakNode:   func(_ int, cfg *Config) { cfg.Peers = append(cfg.Peers, "self:1") },
+		NoWaitReady: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -242,6 +244,103 @@ func TestFrontRelaysOwnerRefusal(t *testing.T) {
 	if s := front.Engine.Snapshot(); s.RemoteFallbacks != 0 || s.ForwardedWrites != 0 || s.StoreWrites != 0 {
 		t.Errorf("front: fallbacks=%d forwarded=%d store writes=%d, want 0/0/0",
 			s.RemoteFallbacks, s.ForwardedWrites, s.StoreWrites)
+	}
+}
+
+// splitRing is the fleet of a configuration error: three members, node
+// A (0) started with the member list {A, B}, B and C with all three.
+var splitRing = StartLocalOpts{TweakNode: func(i int, cfg *Config) {
+	if i == 0 {
+		cfg.Peers = cfg.Peers[:2]
+	}
+}}
+
+// TestMismatchedRingsFailWaitReady: a fleet whose members were started
+// with different member lists does not start. A's health loop finds B
+// reporting the full list in its handshake, keeps B down, and A's
+// WaitReady fails at once naming B and both lists.
+func TestMismatchedRingsFailWaitReady(t *testing.T) {
+	var addrs []string
+	nodes, stop, err := StartLocalWith(3, func(_ int, all []string) lapcache.Config {
+		addrs = all
+		return lapcache.Config{
+			Alg:         core.SpecNP,
+			BlockSize:   testBlockSize,
+			CacheBlocks: 64,
+			Store:       lapcache.NewMemStore(testBlockSize, 0),
+		}
+	}, splitRing)
+	if err == nil {
+		stop()
+		t.Fatalf("a fleet on two member lists started (%d nodes)", len(nodes))
+	}
+	full, cut := slices.Clone(addrs), slices.Clone(addrs[:2])
+	slices.Sort(full)
+	slices.Sort(cut)
+	for _, want := range []string{addrs[1], fmt.Sprint(full), fmt.Sprint(cut)} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("StartLocalWith: %v; want it to name %s", err, want)
+		}
+	}
+}
+
+// TestRingDisagreementIsRefused: with A started on the member list
+// {A, B}, A's ring gives B a file that B's and C's give C. A peer
+// request of that file sent straight to B is refused with
+// lapcache.ErrNotOwner, and B's store does not move; A's client write
+// of it is not acknowledged; and C, the owner, still reads the bytes
+// from before. No node takes a second copy of the file.
+func TestRingDisagreementIsRefused(t *testing.T) {
+	opts := splitRing
+	opts.NoWaitReady = true
+	nodes := startClusterWith(t, 3, nil, opts)
+	a, b, c := nodes[0], nodes[1], nodes[2]
+	f := blockdev.FileID(1)
+	for ; ; f++ {
+		if f == 10000 {
+			t.Fatal("no file that A's ring gives B and C's gives C in 10000 tries")
+		}
+		inA, _ := a.Node.OwnerOf(f)
+		if _, own := c.Node.OwnerOf(f); own && inA == b.Addr {
+			break
+		}
+	}
+	// Sequence the test after A's first dial of B, kept or refused.
+	a.Node.WaitReady(5 * time.Second) //nolint:errcheck
+
+	before, _, err := readCopy(c, f, 0, 1)
+	if err != nil {
+		t.Fatalf("C's first read: %v", err)
+	}
+	data := bytes.Repeat([]byte{0xAB}, testBlockSize)
+	if bytes.Equal(before, data) {
+		t.Fatal("the block already holds the bytes the test writes")
+	}
+
+	conn, err := lapclient.DialConn(b.Addr, 1)
+	if err != nil {
+		t.Fatalf("dial B: %v", err)
+	}
+	defer conn.Close()
+	sb := b.Engine.Snapshot()
+	_, _, err = conn.Do(lapclient.Req(wire.OpWrite, wire.FlagPeer, f, 0, 1), data, nil)
+	if se := (*lapclient.ServerError)(nil); !errors.As(err, &se) || se.Msg != lapcache.ErrNotOwner.Error() {
+		t.Errorf("peer write of C's file sent to B: err=%v, want %q", err, lapcache.ErrNotOwner)
+	}
+	if s := b.Engine.Snapshot(); s.StoreWrites != sb.StoreWrites || s.PeerWritesServed != sb.PeerWritesServed || s.PeerRefused != sb.PeerRefused+1 {
+		t.Errorf("B: store writes %d→%d, peer writes served %d→%d, refused %d→%d; want unmoved, unmoved, +1",
+			sb.StoreWrites, s.StoreWrites, sb.PeerWritesServed, s.PeerWritesServed, sb.PeerRefused, s.PeerRefused)
+	}
+
+	if err := writeVia(a, f, 0, 1, data); err == nil {
+		t.Error("A acknowledged a write of C's file that C never took")
+	}
+	after, _, err := readCopy(c, f, 0, 1)
+	if err != nil {
+		t.Fatalf("C's second read: %v", err)
+	}
+	if !bytes.Equal(after, before) {
+		t.Error("C read bytes it never acknowledged")
 	}
 }
 

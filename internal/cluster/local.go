@@ -47,8 +47,9 @@ type StartLocalOpts struct {
 // every node listening on its own loopback port and peered with the
 // others — the harness behind the cluster suite, the chaos replay and
 // the benchmark's coop_mixed workload. mkcfg builds node i's engine
-// config given the full member address list (Remote is filled in by
-// the harness; a Store must be provided). The returned stop function
+// config given the full member address list (a Store must be
+// provided); the harness makes each node's cluster.Node its server's
+// Remote. The returned stop function
 // tears everything down in reverse order and is safe to call after a
 // partial failure path has already cleaned up.
 //
@@ -137,14 +138,13 @@ func (m *LocalNode) boot(ln net.Listener) error {
 	if err != nil {
 		return err
 	}
-	cfg := m.mkcfg(m.Index, m.addrs)
-	cfg.Remote = node
-	eng, err := lapcache.New(cfg)
+	eng, err := lapcache.New(m.mkcfg(m.Index, m.addrs))
 	if err != nil {
 		node.Close()
 		return err
 	}
 	srv := lapcache.NewServer(eng)
+	srv.Remote = node
 	if m.opts.TweakServer != nil {
 		m.opts.TweakServer(m.Index, srv)
 	}

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -71,10 +72,9 @@ type realClock struct{}
 func (realClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // Node wires one lapcached process into the peer group. It implements
-// lapcache.RemoteFetcher: Owned places a file's driver, and Forward is
-// the server's relay of a client's request to the file's owner — the
-// one interface through which lapcache stays free of any cluster
-// import.
+// lapcache.RemoteFetcher, the server's one view of the cluster: Owned
+// picks the files it serves, Forward relays a client's request to the
+// owner, and Members is the ring its ping reports.
 //
 // Each peer gets one pipelined binary connection and a health
 // goroutine: dial with exponential backoff while down, periodic pings
@@ -102,8 +102,9 @@ type Node struct {
 type peer struct {
 	addr string
 
-	mu   sync.Mutex
-	conn *lapclient.Conn // nil while down, and until the first successful dial
+	mu      sync.Mutex
+	conn    *lapclient.Conn // nil while down, and until the first successful dial
+	ringErr error           // the last handshake's ring mismatch; nil once one matches
 }
 
 // NewNode validates the member list and builds the node. Call Start to
@@ -178,15 +179,21 @@ func (n *Node) Close() {
 }
 
 // WaitReady blocks until every peer is dialed and live, or the
-// timeout passes (error names the stragglers). Tests and the demo use
-// it to sequence startup; production callers can skip it — a forward
+// timeout passes (error names the stragglers), or fails at once when a
+// peer's handshake reported another ring. Tests and the demo use it
+// to sequence startup; production callers can skip it — a forward
 // before readiness fails, and the client retries.
 func (n *Node) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
 	for {
 		var waiting []string
 		for addr, p := range n.peers {
-			if _, up := p.liveConn(); !up {
+			p.mu.Lock()
+			up, ringErr := p.conn != nil, p.ringErr
+			p.mu.Unlock()
+			if ringErr != nil {
+				return ringErr
+			} else if !up {
 				waiting = append(waiting, addr)
 			}
 		}
@@ -238,8 +245,8 @@ func (n *Node) NextBackoff(addr string, attempt int) time.Duration {
 }
 
 // healthLoop keeps one peer dialed: jittered exponential backoff while
-// down, periodic liveness pings while up. One successful dial resets
-// the backoff schedule to PingInterval.
+// down, periodic liveness pings while up. One successful dial (its
+// handshake on this node's ring) resets the backoff to PingInterval.
 func (n *Node) healthLoop(p *peer) {
 	defer n.wg.Done()
 	attempt := 0
@@ -248,15 +255,12 @@ func (n *Node) healthLoop(p *peer) {
 			attempt = 0
 		} else {
 			conn, err := n.cfg.DialFunc(p.addr)
-			if err == nil {
+			if err == nil && n.checkRing(p, conn) == nil {
 				if n.cfg.PeerCallTimeout > 0 {
 					conn.SetCallTimeout(n.cfg.PeerCallTimeout)
 				}
 				p.mu.Lock()
-				if p.conn != nil {
-					p.conn.Close()
-				}
-				p.conn = conn
+				p.conn, p.ringErr = conn, nil
 				p.mu.Unlock()
 				n.logf("cluster: peer %s up", p.addr)
 				attempt = 0
@@ -277,6 +281,26 @@ func (n *Node) healthLoop(p *peer) {
 			}
 		}
 	}
+}
+
+// checkRing fails a freshly dialed peer whose handshake reports a
+// member list other than this node's: it closes the connection and
+// keeps the reason on the peer for WaitReady, logged when it changes.
+func (n *Node) checkRing(p *peer, conn *lapclient.Conn) error {
+	theirs, ours := conn.Info().Members, n.ring.Members()
+	if slices.Equal(theirs, ours) {
+		return nil
+	}
+	conn.Close()
+	err := fmt.Errorf("cluster: peer %s reports members %v, this node %v", p.addr, theirs, ours)
+	p.mu.Lock()
+	old := p.ringErr
+	p.ringErr = err
+	p.mu.Unlock()
+	if old == nil || old.Error() != err.Error() {
+		n.logf("%v", err)
+	}
+	return err
 }
 
 // liveConn returns the peer's connection if it is up.
@@ -350,8 +374,8 @@ func (n *Node) OwnerOf(f blockdev.FileID) (string, bool) {
 	return owner, owner == n.self
 }
 
-// MemberAddrs returns every ring member's advertise address, sorted.
-func (n *Node) MemberAddrs() []string { return n.ring.Members() }
+// Members returns every ring member's advertise address, sorted.
+func (n *Node) Members() []string { return n.ring.Members() }
 
 // PeerDown reports whether addr is currently marked down (false for
 // self and unknown addresses); tests read it.

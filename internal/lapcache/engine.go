@@ -12,10 +12,10 @@
 // pool, whose fullness is the backpressure signal that parks a
 // driver's chain; and the per-file prefetch server of PAFS becomes a
 // per-file mutex under which the (single-threaded by contract) driver
-// runs. In a cluster (Config.Remote) that server is the file's ring
-// owner: every other node's server relays it each read, write and
-// close of the file and keeps no copy, so each block has one, on its
-// owner. The engine serves what reaches it; the server routes.
+// runs. In a cluster that server is the file's ring owner: the server
+// (Server.Remote) relays a client's request of a file owned elsewhere
+// and refuses a peer's, so the engine knows nothing of the cluster and
+// serves, and drives, every file that reaches it.
 package lapcache
 
 import (
@@ -64,12 +64,6 @@ type Config struct {
 	// writes through a stale reference panics instead of corrupting a
 	// later block. Costs a full-block write per recycle; tests only.
 	PoisonBufs bool
-	// Remote, when non-nil, puts the engine in cooperative-cluster
-	// mode: drivers are only created for files this node owns (the
-	// PAFS one-server-per-file rule, applied cluster-wide), and the
-	// server relays a client's request of any other file to its ring
-	// owner. nil is a single-node engine that owns everything.
-	Remote RemoteFetcher
 }
 
 // defaultFileBlocks sizes a file the engine has no length for.
@@ -109,7 +103,7 @@ type prefetchOp struct {
 // linear (§4).
 type fileState struct {
 	mu     sync.Mutex
-	driver *core.Driver // nil when Alg is NP or the file is not owned
+	driver *core.Driver // nil until first use, and always when Alg is NP
 	tick   core.Tick    // per-file logical clock fed to the predictor
 
 	// degree is the file's prefetch window. Immutable after fileState
@@ -119,10 +113,6 @@ type fileState struct {
 	// Snapshot and HighWaters read its atomic high-water and over-cap
 	// counts.
 	degree *core.DegreePolicy
-
-	// owned: this node runs f's chain (always, on a single node).
-	// Decided once, when the fileState is created: the ring is fixed.
-	owned bool
 }
 
 // Engine is a concurrent prefetching block cache.
@@ -135,11 +125,10 @@ type fileState struct {
 // lookup path takes filesMu alone and releases it before touching any
 // fl.mu.)
 type Engine struct {
-	cfg    Config
-	cache  *blockCache
-	store  BackingStore
-	pool   *blockbuf.Pool
-	remote RemoteFetcher // nil on a single-node engine
+	cfg   Config
+	cache *blockCache
+	store BackingStore
+	pool  *blockbuf.Pool
 
 	m    Metrics
 	fops sync.Pool // recycled *fetchOp
@@ -187,7 +176,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		store:      cfg.Store,
 		pool:       blockbuf.NewPool(cfg.BlockSize),
-		remote:     cfg.Remote,
 		adaptive:   cfg.Alg.Adaptive,
 		files:      make(map[blockdev.FileID]*fileState),
 		fileBlocks: make(map[blockdev.FileID]blockdev.BlockNo, len(cfg.FileBlocks)),
@@ -239,7 +227,7 @@ func (e *Engine) fileState(f blockdev.FileID) *fileState {
 	if fl := e.files[f]; fl != nil {
 		return fl
 	}
-	fl = &fileState{degree: e.cfg.Alg.NewDegreePolicy(), owned: e.remote == nil || e.remote.Owned(f)}
+	fl = &fileState{degree: e.cfg.Alg.NewDegreePolicy()}
 	if e.cfg.StrictLinear {
 		fl.degree.SetStrict()
 	}
@@ -265,15 +253,16 @@ func (e *Engine) newDriver(f blockdev.FileID, fl *fileState) *core.Driver {
 	})
 }
 
-// driverLocked returns f's driver, creating it on first use, if this
-// node runs f's chain. In a cluster only the ring owner runs a file's
-// driver: the whole point of per-file ownership is that exactly one
-// chain walker exists per file, so "≤ 1 outstanding prefetch" holds
-// across every node, not merely within each (PAFS vs. xFS, §4).
+// driverLocked returns f's driver, creating it on first use when the
+// algorithm prefetches. In a cluster only the ring owner's engine sees
+// f (the server relays or refuses every other node's request of it),
+// so exactly one chain walker exists per file and "≤ 1 outstanding
+// prefetch" holds across every node, not merely within each (PAFS vs.
+// xFS, §4).
 //
 // Callers hold fl.mu.
 func (e *Engine) driverLocked(f blockdev.FileID, fl *fileState) *core.Driver {
-	if fl.driver == nil && fl.owned && e.cfg.Alg.Prefetches() {
+	if fl.driver == nil && e.cfg.Alg.Prefetches() {
 		fl.driver = e.newDriver(f, fl)
 	}
 	return fl.driver
@@ -598,6 +587,7 @@ func (e *Engine) Snapshot() Snapshot {
 		ForwardedWrites:    e.m.forwardedWrites.Load(),
 		PeerReadsServed:    e.m.peerReads.Load(),
 		PeerWritesServed:   e.m.peerWrites.Load(),
+		PeerRefused:        e.m.peerRefused.Load(),
 		CachedBlocks:       e.cache.Len(),
 	}
 	if e.adaptive {

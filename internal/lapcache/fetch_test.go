@@ -104,8 +104,8 @@ func newFetchFixture(t *testing.T, src fetchSource) *fetchFixture {
 		src.arm(rem)
 	}
 	srv, addr := startTestServer(t, Config{
-		Alg: core.SpecNP, BlockSize: 512, CacheBlocks: 128, Store: gs, Remote: rem, PoisonBufs: true,
-	}, nil)
+		Alg: core.SpecNP, BlockSize: 512, CacheBlocks: 128, Store: gs, PoisonBufs: true,
+	}, withRemote(rem))
 	t.Cleanup(gs.Release) // runs before the server's Close, which waits on the store
 	return &fetchFixture{t: t, e: srv.e, srv: srv, addr: addr, gs: gs, rem: rem, src: src}
 }

@@ -36,6 +36,7 @@ type Metrics struct {
 	forwardedWrites atomic.Uint64
 	peerReads       atomic.Uint64
 	peerWrites      atomic.Uint64
+	peerRefused     atomic.Uint64
 }
 
 // Snapshot is a frozen, JSON-exportable view of the engine's counters
@@ -82,7 +83,8 @@ type Snapshot struct {
 	// owner took; RemoteFallbacks counts relayed requests refused because
 	// the owner was unreachable (ErrOwnerUnreachable).
 	// PeerReadsServed/PeerWritesServed are the owner side: FlagPeer
-	// requests served for peers.
+	// requests served for peers; PeerRefused those refused with
+	// ErrNotOwner (0 on a fleet of one ring).
 	RemoteReads      uint64 `json:"remote_reads,omitempty"`
 	RemoteHits       uint64 `json:"remote_hits,omitempty"`
 	RemoteMisses     uint64 `json:"remote_misses,omitempty"`
@@ -90,6 +92,7 @@ type Snapshot struct {
 	ForwardedWrites  uint64 `json:"forwarded_writes,omitempty"`
 	PeerReadsServed  uint64 `json:"peer_reads_served,omitempty"`
 	PeerWritesServed uint64 `json:"peer_writes_served,omitempty"`
+	PeerRefused      uint64 `json:"peer_refused,omitempty"`
 
 	// Buffer pool traffic: fills served by allocating a new block
 	// buffer vs. recycling a released one. A steady-state ratio near

@@ -8,11 +8,11 @@ import (
 	"repro/internal/wire"
 )
 
-// The cooperative peer tier (internal/cluster) plugs into the engine
-// and the server through RemoteFetcher below, rather than by importing
-// the cluster package: lapclient imports lapcache for the wire types,
-// cluster imports lapclient for the peer connections, so lapcache must
-// stay at the bottom of that stack.
+// The cooperative peer tier (internal/cluster) plugs into the server
+// through RemoteFetcher below, rather than by importing the cluster
+// package: lapclient imports lapcache for the wire types, cluster
+// imports lapclient for the peer connections, so lapcache must stay at
+// the bottom of that stack.
 //
 // The division of labour mirrors the paper's PAFS architecture. A
 // consistent-hash ring assigns every file one owner, the runtime image
@@ -20,11 +20,11 @@ import (
 // linear-aggressive chain, so the "at most one outstanding prefetch
 // per file" invariant holds across the whole cluster — the property
 // §4 credits for PAFS beating serverless xFS, whose per-node
-// predictors between them over-prefetch the same file. A non-owner
-// node keeps no copy of the file's blocks: its server relays every
-// read, write and close of the file to the owner, whose memory is an
-// order of magnitude closer than disk, as the client sent it, and each
-// block has one copy, there. The engine serves whatever reaches it.
+// predictors between them over-prefetch the same file. The server
+// alone knows the ring: it relays a client's read, write or close of a
+// file owned elsewhere to the owner, as the client sent it, and refuses
+// a peer's, so each block has one copy, on its owner, and the engine
+// sees only files this node owns.
 
 // ErrOwnerUnreachable fails a client's read, write or close of a file
 // owned elsewhere when the owner could not be reached; nothing is
@@ -32,16 +32,18 @@ import (
 // matches its text in the server's error frame, and retries.
 var ErrOwnerUnreachable = errors.New("lapcache: owner unreachable")
 
-// RemoteFetcher is the server's hook into the peer tier. A nil
-// RemoteFetcher (the default) is a single node: every file is owned
-// locally and nothing is relayed. Implementations must be safe for
-// concurrent use; every method is called without engine locks held.
+// ErrNotOwner refuses a peer's request of a file this node's ring
+// gives another member: the two were started on different rings.
+var ErrNotOwner = errors.New("lapcache: not the owner")
+
+// RemoteFetcher is the server's hook into the peer tier (Server.Remote).
+// A nil RemoteFetcher (the default) is a single node: every file is
+// owned locally and nothing is relayed. Implementations must be safe
+// for concurrent use.
 type RemoteFetcher interface {
-	// Owned reports whether this node owns f — runs its prefetch
-	// chain and serves its backing-store reads. Pure ring arithmetic
-	// over a fixed member list: it must be cheap, deterministic,
-	// identical on every node, and constant for the node's life (the
-	// engine decides a file's driver placement once).
+	// Owned reports whether this node owns f: serves its requests and
+	// runs its prefetch chain. Pure ring arithmetic over a fixed member
+	// list: cheap, deterministic and constant for the node's life.
 	Owned(f blockdev.FileID) bool
 
 	// Forward sends one request, h with its payload, to the owner of
@@ -51,6 +53,9 @@ type RemoteFetcher interface {
 	// ErrOwnerUnreachable, unwrapped, or, when the owner was reached
 	// and refused, with an error whose text is the owner's message.
 	Forward(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, error)
+
+	// Members returns the ring's member list, sorted, for the ping.
+	Members() []string
 }
 
 // relayed reports whether the server sends hd on to its file's owner:
@@ -58,20 +63,15 @@ type RemoteFetcher interface {
 // peer's request is never relayed, which keeps forwarding loop-free,
 // and a span the engine refuses stays here to be refused.
 func (s *Server) relayed(hd wire.Header) bool {
-	e := s.e
-	if e.remote == nil || hd.Flags&wire.FlagPeer != 0 {
-		return false
-	}
-	switch hd.Op {
-	case wire.OpRead, wire.OpWrite:
-		if !e.spanOK(blockdev.BlockNo(hd.Offset), hd.Size) {
-			return false
-		}
-	case wire.OpClose:
-	default:
-		return false
-	}
-	return !e.remote.Owned(blockdev.FileID(hd.File))
+	return hd.Flags&wire.FlagPeer == 0 && s.foreign(hd) &&
+		(hd.Op == wire.OpClose || s.e.spanOK(blockdev.BlockNo(hd.Offset), hd.Size))
+}
+
+// foreign reports whether hd is a read, write or close of a file this
+// node does not own: a client's is relayed, a peer's refused.
+func (s *Server) foreign(hd wire.Header) bool {
+	named := hd.Op == wire.OpRead || hd.Op == wire.OpWrite || hd.Op == wire.OpClose
+	return named && s.Remote != nil && !s.Remote.Owned(blockdev.FileID(hd.File))
 }
 
 // relay answers hd from its file's owner: one Forward of the client's
@@ -101,7 +101,7 @@ func (s *Server) relay(bufs []*blockbuf.Buf, hd wire.Header, payload []byte) (wi
 	}
 	req := hd
 	req.Flags |= wire.FlagPeer
-	rh, err := e.remote.Forward(req, payload, dsts)
+	rh, err := s.Remote.Forward(req, payload, dsts)
 	if dp != nil {
 		clear(dsts) // drop the block references before pooling
 		*dp = dsts[:0]

@@ -30,6 +30,8 @@ type fakeRemote struct {
 
 func (r *fakeRemote) Owned(f blockdev.FileID) bool { return f%2 == 0 }
 
+func (r *fakeRemote) Members() []string { return []string{"even:1", "odd:1"} }
+
 func (r *fakeRemote) Forward(h wire.Header, payload []byte, dsts [][]byte) (wire.Header, error) {
 	r.mu.Lock()
 	r.last = h
@@ -81,12 +83,18 @@ func (r *fakeRemote) reach() error {
 	return nil
 }
 
+// withRemote is startTestServer's tune function that makes the server
+// a cluster member whose peer tier is rem.
+func withRemote(rem *fakeRemote) func(*Server) {
+	return func(s *Server) { s.Remote = rem }
+}
+
 // TestRemoteForwardWriteAndClose checks, over the wire, the owner-bound
 // write path (relayed, nothing kept here) and the close relay, and that
 // both fail when the owner is unreachable.
 func TestRemoteForwardWriteAndClose(t *testing.T) {
 	rem := &fakeRemote{}
-	srv, addr := startTestServer(t, Config{Alg: core.SpecNP, BlockSize: 512, CacheBlocks: 128, Remote: rem}, nil)
+	srv, addr := startTestServer(t, Config{Alg: core.SpecNP, BlockSize: 512, CacheBlocks: 128}, withRemote(rem))
 	e := srv.e
 	c := dialRaw(t, addr)
 	var seq uint32
@@ -157,27 +165,4 @@ func sameErr(err, want error) bool {
 		return err == nil
 	}
 	return err != nil && err.Error() == want.Error()
-}
-
-// TestRemoteDriverGating asserts a clustered engine only creates chain
-// drivers for files it owns: the per-file prefetch server exists on
-// exactly one node, which is what makes linearity hold cluster-wide.
-func TestRemoteDriverGating(t *testing.T) {
-	rem := &fakeRemote{}
-	e := newTestEngine(t, Config{Alg: core.SpecLnAgrISPPM3, Remote: rem, StrictLinear: true})
-
-	// Driver creation is lazy: probe through the same path the demand
-	// and close paths use.
-	probe := func(f blockdev.FileID) *core.Driver {
-		fl := e.fileState(f)
-		fl.mu.Lock()
-		defer fl.mu.Unlock()
-		return e.driverLocked(f, fl)
-	}
-	if probe(4) == nil {
-		t.Error("owned file got no driver")
-	}
-	if probe(5) != nil {
-		t.Error("non-owned file got a driver: two nodes could prefetch it")
-	}
 }

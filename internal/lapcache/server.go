@@ -30,8 +30,9 @@ import (
 // pingPayload is the JSON document carried by a ping response (a rare
 // op, so its encoding is irrelevant).
 type pingPayload struct {
-	Alg       string `json:"alg"`
-	BlockSize int    `json:"block_size"`
+	Alg       string   `json:"alg"`
+	BlockSize int      `json:"block_size"`
+	Members   []string `json:"members,omitempty"` // the ring; none on a single node
 }
 
 // CloseReason classifies why one connection's serve loop ended. The
@@ -81,6 +82,10 @@ type Server struct {
 	// before any protocol traffic; the chaos harness uses it to inject
 	// transport faults on the server side of the wire.
 	ConnWrap func(net.Conn) net.Conn
+	// Remote, when non-nil, is the peer tier (lapcached -peers): a
+	// client's request of a file owned elsewhere is relayed to the
+	// owner, a peer's refused with ErrNotOwner. Set before Serve.
+	Remote RemoteFetcher
 
 	// dsts recycles the relay's read destinations (*[][]byte).
 	dsts sync.Pool
@@ -506,8 +511,8 @@ func (h *connHandler) finish(reason CloseReason) CloseReason {
 // and a request that may wait starts one — unless its connection has
 // never pipelined: the loop would only wait for the sender's next
 // request, so it waits on this one instead and spares the hand-off.
-// A peer's request takes the same rule: it is served strictly
-// locally, so it never waits on another node. It returns the payload
+// A peer's request takes the same rule: it is served here or refused,
+// so it never waits on another node. It returns the payload
 // buffer for the loop's next request: the same one, or nil if a queue
 // took it.
 func (h *connHandler) route(hd wire.Header, payload []byte) []byte {
@@ -562,10 +567,10 @@ func (h *connHandler) drain(q *fileQueue) {
 
 // mayWait reports whether serving hd may wait on a store read or on
 // another node: a relayed request, or a read of a block not cached
-// here. It only places the request: a block evicted after the check is
-// read on the loop.
+// here, not a peer's refused one. It only places the request: a block
+// evicted after the check is read on the loop.
 func (s *Server) mayWait(hd wire.Header) bool {
-	if !hd.Flags.Known() {
+	if !hd.Flags.Known() || hd.Flags&wire.FlagPeer != 0 && s.foreign(hd) {
 		return false
 	}
 	if s.relayed(hd) {
@@ -610,11 +615,11 @@ func (h *connHandler) dispatch(bufs []*blockbuf.Buf, hd wire.Header, payload []b
 }
 
 // exec is the one request body. It relays a client's request of a
-// file owned elsewhere to the owner; it maps any other read, write or
-// close onto the engine's, which serves it here. It returns the
-// response header and either its payload (an error message or a rare
-// op's JSON document) or, for a read that wants data, one retained
-// buffer per block for the caller.
+// file owned elsewhere to the owner and refuses a peer's; it maps any
+// other read, write or close onto the engine's, which serves it here.
+// It returns the response header and either its payload (an error
+// message or a rare op's JSON document) or, for a read that wants
+// data, one retained buffer per block for the caller.
 func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte) (wire.Header, []byte, []*blockbuf.Buf) {
 	s := h.s
 	refuse := func(msg string) (wire.Header, []byte, []*blockbuf.Buf) {
@@ -627,10 +632,14 @@ func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte)
 	if !hd.Op.Known() || !hd.Flags.Known() {
 		return refuse(fmt.Sprintf("unsupported op %s flags %#x", hd.Op, uint8(hd.Flags)))
 	}
+	peer := hd.Flags&wire.FlagPeer != 0
+	if peer && s.foreign(hd) {
+		s.e.m.peerRefused.Add(1)
+		return refuse(ErrNotOwner.Error())
+	}
 	if s.relayed(hd) {
 		return s.relay(bufs, hd, payload)
 	}
-	peer := hd.Flags&wire.FlagPeer != 0
 	f, off := blockdev.FileID(hd.File), blockdev.BlockNo(hd.Offset)
 	flags := wire.FlagOK
 	var doc any // JSON response document of the rare ops
@@ -676,7 +685,11 @@ func (h *connHandler) exec(bufs []*blockbuf.Buf, hd wire.Header, payload []byte)
 		s.e.closeFile(f)
 
 	case wire.OpPing:
-		doc = pingPayload{Alg: s.e.AlgName(), BlockSize: s.e.BlockSize()}
+		ping := pingPayload{Alg: s.e.AlgName(), BlockSize: s.e.BlockSize()}
+		if s.Remote != nil {
+			ping.Members = s.Remote.Members()
+		}
+		doc = ping
 
 	case wire.OpStats:
 		doc = s.e.Snapshot()

@@ -279,14 +279,16 @@ func TestServerCloseNotWedgedBySlowClient(t *testing.T) {
 
 // TestServerDispatchMatrix drives the one dispatcher raw over the
 // whole request surface — {client, peer} × {read, write, close} — and
-// pins the loop-free contract FlagPeer stands for: a peer-flagged
-// request is never re-forwarded, and still feeds the owner's driver.
-// A relayed request reaches the owner as the client sent it, FlagPeer
-// added. fakeRemote (remote_test.go) owns the even files and counts
-// every forward. The last rows pin the relay's edges: a data-less read
-// stays data-less, a span the engine refuses never leaves the front,
-// and an unreachable owner is an error frame with
-// ErrOwnerUnreachable's text.
+// pins the contract the server alone keeps: a client's request of a
+// foreign file reaches its owner as the client sent it, FlagPeer
+// added; a peer's is refused with ErrNotOwner's text, never
+// re-forwarded; and the engine sees neither (it holds no state for
+// the file, so no driver of it runs here). A request of an owned file
+// is served here and feeds its driver, whoever sent it. fakeRemote
+// (remote_test.go) owns the even files and counts every forward. The
+// last rows pin the relay's edges: a data-less read stays data-less, a
+// span the engine refuses never leaves the front, and an unreachable
+// owner is an error frame with ErrOwnerUnreachable's text.
 func TestServerDispatchMatrix(t *testing.T) {
 	const (
 		blockSize = 512
@@ -295,8 +297,8 @@ func TestServerDispatchMatrix(t *testing.T) {
 	)
 	rem := &fakeRemote{}
 	srv, addr := startTestServer(t, Config{
-		Alg: core.SpecLnAgrOBA, BlockSize: blockSize, CacheBlocks: 64, Remote: rem,
-	}, nil)
+		Alg: core.SpecLnAgrOBA, BlockSize: blockSize, CacheBlocks: 64,
+	}, withRemote(rem))
 	e := srv.e
 	c := dialRaw(t, addr)
 
@@ -308,6 +310,11 @@ func TestServerDispatchMatrix(t *testing.T) {
 		fl.mu.Lock()
 		defer fl.mu.Unlock()
 		return fl.tick
+	}
+	tracked := func(f blockdev.FileID) bool { // the engine holds state for f
+		e.filesMu.RLock()
+		defer e.filesMu.RUnlock()
+		return e.files[f] != nil
 	}
 	var seq uint32
 	// send issues op on two blocks of f and returns the response.
@@ -333,30 +340,44 @@ func TestServerDispatchMatrix(t *testing.T) {
 
 	off := int32(0) // fresh blocks per cell, so no cell is served from another's leftovers
 	for _, mode := range []struct {
-		name     string
-		flags    wire.Flags
-		forwards bool // requests for a foreign file go to its owner
+		name  string
+		flags wire.Flags
+		peer  bool // requests for a foreign file are refused, not forwarded
 	}{
-		{"client", 0, true},
-		{"peer", wire.FlagPeer, false},
+		{"client", 0, false},
+		{"peer", wire.FlagPeer, true},
 	} {
 		for _, op := range []wire.Op{wire.OpRead, wire.OpWrite, wire.OpClose} {
 			t.Run(mode.name+"/"+op.String(), func(t *testing.T) {
 				off += 8
-				before := forwards()
+				before, refused := forwards(), e.Snapshot().PeerRefused
 				h, payload := send(t, op, mode.flags, foreign, off)
-				if h.Flags&wire.FlagOK == 0 {
-					t.Fatalf("foreign file: refused: %s", payload)
+				wantForwards := int32(1)
+				if mode.peer {
+					wantForwards = 0
+					if h.Flags&wire.FlagOK != 0 || string(payload) != ErrNotOwner.Error() {
+						t.Errorf("foreign file: flags %#x, payload %q; want refused with %q", uint8(h.Flags), payload, ErrNotOwner)
+					}
+					if got := e.Snapshot().PeerRefused - refused; got != 1 {
+						t.Errorf("foreign file: %d refusals counted, want 1", got)
+					}
+				} else {
+					if h.Flags&wire.FlagOK == 0 {
+						t.Fatalf("foreign file: refused: %s", payload)
+					}
+					if op == wire.OpRead {
+						checkPattern(t, payload, blockSize, foreign, blockdev.BlockNo(off), 2)
+					}
+					if fh := rem.lastForward(); fh.Op != op || fh.Flags != matrixFlags(op)|wire.FlagPeer || fh.Offset != off {
+						t.Errorf("foreign file: the owner got %s flags %#x at %d, want the client's %s flags %#x at %d",
+							fh.Op, uint8(fh.Flags), fh.Offset, op, uint8(matrixFlags(op)|wire.FlagPeer), off)
+					}
 				}
-				if op == wire.OpRead {
-					checkPattern(t, payload, blockSize, foreign, blockdev.BlockNo(off), 2)
+				if got := forwards() - before; got != wantForwards {
+					t.Errorf("foreign file: %d forwards, want %d", got, wantForwards)
 				}
-				if got := forwards() - before; (got == 1) != mode.forwards || got > 1 {
-					t.Errorf("foreign file: %d forwards, want forwarding=%v", got, mode.forwards)
-				}
-				if fh := rem.lastForward(); mode.forwards && (fh.Op != op || fh.Flags != matrixFlags(op)|wire.FlagPeer || fh.Offset != off) {
-					t.Errorf("foreign file: the owner got %s flags %#x at %d, want the client's %s flags %#x at %d",
-						fh.Op, uint8(fh.Flags), fh.Offset, op, uint8(matrixFlags(op)|wire.FlagPeer), off)
+				if tracked(foreign) {
+					t.Error("foreign file: the engine holds state for it")
 				}
 
 				before, ticks, snap := forwards(), fed(), e.Snapshot()

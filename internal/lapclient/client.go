@@ -19,10 +19,11 @@ import (
 	"repro/internal/wire"
 )
 
-// PingInfo is what a server reports about itself.
+// PingInfo is what a server reports about itself; Members is its ring.
 type PingInfo struct {
-	Alg       string `json:"alg"`
-	BlockSize int    `json:"block_size"`
+	Alg       string   `json:"alg"`
+	BlockSize int      `json:"block_size"`
+	Members   []string `json:"members,omitempty"`
 }
 
 // ConnWrap intercepts a freshly dialed connection before any protocol

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -74,7 +75,7 @@ func TestClientBasicOps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ping: %v", err)
 	}
-	if info.Alg != "NP" || info.BlockSize != 256 || info != c.Info() {
+	if info.Alg != "NP" || info.BlockSize != 256 || info.Members != nil || !reflect.DeepEqual(info, c.Info()) {
 		t.Errorf("ping = %+v, handshake = %+v, want NP/256 from both", info, c.Info())
 	}
 

@@ -126,9 +126,9 @@ const (
 	// cached on arrival.
 	FlagHit Flags = 1 << 2
 	// FlagPeer (requests) marks a request forwarded by a cluster peer:
-	// the receiver serves it strictly locally and never re-forwards,
-	// which keeps forwarding loop-free even between nodes started with
-	// different -peers lists.
+	// the receiver serves it if its ring gives it the file and refuses
+	// it otherwise, never re-forwarding it, which keeps forwarding
+	// loop-free and a second copy off a node started on another ring.
 	FlagPeer Flags = 1 << 3
 
 	flagsKnown = FlagWantData | FlagOK | FlagHit | FlagPeer
