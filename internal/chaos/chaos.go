@@ -11,9 +11,10 @@
 //   - Buffer lifecycle: with poison mode on, no buffer is written
 //     after release, and after teardown the pool's live count is zero
 //     (no leak survived any error path).
-//   - Error integrity: every error a client sees is an expected
-//     injection (it carries the faultinject marker), a node's refusal
-//     of a request whose owner it could not reach (retried), or a
+//   - Error integrity: every trace step is recorded exactly once,
+//     with one outcome (lapclient.Record); every error a client sees
+//     is an expected injection (it carries the faultinject marker), a
+//     node's refusal of a request whose owner it could not reach, or a
 //     tolerated transport failure on a link the plan targets; reads
 //     that succeed return bit-exact oracle data (the deterministic
 //     fill pattern), and the run terminates — no wedge, ever.
@@ -88,28 +89,29 @@ type Invariants struct {
 	// bug in the injector.
 	UnselectedObserved []string `json:"unselected_observed"` // must be empty
 	// Error/data integrity.
-	DataMismatches   int           `json:"data_mismatches"`   // must be 0
-	UnexpectedErrors []string      `json:"unexpected_errors"` // must be empty
-	InjectedErrors   int           `json:"injected_errors"`   // informational
-	TransportErrors  int           `json:"transport_errors"`  // tolerated iff plan targets the wire
-	RefusedForwards  uint64        `json:"refused_forwards"`  // informational
-	Abandoned        AbandonCounts `json:"abandoned"`         // informational
-	Wedged           bool          `json:"wedged"`            // must be false
+	Outcomes         Outcomes `json:"outcomes"`          // must sum to Steps
+	DataMismatches   int      `json:"data_mismatches"`   // must be 0
+	UnexpectedErrors []string `json:"unexpected_errors"` // must be empty
+	InjectedErrors   int      `json:"injected_errors"`   // informational
+	TransportErrors  int      `json:"transport_errors"`  // tolerated: the plan targets the wire
+	RefusedForwards  uint64   `json:"refused_forwards"`  // informational
+	Wedged           bool     `json:"wedged"`            // must be false
 }
 
-// AbandonCounts counts the trace steps given up after every attempt
-// failed, and splits them by the class of the last error each saw.
-type AbandonCounts struct {
-	Steps     int `json:"steps"`
-	Owner     int `json:"owner_unreachable"` // refused: the file's owner unreachable
-	Injected  int `json:"injected"`          // an injected transport or dial fault
-	Transport int `json:"transport"`         // any other transport error
-	Dial      int `json:"dial"`              // no connection: a failed dial or a spent redial budget
+// Outcomes counts the replayed trace steps by their one outcome
+// (lapclient.Outcome). Every step is recorded exactly once, so the
+// counts sum to Steps, the trace's step count.
+type Outcomes struct {
+	Steps         int `json:"steps"`
+	OK            int `json:"ok"`
+	Refused       int `json:"refused"`       // an error frame: definite
+	Indeterminate int `json:"indeterminate"` // a transport error after the send
+	NoConn        int `json:"no_conn"`       // a spent redial budget
 }
 
-// String renders the counts as the invariants line's abandoned= token.
-func (a AbandonCounts) String() string {
-	return fmt.Sprintf("%d(owner=%d,injected=%d,transport=%d,dial=%d)", a.Steps, a.Owner, a.Injected, a.Transport, a.Dial)
+// String renders the counts as the invariants line's outcomes= token.
+func (o Outcomes) String() string {
+	return fmt.Sprintf("ok:%d,refused:%d,indeterminate:%d,noconn:%d", o.OK, o.Refused, o.Indeterminate, o.NoConn)
 }
 
 // Check returns an error naming every violated invariant, or nil.
@@ -139,6 +141,10 @@ func (v Invariants) Check() error {
 	if len(v.UnselectedObserved) > 0 {
 		bad = append(bad, fmt.Sprintf("%d observed faults outside the plan's selected set (first: %s)",
 			len(v.UnselectedObserved), v.UnselectedObserved[0]))
+	}
+	if o := v.Outcomes; o.OK+o.Refused+o.Indeterminate+o.NoConn != o.Steps {
+		bad = append(bad, fmt.Sprintf("%d step outcomes recorded for %d trace steps (%v)",
+			o.OK+o.Refused+o.Indeterminate+o.NoConn, o.Steps, o))
 	}
 	if v.DataMismatches > 0 {
 		bad = append(bad, fmt.Sprintf("%d data mismatches vs oracle", v.DataMismatches))
@@ -189,10 +195,10 @@ func (r Result) String() string {
 	}
 	sort.Strings(reasons)
 	fmt.Fprintf(&b, "closes: %s\n", strings.Join(reasons, " "))
-	fmt.Fprintf(&b, "invariants: ownerHW=%d/cap=%d overCap=%d nonOwnerDriven=%d linearViol=%d peerRefused=%d bufLive=%d mismatches=%d unexpected=%d injectedErrs=%d transportErrs=%d refused=%d abandoned=%v wedged=%v\n",
+	fmt.Fprintf(&b, "invariants: ownerHW=%d/cap=%d overCap=%d nonOwnerDriven=%d linearViol=%d peerRefused=%d bufLive=%d mismatches=%d unexpected=%d injectedErrs=%d transportErrs=%d refused=%d outcomes=%v wedged=%v\n",
 		r.Inv.MaxOwnerHW, r.Inv.DegreeCap, len(r.Inv.OverCap), len(r.Inv.NonOwnerDriven), r.Inv.LinearViolations, r.Inv.PeerRefused, r.Inv.BufLive,
 		r.Inv.DataMismatches, len(r.Inv.UnexpectedErrors), r.Inv.InjectedErrors,
-		r.Inv.TransportErrors, r.Inv.RefusedForwards, r.Inv.Abandoned, r.Inv.Wedged)
+		r.Inv.TransportErrors, r.Inv.RefusedForwards, r.Inv.Outcomes, r.Inv.Wedged)
 	if err := r.Inv.Check(); err != nil {
 		fmt.Fprintf(&b, "VERDICT: FAIL — %v\n", err)
 	} else {
@@ -253,7 +259,7 @@ func Run(cfg Config) (Result, error) {
 			// failed invariant, not a panic that kills the harness.
 			StrictLinear: false,
 			PoisonBufs:   true,
-			Store:        inj.WrapStore(lapcache.NewMemStore(blockSize, 0), "store@"+nodeName(i)),
+			Store:        inj.WrapStore(lapcache.NewMemStore(blockSize, 0)),
 		}
 	}
 	opts := cluster.StartLocalOpts{
@@ -313,10 +319,17 @@ func Run(cfg Config) (Result, error) {
 
 	// Replay under a wedge watchdog: the run must terminate on its own
 	// inside the timeout, deadlines and refused forwards doing their job.
-	rep := newReplayer(nodes, inj, plan, tr)
+	a := &audit{}
+	sources := make([]lapclient.Source, len(nodes))
+	for i, m := range nodes {
+		sources[i] = &nodeClient{addr: m.Addr, node: m.Node, budget: redialBudget}
+	}
 	done := make(chan struct{})
 	start := time.Now()
-	go func() { rep.run(); close(done) }()
+	go func() {
+		lapclient.Replay(tr, sources, blockSize, lapclient.ReplayOptions{}, a)
+		close(done)
+	}()
 
 	select {
 	case <-done:
@@ -324,16 +337,22 @@ func Run(cfg Config) (Result, error) {
 		res.Inv.Wedged = true
 	}
 	res.Elapsed = time.Since(start)
-	rep.closeClients()
-
-	var unexpectedN int
-	res.Requests, res.Reads, res.ReadHits, res.Writes, res.Redials,
-		res.Inv.DataMismatches, res.Inv.InjectedErrors, res.Inv.TransportErrors,
-		res.Inv.Abandoned, unexpectedN, res.Inv.UnexpectedErrors = rep.stats()
-	if unexpectedN > len(res.Inv.UnexpectedErrors) {
-		res.Inv.UnexpectedErrors = append(res.Inv.UnexpectedErrors,
-			fmt.Sprintf("... and %d more", unexpectedN-len(res.Inv.UnexpectedErrors)))
+	for _, s := range sources {
+		res.Redials += s.(*nodeClient).close()
 	}
+
+	// A wedged replay's goroutines may still be recording: read the
+	// audit under its lock.
+	a.mu.Lock()
+	res.Requests, res.Reads, res.ReadHits, res.Writes = tr.TotalSteps(), a.reads, a.hits, a.writes
+	res.Inv.Outcomes, res.Inv.Outcomes.Steps = a.outcomes, res.Requests
+	res.Inv.DataMismatches, res.Inv.InjectedErrors, res.Inv.TransportErrors = a.mismatches, a.injectedErrs, a.transportErrs
+	res.Inv.UnexpectedErrors = append([]string(nil), a.unexpected...)
+	if a.unexpectedN > len(a.unexpected) {
+		res.Inv.UnexpectedErrors = append(res.Inv.UnexpectedErrors,
+			fmt.Sprintf("... and %d more", a.unexpectedN-len(a.unexpected)))
+	}
+	a.mu.Unlock()
 
 	// Audit the live cluster before teardown: counters, high-water
 	// marks, ownership.

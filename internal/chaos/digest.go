@@ -10,8 +10,8 @@ import (
 )
 
 // selectedSites enumerates the plan's full faulted-site set over a
-// run's concrete universe — every (node, block) store site in the
-// run's footprint, every directed peer link, every accept label — by
+// run's concrete universe — every block's store site in the run's
+// footprint, every directed peer link, every accept label — by
 // asking the pure selection function, in a fixed order. fileBlocks
 // must be in ENGINE block units (the trace's byte extent divided by
 // the engine block size), because that is the keyspace the runtime
@@ -36,16 +36,11 @@ func selectedSites(inj *faultinject.Injector, nnodes int, fileBlocks map[blockde
 	}
 	sort.Slice(files, func(i, j int) bool { return files[i] < files[j] })
 
-	for i := 0; i < nnodes; i++ {
-		node := fmt.Sprintf("store@n%d", i)
-		for _, f := range files {
-			for b := blockdev.BlockNo(0); b < fileBlocks[f]; b++ {
-				id := blockdev.BlockID{File: f, Block: b}
-				label := fmt.Sprintf("%s f%d:%d", node, f, b)
-				key := faultinject.StoreKey(node, id)
-				add(faultinject.SiteStoreRead, key, label)
-				add(faultinject.SiteStoreWrite, key, label)
-			}
+	for _, f := range files {
+		for b := blockdev.BlockNo(0); b < fileBlocks[f]; b++ {
+			key, label := faultinject.StoreSite(blockdev.BlockID{File: f, Block: b})
+			add(faultinject.SiteStoreRead, key, label)
+			add(faultinject.SiteStoreWrite, key, label)
 		}
 	}
 	links := make([]string, 0, nnodes*nnodes)

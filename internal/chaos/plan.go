@@ -10,8 +10,8 @@ import (
 // kind at every site the injector supports, tuned so a tiny-scale
 // three-node CHARISMA replay absorbs hundreds of injections and still
 // terminates well inside replayTimeout. Store rules are keyed
-// per (node, block) — bad sectors that heal after a bounded number of
-// hits; wire and dial rules are keyed per link with budgets, so every
+// per block — bad sectors on the block's owner that heal after a
+// bounded number of hits; wire and dial rules are keyed per link with budgets, so every
 // partition and storm is transient and the cluster must recover, not
 // merely survive.
 //

@@ -7,9 +7,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/blockdev"
 	"repro/internal/cluster"
-	"repro/internal/faultinject"
 	"repro/internal/lapcache"
 	"repro/internal/lapclient"
 	"repro/internal/wire"
@@ -20,22 +18,25 @@ import (
 // counter keeps counting past it.
 const maxUnexpected = 16
 
-// stepAttempts bounds retries of one trace step across redials and
-// refusals; a step that keeps failing is abandoned and counted (the
-// invariants care about error classification and data integrity, not
-// per-op success).
-const stepAttempts = 3
+// The replay's one retry rule (nodeClient.Reissue): a step sends at
+// most stepSends times, and before each resend waits at most linkWait,
+// polling every linkPoll, for its front node's link to the file's
+// owner. linkWait outlasts the longest the health loop waits between
+// two dials of a down peer (BackoffMax plus its 25 % jitter: 250 ms),
+// so a link whose next dial succeeds is waited for; one whose dials
+// keep failing is not.
+const (
+	stepSends = 3
+	linkWait  = 300 * time.Millisecond
+	linkPoll  = 2 * time.Millisecond
+)
 
-// ownerRetryPause is how long a step refused with its file's owner
-// unreachable waits before its next attempt: one health-loop ping of
-// the fleet, time for the faulted peer link to be redialed.
-const ownerRetryPause = 20 * time.Millisecond
-
-// nodeClient owns the one client connection to a node, redialing it —
-// within a budget — whenever a fault kills it. All the replay
-// processes sharded to that node share it.
+// nodeClient is the replay's lapclient.Source for one node: the one
+// client connection all the processes sharded to the node share,
+// redialed — within a budget — whenever a fault kills it.
 type nodeClient struct {
 	addr   string
+	node   *cluster.Node
 	budget int
 
 	mu      sync.Mutex
@@ -44,9 +45,11 @@ type nodeClient struct {
 	closed  bool
 }
 
-// get returns a live connection, dialing a fresh one when the current
-// one is dead.
-func (nc *nodeClient) get() (*lapclient.Conn, error) {
+// Conn returns a live connection. When the current one is dead it
+// dials until a handshake succeeds (the plan's faults on accepted
+// connections tear some), so a step finds no connection only once the
+// redial budget is spent.
+func (nc *nodeClient) Conn() (*lapclient.Conn, error) {
 	nc.mu.Lock()
 	defer nc.mu.Unlock()
 	if nc.closed {
@@ -59,16 +62,32 @@ func (nc *nodeClient) get() (*lapclient.Conn, error) {
 		nc.conn.Close()
 		nc.conn = nil
 	}
-	if nc.redials >= nc.budget {
-		return nil, fmt.Errorf("chaos: redial budget (%d) spent for %s", nc.budget, nc.addr)
+	for nc.redials < nc.budget {
+		nc.redials++
+		if c, err := lapclient.DialConn(nc.addr, 0); err == nil {
+			nc.conn = c
+			return c, nil
+		}
 	}
-	nc.redials++
-	c, err := lapclient.DialConn(nc.addr, 0)
-	if err != nil {
-		return nil, err
+	return nil, fmt.Errorf("chaos: redial budget (%d) spent for %s", nc.budget, nc.addr)
+}
+
+// Reissue is the replay's one retry rule. A step the node refused
+// because the file's owner was unreachable is sent again, up to
+// stepSends sends in all, once the node reports its link to the owner
+// up — waiting at most linkWait for that. Every other outcome is the
+// step's last.
+func (nc *nodeClient) Reissue(r lapclient.Record, attempt int) bool {
+	if attempt >= stepSends || !ownerUnreachable(r.Err) {
+		return false
 	}
-	nc.conn = c
-	return c, nil
+	owner, _ := nc.node.OwnerOf(r.Span.File)
+	for deadline := time.Now().Add(linkWait); nc.node.PeerDown(owner); time.Sleep(linkPoll) {
+		if time.Now().After(deadline) {
+			return false
+		}
+	}
+	return true
 }
 
 // close tears the client down; in-flight callers fail fast.
@@ -83,82 +102,19 @@ func (nc *nodeClient) close() int {
 	return nc.redials
 }
 
-// replayer drives the trace through the faulted cluster, classifying
-// every error and checking every successful read against the oracle.
-type replayer struct {
-	tr      *workload.Trace
-	clients []*nodeClient
-	// tolerate marks transport errors as expected: the plan injects
-	// faults on the wire or the dial path, so torn connections are part
-	// of the schedule. Without such rules any transport error is a bug.
-	tolerate bool
-
+// audit is the replay's lapclient.Observer: it classifies every
+// step's outcome and checks every read's data against the oracle.
+type audit struct {
 	mu            sync.Mutex
-	requests      int
 	reads         int
 	hits          int
 	writes        int
-	redials       int
 	mismatches    int
 	injectedErrs  int
 	transportErrs int
-	abandoned     AbandonCounts // steps given up after stepAttempts attempts
+	outcomes      Outcomes
 	unexpectedN   int
 	unexpected    []string
-}
-
-func newReplayer(nodes []*cluster.LocalNode, inj *faultinject.Injector, plan faultinject.Plan, tr *workload.Trace) *replayer {
-	r := &replayer{tr: tr}
-	for _, rule := range plan.Rules {
-		switch rule.Site {
-		case faultinject.SiteConnSend, faultinject.SiteConnRecv, faultinject.SitePeerDial:
-			if rule.P > 0 {
-				r.tolerate = true
-			}
-		}
-	}
-	for _, m := range nodes {
-		r.clients = append(r.clients, &nodeClient{addr: m.Addr, budget: redialBudget})
-	}
-	return r
-}
-
-// run replays every traced process, one goroutine each, processes
-// sharded round-robin over the nodes like a real client population.
-func (r *replayer) run() {
-	var wg sync.WaitGroup
-	for pi := range r.tr.Procs {
-		wg.Add(1)
-		go func(pi int) {
-			defer wg.Done()
-			nc := r.clients[pi%len(r.clients)]
-			for _, s := range r.tr.Procs[pi].Steps {
-				r.step(nc, s)
-			}
-		}(pi)
-	}
-	wg.Wait()
-}
-
-// closeClients tears down every node client (unblocking a wedged
-// replay goroutine, if the watchdog fired) and tallies redials.
-func (r *replayer) closeClients() {
-	total := 0
-	for _, nc := range r.clients {
-		total += nc.close()
-	}
-	r.mu.Lock()
-	r.redials = total
-	r.mu.Unlock()
-}
-
-// stats returns a locked snapshot of the replay counters (safe even
-// while a wedged replay goroutine is still failing in the background).
-func (r *replayer) stats() (requests, reads, hits, writes, redials, mismatches, injected, transport int, abandoned AbandonCounts, unexpectedN int, unexpected []string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.requests, r.reads, r.hits, r.writes, r.redials, r.mismatches,
-		r.injectedErrs, r.transportErrs, r.abandoned, r.unexpectedN, append([]string(nil), r.unexpected...)
 }
 
 // isInjected reports whether err is one the plan manufactured. The
@@ -168,142 +124,77 @@ func isInjected(err error) bool {
 	return err != nil && strings.Contains(err.Error(), "faultinject:")
 }
 
-func (r *replayer) noteUnexpected(detail string) {
-	r.mu.Lock()
-	r.unexpectedN++
-	if len(r.unexpected) < maxUnexpected {
-		r.unexpected = append(r.unexpected, detail)
-	}
-	r.mu.Unlock()
+// ownerUnreachable reports whether err carries the sentinel's text.
+func ownerUnreachable(err error) bool {
+	return strings.Contains(err.Error(), lapcache.ErrOwnerUnreachable.Error())
 }
 
-// step issues one trace step, retrying through redials, and
-// classifies whatever comes back; a step still failing after
-// stepAttempts attempts is counted as abandoned, under the class of
-// the last error it saw (a failed get is a dial failure, whatever
-// classify books it as):
+func (a *audit) noteUnexpected(detail string) {
+	a.unexpectedN++
+	if len(a.unexpected) < maxUnexpected {
+		a.unexpected = append(a.unexpected, detail)
+	}
+}
+
+// ReadFlags asks for every read's bytes, for the oracle.
+func (*audit) ReadFlags() wire.Flags { return wire.FlagWantData }
+
+// Observe counts r under its outcome and classifies it:
 //
-//   - success: reads are verified byte for byte against the oracle.
-//   - injected error (the marker): expected, counted, done — the
-//     system surfaced the fault as a typed failure instead of wedging
-//     or lying.
-//   - owner unreachable (the sentinel's text): expected while peer
-//     links fail, and retried after ownerRetryPause.
-//   - other ServerError: the server refused a well-formed request —
-//     unexpected, recorded.
-//   - transport error: tolerated (and retried on a fresh connection)
-//     iff the plan targets the wire; otherwise recorded.
-func (r *replayer) step(nc *nodeClient, s workload.Step) {
-	r.mu.Lock()
-	r.requests++
-	r.mu.Unlock()
-
-	var last *int // the abandonment counter of the last error
-	for attempt := 0; attempt < stepAttempts; attempt++ {
-		conn, err := nc.get()
-		if err != nil {
-			r.classify(err, "dial "+nc.addr)
-			last = &r.abandoned.Dial
-			time.Sleep(2 * time.Millisecond)
-			continue
-		}
-		err = r.issue(conn, s)
-		if err == nil {
-			return
-		}
-		// A transport error has killed conn, so the next get redials.
-		done, class := r.classify(err, fmt.Sprintf("%s f%d @%d+%d on %s", s.Kind, s.File, s.Offset, s.Size, nc.addr))
-		if done {
-			return
-		}
-		last = class
+//   - ok: a read's bytes are verified against the oracle.
+//   - refused: an injected error (the marker) is expected — the system
+//     surfaced the fault as a typed failure instead of wedging or
+//     lying — and so is the owner unreachable (the sentinel's text)
+//     while peer links fail; any other refusal of a well-formed
+//     request is unexpected.
+//   - indeterminate or no connection: expected, since faultPlan tears
+//     connections and fails dials on every kind of link.
+func (a *audit) Observe(r lapclient.Record) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	switch r.Outcome {
+	case lapclient.OutcomeOK:
+		a.outcomes.OK++
+		a.check(r)
+		return
+	case lapclient.OutcomeRefused:
+		a.outcomes.Refused++
+	case lapclient.OutcomeIndeterminate:
+		a.outcomes.Indeterminate++
+	default:
+		a.outcomes.NoConn++
 	}
-	r.mu.Lock()
-	r.abandoned.Steps++
-	*last++
-	r.mu.Unlock()
+	switch {
+	case isInjected(r.Err):
+		a.injectedErrs++
+	case r.Outcome != lapclient.OutcomeRefused:
+		a.transportErrs++
+	case !ownerUnreachable(r.Err):
+		s := r.Step
+		a.noteUnexpected(fmt.Sprintf("server refused %s f%d @%d+%d of proc %d: %v", s.Kind, s.File, s.Offset, s.Size, r.Proc, r.Err))
+	}
 }
 
-// classify buckets one error; done reports that the step should not
-// be retried (the server answered — with a refusal — so the request
-// itself was delivered and the connection is fine), except a refusal
-// with the file's owner unreachable, which is retried after
-// ownerRetryPause. A retried error's class is the abandonment counter
-// it books if the step runs out of attempts on it.
-func (r *replayer) classify(err error, context string) (done bool, class *int) {
-	var se *lapclient.ServerError
-	if errors.As(err, &se) {
-		if strings.Contains(se.Msg, lapcache.ErrOwnerUnreachable.Error()) {
-			time.Sleep(ownerRetryPause)
-			return false, &r.abandoned.Owner
-		}
-		if isInjected(err) {
-			r.mu.Lock()
-			r.injectedErrs++
-			r.mu.Unlock()
-			return true, nil
-		}
-		r.noteUnexpected(fmt.Sprintf("server refused %s: %v", context, err))
-		return true, nil
-	}
-	if isInjected(err) {
-		// Injected at the transport (client-side wrap or dial gate):
-		// expected, but the connection is gone — retry on a fresh one.
-		r.mu.Lock()
-		r.injectedErrs++
-		r.mu.Unlock()
-		return false, &r.abandoned.Injected
-	}
-	if r.tolerate {
-		r.mu.Lock()
-		r.transportErrs++
-		r.mu.Unlock()
-		return false, &r.abandoned.Transport
-	}
-	r.noteUnexpected(fmt.Sprintf("transport error on %s (no wire faults planned): %v", context, err))
-	return false, &r.abandoned.Transport
-}
-
-// issue performs one step on conn, verifying read data against
-// the deterministic oracle.
-func (r *replayer) issue(conn *lapclient.Conn, s workload.Step) error {
-	span := blockdev.ByteRangeToSpan(s.File, s.Offset, s.Size, blockSize)
-	switch s.Kind {
+// check counts one successful step; a read's bytes must be the
+// deterministic oracle's. The caller holds a.mu.
+func (a *audit) check(r lapclient.Record) {
+	span := r.Span
+	switch r.Step.Kind {
 	case workload.OpRead:
-		rh, data, err := conn.Do(lapclient.Req(wire.OpRead, wire.FlagWantData, span.File, span.Start, span.Count), nil, nil)
-		if err != nil {
-			return err
+		a.reads++
+		if r.Hit {
+			a.hits++
 		}
-		r.mu.Lock()
-		r.reads++
-		if rh.Flags&wire.FlagHit != 0 {
-			r.hits++
+		if want := int(span.Count) * blockSize; len(r.Data) != want {
+			a.mismatches++
+			a.noteUnexpected(fmt.Sprintf("read f%d @%d+%d returned %d bytes, want %d",
+				span.File, span.Start, span.Count, len(r.Data), want))
+		} else if at := oracleCheck(span.File, span.Start, r.Data); at >= 0 {
+			a.mismatches++
+			a.noteUnexpected(fmt.Sprintf("read f%d @%d+%d: byte %d differs from oracle",
+				span.File, span.Start, span.Count, at))
 		}
-		r.mu.Unlock()
-		if want := int(span.Count) * blockSize; len(data) != want {
-			r.mu.Lock()
-			r.mismatches++
-			r.mu.Unlock()
-			r.noteUnexpected(fmt.Sprintf("read f%d @%d+%d returned %d bytes, want %d",
-				s.File, span.Start, span.Count, len(data), want))
-		} else if at := oracleCheck(span.File, span.Start, data); at >= 0 {
-			r.mu.Lock()
-			r.mismatches++
-			r.mu.Unlock()
-			r.noteUnexpected(fmt.Sprintf("read f%d @%d+%d: byte %d differs from oracle",
-				s.File, span.Start, span.Count, at))
-		}
-		return nil
 	case workload.OpWrite:
-		if _, _, err := conn.Do(lapclient.Req(wire.OpWrite, 0, span.File, span.Start, span.Count), nil, nil); err != nil {
-			return err
-		}
-		r.mu.Lock()
-		r.writes++
-		r.mu.Unlock()
-		return nil
-	default: // workload.OpClose
-		_, _, err := conn.Do(lapclient.Req(wire.OpClose, 0, s.File, 0, 0), nil, nil)
-		return err
+		a.writes++
 	}
 }

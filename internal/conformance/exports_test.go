@@ -19,7 +19,6 @@ import (
 var exportsAllowed = map[string]string{
 	"core.Driver.Stats":       "test oracle: core's driver tests read every counter the walk keeps",
 	"core.Driver.Outstanding": "test oracle: core's driver tests and pafs's linearity test read a chain's in-flight count",
-	"cluster.Node.PeerDown":   "test seam: the cluster tests' one handle on the health loop's verdict",
 }
 
 // exportReasonKinds are the prefixes an exportsAllowed reason may take.

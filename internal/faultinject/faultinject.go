@@ -118,8 +118,8 @@ type Rule struct {
 	// Delay is the stall for KindDelay and KindHang.
 	Delay time.Duration `json:"delay_ns,omitempty"`
 	// Links, when non-empty, restricts the rule to keys whose label
-	// contains any of these substrings (conn/dial sites; also matches
-	// the node label of store sites). An asymmetric partition is a
+	// contains any of these substrings (conn/dial sites; a store
+	// site's label names only its block). An asymmetric partition is a
 	// dial/conn rule whose Links name one direction only.
 	Links []string `json:"links,omitempty"`
 }
@@ -235,17 +235,12 @@ func labelKey(label string) uint64 {
 // enumeration.
 func LabelKey(label string) uint64 { return labelKey(label) }
 
-// blockKey places a block in the keyspace.
-func blockKey(b blockdev.BlockID) uint64 {
-	return uint64(uint32(b.File))<<32 | uint64(uint32(b.Block))
-}
-
-// StoreKey places block b of node's store in the keyspace — the key
-// store.read/store.write sites use, exposed for MatchingRules
-// enumeration. The node is part of the key so each node's disk makes
-// its own selection (see Store).
-func StoreKey(node string, b blockdev.BlockID) uint64 {
-	return mix64(blockKey(b) ^ labelKey(node))
+// StoreSite places block b in the keyspace of store.read/store.write
+// and labels it, e.g. "store f3:12" — the site a Store evaluates,
+// exposed for MatchingRules enumeration. One block is one site,
+// whichever node's store holds it (see Store).
+func StoreSite(b blockdev.BlockID) (key uint64, label string) {
+	return uint64(uint32(b.File))<<32 | uint64(uint32(b.Block)), fmt.Sprintf("store f%d:%d", b.File, b.Block)
 }
 
 // selected reports whether rule ri of the plan picks key — a pure

@@ -202,7 +202,7 @@ func TestStoreWrapper(t *testing.T) {
 	}
 
 	in := mustNew(t, Plan{Rules: []Rule{{Site: SiteStoreRead, Kind: KindPartial, P: 1, Count: 1}}})
-	st := in.WrapStore(mem, "store@n0")
+	st := in.WrapStore(mem)
 	buf := make([]byte, 64)
 	err := st.ReadBlock(b, buf)
 	if err == nil || !strings.Contains(err.Error(), "faultinject") {
@@ -232,15 +232,27 @@ func TestStoreWrapper(t *testing.T) {
 	}
 }
 
-// TestStoreKeyIsPerNode: the same block on different nodes gets
-// different keys, so each disk makes an independent selection.
-func TestStoreKeyIsPerNode(t *testing.T) {
+// TestStoreSiteIsPerBlock: a store site is its block alone, so two
+// nodes' stores share one site per block and its budget: a fault one
+// store spent is spent for the other too. (Only a block's owner
+// touches its store, so a per-node site could never fire on the
+// others.) Distinct blocks are distinct sites.
+func TestStoreSiteIsPerBlock(t *testing.T) {
 	b := blockdev.BlockID{File: 5, Block: 9}
-	if StoreKey("store@n0", b) == StoreKey("store@n1", b) {
-		t.Error("StoreKey ignores the node")
+	k0, l0 := StoreSite(b)
+	if k1, l1 := StoreSite(b); k0 != k1 || l0 != l1 || l0 != "store f5:9" {
+		t.Errorf("StoreSite(%v) = (%x, %q) then (%x, %q), want one stable site labeled \"store f5:9\"", b, k0, l0, k1, l1)
 	}
-	if StoreKey("store@n0", b) != StoreKey("store@n0", b) {
-		t.Error("StoreKey is not stable")
+	if k, _ := StoreSite(blockdev.BlockID{File: 9, Block: 5}); k == k0 {
+		t.Error("StoreSite maps two blocks to one key")
+	}
+	in := mustNew(t, Plan{Rules: []Rule{{Site: SiteStoreWrite, Kind: KindError, P: 1, Count: 1}}})
+	a, c := in.WrapStore(newMemStore(64)), in.WrapStore(newMemStore(64))
+	if err := a.WriteBlock(b, make([]byte, 64)); !errors.Is(err, ErrInjected) {
+		t.Fatalf("first write: %v, want the injected fault", err)
+	}
+	if err := c.WriteBlock(b, make([]byte, 64)); err != nil {
+		t.Errorf("other store's write of the same block: %v, want the site healed", err)
 	}
 }
 

@@ -16,34 +16,26 @@ type BlockStore interface {
 }
 
 // Store is a BlockStore with injection at store.read / store.write.
-// Keys are (node, block ID) — a selected block is a bad sector on that
-// node's disk that fails (or stalls) every access until the rule's
-// budget heals it. The node is part of the key, not just the label:
-// each node's disk makes its own deterministic selection over every
-// block, so a site names one disk, whichever node the ring makes a
-// block's owner (a shared key would hand the first node to arrive the
-// budget, making the faulted-site set timing-dependent).
+// A site is a block alone (StoreSite) — a selected block is a bad
+// sector that fails (or stalls) every access until the rule's budget
+// heals it. The node is not part of the site: only a block's owner
+// touches its store, so a per-node key would add sites that can never
+// fire, and one whose owner (the ring over ephemeral addresses) no
+// enumeration can name before a fleet boots.
 type Store struct {
 	inner BlockStore
 	in    *Injector
-	node  string
 }
 
-// WrapStore wraps s with this injector's store rules, labeling faults
-// with node (the owning node's stable name, e.g. "store@n1").
-func (in *Injector) WrapStore(s BlockStore, node string) *Store {
-	return &Store{inner: s, in: in, node: node}
-}
-
-// key places block b on this node's disk in the keyspace.
-func (s *Store) key(b blockdev.BlockID) uint64 {
-	return StoreKey(s.node, b)
+// WrapStore wraps s with this injector's store rules.
+func (in *Injector) WrapStore(s BlockStore) *Store {
+	return &Store{inner: s, in: in}
 }
 
 // ReadBlock implements BlockStore.
 func (s *Store) ReadBlock(b blockdev.BlockID, buf []byte) error {
-	f, ok := s.in.eval(SiteStoreRead, s.key(b),
-		fmt.Sprintf("%s f%d:%d", s.node, b.File, b.Block))
+	key, label := StoreSite(b)
+	f, ok := s.in.eval(SiteStoreRead, key, label)
 	if !ok {
 		return s.inner.ReadBlock(b, buf)
 	}
@@ -63,16 +55,16 @@ func (s *Store) ReadBlock(b blockdev.BlockID, buf []byte) error {
 		for i := len(buf) / 2; i < len(buf); i++ {
 			buf[i] = 0
 		}
-		return fmt.Errorf("%w: short read %s f%d:%d (%d of %d bytes)",
-			ErrInjected, s.node, b.File, b.Block, len(buf)/2, len(buf))
+		return fmt.Errorf("%w: short read %s (%d of %d bytes)",
+			ErrInjected, label, len(buf)/2, len(buf))
 	}
-	return fmt.Errorf("%w: read %s f%d:%d", ErrInjected, s.node, b.File, b.Block)
+	return fmt.Errorf("%w: read %s", ErrInjected, label)
 }
 
 // WriteBlock implements BlockStore.
 func (s *Store) WriteBlock(b blockdev.BlockID, data []byte) error {
-	f, ok := s.in.eval(SiteStoreWrite, s.key(b),
-		fmt.Sprintf("%s f%d:%d", s.node, b.File, b.Block))
+	key, label := StoreSite(b)
+	f, ok := s.in.eval(SiteStoreWrite, key, label)
 	if !ok {
 		return s.inner.WriteBlock(b, data)
 	}
@@ -82,5 +74,5 @@ func (s *Store) WriteBlock(b blockdev.BlockID, data []byte) error {
 			return s.inner.WriteBlock(b, data)
 		}
 	}
-	return fmt.Errorf("%w: write %s f%d:%d", ErrInjected, s.node, b.File, b.Block)
+	return fmt.Errorf("%w: write %s", ErrInjected, label)
 }

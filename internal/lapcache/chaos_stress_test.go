@@ -50,7 +50,7 @@ func TestEngineChaosStoreFaults(t *testing.T) {
 		// invariant counters, never as panics that kill the run.
 		StrictLinear: false,
 		PoisonBufs:   true,
-		Store:        inj.WrapStore(NewMemStore(blockSize, 0), "store@solo"),
+		Store:        inj.WrapStore(NewMemStore(blockSize, 0)),
 	})
 
 	var injectedErrs, cleanReads atomic.Int64

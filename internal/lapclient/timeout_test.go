@@ -14,12 +14,15 @@ import (
 )
 
 // reply is how a scripted server answers one request: with an empty
-// success frame after a delay, never, or with a header that promises
-// a payload the server never sends.
+// success frame after a delay, never, with a header that promises a
+// payload the server never sends, with an error frame carrying refuse,
+// or by closing the connection (sever).
 type reply struct {
-	after time.Duration
-	never bool
-	stall bool
+	after  time.Duration
+	never  bool
+	stall  bool
+	refuse string
+	sever  bool
 }
 
 // scriptedServer listens on loopback and speaks just enough of the
@@ -50,9 +53,9 @@ func serveScripted(conn net.Conn, answer func(h wire.Header) reply) {
 	defer conn.Close()
 	br := bufio.NewReader(conn)
 	var wmu sync.Mutex
-	respond := func(h wire.Header, payload []byte, stall bool) {
+	respond := func(h wire.Header, flags wire.Flags, payload []byte, stall bool) {
 		frame := make([]byte, wire.HeaderSize+len(payload))
-		wire.PutHeader(frame, wire.Header{Op: h.Op, Flags: wire.FlagOK, Seq: h.Seq, PayloadLen: uint32(len(payload))})
+		wire.PutHeader(frame, wire.Header{Op: h.Op, Flags: flags, Seq: h.Seq, PayloadLen: uint32(len(payload))})
 		copy(frame[wire.HeaderSize:], payload)
 		if stall {
 			frame = frame[:wire.HeaderSize]
@@ -71,19 +74,23 @@ func serveScripted(conn net.Conn, answer func(h wire.Header) reply) {
 			return
 		}
 		if h.Op == wire.OpPing {
-			respond(h, []byte(`{"alg":"scripted","block_size":128}`), false)
+			respond(h, wire.FlagOK, []byte(`{"alg":"scripted","block_size":128}`), false)
 			continue
 		}
 		switch r := answer(h); {
 		case r.never:
+		case r.sever:
+			return
+		case r.refuse != "":
+			respond(h, 0, []byte(r.refuse), false)
 		case r.stall:
-			respond(h, make([]byte, 8), true)
+			respond(h, wire.FlagOK, make([]byte, 8), true)
 		case r.after == 0:
-			respond(h, nil, false)
+			respond(h, wire.FlagOK, nil, false)
 		default:
 			go func() {
 				time.Sleep(r.after)
-				respond(h, nil, false)
+				respond(h, wire.FlagOK, nil, false)
 			}()
 		}
 	}
