@@ -13,9 +13,9 @@
 # repeated race runs of the timing-dependent suites (see ci.yml's
 # header): among them the prefetch window's concurrent feedback
 # (core:TestAdaptiveConcurrentFeedback), the adaptive engine
-# (lapcache:TestAdaptiveEngine*) and the windows' counts read while a
-# linear engine serves (lapcache:TestHighWatersReadWhileServing),
-# twenty times each. The thirteen
+# (lapcache:TestAdaptiveEngine*) and the windows' in-flight and fate
+# counts read while a linear engine serves
+# (lapcache:TestHighWatersReadWhileServing), twenty times each. The thirteen
 # zero-allocation gates (engine hit, miss from a one-entry shard, miss
 # evicting from full eight-entry shards, prefetched hit and predicted
 # hit; loopback hit; remote hit; simulator event and resource request;

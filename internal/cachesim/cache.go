@@ -71,12 +71,13 @@ type Victim struct {
 	WasUnusedPrefetch bool
 }
 
-// Stats aggregates cache-level counters.
+// Stats aggregates cache-level counters. A prefetched copy's fate is
+// not counted here: the cache signals it (OnPrefetchUsed,
+// Victim.WasUnusedPrefetch) and the file system books it on the file's
+// prefetch window.
 type Stats struct {
-	Forwards         uint64 // N-chance singlet forwards
-	WastedPrefetches uint64 // prefetched copies evicted unused
-	UsedPrefetches   uint64 // prefetched copies later hit by a user request
-	Removals         uint64 // copies that left a pool, for any reason: the core.Env eviction count
+	Forwards uint64 // N-chance singlet forwards
+	Removals uint64 // copies that left a pool, for any reason: the core.Env eviction count
 }
 
 // Cache is the cooperative cache: per-node pools plus the global
@@ -249,13 +250,13 @@ func (c *Cache) place(v Copy) {
 }
 
 // Use records a user access to the copy (from Find or FindOn),
-// updating recency and prefetch accounting.
+// updating recency and clearing the prefetched flag, which fires
+// OnPrefetchUsed.
 func (c *Cache) Use(cp *Copy) {
 	c.touch(&c.nodes[cp.Node], nodeList, cp.self)
 	c.touch(&c.glob, globList, cp.self)
 	if cp.Prefetched {
 		cp.Prefetched = false
-		c.stats.UsedPrefetches++
 		if c.OnPrefetchUsed != nil {
 			c.OnPrefetchUsed(cp.Slot)
 		}
@@ -293,9 +294,6 @@ func (c *Cache) removeCopy(i int32) Copy {
 // evict removes the copy in slab record i, producing a victim record.
 func (c *Cache) evict(i int32, out []Victim) []Victim {
 	cp := &c.copies[i]
-	if cp.Prefetched {
-		c.stats.WastedPrefetches++
-	}
 	dirtyLast := cp.Dirty && c.dir[cp.Slot].len == 1
 	was := c.removeCopy(i)
 	return append(out, Victim{

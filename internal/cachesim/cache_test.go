@@ -192,28 +192,40 @@ func TestWastedPrefetchAccounting(t *testing.T) {
 	_, c := newTestCache(1, 1, GlobalLRU{})
 	c.Insert(0, blk(1, 0), InsertOptions{Prefetched: true})
 	_, victims := c.Insert(0, blk(1, 1), InsertOptions{})
-	if len(victims) != 1 || !victims[0].WasUnusedPrefetch {
-		t.Errorf("victims = %v, want unused-prefetch victim", victims)
+	if len(victims) != 1 || !victims[0].WasUnusedPrefetch || victims[0].Slot != blk(1, 0) {
+		t.Errorf("victims = %v, want block 0 as an unused-prefetch victim", victims)
 	}
-	if c.Stats().WastedPrefetches != 1 {
-		t.Errorf("WastedPrefetches = %d", c.Stats().WastedPrefetches)
+	// The demand copy is no prefetch: evicting it wastes nothing.
+	_, victims = c.Insert(0, blk(1, 2), InsertOptions{})
+	if len(victims) != 1 || victims[0].WasUnusedPrefetch {
+		t.Errorf("victims = %v, want one demand victim", victims)
 	}
 }
 
 func TestUsedPrefetchAccounting(t *testing.T) {
 	_, c := newTestCache(1, 4, GlobalLRU{})
+	var used []int32
+	c.OnPrefetchUsed = func(slot int32) { used = append(used, slot) }
 	c.Insert(0, blk(1, 0), InsertOptions{Prefetched: true})
 	if !use(c, 0, blk(1, 0)) {
 		t.Fatal("touch missed")
 	}
-	st := c.Stats()
-	if st.UsedPrefetches != 1 || st.WastedPrefetches != 0 {
-		t.Errorf("used/wasted = %d/%d, want 1/0", st.UsedPrefetches, st.WastedPrefetches)
+	if len(used) != 1 || used[0] != blk(1, 0) {
+		t.Errorf("OnPrefetchUsed fired for %v, want block 0 once", used)
 	}
 	// Second touch must not double count.
 	use(c, 0, blk(1, 0))
-	if c.Stats().UsedPrefetches != 1 {
+	if len(used) != 1 {
 		t.Error("prefetch hit double-counted")
+	}
+	// Evicted after its use, the copy is no wasted prefetch.
+	for b := 1; b <= 4; b++ {
+		_, victims := c.Insert(0, blk(1, b), InsertOptions{})
+		for _, v := range victims {
+			if v.WasUnusedPrefetch {
+				t.Errorf("used block %d evicted as an unused prefetch", v.Slot)
+			}
+		}
 	}
 }
 

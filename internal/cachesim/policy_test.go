@@ -113,14 +113,16 @@ func TestInsertMergePreservesRecirculationState(t *testing.T) {
 	// Re-inserting an existing block on the same node is a touch; the
 	// copy must stay unique.
 	_, c := newTestCache(2, 2, NChance{Recirculations: 2})
+	used := 0
+	c.OnPrefetchUsed = func(int32) { used++ }
 	c.Insert(0, blk(3, 0), InsertOptions{Prefetched: true})
 	c.Insert(0, blk(3, 0), InsertOptions{})
 	if n := copiesOf(c, blk(3, 0)); n != 1 {
 		t.Fatalf("%d copies after merge", n)
 	}
 	// The merge counts as a use of the prefetched copy.
-	if c.Stats().UsedPrefetches != 1 {
-		t.Errorf("UsedPrefetches = %d, want 1", c.Stats().UsedPrefetches)
+	if used != 1 {
+		t.Errorf("OnPrefetchUsed fired %d times, want 1", used)
 	}
 }
 

@@ -173,13 +173,23 @@ func TestPrefetchFateRules(t *testing.T) {
 	simulator := func() func(kind, blockdev.BlockNo) fate {
 		files := blockdev.NewNumbering(map[blockdev.FileID]blockdev.BlockNo{file: 16})
 		c := cachesim.New(sim.NewEngine(1), 1, capacity, cachesim.GlobalLRU{}, files.Len())
-		var timely uint64
+		// The cache signals the fates, as the file systems see them: the
+		// hook for a timely one, the victim's flag for a wasted one.
+		var timely, wasted uint64
 		c.OnPrefetchUsed = func(int32) { timely++ }
+		book := func(victims []cachesim.Victim) {
+			for _, v := range victims {
+				if v.WasUnusedPrefetch {
+					wasted++
+				}
+			}
+		}
 		return func(do kind, blk blockdev.BlockNo) fate {
 			b := files.File(file).Slot(blockdev.BlockID{File: file, Block: blk})
 			switch cp := c.Find(b); {
 			case do == arrive:
-				c.Insert(0, b, cachesim.InsertOptions{Prefetched: true})
+				_, victims := c.Insert(0, b, cachesim.InsertOptions{Prefetched: true})
+				book(victims)
 			case cp != nil:
 				// A resident block: reads and writes both touch it.
 				c.Use(cp)
@@ -187,9 +197,10 @@ func TestPrefetchFateRules(t *testing.T) {
 					c.MarkDirty(b)
 				}
 			default:
-				c.Insert(0, b, cachesim.InsertOptions{Dirty: do == write})
+				_, victims := c.Insert(0, b, cachesim.InsertOptions{Dirty: do == write})
+				book(victims)
 			}
-			return fate{timely, c.Stats().WastedPrefetches, c.UnusedPrefetchedCopies()}
+			return fate{timely, wasted, c.UnusedPrefetchedCopies()}
 		}
 	}()
 

@@ -15,18 +15,19 @@ import (
 // unlimited Agr_); an adaptive one (Ad_) is an FDP-style feedback
 // controller whose window moves within [1, MaxOutstanding].
 //
-// The driver reads Allow before every issue and reports refusals
-// through OnBackpressure; the host file system feeds the rest from its
-// prefetched-block lifecycle:
+// The driver reads Allow before every issue, books every issue the env
+// accepts and reports refusals through OnBackpressure; the host file
+// system feeds the rest from its prefetched-block lifecycle:
 //
 //	OnTimely — a prefetched block was demanded after it arrived
 //	OnLate   — a demand read had to wait on an in-flight prefetch
 //	OnWasted — a prefetched block was evicted without ever being used
 //
-// A static window ignores all four. An adaptive one is safe for
-// concurrent use: the runtime calls Allow under the per-file driver
-// mutex but delivers feedback from whatever goroutine observed the
-// event. Build one with AlgSpec.NewDegreePolicy.
+// The window is where each of those fates is booked, once, in either
+// tier (see Fates); only an adaptive window also steers by them. It is
+// safe for concurrent use: the runtime calls Allow under the per-file
+// driver mutex but delivers feedback from whatever goroutine observed
+// the event. Build one with AlgSpec.NewDegreePolicy.
 //
 // The window also counts what it bounds: the file's prefetches in
 // flight, summed over every driver of the file, with their high-water
@@ -45,19 +46,22 @@ type DegreePolicy struct {
 	strict   bool // an update past cap panics (SetStrict)
 
 	// inFlight is written by the file's drivers alone, which every host
-	// serializes per file, so it takes no lock; the two counters a
-	// concurrent reader takes (HighWater, OverCap) are atomics.
+	// serializes per file, so it takes no lock; the counters a
+	// concurrent reader takes (HighWater, OverCap, Fates) are atomics.
 	inFlight  int
 	highWater atomic.Int64
 	overCap   atomic.Uint64
+
+	// The file's prefetches by fate over the window's life (Fates).
+	issued, fallback, timely, late, wasted atomic.Uint64
 
 	// degree is the window. A static one never writes it after
 	// construction, so its Allow reads it without mu.
 	mu           sync.Mutex
 	degree       int
-	timely       uint64 // events in the current evaluation window
-	late         uint64
-	wasted       uint64
+	winTimely    uint64 // fates in the current evaluation window
+	winLate      uint64
+	winWasted    uint64
 	widenStreak  int
 	narrowStreak int
 	widens       uint64 // +1 steps taken
@@ -125,14 +129,71 @@ func (p *DegreePolicy) addInFlight(delta int, f blockdev.FileID) {
 	}
 }
 
+// Fates counts one file's prefetches by what became of them, over its
+// window's whole life: Issued operations the env accepted, Fallback of
+// those predicted by IS_PPM's OBA fallback, and the prefetched blocks
+// demanded after they arrived (Timely), demanded while still in flight
+// (Late) or evicted unread (Wasted). A host's totals are sums over its
+// files' windows.
+type Fates struct {
+	Issued, Fallback, Timely, Late, Wasted uint64
+}
+
+// Add returns the fieldwise sum f + g.
+func (f Fates) Add(g Fates) Fates {
+	return Fates{f.Issued + g.Issued, f.Fallback + g.Fallback,
+		f.Timely + g.Timely, f.Late + g.Late, f.Wasted + g.Wasted}
+}
+
+// Sub returns the fieldwise difference f - g: what was booked between
+// an earlier sum g and f.
+func (f Fates) Sub(g Fates) Fates {
+	return Fates{f.Issued - g.Issued, f.Fallback - g.Fallback,
+		f.Timely - g.Timely, f.Late - g.Late, f.Wasted - g.Wasted}
+}
+
+// FallbackFraction returns the share of issues the OBA fallback
+// predicted (§2.2: <1% on CHARISMA, ~25% on Sprite), 0 before any.
+func (f Fates) FallbackFraction() float64 {
+	if f.Issued == 0 {
+		return 0
+	}
+	return float64(f.Fallback) / float64(f.Issued)
+}
+
+// Fates returns the file's prefetch fates so far. Each count is read
+// atomically; under concurrent booking the five are not one instant's.
+func (p *DegreePolicy) Fates() Fates {
+	return Fates{p.issued.Load(), p.fallback.Load(),
+		p.timely.Load(), p.late.Load(), p.wasted.Load()}
+}
+
+// onIssued books one prefetch the env accepted; the driver's issue is
+// its one caller.
+func (p *DegreePolicy) onIssued(fallback bool) {
+	p.issued.Add(1)
+	if fallback {
+		p.fallback.Add(1)
+	}
+}
+
 // OnTimely records a prefetched block demanded after it arrived.
-func (p *DegreePolicy) OnTimely() { p.feed(&p.timely) }
+func (p *DegreePolicy) OnTimely() {
+	p.timely.Add(1)
+	p.feed(&p.winTimely)
+}
 
 // OnLate records a demand read that caught its prefetch in flight.
-func (p *DegreePolicy) OnLate() { p.feed(&p.late) }
+func (p *DegreePolicy) OnLate() {
+	p.late.Add(1)
+	p.feed(&p.winLate)
+}
 
 // OnWasted records a prefetched block evicted unread.
-func (p *DegreePolicy) OnWasted() { p.feed(&p.wasted) }
+func (p *DegreePolicy) OnWasted() {
+	p.wasted.Add(1)
+	p.feed(&p.winWasted)
+}
 
 // OnBackpressure reacts to an env refusal: the prefetch queue is full,
 // so depth is only creating rejects. An adaptive window halves at once
@@ -164,7 +225,7 @@ func (p *DegreePolicy) feed(windowCtr *uint64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	*windowCtr++
-	if p.timely+p.late+p.wasted >= adaptiveWindow {
+	if p.winTimely+p.winLate+p.winWasted >= adaptiveWindow {
 		p.evaluate()
 	}
 }
@@ -186,10 +247,10 @@ func (p *DegreePolicy) feed(windowCtr *uint64) {
 // Both gradual moves are gated by hysteresis consecutive agreeing
 // verdicts; the clamp is immediate. Caller holds p.mu.
 func (p *DegreePolicy) evaluate() {
-	total := float64(p.timely + p.late + p.wasted)
-	accuracy := float64(p.timely+p.late) / total
-	lateRate := float64(p.late) / total
-	p.timely, p.late, p.wasted = 0, 0, 0
+	total := float64(p.winTimely + p.winLate + p.winWasted)
+	accuracy := float64(p.winTimely+p.winLate) / total
+	lateRate := float64(p.winLate) / total
+	p.winTimely, p.winLate, p.winWasted = 0, 0, 0
 
 	switch {
 	case accuracy < accuracyLow:

@@ -36,9 +36,10 @@ func TestFixedDegreeIsStatic(t *testing.T) {
 			t.Errorf("static window %d: Allow=%d cap=%d, want both %d", k, p.Allow(), p.cap, k)
 		}
 	}
-	// Feedback must be a no-op on a static window.
+	// Feedback must not move a static window, which still books it.
 	p := staticWindow(1)
 	for i := 0; i < 4*adaptiveWindow; i++ {
+		p.onIssued(i%2 == 0)
 		p.OnTimely()
 		p.OnLate()
 		p.OnWasted()
@@ -46,6 +47,24 @@ func TestFixedDegreeIsStatic(t *testing.T) {
 	p.OnBackpressure()
 	if p.Allow() != 1 {
 		t.Errorf("feedback moved a static window to %d", p.Allow())
+	}
+	const n = 4 * adaptiveWindow
+	if got, want := p.Fates(), (Fates{Issued: n, Fallback: n / 2, Timely: n, Late: n, Wasted: n}); got != want {
+		t.Errorf("static window booked %+v, want %+v", got, want)
+	}
+}
+
+func TestFallbackFraction(t *testing.T) {
+	p := staticWindow(1)
+	if p.Fates().FallbackFraction() != 0 {
+		t.Error("a window with no issue should report 0")
+	}
+	for i := 0; i < 3; i++ {
+		p.onIssued(false)
+	}
+	p.onIssued(true)
+	if got := p.Fates().FallbackFraction(); got != 0.25 {
+		t.Errorf("FallbackFraction = %v, want 0.25", got)
 	}
 }
 
@@ -199,6 +218,9 @@ func TestAdaptiveConcurrentFeedback(t *testing.T) {
 	if window, widens, _ := p.Stats(); window != 4 || widens != 3 {
 		t.Errorf("six all-late windows: window %d after %d widens, want 4 after 3", window, widens)
 	}
+	if late := p.Fates().Late; late != 6*adaptiveWindow {
+		t.Errorf("%d late fates booked, want %d", late, 6*adaptiveWindow)
+	}
 }
 
 // degreeSeeds is FuzzDegreePolicy's seed corpus. All but the first
@@ -218,13 +240,18 @@ var degreeSeeds = [][]byte{
 	// Timely, late and wasted interleaved (accurate, starved), with a
 	// backpressure signal after every six windows to halve the degree.
 	bytes.Repeat(append(bytes.Repeat([]byte{0, 1, 1, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 2}, 6*adaptiveWindow/16), 3), 3),
+	// Issues, plain and fallback, among the fates: no window moves on
+	// an issue.
+	bytes.Repeat([]byte{4, 1, 5, 1, 0, 4, 2, 1}, 2*adaptiveWindow),
 }
 
 // fuzzCap varies the controller's ceiling with the input's length.
 func fuzzCap(events []byte) int { return 1 + len(events)%11 }
 
+// feedEvent delivers one event to p: a fate, backpressure (3) or an
+// issue, plain (4) or fallback (5).
 func feedEvent(p *DegreePolicy, ev byte) {
-	switch ev % 4 {
+	switch ev % 6 {
 	case 0:
 		p.OnTimely()
 	case 1:
@@ -233,7 +260,32 @@ func feedEvent(p *DegreePolicy, ev byte) {
 		p.OnWasted()
 	case 3:
 		p.OnBackpressure()
+	case 4:
+		p.onIssued(false)
+	case 5:
+		p.onIssued(true)
 	}
+}
+
+// bookedBy returns the fates a window must book for events.
+func bookedBy(events []byte) Fates {
+	var f Fates
+	for _, ev := range events {
+		switch ev % 6 {
+		case 0:
+			f.Timely++
+		case 1:
+			f.Late++
+		case 2:
+			f.Wasted++
+		case 4:
+			f.Issued++
+		case 5:
+			f.Issued++
+			f.Fallback++
+		}
+	}
+	return f
 }
 
 // adaptiveWindowOf builds an adaptive window with the given hard cap,
@@ -258,8 +310,8 @@ func TestDegreeSeedsMoveTheController(t *testing.T) {
 			feedEvent(p, ev)
 			after, _, clampsAfter := p.Stats()
 			atCap = atCap || p.cap > 1 && after == p.cap
-			halved = halved || ev%4 == 3 && after < before
-			if ev%4 != 3 && after == before-1 && clampsAfter == clampsBefore {
+			halved = halved || ev%6 == 3 && after < before
+			if ev%6 < 3 && after == before-1 && clampsAfter == clampsBefore {
 				narrows++
 			}
 		}
@@ -273,11 +325,13 @@ func TestDegreeSeedsMoveTheController(t *testing.T) {
 }
 
 // FuzzDegreePolicy drives prefetch windows with an arbitrary event
-// sequence. A static window of 0, 1 or 4 never moves off its K. An
-// adaptive one keeps its safety envelope: Allow stays in [1, cap]
-// after every event, a feedback event moves it by at most one step or
-// clamps it to 1, backpressure halves it (not below 1), and Stats
-// counts every widen and clamp it takes.
+// sequence. Every window books every issue and fate it is given. A
+// static window of 0, 1 or 4 never moves off its K. An adaptive one
+// keeps its safety envelope: Allow stays in [1, cap] after every
+// event, a feedback event moves it by at most one step or clamps it to
+// 1, backpressure halves it (not below 1), an issue leaves it alone,
+// Stats counts every widen and clamp it takes, and it evaluates on
+// every 32nd fate, its evaluation window holding the fates since.
 func FuzzDegreePolicy(f *testing.F) {
 	for _, s := range degreeSeeds {
 		f.Add(s)
@@ -291,6 +345,9 @@ func FuzzDegreePolicy(f *testing.F) {
 			if window, widens, clamps := p.Stats(); p.Allow() != k || window != k || widens+clamps != 0 {
 				t.Fatalf("static window %d moved: Allow %d, Stats (%d, %d, %d)", k, p.Allow(), window, widens, clamps)
 			}
+			if got, want := p.Fates(), bookedBy(events); got != want {
+				t.Fatalf("static window %d booked %+v, want %+v", k, got, want)
+			}
 		}
 
 		p := adaptiveWindowOf(fuzzCap(events))
@@ -299,16 +356,23 @@ func FuzzDegreePolicy(f *testing.F) {
 			feedEvent(p, ev)
 			a := p.Allow()
 			if a < 1 || a > p.cap {
-				t.Fatalf("Allow = %d outside [1, %d] after event %d", a, p.cap, ev%4)
+				t.Fatalf("Allow = %d outside [1, %d] after event %d", a, p.cap, ev%6)
 			}
 			window, widensAfter, clampsAfter := p.Stats()
 			if window != a {
 				t.Fatalf("Stats window = %d, Allow = %d", window, a)
 			}
+			fates := p.Fates()
+			booked := fates.Timely + fates.Late + fates.Wasted
+			if pending := p.winTimely + p.winLate + p.winWasted; pending != booked%adaptiveWindow {
+				t.Fatalf("%d fates booked, %d pending evaluation, want %d", booked, pending, booked%adaptiveWindow)
+			}
 			var ok bool
 			switch {
-			case ev%4 == 3:
+			case ev%6 == 3:
 				ok = a == max(before/2, 1) && widensAfter == widens && clampsAfter == clamps
+			case ev%6 > 3:
+				ok = a == before && widensAfter == widens && clampsAfter == clamps
 			case a == before+1:
 				ok = widensAfter == widens+1 && clampsAfter == clamps
 			case a == 1 && before > 1 && clampsAfter == clamps+1:
@@ -318,8 +382,11 @@ func FuzzDegreePolicy(f *testing.F) {
 			}
 			if !ok {
 				t.Fatalf("event %d moved the window %d -> %d, widens %d -> %d, clamps %d -> %d",
-					ev%4, before, a, widens, widensAfter, clamps, clampsAfter)
+					ev%6, before, a, widens, widensAfter, clamps, clampsAfter)
 			}
+		}
+		if got, want := p.Fates(), bookedBy(events); got != want {
+			t.Fatalf("adaptive window booked %+v, want %+v", got, want)
 		}
 	})
 }

@@ -45,11 +45,11 @@ type Env interface {
 	// makes xFS prefetching duplicate work on shared files, §4).
 	Cached(b blockdev.BlockID) bool
 	// Prefetch launches a low-priority fetch of b. fallback reports
-	// whether the block was predicted by the cold-start OBA fallback
-	// (for the paper's fallback-fraction accounting). cancelled is
-	// polled when the backing store would start the operation, and
-	// true drops it; done fires when the operation is served or
-	// dropped. Prefetch reports whether the operation was accepted: an
+	// whether the block was predicted by the cold-start OBA fallback;
+	// the driver books it on the file's window, so a host may ignore
+	// it. cancelled is polled when the backing store would start the
+	// operation, and true drops it; done fires when the operation is
+	// served or dropped. Prefetch reports whether the operation was accepted: an
 	// environment under backpressure (the runtime's bounded prefetch
 	// queue) may refuse, which parks the driver's chain until the next
 	// user request.
@@ -95,11 +95,10 @@ type DriverConfig struct {
 // user an idle chain keeps looking.
 const maxDrySteps = 64
 
-// DriverStats counts driver activity; the experiment layer aggregates
-// them into the paper's reported ratios.
+// DriverStats counts one driver's walk. No host reports them: they are
+// the driver tests' oracle. What became of the driver's prefetches,
+// issues included, is booked on its file's window (DegreePolicy.Fates).
 type DriverStats struct {
-	Issued          uint64 // prefetch operations launched
-	FallbackIssued  uint64 // of those, predicted by the OBA fallback
 	Completed       uint64 // prefetch operations that finished
 	Restarts        uint64 // chain resets after mispredictions
 	ChainStops      uint64 // chain reached end of file or went dry, once per dry spell
@@ -476,9 +475,6 @@ func (d *Driver) issue(blk blockdev.BlockID, fallback bool) bool {
 		d.degree.OnBackpressure()
 		return false
 	}
-	d.stats.Issued++
-	if fallback {
-		d.stats.FallbackIssued++
-	}
+	d.degree.onIssued(fallback)
 	return true
 }

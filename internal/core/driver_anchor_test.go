@@ -152,7 +152,7 @@ func TestAnchorPreservesDecisions(t *testing.T) {
 						if i == 0 {
 							as.PredictionSteps, bs.PredictionSteps = 0, 0
 						}
-						if as != bs || a.d.Outstanding() != b.d.Outstanding() ||
+						if as != bs || a.d.Outstanding() != b.d.Outstanding() || a.d.degree.Fates() != b.d.degree.Fates() ||
 							!slices.Equal(a.env.issued, b.env.issued) || !slices.Equal(a.env.fallbacks, b.env.fallbacks) {
 							t.Fatalf("seed %d step %d: the drivers part ways\ncounting: %+v\n          issued %v\n%-9s %+v\n          issued %v",
 								seed, step, as, tail(a.env.issued), [...]string{"blind:", "adapted:"}[i], bs, tail(b.env.issued))

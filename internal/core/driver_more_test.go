@@ -68,8 +68,8 @@ func TestDriverStatsProgression(t *testing.T) {
 	d.OnUserRequest(Request{Offset: 0, Size: 1}, 1, false)
 	env.completeAll()
 	st := d.Stats()
-	if st.Issued != 7 || st.Completed != 7 {
-		t.Errorf("issued/completed = %d/%d, want 7/7", st.Issued, st.Completed)
+	if issued := d.degree.Fates().Issued; issued != 7 || st.Completed != 7 {
+		t.Errorf("issued/completed = %d/%d, want 7/7", issued, st.Completed)
 	}
 	if st.Restarts != 1 { // the initial unsatisfied request
 		t.Errorf("restarts = %d, want 1", st.Restarts)

@@ -401,7 +401,7 @@ func TestUnlimitedCycleIssuesEachBlockOnce(t *testing.T) {
 	if env.dups != 0 || env.issued > diskEnvIssueCap {
 		t.Errorf("%d prefetches issued, %d of them of a block the chain had in flight", env.issued, env.dups)
 	}
-	if d.Stats().Issued == 0 {
+	if d.degree.Fates().Issued == 0 {
 		t.Error("the chain issued nothing: the test exercised nothing")
 	}
 }
@@ -415,9 +415,9 @@ func TestFallbackAccounting(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		env.completeOne()
 	}
-	st := d.Stats()
-	if st.Issued == 0 || st.FallbackIssued != st.Issued {
-		t.Errorf("fallback accounting: issued=%d fallback=%d", st.Issued, st.FallbackIssued)
+	f := d.degree.Fates()
+	if f.Issued == 0 || f.Fallback != f.Issued {
+		t.Errorf("fallback accounting: issued=%d fallback=%d", f.Issued, f.Fallback)
 	}
 }
 

@@ -111,9 +111,9 @@ type Result struct {
 	FallbackFraction   float64 `json:"fallback_fraction"`
 	MispredictionRatio float64 `json:"misprediction_ratio"`
 
-	// Prefetch timeliness (see stats.Collector): Timely prefetches were
-	// used from the cache, Late ones lost the race to demand traffic,
-	// Wasted ones were evicted unused inside the measurement window;
+	// Prefetch timeliness (see core.Fates), inside the measurement
+	// window: Timely prefetches were used from the cache, Late ones lost
+	// the race to demand traffic, Wasted ones were evicted unused;
 	// UnusedAtEnd counts speculative copies still untouched when the
 	// run drained.
 	PrefetchTimely      uint64 `json:"prefetch_timely"`
@@ -198,9 +198,12 @@ func RunTraceObserved(tr *workload.Trace, mach machine.Config, c Cell, warmFract
 	}
 
 	coll := fs.Coll
-	cst := fs.Cch.Stats()
-	wasted := cst.WastedPrefetches + fs.Cch.UnusedPrefetchedCopies()
-	used := cst.UsedPrefetches
+	// The window's fates; the misprediction ratio takes the whole run's,
+	// drain included, with every copy still unused at the end as wasted.
+	fates := fs.MeasuredFates()
+	total := fs.Fates()
+	wasted := total.Wasted + fs.Cch.UnusedPrefetchedCopies()
+	used := total.Timely
 	misprediction := 0.0
 	if wasted+used > 0 {
 		misprediction = float64(wasted) / float64(wasted+used)
@@ -212,13 +215,13 @@ func RunTraceObserved(tr *workload.Trace, mach machine.Config, c Cell, warmFract
 		DiskReads:          coll.DiskReads(),
 		DiskWrites:         coll.DiskWrites(),
 		WritesPerBlock:     coll.WritesPerBlock(),
-		PrefetchIssued:     coll.PrefetchIssuedCount(),
-		FallbackFraction:   coll.FallbackFraction(),
+		PrefetchIssued:     fates.Issued,
+		FallbackFraction:   fates.FallbackFraction(),
 		MispredictionRatio: misprediction,
 
-		PrefetchTimely:      coll.PrefetchTimelyCount(),
-		PrefetchLate:        coll.PrefetchLateCount(),
-		PrefetchWasted:      coll.PrefetchWastedCount(),
+		PrefetchTimely:      fates.Timely,
+		PrefetchLate:        fates.Late,
+		PrefetchWasted:      fates.Wasted,
 		PrefetchUnusedAtEnd: fs.Cch.UnusedPrefetchedCopies(),
 		MaxFilePrefetchHW:   fs.MaxPrefetchHighWater(),
 

@@ -43,6 +43,9 @@ type Base struct {
 	// going past the cap on shared files is a finding, not a fault.
 	Alg     core.AlgSpec
 	degrees []*core.DegreePolicy
+	// The windows' summed fates at the metrics window's two edges
+	// (StartMeasurement, StopBackground).
+	fatesAtStart, fatesAtStop core.Fates
 
 	// inflight coalesces concurrent demand fetches of one block onto
 	// the first one's disk read; by slot, nil when none is pending.
@@ -99,7 +102,6 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 	// A prefetched copy touched by a user request was a timely
 	// prefetch.
 	b.Cch.OnPrefetchUsed = func(slot int32) {
-		b.Coll.PrefetchTimely()
 		b.Degree(b.num.Ordinal(slot)).OnTimely()
 	}
 	return b
@@ -107,8 +109,8 @@ func NewBase(e *sim.Engine, cfg machine.Config, cacheBlocksPerNode int,
 
 // Degree returns the prefetch window of the file of ordinal ord,
 // creating it on first use. Every driver of the file shares it, and
-// the timely/late/wasted lifecycle events both file systems classify
-// feed it; a static window (the paper's specs) ignores them.
+// it books the timely/late/wasted fates both file systems classify;
+// only an adaptive window also steers by them.
 func (b *Base) Degree(ord int32) *core.DegreePolicy {
 	p := b.degrees[ord]
 	if p == nil {
@@ -133,6 +135,22 @@ func (b *Base) NewDriver(f blockdev.FileSlots, env core.Env) *core.Driver {
 		Env:        env,
 	})
 }
+
+// Fates returns the prefetch fates booked so far, summed over every
+// file's window.
+func (b *Base) Fates() core.Fates {
+	var f core.Fates
+	for _, p := range b.degrees {
+		if p != nil {
+			f = f.Add(p.Fates())
+		}
+	}
+	return f
+}
+
+// MeasuredFates returns the prefetch fates booked inside the metrics
+// window: between StartMeasurement and StopBackground.
+func (b *Base) MeasuredFates() core.Fates { return b.fatesAtStop.Sub(b.fatesAtStart) }
 
 // MaxPrefetchHighWater returns the largest per-file high-water mark of
 // prefetches in flight: 1 on a truly linear run, more when independent
@@ -255,7 +273,6 @@ func (b *Base) DemandFetch(slot int32, node blockdev.NodeID, done sim.HandlerID)
 	if b.PrefetchInFlight(slot) {
 		// The predictor was right but the prefetch lost the race: demand
 		// traffic now duplicates the read at user priority.
-		b.Coll.PrefetchLate()
 		b.Degree(b.num.Ordinal(slot)).OnLate()
 	}
 	b.Disks.Read(op.blk, sim.PriorityUser, nil, op.onDone)
@@ -280,13 +297,12 @@ func (op *diskOp) fetched(e *sim.Engine) {
 // cancelled once, when the read reaches the head of its queue; done
 // fires once either way, after the copy is inserted or at once when
 // the read is dropped.
-func (b *Base) Prefetch(node blockdev.NodeID, slot int32, fallback bool, cancelled func() bool, done func()) bool {
+func (b *Base) Prefetch(node blockdev.NodeID, slot int32, cancelled func() bool, done func()) bool {
 	if b.Stopped() {
 		// Draining after the trace: never calling done stalls the
 		// chain, which is exactly what lets the run end.
 		return true
 	}
-	b.Coll.PrefetchIssued(fallback)
 	b.PrefetchBegin(slot)
 	op := b.newOp(opPrefetch, slot, node)
 	op.cancelled, op.done = cancelled, done
@@ -325,12 +341,11 @@ func (b *Base) DemandFetchInFlight(slot int32) bool {
 	return b.inflight[slot] != nil
 }
 
-// FlushVictims writes evicted dirty blocks back to disk and accounts
+// FlushVictims writes evicted dirty blocks back to disk and books
 // speculative copies evicted unused as wasted prefetches.
 func (b *Base) FlushVictims(victims []cachesim.Victim) {
 	for _, v := range victims {
 		if v.WasUnusedPrefetch {
-			b.Coll.PrefetchWasted()
 			b.Degree(b.num.Ordinal(v.Slot)).OnWasted()
 		}
 		if v.Dirty {
@@ -388,6 +403,13 @@ func (b *Base) writebackTick(e *sim.Engine) {
 	e.After(b.Cfg.WritebackPeriod, b.wbTick)
 }
 
+// StartMeasurement opens the metrics window: the collector starts
+// counting, and the prefetch fates booked so far are set aside.
+func (b *Base) StartMeasurement() {
+	b.Coll.StartMeasurement()
+	b.fatesAtStart = b.Fates()
+}
+
 // StopBackground ends the run's background activity: the write-back
 // daemon stops at its next tick, prefetch environments stop issuing
 // (see Stopped), and the metrics window closes, so the post-trace
@@ -395,6 +417,7 @@ func (b *Base) writebackTick(e *sim.Engine) {
 func (b *Base) StopBackground() {
 	b.wbStop = true
 	b.Coll.StopMeasurement()
+	b.fatesAtStop = b.Fates()
 }
 
 // Stopped reports whether the run is draining; prefetch environments

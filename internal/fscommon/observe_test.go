@@ -43,10 +43,10 @@ func TestDroppedPrefetchClosesWindow(t *testing.T) {
 	live, stale := file.Slot(blockdev.BlockID{File: 3, Block: 1}), file.Slot(blockdev.BlockID{File: 3, Block: 2})
 
 	completed, dropped := 0, 0
-	b.Prefetch(0, live, false, func() bool { return false }, func() { completed++ })
+	b.Prefetch(0, live, func() bool { return false }, func() { completed++ })
 	// Queued behind the first on the one disk, and polled when its turn
 	// comes.
-	b.Prefetch(0, stale, false, func() bool { return true }, func() { dropped++ })
+	b.Prefetch(0, stale, func() bool { return true }, func() { dropped++ })
 	if !b.PrefetchInFlight(live) || !b.PrefetchInFlight(stale) {
 		t.Fatal("issued prefetches are not in flight")
 	}

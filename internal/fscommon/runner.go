@@ -42,7 +42,7 @@ func NewRunner(b *Base, tr *workload.Trace, warmFraction float64) *Runner {
 func (r *Runner) Run(e *sim.Engine) sim.Time {
 	r.b.StartWriteback()
 	if r.warmThreshold == 0 {
-		r.b.Coll.StartMeasurement()
+		r.b.StartMeasurement()
 	}
 	r.engine = e
 	for i := range r.trace.Procs {
@@ -108,7 +108,7 @@ func (p *process) completeStep(at sim.Time) {
 	}
 	r.completedSteps++
 	if r.completedSteps == r.warmThreshold {
-		coll.StartMeasurement()
+		r.b.StartMeasurement()
 	}
 	p.idx++
 	p.schedule()

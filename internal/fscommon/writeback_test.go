@@ -73,13 +73,17 @@ func TestStoppedFSIgnoresPrefetch(t *testing.T) {
 	fs := pafs.New(e, pafs.Config{
 		Machine: smallMachine(), CacheBlocksPerNode: 256, Algorithm: core.SpecLnAgrOBA,
 	}, tr)
-	fs.Coll.StartMeasurement()
+	fs.StartMeasurement()
 	fs.StopBackground()
 	fs.Read(0, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
 	e.Run()
-	// The demand read happens; the chain must not start.
-	if got := fs.Coll.PrefetchIssuedCount(); got != 0 {
-		t.Errorf("stopped FS issued %d prefetches", got)
+	// The demand read happens; the chain must not start: the env
+	// accepts its first issue and never reads it.
+	if got := fs.Disks.PrefetchBusyFraction(); got != 0 {
+		t.Errorf("stopped FS spent %v of its disk time prefetching", got)
+	}
+	if got := fs.MeasuredFates().Issued; got != 0 {
+		t.Errorf("stopped FS booked %d prefetches inside the window", got)
 	}
 }
 
@@ -89,12 +93,15 @@ func TestStoppedXFSIgnoresPrefetch(t *testing.T) {
 	fs := xfs.New(e, xfs.Config{
 		Machine: smallMachine(), CacheBlocksPerNode: 256, Algorithm: core.SpecLnAgrOBA,
 	}, tr)
-	fs.Coll.StartMeasurement()
+	fs.StartMeasurement()
 	fs.StopBackground()
 	fs.Read(0, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
 	e.Run()
-	if got := fs.Coll.PrefetchIssuedCount(); got != 0 {
-		t.Errorf("stopped xFS issued %d prefetches", got)
+	if got := fs.Disks.PrefetchBusyFraction(); got != 0 {
+		t.Errorf("stopped xFS spent %v of its disk time prefetching", got)
+	}
+	if got := fs.MeasuredFates().Issued; got != 0 {
+		t.Errorf("stopped xFS booked %d prefetches inside the window", got)
 	}
 }
 
@@ -108,21 +115,21 @@ func TestCloseStopsChainPAFS(t *testing.T) {
 	fs.Read(0, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
 	// Let a few prefetches through, then close: the chain must stop
 	// well before the end of the 512-block file.
-	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() >= 3 })
+	e.RunUntil(func() bool { return fs.Fates().Issued >= 3 })
 	closed := false
 	fs.Close(0, 0, func(sim.Time) { closed = true })
 	e.Run()
 	if !closed {
 		t.Fatal("close never completed")
 	}
-	if got := fs.Coll.PrefetchIssuedCount(); got > 20 {
+	if got := fs.Fates().Issued; got > 20 {
 		t.Errorf("%d prefetches issued after close; chain did not stop", got)
 	}
 	// A new request resumes prefetching.
-	before := fs.Coll.PrefetchIssuedCount()
+	before := fs.Fates().Issued
 	fs.Read(0, blockdev.Span{File: 0, Start: 100, Count: 1}, func(sim.Time) {})
-	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() > before+2 })
-	if fs.Coll.PrefetchIssuedCount() <= before {
+	e.RunUntil(func() bool { return fs.Fates().Issued > before+2 })
+	if fs.Fates().Issued <= before {
 		t.Error("chain did not resume after reopen")
 	}
 	fs.StopBackground()
@@ -138,12 +145,12 @@ func TestCloseStopsOnlyThatNodeXFS(t *testing.T) {
 	fs.Coll.StartMeasurement()
 	fs.Read(0, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
 	fs.Read(1, blockdev.Span{File: 0, Start: 0, Count: 1}, func(sim.Time) {})
-	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() >= 6 })
+	e.RunUntil(func() bool { return fs.Fates().Issued >= 6 })
 	// Node 0 closes; node 1's chain keeps walking.
 	fs.Close(0, 0, func(sim.Time) {})
-	before := fs.Coll.PrefetchIssuedCount()
-	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() > before+5 })
-	if fs.Coll.PrefetchIssuedCount() <= before {
+	before := fs.Fates().Issued
+	e.RunUntil(func() bool { return fs.Fates().Issued > before+5 })
+	if fs.Fates().Issued <= before {
 		t.Error("closing one node's file stopped every chain")
 	}
 	fs.StopBackground()

@@ -107,11 +107,11 @@ type fileState struct {
 	tick   core.Tick    // per-file logical clock fed to the predictor
 
 	// degree is the file's prefetch window. Immutable after fileState
-	// creation (an adaptive window is internally synchronized), so
-	// feedback paths may read it without holding mu. It also counts the
-	// file's prefetches in flight, which the driver, under mu, updates;
-	// Snapshot and HighWaters read its atomic high-water and over-cap
-	// counts.
+	// creation (the window is internally synchronized), so feedback
+	// paths book the file's prefetch fates on it without holding mu. It
+	// also counts the file's prefetches in flight, which the driver,
+	// under mu, updates; Snapshot and HighWaters read its atomic
+	// high-water, over-cap and fate counts.
 	degree *core.DegreePolicy
 }
 
@@ -132,8 +132,6 @@ type Engine struct {
 
 	m    Metrics
 	fops sync.Pool // recycled *fetchOp
-	// adaptive gates the degree-policy half of timely/late/wasted.
-	adaptive bool
 
 	filesMu    sync.RWMutex
 	files      map[blockdev.FileID]*fileState
@@ -176,7 +174,6 @@ func New(cfg Config) (*Engine, error) {
 		cfg:        cfg,
 		store:      cfg.Store,
 		pool:       blockbuf.NewPool(cfg.BlockSize),
-		adaptive:   cfg.Alg.Adaptive,
 		files:      make(map[blockdev.FileID]*fileState),
 		fileBlocks: make(map[blockdev.FileID]blockdev.BlockNo, len(cfg.FileBlocks)),
 		inflight:   make(map[blockdev.BlockID]*fetchOp),
@@ -235,6 +232,15 @@ func (e *Engine) fileState(f blockdev.FileID) *fileState {
 	return fl
 }
 
+// fileOf returns fl, resolving f's state when fl is still nil: a
+// request looks its file up at most once, and only when it needs it.
+func (e *Engine) fileOf(fl *fileState, f blockdev.FileID) *fileState {
+	if fl == nil {
+		fl = e.fileState(f)
+	}
+	return fl
+}
+
 // newDriver builds f's chain driver. Callers hold fl.mu.
 func (e *Engine) newDriver(f blockdev.FileID, fl *fileState) *core.Driver {
 	e.filesMu.RLock()
@@ -283,11 +289,11 @@ func (e *Engine) ReadInto(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.
 	if !e.spanOK(off, nblocks) {
 		return bufs, false, fmt.Errorf("lapcache: invalid read %d:[%d,+%d]", f, off, nblocks)
 	}
-	bufs, hit, err := e.readSpan(bufs, f, off, nblocks)
+	bufs, fl, hit, err := e.readSpan(bufs, f, off, nblocks)
 	if err != nil {
 		return bufs, false, err
 	}
-	e.feedDriver(f, core.Request{Offset: off, Size: nblocks}, hit)
+	e.feedDriver(f, fl, core.Request{Offset: off, Size: nblocks}, hit)
 	return bufs, hit, nil
 }
 
@@ -308,10 +314,12 @@ func (e *Engine) spanOK(off blockdev.BlockNo, nblocks int32) bool {
 // flight is a late prefetch — and the block re-checked once it lands;
 // otherwise the reader claims the block and fills it from the store
 // itself. A claim covers one block, so concurrent readers of
-// neighbouring blocks still fetch in parallel.
-func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) ([]*blockbuf.Buf, bool, error) {
+// neighbouring blocks still fetch in parallel. Fates are booked, in
+// block order, on f's window; fl is f's state if a fate needed it, nil
+// otherwise.
+func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) (_ []*blockbuf.Buf, fl *fileState, hit bool, _ error) {
 	base := len(bufs)
-	hit := true
+	hit = true
 	waited := false // true while re-checking a block whose fetch we waited on
 	for i := int32(0); i < nblocks; {
 		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
@@ -325,7 +333,8 @@ func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.
 			} else {
 				e.m.demandHits.Add(1)
 				if wasPrefetched {
-					e.timely(f)
+					fl = e.fileOf(fl, f)
+					fl.degree.OnTimely()
 				}
 			}
 			i++
@@ -338,14 +347,15 @@ func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.
 			fo.join()
 			e.flightMu.Unlock()
 			if fo.prefetch && !waited {
-				e.late(f)
+				fl = e.fileOf(fl, f)
+				fl.degree.OnLate()
 			}
 			waited = true
 			fo.wg.Wait()
 			err := fo.err
 			e.releaseFetchOp(fo)
 			if err != nil {
-				return dropFrom(bufs, base), false, err
+				return dropFrom(bufs, base), fl, false, err
 			}
 			continue // the block should be cached now; re-check
 		}
@@ -357,14 +367,14 @@ func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.
 		buf, err := e.fill(fo, b)
 		bufs = append(bufs, buf)
 		if err != nil {
-			return dropFrom(bufs, base), false, err
+			return dropFrom(bufs, base), fl, false, err
 		}
 		e.m.demandMisses.Add(1)
 		hit = false
 		i++
 		waited = false
 	}
-	return bufs, hit, nil
+	return bufs, fl, hit, nil
 }
 
 // dropFrom releases bufs[base:] and returns bufs cut back to base.
@@ -411,36 +421,13 @@ func (e *Engine) fill(fo *fetchOp, b blockdev.BlockID) (*blockbuf.Buf, error) {
 	return buf, err
 }
 
-// The three prefetch outcomes, each booked at exactly one site: the
-// counter and, on an adaptive engine, the file's prefetch window
-// (static windows ignore feedback, so non-adaptive engines skip the
-// fileState lookup and stay on the historical hot path).
-
-// timely: a user request touched a speculative block that had already
-// arrived — a first read, or a write over it.
-func (e *Engine) timely(f blockdev.FileID) {
-	e.m.prefetchTimely.Add(1)
-	if e.adaptive {
-		e.fileState(f).degree.OnTimely()
-	}
-}
-
-// late: a demand read found the predictor's block still in flight.
-func (e *Engine) late(f blockdev.FileID) {
-	e.m.prefetchLate.Add(1)
-	if e.adaptive {
-		e.fileState(f).degree.OnLate()
-	}
-}
-
-// wasted: the cache evicted a speculative block nobody ever touched.
-// It is the cache's onWasted callback, fired outside the shard lock;
-// the victim's file is routinely not the file being inserted.
+// wasted books a speculative block the cache evicted untouched on its
+// file's window. It is the cache's onWasted callback, fired outside the
+// shard lock; the victim's file is routinely not the file being
+// inserted. The other two fates are booked by the request that meets
+// them (readSpan, installSpan).
 func (e *Engine) wasted(f blockdev.FileID) {
-	e.m.prefetchWasted.Add(1)
-	if e.adaptive {
-		e.fileState(f).degree.OnWasted()
-	}
+	e.fileState(f).degree.OnWasted()
 }
 
 // newFetchOp takes a recycled (or fresh) fetchOp armed for one fetch:
@@ -480,22 +467,24 @@ func (e *Engine) Write(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, d
 		return fmt.Errorf("lapcache: write payload is %d bytes, want %d",
 			len(data), int(nblocks)*e.cfg.BlockSize)
 	}
-	if err := e.installSpan(f, off, nblocks, data); err != nil {
+	fl, err := e.installSpan(f, off, nblocks, data)
+	if err != nil {
 		return err
 	}
 	e.m.writes.Add(1)
 	// The write is part of the file's access stream: the predictors
 	// model (offset-interval, size) pairs of all requests. A write
 	// never waits on prefetched data, so it counts as satisfied.
-	e.feedDriver(f, core.Request{Offset: off, Size: nblocks}, true)
+	e.feedDriver(f, fl, core.Request{Offset: off, Size: nblocks}, true)
 	return nil
 }
 
 // installSpan writes nblocks blocks (nil data = fill pattern) to the
 // store and into the cache. A client's or peer's write over a
 // still-flagged speculative block is that block's first user touch —
-// timely, as in the simulator's write path.
-func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) error {
+// timely, as in the simulator's write path — booked on f's window; fl
+// is f's state if that needed it, nil otherwise.
+func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks int32, data []byte) (fl *fileState, _ error) {
 	for i := int32(0); i < nblocks; i++ {
 		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
 		buf := e.pool.Get()
@@ -506,14 +495,15 @@ func (e *Engine) installSpan(f blockdev.FileID, off blockdev.BlockNo, nblocks in
 		}
 		if err := e.store.WriteBlock(b, buf.Bytes()); err != nil {
 			buf.Release()
-			return err
+			return fl, err
 		}
 		e.m.storeWrites.Add(1)
 		if e.cache.Put(b, buf, false) { // the cache takes the reference
-			e.timely(f)
+			fl = e.fileOf(fl, f)
+			fl.degree.OnTimely()
 		}
 	}
-	return nil
+	return fl, nil
 }
 
 // closeFile stops f's prefetch chain until its next request, as the
@@ -528,15 +518,15 @@ func (e *Engine) closeFile(f blockdev.FileID) {
 }
 
 // feedDriver runs one user request through f's driver under the
-// per-file mutex.
-func (e *Engine) feedDriver(f blockdev.FileID, r core.Request, satisfied bool) {
+// per-file mutex; fl is f's state if the request already resolved it.
+func (e *Engine) feedDriver(f blockdev.FileID, fl *fileState, r core.Request, satisfied bool) {
 	if !e.cfg.Alg.Prefetches() {
 		// No-prefetch algorithms never have a driver to feed
 		// (driverLocked returns nil unconditionally); skip the
 		// fileState lookup and per-file lock on the hot path.
 		return
 	}
-	fl := e.fileState(f)
+	fl = e.fileOf(fl, f)
 	fl.mu.Lock()
 	if d := e.driverLocked(f, fl); d != nil {
 		fl.tick++
@@ -568,15 +558,10 @@ func (e *Engine) Snapshot() Snapshot {
 		DemandHits:         e.m.demandHits.Load(),
 		DemandMisses:       e.m.demandMisses.Load(),
 		Writes:             e.m.writes.Load(),
-		PrefetchIssued:     e.m.prefetchIssued.Load(),
-		PrefetchFallback:   e.m.prefetchFallback.Load(),
 		PrefetchCompleted:  e.m.prefetchCompleted.Load(),
 		PrefetchCancelled:  e.m.prefetchCancelled.Load(),
 		PrefetchDropped:    e.m.prefetchDropped.Load(),
 		PrefetchDupSkipped: e.m.prefetchDupSkip.Load(),
-		PrefetchTimely:     e.m.prefetchTimely.Load(),
-		PrefetchLate:       e.m.prefetchLate.Load(),
-		PrefetchWasted:     e.m.prefetchWasted.Load(),
 		PrefetchUnused:     e.cache.UnusedPrefetched(),
 		StoreReads:         e.m.storeReads.Load(),
 		StoreWrites:        e.m.storeWrites.Load(),
@@ -590,15 +575,18 @@ func (e *Engine) Snapshot() Snapshot {
 		PeerRefused:        e.m.peerRefused.Load(),
 		CachedBlocks:       e.cache.Len(),
 	}
-	if e.adaptive {
+	adaptive := e.cfg.Alg.Adaptive
+	if adaptive {
 		// Every window starts linear, so a fresh engine reports 1.
 		s.DegreeCap, s.MaxDegree = e.cfg.Alg.MaxOutstanding, 1
 	}
+	var fates core.Fates
 	e.filesMu.RLock()
 	for _, fl := range e.files {
+		fates = fates.Add(fl.degree.Fates())
 		s.MaxFileOutstandingHW = max(s.MaxFileOutstandingHW, fl.degree.HighWater())
 		s.LinearViolations += fl.degree.OverCap()
-		if e.adaptive {
+		if adaptive {
 			window, widens, clamps := fl.degree.Stats()
 			s.MaxDegree = max(s.MaxDegree, window)
 			s.DegreeWidens += widens
@@ -606,6 +594,8 @@ func (e *Engine) Snapshot() Snapshot {
 		}
 	}
 	e.filesMu.RUnlock()
+	s.PrefetchIssued, s.PrefetchFallback = fates.Issued, fates.Fallback
+	s.PrefetchTimely, s.PrefetchLate, s.PrefetchWasted = fates.Timely, fates.Late, fates.Wasted
 	return s
 }
 
@@ -717,8 +707,9 @@ func (env *runtimeEnv) Cached(b blockdev.BlockID) bool {
 func (env *runtimeEnv) Evictions() uint64 { return env.e.cache.evictions.Load() }
 
 // Prefetch enqueues a speculative fetch, refusing when the bounded
-// queue is full (backpressure) or the engine is shutting down.
-func (env *runtimeEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
+// queue is full (backpressure) or the engine is shutting down. The
+// driver books the accepted issue on the file's window.
+func (env *runtimeEnv) Prefetch(b blockdev.BlockID, _ bool, cancelled func() bool, done func()) bool {
 	select {
 	case <-env.e.quit:
 		return false
@@ -727,10 +718,6 @@ func (env *runtimeEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled fun
 	op := prefetchOp{b: b, fl: env.fl, cancelled: cancelled, done: done}
 	select {
 	case env.e.pfq <- op:
-		env.e.m.prefetchIssued.Add(1)
-		if fallback {
-			env.e.m.prefetchFallback.Add(1)
-		}
 		return true
 	default:
 		env.e.m.prefetchDropped.Add(1)

@@ -75,7 +75,7 @@ func TestEnvPrefetchContract(t *testing.T) {
 		return host{
 			name: "simulator",
 			prefetch: func(blk blockdev.BlockID, cancelled func() bool, done func()) bool {
-				return b.Prefetch(0, tr.Numbering().File(file).Slot(blk), false, cancelled, done)
+				return b.Prefetch(0, tr.Numbering().File(file).Slot(blk), cancelled, done)
 			},
 			advance: func() {
 				served := b.Coll.DiskReads()

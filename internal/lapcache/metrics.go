@@ -5,25 +5,21 @@ import (
 	"sync/atomic"
 )
 
-// Metrics is the engine's counter set: the runtime image of the PR-1
-// observability layer, kept as atomics so request goroutines and
-// prefetch workers update it without a shared lock. Snapshot() freezes
-// it into a plain struct for expvar/JSON export.
+// Metrics is the engine's counter set, kept as atomics so request
+// goroutines and prefetch workers update it without a shared lock.
+// What became of each prefetch (issued, timely, late, wasted) is not
+// here: each file's window books its own (core.Fates), and Snapshot
+// sums them. Snapshot() freezes both into a plain struct for
+// expvar/JSON export.
 type Metrics struct {
 	demandHits   atomic.Uint64
 	demandMisses atomic.Uint64
 	writes       atomic.Uint64
 
-	prefetchIssued    atomic.Uint64
-	prefetchFallback  atomic.Uint64
 	prefetchCompleted atomic.Uint64
 	prefetchCancelled atomic.Uint64
 	prefetchDropped   atomic.Uint64
 	prefetchDupSkip   atomic.Uint64
-
-	prefetchTimely atomic.Uint64
-	prefetchLate   atomic.Uint64
-	prefetchWasted atomic.Uint64
 
 	storeReads  atomic.Uint64
 	storeWrites atomic.Uint64
@@ -49,7 +45,8 @@ type Snapshot struct {
 	DemandMisses uint64 `json:"demand_misses"`
 	Writes       uint64 `json:"writes"`
 
-	// Prefetch lifecycle.
+	// Prefetch lifecycle. PrefetchIssued and PrefetchFallback, like the
+	// three fates below, are sums over the files' windows.
 	PrefetchIssued    uint64 `json:"prefetch_issued"`
 	PrefetchFallback  uint64 `json:"prefetch_fallback"`
 	PrefetchCompleted uint64 `json:"prefetch_completed"`
@@ -62,7 +59,9 @@ type Snapshot struct {
 	// (singleflight dedup against demand misses).
 	PrefetchDupSkipped uint64 `json:"prefetch_dup_skipped"`
 
-	// Timeliness classification (PR-1 semantics).
+	// Fates of the prefetched blocks: demanded after arrival (timely),
+	// demanded while still in flight (late), evicted unread (wasted);
+	// the same rules as the simulator's (conformance:TestPrefetchFateRules).
 	PrefetchTimely uint64 `json:"prefetch_timely"`
 	PrefetchLate   uint64 `json:"prefetch_late"`
 	PrefetchWasted uint64 `json:"prefetch_wasted"`

@@ -88,10 +88,12 @@ func TestLinearHighWaterUnderStress(t *testing.T) {
 // TestHighWatersReadWhileServing reads the files' prefetch counts,
 // through HighWaters and Snapshot, from another goroutine while a
 // linear engine serves a sequential stream: the driver updates its
-// file's window under the file's mutex, and the readers take the
-// window's atomic high-water and over-cap counters under none. Run
-// with -race (CI runs it twenty times). The stream's file must end at
-// a high-water of exactly 1.
+// file's window under the file's mutex, requests and the cache book
+// fates on it under none, and the readers take the window's atomic
+// high-water, over-cap and fate counters under none. Run with -race
+// (CI runs it twenty times). No fate total may ever go down, and the
+// stream's file must end at a high-water of exactly 1 with its
+// prefetches issued and used.
 func TestHighWatersReadWhileServing(t *testing.T) {
 	const (
 		f      = blockdev.FileID(5)
@@ -108,6 +110,7 @@ func TestHighWatersReadWhileServing(t *testing.T) {
 	go func() {
 		n := 0
 		defer func() { rounds <- n }()
+		var last [5]uint64
 		for {
 			select {
 			case <-stop:
@@ -120,6 +123,14 @@ func TestHighWatersReadWhileServing(t *testing.T) {
 					hw, s.MaxFileOutstandingHW, s.LinearViolations)
 				return
 			}
+			fates := [5]uint64{s.PrefetchIssued, s.PrefetchFallback, s.PrefetchTimely, s.PrefetchLate, s.PrefetchWasted}
+			for i := range fates {
+				if fates[i] < last[i] {
+					t.Errorf("mid-stream: issued/fallback/timely/late/wasted went from %v to %v", last, fates)
+					return
+				}
+			}
+			last = fates
 			n++
 		}
 	}()
@@ -134,6 +145,9 @@ func TestHighWatersReadWhileServing(t *testing.T) {
 	}
 	if hw := e.HighWaters()[f]; hw != 1 {
 		t.Errorf("file %d high-water = %d after the stream, want exactly 1", f, hw)
+	}
+	if s := e.Snapshot(); s.PrefetchIssued == 0 || s.PrefetchTimely+s.PrefetchLate == 0 {
+		t.Errorf("after the stream: %d issued, %d timely, %d late; want prefetches issued and used", s.PrefetchIssued, s.PrefetchTimely, s.PrefetchLate)
 	}
 }
 

@@ -64,8 +64,8 @@ func (e pafsEnv) Cached(b blockdev.BlockID) bool {
 // Evictions: a fetch in flight always lands, so only a removal counts.
 func (e pafsEnv) Evictions() uint64 { return e.fs.Cch.Stats().Removals }
 
-func (e pafsEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
-	return e.fs.Base.Prefetch(e.server, e.file.Slot(b), fallback, cancelled, done)
+func (e pafsEnv) Prefetch(b blockdev.BlockID, _ bool, cancelled func() bool, done func()) bool {
+	return e.fs.Base.Prefetch(e.server, e.file.Slot(b), cancelled, done)
 }
 
 // driverFor lazily creates the per-file driver; nil when NP.

@@ -133,7 +133,7 @@ func TestBlockPPMRunsEndToEnd(t *testing.T) {
 	// chain churns forever (the runner's close/stop machinery bounds
 	// it in real runs); bound this direct drive by event count.
 	e.RunUntil(func() bool { return e.Fired() >= 500000 })
-	if fs.Coll.PrefetchIssuedCount() == 0 {
+	if fs.Fates().Issued == 0 {
 		t.Error("block-PPM never prefetched despite a repeated sequence")
 	}
 }

@@ -155,7 +155,7 @@ func TestLnAgrOBAPrefetchesSequentially(t *testing.T) {
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
 	// The chain must have walked to the end of the 20-block file.
-	if got := fs.Coll.PrefetchIssuedCount(); got != 19 {
+	if got := fs.Fates().Issued; got != 19 {
 		t.Errorf("prefetch reads = %d, want 19", got)
 	}
 	for b := 0; b < 20; b++ {
@@ -232,10 +232,10 @@ func TestMispredictRestartsFromNewPosition(t *testing.T) {
 	e, fs := newFS(core.SpecLnAgrOBA, 32, 1000)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	// Let the chain prefetch a handful of blocks.
-	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() >= 5 })
+	e.RunUntil(func() bool { return fs.Fates().Issued >= 5 })
 	// Jump far away: a misprediction.
 	fs.Read(0, span(0, 500, 1), func(sim.Time) {})
-	e.RunUntil(func() bool { return fs.Coll.PrefetchIssuedCount() >= 12 })
+	e.RunUntil(func() bool { return fs.Fates().Issued >= 12 })
 	if !fs.Cch.Contains(slot(501)) {
 		t.Error("chain did not restart at the new position")
 	}
@@ -272,7 +272,7 @@ func TestNPHasNoDrivers(t *testing.T) {
 			t.Error("NP created prefetch drivers")
 		}
 	}
-	if fs.Coll.PrefetchIssuedCount() != 0 {
+	if fs.Fates().Issued != 0 {
 		t.Error("NP issued prefetches")
 	}
 }
@@ -282,10 +282,10 @@ func TestFallbackFractionAccounted(t *testing.T) {
 	e, fs := newFS(core.SpecLnAgrISPPM1, 64, 10)
 	fs.Read(0, span(0, 0, 1), func(sim.Time) {})
 	e.Run()
-	if fs.Coll.PrefetchIssuedCount() == 0 {
+	if fs.Fates().Issued == 0 {
 		t.Fatal("no prefetches issued")
 	}
-	if got := fs.Coll.FallbackFraction(); got != 1.0 {
+	if got := fs.Fates().FallbackFraction(); got != 1.0 {
 		t.Errorf("fallback fraction = %v, want 1.0 (cold file)", got)
 	}
 }

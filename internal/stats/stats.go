@@ -1,7 +1,9 @@
-// Package stats collects the metrics the paper reports: average read
-// time (Figures 4–7), disk accesses (Figures 8–11), per-block disk
-// write counts (Table 2), and the prefetch-quality ratios quoted in
-// the text (misprediction ratio, OBA-fallback fraction).
+// Package stats collects the simulator's request and disk metrics the
+// paper reports: average read time (Figures 4–7), disk accesses
+// (Figures 8–11) and per-block disk write counts (Table 2). Prefetch
+// fates, and the misprediction and OBA-fallback ratios drawn from them,
+// are booked on each file's window (core.DegreePolicy.Fates), not
+// here.
 //
 // A collector is gated: nothing is recorded until StartMeasurement is
 // called, mirroring the paper's use of the first hours of each trace
@@ -26,17 +28,6 @@ type Collector struct {
 	// block written to disk; distinct counts the marks.
 	written  []bool
 	distinct int
-
-	prefetchIssued   uint64
-	prefetchFallback uint64
-
-	// Prefetch timeliness: a prefetched block is *timely* when a user
-	// request finds it cached, *late* when demand traffic arrives while
-	// the prefetch is still in flight (forcing a duplicate demand
-	// fetch), and *wasted* when it is evicted without ever being used.
-	prefetchTimely uint64
-	prefetchLate   uint64
-	prefetchWasted uint64
 }
 
 // New returns an idle collector for blocks numbered [0, slots).
@@ -100,46 +91,6 @@ func (c *Collector) DiskWrite(slot int32) {
 	}
 }
 
-// PrefetchIssued records one launched prefetch operation; fallback
-// marks OBA-fallback predictions inside IS_PPM.
-func (c *Collector) PrefetchIssued(fallback bool) {
-	if !c.measuring {
-		return
-	}
-	c.prefetchIssued++
-	if fallback {
-		c.prefetchFallback++
-	}
-}
-
-// PrefetchTimely records a prefetched block hit by a user request
-// after arriving in the cache: the prefetch paid off in full.
-func (c *Collector) PrefetchTimely() {
-	if !c.measuring {
-		return
-	}
-	c.prefetchTimely++
-}
-
-// PrefetchLate records a demand fetch launched while a prefetch of the
-// same block was still in flight: the prediction was right but the
-// prefetch lost the race, so the work is duplicated.
-func (c *Collector) PrefetchLate() {
-	if !c.measuring {
-		return
-	}
-	c.prefetchLate++
-}
-
-// PrefetchWasted records a prefetched block evicted before any user
-// request touched it.
-func (c *Collector) PrefetchWasted() {
-	if !c.measuring {
-		return
-	}
-	c.prefetchWasted++
-}
-
 // Reads returns the completed user read count.
 func (c *Collector) Reads() uint64 { return c.reads }
 
@@ -172,29 +123,6 @@ func (c *Collector) WritesPerBlock() float64 {
 	}
 	return float64(c.diskWrites) / float64(c.distinct)
 }
-
-// PrefetchIssuedCount returns the number of prefetch operations
-// launched in the window.
-func (c *Collector) PrefetchIssuedCount() uint64 { return c.prefetchIssued }
-
-// FallbackFraction returns the share of prefetches predicted by the
-// OBA fallback (§2.2: <1% on CHARISMA, ~25% on Sprite).
-func (c *Collector) FallbackFraction() float64 {
-	if c.prefetchIssued == 0 {
-		return 0
-	}
-	return float64(c.prefetchFallback) / float64(c.prefetchIssued)
-}
-
-// PrefetchTimelyCount returns prefetched blocks used after arrival.
-func (c *Collector) PrefetchTimelyCount() uint64 { return c.prefetchTimely }
-
-// PrefetchLateCount returns demand fetches that overlapped an
-// in-flight prefetch of the same block.
-func (c *Collector) PrefetchLateCount() uint64 { return c.prefetchLate }
-
-// PrefetchWastedCount returns prefetched blocks evicted unused.
-func (c *Collector) PrefetchWastedCount() uint64 { return c.prefetchWasted }
 
 // BlockHitRatio returns the fraction of requested blocks found cached
 // on arrival.

@@ -14,11 +14,6 @@ func fireEverything(c *Collector) {
 	c.ReadBlocks(4, 2)
 	c.DiskRead()
 	c.DiskWrite(1)
-	c.PrefetchIssued(false)
-	c.PrefetchIssued(true)
-	c.PrefetchTimely()
-	c.PrefetchLate()
-	c.PrefetchWasted()
 }
 
 // snapshot reads every exported counter and ratio.
@@ -32,11 +27,6 @@ func snapshot(c *Collector) map[string]float64 {
 		"diskWrites":     float64(c.DiskWrites()),
 		"diskAccesses":   float64(c.DiskAccesses()),
 		"writesPerBlock": c.WritesPerBlock(),
-		"pfIssued":       float64(c.PrefetchIssuedCount()),
-		"fallback":       c.FallbackFraction(),
-		"pfTimely":       float64(c.PrefetchTimelyCount()),
-		"pfLate":         float64(c.PrefetchLateCount()),
-		"pfWasted":       float64(c.PrefetchWastedCount()),
 	}
 }
 
@@ -57,8 +47,8 @@ func TestCollectorGatesOnMeasurement(t *testing.T) {
 	c.StartMeasurement()
 	fireEverything(c)
 	inWindow := snapshot(c)
-	if inWindow["reads"] != 1 || inWindow["pfTimely"] != 1 ||
-		inWindow["pfLate"] != 1 || inWindow["pfWasted"] != 1 {
+	if inWindow["reads"] != 1 || inWindow["writes"] != 1 ||
+		inWindow["diskReads"] != 1 || inWindow["diskWrites"] != 1 {
 		t.Errorf("collector ignored in-window events: %v", inWindow)
 	}
 	for name, v := range inWindow {
@@ -152,21 +142,6 @@ func TestWritesPerBlock(t *testing.T) {
 				t.Errorf("WritesPerBlock = %v, want %v", got, tc.perBlock)
 			}
 		})
-	}
-}
-
-func TestFallbackFraction(t *testing.T) {
-	c := New(4)
-	c.StartMeasurement()
-	for i := 0; i < 3; i++ {
-		c.PrefetchIssued(false)
-	}
-	c.PrefetchIssued(true)
-	if got := c.FallbackFraction(); got != 0.25 {
-		t.Errorf("FallbackFraction = %v, want 0.25", got)
-	}
-	if New(4).FallbackFraction() != 0 {
-		t.Error("empty collector should report 0")
 	}
 }
 

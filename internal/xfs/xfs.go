@@ -82,8 +82,8 @@ func (e xfsEnv) Evictions() uint64 { return e.fs.Cch.Stats().Removals }
 // fetched again anyway — the duplicated work (and the extra disk
 // traffic of Figure 9) that makes xFS's per-node prefetching "not
 // really linear" (§4, §5.2).
-func (e xfsEnv) Prefetch(b blockdev.BlockID, fallback bool, cancelled func() bool, done func()) bool {
-	return e.fs.Base.Prefetch(e.node, e.file.Slot(b), fallback, cancelled, done)
+func (e xfsEnv) Prefetch(b blockdev.BlockID, _ bool, cancelled func() bool, done func()) bool {
+	return e.fs.Base.Prefetch(e.node, e.file.Slot(b), cancelled, done)
 }
 
 // driverFor lazily creates the per-(node,file) driver; nil when NP.
