@@ -281,7 +281,14 @@ func (e *Engine) driverLocked(f blockdev.FileID, fl *fileState) *core.Driver {
 // the buffers stay valid even if the cache evicts or overwrites the
 // blocks meanwhile. hit reports that every block was served from this
 // node's memory on arrival — the satisfaction criterion fed to the
-// driver (§3.1). The read is then fed to the file's driver.
+// driver (§3.1).
+//
+// The driver sees the read when it arrives, as the simulator's does:
+// readSpan resolves every block without waiting, the read is fed to
+// its file's driver, and only then does finishSpan fill or wait for
+// the blocks that missed. So a miss's next prefetch is on the store
+// while the miss still is, and a read whose store read fails has been
+// fed all the same.
 //
 // On error the appended buffers are released and bufs is returned at
 // its original length.
@@ -289,11 +296,16 @@ func (e *Engine) ReadInto(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.
 	if !e.spanOK(off, nblocks) {
 		return bufs, false, fmt.Errorf("lapcache: invalid read %d:[%d,+%d]", f, off, nblocks)
 	}
-	bufs, fl, hit, err := e.readSpan(bufs, f, off, nblocks)
-	if err != nil {
-		return bufs, false, err
-	}
+	base := len(bufs)
+	var spare [4]missedBlock // a one-block miss takes no allocation
+	bufs, missed, fl := e.readSpan(bufs, spare[:0], f, off, nblocks)
+	hit := len(missed) == 0
 	e.feedDriver(f, fl, core.Request{Offset: off, Size: nblocks}, hit)
+	if !hit {
+		if err := e.finishSpan(bufs[base:], f, off, missed); err != nil {
+			return dropFrom(bufs, base), false, err
+		}
+	}
 	return bufs, hit, nil
 }
 
@@ -307,80 +319,145 @@ func (e *Engine) spanOK(off blockdev.BlockNo, nblocks int32) bool {
 		int64(off)+int64(nblocks) <= math.MaxInt32
 }
 
-// readSpan is the one way a local demand read gets its blocks. Per
-// block: a cached copy is a hit, and the first touch of a still-flagged
-// speculative copy a timely prefetch; a fetch already under way is
-// joined, never repeated — a speculative one the demand caught in
-// flight is a late prefetch — and the block re-checked once it lands;
-// otherwise the reader claims the block and fills it from the store
-// itself. A claim covers one block, so concurrent readers of
-// neighbouring blocks still fetch in parallel. Fates are booked, in
-// block order, on f's window; fl is f's state if a fate needed it, nil
-// otherwise.
-func (e *Engine) readSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) (_ []*blockbuf.Buf, fl *fileState, hit bool, _ error) {
-	base := len(bufs)
-	hit = true
-	waited := false // true while re-checking a block whose fetch we waited on
+// missedBlock is a block of a read's span that was not cached on
+// arrival: the i-th of the span, and the fetch of it the reader claimed
+// (and must fill) or joined (and must wait for).
+type missedBlock struct {
+	fo      *fetchOp
+	i       int32
+	claimed bool
+}
+
+// readSpan is a local demand read's arrival pass, the one way it meets
+// its blocks; it never waits. Per block: a cached copy is a hit,
+// appended to bufs, and the first touch of a still-flagged speculative
+// copy a timely prefetch; a fetch already under way is joined, never
+// repeated — a speculative one the demand caught in flight is a late
+// prefetch; otherwise the reader claims the block. Either way bufs
+// gets a nil in its slot and missed the fetch, for finishSpan. A
+// claim covers one block, so concurrent readers of neighbouring blocks
+// still fetch in parallel. The read is satisfied iff missed comes back
+// empty. Fates are booked, in block order, on f's window; fl is f's
+// state if a fate needed it, nil otherwise.
+func (e *Engine) readSpan(bufs []*blockbuf.Buf, missed []missedBlock, f blockdev.FileID, off blockdev.BlockNo, nblocks int32) (_ []*blockbuf.Buf, _ []missedBlock, fl *fileState) {
 	for i := int32(0); i < nblocks; {
 		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(i)}
 		if buf, wasPrefetched, ok := e.cache.Get(b); ok {
 			bufs = append(bufs, buf)
-			if waited {
-				// Its fetch was still in flight on arrival: a miss, and if
-				// the fetch was speculative, already counted late.
-				e.m.demandMisses.Add(1)
-				hit = false
-			} else {
-				e.m.demandHits.Add(1)
-				if wasPrefetched {
-					fl = e.fileOf(fl, f)
-					fl.degree.OnTimely()
-				}
+			e.m.demandHits.Add(1)
+			if wasPrefetched {
+				fl = e.fileOf(fl, f)
+				fl.degree.OnTimely()
 			}
 			i++
-			waited = false
 			continue
 		}
+		fo, claimed := e.pending(b)
+		if fo == nil {
+			continue // landed between our Get miss and taking flightMu
+		}
+		if !claimed && fo.prefetch {
+			fl = e.fileOf(fl, f)
+			fl.degree.OnLate()
+		}
+		bufs = append(bufs, nil)
+		missed = append(missed, missedBlock{fo: fo, i: i, claimed: claimed})
+		i++
+	}
+	return bufs, missed, fl
+}
 
-		e.flightMu.Lock()
-		if fo := e.inflight[b]; fo != nil {
-			fo.join()
-			e.flightMu.Unlock()
-			if fo.prefetch && !waited {
-				fl = e.fileOf(fl, f)
-				fl.degree.OnLate()
-			}
-			waited = true
+// finishSpan is a read's completion pass: it puts a buffer in the slot
+// of bufs (the span's, from block off) of every block readSpan missed.
+// It fills every block the reader claimed first, then waits for the
+// joined ones, re-checking each once it lands. A reader never waits
+// while it holds an unfilled claim, so readers of crossed spans cannot
+// wait on each other. A store error still completes every remaining
+// claim, so that its joiners wake and inflight empties, and releases
+// the joined fetches unwaited; the first error is returned, and the
+// caller releases the span's buffers.
+func (e *Engine) finishSpan(bufs []*blockbuf.Buf, f blockdev.FileID, off blockdev.BlockNo, missed []missedBlock) error {
+	var err error
+	for _, m := range missed {
+		if !m.claimed {
+			continue
+		}
+		b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(m.i)}
+		if ferr := e.fillSlot(bufs, m.i, m.fo, b); err == nil {
+			err = ferr
+		}
+	}
+	for _, m := range missed {
+		switch {
+		case m.claimed: // filled above
+		case err != nil:
+			e.releaseFetchOp(m.fo)
+		default:
+			b := blockdev.BlockID{File: f, Block: off + blockdev.BlockNo(m.i)}
+			err = e.awaitSlot(bufs, m.i, m.fo, b)
+		}
+	}
+	return err
+}
+
+// fillSlot fills the claimed block b from the store into bufs[i]; the
+// slot holds the buffer on error too, for the caller to release.
+func (e *Engine) fillSlot(bufs []*blockbuf.Buf, i int32, fo *fetchOp, b blockdev.BlockID) error {
+	buf, err := e.fill(fo, b)
+	bufs[i] = buf
+	if err == nil {
+		e.m.demandMisses.Add(1)
+	}
+	return err
+}
+
+// awaitSlot waits for the joined fetch fo of block b and takes the
+// block it brought into bufs[i]: a miss, and if the fetch was
+// speculative, already counted late. A block gone again by then is
+// joined or claimed anew.
+func (e *Engine) awaitSlot(bufs []*blockbuf.Buf, i int32, fo *fetchOp, b blockdev.BlockID) error {
+	for {
+		if fo != nil {
 			fo.wg.Wait()
 			err := fo.err
 			e.releaseFetchOp(fo)
 			if err != nil {
-				return dropFrom(bufs, base), fl, false, err
+				return err
 			}
-			continue // the block should be cached now; re-check
 		}
-		fo := e.claim(b, false)
-		e.flightMu.Unlock()
-		if fo == nil {
-			continue // landed between our Get miss and taking flightMu
+		if buf, _, ok := e.cache.Get(b); ok {
+			bufs[i] = buf
+			e.m.demandMisses.Add(1)
+			return nil
 		}
-		buf, err := e.fill(fo, b)
-		bufs = append(bufs, buf)
-		if err != nil {
-			return dropFrom(bufs, base), fl, false, err
+		var claimed bool
+		if fo, claimed = e.pending(b); claimed {
+			return e.fillSlot(bufs, i, fo, b)
 		}
-		e.m.demandMisses.Add(1)
-		hit = false
-		i++
-		waited = false
 	}
-	return bufs, fl, hit, nil
 }
 
-// dropFrom releases bufs[base:] and returns bufs cut back to base.
+// pending joins b's fetch under way, or claims b for the caller, and
+// returns the fetch; nil means b is cached after all.
+func (e *Engine) pending(b blockdev.BlockID) (fo *fetchOp, claimed bool) {
+	e.flightMu.Lock()
+	if fo = e.inflight[b]; fo != nil {
+		fo.join()
+	} else {
+		fo = e.claim(b, false)
+		claimed = fo != nil
+	}
+	e.flightMu.Unlock()
+	return fo, claimed
+}
+
+// dropFrom releases bufs[base:] and returns bufs cut back to base; a
+// nil slot (a block a failed read never got) holds nothing.
 func dropFrom(bufs []*blockbuf.Buf, base int) []*blockbuf.Buf {
 	for _, held := range bufs[base:] {
-		held.Release()
+		if held != nil {
+			held.Release()
+		}
 	}
 	return bufs[:base]
 }
@@ -519,6 +596,9 @@ func (e *Engine) closeFile(f blockdev.FileID) {
 
 // feedDriver runs one user request through f's driver under the
 // per-file mutex; fl is f's state if the request already resolved it.
+// A read is fed on arrival, between readSpan and finishSpan, while
+// its missed blocks may still be on the store (ReadInto); a write once
+// it is stored.
 func (e *Engine) feedDriver(f blockdev.FileID, fl *fileState, r core.Request, satisfied bool) {
 	if !e.cfg.Alg.Prefetches() {
 		// No-prefetch algorithms never have a driver to feed
